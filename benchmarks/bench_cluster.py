@@ -1,10 +1,10 @@
-"""Remote shard cluster: socket workers vs process pipes, replica fan-out.
+"""Remote shard cluster: socket workers vs process pipes.
 
 Not a paper figure — this repo's cluster-tier bench (PR 9).  The remote
 mode promotes the process-worker pipe protocol to a length-prefixed,
 CRC-framed socket protocol (``repro/service/remote.py``) so shard pools
 can leave the router's process tree; the price is pickling into a real
-socket instead of a pipe.  Two cells quantify that price:
+socket instead of a pipe.  One cell quantifies that price:
 
 * ``cluster``  — marginal per-tuple scored ingestion through two
   socket workers (each its own OS process, loopback TCP) vs the same
@@ -13,12 +13,6 @@ socket instead of a pipe.  Two cells quantify that price:
   framing; it must stay within ``SOCKET_MULTIPLE`` (the PR-9
   acceptance bound), and the measured stream must stay
   property-identical between the modes.
-* ``fanout``   — a burst of ``skyband`` push-down reads scattered over
-  a two-replica set (:meth:`ReplicaSet.fanout`) vs the same burst
-  serially against one replica.  Replicas answer reads independently,
-  so the scatter must never cost more than the serial pass
-  (``FANOUT_MULTIPLE`` noise ceiling) and should approach 2× on two
-  free CPUs.
 
 Run with ``pytest benchmarks/bench_cluster.py -s``; results land in
 ``BENCH_PR9.json`` (uploaded as a CI artifact).  ``REPRO_BENCH_SCALE``
@@ -30,9 +24,6 @@ import os
 import time
 from contextlib import contextmanager
 
-import pytest
-
-from repro.core.constraint import UNBOUND
 from repro.datasets.synthetic import synthetic_rows, synthetic_schema
 from repro.service import ShardedDiscoverer
 from repro.service.remote import run_worker
@@ -48,14 +39,6 @@ CHUNKS = 4
 #: Both modes pickle the same chunk payloads and pipeline identically;
 #: the delta is frame headers + CRC + loopback TCP, measured ~1.0-1.1x.
 SOCKET_MULTIPLE = 1.3
-
-#: A read burst scattered over two replicas may cost at most this
-#: multiple of the serial single-replica pass — fan-out must never be
-#: a pessimisation, and approaches 0.5x with two free CPUs.
-FANOUT_MULTIPLE = 1.25
-
-#: Reads per replica-fan-out burst.
-BURST = 24
 
 
 def usable_cpus() -> int:
@@ -213,80 +196,4 @@ def test_remote_marginal_within_process_budget(bench_scale):
         f"into the frame path (repro/service/remote.py); see "
         f"bench_guard.py::test_socket_frame_overhead_stays_marginal for "
         f"the protocol-only isolation"
-    )
-
-
-def test_replica_fanout_scales_reads(bench_scale):
-    """A skyband burst over 2 replicas ≤ the serial single-replica pass."""
-    n = int(600 * bench_scale)
-    schema = synthetic_schema(D, M)
-    rows = synthetic_rows(n, D, M, distribution="anticorrelated")
-    full = (1 << M) - 1
-    values = [
-        (f"v{v}",) + (UNBOUND,) * (D - 1) for v in range(6)
-    ]
-    with socket_workers(2) as addresses:
-        engine = ShardedDiscoverer(
-            schema, remote={"0": addresses}, chunk_size=CHUNK
-        )
-        try:
-            engine.facts_for_many(rows)
-            replica_set = engine._workers[0]
-            calls = [
-                (lambda w, v=values[i % len(values)]: w.request(
-                    "skyband", (v, full, 2, None)
-                ))
-                for i in range(BURST)
-            ]
-            primary = replica_set._replicas[0]
-
-            def serial_pass():
-                start = time.perf_counter()
-                out = [call(primary) for call in calls]
-                return time.perf_counter() - start, out
-
-            def fanout_pass():
-                start = time.perf_counter()
-                out = replica_set.fanout(calls)
-                return time.perf_counter() - start, out
-
-            serial_s, serial_out = min(serial_pass() for _ in range(3))
-            fanout_s, fanout_out = min(fanout_pass() for _ in range(3))
-            assert fanout_out == serial_out, (
-                "replica fan-out answers diverged from the primary's — "
-                "replicas are out of lockstep"
-            )
-        finally:
-            engine.close()
-    ratio = fanout_s / serial_s
-    cpus = usable_cpus()
-    print()
-    print(
-        f"{BURST}-read skyband burst @ n={n}: "
-        f"serial(1 replica)={1e3 * serial_s:.1f}ms "
-        f"fanout(2 replicas)={1e3 * fanout_s:.1f}ms "
-        f"ratio={ratio:.2f}x (ceiling {FANOUT_MULTIPLE}x), {cpus} CPUs"
-    )
-    update_results(
-        "fanout",
-        {
-            "burst": BURST,
-            "serial_ms": round(1e3 * serial_s, 3),
-            "fanout_ms": round(1e3 * fanout_s, 3),
-            "fanout_over_serial": round(ratio, 3),
-            "ceiling": FANOUT_MULTIPLE,
-            "replicas": 2,
-            "cpus": cpus,
-        },
-        filename="BENCH_PR9.json",
-    )
-    if cpus < 2:
-        pytest.skip(
-            f"read fan-out needs >= 2 usable CPUs to run the replicas in "
-            f"parallel (have {cpus}); numbers recorded, ratio not asserted"
-        )
-    assert ratio <= FANOUT_MULTIPLE, (
-        f"scattering the read burst over 2 replicas costs {ratio:.2f}x "
-        f"the serial pass (ceiling {FANOUT_MULTIPLE}x) — fan-out has "
-        f"become a pessimisation (repro/service/cluster.py)"
     )

@@ -61,7 +61,6 @@ def _base_engine(spec: EngineSpec) -> Engine:
             mode=spec.sharding.mode,
             score=spec.score,
             chunk_size=spec.sharding.chunk_size,
-            supervise=spec.sharding.supervise,
             op_timeout=spec.sharding.op_timeout,
             max_restarts=spec.sharding.max_restarts,
             sweep_index=spec.sweep_index,

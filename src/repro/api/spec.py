@@ -25,7 +25,7 @@ from ..core.config import DiscoveryConfig
 from ..core.schema import TableSchema
 
 #: Execution modes of the sharded composition.
-SHARDING_MODES = ("serial", "thread", "process", "remote")
+SHARDING_MODES = ("serial", "process", "remote")
 
 #: Supported aggregate functions over a base measure.
 AGGREGATES = ("sum", "max", "min", "count", "avg")
@@ -44,23 +44,21 @@ class ShardingSpec:
     workers:
         Requested shard count (clamped to the maintained subspace keys).
     mode:
-        ``"serial"`` (in-process, deterministic), ``"thread"``,
-        ``"process"`` (one OS process per shard — the throughput mode)
+        ``"serial"`` (in-process, deterministic), ``"process"`` (one
+        supervised OS process per shard — the throughput mode)
         or ``"remote"`` (each shard a replica set of socket workers,
         placed by :attr:`remote` — the multi-machine tier; see
         :mod:`repro.service.cluster`).
     chunk_size:
         Pipelining granularity of batched ingestion (rows per worker
         round-trip).
-    supervise:
-        Supervise process-mode workers: detect crashes, restart with
-        backoff, and rebuild their state deterministically from the
-        router's committed op prefix (ignored for serial/thread modes,
-        whose workers share the router's fate).
     op_timeout:
-        Seconds the router waits on any single worker pipe round-trip
-        before treating the worker as hung (and crashing/restarting
-        it under supervision).
+        Seconds the router waits on any single worker round-trip
+        before treating the worker as hung.  Process and remote workers
+        are always supervised: a crashed or hung one is restarted with
+        backoff (or its replica promoted) and rebuilt deterministically
+        from the router's committed op prefix; serial workers share the
+        router's fate.
     max_restarts:
         Circuit breaker: after this many restarts of a single worker
         the pool degrades to serial in-router execution instead of
@@ -78,7 +76,6 @@ class ShardingSpec:
     workers: int
     mode: str = "serial"
     chunk_size: int = 96
-    supervise: bool = True
     op_timeout: float = 60.0
     max_restarts: int = 3
     remote: Optional[Mapping[str, Tuple[str, ...]]] = None
@@ -136,6 +133,17 @@ class ShardingSpec:
                 "sharding.mode='remote' needs a remote placement map "
                 "({shard: [host:port, ...]})"
             )
+
+    @classmethod
+    def from_dict(cls, doc: Mapping[str, object]) -> "ShardingSpec":
+        """Rebuild from ``asdict`` output — including documents embedded
+        in checkpoints written before the ``supervise`` switch and the
+        ``thread`` mode were retired."""
+        doc = dict(doc)
+        doc.pop("supervise", None)  # process workers are always supervised
+        if doc.get("mode") == "thread":
+            doc["mode"] = "serial"  # output-identical by the parity contract
+        return cls(**doc)
 
 
 @dataclass(frozen=True)
@@ -500,7 +508,7 @@ class EngineSpec:
             algorithm=doc.get("algorithm", "stopdown"),
             config=DiscoveryConfig(**(doc.get("config") or {})),
             score=bool(doc.get("score", True)),
-            sharding=ShardingSpec(**sharding) if sharding else None,
+            sharding=ShardingSpec.from_dict(sharding) if sharding else None,
             window=doc.get("window"),
             aggregate=GroupSpec.from_dict(aggregate) if aggregate else None,
             checkpoint=CheckpointPolicy(**checkpoint) if checkpoint else None,

@@ -127,7 +127,7 @@ def _add_discovery_options(parser: argparse.ArgumentParser) -> None:
                         help="subspace-parallel worker count (0 = single "
                              "unsharded engine; >0 runs svec shards)")
     parser.add_argument("--mode", default="process",
-                        choices=("serial", "thread", "process", "remote"),
+                        choices=("serial", "process", "remote"),
                         help="worker execution mode (with --workers; "
                              "'remote' needs --remote)")
     parser.add_argument("--remote", default=None, metavar="MAP",

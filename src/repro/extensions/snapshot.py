@@ -186,9 +186,11 @@ def _spec_from_legacy(doc: dict) -> EngineSpec:
     sharding = None
     algorithm = doc["algorithm"]
     if meta.get("engine") == "sharded":
-        sharding = ShardingSpec(
-            workers=int(meta.get("n_workers", 2)),
-            mode=meta.get("mode", "serial"),
+        sharding = ShardingSpec.from_dict(
+            {
+                "workers": int(meta.get("n_workers", 2)),
+                "mode": meta.get("mode", "serial"),
+            }
         )
         algorithm = "svec"
     spec_doc = {

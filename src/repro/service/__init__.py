@@ -4,22 +4,28 @@ The library discovers situational facts one call at a time; this package
 turns it into a *service*:
 
 * :mod:`repro.service.sharding` — :class:`ShardedDiscoverer` partitions
-  the measure-subspace axis across worker engines (in-process, threaded,
-  or one OS process each) and recombines per-arrival facts in canonical
-  emission order, property-tested identical to the unsharded engine;
+  the measure-subspace axis across worker engines (in-process, one OS
+  process each, or socket workers on other machines) and recombines
+  per-arrival facts in canonical emission order, property-tested
+  identical to the unsharded engine;
+* :mod:`repro.service.worker` — the worker side of every mode: the
+  shard engine, its one op table, and the serve loop both the pipe and
+  the socket transport run;
 * :mod:`repro.service.server` — :class:`StreamServer`, an asyncio
   front-end with a bounded ingest queue, adaptive micro-batching,
   backpressure, fact subscriptions, periodic snapshot checkpointing and
   graceful drain, plus an optional NDJSON-over-TCP listener;
 * :mod:`repro.service.journal` — the append-only write-ahead journal
   of accepted ops; recovery = latest snapshot + journal suffix;
-* :mod:`repro.service.supervisor` — crash detection, restart with
-  backoff, and deterministic state rebuild for process-mode workers;
+* :mod:`repro.service.supervisor` — :class:`ShardWorker`, the one
+  router-side worker handle over an inline / pipe / socket link, with
+  crash detection, restart with backoff, and deterministic state
+  rebuild written once;
 * :mod:`repro.service.remote` — the length-prefixed, CRC-framed socket
   protocol (versioned handshake, per-request timeouts) that turns any
   machine running ``repro-facts shard-worker`` into a pool member;
-* :mod:`repro.service.cluster` — replica sets per shard (read fan-out,
-  promotion failover, deterministic re-observe on join) and the
+* :mod:`repro.service.cluster` — replica sets per shard (write-all /
+  read-any, promotion failover, deterministic re-observe on join) and the
   cost-fed :class:`PlacementModel` behind ``mode="remote"`` sharding;
 * :mod:`repro.service.faults` — the spec/env-driven fault-injection
   registry the chaos tests (and the CI chaos job) drive;
@@ -35,14 +41,14 @@ from .cluster import PlacementModel, ReplicaSet, cluster_status
 from .feeds import FeedStore
 from .gateway import FeedClient, FeedGateway, fetch_json
 from .journal import JournalWriter, RecoveryReport, recover_engine
-from .remote import RemoteWorker, SocketWorkerServer, run_worker
+from .remote import SocketWorkerServer, run_worker
 from .sharding import (
     ShardedDiscoverer,
     canonical_subspace_keys,
     partition_subspaces,
 )
 from .server import StreamServer
-from .supervisor import SupervisedWorker, SupervisorPolicy, WorkerCrashed, WorkerGaveUp
+from .supervisor import ShardWorker, SupervisorPolicy, WorkerCrashed, WorkerGaveUp
 
 __all__ = [
     "FeedClient",
@@ -51,12 +57,11 @@ __all__ = [
     "JournalWriter",
     "PlacementModel",
     "RecoveryReport",
-    "RemoteWorker",
     "ReplicaSet",
     "ShardedDiscoverer",
     "SocketWorkerServer",
     "StreamServer",
-    "SupervisedWorker",
+    "ShardWorker",
     "SupervisorPolicy",
     "WorkerCrashed",
     "WorkerGaveUp",

@@ -9,27 +9,25 @@ This is the router-side layer above the socket protocol
 every one holding the same deterministic shard state.
 
 Consistency model.  Shard workers are deterministic: identical op
-streams (``rows`` / ``delete`` in arrival order) produce identical
-engines, facts, and counters.  A :class:`ReplicaSet` therefore simply
-sends every write to every live replica and may read (``counters``,
-``skyline``, ``skyband``, ``top_k``) from *any* of them — reads
-round-robin across the pool for fan-out, and a failed replica is
-dropped and the read retried on the next one.  Failover is promotion
-by position: replica 0 of the live list is the primary (the only one
-the router forwards armed fault specs to, so injected crashes exercise
-promotion); when it dies the next replica — already byte-identical —
-takes over with zero recovery work.  Only when a whole replica set is
-lost mid-stream does the set raise
-:class:`~repro.service.supervisor.WorkerGaveUp`, which the router
-handles exactly like an exhausted supervised pipe worker: degrade to
+streams produce identical engines, facts, and counters.  A
+:class:`ReplicaSet` therefore sends every state-mutating op to every
+live replica and serves any other from *any* one of them, round-robin;
+a failed replica is dropped and the read retried on the next.  Failover
+is promotion by position: replica 0 of the live list is the primary
+(the only one the router forwards armed fault specs to, so injected
+crashes exercise promotion); when it dies the next replica — already
+byte-identical — takes over with zero recovery work.  Only a whole set
+lost mid-stream raises :class:`~repro.service.supervisor.WorkerGaveUp`,
+which the router handles like an exhausted pipe worker: degrade to
 in-router execution, rebuilt from the op log, losing nothing.
 
 Replica join is a deterministic re-observe: the router keeps the same
 committed op log the degrade path replays (the in-memory equivalent of
 the v3 snapshot + journal suffix — see
 :func:`repro.service.journal.recover_engine` for the durable variant),
-and :meth:`ReplicaSet.join` streams it to the new worker in
-``_REPLAY_SLICE`` batches before re-sending any in-flight chunks.
+and :meth:`ReplicaSet.join` streams it to the new worker
+(:func:`~repro.service.supervisor.replay_into`) before re-sending any
+in-flight chunks.
 
 Placement.  :class:`PlacementModel` replaces the static weights of
 :func:`~repro.service.sharding.partition_subspaces` with live,
@@ -46,28 +44,20 @@ classic partition.
 
 from __future__ import annotations
 
-import socket
-import threading
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
-from typing import (
-    Callable,
-    Deque,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-)
+from typing import Deque, Dict, List, Mapping, Optional, Sequence
 
-from .remote import (
-    FrameError,
-    HandshakeError,
-    RemoteWorker,
-    probe_worker,
+from .remote import SocketLink, probe_worker
+from .supervisor import (
+    ShardWorker,
+    SupervisorPolicy,
+    WorkerCrashed,
+    WorkerGaveUp,
+    replay_into,
 )
-from .supervisor import _REPLAY_SLICE, WorkerCrashed, WorkerGaveUp
+from .worker import _ShardEngine
 
 __all__ = [
     "Move",
@@ -87,15 +77,16 @@ def shard_sort_key(name: object):
 
 class ReplicaSet:
     """All replicas of one shard, presented to the router as a single
-    worker with the pipe-worker surface (``submit_rows`` / ``result`` /
-    ``delete`` / reads / ``pending_ops`` / ``close``).
+    worker with the :class:`~repro.service.supervisor.ShardWorker`
+    surface (``submit_rows`` / ``result`` / ``call`` / ``pending_ops``
+    / ``close``) over one socket-linked handle per replica.
 
     Invariants the router relies on:
 
     * :meth:`submit_rows` **never raises** — the router's submit loop
-      runs before any crash handling; a send failure just drops that
-      replica and the chunk stays queued in ``_pending`` for the
-      degrade path.
+      runs before any crash handling; a failed send surfaces at the
+      next :meth:`result`, which drops that replica, and the chunk
+      stays queued in ``_pending`` for the degrade path.
     * :meth:`result` collects one reply from *every* live replica (each
       owes exactly one per submitted chunk, FIFO), so the sockets stay
       in lockstep; the surviving replies are identical by determinism
@@ -120,7 +111,9 @@ class ReplicaSet:
         spec = dict(spec)
         armed = spec.pop("faults", None) or []
         self._spec = spec
-        self.op_timeout = op_timeout
+        # A socket link cannot be re-opened, so each replica's handle
+        # gives up at its first crash; the set answers by promotion.
+        self._policy = SupervisorPolicy(op_timeout=op_timeout)
         # Shared with the router: the committed prefix joins replay.
         self._oplog: List = oplog if oplog is not None else []
         self._pending: Deque[list] = deque()
@@ -129,18 +122,17 @@ class ReplicaSet:
         self.failovers = 0
         self.restarts = 0  # replicas joined after construction
         self.chunks_retried = 0
-        self._replicas: List[RemoteWorker] = []
+        self._replicas: List[ShardWorker] = []
         errors = []
         for i, address in enumerate(self.addresses):
             # Armed faults go to the primary only: replicas share the
             # worker index, so forwarding them everywhere would kill
             # the whole set at once and failover could never happen.
-            worker_spec = dict(spec, faults=(armed if i == 0 else []))
             try:
                 self._replicas.append(
-                    RemoteWorker(index, address, worker_spec, op_timeout)
+                    self._connect(address, armed if i == 0 else [])
                 )
-            except (WorkerCrashed, HandshakeError) as exc:
+            except WorkerCrashed as exc:
                 errors.append(str(exc))
         if not self._replicas:
             raise WorkerGaveUp(
@@ -148,137 +140,90 @@ class ReplicaSet:
                 "no replica reachable (" + "; ".join(errors) + ")",
             )
 
+    def _connect(self, address: str, armed: Sequence = ()) -> ShardWorker:
+        """Open, handshake and ``configure`` one replica."""
+        link = SocketLink(self.index, address, self._policy.op_timeout)
+        try:
+            link.request("configure", dict(self._spec, faults=list(armed)))
+        except WorkerCrashed:
+            link.abandon()
+            raise
+        return ShardWorker(self.index, link, self._policy)
+
     # -- liveness ----------------------------------------------------
     @property
     def replicas(self) -> List[str]:
         """Addresses of the live replicas, primary first."""
-        return [replica.address for replica in self._replicas]
+        return [replica.link.address for replica in self._replicas]
 
-    def _drop(self, replica: RemoteWorker) -> None:
-        try:
-            self._replicas.remove(replica)
-        except ValueError:  # pragma: no cover - double drop
-            pass
-        replica.abandon()
+    def _drop(self, replica: ShardWorker) -> None:
+        self._replicas.remove(replica)
+        replica.link.abandon()
         # Promotion is implicit: the next live replica already holds
         # the identical deterministic state.
         self.failovers += 1
 
-    # -- write path (pipe-worker surface) ----------------------------
+    def _all(self, attempt) -> list:
+        """``attempt(replica)`` on every live replica, dropping the
+        ones that crash; the survivors' replies, in replica order
+        (identical by determinism)."""
+        replies = []
+        for replica in list(self._replicas):
+            try:
+                replies.append(attempt(replica))
+            except WorkerCrashed:
+                self._drop(replica)
+        return replies
+
+    # -- the worker surface ------------------------------------------
     def submit_rows(self, rows: list) -> None:
         self._pending.append(rows)
-        for replica in list(self._replicas):
-            try:
-                replica.submit_rows(rows)
-            except WorkerCrashed:
-                self._drop(replica)
+        for replica in self._replicas:
+            replica.submit_rows(rows)
 
     def result(self):
-        if not self._replicas:
-            raise WorkerGaveUp(
-                self.index, f"replica set {self.index} exhausted"
-            )
-        reply = None
-        for replica in list(self._replicas):
-            try:
-                got = replica._reply()
-            except WorkerCrashed:
-                self._drop(replica)
-            else:
-                if reply is None:
-                    reply = got
-        if reply is None:
-            # Every replica died on this chunk; _pending is intact so
-            # the router's degrade path replays it faithfully.
+        replies = self._all(ShardWorker.result)
+        if not replies:
+            # Every replica died on this chunk (or earlier); _pending
+            # is intact so the router's degrade path replays it
+            # faithfully.
             raise WorkerGaveUp(
                 self.index,
                 f"replica set {self.index} lost every replica mid-chunk",
             )
         self._pending.popleft()
-        self.busy_seconds += reply[4]
-        return reply
+        self.busy_seconds += replies[0][4]
+        return replies[0]
 
-    def delete(self, tid: int) -> None:
-        acked = False
-        for replica in list(self._replicas):
-            try:
-                replica.delete(tid)
-            except WorkerCrashed:
-                self._drop(replica)
-            else:
-                acked = True
-        if not acked:
-            raise WorkerGaveUp(
-                self.index,
-                f"replica set {self.index}: no replica acknowledged "
-                f"delete({tid})",
-            )
-
-    # -- read path: round-robin fan-out ------------------------------
-    def _read(self, op: str, payload):
-        while self._replicas:
-            replica = self._replicas[self._rr % len(self._replicas)]
-            self._rr += 1
-            try:
-                return replica.request(op, payload)
-            except WorkerCrashed:
-                self._drop(replica)
+    def call(self, op: str, payload: object = None):
+        """Write-all / read-any: an op that mutates shard state goes to
+        every live replica (one ack suffices — the rest were dropped),
+        any other is served by one replica, round-robin, retried on the
+        next when that one fails."""
+        if _ShardEngine.op(op).writes:
+            replies = self._all(lambda replica: replica.call(op, payload))
+            if replies:
+                return replies[0]
+        else:
+            while self._replicas:
+                replica = self._replicas[self._rr % len(self._replicas)]
+                self._rr += 1
+                try:
+                    return replica.call(op, payload)
+                except WorkerCrashed:
+                    self._drop(replica)
         raise WorkerGaveUp(
             self.index,
-            f"replica set {self.index}: read {op!r} found no live replica",
+            f"replica set {self.index}: no live replica answered {op!r}",
         )
 
-    def counters(self) -> Dict[str, int]:
-        return self._read("counters", None)
+    def pending_ops(self) -> List[list]:
+        return list(self._pending)
 
-    def skyline(self, values, subspace: int) -> List[int]:
-        return self._read("skyline", (values, subspace))
-
-    def skyband(self, values, subspace: int, k: int, limit=None) -> List[int]:
-        return self._read("skyband", (values, subspace, k, limit))
-
-    def top_k(self, values, subspace: int, limit):
-        return self._read("top_k", (values, subspace, limit))
-
-    def fanout(self, calls: Sequence[Callable[[RemoteWorker], object]]):
-        """Scatter read closures across the live replicas — one thread
-        per replica, each replica's socket used serially — and gather
-        results in call order.  This is the read fan-out path for
-        ``skyband`` / ``top_k`` push-down bursts; issue only while no
-        ingest replies are outstanding."""
-        replicas = list(self._replicas)
-        if not replicas:
-            raise WorkerGaveUp(
-                self.index, f"replica set {self.index}: fanout on empty set"
-            )
-        if len(replicas) == 1 or len(calls) <= 1:
-            return [call(replicas[0]) for call in calls]
-        results: List[object] = [None] * len(calls)
-        failures: List[BaseException] = []
-
-        def drain(replica: RemoteWorker, indices: List[int]) -> None:
-            for i in indices:
-                try:
-                    results[i] = calls[i](replica)
-                except BaseException as exc:  # noqa: BLE001 - re-raised
-                    failures.append(exc)
-                    return
-
-        buckets: List[List[int]] = [[] for _ in replicas]
-        for i in range(len(calls)):
-            buckets[i % len(replicas)].append(i)
-        threads = [
-            threading.Thread(target=drain, args=(replica, bucket))
-            for replica, bucket in zip(replicas, buckets)
-            if bucket
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if failures:
-            raise failures[0]
-        return results
+    def close(self) -> None:
+        for replica in self._replicas:
+            replica.close()
+        self._replicas = []
 
     # -- membership --------------------------------------------------
     def heartbeat(self) -> Dict[str, Optional[float]]:
@@ -287,35 +232,31 @@ class ReplicaSet:
         caveat as for reads: only while no chunks are outstanding."""
         out: Dict[str, Optional[float]] = {}
         for replica in list(self._replicas):
-            address = replica.address
+            address = replica.link.address
+            start = perf_counter()
             try:
-                rtt, _payload = replica.ping()
+                replica.link.request("ping")
             except WorkerCrashed:
                 self._drop(replica)
                 out[address] = None
             else:
-                out[address] = rtt
+                out[address] = perf_counter() - start
         return out
 
-    def join(self, address: str) -> RemoteWorker:
+    def join(self, address: str) -> ShardWorker:
         """Bring a new replica into the set by deterministic
-        re-observe: configure it, replay the committed op prefix in
-        :data:`~repro.service.supervisor._REPLAY_SLICE` batches, then
-        re-send any in-flight chunks so it owes the same replies as the
-        incumbents."""
-        replica = RemoteWorker(
-            self.index, address, dict(self._spec, faults=[]), self.op_timeout
-        )
-        ops = list(self._oplog)
-        for start in range(0, len(ops), _REPLAY_SLICE):
-            replica.replay(ops[start : start + _REPLAY_SLICE])
+        re-observe: configure it, replay the committed op prefix, then
+        re-send any in-flight chunks so it owes the same replies as
+        the incumbents."""
+        replica = self._connect(address)
+        replay_into(replica.call, self._oplog)
         for rows in self._pending:
             replica.submit_rows(rows)
         self.chunks_retried += len(self._pending)
         self._replicas.append(replica)
         self.restarts += 1
-        if replica.address not in self.addresses:
-            self.addresses.append(replica.address)
+        if replica.link.address not in self.addresses:
+            self.addresses.append(replica.link.address)
         return replica
 
     def reconfigure(self, shard_keys: Sequence[int]) -> None:
@@ -329,28 +270,17 @@ class ReplicaSet:
                 f"{len(self._pending)} chunks outstanding"
             )
         self._spec = dict(self._spec, shard=list(shard_keys))
-        ops = list(self._oplog)
-        for replica in list(self._replicas):
-            try:
-                replica.request("configure", dict(self._spec, faults=[]))
-                for start in range(0, len(ops), _REPLAY_SLICE):
-                    replica.replay(ops[start : start + _REPLAY_SLICE])
-            except WorkerCrashed:
-                self._drop(replica)
-        if not self._replicas:
+
+        def handoff(replica: ShardWorker) -> None:
+            replica.link.request("configure", dict(self._spec, faults=[]))
+            replay_into(replica.call, self._oplog)
+
+        if not self._all(handoff):
             raise WorkerGaveUp(
                 self.index,
                 f"replica set {self.index} lost every replica during "
                 f"reconfigure",
             )
-
-    def pending_ops(self) -> List[list]:
-        return list(self._pending)
-
-    def close(self) -> None:
-        for replica in self._replicas:
-            replica.close()
-        self._replicas = []
 
 
 # ----------------------------------------------------------------------
@@ -520,45 +450,34 @@ def cluster_status(
     report: List[Dict[str, object]] = []
     for shard in sorted(remote, key=shard_sort_key):
         shard_rows: List[Dict[str, object]] = []
-        applied: List[int] = []
         for address in remote[shard]:
+            row: Dict[str, object] = {
+                "shard": str(shard),
+                "replica": str(address),
+                "alive": False,
+                "configured": False,
+                "rows": None,
+                "busy_seconds": None,
+                "rtt_ms": None,
+                "error": None,
+            }
             try:
                 stats = probe_worker(address, timeout=timeout)
-            except (OSError, ConnectionError, FrameError, ValueError) as exc:
-                shard_rows.append(
-                    {
-                        "shard": str(shard),
-                        "replica": str(address),
-                        "alive": False,
-                        "configured": False,
-                        "rows": None,
-                        "busy_seconds": None,
-                        "rtt_ms": None,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-                )
+            except (WorkerCrashed, OSError, ValueError) as exc:
+                row["error"] = f"{type(exc).__name__}: {exc}"
             else:
-                rows = int(stats.get("rows", 0))
-                applied.append(rows)
-                shard_rows.append(
-                    {
-                        "shard": str(shard),
-                        "replica": str(address),
-                        "alive": True,
-                        "configured": bool(stats.get("configured", False)),
-                        "rows": rows,
-                        "busy_seconds": stats.get("busy_seconds", 0.0),
-                        "rtt_ms": round(
-                            float(stats.get("rtt_seconds", 0.0)) * 1000.0, 3
-                        ),
-                        "error": None,
-                    }
+                row.update(
+                    alive=True,
+                    configured=bool(stats.get("configured", False)),
+                    rows=int(stats.get("rows", 0)),
+                    busy_seconds=stats.get("busy_seconds", 0.0),
+                    rtt_ms=round(
+                        float(stats.get("rtt_seconds", 0.0)) * 1000.0, 3
+                    ),
                 )
-        head = max(applied) if applied else 0
+            shard_rows.append(row)
+        head = max((r["rows"] for r in shard_rows if r["alive"]), default=0)
         for row in shard_rows:
-            row["lag"] = (
-                head - row["rows"] if row["alive"] and row["rows"] is not None
-                else None
-            )
+            row["lag"] = head - row["rows"] if row["alive"] else None
         report.extend(shard_rows)
     return report

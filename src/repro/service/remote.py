@@ -27,22 +27,24 @@ Session layout:
   on a version mismatch, so routers and workers from different releases
   fail loudly at connect time instead of mid-stream;
 * **requests** — ``(op, payload)`` frames, strictly FIFO per
-  connection, the same op vocabulary as the pipe protocol (``rows`` /
-  ``delete`` / ``counters`` / ``skyline`` / ``skyband`` / ``top_k`` /
-  ``replay``) plus ``configure`` (install a shard engine), ``ping``
-  (heartbeat), ``stats`` (worker-side tallies for ``cluster-status``),
-  ``stop`` (end this connection) and ``shutdown`` (end the worker);
+  connection: the worker op table
+  (:attr:`repro.service.worker._ShardEngine.OPS`, shared with the pipe
+  protocol) plus the control ops ``configure`` (install a shard
+  engine), ``ping`` (heartbeat), ``stats`` (worker-side tallies for
+  ``cluster-status``), ``stop`` (end this connection) and ``shutdown``
+  (end the worker);
 * **replies** — ``("ok", result)`` or ``("error", reason)`` frames.
 
-Per-request timeouts: the router side sets the socket timeout to the
-sharding ``op_timeout``, so a worker that hangs (or whose reply a
-``worker.reply`` fault drops, or whose ``worker.op`` fault sleeps past
-the budget) surfaces as a :class:`~repro.service.supervisor.\
-WorkerCrashed` — the same signal the supervised pipe workers raise —
-and the replica layer fails over.  Worker-side, the handler loop fires
-the :mod:`repro.service.faults` ``worker.op`` / ``worker.reply`` hook
-points exactly like the pipe loop, so the chaos suite drives socket
-workers with the same fault specs.
+Per-request timeouts: the router side waits on each reply with the
+sharding ``op_timeout`` as the socket deadline, so a worker that hangs
+(or whose reply a ``worker.reply`` fault drops, or whose ``worker.op``
+fault sleeps past the budget) surfaces as a
+:class:`~repro.service.supervisor.WorkerCrashed` — the same signal the
+pipe link raises — and the replica layer fails over.  Worker-side, each
+connection runs the shared :func:`repro.service.worker.serve` loop, so
+the ``worker.op`` / ``worker.reply`` fault hook points fire exactly as
+in a pipe worker and the chaos suite drives socket workers with the
+same fault specs.
 """
 
 from __future__ import annotations
@@ -55,11 +57,12 @@ import sys
 import threading
 import zlib
 from time import perf_counter
-from typing import Dict, List, Mapping, Optional, Tuple
+from types import SimpleNamespace
+from typing import Dict, Mapping, Optional, Tuple
 
 from . import faults
-from .sharding import IngestReply, _apply_worker_fault, _build_shard_engine
 from .supervisor import WorkerCrashed
+from .worker import _build_shard_engine, serve
 
 #: Version exchanged in the handshake; bumped on any frame/op change.
 PROTOCOL_VERSION = 1
@@ -75,10 +78,6 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 class FrameError(ConnectionError):
     """A frame failed to parse: short read, CRC mismatch, oversize."""
-
-
-class HandshakeError(ConnectionError):
-    """The peer spoke a different protocol version (or no hello)."""
 
 
 def parse_address(address: str) -> Tuple[str, int]:
@@ -129,6 +128,12 @@ def recv_msg(sock: socket.socket) -> Tuple[str, object]:
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
+#: The tallies a worker reports before its first ``configure``.
+_UNCONFIGURED = SimpleNamespace(
+    shard=(), rows_applied=0, deletes_applied=0, busy_seconds=0.0
+)
+
+
 class SocketWorkerServer:
     """One shard-worker pool member: a socket server hosting a single
     shard-restricted ``svec`` engine.
@@ -150,16 +155,19 @@ class SocketWorkerServer:
         self.host, self.port = self._listener.getsockname()[:2]
         self.address = f"{self.host}:{self.port}"
         self._engine = None
+        #: The configured shard index (fault scoping).
+        self.index: Optional[int] = None
+        # Guards the engine and op_counts: every connection thread
+        # applies its ops under it.
         self._engine_lock = threading.Lock()
-        self._index: Optional[int] = None
-        self._shard_keys: List[int] = []
         self._stop = threading.Event()
         self._accept_thread: Optional[threading.Thread] = None
-        #: Worker-side tallies served to ``stats`` probes.
-        self.rows_applied = 0
-        self.deletes_applied = 0
-        self.busy_seconds = 0.0
+        #: Requests applied per op name (served to ``stats`` probes).
         self.op_counts: Dict[str, int] = {}
+
+    @property
+    def rows_applied(self) -> int:
+        return (self._engine or _UNCONFIGURED).rows_applied
 
     # -- lifecycle ---------------------------------------------------
     def start(self) -> "SocketWorkerServer":
@@ -205,147 +213,104 @@ class SocketWorkerServer:
 
     # -- connection handling -----------------------------------------
     def _serve_connection(self, conn: socket.socket) -> None:
+        def recv() -> Tuple[str, object]:
+            if self._stop.is_set():
+                raise EOFError("worker stopping")
+            return recv_msg(conn)
+
         try:
             try:
                 op, payload = recv_msg(conn)
             except (FrameError, OSError, pickle.UnpicklingError, EOFError):
                 return
-            if (
-                op != "hello"
-                or not isinstance(payload, Mapping)
-                or payload.get("version") != PROTOCOL_VERSION
-            ):
-                got = (
-                    payload.get("version")
-                    if isinstance(payload, Mapping)
-                    else None
-                )
+            version = None
+            if isinstance(payload, Mapping):
+                version = payload.get("version")
+            if op != "hello" or version != PROTOCOL_VERSION:
                 try:
                     send_msg(
                         conn,
                         "error",
                         f"protocol version mismatch: worker speaks "
-                        f"{PROTOCOL_VERSION}, client sent {got!r}",
+                        f"{PROTOCOL_VERSION}, client sent {version!r}",
                     )
                 except OSError:
                     pass
                 return
-            send_msg(
-                conn,
-                "hello",
-                {
-                    "version": PROTOCOL_VERSION,
-                    "pid": os.getpid(),
-                    "configured": self._engine is not None,
-                },
-            )
-            while not self._stop.is_set():
-                try:
-                    op, payload = recv_msg(conn)
-                except (FrameError, OSError, pickle.UnpicklingError, EOFError):
-                    break
-                self.op_counts[op] = self.op_counts.get(op, 0) + 1
-                if op == "stop":
-                    break
-                if op == "shutdown":
-                    try:
-                        send_msg(conn, "ok", "shutting down")
-                    except OSError:
-                        pass
-                    self._stop.set()
-                    break
-                # The pipe loop's fault hook points, verbatim: a dropped
-                # op / reply is silence the router's op_timeout notices.
-                if _apply_worker_fault(
-                    faults.fire("worker.op", worker=self._index, op=op)
-                ):
-                    continue
-                try:
-                    reply = self._dispatch(op, payload)
-                    status = "ok"
-                except Exception as exc:
-                    status, reply = "error", f"{type(exc).__name__}: {exc}"
-                if _apply_worker_fault(
-                    faults.fire("worker.reply", worker=self._index, op=op)
-                ):
-                    continue
-                try:
-                    send_msg(conn, status, reply)
-                except OSError:
-                    break
+            send_msg(conn, "hello", self._liveness())
+            serve(recv, lambda reply: send_msg(conn, *reply), self)
         finally:
             try:
                 conn.close()
             except OSError:  # pragma: no cover - already closed
                 pass
 
-    def _dispatch(self, op: str, payload) -> object:
+    def _liveness(self) -> Dict[str, object]:
+        return {
+            "version": PROTOCOL_VERSION,
+            "pid": os.getpid(),
+            "configured": self._engine is not None,
+        }
+
+    def apply(self, op: str, payload: object) -> Tuple[str, object]:
+        """One request → its ``(status, result)`` reply frame: a control
+        op, or the engine's op table.  A failing op is the router's to
+        judge, so it travels back as an ``error`` reply instead of
+        taking the connection down."""
         with self._engine_lock:
-            if op == "configure":
-                spec = dict(payload)
-                self._index = spec.get("worker_index")
-                if spec.get("faults"):
-                    # Router-forwarded faults, like the pipe spawn spec.
-                    # An empty list leaves any env-armed faults alone.
-                    faults.install(spec["faults"])
-                self._engine = _build_shard_engine(spec)
-                self._shard_keys = list(spec["shard"])
-                self.rows_applied = 0
-                self.deletes_applied = 0
-                self.busy_seconds = 0.0
-                return {"shard": self._index, "keys": len(self._shard_keys)}
-            if op == "ping":
-                return {
-                    "configured": self._engine is not None,
-                    "rows": self.rows_applied,
-                    "busy_seconds": self.busy_seconds,
-                }
-            if op == "stats":
-                return {
-                    "version": PROTOCOL_VERSION,
-                    "pid": os.getpid(),
-                    "configured": self._engine is not None,
-                    "shard": self._index,
-                    "keys": len(self._shard_keys),
-                    "rows": self.rows_applied,
-                    "deletes": self.deletes_applied,
-                    "busy_seconds": round(self.busy_seconds, 6),
-                    "op_counts": dict(self.op_counts),
-                }
-            engine = self._engine
-            if engine is None:
-                raise RuntimeError(
-                    f"worker not configured (op {op!r} before 'configure')"
-                )
-            if op == "rows":
-                reply = engine.ingest(payload)
-                self.rows_applied += len(payload)
-                self.busy_seconds += reply[4]
-                return reply
-            if op == "delete":
-                engine.delete(payload)
-                self.deletes_applied += 1
-                return ("ok", payload)
-            if op == "counters":
-                return engine.counters()
-            if op == "skyline":
-                return engine.skyline_tids(*payload)
-            if op == "skyband":
-                return engine.skyband_tids(*payload)
-            if op == "top_k":
-                return engine.top_k_stats(*payload)
-            if op == "replay":
-                # Deterministic re-observe on replica join/reconfigure:
-                # a slice of the router's committed op prefix.
-                for kind, data in payload:
-                    if kind == "rows":
-                        engine.ingest(data)
-                        self.rows_applied += len(data)
-                    else:
-                        engine.delete(data)
-                        self.deletes_applied += 1
-                return ("replayed", len(payload))
-            raise ValueError(f"unknown op {op!r}")
+            self.op_counts[op] = self.op_counts.get(op, 0) + 1
+            try:
+                control = self._CONTROL.get(op)
+                if control is not None:
+                    return "ok", control(self, payload)
+                if self._engine is None:
+                    raise RuntimeError(
+                        f"worker not configured (op {op!r} before 'configure')"
+                    )
+                return "ok", self._engine.apply(op, payload)
+            except Exception as exc:
+                return "error", f"{type(exc).__name__}: {exc}"
+
+    def _configure(self, spec: Mapping[str, object]) -> Dict[str, object]:
+        if spec.get("faults"):
+            # Router-forwarded faults, like the pipe spawn spec.
+            # An empty list leaves any env-armed faults alone.
+            faults.install(spec["faults"])
+        self._engine = _build_shard_engine(spec)
+        self.index = self._engine.index
+        return {"shard": self.index, "keys": len(spec["shard"])}
+
+    def _ping(self, _payload: object) -> Dict[str, object]:
+        tallies = self._engine or _UNCONFIGURED
+        return {
+            "configured": self._engine is not None,
+            "rows": tallies.rows_applied,
+            "busy_seconds": tallies.busy_seconds,
+        }
+
+    def _stats(self, _payload: object) -> Dict[str, object]:
+        tallies = self._engine or _UNCONFIGURED
+        return dict(
+            self._liveness(),
+            shard=self.index,
+            keys=len(tallies.shard),
+            rows=tallies.rows_applied,
+            deletes=tallies.deletes_applied,
+            busy_seconds=round(tallies.busy_seconds, 6),
+            op_counts=dict(self.op_counts),
+        )
+
+    def _shutdown(self, _payload: object) -> str:
+        self._stop.set()  # ends every connection loop at its next recv
+        return "shutting down"
+
+    #: Socket-only control ops, beside the engine's op table.
+    _CONTROL = {
+        "configure": _configure,
+        "ping": _ping,
+        "stats": _stats,
+        "shutdown": _shutdown,
+    }
 
 
 def run_worker(
@@ -375,26 +340,27 @@ def run_worker(
 # ----------------------------------------------------------------------
 # Router side
 # ----------------------------------------------------------------------
-class RemoteWorker:
-    """Router-side handle of one remote replica: the pipe-worker
-    surface over a framed socket, with every round-trip bounded by
-    ``op_timeout`` (a silent worker raises
-    :class:`~repro.service.supervisor.WorkerCrashed` rather than
-    blocking the router forever — the replica layer's failover signal).
-    """
+class SocketLink:
+    """The remote-mode link (see :mod:`repro.service.supervisor`): one
+    handshaken connection to a pool member; ``timeout`` bounds the
+    handshake and every :meth:`request`.  It cannot be re-opened — the
+    state lives in the remote worker — so the handle gives up at the
+    first crash, which a replica set turns into promotion."""
+
+    reopen = None
 
     def __init__(
         self,
         index: int,
         address: str,
-        spec: Optional[Mapping[str, object]] = None,
-        op_timeout: float = 60.0,
+        timeout: float = 60.0,
         connect_timeout: float = 5.0,
+        role: str = "router",
     ) -> None:
         self.index = index
         self.address = str(address)
-        self.op_timeout = op_timeout
-        self.busy_seconds = 0.0
+        self.timeout = timeout
+        self._broken: Optional[str] = None
         host, port = parse_address(address)
         try:
             self._sock = socket.create_connection(
@@ -404,52 +370,49 @@ class RemoteWorker:
             raise WorkerCrashed(
                 index, f"cannot connect to {address}: {exc}"
             ) from None
-        self._sock.settimeout(op_timeout)
         try:
-            self._send("hello", {"version": PROTOCOL_VERSION, "role": "router"})
-            op, payload = self._recv()
-            if op == "error":
-                raise HandshakeError(f"{address}: {payload}")
-            if op != "hello" or (
-                not isinstance(payload, Mapping)
-                or payload.get("version") != PROTOCOL_VERSION
+            # A refusal arrives as an ``error`` reply, which recv raises.
+            hello = self.request(
+                "hello", {"version": PROTOCOL_VERSION, "role": role}
+            )
+            if (
+                not isinstance(hello, Mapping)
+                or hello.get("version") != PROTOCOL_VERSION
             ):
-                raise HandshakeError(
-                    f"{address}: bad handshake reply {op!r} "
-                    f"(router speaks version {PROTOCOL_VERSION})"
+                raise WorkerCrashed(
+                    index,
+                    f"{address}: bad handshake reply {hello!r} "
+                    f"(router speaks version {PROTOCOL_VERSION})",
                 )
-            if spec is not None:
-                self.request("configure", dict(spec))
-        except (WorkerCrashed, HandshakeError):
-            self._sock.close()
+        except WorkerCrashed:
+            self.abandon()
             raise
 
-    # -- framed round-trips with crash detection ---------------------
-    def _send(self, op: str, payload: object) -> None:
+    def send(self, op: str, payload: object) -> None:
         try:
             send_msg(self._sock, op, payload)
         except (OSError, FrameError) as exc:
-            raise WorkerCrashed(
-                self.index, f"{self.address}: send failed ({exc})"
-            ) from None
+            # A half-sent frame desyncs the FIFO: close, so the next
+            # recv fails at once instead of waiting out the deadline.
+            self._broken = f"send failed ({exc})"
+            self.abandon()
 
-    def _recv(self) -> Tuple[str, object]:
+    def recv(self, timeout=None):
         try:
-            return recv_msg(self._sock)
+            if timeout != self._sock.gettimeout():
+                self._sock.settimeout(timeout)
+            status, payload = recv_msg(self._sock)
         except socket.timeout:
             raise WorkerCrashed(
                 self.index,
-                f"{self.address}: no reply within "
-                f"op_timeout={self.op_timeout}s",
+                f"{self.address}: no reply within op_timeout={timeout}s",
             ) from None
         except (OSError, FrameError, EOFError, pickle.UnpicklingError) as exc:
             raise WorkerCrashed(
                 self.index,
-                f"{self.address}: {type(exc).__name__}: {exc}",
+                f"{self.address}: "
+                + (self._broken or f"{type(exc).__name__}: {exc}"),
             ) from None
-
-    def _reply(self):
-        status, payload = self._recv()
         if status == "error":
             raise WorkerCrashed(
                 self.index, f"{self.address}: remote error: {payload}"
@@ -457,47 +420,10 @@ class RemoteWorker:
         return payload
 
     def request(self, op: str, payload: object = None):
-        """One synchronous ``(op → reply)`` round-trip."""
-        self._send(op, payload)
-        return self._reply()
-
-    # -- worker surface (mirrors _ProcessWorker) ---------------------
-    def submit_rows(self, rows) -> None:
-        self._send("rows", rows)
-
-    def result(self) -> IngestReply:
-        reply = self._reply()
-        self.busy_seconds += reply[4]
-        return reply
-
-    def delete(self, tid: int) -> None:
-        self.request("delete", int(tid))
-
-    def counters(self) -> Dict[str, int]:
-        return self.request("counters")
-
-    def skyline(self, values, subspace: int) -> List[int]:
-        return self.request("skyline", (values, subspace))
-
-    def skyband(self, values, subspace: int, k: int, limit=None) -> List[int]:
-        return self.request("skyband", (values, subspace, k, limit))
-
-    def top_k(self, values, subspace: int, limit) -> Tuple[int, int, List[int]]:
-        return self.request("top_k", (values, subspace, limit))
-
-    def replay(self, ops) -> None:
-        self.request("replay", list(ops))
-
-    def ping(self) -> Tuple[float, Mapping[str, object]]:
-        """Heartbeat: round-trip time plus the worker's liveness
-        payload.  Issue only while no ingest replies are outstanding —
-        the per-connection protocol is strictly FIFO."""
-        start = perf_counter()
-        payload = self.request("ping")
-        return perf_counter() - start, payload
-
-    def stats_probe(self) -> Mapping[str, object]:
-        return self.request("stats")
+        """One synchronous control round-trip (``configure`` / ``ping``
+        / ``stats``), outside the handle's op-table surface."""
+        self.send(op, payload)
+        return self.recv(self.timeout)
 
     def abandon(self) -> None:
         """Drop the connection without the polite stop (the peer is
@@ -508,10 +434,7 @@ class RemoteWorker:
             pass
 
     def close(self) -> None:
-        try:
-            send_msg(self._sock, "stop", None)
-        except (OSError, FrameError):
-            pass
+        self.send("stop", None)
         self.abandon()
 
 
@@ -519,24 +442,12 @@ def probe_worker(address: str, timeout: float = 2.0) -> Dict[str, object]:
     """One-shot status probe of a pool member (``cluster-status``):
     connect, handshake, ``stats``, disconnect.  Raises on an
     unreachable or protocol-incompatible worker."""
-    host, port = parse_address(address)
-    sock = socket.create_connection((host, port), timeout=timeout)
-    sock.settimeout(timeout)
+    link = SocketLink(
+        0, address, timeout, connect_timeout=timeout, role="status"
+    )
     try:
-        send_msg(sock, "hello", {"version": PROTOCOL_VERSION, "role": "status"})
-        op, payload = recv_msg(sock)
-        if op == "error":
-            raise HandshakeError(f"{address}: {payload}")
         start = perf_counter()
-        send_msg(sock, "stats", None)
-        status, stats = recv_msg(sock)
-        rtt = perf_counter() - start
-        if status != "ok":
-            raise ConnectionError(f"{address}: {stats}")
-        try:
-            send_msg(sock, "stop", None)
-        except OSError:  # pragma: no cover - peer already gone
-            pass
-        return dict(stats, rtt_seconds=rtt)
+        stats = link.request("stats")
+        return dict(stats, rtt_seconds=perf_counter() - start)
     finally:
-        sock.close()
+        link.close()

@@ -29,14 +29,15 @@ Division of labour per arrival:
   reporting policy over the merged ``S_t``.
 
 Execution modes: ``serial`` (in-process, deterministic — the testing
-reference), ``thread`` (one single-thread executor per worker),
-``process`` (one OS process per worker over a pipe, the throughput
-mode — NumPy sweeps and lattice walks run truly in parallel), and
-``remote`` (each shard served by a replica set of socket workers at
-the addresses of a ``remote`` placement map — the multi-machine tier;
-see :mod:`repro.service.remote` for the wire protocol and
-:mod:`repro.service.cluster` for replicas, failover and the cost-fed
-:class:`~repro.service.cluster.PlacementModel`).  Batched ingestion is
+reference), ``process`` (one supervised OS process per worker over a
+pipe, the throughput mode — NumPy sweeps and lattice walks run truly in
+parallel) and ``remote`` (each shard a replica set of socket workers
+placed by a ``remote`` map — the multi-machine tier; see
+:mod:`repro.service.remote` for the wire protocol and
+:mod:`repro.service.cluster` for replicas, failover and placement).
+They differ only in the *link* under each worker handle
+(:mod:`repro.service.supervisor`); the worker engine, op table and
+serve loop are one (:mod:`repro.service.worker`).  Batched ingestion is
 pipelined chunk-wise: while the workers chew on chunk ``k+1``, the
 router merges, scores and ranks chunk ``k``.
 """
@@ -44,11 +45,7 @@ router merges, scores and ranks chunk ``k``.
 from __future__ import annotations
 
 import itertools
-import os
-import time
-from collections import deque
 from dataclasses import asdict
-from time import perf_counter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.config import DiscoveryConfig
@@ -62,7 +59,16 @@ from ..core.schema import TableSchema
 from ..metrics.counters import OpCounters
 from ..query.contextual import ContextualQueryEngine
 from . import faults
-from .supervisor import SupervisedWorker, SupervisorPolicy, WorkerGaveUp
+from .cluster import PlacementModel, ReplicaSet, shard_sort_key
+from .supervisor import (
+    InlineLink,
+    PipeLink,
+    ShardWorker,
+    SupervisorPolicy,
+    WorkerGaveUp,
+    replay_into,
+)
+from .worker import _build_shard_engine
 
 Row = Union[Mapping[str, object], Record]
 
@@ -71,7 +77,7 @@ Row = Union[Mapping[str, object], Record]
 #: per chunk per worker.
 _PIPELINE_CHUNK = 96
 
-_MODES = ("serial", "thread", "process", "remote")
+_MODES = ("serial", "process", "remote")
 
 
 def canonical_subspace_keys(
@@ -153,361 +159,6 @@ def partition_subspaces(
 
 
 # ----------------------------------------------------------------------
-# Worker side: one shard-restricted svec engine + columnar reply format
-# ----------------------------------------------------------------------
-
-#: Ingest reply: per-row fact counts, flat bound-mask / subspace /
-#: skyline-size columns (skyline ``None`` when unscored), busy seconds.
-IngestReply = Tuple[
-    List[int], List[int], List[int], Optional[List[int]], float
-]
-
-
-class _ShardEngine:
-    """The in-worker compute core (shared by every execution mode)."""
-
-    def __init__(
-        self,
-        schema: TableSchema,
-        config: DiscoveryConfig,
-        shard: Sequence[int],
-        score: bool,
-        sweep_index: str = "auto",
-    ) -> None:
-        from ..algorithms.s_vectorized import SVectorized
-
-        self.algorithm = SVectorized(
-            schema, config, shard_subspaces=shard, sweep_index=sweep_index
-        )
-        self.score = score
-        self._query_engine = None
-
-    def ingest(self, rows: List[Mapping[str, object]]) -> IngestReply:
-        start = perf_counter()
-        algorithm = self.algorithm
-        algorithm.reserve(len(rows))
-        counts: List[int] = []
-        masks: List[int] = []
-        subs: List[int] = []
-        skys: Optional[List[int]] = [] if self.score else None
-        for row in rows:
-            facts = algorithm.process(row)
-            before = len(masks)
-            if skys is not None:
-                sizes = algorithm.skyline_sizes(facts)
-                for pair in facts.iter_pairs():
-                    masks.append(pair[0].bound_mask)
-                    subs.append(pair[1])
-                    skys.append(sizes[pair])
-            else:
-                for constraint, subspace in facts.iter_pairs():
-                    masks.append(constraint.bound_mask)
-                    subs.append(subspace)
-            counts.append(len(masks) - before)
-        return counts, masks, subs, skys, perf_counter() - start
-
-    def delete(self, tid: int) -> None:
-        self.algorithm.retract(tid)
-
-    def counters(self) -> Dict[str, int]:
-        return self.algorithm.counters.snapshot()
-
-    def _queries(self):
-        """The worker-side query engine (kernels over this worker's full
-        replicated columnar history), built once."""
-        if self._query_engine is None:
-            from ..query.contextual import ContextualQueryEngine
-
-            self._query_engine = ContextualQueryEngine(self.algorithm)
-        return self._query_engine
-
-    def skyline_tids(self, values: Tuple[object, ...], subspace: int) -> List[int]:
-        """Answer one contextual-skyline query from this shard's stores
-        (pickle-light: tids only; the router re-projects records).
-        Every worker replicates the full row history, so non-maintained
-        subspaces answer exactly here too, via the columnar kernels."""
-        constraint = Constraint(tuple(values))
-        skyline = self._queries().skyline(constraint, subspace)
-        return sorted(record.tid for record in skyline)
-
-    def skyband_tids(
-        self,
-        values: Tuple[object, ...],
-        subspace: int,
-        k: int,
-        limit: Optional[int] = None,
-    ) -> List[int]:
-        """One k-skyband query, optionally bounded: the router (or a TCP
-        client) receives at most ``limit`` tids instead of the whole
-        band."""
-        constraint = Constraint(tuple(values))
-        records = self._queries().skyband(constraint, subspace, k)
-        tids = sorted(record.tid for record in records)
-        return tids if limit is None else tids[:limit]
-
-    def top_k_stats(
-        self, values: Tuple[object, ...], subspace: int, limit: Optional[int]
-    ) -> Tuple[int, int, List[int]]:
-        """``(|σ_C|, |λ_M(σ_C)|, first-limit skyline tids)`` — the
-        statistics push-down.  ``limit=0`` is the planner's pure
-        statistics probe (O(1) off the scoring index when the pair is
-        covered); ``limit=None`` returns every skyline tid."""
-        constraint = Constraint(tuple(values))
-        queries = self._queries()
-        ctx = queries.context_size(constraint)
-        size = queries._skyline_size_indexed(constraint, subspace)
-        if size is not None and limit == 0:
-            return ctx, size, []
-        skyline = queries.skyline(constraint, subspace)
-        tids = sorted(record.tid for record in skyline)
-        return ctx, len(tids), tids if limit is None else tids[:limit]
-
-
-def _build_shard_engine(spec: Mapping[str, object]) -> _ShardEngine:
-    schema = TableSchema(
-        dimensions=tuple(spec["dimensions"]),
-        measures=tuple(spec["measures"]),
-        preferences=dict(spec["preferences"]),
-    )
-    return _ShardEngine(
-        schema,
-        DiscoveryConfig(**spec["config"]),
-        list(spec["shard"]),
-        bool(spec["score"]),
-        sweep_index=str(spec.get("sweep_index", "auto")),
-    )
-
-
-def _apply_worker_fault(fault) -> bool:
-    """Act on a fired fault inside a worker process; returns True when
-    the current op/reply must be swallowed (``drop``)."""
-    if fault is None:
-        return False
-    if fault.action == "crash":
-        # A real crash, not an orderly unwind: skip every finaliser.
-        os._exit(fault.exit_code)
-    if fault.action == "delay":
-        time.sleep(fault.delay)
-        return False
-    return fault.action == "drop"
-
-
-def _shard_worker_main(conn, spec) -> None:
-    """Entry point of one shard process: serve ops off the pipe FIFO.
-
-    ``spec`` may carry ``worker_index`` (fault scoping) and ``faults``
-    (the router's armed fault list, forwarded so injection behaves the
-    same under ``fork`` — which would otherwise inherit router state —
-    and ``spawn``, which would otherwise have none).
-    """
-    index = spec.get("worker_index")
-    faults.clear()
-    if spec.get("faults"):
-        faults.install(spec["faults"])
-    engine = _build_shard_engine(spec)
-    while True:
-        try:
-            op, payload = conn.recv()
-        except EOFError:
-            break
-        if _apply_worker_fault(faults.fire("worker.op", worker=index, op=op)):
-            continue  # dropped op: the router sees silence
-        if op == "rows":
-            reply = engine.ingest(payload)
-        elif op == "delete":
-            engine.delete(payload)
-            reply = ("ok", payload)
-        elif op == "counters":
-            reply = engine.counters()
-        elif op == "skyline":
-            reply = engine.skyline_tids(*payload)
-        elif op == "skyband":
-            reply = engine.skyband_tids(*payload)
-        elif op == "top_k":
-            reply = engine.top_k_stats(*payload)
-        elif op == "replay":
-            # Deterministic state rebuild after a restart: re-observe a
-            # slice of the router's committed op prefix.
-            for kind, data in payload:
-                if kind == "rows":
-                    engine.ingest(data)
-                else:
-                    engine.delete(data)
-            reply = ("replayed", len(payload))
-        elif op == "stop":
-            break
-        else:  # pragma: no cover - protocol guard
-            reply = ("error", f"unknown op {op!r}")
-        if _apply_worker_fault(
-            faults.fire("worker.reply", worker=index, op=op)
-        ):
-            continue  # dropped reply
-        conn.send(reply)
-    conn.close()
-
-
-class _InlineWorker:
-    """Serial mode: compute happens lazily at :meth:`result` so the
-    router's pipelining logic stays mode-agnostic."""
-
-    def __init__(self, engine: _ShardEngine) -> None:
-        self._engine = engine
-        self._pending: deque = deque()
-        self.busy_seconds = 0.0
-
-    def submit_rows(self, rows) -> None:
-        self._pending.append(rows)
-
-    def result(self) -> IngestReply:
-        reply = self._engine.ingest(self._pending.popleft())
-        self.busy_seconds += reply[4]
-        return reply
-
-    def delete(self, tid: int) -> None:
-        self._engine.delete(tid)
-
-    def counters(self) -> Dict[str, int]:
-        return self._engine.counters()
-
-    def skyline(self, values, subspace: int) -> List[int]:
-        return self._engine.skyline_tids(values, subspace)
-
-    def skyband(self, values, subspace: int, k: int, limit=None) -> List[int]:
-        return self._engine.skyband_tids(values, subspace, k, limit)
-
-    def top_k(self, values, subspace: int, limit) -> Tuple[int, int, List[int]]:
-        return self._engine.top_k_stats(values, subspace, limit)
-
-    def close(self) -> None:
-        pass
-
-
-class _ThreadWorker:
-    """Thread mode: one single-thread executor per worker — per-worker
-    FIFO (the engine is not thread-safe), parallel across workers."""
-
-    def __init__(self, engine: _ShardEngine) -> None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        self._engine = engine
-        self._pool = ThreadPoolExecutor(max_workers=1)
-        self._futures: deque = deque()
-        self.busy_seconds = 0.0
-
-    def submit_rows(self, rows) -> None:
-        self._futures.append(self._pool.submit(self._engine.ingest, rows))
-
-    def result(self) -> IngestReply:
-        reply = self._futures.popleft().result()
-        self.busy_seconds += reply[4]
-        return reply
-
-    def delete(self, tid: int) -> None:
-        self._pool.submit(self._engine.delete, tid).result()
-
-    def counters(self) -> Dict[str, int]:
-        return self._pool.submit(self._engine.counters).result()
-
-    def skyline(self, values, subspace: int) -> List[int]:
-        return self._pool.submit(
-            self._engine.skyline_tids, values, subspace
-        ).result()
-
-    def skyband(self, values, subspace: int, k: int, limit=None) -> List[int]:
-        return self._pool.submit(
-            self._engine.skyband_tids, values, subspace, k, limit
-        ).result()
-
-    def top_k(self, values, subspace: int, limit) -> Tuple[int, int, List[int]]:
-        return self._pool.submit(
-            self._engine.top_k_stats, values, subspace, limit
-        ).result()
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
-class _ProcessWorker:
-    """Process mode: one OS process per shard over a duplex pipe.
-
-    The protocol is strictly FIFO and the router never interleaves a
-    counters/ingest request with an outstanding ingest reply, so plain
-    ``send``/``recv`` pairing is safe.
-    """
-
-    def __init__(self, spec: Mapping[str, object], ctx) -> None:
-        self._conn, child = ctx.Pipe()
-        self._process = ctx.Process(
-            target=_shard_worker_main, args=(child, spec), daemon=True
-        )
-        self._process.start()
-        child.close()
-        self.busy_seconds = 0.0
-
-    def submit_rows(self, rows) -> None:
-        self._conn.send(("rows", rows))
-
-    def result(self) -> IngestReply:
-        reply = self._conn.recv()
-        self.busy_seconds += reply[4]
-        return reply
-
-    def delete(self, tid: int) -> None:
-        self._conn.send(("delete", tid))
-        self._conn.recv()
-
-    def counters(self) -> Dict[str, int]:
-        self._conn.send(("counters", None))
-        return self._conn.recv()
-
-    def skyline(self, values, subspace: int) -> List[int]:
-        self._conn.send(("skyline", (values, subspace)))
-        return self._conn.recv()
-
-    def skyband(self, values, subspace: int, k: int, limit=None) -> List[int]:
-        self._conn.send(("skyband", (values, subspace, k, limit)))
-        return self._conn.recv()
-
-    def top_k(self, values, subspace: int, limit) -> Tuple[int, int, List[int]]:
-        self._conn.send(("top_k", (values, subspace, limit)))
-        return self._conn.recv()
-
-    def close(self) -> None:
-        """Shut down without ever hanging, even on an already-dead or
-        wedged child: polite stop with a bounded grace period (keeping
-        the pipe drained so a child blocked mid-send can progress to
-        the stop op), then escalate terminate → kill."""
-        process, conn = self._process, self._conn
-        try:
-            conn.send(("stop", None))
-        except (BrokenPipeError, OSError, ValueError):
-            pass
-        deadline = time.monotonic() + 5.0
-        while process.is_alive() and time.monotonic() < deadline:
-            try:
-                while conn.poll(0):
-                    conn.recv()
-            except (EOFError, OSError):
-                break
-            process.join(timeout=0.05)
-        if process.is_alive():  # pragma: no cover - defensive
-            process.terminate()
-            process.join(timeout=5)
-        if process.is_alive():  # pragma: no cover - defensive
-            getattr(process, "kill", process.terminate)()
-            process.join(timeout=5)
-        try:
-            while conn.poll(0):
-                conn.recv()
-        except (EOFError, OSError):
-            pass
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-
-
-# ----------------------------------------------------------------------
 # Router-side queries
 # ----------------------------------------------------------------------
 class _RouterQueryView:
@@ -556,26 +207,16 @@ class ShardedQueryEngine(ContextualQueryEngine):
             owner = subspace % len(sharded._workers)
         return owner
 
-    def _pushed(self, owner: int, call):
-        """Run one query op against a worker with the standard
-        degrade-and-retry on a crashed process."""
-        sharded = self._sharded
-        sharded._check_open()
-        try:
-            return call(sharded._workers[owner])
-        except WorkerGaveUp as crash:
-            sharded._degrade(crash)
-            return call(sharded._workers[owner])
-
     def _project(self, tids: List[int]) -> List[Record]:
         by_tid = {record.tid: record for record in self._sharded.table}
         return [by_tid[tid] for tid in tids if tid in by_tid]
 
     # -- reads -------------------------------------------------------
     def skyline(self, constraint: Constraint, subspace: int) -> List[Record]:
-        values = tuple(constraint.values)
-        tids = self._pushed(
-            self._route(subspace), lambda w: w.skyline(values, subspace)
+        tids = self._sharded._call(
+            self._route(subspace),
+            "skyline",
+            (tuple(constraint.values), subspace),
         )
         return self._project(tids)
 
@@ -584,27 +225,30 @@ class ShardedQueryEngine(ContextualQueryEngine):
     ) -> List[Record]:
         if k < 1:
             raise ValueError("k must be >= 1")
-        values = tuple(constraint.values)
-        tids = self._pushed(
-            self._route(subspace), lambda w: w.skyband(values, subspace, k)
+        tids = self._sharded._call(
+            self._route(subspace),
+            "skyband",
+            (tuple(constraint.values), subspace, k, None),
         )
         return self._project(tids)
+
+    def _top_k(
+        self, owner: int, constraint: Constraint, subspace: int
+    ) -> Tuple[int, int]:
+        """``(|σ_C|, |λ_M(σ_C)|)`` from one ``top_k(limit=0)`` probe."""
+        ctx, sky, _tids = self._sharded._call(
+            owner, "top_k", (tuple(constraint.values), subspace, 0)
+        )
+        return ctx, sky
 
     def context_size(self, constraint: Constraint) -> int:
         counted = self._counted_context(constraint)
         if counted is not None:
             return counted
-        values = tuple(constraint.values)
-        ctx, _sky, _tids = self._pushed(
-            self._route(0), lambda w: w.top_k(values, 0, 0)
-        )
-        return ctx
+        return self._top_k(self._route(0), constraint, 0)[0]
 
     def prominence(self, constraint: Constraint, subspace: int) -> Optional[float]:
-        values = tuple(constraint.values)
-        ctx, sky, _tids = self._pushed(
-            self._route(subspace), lambda w: w.top_k(values, subspace, 0)
-        )
+        ctx, sky = self._top_k(self._route(subspace), constraint, subspace)
         return None if sky == 0 else ctx / sky
 
     def _fast_statistics(
@@ -614,20 +258,15 @@ class ShardedQueryEngine(ContextualQueryEngine):
         ``top_k(limit=0)`` probe of the owning worker's scoring index.
         A counter-covered constraint is within ``d̂``, so the worker
         answers without materialising anything."""
-        sharded = self._sharded
         ctx = self._counted_context(constraint)
         if ctx is None:
             return None
         if ctx == 0:
             return 0, 0
-        owner = sharded._shard_of.get(subspace)
+        owner = self._sharded._shard_of.get(subspace)
         if owner is None:
             return None
-        values = tuple(constraint.values)
-        _ctx, sky, _tids = self._pushed(
-            owner, lambda w: w.top_k(values, subspace, 0)
-        )
-        return ctx, sky
+        return ctx, self._top_k(owner, constraint, subspace)[1]
 
 
 # ----------------------------------------------------------------------
@@ -645,8 +284,8 @@ class ShardedDiscoverer(EngineBase):
         Requested shard count; clamped to the number of maintained
         subspace keys (every shard must own at least one).
     mode:
-        ``"serial"`` (in-process), ``"thread"``, ``"process"`` or
-        ``"remote"`` (socket replica sets; requires ``remote``).
+        ``"serial"`` (in-process), ``"process"`` or ``"remote"``
+        (socket replica sets; requires ``remote``).
     remote:
         Placement map ``{shard_name: [host:port, ...]}`` assigning each
         shard a replica set of socket workers (see
@@ -656,16 +295,12 @@ class ShardedDiscoverer(EngineBase):
     chunk_size:
         Pipelining granularity of the batched API (rows per worker
         round-trip).
-    supervise:
-        Supervise process-mode workers (crash detection, restart with
-        backoff, deterministic rebuild from the router's committed op
-        log; see :mod:`repro.service.supervisor`).  Ignored for
-        serial/thread modes, whose workers share the router's fate.
-        Supervision keeps the full arrival/deletion op log in router
-        memory (the rebuild source), roughly doubling row storage.
     op_timeout:
-        Seconds to wait on any single worker pipe round-trip before the
-        worker is treated as hung.
+        Seconds to wait on any single worker round-trip before the
+        worker is treated as hung.  Process and remote workers are
+        supervised (see :mod:`repro.service.supervisor`), which keeps
+        the full arrival/deletion op log in router memory — the rebuild
+        source, roughly doubling row storage.
     max_restarts:
         Per-worker circuit breaker: one more crash after this many
         restarts degrades the whole pool to in-router serial execution
@@ -683,7 +318,6 @@ class ShardedDiscoverer(EngineBase):
         mode: str = "process",
         score: bool = True,
         chunk_size: int = _PIPELINE_CHUNK,
-        supervise: bool = True,
         op_timeout: float = 60.0,
         max_restarts: int = 3,
         sweep_index: str = "auto",
@@ -738,22 +372,19 @@ class ShardedDiscoverer(EngineBase):
         self.score = score
         self.mode = mode
         self.chunk_size = chunk_size
-        self.supervise = supervise
         self.op_timeout = op_timeout
         self.max_restarts = max_restarts
+        self._policy = SupervisorPolicy(op_timeout, max_restarts)
         self.sweep_index = sweep_index
         #: True once the circuit breaker fell back to in-router serial
         #: execution (the pool keeps serving, just without parallelism).
         self.degraded = False
-        #: Committed arrival/deletion ops in order — the deterministic
-        #: rebuild source for restarted/degraded workers.  Maintained
-        #: only under supervision (it is the memory cost of it).
+        #: Committed arrival/deletion ops in order, as ``(op, payload)``
+        #: pairs of the worker op table — the rebuild source for
+        #: restarts, degrades, replica joins and rebalance handoffs.
+        #: Kept only for workers that can be lost (its memory cost).
         self._oplog: List[Tuple[str, object]] = []
-        # Remote mode always keeps the op log: it is the rebuild source
-        # for degrades, replica joins AND rebalance snapshot-handoffs.
-        self._track_oplog = (mode == "process" and supervise) or (
-            mode == "remote"
-        )
+        self._track_oplog = mode != "serial"
         #: Fault counters of workers discarded by a degrade.
         self._restart_base = 0
         self._retry_base = 0
@@ -766,8 +397,6 @@ class ShardedDiscoverer(EngineBase):
         self.shards = partition_subspaces(keys, n_workers)
         self.n_workers = len(self.shards)
         self._root_key = keys[0]
-        from .cluster import PlacementModel, shard_sort_key
-
         #: Live per-shard cost model fed by every chunk's worker
         #: replies; prices placements and plans rebalances (applied as
         #: snapshot-handoffs in remote mode, advisory elsewhere).
@@ -792,61 +421,32 @@ class ShardedDiscoverer(EngineBase):
         self._closed = False
 
     def _spawn_workers(self):
+        specs = [
+            self._worker_spec(shard, w) for w, shard in enumerate(self.shards)
+        ]
         if self.mode == "remote":
-            from .cluster import ReplicaSet
-
             return [
                 ReplicaSet(
                     w,
                     self.remote[self._remote_order[w]],
-                    dict(
-                        self._worker_spec(shard, w),
-                        faults=faults.active_dicts(),
-                    ),
+                    dict(spec, faults=faults.active_dicts()),
                     op_timeout=self.op_timeout,
                     oplog=self._oplog,
                 )
-                for w, shard in enumerate(self.shards)
+                for w, spec in enumerate(specs)
             ]
         if self.mode == "process":
             import multiprocessing as mp
 
             method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
             ctx = mp.get_context(method)
-            if self.supervise:
-                policy = SupervisorPolicy(
-                    op_timeout=self.op_timeout,
-                    max_restarts=self.max_restarts,
-                )
-                return [
-                    SupervisedWorker(
-                        w,
-                        self._worker_spec(shard, w),
-                        _shard_worker_main,
-                        ctx,
-                        self._oplog,
-                        policy,
-                    )
-                    for w, shard in enumerate(self.shards)
-                ]
-            return [
-                _ProcessWorker(
-                    dict(
-                        self._worker_spec(shard, w),
-                        faults=faults.active_dicts(),
-                    ),
-                    ctx,
-                )
-                for w, shard in enumerate(self.shards)
-            ]
-        engines = [
-            _ShardEngine(
-                self.schema, self.config, shard, self.score, self.sweep_index
-            )
-            for shard in self.shards
+            links = [PipeLink(w, spec, ctx) for w, spec in enumerate(specs)]
+        else:
+            links = [InlineLink(_build_shard_engine(spec)) for spec in specs]
+        return [
+            ShardWorker(w, link, self._policy, self._oplog)
+            for w, link in enumerate(links)
         ]
-        cls = _ThreadWorker if self.mode == "thread" else _InlineWorker
-        return [cls(engine) for engine in engines]
 
     def _worker_spec(
         self, shard: Sequence[int], index: Optional[int] = None
@@ -905,9 +505,10 @@ class ShardedDiscoverer(EngineBase):
         """Remove a previously observed tuple on every shard (§VIII)."""
         self._check_open()
         removed = self.table.delete(tid)
+        tid = int(removed.tid)
         try:
             for worker in self._workers:
-                worker.delete(tid)
+                worker.call("delete", tid)
         except WorkerGaveUp as crash:
             # The degraded replacements rebuilt from the oplog *before*
             # this deletion (it commits below), so every one of them —
@@ -915,9 +516,9 @@ class ShardedDiscoverer(EngineBase):
             # rebuilt fresh — needs it applied exactly once here.
             self._degrade(crash)
             for worker in self._workers:
-                worker.delete(tid)
+                worker.call("delete", tid)
         if self._track_oplog:
-            self._oplog.append(("delete", int(removed.tid)))
+            self._oplog.append(("delete", tid))
         self.context_counter.unregister(removed)
         return removed
 
@@ -1008,9 +609,7 @@ class ShardedDiscoverer(EngineBase):
                 len(records),
                 reply[4],
                 weight=self._shard_weight(w),
-                queue_depth=len(
-                    getattr(self._workers[w], "pending_ops", list)()
-                ),
+                queue_depth=len(self._workers[w].pending_ops()),
             )
         rank = self._rank
         score = self.score
@@ -1072,7 +671,7 @@ class ShardedDiscoverer(EngineBase):
         """Fall back to in-router serial execution after a worker spent
         its restart budget (see :class:`~repro.service.supervisor.\
 WorkerGaveUp`): every shard is rebuilt deterministically from the
-        committed op log into an :class:`_InlineWorker`, preserving
+        committed op log behind an inline link, preserving
         utilization tallies and the submitted-unmerged chunks each dead
         worker still owed.  The pool keeps answering — just without
         parallelism — instead of dying mid-stream.
@@ -1083,31 +682,20 @@ WorkerGaveUp`): every shard is rebuilt deterministically from the
         still hold it pending and will answer it live.
         """
         old = self._workers
-        self._restart_base += sum(getattr(w, "restarts", 0) for w in old)
-        self._retry_base += sum(getattr(w, "chunks_retried", 0) for w in old)
-        self._failover_base += sum(getattr(w, "failovers", 0) for w in old)
-        pendings = [
-            getattr(w, "pending_ops", lambda: [])() for w in old
-        ]
-        busys = [w.busy_seconds for w in old]
+        self._restart_base += sum(w.restarts for w in old)
+        self._retry_base += sum(w.chunks_retried for w in old)
+        self._failover_base += sum(s.failovers for s in self._replica_sets())
         for worker in old:
-            try:
-                worker.close()
-            except Exception:  # pragma: no cover - already dead/wedged
-                pass
+            worker.close()
         replacements = []
         for w, shard in enumerate(self.shards):
-            engine = _ShardEngine(self.schema, self.config, shard, self.score)
-            for kind, data in self._oplog:
-                if kind == "rows":
-                    engine.ingest(data)
-                else:
-                    engine.delete(data)
+            engine = _build_shard_engine(self._worker_spec(shard, w))
+            replay_into(engine.apply, self._oplog)
             if merging is not None and w < delivered:
                 engine.ingest(merging)
-            worker = _InlineWorker(engine)
-            worker.busy_seconds = busys[w]
-            for payload in pendings[w]:
+            worker = ShardWorker(w, InlineLink(engine), self._policy)
+            worker.busy_seconds = old[w].busy_seconds
+            for payload in old[w].pending_ops():
                 worker.submit_rows(payload)
             replacements.append(worker)
         self._workers = replacements
@@ -1117,15 +705,21 @@ WorkerGaveUp`): every shard is rebuilt deterministically from the
         self._track_oplog = False
         self._oplog = []
 
+    def _replica_sets(self):
+        """The pool's :class:`~repro.service.cluster.ReplicaSet`s —
+        the workers of a remote pool until it degrades, else none."""
+        remote = self.mode == "remote" and not self.degraded
+        return self._workers if remote else ()
+
     def fault_counters(self) -> Dict[str, int]:
         """Supervision tallies (surfaced through ``ServiceStats``)."""
         return {
             "worker_restarts": self._restart_base
-            + sum(getattr(w, "restarts", 0) for w in self._workers),
+            + sum(w.restarts for w in self._workers),
             "chunks_retried": self._retry_base
-            + sum(getattr(w, "chunks_retried", 0) for w in self._workers),
+            + sum(w.chunks_retried for w in self._workers),
             "replica_failovers": self._failover_base
-            + sum(getattr(w, "failovers", 0) for w in self._workers),
+            + sum(s.failovers for s in self._replica_sets()),
             "degraded": int(self.degraded),
         }
 
@@ -1154,16 +748,14 @@ WorkerGaveUp`): every shard is rebuilt deterministically from the
                 "root": self._root_key in self.shards[w],
                 "weight": self._shard_weight(w),
                 "busy_seconds": round(worker.busy_seconds, 6),
-                "queue_depth": len(
-                    getattr(worker, "pending_ops", list)()
-                ),
-                "restarts": getattr(worker, "restarts", 0),
-                "chunks_retried": getattr(worker, "chunks_retried", 0),
+                "queue_depth": len(worker.pending_ops()),
+                "restarts": worker.restarts,
+                "chunks_retried": worker.chunks_retried,
                 "ewma_seconds_per_row": self.placement.rate(w),
             }
-            if self.mode == "remote" and not self.degraded:
-                entry["replicas"] = list(getattr(worker, "replicas", []))
-                entry["failovers"] = getattr(worker, "failovers", 0)
+            if self._replica_sets():
+                entry["replicas"] = worker.replicas
+                entry["failovers"] = worker.failovers
             out.append(entry)
         return out
 
@@ -1216,20 +808,18 @@ WorkerGaveUp`): every shard is rebuilt deterministically from the
     def counters(self) -> OpCounters:
         """Summed operation counters across all shards (equals the
         unsharded engine's totals — the subspace keys partition)."""
+        snaps = [self._call(w, "counters") for w in range(self.n_workers)]
+        return sum((OpCounters(**snap) for snap in snaps), OpCounters())
+
+    def _call(self, w: int, op: str, payload: object = None):
+        """One synchronous op on worker ``w``, with the standard
+        degrade-and-retry once its restart budget is spent."""
         self._check_open()
-        total = OpCounters()
-        for w in range(len(self._workers)):
-            try:
-                snap = self._workers[w].counters()
-            except WorkerGaveUp as crash:
-                self._degrade(crash)
-                snap = self._workers[w].counters()
-            total.comparisons += snap["comparisons"]
-            total.traversed_constraints += snap["traversed_constraints"]
-            total.stored_tuples += snap["stored_tuples"]
-            total.file_reads += snap["file_reads"]
-            total.file_writes += snap["file_writes"]
-        return total
+        try:
+            return self._workers[w].call(op, payload)
+        except WorkerGaveUp as crash:
+            self._degrade(crash)
+            return self._workers[w].call(op, payload)
 
     @property
     def algorithm_name(self) -> str:
@@ -1257,7 +847,6 @@ WorkerGaveUp`): every shard is rebuilt deterministically from the
                 workers=self.n_workers,
                 mode=self.mode,
                 chunk_size=self.chunk_size,
-                supervise=self.supervise,
                 op_timeout=self.op_timeout,
                 max_restarts=self.max_restarts,
                 remote=remote,

@@ -1,41 +1,46 @@
-"""Supervision of process-mode shard workers.
+"""Router-side shard-worker handle: one surface, three links, one
+supervision loop.
 
-A SIGKILLed worker process used to deadlock the router forever on a
-pipe ``recv`` that could never complete.  :class:`SupervisedWorker`
-wraps the worker process + pipe with the full crash loop:
+:class:`ShardWorker` is what the router holds per shard in every mode:
+``submit_rows`` / ``result`` (the pipelined ingest pair),
+``call(op, payload)`` (any op of the worker op table,
+:attr:`repro.service.worker._ShardEngine.OPS`), ``pending_ops``,
+``close``, and the ``busy_seconds`` / ``restarts`` / ``chunks_retried``
+tallies.  Only the **link** under it is mode-specific —
+:class:`InlineLink` (serial), :class:`PipeLink` (process),
+:class:`~repro.service.remote.SocketLink` (remote):
 
-* **detection** — every pipe round-trip polls with a deadline; a dead
-  child (pipe EOF, ``BrokenPipeError``, exitcode) or a hung one (no
-  reply within ``op_timeout``) raises :class:`WorkerCrashed` instead of
-  blocking;
-* **restart** — exponential backoff with jitter, then a fresh process;
+* ``send(op, payload)`` queues one request and **never raises**: a
+  failed send leaves the link broken and the next ``recv`` reports it,
+  so the router's submit loop needs no crash handling;
+* ``recv(timeout)`` returns the next reply, strictly FIFO, or raises
+  :class:`WorkerCrashed` when the worker died or stayed silent past
+  ``timeout`` seconds (``None``: only death is a failure);
+* ``close()`` shuts down without ever hanging;
+* ``reopen`` is ``None``, or a method that discards the transport and
+  starts a fresh, empty worker.
+
+Supervision is written once, in the handle, against that last
+capability:
+
+* **restart** — a crash on a re-openable link: exponential backoff
+  with jitter, then a fresh worker;
 * **rebuild** — the discovery state of a shard is a deterministic
   function of the arrival/deletion prefix, so the replacement simply
-  re-observes the router's *committed* op log (rows and deletions in
-  original order), then has the submitted-but-unmerged chunks re-sent;
+  re-observes the router's *committed* op log (:func:`replay_into`),
+  then has the submitted-but-unmerged chunks re-sent;
 * **retry** — the op the crash interrupted is retried exactly once
   (the rebuild erased any partial application, so the resend cannot
   double-apply); a second crash on the same op means the op itself is
   the trigger, and the worker gives up rather than loop;
-* **circuit breaker** — after ``max_restarts`` restarts the worker
-  raises :class:`WorkerGaveUp`; the router's answer is to *degrade* the
-  pool to in-router serial execution (see
-  :meth:`~repro.service.sharding.ShardedDiscoverer`) instead of dying.
-
-The wrapper exposes the same surface as the plain worker classes in
-:mod:`repro.service.sharding` (``submit_rows`` / ``result`` /
-``delete`` / ``counters`` / ``skyline`` / ``skyband`` / ``top_k`` /
-``close`` / ``busy_seconds``), so the router's pipelining logic stays
-mode-blind — the PR-8 query push-down ops ride the same
-crash-detect / restart / replay / retry machinery as ingest.
-
-The remote tier reuses the vocabulary of this module rather than the
-wrapper itself: a :class:`~repro.service.cluster.ReplicaSet` raises the
-same :class:`WorkerCrashed` / :class:`WorkerGaveUp` signals (failover
-replaces restart — a surviving replica already holds the state — and
-only a fully lost set gives up into the router's degrade path), and
-replays joining replicas from the same committed op log in
-:data:`_REPLAY_SLICE` batches.
+* **circuit breaker** — past ``max_restarts``, or at the first crash on
+  a link that cannot be re-opened, the handle raises
+  :class:`WorkerGaveUp`.  The router then *degrades* the pool to
+  in-router serial execution
+  (:class:`~repro.service.sharding.ShardedDiscoverer`); a
+  :class:`~repro.service.cluster.ReplicaSet` first drops that replica
+  and promotes a survivor (failover replaces restart — a surviving
+  replica already holds the state) and gives up only when all are lost.
 """
 
 from __future__ import annotations
@@ -44,15 +49,15 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Deque, List, Mapping, Sequence, Tuple
 
-#: One committed router op: ``("rows", [row, ...])`` or ``("delete", tid)``.
-OplogEntry = Tuple[str, object]
+from . import faults
+from .worker import _ShardEngine, _shard_worker_main
 
-#: Ops per ``replay`` pipe message (bounds message size on long logs).
+#: Ops per ``replay`` message (bounds message size on long logs).
 _REPLAY_SLICE = 128
 
-#: Poll granularity while waiting on a reply (seconds).
+#: Poll granularity while waiting on a pipe reply (seconds).
 _POLL_STEP = 0.05
 
 
@@ -88,71 +93,68 @@ class SupervisorPolicy:
         return base * (1.0 + self.jitter * rng.random())
 
 
-class SupervisedWorker:
-    """One supervised shard-worker process (see module docstring).
+def replay_into(
+    call: Callable[[str, object], object],
+    oplog: Sequence[Tuple[str, object]],
+) -> None:
+    """Rebuild a fresh shard engine by deterministic re-observe: feed
+    ``call("replay", slice)`` the committed ``(op, payload)`` prefix in
+    :data:`_REPLAY_SLICE` batches.  The one rebuild loop — restart,
+    replica join, rebalance handoff and degrade all go through it."""
+    ops = list(oplog)
+    for start in range(0, len(ops), _REPLAY_SLICE):
+        call("replay", ops[start : start + _REPLAY_SLICE])
 
-    Parameters
-    ----------
-    index:
-        Worker position in the pool (fault scoping, diagnostics).
-    spec:
-        Pickle-light worker description passed to ``target`` — the
-        *base* spec; active faults are attached on the first spawn only
-        (a restarted worker starts fault-free, as a freshly rebooted
-        real one would).
-    target:
-        Worker entry point, ``target(conn, spec)``.
-    ctx:
-        ``multiprocessing`` context to spawn under.
-    oplog:
-        Live reference to the router's committed op list; replayed into
-        every replacement process before pending chunks are re-sent.
-    policy:
-        Timeouts / restart budget.
-    """
 
-    def __init__(
-        self,
-        index: int,
-        spec: Mapping[str, object],
-        target: Callable,
-        ctx,
-        oplog: Sequence[OplogEntry],
-        policy: SupervisorPolicy,
-    ) -> None:
-        from . import faults
+# ----------------------------------------------------------------------
+# Links
+# ----------------------------------------------------------------------
+class InlineLink:
+    """Serial mode: the engine lives in the router.  Compute happens
+    lazily at :meth:`recv`, so the router's pipelining logic stays
+    mode-blind.  An engine error propagates as itself — there is no
+    worker to lose, hence nothing to re-open."""
 
+    reopen = None
+
+    def __init__(self, engine: _ShardEngine) -> None:
+        self.engine = engine
+        self._queue: Deque[Tuple[str, object]] = deque()
+
+    def send(self, op: str, payload: object) -> None:
+        self._queue.append((op, payload))
+
+    def recv(self, timeout=None):
+        return self.engine.apply(*self._queue.popleft())
+
+    def close(self) -> None:
+        pass
+
+
+class PipeLink:
+    """Process mode: one OS process per shard over a duplex pipe.  The
+    router's armed faults ride the first spawn only: a restarted worker
+    starts fault-free, as a freshly rebooted real one would."""
+
+    def __init__(self, index: int, spec: Mapping[str, object], ctx) -> None:
         self.index = index
         self._spec = dict(spec)
-        self._target = target
         self._ctx = ctx
-        self._oplog = oplog
-        self.policy = policy
-        self.busy_seconds = 0.0
-        #: Restarts performed (counted into ``ServiceStats``).
-        self.restarts = 0
-        #: Chunks re-sent to a replacement worker after a crash.
-        self.chunks_retried = 0
-        #: Submitted ``rows`` payloads whose replies are not yet
-        #: delivered — the exact set a replacement must be re-sent.
-        self._pending: Deque[List[Mapping[str, object]]] = deque()
-        self._rng = random.Random(0x5EED ^ index)
-        self._process = None
-        self._conn = None
         self._spawn(dict(self._spec, faults=faults.active_dicts()))
 
-    # ------------------------------------------------------------------
-    # Process lifecycle
-    # ------------------------------------------------------------------
     def _spawn(self, spec: Mapping[str, object]) -> None:
         self._conn, child = self._ctx.Pipe()
         self._process = self._ctx.Process(
-            target=self._target, args=(child, spec), daemon=True
+            target=_shard_worker_main, args=(child, spec), daemon=True
         )
         self._process.start()
         child.close()
 
-    def _abandon(self) -> None:
+    def reopen(self) -> None:
+        self.abandon()
+        self._spawn(self._spec)
+
+    def abandon(self) -> None:
         """Dispose of a crashed/hung process and its pipe, escalating
         terminate → kill so a wedged child cannot block the router."""
         process, conn = self._process, self._conn
@@ -160,8 +162,7 @@ class SupervisedWorker:
             process.terminate()
             process.join(timeout=2)
             if process.is_alive():  # pragma: no cover - stubborn child
-                kill = getattr(process, "kill", process.terminate)
-                kill()
+                process.kill()
                 process.join(timeout=2)
         if conn is not None:
             try:
@@ -176,143 +177,115 @@ class SupervisedWorker:
         self._process = None
         self._conn = None
 
-    def _restart(self, crash: WorkerCrashed) -> None:
-        """Backoff, respawn, rebuild state from the committed oplog,
-        re-send pending chunks.  Raises :class:`WorkerGaveUp` once the
-        restart budget is spent."""
-        self.restarts += 1
-        if self.restarts > self.policy.max_restarts:
-            raise WorkerGaveUp(
-                self.index,
-                f"circuit breaker after {self.restarts - 1} restarts "
-                f"(last crash: {crash.reason})",
-            )
-        self._abandon()
-        time.sleep(self.policy.backoff(self.restarts, self._rng))
-        self._spawn(self._spec)  # restarted workers carry no faults
-        self._replay()
+    def send(self, op: str, payload: object) -> None:
+        try:
+            self._conn.send((op, payload))
+        except (BrokenPipeError, OSError, ValueError):
+            pass  # the next recv finds the dead process / closed pipe
 
-    def _replay(self) -> None:
-        """Deterministically rebuild the replacement's shard state: the
-        committed prefix first (acked slice-wise), then the pending
-        chunks whose normal replies the router still awaits."""
-        ops = list(self._oplog)
-        for start in range(0, len(ops), _REPLAY_SLICE):
-            self._conn.send(("replay", ops[start : start + _REPLAY_SLICE]))
-            self._recv(liveness_only=True)
-        for payload in self._pending:
-            self._conn.send(("rows", payload))
-        if self._pending:
-            self.chunks_retried += len(self._pending)
-
-    # ------------------------------------------------------------------
-    # Pipe round-trips with crash detection
-    # ------------------------------------------------------------------
-    def _recv(self, liveness_only: bool = False):
-        """Receive one reply, or raise :class:`WorkerCrashed`.
-
-        Polls in small steps so a dead child is noticed immediately
+    def recv(self, timeout=None):
+        """Polls in small steps so a dead child is noticed immediately
         (pipe EOF / exitcode) and a silent one is abandoned at
-        ``op_timeout`` (unless ``liveness_only`` — replay of a long
-        oplog legitimately exceeds a per-op budget, so there only death
-        is a failure)."""
-        deadline = time.monotonic() + self.policy.op_timeout
+        ``timeout``."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        conn, process = self._conn, self._process
         while True:
             try:
-                if self._conn.poll(_POLL_STEP):
-                    return self._conn.recv()
+                if conn.poll(_POLL_STEP):
+                    return conn.recv()
             except (EOFError, OSError) as exc:
                 raise WorkerCrashed(
                     self.index,
                     f"pipe closed mid-reply ({type(exc).__name__}; "
-                    f"exitcode={self._process.exitcode})",
+                    f"exitcode={process.exitcode})",
                 ) from None
-            if not self._process.is_alive():
+            if not process.is_alive():
                 # Drain any reply that raced the death notice.
                 try:
-                    if self._conn.poll(0):
-                        return self._conn.recv()
+                    if conn.poll(0):
+                        return conn.recv()
                 except (EOFError, OSError):
                     pass
                 raise WorkerCrashed(
                     self.index,
-                    f"process died (exitcode={self._process.exitcode})",
+                    f"process died (exitcode={process.exitcode})",
                 )
-            if not liveness_only and time.monotonic() >= deadline:
-                self._abandon()
+            if deadline is not None and time.monotonic() >= deadline:
+                self.abandon()
                 raise WorkerCrashed(
                     self.index,
-                    f"no reply within op_timeout={self.policy.op_timeout}s "
+                    f"no reply within op_timeout={timeout}s "
                     f"(worker abandoned)",
                 )
 
-    def _send(self, message) -> None:
-        """Best-effort send; a send on a dead pipe is deferred to the
-        next ``_recv``, which detects and recovers the crash."""
-        try:
-            self._conn.send(message)
-        except (BrokenPipeError, OSError, ValueError):
-            pass
+    def close(self) -> None:
+        """Polite stop with a short grace period (draining replies so a
+        child blocked mid-send on a full pipe buffer can reach the stop
+        op), then terminate → kill."""
+        process, conn = self._process, self._conn
+        if process is None:
+            return
+        self.send("stop", None)
+        deadline = time.monotonic() + 2.0
+        while process.is_alive() and time.monotonic() < deadline:
+            try:
+                while conn.poll(0):
+                    conn.recv()
+            except (EOFError, OSError):
+                break
+            process.join(timeout=_POLL_STEP)
+        self.abandon()
 
-    # ------------------------------------------------------------------
-    # Worker surface (mode-blind, mirrors _ProcessWorker)
-    # ------------------------------------------------------------------
+
+# ----------------------------------------------------------------------
+# The handle
+# ----------------------------------------------------------------------
+class ShardWorker:
+    """One shard worker as the router sees it (see module docstring):
+    worker ``index`` of the pool behind ``link``, under ``policy``'s
+    per-op deadline and restart budget.  ``oplog`` is a live reference
+    to the router's committed op list, replayed into every replacement
+    worker before pending chunks are re-sent."""
+
+    def __init__(
+        self,
+        index: int,
+        link,
+        policy: SupervisorPolicy,
+        oplog: Sequence[Tuple[str, object]] = (),
+    ) -> None:
+        self.index = index
+        self.link = link
+        self.policy = policy
+        self._oplog = oplog
+        #: Cumulative ingest compute seconds the worker reported.
+        self.busy_seconds = 0.0
+        #: Restarts performed (counted into ``ServiceStats``).
+        self.restarts = 0
+        #: Chunks re-sent to a replacement worker after a crash.
+        self.chunks_retried = 0
+        #: Submitted ``rows`` payloads whose replies are not yet
+        #: delivered — the exact set a replacement must be re-sent.
+        self._pending: Deque[List[Mapping[str, object]]] = deque()
+        self._rng = random.Random(0x5EED ^ index)
+
     def submit_rows(self, rows: List[Mapping[str, object]]) -> None:
+        """Queue one chunk for :meth:`result` (FIFO).  Never raises."""
         self._pending.append(rows)
-        self._send(("rows", rows))
+        self.link.send("rows", rows)
 
     def result(self):
-        attempts = 0
-        while True:
-            try:
-                reply = self._recv()
-            except WorkerCrashed as crash:
-                attempts += 1
-                if attempts > 1:
-                    # The re-sent chunk crashed the rebuilt worker too:
-                    # the op itself is the trigger; stop retrying.
-                    raise WorkerGaveUp(
-                        self.index,
-                        f"chunk crashed the worker twice ({crash.reason})",
-                    )
-                self._restart(crash)
-                continue
-            self._pending.popleft()
-            self.busy_seconds += reply[4]
-            return reply
+        """The oldest outstanding chunk's ingest reply."""
+        reply = self._await()
+        self._pending.popleft()
+        self.busy_seconds += reply[4]
+        return reply
 
-    def _sync_op(self, op: str, payload):
-        """Send one op and await its reply, restarting through crashes;
-        the rebuild erases partial application, so one retry is safe."""
-        attempts = 0
-        while True:
-            self._send((op, payload))
-            try:
-                return self._recv()
-            except WorkerCrashed as crash:
-                attempts += 1
-                if attempts > 1:
-                    raise WorkerGaveUp(
-                        self.index,
-                        f"op {op!r} crashed the worker twice "
-                        f"({crash.reason})",
-                    )
-                self._restart(crash)
-
-    def delete(self, tid: int) -> None:
-        self._sync_op("delete", int(tid))
-
-    def counters(self):
-        return self._sync_op("counters", None)
-
-    def skyline(self, values, subspace: int):
-        return self._sync_op("skyline", (values, subspace))
-
-    def skyband(self, values, subspace: int, k: int, limit=None):
-        return self._sync_op("skyband", (values, subspace, k, limit))
-
-    def top_k(self, values, subspace: int, limit):
-        return self._sync_op("top_k", (values, subspace, limit))
+    def call(self, op: str, payload: object = None):
+        """One synchronous op round-trip.  Issue only while no chunk
+        replies are outstanding — the protocol is strictly FIFO."""
+        _ShardEngine.op(op)  # ValueError before anything is sent
+        return self._await((op, payload))
 
     def pending_ops(self) -> List[List[Mapping[str, object]]]:
         """Submitted-unmerged chunks, oldest first — what a degraded
@@ -320,24 +293,52 @@ class SupervisedWorker:
         return list(self._pending)
 
     def close(self) -> None:
-        """Shut down without ever hanging: polite stop with a short
-        grace period (draining replies so a blocked child can make
-        progress), then terminate → kill."""
-        process, conn = self._process, self._conn
-        if process is None:
-            return
-        try:
-            conn.send(("stop", None))
-        except (BrokenPipeError, OSError, ValueError):
-            pass
-        deadline = time.monotonic() + 2.0
-        while process.is_alive() and time.monotonic() < deadline:
-            # Keep the pipe drained: a child mid-reply on a full pipe
-            # buffer cannot reach the stop op until someone reads.
+        self.link.close()
+
+    def _await(self, request=None):
+        """Await one reply — to ``request`` if given (sent here, and
+        re-sent after a restart), else to the oldest pending chunk
+        (which the restart re-sends) — restarting through one crash."""
+        for attempt in (1, 2):
+            if request is not None:
+                self.link.send(*request)
             try:
-                while conn.poll(0):
-                    conn.recv()
-            except (EOFError, OSError):
-                break
-            process.join(timeout=_POLL_STEP)
-        self._abandon()
+                return self.link.recv(self.policy.op_timeout)
+            except WorkerCrashed as crash:
+                if attempt == 2:
+                    # The retry crashed the rebuilt worker too: the op
+                    # itself is the trigger; stop retrying.
+                    what = "chunk" if request is None else f"op {request[0]!r}"
+                    raise WorkerGaveUp(
+                        self.index,
+                        f"{what} crashed the worker twice ({crash.reason})",
+                    )
+                self._restart(crash)
+
+    def _restart(self, crash: WorkerCrashed) -> None:
+        """Backoff, re-open the link, rebuild state from the committed
+        oplog, re-send pending chunks.  Raises :class:`WorkerGaveUp`
+        when the link cannot be re-opened or the budget is spent."""
+        link = self.link
+        if link.reopen is None:
+            raise WorkerGaveUp(self.index, crash.reason)
+        self.restarts += 1
+        if self.restarts > self.policy.max_restarts:
+            raise WorkerGaveUp(
+                self.index,
+                f"circuit breaker after {self.restarts - 1} restarts "
+                f"(last crash: {crash.reason})",
+            )
+        time.sleep(self.policy.backoff(self.restarts, self._rng))
+        link.reopen()
+
+        def rebuild(op: str, payload: object) -> None:
+            # Replaying a long oplog legitimately exceeds a per-op
+            # budget: only death is a failure here (no deadline).
+            link.send(op, payload)
+            link.recv(None)
+
+        replay_into(rebuild, self._oplog)
+        for payload in self._pending:
+            link.send("rows", payload)
+        self.chunks_retried += len(self._pending)

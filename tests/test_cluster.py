@@ -16,6 +16,8 @@ import pickle
 import random
 import socket
 import struct
+import sys
+import threading
 import zlib
 from contextlib import contextmanager
 
@@ -36,7 +38,7 @@ from repro.service.cluster import (
 from repro.service.remote import (
     PROTOCOL_VERSION,
     FrameError,
-    RemoteWorker,
+    SocketLink,
     SocketWorkerServer,
     _FRAME,
     parse_address,
@@ -45,7 +47,12 @@ from repro.service.remote import (
     send_msg,
 )
 from repro.service.sharding import ShardedDiscoverer, partition_subspaces
-from repro.service.supervisor import WorkerCrashed, WorkerGaveUp
+from repro.service.supervisor import (
+    ShardWorker,
+    SupervisorPolicy,
+    WorkerCrashed,
+    WorkerGaveUp,
+)
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
 
@@ -186,9 +193,11 @@ class TestHandshake:
     def test_op_before_configure_is_an_error_reply(self):
         server = SocketWorkerServer().start()
         try:
-            worker = RemoteWorker(0, server.address, op_timeout=5)
+            worker = ShardWorker(
+                0, SocketLink(0, server.address, 5), SupervisorPolicy(5)
+            )
             with pytest.raises(WorkerCrashed, match="not configured"):
-                worker.counters()
+                worker.call("counters")
             worker.close()
         finally:
             server.stop()
@@ -199,7 +208,36 @@ class TestHandshake:
         address = "127.0.0.1:%d" % probe.getsockname()[1]
         probe.close()
         with pytest.raises(WorkerCrashed, match="cannot connect"):
-            RemoteWorker(0, address, op_timeout=1, connect_timeout=1)
+            SocketLink(0, address, 1, connect_timeout=1)
+
+    def test_op_counts_survive_concurrent_connections(self):
+        # Every connection thread tallies into one dict; a tally made
+        # outside the engine lock loses updates under contention.
+        clients, pings = 8, 150
+        server = SocketWorkerServer().start()
+        links = [SocketLink(i, server.address, 10) for i in range(clients)]
+
+        def hammer(link):
+            for _ in range(pings):
+                link.request("ping")
+
+        threads = [
+            threading.Thread(target=hammer, args=(link,)) for link in links
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert server.op_counts["ping"] == clients * pings
+        finally:
+            sys.setswitchinterval(interval)
+            for link in links:
+                link.close()
+            server.stop()
 
     def test_probe_worker_stats(self):
         server = SocketWorkerServer().start()
@@ -381,7 +419,7 @@ class TestRemoteParity:
 
 
 # ----------------------------------------------------------------------
-# Replica sets: fan-out, failover, join
+# Replica sets: write-all / read-any, failover, join
 # ----------------------------------------------------------------------
 class TestReplicaSets:
     def test_writes_reach_every_replica(self):
@@ -423,7 +461,7 @@ class TestReplicaSets:
                 # Sever the router's connection to shard 0's primary:
                 # the next chunk fails over to the surviving replica,
                 # which already holds identical state.
-                engine._workers[0]._replicas[0].abandon()
+                engine._workers[0]._replicas[0].link.abandon()
                 got += emitted(engine.observe_many(rows[40:]))
                 assert got == expected
                 assert (
@@ -449,7 +487,7 @@ class TestReplicaSets:
                 got = emitted(engine.observe_many(rows[:32]))
                 # Kill the only replica of shard 1: the set is lost and
                 # the router must degrade to in-router execution.
-                engine._workers[1]._replicas[0].abandon()
+                engine._workers[1]._replicas[0].link.abandon()
                 got += emitted(engine.observe_many(rows[32:]))
                 engine.delete(5)
                 assert got == expected
@@ -498,33 +536,11 @@ class TestReplicaSets:
                 beat = replica_set.heartbeat()
                 assert len(beat) == 2
                 assert all(rtt is not None for rtt in beat.values())
-                victim = replica_set._replicas[0]
+                victim = replica_set._replicas[0].link
                 victim.abandon()
                 beat = replica_set.heartbeat()
                 assert beat[victim.address] is None
                 assert len(replica_set.replicas) == 1
-            finally:
-                engine.close()
-
-    def test_fanout_scatters_reads_over_replicas(self):
-        rows = make_rows(30, seed=13)
-        with local_cluster([2]) as (remote, servers):
-            engine = ShardedDiscoverer(SCHEMA, remote=remote)
-            try:
-                engine.facts_for_many(rows)
-                replica_set = engine._workers[0]
-                calls = [
-                    (lambda w, s=s: w.request("skyline", (("a0", None), s)))
-                    for s in (1, 2, 3)
-                ] * 2
-                results = replica_set.fanout(calls)
-                assert len(results) == 6
-                assert results[:3] == results[3:]
-                probes = [
-                    server.op_counts.get("skyline", 0)
-                    for server in servers["0"]
-                ]
-                assert all(count >= 1 for count in probes)
             finally:
                 engine.close()
 

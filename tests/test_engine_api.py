@@ -89,9 +89,6 @@ ENGINE_SPECS = {
         SCHEMA, "svec", CONFIG, sharding=ShardingSpec(2, "serial"),
         sweep_index="on",
     ),
-    "sharded-thread": lambda: EngineSpec(
-        SCHEMA, "svec", CONFIG, sharding=ShardingSpec(3, "thread")
-    ),
     "sharded-process": lambda: EngineSpec(
         SCHEMA, "svec", CONFIG, sharding=ShardingSpec(2, "process")
     ),
@@ -487,6 +484,46 @@ class TestEngineSpec:
     def test_json_round_trip(self, spec):
         doc = json.loads(json.dumps(spec.to_dict()))
         assert EngineSpec.from_dict(doc).to_dict() == spec.to_dict()
+
+    def test_checkpoint_spec_from_before_thread_and_supervise_retired(self):
+        # Verbatim ``EngineSpec.to_dict()`` of the commit before the
+        # ``thread`` mode and the ``supervise`` switch were removed, as
+        # v3 snapshots embed it.
+        doc = {
+            "schema": {
+                "dimensions": ["d0", "d1"],
+                "measures": ["m0", "m1"],
+                "preferences": {},
+            },
+            "algorithm": "svec",
+            "config": {
+                "max_bound_dims": None,
+                "max_measure_dims": None,
+                "tau": None,
+                "top_k": None,
+            },
+            "score": True,
+            "sharding": {
+                "workers": 3,
+                "mode": "thread",
+                "chunk_size": 96,
+                "supervise": False,
+                "op_timeout": 60.0,
+                "max_restarts": 3,
+                "remote": None,
+            },
+            "window": None,
+            "aggregate": None,
+            "checkpoint": None,
+            "sweep_index": "auto",
+            "query_cache": None,
+            "feeds": None,
+        }
+        spec = EngineSpec.from_dict(doc)
+        assert spec.sharding == ShardingSpec(3, "serial")
+        assert "supervise" not in spec.to_dict()["sharding"]
+        with pytest.raises(ValueError, match="sharding.mode"):
+            ShardingSpec(3, "thread")
 
     def test_window_and_aggregate_mutually_exclusive(self):
         with pytest.raises(ValueError, match="not supported"):

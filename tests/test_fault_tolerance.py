@@ -116,7 +116,7 @@ class TestWorkerCrashRecovery:
         )
         try:
             got = fact_keys(engine.observe_many(first))
-            victim = engine._workers[0]._process
+            victim = engine._workers[0].link._process
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=10)
             assert not victim.is_alive()
@@ -255,6 +255,34 @@ class TestCircuitBreakerDegrade:
             more = make_rows(12, start=48)
             ref_more = fact_keys(ref.observe_many(more))
             assert fact_keys(engine.observe_many(more)) == ref_more
+        finally:
+            engine.close()
+            ref.close()
+
+    def test_degrade_keeps_the_pool_sweep_index_mode(self):
+        # The degraded engines are built from the same worker spec as
+        # the lost ones, so no pool knob silently resets to its default.
+        rows = make_rows(30)
+        expected, _counters, ref = reference_run(rows)
+        faults.install(
+            [{"point": "worker.op", "action": "crash", "worker": 0, "op": "rows"}]
+        )
+        engine = ShardedDiscoverer(
+            SCHEMA,
+            n_workers=2,
+            mode="process",
+            chunk_size=10,
+            op_timeout=15,
+            max_restarts=0,
+            sweep_index="off",
+        )
+        try:
+            assert fact_keys(engine.observe_many(rows)) == expected
+            assert engine.degraded
+            assert [
+                worker.link.engine.algorithm.sweep_index_mode
+                for worker in engine._workers
+            ] == ["off", "off"]
         finally:
             engine.close()
             ref.close()
