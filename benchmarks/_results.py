@@ -14,8 +14,7 @@ Layout::
 
     {
       "meta":    {"n": 3000, "d": 4, "m": 4, "distribution": "..."},
-      "lattice": {"walker_ms": ..., "pr2_pass_ms": ..., ...},
-      "scoring": {"columnar_ms": ..., "pr2_ms": ..., "pr1_scalar_ms": ...},
+      "scoring": {"columnar_ms": ..., "pr1_scalar_ms": ...},
       "guard":   {"svec_ms": ..., "baselinevec_ms": ..., ...}
     }
 """

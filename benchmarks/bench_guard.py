@@ -12,9 +12,10 @@ the minimal NumPy-sweep algorithm: ``svec`` does strictly more per
 arrival (store maintenance, demotion repair), so a *generous* multiple
 of ``baselinevec`` is a stable ceiling across machines — scalar
 ``stopdown`` sits far above it on this workload, so a de-vectorized
-``svec`` trips the bound with a wide margin on any hardware.  Two more
-ratio tripwires cover the scored path (vs the unscored one) and the
-PR-3 bitset lattice walker (vs the pinned PR-2 per-visit pass).
+``svec`` trips the bound with a wide margin on any hardware.  One more
+ratio tripwire covers the scored path (vs the unscored one).  Which
+arrivals take the walker and which the scalar fallback is pinned
+deterministically in tier-1 (``tests/test_sweep_index.py::TestWalkPaths``).
 
 The ratio guards write their measurements into ``BENCH_PR3.json``, the
 journal-overhead guard into ``BENCH_PR6.json``, the sweep-index guard
@@ -44,9 +45,9 @@ from repro.query.contextual import ContextualQueryEngine
 from repro.service.feeds import FeedStore
 from repro.service.journal import JournalWriter
 from repro.service.remote import recv_msg, send_msg
+from repro.storage import sweep_index as sweep_module
 
 from _results import update_results
-from pinned_pr2 import PinnedPR2SVec
 
 #: Default scale of the guard workload (matches bench_columnar DEFAULT).
 N, D, M = 2000, 4, 4
@@ -71,7 +72,7 @@ SCORED_MULTIPLE = 2.5
 JOURNAL_OVERHEAD = 0.05
 
 #: The indexed dominance partition may cost at most this fraction of
-#: the dense per-arrival sweep at n=10k.  The indexed walker consumes
+#: the dense per-arrival sweep at 2.5× the arming constant.  The indexed walker consumes
 #: *packed* prefix partitions — rank lookups into the sorted measure
 #: orderings, pre-packed suffix bitsets and posting-bitset ANDs, a few
 #: hundred uint64 words — plus a dense pass over the short un-folded
@@ -79,13 +80,6 @@ JOURNAL_OVERHEAD = 0.05
 #: probe.  Measured ~0.05-0.2x; an index that silently stops
 #: short-circuiting the prefix lands at ~1x.
 SWEEP_INDEX_FRACTION = 0.6
-
-#: The bitset lattice walker may cost at most this fraction of the
-#: pinned PR-2 per-visit pass per tuple.  Measured ~0.55-0.7x; a walker
-#: that silently falls back to the scalar pass lands at ~1x (it *is*
-#: the scalar pass plus walker bookkeeping), so 0.85x separates the
-#: regimes hardware-independently.
-WALKER_FRACTION = 0.85
 
 #: The columnar k-skyband kernel may cost at most this fraction of the
 #: scalar double loop at n=10k.  The kernel is one chunked dominance-
@@ -156,57 +150,6 @@ def test_svec_stays_vectorized():
     )
 
 
-def test_lattice_walker_stays_vectorized():
-    """The bitset-matrix lattice walker must not fall back to the
-    per-visit scalar pass.
-
-    The pinned PR-2 engine runs the same sweep and store machinery but
-    walks the lattice one (constraint, subspace) visit at a time with
-    per-call store mutations; the walker answers whole passes with
-    bitset-matrix reductions and grouped mutations.  A change that
-    silently routes arrivals to the fallback (or de-vectorizes the
-    walker internals) pushes the ratio to ~1x, which this ceiling
-    catches hardware-independently.
-    """
-    schema = synthetic_schema(D, M)
-    rows = synthetic_rows(N + PROBE, D, M, distribution="anticorrelated")
-    warm, probe = rows[:N], rows[N:]
-
-    def measure():
-        pr2 = PinnedPR2SVec(schema)
-        pr2.process_many(warm)
-        start = time.perf_counter()
-        pr2.process_many(probe)
-        pr2_marginal = (time.perf_counter() - start) / len(probe)
-        walker = _marginal("svec", schema, warm, probe)
-        return walker / pr2_marginal, walker, pr2_marginal
-
-    ratio, walker, pr2_marginal = measure()
-    if ratio > WALKER_FRACTION:  # one retry: scheduler bursts happen
-        retry = measure()
-        if retry[0] < ratio:
-            ratio, walker, pr2_marginal = retry
-    print(
-        f"\nper-tuple @ n={N}: pr2-pass={1e3 * pr2_marginal:.3f}ms "
-        f"walker={1e3 * walker:.3f}ms ratio={ratio:.2f}x "
-        f"(ceiling {WALKER_FRACTION}x)"
-    )
-    update_results(
-        "guard",
-        {
-            "walker_ms": round(1e3 * walker, 4),
-            "pr2_pass_ms": round(1e3 * pr2_marginal, 4),
-            "walker_over_pr2_pass": round(ratio, 2),
-        },
-    )
-    assert ratio <= WALKER_FRACTION, (
-        f"the bitset lattice walker costs {ratio:.2f}x the pinned PR-2 "
-        f"per-visit pass (ceiling {WALKER_FRACTION}x) — the walk has "
-        f"likely fallen back to scalar; see benchmarks/bench_lattice.py "
-        f"for the full stage isolation"
-    )
-
-
 def test_sweep_index_stays_sublinear():
     """The PR-7 sweep index must keep beating the dense dominance sweep
     — and must keep matching it bit for bit.
@@ -214,17 +157,18 @@ def test_sweep_index_stays_sublinear():
     One deletion-heavy anticorrelated stream (every 6th arrival
     retracts a random live tuple, so tombstones, anchor invalidation
     and deferred compaction are all in play) warms a single ``svec``
-    store to n=10k.  Probe records then time the store's
-    ``partition_bitmasks`` with the index active vs the dense fallback
-    on the *same* store, asserting both the latency fraction and exact
-    array equality of the lt/gt/agree columns.
+    store to 2.5× the arming constant — clearly on the indexed side,
+    and still past re-arming should a compaction reset the watermark.
+    Probe records then time the index's packed partitions vs the dense
+    sweep over the *same* store's columns, asserting both the latency
+    fraction and exact array equality of the lt/gt/agree columns.
     """
-    n, probes = 10_000, 60
+    n, probes = 5 * sweep_module.ARM_ROWS // 2, 60
     schema = synthetic_schema(D, M)
     rows = synthetic_rows(
         n + probes, D, M, distribution="anticorrelated", seed=29
     )
-    algo = SVectorized(schema, sweep_index="on")
+    algo = SVectorized(schema)
     rng = random.Random(31)
     live = []
     for i, row in enumerate(rows[:n]):
@@ -233,9 +177,9 @@ def test_sweep_index_stays_sublinear():
         if i % 6 == 5 and len(live) > 2:
             algo.retract(live.pop(rng.randrange(len(live))))
     store = algo.store
-    sweep = store.sweep_index()
-    assert sweep is not None and sweep.active, (
-        "sweep index never activated on a 10k stream — the fold "
+    sweep = store.folded_sweep()
+    assert sweep is not None, (
+        f"sweep index never armed on a {n}-row stream — the fold "
         "trigger is broken"
     )
     records = [algo.table.make_record(row) for row in rows[n:]]
@@ -256,26 +200,18 @@ def test_sweep_index_stays_sublinear():
                 sweep.posting(j, int(vid))
             store.partition_suffix(values, dims, w, total)
         indexed = (time.perf_counter() - start) / len(probes)
-        store._sweep = None  # pin the dense sweep on the same store
-        try:
-            start = time.perf_counter()
-            for r in records:
-                store.partition_bitmasks(r)
-            dense = (time.perf_counter() - start) / len(records)
-        finally:
-            store._sweep = sweep
+        start = time.perf_counter()
+        for values, dims in probes:
+            store.partition_suffix(values, dims, 0, total)
+        dense = (time.perf_counter() - start) / len(probes)
         return indexed, dense
 
     # Exactness first: the full indexed reconstruction must equal the
     # dense sweep bit for bit on every probe (untimed — reconstruction
     # unpacks to dense columns, which the walker itself never pays for).
-    for r in records:
+    for r, (values, dims) in zip(records, probes):
         got = store.partition_bitmasks(r)
-        store._sweep = None
-        try:
-            want = store.partition_bitmasks(r)
-        finally:
-            store._sweep = sweep
+        want = store.partition_suffix(values, dims, 0, store.n_rows)
         for g, w in zip(got, want):
             assert np.array_equal(g, w), (
                 "indexed partition_bitmasks diverged from the dense "

@@ -21,14 +21,9 @@ The contenders run the same anticorrelated stream through a scored
 * the scored-vs-unscored split for ``svec``, showing what scoring now
   adds on top of raw discovery.
 
-Headline assertions: columnar scoring is ≥ 3× faster end to end than
-the PR-1 scalar scoring path at the default cell, and — since PR 3's
-bitset-matrix lattice walker (see ``bench_lattice.py``) — the same
-scored marginal is ≥ 1.4× faster than the whole engine as it shipped
-in PR 2 (measured ~1.5-1.9×; the pinned PR-2 contender shares the
-sweep, the store semantics and the scoring index, so the end-to-end
-ratio is the conservative floor of the walker's stage-level ≥ 2×),
-while being output-identical (``tests/test_scoring_equivalence.py``).
+Headline assertion: columnar scoring is ≥ 3× faster end to end than
+the PR-1 scalar scoring path at the default cell, while being
+output-identical (``tests/test_scoring_equivalence.py``).
 
 Run with ``pytest benchmarks/bench_scoring.py -s`` to see the table;
 ``REPRO_BENCH_SCALE`` enlarges the workload.  Results are merged into
@@ -44,7 +39,6 @@ from repro.algorithms.top_down import TopDown
 from repro.datasets.synthetic import synthetic_rows, synthetic_schema
 
 from _results import update_results
-from pinned_pr2 import PinnedPR2SVec
 
 N, D, M = 3000, 4, 4
 CHUNK = 100
@@ -54,12 +48,6 @@ CHUNKS = 4
 #: scalar scoring path (measured ~3.2-3.6x at the PR-2 seed, higher
 #: since the PR-3 walker).
 REQUIRED_SPEEDUP = 3.0
-
-#: Required end-to-end speedup of scored svec ingestion over the whole
-#: pinned PR-2 engine (scalar lattice passes + per-fact object scoring;
-#: measured ~1.5-1.9x — see the module docstring for why the shared
-#: machinery compresses this below the walker's stage-level 2x).
-PR2_REQUIRED_SPEEDUP = 1.4
 
 
 class _PrePRContextCounter(ContextCounter):
@@ -139,7 +127,6 @@ def test_columnar_scoring_speedup(benchmark, bench_scale):
             schema,
             {
                 "scalar-score": (ScalarScoredSVec(schema), True),
-                "pr2-engine": (PinnedPR2SVec(schema), True),
                 "columnar-score": ("svec", True),
                 "no-score": ("svec", False),
             },
@@ -147,52 +134,40 @@ def test_columnar_scoring_speedup(benchmark, bench_scale):
             chunks,
         )
 
-    def margin(cell):
-        """Worst normalized distance to the two speedup thresholds."""
-        return min(
-            cell["scalar-score"] / cell["columnar-score"] / REQUIRED_SPEEDUP,
-            cell["pr2-engine"] / cell["columnar-score"] / PR2_REQUIRED_SPEEDUP,
-        )
+    def speedup_of(cell):
+        return cell["scalar-score"] / cell["columnar-score"]
 
     def run():
         # One retry on a sub-threshold first attempt: an OS scheduling
         # burst can still depress a whole measurement; a genuine
         # de-vectorization fails both attempts by a wide margin.  Keep
-        # whichever attempt clears its thresholds by the better margin.
+        # whichever attempt clears the threshold by the better margin.
         cell = measure()
-        if margin(cell) < 1.0:
-            retry = measure()
-            if margin(retry) > margin(cell):
-                cell = retry
+        if speedup_of(cell) < REQUIRED_SPEEDUP:
+            cell = max(cell, measure(), key=speedup_of)
         return cell
 
     cell = benchmark.pedantic(run, iterations=1, rounds=1)
-    speedup = cell["scalar-score"] / cell["columnar-score"]
-    pr2_speedup = cell["pr2-engine"] / cell["columnar-score"]
+    speedup = speedup_of(cell)
     scoring_cost = cell["columnar-score"] - cell["no-score"]
     print()
     print(f"scored marginal per-tuple latency @ n={n} d={D} m={M} "
           f"(anticorrelated)")
-    for name in ("scalar-score", "pr2-engine", "columnar-score", "no-score"):
+    for name in ("scalar-score", "columnar-score", "no-score"):
         print(f"  {name:<16} {1e3 * cell[name]:>9.3f} ms")
-    print(f"  speedup {speedup:.2f}x over PR-1 scalar scoring, "
-          f"{pr2_speedup:.2f}x over the pinned PR-2 engine; scoring adds "
+    print(f"  speedup {speedup:.2f}x over PR-1 scalar scoring; scoring adds "
           f"{1e3 * scoring_cost:.3f} ms over unscored discovery")
     benchmark.extra_info["scalar_ms"] = round(1e3 * cell["scalar-score"], 3)
-    benchmark.extra_info["pr2_ms"] = round(1e3 * cell["pr2-engine"], 3)
     benchmark.extra_info["columnar_ms"] = round(1e3 * cell["columnar-score"], 3)
     benchmark.extra_info["speedup"] = round(speedup, 2)
-    benchmark.extra_info["pr2_speedup"] = round(pr2_speedup, 2)
     update_results(
         "scoring",
         {
             "pr1_scalar_ms": round(1e3 * cell["scalar-score"], 4),
-            "pr2_engine_ms": round(1e3 * cell["pr2-engine"], 4),
             "columnar_ms": round(1e3 * cell["columnar-score"], 4),
             "no_score_ms": round(1e3 * cell["no-score"], 4),
             "scoring_surcharge_ms": round(1e3 * scoring_cost, 4),
             "speedup_vs_pr1": round(speedup, 2),
-            "speedup_vs_pr2": round(pr2_speedup, 2),
         },
     )
     update_results(
@@ -202,11 +177,6 @@ def test_columnar_scoring_speedup(benchmark, bench_scale):
         f"columnar scoring regressed: only {speedup:.2f}x over the scalar "
         f"scoring path (need >= {REQUIRED_SPEEDUP}x); see "
         f"benchmarks/bench_guard.py for the de-vectorization tripwire"
-    )
-    assert pr2_speedup >= PR2_REQUIRED_SPEEDUP, (
-        f"scored ingestion is only {pr2_speedup:.2f}x the pinned PR-2 "
-        f"engine (need >= {PR2_REQUIRED_SPEEDUP}x) — the bitset walker "
-        f"has likely been de-vectorized; see benchmarks/bench_lattice.py"
     )
     # Scoring must stay a modest surcharge on discovery, not dominate it
     # (pre-PR-2 it tripled the per-tuple cost).

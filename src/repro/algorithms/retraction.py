@@ -121,7 +121,7 @@ def retract_top_down_columnar(
     """Columnar :func:`retract_top_down` over a ``ColumnarSkylineStore``.
 
     Same repair, answered from the columns instead of full-table
-    rescans: the removed tuple's anchors come straight off the per-row
+    scans: the removed tuple's anchors come straight off the per-row
     anchor bitsets, candidate re-entrants are the rows the removed
     tuple dominated (one dominance sweep over the measure columns,
     shared by every subspace), and per affected mask the "is the

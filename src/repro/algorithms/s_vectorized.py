@@ -29,6 +29,13 @@ materialised stores and output semantics:
   Arrivals carrying an unbindable (None) dimension value, and schemas
   beyond the anchor-bitset dimensionality cap, take the scalar
   per-visit pass instead (same outputs, Python speed);
+* the walk splits the history at the store's sweep-index watermark
+  ``w``: rows ``[0, w)`` are answered from the index's packed bitsets
+  (O(m·log n) rank lookups plus a few words per cell), rows ``[w, n)``
+  densely.  The store arms the index from its own row count
+  (:meth:`ColumnarSkylineStore.folded_sweep`) — ``w`` stays 0 on
+  short histories, where the dense side is the faster one — so there
+  is one walk and nothing for a caller to select;
 * prominence scoring rides the store's incremental skyline-cardinality
   index (see :meth:`ColumnarSkylineStore.scoring_index`) and annotates
   the fact set's score *columns* in one bulk pass
@@ -81,12 +88,6 @@ class SVectorized(STopDown):
 
     name = "svec"
 
-    #: Toggles for the pinned-baseline benches and the equivalence
-    #: tests: turning either off replays the pre-walker (PR-2) code
-    #: path / the scalar retraction path with identical outputs.
-    use_bitset_walker = True
-    use_columnar_retraction = True
-
     def __init__(
         self,
         schema: TableSchema,
@@ -94,17 +95,11 @@ class SVectorized(STopDown):
         counters: Optional[OpCounters] = None,
         store: Optional[ColumnarSkylineStore] = None,
         shard_subspaces: Optional[Sequence[int]] = None,
-        sweep_index: str = "auto",
     ) -> None:
         if store is not None and not isinstance(store, ColumnarSkylineStore):
             raise TypeError(
                 "svec needs a ColumnarSkylineStore; got "
                 f"{type(store).__name__}"
-            )
-        if sweep_index not in ("auto", "on", "off"):
-            raise ValueError(
-                f"sweep_index must be 'auto', 'on' or 'off'; got "
-                f"{sweep_index!r}"
             )
         super().__init__(schema, config, counters, store)
         if store is None:
@@ -113,15 +108,6 @@ class SVectorized(STopDown):
                 n_dimensions=schema.n_dimensions,
                 n_measures=schema.n_measures,
             )
-        #: ``auto``/``on`` arm the store's incremental sweep index (PR
-        #: 7): probes against the stable prefix become packed-bitset
-        #: lookups once a fold batch of history accumulates; ``off``
-        #: pins every sweep to the dense elementwise path.  ``auto``
-        #: currently behaves like ``on`` (the index activation threshold
-        #: is its fold batch); the distinct value is reserved for
-        #: workload-adaptive heuristics.
-        self.sweep_index_mode = sweep_index
-        self.store.set_sweep_mode("off" if sweep_index == "off" else "on")
         # Subspace-axis sharding (the service layer's parallel unit):
         # when ``shard_subspaces`` is given, this instance maintains only
         # that subset of the measure-subspace keys.  Sound because every
@@ -207,9 +193,10 @@ class SVectorized(STopDown):
             if self._has_root:
                 report[0, 0] = self.config.allows_subspace(self.full_space)
             self._report_col = report
-            #: Indexed-walker tables: constraint-mask bit weights (the
-            #: packed pruned matrix folds back into per-key bitsets) and
-            #: the subspace keys as a gather index into the measure-mask
+            #: Prefix-stage tables: constraint-mask bit weights (the
+            #: packed pruned matrix folds back into per-key bitsets, and
+            #: per-key visited bitsets unfold into cells) and the
+            #: subspace keys as a gather index into the measure-mask
             #: subset DP.
             self._mask_weights = 1 << np.arange(
                 1 << schema.n_dimensions, dtype=np.int64
@@ -241,13 +228,12 @@ class SVectorized(STopDown):
         # sweep must no longer see the retracted tuple.
         from .retraction import retract_top_down, retract_top_down_columnar
 
-        repaired = self.use_columnar_retraction and retract_top_down_columnar(
+        if not retract_top_down_columnar(
             self.store,
             record,
             self.masks_top_down,
             self.maintained_subspaces(),
-        )
-        if not repaired:
+        ):
             retract_top_down(
                 self.store,
                 self.table,
@@ -267,36 +253,106 @@ class SVectorized(STopDown):
             return [self.retract(tid) for tid in tids]
 
     # ------------------------------------------------------------------
-    # Discovery — bitset-matrix walker
+    # Discovery — the bitset-matrix walk
     # ------------------------------------------------------------------
     def _discover(self, record: Record) -> FactSet:
+        """One bitset-matrix walk of ``C^t`` over every maintained
+        subspace, in three steps.
+
+        *Prefix stage* — rows ``[0, w)`` below the sweep-index watermark
+        (skipped while ``w == 0``, i.e. until the store arms the index),
+        every O(n) dense expression replaced by packed-bitset
+        arithmetic:
+
+        * per-subspace dominator/demotable row bitsets come from a
+          subset-DP union of the per-measure rank partitions;
+        * Prop. 4 pruning intersects those with the per-(subspace, mask)
+          anchor planes — exact by the Invariant-2 covering argument:
+          a dominator ``r`` in context ``C^t_m`` is dominated-or-
+          equalled by a tuple ``s`` of that context's skyline, and ``s``
+          is anchored at an ancestor constraint along ``C^t`` (its
+          anchor binds a submask of ``m``, where its values coincide
+          with the probe's), so a dominator exists iff an *anchored*
+          dominator with agreement ⊇ ``m`` does (``s`` is met here when
+          it lies below the watermark and by the dense stage otherwise);
+        * µ bucket sizes along ``C^t`` are popcounts of (anchor plane ∩
+          agreement) per (subspace, mask) cell, and the demotion
+          candidates the nonzero words of (anchor planes ∩ agreement ∩
+          demotable).
+
+        *Dense stage* — rows ``[w, n)``, the whole history while
+        ``w == 0``: one elementwise partition sweep, the Prop. 4
+        closure-OR, and the per-row met matrix.
+
+        *Shared tail* — survive / traversed / emit, comparison counter,
+        maximal-constraint promotion, demotion repair in pass order.
+        Where the watermark sits changes the cost of an arrival, never
+        its facts, store state or op counters.
+        """
         store = self.store
         if (
             not self._walker_ok
-            or not self.use_bitset_walker
             or UNBOUND in record.dims
             or (store.n_rows and not store.anchor_bits_supported)
         ):
             return self._discover_scalar_passes(record)
-        if self.sweep_index_mode != "off":
-            sweep = store.sweep_index(create=True)
-            if sweep is not None:
-                sweep.ensure_folded()
-                if sweep.active:
-                    return self._discover_indexed(record, sweep)
         facts = FactSet(record)
         constraints = self.constraint_cache(record)
-        n = store.n_rows
         keys = self._subspace_keys
         n_keys = len(keys)
         cons_seq = tuple(constraints[m] for m in self.masks_top_down)
+        n = store.n_rows
+        sweep = store.folded_sweep()
+        w = sweep.watermark if sweep is not None else 0
+        probe_values = np.asarray(record.values, dtype=np.float64)
+        probe_dims = store.intern_dims(record.dims)
+        pruned_vec = np.zeros(n_keys, dtype=self._bitset_dtype)
 
-        demote_mat = closure_of_agree = None
-        if n:
-            # --- One batched sweep: partition bitmasks vs the whole
-            # history (see ColumnarSkylineStore.partition_bitmasks for
-            # the orientation contract).
-            lt, gt, agree = store.partition_bitmasks(record)
+        if w:
+            sweep.ensure_planes(keys)
+            packed_lt, packed_gt = sweep.measure_partitions(probe_values)
+            dom, dem = self._packed_dominators(packed_lt, packed_gt)
+            agreement = self._packed_agreement(sweep, probe_dims)
+            planes = sweep.anchor_planes(keys)
+            # Per subspace k and mask, planes[k, mask] & agreement[mask]
+            # is the walk's bucket at (C^t_mask, k) restricted to the
+            # prefix: met_any[k] is its union over the masks, and its
+            # popcount the bucket's prefix size.  Reduced one subspace
+            # at a time so the full (keys × masks × words) tensor is
+            # never materialised — at n = 30k it is ~1 MB and streaming
+            # it through memory several times per arrival was the last
+            # O(n) term with a visible constant.  The per-k temporary
+            # stays cache-resident.
+            met_any = np.empty((n_keys, planes.shape[2]), dtype=np.uint64)
+            bucket_bits = np.empty(planes.shape, dtype=np.uint8)
+            for k in range(n_keys):
+                cell = planes[k] & agreement
+                np.bitwise_or.reduce(cell, axis=0, out=met_any[k])
+                bucket_bits[k] = popcount_array(cell)
+            # Prop. 4 pruning from the met dominators.  met_dom is
+            # genuinely dense under anticorrelated streams (hundreds of
+            # occupied words per arrival), so this reduction stays
+            # vectorised — only the (keys × masks × words) tensor above
+            # was worth breaking up.
+            met_dom = met_any & dom
+            pruned_cell = (
+                np.bitwise_or.reduce(
+                    met_dom[:, None, :] & agreement[None, :, :], axis=2
+                )
+                != 0
+            )
+            pruned_vec |= (pruned_cell @ self._mask_weights).astype(
+                self._bitset_dtype
+            )
+
+        delta = n - w
+        if delta:
+            # --- One batched sweep: partition bitmasks vs rows [w, n)
+            # (see ColumnarSkylineStore.partition_bitmasks for the
+            # orientation contract).
+            lt, gt, agree = store.partition_suffix(
+                probe_values, probe_dims, w, n
+            )
             # Prop. 4 broadcast over every maintained subspace at once:
             # row r dominates the probe in key k iff lt[r] hits the
             # subspace and gt[r] misses it (and vice versa for rows the
@@ -306,21 +362,19 @@ class SVectorized(STopDown):
             gt_hit = (gt & keys_col) != 0
             dominated = lt_hit & ~gt_hit
             demote_mat = gt_hit & ~lt_hit
-            # pruned[M] = ⋃ closure(C^{t,t'}) over t' dominating t in M.
-            # The submask closures live in an int64 array, so the union
-            # is one masked bitwise-or reduction over the dominator
-            # rows; the per-row closure gather is shared with the µ
-            # -occupancy arithmetic below.
+            # pruned[M] = ⋃ closure(C^{t,t'}) over t' dominating t in M
+            # — a dense-stage dominator prunes its own agreement closure
+            # directly, so the prefix/suffix union is the exact pruned
+            # set.  The submask closures live in an integer array, and
+            # the per-row closure gather is shared with the µ-occupancy
+            # arithmetic below.  (closure · dominated) zeroes
+            # non-dominator cells, so one plain bitwise-or reduction
+            # yields every subspace's pruned bitset (masked reductions
+            # are an order of magnitude slower than this multiply).
             closure_of_agree = self._closure_arr[agree]
-            # (closure · dominated) zeroes non-dominator cells, so one
-            # plain bitwise-or reduction yields every subspace's pruned
-            # bitset (masked reductions are an order of magnitude
-            # slower than this multiply).
-            pruned_vec = np.bitwise_or.reduce(
+            pruned_vec |= np.bitwise_or.reduce(
                 closure_of_agree * dominated, axis=1
             )
-        else:
-            pruned_vec = np.zeros(n_keys, dtype=self._bitset_dtype)
 
         masks_arr = self._masks_arr
         pruned_bit = ((pruned_vec[:, None] >> masks_arr[None, :]) & 1) != 0
@@ -344,32 +398,62 @@ class SVectorized(STopDown):
                 [keys[k] for k in ks.tolist()],
             )
 
-        # Demotions and the comparison counter come from the anchor
-        # bitsets: row r occupies the walk's bucket at mask m iff bit m
-        # of its anchor bitset is set and m ⊆ agree[r].  All subspaces
-        # are answered by one stacked matrix, snapshotted *before* this
-        # arrival's own store mutations.
-        repairs_by_key: List[Optional[List[Tuple[int, int]]]] = [None] * n_keys
-        if n:
+        # Demotions and the comparison counter: row r occupies the
+        # walk's bucket at mask m iff it is anchored there and
+        # m ⊆ agree[r].  Node passes skip pruned masks outright; the
+        # root pass scans every bucket along C^t.  Both stages read the
+        # anchors as they stood *before* this arrival's own store
+        # mutations, and count each visited bucket member once.
+        visited = ~pruned_vec
+        if self._has_root:
+            visited[0] = -1
+        comparisons = 0
+        repairs_by_key: List[List[Tuple[int, int]]] = [[] for _ in keys]
+        order = self._mask_order
+        if w:
+            visited_cell = (visited[:, None] & self._mask_weights) != 0
+            comparisons += int(
+                bucket_bits.sum(axis=2, dtype=np.uint32)[visited_cell].sum()
+            )
+            # Only the conjunction with the demotable rows is sparse:
+            # gather the bucket cells of its few nonzero words.
+            met_dem = met_any & dem
+            dk, dw = np.nonzero(met_dem)
+            if dk.size:
+                cells = planes[dk, :, dw] & agreement[:, dw].T
+                cells &= met_dem[dk, dw][:, None]
+                cells[~visited_cell[dk]] = 0
+                at, hit_masks = np.nonzero(cells)
+                for k, mask, word_at, word in zip(
+                    dk[at].tolist(),
+                    hit_masks.tolist(),
+                    dw[at].tolist(),
+                    cells[at, hit_masks].tolist(),
+                ):
+                    pairs = repairs_by_key[k]
+                    base_row = word_at << 6
+                    position = int(order[mask])
+                    while word:
+                        bit = word & -word
+                        word ^= bit
+                        pairs.append(
+                            (position, base_row + bit.bit_length() - 1)
+                        )
+        if delta:
+            # All subspaces are answered by one stacked matrix of the
+            # per-row anchor bitsets.
             anchor_bits = store.anchor_bits
-            met_mat = np.zeros((n_keys, n), dtype=self._bitset_dtype)
+            met_mat = np.zeros((n_keys, delta), dtype=self._bitset_dtype)
             occupied = False
             for k in range(n_keys):
                 bits = anchor_bits(keys[k], n)
                 if bits is not None:
-                    met_mat[k] = bits[:n]
+                    met_mat[k] = bits[w:n]
                     occupied = True
             if occupied:
                 met_mat &= closure_of_agree[None, :]
-                # Node passes skip pruned masks outright; the root pass
-                # scans every bucket along C^t.
-                visited = ~pruned_vec
-                if self._has_root:
-                    visited[0] = -1
                 met_mat &= visited[:, None]
-                self.counters.comparisons += int(
-                    popcount_array(met_mat).sum()
-                )
+                comparisons += int(popcount_array(met_mat).sum())
                 # Demotion candidates: cells whose bucket bitset meets a
                 # row the arrival dominates there.  Both masks are dense
                 # on their own; only their conjunction is sparse — one
@@ -379,20 +463,17 @@ class SVectorized(STopDown):
                 hits = np.flatnonzero(
                     (met_flat != 0) & demote_mat.reshape(-1)
                 )
-                if hits.size:
-                    order = self._mask_order
-                    for index in hits.tolist():
-                        k, r = divmod(index, n)
-                        remaining = int(met_flat[index])
-                        pairs = repairs_by_key[k]
-                        if pairs is None:
-                            pairs = repairs_by_key[k] = []
-                        while remaining:
-                            bit = remaining & -remaining
-                            remaining ^= bit
-                            pairs.append(
-                                (int(order[bit.bit_length() - 1]), r)
-                            )
+                for index in hits.tolist():
+                    k, r = divmod(index, delta)
+                    remaining = int(met_flat[index])
+                    pairs = repairs_by_key[k]
+                    while remaining:
+                        bit = remaining & -remaining
+                        remaining ^= bit
+                        pairs.append(
+                            (int(order[bit.bit_length() - 1]), w + r)
+                        )
+        self.counters.comparisons += comparisons
 
         # Maximal-constraint promotion (Invariant 2): insert where the
         # constraint survives and every parent is pruned — with no
@@ -414,255 +495,30 @@ class SVectorized(STopDown):
         # Demotion repair, batched per subspace in pass order (identical
         # final state to the scalar inline repairs — see _flush_repairs;
         # sorted level-major to mirror the scalar collection order).
-        for k, pairs in enumerate(repairs_by_key):
-            if pairs:
-                pairs.sort()
-                self._flush_repairs(
-                    record,
-                    keys[k],
-                    [(r, cons_seq[oi]) for oi, r in pairs],
-                    agree,
+        # Agreement bitmasks are computed for the handful of repair rows
+        # only: a full agree column would cost the O(n) pass the prefix
+        # stage exists to avoid.
+        repair_rows = list(
+            {row for pairs in repairs_by_key for _, row in pairs}
+        )
+        if repair_rows:
+            agree_of = dict(
+                zip(
+                    repair_rows,
+                    store.agree_bits_rows(
+                        np.asarray(repair_rows, dtype=np.int64), probe_dims
+                    ).tolist(),
                 )
-        return facts
-
-    # ------------------------------------------------------------------
-    # Discovery — sweep-indexed walker (O(Δ) prefix probes)
-    # ------------------------------------------------------------------
-    def _discover_indexed(self, record: Record, sweep) -> FactSet:
-        """The bitset-matrix walk over the sweep index's packed prefix.
-
-        Output-identical to :meth:`_discover` (facts, store state, op
-        counters), with every O(n) dense stage replaced by packed-bitset
-        arithmetic over the rows below the index watermark plus a dense
-        pass over the short un-indexed suffix:
-
-        * per-subspace dominator/demotable row bitsets come from a
-          subset-DP union of the per-measure rank partitions;
-        * Prop. 4 pruning intersects those with the per-(subspace, mask)
-          anchor planes — exact by the Invariant-2 covering argument:
-          a dominator ``r`` in context ``C^t_m`` is dominated-or-
-          equalled by a tuple ``s`` of that context's skyline, and ``s``
-          is anchored at an ancestor constraint along ``C^t`` (its
-          anchor binds a submask of ``m``, where its values coincide
-          with the probe's), so a dominator exists iff an *anchored*
-          dominator with agreement ⊇ ``m`` does;
-        * the comparison counter reads µ bucket sizes along ``C^t``
-          directly (bucket membership at ``(C^t_m, M)`` ⟺ anchored at
-          ``m`` with ``m ⊆ agree`` — the identity behind the dense
-          met-matrix popcounts), and the demotion candidates are the
-          nonzero words of (anchor planes ∩ agreement ∩ demotable).
-        """
-        store = self.store
-        facts = FactSet(record)
-        constraints = self.constraint_cache(record)
-        keys = self._subspace_keys
-        n_keys = len(keys)
-        cons_seq = tuple(constraints[m] for m in self.masks_top_down)
-        n = store.n_rows
-        w = sweep.watermark
-        probe_values = np.asarray(record.values, dtype=np.float64)
-        probe_dims = store.intern_dims(record.dims)
-
-        sweep.ensure_planes(keys)
-        packed_lt, packed_gt = sweep.measure_partitions(probe_values)
-        dom, dem = self._packed_dominators(packed_lt, packed_gt)
-        agreement = self._packed_agreement(sweep, probe_dims)
-        planes = sweep.anchor_planes(keys)
-        # met_any[k] = OR_mask(planes[k, mask] & agreement[mask]),
-        # reduced one subspace at a time so the full
-        # (keys × masks × words) tensor is never materialised — at
-        # n = 30k it is ~1 MB and streaming it through memory several
-        # times per arrival was the last O(n) term with a visible
-        # constant.  The per-k temporary stays cache-resident.
-        cap = planes.shape[2]
-        met_any = np.empty((n_keys, cap), dtype=np.uint64)
-        for k in range(n_keys):
-            np.bitwise_or.reduce(
-                planes[k] & agreement, axis=0, out=met_any[k]
             )
-        # Prop. 4 pruning from the met dominators.  met_dom is genuinely
-        # dense under anticorrelated streams (hundreds of occupied words
-        # per arrival), so this reduction stays vectorised — only the
-        # (keys × masks × words) tensor above was worth breaking up.
-        met_dom = met_any & dom
-        pruned_cell = (
-            np.bitwise_or.reduce(
-                met_dom[:, None, :] & agreement[None, :, :], axis=2
-            )
-            != 0
-        )
-        pruned_vec = (pruned_cell @ self._mask_weights).astype(
-            self._bitset_dtype
-        )
-
-        # Dense pass over the un-indexed suffix [w, n): a suffix
-        # dominator prunes its own agreement closure directly, so the
-        # prefix/suffix union reproduces the dense pruned bits exactly.
-        delta = n - w
-        closure_s = demote_s = None
-        if delta:
-            lt_s, gt_s, agree_s = store.partition_suffix(
-                probe_values, probe_dims, w, n
-            )
-            keys_col = self._keys_column
-            lt_hit = (lt_s & keys_col) != 0
-            gt_hit = (gt_s & keys_col) != 0
-            dominated_s = lt_hit & ~gt_hit
-            demote_s = gt_hit & ~lt_hit
-            closure_s = self._closure_arr[agree_s]
-            pruned_vec |= np.bitwise_or.reduce(
-                closure_s * dominated_s, axis=1
-            )
-
-        masks_arr = self._masks_arr
-        pruned_bit = ((pruned_vec[:, None] >> masks_arr[None, :]) & 1) != 0
-        survive = ~pruned_bit
-        if self._has_root:
-            traversed = masks_arr.shape[0] + survive[1:].sum()
-        else:
-            traversed = survive.sum()
-        self.counters.traversed_constraints += int(traversed)
-
-        emit = survive & self._report_col
-        ks, cs = np.nonzero(emit)
-        if ks.size:
-            facts.add_pairs(
-                [cons_seq[i] for i in cs.tolist()],
-                [keys[k] for k in ks.tolist()],
-            )
-
-        visited = ~pruned_vec
-        if self._has_root:
-            visited[0] = -1
-
-        # Comparisons: µ bucket sizes along C^t over the visited cells,
-        # snapshotted before this arrival's own store mutations.
-        comparisons = 0
-        td = self.masks_top_down
-        for k in range(n_keys):
-            submap = store.submap(keys[k])
-            if not submap:
-                continue
-            vis = int(visited[k])
-            for i, mask in enumerate(td):
-                if (vis >> mask) & 1:
-                    bucket = submap.get(cons_seq[i])
-                    if bucket:
-                        comparisons += len(bucket)
-        self.counters.comparisons += comparisons
-
-        # Demotion candidates — prefix from the packed planes, suffix
-        # from the dense met-matrix over the delta rows.
-        repairs_by_key: List[Optional[List[Tuple[int, int]]]] = [None] * n_keys
-        order = self._mask_order
-        met_dem = met_any & dem
-        dk, dw = np.nonzero(met_dem)
-        if dk.size > 512:
-            met_cell = (planes & agreement[None, :, :]) & dem[:, None, :]
-            hit_k, hit_m, hit_w = np.nonzero(met_cell)
-            for k, mask, word_at in zip(
-                hit_k.tolist(), hit_m.tolist(), hit_w.tolist()
-            ):
-                if not (int(visited[k]) >> mask) & 1:
-                    continue
-                pairs = repairs_by_key[k]
-                if pairs is None:
-                    pairs = repairs_by_key[k] = []
-                word = int(met_cell[k, mask, word_at])
-                base_row = word_at << 6
-                position = int(order[mask])
-                while word:
-                    bit = word & -word
-                    word ^= bit
-                    pairs.append(
-                        (position, base_row + bit.bit_length() - 1)
+            for k, pairs in enumerate(repairs_by_key):
+                if pairs:
+                    pairs.sort()
+                    self._flush_repairs(
+                        record,
+                        keys[k],
+                        [(r, cons_seq[oi]) for oi, r in pairs],
+                        agree_of,
                     )
-        else:
-            for k, word_at in zip(dk.tolist(), dw.tolist()):
-                vis = int(visited[k])
-                cell = planes[k, :, word_at] & agreement[:, word_at]
-                cell &= met_dem[k, word_at]
-                base_row = word_at << 6
-                for mask in np.flatnonzero(cell).tolist():
-                    if not (vis >> mask) & 1:
-                        continue
-                    pairs = repairs_by_key[k]
-                    if pairs is None:
-                        pairs = repairs_by_key[k] = []
-                    word = int(cell[mask])
-                    position = int(order[mask])
-                    while word:
-                        bit = word & -word
-                        word ^= bit
-                        pairs.append(
-                            (position, base_row + bit.bit_length() - 1)
-                        )
-        if delta and demote_s.any():
-            anchor_bits = store.anchor_bits
-            met_suffix = np.zeros((n_keys, delta), dtype=self._bitset_dtype)
-            occupied = False
-            for k in range(n_keys):
-                bits = anchor_bits(keys[k], n)
-                if bits is not None:
-                    met_suffix[k] = bits[w:n]
-                    occupied = True
-            if occupied:
-                met_suffix &= closure_s[None, :]
-                met_suffix &= visited[:, None]
-                met_flat = met_suffix.reshape(-1)
-                hits = np.flatnonzero(
-                    (met_flat != 0) & demote_s.reshape(-1)
-                )
-                for index in hits.tolist():
-                    k, r = divmod(index, delta)
-                    remaining = int(met_flat[index])
-                    pairs = repairs_by_key[k]
-                    if pairs is None:
-                        pairs = repairs_by_key[k] = []
-                    while remaining:
-                        bit = remaining & -remaining
-                        remaining ^= bit
-                        pairs.append(
-                            (int(order[bit.bit_length() - 1]), w + r)
-                        )
-
-        maximal = survive & (
-            (pruned_vec[:, None] & self._parent_bits[None, :])
-            == self._parent_bits[None, :]
-        )
-        mk, mc = np.nonzero(maximal)
-        if mk.size:
-            store.insert_new_many(
-                record,
-                [
-                    (cons_seq[i], keys[k])
-                    for k, i in zip(mk.tolist(), mc.tolist())
-                ],
-            )
-
-        # Agreement bitmasks only for the handful of repair rows (the
-        # dense walker has the whole agree column; here it would cost
-        # the O(n) pass the index exists to avoid).
-        agree_of: Dict[int, int] = {}
-        for pairs in repairs_by_key:
-            if pairs:
-                for _, row in pairs:
-                    agree_of[row] = 0
-        if agree_of:
-            rows_arr = np.fromiter(
-                agree_of.keys(), dtype=np.int64, count=len(agree_of)
-            )
-            agree_vals = store.agree_bits_rows(rows_arr, probe_dims)
-            agree_of = dict(zip(rows_arr.tolist(), agree_vals.tolist()))
-        for k, pairs in enumerate(repairs_by_key):
-            if pairs:
-                pairs.sort()
-                self._flush_repairs(
-                    record,
-                    keys[k],
-                    [(r, cons_seq[oi]) for oi, r in pairs],
-                    agree_of,
-                )
         return facts
 
     def _packed_dominators(self, packed_lt, packed_gt):
@@ -935,17 +791,19 @@ class SVectorized(STopDown):
         self._anc_tbl[child] = row
         return row
 
-    def _flush_repairs(self, record, subspace, repairs, agree_list) -> None:
+    def _flush_repairs(self, record, subspace, repairs, agree_of) -> None:
         """Procedure *Dominates* (Alg. 5) for a whole pass's demotions.
 
         Batched counterpart of :func:`repair_demoted_tuple`: the sweep's
-        agreement bitmask already answers the per-attribute "do the two
-        tuples disagree here?" probes, so the candidate children of each
-        ``(row, constraint)`` pair are the set bits of one integer, and
-        "ancestor already anchored?" is one AND of the row's anchor-mask
-        bitset against a memoised ancestor table.  Processing stays in
-        collection order with live anchor updates, so the resulting
-        store state is identical to the inline scalar repairs.
+        agreement bitmask (``agree_of[row]`` — any row-indexable holding
+        at least the repair rows) already answers the per-attribute "do
+        the two tuples disagree here?" probes, so the candidate children
+        of each ``(row, constraint)`` pair are the set bits of one
+        integer, and "ancestor already anchored?" is one AND of the
+        row's anchor-mask bitset against a memoised ancestor table.
+        Processing stays in collection order with live anchor updates,
+        so the resulting store state is identical to the inline scalar
+        repairs.
         """
         store = self.store
         allowed_bits = self._allowed_bits
@@ -958,7 +816,7 @@ class SVectorized(STopDown):
         for row, constraint in repairs:
             demoted = record_at(row)
             mask = constraint.bound_mask
-            cand = ~mask & ~int(agree_list[row]) & universe
+            cand = ~mask & ~int(agree_of[row]) & universe
             children = []
             if cand:
                 if bits is not None:

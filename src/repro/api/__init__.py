@@ -39,7 +39,6 @@ from .registry import (
 )
 from .spec import (
     AGGREGATES,
-    SWEEP_INDEX_MODES,
     CheckpointPolicy,
     EngineSpec,
     FeedSpec,
@@ -56,7 +55,6 @@ __all__ = [
     "CheckpointPolicy",
     "GroupSpec",
     "AGGREGATES",
-    "SWEEP_INDEX_MODES",
     "open_engine",
     "restore",
     "EngineMiddleware",

@@ -63,20 +63,15 @@ def _base_engine(spec: EngineSpec) -> Engine:
             chunk_size=spec.sharding.chunk_size,
             op_timeout=spec.sharding.op_timeout,
             max_restarts=spec.sharding.max_restarts,
-            sweep_index=spec.sweep_index,
             remote=spec.sharding.remote,
         )
     from ..core.engine import FactDiscoverer
 
-    # The sweep-index knob is an svec-store property; other algorithms
-    # don't accept the kwarg (the spec validates non-"auto" values).
-    extra = {"sweep_index": spec.sweep_index} if spec.algorithm == "svec" else {}
     return FactDiscoverer(
         _inner_schema(spec),
         algorithm=spec.algorithm,
         config=spec.config,
         score=spec.score,
-        **extra,
     )
 
 

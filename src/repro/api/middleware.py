@@ -5,8 +5,7 @@ Each middleware wraps *any* object honouring the
 one — so a window can sit over an in-proc engine or a sharded service,
 and a wrapped engine is still servable by
 :class:`~repro.service.server.StreamServer`, checkpointable via snapshot
-format v3, and queryable via ``engine.query()``.  The legacy
-``repro.extensions`` wrapper classes are thin shims over these layers.
+format v3, and queryable via ``engine.query()``.
 
 Both layers are registered in :mod:`repro.api.registry` under the spec
 field that activates them (``window=N`` / ``aggregate=GroupSpec``);

@@ -30,9 +30,6 @@ SHARDING_MODES = ("serial", "process", "remote")
 #: Supported aggregate functions over a base measure.
 AGGREGATES = ("sum", "max", "min", "count", "avg")
 
-#: Modes of the columnar store's incremental sweep index.
-SWEEP_INDEX_MODES = ("auto", "on", "off")
-
 
 @dataclass(frozen=True)
 class ShardingSpec:
@@ -358,14 +355,6 @@ class EngineSpec:
     checkpoint:
         Default snapshot path / periodic-checkpoint interval, or
         ``None``.
-    sweep_index:
-        The ``svec`` columnar store's incremental sweep index:
-        ``"auto"`` (default — the engine decides; currently enabled
-        once a stream is long enough to fold), ``"on"`` (force the
-        indexed dominance-partition path) or ``"off"`` (pin the dense
-        per-arrival sweep).  Dense and indexed paths produce
-        bit-identical facts, scores and op counters; the knob only
-        trades index maintenance against per-arrival sweep cost.
     query_cache:
         Capacity (entries) of the versioned query-result cache wrapped
         around ``engine.query()``, or ``None`` for no caching.  Cached
@@ -387,7 +376,6 @@ class EngineSpec:
     window: Optional[int] = None
     aggregate: Optional[GroupSpec] = None
     checkpoint: Optional[CheckpointPolicy] = None
-    sweep_index: str = "auto"
     query_cache: Optional[int] = None
     feeds: Optional[FeedSpec] = None
 
@@ -401,17 +389,6 @@ class EngineSpec:
             raise ValueError(
                 "sharded engines run the 'svec' algorithm on every "
                 f"worker; set algorithm='svec' (got {self.algorithm!r})"
-            )
-        if self.sweep_index not in SWEEP_INDEX_MODES:
-            raise ValueError(
-                f"sweep_index must be one of {SWEEP_INDEX_MODES}, "
-                f"got {self.sweep_index!r}"
-            )
-        if self.sweep_index != "auto" and self.algorithm != "svec":
-            raise ValueError(
-                "sweep_index is a property of the 'svec' columnar store; "
-                f"algorithm {self.algorithm!r} has no sweep to index "
-                "(leave it 'auto')"
             )
         if self.window is not None and self.window < 1:
             raise ValueError("window must be >= 1")
@@ -484,7 +461,6 @@ class EngineSpec:
             "window": self.window,
             "aggregate": self.aggregate.to_dict() if self.aggregate else None,
             "checkpoint": asdict(self.checkpoint) if self.checkpoint else None,
-            "sweep_index": self.sweep_index,
             "query_cache": self.query_cache,
             "feeds": self.feeds.to_dict() if self.feeds else None,
         }
@@ -492,7 +468,9 @@ class EngineSpec:
     @classmethod
     def from_dict(cls, doc: Mapping[str, object]) -> "EngineSpec":
         """Rebuild a spec from :meth:`to_dict` output (or hand-written
-        JSON; absent optional fields default)."""
+        JSON; absent optional fields default).  Checkpoints written
+        before the store chose its own sweep side carry a retired
+        ``"sweep_index"`` key; it is ignored whatever its value."""
         schema_doc = doc["schema"]
         schema = TableSchema(
             dimensions=tuple(schema_doc["dimensions"]),
@@ -512,7 +490,6 @@ class EngineSpec:
             window=doc.get("window"),
             aggregate=GroupSpec.from_dict(aggregate) if aggregate else None,
             checkpoint=CheckpointPolicy(**checkpoint) if checkpoint else None,
-            sweep_index=doc.get("sweep_index", "auto"),
             query_cache=doc.get("query_cache"),
             feeds=FeedSpec.from_dict(feeds) if feeds else None,
         )

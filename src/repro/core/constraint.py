@@ -241,7 +241,7 @@ def constraint_for_record(record: "Record", mask: int) -> Constraint:
     )
     if UNBOUND in dims:
         # Pathological: a dimension value equal to the unbound marker
-        # cannot be bound — rescan so bound_mask matches the values.
+        # cannot be bound — recount so bound_mask matches the values.
         return Constraint(values)
     return Constraint.from_values_mask(values, mask)
 

@@ -15,7 +15,6 @@ streaming call::
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Iterable, List, Mapping, Optional, Union
 
 from ..metrics.counters import OpCounters
@@ -133,17 +132,6 @@ class FactDiscoverer(EngineBase):
             return None
         return self.algorithm.constraint_cache(record).values()
 
-    def observe_all(self, rows: Iterable[Row]) -> List[List[SituationalFact]]:
-        """Deprecated alias of :meth:`observe_many` (same contract,
-        slower path — it never engaged the batched machinery)."""
-        warnings.warn(
-            "FactDiscoverer.observe_all is deprecated; use observe_many "
-            "(identical output, batched fast path)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.observe_many(rows)
-
     # ------------------------------------------------------------------
     # Batched streaming API
     # ------------------------------------------------------------------
@@ -246,7 +234,6 @@ class FactDiscoverer(EngineBase):
             algorithm=self.algorithm.name,
             config=self.config,
             score=self.score,
-            sweep_index=getattr(self.algorithm, "sweep_index_mode", "auto"),
         )
 
     def stats(self) -> dict:

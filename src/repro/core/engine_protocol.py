@@ -2,9 +2,10 @@
 
 Historically the library grew four divergent entry points — the in-proc
 :class:`~repro.core.engine.FactDiscoverer`, the subspace-sharded
-:class:`~repro.service.sharding.ShardedDiscoverer`, and the windowed /
-aggregate wrappers under ``repro.extensions`` — each hand-wiring schema,
-config, scoring, snapshots and queries differently.  This module pins
+:class:`~repro.service.sharding.ShardedDiscoverer`, and a windowed and
+an aggregate wrapper class (since replaced by the
+:mod:`repro.api.middleware` layers) — each hand-wiring schema, config,
+scoring, snapshots and queries differently.  This module pins
 down the single :class:`Engine` protocol they all implement, so serving,
 checkpointing and querying code can take *any* engine:
 

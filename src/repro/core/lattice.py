@@ -30,22 +30,24 @@ def popcount(mask: int) -> int:
 def popcount_array(array):
     """Element-wise popcount of a non-negative integer NumPy array.
 
-    The bitset lattice walker counts ``µ`` bucket sizes as popcounts over
-    per-row anchor bitsets; NumPy grew a native ``bitwise_count`` only in
-    2.0, so older installs take the SWAR ladder below.  Values must stay
-    below ``2^62`` (constraint-mask bitsets are at most ``2^32`` wide),
-    which keeps every intermediate, including the final multiply-gather,
-    inside the positive ``int64`` range.
+    The bitset lattice walker counts ``µ`` bucket sizes as popcounts —
+    over per-row anchor bitsets on the dense side, over packed
+    ``uint64`` row words on the indexed side; NumPy grew a native
+    ``bitwise_count`` only in 2.0, so older installs take the SWAR
+    ladder below.  It runs in ``uint64``, where the final
+    multiply-gather wraps modulo ``2^64`` by design, so full 64-bit
+    words count correctly.
     """
     import numpy as np
 
     if hasattr(np, "bitwise_count"):
         return np.bitwise_count(array)
-    x = array.astype(np.int64, copy=True)
-    x -= (x >> 1) & 0x5555555555555555
-    x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
-    return (x * 0x0101010101010101) >> 56
+    u = np.uint64
+    x = array.astype(u)
+    x -= (x >> u(1)) & u(0x5555555555555555)
+    x = (x & u(0x3333333333333333)) + ((x >> u(2)) & u(0x3333333333333333))
+    x = (x + (x >> u(4))) & u(0x0F0F0F0F0F0F0F0F)
+    return (x * u(0x0101010101010101)) >> u(56)
 
 
 def iter_submasks(mask: int) -> Iterator[int]:

@@ -1,13 +1,12 @@
-"""Extensions beyond the paper's core: sliding windows, aggregates,
-snapshot persistence (all anchored on the §VIII future-work list)."""
+"""Extensions beyond the paper's core: the aggregate group spec and
+snapshot persistence (anchored on the §VIII future-work list).  Sliding
+windows and aggregation themselves are :mod:`repro.api.middleware`
+layers, composed through :func:`repro.api.open_engine`."""
 
-from .aggregates import AggregateFactDiscoverer, GroupSpec
+from ..api.spec import GroupSpec
 from .snapshot import load_engine, save_engine
-from .windowed import WindowedFactDiscoverer
 
 __all__ = [
-    "WindowedFactDiscoverer",
-    "AggregateFactDiscoverer",
     "GroupSpec",
     "save_engine",
     "load_engine",

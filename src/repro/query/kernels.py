@@ -9,8 +9,8 @@ reads over any algorithm that registers its full history into a
 
 * **selection** — the context ``σ_C`` as row indices: one posting-bitset
   AND per bound dimension below the PR-7 sweep-index watermark plus a
-  dense compare over the short suffix, falling back to a dense
-  ``dims == id`` reduction when the index is off;
+  dense compare over the short suffix, or one dense ``dims == id``
+  reduction while the store has no index armed;
 * **k-skyband** — dominance *counting* as chunked NumPy broadcast
   reductions over the selected measure rows instead of the scalar
   ``dominates`` pair loop;
@@ -57,7 +57,7 @@ class ColumnarQueryKernels:
         if store is None:
             return None
         needed = ("dims_matrix", "values_matrix", "intern_dims",
-                  "record_at", "sweep_index", "scoring_index")
+                  "record_at", "folded_sweep", "scoring_index")
         if not all(callable(getattr(store, name, None)) for name in needed):
             return None
         return cls(store)
@@ -69,11 +69,11 @@ class ColumnarQueryKernels:
         """Rows of ``σ_C`` (live, ascending — i.e. arrival order).
 
         Bound dimensions resolve through the sweep index's per-dimension
-        posting bitsets when it is active (one AND per bound dim over
-        the stable prefix, dense compare over the suffix); otherwise one
-        dense ``dims == id`` reduction per bound dim.  Tombstones carry
-        ``-1`` dimension sentinels, so they match no probe; the
-        unconstrained selection filters them explicitly.
+        posting bitsets when the store has armed it (one AND per bound
+        dim over the stable prefix, dense compare over the suffix);
+        otherwise one dense ``dims == id`` reduction per bound dim.
+        Tombstones carry ``-1`` dimension sentinels, so they match no
+        probe; the unconstrained selection filters them explicitly.
         """
         store = self.store
         dims = store.dims_matrix()
@@ -87,10 +87,8 @@ class ColumnarQueryKernels:
         bound = [i for i, v in enumerate(constraint.values) if v is not UNBOUND]
         if not bound:
             return np.nonzero(dims[:, 0] != np.int32(-1))[0]
-        sweep = store.sweep_index()
+        sweep = store.folded_sweep()
         if sweep is not None:
-            sweep.ensure_folded()
-        if sweep is not None and sweep.active:
             packed = sweep.posting(bound[0], int(probe_ids[bound[0]])).copy()
             for j in bound[1:]:
                 packed &= sweep.posting(j, int(probe_ids[j]))

@@ -13,14 +13,11 @@ composition over :class:`~repro.service.feeds.FeedStore`: every push
 folds the arrival's full ``S_t`` into materialized per-segment
 standings (exactly the state the HTTP/WebSocket gateway serves), so
 :meth:`NewsFeed.feed` answers "current top-k for segment X" without
-touching the engine.  The old poll-and-rescan read path —
-re-deriving standings from the engine on every read — survives as the
-deprecated :meth:`NewsFeed.rescan`.
+touching the engine.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, List, Mapping, Optional
 
@@ -33,9 +30,6 @@ from ..core.prominence import select_reportable
 from ..core.schema import TableSchema
 from ..service.feeds import FeedStore
 from .narrate import narrate
-
-#: One-shot guard for the poll-and-rescan deprecation warning.
-_RESCAN_WARNED = False
 
 
 @dataclass
@@ -134,35 +128,6 @@ class NewsFeed:
             entry.to_json_dict(self.store.schema)
             for entry in self.store.entries_ranked(segment, top_k=top_k, tau=tau)
         ]
-
-    def rescan(
-        self,
-        segment: Optional[str] = None,
-        top_k: Optional[int] = None,
-        tau: Optional[float] = None,
-    ) -> List[dict]:
-        """Deprecated poll-and-rescan read: recompute the standings from
-        the engine instead of trusting the materialized store.
-
-        .. deprecated::
-            Reads answered this way re-enumerate every candidate pair of
-            every live tuple on *each* call — the cost the feed tier
-            exists to amortize.  Use :meth:`feed` (same result, O(1)
-            engine work); ``rescan`` remains only as a migration aid and
-            warns once per process.
-        """
-        global _RESCAN_WARNED
-        if not _RESCAN_WARNED:
-            _RESCAN_WARNED = True
-            warnings.warn(
-                "NewsFeed.rescan() re-derives feed standings from the "
-                "engine on every read; use NewsFeed.feed(), which serves "
-                "the identical materialized state",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.store.rebuild(self.engine)
-        return self.feed(segment, top_k=top_k, tau=tau)
 
     def __len__(self) -> int:
         return len(self.headlines)

@@ -320,7 +320,6 @@ class ShardedDiscoverer(EngineBase):
         chunk_size: int = _PIPELINE_CHUNK,
         op_timeout: float = 60.0,
         max_restarts: int = 3,
-        sweep_index: str = "auto",
         remote: Optional[Mapping[str, Sequence[str]]] = None,
     ) -> None:
         if mode not in _MODES:
@@ -350,11 +349,6 @@ class ShardedDiscoverer(EngineBase):
                 "({shard: [host:port, ...]})"
             )
         self.remote = remote or None
-        if sweep_index not in ("auto", "on", "off"):
-            raise ValueError(
-                "sweep_index must be 'auto', 'on' or 'off', "
-                f"got {sweep_index!r}"
-            )
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         if op_timeout <= 0:
@@ -375,7 +369,6 @@ class ShardedDiscoverer(EngineBase):
         self.op_timeout = op_timeout
         self.max_restarts = max_restarts
         self._policy = SupervisorPolicy(op_timeout, max_restarts)
-        self.sweep_index = sweep_index
         #: True once the circuit breaker fell back to in-router serial
         #: execution (the pool keeps serving, just without parallelism).
         self.degraded = False
@@ -459,7 +452,6 @@ class ShardedDiscoverer(EngineBase):
             "config": asdict(self.config),
             "shard": list(shard),
             "score": self.score,
-            "sweep_index": self.sweep_index,
             "worker_index": index,
         }
 
@@ -842,7 +834,6 @@ WorkerGaveUp`): every shard is rebuilt deterministically from the
             algorithm="svec",
             config=self.config,
             score=self.score,
-            sweep_index=self.sweep_index,
             sharding=ShardingSpec(
                 workers=self.n_workers,
                 mode=self.mode,

@@ -64,14 +64,11 @@ class _ShardEngine:
         config: DiscoveryConfig,
         shard: Sequence[int],
         score: bool,
-        sweep_index: str = "auto",
         index: Optional[int] = None,
     ) -> None:
         from ..algorithms.s_vectorized import SVectorized
 
-        self.algorithm = SVectorized(
-            schema, config, shard_subspaces=shard, sweep_index=sweep_index
-        )
+        self.algorithm = SVectorized(schema, config, shard_subspaces=shard)
         self.score = score
         self.shard = list(shard)
         #: Position in the pool (fault scoping, diagnostics).
@@ -201,7 +198,9 @@ class _ShardEngine:
 
 def _build_shard_engine(spec: Mapping[str, object]) -> _ShardEngine:
     """Build a shard engine from the router's worker spec — the only
-    construction path, so every knob in the spec reaches every mode."""
+    construction path, so every knob in the spec reaches every mode.
+    A router of an earlier version also sends a ``"sweep_index"`` key;
+    it is ignored whatever its value (the store picks its own side)."""
     schema = TableSchema(
         dimensions=tuple(spec["dimensions"]),
         measures=tuple(spec["measures"]),
@@ -212,7 +211,6 @@ def _build_shard_engine(spec: Mapping[str, object]) -> _ShardEngine:
         DiscoveryConfig(**spec["config"]),
         list(spec["shard"]),
         bool(spec["score"]),
-        sweep_index=str(spec.get("sweep_index", "auto")),
         index=spec.get("worker_index"),
     )
 

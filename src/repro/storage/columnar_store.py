@@ -246,11 +246,10 @@ class ColumnarSkylineStore(SkylineStore):
         # repeat constantly; bounded FIFO caps adversarial streams).
         self._flip_masks: Dict[int, Tuple[int, ...]] = {}
         self._total = 0
-        # Sweep-index companion (PR 7): maintained only when an owner
-        # opts in (``set_sweep_mode``); tombstoned-row bookkeeping for
-        # the deferred compaction that replaced the per-tid row-slide.
+        # Sweep-index companion, ``None`` until :meth:`folded_sweep`
+        # arms it; tombstoned-row bookkeeping for the deferred
+        # compaction that replaced the per-tid row-slide.
         self._sweep: Optional[SweepIndex] = None
-        self._sweep_mode = "off"
         self._dead_count = 0
         self._compaction_deferred = False
         if n_dimensions is not None and n_measures is not None:
@@ -380,8 +379,8 @@ class ColumnarSkylineStore(SkylineStore):
     def compact(self) -> None:
         """Slide live rows over the tombstones and remap every row
         reference (buckets, tid map, anchor-bitset columns) in one
-        grouped pass; the sweep index resets and rebuilds from the
-        compacted columns at its next fold."""
+        grouped pass; the sweep index is dropped and re-arms over the
+        compacted columns (see :meth:`folded_sweep`)."""
         if not self._dead_count:
             return
         records = self._records
@@ -409,8 +408,7 @@ class ColumnarSkylineStore(SkylineStore):
                 ]
             self._anchor_bits[subspace] = packed
         self._dead_count = 0
-        if self._sweep is not None:
-            self._sweep.reset()
+        self._sweep = None
 
     def reserve(self, extra: int) -> None:
         """Pre-grow the columns for ``extra`` imminent registrations."""
@@ -457,18 +455,12 @@ class ColumnarSkylineStore(SkylineStore):
         """
         probe_values = np.asarray(record.values, dtype=np.float64)
         probe_dims = self.intern_dims(record.dims)
-        sweep = self.sweep_index()
+        sweep = self.folded_sweep()
         if sweep is not None:
-            sweep.ensure_folded()
-            if sweep.active:
-                return self._partition_indexed(sweep, probe_values, probe_dims)
-        values = self.values_matrix()
-        dims = self.dims_matrix()
-        measure_bits, dim_bits = self._sweep_bit_weights()
-        lt = (values > probe_values) @ measure_bits
-        gt = (values < probe_values) @ measure_bits
-        agree = (dims == probe_dims) @ dim_bits
-        return lt, gt, agree
+            return self._partition_indexed(sweep, probe_values, probe_dims)
+        return self.partition_suffix(
+            probe_values, probe_dims, 0, len(self._records)
+        )
 
     def _partition_indexed(
         self,
@@ -523,7 +515,8 @@ class ColumnarSkylineStore(SkylineStore):
         hi: int,
     ):
         """Dense ``(lt, gt, agree)`` bitmask columns over rows
-        ``[lo, hi)`` only — the un-indexed suffix of a sweep."""
+        ``[lo, hi)`` only — the un-indexed suffix of a sweep (the whole
+        history while no index is armed)."""
         measure_bits, dim_bits = self._sweep_bit_weights()
         values = self._values[lo:hi]
         dims = self._dims[lo:hi]
@@ -539,26 +532,25 @@ class ColumnarSkylineStore(SkylineStore):
         dim_bits = self._sweep_bit_weights()[1]
         return (self._dims[rows] == probe_dims) @ dim_bits
 
-    # ------------------------------------------------------------------
-    # Sweep-index lifecycle
-    # ------------------------------------------------------------------
-    def set_sweep_mode(self, mode: str) -> None:
-        """Opt this store in (``"on"``/``"auto"``) or out (``"off"``) of
-        the incremental sweep index.  Owned by the algorithm that runs
-        the sweeps; the index itself is created lazily on the discovery
-        path (:meth:`sweep_index` with ``create=True``)."""
-        self._sweep_mode = mode
-        if mode == "off":
-            self._sweep = None
+    def folded_sweep(self) -> Optional[SweepIndex]:
+        """The :class:`SweepIndex` folded up to date, or ``None`` while
+        this store answers sweeps densely.
 
-    def sweep_index(self, create: bool = False) -> Optional[SweepIndex]:
-        """The live :class:`SweepIndex`, or ``None`` when the store is
-        opted out / beyond the anchor-bitset dimensionality cap."""
-        if self._sweep_mode == "off" or not self._bits_ok:
-            return None
+        The store, not its caller, picks the side, and picks it from the
+        one input the choice depends on — its own row count: an index
+        exists only once enough rows are registered for packed prefix
+        probes to beat the dense sweep (:meth:`SweepIndex.arm`: a
+        measured constant beside the index), never beyond the anchor
+        -bitset dimensionality cap, and again by the same rule after a
+        compaction dropped it.  Every reader of the index — the arrival
+        walk, :meth:`partition_bitmasks`, the query kernels' selection —
+        goes through here, so all of them see the same watermark.
+        """
         sweep = self._sweep
-        if sweep is None and create:
-            sweep = self._sweep = SweepIndex(self)
+        if sweep is not None:
+            sweep.ensure_folded()
+        elif self._bits_ok:
+            sweep = self._sweep = SweepIndex.arm(self)
         return sweep
 
     def _sweep_bit_weights(self):

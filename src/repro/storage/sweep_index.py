@@ -24,8 +24,12 @@ so a probe is answered with rank lookups instead of compares:
 All bitsets are little-endian packed ``uint64`` words over rows
 ``[0, watermark)`` and are rebuilt *lazily*: arrivals past the
 watermark live in the un-indexed suffix (handled densely by callers)
-until ``fold_batch`` of them accumulate, at which point one fold merges
-them into the orderings — O(watermark) work amortised over the batch.
+until :data:`DEFAULT_FOLD_BATCH` of them accumulate, at which point one
+fold merges them into the orderings — O(watermark) work amortised over
+the batch.  The index itself only comes into being once the store
+holds :data:`ARM_ROWS` rows (:meth:`SweepIndex.arm`): below that the
+dense sweep is the faster side, so short histories never build, probe
+or maintain an index at all.
 
 Invalidation never rebuilds the index: a deletion tombstones its row
 (one cleared bit in an alive mask; the store wipes the anchor planes
@@ -34,23 +38,27 @@ deletion, and a demotion re-anchor patches the affected plane words.
 Stale ``lt``/``gt``/``agree`` bits of tombstoned rows are harmless to
 the walker (every consumer intersects with anchor planes, which are
 cleared eagerly) and are masked out of dense reconstructions with the
-tombstone bitset.  Store compaction resets the index (watermark 0);
-the next fold rebuilds it from the compacted columns.
+tombstone bitset.  Store compaction remaps every row, so the store
+drops the index; it re-arms by the same :data:`ARM_ROWS` rule and
+rebuilds from the compacted columns.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-#: Suffix rows folded into the index per batch (override with the
-#: ``REPRO_SWEEP_FOLD_BATCH`` environment variable — tests shrink it to
-#: exercise fold/invalidate paths on short streams).  Also the
-#: activation threshold: histories shorter than one batch stay on the
-#: dense sweep, where the index cannot win.
+#: Suffix rows folded into an armed index per batch.
 DEFAULT_FOLD_BATCH = 256
+
+#: Rows a store must hold before it gets an index (again, after a
+#: compaction dropped it).  Measured, not configured: the
+#: smallest power of two at which the indexed side of the ``svec`` walk
+#: is no slower than the dense side on both reference shapes (d=4 m=4
+#: anticorrelated, d=5 m=5 independent) — see the crossover table in
+#: ``docs/api.md``, re-checked by ``benchmarks/bench_lattice.py``.
+ARM_ROWS = 8192
 
 #: Sorted-position block size of the per-measure suffix bitsets.  A
 #: probe pays one partial-block scatter (< B rows) per measure bound;
@@ -87,19 +95,15 @@ class _MeasureOrder:
 class SweepIndex:
     """Incremental sweep summaries for one :class:`ColumnarSkylineStore`.
 
-    Created (and owned) by the store when its sweep-index mode is on;
-    all row/word layouts are the store's.  ``n_masks`` is the size of
+    Created by :meth:`arm` for, and owned by, the store; all row/word
+    layouts are the store's.  ``n_masks`` is the size of
     the bound-mask lattice (``2^|D|``) — the anchor planes need it to
     fit the store's per-row anchor bitsets, so the index is only built
     when the store maintains those (``anchor_bits_supported``).
     """
 
-    def __init__(self, store, fold_batch: Optional[int] = None) -> None:
+    def __init__(self, store) -> None:
         self._store = store
-        if fold_batch is None:
-            env = os.environ.get("REPRO_SWEEP_FOLD_BATCH")
-            fold_batch = int(env) if env else DEFAULT_FOLD_BATCH
-        self.fold_batch = max(1, int(fold_batch))
         self._n_measures = store._n_measures
         self._n_dimensions = store._n_dimensions
         self.n_masks = 1 << self._n_dimensions
@@ -173,28 +177,25 @@ class SweepIndex:
         self._dead[row >> 6] |= _ONE << np.uint64(row & 63)
         self._dead_rows.append(row)
 
-    def reset(self) -> None:
-        """Drop everything (store compaction / clear remaps rows)."""
-        self.watermark = 0
-        self.cap_words = 0
-        self._orders = [_MeasureOrder() for _ in range(self._n_measures)]
-        self._postings.clear()
-        self._planes.clear()
-        self._anch = np.zeros((0, self.n_masks, 0), dtype=np.uint64)
-        self._dead = np.zeros(0, dtype=np.uint64)
-        self._dead_rows = []
-
     # ------------------------------------------------------------------
-    # Folding
+    # Arming and folding
     # ------------------------------------------------------------------
-    @property
-    def active(self) -> bool:
-        return self.watermark > 0
+    @classmethod
+    def arm(cls, store) -> Optional["SweepIndex"]:
+        """An index folded over all of ``store``'s rows once it holds
+        enough of them for the index to win (:data:`ARM_ROWS`);
+        ``None`` below that."""
+        n = store.n_rows
+        if n < ARM_ROWS:
+            return None
+        index = cls(store)
+        index._fold(n)
+        return index
 
     def ensure_folded(self) -> None:
         """Fold the suffix in when a batch has accumulated."""
         n = self._store.n_rows
-        if n - self.watermark >= self.fold_batch:
+        if n - self.watermark >= DEFAULT_FOLD_BATCH:
             self._fold(n)
 
     def _fold(self, n: int) -> None:

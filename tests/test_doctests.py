@@ -17,8 +17,6 @@ import repro.core.engine
 import repro.core.lattice
 import repro.core.record
 import repro.core.schema
-import repro.extensions.aggregates
-import repro.extensions.windowed
 import repro.index.kdtree
 import repro.query.parser
 import repro.service.sharding
@@ -33,8 +31,6 @@ MODULES = [
     repro.core.constraint,
     repro.core.lattice,
     repro.core.engine,
-    repro.extensions.windowed,
-    repro.extensions.aggregates,
     repro.index.kdtree,
     repro.query.parser,
     repro.service.sharding,

@@ -48,19 +48,6 @@ class TestObserve:
         assert len(outs) == 4
         assert len(engine) == 4
 
-    def test_observe_all_deprecated_alias(self):
-        """observe_all still works but warns exactly once per call and
-        matches observe_many's output."""
-        engine = FactDiscoverer(SCHEMA, algorithm="bottomup")
-        with pytest.warns(DeprecationWarning, match="observe_many") as rec:
-            outs = engine.observe_all(ROWS)
-        assert len([w for w in rec if w.category is DeprecationWarning]) == 1
-        reference = FactDiscoverer(SCHEMA, algorithm="bottomup")
-        expected = reference.observe_many(ROWS)
-        assert [[f.pair for f in facts] for facts in outs] == [
-            [f.pair for f in facts] for facts in expected
-        ]
-
     def test_tau_filters_to_prominent_only(self):
         engine = FactDiscoverer(
             SCHEMA, algorithm="stopdown", config=DiscoveryConfig(tau=2.0)

@@ -31,6 +31,7 @@ from repro.api import (
     ShardingSpec,
 )
 from repro.core.skyline import contextual_skyline
+from repro.storage import sweep_index as sweep_module
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
 CONFIG = DiscoveryConfig(max_bound_dims=2, max_measure_dims=2)
@@ -76,30 +77,14 @@ def counters_total(engine):
 ENGINE_SPECS = {
     "single-stopdown": lambda: EngineSpec(SCHEMA, "stopdown", CONFIG),
     "single-svec": lambda: EngineSpec(SCHEMA, "svec", CONFIG),
-    "single-svec-dense": lambda: EngineSpec(
-        SCHEMA, "svec", CONFIG, sweep_index="off"
-    ),
-    "single-svec-indexed": lambda: EngineSpec(
-        SCHEMA, "svec", CONFIG, sweep_index="on"
-    ),
     "sharded-serial": lambda: EngineSpec(
         SCHEMA, "svec", CONFIG, sharding=ShardingSpec(2, "serial")
-    ),
-    "sharded-serial-indexed": lambda: EngineSpec(
-        SCHEMA, "svec", CONFIG, sharding=ShardingSpec(2, "serial"),
-        sweep_index="on",
     ),
     "sharded-process": lambda: EngineSpec(
         SCHEMA, "svec", CONFIG, sharding=ShardingSpec(2, "process")
     ),
-    "sharded-process-indexed": lambda: EngineSpec(
-        SCHEMA, "svec", CONFIG, sharding=ShardingSpec(2, "process"),
-        sweep_index="on",
-    ),
     "windowed": lambda: EngineSpec(SCHEMA, "stopdown", CONFIG, window=4096),
-    "windowed-svec-indexed": lambda: EngineSpec(
-        SCHEMA, "svec", CONFIG, window=4096, sweep_index="on"
-    ),
+    "windowed-svec": lambda: EngineSpec(SCHEMA, "svec", CONFIG, window=4096),
     "query-cached": lambda: EngineSpec(
         SCHEMA, "svec", CONFIG, query_cache=128
     ),
@@ -112,15 +97,21 @@ ENGINE_SPECS = {
 KINDS = sorted(ENGINE_SPECS)
 
 
-@pytest.fixture(autouse=True)
-def _small_fold_batch(monkeypatch):
-    """Fold the sweep index every 8 arrivals so the 40-row shared stream
-    actually exercises the indexed dominance-partition path (the default
-    batch of 256 would leave every probe on the dense suffix).  Dense
-    and indexed paths are required to be property-identical, so the
-    non-indexed kinds are unaffected by construction — which is exactly
-    what the equivalence matrix proves."""
-    monkeypatch.setenv("REPRO_SWEEP_FOLD_BATCH", "8")
+@pytest.fixture(autouse=True, params=["armed-index", "never-armed"])
+def sweep_side(request, monkeypatch):
+    """Every test runs on both sides of the ``svec`` store's one
+    internal choice.  ``armed-index``: the sweep index arms after 8 rows
+    and folds every 8, so the 40-row shared stream actually walks the
+    packed prefix (forked process workers inherit the shrunk module
+    constants).  ``never-armed``: the shipped constants, which no stream
+    here reaches, so every sweep is dense.  The two sides are required
+    to be property-identical, and non-``svec`` kinds are unaffected by
+    construction — which is exactly what the equivalence matrix proves.
+    """
+    if request.param == "armed-index":
+        monkeypatch.setattr(sweep_module, "ARM_ROWS", 8)
+        monkeypatch.setattr(sweep_module, "DEFAULT_FOLD_BATCH", 8)
+    return request.param
 
 
 def run_stream(engine, rows, delete_every=0):
@@ -212,12 +203,15 @@ class TestOutputEquivalence:
             assert got == want
             assert counters_total(engine) == counters_total(reference)
 
-    @pytest.mark.parametrize("kind", ["single-svec", "single-svec-indexed",
-                                      "sharded-serial",
-                                      "sharded-serial-indexed",
+    def test_fixture_settings_select_the_side(self, sweep_side):
+        with open_engine(ENGINE_SPECS["single-svec"]()) as engine:
+            run_stream(engine, ROWS)
+            armed = engine.algorithm.store.folded_sweep() is not None
+            assert armed == (sweep_side == "armed-index")
+
+    @pytest.mark.parametrize("kind", ["single-svec", "sharded-serial",
                                       "sharded-process", "windowed",
-                                      "windowed-svec-indexed",
-                                      "query-cached"])
+                                      "windowed-svec", "query-cached"])
     def test_deletion_interleaved_property_identical(self, kind):
         reference = FactDiscoverer(SCHEMA, algorithm="stopdown", config=CONFIG)
         want = run_stream(reference, ROWS, delete_every=5)
@@ -524,6 +518,62 @@ class TestEngineSpec:
         assert "supervise" not in spec.to_dict()["sharding"]
         with pytest.raises(ValueError, match="sharding.mode"):
             ShardingSpec(3, "thread")
+
+    @pytest.mark.parametrize("value", ["auto", "on", "off"])
+    def test_checkpoint_from_before_sweep_index_retired(self, value, tmp_path):
+        # Verbatim v3 checkpoint of the commit before the store chose
+        # its own sweep side: the spec carries a ``sweep_index`` key.
+        doc = {
+            "format_version": 3,
+            "spec": {
+                "schema": {
+                    "dimensions": ["d0", "d1"],
+                    "measures": ["m0", "m1"],
+                    "preferences": {},
+                },
+                "algorithm": "svec",
+                "config": {
+                    "max_bound_dims": 2,
+                    "max_measure_dims": 2,
+                    "tau": None,
+                    "top_k": None,
+                },
+                "score": True,
+                "sharding": {
+                    "workers": 2,
+                    "mode": "serial",
+                    "chunk_size": 96,
+                    "op_timeout": 60.0,
+                    "max_restarts": 3,
+                    "remote": None,
+                },
+                "window": None,
+                "aggregate": None,
+                "checkpoint": None,
+                "sweep_index": value,
+                "query_cache": None,
+                "feeds": None,
+            },
+            "rows": [
+                {"d0": "a0", "d1": "b1", "m0": 3, "m1": 4},
+                {"d0": "a0", "d1": "b0", "m0": 4, "m1": 4},
+            ],
+        }
+        want = EngineSpec(
+            SCHEMA, "svec", CONFIG, sharding=ShardingSpec(2, "serial")
+        )
+        assert EngineSpec.from_dict(doc["spec"]) == want
+        assert "sweep_index" not in want.to_dict()
+        path = tmp_path / "parent.json"
+        path.write_text(json.dumps(doc))
+        reference = FactDiscoverer(SCHEMA, algorithm="stopdown", config=CONFIG)
+        reference.observe_many(doc["rows"])
+        with restore(str(path)) as restored:
+            assert restored.spec == want
+            assert len(restored) == 2
+            assert run_stream(restored, ROWS[:10]) == run_stream(
+                reference, ROWS[:10]
+            )
 
     def test_window_and_aggregate_mutually_exclusive(self):
         with pytest.raises(ValueError, match="not supported"):

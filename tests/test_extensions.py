@@ -5,20 +5,25 @@ import os
 import pytest
 
 from repro import Constraint, DiscoveryConfig, FactDiscoverer, TableSchema
-from repro.extensions import (
-    AggregateFactDiscoverer,
-    GroupSpec,
-    WindowedFactDiscoverer,
-    load_engine,
-    save_engine,
-)
+from repro.api import EngineSpec, open_engine
+from repro.extensions import GroupSpec, load_engine, save_engine
 
 SCHEMA = TableSchema(("d",), ("m1", "m2"))
 
 
+def windowed(window, algorithm="stopdown"):
+    return open_engine(EngineSpec(SCHEMA, algorithm, window=window))
+
+
+def aggregate(group, algorithm="stopdown"):
+    return open_engine(
+        EngineSpec(group.base_schema(), algorithm, aggregate=group)
+    )
+
+
 class TestWindowed:
     def test_window_evicts_oldest(self):
-        engine = WindowedFactDiscoverer(SCHEMA, window=3)
+        engine = windowed(3)
         for v in (5, 1, 2, 3):
             engine.observe({"d": "x", "m1": v, "m2": v})
         assert len(engine) == 3
@@ -26,12 +31,12 @@ class TestWindowed:
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
-            WindowedFactDiscoverer(SCHEMA, window=0)
+            windowed(0)
 
     def test_record_breaks_window_after_champion_leaves(self):
         """A value beaten by an evicted champion is a fact *within the
         window* — the whole point of windowed discovery."""
-        engine = WindowedFactDiscoverer(SCHEMA, window=2, algorithm="stopdown")
+        engine = windowed(2)
         engine.observe({"d": "x", "m1": 100, "m2": 100})  # champion
         engine.observe({"d": "x", "m1": 1, "m2": 1})
         engine.observe({"d": "x", "m1": 2, "m2": 2})  # champion evicted
@@ -42,12 +47,12 @@ class TestWindowed:
     def test_matches_fresh_engine_on_window_contents(self):
         rows = [{"d": "x", "m1": i % 4, "m2": (i * 3) % 5} for i in range(10)]
         probe = {"d": "x", "m1": 2, "m2": 2}
-        windowed = WindowedFactDiscoverer(SCHEMA, window=4, algorithm="bottomup")
+        engine = windowed(4, algorithm="bottomup")
         for row in rows:
-            windowed.observe(row)
+            engine.observe(row)
         got = {
             (f.constraint.values, f.subspace)
-            for f in windowed.observe(probe)
+            for f in engine.observe(probe)
         }
         # The window includes the new arrival: the probe is compared
         # against the window-1 most recent historical rows.
@@ -60,18 +65,10 @@ class TestWindowed:
         assert got == expected
 
     def test_observe_many(self):
-        engine = WindowedFactDiscoverer(SCHEMA, window=2)
+        engine = windowed(2)
         outs = engine.observe_many(
             {"d": "x", "m1": i, "m2": i} for i in range(4)
         )
-        assert len(outs) == 4
-
-    def test_observe_all_deprecated(self):
-        engine = WindowedFactDiscoverer(SCHEMA, window=2)
-        with pytest.warns(DeprecationWarning, match="observe_many"):
-            outs = engine.observe_all(
-                [{"d": "x", "m1": i, "m2": i} for i in range(4)]
-            )
         assert len(outs) == 4
 
 
@@ -97,7 +94,7 @@ class TestAggregates:
         )
 
     def test_running_aggregates(self):
-        agg = AggregateFactDiscoverer(self._spec())
+        agg = aggregate(self._spec())
         agg.observe({"team": "A", "pts": 10})
         agg.observe({"team": "A", "pts": 30})
         agg.observe({"team": "B", "pts": 25})
@@ -107,18 +104,15 @@ class TestAggregates:
         assert agg.group_count() == 2
 
     def test_one_live_aggregate_tuple_per_group(self):
-        agg = AggregateFactDiscoverer(self._spec())
+        agg = aggregate(self._spec())
         for i in range(5):
             agg.observe({"team": "A", "pts": i})
         for i in range(3):
             agg.observe({"team": "B", "pts": i})
-        assert len(agg.engine.table) == 2  # stale aggregates retracted
+        assert len(agg.table) == 2  # stale aggregates retracted
 
     def test_overtaking_group_becomes_fact(self):
-        agg = AggregateFactDiscoverer(
-            GroupSpec(("team",), {"total": ("pts", "sum")}),
-            algorithm="stopdown",
-        )
+        agg = aggregate(GroupSpec(("team",), {"total": ("pts", "sum")}))
         agg.observe({"team": "A", "pts": 50})
         agg.observe({"team": "B", "pts": 30})
         facts = agg.observe({"team": "B", "pts": 40})  # B overtakes: 70 > 50
@@ -129,7 +123,7 @@ class TestAggregates:
         spec = GroupSpec(
             ("team",), {"mean": ("pts", "avg"), "low": ("pts", "min")}
         )
-        agg = AggregateFactDiscoverer(spec)
+        agg = aggregate(spec)
         agg.observe({"team": "A", "pts": 10})
         agg.observe({"team": "A", "pts": 20})
         row = agg.aggregate_row(("A",))

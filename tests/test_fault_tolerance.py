@@ -259,34 +259,6 @@ class TestCircuitBreakerDegrade:
             engine.close()
             ref.close()
 
-    def test_degrade_keeps_the_pool_sweep_index_mode(self):
-        # The degraded engines are built from the same worker spec as
-        # the lost ones, so no pool knob silently resets to its default.
-        rows = make_rows(30)
-        expected, _counters, ref = reference_run(rows)
-        faults.install(
-            [{"point": "worker.op", "action": "crash", "worker": 0, "op": "rows"}]
-        )
-        engine = ShardedDiscoverer(
-            SCHEMA,
-            n_workers=2,
-            mode="process",
-            chunk_size=10,
-            op_timeout=15,
-            max_restarts=0,
-            sweep_index="off",
-        )
-        try:
-            assert fact_keys(engine.observe_many(rows)) == expected
-            assert engine.degraded
-            assert [
-                worker.link.engine.algorithm.sweep_index_mode
-                for worker in engine._workers
-            ] == ["off", "off"]
-        finally:
-            engine.close()
-            ref.close()
-
     def test_degrade_during_delete(self):
         rows = make_rows(30)
         expected, expected_counters, ref = reference_run(rows, deletes=(2, 11))

@@ -8,7 +8,6 @@ sharded compositions, and under read-time ``τ`` floors / top-k cuts.
 """
 
 import asyncio
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -437,25 +436,3 @@ class TestNewsFeedComposition:
                 {"d0": f"a{i % 2}", "d1": "x", "m0": i % 4, "m1": (5 - i) % 4}
             )
         assert store_segments(feed.store) == oracle_segments(engine, feed.store)
-
-    def test_rescan_warns_once_and_matches_feed(self):
-        import repro.reporting.feed as feed_mod
-
-        feed = feed_mod.NewsFeed(SCHEMA, tau=2.0)
-        feed.run(
-            [
-                {"d0": "a", "d1": "x", "m0": 3, "m1": 1},
-                {"d0": "b", "d1": "y", "m0": 1, "m1": 3},
-            ]
-        )
-        feed_mod._RESCAN_WARNED = False
-        try:
-            with pytest.warns(DeprecationWarning):
-                rescanned = feed.rescan()
-            assert rescanned == feed.feed()
-            # One-shot: the second call must stay silent.
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                feed.rescan()
-        finally:
-            feed_mod._RESCAN_WARNED = True

@@ -127,7 +127,8 @@ class TestColumnarRetraction:
     ``svec`` repairs Invariant-2 stores after a deletion from the
     anchor-bitset reverse index and one columnar dominance sweep
     (:func:`repro.algorithms.retraction.retract_top_down_columnar`);
-    the scalar path recomputes contextual skylines from the table.
+    ``stopdown``, whose only repair is the scalar one, recomputes
+    contextual skylines from the table.
     Both must leave identical stores, identical op counters, and
     identical (scored) facts for every subsequent arrival — including
     streams carrying unbindable (None) dimension values, which take the
@@ -147,15 +148,6 @@ class TestColumnarRetraction:
         }
     )
 
-    @staticmethod
-    def _scalar_retract_svec(schema):
-        from repro.algorithms.s_vectorized import SVectorized
-
-        class ScalarRetractSVec(SVectorized):
-            use_columnar_retraction = False
-
-        return ScalarRetractSVec(schema)
-
     @settings(max_examples=25, deadline=None)
     @given(
         rows=st.lists(wide_row_strategy, min_size=4, max_size=14),
@@ -163,9 +155,7 @@ class TestColumnarRetraction:
     )
     def test_columnar_equals_scalar_retraction(self, rows, data):
         columnar = FactDiscoverer(self.SCHEMA3, algorithm="svec")
-        scalar = FactDiscoverer(
-            self.SCHEMA3, algorithm=self._scalar_retract_svec(self.SCHEMA3)
-        )
+        scalar = FactDiscoverer(self.SCHEMA3, algorithm="stopdown")
         expected = [scalar.facts_for(row) for row in rows]
         got = [columnar.facts_for(row) for row in rows]
         victims = data.draw(

@@ -2,32 +2,54 @@
 
 The index answers per-arrival dominance partitions from sorted measure
 orderings + interned-value posting bitsets, valid up to a stable-prefix
-watermark, with a dense pass over the un-indexed suffix.  Its one
-correctness obligation is *bit-identity*: every fact, score and op
-counter must match the dense sweep exactly, on any stream — deletions
-interleaved, ``None`` dimension values, windowed eviction, sharded.
-These tests fuzz that property and pin the tombstone/compaction
-mechanics the index's invalidation story rests on.
+watermark, with a dense pass over the un-indexed suffix.  The store arms
+it from its own row count (``ARM_ROWS``); below that every sweep is
+dense.  Its one correctness obligation is *bit-identity*: every fact,
+score and op counter must be the same on either side of that choice, on
+any stream — deletions interleaved, ``None`` dimension values, windowed
+eviction, sharded.  These tests fuzz that property (armed index vs
+never-armed store vs scalar ``stopdown``), pin which arrivals take the
+scalar fallback, and pin the tombstone/compaction mechanics the index's
+invalidation story rests on.
 """
 
 import random
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from repro import DiscoveryConfig, FactDiscoverer, TableSchema
+from repro import Constraint, DiscoveryConfig, FactDiscoverer
 from repro.algorithms.s_vectorized import SVectorized
 from repro.api import EngineSpec, open_engine
-from repro.core.record import Record
 from repro.datasets.synthetic import synthetic_rows, synthetic_schema
-from repro.storage import ColumnarSkylineStore
+from repro.query.kernels import ColumnarQueryKernels
+from repro.storage import sweep_index as sweep_module
+
+#: The shipped constants; no stream in this file reaches ``ARM_ROWS``.
+DEFAULTS = (sweep_module.ARM_ROWS, sweep_module.DEFAULT_FOLD_BATCH)
+
+#: Shrunk constants: arm after 8 rows, fold every 8.
+ARM = FOLD = 8
 
 
 @pytest.fixture(autouse=True)
-def _small_fold_batch(monkeypatch):
-    # Default fold batch is 256; short test streams must still cross
-    # the watermark for the indexed path to activate at all.
-    monkeypatch.setenv("REPRO_SWEEP_FOLD_BATCH", "8")
+def _armed_index(monkeypatch):
+    # Short test streams must still cross the arming constant and the
+    # fold batch for the indexed side to run at all.
+    monkeypatch.setattr(sweep_module, "ARM_ROWS", ARM)
+    monkeypatch.setattr(sweep_module, "DEFAULT_FOLD_BATCH", FOLD)
+
+
+@contextmanager
+def never_armed():
+    """Run a block under the shipped constants (dense side only)."""
+    shrunk = (sweep_module.ARM_ROWS, sweep_module.DEFAULT_FOLD_BATCH)
+    sweep_module.ARM_ROWS, sweep_module.DEFAULT_FOLD_BATCH = DEFAULTS
+    try:
+        yield
+    finally:
+        sweep_module.ARM_ROWS, sweep_module.DEFAULT_FOLD_BATCH = shrunk
 
 
 def fact_key(fact):
@@ -39,15 +61,11 @@ def fact_key(fact):
     )
 
 
-def run_scored_stream(schema, rows, sweep_index, algorithm="svec",
-                      delete_every=0, seed=5):
+def run_scored_stream(schema, rows, algorithm="svec", delete_every=0, seed=5):
     """Feed ``rows`` through a scored engine, interleaving deletions of
-    random live tuples; returns (per-arrival fact keys, counter snapshot).
-    """
-    engine = FactDiscoverer(
-        schema, algorithm=algorithm, score=True,
-        **({"sweep_index": sweep_index} if algorithm == "svec" else {}),
-    )
+    random live tuples; returns (per-arrival fact keys, counter
+    snapshot, final watermark — 0 for a store that never armed)."""
+    engine = FactDiscoverer(schema, algorithm=algorithm, score=True)
     rng = random.Random(seed)
     out = []
     live = []
@@ -56,38 +74,43 @@ def run_scored_stream(schema, rows, sweep_index, algorithm="svec",
         live.append(engine.table[len(engine.table) - 1].tid)
         if delete_every and i % delete_every == delete_every - 1 and len(live) > 2:
             engine.delete(live.pop(rng.randrange(len(live))))
-    return out, engine.counters.snapshot()
+    store = engine.algorithm.store
+    sweep = store.folded_sweep() if algorithm == "svec" else None
+    watermark = sweep.watermark if sweep is not None else 0
+    return out, engine.counters.snapshot(), watermark
+
+
+def assert_three_way_identical(schema, rows, **stream):
+    """Armed index ≡ never-armed store ≡ scalar ``stopdown``: the same
+    facts, scores and counter snapshots."""
+    facts, counters, watermark = run_scored_stream(schema, rows, **stream)
+    assert watermark > 0, "the shrunk constants never armed the index"
+    with never_armed():
+        dense = run_scored_stream(schema, rows, **stream)
+    assert dense == (facts, counters, 0)
+    reference = run_scored_stream(schema, rows, algorithm="stopdown", **stream)
+    assert reference == (facts, counters, 0)
 
 
 # ----------------------------------------------------------------------
-# Property: indexed ≡ dense, bit for bit
+# Property: indexed ≡ dense ≡ stopdown, bit for bit
 # ----------------------------------------------------------------------
 class TestIndexedDenseEquivalence:
     @pytest.mark.parametrize("distribution", ["anticorrelated", "independent"])
     def test_scored_stream_identical(self, distribution):
         schema = synthetic_schema(3, 3)
         rows = synthetic_rows(180, 3, 3, distribution=distribution, seed=11)
-        want = run_scored_stream(schema, rows, "off")
-        assert run_scored_stream(schema, rows, "on") == want
-        assert run_scored_stream(schema, rows, "auto") == want
+        assert_three_way_identical(schema, rows)
 
     def test_deletion_interleaved_identical(self):
         schema = synthetic_schema(4, 4)
         rows = synthetic_rows(160, 4, 4, distribution="anticorrelated", seed=3)
-        want = run_scored_stream(schema, rows, "off", delete_every=4)
-        assert run_scored_stream(schema, rows, "on", delete_every=4) == want
+        assert_three_way_identical(schema, rows, delete_every=4)
 
     def test_matches_stopdown_reference(self):
-        # The dense sweep is itself equivalence-tested against stopdown
-        # elsewhere; assert the indexed path directly against the scalar
-        # reference too, so a correlated dense+indexed bug cannot hide.
         schema = synthetic_schema(3, 2)
         rows = synthetic_rows(120, 3, 2, distribution="anticorrelated", seed=9)
-        facts_ref, _ = run_scored_stream(
-            schema, rows, None, algorithm="stopdown", delete_every=6
-        )
-        facts_idx, _ = run_scored_stream(schema, rows, "on", delete_every=6)
-        assert facts_idx == facts_ref
+        assert_three_way_identical(schema, rows, delete_every=6)
 
     def test_none_dimension_values_identical(self):
         # None dims force the scalar fallback per-arrival; mixed streams
@@ -98,8 +121,7 @@ class TestIndexedDenseEquivalence:
         for row in rows:
             if rng.random() < 0.2:
                 row[f"d{rng.randrange(3)}"] = None
-        want = run_scored_stream(schema, rows, "off", delete_every=7)
-        assert run_scored_stream(schema, rows, "on", delete_every=7) == want
+        assert_three_way_identical(schema, rows, delete_every=7)
 
     def test_partition_bitmasks_bit_identical(self):
         """The store-level contract: indexed reconstruction of the
@@ -107,7 +129,7 @@ class TestIndexedDenseEquivalence:
         probe by probe, under interleaved deletions."""
         schema = synthetic_schema(4, 4)
         rows = synthetic_rows(300, 4, 4, distribution="anticorrelated", seed=7)
-        algo = SVectorized(schema, sweep_index="on")
+        algo = SVectorized(schema)
         rng = random.Random(13)
         live = []
         checked = 0
@@ -119,30 +141,109 @@ class TestIndexedDenseEquivalence:
             if i % 9 == 0 and i > 40:
                 store = algo.store
                 probe = algo.table.make_record(rows[(i * 17) % len(rows)])
+                assert store.folded_sweep() is not None
                 got = store.partition_bitmasks(probe)
-                sweep, store._sweep = store._sweep, None
-                want = store.partition_bitmasks(probe)
-                store._sweep = sweep
+                want = store.partition_suffix(
+                    np.asarray(probe.values, dtype=np.float64),
+                    store.intern_dims(probe.dims),
+                    0,
+                    store.n_rows,
+                )
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w), f"mismatch at arrival {i}"
                 checked += 1
         assert checked > 10
-        assert algo.store._sweep.active
 
     def test_windowed_eviction_identical(self):
         schema = synthetic_schema(3, 2)
         rows = synthetic_rows(120, 3, 2, distribution="anticorrelated", seed=21)
 
-        def run(mode):
-            spec = EngineSpec(schema, "svec", DiscoveryConfig(),
-                              window=30, sweep_index=mode)
+        def run(algorithm="svec"):
+            spec = EngineSpec(schema, algorithm, DiscoveryConfig(), window=30)
             with open_engine(spec) as engine:
-                return [
+                facts = [
                     [fact_key(f) for f in engine.facts_for(row)]
                     for row in rows
                 ]
+                return facts, engine.counters.snapshot()
 
-        assert run("on") == run("off")
+        armed = run()
+        with never_armed():
+            assert run() == armed
+        assert run("stopdown") == armed
+
+
+# ----------------------------------------------------------------------
+# Which arrivals take which path
+# ----------------------------------------------------------------------
+class TestWalkPaths:
+    @staticmethod
+    def _spy_scalar_passes(algo, monkeypatch):
+        fallback_tids = []
+        scalar_passes = algo._discover_scalar_passes
+
+        def spy(record):
+            fallback_tids.append(record.tid)
+            return scalar_passes(record)
+
+        monkeypatch.setattr(algo, "_discover_scalar_passes", spy)
+        return fallback_tids
+
+    def test_fallback_takes_exactly_the_none_dimension_arrivals(
+        self, monkeypatch
+    ):
+        schema = synthetic_schema(3, 2)
+        rows = synthetic_rows(60, 3, 2, distribution="independent", seed=8)
+        rng = random.Random(3)
+        with_none = set()
+        for tid, row in enumerate(rows):
+            if rng.random() < 0.25:
+                row[f"d{rng.randrange(3)}"] = None
+                with_none.add(tid)
+        below = {tid for tid in with_none if tid < ARM}
+        assert below and with_none - below  # both sides of the constant
+        algo = SVectorized(schema)
+        fallback_tids = self._spy_scalar_passes(algo, monkeypatch)
+        for row in rows:
+            algo.process(row)
+        assert fallback_tids == sorted(with_none)
+        assert algo.store.folded_sweep() is not None
+
+    def test_fallback_takes_every_arrival_past_the_bitset_cap(
+        self, monkeypatch
+    ):
+        schema = synthetic_schema(7, 2)
+        rows = synthetic_rows(3 * ARM, 7, 2, distribution="independent", seed=8)
+        algo = SVectorized(schema, DiscoveryConfig(max_bound_dims=2))
+        fallback_tids = self._spy_scalar_passes(algo, monkeypatch)
+        for row in rows:
+            algo.process(row)
+        assert fallback_tids == list(range(len(rows)))
+        assert algo.store.folded_sweep() is None
+
+    def test_every_reader_sees_the_same_folded_index(self, monkeypatch):
+        schema = synthetic_schema(3, 2)
+        rows = synthetic_rows(5 * ARM, 3, 2, distribution="independent", seed=8)
+        algo = SVectorized(schema)
+        for row in rows[:-1]:
+            algo.process(row)
+        store = algo.store
+        seen = []
+        folded_sweep = store.folded_sweep
+
+        def spy():
+            seen.append(folded_sweep())
+            return seen[-1]
+
+        monkeypatch.setattr(store, "folded_sweep", spy)
+        store.partition_bitmasks(algo.table.make_record(rows[0]))
+        ColumnarQueryKernels(store).selection_rows(
+            Constraint((rows[0]["d0"], None, None))
+        )
+        algo.process(rows[-1])  # the walker
+        assert len(seen) == 3
+        assert seen[0] is not None
+        assert all(sweep is seen[0] for sweep in seen)
 
 
 # ----------------------------------------------------------------------
@@ -150,7 +251,7 @@ class TestIndexedDenseEquivalence:
 # ----------------------------------------------------------------------
 def _store_with_rows(n, n_dims=2, n_measures=2, seed=1):
     schema = synthetic_schema(n_dims, n_measures)
-    algo = SVectorized(schema, sweep_index="off")
+    algo = SVectorized(schema)
     for row in synthetic_rows(n, n_dims, n_measures,
                               distribution="anticorrelated", seed=seed):
         algo.process(row)
@@ -195,89 +296,92 @@ class TestTombstonesAndCompaction:
     def test_retract_many_equals_retract_loop(self):
         schema = synthetic_schema(3, 3)
         rows = synthetic_rows(90, 3, 3, distribution="anticorrelated", seed=6)
-        a, b = (SVectorized(schema, sweep_index=m) for m in ("on", "off"))
-        for algo in (a, b):
-            for row in rows:
-                algo.process(row)
-        doomed = [3, 8, 15, 40, 41, 42, 77]
-        removed = a.retract_many(doomed)
-        for tid in doomed:
-            b.retract(tid)
-        assert [r.tid for r in removed] == doomed
         tail = synthetic_rows(20, 3, 3, distribution="anticorrelated", seed=8)
-        for row in tail:
-            fa = [fact_key(f) for f in a.process(row)]
-            fb = [fact_key(f) for f in b.process(row)]
-            assert fa == fb
-        assert a.counters.snapshot() == b.counters.snapshot()
+        doomed = [3, 8, 15, 40, 41, 42, 77]
+
+        def run(algorithm, grouped):
+            engine = FactDiscoverer(schema, algorithm=algorithm)
+            for row in rows:
+                engine.facts_for(row)
+            if grouped:
+                removed = engine.delete_many(doomed)
+            else:
+                removed = [engine.delete(tid) for tid in doomed]
+            assert [r.tid for r in removed] == doomed
+            facts = [
+                [fact_key(f) for f in engine.facts_for(row)] for row in tail
+            ]
+            return facts, engine.counters.snapshot()
+
+        armed_grouped = run("svec", grouped=True)
+        with never_armed():
+            assert run("svec", grouped=False) == armed_grouped
+        assert run("stopdown", grouped=False) == armed_grouped
 
     def test_compaction_resets_and_rebuilds_sweep(self):
         schema = synthetic_schema(2, 2)
-        algo = SVectorized(schema, sweep_index="on")
+        algo = SVectorized(schema)
         rows = synthetic_rows(400, 2, 2, distribution="anticorrelated", seed=4)
         for row in rows:
             algo.process(row)
         store = algo.store
-        assert store._sweep is not None and store._sweep.active
+        assert store.folded_sweep() is not None
         algo.retract_many(list(range(300)))
-        # The dead fraction crossed the threshold: rows slid, watermark
-        # reset; the index folds again as the stream continues.
+        # The dead fraction crossed the threshold: rows slid, the index
+        # was dropped; it arms again as the stream continues.
         assert store._dead_count == 0
         assert store.n_rows == 100
+        assert store._sweep is None
         for row in synthetic_rows(40, 2, 2,
                                   distribution="anticorrelated", seed=12):
             algo.process(row)
-        assert store._sweep.active
-        assert store._sweep.watermark <= store.n_rows
+        sweep = store.folded_sweep()
+        assert sweep is not None
+        assert 0 < sweep.watermark <= store.n_rows
+
+    def test_compaction_rearms_by_the_row_count_rule(self, monkeypatch):
+        # A compaction that leaves fewer rows than the arming constant
+        # puts the store back on the dense side until it refills.
+        monkeypatch.setattr(sweep_module, "ARM_ROWS", 64)
+        algo = _store_with_rows(100)
+        store = algo.store
+        assert store.folded_sweep() is not None
+        algo.retract_many(list(range(90)))
+        assert store.n_rows == 10
+        assert store.folded_sweep() is None
+        more = synthetic_rows(60, 2, 2, distribution="anticorrelated", seed=2)
+        for row in more[:53]:
+            algo.process(row)
+        assert store.n_rows == 63 and store.folded_sweep() is None
+        algo.process(more[53])
+        assert store.folded_sweep().watermark == 64
 
 
 # ----------------------------------------------------------------------
-# Spec / knob plumbing
+# The arming constants
 # ----------------------------------------------------------------------
-class TestSweepIndexKnob:
-    def test_spec_round_trip(self):
-        schema = TableSchema(("d",), ("m",))
-        for mode in ("auto", "on", "off"):
-            spec = EngineSpec(schema, "svec", sweep_index=mode)
-            doc = spec.to_dict()
-            assert doc["sweep_index"] == mode
-            assert EngineSpec.from_dict(doc) == spec
-        # Absent field defaults to auto (older persisted specs).
-        doc = EngineSpec(schema, "svec").to_dict()
-        del doc["sweep_index"]
-        assert EngineSpec.from_dict(doc).sweep_index == "auto"
-
-    def test_spec_rejects_bad_values(self):
-        schema = TableSchema(("d",), ("m",))
-        with pytest.raises(ValueError, match="sweep_index"):
-            EngineSpec(schema, "svec", sweep_index="maybe")
-        with pytest.raises(ValueError, match="svec"):
-            EngineSpec(schema, "stopdown", sweep_index="on")
-
-    def test_algorithm_rejects_bad_mode(self):
+class TestArmingConstants:
+    def test_index_arms_at_the_constant_then_folds_by_batch(self):
         schema = synthetic_schema(2, 2)
-        with pytest.raises(ValueError):
-            SVectorized(schema, sweep_index="fast")
-
-    def test_off_pins_dense(self):
-        schema = synthetic_schema(2, 2)
-        algo = SVectorized(schema, sweep_index="off")
-        for row in synthetic_rows(60, 2, 2,
-                                  distribution="anticorrelated", seed=5):
+        algo = SVectorized(schema)
+        store = algo.store
+        rows = synthetic_rows(ARM + 2 * FOLD, 2, 2,
+                              distribution="anticorrelated", seed=5)
+        for row in rows[:ARM]:
+            assert store.folded_sweep() is None
             algo.process(row)
-        assert algo.store.sweep_index() is None
-
-    def test_on_activates_index(self):
-        schema = synthetic_schema(2, 2)
-        algo = SVectorized(schema, sweep_index="on")
-        for row in synthetic_rows(60, 2, 2,
-                                  distribution="anticorrelated", seed=5):
+        assert store.folded_sweep().watermark == ARM
+        for row in rows[ARM:ARM + FOLD - 1]:
             algo.process(row)
-        sweep = algo.store.sweep_index()
-        assert sweep is not None and sweep.active
-        assert sweep.watermark > 0
+        assert store.folded_sweep().watermark == ARM
+        algo.process(rows[ARM + FOLD - 1])
+        assert store.folded_sweep().watermark == ARM + FOLD
 
-    def test_derived_spec_carries_mode(self):
+    def test_selecting_a_side_by_hand_is_gone(self):
         schema = synthetic_schema(2, 2)
-        engine = FactDiscoverer(schema, algorithm="svec", sweep_index="on")
-        assert engine.spec.sweep_index == "on"
+        with pytest.raises(TypeError):
+            SVectorized(schema, sweep_index="on")
+        with pytest.raises(TypeError):
+            FactDiscoverer(schema, algorithm="svec", sweep_index="off")
+        with pytest.raises(TypeError):
+            EngineSpec(schema, "svec", sweep_index="auto")

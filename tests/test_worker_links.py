@@ -60,17 +60,17 @@ def fork_context():
 
 
 @contextmanager
-def open_worker(kind):
-    """One :class:`ShardWorker` for ``SPEC`` over the named link."""
+def open_worker(kind, spec=SPEC):
+    """One :class:`ShardWorker` for ``spec`` over the named link."""
     server = None
     if kind == "inline":
-        link = InlineLink(_build_shard_engine(SPEC))
+        link = InlineLink(_build_shard_engine(spec))
     elif kind == "pipe":
-        link = PipeLink(0, SPEC, fork_context())
+        link = PipeLink(0, spec, fork_context())
     else:
         server = SocketWorkerServer().start()
         link = SocketLink(0, server.address, POLICY.op_timeout)
-        link.request("configure", SPEC)
+        link.request("configure", spec)
     worker = ShardWorker(0, link, POLICY)
     try:
         yield worker, server
@@ -123,6 +123,32 @@ def test_same_op_stream_same_replies_on_every_link(kind):
         assert (worker.restarts, worker.chunks_retried) == (0, 0)
     # Tuples arrive as tuples on every link (pickle keeps them), so the
     # comparison is exact, not up to list/tuple coercion.
+    assert got == reference_stream()
+
+
+@pytest.mark.parametrize("value", ["auto", "on", "off"])
+@pytest.mark.parametrize("kind", LINKS)
+def test_worker_spec_from_before_sweep_index_retired(kind, value):
+    # Verbatim ``_worker_spec`` of a router at the commit before the
+    # store chose its own sweep side.  ``PROTOCOL_VERSION`` did not
+    # move, so a new worker must take its ``configure`` / spawn spec.
+    spec = {
+        "dimensions": ("d0", "d1"),
+        "measures": ("m0", "m1"),
+        "preferences": {},
+        "config": {
+            "max_bound_dims": 2,
+            "max_measure_dims": 2,
+            "tau": None,
+            "top_k": None,
+        },
+        "shard": [3, 1],
+        "score": True,
+        "sweep_index": value,
+        "worker_index": 0,
+    }
+    with open_worker(kind, spec) as (worker, _server):
+        got = drive(worker.submit_rows, worker.result, worker.call)
     assert got == reference_stream()
 
 
