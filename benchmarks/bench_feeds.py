@@ -90,7 +90,7 @@ async def _fanout(rows, count):
             feeds=FeedSpec(group_by=("d0",), top_k=TOP_K),
         )
     )
-    server = StreamServer(engine, batch_max=64, batch_window=0.001)
+    server = StreamServer(engine, batch_max=64)
     await server.start()
     gateway = FeedGateway(server, max_pending_segments=4)
     listener = await gateway.start()

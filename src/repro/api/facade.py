@@ -84,9 +84,9 @@ def _inner_schema(spec: EngineSpec):
 
 
 def restore(path: str, score=None) -> Engine:
-    """Reopen an engine from a snapshot file (any readable format
-    version; v3 snapshots restore the full composition from their
-    embedded spec).  ``score`` overrides the persisted flag when given.
+    """Reopen an engine from a snapshot file: the full composition is
+    restored from the embedded spec.  ``score`` overrides the persisted
+    flag when given.
     """
     from ..extensions.snapshot import load_engine
 

@@ -155,9 +155,10 @@ class CheckpointPolicy:
     (:mod:`repro.service.journal`): every accepted ingest/delete is
     framed and appended there before its event is acknowledged, so a
     crash loses nothing past the last commit.  ``journal_fsync`` picks
-    the durability/throughput trade-off (``"never"`` / ``"batch"`` /
-    ``"always"``) and ``journal_segment_bytes`` the segment-rotation
-    threshold.
+    the durability/throughput trade-off (``"never"`` buffers, ``"batch"``
+    adds one ``fsync`` per micro-batch, before the acknowledgement) and
+    ``journal_segment_bytes`` the segment-rotation threshold.  This
+    policy is the only place the server's durability is configured.
     """
 
     path: str
@@ -171,10 +172,10 @@ class CheckpointPolicy:
             raise ValueError("checkpoint.path must be non-empty")
         if self.interval is not None and self.interval <= 0:
             raise ValueError("checkpoint.interval must be > 0 seconds")
-        if self.journal_fsync not in ("never", "batch", "always"):
+        if self.journal_fsync not in ("never", "batch"):
             raise ValueError(
-                "checkpoint.journal_fsync must be 'never', 'batch' or "
-                f"'always', got {self.journal_fsync!r}"
+                "checkpoint.journal_fsync must be 'never' or 'batch', "
+                f"got {self.journal_fsync!r}"
             )
         if self.journal_segment_bytes < 1024:
             raise ValueError(
@@ -480,6 +481,10 @@ class EngineSpec:
         sharding = doc.get("sharding")
         aggregate = doc.get("aggregate")
         checkpoint = doc.get("checkpoint")
+        if checkpoint and checkpoint.get("journal_fsync") == "always":
+            # Retired per-record value: "batch" keeps its guarantee (an
+            # acknowledged op is on disk) with one fsync per micro-batch.
+            checkpoint = {**checkpoint, "journal_fsync": "batch"}
         feeds = doc.get("feeds")
         return cls(
             schema=schema,

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from .api import (
@@ -164,13 +165,48 @@ def _load_remote_map(value: Optional[str]) -> Optional[dict]:
     return json.loads(value)
 
 
+#: ``serve`` durability flag → the :class:`CheckpointPolicy` field it sets.
+_CHECKPOINT_FLAGS = {
+    "checkpoint": "path",
+    "checkpoint_interval": "interval",
+    "journal_dir": "journal_dir",
+    "journal_fsync": "journal_fsync",
+}
+
+
+def _checkpoint_from_args(args, base: Optional[CheckpointPolicy]):
+    """``base`` (a ``--spec`` file's checkpoint section, or ``None``)
+    with every durability flag that is present replacing its field: the
+    spec stays the one place the policy lives, read by recovery and the
+    server alike."""
+    given = {
+        field: getattr(args, flag)
+        for flag, field in _CHECKPOINT_FLAGS.items()
+        if getattr(args, flag, None) is not None
+    }
+    if not given:
+        return base
+    if base is not None:
+        return replace(base, **given)
+    if "path" not in given:
+        raise ValueError(
+            "--checkpoint-interval/--journal-dir/--journal-fsync need "
+            "--checkpoint: recovery replays the journal suffix on top "
+            "of the latest snapshot"
+        )
+    return CheckpointPolicy(**given)
+
+
 def _spec_from_args(args) -> EngineSpec:
     """The one place CLI flags become an :class:`EngineSpec`."""
     if getattr(args, "spec", None):
         import json
 
         with open(args.spec) as fh:
-            return EngineSpec.from_dict(json.load(fh))
+            spec = EngineSpec.from_dict(json.load(fh))
+        return replace(
+            spec, checkpoint=_checkpoint_from_args(args, spec.checkpoint)
+        )
     if not args.dimensions or not args.measures:
         raise SchemaError(
             "either --spec or both -d/--dimensions and -m/--measures "
@@ -178,19 +214,6 @@ def _spec_from_args(args) -> EngineSpec:
         )
     workers = getattr(args, "workers", 0) or 0
     remote = _load_remote_map(getattr(args, "remote", None))
-    checkpoint = None
-    if getattr(args, "checkpoint", None):
-        checkpoint = CheckpointPolicy(
-            path=args.checkpoint,
-            interval=getattr(args, "checkpoint_interval", None),
-            journal_dir=getattr(args, "journal_dir", None),
-            journal_fsync=getattr(args, "journal_fsync", None) or "batch",
-        )
-    elif getattr(args, "journal_dir", None):
-        raise ValueError(
-            "--journal-dir needs --checkpoint: recovery replays the "
-            "journal suffix on top of the latest snapshot"
-        )
     if remote:
         sharding = ShardingSpec(
             workers=len(remote), mode="remote", remote=remote
@@ -224,7 +247,7 @@ def _spec_from_args(args) -> EngineSpec:
         score=not getattr(args, "no_score", False),
         sharding=sharding,
         window=getattr(args, "window", None),
-        checkpoint=checkpoint,
+        checkpoint=_checkpoint_from_args(args, None),
         feeds=feeds,
     )
 
@@ -292,8 +315,6 @@ def cmd_discover(args) -> int:
 
 
 def cmd_query(args) -> int:
-    from dataclasses import replace
-
     from .datasets.loader import load_rows
     from .query import parse_query
 
@@ -346,7 +367,6 @@ def cmd_demo(args) -> int:
 def cmd_serve(args) -> int:
     import asyncio
     import json
-    import os
 
     from .datasets.loader import load_rows
     from .metrics.service import ServiceStats
@@ -358,21 +378,17 @@ def cmd_serve(args) -> int:
         # (forwarded into shard-worker processes via their spawn spec).
         faults_mod.install_from_env()
         spec = _spec_from_args(args)
-        policy = spec.checkpoint
-        recovery = None
-        if policy is not None and (
-            os.path.exists(policy.path)
-            or (policy.journal_dir and os.path.isdir(policy.journal_dir))
-        ):
-            # Crash recovery: latest snapshot + journal suffix replay.
+        if spec.checkpoint is not None:
+            # Crash recovery: latest snapshot + journal suffix replay
+            # (a "fresh" engine when neither exists yet).
             engine, recovery = recover_engine(spec)
         else:
-            engine = open_engine(spec)
+            engine, recovery = open_engine(spec), None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     stats = ServiceStats()
-    if recovery is not None:
+    if recovery is not None and recovery.source != "fresh":
         stats.ops_replayed = recovery.ops_replayed
         note = (
             f"# recovered from {recovery.source}: "
@@ -386,17 +402,12 @@ def cmd_serve(args) -> int:
     sink_name, sink = _resolve_sink(args, engine.discovery_schema)
 
     async def run() -> int:
-        # Explicit checkpoint flags win; with a --spec file the spec's
-        # checkpoint policy is StreamServer's fallback default.
+        # Durability rides in engine.spec.checkpoint (_spec_from_args
+        # folded the flags in), the one policy recovery also read.
         server = StreamServer(
             engine,
             queue_limit=args.queue_limit,
             batch_max=args.batch_max,
-            batch_window=args.batch_window,
-            checkpoint_path=args.checkpoint,
-            checkpoint_interval=args.checkpoint_interval,
-            journal_dir=getattr(args, "journal_dir", None),
-            journal_fsync=getattr(args, "journal_fsync", None),
             dead_letter_path=getattr(args, "dead_letter", None),
             conn_timeout=getattr(args, "conn_timeout", None),
             stats=stats,
@@ -714,17 +725,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ingest-queue bound (backpressure threshold)")
     p.add_argument("--batch-max", type=int, default=256,
                    help="micro-batch size cap")
-    p.add_argument("--batch-window", type=float, default=0.002,
-                   help="seconds to wait for micro-batch stragglers")
     p.add_argument("--checkpoint", default=None,
-                   help="periodic snapshot path (see --checkpoint-interval)")
+                   help="periodic snapshot path (see --checkpoint-interval)"
+                        "; this and the three flags below also override "
+                        "a --spec file's checkpoint section")
     p.add_argument("--checkpoint-interval", type=float, default=None,
                    help="seconds between snapshot checkpoints")
     p.add_argument("--journal-dir", default=None,
                    help="write-ahead journal directory (crash recovery "
                         "= --checkpoint snapshot + journal replay)")
     p.add_argument("--journal-fsync", default=None,
-                   choices=("never", "batch", "always"),
+                   choices=("never", "batch"),
                    help="journal durability policy (default: batch)")
     p.add_argument("--dead-letter", default=None, metavar="FILE",
                    help="NDJSON file receiving quarantined poison rows")

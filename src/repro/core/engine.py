@@ -24,8 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.spec import EngineSpec
 from .config import DiscoveryConfig
 from .engine_protocol import EngineBase
-from .facts import FactSet, SituationalFact
-from .prominence import score_facts, select_reportable
+from .facts import FactSet
+from .prominence import score_facts
 from .record import Record
 from .schema import TableSchema
 
@@ -98,16 +98,6 @@ class FactDiscoverer(EngineBase):
     # ------------------------------------------------------------------
     # Streaming API
     # ------------------------------------------------------------------
-    def observe(self, row: Row) -> List[SituationalFact]:
-        """Process one arriving tuple and return its reportable facts.
-
-        The returned list honours the config's reporting policy: all
-        ranked facts by default, the prominent ones when ``τ`` is set,
-        or the top-k when ``top_k`` is set.
-        """
-        facts = self.facts_for(row)
-        return select_reportable(facts, self.config)
-
     def facts_for(self, row: Row) -> FactSet:
         """Process one tuple and return the full (scored) ``S_t``."""
         facts = self.algorithm.process(row)
@@ -131,24 +121,6 @@ class FactDiscoverer(EngineBase):
         if not self._share_constraints:
             return None
         return self.algorithm.constraint_cache(record).values()
-
-    # ------------------------------------------------------------------
-    # Batched streaming API
-    # ------------------------------------------------------------------
-    def observe_many(self, rows: Iterable[Row]) -> List[List[SituationalFact]]:
-        """Batched :meth:`observe`: one reportable-fact list per row.
-
-        Semantically identical to ``[self.observe(r) for r in rows]`` —
-        each tuple is still discovered and scored against the relation
-        as of *its own* arrival — but the batch size is announced to the
-        algorithm upfront (:meth:`DiscoveryAlgorithm.reserve`), so
-        vectorized algorithms amortise array growth and per-call
-        overhead across the block.
-        """
-        return [
-            select_reportable(facts, self.config)
-            for facts in self.facts_for_many(rows)
-        ]
 
     def facts_for_many(self, rows: Iterable[Row]) -> List[FactSet]:
         """Batched :meth:`facts_for`: one full (scored) ``S_t`` per row.
@@ -199,17 +171,6 @@ class FactDiscoverer(EngineBase):
             )
         return removed
 
-    def update(self, tid: int, row: Mapping[str, object]) -> List[SituationalFact]:
-        """Replace a previously observed tuple (§VIII "update of data").
-
-        Implemented as retract-then-observe: the old version leaves every
-        skyline it held (suppressed tuples re-enter), and the new version
-        is discovered against the repaired state.  The updated tuple
-        receives a fresh arrival id; returns its reportable facts.
-        """
-        self.delete(tid)
-        return self.observe(row)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -241,9 +202,6 @@ class FactDiscoverer(EngineBase):
         out = super().stats()
         out["algorithm"] = self.algorithm.name
         return out
-
-    def __len__(self) -> int:
-        return len(self.algorithm.table)
 
     def __repr__(self) -> str:
         return (

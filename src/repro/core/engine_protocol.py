@@ -121,11 +121,23 @@ class EngineBase:
 
     # -- reporting policy ------------------------------------------------
     def observe(self, row: Row) -> List[SituationalFact]:
-        """Process one arriving tuple and return its reportable facts."""
+        """Process one arriving tuple and return its reportable facts.
+
+        The returned list honours the config's reporting policy: all
+        ranked facts by default, the prominent ones when ``τ`` is set,
+        or the top-k when ``top_k`` is set.
+        """
         return select_reportable(self.facts_for(row), self.config)
 
     def observe_many(self, rows: Iterable[Row]) -> List[List[SituationalFact]]:
-        """Batched :meth:`observe`: one reportable-fact list per row."""
+        """Batched :meth:`observe`: one reportable-fact list per row.
+
+        Semantically identical to ``[self.observe(r) for r in rows]`` —
+        each tuple is still discovered and scored against the relation
+        as of *its own* arrival — but the whole block reaches
+        :meth:`facts_for_many`, where engines amortise array growth and
+        per-call overhead across it.
+        """
         return [
             select_reportable(facts, self.config)
             for facts in self.facts_for_many(rows)
@@ -139,7 +151,13 @@ class EngineBase:
         return [self.delete(tid) for tid in tids]
 
     def update(self, tid: int, row: Mapping[str, object]) -> List[SituationalFact]:
-        """Replace a previously observed tuple (retract-then-observe)."""
+        """Replace a previously observed tuple (§VIII "update of data").
+
+        Implemented as retract-then-observe: the old version leaves every
+        skyline it held (suppressed tuples re-enter), and the new version
+        is discovered against the repaired state.  The updated tuple
+        receives a fresh arrival id; returns its reportable facts.
+        """
         self.delete(tid)
         return self.observe(row)
 

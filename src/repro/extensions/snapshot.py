@@ -10,20 +10,13 @@ diff-able, and immune to internal-layout changes — the usual choice for
 moderate table sizes; larger deployments would checkpoint the µ stores
 themselves (the file store already persists them).
 
-Format history
---------------
-* **v3** (current) embeds the full ``EngineSpec`` (``spec`` section), so
-  *any* composition — single, sharded, windowed, aggregate — round-trips
-  through a checkpoint.  The persisted rows are the engine's replay
-  journal (:meth:`EngineBase.snapshot_rows`): the live table for most
-  engines, the base-row journal for aggregate engines (their table holds
-  derived tuples that must not be re-aggregated).
-* **v2** added a ``meta`` section (scored flag, engine kind / worker
-  count / execution mode) so sharded checkpoints restored sharded.
-* **v1** carried schema / config / algorithm / rows only.
-
-All three versions load; v1/v2 documents are translated to an
-``EngineSpec`` on the way in.
+The format (version 3) embeds the full ``EngineSpec`` (``spec``
+section), so *any* composition — single, sharded, windowed, aggregate —
+round-trips through a checkpoint.  The persisted rows are the engine's
+replay journal (:meth:`EngineBase.snapshot_rows`): the live table for
+most engines, the base-row journal for aggregate engines (their table
+holds derived tuples that must not be re-aggregated).  Files of any
+other version are refused with an actionable ``ValueError``.
 
 Arrival ids are renumbered densely on load (0..n-1); fact outputs are
 unaffected since discovery depends only on tuple order and content.
@@ -35,12 +28,11 @@ import json
 import os
 from typing import Optional
 
-from ..api.spec import EngineSpec, ShardingSpec
+from ..api.spec import EngineSpec
 from ..core.engine_protocol import Engine
 from ..service import faults
 
 _FORMAT_VERSION = 3
-_READABLE_VERSIONS = (1, 2, 3)
 
 #: Rows per replay block on load (observe_many is output-identical to
 #: the row-at-a-time loop; batching just amortises the rebuild).
@@ -146,23 +138,20 @@ def load_engine(path: str, score: Optional[bool] = None) -> Engine:
     Returns whatever composition the snapshot describes, built via
     :func:`repro.api.open_engine` — a sharded snapshot restores sharded,
     a windowed one windowed, and so on.  ``score`` overrides the
-    persisted flag when given; v1 snapshots carry no flag and default to
-    scored.  Raises ``ValueError`` for unknown snapshot versions and for
-    corrupt/truncated files — a damaged snapshot never silently restores
-    a partial table.
+    persisted flag when given.  Raises ``ValueError`` for other snapshot
+    versions and for corrupt/truncated files — a damaged snapshot never
+    silently restores a partial table.
     """
     doc = _read_snapshot_doc(path)
     version = doc.get("format_version")
-    if version not in _READABLE_VERSIONS:
+    if version != _FORMAT_VERSION:
         raise ValueError(
             f"unsupported snapshot version {version!r} "
-            f"(this build reads versions {_READABLE_VERSIONS})"
+            f"(this build reads version {_FORMAT_VERSION}; re-create "
+            f"the snapshot by replaying its rows through open_engine)"
         )
     try:
-        if version == 3:
-            spec = EngineSpec.from_dict(doc["spec"])
-        else:
-            spec = _spec_from_legacy(doc)
+        spec = EngineSpec.from_dict(doc["spec"])
         rows = doc["rows"]
     except (KeyError, TypeError) as exc:
         raise ValueError(
@@ -179,29 +168,3 @@ def load_engine(path: str, score: Optional[bool] = None) -> Engine:
         engine.observe_many(rows[start : start + _REPLAY_BATCH])
     return engine
 
-
-def _spec_from_legacy(doc: dict) -> EngineSpec:
-    """Translate a v1/v2 document into an :class:`EngineSpec`."""
-    meta = doc.get("meta", {})
-    sharding = None
-    algorithm = doc["algorithm"]
-    if meta.get("engine") == "sharded":
-        sharding = ShardingSpec.from_dict(
-            {
-                "workers": int(meta.get("n_workers", 2)),
-                "mode": meta.get("mode", "serial"),
-            }
-        )
-        algorithm = "svec"
-    spec_doc = {
-        "schema": doc["schema"],
-        "algorithm": algorithm,
-        "config": doc["config"],
-        "score": bool(meta.get("score", True)),
-    }
-    spec = EngineSpec.from_dict(spec_doc)
-    if sharding is not None:
-        from dataclasses import replace
-
-        spec = replace(spec, sharding=sharding)
-    return spec

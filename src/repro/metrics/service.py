@@ -12,7 +12,7 @@ backpressure engaging?), and per-shard busy seconds with their spread
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
 
 
@@ -111,39 +111,21 @@ class ServiceStats:
         return self.processed_rows / self.batches
 
     def snapshot(self) -> Dict[str, object]:
-        """JSON-ready copy with the derived signals filled in."""
-        busy = self.shard_busy_seconds
+        """JSON-ready copy with the derived signals filled in: every
+        scalar counter under its field name (so a counter added later
+        cannot be forgotten here), plus ``mean_batch_rows``, the feed
+        summary and the per-shard views when there is something to
+        show."""
         out: Dict[str, object] = {
-            "enqueued": self.enqueued,
-            "processed_rows": self.processed_rows,
-            "batches": self.batches,
-            "mean_batch_rows": (
-                round(self.mean_batch_rows, 2)
-                if self.mean_batch_rows is not None
-                else None
-            ),
-            "batch_rows_max": self.batch_rows_max,
-            "queue_depth_max": self.queue_depth_max,
-            "deletes": self.deletes,
-            "checkpoints": self.checkpoints,
-            "facts_emitted": self.facts_emitted,
-            "worker_restarts": self.worker_restarts,
-            "chunks_retried": self.chunks_retried,
-            "replica_failovers": self.replica_failovers,
-            "rows_quarantined": self.rows_quarantined,
-            "ops_replayed": self.ops_replayed,
-            "degraded": self.degraded,
-            "query_cache_hits": self.query_cache_hits,
-            "query_cache_misses": self.query_cache_misses,
-            "query_cache_evictions": self.query_cache_evictions,
-            "gateway_subscribers": self.gateway_subscribers,
-            "gateway_frames_sent": self.gateway_frames_sent,
-            "gateway_frames_coalesced": self.gateway_frames_coalesced,
-            "gateway_frames_dropped": self.gateway_frames_dropped,
-            "gateway_http_requests": self.gateway_http_requests,
+            f.name: value
+            for f in fields(self)
+            if not isinstance(value := getattr(self, f.name), (list, dict))
         }
+        mean = self.mean_batch_rows
+        out["mean_batch_rows"] = round(mean, 2) if mean is not None else None
         if self.feeds:
             out["feeds"] = dict(self.feeds)
+        busy = self.shard_busy_seconds
         if busy:
             total = sum(busy)
             out["shard_busy_seconds"] = [round(b, 4) for b in busy]

@@ -12,7 +12,7 @@ turns it into a *service*:
   shard engine, its one op table, and the serve loop both the pipe and
   the socket transport run;
 * :mod:`repro.service.server` — :class:`StreamServer`, an asyncio
-  front-end with a bounded ingest queue, adaptive micro-batching,
+  front-end with a bounded ingest queue, work-conserving micro-batching,
   backpressure, fact subscriptions, periodic snapshot checkpointing and
   graceful drain, plus an optional NDJSON-over-TCP listener;
 * :mod:`repro.service.journal` — the append-only write-ahead journal

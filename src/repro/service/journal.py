@@ -26,14 +26,15 @@ and monotone from 1; a checkpoint records the sequence it covers
 (``journal_seq`` in the snapshot document), so replay applies exactly
 the ops with ``seq > journal_seq``.
 
-Durability is a knob (``fsync``):
+Durability is a knob (``fsync``) with two values; either way the server
+commits once per micro-batch, before it acknowledges any op of it:
 
 * ``"never"`` — buffered writes only; the OS flushes.  Near-zero
   overhead (the bench-guard budget is <= 5% of the scored
   ``observe_many`` marginal); a host crash can lose the tail, a mere
   process crash cannot (the file buffer is flushed per batch).
-* ``"batch"`` (default) — one ``fsync`` per micro-batch commit.
-* ``"always"`` — ``fsync`` after every record (group-commit of one).
+* ``"batch"`` (default) — one ``fsync`` per micro-batch commit: an
+  acknowledged op is on disk.
 
 Segments rotate when they exceed ``segment_max_bytes`` and — anchored
 at checkpoints — on :meth:`JournalWriter.checkpoint`, which also prunes
@@ -46,7 +47,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import faults
@@ -59,7 +60,7 @@ _FRAME = struct.Struct("<II")
 _SEG_PREFIX = "wal-"
 _SEG_SUFFIX = ".log"
 
-_FSYNC_POLICIES = ("never", "batch", "always")
+_FSYNC_POLICIES = ("never", "batch")
 
 #: Default rotation threshold (bytes) — small enough that replay after
 #: a checkpoint touches few files, large enough that rotation is rare.
@@ -281,8 +282,7 @@ class JournalWriter:
     def append(self, doc: Dict[str, object]) -> int:
         """Append one op record; returns its sequence number.
 
-        The record is buffered; durability follows the ``fsync`` policy
-        (``"always"`` syncs here, ``"batch"`` at :meth:`commit`).
+        The record is buffered; :meth:`commit` makes it durable.
         """
         if self._fh is None:
             raise ValueError("journal is closed")
@@ -305,10 +305,6 @@ class JournalWriter:
         self.last_seq = seq
         self._uncommitted += 1
         self._segment_size += len(frame) + len(payload)
-        if self.fsync == "always":
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-            self._uncommitted = 0
         if self._segment_size >= self.segment_max_bytes:
             self.commit()
             self._open_segment(seq + 1)
@@ -426,6 +422,9 @@ def recover_engine(spec) -> Tuple[object, RecoveryReport]:
     if os.path.exists(policy.path):
         try:
             engine = load_engine(policy.path)
+            # The caller's policy, not the one the snapshot was written
+            # under, is what the server goes on to read.
+            engine._spec_override = replace(engine.spec, checkpoint=policy)
             report.checkpoint_seq = snapshot_journal_seq(policy.path)
             report.source = "checkpoint"
         except ValueError as exc:

@@ -8,18 +8,19 @@ windowed, aggregate, or any composition built by
 * **bounded ingest queue** — ``await ingest(row)`` blocks once
   ``queue_limit`` rows are waiting, so fast producers feel backpressure
   instead of ballooning memory;
-* **adaptive micro-batching** — the consumer coalesces whatever is
-  queued (up to ``batch_max``) into one ``observe_many`` call, waiting
-  at most ``batch_window`` seconds for stragglers: under load batches
-  fill instantly and ingestion runs at columnar batch speed, at low
-  rates the window bounds per-row latency;
+* **work-conserving micro-batching** — the consumer takes whatever is
+  queued (up to ``batch_max``) into one ``facts_for_many`` call and
+  never waits for more: the next batch forms while the engine is busy,
+  so batches grow with load by themselves (columnar batch speed when
+  saturated) and an idle server answers at once;
 * **fact subscriptions** — any number of consumers iterate
   ``async for event in server.subscribe()`` to receive each arrival's
   reportable facts as they are discovered;
-* **checkpointing** — with ``checkpoint_path`` set, a snapshot
+* **checkpointing** — per the engine spec's
+  :class:`~repro.api.spec.CheckpointPolicy`, a snapshot
   (:func:`repro.extensions.snapshot.save_engine`, written atomically via
-  a temp file) is taken every ``checkpoint_interval`` seconds and once
-  more on shutdown;
+  a temp file) is taken every ``interval`` seconds and once more on
+  shutdown;
 * **graceful drain** — ``stop()`` (default ``drain=True``) lets every
   queued row be discovered, flushes subscribers, checkpoints, and only
   then parks the consumer;
@@ -29,9 +30,10 @@ windowed, aggregate, or any composition built by
   ``ping`` / ``shutdown`` ops drive the service remotely (the CLI
   ``serve`` / ``ingest`` commands speak this protocol).
 
-The engine itself stays single-threaded: all engine calls are funnelled
-through one executor job at a time under an asyncio lock (discovery
-order — and therefore output — is exactly the enqueue order).
+The engine itself stays single-threaded: each micro-batch or delete is
+one job (engine call, feed fold, journal append + commit) on the
+server's one engine thread — discovery order, and therefore output, is
+exactly the enqueue order, and no ``fsync`` runs on the event loop.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Sequence
 
@@ -49,6 +52,15 @@ from ..metrics.service import ServiceStats
 from .feeds import FeedStore, engine_version
 
 _STOP = object()
+
+
+def _settle(future, result=None, error=None) -> None:
+    """Resolve a caller's future (fire-and-forget ops have none)."""
+    if future is not None and not future.done():
+        if error is not None:
+            future.set_exception(error)
+        else:
+            future.set_result(result)
 
 
 @dataclass
@@ -139,19 +151,6 @@ class StreamServer:
         Ingest-queue bound; ``ingest`` awaits (backpressure) when full.
     batch_max:
         Micro-batch size cap per ``facts_for_many`` call.
-    batch_window:
-        Seconds to wait for additional rows before running a partial
-        batch (latency bound at low ingest rates).
-    checkpoint_path / checkpoint_interval:
-        Periodic engine snapshots (both must be set to activate);
-        defaults to the engine spec's
-        :class:`~repro.api.spec.CheckpointPolicy` when one is set.
-    journal_dir / journal_fsync / journal_segment_bytes:
-        Write-ahead journal of accepted ops
-        (:mod:`repro.service.journal`); defaults come from the spec's
-        checkpoint policy.  With a journal active, every ingest/delete
-        is framed and appended *before* its event is acknowledged, so a
-        killed server recovers exactly (snapshot + journal suffix).
     dead_letter_path:
         NDJSON file receiving quarantined poison rows — rows that crash
         discovery are retried individually and, still failing, recorded
@@ -160,6 +159,13 @@ class StreamServer:
         Per-connection read timeout (seconds) on the TCP front-end; an
         idle or wedged client is disconnected instead of holding its
         handler forever.  ``None`` disables.
+
+    Durability has no option here: the server reads
+    ``engine.spec.checkpoint``, the policy
+    :func:`~repro.service.journal.recover_engine` restores from.  With
+    its ``journal_dir`` set, every accepted ingest/delete is appended
+    and committed *before* its event is acknowledged, so a killed
+    server recovers exactly (snapshot + journal suffix).
     """
 
     def __init__(
@@ -168,12 +174,6 @@ class StreamServer:
         *,
         queue_limit: int = 1024,
         batch_max: int = 256,
-        batch_window: float = 0.002,
-        checkpoint_path: Optional[str] = None,
-        checkpoint_interval: Optional[float] = None,
-        journal_dir: Optional[str] = None,
-        journal_fsync: Optional[str] = None,
-        journal_segment_bytes: Optional[int] = None,
         dead_letter_path: Optional[str] = None,
         conn_timeout: Optional[float] = None,
         stats: Optional[ServiceStats] = None,
@@ -186,42 +186,21 @@ class StreamServer:
         if conn_timeout is not None and conn_timeout <= 0:
             raise ValueError("conn_timeout must be > 0 seconds")
         self.engine = engine
-        # The engine spec's checkpoint policy is the default.
         try:
-            policy = engine.spec.checkpoint
+            spec = engine.spec
         except (AttributeError, NotImplementedError):
-            policy = None
-        if checkpoint_path is None and policy is not None:
-            checkpoint_path = policy.path
-            if checkpoint_interval is None:
-                checkpoint_interval = policy.interval
-        if journal_dir is None and policy is not None:
-            journal_dir = policy.journal_dir
-        if journal_fsync is None:
-            journal_fsync = policy.journal_fsync if policy else "batch"
-        if journal_segment_bytes is None:
-            journal_segment_bytes = (
-                policy.journal_segment_bytes if policy else 16 * 1024 * 1024
-            )
+            spec = None  # duck-typed engine: nothing durable, no feeds
+        #: The engine spec's :class:`~repro.api.spec.CheckpointPolicy`
+        #: (``None``: no snapshots, no journal).
+        self.checkpoint_policy = spec.checkpoint if spec is not None else None
         self.queue_limit = queue_limit
         self.batch_max = batch_max
-        self.batch_window = batch_window
-        self.checkpoint_path = checkpoint_path
-        self.checkpoint_interval = checkpoint_interval
-        self.journal_dir = journal_dir
-        self.journal_fsync = journal_fsync
-        self.journal_segment_bytes = journal_segment_bytes
         self.dead_letter_path = dead_letter_path
         self.conn_timeout = conn_timeout
         # The read fan-out tier: explicit FeedStore, or auto-built when
         # the engine spec carries a feeds section.
-        if feeds is None:
-            try:
-                feed_spec = engine.spec.feeds
-            except (AttributeError, NotImplementedError):
-                feed_spec = None
-            if feed_spec is not None:
-                feeds = FeedStore.for_engine(engine, feed_spec)
+        if feeds is None and spec is not None and spec.feeds is not None:
+            feeds = FeedStore.for_engine(engine, spec.feeds)
         self.feeds = feeds
         if self.feeds is not None:
             # Window evictions / aggregate retractions reach the feed
@@ -236,7 +215,13 @@ class StreamServer:
         self._consumer: Optional[asyncio.Task] = None
         self._checkpointer: Optional[asyncio.Task] = None
         self._stop_task: Optional[asyncio.Task] = None
-        self._engine_lock: Optional[asyncio.Lock] = None
+        #: One worker thread runs every engine job (batch, delete,
+        #: checkpoint, query) in submission order — nothing else
+        #: serialises them.  Not the loop's shared pool: back-to-back
+        #: submissions make that spawn extra threads, and each thread
+        #: that runs discovery grows its own malloc arena (+3 MB peak
+        #: RSS on the e2e ``live`` workload).
+        self._engine_thread: Optional[ThreadPoolExecutor] = None
         self._subscriptions: set = set()
         self._tcp_servers: List[asyncio.AbstractServer] = []
         self._stopped = asyncio.Event()
@@ -245,6 +230,9 @@ class StreamServer:
         #: of a failed batch are dropped, waiting callers see the
         #: exception).
         self.last_error: Optional[Exception] = None
+        #: Set once, by the fail-stop in :meth:`_run`: why every later
+        #: write is refused.
+        self._write_error: Optional[Exception] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -253,34 +241,32 @@ class StreamServer:
         """Spin up the consumer (and the checkpointer, if configured)."""
         if self._running:
             raise RuntimeError("StreamServer already started")
-        if self.journal_dir:
+        policy = self.checkpoint_policy
+        if policy is not None and policy.journal_dir:
             from .journal import JournalWriter
 
             # Resumes sequence numbering past any existing segments
             # (truncating a torn tail a previous crash left behind).
             self.journal = JournalWriter(
-                self.journal_dir,
-                fsync=self.journal_fsync,
-                segment_max_bytes=self.journal_segment_bytes,
+                policy.journal_dir,
+                fsync=policy.journal_fsync,
+                segment_max_bytes=policy.journal_segment_bytes,
             )
         if self.feeds is not None and len(self.engine) and not len(self.feeds):
             # Recovered/pre-loaded engine with empty feeds: the sidecar
             # restores them iff its stamp matches the live engine
             # version; anything else (stale, missing, corrupt) rebuilds
             # from the engine in one planner batch.
-            restored = False
-            if self.checkpoint_path:
-                restored = self.feeds.load_sidecar(
-                    self.checkpoint_path + ".feeds", self.engine
-                )
-            if not restored:
+            if policy is None or not self.feeds.load_sidecar(
+                policy.path + ".feeds", self.engine
+            ):
                 self.feeds.rebuild(self.engine)
         self._queue = asyncio.Queue(maxsize=self.queue_limit)
-        self._engine_lock = asyncio.Lock()
+        self._engine_thread = ThreadPoolExecutor(max_workers=1)
         self._stopped.clear()
         self._running = True
         self._consumer = asyncio.create_task(self._run())
-        if self.checkpoint_path and self.checkpoint_interval:
+        if policy is not None and policy.interval:
             self._checkpointer = asyncio.create_task(self._checkpoint_loop())
 
     async def stop(self, drain: bool = True) -> None:
@@ -301,8 +287,11 @@ class StreamServer:
         await self._queue.put(_STOP)
         await self._consumer
         self._consumer = None
-        if drain and self.checkpoint_path:
+        if drain and self.checkpoint_policy is not None:
             await self._checkpoint()
+        # Waits out a periodic checkpoint cancelled mid-write, so the
+        # journal is never closed under its anchor.
+        self._engine_thread.shutdown()
         if self.journal is not None:
             self.journal.close()
             self.journal = None
@@ -414,47 +403,69 @@ class StreamServer:
     def _check_running(self) -> None:
         if not self._running:
             raise RuntimeError("StreamServer is not running")
+        if self._write_error is not None:
+            raise self._refusal()
+
+    def _refusal(self) -> RuntimeError:
+        """The answer to a write after the fail-stop in :meth:`_run`
+        (one per caller: a shared instance grows a traceback per raise)."""
+        error = RuntimeError(
+            "write failed, the server accepts no further writes "
+            f"(restart to recover): {self._write_error!r}"
+        )
+        error.__cause__ = self._write_error
+        return error
 
     # ------------------------------------------------------------------
-    # Consumer: adaptive micro-batching
+    # Consumer: work-conserving micro-batching
     # ------------------------------------------------------------------
     async def _run(self) -> None:
+        """Take what is queued, run it, repeat — never wait for more.
+        While a batch is in the engine its successors queue up, so the
+        next batch is as large as the load made it (≤ ``batch_max``)."""
         queue = self._queue
-        loop = asyncio.get_running_loop()
+        carry = None
         while True:
-            item = await queue.get()
+            item = carry if carry is not None else await queue.get()
+            carry = None
             if item is _STOP:
                 queue.task_done()
                 return
-            if item[0] == "delete":
-                await self._apply_delete(item)
-                continue
-            batch = [item]
-            carry = None
-            deadline = loop.time() + self.batch_window
-            while len(batch) < self.batch_max:
+            group = [item]
+            while item[0] == "row" and len(group) < self.batch_max:
                 try:
                     nxt = queue.get_nowait()
                 except asyncio.QueueEmpty:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        nxt = await asyncio.wait_for(queue.get(), remaining)
-                    except asyncio.TimeoutError:
-                        break
+                    break
                 if nxt is _STOP or nxt[0] != "row":
                     # A deletion (or shutdown) fences the batch: rows
                     # before it must be discovered first.
                     carry = nxt
                     break
-                batch.append(nxt)
-            await self._apply_batch(batch)
-            if carry is _STOP:
+                group.append(nxt)
+            if self._write_error is None:
+                try:
+                    if item[0] == "row":
+                        await self._apply_batch(group)
+                    else:
+                        await self._apply_delete(item)
+                except Exception as exc:
+                    # Fail-stop for writes.  The job died after the
+                    # engine applied it — in practice at the journal
+                    # append or commit (disk full, torn record) — so its
+                    # ops can never be acknowledged, and appending after
+                    # a torn record would turn the torn *tail* recovery
+                    # tolerates into the mid-file corruption it refuses.
+                    # This group, everything queued behind it and every
+                    # later write are refused; reads, drain() and stop()
+                    # keep working; a restart recovers every
+                    # acknowledged op.
+                    self._write_error = self.last_error = exc
+            if self._write_error is not None:
+                for _, _, future in group:
+                    _settle(future, error=self._refusal())
+            for _ in group:
                 queue.task_done()
-                return
-            if carry is not None:
-                await self._apply_delete(carry)
 
     async def _apply_batch(self, batch) -> None:
         engine = self.engine
@@ -474,68 +485,57 @@ class StreamServer:
                 for factset in engine.facts_for_many(subset)
             ]
 
-        async with self._engine_lock:
+        def job():
             before = getattr(engine, "arrivals", None)
             try:
-                results = await loop.run_in_executor(None, discover, rows)
-                outcomes = [("ok", result) for result in results]
+                outcomes = [("ok", result) for result in discover(rows)]
             except Exception as exc:
                 # Salvage instead of aborting: quarantine the poison
-                # row(s) and keep every healthy one (killing the loop
-                # here would also deadlock later drain()s).
+                # row(s) and keep every healthy one.
                 self.last_error = exc
-                outcomes = await self._salvage_batch(
-                    loop, discover, rows, before
-                )
+                outcomes = self._salvage_batch(discover, rows, before)
             changed = None
             if self.feeds is not None:
-                # Still under the engine lock (repair queries the
-                # engine), still off the event loop.
-                changed = await loop.run_in_executor(
-                    None, self._feeds_fold, outcomes
-                )
+                changed = self._feeds_fold(outcomes)
+            if self.journal is not None:
+                for row, (kind, _) in zip(rows, outcomes):
+                    if kind != "quarantined":
+                        self.journal.append_ingest(
+                            row if isinstance(row, Mapping) else dict(row)
+                        )
+                # One durability point per micro-batch (group commit):
+                # an event is only acknowledged once its op is journaled.
+                self.journal.commit()
+            return outcomes, changed
+
+        outcomes, changed = await loop.run_in_executor(
+            self._engine_thread, job
+        )
         if changed:
             self._publish_feed_changes(changed)
         emitted = 0
         accepted = 0
-        for (_, row, future), outcome in zip(batch, outcomes):
-            kind, result = outcome
+        for (_, _, future), (kind, result) in zip(batch, outcomes):
             if kind == "quarantined":
-                self._dead_letter(row, result)
-                if future is not None and not future.done():
-                    future.set_exception(result)
-                self._queue.task_done()
-                continue
-            accepted += 1
-            if self.journal is not None:
-                self.journal.append_ingest(
-                    row if isinstance(row, Mapping) else dict(row)
-                )
-        if self.journal is not None and accepted:
-            # One durability point per micro-batch (group commit): an
-            # event is only acknowledged once its op is journaled.
-            self.journal.commit()
-        for (_, row, future), outcome in zip(batch, outcomes):
-            kind, result = outcome
-            if kind == "quarantined":
-                continue
-            if kind == "lost":
-                # Applied to the engine before a later row failed, but
-                # its facts are unrecoverable: acknowledge with an
-                # empty fact set (the op is journaled; state is exact).
-                event = FactEvent(result, [])
+                _settle(future, error=result)
             else:
-                factset, facts = result
-                event = FactEvent(factset.record, facts, factset)
-                emitted += len(facts)
-            if future is not None and not future.done():
-                future.set_result(event)
-            for subscription in list(self._subscriptions):
-                subscription._publish(event)
-            self._queue.task_done()
+                accepted += 1
+                if kind == "lost":
+                    # Applied to the engine before a later row failed,
+                    # but its facts are unrecoverable: acknowledge with
+                    # an empty fact set (the op is journaled; state is
+                    # exact).
+                    event = FactEvent(result, [])
+                else:
+                    factset, facts = result
+                    event = FactEvent(factset.record, facts, factset)
+                    emitted += len(facts)
+                _settle(future, event)
+                for subscription in list(self._subscriptions):
+                    subscription._publish(event)
         self.stats.note_batch(accepted, emitted)
 
-    async def _salvage_batch(self, loop, discover, rows, before):
+    def _salvage_batch(self, discover, rows, before):
         """Recover from a mid-batch discovery failure.
 
         The engine's monotone ``arrivals`` counter (read into ``before``
@@ -545,7 +545,8 @@ class StreamServer:
         one at a time, so one poison row costs itself — not its
         batch-mates.  Returns one outcome per row: ``("ok", (factset,
         facts))``, ``("lost", record)`` for applied rows with lost
-        facts, or ``("quarantined", error)``.
+        facts, or ``("quarantined", error)`` (counted and dead-lettered
+        here).
         """
         engine = self.engine
         applied = 0
@@ -561,9 +562,7 @@ class StreamServer:
                 continue
             pre = getattr(engine, "arrivals", None)
             try:
-                (result,) = await loop.run_in_executor(
-                    None, discover, [row]
-                )
+                (result,) = discover([row])
             except Exception as row_exc:
                 if (
                     pre is not None
@@ -573,6 +572,7 @@ class StreamServer:
                     outcomes.append(("lost", self._record_for(row, pre)))
                 else:
                     self.stats.rows_quarantined += 1
+                    self._dead_letter(row, row_exc)
                     outcomes.append(("quarantined", row_exc))
             else:
                 outcomes.append(("ok", result))
@@ -608,44 +608,44 @@ class StreamServer:
     async def _apply_delete(self, item) -> None:
         _, tid, future = item
         loop = asyncio.get_running_loop()
-        changed = None
-        try:
-            async with self._engine_lock:
-                removed = await loop.run_in_executor(
-                    None, self.engine.delete, tid
-                )
-                if self.feeds is not None:
 
-                    def fold():
-                        self.feeds.note_retracted(removed)
-                        return self.feeds.repair(self.engine)
-
-                    changed = await loop.run_in_executor(None, fold)
-        except Exception as exc:
-            if future is not None and not future.done():
-                future.set_exception(exc)
-        else:
+        def job():
+            try:
+                removed = self.engine.delete(tid)
+            except Exception as exc:
+                # E.g. an unknown tid: nothing was applied, so nothing
+                # is journaled and only this caller hears of it.
+                return exc, None
+            changed = None
+            if self.feeds is not None:
+                self.feeds.note_retracted(removed)
+                changed = self.feeds.repair(self.engine)
             if self.journal is not None:
                 self.journal.append_delete(tid)
                 self.journal.commit()
+            return removed, changed
+
+        removed, changed = await loop.run_in_executor(
+            self._engine_thread, job
+        )
+        if isinstance(removed, Exception):
+            _settle(future, error=removed)
+        else:
             self.stats.deletes += 1
             if changed:
                 self._publish_feed_changes(changed)
-            if future is not None and not future.done():
-                future.set_result(removed)
-        finally:
-            self._queue.task_done()
+            _settle(future, removed)
 
     # ------------------------------------------------------------------
     # Feed tier
     # ------------------------------------------------------------------
     def _feeds_fold(self, outcomes) -> set:
-        """Fold one micro-batch into the feed store (runs in the engine
-        executor, under the engine lock): arrivals first — they are
-        pure event-data updates — then one repair pass for any window
-        evictions the batch triggered, priced against the post-batch
-        engine state (the refresh overwrites with exact values, so the
-        ordering cannot double-count)."""
+        """Fold one micro-batch into the feed store (inside the batch
+        job, on the engine thread — repair queries the engine):
+        arrivals first — they are pure event-data updates — then one
+        repair pass for any window evictions the batch triggered, priced
+        against the post-batch engine state (the refresh overwrites with
+        exact values, so the ordering cannot double-count)."""
         feeds = self.feeds
         changed = set()
         for kind, result in outcomes:
@@ -674,16 +674,20 @@ class StreamServer:
     # ------------------------------------------------------------------
     async def _checkpoint_loop(self) -> None:
         while True:
-            await asyncio.sleep(self.checkpoint_interval)
+            await asyncio.sleep(self.checkpoint_policy.interval)
             await self._checkpoint()
 
     async def _checkpoint(self) -> None:
         from ..extensions.snapshot import save_engine
 
+        if self._write_error is not None:
+            # The engine holds ops the journal refused (and their
+            # callers were told so): not a state to persist.
+            return
         loop = asyncio.get_running_loop()
-        path = self.checkpoint_path
+        path = self.checkpoint_policy.path
 
-        def write() -> Optional[int]:
+        def write() -> None:
             # save_engine writes crash-consistently (temp + fsync +
             # atomic replace + directory fsync): an interruption at any
             # byte leaves the previous checkpoint untouched.
@@ -695,20 +699,20 @@ class StreamServer:
                 self.feeds.save_sidecar(
                     path + ".feeds", engine_version(self.engine)
                 )
-            return seq
+            if seq is not None:
+                # Anchor segment rotation: ops <= seq are now durable in
+                # the snapshot, their segments can be pruned.  Inside
+                # the job: every journal write happens on the engine
+                # thread, never beside an append.
+                self.journal.checkpoint(seq)
 
         try:
-            async with self._engine_lock:
-                seq = await loop.run_in_executor(None, write)
+            await loop.run_in_executor(self._engine_thread, write)
         except Exception as exc:
             # A failed checkpoint must not kill the service: the
             # previous one is intact and the journal keeps growing.
             self.last_error = exc
             return
-        if self.journal is not None and seq is not None:
-            # Anchor segment rotation: ops <= seq are now durable in
-            # the snapshot, their segments can be pruned.
-            self.journal.checkpoint(seq)
         self.stats.checkpoints += 1
 
     async def _run_query(self, message: dict) -> dict:
@@ -718,7 +722,7 @@ class StreamServer:
         "kind": "skyline" | "skyband" | "prominence", "k": int}``.
         ``skyline``/``skyband`` reply with live tids (ascending arrival
         order for kernel-backed engines); ``prominence`` replies with
-        the score and context size.  Runs under the engine lock so a
+        the score and context size.  Runs on the engine thread so a
         query never races a micro-batch; cached engines
         (``spec.query_cache``) answer repeats without touching rows.
         """
@@ -745,8 +749,7 @@ class StreamServer:
                 }
             raise ValueError(f"unknown query kind {kind!r}")
 
-        async with self._engine_lock:
-            return await loop.run_in_executor(None, run)
+        return await loop.run_in_executor(self._engine_thread, run)
 
     # ------------------------------------------------------------------
     # NDJSON-over-TCP front-end
@@ -844,7 +847,7 @@ class StreamServer:
                     await reply({"stats": self.stats_snapshot()})
                 elif op == "health":
                     health = {
-                        "ok": bool(self._running),
+                        "ok": self._running and self._write_error is None,
                         "running": bool(self._running),
                         "table_rows": len(self.engine.table),
                         "queue_depth": (

@@ -131,6 +131,51 @@ class TestDemo:
         assert "prominent facts from 60 tuples" in capsys.readouterr().err
 
 
+class TestServe:
+    def test_spec_file_with_durability_flags_recovers_on_restart(
+        self, tmp_path, capsys
+    ):
+        """``--checkpoint``/``--journal-dir`` beside a ``--spec`` file
+        that has no checkpoint section: the flags fold into the spec, so
+        the restart recovers from where the first run wrote (it used to
+        start empty and overwrite the checkpoint with its own 5 rows)."""
+        import json
+
+        from repro.api import EngineSpec
+
+        schema = nba_schema(4, 4)
+        rows = nba_rows(35, d=4, m=4)
+        spec_path = str(tmp_path / "spec.json")
+        with open(spec_path, "w") as fh:
+            json.dump(EngineSpec(schema, algorithm="svec").to_dict(), fh)
+        first, second = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        save_rows(first, schema, rows[:30])
+        save_rows(second, schema, rows[30:])
+        checkpoint = str(tmp_path / "ck.json")
+
+        def serve(csv):
+            rc = main(
+                ["serve", "--spec", spec_path, csv, "--checkpoint",
+                 checkpoint, "--journal-dir", str(tmp_path / "wal")]
+            )
+            assert rc == 0
+            with open(checkpoint) as fh:
+                return capsys.readouterr().err, json.load(fh)
+
+        err, doc = serve(first)
+        assert "# recovered from" not in err
+        assert len(doc["rows"]) == 30 and doc["journal_seq"] == 30
+        err, doc = serve(second)
+        assert "# recovered from checkpoint" in err
+        assert "facts from 35 tuples" in err
+        assert len(doc["rows"]) == 35 and doc["journal_seq"] == 35
+
+    def test_durability_flags_need_a_checkpoint_path(self, capsys):
+        rc = main(["serve", "-d", DIMS, "-m", MEAS, "--journal-dir", "wal"])
+        assert rc == 2
+        assert "need --checkpoint" in capsys.readouterr().err
+
+
 class TestErrorHandling:
     def test_bad_query_string(self, nba_csv, capsys):
         rc = main(["query", nba_csv, "-d", DIMS, "-m", MEAS, "-q", "no pipe here"])

@@ -575,6 +575,44 @@ class TestEngineSpec:
                 reference, ROWS[:10]
             )
 
+    def test_checkpoint_spec_from_before_fsync_always_retired(self):
+        # Verbatim ``EngineSpec.to_dict()`` of the commit before the
+        # per-record ``journal_fsync`` value was removed.
+        doc = {
+            "schema": {
+                "dimensions": ["d0", "d1"],
+                "measures": ["m0", "m1"],
+                "preferences": {},
+            },
+            "algorithm": "svec",
+            "config": {
+                "max_bound_dims": None,
+                "max_measure_dims": None,
+                "tau": None,
+                "top_k": None,
+            },
+            "score": True,
+            "sharding": None,
+            "window": None,
+            "aggregate": None,
+            "checkpoint": {
+                "path": "ckpt.json",
+                "interval": 30.0,
+                "journal_dir": "wal",
+                "journal_fsync": "always",
+                "journal_segment_bytes": 16777216,
+            },
+            "query_cache": None,
+            "feeds": None,
+        }
+        # Same guarantee — an acknowledged op is on disk — one fsync
+        # per batch instead of per record.
+        assert EngineSpec.from_dict(doc).checkpoint == CheckpointPolicy(
+            "ckpt.json", 30.0, "wal", "batch"
+        )
+        with pytest.raises(ValueError, match="journal_fsync"):
+            CheckpointPolicy("ckpt.json", journal_fsync="always")
+
     def test_window_and_aggregate_mutually_exclusive(self):
         with pytest.raises(ValueError, match="not supported"):
             EngineSpec(SCHEMA, window=3, aggregate=AGG)

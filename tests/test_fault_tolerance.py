@@ -28,7 +28,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro import DiscoveryConfig, FactDiscoverer, TableSchema
-from repro.api import CheckpointPolicy, EngineSpec
+from repro.api import CheckpointPolicy, EngineSpec, open_engine
 from repro.extensions.snapshot import load_engine, save_engine
 from repro.service import (
     JournalWriter,
@@ -480,13 +480,7 @@ class TestJournalRecovery:
         expected, expected_counters, ref = reference_run(rows, deletes=(6,))
 
         async def faulted_session():
-            from repro.api import open_engine
-
-            server = StreamServer(
-                open_engine(EngineSpec(SCHEMA, algorithm="svec")),
-                journal_dir=str(tmp_path / "wal"),
-                batch_max=8,
-            )
+            server = StreamServer(open_engine(spec), batch_max=8)
             await server.start()
             await server.ingest_many(rows)
             await server.delete(6)
@@ -516,8 +510,6 @@ class TestJournalRecovery:
         expected, expected_counters, ref = reference_run(rows1 + rows2)
 
         async def session_one():
-            from repro.api import open_engine
-
             server = StreamServer(open_engine(spec), batch_max=8)
             await server.start()
             await server.ingest_many(rows1)
@@ -550,6 +542,25 @@ class TestJournalRecovery:
             engine.close()
             ref.close()
 
+    def test_recovered_engine_carries_the_callers_policy(self, tmp_path):
+        """The server reads ``engine.spec.checkpoint`` and nothing else,
+        so a restart that changes the policy (here: the interval) must
+        not get the one embedded in the snapshot back."""
+        spec = service_spec(tmp_path)
+        with open_engine(spec) as engine:
+            engine.observe_many(make_rows(4))
+            engine.snapshot()
+        policy = CheckpointPolicy(
+            spec.checkpoint.path, interval=30.0, journal_dir=str(tmp_path / "wal")
+        )
+        engine, report = recover_engine(
+            EngineSpec(SCHEMA, algorithm="svec", checkpoint=policy)
+        )
+        with engine:
+            assert report.source == "checkpoint" and len(engine) == 4
+            assert engine.spec.checkpoint == policy
+            assert StreamServer(engine).checkpoint_policy == policy
+
     def test_torn_tail_is_dropped_and_reported(self, tmp_path):
         rows = make_rows(25)
         spec = service_spec(tmp_path)
@@ -577,21 +588,101 @@ class TestJournalRecovery:
         assert not torn
         assert len(ops) == len(rows) + 1
 
+    def test_journal_write_failure_stops_writes_not_the_server(self, tmp_path):
+        """A torn journal append used to kill the consumer task with
+        the ``OSError`` stored where nobody read it: ``last_error``
+        stayed ``None`` and every later caller (and ``stop()``) hung.
+        Now the failed batch's callers, everything queued behind it and
+        every later write get the error, ``health`` says so, and
+        ``drain()``/``stop()`` return; recovery sees a torn tail and
+        exactly the acknowledged prefix."""
+        rows = make_rows(12)
+        k = 5
+        spec = service_spec(tmp_path)
+        expected, expected_counters, ref = reference_run(rows[:k])
+
+        def bounded(awaitable):
+            return asyncio.wait_for(awaitable, 2)
+
+        async def session():
+            server = StreamServer(open_engine(spec), batch_max=1)
+            await server.start()
+            listener = await server.serve_tcp("127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            for row in rows[:k]:
+                await bounded(server.ingest_wait(row))
+            # Fires once: the writes behind it would journal fine, so
+            # their refusal is fail-stop, not a second injected fault.
+            faults.install([{"point": "journal.append", "action": "corrupt"}])
+            failed, queued_behind = await bounded(
+                asyncio.gather(
+                    server.ingest_wait(rows[k]),
+                    server.ingest_wait(rows[k + 1]),
+                    return_exceptions=True,
+                )
+            )
+            assert isinstance(failed, RuntimeError)
+            assert "torn mid-record" in str(failed)
+            assert isinstance(failed.__cause__, OSError)
+            assert isinstance(queued_behind, RuntimeError)
+            for write in (
+                server.ingest_wait(rows[k + 2]),
+                server.ingest(rows[k + 3]),
+                server.delete(0),
+            ):
+                with pytest.raises(RuntimeError, match="no further writes"):
+                    await bounded(write)
+            reader, writer = await bounded(
+                asyncio.open_connection("127.0.0.1", port)
+            )
+            writer.write(b'{"op": "health"}\n')
+            health = json.loads(await bounded(reader.readline()))
+            writer.close()
+            assert health["ok"] is False and health["running"] is True
+            assert "torn mid-record" in health["last_error"]
+            assert "torn mid-record" in server.stats_snapshot()["last_error"]
+            await bounded(server.drain())
+            # A draining stop returns too — and writes no final
+            # checkpoint: the engine holds the refused row.
+            await bounded(server.stop())
+            server.engine.close()
+
+        asyncio.run(session())
+        assert not os.path.exists(spec.checkpoint.path)
+        engine, report = recover_engine(spec)
+        try:
+            assert report.torn_tail
+            assert report.ops_replayed == k
+            assert engine.counters.snapshot() == expected_counters
+            probe = make_rows(2, start=66)
+            assert fact_keys(engine.observe_many(probe)) == fact_keys(
+                ref.observe_many(probe)
+            )
+        finally:
+            engine.close()
+            ref.close()
+
 
 # ----------------------------------------------------------------------
 # Poison rows / dead-letter quarantine
 # ----------------------------------------------------------------------
-class PoisonEngine(FactDiscoverer):
-    """Applies rows one at a time; rows marked ``d0 == "POISON"`` raise
-    before touching the table, so a poison row costs itself only."""
+def poison_engine(spec):
+    """``open_engine(spec)`` with ``facts_for_many`` wrapped to apply
+    rows one at a time; rows marked ``d0 == "POISON"`` raise before
+    touching the table, so a poison row costs itself only."""
+    engine = open_engine(spec)
+    inner = engine.facts_for_many
 
-    def facts_for_many(self, rows):
+    def facts_for_many(rows):
         out = []
         for row in rows:
             if row.get("d0") == "POISON":
                 raise ValueError(f"poison row rejected: {row!r}")
-            out.extend(super().facts_for_many([row]))
+            out.extend(inner([row]))
         return out
+
+    engine.facts_for_many = facts_for_many
+    return engine
 
 
 class TestPoisonRows:
@@ -608,8 +699,7 @@ class TestPoisonRows:
 
         async def run():
             server = StreamServer(
-                PoisonEngine(SCHEMA, algorithm="svec"),
-                journal_dir=str(tmp_path / "wal"),
+                poison_engine(spec),
                 dead_letter_path=str(dead),
                 batch_max=8,
             )
@@ -654,9 +744,7 @@ class TestPoisonRows:
 
         async def run():
             server = StreamServer(
-                PoisonEngine(SCHEMA, algorithm="svec"),
-                journal_dir=str(tmp_path / "wal"),
-                batch_max=4,
+                poison_engine(service_spec(tmp_path)), batch_max=4
             )
             await server.start()
             for row in rows:

@@ -14,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import TableSchema
-from repro.api import EngineSpec, FeedSpec, ShardingSpec, open_engine
+from repro.api import (
+    CheckpointPolicy,
+    EngineSpec,
+    FeedSpec,
+    ShardingSpec,
+    open_engine,
+)
 from repro.core.config import DiscoveryConfig
 from repro.core.constraint import satisfied_constraints
 from repro.service import FeedStore, StreamServer
@@ -327,7 +333,7 @@ class TestServerIntegration:
 
         async def run():
             engine = open_engine(make_spec())
-            server = StreamServer(engine, batch_max=4, batch_window=0.001)
+            server = StreamServer(engine, batch_max=4)
             await server.start()
             await server.ingest_many(rows)
             await server.drain()
@@ -355,7 +361,7 @@ class TestServerIntegration:
         path = str(tmp_path / "snap.json")
 
         async def serve(engine, replay):
-            server = StreamServer(engine, checkpoint_path=path)
+            server = StreamServer(engine)  # reads engine.spec.checkpoint
             await server.start()
             if replay:
                 await server.ingest_many(rows)
@@ -363,7 +369,7 @@ class TestServerIntegration:
             await server.stop()  # final checkpoint writes the sidecar
             return server
 
-        engine = open_engine(make_spec())
+        engine = open_engine(make_spec(checkpoint=CheckpointPolicy(path)))
         server = asyncio.run(serve(engine, True))
         saved = store_segments(server.feeds)
 

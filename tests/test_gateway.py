@@ -38,7 +38,7 @@ def make_spec(**feed_kwargs) -> EngineSpec:
 
 async def start_stack(spec=None, **gateway_kwargs):
     engine = open_engine(spec or make_spec())
-    server = StreamServer(engine, batch_max=8, batch_window=0.001)
+    server = StreamServer(engine, batch_max=8)
     await server.start()
     gateway = FeedGateway(server, **gateway_kwargs)
     listener = await gateway.start()

@@ -1,8 +1,11 @@
 """Tests for operation counters and memory accounting."""
 
+import dataclasses
+
 from repro import OpCounters, TableSchema, make_algorithm
 from repro.core.record import Record
 from repro.metrics.memory import approximate_store_bytes, record_bytes
+from repro.metrics.service import ServiceStats
 
 
 class TestOpCounters:
@@ -26,6 +29,40 @@ class TestOpCounters:
         assert c.comparisons == 4
         assert c.stored_tuples == 2
         assert c.file_writes == 4
+
+
+class TestServiceStatsSnapshot:
+    def test_every_scalar_field_is_in_the_snapshot(self):
+        """The snapshot is built from the dataclass fields, so a counter
+        added later cannot be left off the ``stats`` op."""
+        scalars = [
+            f.name
+            for f in dataclasses.fields(ServiceStats)
+            if f.default is not dataclasses.MISSING
+        ]
+        assert len(scalars) >= 22
+        stats = ServiceStats(**{name: i + 1 for i, name in enumerate(scalars)})
+        snap = stats.snapshot()
+        assert {name: snap[name] for name in scalars} == {
+            name: i + 1 for i, name in enumerate(scalars)
+        }
+
+    def test_derived_values_and_optional_sections(self):
+        stats = ServiceStats()
+        snap = stats.snapshot()
+        assert snap["mean_batch_rows"] is None
+        assert not {"feeds", "shards", "shard_busy_seconds"} & set(snap)
+        stats.note_batch(3, 5)
+        stats.note_batch(2, 0)
+        stats.note_shard_utilization([1.0, 3.0])
+        stats.note_shard_details([{"shard": 0}])
+        stats.note_feeds({"entries": 7})
+        snap = stats.snapshot()
+        assert snap["mean_batch_rows"] == 2.5
+        assert snap["shard_busy_seconds"] == [1.0, 3.0]
+        assert snap["shard_utilization"] == [0.25, 0.75]
+        assert snap["shards"] == [{"shard": 0}]
+        assert snap["feeds"] == {"entries": 7}
 
 
 class TestMemoryAccounting:

@@ -2,11 +2,18 @@
 subscriptions, checkpoint round-trips, and the NDJSON TCP front-end."""
 
 import asyncio
+import inspect
 import json
 
 import pytest
 
 from repro import DiscoveryConfig, FactDiscoverer, TableSchema
+from repro.api import (
+    CheckpointPolicy,
+    EngineSpec,
+    ShardingSpec,
+    open_engine,
+)
 from repro.core.schema import SchemaError
 from repro.extensions.snapshot import load_engine
 from repro.service import ShardedDiscoverer, StreamServer
@@ -35,7 +42,6 @@ class TestMicroBatching:
             server = StreamServer(
                 FactDiscoverer(SCHEMA, algorithm="svec"),
                 batch_max=8,
-                batch_window=0.001,
             )
             await server.start()
             sub = server.subscribe(only_facts=False)
@@ -61,7 +67,6 @@ class TestMicroBatching:
                 FactDiscoverer(SCHEMA, algorithm="svec"),
                 queue_limit=64,
                 batch_max=16,
-                batch_window=0.05,
             )
             await server.start()
             # Enqueue everything before the consumer can drain it —
@@ -75,6 +80,59 @@ class TestMicroBatching:
         assert server.stats.processed_rows == len(rows)
         assert server.stats.batches < len(rows)
         assert server.stats.batch_rows_max > 1
+
+    def test_concurrent_callers_on_idle_server_share_one_batch(self):
+        """No timer: the gathered puts all run before the consumer is
+        rescheduled, so it finds the whole burst queued."""
+        rows = make_rows(12)
+
+        async def run():
+            server = StreamServer(FactDiscoverer(SCHEMA, algorithm="svec"))
+            await server.start()
+            events = await asyncio.gather(
+                *(server.ingest_wait(row) for row in rows)
+            )
+            await server.stop()
+            return events, server
+
+        events, server = asyncio.run(run())
+        assert [e.tid for e in events] == list(range(len(rows)))
+        assert server.stats.batches == 1
+        assert server.stats.batch_rows_max == len(rows)
+
+    def test_closed_loop_caller_gets_one_batch_per_row(self):
+        """One arrival in flight: each is answered at once, alone."""
+        rows = make_rows(9)
+
+        async def run():
+            server = StreamServer(FactDiscoverer(SCHEMA, algorithm="svec"))
+            await server.start()
+            for row in rows:
+                await server.ingest_wait(row)
+            await server.stop()
+            return server
+
+        server = asyncio.run(run())
+        assert server.stats.batches == len(rows)
+        assert server.stats.batch_rows_max == 1
+
+    def test_constructor_options_are_exactly_these(self):
+        """Batching has one option (the cap) and durability none — it
+        rides in ``engine.spec.checkpoint``; anything else is an
+        ordinary unknown-kwarg ``TypeError``."""
+        parameters = inspect.signature(StreamServer.__init__).parameters
+        assert [
+            name
+            for name, p in parameters.items()
+            if p.kind is inspect.Parameter.KEYWORD_ONLY
+        ] == [
+            "queue_limit", "batch_max", "dead_letter_path",
+            "conn_timeout", "stats", "feeds",
+        ]
+        with pytest.raises(TypeError):
+            StreamServer(
+                FactDiscoverer(SCHEMA, algorithm="svec"), journal_dir="wal"
+            )
 
     def test_ingest_wait_returns_event(self):
         async def run():
@@ -130,7 +188,6 @@ class TestBackpressureAndDrain:
                 FactDiscoverer(SCHEMA, algorithm="svec"),
                 queue_limit=limit,
                 batch_max=4,
-                batch_window=0.0,
             )
             await server.start()
             for row in rows:
@@ -164,7 +221,7 @@ class TestBackpressureAndDrain:
 
         async def run():
             engine = FactDiscoverer(SCHEMA, algorithm="svec")
-            server = StreamServer(engine, batch_max=32, batch_window=0.05)
+            server = StreamServer(engine, batch_max=32)
             await server.start()
             for row in rows[:5]:
                 await server.ingest(row)
@@ -196,18 +253,16 @@ class TestCheckpointing:
         path = str(tmp_path / "ckpt.json")
 
         async def run():
-            engine = ShardedDiscoverer(
-                SCHEMA,
-                DiscoveryConfig(max_bound_dims=1),
-                n_workers=2,
-                mode="serial",
+            engine = open_engine(
+                EngineSpec(
+                    SCHEMA,
+                    algorithm="svec",
+                    config=DiscoveryConfig(max_bound_dims=1),
+                    sharding=ShardingSpec(workers=2, mode="serial"),
+                    checkpoint=CheckpointPolicy(path, interval=0.02),
+                )
             )
-            server = StreamServer(
-                engine,
-                checkpoint_path=path,
-                checkpoint_interval=0.02,
-                batch_max=4,
-            )
+            server = StreamServer(engine, batch_max=4)
             await server.start()
             await server.ingest_many(rows)
             await server.drain()
@@ -237,47 +292,10 @@ class TestCheckpointing:
 
 
 class TestSnapshotVersions:
-    def test_v1_snapshot_still_loads(self, tmp_path):
-        """Version-1 files (no meta section) load with old defaults."""
-        engine = FactDiscoverer(SCHEMA, algorithm="stopdown")
-        rows = make_rows(5)
-        for row in rows:
-            engine.observe(row)
+    def test_v1_v2_snapshots_are_refused(self, tmp_path):
+        """The pre-``EngineSpec`` formats are no longer read: the file
+        is refused by version, never half-interpreted."""
         doc = {
-            "format_version": 1,
-            "algorithm": "stopdown",
-            "schema": {
-                "dimensions": list(SCHEMA.dimensions),
-                "measures": list(SCHEMA.measures),
-                "preferences": {},
-            },
-            "config": {
-                "max_bound_dims": None,
-                "max_measure_dims": None,
-                "tau": None,
-                "top_k": None,
-            },
-            "rows": [r.as_dict(SCHEMA) for r in engine.table],
-        }
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(doc))
-        loaded = load_engine(str(path))
-        assert isinstance(loaded, FactDiscoverer)
-        assert loaded.score is True
-        assert len(loaded.table) == len(rows)
-        probe = {"d0": "q", "d1": "b1", "m0": 4, "m1": 4}
-        assert [fact_key(f) for f in loaded.observe(probe)] == [
-            fact_key(f) for f in engine.observe(probe)
-        ]
-
-    def test_v2_snapshot_still_loads(self, tmp_path):
-        """Version-2 files (``meta`` section) load, sharded meta
-        restoring a sharded engine."""
-        engine = ShardedDiscoverer(SCHEMA, n_workers=2, mode="serial")
-        rows = make_rows(5)
-        engine.observe_many(rows)
-        doc = {
-            "format_version": 2,
             "algorithm": "svec",
             "meta": {"score": True, "engine": "sharded",
                      "n_workers": 2, "mode": "serial"},
@@ -292,19 +310,15 @@ class TestSnapshotVersions:
                 "tau": None,
                 "top_k": None,
             },
-            "rows": [r.as_dict(SCHEMA) for r in engine.table],
+            "rows": make_rows(5),
         }
-        path = tmp_path / "v2.json"
-        path.write_text(json.dumps(doc))
-        loaded = load_engine(str(path))
-        assert isinstance(loaded, ShardedDiscoverer)
-        assert loaded.n_workers == 2 and loaded.mode == "serial"
-        probe = {"d0": "q", "d1": "b1", "m0": 4, "m1": 4}
-        assert [fact_key(f) for f in loaded.observe(probe)] == [
-            fact_key(f) for f in engine.observe(probe)
-        ]
-        loaded.close()
-        engine.close()
+        path = tmp_path / "old.json"
+        for version in (1, 2):
+            path.write_text(json.dumps({"format_version": version, **doc}))
+            with pytest.raises(
+                ValueError, match="unsupported snapshot version"
+            ):
+                load_engine(str(path))
 
     def test_v3_score_flag_round_trips(self, tmp_path):
         from repro.extensions.snapshot import save_engine
