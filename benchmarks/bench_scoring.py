@@ -25,7 +25,13 @@ Headline assertion: columnar scoring is ≥ 3× faster end to end than
 the PR-1 scalar scoring path at the default cell, while being
 output-identical (``tests/test_scoring_equivalence.py``).
 
-Run with ``pytest benchmarks/bench_scoring.py -s`` to see the table;
+``test_stage_split`` prints where a scored, top-5-reporting arrival
+spends its time — walk / insert / repair / score / select — on the two
+stream shapes of the end-to-end benchmark (``benchmarks/README.md``
+records the table; it is the instrument the scoring-index container was
+chosen with).
+
+Run with ``pytest benchmarks/bench_scoring.py -s`` to see the tables;
 ``REPRO_BENCH_SCALE`` enlarges the workload.  Results are merged into
 ``BENCH_PR3.json`` (see ``benchmarks/_results.py``).
 """
@@ -33,9 +39,10 @@ Run with ``pytest benchmarks/bench_scoring.py -s`` to see the table;
 import gc
 import time
 
-from repro import ContextCounter, FactDiscoverer
+from repro import ContextCounter, DiscoveryConfig, FactDiscoverer
 from repro.algorithms.s_vectorized import SVectorized
 from repro.algorithms.top_down import TopDown
+from repro.core.prominence import select_reportable
 from repro.datasets.synthetic import synthetic_rows, synthetic_schema
 
 from _results import update_results
@@ -185,3 +192,96 @@ def test_columnar_scoring_speedup(benchmark, bench_scale):
         f"{1e3 * cell['no-score']:.3f} ms unscored — the scored path has "
         f"likely fallen off the columnar index"
     )
+
+
+#: The end-to-end benchmark's two stream shapes, at its preload sizes.
+STAGE_SHAPES = (
+    ("d4 m4 anticorrelated", 4, 4, "anticorrelated", 1000),
+    ("d5 m5 independent", 5, 5, "independent", 400),
+)
+STAGES = ("walk", "insert", "repair", "score", "select")
+
+
+def stage_split(d, m, distribution, n, repeats=3):
+    """Seconds per stage of a scored, top-5-reporting ``svec`` ingest of
+    ``n`` rows from empty, in 256-row batches (what ``serve`` does to
+    its CSV history); the fastest of ``repeats`` runs.
+
+    ``walk`` is ``_discover`` minus the two store-mutation stages it
+    calls (``insert`` = ``insert_new_many`` with its scoring-index
+    flips, ``repair`` = ``_flush_repairs`` with its one-slot bumps);
+    ``score`` is ``score_facts_inplace``, ``select`` is
+    ``select_reportable`` over every fact set of the batch.
+    """
+    schema = synthetic_schema(d, m)
+    rows = synthetic_rows(n, d, m, distribution=distribution)
+    config = DiscoveryConfig(top_k=5)
+
+    def timed(owner, name, spent):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                spent[name] += time.perf_counter() - start
+
+        setattr(owner, name, wrapper)
+
+    best = None
+    for _ in range(repeats):
+        engine = FactDiscoverer(schema, algorithm="svec", config=config)
+        algorithm = engine.algorithm
+        spent = dict.fromkeys(
+            ("_discover", "_flush_repairs", "score_facts_inplace",
+             "insert_new_many", "select"),
+            0.0,
+        )
+        for name in ("_discover", "_flush_repairs", "score_facts_inplace"):
+            timed(algorithm, name, spent)
+        timed(algorithm.store, "insert_new_many", spent)
+        gc.collect()
+        start = time.perf_counter()
+        for lo in range(0, n, 256):
+            fact_sets = engine.facts_for_many(rows[lo : lo + 256])
+            selecting = time.perf_counter()
+            for facts in fact_sets:
+                select_reportable(facts, config)
+            spent["select"] += time.perf_counter() - selecting
+        total = time.perf_counter() - start
+        split = {
+            "walk": spent["_discover"]
+            - spent["insert_new_many"]
+            - spent["_flush_repairs"],
+            "insert": spent["insert_new_many"],
+            "repair": spent["_flush_repairs"],
+            "score": spent["score_facts_inplace"],
+            "select": spent["select"],
+            "total": total,
+        }
+        if best is None or split["total"] < best["total"]:
+            best = split
+    return best
+
+
+def test_stage_split(benchmark):
+    """Print the per-arrival stage split on both e2e stream shapes."""
+
+    def run():
+        return {
+            label: stage_split(d, m, distribution, n)
+            for label, d, m, distribution, n in STAGE_SHAPES
+        }
+
+    splits = benchmark.pedantic(run, iterations=1, rounds=1)
+    print()
+    print("scored + top-5 ingest from empty, ms per arrival "
+          "(fastest of 3 runs)")
+    print(f"  {'shape':<22} {'n':>5} " + " ".join(f"{s:>7}" for s in STAGES)
+          + f" {'total':>7}")
+    for label, _d, _m, _dist, n in STAGE_SHAPES:
+        split = splits[label]
+        cells = " ".join(f"{1e3 * split[s] / n:7.3f}" for s in STAGES)
+        print(f"  {label:<22} {n:>5} {cells} {1e3 * split['total'] / n:7.3f}")
+        assert sum(split[s] for s in STAGES) <= split["total"]

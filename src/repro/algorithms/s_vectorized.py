@@ -36,12 +36,15 @@ materialised stores and output semantics:
   (:meth:`ColumnarSkylineStore.folded_sweep`) — ``w`` stays 0 on
   short histories, where the dense side is the faster one — so there
   is one walk and nothing for a caller to select;
-* prominence scoring rides the store's incremental skyline-cardinality
-  index (see :meth:`ColumnarSkylineStore.scoring_index`) and annotates
-  the fact set's score *columns* in one bulk pass
+* facts leave the walk as its emission *cells* (positions along
+  ``C^t`` × subspace, see :meth:`FactSet.add_cells`), and prominence
+  scoring rides the store's incremental skyline-cardinality index
+  (:meth:`ColumnarSkylineStore.skyline_counts`: one probe per mask of
+  ``C^t``, then one gather at the cells — :meth:`skyline_column`) to
+  annotate the fact set's score *columns* in one bulk pass
   (:meth:`score_facts_inplace`), so scored batch ingestion — the
-  engine's default — keeps columnar speed without materialising a
-  single fact object;
+  engine's default — keeps columnar speed without building a single
+  per-fact list or fact object;
 * retraction repair is columnar too (see
   :func:`~repro.algorithms.retraction.retract_top_down_columnar`):
   re-anchor candidates come from the anchor-bitset reverse index and
@@ -392,11 +395,7 @@ class SVectorized(STopDown):
         # np.nonzero's row-major order reproduces the scalar pass order.
         emit = survive & self._report_col
         ks, cs = np.nonzero(emit)
-        if ks.size:
-            facts.add_pairs(
-                [cons_seq[i] for i in cs.tolist()],
-                [keys[k] for k in ks.tolist()],
-            )
+        facts.add_cells(cons_seq, cs, self._keys_index[ks])
 
         # Demotions and the comparison counter: row r occupies the
         # walk's bucket at mask m iff it is anchored there and
@@ -645,11 +644,12 @@ class SVectorized(STopDown):
         # pass — only then must repairs run inline (scalar order) so the
         # second scan sees the first repair's deletions.
         defer_repairs = UNBOUND not in record.dims
+        emitted: Tuple[List[int], List[int]] = ([], [])
         for subspace in keys:
             self._lattice_pass(
                 record,
                 subspace,
-                facts,
+                emitted,
                 pruned[subspace],
                 cons_seq,
                 lt_list,
@@ -659,13 +659,21 @@ class SVectorized(STopDown):
                 is_root=subspace == full,
                 defer_repairs=defer_repairs,
             )
+        # Same emission form as the walker: positions along C^t plus the
+        # subspace column (collapsed duplicate masks keep their own
+        # positions, whose constraints coincide).
+        facts.add_cells(
+            cons_seq,
+            np.asarray(emitted[0], dtype=np.int64),
+            np.asarray(emitted[1], dtype=np.int64),
+        )
         return facts
 
     def _lattice_pass(
         self,
         record: Record,
         subspace: int,
-        facts: FactSet,
+        emitted: Tuple[List[int], List[int]],
         pruned_bits: int,
         cons_seq,
         lt_list,
@@ -677,6 +685,8 @@ class SVectorized(STopDown):
     ) -> None:
         """One top-down sweep of ``C^t`` in ``subspace``.
 
+        Facts are appended to ``emitted`` as (position along
+        ``cons_seq``, subspace) column pairs.
         ``lt_list``/``gt_list`` are the per-row partition bitmasks of the
         arrival sweep (``None`` for an empty history); a stored row is
         demoted iff the new tuple dominates it there — ``gt`` hits the
@@ -704,7 +714,8 @@ class SVectorized(STopDown):
         report = not is_root or self.config.allows_subspace(subspace)
         submap = store.submap(subspace)
         insert = store.insert
-        add_pair = facts.add_pair
+        emit_position = emitted[0].append
+        emit_subspace = emitted[1].append
         bindable = bindable_positions(record.dims)
         comparisons = 0
         traversed = 0
@@ -714,7 +725,9 @@ class SVectorized(STopDown):
         # e.g. a None dimension value): a self-comparison, never a
         # demotion — exactly like the scalar pass.
         swept = len(lt_list) if lt_list is not None else 0
-        for mask, constraint in zip(self.masks_top_down, cons_seq):
+        for position, (mask, constraint) in enumerate(
+            zip(self.masks_top_down, cons_seq)
+        ):
             shifted = pruned_bits >> (mask & bindable)
             if not is_root and shifted & 1:
                 continue
@@ -761,7 +774,8 @@ class SVectorized(STopDown):
                             )
             if not shifted & 1:
                 if report:
-                    add_pair(constraint, subspace)
+                    emit_position(position)
+                    emit_subspace(subspace)
                 # Maximal (all parents pruned): with no pruning at all,
                 # only ⊤ qualifies — skip the per-parent scan.  Parents
                 # are read at their canonical masks; a raw duplicate has
@@ -861,92 +875,55 @@ class SVectorized(STopDown):
 
         return ColumnarContextCounter(self.schema.n_dimensions, max_bound_dims)
 
+    def skyline_column(self, facts: FactSet) -> np.ndarray:
+        """``|λ_M(σ_C(R))|`` for every fact of ``S_t`` as one integer
+        column in insertion order.
+
+        The columnar store maintains (lazily at first, incrementally
+        thereafter) the skyline cardinality of every value combination
+        per bound mask and subspace — anchor-bitset flips on
+        insert/delete keep it exact — and answers all of ``C^t`` with
+        one probe per mask (:meth:`ColumnarSkylineStore.skyline_counts`);
+        the column is one gather of that matrix at the fact set's
+        emission cells, independent of history size.  This is the one
+        index-backed scorer: the engine's bulk annotation and the shard
+        workers' ingest replies both read it.  A set no longer in cell
+        form, or a schema beyond the index caps, takes the inherited
+        Invariant-2 store sweep (:meth:`skyline_sizes`) instead.
+        """
+        cells = facts.cells()
+        if cells is not None:
+            cons_seq, positions, subspaces = cells
+            counts = self.store.skyline_counts(
+                facts.record.dims,
+                [constraint.bound_mask for constraint in cons_seq],
+            )
+            if counts is not None:
+                return counts[positions, subspaces]
+        sizes = self.skyline_sizes(facts)
+        return np.fromiter(
+            (sizes[pair] for pair in facts.iter_pairs()),
+            dtype=np.int64,
+            count=len(facts),
+        )
+
     def score_facts_inplace(self, facts: FactSet, counter) -> bool:
         """Annotate the whole fact set's score columns in one pass.
 
         Context cardinalities come from the interned-key counter's bulk
         :meth:`ColumnarContextCounter.counts_for_dims` probe (one per
         mask of ``C^t``, not one per fact), skyline cardinalities from
-        the store's incremental index — and both land directly in the
+        :meth:`skyline_column` — and both land directly in the
         :class:`FactSet` columns, so no fact objects are materialised.
-        Falls back (returns False) for foreign counters, schemas beyond
-        the index cap, and unbindable dimension values.
+        Falls back (returns False) for counters without the bulk probe
+        over this algorithm's ``C^t`` skeleton, and for sets no longer
+        in cell form.
         """
-        from ..core.prominence import ColumnarContextCounter
-
-        if not isinstance(counter, ColumnarContextCounter):
+        cells = facts.cells()
+        if cells is None or getattr(counter, "masks", None) != self.masks_top_down:
             return False
-        record = facts.record
-        if UNBOUND in record.dims:
-            return False
-        index = self.store.scoring_index()
-        if index is None:  # dimensionality beyond the mask-lattice cap
-            return False
-        dims = record.dims
-        ctx_by_mask = counter.counts_for_dims(dims)
-        mask_keys = self.store.mask_keys
-        shift = self.store.score_shift
-        context_col: List[int] = []
-        skyline_col: List[int] = []
-        ctx_append = context_col.append
-        sky_append = skyline_col.append
-        key_cache: Dict[int, tuple] = {}
-        # Facts arrive subspace-major, so one packed-key base per run of
-        # equal subspaces (and one flat index probe per mask within it)
-        # covers the whole fact set.
-        last_subspace: Optional[int] = None
-        base = 0
-        tables: Dict[int, Optional[dict]] = {}
-        for constraint, subspace in facts.iter_pairs():
-            fact_mask = constraint._mask
-            ctx_append(ctx_by_mask.get(fact_mask, 0))
-            if subspace != last_subspace:
-                last_subspace = subspace
-                base = subspace << shift
-                tables = {}
-            if fact_mask in tables:
-                table = tables[fact_mask]
-            else:
-                table = tables[fact_mask] = index.get(base | fact_mask)
-            if not table:
-                sky_append(0)
-                continue
-            key = key_cache.get(fact_mask)
-            if key is None:
-                key = mask_keys[fact_mask](dims)
-                key_cache[fact_mask] = key
-            sky_append(table.get(key, 0))
-        facts.set_scores(context_col, skyline_col)
+        context = np.asarray(
+            counter.counts_for_dims(facts.record.dims), dtype=np.int64
+        )
+        facts.set_scores(context[cells[1]], self.skyline_column(facts))
         return True
-
-    def skyline_sizes(self, facts: FactSet) -> Dict[Tuple[Constraint, int], int]:
-        """``|λ_M(σ_C(R))|`` for all of ``S_t`` from the scoring index.
-
-        The columnar store maintains (lazily at first, incrementally
-        thereafter) per ``(subspace, fact mask)`` the skyline
-        cardinality of every value combination, keyed by the anchored
-        tuples' dimension values — anchor-bitset flips on insert/delete
-        keep it exact.  Scoring an arrival is then one dict probe per
-        fact, independent of history size, instead of the scalar
-        per-(tuple, anchor, supermask) sweep.
-        """
-        index = self.store.scoring_index()
-        if index is None:  # dimensionality beyond the mask-lattice cap
-            return super().skyline_sizes(facts)
-        dims = facts.record.dims
-        mask_keys = self.store.mask_keys
-        shift = self.store.score_shift
-        sizes: Dict[Tuple[Constraint, int], int] = {}
-        key_cache: Dict[int, tuple] = {}
-        for constraint, subspace in facts.iter_pairs():
-            fact_mask = constraint.bound_mask
-            table = index.get((subspace << shift) | fact_mask)
-            if not table:
-                sizes[(constraint, subspace)] = 0
-                continue
-            key = key_cache.get(fact_mask)
-            if key is None:
-                key = mask_keys[fact_mask](dims)
-                key_cache[fact_mask] = key
-            sizes[(constraint, subspace)] = table.get(key, 0)
-        return sizes

@@ -270,6 +270,19 @@ def _resolve_sink(args, schema):
     return name, make_sink(name, schema)
 
 
+def _print_event(label, facts, sink_name, sink) -> int:
+    """Render one arrival's reportable facts and write them to stdout as
+    one block (one ``print`` per event, not per fact); returns how many
+    were written."""
+    if sink_name == "json":
+        lines = [sink(fact) for fact in facts]
+    else:
+        lines = [f"[{label}] {sink(fact)}" for fact in facts]
+    if lines:
+        print("\n".join(lines))
+    return len(lines)
+
+
 def cmd_discover(args) -> int:
     from .datasets.loader import load_rows
 
@@ -285,17 +298,6 @@ def cmd_discover(args) -> int:
         # Rows validate against the input schema; facts are stated over
         # the discovery relation (identical except for aggregate specs).
         sink_name, sink = _resolve_sink(args, engine.discovery_schema)
-
-        def emit(index, facts):
-            count = 0
-            for fact in facts:
-                count += 1
-                if sink_name == "json":
-                    print(sink(fact))
-                else:
-                    print(f"[{index}] {sink(fact)}")
-            return count
-
         emitted = 0
         index = 0
         rows = load_rows(args.csv, spec.schema)
@@ -304,11 +306,13 @@ def cmd_discover(args) -> int:
             # output to row-at-a-time; see Engine.observe_many).
             for chunk in _batched(rows, args.batch):
                 for facts in engine.observe_many(chunk):
-                    emitted += emit(index, facts)
+                    emitted += _print_event(index, facts, sink_name, sink)
                     index += 1
         else:
             for row in rows:
-                emitted += emit(index, engine.observe(row))
+                emitted += _print_event(
+                    index, engine.observe(row), sink_name, sink
+                )
                 index += 1
         print(f"# {emitted} facts from {len(engine)} tuples", file=sys.stderr)
     return 0
@@ -460,12 +464,9 @@ def cmd_serve(args) -> int:
                     event = await subscription.__anext__()
                 except StopAsyncIteration:
                     break
-                for fact in event.facts:
-                    emitted += 1
-                    if sink_name == "json":
-                        print(sink(fact))
-                    else:
-                        print(f"[{event.tid}] {sink(fact)}")
+                emitted += _print_event(
+                    event.tid, event.facts, sink_name, sink
+                )
             await producer
             subscription.close()
             print(

@@ -44,6 +44,12 @@ class DiscoveryConfig:
     top_k:
         When set, :meth:`repro.core.engine.FactDiscoverer.observe`
         returns only the ``k`` most prominent facts (ties kept).
+
+    ``tau`` and ``top_k`` are alternatives, not a conjunction: with both
+    set, ``tau`` wins and ``top_k`` is ignored — the reporting policy
+    (:func:`repro.core.prominence.select_reportable`) returns the
+    *prominent facts* alone (the ties at the maximum prominence, if it
+    reaches ``τ``), however many or few they are.
     """
 
     max_bound_dims: Optional[int] = None

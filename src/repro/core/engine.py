@@ -106,7 +106,8 @@ class FactDiscoverer(EngineBase):
         )
         if self.score:
             # Vectorized algorithms annotate the fact columns in one
-            # bulk pass; everyone else goes through the generic
+            # bulk pass (svec: one index probe per mask of C^t plus one
+            # gather); everyone else goes through the generic
             # skyline_sizes + score_facts pair.
             if not self.algorithm.score_facts_inplace(
                 facts, self.context_counter

@@ -9,10 +9,14 @@ cardinalities so facts can be ranked.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .constraint import Constraint
+from .lattice import popcount
 from .record import Record
 from .schema import TableSchema
 
@@ -69,6 +73,36 @@ class SituationalFact:
         }
 
 
+def _rank_key(fact: SituationalFact):
+    """Descending prominence; facts lacking prominence last, ties broken
+    by more-general-constraint-first then smaller subspace."""
+    prominence = fact.prominence
+    return (
+        -(prominence if prominence is not None else float("-inf")),
+        fact.constraint.bound_count,
+        popcount(fact.subspace),
+    )
+
+
+def _size_column(sizes) -> np.ndarray:
+    """A cardinality column as ``int64`` (``None`` → ``-1``)."""
+    if isinstance(sizes, np.ndarray):
+        return sizes.astype(np.int64, copy=False)
+    return np.fromiter(
+        (-1 if size is None else size for size in sizes),
+        dtype=np.int64,
+        count=len(sizes),
+    )
+
+
+def _size_list(column: np.ndarray) -> List[Optional[int]]:
+    """Inverse of :func:`_size_column`, as plain Python values."""
+    sizes = column.tolist()
+    if sizes and min(sizes) < 0:
+        return [None if size < 0 else size for size in sizes]
+    return sizes
+
+
 class FactSet:
     """``S_t`` — all facts pertinent to one arriving tuple.
 
@@ -76,13 +110,20 @@ class FactSet:
     prominence (§VII).  Supports membership tests on ``(C, M)`` pairs so
     algorithm-equivalence tests can compare outputs cheaply.
 
-    Internally the set is *columnar*: parallel constraint / subspace /
-    context-size / skyline-size columns, with the
-    :class:`SituationalFact` objects materialised lazily on first
-    object-level read.  Discovery emits tens of pairs per arrival on hot
-    streams, and both raw-``S_t`` consumers (benches, the equivalence
-    oracle, ``score=False`` engines reading only :attr:`pairs`) and the
-    vectorized scoring pipeline (which annotates whole columns via
+    Internally the set is *columnar*.  The pairs are either the two
+    parallel constraint / subspace lists the scalar algorithms append
+    to, or — straight from the bitset lattice walker — its emission
+    *cells*: ``C^t`` as one constraint sequence plus integer position /
+    subspace columns, expanded into the lists only when a reader asks
+    for them.  Context / skyline cardinalities are two integer NumPy
+    columns (``-1`` = not scored).  :class:`SituationalFact` objects are
+    materialised lazily on first object-level read, and reporting
+    (:meth:`top_k`, :meth:`prominent`) picks its winners off the
+    prominence column and materialises *only those*: discovery emits
+    hundreds of pairs per arrival on hot streams of which a handful are
+    reported, and raw-``S_t`` consumers (benches, the equivalence
+    oracle, the feed fold reading :meth:`columns`) and the vectorized
+    scoring pipeline (which annotates whole columns via
     :meth:`set_scores`) never pay for objects they do not touch.
     """
 
@@ -90,6 +131,7 @@ class FactSet:
         "record",
         "_constraints",
         "_subspaces",
+        "_cells",
         "_context",
         "_skyline",
         "_facts",
@@ -100,13 +142,24 @@ class FactSet:
         self.record = record
         self._constraints: List[Constraint] = []
         self._subspaces: List[int] = []
-        self._context: Optional[List[Optional[int]]] = None
-        self._skyline: Optional[List[Optional[int]]] = None
+        #: Walker emission not yet expanded into the two lists above:
+        #: ``(cons_seq, positions, subspaces)`` — see :meth:`add_cells`.
+        self._cells: Optional[
+            Tuple[Sequence[Constraint], np.ndarray, np.ndarray]
+        ] = None
+        #: Score columns; shorter than the set while pairs added after a
+        #: scoring pass await padding (see :meth:`_pad_scores`).
+        self._context: Optional[np.ndarray] = None
+        self._skyline: Optional[np.ndarray] = None
         self._facts: Optional[List[SituationalFact]] = None
         self._pair_cache: Optional[Set[Tuple[Constraint, int]]] = None
 
+    # ------------------------------------------------------------------
+    # Building
+    # ------------------------------------------------------------------
     def add(self, fact: SituationalFact) -> None:
-        """Add an already-built fact (object identity is preserved).
+        """Add an already-built fact (object identity is preserved, and
+        whatever cardinalities it carries enter the score columns).
 
         Callers (the discovery algorithms) visit each ``(C, M)`` pair at
         most once per arrival, so no duplicate check is performed here;
@@ -114,99 +167,173 @@ class FactSet:
         measurable cost.  :attr:`pairs` deduplicates defensively.
         """
         facts = self._materialise()
+        self._expand()
         self._constraints.append(fact.constraint)
         self._subspaces.append(fact.subspace)
-        if self._context is not None:
-            self._context.append(fact.context_size)
-            self._skyline.append(fact.skyline_size)
         facts.append(fact)
         self._pair_cache = None
+        context, skyline = fact.context_size, fact.skyline_size
+        scored = context is not None or skyline is not None
+        if scored and self._context is None:
+            self._context = self._skyline = np.empty(0, dtype=np.int64)
+        if self._context is not None:
+            self._pad_scores()
+            if scored:
+                self._context[-1] = -1 if context is None else context
+                self._skyline[-1] = -1 if skyline is None else skyline
 
     def add_pair(self, constraint: Constraint, subspace: int) -> None:
-        """Convenience: add a bare ``(C, M)`` pair without prominence."""
+        """Convenience: add a bare ``(C, M)`` pair without prominence
+        (after a scoring pass the late fact reads as unscored)."""
+        if self._cells is not None:
+            self._expand()
         self._constraints.append(constraint)
         self._subspaces.append(subspace)
-        if self._context is not None:
-            # Keep score columns parallel when pairs arrive after a
-            # scoring pass (the late fact materialises unscored).
-            self._context.append(None)
-            self._skyline.append(None)
         self._pair_cache = None
 
     def add_pairs(self, constraints, subspaces) -> None:
-        """Bulk :meth:`add_pair`: extend both columns in one call (the
-        bitset lattice walker emits a whole arrival's pairs at once)."""
+        """Bulk :meth:`add_pair`: extend both columns in one call."""
+        if self._cells is not None:
+            self._expand()
         self._constraints.extend(constraints)
         self._subspaces.extend(subspaces)
-        if self._context is not None:
-            added = len(self._constraints) - len(self._context)
-            self._context.extend([None] * added)
-            self._skyline.extend([None] * added)
         self._pair_cache = None
 
-    def iter_pairs(self) -> Iterator[Tuple[Constraint, int]]:
-        """The ``(C, M)`` pairs in insertion order, *without*
-        materialising fact objects (the scoring pipelines iterate the
-        columns directly)."""
-        return zip(self._constraints, self._subspaces)
+    def add_cells(
+        self,
+        cons_seq: Sequence[Constraint],
+        positions: np.ndarray,
+        subspaces: np.ndarray,
+    ) -> None:
+        """Fill an empty set with a whole arrival's pairs in the lattice
+        walker's own form: fact ``i`` is ``(cons_seq[positions[i]],
+        subspaces[i])``, with ``cons_seq`` the constraints of ``C^t`` in
+        walk order and the two columns integer arrays.  Nothing
+        per-fact is built until a reader asks (:meth:`cells` hands the
+        form back to the bulk scorers)."""
+        if len(self):
+            raise ValueError("add_cells fills an empty fact set")
+        self._cells = (cons_seq, positions, subspaces)
+        self._pair_cache = None
 
-    def columns(self):
-        """The raw parallel columns ``(constraints, subspaces,
-        context_sizes, skyline_sizes)`` in insertion order; the score
-        columns are ``None`` on unscored sets.  Read-only — the
-        per-arrival folds (feed maintenance) walk these directly
-        instead of materialising fact objects."""
-        return self._constraints, self._subspaces, self._context, self._skyline
+    def cells(self):
+        """The ``(cons_seq, positions, subspaces)`` form of
+        :meth:`add_cells`, or ``None`` once the set has been expanded
+        into per-fact lists (or was never built from cells)."""
+        return self._cells
+
+    def _expand(self) -> None:
+        """Turn walker cells into the per-fact lists (one form at a
+        time: the cells are dropped)."""
+        cells = self._cells
+        if cells is not None:
+            cons_seq, positions, subspaces = cells
+            self._constraints = [cons_seq[i] for i in positions.tolist()]
+            self._subspaces = subspaces.tolist()
+            self._cells = None
 
     def set_scores(self, context_sizes, skyline_sizes) -> None:
-        """Attach whole score columns (parallel to insertion order).
+        """Attach whole score columns (parallel to insertion order;
+        integer arrays or sequences).
 
         The vectorized scoring path computes both cardinality columns in
         bulk; fact objects, if any were already materialised, are kept
         consistent in place.
         """
-        if len(context_sizes) != len(self._constraints) or len(
-            skyline_sizes
-        ) != len(self._constraints):
+        total = len(self)
+        if len(context_sizes) != total or len(skyline_sizes) != total:
             raise ValueError("score columns must cover every fact")
-        self._context = list(context_sizes)
-        self._skyline = list(skyline_sizes)
+        self._context = _size_column(context_sizes)
+        self._skyline = _size_column(skyline_sizes)
         if self._facts:
-            for fact, ctx, sky in zip(self._facts, self._context, self._skyline):
+            for fact, ctx, sky in zip(
+                self._facts, _size_list(self._context), _size_list(self._skyline)
+            ):
                 fact.context_size = ctx
                 fact.skyline_size = sky
+
+    def _pad_scores(self) -> None:
+        """Keep the score columns parallel when pairs arrived after a
+        scoring pass: the late facts are unscored."""
+        context = self._context
+        if context is not None:
+            missing = len(self) - context.shape[0]
+            if missing:
+                pad = np.full(missing, -1, dtype=np.int64)
+                self._context = np.concatenate((context, pad))
+                self._skyline = np.concatenate((self._skyline, pad))
+
+    # ------------------------------------------------------------------
+    # Reading
+    # ------------------------------------------------------------------
+    def iter_pairs(self) -> Iterator[Tuple[Constraint, int]]:
+        """The ``(C, M)`` pairs in insertion order, *without*
+        materialising fact objects."""
+        self._expand()
+        return zip(self._constraints, self._subspaces)
+
+    def columns(self):
+        """The parallel columns ``(constraints, subspaces,
+        context_sizes, skyline_sizes)`` as lists in insertion order; the
+        score columns are ``None`` on unscored sets.  Read-only — the
+        per-arrival folds (feed maintenance) walk these directly
+        instead of materialising fact objects."""
+        self._expand()
+        if self._context is None:
+            return self._constraints, self._subspaces, None, None
+        self._pad_scores()
+        return (
+            self._constraints,
+            self._subspaces,
+            _size_list(self._context),
+            _size_list(self._skyline),
+        )
 
     def _materialise(self) -> List[SituationalFact]:
         facts = self._facts
         if facts is None:
             facts = self._facts = []
-        start = len(facts)
-        total = len(self._constraints)
-        if start < total:
-            record = self.record
-            constraints = self._constraints
-            subspaces = self._subspaces
-            context = self._context
-            skyline = self._skyline
-            if context is None:
-                facts.extend(
-                    SituationalFact(record, constraints[i], subspaces[i])
-                    for i in range(start, total)
-                )
-            else:
-                facts.extend(
-                    SituationalFact(
-                        record,
-                        constraints[i],
-                        subspaces[i],
-                        context[i],
-                        skyline[i],
-                    )
-                    for i in range(start, total)
-                )
+        if len(facts) < len(self):
+            facts.extend(self._build(slice(len(facts), None)))
         return facts
 
+    def _build(self, at) -> List[SituationalFact]:
+        """Fresh fact objects for the facts selected by ``at`` (a slice,
+        or an ascending index array), in insertion order."""
+        record = self.record
+        cells = self._cells
+        if cells is not None:
+            cons_seq, positions, subspaces = cells
+            constraints = [cons_seq[i] for i in positions[at].tolist()]
+            subspaces = subspaces[at].tolist()
+        elif isinstance(at, slice):
+            constraints = self._constraints[at]
+            subspaces = self._subspaces[at]
+        else:
+            at = at.tolist()
+            constraints = [self._constraints[i] for i in at]
+            subspaces = [self._subspaces[i] for i in at]
+        if self._context is None:
+            return [
+                SituationalFact(record, constraint, subspace)
+                for constraint, subspace in zip(constraints, subspaces)
+            ]
+        self._pad_scores()
+        return list(
+            map(
+                SituationalFact,
+                itertools.repeat(record),
+                constraints,
+                subspaces,
+                _size_list(self._context[at]),
+                _size_list(self._skyline[at]),
+            )
+        )
+
     def __len__(self) -> int:
+        cells = self._cells
+        if cells is not None:
+            return cells[1].shape[0]
         return len(self._constraints)
 
     def __iter__(self) -> Iterator[SituationalFact]:
@@ -219,43 +346,66 @@ class FactSet:
     def pairs(self) -> Set[Tuple[Constraint, int]]:
         """The set of raw ``(C, M)`` pairs (order-free comparison form)."""
         if self._pair_cache is None:
-            self._pair_cache = set(zip(self._constraints, self._subspaces))
+            self._pair_cache = set(self.iter_pairs())
         return self._pair_cache
+
+    # ------------------------------------------------------------------
+    # Reporting (§VII): winners come off the prominence column, and only
+    # winners are materialised
+    # ------------------------------------------------------------------
+    def _prominence(self) -> np.ndarray:
+        """``|σ_C| / |λ_M(σ_C)|`` per fact as ``float64`` (bit-equal to
+        the objects' ``int / int`` below 2^53); ``-inf`` where a fact
+        lacks prominence (unscored, or an empty skyline)."""
+        prominence = np.full(len(self), -np.inf)
+        if self._context is not None:
+            self._pad_scores()
+            context, skyline = self._context, self._skyline
+            np.divide(
+                context,
+                skyline,
+                out=prominence,
+                where=(context >= 0) & (skyline > 0),
+            )
+        return prominence
+
+    def _winners(self, chosen: np.ndarray) -> List[SituationalFact]:
+        """The facts at the ascending indices ``chosen`` in insertion
+        order — the already-materialised objects when there are any
+        (identity is preserved), fresh ones for just these otherwise."""
+        if self._facts is not None or chosen.shape[0] == len(self):
+            facts = self._materialise()
+            return [facts[i] for i in chosen.tolist()]
+        return self._build(chosen)
 
     def ranked(self) -> List[SituationalFact]:
         """Facts in descending prominence; facts lacking prominence sort
         last, ties broken by more-general-constraint-first then smaller
-        subspace."""
-        return sorted(
-            self._materialise(),
-            key=lambda f: (
-                -(f.prominence if f.prominence is not None else float("-inf")),
-                f.constraint.bound_count,
-                bin(f.subspace).count("1"),
-            ),
-        )
+        subspace (then insertion order)."""
+        return sorted(self._materialise(), key=_rank_key)
 
     def prominent(self, tau: float) -> List[SituationalFact]:
         """The paper's *prominent facts*: those attaining the highest
-        prominence in ``S_t``, provided it is ``≥ τ`` (ties all kept)."""
-        scored = [f for f in self._materialise() if f.prominence is not None]
-        if not scored:
+        prominence in ``S_t``, provided it is ``≥ τ`` (ties all kept,
+        in insertion order)."""
+        prominence = self._prominence()
+        best = prominence.max(initial=-np.inf)
+        if best == -np.inf or best < tau:
             return []
-        best = max(f.prominence for f in scored)  # type: ignore[arg-type, return-value]
-        if best < tau:
-            return []
-        return [f for f in scored if f.prominence == best]
+        return self._winners(np.flatnonzero(prominence == best))
 
     def top_k(self, k: int) -> List[SituationalFact]:
-        """The ``k`` most prominent facts (ties at the cut kept)."""
-        ranked = self.ranked()
-        if len(ranked) <= k:
-            return ranked
-        cutoff = ranked[k - 1].prominence
-        out = ranked[:k]
-        for fact in ranked[k:]:
-            if fact.prominence is not None and fact.prominence == cutoff:
-                out.append(fact)
-            else:
-                break
-        return out
+        """The ``k`` most prominent facts (ties at the cut kept), in
+        :meth:`ranked` order."""
+        total = len(self)
+        if total <= k:
+            return self.ranked()
+        prominence = self._prominence()
+        cutoff = np.partition(prominence, total - k)[total - k]
+        top = sorted(
+            self._winners(np.flatnonzero(prominence >= cutoff)), key=_rank_key
+        )
+        # With fewer than k scored facts the cut falls among the
+        # unscored ones, which rank by the tie-breakers alone and whose
+        # "ties" are not kept.
+        return top if cutoff != -np.inf else top[:k]

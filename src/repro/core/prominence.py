@@ -123,13 +123,14 @@ class ColumnarContextCounter:
         self._max_bound = max_bound_dims
         cap = effective_bound_cap(n_dimensions, max_bound_dims)
         levels = masks_by_level(n_dimensions)
-        #: Allowed bound masks (the ``C^t`` skeleton under ``d̂``).
-        self._masks: Tuple[int, ...] = tuple(
+        #: Allowed bound masks (the ``C^t`` skeleton under ``d̂``), most
+        #: general first — the algorithms' ``masks_top_down`` order.
+        self.masks: Tuple[int, ...] = tuple(
             m for level in levels[: cap + 1] for m in level
         )
         self._positions: Dict[int, Tuple[int, ...]] = {
             mask: tuple(i for i in range(n_dimensions) if (mask >> i) & 1)
-            for mask in self._masks
+            for mask in self.masks
         }
         self._tables: List[Dict[object, int]] = [
             {} for _ in range(n_dimensions)
@@ -168,7 +169,7 @@ class ColumnarContextCounter:
         positions = self._positions
         if UNBOUND in dims:
             keys = []
-            for mask in self._masks:
+            for mask in self.masks:
                 eff_mask = 0
                 eff_ids = []
                 for i in positions[mask]:
@@ -179,7 +180,7 @@ class ColumnarContextCounter:
         else:
             keys = [
                 (mask, tuple(ids[i] for i in positions[mask]))
-                for mask in self._masks
+                for mask in self.masks
             ]
         if len(memo) >= 16384:
             memo.pop(next(iter(memo)))
@@ -213,7 +214,7 @@ class ColumnarContextCounter:
         )
         counts = self._counts
         block = len(records)
-        for mask in self._masks:
+        for mask in self.masks:
             positions = self._positions[mask]
             if not positions:
                 counts[(0, ())] += block
@@ -260,21 +261,19 @@ class ColumnarContextCounter:
             return False
         return not any(UNBOUND in table for table in self._tables)
 
-    def counts_for_dims(self, dims: Tuple[object, ...]) -> Dict[int, int]:
-        """``{mask: |σ_C|}`` for every allowed constraint of ``C^t``.
+    def counts_for_dims(self, dims: Tuple[object, ...]) -> List[int]:
+        """``|σ_C|`` for every allowed constraint of ``C^t``, parallel
+        to :attr:`masks`.
 
         One interning sweep plus one dict probe per mask — the columnar
         scoring path reads a whole arrival's context cardinalities here
         instead of calling :meth:`count` once per fact constraint.
-        Masks collapsing onto one constraint (unbindable values) map to
+        Masks collapsing onto one constraint (unbindable values) carry
         that constraint's count, exactly like :meth:`count` on the
         collapsed constraint.
         """
         counts = self._counts
-        return {
-            mask: counts.get(key, 0)
-            for mask, key in zip(self._masks, self._keys(dims))
-        }
+        return [counts.get(key, 0) for key in self._keys(dims)]
 
     def __len__(self) -> int:
         return len(self._counts)
@@ -313,9 +312,13 @@ def select_reportable(facts: FactSet, config: DiscoveryConfig) -> List[Situation
     """Apply the reporting policy of §VII to a scored ``S_t``.
 
     * ``tau`` set → the *prominent facts*: ties at the maximum
-      prominence, provided it reaches ``τ``;
+      prominence, provided it reaches ``τ`` (``top_k`` is then ignored:
+      with both set, ``tau`` wins);
     * ``top_k`` set → the ``k`` most prominent (ties kept);
     * neither → everything, ranked.
+
+    Winners are picked off the fact set's prominence *column*; only
+    they are materialised as :class:`SituationalFact` objects.
     """
     if config.tau is not None:
         return facts.prominent(config.tau)

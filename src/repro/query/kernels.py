@@ -57,7 +57,7 @@ class ColumnarQueryKernels:
         if store is None:
             return None
         needed = ("dims_matrix", "values_matrix", "intern_dims",
-                  "record_at", "folded_sweep", "scoring_index")
+                  "record_at", "folded_sweep", "skyline_counts")
         if not all(callable(getattr(store, name, None)) for name in needed):
             return None
         return cls(store)
@@ -196,14 +196,9 @@ class ColumnarQueryKernels:
         gate on that — a non-maintained subspace has no anchors and
         would read as empty).  ``None`` when the index is unavailable.
         """
-        store = self.store
-        if store.score_shift is None or store.mask_keys is None:
+        counts = self.store.skyline_counts(
+            constraint.values, (constraint.bound_mask,)
+        )
+        if counts is None:
             return None
-        index = store.scoring_index()
-        if index is None:
-            return None
-        table = index.get(store.score_key(subspace, constraint.bound_mask))
-        if not table:
-            return 0
-        key = store.mask_keys[constraint.bound_mask](constraint.values)
-        return int(table.get(key, 0))
+        return int(counts[0, subspace])

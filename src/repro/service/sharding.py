@@ -48,6 +48,8 @@ import itertools
 from dataclasses import asdict
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from ..core.config import DiscoveryConfig
 from ..core.constraint import Constraint, constraint_for_record
 from ..core.engine_protocol import EngineBase
@@ -403,13 +405,20 @@ class ShardedDiscoverer(EngineBase):
             ]
         else:
             self._remote_order = None
-        #: Merge rank: canonical position of each subspace key.
-        self._rank = {key: i for i, key in enumerate(keys)}
+        #: Merge rank: canonical position of each subspace key, as a
+        #: column indexed by subspace bitmask.
+        self._rank_of = np.zeros(1 << schema.n_measures, dtype=np.int64)
+        self._rank_of[keys] = np.arange(len(keys))
+        #: Position of each allowed bound mask along ``C^t`` (the
+        #: counter's skeleton is the workers' ``masks_top_down``).
+        masks = self.context_counter.masks
+        self._position_of = np.zeros(1 << schema.n_dimensions, dtype=np.int64)
+        self._position_of[list(masks)] = np.arange(len(masks))
         #: Owning worker index per maintained subspace key (query routing).
         self._shard_of = {
             key: w for w, shard in enumerate(self.shards) for key in shard
         }
-        self._cons_memo: Dict[Tuple[object, ...], Dict[int, Constraint]] = {}
+        self._cons_memo: Dict[Tuple[object, ...], Tuple[Constraint, ...]] = {}
         self._workers = self._spawn_workers()
         self._closed = False
 
@@ -547,14 +556,17 @@ class ShardedDiscoverer(EngineBase):
             )
         return records, payload
 
-    def _constraints_for(self, record: Record) -> Dict[int, Constraint]:
-        """Per-dims memo of ``mask → Constraint`` (mirrors the
-        algorithms' ``constraint_cache``, filled lazily per mask)."""
+    def _cons_seq(self, record: Record) -> Tuple[Constraint, ...]:
+        """``C^t`` in walk order, memoised per dims tuple (mirrors the
+        algorithms' ``constraint_cache``)."""
         cached = self._cons_memo.get(record.dims)
         if cached is None:
             if len(self._cons_memo) >= 16384:
                 self._cons_memo.pop(next(iter(self._cons_memo)))
-            cached = self._cons_memo[record.dims] = {}
+            cached = self._cons_memo[record.dims] = tuple(
+                constraint_for_record(record, mask)
+                for mask in self.context_counter.masks
+            )
         return cached
 
     def _merge_committed(
@@ -603,51 +615,35 @@ class ShardedDiscoverer(EngineBase):
                 weight=self._shard_weight(w),
                 queue_depth=len(self._workers[w].pending_ops()),
             )
-        rank = self._rank
-        score = self.score
+        # Each reply's flat (mask, subspace[, skyline]) columns as one
+        # integer matrix; an arrival's facts are a column slice of each.
+        columns = [
+            np.asarray(reply[1 : 3 if reply[3] is None else 4], dtype=np.int64)
+            for reply in replies
+        ]
         counter = self.context_counter
         cursors = [0] * len(replies)
         out: List[FactSet] = []
         for i, record in enumerate(records):
             counter.register(record)
-            ctx_by_mask = counter.counts_for_dims(record.dims) if score else None
-            cons = self._constraints_for(record)
-            segments = []
+            parts = []
             for w, reply in enumerate(replies):
-                counts, masks, subs, _skys, _busy = reply
                 start = cursors[w]
-                stop = start + counts[i]
-                cursors[w] = stop
-                j = start
-                while j < stop:
-                    subspace = subs[j]
-                    run_end = j + 1
-                    while run_end < stop and subs[run_end] == subspace:
-                        run_end += 1
-                    segments.append((rank[subspace], w, j, run_end))
-                    j = run_end
-            segments.sort()
+                cursors[w] = start + reply[0][i]
+                parts.append(columns[w][:, start : cursors[w]])
+            merged = np.concatenate(parts, axis=1)
+            # Stable sort by canonical subspace rank = the merge.
+            merged = merged[
+                :, np.argsort(self._rank_of[merged[1]], kind="stable")
+            ]
+            positions = self._position_of[merged[0]]
             facts = FactSet(record)
-            context_col: List[int] = []
-            skyline_col: List[int] = []
-            for _, w, start, stop in segments:
-                _counts, masks, subs, skys, _busy = replies[w]
-                subspace = subs[start]
-                run_cons = []
-                for j in range(start, stop):
-                    mask = masks[j]
-                    constraint = cons.get(mask)
-                    if constraint is None:
-                        constraint = cons[mask] = constraint_for_record(
-                            record, mask
-                        )
-                    run_cons.append(constraint)
-                    if score:
-                        context_col.append(ctx_by_mask.get(mask, 0))
-                        skyline_col.append(skys[j])
-                facts.add_pairs(run_cons, [subspace] * len(run_cons))
-            if score:
-                facts.set_scores(context_col, skyline_col)
+            facts.add_cells(self._cons_seq(record), positions, merged[1])
+            if self.score:
+                context = np.asarray(
+                    counter.counts_for_dims(record.dims), dtype=np.int64
+                )
+                facts.set_scores(context[positions], merged[2])
             out.append(facts)
         return out
 
@@ -779,7 +775,7 @@ WorkerGaveUp`): every shard is rebuilt deterministically from the
         for w in touched:
             # Keep each shard's key list in canonical order so worker
             # emission order stays a subsequence of the global rank.
-            shards[w].sort(key=self._rank.__getitem__)
+            shards[w].sort(key=self._rank_of.__getitem__)
         self.shards = shards
         self._shard_of = {
             key: w for w, shard in enumerate(shards) for key in shard

@@ -90,18 +90,14 @@ class _ShardEngine:
         skys: Optional[List[int]] = [] if self.score else None
         for row in rows:
             facts = algorithm.process(row)
-            before = len(masks)
+            # svec emits S_t as cells: positions along C^t × subspaces.
+            cons_seq, positions, subspaces = facts.cells()
+            cons_masks = [constraint.bound_mask for constraint in cons_seq]
+            masks.extend(cons_masks[i] for i in positions.tolist())
+            subs.extend(subspaces.tolist())
             if skys is not None:
-                sizes = algorithm.skyline_sizes(facts)
-                for pair in facts.iter_pairs():
-                    masks.append(pair[0].bound_mask)
-                    subs.append(pair[1])
-                    skys.append(sizes[pair])
-            else:
-                for constraint, subspace in facts.iter_pairs():
-                    masks.append(constraint.bound_mask)
-                    subs.append(subspace)
-            counts.append(len(masks) - before)
+                skys.extend(algorithm.skyline_column(facts).tolist())
+            counts.append(len(facts))
         busy = perf_counter() - start
         self.rows_applied += len(rows)
         self.busy_seconds += busy

@@ -83,19 +83,25 @@ class SkylineStore(abc.ABC):
         """
         return None
 
-    def scoring_index(self):
-        """Incremental skyline-cardinality index for prominence scoring,
-        or ``None`` when the store keeps none (the generic path).
+    def skyline_counts(self, dims, masks):
+        """Incremental skyline-cardinality index for prominence scoring:
+        ``|λ_M(σ_C)|`` for the constraints binding ``dims`` at each
+        bound mask of ``masks``, as a ``(len(masks), 2^|M|)`` integer
+        matrix with one column per measure-subspace bitmask — or
+        ``None`` when the store keeps no such index (the generic path:
+        an Invariant-2 store sweep).
 
-        When maintained (see the columnar store), the index is one flat
-        dict keyed by the packed ``(subspace, mask)`` integer (the
-        store's ``score_key``): ``index[score_key(M, m)][key]`` is
-        ``|λ_M(σ_C)|`` for the constraint binding dimension values
-        ``key`` at bound mask ``m`` — resolved by one dict lookup per
-        fact instead of an Invariant-2 store sweep.  Like
+        When maintained (see the columnar store) the index holds, per
+        bound mask, one count vector per combination of dimension
+        values at the mask's positions — a dict entry, its key tuple and
+        ``4 · 2^|M|`` bytes of counts per ``(mask, key)`` that anchors
+        at least one skyline tuple, shared by every subspace — so a
+        whole arrival is scored with one probe per mask of ``C^t``
+        instead of one per fact.  How the index is laid out is the
+        store's business; this method is its only reader.  Like
         :meth:`anchor_masks`, it is only meaningful for stores filled by
         the discovery algorithms (stored tuples satisfy their
-        constraints).  Callers must treat the index as read-only.
+        constraints).  The matrix is read-only.
         """
         return None
 

@@ -35,7 +35,7 @@ Examples
 from __future__ import annotations
 
 import sys
-from collections import defaultdict
+from array import array
 from contextlib import contextmanager
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -52,13 +52,15 @@ _INITIAL_CAPACITY = 256
 _POINTER_BYTES = 8
 
 #: The scoring index works the 2^n constraint-mask lattice: every
-#: insert/delete flips up to 2^n masks per subspace, and the index can
-#: hold one entry per (subspace, mask, value-combination).  Discovery
-#: itself already scales with 2^n per arrival, so the index is never
-#: the *first* bottleneck, but its memory footprint grows faster on
-#: high-cardinality dimensions — cap the dimensionality and fall back
-#: to the scalar Invariant-2 sweep for wider schemas.
+#: insert/delete flips up to 2^n masks per subspace, and the index
+#: holds one count vector — one ``int32`` slot per measure subspace —
+#: per (mask, value-combination).  Discovery itself already scales with
+#: 2^n per arrival, so the index is never the *first* bottleneck, but
+#: its memory footprint grows faster on high-cardinality dimensions and
+#: each vector is 2^|M| slots wide — cap both dimensionalities and fall
+#: back to the scalar Invariant-2 sweep for wider schemas.
 _MAX_INDEXED_DIMENSIONS = 8
+_MAX_INDEXED_MEASURES = 8
 
 #: The per-row anchor *bitsets* (one element per (row, subspace), bit m
 #: set iff the row is anchored at constraint mask ``m`` there) need the
@@ -226,22 +228,30 @@ class ColumnarSkylineStore(SkylineStore):
         self._bits_ok = False
         self._bits_dtype = None
         self._bit_weights = None
-        # Scoring index, flattened to one ``(subspace, mask)``-keyed
-        # level: ``(M << n) | m`` → (dimension values at ``m``'s
-        # positions → count).  Entry ``(M, m, key)`` counts the
-        # distinct tuples anchored in ``M`` at ``m`` or an ancestor of
-        # ``m`` whose dimension values at ``m``'s positions equal
-        # ``key`` — by Invariant 2 exactly ``|λ_M(σ_C)|`` for the
-        # constraint binding ``key`` at ``m``.  The packed integer key
-        # (see :meth:`score_key`) replaces the former two-level
-        # subspace → mask nesting: every flip and every probe is one
-        # dict access, and shard-restricted stores carry no per-subspace
-        # scaffolding.  Built lazily on first use, then maintained by
-        # anchor-bitset flips on every insert/delete, so prominence
-        # scoring is O(1) per fact regardless of history size.
-        self._score_index: Optional[Dict[int, Dict[tuple, int]]] = None
+        # Scoring index: ``mask → {dimension values at the mask's
+        # positions → count vector}``, the vector holding one slot per
+        # measure subspace (indexed by the subspace bitmask).  Slot
+        # ``M`` of entry ``(m, key)`` counts the distinct tuples
+        # anchored in ``M`` at ``m`` or an ancestor of ``m`` whose
+        # dimension values at ``m``'s positions equal ``key`` — by
+        # Invariant 2 exactly ``|λ_M(σ_C)|`` for the constraint binding
+        # ``key`` at ``m``.  The key of a mask is the same in every
+        # subspace, so one arrival's flips touch one entry per flipped
+        # mask and its skyline sizes are read with one probe per mask
+        # of ``C^t`` (:meth:`skyline_counts`, the only reader).  Built
+        # lazily on first use, then maintained by anchor-bitset flips on
+        # every insert/delete, so prominence scoring is independent of
+        # history size.  The vectors are ``array('i')``: a scalar bump
+        # costs what the former per-(subspace, mask) dict entry's did
+        # (demotion repair and retraction flip one slot at a time),
+        # while a whole arrival's rows still stack into one NumPy matrix
+        # without copying element by element.
+        self._score_index: Optional[Dict[int, Dict[tuple, array]]] = None
         self._up_table: Optional[Tuple[int, ...]] = None
         self._mask_keys: Optional[Tuple] = None
+        #: All-zero count vector (template for new entries, stand-in
+        #: for absent ones on reads).
+        self._no_counts: Optional[array] = None
         # Memo: flipped-bitset → tuple of fact-mask ids (flip patterns
         # repeat constantly; bounded FIFO caps adversarial streams).
         self._flip_masks: Dict[int, Tuple[int, ...]] = {}
@@ -266,8 +276,12 @@ class ColumnarSkylineStore(SkylineStore):
         self._dims = np.empty((cap, n_dimensions), dtype=np.int32)
         self._bits_dtype = lattice_bitset_dtype(n_dimensions)
         self._bits_ok = self._bits_dtype is not None
-        if n_dimensions <= _MAX_INDEXED_DIMENSIONS:
+        if (
+            n_dimensions <= _MAX_INDEXED_DIMENSIONS
+            and n_measures <= _MAX_INDEXED_MEASURES
+        ):
             self._up_table = supermask_closure_table(n_dimensions)
+            self._no_counts = array("i", [0]) * (1 << n_measures)
             self._mask_keys = tuple(
                 _key_builder(
                     tuple(j for j in range(n_dimensions) if (mask >> j) & 1)
@@ -622,7 +636,7 @@ class ColumnarSkylineStore(SkylineStore):
             self._total += 1
             self.counters.stored_tuples = self._total
             anchors = self._anchors.setdefault((record.tid, subspace), set())
-            if self._score_index is not None and self._up_table is not None:
+            if self._score_index is not None:
                 up_table = self._up_table
                 old_up = 0
                 for mask in anchors:
@@ -664,7 +678,7 @@ class ColumnarSkylineStore(SkylineStore):
             masks = self._anchors.get(key)
             if masks is not None:
                 masks.discard(constraint.bound_mask)
-                if self._score_index is not None and self._up_table is not None:
+                if self._score_index is not None:
                     up_table = self._up_table
                     new_up = 0
                     for mask in masks:
@@ -691,84 +705,103 @@ class ColumnarSkylineStore(SkylineStore):
         return masks
 
     def _score_bump(
-        self, subspace: int, dims: Tuple[object, ...], flipped: int, delta: int
+        self,
+        subspace: int,
+        dims: Tuple[object, ...],
+        flipped: int,
+        delta: int,
+        vectors: Optional[Dict[int, array]] = None,
     ) -> None:
         """Apply an anchor-bitset flip to the scoring index: each set bit
         of ``flipped`` is a fact mask whose ``|λ_M(σ_C)|`` gains or
-        loses this tuple."""
+        loses this tuple in ``subspace``.
+
+        ``vectors`` memoises the tuple's count vector per mask: a
+        grouped insert passes one dict across all its subspaces, so the
+        key is built and the table probed once per flipped mask rather
+        than once per (subspace, mask)."""
         index = self._score_index
-        base = subspace << self._n_dimensions
         keys = self._mask_keys
         if delta > 0:
+            if vectors is None:
+                vectors = {}
             for fact_mask in self._flipped_masks(flipped):
-                table = index.get(base | fact_mask)
-                if table is None:
-                    table = index[base | fact_mask] = defaultdict(int)
-                table[keys[fact_mask](dims)] += delta
+                vector = vectors.get(fact_mask)
+                if vector is None:
+                    table = index.get(fact_mask)
+                    if table is None:
+                        table = index[fact_mask] = {}
+                    key = keys[fact_mask](dims)
+                    vector = table.get(key)
+                    if vector is None:
+                        vector = table[key] = self._no_counts[:]
+                    vectors[fact_mask] = vector
+                vector[subspace] += delta
             return
         for fact_mask in self._flipped_masks(flipped):
             # Decrements always target an existing entry (the tuple was
             # counted when its anchor covered this mask); skip instead
-            # of materialising empty tables if the invariant is ever
+            # of materialising empty vectors if the invariant is ever
             # violated.
-            table = index.get(base | fact_mask)
+            table = index.get(fact_mask)
             if table is None:
                 continue
             key = keys[fact_mask](dims)
-            count = table.get(key, 0) + delta
-            if count <= 0:
-                table.pop(key, None)
+            vector = table.get(key)
+            if vector is None:
+                continue
+            count = vector[subspace] + delta
+            if count > 0:
+                vector[subspace] = count
             else:
-                table[key] = count
+                vector[subspace] = 0
+                if not any(vector):
+                    del table[key]
 
-    def scoring_index(self):
-        """The live skyline-cardinality index, building it on first use.
+    def skyline_counts(
+        self, dims: Tuple[object, ...], masks
+    ) -> Optional[np.ndarray]:
+        """``|λ_M(σ_C)|`` for the constraints binding ``dims`` at each
+        bound mask of ``masks``, in every subspace at once.
 
-        ``index[self.score_key(M, m)][key]`` is ``|λ_M(σ_C)|`` for the
-        constraint binding dimension values ``key`` at mask ``m``'s
-        positions — the count of distinct tuples anchored in ``M`` at
-        ``m`` or an ancestor whose dims match ``key`` (Invariant 2).
-        The index is one flat dict keyed by the packed ``(subspace,
-        mask)`` integer, so a probe is a single access.  ``None`` when
-        the store cannot maintain it (dimensionality beyond the mask
-        -lattice cap).  Unscored ingestion never pays for it: the build
-        happens on the first scoring call, after which every
-        insert/delete keeps it current via bitset flips.  Read-only.
+        Returns a read-only ``(len(masks), 2^|M|)`` integer matrix —
+        row ``i`` belongs to ``masks[i]`` (positions of ``dims`` outside
+        the mask are ignored), column ``M`` to the measure subspace with
+        bitmask ``M`` — or ``None`` when the store keeps no index
+        (layout not known yet, or dimensionality / measure count beyond
+        the caps).  One probe per mask: a whole arrival's skyline sizes
+        are this call on ``C^t``'s masks plus one gather.  Valid for
+        subspaces whose stores were filled by the discovery algorithms
+        (stored tuples satisfy their constraints); a subspace nobody
+        maintains reads 0.
+
+        The index behind it is built on the first call — unscored
+        ingestion never pays for it — after which every insert/delete
+        keeps it current via bitset flips.
         """
-        if self._n_dimensions is not None and self._up_table is None:
+        keys = self._mask_keys
+        if keys is None:
             return None
         index = self._score_index
         if index is None:
             index = self._score_index = {}
             up_table = self._up_table
-            if up_table is not None:
-                row_of = self._row_of
-                records = self._records
-                for (tid, subspace), masks in self._anchors.items():
-                    up = 0
-                    for mask in masks:
-                        up |= up_table[mask]
-                    self._score_bump(
-                        subspace, records[row_of[tid]].dims, up, 1
-                    )
-        return index
-
-    @property
-    def mask_keys(self) -> Optional[Tuple]:
-        """``mask → (dims → key-tuple)`` builders for the scoring-index
-        keys (``None`` before the layout is known)."""
-        return self._mask_keys
-
-    @property
-    def score_shift(self) -> Optional[int]:
-        """Bit width of the fact-mask field inside a packed scoring-index
-        key — callers probing one subspace many times precompute
-        ``subspace << score_shift`` once and OR masks in."""
-        return self._n_dimensions
-
-    def score_key(self, subspace: int, fact_mask: int) -> int:
-        """The flat scoring-index key for ``(subspace, fact_mask)``."""
-        return (subspace << self._n_dimensions) | fact_mask
+            row_of = self._row_of
+            records = self._records
+            for (tid, subspace), anchors in self._anchors.items():
+                up = 0
+                for mask in anchors:
+                    up |= up_table[mask]
+                self._score_bump(subspace, records[row_of[tid]].dims, up, 1)
+        absent = self._no_counts
+        rows = []
+        for mask in masks:
+            table = index.get(mask)
+            vector = table.get(keys[mask](dims)) if table else None
+            rows.append(absent if vector is None else vector)
+        return np.frombuffer(b"".join(rows), dtype=np.intc).reshape(
+            len(masks), len(absent)
+        )
 
     _NO_ANCHORS: frozenset = frozenset()
 
@@ -842,8 +875,11 @@ class ColumnarSkylineStore(SkylineStore):
         # picks these anchors up at the next fold; the sync below only
         # fires on the (defensive) re-anchor-of-an-old-row case.
         sweep = self._sweep
-        score = self._score_index is not None and self._up_table is not None
+        score = self._score_index is not None
         up_table = self._up_table
+        # The arrival's count vector per flipped mask, shared by all its
+        # subspaces (see _score_bump).
+        vectors: Dict[int, array] = {}
         added = 0
         last_subspace: Optional[int] = None
         anchors: Optional[set] = None
@@ -867,7 +903,9 @@ class ColumnarSkylineStore(SkylineStore):
                 # grouped inserts, so one merged bump (and one merged
                 # bitset write) per subspace lands the same state.
                 if pending_flips:
-                    self._score_bump(last_subspace, dims, pending_flips, 1)
+                    self._score_bump(
+                        last_subspace, dims, pending_flips, 1, vectors
+                    )
                     pending_flips = 0
                 if pending_bits:
                     if sweep is not None and row < sweep.watermark:
@@ -898,7 +936,7 @@ class ColumnarSkylineStore(SkylineStore):
             if bits_ok:
                 pending_bits |= 1 << mask
         if pending_flips:
-            self._score_bump(last_subspace, dims, pending_flips, 1)
+            self._score_bump(last_subspace, dims, pending_flips, 1, vectors)
         if pending_bits:
             if sweep is not None and row < sweep.watermark:
                 old = int(bits[row])
@@ -943,7 +981,7 @@ class ColumnarSkylineStore(SkylineStore):
         anchors = self._anchors.get(key)
         if anchors is None:
             anchors = self._anchors[key] = set()
-        score = self._score_index is not None and self._up_table is not None
+        score = self._score_index is not None
         up_table = self._up_table
         old_up = 0
         if score:
@@ -1036,6 +1074,7 @@ class ColumnarSkylineStore(SkylineStore):
         self._score_index = None
         self._up_table = None
         self._mask_keys = None
+        self._no_counts = None
         self._flip_masks = {}
         self._total = 0
         self._sweep = None

@@ -170,6 +170,24 @@ class TestServe:
         assert "facts from 35 tuples" in err
         assert len(doc["rows"]) == 35 and doc["journal_seq"] == 35
 
+    @pytest.mark.parametrize("render", [[], ["--json"]], ids=["text", "json"])
+    def test_serve_csv_stdout_is_discovers_stdout(self, nba_csv, capsys, render):
+        """The preload printer and ``discover`` write one block per
+        event; both must stay byte-for-byte the per-fact lines (the
+        e2e benchmark reads history facts off ``serve``'s stdout)."""
+        flags = ["-d", DIMS, "-m", MEAS, "--dhat", "2", "--mhat", "2",
+                 "--top-k", "3", "--algorithm", "svec", *render]
+        assert main(["discover", nba_csv, *flags]) == 0
+        discovered = capsys.readouterr()
+        assert main(["serve", nba_csv, *flags]) == 0
+        served = capsys.readouterr()
+        assert served.out == discovered.out
+        lines = served.out.splitlines()
+        assert len(lines) >= 3 * 40 and all(lines)  # ≥ k facts per event
+        if not render:
+            assert lines[0].startswith("[0] ") and lines[-1].startswith("[39] ")
+        assert "facts from 40 tuples" in served.err
+
     def test_durability_flags_need_a_checkpoint_path(self, capsys):
         rc = main(["serve", "-d", DIMS, "-m", MEAS, "--journal-dir", "wal"])
         assert rc == 2

@@ -652,12 +652,15 @@ class TestPlacement:
         engine = ShardedDiscoverer(SCHEMA, n_workers=2, mode="serial")
         try:
             engine.facts_for_many(make_rows(20, seed=15))
-            engine.placement.observe(
-                0, 1000, 0.1, weight=engine._shard_weight(0)
-            )
-            engine.placement.observe(
-                1, 1000, 5.0, weight=engine._shard_weight(1)
-            )
+            # Repeated, so the EWMA forgets the one real (host-timed)
+            # chunk above: a stall there must not decide the plan.
+            for _ in range(12):
+                engine.placement.observe(
+                    0, 1000, 0.1, weight=engine._shard_weight(0)
+                )
+                engine.placement.observe(
+                    1, 1000, 5.0, weight=engine._shard_weight(1)
+                )
             before = [list(shard) for shard in engine.shards]
             moves = engine.rebalance(apply=True)
             assert moves  # planned...

@@ -318,18 +318,32 @@ class TestAnchorBitsets:
             vec.retract(tid)
         self._assert_bits_match_anchors(vec.store)
 
-    def test_insert_new_many_equals_insert_sequence(self):
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)],
+                             ids=["subspace-grouped", "interleaved"])
+    def test_insert_new_many_equals_insert_sequence(self, order):
         record = rec(0)
         pairs = [
             (Constraint(("a", None)), 0b11),
             (Constraint((None, "x")), 0b11),
             (Constraint(("a", None)), 0b01),
         ]
+        pairs = [pairs[i] for i in order]
         grouped = ColumnarSkylineStore()
-        grouped.insert_new_many(record, pairs)
         sequential = ColumnarSkylineStore()
+        for store in (grouped, sequential):
+            store.register(record)
+            store.skyline_counts(record.dims, ())  # activate flip maintenance
+        grouped.insert_new_many(record, pairs)
         for constraint, subspace in pairs:
             sequential.insert(constraint, subspace, record)
+        masks = range(4)
+        assert (
+            grouped.skyline_counts(record.dims, masks).tolist()
+            == sequential.skyline_counts(record.dims, masks).tolist()
+        )
+        assert grouped.skyline_counts(record.dims, masks)[:, [0b11, 0b01]].tolist() == [
+            [0, 0], [1, 1], [1, 0], [1, 1],
+        ]
         assert {
             key: {r.tid for r in records}
             for key, records in grouped.iter_pairs()
@@ -354,7 +368,7 @@ class TestAnchorBitsets:
         def build():
             store = ColumnarSkylineStore()
             store.insert(top, 0b11, record)
-            store.scoring_index()  # activate flip maintenance
+            store.skyline_counts(record.dims, ())  # activate flip maintenance
             return store
 
         netted = build()
@@ -372,5 +386,16 @@ class TestAnchorBitsets:
             for key, records in sequential.iter_pairs()
         }
         assert netted.anchor_masks(7, 0b11) == sequential.anchor_masks(7, 0b11)
-        assert netted._score_index == sequential._score_index
+        # The index layout is the store's business: compare through the
+        # public probe, over every (subspace, mask, key) — the record's
+        # own dims and a combination no stored tuple carries.
+        masks = range(1 << len(record.dims))
+        for dims in (record.dims, ("b", "y"), ("a", "y")):
+            assert (
+                netted.skyline_counts(dims, masks).tolist()
+                == sequential.skyline_counts(dims, masks).tolist()
+            )
+        assert netted.skyline_counts(record.dims, masks)[:, 0b11].tolist() == [
+            0, 1, 1, 1,
+        ]
         assert netted.stored_tuple_count() == sequential.stored_tuple_count()

@@ -286,6 +286,80 @@ class TestBatchQueryConformance:
 
 
 # ----------------------------------------------------------------------
+# Columnar scoring and selection on the benchmark's two stream shapes
+# ----------------------------------------------------------------------
+class TestColumnarScoringStreams:
+    """``svec`` scores and selects in columns (per-mask count vectors,
+    cell-form fact sets, winners-only materialisation).  On wide streams
+    with interleaved deletes, a sliding window and None-dimension rows
+    (the scalar fallback pass), the single engine, scalar ``stopdown``
+    and the process-sharded pool must agree on every fact in emission
+    order, both cardinalities, the reportable selection in its order,
+    and the op counters."""
+
+    WINDOW = 24
+
+    @staticmethod
+    def scenario(n_dims, n_measures, distribution, n):
+        from repro.datasets.synthetic import synthetic_rows, synthetic_schema
+
+        rows = synthetic_rows(
+            n, n_dims, n_measures, distribution=distribution,
+            cardinalities=[3] * n_dims, seed=11,
+        )
+        for i, row in enumerate(rows):
+            if i % 5 == 3:  # unbindable values → svec's scalar pass
+                row[f"d{i % n_dims}"] = None
+        return synthetic_schema(n_dims, n_measures), rows
+
+    def run(self, spec, rows):
+        """Per arrival: (full S_t keys, reportable keys); plus the
+        final counters.  Every 6th arrival deletes a mid-window tid."""
+        from repro.core.prominence import select_reportable
+
+        out = []
+        live = []
+        with open_engine(spec) as engine:
+            for i, row in enumerate(rows):
+                if len(live) >= self.WINDOW:
+                    live.pop(0)
+                facts = engine.facts_for(row)
+                live.append(facts.record.tid)
+                out.append((
+                    [fact_key(f) for f in facts],
+                    [fact_key(f) for f in select_reportable(facts, spec.config)],
+                ))
+                if i % 6 == 5:
+                    engine.delete(live.pop(len(live) // 2))
+            return out, engine.counters.snapshot()
+
+    @pytest.mark.parametrize("policy", [{"top_k": 5}, {"tau": 2.0}])
+    @pytest.mark.parametrize(
+        "shape", [(5, 5, "independent", 40), (4, 4, "anticorrelated", 60)],
+        ids=["d5m5-independent", "d4m4-anticorrelated"],
+    )
+    def test_svec_stopdown_and_process_shards_agree(self, shape, policy):
+        schema, rows = self.scenario(*shape)
+        config = DiscoveryConfig(**policy)
+        runs = {}
+        for name, algorithm, sharding in (
+            ("stopdown", "stopdown", None),
+            ("svec", "svec", None),
+            ("sharded", "svec", ShardingSpec(2, "process")),
+        ):
+            spec = EngineSpec(
+                schema, algorithm, config, sharding=sharding,
+                window=self.WINDOW,
+            )
+            runs[name] = self.run(spec, rows)
+        assert runs["svec"] == runs["stopdown"]
+        assert runs["sharded"] == runs["stopdown"]
+        facts, reported = zip(*runs["svec"][0])
+        assert max(map(len, facts)) >= (500 if shape[0] == 5 else 100)
+        assert any(0 < len(r) < len(f) for f, r in zip(facts, reported))
+
+
+# ----------------------------------------------------------------------
 # Middleware semantics (windowed / aggregate)
 # ----------------------------------------------------------------------
 class TestWindowedSemantics:

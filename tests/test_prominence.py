@@ -1,6 +1,8 @@
 """Tests for prominence scoring, context counting, and fact ranking."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     Constraint,
@@ -200,3 +202,195 @@ class TestFactSetColumns:
         assert facts[1] is pre_scored
         assert facts[1].prominence == 2.0
         assert len(fs) == 2
+
+
+# ----------------------------------------------------------------------
+# Columnar selection ≡ the object implementation it replaced
+# ----------------------------------------------------------------------
+def _object_key(f):
+    return (
+        -(f.prominence if f.prominence is not None else float("-inf")),
+        f.constraint.bound_count,
+        bin(f.subspace).count("1"),
+    )
+
+
+def object_ranked(facts):
+    """The pre-columnar ``FactSet.ranked``: sort every fact object."""
+    return sorted(facts, key=_object_key)
+
+
+def object_prominent(facts, tau):
+    """The pre-columnar ``FactSet.prominent``."""
+    scored = [f for f in facts if f.prominence is not None]
+    if not scored:
+        return []
+    best = max(f.prominence for f in scored)
+    if best < tau:
+        return []
+    return [f for f in scored if f.prominence == best]
+
+
+def object_top_k(facts, k):
+    """The pre-columnar ``FactSet.top_k``."""
+    ranked = object_ranked(facts)
+    if len(ranked) <= k:
+        return ranked
+    cutoff = ranked[k - 1].prominence
+    out = ranked[:k]
+    for fact in ranked[k:]:
+        if fact.prominence is not None and fact.prominence == cutoff:
+            out.append(fact)
+        else:
+            break
+    return out
+
+
+def object_select(facts, config):
+    """The pre-columnar ``select_reportable``."""
+    if config.tau is not None:
+        return object_prominent(facts, config.tau)
+    if config.top_k is not None:
+        return object_top_k(facts, config.top_k)
+    return object_ranked(facts)
+
+
+DIM_VALUES = ("a", "b", "c")
+#: C^t of the record below, in walk order (⊤ first).
+CONS_SEQ = tuple(
+    Constraint(tuple(v if (mask >> i) & 1 else None for i, v in enumerate(DIM_VALUES)))
+    for mask in (0, 1, 2, 4, 3, 5, 6, 7)
+)
+RECORD3 = Record(0, DIM_VALUES, (1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
+
+#: Small cardinalities so prominences collide (ties at every cut);
+#: skyline size 0 / None mean "no prominence".
+cell_strategy = st.tuples(
+    st.integers(min_value=0, max_value=7),   # position along CONS_SEQ
+    st.integers(min_value=1, max_value=7),   # subspace
+    st.sampled_from([0, 1, 2, 3, 4, 6, 12]),  # context size
+    st.sampled_from([0, 0, 1, 2, 3, 4]),     # skyline size
+)
+
+BUILDERS = ("pairs", "cells", "objects", "unscored", "late-pair", "zero-sky")
+
+
+def build_fact_set(builder, cells):
+    """One ``S_t`` over ``cells`` via each construction path; returns
+    the set and the reference objects (same order, same scores)."""
+    import numpy as np
+
+    fs = FactSet(RECORD3)
+    constraints = [CONS_SEQ[p] for p, _, _, _ in cells]
+    subspaces = [s for _, s, _, _ in cells]
+    context = [c for _, _, c, _ in cells]
+    skyline = [k for _, _, _, k in cells]
+    if builder == "zero-sky":
+        skyline = [0] * len(cells)
+    if builder in ("pairs", "late-pair", "zero-sky"):
+        fs.add_pairs(constraints, subspaces)
+        fs.set_scores(context, skyline)
+    elif builder == "cells":
+        fs.add_cells(
+            CONS_SEQ,
+            np.asarray([p for p, _, _, _ in cells], dtype=np.int64),
+            np.asarray(subspaces, dtype=np.int64),
+        )
+        fs.set_scores(np.asarray(context), np.asarray(skyline, dtype=np.intc))
+    elif builder == "unscored":
+        for constraint, subspace in zip(constraints, subspaces):
+            fs.add_pair(constraint, subspace)
+        context = skyline = [None] * len(cells)
+    reference = [
+        SituationalFact(RECORD3, *row)
+        for row in zip(constraints, subspaces, context, skyline)
+    ]
+    if builder == "objects":
+        for fact in reference:
+            fs.add(fact)
+    if builder == "late-pair":
+        # A pair arriving after the scoring pass reads as unscored.
+        fs.add_pair(CONS_SEQ[3], 0b101)
+        reference.append(SituationalFact(RECORD3, CONS_SEQ[3], 0b101))
+    return fs, reference
+
+
+class TestColumnarSelectionMatchesObjects:
+    @pytest.mark.parametrize("builder", BUILDERS)
+    @settings(max_examples=60, deadline=None)
+    @given(cells=st.lists(cell_strategy, min_size=0, max_size=24))
+    def test_top_k_tau_grid(self, builder, cells):
+        for top_k in (None, 1, 2, 5, 24, 40):
+            for tau in (None, 1.0, 2.0, 3.0, 6.0, 1e9):
+                config = DiscoveryConfig(tau=tau, top_k=top_k)
+                fs, reference = build_fact_set(builder, cells)
+                assert select_reportable(fs, config) == object_select(
+                    reference, config
+                )
+        fs, reference = build_fact_set(builder, cells)
+        assert fs.ranked() == object_ranked(reference)
+        assert list(fs) == reference
+        assert len(fs) == len(reference)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cells=st.lists(cell_strategy, min_size=1, max_size=24),
+        k=st.integers(min_value=1, max_value=30),
+    )
+    def test_added_objects_are_the_ones_returned(self, cells, k):
+        fs, reference = build_fact_set("objects", cells)
+        for got in (fs.top_k(k), fs.prominent(1.0), fs.ranked()):
+            assert all(
+                any(fact is added for added in reference) for fact in got
+            )
+
+    def test_selection_after_iteration_returns_the_iterated_objects(self):
+        fs, _ = build_fact_set("cells", [(0, 1, 6, 1), (1, 1, 6, 2), (2, 3, 4, 4)])
+        seen = list(fs)
+        assert fs.top_k(1)[0] is seen[0]
+        assert fs.prominent(1.0)[0] is seen[0]
+
+    def test_tau_wins_over_top_k(self):
+        """With both set, ``select_reportable`` applies τ alone."""
+        fs, _ = build_fact_set("pairs", [(0, 1, 6, 1), (1, 1, 6, 2), (2, 3, 4, 4)])
+        both = select_reportable(fs, DiscoveryConfig(tau=2.0, top_k=2))
+        assert [f.prominence for f in both] == [6.0]
+        assert both == select_reportable(fs, DiscoveryConfig(tau=2.0))
+        assert len(select_reportable(fs, DiscoveryConfig(top_k=2))) == 2
+
+
+class TestOnlyWinnersAreMaterialised:
+    """The deterministic de-vectorisation guard: count the fact objects
+    the scored columnar path constructs."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = [0]
+        init = SituationalFact.__init__
+
+        def spy(self, *args, **kwargs):
+            count[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SituationalFact, "__init__", spy)
+        return count
+
+    def test_top_k_on_a_wide_set_builds_only_what_it_returns(self, built):
+        from repro import FactDiscoverer
+        from repro.datasets.synthetic import synthetic_rows, synthetic_schema
+
+        config = DiscoveryConfig(top_k=5)
+        engine = FactDiscoverer(
+            synthetic_schema(5, 5), algorithm="svec", config=config
+        )
+        rows = synthetic_rows(256, 5, 5, distribution="independent")
+        fact_sets = engine.facts_for_many(rows)
+        assert built[0] == 0  # a whole batch discovered and scored: none
+        wide = [fs for fs in fact_sets if len(fs) >= 500]
+        assert wide
+        for fs in wide[-20:]:  # late arrivals: few ties at the cut
+            before = built[0]
+            reported = select_reportable(fs, config)
+            assert 5 <= len(reported) < len(fs) // 4
+            assert built[0] - before <= len(reported)
+        assert all(fs.cells() is not None for fs in fact_sets)
