@@ -3,7 +3,7 @@
 Not a paper figure — the paper evaluates two real datasets only.  The
 skyline literature's standard knob is measure correlation: correlated
 data has tiny skylines, anti-correlated data huge ones.  That knob
-stresses exactly the design choices DESIGN.md calls out:
+stresses exactly the paper's two design choices:
 
 * Invariant-1 storage (BottomUp) grows with skyline size — the
   bottom-up/top-down storage ratio should widen on anti-correlated data;

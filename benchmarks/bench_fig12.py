@@ -13,7 +13,7 @@ from conftest import run_figure
 def test_fig12a_varying_n(benchmark, bench_scale):
     fig = run_figure(benchmark, figure12a, bench_scale)
     # At laptop scale the OS page cache absorbs most steady-state I/O,
-    # so wall-clock per window is noisy (see EXPERIMENTS.md).  The
+    # so wall-clock per window is noisy.  The
     # paper's mechanism — FSTopDown touches far fewer files — is
     # asserted on the I/O counters, which are deterministic.
     from repro import DiscoveryConfig

@@ -208,7 +208,7 @@ def stage_split(d, m, distribution, n, repeats=3):
     its CSV history); the fastest of ``repeats`` runs.
 
     ``walk`` is ``_discover`` minus the two store-mutation stages it
-    calls (``insert`` = ``insert_new_many`` with its scoring-index
+    calls (``insert`` = ``anchor_arrival`` with its scoring-index
     flips, ``repair`` = ``_flush_repairs`` with its one-slot bumps);
     ``score`` is ``score_facts_inplace``, ``select`` is
     ``select_reportable`` over every fact set of the batch.
@@ -235,12 +235,12 @@ def stage_split(d, m, distribution, n, repeats=3):
         algorithm = engine.algorithm
         spent = dict.fromkeys(
             ("_discover", "_flush_repairs", "score_facts_inplace",
-             "insert_new_many", "select"),
+             "anchor_arrival", "select"),
             0.0,
         )
         for name in ("_discover", "_flush_repairs", "score_facts_inplace"):
             timed(algorithm, name, spent)
-        timed(algorithm.store, "insert_new_many", spent)
+        timed(algorithm.store, "anchor_arrival", spent)
         gc.collect()
         start = time.perf_counter()
         for lo in range(0, n, 256):
@@ -252,9 +252,9 @@ def stage_split(d, m, distribution, n, repeats=3):
         total = time.perf_counter() - start
         split = {
             "walk": spent["_discover"]
-            - spent["insert_new_many"]
+            - spent["anchor_arrival"]
             - spent["_flush_repairs"],
-            "insert": spent["insert_new_many"],
+            "insert": spent["anchor_arrival"],
             "repair": spent["_flush_repairs"],
             "score": spent["score_facts_inplace"],
             "select": spent["select"],

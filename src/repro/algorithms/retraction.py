@@ -121,25 +121,23 @@ def retract_top_down_columnar(
     """Columnar :func:`retract_top_down` over a ``ColumnarSkylineStore``.
 
     Same repair, answered from the columns instead of full-table
-    scans: the removed tuple's anchors come straight off the per-row
-    anchor bitsets, candidate re-entrants are the rows the removed
-    tuple dominated (one dominance sweep over the measure columns,
-    shared by every subspace), and per affected mask the "is the
-    candidate back in the skyline?" check runs as a batched comparison
-    against the context rows only.  Re-anchoring replays
-    :func:`_anchor_if_maximal` with bitset arithmetic — "ancestor
-    already anchored?" / "which descendant anchors are shadowed?" are
-    single ANDs against the submask / supermask closure tables.
+    scans: the removed tuple's anchors are its cells of the store's
+    anchor-bit matrix (cleared in one write per subspace), candidate
+    re-entrants are the rows the removed tuple dominated (one dominance
+    sweep over the measure columns, shared by every subspace), and per
+    affected mask the "is the candidate back in the skyline?" check
+    runs as a batched comparison against the context rows only.
+    Re-anchoring replays :func:`_anchor_if_maximal` with bitset
+    arithmetic — "ancestor already anchored?" / "which descendant
+    anchors are shadowed?" are single ANDs of the candidate's cell
+    against the submask / supermask closure tables.
 
-    Returns False — leaving the store untouched — when the store cannot
-    support the columnar path (no anchor bitsets, or the removed tuple
-    carries an unbindable dimension value, which collapses its anchor
-    masks); the caller then falls back to the scalar repair.
+    Returns False — leaving the store untouched — when the removed
+    tuple carries an unbindable dimension value (which collapses its
+    anchor masks) or is not registered; the caller then falls back to
+    the scalar repair.
     """
     if UNBOUND in removed.dims:
-        return False
-    anchor_bits = getattr(store, "anchor_bits", None)
-    if anchor_bits is None or not getattr(store, "anchor_bits_supported", False):
         return False
     row_u = store.row_of(removed.tid)
     if row_u is None:
@@ -155,22 +153,12 @@ def retract_top_down_columnar(
     lt, gt, agree = store.partition_bitmasks(removed)
     alive = np.ones(n, dtype=bool)
     alive[row_u] = False
-    record_at = store.record_at
     for subspace in subspaces:
-        bits = anchor_bits(subspace, n)
-        ab_u = int(bits[row_u]) if bits is not None else 0
+        ab_u = store.anchor_cell(subspace, row_u)
         if not ab_u:
             continue
         # Remove the tuple from its anchors first (scalar order).
-        remaining = ab_u
-        while remaining:
-            bit = remaining & -remaining
-            remaining ^= bit
-            store.delete(
-                constraint_for_record(removed, bit.bit_length() - 1),
-                subspace,
-                removed,
-            )
+        store.set_anchor_cell(subspace, row_u, 0)
         # Only tuples the removed one dominated there can re-enter.
         dominated_by_u = ((gt & subspace) != 0) & ((lt & subspace) == 0) & alive
         if not bool(dominated_by_u.any()):
@@ -194,7 +182,6 @@ def retract_top_down_columnar(
             if candidates.size == 0:
                 continue
             context_values = values[np.nonzero(in_context)[0]][:, positions]
-            constraint = constraint_for_record(removed, mask)
             for r in candidates.tolist():
                 candidate_values = values[r, positions]
                 ge_all = (context_values >= candidate_values).all(axis=1)
@@ -202,40 +189,27 @@ def retract_top_down_columnar(
                 if bool((ge_all & gt_any).any()):
                     continue  # still dominated in this context
                 _reanchor_if_maximal_bits(
-                    store, record_at(r), r, constraint, mask, subspace,
-                    closure, up,
+                    store, r, mask, subspace, closure, up
                 )
     return True
 
 
 def _reanchor_if_maximal_bits(
     store,
-    record: Record,
     row: int,
-    constraint: Constraint,
     mask: int,
     subspace: int,
     closure: Sequence[int],
     up: Sequence[int],
 ) -> None:
-    """Bitset replay of :func:`_anchor_if_maximal`: the record's anchor
-    bitset answers both the ancestor-cover check and the shadowed
-    -descendant sweep in one AND each."""
-    bits = store.anchor_bits(subspace, row + 1)
-    anchored = int(bits[row]) if bits is not None else 0
+    """Bitset replay of :func:`_anchor_if_maximal`: the row's anchor
+    cell answers the ancestor-cover check with one AND and sheds the
+    shadowed descendants with another, in one cell write."""
+    anchored = store.anchor_cell(subspace, row)
     self_bit = 1 << mask
     if anchored & closure[mask] & ~self_bit:
         return  # a more general anchor covers this constraint
-    shadowed = anchored & up[mask] & ~self_bit
-    while shadowed:
-        bit = shadowed & -shadowed
-        shadowed ^= bit
-        store.delete(
-            constraint_for_record(record, bit.bit_length() - 1),
-            subspace,
-            record,
-        )
-    store.insert(constraint, subspace, record)
+    store.set_anchor_cell(subspace, row, anchored & ~up[mask] | self_bit)
 
 
 def _anchor_if_maximal(

@@ -10,7 +10,12 @@ materialised stores and output semantics:
 * the whole history lives column-wise in a
   :class:`~repro.storage.columnar_store.ColumnarSkylineStore`, so the
   per-arrival ``(M<, M>, agreement)`` partition against **every**
-  historical tuple is three NumPy matrix expressions;
+  historical tuple is three NumPy matrix expressions — and so does
+  ``µ``: the store's anchor-bit matrix (bit ``m`` of cell
+  ``(subspace, row)`` ⇔ the row is stored there under its constraint
+  with bound mask ``m``) is the only record of membership, so this
+  algorithm talks to its store in masks and bitsets, never in
+  ``Constraint`` objects;
 * the Prop. 4 pruned matrix is assembled for every subspace at once
   from the vectorized dominator set, OR-ing submask closures over the
   *distinct* agreement masks only (at most ``2^n`` of them, however
@@ -19,16 +24,20 @@ materialised stores and output semantics:
   per-subspace pruned bitsets form a ``(subspaces × constraints)``
   visit/survive matrix, fact emission and maximal-constraint promotion
   are batched matrix reductions, ``µ`` bucket occupancy along ``C^t``
-  is answered per stored row with one AND of its anchor bitset against
-  the agreement submask closure (so the comparison counters and the
-  demotion candidates come out of popcounts, not bucket loops), and
-  store mutations go through grouped
-  :meth:`ColumnarSkylineStore.insert_new_many` / batched demotion
-  repair.  The walk is output-equivalent to scalar ``stopdown`` —
-  facts, Invariant-2 store contents, *and* operation counters.
-  Arrivals carrying an unbindable (None) dimension value, and schemas
-  beyond the anchor-bitset dimensionality cap, take the scalar
-  per-visit pass instead (same outputs, Python speed);
+  is one slice of the anchor-bit matrix ANDed with the agreement
+  submask closure (so the comparison counters and the demotion
+  candidates come out of popcounts, not bucket loops), the arrival's
+  promotion at its maximal constraints is one row write
+  (:meth:`ColumnarSkylineStore.anchor_arrival`) and each demotion a bit
+  move inside one cell (:meth:`_flush_repairs` →
+  :meth:`ColumnarSkylineStore.set_anchor_cell`).  The walk is
+  output-equivalent to scalar ``stopdown`` — facts, Invariant-2 store
+  contents, *and* operation counters.  Arrivals carrying an unbindable
+  (None) dimension value, and schemas beyond the walker's
+  dimensionality cap (one bitset element per lattice), take the scalar
+  per-visit pass instead — same outputs, Python speed, its buckets
+  along ``C^t`` read off the same matrix
+  (:meth:`ColumnarSkylineStore.buckets_along`);
 * the walk splits the history at the store's sweep-index watermark
   ``w``: rows ``[0, w)`` are answered from the index's packed bitsets
   (O(m·log n) rank lookups plus a few words per cell), rows ``[w, n)``
@@ -47,9 +56,9 @@ materialised stores and output semantics:
   per-fact list or fact object;
 * retraction repair is columnar too (see
   :func:`~repro.algorithms.retraction.retract_top_down_columnar`):
-  re-anchor candidates come from the anchor-bitset reverse index and
-  one dominance sweep over the columns, instead of per-mask skyline
-  recomputation from the full table.
+  the victim's cells are cleared, re-anchor candidates come from one
+  dominance sweep over the columns and re-enter with one cell write
+  each, instead of per-mask skyline recomputation from the full table.
 
 Why precomputing the pruned matrix is sound: STopDown's node passes
 already rely on the root-pass bits being *exact* — a constraint survives
@@ -63,8 +72,8 @@ Why the walker's bucket arithmetic is exact: a stored row ``r`` sits in
 the walk's bucket at ``(C^t_m, M)`` iff ``r`` is anchored in ``M`` at a
 constraint with bound mask ``m`` *and* ``r`` agrees with the arrival on
 every position of ``m`` (the anchor's values then coincide with
-``C^t_m``'s).  With per-row anchor bitsets that membership is
-``anchor_bits[r] & closure[agree[r]]`` — one gather and one AND for the
+``C^t_m``'s).  With the anchor-bit matrix that membership is
+``cells[M, r] & closure[agree[r]]`` — one gather and one AND for the
 whole history.
 """
 
@@ -75,7 +84,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.config import DiscoveryConfig
-from ..core.constraint import UNBOUND, Constraint, bindable_positions
+from ..core.constraint import UNBOUND, bindable_positions
 from ..core.facts import FactSet
 from ..core.lattice import popcount_array
 from ..core.record import Record
@@ -169,8 +178,8 @@ class SVectorized(STopDown):
         #: demoted tuple already anchored above this candidate child?"
         #: becomes one AND against the anchor-mask bitset.
         self._anc_tbl: Dict[int, Tuple[int, ...]] = {}
-        #: Bitset-matrix walker tables (anchor bitsets need 2^n ≤ 64;
-        #: same dtype rule as the store's anchor-bit columns).
+        #: Bitset-matrix walker tables (the whole 2^n lattice in one
+        #: non-negative integer element: n ≤ 5).
         bitset_dtype = lattice_bitset_dtype(schema.n_dimensions)
         self._walker_ok = bitset_dtype is not None
         if self._walker_ok:
@@ -204,6 +213,9 @@ class SVectorized(STopDown):
             self._mask_weights = 1 << np.arange(
                 1 << schema.n_dimensions, dtype=np.int64
             )
+            #: The same weights in walk order: a boolean row over the
+            #: walked masks folds into one anchor bitset.
+            self._order_weights = self._mask_weights[self._masks_arr]
             self._keys_index = np.asarray(self._subspace_keys, dtype=np.int64)
 
     def maintained_subspaces(self):
@@ -226,9 +238,10 @@ class SVectorized(STopDown):
         self.store.reserve(extra)
 
     def _repair_after_retract(self, record: Record) -> None:
-        # Invariant-2 repair first (columnar when the store supports it,
-        # scalar otherwise), then drop the row from the columns — the
-        # sweep must no longer see the retracted tuple.
+        # Invariant-2 repair first (columnar unless the tuple carries an
+        # unbindable dimension value — scalar then), then drop the row
+        # from the columns — the sweep must no longer see the retracted
+        # tuple.
         from .retraction import retract_top_down, retract_top_down_columnar
 
         if not retract_top_down_columnar(
@@ -293,11 +306,7 @@ class SVectorized(STopDown):
         its facts, store state or op counters.
         """
         store = self.store
-        if (
-            not self._walker_ok
-            or UNBOUND in record.dims
-            or (store.n_rows and not store.anchor_bits_supported)
-        ):
+        if not self._walker_ok or UNBOUND in record.dims:
             return self._discover_scalar_passes(record)
         facts = FactSet(record)
         constraints = self.constraint_cache(record)
@@ -439,39 +448,30 @@ class SVectorized(STopDown):
                             (position, base_row + bit.bit_length() - 1)
                         )
         if delta:
-            # All subspaces are answered by one stacked matrix of the
-            # per-row anchor bitsets.
-            anchor_bits = store.anchor_bits
-            met_mat = np.zeros((n_keys, delta), dtype=self._bitset_dtype)
-            occupied = False
-            for k in range(n_keys):
-                bits = anchor_bits(keys[k], n)
-                if bits is not None:
-                    met_mat[k] = bits[w:n]
-                    occupied = True
-            if occupied:
-                met_mat &= closure_of_agree[None, :]
-                met_mat &= visited[:, None]
-                comparisons += int(popcount_array(met_mat).sum())
-                # Demotion candidates: cells whose bucket bitset meets a
-                # row the arrival dominates there.  Both masks are dense
-                # on their own; only their conjunction is sparse — one
-                # flat boolean AND + flatnonzero (an order of magnitude
-                # faster than 2-D nonzero) finds the handful of hits.
-                met_flat = met_mat.reshape(-1)
-                hits = np.flatnonzero(
-                    (met_flat != 0) & demote_mat.reshape(-1)
-                )
-                for index in hits.tolist():
-                    k, r = divmod(index, delta)
-                    remaining = int(met_flat[index])
-                    pairs = repairs_by_key[k]
-                    while remaining:
-                        bit = remaining & -remaining
-                        remaining ^= bit
-                        pairs.append(
-                            (int(order[bit.bit_length() - 1]), w + r)
-                        )
+            # All subspaces are answered by one slice of the store's
+            # anchor-bit matrix (one word per cell on the walker's
+            # dimensionalities).
+            met_mat = store.anchor_cells(keys)[:, w:n, 0].astype(
+                self._bitset_dtype
+            )
+            met_mat &= closure_of_agree[None, :]
+            met_mat &= visited[:, None]
+            comparisons += int(popcount_array(met_mat).sum())
+            # Demotion candidates: cells whose bucket bitset meets a
+            # row the arrival dominates there.  Both masks are dense
+            # on their own; only their conjunction is sparse — one
+            # flat boolean AND + flatnonzero (an order of magnitude
+            # faster than 2-D nonzero) finds the handful of hits.
+            met_flat = met_mat.reshape(-1)
+            hits = np.flatnonzero((met_flat != 0) & demote_mat.reshape(-1))
+            for index in hits.tolist():
+                k, r = divmod(index, delta)
+                remaining = int(met_flat[index])
+                pairs = repairs_by_key[k]
+                while remaining:
+                    bit = remaining & -remaining
+                    remaining ^= bit
+                    pairs.append((int(order[bit.bit_length() - 1]), w + r))
         self.counters.comparisons += comparisons
 
         # Maximal-constraint promotion (Invariant 2): insert where the
@@ -481,14 +481,13 @@ class SVectorized(STopDown):
             (pruned_vec[:, None] & self._parent_bits[None, :])
             == self._parent_bits[None, :]
         )
-        mk, mc = np.nonzero(maximal)
-        if mk.size:
-            store.insert_new_many(
+        anchors = (maximal @ self._order_weights).tolist()
+        anchored = [k for k, bits in enumerate(anchors) if bits]
+        if anchored:
+            store.anchor_arrival(
                 record,
-                [
-                    (cons_seq[i], keys[k])
-                    for k, i in zip(mk.tolist(), mc.tolist())
-                ],
+                [keys[k] for k in anchored],
+                [anchors[k] for k in anchored],
             )
 
         # Demotion repair, batched per subspace in pass order (identical
@@ -509,14 +508,12 @@ class SVectorized(STopDown):
                     ).tolist(),
                 )
             )
+            masks = self.masks_top_down
             for k, pairs in enumerate(repairs_by_key):
                 if pairs:
                     pairs.sort()
                     self._flush_repairs(
-                        record,
-                        keys[k],
-                        [(r, cons_seq[oi]) for oi, r in pairs],
-                        agree_of,
+                        keys[k], [(r, masks[oi]) for oi, r in pairs], agree_of
                     )
         return facts
 
@@ -571,7 +568,7 @@ class SVectorized(STopDown):
 
     # ------------------------------------------------------------------
     # Discovery — scalar per-visit passes (fallback: unbindable arrival
-    # dimension values, or schemas beyond the anchor-bitset cap)
+    # dimension values, or schemas beyond the walker's bitset cap)
     # ------------------------------------------------------------------
     def _discover_scalar_passes(self, record: Record) -> FactSet:
         facts = FactSet(record)
@@ -585,8 +582,13 @@ class SVectorized(STopDown):
         # Subspace keys, full space (the sharing substrate) first.
         keys = self._subspace_keys
         pruned: Dict[int, int] = dict.fromkeys(keys, 0)
-        has_demote = dict.fromkeys(keys, False)
-        lt_list = gt_list = agree_list = None
+        # Per key, the µ buckets along C^t as they stand before this
+        # arrival: their sizes by bound mask, and — by bound mask — the
+        # member rows the arrival dominates there (the demotions).
+        n_masks = 1 << self.schema.n_dimensions
+        sizes = [[0] * n_masks for _ in keys]
+        demotable: List[Dict[int, List[int]]] = [{} for _ in keys]
+        agree = None
 
         if n:
             lt, gt, agree = store.partition_bitmasks(record)
@@ -594,7 +596,19 @@ class SVectorized(STopDown):
             lt_hit = (lt & keys_col) != 0
             gt_hit = (gt & keys_col) != 0
             dominated = lt_hit & ~gt_hit
-            demotable_any = (gt_hit & ~lt_hit).any(axis=1)
+            ks, rows, masks = store.buckets_along(keys, agree)
+            sizes = (
+                np.bincount(ks * n_masks + masks, minlength=len(keys) * n_masks)
+                .reshape(len(keys), n_masks)
+                .tolist()
+            )
+            demoted = (gt_hit & ~lt_hit)[ks, rows]
+            for k, row, mask in zip(
+                ks[demoted].tolist(),
+                rows[demoted].tolist(),
+                masks[demoted].tolist(),
+            ):
+                demotable[k].setdefault(mask, []).append(row)
             # Distinct agreement masks bound the per-key closure loop at
             # 2^n regardless of history length.  One bool matmul against
             # a one-hot agreement matrix yields, per key, exactly which
@@ -611,7 +625,6 @@ class SVectorized(STopDown):
                 one_hot[self._arange[:n], agree] = True
                 present = dominated @ one_hot
             for k, subspace in enumerate(keys):
-                has_demote[subspace] = bool(demotable_any[k])
                 if present is not None:
                     agree_masks = np.nonzero(present[k])[0].tolist()
                 else:
@@ -625,14 +638,6 @@ class SVectorized(STopDown):
                     if bits & allowed_bits == allowed_bits:
                         break
                 pruned[subspace] = bits
-            # Plain-int views for the O(1) per-bucket-row demotion test
-            # in the lattice passes (scalar indexing into numpy arrays
-            # is an order of magnitude slower).  The agreement view
-            # feeds the batched demotion repair (candidate children are
-            # exactly the free disagreeing positions).
-            lt_list = lt.tolist()
-            gt_list = gt.tolist()
-            agree_list = agree.tolist()
 
         # C^t as a flat sequence, zipped against masks in every pass.
         cons_seq = tuple(constraints[m] for m in self.masks_top_down)
@@ -645,17 +650,16 @@ class SVectorized(STopDown):
         # second scan sees the first repair's deletions.
         defer_repairs = UNBOUND not in record.dims
         emitted: Tuple[List[int], List[int]] = ([], [])
-        for subspace in keys:
+        for k, subspace in enumerate(keys):
             self._lattice_pass(
                 record,
                 subspace,
                 emitted,
                 pruned[subspace],
                 cons_seq,
-                lt_list,
-                gt_list,
-                agree_list,
-                has_demote[subspace],
+                sizes[k],
+                demotable[k],
+                agree,
                 is_root=subspace == full,
                 defer_repairs=defer_repairs,
             )
@@ -676,34 +680,36 @@ class SVectorized(STopDown):
         emitted: Tuple[List[int], List[int]],
         pruned_bits: int,
         cons_seq,
-        lt_list,
-        gt_list,
-        agree_list,
-        has_demote: bool,
+        sizes: List[int],
+        demotable: Dict[int, List[int]],
+        agree,
         is_root: bool,
         defer_repairs: bool = True,
     ) -> None:
         """One top-down sweep of ``C^t`` in ``subspace``.
 
         Facts are appended to ``emitted`` as (position along
-        ``cons_seq``, subspace) column pairs.
-        ``lt_list``/``gt_list`` are the per-row partition bitmasks of the
-        arrival sweep (``None`` for an empty history); a stored row is
-        demoted iff the new tuple dominates it there — ``gt`` hits the
-        subspace, ``lt`` misses it.  ``has_demote`` is the sweep's
-        verdict on whether *any* row qualifies, letting demote-free
-        arrivals (the common case) skip every bucket scan.  Demotions
-        are collected and repaired in one batch after the sweep (see
-        :meth:`_flush_repairs`) — safe because a repair only deletes
-        from the just-visited bucket and re-anchors at children outside
-        ``C^t``, neither of which a later visit of this pass reads —
-        unless ``defer_repairs`` is off (degenerate ``C^t`` with
-        duplicate constraints).  The root pass visits every constraint
-        (counting and demoting like STopDownRoot); node passes skip
-        pruned ones.  Pruning is tested on the *collapsed canonical
-        mask* (``mask & bindable``) so duplicate raw masks share their
-        constraint's pruning state (the unbindable-value fix shared
-        with scalar topdown/stopdown).  Counter conventions match
+        ``cons_seq``, subspace) column pairs.  ``sizes[m]`` is the size
+        of the subspace's ``µ`` bucket at ``C^t``'s constraint with
+        bound mask ``m`` as it stood before this arrival, and
+        ``demotable[m]`` its member rows the new tuple dominates there
+        (both read off the store's anchor-bit matrix and the arrival
+        sweep by :meth:`_discover_scalar_passes`).  Demotions are
+        collected and repaired in one batch after the sweep (see
+        :meth:`_flush_repairs`, which takes the sweep's agreement column
+        ``agree``) — safe because a repair only deletes from the
+        just-visited bucket and re-anchors at children outside ``C^t``,
+        neither of which a later visit of this pass reads — unless
+        ``defer_repairs`` is off (degenerate ``C^t`` with duplicate
+        constraints: the bucket is then visited once per duplicate, and
+        ``sizes`` is kept current — repaired rows leave, the arrival's
+        own anchor joins — so the later visits count what scalar
+        stopdown's per-visit read would).  The root pass visits every
+        constraint (counting and demoting like STopDownRoot); node
+        passes skip pruned ones.  Pruning is tested on the *collapsed
+        canonical mask* (``mask & bindable``) so duplicate raw masks
+        share their constraint's pruning state (the unbindable-value fix
+        shared with scalar topdown/stopdown).  Counter conventions match
         scalar STopDown exactly — see :mod:`repro.metrics.counters`.
         """
         store = self.store
@@ -712,7 +718,6 @@ class SVectorized(STopDown):
         record_at = store.record_at
         allowed_mask = self.allowed_mask
         report = not is_root or self.config.allows_subspace(subspace)
-        submap = store.submap(subspace)
         insert = store.insert
         emit_position = emitted[0].append
         emit_subspace = emitted[1].append
@@ -720,58 +725,30 @@ class SVectorized(STopDown):
         comparisons = 0
         traversed = 0
         repairs = []
-        # Rows at or beyond the sweep length are this very arrival
-        # (met again only when two C^t masks yield *equal* constraints,
-        # e.g. a None dimension value): a self-comparison, never a
-        # demotion — exactly like the scalar pass.
-        swept = len(lt_list) if lt_list is not None else 0
         for position, (mask, constraint) in enumerate(
             zip(self.masks_top_down, cons_seq)
         ):
-            shifted = pruned_bits >> (mask & bindable)
+            canonical = mask & bindable
+            shifted = pruned_bits >> canonical
             if not is_root and shifted & 1:
                 continue
             traversed += 1
-            if submap is None:
-                # The subspace may gain its first bucket mid-pass (this
-                # very arrival's ⊤ insert); re-probe until it exists so
-                # collapsed duplicate masks meet the arrival exactly
-                # like scalar stopdown's per-visit store.get does.
-                submap = store.submap(subspace)
-            bucket = submap.get(constraint) if submap else None
-            if not bucket and not defer_repairs:
-                # Inline repairs may delete a pass-start bucket empty —
-                # the store then drops it (and possibly the whole space
-                # dict), so a later insert recreates fresh objects the
-                # snapshot cannot see.  Re-fetch to match the scalar
-                # per-visit store.get semantics.
-                submap = store.submap(subspace)
-                bucket = submap.get(constraint) if submap else None
-            if bucket:
-                comparisons += len(bucket)
-                if has_demote:
-                    # Snapshot before repairing: repair deletes from
-                    # this very bucket.
-                    demoted = [
-                        r
-                        for r in bucket.values()
-                        if r < swept
-                        and gt_list[r] & subspace
-                        and not lt_list[r] & subspace
-                    ]
-                    if defer_repairs:
-                        for row in demoted:
-                            repairs.append((row, constraint))
-                    else:
-                        for row in demoted:
-                            repair_demoted_tuple(
-                                store,
-                                record,
-                                record_at(row),
-                                constraint,
-                                subspace,
-                                allowed_mask,
-                            )
+            comparisons += sizes[canonical]
+            demoted = demotable.pop(canonical, None)
+            if demoted:
+                if defer_repairs:
+                    repairs.extend((row, canonical) for row in demoted)
+                else:
+                    for row in demoted:
+                        repair_demoted_tuple(
+                            store,
+                            record,
+                            record_at(row),
+                            constraint,
+                            subspace,
+                            allowed_mask,
+                        )
+                    sizes[canonical] -= len(demoted)
             if not shifted & 1:
                 if report:
                     emit_position(position)
@@ -782,15 +759,17 @@ class SVectorized(STopDown):
                 # a parent collapsing onto the (surviving) constraint
                 # itself, so only the canonical visit anchors.
                 if pruned_bits:
-                    if all(
+                    maximal = all(
                         (pruned_bits >> (p & bindable)) & 1
                         for p in parents[mask]
-                    ):
-                        insert(constraint, subspace, record)
-                elif not mask:
+                    )
+                else:
+                    maximal = not mask
+                if maximal:
                     insert(constraint, subspace, record)
+                    sizes[canonical] += 1
         if repairs:
-            self._flush_repairs(record, subspace, repairs, agree_list)
+            self._flush_repairs(subspace, repairs, agree)
         counters.comparisons += comparisons
         counters.traversed_constraints += traversed
 
@@ -805,18 +784,20 @@ class SVectorized(STopDown):
         self._anc_tbl[child] = row
         return row
 
-    def _flush_repairs(self, record, subspace, repairs, agree_of) -> None:
-        """Procedure *Dominates* (Alg. 5) for a whole pass's demotions.
+    def _flush_repairs(self, subspace, repairs, agree_of) -> None:
+        """Procedure *Dominates* (Alg. 5) for a whole pass's demotions,
+        as bit moves inside the demoted rows' anchor cells.
 
-        Batched counterpart of :func:`repair_demoted_tuple`: the sweep's
-        agreement bitmask (``agree_of[row]`` — any row-indexable holding
-        at least the repair rows) already answers the per-attribute "do
-        the two tuples disagree here?" probes, so the candidate children
-        of each ``(row, constraint)`` pair are the set bits of one
-        integer, and "ancestor already anchored?" is one AND of the
-        row's anchor-mask bitset against a memoised ancestor table.
-        Processing stays in collection order with live anchor updates,
-        so the resulting store state is identical to the inline scalar
+        Batched counterpart of :func:`repair_demoted_tuple` over
+        ``(row, bound mask)`` pairs: the sweep's agreement bitmask
+        (``agree_of[row]`` — any row-indexable holding at least the
+        repair rows) already answers the per-attribute "do the two
+        tuples disagree here?" probes, so the candidate children of
+        each pair are the set bits of one integer, and "ancestor already
+        anchored?" is one AND of the row's anchor cell against a
+        memoised ancestor table — no child ``Constraint`` is built.
+        Processing stays in collection order against the live cells, so
+        the resulting store state is identical to the inline scalar
         repairs.
         """
         store = self.store
@@ -824,24 +805,11 @@ class SVectorized(STopDown):
         universe = self.dim_universe
         anc_tbl = self._anc_tbl
         record_at = store.record_at
-        anchor_masks = store.anchor_masks
-        reanchor = store.reanchor_demoted
-        bits = store.anchor_bits(subspace, store.n_rows)
-        for row, constraint in repairs:
-            demoted = record_at(row)
-            mask = constraint.bound_mask
+        for row, mask in repairs:
+            anchors = store.anchor_cell(subspace, row) & ~(1 << mask)
             cand = ~mask & ~int(agree_of[row]) & universe
-            children = []
             if cand:
-                if bits is not None:
-                    ab = int(bits[row]) & ~(1 << mask)
-                else:
-                    ab = 0
-                    for a in anchor_masks(demoted.tid, subspace):
-                        if a != mask:
-                            ab |= 1 << a
-                dims = demoted.dims
-                cvalues = constraint.values
+                dims = record_at(row).dims
                 while cand:
                     bit = cand & -cand
                     cand ^= bit
@@ -856,15 +824,10 @@ class SVectorized(STopDown):
                     tbl = anc_tbl.get(child)
                     if tbl is None:
                         tbl = self._make_anc_row(child)
-                    if ab & tbl[j]:
+                    if anchors & tbl[j]:
                         continue
-                    child_values = list(cvalues)
-                    child_values[j] = dims[j]
-                    children.append(
-                        Constraint.from_values_mask(tuple(child_values), child)
-                    )
-                    ab |= 1 << child
-            reanchor(subspace, demoted, row, constraint, children)
+                    anchors |= 1 << child
+            store.set_anchor_cell(subspace, row, anchors)
 
     # ------------------------------------------------------------------
     # Prominence: columnar skyline_sizes and bulk score annotation

@@ -202,6 +202,8 @@ class FactDiscoverer(EngineBase):
         """Operational metrics snapshot (JSON-able)."""
         out = super().stats()
         out["algorithm"] = self.algorithm.name
+        if hasattr(self.algorithm, "store"):
+            out["store_bytes"] = self.algorithm.approx_bytes()
         return out
 
     def __repr__(self) -> str:

@@ -7,8 +7,7 @@ so this module generates a deterministic synthetic stream with the same
 (hundreds of players, 30 teams, ~50 colleges, ~35 states, 13 seasons,
 7 months, 5 positions) and skewed, position-correlated stat lines.
 Skyline/lattice behaviour depends only on these shape properties, so the
-substitution preserves the phenomena the experiments measure (see
-DESIGN.md §2).
+substitution preserves the phenomena the experiments measure.
 
 Dimension/measure subsets for the paper's ``d``/``m`` sweeps (Tables V
 and VI) are exposed via :func:`dimension_space` and

@@ -1,5 +1,5 @@
 """Synthetic UK weather-forecast generator (substitute for the Met Office
-archive the paper streams, see DESIGN.md §2).
+archive the paper streams).
 
 Shape matches the paper's description: 7 dimension attributes
 (location, country, month, time step, day/night wind direction,

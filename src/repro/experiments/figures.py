@@ -5,8 +5,8 @@ tables mirror the plotted series.
 Default workload sizes are scaled down for pure Python (see the harness
 module docstring); pass ``scale > 1`` to enlarge.  The paper's parameter
 defaults — ``d=5, m=7, d̂=4, m̂=m`` for §VI and ``d̂=3, m̂=3, τ`` sweeps
-for §VII — are kept wherever runtime permits, and noted otherwise in
-EXPERIMENTS.md.
+for §VII — are kept wherever runtime permits, and noted otherwise at
+the figure function that departs from them.
 """
 
 from __future__ import annotations
@@ -245,7 +245,7 @@ def figure11b(scale: float = 1.0, d: int = 5, m: int = 5) -> FigureResult:
 def figure12a(scale: float = 1.0, d: int = 5, m: int = 4) -> FigureResult:
     # d=5 as in the paper: at d=4 the scaled-down workload has so few
     # non-empty pairs that the file-I/O asymmetry the figure is about
-    # does not dominate (see EXPERIMENTS.md).
+    # does not dominate.
     n = int(120 * scale)
     rows = nba_rows(n, d=d, m=m)
     series = sweep_vary_n(

@@ -127,7 +127,12 @@ class ContextualQueryEngine:
         self, constraint: Constraint, subspace: int
     ) -> List[Record]:
         """Invariant 2 reconstruction: a skyline tuple of ``(C, M)`` is
-        anchored at ``C`` or one of its ancestors and satisfies ``C``."""
+        anchored at ``C`` or one of its ancestors and satisfies ``C`` —
+        one selection and one anchor test over a columnar store, one
+        bucket read per ancestor otherwise."""
+        kernels = self._kernels()
+        if kernels is not None:
+            return kernels.maintained_skyline(constraint, subspace)
         store = self.algorithm.store
         seen = {}
         mask = constraint.bound_mask

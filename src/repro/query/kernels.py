@@ -14,6 +14,11 @@ reads over any algorithm that registers its full history into a
 * **k-skyband** — dominance *counting* as chunked NumPy broadcast
   reductions over the selected measure rows instead of the scalar
   ``dominates`` pair loop;
+* **maintained skyline** — Invariant 2's reconstruction as one
+  anchor-closure test on the store's anchor-bit matrix intersected with
+  the selection (a skyline tuple of ``(C, M)`` satisfies ``C`` and is
+  anchored at ``C`` or an ancestor), instead of one bucket read per
+  ancestor;
 * **skyline size** — one probe of the PR-2 scoring index
   (``|λ_M(σ_C)|`` per Invariant 2) for maintained subspaces, so the
   planner prices queries without materialising anything.
@@ -57,7 +62,8 @@ class ColumnarQueryKernels:
         if store is None:
             return None
         needed = ("dims_matrix", "values_matrix", "intern_dims",
-                  "record_at", "folded_sweep", "skyline_counts")
+                  "record_at", "folded_sweep", "skyline_counts",
+                  "skyline_rows")
         if not all(callable(getattr(store, name, None)) for name in needed):
             return None
         return cls(store)
@@ -152,6 +158,15 @@ class ColumnarQueryKernels:
         records = [self.store.record_at(r) for r in keep]
         records.sort(key=lambda record: record.tid)
         return records
+
+    def maintained_skyline(
+        self, constraint: Constraint, subspace: int
+    ) -> List[Record]:
+        """``λ_M(σ_C)`` of a maintained pair off the anchors (Invariant
+        2): the context rows anchored in ``subspace`` at ``C`` or one of
+        its ancestors, in arrival order."""
+        rows = self.store.skyline_rows(constraint, subspace)
+        return [self.store.record_at(r) for r in rows.tolist()]
 
     def has_dominator(
         self, record: Record, constraint: Constraint, subspace: int

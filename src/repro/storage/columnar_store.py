@@ -7,14 +7,25 @@ stores the *data* once, column-wise —
 * one interned ``int32`` column per dimension attribute,
 * one ``float64`` column per measure attribute,
 
-— and keeps per-``(C, M)`` membership as row-index sets.  Vectorized
-algorithms (:class:`~repro.algorithms.s_vectorized.SVectorized`) then
-answer "does anything stored at ``(C, M)`` dominate ``t``?" with one
-NumPy gather over the membership rows instead of a Python loop, while
-the full :class:`~repro.storage.base.SkylineStore` interface stays
-intact for the scalar algorithms, the retraction repair and the query
-engine (``get`` returns the original ``Record`` objects, which the store
-retains by reference alongside the columns).
+— and the *membership* once, as one **anchor-bit matrix**: a
+``(subspace slot, row, word)`` array of ``uint32`` words in which bit
+``m`` of cell ``(M, r)`` says "row ``r`` is stored in subspace ``M``
+under the constraint binding its own dimension values at the positions
+of bound mask ``m``".  A tuple is only ever stored under constraints it
+satisfies (the discovery algorithms' invariant, enforced by
+:meth:`ColumnarSkylineStore.insert`), so the mask identifies the
+constraint and the matrix *is* ``µ`` — there is no per-pair bucket and
+no per-tuple anchor set beside it.  The ``2^|D|`` masks of a cell span
+``2^|D| / 32`` words (one up to five dimensions), so every
+dimensionality has the same representation.
+
+The scalar :class:`~repro.storage.base.SkylineStore` surface is answered
+from those cells plus the dimension columns (``get`` returns the
+original ``Record`` objects, retained by reference), vectorized
+algorithms (:class:`~repro.algorithms.s_vectorized.SVectorized`) read
+and write the cells as masks and bitsets, and the skyline-cardinality
+index and the sweep index's anchor planes are fed from the before/after
+words of the one cell write.
 
 The column layout is inferred lazily from the first registered record,
 so ``ColumnarSkylineStore()`` is a drop-in replacement for
@@ -30,6 +41,8 @@ Examples
 [0]
 >>> store.n_rows, store.stored_tuple_count()
 (1, 1)
+>>> store.anchor_cell(0b1, 0)
+2
 """
 
 from __future__ import annotations
@@ -42,14 +55,17 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.constraint import Constraint
-from ..core.lattice import supermask_closure_table
+from ..core.constraint import Constraint, constraint_for_record
+from ..core.lattice import (
+    popcount,
+    submask_closure_table,
+    supermask_closure_table,
+)
 from ..core.record import Record
 from .base import PairKey, SkylineStore
 from .sweep_index import SweepIndex
 
 _INITIAL_CAPACITY = 256
-_POINTER_BYTES = 8
 
 #: The scoring index works the 2^n constraint-mask lattice: every
 #: insert/delete flips up to 2^n masks per subspace, and the index
@@ -62,23 +78,28 @@ _POINTER_BYTES = 8
 _MAX_INDEXED_DIMENSIONS = 8
 _MAX_INDEXED_MEASURES = 8
 
-#: The per-row anchor *bitsets* (one element per (row, subspace), bit m
-#: set iff the row is anchored at constraint mask ``m`` there) need the
-#: whole 2^n mask lattice to fit a non-negative integer element, so
-#: they are maintained only up to 5 dimension attributes (2^5 = 32
-#: bits).  Up to 4 dimensions the 16-bit lattice fits ``int32`` — half
-#: the sweep bandwidth; 5 dimensions take ``int64``.  Wider schemas
-#: keep the set-based reverse index; the bitset lattice walker falls
-#: back to the scalar pass.
+#: The bitset lattice *walker* and the sweep index's per-mask anchor
+#: planes need the whole 2^n mask lattice in one non-negative integer
+#: element, so they run up to 5 dimension attributes (2^5 = 32 bits).
+#: Up to 4 dimensions the 16-bit lattice fits ``int32`` — half the
+#: sweep bandwidth; 5 dimensions take ``int64``.  The store's anchor-bit
+#: matrix itself has no such cap (wider lattices take more words per
+#: cell); wider schemas only leave the walker for the scalar pass.
 _MAX_BITSET_DIMENSIONS = 5
 
 
 def lattice_bitset_dtype(n_dimensions: int):
-    """Smallest safe NumPy dtype for bitsets over the ``2^n`` constraint
-    -mask lattice (``None`` beyond the maintained cap)."""
+    """Smallest safe NumPy dtype for single-element bitsets over the
+    ``2^n`` constraint-mask lattice (``None`` beyond the walker cap)."""
     if n_dimensions > _MAX_BITSET_DIMENSIONS:
         return None
     return np.int32 if n_dimensions <= 4 else np.int64
+
+
+#: One word of an anchor-bit cell: 32 constraint masks, little-endian so
+#: a cell's bytes read as one Python integer on any platform.
+_WORD = np.dtype("<u4")
+_WORD_BITS = 32
 
 #: Deferred-compaction policy for tombstoned rows: compact once more
 #: than this many rows are dead *and* they outnumber a quarter of the
@@ -101,30 +122,6 @@ def _key_builder(positions: Tuple[int, ...]):
         j = positions[0]
         return lambda dims: (dims[j],)
     return itemgetter(*positions)
-
-
-def grow_zeroed_1d(array: np.ndarray, min_rows: int) -> np.ndarray:
-    """Grow a 1-D array geometrically, zero-filling the new region.
-
-    Anchor-bitset columns need their unused tail zeroed (a row with no
-    anchors must read as the empty bitset), unlike the measure columns
-    where every row is written before it is read.
-
-    >>> grow_zeroed_1d(np.ones(2, dtype=np.int64), 5).tolist()
-    [1, 1, 0, 0, 0, 0, 0, 0]
-    >>> a = np.ones(4, dtype=np.int64)
-    >>> grow_zeroed_1d(a, 3) is a
-    True
-    """
-    capacity = array.shape[0]
-    if capacity >= min_rows:
-        return array
-    new_capacity = max(capacity, 1)
-    while new_capacity < min_rows:
-        new_capacity *= 2
-    out = np.zeros(new_capacity, dtype=array.dtype)
-    out[:capacity] = array
-    return out
 
 
 def grow_2d(array: np.ndarray, size: int, min_rows: Optional[int] = None) -> np.ndarray:
@@ -170,6 +167,10 @@ class ColumnInterner:
     def __init__(self, n_columns: int) -> None:
         self._tables: List[Dict[object, int]] = [{} for _ in range(n_columns)]
 
+    def lookup(self, column: int, value) -> Optional[int]:
+        """The id of ``value`` in ``column`` (``None`` if never seen)."""
+        return self._tables[column].get(value)
+
     def intern_row(self, values) -> np.ndarray:
         """Interned ids for one row of column values (new values get
         fresh ids in their column)."""
@@ -185,15 +186,18 @@ class ColumnInterner:
 
 
 class ColumnarSkylineStore(SkylineStore):
-    """``µ_{C,M}`` with columnar record storage and row-index membership.
+    """``µ_{C,M}`` with columnar record storage and one anchor-bit
+    matrix for membership.
 
     Every record the store ever sees is *registered* once: its dimension
     values are interned to ``int32`` ids and its normalised measures are
     appended to the column arrays, yielding a stable row index.  Pair
-    membership is a ``tid → row`` insertion-ordered dict, so the scalar
-    API (``get``/``insert``/``delete``/``contains``) stays O(1) per
-    operation while :meth:`rows` hands vectorized callers the membership
-    as an index array into :meth:`values_matrix` / :meth:`dims_matrix`.
+    membership is bit ``C.bound_mask`` of the matrix cell at (``M``'s
+    slot, row) — valid because a tuple is stored only under constraints
+    it satisfies — so the O(1) scalar calls are bit tests, bucket reads
+    (:meth:`get` / :meth:`rows`) one vectorised selection, and
+    vectorized callers read the cells themselves
+    (:meth:`anchor_cells`).
     """
 
     def __init__(
@@ -212,21 +216,16 @@ class ColumnarSkylineStore(SkylineStore):
         self._interner: Optional[ColumnInterner] = None
         self._records: List[Record] = []
         self._row_of: Dict[int, int] = {}
-        # Two-level membership: subspace → constraint → (tid → row).
-        # Lattice passes fetch the per-subspace map once and then pay a
-        # single cached-hash dict probe per visited constraint, instead
-        # of allocating and hashing a (constraint, subspace) tuple key.
-        self._spaces: Dict[int, Dict[Constraint, Dict[int, int]]] = {}
-        # Reverse index: (tid, subspace) → bound masks anchoring the
-        # tuple there (see SkylineStore.anchor_masks).
-        self._anchors: Dict[Tuple[int, int], set] = {}
-        # Columnar mirror of the reverse index: subspace → int64 array
-        # over rows, element r the bitset of masks anchoring row r there.
-        # Feeds the bitset lattice walker ("which µ buckets along C^t
-        # hold row r?" is one AND per row) and columnar retraction.
-        self._anchor_bits: Dict[int, np.ndarray] = {}
-        self._bits_ok = False
-        self._bits_dtype = None
+        # The µ store: ``_cells[slot, row]`` is the anchor bitset of
+        # ``row`` in the subspace holding ``slot`` — bit ``m`` (word
+        # ``m >> 5``) set iff the row is stored there under the
+        # constraint binding its own values at mask ``m``.  Slots are
+        # assigned on a subspace's first write; rows past ``n_rows``,
+        # tombstones and never-stored rows read as zero.
+        self._cells: Optional[np.ndarray] = None
+        self._slots: Dict[int, int] = {}
+        self._cell_bytes = 0
+        self._closure: Optional[np.ndarray] = None
         self._bit_weights = None
         # Scoring index: ``mask → {dimension values at the mask's
         # positions → count vector}``, the vector holding one slot per
@@ -239,10 +238,10 @@ class ColumnarSkylineStore(SkylineStore):
         # subspace, so one arrival's flips touch one entry per flipped
         # mask and its skyline sizes are read with one probe per mask
         # of ``C^t`` (:meth:`skyline_counts`, the only reader).  Built
-        # lazily on first use, then maintained by anchor-bitset flips on
-        # every insert/delete, so prominence scoring is independent of
-        # history size.  The vectors are ``array('i')``: a scalar bump
-        # costs what the former per-(subspace, mask) dict entry's did
+        # lazily on first use, then maintained from the before/after
+        # words of every cell write (:meth:`_set_cell`), so prominence
+        # scoring is independent of history size.  The vectors are
+        # ``array('i')``: a scalar bump costs what a dict entry's would
         # (demotion repair and retraction flip one slot at a time),
         # while a whole arrival's rows still stack into one NumPy matrix
         # without copying element by element.
@@ -252,9 +251,10 @@ class ColumnarSkylineStore(SkylineStore):
         #: All-zero count vector (template for new entries, stand-in
         #: for absent ones on reads).
         self._no_counts: Optional[array] = None
-        # Memo: flipped-bitset → tuple of fact-mask ids (flip patterns
-        # repeat constantly; bounded FIFO caps adversarial streams).
-        self._flip_masks: Dict[int, Tuple[int, ...]] = {}
+        # Memo: bitset → tuple of its set bit positions (anchor cells
+        # and flip patterns repeat constantly; bounded FIFO caps
+        # adversarial streams).
+        self._bit_positions: Dict[int, Tuple[int, ...]] = {}
         self._total = 0
         # Sweep-index companion, ``None`` until :meth:`folded_sweep`
         # arms it; tombstoned-row bookkeeping for the deferred
@@ -274,8 +274,9 @@ class ColumnarSkylineStore(SkylineStore):
         cap = self._initial_capacity
         self._values = np.empty((cap, n_measures), dtype=np.float64)
         self._dims = np.empty((cap, n_dimensions), dtype=np.int32)
-        self._bits_dtype = lattice_bitset_dtype(n_dimensions)
-        self._bits_ok = self._bits_dtype is not None
+        words = max(1, (1 << n_dimensions) // _WORD_BITS)
+        self._cell_bytes = words * _WORD.itemsize
+        self._cells = np.zeros((0, cap, words), dtype=_WORD)
         if (
             n_dimensions <= _MAX_INDEXED_DIMENSIONS
             and n_measures <= _MAX_INDEXED_MEASURES
@@ -294,6 +295,33 @@ class ColumnarSkylineStore(SkylineStore):
     def _ensure_layout(self, record: Record) -> None:
         if self._values is None:
             self._allocate(len(record.dims), len(record.values))
+
+    def _reserve_rows(self, min_rows: int) -> None:
+        """Grow the columns and the matrix's row axis together (the new
+        matrix rows zeroed: an unwritten cell is the empty bitset)."""
+        if self._values.shape[0] >= min_rows:
+            return
+        size = len(self._records)
+        self._values = grow_2d(self._values, size, min_rows)
+        self._dims = grow_2d(self._dims, size, min_rows)
+        old = self._cells
+        self._cells = np.zeros(
+            (old.shape[0], self._values.shape[0], old.shape[2]), dtype=_WORD
+        )
+        self._cells[:, :size] = old[:, :size]
+
+    def _slot(self, subspace: int) -> int:
+        """The matrix slot of ``subspace``, assigned on first use."""
+        slot = self._slots.get(subspace)
+        if slot is None:
+            slot = self._slots[subspace] = len(self._slots)
+            old = self._cells
+            if slot >= old.shape[0]:
+                self._cells = np.zeros(
+                    (max(4, 2 * slot),) + old.shape[1:], dtype=_WORD
+                )
+                self._cells[:slot] = old
+        return slot
 
     @property
     def n_rows(self) -> int:
@@ -315,8 +343,7 @@ class ColumnarSkylineStore(SkylineStore):
             return row
         self._ensure_layout(record)
         row = len(self._records)
-        self._values = grow_2d(self._values, row)
-        self._dims = grow_2d(self._dims, row)
+        self._reserve_rows(row + 1)
         self._values[row] = record.values
         self._dims[row] = self._interner.intern_row(record.dims)
         self._records.append(record)
@@ -326,35 +353,29 @@ class ColumnarSkylineStore(SkylineStore):
     def unregister(self, tid: int, compact: bool = True) -> None:
         """Drop a registered record's row from the columns (retraction).
 
-        The caller must already have removed the tuple from every pair
-        (retraction repair does).  The row is *tombstoned*, not slid
-        out: the record reference is dropped, the measures become NaN
-        and the dimension ids ``-1`` — sentinels no probe can match, so
-        dense sweeps need no alive-masking — and the sweep index (when
+        Any pair still holding the tuple loses it first (retraction
+        repair has normally emptied its cells already), so a dead row is
+        never anchored.  The row is then *tombstoned*, not slid out: the
+        record reference is dropped, the measures become NaN and the
+        dimension ids ``-1`` — sentinels no probe can match, so dense
+        sweeps need no alive-masking — and the sweep index (when
         present) marks the row dead.  Column space is reclaimed by one
         grouped compaction once enough tombstones accumulate
         (:meth:`compact`), so a retraction is O(stored-per-tid)
-        amortised instead of the old O(n + stored) row-slide per tid.
+        amortised instead of an O(n + stored) row-slide per tid.
         """
         row = self._row_of.pop(tid, None)
         if row is None:
             return
+        if self._cells[:, row].any():
+            for subspace, slot in self._slots.items():
+                self._set_cell(subspace, slot, row, self._cell(slot, row), 0)
         self._records[row] = None
         self._values[row] = np.nan
         self._dims[row] = -1
         self._dead_count += 1
-        sweep = self._sweep
-        for subspace, bits in self._anchor_bits.items():
-            # Repair removes the tuple from every pair first, so these
-            # are already zero; clearing defensively keeps the "dead
-            # rows are never anchored" invariant that lets stale packed
-            # bits in the sweep index stay harmless.
-            if bits.shape[0] > row and bits[row]:
-                if sweep is not None:
-                    sweep.anchor_sync(subspace, row, int(bits[row]), 0)
-                bits[row] = 0
-        if sweep is not None:
-            sweep.on_unregister(row)
+        if self._sweep is not None:
+            self._sweep.on_unregister(row)
         if compact:
             self._maybe_compact()
 
@@ -391,46 +412,31 @@ class ColumnarSkylineStore(SkylineStore):
             self.compact()
 
     def compact(self) -> None:
-        """Slide live rows over the tombstones and remap every row
-        reference (buckets, tid map, anchor-bitset columns) in one
-        grouped pass; the sweep index is dropped and re-arms over the
-        compacted columns (see :meth:`folded_sweep`)."""
+        """Slide live rows over the tombstones — one fancy-index per
+        array, the matrix included — and rebuild the tid map; the sweep
+        index is dropped and re-arms over the compacted columns (see
+        :meth:`folded_sweep`)."""
         if not self._dead_count:
             return
         records = self._records
         keep = [row for row, record in enumerate(records) if record is not None]
         n = len(keep)
-        if n:
-            index = np.asarray(keep, dtype=np.int64)
-            self._values[:n] = self._values[index]
-            self._dims[:n] = self._dims[index]
+        index = np.asarray(keep, dtype=np.int64)
+        self._values[:n] = self._values[index]
+        self._dims[:n] = self._dims[index]
+        self._cells[:, :n] = self._cells[:, index]
+        self._cells[:, n : len(records)] = 0
         self._records = [records[row] for row in keep]
-        remap = {old: new for new, old in enumerate(keep)}
         self._row_of = {
             record.tid: row for row, record in enumerate(self._records)
         }
-        for space in self._spaces.values():
-            for bucket in space.values():
-                for tid, row in bucket.items():
-                    bucket[tid] = remap[row]
-        for subspace, bits in self._anchor_bits.items():
-            packed = np.zeros_like(bits)
-            covered = [old for old in keep if old < bits.shape[0]]
-            if covered:
-                packed[: len(covered)] = bits[
-                    np.asarray(covered, dtype=np.int64)
-                ]
-            self._anchor_bits[subspace] = packed
         self._dead_count = 0
         self._sweep = None
 
     def reserve(self, extra: int) -> None:
         """Pre-grow the columns for ``extra`` imminent registrations."""
-        if self._values is None or extra <= 0:
-            return
-        size = len(self._records)
-        self._values = grow_2d(self._values, size, min_rows=size + extra)
-        self._dims = grow_2d(self._dims, size, min_rows=size + extra)
+        if self._values is not None and extra > 0:
+            self._reserve_rows(len(self._records) + extra)
 
     def intern_dims(self, dims: Tuple[object, ...]) -> np.ndarray:
         """Interned ``int32`` ids for a probe's dimension values.
@@ -554,16 +560,19 @@ class ColumnarSkylineStore(SkylineStore):
         one input the choice depends on — its own row count: an index
         exists only once enough rows are registered for packed prefix
         probes to beat the dense sweep (:meth:`SweepIndex.arm`: a
-        measured constant beside the index), never beyond the anchor
-        -bitset dimensionality cap, and again by the same rule after a
-        compaction dropped it.  Every reader of the index — the arrival
+        measured constant beside the index), never beyond the walker's
+        dimensionality cap (the index keeps one anchor plane per mask),
+        and again by the same rule after a compaction dropped it.  Every reader of the index — the arrival
         walk, :meth:`partition_bitmasks`, the query kernels' selection —
         goes through here, so all of them see the same watermark.
         """
         sweep = self._sweep
         if sweep is not None:
             sweep.ensure_folded()
-        elif self._bits_ok:
+        elif (
+            self._n_dimensions is not None
+            and self._n_dimensions <= _MAX_BITSET_DIMENSIONS
+        ):
             sweep = self._sweep = SweepIndex.arm(self)
         return sweep
 
@@ -594,116 +603,279 @@ class ColumnarSkylineStore(SkylineStore):
         """The column row of a registered tid (``None`` if unknown)."""
         return self._row_of.get(tid)
 
-    def submap(self, subspace: int) -> Optional[Dict[Constraint, Dict[int, int]]]:
-        """The live ``constraint → (tid → row)`` map for ``subspace``
-        (``None`` when the subspace holds nothing).  Zero-copy fast path
-        for lattice sweeps; callers must treat it as read-only and
-        snapshot buckets before mutating the store."""
-        return self._spaces.get(subspace)
-
-    def bucket(self, constraint: Constraint, subspace: int) -> Optional[Dict[int, int]]:
-        """The live ``tid → row`` membership dict for a pair (``None``
-        when the pair holds nothing).  Read-only, like :meth:`submap`."""
-        space = self._spaces.get(subspace)
-        return space.get(constraint) if space else None
-
-    def rows(self, constraint: Constraint, subspace: int) -> np.ndarray:
-        """Membership of ``µ_{C,M}`` as a row-index array (insertion
-        order) into the column matrices.  Shared empty when the pair
-        holds nothing — callers must not mutate the result."""
-        bucket = self.bucket(constraint, subspace)
-        if not bucket:
-            return _EMPTY_ROWS
-        return np.fromiter(bucket.values(), dtype=np.int64, count=len(bucket))
-
     # ------------------------------------------------------------------
-    # SkylineStore API
+    # The anchor-bit matrix
     # ------------------------------------------------------------------
-    _EMPTY: tuple = ()
+    def _cell(self, slot: int, row: int) -> int:
+        return int.from_bytes(self._cells[slot, row].tobytes(), "little")
 
-    def get(self, constraint: Constraint, subspace: int) -> List[Record]:
-        bucket = self.bucket(constraint, subspace)
-        if not bucket:
-            return self._EMPTY  # type: ignore[return-value]
-        records = self._records
-        return [records[row] for row in bucket.values()]
-
-    def insert(self, constraint: Constraint, subspace: int, record: Record) -> None:
-        space = self._spaces.setdefault(subspace, {})
-        bucket = space.setdefault(constraint, {})
-        if record.tid not in bucket:
-            row = bucket[record.tid] = self.register(record)
-            self._total += 1
-            self.counters.stored_tuples = self._total
-            anchors = self._anchors.setdefault((record.tid, subspace), set())
-            if self._score_index is not None:
-                up_table = self._up_table
-                old_up = 0
-                for mask in anchors:
-                    old_up |= up_table[mask]
-                flipped = up_table[constraint.bound_mask] & ~old_up
-                if flipped:
-                    self._score_bump(subspace, record.dims, flipped, 1)
-            anchors.add(constraint.bound_mask)
-            if self._bits_ok:
-                self._bits_column(subspace, row)[row] |= (
-                    1 << constraint.bound_mask
-                )
-                if self._sweep is not None:
-                    self._sweep.anchor_set(
-                        subspace, constraint.bound_mask, row
-                    )
-
-    def delete(self, constraint: Constraint, subspace: int, record: Record) -> None:
-        space = self._spaces.get(subspace)
-        bucket = space.get(constraint) if space else None
-        if bucket and record.tid in bucket:
-            row = bucket[record.tid]
-            del bucket[record.tid]
-            if self._bits_ok:
-                bits = self._anchor_bits.get(subspace)
-                if bits is not None and bits.shape[0] > row:
-                    bits[row] &= ~(1 << constraint.bound_mask)
-                if self._sweep is not None:
-                    self._sweep.anchor_clear(
-                        subspace, constraint.bound_mask, row
-                    )
-            self._total -= 1
-            self.counters.stored_tuples = self._total
-            if not bucket:
-                del space[constraint]
-                if not space:
-                    del self._spaces[subspace]
-            key = (record.tid, subspace)
-            masks = self._anchors.get(key)
-            if masks is not None:
-                masks.discard(constraint.bound_mask)
-                if self._score_index is not None:
-                    up_table = self._up_table
-                    new_up = 0
-                    for mask in masks:
-                        new_up |= up_table[mask]
-                    flipped = up_table[constraint.bound_mask] & ~new_up
-                    if flipped:
-                        self._score_bump(subspace, record.dims, flipped, -1)
-                if not masks:
-                    del self._anchors[key]
-
-    def _flipped_masks(self, flipped: int) -> Tuple[int, ...]:
-        masks = self._flip_masks.get(flipped)
-        if masks is None:
+    def _bits_of(self, bitset: int) -> Tuple[int, ...]:
+        """Set bit positions of ``bitset``, ascending (memoised)."""
+        positions = self._bit_positions.get(bitset)
+        if positions is None:
             out = []
-            bits = flipped
+            bits = bitset
             while bits:
                 bit = bits & -bits
                 bits ^= bit
                 out.append(bit.bit_length() - 1)
-            masks = tuple(out)
-            if len(self._flip_masks) >= 16384:
-                self._flip_masks.pop(next(iter(self._flip_masks)))
-            self._flip_masks[flipped] = masks
-        return masks
+            positions = tuple(out)
+            if len(self._bit_positions) >= 16384:
+                self._bit_positions.pop(next(iter(self._bit_positions)))
+            self._bit_positions[bitset] = positions
+        return positions
 
+    def _up_closure(self, anchors: int) -> int:
+        """Bitset of the masks at or below an anchor of ``anchors`` —
+        the fact masks whose skyline counts the tuple."""
+        up_table = self._up_table
+        up = 0
+        for mask in self._bits_of(anchors):
+            up |= up_table[mask]
+        return up
+
+    def _set_cell(
+        self, subspace: int, slot: int, row: int, old: int, new: int
+    ) -> None:
+        """The one µ mutation: cell ``(slot, row)`` goes ``old → new``.
+
+        Every derived structure moves from the same two words: the
+        stored-tuple gauge by their popcounts, the scoring index by the
+        difference of their up-closures (so a re-anchor inside one
+        closure nets to nothing), the sweep index's anchor planes by
+        their XOR."""
+        if new == old:
+            return
+        self._cells[slot, row] = np.frombuffer(
+            new.to_bytes(self._cell_bytes, "little"), dtype=_WORD
+        )
+        self._total += popcount(new) - popcount(old)
+        self.counters.stored_tuples = self._total
+        if self._score_index is not None:
+            dims = self._records[row].dims
+            old_up = self._up_closure(old)
+            new_up = self._up_closure(new)
+            if new_up & ~old_up:
+                self._score_bump(subspace, dims, new_up & ~old_up, 1)
+            if old_up & ~new_up:
+                self._score_bump(subspace, dims, old_up & ~new_up, -1)
+        if self._sweep is not None:
+            self._sweep.anchor_sync(subspace, row, old, new)
+
+    def anchor_cell(self, subspace: int, row: int) -> int:
+        """Anchor bitset of ``row`` in ``subspace``: bit ``m`` set iff
+        the row is stored there under its constraint with bound mask
+        ``m`` (0 for a subspace that holds nothing)."""
+        slot = self._slots.get(subspace)
+        return 0 if slot is None else self._cell(slot, row)
+
+    def set_anchor_cell(self, subspace: int, row: int, anchors: int) -> None:
+        """Replace ``row``'s anchor bitset in ``subspace`` — the
+        demotion / retraction-repair primitive (a bit move inside one
+        cell).  Equivalent to the :meth:`delete` / :meth:`insert`
+        sequence between the two bitsets, with gauge, scoring index and
+        sweep index updated once from the net change."""
+        slot = self._slot(subspace)
+        self._set_cell(subspace, slot, row, self._cell(slot, row), anchors)
+
+    def anchor_arrival(self, record: Record, subspaces, anchors) -> None:
+        """Anchor a new arrival — one not stored anywhere yet — as one
+        row write: ``anchors[i]`` is its (non-empty) bitset of maximal
+        skyline constraint masks in ``subspaces[i]``.
+
+        Grouped equivalent of one :meth:`insert` per set bit; the
+        scoring-index key of a mask is built and probed once for the
+        whole arrival (see :meth:`_score_bump`).  The row lies past the
+        sweep index's watermark, which picks the anchors up at its next
+        fold.
+        """
+        row = self.register(record)
+        slots = [self._slot(subspace) for subspace in subspaces]
+        self._cells[slots, row] = self._cell_words(anchors)
+        self._total += sum(map(popcount, anchors))
+        self.counters.stored_tuples = self._total
+        if self._score_index is not None:
+            vectors: Dict[int, array] = {}
+            for subspace, bits in zip(subspaces, anchors):
+                self._score_bump(
+                    subspace, record.dims, self._up_closure(bits), 1, vectors
+                )
+
+    def anchor_cells(self, subspaces) -> np.ndarray:
+        """``(len(subspaces), n_rows, words)`` anchor cells of the given
+        subspaces, read-only — a view while they hold the leading slots
+        in this order (the walker's keys do: it is their first writer),
+        a gathered copy otherwise."""
+        slots = [self._slot(subspace) for subspace in subspaces]
+        n = len(self._records)
+        if slots == list(range(len(slots))):
+            return self._cells[: len(slots), :n]
+        return self._cells[slots, :n]
+
+    def _closure_words(self) -> np.ndarray:
+        """``(2^|D|, words)`` submask closures in cell-word form."""
+        if self._closure is None:
+            self._closure = self._cell_words(
+                submask_closure_table(self._n_dimensions)
+            )
+        return self._closure
+
+    def _cell_words(self, bitsets) -> np.ndarray:
+        """``(len(bitsets), words)`` cell-word form of Python-integer
+        bitsets."""
+        size = self._cell_bytes
+        data = b"".join(bits.to_bytes(size, "little") for bits in bitsets)
+        return np.frombuffer(data, dtype=_WORD).reshape(len(bitsets), -1)
+
+    def buckets_along(self, subspaces, agree: np.ndarray):
+        """Who sits in the ``µ`` buckets along a probe's ``C^t``.
+
+        ``agree[r]`` is row ``r``'s agreement bitmask with the probe
+        (:meth:`partition_bitmasks`); a row anchored at mask ``m`` sits
+        in the probe's bucket at ``m`` iff ``m ⊆ agree[r]`` — its
+        constraint there then binds the probe's own values.  One AND of
+        the cells against the agreement closures answers every subspace
+        and mask at once.  Returns every membership as three parallel
+        columns ``(ks, rows, masks)``: row ``rows[i]`` is in the bucket
+        at bound mask ``masks[i]`` of ``subspaces[ks[i]]``.
+        """
+        met = self.anchor_cells(subspaces) & self._closure_words()[agree]
+        # Flat all the way (nonzero over a bool vector is the fast
+        # path): occupied words, then their set bits.
+        n, n_words = met.shape[1:]
+        met = met.reshape(-1)
+        words = np.flatnonzero(met != 0)
+        bits = np.flatnonzero(
+            np.unpackbits(met[words].view(np.uint8), bitorder="little").view(bool)
+        )
+        cells, word = np.divmod(words[bits // _WORD_BITS], n_words)
+        ks, rows = np.divmod(cells, n)
+        return ks, rows, word * _WORD_BITS + bits % _WORD_BITS
+
+    def _anchored(self) -> Iterator[Tuple[int, int, int]]:
+        """Every non-empty cell as ``(subspace, row, anchor bitset)``."""
+        n = len(self._records)
+        for subspace, slot in self._slots.items():
+            occupied = self._cells[slot, :n].any(axis=1)
+            for row in np.flatnonzero(occupied).tolist():
+                yield subspace, row, self._cell(slot, row)
+
+    def _select(
+        self, constraint: Constraint, subspace: int, ancestors: bool
+    ) -> np.ndarray:
+        """Ascending rows that satisfy ``constraint`` and are anchored
+        in ``subspace`` at its bound mask — or, with ``ancestors``, at
+        any submask of it: one pass of 1-D column tests, the anchor
+        words first, then one dimension column per bound position."""
+        slot = self._slots.get(subspace)
+        if slot is None:
+            return _EMPTY_ROWS
+        n = len(self._records)
+        mask = constraint.bound_mask
+        wanted = (
+            submask_closure_table(self._n_dimensions)[mask]
+            if ancestors
+            else 1 << mask
+        )
+        hit = np.zeros(n, dtype=bool)
+        for word in range(self._cells.shape[2]):
+            bits = (wanted >> (word * _WORD_BITS)) & 0xFFFFFFFF
+            if bits:
+                hit |= (self._cells[slot, :n, word] & bits) != 0
+        for position in self._bits_of(mask):
+            vid = self._interner.lookup(position, constraint.values[position])
+            if vid is None:
+                return _EMPTY_ROWS  # a value no registered row carries
+            hit &= self._dims[:n, position] == vid
+        return np.flatnonzero(hit)
+
+    def rows(self, constraint: Constraint, subspace: int) -> np.ndarray:
+        """Membership of ``µ_{C,M}`` as an ascending row-index array
+        into the column matrices: the rows whose cell carries
+        ``C.bound_mask`` and whose dimension columns match ``C`` there
+        (callers must not mutate the result)."""
+        return self._select(constraint, subspace, ancestors=False)
+
+    def skyline_rows(self, constraint: Constraint, subspace: int) -> np.ndarray:
+        """``λ_M(σ_C)`` by Invariant 2, as ascending rows: the tuples
+        satisfying ``C`` that are anchored in ``subspace`` at ``C`` or
+        one of its ancestors.  Exact for the pairs an algorithm
+        maintains, within its ``d̂`` cap."""
+        return self._select(constraint, subspace, ancestors=True)
+
+    # ------------------------------------------------------------------
+    # SkylineStore API
+    # ------------------------------------------------------------------
+    def get(self, constraint: Constraint, subspace: int) -> List[Record]:
+        rows = self.rows(constraint, subspace).tolist()
+        return [self._records[row] for row in rows]
+
+    def _stored_at(self, constraint: Constraint, subspace: int, tid: int):
+        """``(slot, row, cell)`` when tuple ``tid`` is stored at the
+        pair, else ``None`` — the mask bit of its cell, then the match
+        of its values against the constraint's."""
+        row = self._row_of.get(tid)
+        slot = self._slots.get(subspace)
+        if row is None or slot is None:
+            return None
+        cell = self._cell(slot, row)
+        if (cell >> constraint.bound_mask) & 1 and constraint.satisfied_by(
+            self._records[row]
+        ):
+            return slot, row, cell
+        return None
+
+    def insert(self, constraint: Constraint, subspace: int, record: Record) -> None:
+        if not constraint.satisfied_by(record):
+            # The matrix files a tuple under *its own* values at the
+            # constraint's mask; anything else has no representation.
+            raise ValueError(
+                f"tuple {record.tid} does not satisfy {constraint!r}; a "
+                f"tuple is only ever stored under constraints it satisfies"
+            )
+        row = self.register(record)
+        slot = self._slot(subspace)
+        cell = self._cell(slot, row)
+        self._set_cell(
+            subspace, slot, row, cell, cell | (1 << constraint.bound_mask)
+        )
+
+    def delete(self, constraint: Constraint, subspace: int, record: Record) -> None:
+        stored = self._stored_at(constraint, subspace, record.tid)
+        if stored is not None:
+            slot, row, cell = stored
+            self._set_cell(
+                subspace, slot, row, cell, cell & ~(1 << constraint.bound_mask)
+            )
+
+    def contains(self, constraint: Constraint, subspace: int, record: Record) -> bool:
+        return self._stored_at(constraint, subspace, record.tid) is not None
+
+    def iter_pairs(self) -> Iterator[Tuple[PairKey, List[Record]]]:
+        records = self._records
+        pairs: Dict[PairKey, List[Record]] = {}
+        for subspace, row, anchors in self._anchored():
+            record = records[row]
+            for mask in self._bits_of(anchors):
+                pairs.setdefault(
+                    (constraint_for_record(record, mask), subspace), []
+                ).append(record)
+        return iter(pairs.items())
+
+    def stored_tuple_count(self) -> int:
+        return self._total
+
+    def anchor_masks(self, tid: int, subspace: int):
+        """Bound masks anchoring ``tid`` in ``subspace``, decoded from
+        its cell (an empty set when none — never ``None``: this store
+        always answers)."""
+        row = self._row_of.get(tid)
+        anchors = 0 if row is None else self.anchor_cell(subspace, row)
+        return frozenset(self._bits_of(anchors))
+
+    # ------------------------------------------------------------------
+    # Scoring index
+    # ------------------------------------------------------------------
     def _score_bump(
         self,
         subspace: int,
@@ -716,16 +888,16 @@ class ColumnarSkylineStore(SkylineStore):
         of ``flipped`` is a fact mask whose ``|λ_M(σ_C)|`` gains or
         loses this tuple in ``subspace``.
 
-        ``vectors`` memoises the tuple's count vector per mask: a
-        grouped insert passes one dict across all its subspaces, so the
-        key is built and the table probed once per flipped mask rather
-        than once per (subspace, mask)."""
+        ``vectors`` memoises the tuple's count vector per mask:
+        :meth:`anchor_arrival` passes one dict across all its subspaces,
+        so the key is built and the table probed once per flipped mask
+        rather than once per (subspace, mask)."""
         index = self._score_index
         keys = self._mask_keys
         if delta > 0:
             if vectors is None:
                 vectors = {}
-            for fact_mask in self._flipped_masks(flipped):
+            for fact_mask in self._bits_of(flipped):
                 vector = vectors.get(fact_mask)
                 if vector is None:
                     table = index.get(fact_mask)
@@ -738,7 +910,7 @@ class ColumnarSkylineStore(SkylineStore):
                     vectors[fact_mask] = vector
                 vector[subspace] += delta
             return
-        for fact_mask in self._flipped_masks(flipped):
+        for fact_mask in self._bits_of(flipped):
             # Decrements always target an existing entry (the tuple was
             # counted when its anchor covered this mask); skip instead
             # of materialising empty vectors if the invariant is ever
@@ -775,9 +947,9 @@ class ColumnarSkylineStore(SkylineStore):
         (stored tuples satisfy their constraints); a subspace nobody
         maintains reads 0.
 
-        The index behind it is built on the first call — unscored
-        ingestion never pays for it — after which every insert/delete
-        keeps it current via bitset flips.
+        The index behind it is built on the first call (one pass over
+        the non-empty cells) — unscored ingestion never pays for it —
+        after which every cell write keeps it current.
         """
         keys = self._mask_keys
         if keys is None:
@@ -785,14 +957,11 @@ class ColumnarSkylineStore(SkylineStore):
         index = self._score_index
         if index is None:
             index = self._score_index = {}
-            up_table = self._up_table
-            row_of = self._row_of
             records = self._records
-            for (tid, subspace), anchors in self._anchors.items():
-                up = 0
-                for mask in anchors:
-                    up |= up_table[mask]
-                self._score_bump(subspace, records[row_of[tid]].dims, up, 1)
+            for subspace, row, anchors in self._anchored():
+                self._score_bump(
+                    subspace, records[row].dims, self._up_closure(anchors), 1
+                )
         absent = self._no_counts
         rows = []
         for mask in masks:
@@ -803,260 +972,19 @@ class ColumnarSkylineStore(SkylineStore):
             len(masks), len(absent)
         )
 
-    _NO_ANCHORS: frozenset = frozenset()
-
-    def anchor_masks(self, tid: int, subspace: int):
-        """Live set of bound masks anchoring ``tid`` in ``subspace``
-        (an empty set when none — never ``None``: this store always
-        maintains the index).  Valid under the discovery-algorithm
-        invariant that stored tuples satisfy their constraint; callers
-        must treat the set as read-only."""
-        return self._anchors.get((tid, subspace), self._NO_ANCHORS)
-
-    # ------------------------------------------------------------------
-    # Anchor bitsets (the walker's columnar reverse index)
-    # ------------------------------------------------------------------
-    @property
-    def anchor_bits_supported(self) -> bool:
-        """True when the per-row anchor bitsets are maintained (the 2^n
-        constraint-mask lattice fits an int64 element)."""
-        return self._bits_ok
-
-    def _bits_column(self, subspace: int, row: int) -> np.ndarray:
-        """The (allocating, growing) bitset column for ``subspace``,
-        guaranteed to cover ``row``."""
-        bits = self._anchor_bits.get(subspace)
-        if bits is None:
-            bits = self._anchor_bits[subspace] = np.zeros(
-                max(self._initial_capacity, row + 1), dtype=self._bits_dtype
-            )
-        elif bits.shape[0] <= row:
-            bits = self._anchor_bits[subspace] = grow_zeroed_1d(bits, row + 1)
-        return bits
-
-    def anchor_bits(self, subspace: int, min_rows: int = 0) -> Optional[np.ndarray]:
-        """Per-row anchor bitsets for ``subspace``: element ``r`` has bit
-        ``m`` set iff row ``r`` is anchored there at the constraint with
-        bound mask ``m``.  ``None`` when the subspace holds nothing or
-        the store is beyond the bitset dimensionality cap.  Grown (zero
-        -filled) to at least ``min_rows`` elements so sweeps can slice
-        ``[:n_rows]`` directly; callers must treat the array as
-        read-only.
-        """
-        if not self._bits_ok:
-            return None
-        bits = self._anchor_bits.get(subspace)
-        if bits is None:
-            return None
-        if bits.shape[0] < min_rows:
-            bits = self._anchor_bits[subspace] = grow_zeroed_1d(bits, min_rows)
-        return bits
-
-    def insert_new_many(self, record: Record, pairs) -> None:
-        """Anchor a new arrival at many ``(constraint, subspace)`` pairs.
-
-        Grouped equivalent of one :meth:`insert` per pair for a record
-        whose tid is not stored anywhere yet (the discovery hot path:
-        the arrival is promoted at its maximal skyline constraints
-        across every subspace in one call).  ``pairs`` should arrive
-        subspace-grouped for best effect; registration, both anchor
-        indexes, the scoring-index flips and the stored-tuple gauge end
-        up exactly as the per-call sequence would leave them.
-        """
-        if not pairs:
-            return
-        row = self.register(record)
-        tid = record.tid
-        dims = record.dims
-        spaces = self._spaces
-        anchors_map = self._anchors
-        bits_ok = self._bits_ok
-        # Arrivals register past the sweep-index watermark, so the index
-        # picks these anchors up at the next fold; the sync below only
-        # fires on the (defensive) re-anchor-of-an-old-row case.
-        sweep = self._sweep
-        score = self._score_index is not None
-        up_table = self._up_table
-        # The arrival's count vector per flipped mask, shared by all its
-        # subspaces (see _score_bump).
-        vectors: Dict[int, array] = {}
-        added = 0
-        last_subspace: Optional[int] = None
-        anchors: Optional[set] = None
-        bits: Optional[np.ndarray] = None
-        old_up = 0
-        pending_flips = 0
-        pending_bits = 0
-        for constraint, subspace in pairs:
-            space = spaces.get(subspace)
-            if space is None:
-                space = spaces[subspace] = {}
-            bucket = space.get(constraint)
-            if bucket is None:
-                bucket = space[constraint] = {}
-            if tid in bucket:
-                continue
-            bucket[tid] = row
-            added += 1
-            if subspace != last_subspace:
-                # Flips within one subspace are disjoint across the
-                # grouped inserts, so one merged bump (and one merged
-                # bitset write) per subspace lands the same state.
-                if pending_flips:
-                    self._score_bump(
-                        last_subspace, dims, pending_flips, 1, vectors
-                    )
-                    pending_flips = 0
-                if pending_bits:
-                    if sweep is not None and row < sweep.watermark:
-                        old = int(bits[row])
-                        sweep.anchor_sync(
-                            last_subspace, row, old, old | pending_bits
-                        )
-                    bits[row] |= pending_bits
-                    pending_bits = 0
-                last_subspace = subspace
-                key = (tid, subspace)
-                anchors = anchors_map.get(key)
-                if anchors is None:
-                    anchors = anchors_map[key] = set()
-                if score:
-                    old_up = 0
-                    for mask in anchors:
-                        old_up |= up_table[mask]
-                if bits_ok:
-                    bits = self._bits_column(subspace, row)
-            mask = constraint._mask
-            if score:
-                flipped = up_table[mask] & ~old_up
-                if flipped:
-                    pending_flips |= flipped
-                    old_up |= up_table[mask]
-            anchors.add(mask)
-            if bits_ok:
-                pending_bits |= 1 << mask
-        if pending_flips:
-            self._score_bump(last_subspace, dims, pending_flips, 1, vectors)
-        if pending_bits:
-            if sweep is not None and row < sweep.watermark:
-                old = int(bits[row])
-                sweep.anchor_sync(last_subspace, row, old, old | pending_bits)
-            bits[row] |= pending_bits
-        if added:
-            self._total += added
-            self.counters.stored_tuples = self._total
-
-    def reanchor_demoted(
-        self,
-        subspace: int,
-        record: Record,
-        row: int,
-        constraint: Constraint,
-        children,
-    ) -> None:
-        """Demotion-repair primitive: move ``record``'s anchor from
-        ``constraint`` down to ``children`` in one step.
-
-        Equivalent to ``delete(constraint, …)`` followed by one
-        ``insert(child, …)`` per child, but the scoring-index flips are
-        *netted* first — a demotion typically re-anchors within the
-        removed mask's up-closure, so most of the delete's decrements
-        cancel against the inserts' increments and never touch the
-        count tables.  Final bucket / anchor / bitset / gauge state is
-        identical to the call sequence.
-        """
-        tid = record.tid
-        spaces = self._spaces
-        space = spaces.get(subspace)
-        bucket = space.get(constraint) if space else None
-        if not bucket or tid not in bucket:
-            return
-        del bucket[tid]
-        if not bucket:
-            del space[constraint]
-            if not space:
-                del spaces[subspace]
-        removed_mask = constraint._mask
-        key = (tid, subspace)
-        anchors = self._anchors.get(key)
-        if anchors is None:
-            anchors = self._anchors[key] = set()
-        score = self._score_index is not None
-        up_table = self._up_table
-        old_up = 0
-        if score:
-            for mask in anchors:
-                old_up |= up_table[mask]
-        anchors.discard(removed_mask)
-        added = 0
-        for child in children:
-            space = spaces.get(subspace)
-            if space is None:
-                space = spaces[subspace] = {}
-            child_bucket = space.get(child)
-            if child_bucket is None:
-                child_bucket = space[child] = {}
-            if tid not in child_bucket:
-                child_bucket[tid] = row
-                anchors.add(child._mask)
-                added += 1
-        if score:
-            new_up = 0
-            for mask in anchors:
-                new_up |= up_table[mask]
-            gained = new_up & ~old_up
-            if gained:
-                self._score_bump(subspace, record.dims, gained, 1)
-            lost = old_up & ~new_up
-            if lost:
-                self._score_bump(subspace, record.dims, lost, -1)
-        if self._bits_ok:
-            bits = self._bits_column(subspace, row)
-            old_bitset = int(bits[row])
-            bitset = old_bitset & ~(1 << removed_mask)
-            for child in children:
-                bitset |= 1 << child._mask
-            bits[row] = bitset
-            if self._sweep is not None:
-                self._sweep.anchor_sync(subspace, row, old_bitset, bitset)
-        if not anchors:
-            del self._anchors[key]
-        self._total += added - 1
-        self.counters.stored_tuples = self._total
-
-    def contains(self, constraint: Constraint, subspace: int, record: Record) -> bool:
-        bucket = self.bucket(constraint, subspace)
-        return bool(bucket) and record.tid in bucket
-
-    def iter_pairs(self) -> Iterator[Tuple[PairKey, List[Record]]]:
-        records = self._records
-        for subspace, space in self._spaces.items():
-            for constraint, bucket in space.items():
-                yield (constraint, subspace), [
-                    records[row] for row in bucket.values()
-                ]
-
-    def stored_tuple_count(self) -> int:
-        return self._total
-
     def approx_bytes(self) -> int:
-        """Columns (used rows) plus one pointer per membership reference.
-
-        Unlike the record-deep accounting of the dict store, the payload
-        here *is* the column arrays; records are charged as references
-        only (they are shared with the table)."""
-        total = 0
-        n = len(self._records)
-        if self._values is not None:
-            total += self._values[:n].nbytes + self._dims[:n].nbytes
-        total += n * _POINTER_BYTES  # the row → Record references
-        for bits in self._anchor_bits.values():
-            total += bits[: min(n, bits.shape[0])].nbytes
-        for space in self._spaces.values():
-            for constraint, bucket in space.items():
-                total += sys.getsizeof(constraint) + _POINTER_BYTES * (
-                    len(bucket) + 1
-                )
+        """Resident bytes of the store's own state, exactly: the
+        allocated column arrays and anchor-bit matrix, the scoring
+        index's count vectors, and the ``_records`` / ``_row_of``
+        containers (the ``Record`` objects themselves are shared with
+        the table and charged there).  0 before a layout exists."""
+        if self._values is None:
+            return 0
+        total = self._values.nbytes + self._dims.nbytes + self._cells.nbytes
+        total += sys.getsizeof(self._records) + sys.getsizeof(self._row_of)
+        for table in (self._score_index or {}).values():
+            for vector in table.values():
+                total += len(vector) * vector.itemsize
         return total
 
     def clear(self) -> None:
@@ -1065,17 +993,15 @@ class ColumnarSkylineStore(SkylineStore):
         self._interner = None
         self._records = []
         self._row_of = {}
-        self._spaces = {}
-        self._anchors = {}
-        self._anchor_bits = {}
-        self._bits_ok = False
-        self._bits_dtype = None
+        self._cells = None
+        self._slots = {}
+        self._closure = None
         self._bit_weights = None
         self._score_index = None
         self._up_table = None
         self._mask_keys = None
         self._no_counts = None
-        self._flip_masks = {}
+        self._bit_positions = {}
         self._total = 0
         self._sweep = None
         self._dead_count = 0

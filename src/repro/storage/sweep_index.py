@@ -16,10 +16,11 @@ so a probe is answered with rank lookups instead of compares:
 * per dimension, **posting bitsets** keyed by interned value id,
   demand-built from the columns — "which rows agree with the probe at
   position j" is a dict probe;
-* per ``(subspace, constraint-mask)``, **anchor-plane bitsets**
-  mirroring the store's per-row anchor bitsets, maintained by the
-  store's insert/delete/re-anchor hooks — the lattice walker's bucket
-  arithmetic becomes bitset intersections over the prefix.
+* per ``(subspace, constraint-mask)``, **anchor-plane bitsets** — the
+  store's anchor-bit matrix transposed and packed over the prefix,
+  folded from its cells and kept in step by the store's one cell-write
+  hook — the lattice walker's bucket arithmetic becomes bitset
+  intersections over the prefix.
 
 All bitsets are little-endian packed ``uint64`` words over rows
 ``[0, watermark)`` and are rebuilt *lazily*: arrivals past the
@@ -33,7 +34,7 @@ or maintain an index at all.
 
 Invalidation never rebuilds the index: a deletion tombstones its row
 (one cleared bit in an alive mask; the store wipes the anchor planes
-through the hooks before unregistering), window eviction is just a
+through the hook before unregistering), window eviction is just a
 deletion, and a demotion re-anchor patches the affected plane words.
 Stale ``lt``/``gt``/``agree`` bits of tombstoned rows are harmless to
 the walker (every consumer intersects with anchor planes, which are
@@ -97,9 +98,9 @@ class SweepIndex:
 
     Created by :meth:`arm` for, and owned by, the store; all row/word
     layouts are the store's.  ``n_masks`` is the size of
-    the bound-mask lattice (``2^|D|``) — the anchor planes need it to
-    fit the store's per-row anchor bitsets, so the index is only built
-    when the store maintains those (``anchor_bits_supported``).
+    the bound-mask lattice (``2^|D|``) — one anchor plane per mask and
+    subspace, so the store only arms the index within the walker's
+    dimensionality cap (one word per matrix cell).
     """
 
     def __init__(self, store) -> None:
@@ -127,28 +128,12 @@ class SweepIndex:
     # ------------------------------------------------------------------
     # Store hooks (anchor mutations + tombstones)
     # ------------------------------------------------------------------
-    def anchor_set(self, subspace: int, mask: int, row: int) -> None:
-        if row >= self.watermark:
-            return
-        plane = self._planes.get(subspace)
-        if plane is None:
-            plane = self._add_plane(subspace)
-        self._anch[plane, mask, row >> 6] |= _ONE << np.uint64(row & 63)
-
-    def anchor_clear(self, subspace: int, mask: int, row: int) -> None:
-        if row >= self.watermark:
-            return
-        plane = self._planes.get(subspace)
-        if plane is not None:
-            self._anch[plane, mask, row >> 6] &= ~(
-                _ONE << np.uint64(row & 63)
-            )
-
     def anchor_sync(
         self, subspace: int, row: int, old_bits: int, new_bits: int
     ) -> None:
-        """Apply a combined re-anchor (``old_bits → new_bits``) to the
-        planes — only the changed masks are touched."""
+        """Apply a cell write (``old_bits → new_bits``, the store's
+        :meth:`~ColumnarSkylineStore._set_cell`) to the planes — only
+        the changed masks are touched."""
         if row >= self.watermark:
             return
         changed = old_bits ^ new_bits
@@ -167,7 +152,6 @@ class SweepIndex:
                 self._anch[plane, mask, word] |= bit
             else:
                 self._anch[plane, mask, word] &= ~bit
-        return
 
     def on_unregister(self, row: int) -> None:
         """Tombstone a prefix row (suffix rows never entered the index;
@@ -247,14 +231,13 @@ class SweepIndex:
             self._rebuild_suffix(order)
 
         # Extend the anchor planes with the new rows' current anchors
-        # (read straight off the store's per-row bitset columns).
-        for subspace, bits in store._anchor_bits.items():
+        # (read straight off the store's anchor-bit matrix; one word
+        # per cell within the dimensionality the index is armed for).
+        for subspace, slot in store._slots.items():
             plane = self._planes.get(subspace)
             if plane is None:
                 plane = self._add_plane(subspace)
-            if not new_rows.size or bits.shape[0] <= old_w:
-                continue
-            col = bits[old_w : min(n, bits.shape[0])]
+            col = store._cells[slot, old_w:n, 0]
             if not col.any():
                 continue
             for mask in range(self.n_masks):

@@ -2,9 +2,11 @@
 
 Generic store semantics are covered by the parametrised fixture in
 ``test_stores.py``; here we test what is *specific* to the columnar
-pieces — the column arrays, interning, ``grow_2d``, the anchor-mask
-index — and the strong ``svec`` ≡ ``stopdown`` equivalence (facts,
-stores, *and* counters) on randomized streams.
+pieces — the column arrays, interning, ``grow_2d``, the anchor-bit
+matrix behind the scalar and grouped store surface (differentially,
+against a ``MemorySkylineStore`` mirror) — and the strong ``svec`` ≡
+``stopdown`` equivalence (facts, stores, *and* counters) on randomized
+streams.
 """
 
 import numpy as np
@@ -13,20 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DiscoveryConfig, TableSchema, make_algorithm
-from repro.core.constraint import Constraint
+from repro.core.constraint import (
+    Constraint,
+    bindable_positions,
+    constraint_for_record,
+)
 from repro.core.record import Record
 from repro.storage import ColumnarSkylineStore, MemorySkylineStore, grow_2d
+from tests.strategies import row_strategy, store_op_sequences
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
-
-row_strategy = st.fixed_dictionaries(
-    {
-        "d0": st.sampled_from(["a", "b", "c"]),
-        "d1": st.sampled_from(["x", "y"]),
-        "m0": st.integers(min_value=0, max_value=4),
-        "m1": st.integers(min_value=0, max_value=4),
-    }
-)
 
 
 def rec(tid, dims=("a", "x"), raw=(1.0, 2.0)):
@@ -99,13 +97,22 @@ class TestColumnarSubstrate:
             store.register(rec(tid))
         assert store._values.shape[0] == cap
 
-    def test_rows_returns_membership_in_insertion_order(self):
+    def test_rows_returns_membership_in_ascending_row_order(self):
         store = ColumnarSkylineStore()
         c = Constraint(("a", None))
+        store.register(rec(1))
         store.insert(c, 0b11, rec(3))
         store.insert(c, 0b11, rec(1))
         assert store.rows(c, 0b11).tolist() == [0, 1]
-        assert [r.tid for r in store.get(c, 0b11)] == [3, 1]
+        assert [r.tid for r in store.get(c, 0b11)] == [1, 3]
+
+    def test_rows_select_on_the_constraint_values(self):
+        store = ColumnarSkylineStore()
+        store.insert(Constraint(("a", None)), 0b11, rec(0, dims=("a", "x")))
+        store.insert(Constraint(("b", None)), 0b11, rec(1, dims=("b", "x")))
+        assert store.rows(Constraint(("a", None)), 0b11).tolist() == [0]
+        assert store.rows(Constraint(("b", None)), 0b11).tolist() == [1]
+        assert store.rows(Constraint(("c", None)), 0b11).tolist() == []
 
     def test_record_at_roundtrip(self):
         store = ColumnarSkylineStore()
@@ -142,6 +149,37 @@ class TestColumnarSubstrate:
         assert store.approx_bytes() == 0
         store.insert(Constraint(("a", None)), 0b01, rec(0))
         assert store.approx_bytes() > 0
+
+    def test_approx_bytes_is_the_sum_of_the_allocations(self):
+        import sys
+
+        store = ColumnarSkylineStore(initial_capacity=4)
+        for tid in range(5):  # one growth: 8 rows allocated
+            store.insert(Constraint(("a", None)), 0b01, rec(tid))
+        arrays = 8 * (2 * 8 + 2 * 4) + store._cells.nbytes
+        containers = sys.getsizeof(store._records) + sys.getsizeof(
+            store._row_of
+        )
+        assert store._cells.shape[1:] == (8, 1)
+        assert store.approx_bytes() == arrays + containers
+        # The scoring index joins once built: one 2^|M|-slot int32
+        # vector per (mask, key) — masks 0b01 and 0b11 here.
+        store.skyline_counts(("a", "x"), (0b01,))
+        assert store.approx_bytes() == arrays + containers + 2 * 4 * 4
+
+    def test_engine_stats_report_store_bytes(self):
+        from repro import FactDiscoverer
+
+        engine = FactDiscoverer(SCHEMA, algorithm="svec")
+        engine.observe({"d0": "a", "d1": "x", "m0": 1, "m1": 2})
+        assert (
+            engine.stats()["store_bytes"]
+            == engine.algorithm.store.approx_bytes()
+            > 0
+        )
+        assert "store_bytes" not in FactDiscoverer(
+            SCHEMA, algorithm="bruteforce"
+        ).stats()
 
 
 class TestSVecEquivalence:
@@ -274,128 +312,175 @@ class TestSVecInternals:
         ]
 
 
-class TestAnchorBitsets:
-    """The per-row anchor bitset columns mirror the set-based reverse
-    index exactly, through inserts, deletes, grouped inserts, netted
-    re-anchoring, and retraction row shifts."""
+def _mirror_snapshot(store):
+    return {
+        key: {r.tid for r in records} for key, records in store.iter_pairs()
+    }
+
+
+class TestStoreDifferential:
+    """The anchor-bit matrix against a ``MemorySkylineStore`` mirror:
+    random scalar inserts / deletes, grouped arrival promotion, demotion
+    re-anchoring, unregister, forced compaction and ``clear()``, with
+    None dimension values, at one word per cell (d = 2, 5) and several
+    (d = 6, 7).  Every read surface must agree after every op."""
+
+    SUBSPACES = (1, 2, 3)
 
     @staticmethod
-    def _assert_bits_match_anchors(store):
-        n = store.n_rows
-        subspaces = {sub for (_, sub) in store._anchors}
-        for subspace in subspaces:
-            bits = store.anchor_bits(subspace, n)
-            assert bits is not None
-            for row in range(n):
-                record = store.record_at(row)
-                expected = 0
-                if record is not None:  # tombstones are never anchored
-                    for mask in store.anchor_masks(record.tid, subspace):
-                        expected |= 1 << mask
-                assert int(bits[row]) == expected, (subspace, row)
+    def _expected_counts(mirror, dims, n_dimensions):
+        """``skyline_counts`` from its definition: per (mask, subspace),
+        the tuples anchored at the mask or an ancestor whose values at
+        the mask's positions equal ``dims``'s."""
+        anchors = {}
+        for (constraint, subspace), records in mirror.iter_pairs():
+            for record in records:
+                anchors.setdefault((record.tid, subspace), (record, []))[
+                    1
+                ].append(constraint.bound_mask)
+        counts = [[0] * 4 for _ in range(1 << n_dimensions)]
+        for (_tid, subspace), (record, masks) in anchors.items():
+            for mask in range(1 << n_dimensions):
+                if any(a & ~mask == 0 for a in masks) and all(
+                    record.dims[j] == dims[j]
+                    for j in range(n_dimensions)
+                    if (mask >> j) & 1
+                ):
+                    counts[mask][subspace] += 1
+        return counts
 
-    @settings(max_examples=15, deadline=None)
-    @given(
-        rows=st.lists(
-            st.fixed_dictionaries(
-                {
-                    "d0": st.sampled_from(["a", "b", None]),
-                    "d1": st.sampled_from(["x", "y"]),
-                    "m0": st.integers(min_value=0, max_value=3),
-                    "m1": st.integers(min_value=0, max_value=3),
+    def _assert_agree(self, store, mirror, pool, probes, scored):
+        want = _mirror_snapshot(mirror)
+        assert _mirror_snapshot(store) == want
+        assert store.stored_tuple_count() == mirror.stored_tuple_count()
+        assert store.counters.stored_tuples == mirror.stored_tuple_count()
+        for constraint, subspace in set(want) | probes:
+            tids = [r.tid for r in store.get(constraint, subspace)]
+            assert sorted(tids) == sorted(
+                want.get((constraint, subspace), ())
+            )
+            assert store.rows(constraint, subspace).tolist() == sorted(
+                store.row_of(tid) for tid in tids
+            )
+            for record in pool:
+                assert store.contains(
+                    constraint, subspace, record
+                ) == mirror.contains(constraint, subspace, record)
+        for record in pool:
+            for subspace in self.SUBSPACES:
+                assert store.anchor_masks(record.tid, subspace) == {
+                    constraint.bound_mask
+                    for (constraint, sub), tids in want.items()
+                    if sub == subspace and record.tid in tids
                 }
-            ),
-            min_size=1,
-            max_size=16,
-        ),
-        n_deletes=st.integers(min_value=0, max_value=3),
-    )
-    def test_bits_track_anchor_sets(self, rows, n_deletes):
-        vec = make_algorithm("svec", SCHEMA)
-        vec.process_many(rows)
-        self._assert_bits_match_anchors(vec.store)
-        for tid in range(min(n_deletes, len(rows))):
-            vec.retract(tid)
-        self._assert_bits_match_anchors(vec.store)
+        if scored:
+            n = len(pool[0].dims)
+            masks = range(1 << n)
+            for dims in {record.dims for record in pool}:
+                assert store.skyline_counts(
+                    dims, masks
+                ).tolist() == self._expected_counts(mirror, dims, n)
 
-    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)],
-                             ids=["subspace-grouped", "interleaved"])
-    def test_insert_new_many_equals_insert_sequence(self, order):
-        record = rec(0)
-        pairs = [
-            (Constraint(("a", None)), 0b11),
-            (Constraint((None, "x")), 0b11),
-            (Constraint(("a", None)), 0b01),
-        ]
-        pairs = [pairs[i] for i in order]
-        grouped = ColumnarSkylineStore()
-        sequential = ColumnarSkylineStore()
-        for store in (grouped, sequential):
-            store.register(record)
-            store.skyline_counts(record.dims, ())  # activate flip maintenance
-        grouped.insert_new_many(record, pairs)
-        for constraint, subspace in pairs:
-            sequential.insert(constraint, subspace, record)
-        masks = range(4)
-        assert (
-            grouped.skyline_counts(record.dims, masks).tolist()
-            == sequential.skyline_counts(record.dims, masks).tolist()
+    @staticmethod
+    def _apply(store, mirror, pool, op):
+        """Run one op on both stores; returns the pairs it named."""
+
+        def canonical(record, masks):
+            bindable = bindable_positions(record.dims)
+            return sorted({mask & bindable for mask in masks})
+
+        kind = op[0]
+        probes = set()
+        if kind in ("insert", "delete"):
+            _, tid, mask, subspace = op
+            record = pool[tid]
+            constraint = constraint_for_record(record, mask)
+            probes.add((constraint, subspace))
+            for target in (store, mirror):
+                getattr(target, kind)(constraint, subspace, record)
+        elif kind == "arrival":
+            _, tid, anchors = op
+            record = pool[tid]
+            stored = any(
+                tid in tids for tids in _mirror_snapshot(mirror).values()
+            )
+            if not stored:
+                subspaces = sorted(anchors)
+                masks = [canonical(record, anchors[s]) for s in subspaces]
+                store.anchor_arrival(
+                    record,
+                    subspaces,
+                    [sum(1 << m for m in ms) for ms in masks],
+                )
+                for subspace, ms in zip(subspaces, masks):
+                    for mask in ms:
+                        mirror.insert(
+                            constraint_for_record(record, mask),
+                            subspace,
+                            record,
+                        )
+        elif kind == "reanchor":
+            _, tid, subspace, children = op
+            record = pool[tid]
+            row = store.row_of(tid)
+            old = store.anchor_cell(subspace, row) if row is not None else 0
+            if old:
+                removed = (old & -old).bit_length() - 1
+                children = canonical(record, children)
+                store.set_anchor_cell(
+                    subspace,
+                    row,
+                    old & ~(1 << removed) | sum(1 << m for m in children),
+                )
+                mirror.delete(
+                    constraint_for_record(record, removed), subspace, record
+                )
+                for mask in children:
+                    mirror.insert(
+                        constraint_for_record(record, mask), subspace, record
+                    )
+        elif kind == "unregister":
+            record = pool[op[1]]
+            store.unregister(record.tid)
+            for (constraint, subspace), tids in _mirror_snapshot(
+                mirror
+            ).items():
+                if record.tid in tids:
+                    mirror.delete(constraint, subspace, record)
+            assert store.row_of(record.tid) is None
+        elif kind == "compact":
+            store.compact()
+            assert all(
+                store.record_at(row) is not None
+                for row in range(store.n_rows)
+            )
+        else:
+            store.clear()
+            mirror.clear()
+        return probes
+
+    @pytest.mark.parametrize("n_dimensions", [2, 5, 6, 7])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_memory_mirror(self, n_dimensions, data):
+        pool_dims, ops = data.draw(store_op_sequences(n_dimensions))
+        score_from = data.draw(st.integers(min_value=0, max_value=len(ops)))
+        pool = [rec(tid, dims=dims) for tid, dims in enumerate(pool_dims)]
+        store = ColumnarSkylineStore(
+            n_dimensions=n_dimensions, n_measures=2, initial_capacity=2
         )
-        assert grouped.skyline_counts(record.dims, masks)[:, [0b11, 0b01]].tolist() == [
-            [0, 0], [1, 1], [1, 0], [1, 1],
+        mirror = MemorySkylineStore()
+        self._assert_agree(store, mirror, pool, set(), score_from == 0)
+        for step, op in enumerate(ops, start=1):
+            probes = self._apply(store, mirror, pool, op)
+            self._assert_agree(store, mirror, pool, probes, step >= score_from)
+        # Every sequence ends on a compaction that shifts live rows: the
+        # lowest live row goes, the rest slide down.
+        live = [
+            store.record_at(row).tid
+            for row in range(store.n_rows)
+            if store.record_at(row) is not None
         ]
-        assert {
-            key: {r.tid for r in records}
-            for key, records in grouped.iter_pairs()
-        } == {
-            key: {r.tid for r in records}
-            for key, records in sequential.iter_pairs()
-        }
-        assert grouped.stored_tuple_count() == sequential.stored_tuple_count()
-        for subspace in (0b11, 0b01):
-            assert grouped.anchor_masks(0, subspace) == sequential.anchor_masks(
-                0, subspace
-            )
-            gbits = grouped.anchor_bits(subspace, 1)
-            sbits = sequential.anchor_bits(subspace, 1)
-            assert int(gbits[0]) == int(sbits[0])
-
-    def test_reanchor_demoted_equals_delete_plus_inserts(self):
-        top = Constraint((None, None))
-        children = [Constraint(("a", None)), Constraint((None, "x"))]
-        record = rec(7)
-
-        def build():
-            store = ColumnarSkylineStore()
-            store.insert(top, 0b11, record)
-            store.skyline_counts(record.dims, ())  # activate flip maintenance
-            return store
-
-        netted = build()
-        row = netted.row_of(7)
-        netted.reanchor_demoted(0b11, record, row, top, children)
-        sequential = build()
-        sequential.delete(top, 0b11, record)
-        for child in children:
-            sequential.insert(child, 0b11, record)
-        assert {
-            key: {r.tid for r in records}
-            for key, records in netted.iter_pairs()
-        } == {
-            key: {r.tid for r in records}
-            for key, records in sequential.iter_pairs()
-        }
-        assert netted.anchor_masks(7, 0b11) == sequential.anchor_masks(7, 0b11)
-        # The index layout is the store's business: compare through the
-        # public probe, over every (subspace, mask, key) — the record's
-        # own dims and a combination no stored tuple carries.
-        masks = range(1 << len(record.dims))
-        for dims in (record.dims, ("b", "y"), ("a", "y")):
-            assert (
-                netted.skyline_counts(dims, masks).tolist()
-                == sequential.skyline_counts(dims, masks).tolist()
-            )
-        assert netted.skyline_counts(record.dims, masks)[:, 0b11].tolist() == [
-            0, 1, 1, 1,
-        ]
-        assert netted.stored_tuple_count() == sequential.stored_tuple_count()
+        for op in [("unregister", tid) for tid in live[:1]] + [("compact",)]:
+            self._apply(store, mirror, pool, op)
+            self._assert_agree(store, mirror, pool, set(), True)

@@ -13,17 +13,9 @@ from repro import FactDiscoverer, TableSchema, make_algorithm
 from repro.core.constraint import satisfied_constraints
 from repro.core.lattice import nonempty_subspaces
 from repro.core.skyline import contextual_skyline
+from tests.strategies import narrow_row_strategy, wide_row_strategy
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
-
-row_strategy = st.fixed_dictionaries(
-    {
-        "d0": st.sampled_from(["a", "b"]),
-        "d1": st.sampled_from(["x", "y"]),
-        "m0": st.integers(min_value=0, max_value=3),
-        "m1": st.integers(min_value=0, max_value=3),
-    }
-)
 
 STORE_ALGOS = ["bottomup", "topdown", "sbottomup", "stopdown", "svec"]
 ALL_ALGOS = STORE_ALGOS + ["bruteforce", "baselineseq", "baselineidx", "ccsc"]
@@ -74,7 +66,7 @@ class TestStoreRepair:
     @pytest.mark.parametrize("name", STORE_ALGOS)
     @settings(max_examples=15, deadline=None)
     @given(
-        rows=st.lists(row_strategy, min_size=2, max_size=10),
+        rows=st.lists(narrow_row_strategy, min_size=2, max_size=10),
         victim=st.integers(min_value=0, max_value=9),
     )
     def test_delete_matches_replay(self, name, rows, victim):
@@ -137,16 +129,6 @@ class TestColumnarRetraction:
     """
 
     SCHEMA3 = TableSchema(("d0", "d1", "d2"), ("m0", "m1"))
-
-    wide_row_strategy = st.fixed_dictionaries(
-        {
-            "d0": st.sampled_from(["a", "b", "c"]),
-            "d1": st.sampled_from(["x", "y"]),
-            "d2": st.sampled_from(["p", "q", None]),
-            "m0": st.integers(min_value=0, max_value=4),
-            "m1": st.integers(min_value=0, max_value=4),
-        }
-    )
 
     @settings(max_examples=25, deadline=None)
     @given(

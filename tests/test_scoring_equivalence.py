@@ -25,19 +25,11 @@ from repro import (
     TableSchema,
 )
 from repro.core.constraint import satisfied_constraints
+from tests.strategies import none_row_strategy, row_strategy
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
 
 ALGORITHMS = ("stopdown", "svec", "bottomup")
-
-row_strategy = st.fixed_dictionaries(
-    {
-        "d0": st.sampled_from(["a", "b", "c"]),
-        "d1": st.sampled_from(["x", "y"]),
-        "m0": st.integers(min_value=0, max_value=4),
-        "m1": st.integers(min_value=0, max_value=4),
-    }
-)
 
 
 def fact_key(fact):
@@ -202,16 +194,6 @@ class TestUnbindableDimValues:
         want = [fs.pairs for fs in oracle.process_stream(self.ROWS2)]
         got = [fs.pairs for fs in algo.process_stream(self.ROWS2)]
         assert got == want
-
-    none_row_strategy = st.fixed_dictionaries(
-        {
-            "d0": st.sampled_from(["a", "b", None]),
-            "d1": st.sampled_from(["x", "y", None]),
-            "d2": st.sampled_from(["p", None]),
-            "m0": st.integers(min_value=0, max_value=3),
-            "m1": st.integers(min_value=0, max_value=3),
-        }
-    )
 
     @pytest.mark.parametrize("algorithm", ("svec", "topdown", "stopdown"))
     @settings(max_examples=20, deadline=None)

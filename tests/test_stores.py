@@ -97,6 +97,19 @@ class TestStoreSemantics:
         assert {r.tid for r in store.get(C1, 0b11)} == {1, 2}
 
 
+class TestColumnarStoreSpecifics:
+    def test_insert_rejects_a_record_outside_the_constraint(self):
+        # The anchor-bit matrix files a tuple under its own values at
+        # the constraint's mask; a record that does not satisfy the
+        # constraint has no cell to go to.
+        s = ColumnarSkylineStore()
+        with pytest.raises(ValueError, match="does not satisfy"):
+            s.insert(Constraint(("z", None)), 0b11, rec(0))
+        assert s.stored_tuple_count() == 0
+        assert list(s.get(Constraint(("z", None)), 0b11)) == []
+        assert s.anchor_masks(0, 0b11) == frozenset()
+
+
 class TestFileStoreSpecifics:
     def test_files_created_per_nonempty_pair(self, tmp_path):
         s = FileSkylineStore(SCHEMA, directory=str(tmp_path))
