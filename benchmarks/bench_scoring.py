@@ -199,7 +199,7 @@ STAGE_SHAPES = (
     ("d4 m4 anticorrelated", 4, 4, "anticorrelated", 1000),
     ("d5 m5 independent", 5, 5, "independent", 400),
 )
-STAGES = ("walk", "insert", "repair", "score", "select")
+STAGES = ("walk", "apply", "score", "select")
 
 
 def stage_split(d, m, distribution, n, repeats=3):
@@ -207,11 +207,13 @@ def stage_split(d, m, distribution, n, repeats=3):
     ``n`` rows from empty, in 256-row batches (what ``serve`` does to
     its CSV history); the fastest of ``repeats`` runs.
 
-    ``walk`` is ``_discover`` minus the two store-mutation stages it
-    calls (``insert`` = ``anchor_arrival`` with its scoring-index
-    flips, ``repair`` = ``_flush_repairs`` with its one-slot bumps);
-    ``score`` is ``score_facts_inplace``, ``select`` is
-    ``select_reportable`` over every fact set of the batch.
+    ``walk`` is ``_discover`` minus the one store write it ends on
+    (``apply`` = ``ColumnarSkylineStore.apply_cells``: the arrival's
+    promotion row and every demoted cell as one batch — matrix write,
+    gauge, scoring-index flips); the per-cell demotion arithmetic
+    (``_demoted_anchors``) is part of ``walk``.  ``score`` is
+    ``score_facts_inplace``, ``select`` is ``select_reportable`` over
+    every fact set of the batch.
     """
     schema = synthetic_schema(d, m)
     rows = synthetic_rows(n, d, m, distribution=distribution)
@@ -234,13 +236,12 @@ def stage_split(d, m, distribution, n, repeats=3):
         engine = FactDiscoverer(schema, algorithm="svec", config=config)
         algorithm = engine.algorithm
         spent = dict.fromkeys(
-            ("_discover", "_flush_repairs", "score_facts_inplace",
-             "anchor_arrival", "select"),
+            ("_discover", "score_facts_inplace", "apply_cells", "select"),
             0.0,
         )
-        for name in ("_discover", "_flush_repairs", "score_facts_inplace"):
+        for name in ("_discover", "score_facts_inplace"):
             timed(algorithm, name, spent)
-        timed(algorithm.store, "anchor_arrival", spent)
+        timed(algorithm.store, "apply_cells", spent)
         gc.collect()
         start = time.perf_counter()
         for lo in range(0, n, 256):
@@ -251,11 +252,8 @@ def stage_split(d, m, distribution, n, repeats=3):
             spent["select"] += time.perf_counter() - selecting
         total = time.perf_counter() - start
         split = {
-            "walk": spent["_discover"]
-            - spent["anchor_arrival"]
-            - spent["_flush_repairs"],
-            "insert": spent["anchor_arrival"],
-            "repair": spent["_flush_repairs"],
+            "walk": spent["_discover"] - spent["apply_cells"],
+            "apply": spent["apply_cells"],
             "score": spent["score_facts_inplace"],
             "select": spent["select"],
             "total": total,

@@ -122,15 +122,17 @@ def retract_top_down_columnar(
 
     Same repair, answered from the columns instead of full-table
     scans: the removed tuple's anchors are its cells of the store's
-    anchor-bit matrix (cleared in one write per subspace), candidate
-    re-entrants are the rows the removed tuple dominated (one dominance
-    sweep over the measure columns, shared by every subspace), and per
-    affected mask the "is the candidate back in the skyline?" check
-    runs as a batched comparison against the context rows only.
-    Re-anchoring replays :func:`_anchor_if_maximal` with bitset
-    arithmetic — "ancestor already anchored?" / "which descendant
-    anchors are shadowed?" are single ANDs of the candidate's cell
-    against the submask / supermask closure tables.
+    anchor-bit matrix, candidate re-entrants are the rows the removed
+    tuple dominated (one dominance sweep over the measure columns,
+    shared by every subspace), and per affected mask the "is the
+    candidate back in the skyline?" check runs as a batched comparison
+    against the context rows only.  Re-anchoring replays
+    :func:`_anchor_if_maximal` with bitset arithmetic — "ancestor
+    already anchored?" / "which descendant anchors are shadowed?" are
+    single ANDs of the candidate's cell against the submask / supermask
+    closure tables.  The victim's clears and every re-anchor accumulate
+    in one ``{(subspace, row): anchor bitset}`` overlay, written to the
+    store once (:meth:`ColumnarSkylineStore.apply_cells`).
 
     Returns False — leaving the store untouched — when the removed
     tuple carries an unbindable dimension value (which collapses its
@@ -153,12 +155,13 @@ def retract_top_down_columnar(
     lt, gt, agree = store.partition_bitmasks(removed)
     alive = np.ones(n, dtype=bool)
     alive[row_u] = False
+    cells = {}
     for subspace in subspaces:
         ab_u = store.anchor_cell(subspace, row_u)
         if not ab_u:
             continue
         # Remove the tuple from its anchors first (scalar order).
-        store.set_anchor_cell(subspace, row_u, 0)
+        cells[subspace, row_u] = 0
         # Only tuples the removed one dominated there can re-enter.
         dominated_by_u = ((gt & subspace) != 0) & ((lt & subspace) == 0) & alive
         if not bool(dominated_by_u.any()):
@@ -188,28 +191,17 @@ def retract_top_down_columnar(
                 gt_any = (context_values > candidate_values).any(axis=1)
                 if bool((ge_all & gt_any).any()):
                     continue  # still dominated in this context
-                _reanchor_if_maximal_bits(
-                    store, r, mask, subspace, closure, up
-                )
+                anchored = cells.get((subspace, r))
+                if anchored is None:
+                    anchored = store.anchor_cell(subspace, r)
+                # Bitset replay of _anchor_if_maximal: anchor here
+                # unless a more general anchor covers this constraint,
+                # shedding the descendant anchors it shadows.
+                if not anchored & closure[mask] & ~(1 << mask):
+                    cells[subspace, r] = anchored & ~up[mask] | 1 << mask
+    if cells:
+        store.apply_cells(*zip(*cells), list(cells.values()))
     return True
-
-
-def _reanchor_if_maximal_bits(
-    store,
-    row: int,
-    mask: int,
-    subspace: int,
-    closure: Sequence[int],
-    up: Sequence[int],
-) -> None:
-    """Bitset replay of :func:`_anchor_if_maximal`: the row's anchor
-    cell answers the ancestor-cover check with one AND and sheds the
-    shadowed descendants with another, in one cell write."""
-    anchored = store.anchor_cell(subspace, row)
-    self_bit = 1 << mask
-    if anchored & closure[mask] & ~self_bit:
-        return  # a more general anchor covers this constraint
-    store.set_anchor_cell(subspace, row, anchored & ~up[mask] | self_bit)
 
 
 def _anchor_if_maximal(

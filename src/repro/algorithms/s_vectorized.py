@@ -26,11 +26,13 @@ materialised stores and output semantics:
   are batched matrix reductions, ``µ`` bucket occupancy along ``C^t``
   is one slice of the anchor-bit matrix ANDed with the agreement
   submask closure (so the comparison counters and the demotion
-  candidates come out of popcounts, not bucket loops), the arrival's
-  promotion at its maximal constraints is one row write
-  (:meth:`ColumnarSkylineStore.anchor_arrival`) and each demotion a bit
-  move inside one cell (:meth:`_flush_repairs` →
-  :meth:`ColumnarSkylineStore.set_anchor_cell`).  The walk is
+  candidates come out of popcounts, not bucket loops), and the store is
+  written once per arrival: the promotion at the arrival's maximal
+  constraints and every demotion — a bit move inside one cell, worked
+  out by :meth:`_demoted_anchors` from the cell as it stood before the
+  arrival — are collected in a local ``{(subspace, row): anchors}``
+  dict and leave as one batch of cell transitions
+  (:meth:`ColumnarSkylineStore.apply_cells`).  The walk is
   output-equivalent to scalar ``stopdown`` — facts, Invariant-2 store
   contents, *and* operation counters.  Arrivals carrying an unbindable
   (None) dimension value, and schemas beyond the walker's
@@ -57,8 +59,9 @@ materialised stores and output semantics:
 * retraction repair is columnar too (see
   :func:`~repro.algorithms.retraction.retract_top_down_columnar`):
   the victim's cells are cleared, re-anchor candidates come from one
-  dominance sweep over the columns and re-enter with one cell write
-  each, instead of per-mask skyline recomputation from the full table.
+  dominance sweep over the columns, and the clears and re-anchors are
+  one store write per victim, instead of per-mask skyline recomputation
+  from the full table.
 
 Why precomputing the pruned matrix is sound: STopDown's node passes
 already rely on the root-pass bits being *exact* — a constraint survives
@@ -86,13 +89,12 @@ import numpy as np
 from ..core.config import DiscoveryConfig
 from ..core.constraint import UNBOUND, bindable_positions
 from ..core.facts import FactSet
-from ..core.lattice import popcount_array
+from ..core.lattice import bit_positions, popcount_array
 from ..core.record import Record
 from ..core.schema import TableSchema
 from ..metrics.counters import OpCounters
 from ..storage.columnar_store import ColumnarSkylineStore, lattice_bitset_dtype
 from .s_top_down import STopDown
-from .top_down import repair_demoted_tuple
 
 
 class SVectorized(STopDown):
@@ -411,13 +413,21 @@ class SVectorized(STopDown):
         # m ⊆ agree[r].  Node passes skip pruned masks outright; the
         # root pass scans every bucket along C^t.  Both stages read the
         # anchors as they stood *before* this arrival's own store
-        # mutations, and count each visited bucket member once.
+        # mutations (``anchored``: all subspaces' cells as one slice of
+        # the store's anchor-bit matrix, one word per cell on the
+        # walker's dimensionalities), and count each visited bucket
+        # member once.
+        anchored = store.anchor_cells(keys)[:, :, 0]
         visited = ~pruned_vec
         if self._has_root:
             visited[0] = -1
         comparisons = 0
-        repairs_by_key: List[List[Tuple[int, int]]] = [[] for _ in keys]
-        order = self._mask_order
+        # The demoted cells as three parallel columns: position of the
+        # subspace in ``keys``, row, and the bitset of bucket masks the
+        # row is demoted at.
+        demoted_ks: List[int] = []
+        demoted_rows: List[int] = []
+        demoted_at: List[int] = []
         if w:
             visited_cell = (visited[:, None] & self._mask_weights) != 0
             comparisons += int(
@@ -428,32 +438,29 @@ class SVectorized(STopDown):
             met_dem = met_any & dem
             dk, dw = np.nonzero(met_dem)
             if dk.size:
-                cells = planes[dk, :, dw] & agreement[:, dw].T
-                cells &= met_dem[dk, dw][:, None]
-                cells[~visited_cell[dk]] = 0
-                at, hit_masks = np.nonzero(cells)
+                hit = planes[dk, :, dw] & agreement[:, dw].T
+                hit &= met_dem[dk, dw][:, None]
+                hit[~visited_cell[dk]] = 0
+                at, hit_masks = np.nonzero(hit)
+                demoted: Dict[Tuple[int, int], int] = {}
                 for k, mask, word_at, word in zip(
                     dk[at].tolist(),
                     hit_masks.tolist(),
                     dw[at].tolist(),
-                    cells[at, hit_masks].tolist(),
+                    hit[at, hit_masks].tolist(),
                 ):
-                    pairs = repairs_by_key[k]
                     base_row = word_at << 6
-                    position = int(order[mask])
                     while word:
                         bit = word & -word
                         word ^= bit
-                        pairs.append(
-                            (position, base_row + bit.bit_length() - 1)
-                        )
+                        cell = k, base_row + bit.bit_length() - 1
+                        demoted[cell] = demoted.get(cell, 0) | 1 << mask
+                for (k, row), masks in demoted.items():
+                    demoted_ks.append(k)
+                    demoted_rows.append(row)
+                    demoted_at.append(masks)
         if delta:
-            # All subspaces are answered by one slice of the store's
-            # anchor-bit matrix (one word per cell on the walker's
-            # dimensionalities).
-            met_mat = store.anchor_cells(keys)[:, w:n, 0].astype(
-                self._bitset_dtype
-            )
+            met_mat = anchored[:, w:n].astype(self._bitset_dtype)
             met_mat &= closure_of_agree[None, :]
             met_mat &= visited[:, None]
             comparisons += int(popcount_array(met_mat).sum())
@@ -464,14 +471,10 @@ class SVectorized(STopDown):
             # faster than 2-D nonzero) finds the handful of hits.
             met_flat = met_mat.reshape(-1)
             hits = np.flatnonzero((met_flat != 0) & demote_mat.reshape(-1))
-            for index in hits.tolist():
-                k, r = divmod(index, delta)
-                remaining = int(met_flat[index])
-                pairs = repairs_by_key[k]
-                while remaining:
-                    bit = remaining & -remaining
-                    remaining ^= bit
-                    pairs.append((int(order[bit.bit_length() - 1]), w + r))
+            hit_ks, hit_rows = np.divmod(hits, delta)
+            demoted_ks += hit_ks.tolist()
+            demoted_rows += (hit_rows + w).tolist()
+            demoted_at += met_flat[hits].tolist()
         self.counters.comparisons += comparisons
 
         # Maximal-constraint promotion (Invariant 2): insert where the
@@ -481,40 +484,40 @@ class SVectorized(STopDown):
             (pruned_vec[:, None] & self._parent_bits[None, :])
             == self._parent_bits[None, :]
         )
+        # Every cell this arrival changes — its own promotion row here,
+        # the demoted cells below — is collected in ``cells`` and
+        # handed to the store as one write.
         anchors = (maximal @ self._order_weights).tolist()
-        anchored = [k for k, bits in enumerate(anchors) if bits]
-        if anchored:
-            store.anchor_arrival(
-                record,
-                [keys[k] for k in anchored],
-                [anchors[k] for k in anchored],
-            )
+        cells: Dict[Tuple[int, int], int] = {}
+        if any(anchors):
+            row = store.register(record)
+            for k, bits in enumerate(anchors):
+                if bits:
+                    cells[keys[k], row] = bits
 
-        # Demotion repair, batched per subspace in pass order (identical
-        # final state to the scalar inline repairs — see _flush_repairs;
-        # sorted level-major to mirror the scalar collection order).
-        # Agreement bitmasks are computed for the handful of repair rows
-        # only: a full agree column would cost the O(n) pass the prefix
-        # stage exists to avoid.
-        repair_rows = list(
-            {row for pairs in repairs_by_key for _, row in pairs}
-        )
-        if repair_rows:
-            agree_of = dict(
-                zip(
-                    repair_rows,
-                    store.agree_bits_rows(
-                        np.asarray(repair_rows, dtype=np.int64), probe_dims
-                    ).tolist(),
-                )
+        # Demotion repair (Procedure *Dominates*, Alg. 5), one demoted
+        # cell at a time against its anchors as they stood before this
+        # arrival — repairs of distinct cells are independent, so the
+        # final state is that of the scalar inline repairs.  Anchor
+        # cells and agreement bitmasks are gathered for the handful of
+        # demoted cells only: a full agree column would cost the O(n)
+        # pass the prefix stage exists to avoid.
+        if demoted_rows:
+            agrees = store.agree_bits_rows(
+                np.asarray(demoted_rows, dtype=np.int64), probe_dims
             )
-            masks = self.masks_top_down
-            for k, pairs in enumerate(repairs_by_key):
-                if pairs:
-                    pairs.sort()
-                    self._flush_repairs(
-                        keys[k], [(r, masks[oi]) for oi, r in pairs], agree_of
-                    )
+            for k, row, at, bits, agree in zip(
+                demoted_ks,
+                demoted_rows,
+                demoted_at,
+                anchored[demoted_ks, demoted_rows].tolist(),
+                agrees.tolist(),
+            ):
+                cells[keys[k], row] = self._demoted_anchors(
+                    row, self._in_pass_order(at), bits, agree
+                )
+        if cells:
+            store.apply_cells(*zip(*cells), list(cells.values()))
         return facts
 
     def _packed_dominators(self, packed_lt, packed_gt):
@@ -643,26 +646,25 @@ class SVectorized(STopDown):
         cons_seq = tuple(constraints[m] for m in self.masks_top_down)
 
         # --- Full-space pass (STopDownRoot), then per-subspace passes
-        # (STopDownNode) that skip pruned constraints.  A dimension
-        # value equal to the unbound marker collapses distinct C^t masks
-        # onto one constraint, whose bucket is then scanned twice per
-        # pass — only then must repairs run inline (scalar order) so the
-        # second scan sees the first repair's deletions.
-        defer_repairs = UNBOUND not in record.dims
+        # (STopDownNode) that skip pruned constraints.  As in the walk,
+        # the passes' cell changes (the arrival's own anchors, the
+        # demotion repairs) reach the store as one write.
         emitted: Tuple[List[int], List[int]] = ([], [])
+        cells: Dict[Tuple[int, int], int] = {}
         for k, subspace in enumerate(keys):
             self._lattice_pass(
                 record,
                 subspace,
                 emitted,
                 pruned[subspace],
-                cons_seq,
                 sizes[k],
                 demotable[k],
                 agree,
+                cells,
                 is_root=subspace == full,
-                defer_repairs=defer_repairs,
             )
+        if cells:
+            store.apply_cells(*zip(*cells), list(cells.values()))
         # Same emission form as the walker: positions along C^t plus the
         # subspace column (collapsed duplicate masks keep their own
         # positions, whose constraints coincide).
@@ -679,32 +681,35 @@ class SVectorized(STopDown):
         subspace: int,
         emitted: Tuple[List[int], List[int]],
         pruned_bits: int,
-        cons_seq,
         sizes: List[int],
         demotable: Dict[int, List[int]],
         agree,
+        cells: Dict[Tuple[int, int], int],
         is_root: bool,
-        defer_repairs: bool = True,
     ) -> None:
         """One top-down sweep of ``C^t`` in ``subspace``.
 
-        Facts are appended to ``emitted`` as (position along
-        ``cons_seq``, subspace) column pairs.  ``sizes[m]`` is the size
+        Facts are appended to ``emitted`` as (position along ``C^t``
+        in walk order, subspace) column pairs.  ``sizes[m]`` is the size
         of the subspace's ``µ`` bucket at ``C^t``'s constraint with
         bound mask ``m`` as it stood before this arrival, and
         ``demotable[m]`` its member rows the new tuple dominates there
         (both read off the store's anchor-bit matrix and the arrival
-        sweep by :meth:`_discover_scalar_passes`).  Demotions are
-        collected and repaired in one batch after the sweep (see
-        :meth:`_flush_repairs`, which takes the sweep's agreement column
-        ``agree``) — safe because a repair only deletes from the
-        just-visited bucket and re-anchors at children outside ``C^t``,
-        neither of which a later visit of this pass reads — unless
-        ``defer_repairs`` is off (degenerate ``C^t`` with duplicate
-        constraints: the bucket is then visited once per duplicate, and
-        ``sizes`` is kept current — repaired rows leave, the arrival's
-        own anchor joins — so the later visits count what scalar
-        stopdown's per-visit read would).  The root pass visits every
+        sweep by :meth:`_discover_scalar_passes`).  The arrival's own
+        anchors are set in ``cells``, the ``{(subspace, row): anchor
+        bitset}`` batch the caller writes to the store after the last
+        pass — nothing in between reads the arrival's cells.  Demotions
+        are collected per row and repaired into the same batch after
+        the sweep (see :meth:`_demoted_anchors`, which takes the row's
+        entry of the sweep's agreement column ``agree``) — safe because
+        a repair only deletes from the just-visited bucket and
+        re-anchors at children outside ``C^t``, and no visit reads the
+        store.  A degenerate ``C^t`` (an unbindable dimension value
+        collapses distinct masks onto one constraint) visits a bucket
+        once per duplicate: ``demotable`` hands its rows to the first
+        visit only and ``sizes`` is kept current — repaired rows leave,
+        the arrival's own anchor joins — so the later visits count what
+        scalar stopdown's per-visit read would.  The root pass visits every
         constraint (counting and demoting like STopDownRoot); node
         passes skip pruned ones.  Pruning is tested on the *collapsed
         canonical mask* (``mask & bindable``) so duplicate raw masks
@@ -715,19 +720,14 @@ class SVectorized(STopDown):
         store = self.store
         counters = self.counters
         parents = self._parents
-        record_at = store.record_at
-        allowed_mask = self.allowed_mask
         report = not is_root or self.config.allows_subspace(subspace)
-        insert = store.insert
         emit_position = emitted[0].append
         emit_subspace = emitted[1].append
         bindable = bindable_positions(record.dims)
         comparisons = 0
         traversed = 0
-        repairs = []
-        for position, (mask, constraint) in enumerate(
-            zip(self.masks_top_down, cons_seq)
-        ):
+        repairs: Dict[int, List[int]] = {}
+        for position, mask in enumerate(self.masks_top_down):
             canonical = mask & bindable
             shifted = pruned_bits >> canonical
             if not is_root and shifted & 1:
@@ -736,19 +736,9 @@ class SVectorized(STopDown):
             comparisons += sizes[canonical]
             demoted = demotable.pop(canonical, None)
             if demoted:
-                if defer_repairs:
-                    repairs.extend((row, canonical) for row in demoted)
-                else:
-                    for row in demoted:
-                        repair_demoted_tuple(
-                            store,
-                            record,
-                            record_at(row),
-                            constraint,
-                            subspace,
-                            allowed_mask,
-                        )
-                    sizes[canonical] -= len(demoted)
+                for row in demoted:
+                    repairs.setdefault(row, []).append(canonical)
+                sizes[canonical] -= len(demoted)
             if not shifted & 1:
                 if report:
                     emit_position(position)
@@ -766,10 +756,13 @@ class SVectorized(STopDown):
                 else:
                     maximal = not mask
                 if maximal:
-                    insert(constraint, subspace, record)
+                    cell = subspace, store.register(record)
+                    cells[cell] = cells.get(cell, 0) | 1 << canonical
                     sizes[canonical] += 1
-        if repairs:
-            self._flush_repairs(subspace, repairs, agree)
+        for row, masks in repairs.items():
+            cells[subspace, row] = self._demoted_anchors(
+                row, masks, store.anchor_cell(subspace, row), int(agree[row])
+            )
         counters.comparisons += comparisons
         counters.traversed_constraints += traversed
 
@@ -784,32 +777,35 @@ class SVectorized(STopDown):
         self._anc_tbl[child] = row
         return row
 
-    def _flush_repairs(self, subspace, repairs, agree_of) -> None:
-        """Procedure *Dominates* (Alg. 5) for a whole pass's demotions,
-        as bit moves inside the demoted rows' anchor cells.
+    def _in_pass_order(self, masks: int) -> List[int]:
+        """The masks of a bitset in walk (level-major) order."""
+        out = bit_positions(masks)
+        if len(out) > 1:  # rare: most cells are demoted at one mask
+            out.sort(key=self._mask_order.__getitem__)
+        return out
 
-        Batched counterpart of :func:`repair_demoted_tuple` over
-        ``(row, bound mask)`` pairs: the sweep's agreement bitmask
-        (``agree_of[row]`` — any row-indexable holding at least the
-        repair rows) already answers the per-attribute "do the two
-        tuples disagree here?" probes, so the candidate children of
-        each pair are the set bits of one integer, and "ancestor already
-        anchored?" is one AND of the row's anchor cell against a
-        memoised ancestor table — no child ``Constraint`` is built.
-        Processing stays in collection order against the live cells, so
-        the resulting store state is identical to the inline scalar
-        repairs.
+    def _demoted_anchors(self, row, masks, anchors: int, agree: int) -> int:
+        """Procedure *Dominates* (Alg. 5) on one anchor cell: the
+        bitset ``anchors`` of ``row`` after the arrival demoted it at
+        each of ``masks`` (bound masks, in pass order).
+
+        Bitset counterpart of :func:`repair_demoted_tuple`: the sweep's
+        agreement bitmask ``agree`` of the row already answers the
+        per-attribute "do the two tuples disagree here?" probes, so the
+        candidate children of each mask are the set bits of one
+        integer, and "ancestor already anchored?" is one AND of the
+        cell against a memoised ancestor table — no child
+        ``Constraint`` is built.  A row demoted at two masks sees its
+        first repair, so the resulting cell is identical to the inline
+        scalar repairs'.
         """
-        store = self.store
         allowed_bits = self._allowed_bits
-        universe = self.dim_universe
         anc_tbl = self._anc_tbl
-        record_at = store.record_at
-        for row, mask in repairs:
-            anchors = store.anchor_cell(subspace, row) & ~(1 << mask)
-            cand = ~mask & ~int(agree_of[row]) & universe
+        for mask in masks:
+            anchors &= ~(1 << mask)
+            cand = ~mask & ~agree & self.dim_universe
             if cand:
-                dims = record_at(row).dims
+                dims = self.store.record_at(row).dims
                 while cand:
                     bit = cand & -cand
                     cand ^= bit
@@ -827,7 +823,7 @@ class SVectorized(STopDown):
                     if anchors & tbl[j]:
                         continue
                     anchors |= 1 << child
-            store.set_anchor_cell(subspace, row, anchors)
+        return anchors
 
     # ------------------------------------------------------------------
     # Prominence: columnar skyline_sizes and bulk score annotation

@@ -50,6 +50,20 @@ def popcount_array(array):
     return (x * u(0x0101010101010101)) >> u(56)
 
 
+def bit_positions(bitset: int) -> List[int]:
+    """Set bit positions of ``bitset``, ascending.
+
+    >>> bit_positions(0b10110)
+    [1, 2, 4]
+    """
+    out = []
+    while bitset:
+        bit = bitset & -bitset
+        bitset ^= bit
+        out.append(bit.bit_length() - 1)
+    return out
+
+
 def iter_submasks(mask: int) -> Iterator[int]:
     """All submasks of ``mask``, including ``0`` and ``mask`` itself.
 

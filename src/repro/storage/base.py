@@ -92,13 +92,12 @@ class SkylineStore(abc.ABC):
         an Invariant-2 store sweep).
 
         When maintained (see the columnar store) the index holds, per
-        bound mask, one count vector per combination of dimension
-        values at the mask's positions — a dict entry, its key tuple and
-        ``4 · 2^|M|`` bytes of counts per ``(mask, key)`` that anchors
-        at least one skyline tuple, shared by every subspace — so a
-        whole arrival is scored with one probe per mask of ``C^t``
-        instead of one per fact.  How the index is laid out is the
-        store's business; this method is its only reader.  Like
+        bound mask, one count row per combination of dimension values
+        at the mask's positions — a key-table entry and ``4 · 2^|M|``
+        bytes of counts per ``(mask, key)`` some live row holds, shared
+        by every subspace — so a whole arrival is scored with one probe
+        per mask of ``C^t`` instead of one per fact.  How the index is
+        laid out is the store's business; this method is its only reader.  Like
         :meth:`anchor_masks`, it is only meaningful for stores filled by
         the discovery algorithms (stored tuples satisfy their
         constraints).  The matrix is read-only.

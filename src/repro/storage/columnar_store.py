@@ -23,9 +23,12 @@ The scalar :class:`~repro.storage.base.SkylineStore` surface is answered
 from those cells plus the dimension columns (``get`` returns the
 original ``Record`` objects, retained by reference), vectorized
 algorithms (:class:`~repro.algorithms.s_vectorized.SVectorized`) read
-and write the cells as masks and bitsets, and the skyline-cardinality
-index and the sweep index's anchor planes are fed from the before/after
-words of the one cell write.
+the cells as masks and bitsets and write them in batches — every cell
+transition of one arrival, or of one retracted victim, is one call of
+the store's only write kernel (:meth:`ColumnarSkylineStore.apply_cells`),
+which moves the stored-tuple gauge, the skyline-cardinality index (a
+slot-addressed ``int32`` count matrix) and the sweep index's anchor
+planes once, from the before/after words of the whole batch.
 
 The column layout is inferred lazily from the first registered record,
 so ``ColumnarSkylineStore()`` is a drop-in replacement for
@@ -48,16 +51,15 @@ Examples
 from __future__ import annotations
 
 import sys
-from array import array
 from contextlib import contextmanager
-from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.constraint import Constraint, constraint_for_record
 from ..core.lattice import (
-    popcount,
+    bit_positions,
+    popcount_array,
     submask_closure_table,
     supermask_closure_table,
 )
@@ -69,12 +71,13 @@ _INITIAL_CAPACITY = 256
 
 #: The scoring index works the 2^n constraint-mask lattice: every
 #: insert/delete flips up to 2^n masks per subspace, and the index
-#: holds one count vector — one ``int32`` slot per measure subspace —
-#: per (mask, value-combination).  Discovery itself already scales with
-#: 2^n per arrival, so the index is never the *first* bottleneck, but
-#: its memory footprint grows faster on high-cardinality dimensions and
-#: each vector is 2^|M| slots wide — cap both dimensionalities and fall
-#: back to the scalar Invariant-2 sweep for wider schemas.
+#: holds one count row — one ``int32`` per measure subspace — per
+#: (mask, value-combination) plus one slot id per (row, mask).
+#: Discovery itself already scales with 2^n per arrival, so the index
+#: is never the *first* bottleneck, but its memory footprint grows
+#: faster on high-cardinality dimensions and each count row is 2^|M|
+#: wide — cap both dimensionalities and fall back to the scalar
+#: Invariant-2 sweep for wider schemas.
 _MAX_INDEXED_DIMENSIONS = 8
 _MAX_INDEXED_MEASURES = 8
 
@@ -111,17 +114,6 @@ _COMPACT_DEAD_FRACTION = 4
 #: Shared empty row-index array returned for pairs that hold nothing.
 _EMPTY_ROWS = np.empty(0, dtype=np.int64)
 
-_EMPTY_KEY: tuple = ()
-
-
-def _key_builder(positions: Tuple[int, ...]):
-    """``dims → tuple(dims at positions)`` at C speed (itemgetter)."""
-    if not positions:
-        return lambda dims: _EMPTY_KEY
-    if len(positions) == 1:
-        j = positions[0]
-        return lambda dims: (dims[j],)
-    return itemgetter(*positions)
 
 
 def grow_2d(array: np.ndarray, size: int, min_rows: Optional[int] = None) -> np.ndarray:
@@ -227,34 +219,31 @@ class ColumnarSkylineStore(SkylineStore):
         self._cell_bytes = 0
         self._closure: Optional[np.ndarray] = None
         self._bit_weights = None
-        # Scoring index: ``mask → {dimension values at the mask's
-        # positions → count vector}``, the vector holding one slot per
-        # measure subspace (indexed by the subspace bitmask).  Slot
-        # ``M`` of entry ``(m, key)`` counts the distinct tuples
-        # anchored in ``M`` at ``m`` or an ancestor of ``m`` whose
-        # dimension values at ``m``'s positions equal ``key`` — by
-        # Invariant 2 exactly ``|λ_M(σ_C)|`` for the constraint binding
-        # ``key`` at ``m``.  The key of a mask is the same in every
-        # subspace, so one arrival's flips touch one entry per flipped
-        # mask and its skyline sizes are read with one probe per mask
-        # of ``C^t`` (:meth:`skyline_counts`, the only reader).  Built
-        # lazily on first use, then maintained from the before/after
-        # words of every cell write (:meth:`_set_cell`), so prominence
-        # scoring is independent of history size.  The vectors are
-        # ``array('i')``: a scalar bump costs what a dict entry's would
-        # (demotion repair and retraction flip one slot at a time),
-        # while a whole arrival's rows still stack into one NumPy matrix
-        # without copying element by element.
-        self._score_index: Optional[Dict[int, Dict[tuple, array]]] = None
-        self._up_table: Optional[Tuple[int, ...]] = None
-        self._mask_keys: Optional[Tuple] = None
-        #: All-zero count vector (template for new entries, stand-in
-        #: for absent ones on reads).
-        self._no_counts: Optional[array] = None
-        # Memo: bitset → tuple of its set bit positions (anchor cells
-        # and flip patterns repeat constantly; bounded FIFO caps
-        # adversarial streams).
-        self._bit_positions: Dict[int, Tuple[int, ...]] = {}
+        # Scoring index: ``_counts[slot, M]`` is ``|λ_M(σ_C)|`` for the
+        # constraint ``C`` the slot stands for — the distinct tuples
+        # anchored in ``M`` at ``C``'s bound mask or an ancestor of it
+        # whose dimension values at the mask's positions equal ``C``'s
+        # (Invariant 2).  A slot is one (mask, value-combination):
+        # ``_slot_table`` maps its key (the interned ids + 1 at the
+        # mask's positions, 0 elsewhere, as bytes) to the slot, and
+        # ``_slot_ids[row, mask]`` holds the slot of the row's own
+        # values at ``mask`` — filled with one key probe per mask when
+        # the row is first anchored, so every later flip of the row is
+        # pure array arithmetic (:meth:`_score_flips`).  Slots are
+        # refcounted by the rows holding them and recycled when the
+        # last holder is unregistered, so the table is bounded by live
+        # rows × masks; slot 0 is the permanent all-zero row that
+        # absent keys read.  Built lazily on first use
+        # (:meth:`skyline_counts`), then maintained by every
+        # :meth:`apply_cells`, so prominence scoring is independent of
+        # history size.
+        self._counts: Optional[np.ndarray] = None
+        self._slot_ids: Optional[np.ndarray] = None
+        self._slot_refs: Optional[np.ndarray] = None
+        self._slot_table: Dict[bytes, int] = {}
+        self._free_slots: List[int] = []
+        self._key_select: Optional[np.ndarray] = None
+        self._up_bytes: Optional[np.ndarray] = None
         self._total = 0
         # Sweep-index companion, ``None`` until :meth:`folded_sweep`
         # arms it; tombstoned-row bookkeeping for the deferred
@@ -277,18 +266,6 @@ class ColumnarSkylineStore(SkylineStore):
         words = max(1, (1 << n_dimensions) // _WORD_BITS)
         self._cell_bytes = words * _WORD.itemsize
         self._cells = np.zeros((0, cap, words), dtype=_WORD)
-        if (
-            n_dimensions <= _MAX_INDEXED_DIMENSIONS
-            and n_measures <= _MAX_INDEXED_MEASURES
-        ):
-            self._up_table = supermask_closure_table(n_dimensions)
-            self._no_counts = array("i", [0]) * (1 << n_measures)
-            self._mask_keys = tuple(
-                _key_builder(
-                    tuple(j for j in range(n_dimensions) if (mask >> j) & 1)
-                )
-                for mask in range(1 << n_dimensions)
-            )
         if self._interner is None:
             self._interner = ColumnInterner(n_dimensions)
 
@@ -309,6 +286,12 @@ class ColumnarSkylineStore(SkylineStore):
             (old.shape[0], self._values.shape[0], old.shape[2]), dtype=_WORD
         )
         self._cells[:, :size] = old[:, :size]
+        if self._slot_ids is not None:
+            ids = np.zeros(
+                (self._values.shape[0], self._slot_ids.shape[1]), np.int32
+            )
+            ids[:size] = self._slot_ids[:size]
+            self._slot_ids = ids
 
     def _slot(self, subspace: int) -> int:
         """The matrix slot of ``subspace``, assigned on first use."""
@@ -368,8 +351,10 @@ class ColumnarSkylineStore(SkylineStore):
         if row is None:
             return
         if self._cells[:, row].any():
-            for subspace, slot in self._slots.items():
-                self._set_cell(subspace, slot, row, self._cell(slot, row), 0)
+            held = list(self._slots)
+            self.apply_cells(held, [row] * len(held), [0] * len(held))
+        if self._counts is not None and self._slot_ids[row, 0]:
+            self._release_slots(row)
         self._records[row] = None
         self._values[row] = np.nan
         self._dims[row] = -1
@@ -426,6 +411,9 @@ class ColumnarSkylineStore(SkylineStore):
         self._dims[:n] = self._dims[index]
         self._cells[:, :n] = self._cells[:, index]
         self._cells[:, n : len(records)] = 0
+        if self._slot_ids is not None:
+            self._slot_ids[:n] = self._slot_ids[index]
+            self._slot_ids[n : len(records)] = 0
         self._records = [records[row] for row in keep]
         self._row_of = {
             record.tid: row for row, record in enumerate(self._records)
@@ -609,58 +597,42 @@ class ColumnarSkylineStore(SkylineStore):
     def _cell(self, slot: int, row: int) -> int:
         return int.from_bytes(self._cells[slot, row].tobytes(), "little")
 
-    def _bits_of(self, bitset: int) -> Tuple[int, ...]:
-        """Set bit positions of ``bitset``, ascending (memoised)."""
-        positions = self._bit_positions.get(bitset)
-        if positions is None:
-            out = []
-            bits = bitset
-            while bits:
-                bit = bits & -bits
-                bits ^= bit
-                out.append(bit.bit_length() - 1)
-            positions = tuple(out)
-            if len(self._bit_positions) >= 16384:
-                self._bit_positions.pop(next(iter(self._bit_positions)))
-            self._bit_positions[bitset] = positions
-        return positions
+    def apply_cells(self, subspaces, rows, anchors) -> None:
+        """The one µ write: cell ``(subspaces[i], rows[i])`` becomes the
+        anchor bitset ``anchors[i]``, for every ``i`` at once.
 
-    def _up_closure(self, anchors: int) -> int:
-        """Bitset of the masks at or below an anchor of ``anchors`` —
-        the fact masks whose skyline counts the tuple."""
-        up_table = self._up_table
-        up = 0
-        for mask in self._bits_of(anchors):
-            up |= up_table[mask]
-        return up
-
-    def _set_cell(
-        self, subspace: int, slot: int, row: int, old: int, new: int
-    ) -> None:
-        """The one µ mutation: cell ``(slot, row)`` goes ``old → new``.
-
-        Every derived structure moves from the same two words: the
-        stored-tuple gauge by their popcounts, the scoring index by the
-        difference of their up-closures (so a re-anchor inside one
-        closure nets to nothing), the sweep index's anchor planes by
-        their XOR."""
-        if new == old:
+        The three parallel columns carry every cell transition of one
+        unit of work — an arrival's promotion row plus all the cells it
+        demotes, or a retracted victim's cleared cells plus all its
+        re-anchors; :meth:`insert` / :meth:`delete` / :meth:`unregister`
+        are batches of their own.  Rows must be live registered rows,
+        and each ``(subspace, row)`` may appear once (``ValueError``
+        otherwise: a batch has no order to resolve a repeat by).  Every
+        derived structure moves once, from the before/after words of
+        the whole batch: the stored-tuple gauge by their popcount
+        difference, the scoring index by the difference of their
+        up-closures (so a re-anchor inside one closure nets to
+        nothing), the sweep index's anchor planes by their XOR.
+        """
+        if not len(rows):
             return
-        self._cells[slot, row] = np.frombuffer(
-            new.to_bytes(self._cell_bytes, "little"), dtype=_WORD
+        if len(set(zip(subspaces, rows))) != len(rows):
+            raise ValueError("apply_cells: a (subspace, row) cell repeats")
+        slots = np.array([self._slot(subspace) for subspace in subspaces])
+        rows = np.array(rows)
+        new = self._cell_words(anchors)
+        old = self._cells[slots, rows]
+        self._cells[slots, rows] = new
+        self._total += int(popcount_array(new).sum()) - int(
+            popcount_array(old).sum()
         )
-        self._total += popcount(new) - popcount(old)
         self.counters.stored_tuples = self._total
-        if self._score_index is not None:
-            dims = self._records[row].dims
-            old_up = self._up_closure(old)
-            new_up = self._up_closure(new)
-            if new_up & ~old_up:
-                self._score_bump(subspace, dims, new_up & ~old_up, 1)
-            if old_up & ~new_up:
-                self._score_bump(subspace, dims, old_up & ~new_up, -1)
+        if self._counts is not None:
+            self._score_flips(
+                np.array(subspaces, dtype=np.int32), rows, old, new
+            )
         if self._sweep is not None:
-            self._sweep.anchor_sync(subspace, row, old, new)
+            self._sweep.anchor_sync(subspaces, rows, old, new)
 
     def anchor_cell(self, subspace: int, row: int) -> int:
         """Anchor bitset of ``row`` in ``subspace``: bit ``m`` set iff
@@ -668,38 +640,6 @@ class ColumnarSkylineStore(SkylineStore):
         ``m`` (0 for a subspace that holds nothing)."""
         slot = self._slots.get(subspace)
         return 0 if slot is None else self._cell(slot, row)
-
-    def set_anchor_cell(self, subspace: int, row: int, anchors: int) -> None:
-        """Replace ``row``'s anchor bitset in ``subspace`` — the
-        demotion / retraction-repair primitive (a bit move inside one
-        cell).  Equivalent to the :meth:`delete` / :meth:`insert`
-        sequence between the two bitsets, with gauge, scoring index and
-        sweep index updated once from the net change."""
-        slot = self._slot(subspace)
-        self._set_cell(subspace, slot, row, self._cell(slot, row), anchors)
-
-    def anchor_arrival(self, record: Record, subspaces, anchors) -> None:
-        """Anchor a new arrival — one not stored anywhere yet — as one
-        row write: ``anchors[i]`` is its (non-empty) bitset of maximal
-        skyline constraint masks in ``subspaces[i]``.
-
-        Grouped equivalent of one :meth:`insert` per set bit; the
-        scoring-index key of a mask is built and probed once for the
-        whole arrival (see :meth:`_score_bump`).  The row lies past the
-        sweep index's watermark, which picks the anchors up at its next
-        fold.
-        """
-        row = self.register(record)
-        slots = [self._slot(subspace) for subspace in subspaces]
-        self._cells[slots, row] = self._cell_words(anchors)
-        self._total += sum(map(popcount, anchors))
-        self.counters.stored_tuples = self._total
-        if self._score_index is not None:
-            vectors: Dict[int, array] = {}
-            for subspace, bits in zip(subspaces, anchors):
-                self._score_bump(
-                    subspace, record.dims, self._up_closure(bits), 1, vectors
-                )
 
     def anchor_cells(self, subspaces) -> np.ndarray:
         """``(len(subspaces), n_rows, words)`` anchor cells of the given
@@ -782,7 +722,7 @@ class ColumnarSkylineStore(SkylineStore):
             bits = (wanted >> (word * _WORD_BITS)) & 0xFFFFFFFF
             if bits:
                 hit |= (self._cells[slot, :n, word] & bits) != 0
-        for position in self._bits_of(mask):
+        for position in bit_positions(mask):
             vid = self._interner.lookup(position, constraint.values[position])
             if vid is None:
                 return _EMPTY_ROWS  # a value no registered row carries
@@ -811,18 +751,17 @@ class ColumnarSkylineStore(SkylineStore):
         return [self._records[row] for row in rows]
 
     def _stored_at(self, constraint: Constraint, subspace: int, tid: int):
-        """``(slot, row, cell)`` when tuple ``tid`` is stored at the
-        pair, else ``None`` — the mask bit of its cell, then the match
+        """``(row, cell)`` when tuple ``tid`` is stored at the pair,
+        else ``None`` — the mask bit of its cell, then the match
         of its values against the constraint's."""
         row = self._row_of.get(tid)
-        slot = self._slots.get(subspace)
-        if row is None or slot is None:
+        if row is None:
             return None
-        cell = self._cell(slot, row)
+        cell = self.anchor_cell(subspace, row)
         if (cell >> constraint.bound_mask) & 1 and constraint.satisfied_by(
             self._records[row]
         ):
-            return slot, row, cell
+            return row, cell
         return None
 
     def insert(self, constraint: Constraint, subspace: int, record: Record) -> None:
@@ -834,18 +773,15 @@ class ColumnarSkylineStore(SkylineStore):
                 f"tuple is only ever stored under constraints it satisfies"
             )
         row = self.register(record)
-        slot = self._slot(subspace)
-        cell = self._cell(slot, row)
-        self._set_cell(
-            subspace, slot, row, cell, cell | (1 << constraint.bound_mask)
-        )
+        cell = self.anchor_cell(subspace, row)
+        self.apply_cells([subspace], [row], [cell | (1 << constraint.bound_mask)])
 
     def delete(self, constraint: Constraint, subspace: int, record: Record) -> None:
         stored = self._stored_at(constraint, subspace, record.tid)
         if stored is not None:
-            slot, row, cell = stored
-            self._set_cell(
-                subspace, slot, row, cell, cell & ~(1 << constraint.bound_mask)
+            row, cell = stored
+            self.apply_cells(
+                [subspace], [row], [cell & ~(1 << constraint.bound_mask)]
             )
 
     def contains(self, constraint: Constraint, subspace: int, record: Record) -> bool:
@@ -856,7 +792,7 @@ class ColumnarSkylineStore(SkylineStore):
         pairs: Dict[PairKey, List[Record]] = {}
         for subspace, row, anchors in self._anchored():
             record = records[row]
-            for mask in self._bits_of(anchors):
+            for mask in bit_positions(anchors):
                 pairs.setdefault(
                     (constraint_for_record(record, mask), subspace), []
                 ).append(record)
@@ -871,64 +807,115 @@ class ColumnarSkylineStore(SkylineStore):
         always answers)."""
         row = self._row_of.get(tid)
         anchors = 0 if row is None else self.anchor_cell(subspace, row)
-        return frozenset(self._bits_of(anchors))
+        return frozenset(bit_positions(anchors))
 
     # ------------------------------------------------------------------
     # Scoring index
     # ------------------------------------------------------------------
-    def _score_bump(
-        self,
-        subspace: int,
-        dims: Tuple[object, ...],
-        flipped: int,
-        delta: int,
-        vectors: Optional[Dict[int, array]] = None,
-    ) -> None:
-        """Apply an anchor-bitset flip to the scoring index: each set bit
-        of ``flipped`` is a fact mask whose ``|λ_M(σ_C)|`` gains or
-        loses this tuple in ``subspace``.
+    def _build_score_index(self) -> None:
+        """Allocate the count matrix and its tables, then count every
+        cell already anchored as one batch of ``0 → cell`` flips."""
+        n_dimensions = self._n_dimensions
+        n_masks = 1 << n_dimensions
+        self._counts = np.zeros((64, 1 << self._n_measures), dtype=np.int32)
+        self._slot_refs = np.zeros(64, dtype=np.int32)
+        self._slot_ids = np.zeros((self._values.shape[0], n_masks), np.int32)
+        self._slot_table = {}
+        self._free_slots = []
+        self._key_select = (
+            np.arange(n_masks)[:, None] >> np.arange(n_dimensions) & 1
+        ).astype(np.int32)
+        # Up-closures are OR-linear in the anchor bits, so the closure
+        # of a cell is the OR of one table row per byte of the cell:
+        # ``_up_bytes[p, b]`` is the closure of bitset ``b << 8p``.
+        up = np.zeros((self._cell_bytes, 1, 8, self._cells.shape[2]), _WORD)
+        up.reshape(-1, up.shape[3])[:n_masks] = self._cell_words(
+            supermask_closure_table(n_dimensions)
+        )
+        in_byte = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(bool)
+        self._up_bytes = np.bitwise_or.reduce(
+            np.where(in_byte[:, :, None], up, 0), axis=2
+        )
+        n = len(self._records)
+        for subspace, slot in self._slots.items():
+            cells = self._cells[slot, :n]
+            rows = np.flatnonzero(cells.any(axis=1))
+            new = cells[rows]
+            self._score_flips(
+                np.full(rows.shape, subspace), rows, np.zeros_like(new), new
+            )
 
-        ``vectors`` memoises the tuple's count vector per mask:
-        :meth:`anchor_arrival` passes one dict across all its subspaces,
-        so the key is built and the table probed once per flipped mask
-        rather than once per (subspace, mask)."""
-        index = self._score_index
-        keys = self._mask_keys
-        if delta > 0:
-            if vectors is None:
-                vectors = {}
-            for fact_mask in self._bits_of(flipped):
-                vector = vectors.get(fact_mask)
-                if vector is None:
-                    table = index.get(fact_mask)
-                    if table is None:
-                        table = index[fact_mask] = {}
-                    key = keys[fact_mask](dims)
-                    vector = table.get(key)
-                    if vector is None:
-                        vector = table[key] = self._no_counts[:]
-                    vectors[fact_mask] = vector
-                vector[subspace] += delta
-            return
-        for fact_mask in self._bits_of(flipped):
-            # Decrements always target an existing entry (the tuple was
-            # counted when its anchor covered this mask); skip instead
-            # of materialising empty vectors if the invariant is ever
-            # violated.
-            table = index.get(fact_mask)
-            if table is None:
-                continue
-            key = keys[fact_mask](dims)
-            vector = table.get(key)
-            if vector is None:
-                continue
-            count = vector[subspace] + delta
-            if count > 0:
-                vector[subspace] = count
-            else:
-                vector[subspace] = 0
-                if not any(vector):
-                    del table[key]
+    def _row_keys(self, ids: np.ndarray) -> List[bytes]:
+        """The slot-table key of every mask for a row of interned
+        dimension ids."""
+        data = ((ids + 1) * self._key_select).tobytes()
+        size = len(data) >> self._n_dimensions
+        return [data[at : at + size] for at in range(0, len(data), size)]
+
+    def _assign_slots(self, row: int) -> None:
+        """Fill ``_slot_ids[row]``: one table probe per mask, a fresh
+        (or recycled) slot for a value combination no live row holds."""
+        table = self._slot_table
+        keys = self._row_keys(self._dims[row])
+        ids = list(map(table.get, keys))
+        if None in ids:
+            free = self._free_slots
+            for mask, slot in enumerate(ids):
+                if slot is None:
+                    slot = free.pop() if free else len(table) + 1
+                    ids[mask] = table[keys[mask]] = slot
+            size = self._counts.shape[0]
+            if max(ids) >= size:
+                grown = 2 * max(ids)
+                counts = np.zeros((grown, self._counts.shape[1]), np.int32)
+                counts[:size] = self._counts
+                self._counts = counts
+                self._slot_refs = np.concatenate(
+                    [self._slot_refs, np.zeros(grown - size, np.int32)]
+                )
+        self._slot_ids[row] = ids = np.array(ids, dtype=np.int32)
+        self._slot_refs[ids] += 1
+
+    def _release_slots(self, row: int) -> None:
+        """Drop ``row``'s hold on its slots; a slot nobody holds any
+        more leaves the table and is recycled (its counts are zero: the
+        row's cells were cleared first)."""
+        ids = self._slot_ids[row]
+        self._slot_refs[ids] -= 1
+        keys = self._row_keys(self._dims[row])
+        for mask in np.flatnonzero(self._slot_refs[ids] == 0).tolist():
+            self._free_slots.append(self._slot_table.pop(keys[mask]))
+        self._slot_ids[row] = 0
+
+    def _score_flips(self, subspaces, rows, old, new) -> None:
+        """Move the scoring index for a batch of cell writes
+        ``old[i] → new[i]`` at ``(subspaces[i], rows[i])``: the fact
+        masks whose ``|λ_M(σ_C)|`` gains or loses the tuple are the
+        difference of the two up-closures (byte-table gathers), their
+        slots one gather of ``_slot_ids``, and the counts move by one
+        signed scatter-add."""
+        for row in set(rows[self._slot_ids[rows, 0] == 0].tolist()):
+            self._assign_slots(row)
+        ids = self._slot_ids[rows]
+        k, n_masks = ids.shape
+        up = np.bitwise_or.reduce(
+            self._up_bytes[
+                np.arange(self._cell_bytes),
+                np.concatenate([old, new]).view(np.uint8),
+            ],
+            axis=1,
+        )
+        covered = np.unpackbits(
+            up.view(np.uint8), axis=1, count=n_masks, bitorder="little"
+        ).view(np.int8)
+        # One signed scatter-add over every (cell, mask): +1 where the
+        # mask joins the cell's closure, -1 where it leaves, 0 elsewhere
+        # (int32 indices and values take ufunc.at's fast path).
+        np.add.at(
+            self._counts.reshape(-1),
+            (ids * self._counts.shape[1] + subspaces[:, None]).reshape(-1),
+            (covered[k:] - covered[:k]).astype(np.int32).reshape(-1),
+        )
 
     def skyline_counts(
         self, dims: Tuple[object, ...], masks
@@ -951,40 +938,45 @@ class ColumnarSkylineStore(SkylineStore):
         the non-empty cells) — unscored ingestion never pays for it —
         after which every cell write keeps it current.
         """
-        keys = self._mask_keys
-        if keys is None:
+        if (
+            self._values is None
+            or self._n_dimensions > _MAX_INDEXED_DIMENSIONS
+            or self._n_measures > _MAX_INDEXED_MEASURES
+        ):
             return None
-        index = self._score_index
-        if index is None:
-            index = self._score_index = {}
-            records = self._records
-            for subspace, row, anchors in self._anchored():
-                self._score_bump(
-                    subspace, records[row].dims, self._up_closure(anchors), 1
-                )
-        absent = self._no_counts
-        rows = []
-        for mask in masks:
-            table = index.get(mask)
-            vector = table.get(keys[mask](dims)) if table else None
-            rows.append(absent if vector is None else vector)
-        return np.frombuffer(b"".join(rows), dtype=np.intc).reshape(
-            len(masks), len(absent)
+        if self._counts is None:
+            self._build_score_index()
+        # A value no registered row carries reads id -2: its keys are in
+        # no table (and the probe's values are not interned).
+        lookup = self._interner.lookup
+        ids = [lookup(column, value) for column, value in enumerate(dims)]
+        keys = self._row_keys(
+            np.array([-2 if i is None else i for i in ids], dtype=np.int32)
         )
+        probe = self._slot_table.get
+        return self._counts[[probe(keys[mask], 0) for mask in masks]]
 
     def approx_bytes(self) -> int:
-        """Resident bytes of the store's own state, exactly: the
-        allocated column arrays and anchor-bit matrix, the scoring
-        index's count vectors, and the ``_records`` / ``_row_of``
+        """Resident bytes of the store's own state: the allocated
+        column arrays and anchor-bit matrix, the scoring index's count
+        and slot-id matrices and its key table (the dict, its ``bytes``
+        keys and ``int`` slots), and the ``_records`` / ``_row_of``
         containers (the ``Record`` objects themselves are shared with
         the table and charged there).  0 before a layout exists."""
         if self._values is None:
             return 0
         total = self._values.nbytes + self._dims.nbytes + self._cells.nbytes
         total += sys.getsizeof(self._records) + sys.getsizeof(self._row_of)
-        for table in (self._score_index or {}).values():
-            for vector in table.values():
-                total += len(vector) * vector.itemsize
+        if self._counts is not None:
+            total += (
+                self._counts.nbytes
+                + self._slot_ids.nbytes
+                + self._slot_refs.nbytes
+                + self._up_bytes.nbytes
+                + sys.getsizeof(self._slot_table)
+                + sum(map(sys.getsizeof, self._slot_table))
+                + sum(map(sys.getsizeof, self._slot_table.values()))
+            )
         return total
 
     def clear(self) -> None:
@@ -997,11 +989,8 @@ class ColumnarSkylineStore(SkylineStore):
         self._slots = {}
         self._closure = None
         self._bit_weights = None
-        self._score_index = None
-        self._up_table = None
-        self._mask_keys = None
-        self._no_counts = None
-        self._bit_positions = {}
+        self._counts = None
+        self._slot_ids = None
         self._total = 0
         self._sweep = None
         self._dead_count = 0

@@ -18,8 +18,8 @@ so a probe is answered with rank lookups instead of compares:
   position j" is a dict probe;
 * per ``(subspace, constraint-mask)``, **anchor-plane bitsets** — the
   store's anchor-bit matrix transposed and packed over the prefix,
-  folded from its cells and kept in step by the store's one cell-write
-  hook — the lattice walker's bucket arithmetic becomes bitset
+  folded from its cells and kept in step by the store's one write
+  kernel — the lattice walker's bucket arithmetic becomes bitset
   intersections over the prefix.
 
 All bitsets are little-endian packed ``uint64`` words over rows
@@ -128,30 +128,37 @@ class SweepIndex:
     # ------------------------------------------------------------------
     # Store hooks (anchor mutations + tombstones)
     # ------------------------------------------------------------------
-    def anchor_sync(
-        self, subspace: int, row: int, old_bits: int, new_bits: int
-    ) -> None:
-        """Apply a cell write (``old_bits → new_bits``, the store's
-        :meth:`~ColumnarSkylineStore._set_cell`) to the planes — only
-        the changed masks are touched."""
-        if row >= self.watermark:
+    def anchor_sync(self, subspaces, rows, old, new) -> None:
+        """Apply a batch of cell writes (``old[i] → new[i]`` at
+        ``(subspaces[i], rows[i])``, the columns of the store's
+        :meth:`~ColumnarSkylineStore.apply_cells`) to the planes — only
+        the changed masks of prefix rows are touched."""
+        prefix = np.flatnonzero(rows < self.watermark)
+        if not prefix.size:
             return
-        changed = old_bits ^ new_bits
-        if not changed:
-            return
-        plane = self._planes.get(subspace)
-        if plane is None:
-            plane = self._add_plane(subspace)
-        word = row >> 6
-        bit = _ONE << np.uint64(row & 63)
-        while changed:
-            low = changed & -changed
-            changed ^= low
-            mask = low.bit_length() - 1
-            if (new_bits >> mask) & 1:
-                self._anch[plane, mask, word] |= bit
-            else:
-                self._anch[plane, mask, word] &= ~bit
+        after = new[prefix, 0]
+        at, masks = np.nonzero(
+            np.unpackbits(
+                (old[prefix, 0] ^ after).view(np.uint8).reshape(-1, 4),
+                axis=1,
+                bitorder="little",
+            )
+        )
+        planes = np.asarray(
+            [self._plane_of(subspaces[i]) for i in prefix.tolist()],
+            dtype=np.int64,
+        )[at]
+        hit_rows = rows[prefix[at]]
+        words = hit_rows >> 6
+        bits = _ONE << (hit_rows & 63).astype(np.uint64)
+        gained = (after[at] >> masks.astype(np.uint32)) & 1 != 0
+        lost = ~gained
+        np.bitwise_or.at(
+            self._anch, (planes[gained], masks[gained], words[gained]), bits[gained]
+        )
+        np.bitwise_and.at(
+            self._anch, (planes[lost], masks[lost], words[lost]), ~bits[lost]
+        )
 
     def on_unregister(self, row: int) -> None:
         """Tombstone a prefix row (suffix rows never entered the index;
@@ -234,9 +241,7 @@ class SweepIndex:
         # (read straight off the store's anchor-bit matrix; one word
         # per cell within the dimensionality the index is armed for).
         for subspace, slot in store._slots.items():
-            plane = self._planes.get(subspace)
-            if plane is None:
-                plane = self._add_plane(subspace)
+            plane = self._plane_of(subspace)
             col = store._cells[slot, old_w:n, 0]
             if not col.any():
                 continue
@@ -265,6 +270,11 @@ class SweepIndex:
         out = np.zeros(cap, dtype=np.uint64)
         out[: arr.shape[0]] = arr
         return out
+
+    def _plane_of(self, subspace: int) -> int:
+        """The plane row of ``subspace``, added on first use."""
+        plane = self._planes.get(subspace)
+        return self._add_plane(subspace) if plane is None else plane
 
     def _add_plane(self, subspace: int) -> int:
         plane = len(self._planes)

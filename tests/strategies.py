@@ -49,6 +49,10 @@ def store_op_sequences(n_dimensions, pool=5, max_ops=24):
       tuple stored nowhere yet;
     * ``("reanchor", tid, subspace, [child masks])`` — demotion: one
       current anchor moves down to the children;
+    * ``("apply_cells", {(tid, subspace): [masks]})`` — one write batch
+      setting each named cell to exactly those masks (an empty list
+      clears the cell; the mask range covers every word of a d > 5
+      cell);
     * ``("unregister", tid)``, ``("compact",)``, ``("clear",)``.
 
     The mutating ops a discovery run issues most come up most.
@@ -64,11 +68,22 @@ def store_op_sequences(n_dimensions, pool=5, max_ops=24):
         tid,
         st.dictionaries(subspace, masks, min_size=1, max_size=3),
     )
+    batch = st.tuples(
+        st.just("apply_cells"),
+        st.dictionaries(
+            st.tuples(tid, subspace),
+            st.lists(mask, max_size=3),
+            min_size=1,
+            max_size=6,
+        ),
+    )
     op = st.one_of(
         insert,
         insert,
         arrival,
         arrival,
+        batch,
+        batch,
         st.tuples(st.just("reanchor"), tid, subspace, masks),
         st.tuples(st.just("delete"), tid, mask, subspace),
         st.tuples(st.just("unregister"), tid),

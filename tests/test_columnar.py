@@ -162,10 +162,55 @@ class TestColumnarSubstrate:
         )
         assert store._cells.shape[1:] == (8, 1)
         assert store.approx_bytes() == arrays + containers
-        # The scoring index joins once built: one 2^|M|-slot int32
-        # vector per (mask, key) — masks 0b01 and 0b11 here.
+        # The scoring index joins once built: the count matrix (64
+        # slots of 2^|M| int32 to start with) and its refcounts, one
+        # slot id per (allocated row, mask), the up-closure byte table
+        # (4 bytes per cell x 256 values x 1 word), and the key table —
+        # one slot per mask of the one value combination here, keyed by
+        # 2 x int32 as bytes.
         store.skyline_counts(("a", "x"), (0b01,))
-        assert store.approx_bytes() == arrays + containers + 2 * 4 * 4
+        table = store._slot_table
+        assert len(table) == 4
+        index = (
+            64 * 4 * 4
+            + 64 * 4
+            + 8 * 4 * 4
+            + 4 * 256 * 4
+            + sys.getsizeof(table)
+            + 4 * (sys.getsizeof(bytes(8)) + sys.getsizeof(1))
+        )
+        assert store.approx_bytes() == arrays + containers + index
+
+    def test_approx_bytes_tracks_traced_allocations(self):
+        """``approx_bytes`` against ``tracemalloc``'s view of what the
+        store module holds after a scored 300-row d4 m4 stream."""
+        import gc
+        import tracemalloc
+
+        from repro import FactDiscoverer
+        from repro.datasets.synthetic import synthetic_rows, synthetic_schema
+
+        rows = synthetic_rows(300, 4, 4, distribution="anticorrelated")
+        tracemalloc.start()
+        try:
+            engine = FactDiscoverer(
+                synthetic_schema(4, 4),
+                algorithm="svec",
+                config=DiscoveryConfig(top_k=5),
+            )
+            engine.facts_for_many(rows)
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        traced = sum(
+            stat.size
+            for stat in snapshot.filter_traces(
+                [tracemalloc.Filter(True, "*columnar_store.py")]
+            ).statistics("filename")
+        )
+        approx = engine.algorithm.store.approx_bytes()
+        assert abs(approx - traced) <= 0.10 * traced, (approx, traced)
 
     def test_engine_stats_report_store_bytes(self):
         from repro import FactDiscoverer
@@ -312,6 +357,106 @@ class TestSVecInternals:
         ]
 
 
+class TestOneWritePerArrival:
+    """The store has one write kernel, and discovery and retraction
+    each hand it one batch per unit of work."""
+
+    @staticmethod
+    def _count_writes(monkeypatch):
+        calls = []
+        inner = ColumnarSkylineStore.apply_cells
+
+        def spy(self, subspaces, rows, anchors):
+            calls.append(len(rows))
+            return inner(self, subspaces, rows, anchors)
+
+        monkeypatch.setattr(ColumnarSkylineStore, "apply_cells", spy)
+        return calls
+
+    def test_one_write_per_arrival_and_per_victim(self, monkeypatch):
+        from repro.datasets.synthetic import synthetic_rows, synthetic_schema
+
+        calls = self._count_writes(monkeypatch)
+        vec = make_algorithm("svec", synthetic_schema(4, 4))
+        store = vec.store
+        for row in synthetic_rows(200, 4, 4, distribution="anticorrelated"):
+            before = set(store._anchored())
+            del calls[:]
+            vec.process(row)
+            changed = set(store._anchored()) != before
+            # Exactly one kernel entry, carrying every changed cell, for
+            # an arrival that anchors or demotes anything; none otherwise.
+            assert len(calls) == int(changed)
+        for tid in range(0, 200, 7):
+            anchored = store._cells[:, store.row_of(tid)].any()
+            del calls[:]
+            vec.retract(tid)
+            assert len(calls) == int(anchored)
+
+    def test_one_write_per_arrival_in_the_scalar_passes(self, monkeypatch):
+        # d = 6 is beyond the walker's cap: the scalar per-visit passes
+        # batch their cell changes the same way.
+        from repro.datasets.synthetic import synthetic_rows, synthetic_schema
+
+        calls = self._count_writes(monkeypatch)
+        vec = make_algorithm("svec", synthetic_schema(6, 2))
+        for row in synthetic_rows(40, 6, 2, distribution="anticorrelated"):
+            del calls[:]
+            vec.process(row)
+            assert len(calls) <= 1
+
+    def test_a_repeated_cell_is_rejected(self):
+        store = ColumnarSkylineStore(n_dimensions=2, n_measures=2)
+        row = store.register(rec(0))
+        store.apply_cells([1], [row], [0b0001])
+        with pytest.raises(ValueError, match="repeats"):
+            store.apply_cells([1, 2, 1], [row, row, row], [0b0010, 1, 0b0100])
+        # Rejected before anything was written.
+        assert store.anchor_cell(1, row) == 0b0001
+        assert store.anchor_cell(2, row) == 0
+        assert store.stored_tuple_count() == 1
+
+    def test_slot_table_is_bounded_by_the_live_rows(self):
+        """A window over a stream whose dimension values never repeat:
+        every arrival brings 2^|D| - 1 new value combinations, so the
+        scoring index must give its slots back as rows leave."""
+        from repro import FactDiscoverer
+
+        schema = TableSchema(("d0", "d1", "d2"), ("m0", "m1"))
+        engine = FactDiscoverer(
+            schema, algorithm="svec", config=DiscoveryConfig(top_k=3)
+        )
+        store = engine.algorithm.store
+        window, n_masks = 200, 8
+        for tid in range(2000):
+            engine.facts_for(
+                {
+                    "d0": f"a{tid}",
+                    "d1": f"b{tid}",
+                    "d2": f"c{tid}",
+                    "m0": (tid * 37) % 101,
+                    "m1": (tid * 53) % 103,
+                }
+            )
+            if tid >= window:
+                engine.delete(tid - window)
+        live = sum(
+            store.record_at(row) is not None for row in range(store.n_rows)
+        )
+        assert live == window
+        table = store._slot_table
+        assert len(table) <= live * n_masks + 1
+        # Slots are recycled, not leaked: the count matrix never grew
+        # past what window + 1 simultaneous rows can hold, and nothing
+        # is counted outside the slots the live rows hold.
+        assert store._counts.shape[0] <= 2 * ((window + 1) * n_masks + 1)
+        unheld = np.ones(store._counts.shape[0], dtype=bool)
+        unheld[list(table.values())] = False
+        assert not store._counts[unheld].any()
+        assert not store._slot_refs[unheld].any()
+        assert store._slot_refs[~unheld].all()
+
+
 def _mirror_snapshot(store):
     return {
         key: {r.tid for r in records} for key, records in store.iter_pairs()
@@ -321,9 +466,11 @@ def _mirror_snapshot(store):
 class TestStoreDifferential:
     """The anchor-bit matrix against a ``MemorySkylineStore`` mirror:
     random scalar inserts / deletes, grouped arrival promotion, demotion
-    re-anchoring, unregister, forced compaction and ``clear()``, with
-    None dimension values, at one word per cell (d = 2, 5) and several
-    (d = 6, 7).  Every read surface must agree after every op."""
+    re-anchoring, multi-cell ``apply_cells`` batches (cells set, moved
+    and cleared in one write), unregister, forced compaction and
+    ``clear()``, with None dimension values, at one word per cell
+    (d = 2, 5) and several (d = 6, 7).  Every read surface must agree
+    after every op."""
 
     SUBSPACES = (1, 2, 3)
 
@@ -407,9 +554,9 @@ class TestStoreDifferential:
             if not stored:
                 subspaces = sorted(anchors)
                 masks = [canonical(record, anchors[s]) for s in subspaces]
-                store.anchor_arrival(
-                    record,
+                store.apply_cells(
                     subspaces,
+                    [store.register(record)] * len(subspaces),
                     [sum(1 << m for m in ms) for ms in masks],
                 )
                 for subspace, ms in zip(subspaces, masks):
@@ -427,10 +574,10 @@ class TestStoreDifferential:
             if old:
                 removed = (old & -old).bit_length() - 1
                 children = canonical(record, children)
-                store.set_anchor_cell(
-                    subspace,
-                    row,
-                    old & ~(1 << removed) | sum(1 << m for m in children),
+                store.apply_cells(
+                    [subspace],
+                    [row],
+                    [old & ~(1 << removed) | sum(1 << m for m in children)],
                 )
                 mirror.delete(
                     constraint_for_record(record, removed), subspace, record
@@ -439,6 +586,28 @@ class TestStoreDifferential:
                     mirror.insert(
                         constraint_for_record(record, mask), subspace, record
                     )
+        elif kind == "apply_cells":
+            cells = {
+                (pool[tid], subspace): canonical(pool[tid], masks)
+                for (tid, subspace), masks in op[1].items()
+            }
+            store.apply_cells(
+                [subspace for _, subspace in cells],
+                [store.register(record) for record, _ in cells],
+                [sum(1 << m for m in masks) for masks in cells.values()],
+            )
+            for (record, subspace), masks in cells.items():
+                wanted = {constraint_for_record(record, m) for m in masks}
+                probes.update((c, subspace) for c in wanted)
+                for (constraint, sub), tids in _mirror_snapshot(
+                    mirror
+                ).items():
+                    if sub == subspace and record.tid in tids:
+                        if constraint not in wanted:
+                            mirror.delete(constraint, subspace, record)
+                        wanted.discard(constraint)
+                for constraint in wanted:
+                    mirror.insert(constraint, subspace, record)
         elif kind == "unregister":
             record = pool[op[1]]
             store.unregister(record.tid)
