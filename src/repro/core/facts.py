@@ -122,8 +122,8 @@ class FactSet:
     prominence column and materialises *only those*: discovery emits
     hundreds of pairs per arrival on hot streams of which a handful are
     reported, and raw-``S_t`` consumers (benches, the equivalence
-    oracle, the feed fold reading :meth:`columns`) and the vectorized
-    scoring pipeline (which annotates whole columns via
+    oracle, the feed fold reading :meth:`cells` and :meth:`scores`) and
+    the vectorized scoring pipeline (which annotates whole columns via
     :meth:`set_scores`) never pay for objects they do not touch.
     """
 
@@ -222,6 +222,16 @@ class FactSet:
         into per-fact lists (or was never built from cells)."""
         return self._cells
 
+    def scores(self):
+        """The ``(context, skyline)`` cardinality columns as ``int64``
+        arrays parallel to insertion order (``-1`` = not scored), or
+        ``None`` for a set no scoring pass has touched.  Read-only —
+        what the feed fold scatters into its standings."""
+        if self._context is None:
+            return None
+        self._pad_scores()
+        return self._context, self._skyline
+
     def _expand(self) -> None:
         """Turn walker cells into the per-fact lists (one form at a
         time: the cells are dropped)."""
@@ -275,9 +285,7 @@ class FactSet:
     def columns(self):
         """The parallel columns ``(constraints, subspaces,
         context_sizes, skyline_sizes)`` as lists in insertion order; the
-        score columns are ``None`` on unscored sets.  Read-only — the
-        per-arrival folds (feed maintenance) walk these directly
-        instead of materialising fact objects."""
+        score columns are ``None`` on unscored sets.  Read-only."""
         self._expand()
         if self._context is None:
             return self._constraints, self._subspaces, None, None

@@ -19,8 +19,7 @@ subscribers see, and *exact* (property-tested against
   constraint *without* a fact for some pair provably left that pair's
   skyline unchanged (anything dominating a skyline member would itself
   be undominated, i.e. a fact); maintenance is exactly ``ctx += 1``.
-  The arrival's candidate constraints come from
-  :func:`~repro.core.constraint.satisfied_constraints` (``O(2^d̂)``,
+  The arrival's candidate constraints are ``C^t`` itself (``O(2^d̂)``,
   independent of store size).
 * **retraction repair** — deletions and window evictions emit no
   events, but every pair they can affect has a constraint the removed
@@ -31,6 +30,26 @@ subscribers see, and *exact* (property-tested against
   — a pair's first satisfier is always its sole-context skyline, so
   the entry was created when the pair first became non-empty — which
   is why repair never needs to invent entries.
+
+Standings live in columns, not objects:
+
+* per **constraint** (``_cid`` interns it to a recycled row id):
+  ``_ctx`` holds ``|σ_C(table)|`` once for all its subspaces — a silent
+  satisfier is one increment per constraint, not per pair — ``_cseg``
+  its segment id (while ``split_subspaces`` is off) and ``_slot[cid,
+  subspace]`` the entry id of each tracked pair (``-1`` = none):
+  ``16 + 4·2^|M|`` bytes per constraint;
+* per **entry** (one recycled column of the ``int64`` matrix ``_ent``):
+  constraint id, subspace, skyline size, newest skyline tid, insertion
+  sequence number, segment id — 48 bytes;
+* per **segment**: a :class:`FeedSegment` and a live-entry count.
+
+An arrival costs one dict probe per constraint of ``C^t`` (``≤ 2^d̂``),
+one gather for its facts' slots and one scatter per column —
+:meth:`FeedStore.apply_event` reads the lattice walker's cells and score
+columns as they are, building nothing per fact.  The cap and both
+read-time cuts are partitions of the ``ctx / sky`` column;
+:class:`FeedEntry` values exist only for what a read returns.
 
 Memory is bounded by ``FeedSpec.max_entries`` per segment (lowest
 prominence evicted first, tallied per segment); ``τ`` / top-k are
@@ -45,11 +64,15 @@ serving stale standings.
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import json
 import os
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from math import comb
+from typing import Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from ..core.config import DiscoveryConfig
 from ..core.constraint import UNBOUND, Constraint, satisfied_constraints
@@ -63,6 +86,9 @@ SIDECAR_FORMAT = 1
 
 Pair = Tuple[Constraint, int]
 
+#: Rows of the entry matrix ``FeedStore._ent`` (one column per entry).
+CID, SUB, SKY, TID, SEQ, SEG = range(6)
+
 
 def engine_version(engine) -> Tuple[int, int]:
     """``(arrivals, deletions)`` — the same monotone stamp the query
@@ -71,51 +97,22 @@ def engine_version(engine) -> Tuple[int, int]:
     return arrivals, arrivals - len(engine)
 
 
+@dataclass(slots=True)
 class FeedEntry:
-    """Current standing of one tracked ``(C, M)`` pair.
+    """The standing of one tracked ``(C, M)`` pair as a read saw it — a
+    plain value built for what :meth:`FeedStore.entries_ranked`
+    returns, never stored."""
 
-    The context cardinality lives in a one-element list *shared by every
-    entry of the same constraint* (``|σ_C(table)|`` does not depend on
-    the measure subspace) — a silent satisfier costs one increment per
-    constraint instead of one per tracked pair, which is what keeps feed
-    maintenance a few percent of discovery itself."""
-
-    __slots__ = (
-        "constraint",
-        "subspace",
-        "skyline_size",
-        "tid",
-        "ctx_cell",
-        "_rank_tail",
-    )
-
-    def __init__(
-        self,
-        constraint: Constraint,
-        subspace: int,
-        ctx_cell: List[int],
-        skyline_size: int,
-        tid: int,
-    ) -> None:
-        self.constraint = constraint
-        self.subspace = subspace
-        self.ctx_cell = ctx_cell
-        self.skyline_size = skyline_size
-        #: Most recent arrival known to sit in this pair's skyline.
-        self.tid = tid
-        # Static part of the rank key (everything but the prominence),
-        # built lazily on the first rank evaluation — the repr tiebreak
-        # is too costly for entry creation, and most entries are never
-        # ranked between updates.
-        self._rank_tail = None
-
-    @property
-    def context_size(self) -> int:
-        return self.ctx_cell[0]
+    constraint: Constraint
+    subspace: int
+    context_size: int
+    skyline_size: int
+    #: Most recent arrival known to sit in this pair's skyline.
+    tid: int
 
     @property
     def prominence(self) -> float:
-        return self.ctx_cell[0] / self.skyline_size
+        return self.context_size / self.skyline_size
 
     def to_json_dict(self, schema: TableSchema) -> dict:
         return {
@@ -128,40 +125,61 @@ class FeedEntry:
         }
 
 
+@dataclass(slots=True)
 class FeedSegment:
-    """One materialized feed: entries + a monotone content version."""
+    """One materialized feed: a monotone content version over the
+    entries whose ``SEG`` column names :attr:`sid`."""
 
-    __slots__ = ("key", "version", "entries", "last_arrival", "evicted")
-
-    def __init__(self, key: str) -> None:
-        self.key = key
-        #: Bumped on every content change; drives gateway updates and
-        #: cursor invalidation.  Monotone for the segment's lifetime.
-        self.version = 0
-        self.entries: Dict[Pair, FeedEntry] = {}
-        #: Store-level arrival count when this segment last changed.
-        self.last_arrival = 0
-        #: Entries dropped by the per-segment cap (truncation marker).
-        self.evicted = 0
+    key: str
+    sid: int
+    #: Bumped on every content change; drives gateway updates and
+    #: cursor invalidation.  Monotone for the segment's lifetime.
+    version: int = 0
+    #: Store-level arrival count when this segment last changed.
+    last_arrival: int = 0
+    #: Entries dropped by the per-segment cap (truncation marker).
+    evicted: int = 0
 
 
 def _rank_key(entry: FeedEntry):
     """Descending prominence; ties to the more general constraint then
     the smaller subspace (mirrors ``FactSet.ranked``), then a stable
-    textual tiebreak so pagination order is deterministic.  Only the
-    prominence head is built per evaluation; the tail is cached on the
-    entry."""
-    tail = entry._rank_tail
-    if tail is None:
-        constraint = entry.constraint
-        subspace = entry.subspace
-        tail = entry._rank_tail = (
-            constraint.bound_count,
-            bin(subspace).count("1"),
-            repr(constraint.values),
-            subspace,
-        )
-    return (-entry.ctx_cell[0] / entry.skyline_size,) + tail
+    textual tiebreak so pagination order is deterministic."""
+    constraint = entry.constraint
+    subspace = entry.subspace
+    return (
+        -entry.context_size / entry.skyline_size,
+        constraint.bound_count,
+        bin(subspace).count("1"),
+        repr(constraint.values),
+        subspace,
+    )
+
+
+def _widened(array: np.ndarray, size: int, fill: int, axis: int = 0) -> np.ndarray:
+    """``array`` grown to ``size`` along ``axis``, new cells ``fill``."""
+    shape = list(array.shape)
+    shape[axis] = size
+    out = np.full(shape, fill, dtype=array.dtype)
+    out[tuple(slice(n) for n in array.shape)] = array
+    return out
+
+
+def _list_cells(factset: FactSet):
+    """A list-form ``S_t`` (scalar algorithms) in the walker's cell
+    form, one position per distinct constraint *object*."""
+    at: Dict[int, int] = {}
+    cons_seq: List[Constraint] = []
+    positions: List[int] = []
+    subspaces: List[int] = []
+    for constraint, subspace in factset.iter_pairs():
+        position = at.get(id(constraint))
+        if position is None:
+            position = at[id(constraint)] = len(cons_seq)
+            cons_seq.append(constraint)
+        positions.append(position)
+        subspaces.append(subspace)
+    return cons_seq, np.array(positions, np.intp), np.array(subspaces, np.intp)
 
 
 class FeedStore:
@@ -186,33 +204,23 @@ class FeedStore:
             schema.dimension_index(name) for name in self.spec.group_by
         )
         self._bound_cap = config.effective_bound_cap(schema.n_dimensions)
+        #: ``|C^t|`` under this store's ``d̂``: a walker cell set whose
+        #: constraint sequence has this length *is* ``C^t``.
+        self._lattice_size = sum(
+            comb(schema.n_dimensions, k) for k in range(self._bound_cap + 1)
+        )
         self._subspaces = tuple(
             mask
             for mask in range(1, 1 << schema.n_measures)
             if config.allows_subspace(mask)
         )
-        self._segments: Dict[str, FeedSegment] = {}
-        #: Constraint -> {(segment_key, subspace)} for the O(2^d̂)
-        #: silent-satisfier and repair lookups.
-        self._by_constraint: Dict[Constraint, Set[Tuple[str, int]]] = {}
-        #: Constraint -> shared ``[|σ_C(table)|]`` cell (see
-        #: :class:`FeedEntry`); keyed exactly by the tracked
-        #: constraints.
-        self._ctx: Dict[Constraint, List[int]] = {}
-        #: Constraint interning table: every entry key reuses the
-        #: first-seen object, so pair lookups resolve on the tuple
-        #: identity shortcut instead of a value compare per fact.
-        self._canon: Dict[Constraint, Constraint] = {}
-        #: Constraint -> segment key, hot-path cache (the key is a
-        #: pure function of the constraint while ``split_subspaces``
-        #: is off); pruned when a constraint loses its last entry.
-        self._key_cache: Dict[Constraint, str] = {}
         #: Removed records awaiting a repair pass (explicit deletions,
         #: window evictions, aggregate group retractions).
         self._pending_retractions: List[Record] = []
-        #: Applied arrivals whose ``S_t`` was lost (salvage path):
-        #: repair refreshes their *full* candidate-pair set, since a
-        #: lost arrival may have founded pairs no entry tracks yet.
+        #: Applied arrivals whose ``S_t`` was lost (salvage path) or
+        #: came unscored: repair refreshes their *full* candidate-pair
+        #: set, since such an arrival may have founded pairs no entry
+        #: tracks yet.
         self._pending_unknown: List[Record] = []
         self._lock = threading.RLock()
         #: Arrivals folded in (equals ``engine.arrivals`` when the
@@ -222,6 +230,30 @@ class FeedStore:
         self.repairs = 0
         #: Pairs refreshed by repair passes.
         self.repaired_pairs = 0
+        self._reset()
+
+    def _reset(self) -> None:
+        """Empty standings (the layout is in the module docstring)."""
+        #: key -> segment in creation order, the same objects by id,
+        #: and their live-entry counts.
+        self._segments: Dict[str, FeedSegment] = {}
+        self._by_sid: List[FeedSegment] = []
+        self._seg_size = np.zeros(8, dtype=np.int64)
+        #: Constraint table; a row whose slots empty goes back on
+        #: ``_free_cids`` (``_constraints[cid]`` is then ``None``).
+        self._cid: Dict[Constraint, int] = {}
+        self._constraints: List[Optional[Constraint]] = []
+        self._free_cids: List[int] = []
+        self._ctx = np.zeros(64, dtype=np.int64)
+        self._cseg = np.full(64, -1, dtype=np.int64)
+        self._slot = np.full((64, 1 << self.schema.n_measures), -1, dtype=np.int32)
+        #: Entry matrix; ids below ``_n_entries`` are live or on
+        #: ``_free`` (their ``SEG`` is ``-1``).  ``_seq`` numbers
+        #: insertions, the order the cap's ties and the sidecar keep.
+        self._ent = np.full((6, 256), -1, dtype=np.int64)
+        self._n_entries = 0
+        self._free: List[int] = []
+        self._seq = 0
 
     @classmethod
     def for_engine(cls, engine, spec: Optional[FeedSpec] = None) -> "FeedStore":
@@ -253,8 +285,145 @@ class FeedStore:
     def _segment(self, key: str) -> FeedSegment:
         segment = self._segments.get(key)
         if segment is None:
-            segment = self._segments[key] = FeedSegment(key)
+            sid = len(self._by_sid)
+            segment = self._segments[key] = FeedSegment(key, sid)
+            self._by_sid.append(segment)
+            if sid == len(self._seg_size):
+                self._seg_size = _widened(self._seg_size, 2 * sid, 0)
         return segment
+
+    # ------------------------------------------------------------------
+    # Column primitives
+    # ------------------------------------------------------------------
+    def _intern(self, constraint: Constraint) -> int:
+        """The constraint's table row, allocated on first sight."""
+        cid = self._cid.get(constraint)
+        if cid is None:
+            if self._free_cids:
+                cid = self._free_cids.pop()
+                self._constraints[cid] = constraint
+            else:
+                cid = len(self._constraints)
+                self._constraints.append(constraint)
+                if cid == len(self._ctx):
+                    self._ctx = _widened(self._ctx, 2 * cid, 0)
+                    self._cseg = _widened(self._cseg, 2 * cid, -1)
+                    self._slot = _widened(self._slot, 2 * cid, -1)
+            self._cid[constraint] = cid
+            if not self.spec.split_subspaces:
+                self._cseg[cid] = self._segment(self.segment_key(constraint, 0)).sid
+        return cid
+
+    def _alloc(self, n: int) -> np.ndarray:
+        """``n > 0`` entry ids: freed columns first, then fresh ones."""
+        free = self._free
+        eids = free[-n:]
+        del free[-n:]
+        short = n - len(eids)
+        if short:
+            top = self._n_entries
+            self._n_entries = top + short
+            if self._n_entries > self._ent.shape[1]:
+                self._ent = _widened(
+                    self._ent, max(2 * top, self._n_entries), -1, axis=1
+                )
+            eids.extend(range(top, top + short))
+        return np.array(eids, dtype=np.intp)
+
+    def _upsert(self, cids, subspaces, contexts, skylines, tids) -> np.ndarray:
+        """Write the standings of the distinct pairs ``(cids[i],
+        subspaces[i])`` — one gather for their slots, one scatter per
+        column; untracked pairs become entries in argument order.
+        Returns the pairs' entry ids."""
+        slots = self._slot[cids, subspaces]
+        fresh = np.flatnonzero(slots < 0)
+        n = fresh.size
+        if n:
+            new_cids, new_subs = cids[fresh], subspaces[fresh]
+            if self.spec.split_subspaces:
+                sids = np.array(
+                    [
+                        self._segment(self.segment_key(self._constraints[c], m)).sid
+                        for c, m in zip(new_cids.tolist(), new_subs.tolist())
+                    ]
+                )
+            else:
+                sids = self._cseg[new_cids]
+            eids = self._alloc(n)
+            ent = self._ent
+            ent[CID, eids] = new_cids
+            ent[SUB, eids] = new_subs
+            ent[SEQ, eids] = np.arange(self._seq, self._seq + n)
+            ent[SEG, eids] = sids
+            self._seq += n
+            self._slot[new_cids, new_subs] = eids
+            self._seg_size += np.bincount(sids, minlength=len(self._seg_size))
+            slots[fresh] = eids
+        # Exact overwrite — every pair of one constraint carries the
+        # same context size.
+        self._ctx[cids] = contexts
+        self._ent[SKY, slots] = skylines
+        self._ent[TID, slots] = tids
+        return slots
+
+    def _drop(self, eids: np.ndarray) -> None:
+        """Free live entries; constraints left without one leave the
+        table (their context row, slot row and id are reusable)."""
+        ent = self._ent
+        cids = ent[CID, eids]
+        self._slot[cids, ent[SUB, eids]] = -1
+        self._seg_size -= np.bincount(ent[SEG, eids], minlength=len(self._seg_size))
+        ent[SEG, eids] = -1
+        self._free.extend(eids.tolist())
+        cids = np.unique(cids)
+        for cid in cids[(self._slot[cids] < 0).all(axis=1)].tolist():
+            del self._cid[self._constraints[cid]]
+            self._constraints[cid] = None
+            self._free_cids.append(cid)
+
+    def _members(self, sid: int) -> np.ndarray:
+        """Entry ids of one segment (ascending id, not insertion)."""
+        return np.flatnonzero(self._ent[SEG, : self._n_entries] == sid)
+
+    def _in_order(self, eids: np.ndarray) -> np.ndarray:
+        """``eids`` by insertion sequence — the order the old
+        per-segment dict iterated in, which ties fall back on."""
+        return eids[np.argsort(self._ent[SEQ, eids])]
+
+    def _prominence(self, eids: np.ndarray) -> np.ndarray:
+        """``|σ_C| / |λ_M(σ_C)|`` as ``float64`` — bit-equal to the
+        entries' ``int / int`` below 2^53."""
+        return self._ctx[self._ent[CID, eids]] / self._ent[SKY, eids]
+
+    def _entries(self, eids: np.ndarray) -> List[FeedEntry]:
+        cids, subs, skys, tids = self._ent[:SEQ, eids].tolist()
+        contexts = self._ctx[self._ent[CID, eids]].tolist()
+        constraints = self._constraints
+        return [
+            FeedEntry(constraints[cid], sub, ctx, sky, tid)
+            for cid, sub, ctx, sky, tid in zip(cids, subs, contexts, skys, tids)
+        ]
+
+    def _sids_of(self, cids) -> Set[int]:
+        """Segments holding an entry of any of the constraints."""
+        cids = list(cids)
+        if not cids:
+            return set()
+        if not self.spec.split_subspaces:
+            return set(self._cseg[cids].tolist())
+        slots = self._slot[cids].ravel()
+        return set(self._ent[SEG, slots[slots >= 0]].tolist())
+
+    def _settle(self, sids) -> Set[str]:
+        """Cap, bump and name the segments a mutation touched."""
+        changed: Set[str] = set()
+        for sid in sids:
+            segment = self._by_sid[sid]
+            self._enforce_cap(segment)
+            segment.version += 1
+            segment.last_arrival = self.applied_arrivals
+            changed.add(segment.key)
+        return changed
 
     # ------------------------------------------------------------------
     # Incremental maintenance
@@ -275,94 +444,66 @@ class FeedStore:
 
         ``factset`` is the arrival's full ``S_t`` (not the reportable
         selection).  ``None`` marks a salvage-path arrival whose facts
-        were lost — queue it for a repair-style refresh instead.
+        were lost — queue it for a repair-style refresh instead; so is
+        an ``S_t`` without exact cardinalities (an engine run with
+        ``score=False``), which has nothing a feed could rank by.
         """
         with self._lock:
             self.applied_arrivals += 1
-            changed: Set[str] = set()
+            scores = None
+            if factset is not None and len(factset):
+                scores = factset.scores()
+                if scores is None or scores[1].min() < 1:
+                    factset = None
             if factset is None:
                 self._pending_unknown.append(record)
-                return changed
-            touched: Dict[str, FeedSegment] = {}
-            tid = record.tid
-            split = self.spec.split_subspaces
-            constraints, subspaces, contexts, skylines = factset.columns()
-            # ``S_t`` holds one fact per (C, M) but shares constraint
-            # *objects* across subspaces — resolve the per-constraint
-            # state (canonical object, shared context cell, segment)
-            # once per distinct object via an identity-keyed scratch
-            # map, so the per-fact loop stays free of value-hashed
-            # lookups.
-            resolved: Dict[int, tuple] = {}
-            for i, constraint in enumerate(constraints):
-                state = resolved.get(id(constraint))
-                if state is None:
-                    canon = self._canon.get(constraint)
-                    if canon is None:
-                        canon = self._canon[constraint] = constraint
-                    cell = self._ctx.get(canon)
-                    if cell is None:
-                        cell = self._ctx[canon] = [0]
-                    if split:
-                        key = segment = None
-                    else:
-                        key = self._key_cache.get(canon)
-                        if key is None:
-                            key = self._key_cache[canon] = self.segment_key(
-                                canon, 0
-                            )
-                        segment = self._segments.get(key)
-                        if segment is None:
-                            segment = self._segments[key] = FeedSegment(key)
-                        touched[key] = segment
-                    resolved[id(constraint)] = state = (
-                        canon, cell, key, segment
-                    )
-                canon, cell, key, segment = state
-                subspace = subspaces[i]
-                if split:
-                    key = self.segment_key(canon, subspace)
-                    segment = self._segments.get(key)
-                    if segment is None:
-                        segment = self._segments[key] = FeedSegment(key)
-                    touched[key] = segment
-                # Exact overwrite — every pair of one constraint
-                # carries the same post-arrival context size.
-                cell[0] = (contexts[i] if contexts is not None else None) or 0
-                sky = (skylines[i] if skylines is not None else None) or 0
-                pair = (canon, subspace)
-                entry = segment.entries.get(pair)
-                if entry is None:
-                    segment.entries[pair] = FeedEntry(
-                        canon, subspace, cell, sky, tid
-                    )
-                    self._by_constraint.setdefault(canon, set()).add(
-                        (key, subspace)
-                    )
-                else:
-                    entry.skyline_size = sky
-                    entry.tid = tid
+                return set()
+            # One dict probe per constraint of ``C^t``: the walker's
+            # cells carry the whole lattice, so the tracked constraints
+            # the arrival satisfies fall out of the pass that resolves
+            # its facts.  A list-form set (or a lattice cut differently
+            # from this store's) has ``C^t`` enumerated beside it.
+            probe = self._cid.get
+            cells = factset.cells()
+            whole = cells is not None and len(cells[0]) == self._lattice_size
+            cons_seq, positions, subspaces = cells or _list_cells(factset)
+            cid_at = [probe(constraint, -1) for constraint in cons_seq]
+            satisfied = cid_at
+            if not whole:
+                lattice = satisfied_constraints(record, self._bound_cap)
+                satisfied = [probe(constraint, -1) for constraint in lattice]
+            with_fact: Set[int] = set()
+            if scores is not None:
+                held = list(dict.fromkeys(positions.tolist()))
+                for position in held:
+                    if cid_at[position] < 0:
+                        cid_at[position] = self._intern(cons_seq[position])
+                with_fact.update(cid_at[position] for position in held)
+                cids = np.array(cid_at, dtype=np.intp)[positions]
+                contexts, skylines = scores
+                if len(with_fact) < len(held):
+                    # Equal constraints at several positions (None
+                    # dimensions collapse masks; scalar algorithms build
+                    # an object per fact): keep each pair once.
+                    pairs = cids * self._slot.shape[1] + subspaces
+                    first = np.sort(np.unique(pairs, return_index=True)[1])
+                    cids, subspaces = cids[first], subspaces[first]
+                    contexts, skylines = contexts[first], skylines[first]
+                self._upsert(cids, subspaces, contexts, skylines, record.tid)
             # Silent satisfiers: the arrival matches a tracked
             # constraint without a fact for it — every such pair's
             # skyline is provably unchanged and the shared context grew
-            # by exactly one.  Constraints that *did* produce a fact
-            # were overwritten with the exact context above (which also
-            # covers their fact-less sibling subspaces); their segments
-            # still need the version bump.
-            seen = set(constraints)
-            for constraint in satisfied_constraints(record, self._bound_cap):
-                cell = self._ctx.get(constraint)
-                if cell is None:
-                    continue
-                if constraint not in seen:
-                    cell[0] += 1
-                for key, _subspace in self._by_constraint[constraint]:
-                    touched[key] = self._segments[key]
-            for key, segment in touched.items():
-                self._enforce_cap(segment)
-                self._bump(segment)
-                changed.add(key)
-            return changed
+            # by exactly one (one per covering mask where a None
+            # dimension collapses several onto one constraint, the
+            # multiplicity the engine's context counter keeps).
+            # Constraints that *did* produce a fact were overwritten
+            # with the exact context above (which also covers their
+            # fact-less sibling subspaces); their segments still need
+            # the version bump.
+            silent = [c for c in satisfied if c >= 0 and c not in with_fact]
+            if silent:
+                np.add.at(self._ctx, silent, 1)
+            return self._settle(self._sids_of(with_fact.union(silent)))
 
     def note_retracted(self, removed) -> None:
         """Queue removed record(s) for the next repair pass (explicit
@@ -391,92 +532,67 @@ class FeedStore:
                 return set()
             self._pending_retractions = []
             self._pending_unknown = []
-            affected: List[Pair] = []
-            seen: Set[Pair] = set()
+            affected: Dict[Pair, None] = {}
             for record in retracted:
                 for constraint in satisfied_constraints(record, self._bound_cap):
-                    targets = self._by_constraint.get(constraint)
-                    if not targets:
-                        continue
-                    for _key, subspace in targets:
-                        pair = (constraint, subspace)
-                        if pair not in seen:
-                            seen.add(pair)
-                            affected.append(pair)
-            for record in unknown:
-                for constraint in satisfied_constraints(record, self._bound_cap):
-                    for subspace in self._subspaces:
-                        pair = (constraint, subspace)
-                        if pair not in seen:
-                            seen.add(pair)
-                            affected.append(pair)
+                    cid = self._cid.get(constraint)
+                    if cid is not None:
+                        for subspace in np.flatnonzero(self._slot[cid] >= 0).tolist():
+                            affected[(constraint, subspace)] = None
+            affected.update(self._candidates(unknown))
             self.repairs += 1
             if not affected:
                 return set()
             self.repaired_pairs += len(affected)
-            results = engine.query().batch(affected)
-            changed: Set[str] = set()
-            touched: Dict[str, FeedSegment] = {}
-            for pair, result in zip(affected, results):
-                constraint, subspace = pair
-                key = self.segment_key(constraint, subspace)
-                if result.context_size <= 0:
-                    segment = self._segments.get(key)
-                    if segment is None or pair not in segment.entries:
-                        continue
-                    self._drop_entry(segment, pair)
-                else:
-                    segment = self._segment(key)
-                    tid = (
-                        max(r.tid for r in result.skyline)
-                        if result.skyline
-                        else -1
-                    )
-                    canon = self._canon.get(constraint)
-                    if canon is None:
-                        canon = self._canon[constraint] = constraint
-                    cell = self._ctx.get(canon)
-                    if cell is None:
-                        cell = self._ctx[canon] = [result.context_size]
-                    else:
-                        cell[0] = result.context_size
-                    pair = (canon, subspace)
-                    entry = segment.entries.get(pair)
-                    if entry is None:
-                        segment.entries[pair] = FeedEntry(
-                            canon,
-                            subspace,
-                            cell,
-                            result.skyline_size,
-                            tid,
-                        )
-                        self._by_constraint.setdefault(canon, set()).add(
-                            (key, subspace)
-                        )
-                    else:
-                        entry.skyline_size = result.skyline_size
-                        entry.tid = tid
-                touched[key] = segment
-            for key, segment in touched.items():
-                self._enforce_cap(segment)
-                self._bump(segment)
-                changed.add(key)
-            return changed
+            return self._settle(self._refresh(engine, list(affected)))
 
-    def _drop_entry(self, segment: FeedSegment, pair: Pair) -> None:
-        segment.entries.pop(pair, None)
-        targets = self._by_constraint.get(pair[0])
-        if targets is not None:
-            targets.discard((segment.key, pair[1]))
-            if not targets:
-                del self._by_constraint[pair[0]]
-                self._ctx.pop(pair[0], None)
-                self._key_cache.pop(pair[0], None)
-                self._canon.pop(pair[0], None)
+    def _candidates(self, records) -> Dict[Pair, None]:
+        """Every pair a record of ``records`` could stand in — ``C^t`` ×
+        the allowed subspaces — once each, in first-seen order."""
+        return dict.fromkeys(
+            (constraint, subspace)
+            for record in records
+            for constraint in satisfied_constraints(record, self._bound_cap)
+            for subspace in self._subspaces
+        )
+
+    def _refresh(self, engine, pairs: List[Pair]) -> Set[int]:
+        """Overwrite the standings of ``pairs`` with the engine's exact
+        answers (one planner batch): non-empty contexts are upserted in
+        argument order, emptied ones dropped.  Returns the ids of the
+        segments written to."""
+        gone: List[int] = []
+        rows: List[Tuple[int, ...]] = []
+        for result in engine.query().batch(pairs):
+            if result.context_size <= 0:
+                cid = self._cid.get(result.constraint)
+                eid = -1 if cid is None else int(self._slot[cid, result.subspace])
+                if eid >= 0:
+                    gone.append(eid)
+                continue
+            rows.append(
+                (
+                    self._intern(result.constraint),
+                    result.subspace,
+                    result.context_size,
+                    result.skyline_size,
+                    max((r.tid for r in result.skyline), default=-1),
+                )
+            )
+        sids: Set[int] = set()
+        if rows:
+            slots = self._upsert(*np.array(rows, dtype=np.int64).T)
+            sids.update(self._ent[SEG, slots].tolist())
+        if gone:
+            eids = np.array(gone, dtype=np.intp)
+            sids.update(self._ent[SEG, eids].tolist())
+            self._drop(eids)
+        return sids
 
     def _enforce_cap(self, segment: FeedSegment) -> None:
         max_entries = self.spec.max_entries
-        if len(segment.entries) <= max_entries:
+        size = int(self._seg_size[segment.sid])
+        if size <= max_entries:
             return
         # Hysteresis: evict down to a low-water mark below the cap, so
         # the O(n) victim scan amortizes over the arrivals that refill
@@ -485,30 +601,19 @@ class FeedStore:
         # (never above ``max_entries`` after a fold); the slack only
         # evicts entries the cap would have evicted shortly anyway.
         low_water = max(1, max_entries - (max_entries >> 2))
-        drop = len(segment.entries) - low_water
-        # Victim selection on bare prominence floats (C-speed listcomp
-        # + partial sort), never on the full rank key: everything below
-        # the drop-th smallest prominence goes, ties at the threshold
-        # are broken by insertion order (deterministic for a given
-        # stream; the tied entries are equally prominent, so the feed's
-        # ranked content is unaffected by which of them survive).
-        entries = list(segment.entries.values())
-        proms = [e.ctx_cell[0] / e.skyline_size for e in entries]
-        threshold = heapq.nsmallest(drop, proms)[-1]
-        victims = [e for e, p in zip(entries, proms) if p < threshold]
-        need = drop - len(victims)
-        if need > 0:
-            victims.extend(
-                e for e, p in zip(entries, proms) if p == threshold
-            )
-            del victims[drop:]
-        for entry in victims:
-            self._drop_entry(segment, (entry.constraint, entry.subspace))
+        drop = size - low_water
+        # Victims are a partition of the prominence column: everything
+        # below the drop-th smallest goes, ties at the threshold by
+        # insertion order (deterministic for a given stream; the tied
+        # entries are equally prominent, so the ranked content is
+        # unaffected by which of them survive).
+        eids = self._members(segment.sid)
+        proms = self._prominence(eids)
+        threshold = np.partition(proms, drop - 1)[drop - 1]
+        below = eids[proms < threshold]
+        tied = self._in_order(eids[proms == threshold])
+        self._drop(np.concatenate((below, tied[: drop - below.size])))
         segment.evicted += drop
-
-    def _bump(self, segment: FeedSegment) -> None:
-        segment.version += 1
-        segment.last_arrival = self.applied_arrivals
 
     # ------------------------------------------------------------------
     # Reads (gateway / NewsFeed)
@@ -520,16 +625,24 @@ class FeedStore:
     def segments(self) -> List[dict]:
         """Summary row per segment (the gateway's ``GET /feeds``)."""
         with self._lock:
+            sizes = self._seg_size.tolist()
             return [
                 {
                     "segment": segment.key,
                     "version": segment.version,
-                    "entries": len(segment.entries),
+                    "entries": sizes[segment.sid],
                     "staleness": self.applied_arrivals - segment.last_arrival,
                     "evicted": segment.evicted,
                 }
                 for _, segment in sorted(self._segments.items())
             ]
+
+    def version(self, key: str) -> int:
+        """Content version of one segment (``0`` while unknown).  Take
+        it under the same ``_lock`` hold as the entries it labels."""
+        with self._lock:
+            segment = self._segments.get(key)
+            return segment.version if segment is not None else 0
 
     def entries_ranked(
         self,
@@ -539,7 +652,9 @@ class FeedStore:
     ) -> List[FeedEntry]:
         """Ranked entries of one segment under the read-time ``τ`` /
         top-k policy (ties at the cut kept, like ``query().batch``).
-        Arguments default to the spec's values."""
+        Arguments default to the spec's values.  Both cuts are taken
+        on the prominence column; :class:`FeedEntry` values are built
+        for the winners only."""
         if top_k is None:
             top_k = self.spec.top_k
         if tau is None:
@@ -548,15 +663,18 @@ class FeedStore:
             segment = self._segments.get(key)
             if segment is None:
                 return []
-            entries = sorted(segment.entries.values(), key=_rank_key)
-        if tau is not None:
-            entries = [e for e in entries if e.prominence >= tau]
-        if top_k is not None and len(entries) > top_k:
-            cutoff = entries[top_k - 1].prominence
-            cut = top_k
-            while cut < len(entries) and entries[cut].prominence == cutoff:
-                cut += 1
-            entries = entries[:cut]
+            eids = self._members(segment.sid)
+            proms = self._prominence(eids)
+            if tau is not None:
+                keep = proms >= tau
+                eids, proms = eids[keep], proms[keep]
+            if top_k is not None and eids.size > top_k:
+                cut = eids.size - top_k
+                eids = eids[proms >= np.partition(proms, cut)[cut]]
+            entries = self._entries(eids)
+        # The key is a total order (its tail names the pair), so the
+        # result does not depend on the order the winners come in.
+        entries.sort(key=_rank_key)
         return entries
 
     def read(
@@ -578,12 +696,14 @@ class FeedStore:
         if limit < 1:
             raise ValueError("limit must be >= 1")
         with self._lock:
+            # One hold across both reads: the page is labelled with the
+            # version its entries came from.
             segment = self._segments.get(key)
             if segment is None:
                 return None
             version = segment.version
             evicted = segment.evicted
-        entries = self.entries_ranked(key, top_k=top_k, tau=tau)
+            entries = self.entries_ranked(key, top_k=top_k, tau=tau)
         offset = 0
         restarted = False
         if cursor:
@@ -620,21 +740,21 @@ class FeedStore:
         with self._lock:
             staleness = [
                 self.applied_arrivals - s.last_arrival
-                for s in self._segments.values()
+                for s in self._by_sid
             ]
             return {
-                "segments": len(self._segments),
-                "entries": sum(len(s.entries) for s in self._segments.values()),
+                "segments": len(self._by_sid),
+                "entries": len(self),
                 "applied_arrivals": self.applied_arrivals,
                 "repairs": self.repairs,
                 "repaired_pairs": self.repaired_pairs,
-                "evicted": sum(s.evicted for s in self._segments.values()),
+                "evicted": sum(s.evicted for s in self._by_sid),
                 "max_staleness": max(staleness) if staleness else 0,
             }
 
     def __len__(self) -> int:
         with self._lock:
-            return sum(len(s.entries) for s in self._segments.values())
+            return self._n_entries - len(self._free)
 
     # ------------------------------------------------------------------
     # Snapshot sidecar / rebuild
@@ -643,6 +763,14 @@ class FeedStore:
         """Plain-data rendering stamped with the engine version the
         standings describe."""
         with self._lock:
+            # Every live entry once, grouped by segment id and in
+            # insertion order within a segment (one sort, not a scan per
+            # segment); the live counts give each segment's run.
+            seg, seq = self._ent[SEG, : self._n_entries], self._ent[SEQ]
+            live = np.flatnonzero(seg >= 0)
+            live = live[np.lexsort((seq[live], seg[live]))]
+            entries = iter(self._entries(live))
+            sizes = self._seg_size.tolist()
             return {
                 "format": SIDECAR_FORMAT,
                 "engine_version": list(version),
@@ -662,10 +790,12 @@ class FeedStore:
                                 "sky": entry.skyline_size,
                                 "tid": entry.tid,
                             }
-                            for entry in segment.entries.values()
+                            for entry in itertools.islice(
+                                entries, sizes[segment.sid]
+                            )
                         ],
                     }
-                    for segment in self._segments.values()
+                    for segment in self._by_sid
                 ],
             }
 
@@ -702,34 +832,25 @@ class FeedStore:
         if doc.get("feed_spec") != self.spec.to_dict():
             return False
         with self._lock:
-            self._segments.clear()
-            self._by_constraint.clear()
-            self._ctx.clear()
-            self._key_cache.clear()
-            self._canon.clear()
+            self._reset()
             self.applied_arrivals = int(doc.get("applied_arrivals", 0))
             for seg_doc in doc.get("segments", ()):
-                segment = FeedSegment(seg_doc["key"])
+                segment = self._segment(seg_doc["key"])
                 segment.version = int(seg_doc.get("version", 0))
                 segment.last_arrival = int(seg_doc.get("last_arrival", 0))
                 segment.evicted = int(seg_doc.get("evicted", 0))
-                for entry_doc in seg_doc.get("entries", ()):
-                    constraint = Constraint(tuple(entry_doc["values"]))
-                    constraint = self._canon.setdefault(constraint, constraint)
-                    subspace = int(entry_doc["subspace"])
-                    cell = self._ctx.setdefault(constraint, [0])
-                    cell[0] = int(entry_doc["ctx"])
-                    segment.entries[(constraint, subspace)] = FeedEntry(
-                        constraint,
-                        subspace,
-                        cell,
+                rows = [
+                    (
+                        self._intern(Constraint(tuple(entry_doc["values"]))),
+                        int(entry_doc["subspace"]),
+                        int(entry_doc["ctx"]),
                         int(entry_doc["sky"]),
                         int(entry_doc["tid"]),
                     )
-                    self._by_constraint.setdefault(constraint, set()).add(
-                        (segment.key, subspace)
-                    )
-                self._segments[segment.key] = segment
+                    for entry_doc in seg_doc.get("entries", ())
+                ]
+                if rows:
+                    self._upsert(*np.array(rows, dtype=np.int64).T)
         return True
 
     def load_sidecar(self, path: str, engine) -> bool:
@@ -750,52 +871,16 @@ class FeedStore:
         non-empty ones.  Equal to the incrementally maintained store —
         entries exist exactly while their context is non-empty."""
         with self._lock:
-            self._segments.clear()
-            self._by_constraint.clear()
-            self._ctx.clear()
-            self._key_cache.clear()
-            self._canon.clear()
+            self._reset()
             self._pending_retractions = []
             self._pending_unknown = []
             table = engine.table
-            pairs: Set[Pair] = set()
-            for i in range(len(table)):
-                record = table[i]
-                for constraint in satisfied_constraints(record, self._bound_cap):
-                    for subspace in self._subspaces:
-                        pairs.add((constraint, subspace))
+            pairs = self._candidates(table[i] for i in range(len(table)))
             self.applied_arrivals = engine.arrivals
             if not pairs:
                 return
             ordered = sorted(
                 pairs, key=lambda p: (repr(p[0].values), p[1])
             )
-            results = engine.query().batch(ordered)
-            for result in results:
-                if result.context_size <= 0:
-                    continue
-                key = self.segment_key(result.constraint, result.subspace)
-                segment = self._segment(key)
-                tid = (
-                    max(r.tid for r in result.skyline)
-                    if result.skyline
-                    else -1
-                )
-                constraint = self._canon.setdefault(
-                    result.constraint, result.constraint
-                )
-                cell = self._ctx.setdefault(constraint, [0])
-                cell[0] = result.context_size
-                segment.entries[(constraint, result.subspace)] = FeedEntry(
-                    constraint,
-                    result.subspace,
-                    cell,
-                    result.skyline_size,
-                    tid,
-                )
-                self._by_constraint.setdefault(constraint, set()).add(
-                    (key, result.subspace)
-                )
-            for segment in self._segments.values():
-                self._enforce_cap(segment)
-                self._bump(segment)
+            self._refresh(engine, ordered)
+            self._settle(range(len(self._by_sid)))

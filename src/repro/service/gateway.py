@@ -444,15 +444,15 @@ class FeedGateway:
         """One frame for ``key`` from *current* store state (renders at
         send time — every version missed by a slow consumer is folded
         into this one frame)."""
-        entries = [
-            e.to_json_dict(self.feeds.schema)
-            for e in self.feeds.entries_ranked(key)
-        ]
+        feeds = self.feeds
+        with feeds._lock:
+            # One hold across both: the frame carries the version its
+            # entries came from, whatever the engine thread folds next.
+            version = feeds.version(key)
+            ranked = feeds.entries_ranked(key)
+        entries = [e.to_json_dict(feeds.schema) for e in ranked]
         if conn.filters.tau is not None or conn.filters.measures is not None:
             entries = [e for e in entries if conn.filters.match_entry(e)]
-        with self.feeds._lock:
-            segment = self.feeds._segments.get(key)
-            version = segment.version if segment is not None else 0
         frame_type = "update" if key in conn.known else "snapshot"
         if resync:
             frame_type = "snapshot"

@@ -22,7 +22,7 @@ from repro.api import (
     open_engine,
 )
 from repro.core.config import DiscoveryConfig
-from repro.core.constraint import satisfied_constraints
+from repro.core.constraint import Constraint, satisfied_constraints
 from repro.service import FeedStore, StreamServer
 from repro.service.feeds import engine_version
 
@@ -80,13 +80,18 @@ def oracle_segments(engine, store):
 
 
 def store_segments(store):
+    """Every standing the store holds, read through its public sidecar
+    rendering (``entries_ranked`` applies the spec's read-time cuts)."""
     return {
-        key: {
-            pair: (entry.context_size, entry.skyline_size)
-            for pair, entry in segment.entries.items()
+        segment["key"]: {
+            (Constraint(tuple(entry["values"])), entry["subspace"]): (
+                entry["ctx"],
+                entry["sky"],
+            )
+            for entry in segment["entries"]
         }
-        for key, segment in store._segments.items()
-        if segment.entries
+        for segment in store.to_doc((0, 0))["segments"]
+        if segment["entries"]
     }
 
 
@@ -213,8 +218,8 @@ class TestBoundedMemory:
             for i in range(12)
         ]
         drive(engine, store, rows)
-        for key, segment in store._segments.items():
-            assert len(segment.entries) <= 4, key
+        for summary in store.segments():
+            assert summary["entries"] <= 4, summary["segment"]
         assert store.stats()["evicted"] > 0
         key = store.segment_keys()[0]
         page = store.read(key)
