@@ -31,3 +31,9 @@ def run_figure(benchmark, figure_fn, scale, **kwargs):
             if series.ys:
                 benchmark.extra_info[series.label] = series.ys[-1]
     return result
+
+
+def series_of(fig, label):
+    """The ``(x, y)`` points of one labelled series of a figure."""
+    (series,) = [s for s in fig.series if s.label == label]
+    return list(zip(series.xs, series.ys))

@@ -21,7 +21,12 @@ from typing import Iterable, Sequence, Set
 
 import numpy as np
 
-from ..core.constraint import UNBOUND, Constraint, constraint_for_record
+from ..core.constraint import (
+    UNBOUND,
+    Constraint,
+    bindable_positions,
+    constraint_for_record,
+)
 from ..core.dominance import dominates
 from ..core.lattice import (
     iter_submasks,
@@ -117,7 +122,7 @@ def retract_top_down_columnar(
     removed: Record,
     constraint_masks: Sequence[int],
     subspaces: Sequence[int],
-) -> bool:
+) -> None:
     """Columnar :func:`retract_top_down` over a ``ColumnarSkylineStore``.
 
     Same repair, answered from the columns instead of full-table
@@ -134,16 +139,13 @@ def retract_top_down_columnar(
     in one ``{(subspace, row): anchor bitset}`` overlay, written to the
     store once (:meth:`ColumnarSkylineStore.apply_cells`).
 
-    Returns False — leaving the store untouched — when the removed
-    tuple carries an unbindable dimension value (which collapses its
-    anchor masks) or is not registered; the caller then falls back to
-    the scalar repair.
+    ``removed`` must be registered in the store.  Where it carries an
+    unbindable (None) dimension value its anchors sit at canonical
+    masks only, so the affected up-set is cut to the masks inside its
+    bindable positions — the raw masks collapsing onto them repeat the
+    same constraints and would re-anchor nothing.
     """
-    if UNBOUND in removed.dims:
-        return False
     row_u = store.row_of(removed.tid)
-    if row_u is None:
-        return False
     n = store.n_rows
     n_dims = len(removed.dims)
     closure = submask_closure_table(n_dims)
@@ -155,6 +157,7 @@ def retract_top_down_columnar(
     lt, gt, agree = store.partition_bitmasks(removed)
     alive = np.ones(n, dtype=bool)
     alive[row_u] = False
+    bindable = closure[bindable_positions(removed.dims)]
     cells = {}
     for subspace in subspaces:
         ab_u = store.anchor_cell(subspace, row_u)
@@ -173,6 +176,7 @@ def retract_top_down_columnar(
             bit = remaining & -remaining
             remaining ^= bit
             affected |= up[bit.bit_length() - 1]
+        affected &= bindable
         positions = [i for i in range(n_measures) if (subspace >> i) & 1]
         # constraint_masks is popcount-ascending (and d̂-filtered), so
         # maximality checks see already-repaired ancestors, exactly like
@@ -201,7 +205,6 @@ def retract_top_down_columnar(
                     cells[subspace, r] = anchored & ~up[mask] | 1 << mask
     if cells:
         store.apply_cells(*zip(*cells), list(cells.values()))
-    return True
 
 
 def _anchor_if_maximal(

@@ -17,29 +17,41 @@ materialised stores and output semantics:
   algorithm talks to its store in masks and bitsets, never in
   ``Constraint`` objects;
 * the Prop. 4 pruned matrix is assembled for every subspace at once
-  from the vectorized dominator set, OR-ing submask closures over the
-  *distinct* agreement masks only (at most ``2^n`` of them, however
-  long the history);
-* the lattice passes themselves run as one **bitset-matrix walk**: the
-  per-subspace pruned bitsets form a ``(subspaces × constraints)``
-  visit/survive matrix, fact emission and maximal-constraint promotion
-  are batched matrix reductions, ``µ`` bucket occupancy along ``C^t``
-  is one slice of the anchor-bit matrix ANDed with the agreement
-  submask closure (so the comparison counters and the demotion
-  candidates come out of popcounts, not bucket loops), and the store is
-  written once per arrival: the promotion at the arrival's maximal
-  constraints and every demotion — a bit move inside one cell, worked
-  out by :meth:`_demoted_anchors` from the cell as it stood before the
-  arrival — are collected in a local ``{(subspace, row): anchors}``
-  dict and leave as one batch of cell transitions
-  (:meth:`ColumnarSkylineStore.apply_cells`).  The walk is
+  from the vectorized dominator set, OR-ing the submask closures of the
+  dominators' agreement masks;
+* the lattice passes themselves run as one **bitset-matrix walk**, the
+  only discovery body: the per-subspace pruned bitsets form a
+  ``(subspaces × constraints)`` visit/survive matrix, fact emission and
+  maximal-constraint promotion are batched matrix reductions, ``µ``
+  bucket occupancy along ``C^t`` is one slice of the anchor-bit matrix
+  ANDed with the agreement submask closure (so the comparison counters
+  and the demotion candidates come out of popcounts, not bucket loops),
+  and the store is written once per arrival: the promotion at the
+  arrival's maximal constraints and every demotion — a bit move inside
+  one cell, worked out by :meth:`_demoted_anchors` from the cell as it
+  stood before the arrival — are collected in a local
+  ``{(subspace, row): anchors}`` dict and leave as one batch of cell
+  transitions (:meth:`ColumnarSkylineStore.apply_cells`).  The walk is
   output-equivalent to scalar ``stopdown`` — facts, Invariant-2 store
-  contents, *and* operation counters.  Arrivals carrying an unbindable
-  (None) dimension value, and schemas beyond the walker's
-  dimensionality cap (one bitset element per lattice), take the scalar
-  per-visit pass instead — same outputs, Python speed, its buckets
-  along ``C^t`` read off the same matrix
-  (:meth:`ColumnarSkylineStore.buckets_along`);
+  contents, *and* operation counters;
+* every lattice bitset of the walk (pruned, visited, closures, bucket
+  members, parents) is in the store's own cell-word form —
+  ``2^|D| / 32`` little-endian ``uint32`` words, one up to five
+  dimensions — so the walk has one representation at every
+  dimensionality, and the O(subspaces × constraints) tail works on the
+  unpacked boolean matrix;
+* a None dimension value of the arrival is data, not a detour: it can
+  be bound by no constraint, so a raw mask ``m`` of the walk stands for
+  the constraint at its *canonical* mask ``m & B`` (``B`` the arrival's
+  bindable positions).  The arrival's probe agrees with no row at a
+  None position, which keeps every agreement closure, bucket and
+  demotion inside the canonical masks; pruning is read at the canonical
+  mask; and a constraint several raw masks collapse onto is visited
+  once per raw mask, as scalar ``stopdown`` does — the first visit
+  scans the bucket as it stood, the repeats see the demoted rows gone
+  and the arrival's own anchor present (:meth:`_collapse` holds the
+  per-``B`` tables; an arrival without None values is the case where
+  every mask is visited once);
 * the walk splits the history at the store's sweep-index watermark
   ``w``: rows ``[0, w)`` are answered from the index's packed bitsets
   (O(m·log n) rank lookups plus a few words per cell), rows ``[w, n)``
@@ -60,8 +72,9 @@ materialised stores and output semantics:
   :func:`~repro.algorithms.retraction.retract_top_down_columnar`):
   the victim's cells are cleared, re-anchor candidates come from one
   dominance sweep over the columns, and the clears and re-anchors are
-  one store write per victim, instead of per-mask skyline recomputation
-  from the full table.
+  one store write per victim — None-carrying victims included, whose
+  affected up-set is cut to their canonical masks — instead of per-mask
+  skyline recomputation from the full table.
 
 Why precomputing the pruned matrix is sound: STopDown's node passes
 already rely on the root-pass bits being *exact* — a constraint survives
@@ -89,12 +102,23 @@ import numpy as np
 from ..core.config import DiscoveryConfig
 from ..core.constraint import UNBOUND, bindable_positions
 from ..core.facts import FactSet
-from ..core.lattice import bit_positions, popcount_array
+from ..core.lattice import bit_positions, popcount, popcount_array
 from ..core.record import Record
 from ..core.schema import TableSchema
 from ..metrics.counters import OpCounters
-from ..storage.columnar_store import ColumnarSkylineStore, lattice_bitset_dtype
+from ..storage.columnar_store import (
+    ABSENT_ID,
+    WORD,
+    WORD_BITS,
+    ColumnarSkylineStore,
+    cell_ints,
+    cell_words,
+)
 from .s_top_down import STopDown
+
+
+#: A bitset word with every mask set.
+_EVERY_MASK = np.iinfo(WORD).max
 
 
 class SVectorized(STopDown):
@@ -170,55 +194,39 @@ class SVectorized(STopDown):
         self._keys_column = np.asarray(self._subspace_keys, dtype=measure_dtype)[
             :, None
         ]
-        #: One-hot agreement histogram is worth it only while 2^n stays
-        #: a narrow matrix; beyond that fall back to per-key sets.
-        self._use_one_hot = (1 << schema.n_dimensions) <= 256
-        self._arange = np.arange(0, dtype=np.int64)
         #: Lazily-built ancestor tables for batched demotion repair:
         #: ``_anc_tbl[child][j]`` is the bitset of masks that are proper
         #: ancestors of ``child`` binding attribute ``j`` — "is the
         #: demoted tuple already anchored above this candidate child?"
         #: becomes one AND against the anchor-mask bitset.
         self._anc_tbl: Dict[int, Tuple[int, ...]] = {}
-        #: Bitset-matrix walker tables (the whole 2^n lattice in one
-        #: non-negative integer element: n ≤ 5).
-        bitset_dtype = lattice_bitset_dtype(schema.n_dimensions)
-        self._walker_ok = bitset_dtype is not None
-        if self._walker_ok:
-            self._masks_arr = np.asarray(self.masks_top_down, dtype=bitset_dtype)
-            #: parent_bits[i]: bitset of the parent masks of masks_arr[i]
-            #: — "all parents pruned" is one AND+compare per cell.
-            self._parent_bits = np.asarray(
-                [
-                    sum(1 << p for p in self._parents[m])
-                    for m in self.masks_top_down
-                ],
-                dtype=bitset_dtype,
-            )
-            self._closure_arr = np.asarray(self._closure, dtype=bitset_dtype)
-            #: mask → position in masks_top_down (repair ordering).
-            order = np.full(1 << schema.n_dimensions, -1, dtype=np.int64)
-            order[self._masks_arr] = np.arange(
-                len(self.masks_top_down), dtype=np.int64
-            )
-            self._mask_order = order
-            self._bitset_dtype = bitset_dtype
-            report = np.ones((len(self._subspace_keys), 1), dtype=bool)
-            if self._has_root:
-                report[0, 0] = self.config.allows_subspace(self.full_space)
-            self._report_col = report
-            #: Prefix-stage tables: constraint-mask bit weights (the
-            #: packed pruned matrix folds back into per-key bitsets, and
-            #: per-key visited bitsets unfold into cells) and the
-            #: subspace keys as a gather index into the measure-mask
-            #: subset DP.
-            self._mask_weights = 1 << np.arange(
-                1 << schema.n_dimensions, dtype=np.int64
-            )
-            #: The same weights in walk order: a boolean row over the
-            #: walked masks folds into one anchor bitset.
-            self._order_weights = self._mask_weights[self._masks_arr]
-            self._keys_index = np.asarray(self._subspace_keys, dtype=np.int64)
+        #: Walk tables.  Lattice bitsets are in the store's cell-word
+        #: form at every dimensionality (:func:`cell_words`).
+        n_masks = 1 << schema.n_dimensions
+        self._masks_arr = np.asarray(self.masks_top_down, dtype=np.int64)
+        #: parent_words[m]: bitset of the parent masks of mask ``m`` —
+        #: "all parents pruned" is one AND+compare per cell.  One row
+        #: per bit of a cell: the bits past ``2^|D|`` of a narrow
+        #: lattice's single word have no parents and never anchor.
+        self._parent_words = cell_words(
+            [
+                sum(1 << p for p in self._parents[m]) if m < n_masks else 0
+                for m in range(max(n_masks, WORD_BITS))
+            ],
+            schema.n_dimensions,
+        )
+        #: mask → position in masks_top_down (repair ordering).
+        self._mask_order = np.full(n_masks, -1, dtype=np.int64)
+        self._mask_order[self._masks_arr] = np.arange(len(self.masks_top_down))
+        report = np.ones((len(self._subspace_keys), 1), dtype=bool)
+        if self._has_root:
+            report[0, 0] = self.config.allows_subspace(self.full_space)
+        self._report_col = report
+        #: The subspace keys as a gather index (measure-mask subset DP
+        #: of the prefix stage, emission column).
+        self._keys_index = np.asarray(self._subspace_keys, dtype=np.int64)
+        #: Memo of :meth:`_collapse`, by bindable mask.
+        self._collapse_tbl: Dict[int, tuple] = {}
 
     def maintained_subspaces(self):
         """Shard-restricted instances maintain exactly their keys; the
@@ -240,27 +248,13 @@ class SVectorized(STopDown):
         self.store.reserve(extra)
 
     def _repair_after_retract(self, record: Record) -> None:
-        # Invariant-2 repair first (columnar unless the tuple carries an
-        # unbindable dimension value — scalar then), then drop the row
-        # from the columns — the sweep must no longer see the retracted
-        # tuple.
-        from .retraction import retract_top_down, retract_top_down_columnar
+        # Invariant-2 repair first, then drop the row from the columns —
+        # the sweep must no longer see the retracted tuple.
+        from .retraction import retract_top_down_columnar
 
-        if not retract_top_down_columnar(
-            self.store,
-            record,
-            self.masks_top_down,
-            self.maintained_subspaces(),
-        ):
-            retract_top_down(
-                self.store,
-                self.table,
-                record,
-                self.masks_top_down,
-                self.maintained_subspaces(),
-                self.allowed_mask,
-                self.dim_universe,
-            )
+        retract_top_down_columnar(
+            self.store, record, self.masks_top_down, self.maintained_subspaces()
+        )
         self.store.unregister(record.tid)
 
     def retract_many(self, tids) -> List[Record]:
@@ -306,10 +300,13 @@ class SVectorized(STopDown):
         maximal-constraint promotion, demotion repair in pass order.
         Where the watermark sits changes the cost of an arrival, never
         its facts, store state or op counters.
+
+        Every lattice bitset is in the store's cell-word form, and an
+        arrival's None dimension values are handled as data throughout
+        (see :meth:`_collapse` and the module docstring): there is no
+        other discovery body.
         """
         store = self.store
-        if not self._walker_ok or UNBOUND in record.dims:
-            return self._discover_scalar_passes(record)
         facts = FactSet(record)
         constraints = self.constraint_cache(record)
         keys = self._subspace_keys
@@ -319,8 +316,17 @@ class SVectorized(STopDown):
         sweep = store.folded_sweep()
         w = sweep.watermark if sweep is not None else 0
         probe_values = np.asarray(record.values, dtype=np.float64)
+        unbound, canonical, anchorable, visits, repeats = self._collapse(
+            bindable_positions(record.dims)
+        )
+        # None as data: at an unbindable position the arrival agrees
+        # with no row, so every bucket, pruning family and demotion
+        # below carries canonical masks only.
         probe_dims = store.intern_dims(record.dims)
-        pruned_vec = np.zeros(n_keys, dtype=self._bitset_dtype)
+        probe_dims[unbound] = ABSENT_ID
+        #: pruned[k]: bitset (cell words) of the masks Prop. 4 prunes in
+        #: subspace k.
+        pruned = np.zeros((n_keys, self._parent_words.shape[1]), dtype=WORD)
 
         if w:
             sweep.ensure_planes(keys)
@@ -349,15 +355,15 @@ class SVectorized(STopDown):
             # vectorised — only the (keys × masks × words) tensor above
             # was worth breaking up.
             met_dom = met_any & dom
-            pruned_cell = (
+            packed = np.packbits(
                 np.bitwise_or.reduce(
                     met_dom[:, None, :] & agreement[None, :, :], axis=2
                 )
-                != 0
+                != 0,
+                axis=1,
+                bitorder="little",
             )
-            pruned_vec |= (pruned_cell @ self._mask_weights).astype(
-                self._bitset_dtype
-            )
+            pruned.view(np.uint8)[:, : packed.shape[1]] |= packed
 
         delta = n - w
         if delta:
@@ -379,25 +385,30 @@ class SVectorized(STopDown):
             # pruned[M] = ⋃ closure(C^{t,t'}) over t' dominating t in M
             # — a dense-stage dominator prunes its own agreement closure
             # directly, so the prefix/suffix union is the exact pruned
-            # set.  The submask closures live in an integer array, and
-            # the per-row closure gather is shared with the µ-occupancy
-            # arithmetic below.  (closure · dominated) zeroes
-            # non-dominator cells, so one plain bitwise-or reduction
-            # yields every subspace's pruned bitset (masked reductions
-            # are an order of magnitude slower than this multiply).
-            closure_of_agree = self._closure_arr[agree]
-            pruned_vec |= np.bitwise_or.reduce(
-                closure_of_agree * dominated, axis=1
-            )
+            # set.  The per-row closure gather is shared with the
+            # µ-occupancy arithmetic below.  (closure · dominated)
+            # zeroes non-dominator cells, so one plain bitwise-or
+            # reduction yields every subspace's pruned bitset (masked
+            # reductions are an order of magnitude slower than this
+            # multiply) — one word of the cells at a time: reducing
+            # over rows with the short word axis innermost is as slow.
+            closure_of_agree = store.closure_words()[agree]
+            for word in range(pruned.shape[1]):
+                pruned[:, word] |= np.bitwise_or.reduce(
+                    closure_of_agree[:, word] * dominated, axis=1
+                )
 
-        masks_arr = self._masks_arr
-        pruned_bit = ((pruned_vec[:, None] >> masks_arr[None, :]) & 1) != 0
-        survive = ~pruned_bit
+        # The O(keys × masks) tail runs on the unpacked matrix; a walked
+        # mask reads its pruning at its canonical mask.
+        pruned_cell = np.unpackbits(
+            pruned.view(np.uint8), axis=1, bitorder="little"
+        ).view(bool)
+        survive = ~pruned_cell.take(canonical, axis=1)
         # The root pass visits every constraint; node passes skip pruned
         # ones outright (Fig. 11b counts them as not traversed).  A
         # shard without the full space runs node passes only.
         if self._has_root:
-            traversed = masks_arr.shape[0] + survive[1:].sum()
+            traversed = canonical.shape[0] + survive[1:].sum()
         else:
             traversed = survive.sum()
         self.counters.traversed_constraints += int(traversed)
@@ -414,13 +425,12 @@ class SVectorized(STopDown):
         # root pass scans every bucket along C^t.  Both stages read the
         # anchors as they stood *before* this arrival's own store
         # mutations (``anchored``: all subspaces' cells as one slice of
-        # the store's anchor-bit matrix, one word per cell on the
-        # walker's dimensionalities), and count each visited bucket
-        # member once.
-        anchored = store.anchor_cells(keys)[:, :, 0]
-        visited = ~pruned_vec
+        # the store's anchor-bit matrix) and count each bucket member
+        # once per visit of its mask.
+        anchored = store.anchor_cells(keys)
+        visited = ~pruned
         if self._has_root:
-            visited[0] = -1
+            visited[0] = _EVERY_MASK
         comparisons = 0
         # The demoted cells as three parallel columns: position of the
         # subspace in ``keys``, row, and the bitset of bucket masks the
@@ -429,9 +439,15 @@ class SVectorized(STopDown):
         demoted_rows: List[int] = []
         demoted_at: List[int] = []
         if w:
-            visited_cell = (visited[:, None] & self._mask_weights) != 0
+            visited_cell = np.unpackbits(
+                visited.view(np.uint8),
+                axis=1,
+                count=sweep.n_masks,
+                bitorder="little",
+            ).view(bool)
+            sizes = bucket_bits.sum(axis=2, dtype=np.uint32)
             comparisons += int(
-                bucket_bits.sum(axis=2, dtype=np.uint32)[visited_cell].sum()
+                (sizes * visited_cell).sum(axis=0, dtype=np.int64) @ visits
             )
             # Only the conjunction with the demotable rows is sparse:
             # gather the bucket cells of its few nonzero words.
@@ -460,34 +476,59 @@ class SVectorized(STopDown):
                     demoted_rows.append(row)
                     demoted_at.append(masks)
         if delta:
-            met_mat = anchored[:, w:n].astype(self._bitset_dtype)
-            met_mat &= closure_of_agree[None, :]
-            met_mat &= visited[:, None]
+            met_mat = anchored[:, w:n] & closure_of_agree[None, :, :]
+            met_mat &= visited[:, None, :]
             comparisons += int(popcount_array(met_mat).sum())
+            for extra, _, group in repeats:
+                comparisons += extra * int(
+                    popcount_array(met_mat & group).sum()
+                )
             # Demotion candidates: cells whose bucket bitset meets a
             # row the arrival dominates there.  Both masks are dense
             # on their own; only their conjunction is sparse — one
             # flat boolean AND + flatnonzero (an order of magnitude
             # faster than 2-D nonzero) finds the handful of hits.
-            met_flat = met_mat.reshape(-1)
-            hits = np.flatnonzero((met_flat != 0) & demote_mat.reshape(-1))
+            occupied = met_mat[:, :, 0] != 0
+            for word in range(1, met_mat.shape[2]):
+                occupied |= met_mat[:, :, word] != 0
+            occupied &= demote_mat
+            hits = np.flatnonzero(occupied)
             hit_ks, hit_rows = np.divmod(hits, delta)
             demoted_ks += hit_ks.tolist()
             demoted_rows += (hit_rows + w).tolist()
-            demoted_at += met_flat[hits].tolist()
-        self.counters.comparisons += comparisons
+            demoted_at += cell_ints(
+                met_mat.reshape(-1, met_mat.shape[2])[hits]
+            )
 
         # Maximal-constraint promotion (Invariant 2): insert where the
         # constraint survives and every parent is pruned — with no
-        # pruning at all only ⊤ qualifies (parent_bits 0).
-        maximal = survive & (
-            (pruned_vec[:, None] & self._parent_bits[None, :])
-            == self._parent_bits[None, :]
+        # pruning at all only ⊤ qualifies (no parents).  A raw mask
+        # collapsed onto another's constraint is not anchorable: one of
+        # its parents collapses onto the surviving constraint itself.
+        parents = self._parent_words
+        maximal = ~pruned_cell
+        maximal &= anchorable
+        for word in range(parents.shape[1]):
+            maximal &= (
+                pruned[:, None, word] & parents[:, word]
+            ) == parents[:, word]
+        anchors = cell_ints(
+            np.packbits(maximal, axis=1, bitorder="little").view(WORD)
         )
+        # A constraint several raw masks collapse onto is visited once
+        # per raw mask: the first visit scanned the bucket as it stood
+        # (counted above), the repeats see the demoted rows gone and
+        # the arrival's own anchor present.
+        for extra, group, _ in repeats:
+            comparisons += extra * (
+                sum(popcount(bits & group) for bits in anchors)
+                - sum(popcount(at & group) for at in demoted_at)
+            )
+        self.counters.comparisons += comparisons
+
         # Every cell this arrival changes — its own promotion row here,
         # the demoted cells below — is collected in ``cells`` and
         # handed to the store as one write.
-        anchors = (maximal @ self._order_weights).tolist()
         cells: Dict[Tuple[int, int], int] = {}
         if any(anchors):
             row = store.register(record)
@@ -503,15 +544,12 @@ class SVectorized(STopDown):
         # demoted cells only: a full agree column would cost the O(n)
         # pass the prefix stage exists to avoid.
         if demoted_rows:
-            agrees = store.agree_bits_rows(
-                np.asarray(demoted_rows, dtype=np.int64), probe_dims
-            )
             for k, row, at, bits, agree in zip(
                 demoted_ks,
                 demoted_rows,
                 demoted_at,
-                anchored[demoted_ks, demoted_rows].tolist(),
-                agrees.tolist(),
+                cell_ints(anchored[demoted_ks, demoted_rows]),
+                store.agree_bits_rows(demoted_rows, probe_dims).tolist(),
             ):
                 cells[keys[k], row] = self._demoted_anchors(
                     row, self._in_pass_order(at), bits, agree
@@ -519,6 +557,49 @@ class SVectorized(STopDown):
         if cells:
             store.apply_cells(*zip(*cells), list(cells.values()))
         return facts
+
+    def _collapse(self, bindable: int) -> tuple:
+        """How ``C^t`` folds for an arrival whose bindable positions are
+        ``bindable`` (memoised; at most ``2^|D|`` entries).
+
+        A None dimension value cannot be bound, so a raw mask ``m`` of
+        the walk stands for the constraint at its canonical mask
+        ``m & bindable`` and several raw masks may share one.  Returns
+
+        * ``unbound`` — the unbindable positions (index array);
+        * ``canonical`` — the canonical mask of every walked mask;
+        * ``anchorable`` — per bit of a cell, whether the mask is walked
+          and its own canonical mask (the visit that may anchor);
+        * ``visits`` — per mask, how many walked masks collapse onto it;
+        * ``repeats`` — ``(times - 1, bitset, bitset in cell words)`` of
+          the masks visited ``times > 1`` times, one entry per distinct
+          count.
+
+        An arrival without None values is the case ``canonical ==
+        masks``: every walked mask visited once, no repeats.
+        """
+        tables = self._collapse_tbl.get(bindable)
+        if tables is None:
+            n_dimensions = self.schema.n_dimensions
+            canonical = self._masks_arr & bindable
+            anchorable = np.zeros(self._parent_words.shape[0], dtype=bool)
+            anchorable[canonical] = True
+            visits = np.bincount(canonical, minlength=1 << n_dimensions)
+            by_times: Dict[int, int] = {}
+            for mask, times in enumerate(visits.tolist()):
+                if times > 1:
+                    by_times[times] = by_times.get(times, 0) | 1 << mask
+            tables = self._collapse_tbl[bindable] = (
+                np.flatnonzero(bindable >> np.arange(n_dimensions) & 1 == 0),
+                canonical,
+                anchorable,
+                visits,
+                [
+                    (times - 1, group, cell_words([group], n_dimensions)[0])
+                    for times, group in by_times.items()
+                ],
+            )
+        return tables
 
     def _packed_dominators(self, packed_lt, packed_gt):
         """Per-subspace packed dominator/demotable row bitsets: with
@@ -568,203 +649,6 @@ class SVectorized(STopDown):
                     j, int(probe_dims[j])
                 )
         return agreement
-
-    # ------------------------------------------------------------------
-    # Discovery — scalar per-visit passes (fallback: unbindable arrival
-    # dimension values, or schemas beyond the walker's bitset cap)
-    # ------------------------------------------------------------------
-    def _discover_scalar_passes(self, record: Record) -> FactSet:
-        facts = FactSet(record)
-        store = self.store
-        full = self.full_space
-        constraints = self.constraint_cache(record)
-        n = store.n_rows
-        allowed_bits = self._allowed_bits
-        closure = self._closure
-
-        # Subspace keys, full space (the sharing substrate) first.
-        keys = self._subspace_keys
-        pruned: Dict[int, int] = dict.fromkeys(keys, 0)
-        # Per key, the µ buckets along C^t as they stand before this
-        # arrival: their sizes by bound mask, and — by bound mask — the
-        # member rows the arrival dominates there (the demotions).
-        n_masks = 1 << self.schema.n_dimensions
-        sizes = [[0] * n_masks for _ in keys]
-        demotable: List[Dict[int, List[int]]] = [{} for _ in keys]
-        agree = None
-
-        if n:
-            lt, gt, agree = store.partition_bitmasks(record)
-            keys_col = self._keys_column
-            lt_hit = (lt & keys_col) != 0
-            gt_hit = (gt & keys_col) != 0
-            dominated = lt_hit & ~gt_hit
-            ks, rows, masks = store.buckets_along(keys, agree)
-            sizes = (
-                np.bincount(ks * n_masks + masks, minlength=len(keys) * n_masks)
-                .reshape(len(keys), n_masks)
-                .tolist()
-            )
-            demoted = (gt_hit & ~lt_hit)[ks, rows]
-            for k, row, mask in zip(
-                ks[demoted].tolist(),
-                rows[demoted].tolist(),
-                masks[demoted].tolist(),
-            ):
-                demotable[k].setdefault(mask, []).append(row)
-            # Distinct agreement masks bound the per-key closure loop at
-            # 2^n regardless of history length.  One bool matmul against
-            # a one-hot agreement matrix yields, per key, exactly which
-            # agreement masks occur among its dominators.
-            present = None
-            if self._use_one_hot:
-                if self._arange.shape[0] < n:
-                    self._arange = np.arange(
-                        max(n, 2 * self._arange.shape[0]), dtype=np.int64
-                    )
-                one_hot = np.zeros(
-                    (n, 1 << self.schema.n_dimensions), dtype=bool
-                )
-                one_hot[self._arange[:n], agree] = True
-                present = dominated @ one_hot
-            for k, subspace in enumerate(keys):
-                if present is not None:
-                    agree_masks = np.nonzero(present[k])[0].tolist()
-                else:
-                    row_mask = dominated[k]
-                    if not row_mask.any():
-                        continue
-                    agree_masks = set(agree[row_mask].tolist())
-                bits = 0
-                for agree_mask in agree_masks:
-                    bits |= closure[agree_mask]
-                    if bits & allowed_bits == allowed_bits:
-                        break
-                pruned[subspace] = bits
-
-        # C^t as a flat sequence, zipped against masks in every pass.
-        cons_seq = tuple(constraints[m] for m in self.masks_top_down)
-
-        # --- Full-space pass (STopDownRoot), then per-subspace passes
-        # (STopDownNode) that skip pruned constraints.  As in the walk,
-        # the passes' cell changes (the arrival's own anchors, the
-        # demotion repairs) reach the store as one write.
-        emitted: Tuple[List[int], List[int]] = ([], [])
-        cells: Dict[Tuple[int, int], int] = {}
-        for k, subspace in enumerate(keys):
-            self._lattice_pass(
-                record,
-                subspace,
-                emitted,
-                pruned[subspace],
-                sizes[k],
-                demotable[k],
-                agree,
-                cells,
-                is_root=subspace == full,
-            )
-        if cells:
-            store.apply_cells(*zip(*cells), list(cells.values()))
-        # Same emission form as the walker: positions along C^t plus the
-        # subspace column (collapsed duplicate masks keep their own
-        # positions, whose constraints coincide).
-        facts.add_cells(
-            cons_seq,
-            np.asarray(emitted[0], dtype=np.int64),
-            np.asarray(emitted[1], dtype=np.int64),
-        )
-        return facts
-
-    def _lattice_pass(
-        self,
-        record: Record,
-        subspace: int,
-        emitted: Tuple[List[int], List[int]],
-        pruned_bits: int,
-        sizes: List[int],
-        demotable: Dict[int, List[int]],
-        agree,
-        cells: Dict[Tuple[int, int], int],
-        is_root: bool,
-    ) -> None:
-        """One top-down sweep of ``C^t`` in ``subspace``.
-
-        Facts are appended to ``emitted`` as (position along ``C^t``
-        in walk order, subspace) column pairs.  ``sizes[m]`` is the size
-        of the subspace's ``µ`` bucket at ``C^t``'s constraint with
-        bound mask ``m`` as it stood before this arrival, and
-        ``demotable[m]`` its member rows the new tuple dominates there
-        (both read off the store's anchor-bit matrix and the arrival
-        sweep by :meth:`_discover_scalar_passes`).  The arrival's own
-        anchors are set in ``cells``, the ``{(subspace, row): anchor
-        bitset}`` batch the caller writes to the store after the last
-        pass — nothing in between reads the arrival's cells.  Demotions
-        are collected per row and repaired into the same batch after
-        the sweep (see :meth:`_demoted_anchors`, which takes the row's
-        entry of the sweep's agreement column ``agree``) — safe because
-        a repair only deletes from the just-visited bucket and
-        re-anchors at children outside ``C^t``, and no visit reads the
-        store.  A degenerate ``C^t`` (an unbindable dimension value
-        collapses distinct masks onto one constraint) visits a bucket
-        once per duplicate: ``demotable`` hands its rows to the first
-        visit only and ``sizes`` is kept current — repaired rows leave,
-        the arrival's own anchor joins — so the later visits count what
-        scalar stopdown's per-visit read would.  The root pass visits every
-        constraint (counting and demoting like STopDownRoot); node
-        passes skip pruned ones.  Pruning is tested on the *collapsed
-        canonical mask* (``mask & bindable``) so duplicate raw masks
-        share their constraint's pruning state (the unbindable-value fix
-        shared with scalar topdown/stopdown).  Counter conventions match
-        scalar STopDown exactly — see :mod:`repro.metrics.counters`.
-        """
-        store = self.store
-        counters = self.counters
-        parents = self._parents
-        report = not is_root or self.config.allows_subspace(subspace)
-        emit_position = emitted[0].append
-        emit_subspace = emitted[1].append
-        bindable = bindable_positions(record.dims)
-        comparisons = 0
-        traversed = 0
-        repairs: Dict[int, List[int]] = {}
-        for position, mask in enumerate(self.masks_top_down):
-            canonical = mask & bindable
-            shifted = pruned_bits >> canonical
-            if not is_root and shifted & 1:
-                continue
-            traversed += 1
-            comparisons += sizes[canonical]
-            demoted = demotable.pop(canonical, None)
-            if demoted:
-                for row in demoted:
-                    repairs.setdefault(row, []).append(canonical)
-                sizes[canonical] -= len(demoted)
-            if not shifted & 1:
-                if report:
-                    emit_position(position)
-                    emit_subspace(subspace)
-                # Maximal (all parents pruned): with no pruning at all,
-                # only ⊤ qualifies — skip the per-parent scan.  Parents
-                # are read at their canonical masks; a raw duplicate has
-                # a parent collapsing onto the (surviving) constraint
-                # itself, so only the canonical visit anchors.
-                if pruned_bits:
-                    maximal = all(
-                        (pruned_bits >> (p & bindable)) & 1
-                        for p in parents[mask]
-                    )
-                else:
-                    maximal = not mask
-                if maximal:
-                    cell = subspace, store.register(record)
-                    cells[cell] = cells.get(cell, 0) | 1 << canonical
-                    sizes[canonical] += 1
-        for row, masks in repairs.items():
-            cells[subspace, row] = self._demoted_anchors(
-                row, masks, store.anchor_cell(subspace, row), int(agree[row])
-            )
-        counters.comparisons += comparisons
-        counters.traversed_constraints += traversed
 
     def _make_anc_row(self, child: int) -> Tuple[int, ...]:
         closure = self._closure

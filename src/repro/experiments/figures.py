@@ -30,8 +30,12 @@ from .harness import (
 PAPER_CONFIG = DiscoveryConfig(max_bound_dims=4)
 
 FIG7_ALGOS = ("baselineseq", "baselineidx", "ccsc", "bottomup", "topdown")
-FIG8_ALGOS = ("ccsc", "bottomup", "topdown", "sbottomup", "stopdown")
-FIG11_ALGOS = ("bottomup", "topdown", "sbottomup", "stopdown")
+#: Figs. 8–11 carry ``svec`` — the engine every service path runs —
+#: beside the paper's algorithms: same facts, stores and op counters as
+#: ``stopdown`` (its series coincide on Figs. 10b and 11), columnar time
+#: and bytes (Figs. 8, 9, 10a), d swept over 4…7.
+FIG8_ALGOS = ("ccsc", "bottomup", "topdown", "sbottomup", "stopdown", "svec")
+FIG11_ALGOS = ("bottomup", "topdown", "sbottomup", "stopdown", "svec")
 FIG12_ALGOS = ("fsbottomup", "fstopdown")
 
 

@@ -81,28 +81,10 @@ _INITIAL_CAPACITY = 256
 _MAX_INDEXED_DIMENSIONS = 8
 _MAX_INDEXED_MEASURES = 8
 
-#: The bitset lattice *walker* and the sweep index's per-mask anchor
-#: planes need the whole 2^n mask lattice in one non-negative integer
-#: element, so they run up to 5 dimension attributes (2^5 = 32 bits).
-#: Up to 4 dimensions the 16-bit lattice fits ``int32`` — half the
-#: sweep bandwidth; 5 dimensions take ``int64``.  The store's anchor-bit
-#: matrix itself has no such cap (wider lattices take more words per
-#: cell); wider schemas only leave the walker for the scalar pass.
-_MAX_BITSET_DIMENSIONS = 5
-
-
-def lattice_bitset_dtype(n_dimensions: int):
-    """Smallest safe NumPy dtype for single-element bitsets over the
-    ``2^n`` constraint-mask lattice (``None`` beyond the walker cap)."""
-    if n_dimensions > _MAX_BITSET_DIMENSIONS:
-        return None
-    return np.int32 if n_dimensions <= 4 else np.int64
-
-
 #: One word of an anchor-bit cell: 32 constraint masks, little-endian so
 #: a cell's bytes read as one Python integer on any platform.
-_WORD = np.dtype("<u4")
-_WORD_BITS = 32
+WORD = np.dtype("<u4")
+WORD_BITS = 32
 
 #: Deferred-compaction policy for tombstoned rows: compact once more
 #: than this many rows are dead *and* they outnumber a quarter of the
@@ -114,6 +96,32 @@ _COMPACT_DEAD_FRACTION = 4
 #: Shared empty row-index array returned for pairs that hold nothing.
 _EMPTY_ROWS = np.empty(0, dtype=np.int64)
 
+#: An interned id no registered row carries (tombstones hold ``-1``): a
+#: probe reads it where it can agree with nothing.
+ABSENT_ID = -2
+
+
+def cell_words(bitsets, n_dimensions: int) -> np.ndarray:
+    """``(len(bitsets), words)`` cell-word form of Python-integer
+    bitsets over the ``2^n`` constraint masks — the representation of
+    the anchor-bit matrix and of every lattice bitset the ``svec`` walk
+    computes with (one word up to five dimensions)."""
+    size = max(1, (1 << n_dimensions) // WORD_BITS) * WORD.itemsize
+    data = b"".join(bits.to_bytes(size, "little") for bits in bitsets)
+    return np.frombuffer(data, dtype=WORD).reshape(len(bitsets), -1)
+
+
+def cell_ints(cells: np.ndarray) -> List[int]:
+    """Inverse of :func:`cell_words`: one Python integer per row of a
+    ``(n, words)`` array."""
+    out = cells[:, 0].tolist()
+    for word in range(1, cells.shape[1]):
+        shift = word * WORD_BITS
+        out = [
+            low | high << shift
+            for low, high in zip(out, cells[:, word].tolist())
+        ]
+    return out
 
 
 def grow_2d(array: np.ndarray, size: int, min_rows: Optional[int] = None) -> np.ndarray:
@@ -263,9 +271,9 @@ class ColumnarSkylineStore(SkylineStore):
         cap = self._initial_capacity
         self._values = np.empty((cap, n_measures), dtype=np.float64)
         self._dims = np.empty((cap, n_dimensions), dtype=np.int32)
-        words = max(1, (1 << n_dimensions) // _WORD_BITS)
-        self._cell_bytes = words * _WORD.itemsize
-        self._cells = np.zeros((0, cap, words), dtype=_WORD)
+        words = max(1, (1 << n_dimensions) // WORD_BITS)
+        self._cell_bytes = words * WORD.itemsize
+        self._cells = np.zeros((0, cap, words), dtype=WORD)
         if self._interner is None:
             self._interner = ColumnInterner(n_dimensions)
 
@@ -283,7 +291,7 @@ class ColumnarSkylineStore(SkylineStore):
         self._dims = grow_2d(self._dims, size, min_rows)
         old = self._cells
         self._cells = np.zeros(
-            (old.shape[0], self._values.shape[0], old.shape[2]), dtype=_WORD
+            (old.shape[0], self._values.shape[0], old.shape[2]), dtype=WORD
         )
         self._cells[:, :size] = old[:, :size]
         if self._slot_ids is not None:
@@ -301,7 +309,7 @@ class ColumnarSkylineStore(SkylineStore):
             old = self._cells
             if slot >= old.shape[0]:
                 self._cells = np.zeros(
-                    (max(4, 2 * slot),) + old.shape[1:], dtype=_WORD
+                    (max(4, 2 * slot),) + old.shape[1:], dtype=WORD
                 )
                 self._cells[:slot] = old
         return slot
@@ -456,10 +464,10 @@ class ColumnarSkylineStore(SkylineStore):
         orientation for ``compare(record, other)``: bit ``i`` of
         ``lt[r]`` is set iff row ``r`` beats the probe on measure ``i``
         (``gt`` the converse), and bit ``j`` of ``agree[r]`` iff the
-        interned dimension values match at position ``j``.  This is the
-        single shared implementation behind the arrival sweep, its
-        scalar fallback, and columnar retraction — orientation fixes
-        land everywhere at once.
+        interned dimension values match at position ``j`` (``None``
+        is a value like any other here).  This is the single shared
+        implementation behind the arrival sweep and columnar
+        retraction — orientation fixes land everywhere at once.
         """
         probe_values = np.asarray(record.values, dtype=np.float64)
         probe_dims = self.intern_dims(record.dims)
@@ -545,22 +553,19 @@ class ColumnarSkylineStore(SkylineStore):
         this store answers sweeps densely.
 
         The store, not its caller, picks the side, and picks it from the
-        one input the choice depends on — its own row count: an index
-        exists only once enough rows are registered for packed prefix
-        probes to beat the dense sweep (:meth:`SweepIndex.arm`: a
-        measured constant beside the index), never beyond the walker's
-        dimensionality cap (the index keeps one anchor plane per mask),
-        and again by the same rule after a compaction dropped it.  Every reader of the index — the arrival
-        walk, :meth:`partition_bitmasks`, the query kernels' selection —
-        goes through here, so all of them see the same watermark.
+        inputs the choice depends on — its own row count and layout: an
+        index exists only once :meth:`SweepIndex.arm` finds enough rows
+        registered for packed prefix probes to beat the dense sweep
+        (measured constants beside the index), and again by the same
+        rule after a compaction dropped it.  Every reader of the index —
+        the arrival walk, :meth:`partition_bitmasks`, the query kernels'
+        selection — goes through here, so all of them see the same
+        watermark.
         """
         sweep = self._sweep
         if sweep is not None:
             sweep.ensure_folded()
-        elif (
-            self._n_dimensions is not None
-            and self._n_dimensions <= _MAX_BITSET_DIMENSIONS
-        ):
+        else:
             sweep = self._sweep = SweepIndex.arm(self)
         return sweep
 
@@ -620,7 +625,7 @@ class ColumnarSkylineStore(SkylineStore):
             raise ValueError("apply_cells: a (subspace, row) cell repeats")
         slots = np.array([self._slot(subspace) for subspace in subspaces])
         rows = np.array(rows)
-        new = self._cell_words(anchors)
+        new = cell_words(anchors, self._n_dimensions)
         old = self._cells[slots, rows]
         self._cells[slots, rows] = new
         self._total += int(popcount_array(new).sum()) - int(
@@ -652,45 +657,14 @@ class ColumnarSkylineStore(SkylineStore):
             return self._cells[: len(slots), :n]
         return self._cells[slots, :n]
 
-    def _closure_words(self) -> np.ndarray:
-        """``(2^|D|, words)`` submask closures in cell-word form."""
+    def closure_words(self) -> np.ndarray:
+        """``(2^|D|, words)`` submask closures in cell-word form: row
+        ``a`` is the bitset of the constraint masks ``⊆ a``."""
         if self._closure is None:
-            self._closure = self._cell_words(
-                submask_closure_table(self._n_dimensions)
+            self._closure = cell_words(
+                submask_closure_table(self._n_dimensions), self._n_dimensions
             )
         return self._closure
-
-    def _cell_words(self, bitsets) -> np.ndarray:
-        """``(len(bitsets), words)`` cell-word form of Python-integer
-        bitsets."""
-        size = self._cell_bytes
-        data = b"".join(bits.to_bytes(size, "little") for bits in bitsets)
-        return np.frombuffer(data, dtype=_WORD).reshape(len(bitsets), -1)
-
-    def buckets_along(self, subspaces, agree: np.ndarray):
-        """Who sits in the ``µ`` buckets along a probe's ``C^t``.
-
-        ``agree[r]`` is row ``r``'s agreement bitmask with the probe
-        (:meth:`partition_bitmasks`); a row anchored at mask ``m`` sits
-        in the probe's bucket at ``m`` iff ``m ⊆ agree[r]`` — its
-        constraint there then binds the probe's own values.  One AND of
-        the cells against the agreement closures answers every subspace
-        and mask at once.  Returns every membership as three parallel
-        columns ``(ks, rows, masks)``: row ``rows[i]`` is in the bucket
-        at bound mask ``masks[i]`` of ``subspaces[ks[i]]``.
-        """
-        met = self.anchor_cells(subspaces) & self._closure_words()[agree]
-        # Flat all the way (nonzero over a bool vector is the fast
-        # path): occupied words, then their set bits.
-        n, n_words = met.shape[1:]
-        met = met.reshape(-1)
-        words = np.flatnonzero(met != 0)
-        bits = np.flatnonzero(
-            np.unpackbits(met[words].view(np.uint8), bitorder="little").view(bool)
-        )
-        cells, word = np.divmod(words[bits // _WORD_BITS], n_words)
-        ks, rows = np.divmod(cells, n)
-        return ks, rows, word * _WORD_BITS + bits % _WORD_BITS
 
     def _anchored(self) -> Iterator[Tuple[int, int, int]]:
         """Every non-empty cell as ``(subspace, row, anchor bitset)``."""
@@ -719,7 +693,7 @@ class ColumnarSkylineStore(SkylineStore):
         )
         hit = np.zeros(n, dtype=bool)
         for word in range(self._cells.shape[2]):
-            bits = (wanted >> (word * _WORD_BITS)) & 0xFFFFFFFF
+            bits = (wanted >> (word * WORD_BITS)) & 0xFFFFFFFF
             if bits:
                 hit |= (self._cells[slot, :n, word] & bits) != 0
         for position in bit_positions(mask):
@@ -828,9 +802,9 @@ class ColumnarSkylineStore(SkylineStore):
         # Up-closures are OR-linear in the anchor bits, so the closure
         # of a cell is the OR of one table row per byte of the cell:
         # ``_up_bytes[p, b]`` is the closure of bitset ``b << 8p``.
-        up = np.zeros((self._cell_bytes, 1, 8, self._cells.shape[2]), _WORD)
-        up.reshape(-1, up.shape[3])[:n_masks] = self._cell_words(
-            supermask_closure_table(n_dimensions)
+        up = np.zeros((self._cell_bytes, 1, 8, self._cells.shape[2]), WORD)
+        up.reshape(-1, up.shape[3])[:n_masks] = cell_words(
+            supermask_closure_table(n_dimensions), n_dimensions
         )
         in_byte = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(bool)
         self._up_bytes = np.bitwise_or.reduce(
@@ -946,12 +920,14 @@ class ColumnarSkylineStore(SkylineStore):
             return None
         if self._counts is None:
             self._build_score_index()
-        # A value no registered row carries reads id -2: its keys are in
-        # no table (and the probe's values are not interned).
+        # A value no registered row carries reads the absent id: its
+        # keys are in no table (and the probe's values are not interned).
         lookup = self._interner.lookup
         ids = [lookup(column, value) for column, value in enumerate(dims)]
         keys = self._row_keys(
-            np.array([-2 if i is None else i for i in ids], dtype=np.int32)
+            np.array(
+                [ABSENT_ID if i is None else i for i in ids], dtype=np.int32
+            )
         )
         probe = self._slot_table.get
         return self._counts[[probe(keys[mask], 0) for mask in masks]]

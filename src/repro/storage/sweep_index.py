@@ -61,6 +61,12 @@ DEFAULT_FOLD_BATCH = 256
 #: ``docs/api.md``, re-checked by ``benchmarks/bench_lattice.py``.
 ARM_ROWS = 8192
 
+#: Widest schema that gets an index.  The anchor planes — one packed
+#: row-bitset per (subspace, constraint mask) — are folded from, and
+#: kept in step with, one word of each anchor-bit cell, i.e. 2^5 masks;
+#: a wider store keeps answering densely at any row count.
+ARM_DIMENSIONS = 5
+
 #: Sorted-position block size of the per-measure suffix bitsets.  A
 #: probe pays one partial-block scatter (< B rows) per measure bound;
 #: a fold pays one packed-bitset pass per block.
@@ -99,8 +105,8 @@ class SweepIndex:
     Created by :meth:`arm` for, and owned by, the store; all row/word
     layouts are the store's.  ``n_masks`` is the size of
     the bound-mask lattice (``2^|D|``) — one anchor plane per mask and
-    subspace, so the store only arms the index within the walker's
-    dimensionality cap (one word per matrix cell).
+    subspace, read off one word of each matrix cell, which is why
+    :meth:`arm` stops at :data:`ARM_DIMENSIONS`.
     """
 
     def __init__(self, store) -> None:
@@ -174,10 +180,11 @@ class SweepIndex:
     @classmethod
     def arm(cls, store) -> Optional["SweepIndex"]:
         """An index folded over all of ``store``'s rows once it holds
-        enough of them for the index to win (:data:`ARM_ROWS`);
-        ``None`` below that."""
+        enough of them for the index to win (:data:`ARM_ROWS`) on a
+        schema whose planes fit (:data:`ARM_DIMENSIONS`); ``None``
+        otherwise."""
         n = store.n_rows
-        if n < ARM_ROWS:
+        if n < ARM_ROWS or store._n_dimensions > ARM_DIMENSIONS:
             return None
         index = cls(store)
         index._fold(n)
@@ -239,7 +246,7 @@ class SweepIndex:
 
         # Extend the anchor planes with the new rows' current anchors
         # (read straight off the store's anchor-bit matrix; one word
-        # per cell within the dimensionality the index is armed for).
+        # per cell within ARM_DIMENSIONS).
         for subspace, slot in store._slots.items():
             plane = self._plane_of(subspace)
             col = store._cells[slot, old_w:n, 0]

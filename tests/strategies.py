@@ -2,11 +2,21 @@
 
 Row dicts for the ``svec ≡ stopdown`` gate files
 (``test_columnar.py``, ``test_scoring_equivalence.py``,
-``test_retraction.py``) and the op sequences of the columnar store's
-differential test.  Import with ``from tests.strategies import …``.
+``test_retraction.py``), whole stream scenarios — schema shape, caps,
+inserts and deletes, a shard partition — for the one three-way
+equivalence test, the op sequences of the columnar store's
+differential test, and the one switch those files share
+(:func:`sweep_constants`: which side of the sweep index's arming
+constant a short stream runs on).  Import with ``from tests.strategies import …``.
 """
 
+from contextlib import contextmanager
+from typing import NamedTuple, Optional, Tuple
+
 from hypothesis import strategies as st
+
+from repro import DiscoveryConfig, TableSchema
+from repro.storage import sweep_index as sweep_module
 
 
 def rows_of(dimensions, measure_max, n_measures=2):
@@ -36,6 +46,78 @@ none_row_strategy = rows_of(
 wide_row_strategy = rows_of(
     {"d0": "abc", "d1": "xy", "d2": ["p", "q", None]}, 4
 )
+
+
+#: Value pools of :func:`stream_scenarios`, cycled over the schema's
+#: dimensions — the pools of the row strategies above, None-heavy.
+STREAM_POOLS = (
+    ["a", "b", None],
+    ["x", "y", None],
+    ["p", None],
+    "abc",
+    "xy",
+    ["p", "q", None],
+    "ab",
+)
+
+
+class StreamScenario(NamedTuple):
+    """One drawn stream: ``ops`` holds row dicts (arrivals) and integers
+    (delete the live tuple at that index, modulo the live count;
+    skipped while fewer than two are live); ``shard_of[M - 1]`` assigns
+    measure subspace ``M`` to a shard, so the maintained keys split
+    into one shard with the full space and up to two without."""
+
+    schema: TableSchema
+    config: DiscoveryConfig
+    ops: Tuple[object, ...]
+    shard_of: Tuple[int, ...]
+
+
+@st.composite
+def stream_scenarios(draw, max_ops=14):
+    """Streams over every shape the ``svec`` walk serves: d ∈ 2…7
+    (one to four words per anchor cell), m ∈ {2, 3}, d̂ ∈ {None, 2, 4},
+    an optional m̂ cap, None-heavy rows, interleaved deletes."""
+    d = draw(st.integers(min_value=2, max_value=7))
+    m = draw(st.sampled_from([2, 3]))
+    schema = TableSchema(
+        tuple(f"d{j}" for j in range(d)), tuple(f"m{i}" for i in range(m))
+    )
+    config = DiscoveryConfig(
+        max_bound_dims=draw(st.sampled_from([None, 2, 4])),
+        max_measure_dims=draw(st.sampled_from([None, None, 1, 2])),
+    )
+    row = rows_of(
+        {f"d{j}": STREAM_POOLS[j % len(STREAM_POOLS)] for j in range(d)},
+        3,
+        n_measures=m,
+    )
+    delete = st.integers(min_value=0, max_value=max_ops)
+    ops = draw(st.lists(st.one_of(row, row, row, delete), min_size=1, max_size=max_ops))
+    shard_of = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=2),
+            min_size=(1 << m) - 1,
+            max_size=(1 << m) - 1,
+        )
+    )
+    return StreamScenario(schema, config, tuple(ops), tuple(shard_of))
+
+
+@contextmanager
+def sweep_constants(arm_rows: int, fold_batch: Optional[int] = None):
+    """Run a block with the sweep index arming at ``arm_rows`` rows and
+    folding every ``fold_batch`` (default: the same) — a few rows put a
+    short test stream on the indexed side of the ``svec`` walk, the
+    shipped values keep it on the dense side."""
+    saved = sweep_module.ARM_ROWS, sweep_module.DEFAULT_FOLD_BATCH
+    sweep_module.ARM_ROWS = arm_rows
+    sweep_module.DEFAULT_FOLD_BATCH = fold_batch or arm_rows
+    try:
+        yield
+    finally:
+        sweep_module.ARM_ROWS, sweep_module.DEFAULT_FOLD_BATCH = saved
 
 
 def store_op_sequences(n_dimensions, pool=5, max_ops=24):

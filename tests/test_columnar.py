@@ -9,22 +9,43 @@ against a ``MemorySkylineStore`` mirror) — and the strong ``svec`` ≡
 streams.
 """
 
+import random
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import DiscoveryConfig, TableSchema, make_algorithm
+from repro import DiscoveryConfig, FactDiscoverer, TableSchema, make_algorithm
 from repro.core.constraint import (
     Constraint,
     bindable_positions,
     constraint_for_record,
 )
 from repro.core.record import Record
+from repro.datasets.synthetic import synthetic_rows, synthetic_schema
+from repro.metrics.counters import OpCounters
 from repro.storage import ColumnarSkylineStore, MemorySkylineStore, grow_2d
-from tests.strategies import row_strategy, store_op_sequences
+from tests.strategies import (
+    row_strategy,
+    store_op_sequences,
+    stream_scenarios,
+    sweep_constants,
+)
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
+
+
+def noneful_rows(n, d, m, none_share, seed=5, **kwargs):
+    """Synthetic rows; a ``none_share`` of them carry one None
+    dimension value."""
+    rows = synthetic_rows(n, d, m, seed=seed, **kwargs)
+    rng = random.Random(seed)
+    for row in rows:
+        if rng.random() < none_share:
+            row[f"d{rng.randrange(d)}"] = None
+    return rows
 
 
 def rec(tid, dims=("a", "x"), raw=(1.0, 2.0)):
@@ -227,13 +248,21 @@ class TestColumnarSubstrate:
         ).stats()
 
 
+def _store_contents(algos):
+    """``{(constraint, subspace): tids}`` over the stores of ``algos``
+    (one algorithm, or the shards of a partition)."""
+    return {
+        key: {r.tid for r in recs}
+        for algo in algos
+        for key, recs in algo.store.iter_pairs()
+    }
+
+
 class TestSVecEquivalence:
     """svec ≡ stopdown: facts, store contents, and counters."""
 
     def _snapshot(self, algo):
-        return {
-            key: {r.tid for r in recs} for key, recs in algo.store.iter_pairs()
-        }
+        return _store_contents([algo])
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(row_strategy, min_size=1, max_size=16))
@@ -283,6 +312,159 @@ class TestSVecEquivalence:
         assert self._snapshot(vec) == self._snapshot(ref)
         probe = rows[0]
         assert vec.process(probe).pairs == ref.process(probe).pairs
+
+
+class TestStreamEquivalence:
+    """``svec`` ≡ ``stopdown`` ≡ ``bruteforce`` over the shared stream
+    corpus: every lattice width the walk serves (one to four words per
+    anchor cell), d̂ / m̂ caps, None-heavy rows, interleaved deletes, a
+    subspace-sharded ``svec`` beside the whole one — checked after
+    every op, on either side of the sweep index's arming constant."""
+
+    @pytest.mark.parametrize("arm_rows", [None, 4], ids=["dense", "armed"])
+    @settings(max_examples=40, deadline=None)
+    @given(scenario=stream_scenarios())
+    def test_every_op_matches_stopdown_and_bruteforce(self, scenario, arm_rows):
+        if arm_rows is None:
+            self._drive(scenario)
+        else:
+            with sweep_constants(arm_rows):
+                self._drive(scenario)
+
+    @staticmethod
+    def _drive(scenario):
+        schema, config, ops, shard_of = scenario
+        ref = make_algorithm("stopdown", schema, config)
+        vec = make_algorithm("svec", schema, config)
+        brute = make_algorithm("bruteforce", schema, config)
+        partition = {}
+        for key in vec.maintained_subspaces():
+            partition.setdefault(shard_of[key - 1], []).append(key)
+        shards = [
+            make_algorithm("svec", schema, config, shard_subspaces=keys)
+            for keys in partition.values()
+        ]
+        assert sum(shard._has_root for shard in shards) == 1
+        engines = [
+            FactDiscoverer(schema, algorithm=name, config=config)
+            for name in ("svec", "stopdown")
+        ]
+        live = []
+        for op in ops:
+            if isinstance(op, dict):
+                live.append(ref.table.arrivals)
+                want = list(ref.process(op).iter_pairs())
+                # Emission order, collapsed duplicate positions included.
+                assert list(vec.process(op).iter_pairs()) == want
+                assert list(brute.process(op).iter_pairs()) == want
+                sharded = Counter(
+                    pair
+                    for shard in shards
+                    for pair in shard.process(op).iter_pairs()
+                )
+                assert sharded == Counter(want)
+                scored = [
+                    [
+                        (f.constraint, f.subspace, f.context_size, f.skyline_size)
+                        for f in engine.facts_for(op)
+                    ]
+                    for engine in engines
+                ]
+                assert scored[0] == scored[1]
+                assert [row[:2] for row in scored[0]] == want
+            elif len(live) > 1:
+                tid = live.pop(op % len(live))
+                for algo in (ref, vec, brute, *shards):
+                    algo.retract(tid)
+                for engine in engines:
+                    engine.delete(tid)
+            assert _store_contents([vec]) == _store_contents([ref])
+            assert _store_contents(shards) == _store_contents([ref])
+            assert vec.counters.snapshot() == ref.counters.snapshot()
+            total = sum((shard.counters for shard in shards), OpCounters())
+            assert total.snapshot() == ref.counters.snapshot()
+            assert engines[0].counters.snapshot() == engines[1].counters.snapshot()
+
+
+class TestNoPythonPerRow:
+    """The walk is the only discovery body at every shape: no arrival
+    builds a ``Constraint`` outside the ``C^t`` memo or probes the
+    anchor matrix cell by cell, and no retraction — None-carrying
+    victims included — takes the scalar repair."""
+
+    @pytest.mark.parametrize(
+        "d, m, dhat, none_share",
+        [(7, 2, 4, 0.0), (3, 2, None, 0.25)],
+        ids=["d7-four-words", "d3-none-rows"],
+    )
+    def test_walk_builds_nothing_per_row(
+        self, monkeypatch, d, m, dhat, none_share
+    ):
+        from repro.algorithms import retraction
+
+        vec = make_algorithm(
+            "svec", synthetic_schema(d, m), DiscoveryConfig(max_bound_dims=dhat)
+        )
+        store = vec.store
+        tally = Counter()
+        in_memo = []
+
+        def counted(inner, name, allowed=lambda: False):
+            def spy(*args, **kwargs):
+                if not allowed():
+                    tally[name] += 1
+                return inner(*args, **kwargs)
+
+            return spy
+
+        def memo(record, inner=vec.constraint_cache):
+            in_memo.append(record)
+            try:
+                return inner(record)
+            finally:
+                in_memo.pop()
+
+        init, fast = Constraint.__init__, Constraint.from_values_mask.__func__
+        monkeypatch.setattr(
+            Constraint, "__init__", counted(init, "Constraint", lambda: in_memo)
+        )
+        monkeypatch.setattr(
+            Constraint,
+            "from_values_mask",
+            classmethod(counted(fast, "Constraint", lambda: in_memo)),
+        )
+        monkeypatch.setattr(vec, "constraint_cache", memo)
+        monkeypatch.setattr(
+            store, "anchor_cell", counted(store.anchor_cell, "anchor_cell")
+        )
+        monkeypatch.setattr(
+            store,
+            "apply_cells",
+            lambda *cells, inner=store.apply_cells: (
+                tally.update(written=len(cells[1])),
+                inner(*cells),
+            ),
+        )
+
+        def scalar_repair(*args, **kwargs):
+            raise AssertionError("svec took the scalar retraction repair")
+
+        monkeypatch.setattr(retraction, "retract_top_down", scalar_repair)
+
+        rows = noneful_rows(300, d, m, none_share, distribution="independent")
+        for row in rows:
+            tally.clear()
+            vec.process(row)
+            assert tally["Constraint"] == 0
+            # Cell-by-cell reads, if any, stay within the demoted cells.
+            assert tally["anchor_cell"] <= tally["written"]
+        victims = list(range(0, 300, 6))
+        if none_share:
+            assert any(None in rows[tid].values() for tid in victims)
+        for tid in victims:
+            tally.clear()
+            vec.retract(tid)
+            assert tally["Constraint"] == 0
 
 
 class TestNoneDimensionValues:
@@ -373,13 +555,19 @@ class TestOneWritePerArrival:
         monkeypatch.setattr(ColumnarSkylineStore, "apply_cells", spy)
         return calls
 
-    def test_one_write_per_arrival_and_per_victim(self, monkeypatch):
-        from repro.datasets.synthetic import synthetic_rows, synthetic_schema
-
+    @pytest.mark.parametrize(
+        "d, m, n, none_share",
+        [(4, 4, 200, 0.0), (6, 2, 80, 0.0), (3, 3, 120, 0.25)],
+        ids=["d4", "d6-two-words", "d3-none-rows"],
+    )
+    def test_one_write_per_arrival_and_per_victim(
+        self, monkeypatch, d, m, n, none_share
+    ):
         calls = self._count_writes(monkeypatch)
-        vec = make_algorithm("svec", synthetic_schema(4, 4))
+        vec = make_algorithm("svec", synthetic_schema(d, m))
         store = vec.store
-        for row in synthetic_rows(200, 4, 4, distribution="anticorrelated"):
+        rows = noneful_rows(n, d, m, none_share, distribution="anticorrelated")
+        for row in rows:
             before = set(store._anchored())
             del calls[:]
             vec.process(row)
@@ -387,23 +575,14 @@ class TestOneWritePerArrival:
             # Exactly one kernel entry, carrying every changed cell, for
             # an arrival that anchors or demotes anything; none otherwise.
             assert len(calls) == int(changed)
-        for tid in range(0, 200, 7):
+        victims = range(0, n, 7)
+        if none_share:
+            assert any(None in vec.table[tid].dims for tid in victims)
+        for tid in victims:
             anchored = store._cells[:, store.row_of(tid)].any()
             del calls[:]
             vec.retract(tid)
             assert len(calls) == int(anchored)
-
-    def test_one_write_per_arrival_in_the_scalar_passes(self, monkeypatch):
-        # d = 6 is beyond the walker's cap: the scalar per-visit passes
-        # batch their cell changes the same way.
-        from repro.datasets.synthetic import synthetic_rows, synthetic_schema
-
-        calls = self._count_writes(monkeypatch)
-        vec = make_algorithm("svec", synthetic_schema(6, 2))
-        for row in synthetic_rows(40, 6, 2, distribution="anticorrelated"):
-            del calls[:]
-            vec.process(row)
-            assert len(calls) <= 1
 
     def test_a_repeated_cell_is_rejected(self):
         store = ColumnarSkylineStore(n_dimensions=2, n_measures=2)

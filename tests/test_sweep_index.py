@@ -8,13 +8,13 @@ dense.  Its one correctness obligation is *bit-identity*: every fact,
 score and op counter must be the same on either side of that choice, on
 any stream — deletions interleaved, ``None`` dimension values, windowed
 eviction, sharded.  These tests fuzz that property (armed index vs
-never-armed store vs scalar ``stopdown``), pin which arrivals take the
-scalar fallback, and pin the tombstone/compaction mechanics the index's
+never-armed store vs scalar ``stopdown``), pin that no arrival leaves
+the walk (None dimension values, schemas past one word per anchor
+cell), and pin the tombstone/compaction mechanics the index's
 invalidation story rests on.
 """
 
 import random
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from repro.api import EngineSpec, open_engine
 from repro.datasets.synthetic import synthetic_rows, synthetic_schema
 from repro.query.kernels import ColumnarQueryKernels
 from repro.storage import sweep_index as sweep_module
+from tests.strategies import sweep_constants
 
 #: The shipped constants; no stream in this file reaches ``ARM_ROWS``.
 DEFAULTS = (sweep_module.ARM_ROWS, sweep_module.DEFAULT_FOLD_BATCH)
@@ -34,22 +35,16 @@ ARM = FOLD = 8
 
 
 @pytest.fixture(autouse=True)
-def _armed_index(monkeypatch):
+def _armed_index():
     # Short test streams must still cross the arming constant and the
     # fold batch for the indexed side to run at all.
-    monkeypatch.setattr(sweep_module, "ARM_ROWS", ARM)
-    monkeypatch.setattr(sweep_module, "DEFAULT_FOLD_BATCH", FOLD)
+    with sweep_constants(ARM, FOLD):
+        yield
 
 
-@contextmanager
 def never_armed():
     """Run a block under the shipped constants (dense side only)."""
-    shrunk = (sweep_module.ARM_ROWS, sweep_module.DEFAULT_FOLD_BATCH)
-    sweep_module.ARM_ROWS, sweep_module.DEFAULT_FOLD_BATCH = DEFAULTS
-    try:
-        yield
-    finally:
-        sweep_module.ARM_ROWS, sweep_module.DEFAULT_FOLD_BATCH = shrunk
+    return sweep_constants(*DEFAULTS)
 
 
 def fact_key(fact):
@@ -113,8 +108,8 @@ class TestIndexedDenseEquivalence:
         assert_three_way_identical(schema, rows, delete_every=6)
 
     def test_none_dimension_values_identical(self):
-        # None dims force the scalar fallback per-arrival; mixed streams
-        # exercise fallback and indexed probes against shared state.
+        # None-carrying arrivals go through the prefix stage like any
+        # other; their buckets sit at canonical masks only.
         schema = synthetic_schema(3, 3)
         rows = synthetic_rows(150, 3, 3, distribution="independent", seed=2)
         rng = random.Random(4)
@@ -174,24 +169,27 @@ class TestIndexedDenseEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Which arrivals take which path
+# Every arrival takes the walk
 # ----------------------------------------------------------------------
 class TestWalkPaths:
     @staticmethod
-    def _spy_scalar_passes(algo, monkeypatch):
-        fallback_tids = []
-        scalar_passes = algo._discover_scalar_passes
+    def _walk_only(algo, rows):
+        """Process ``rows`` and check no arrival leaves the walk: each
+        one reads the anchor-bit matrix in bulk, once (the scalar
+        passes this replaced probed it cell by cell)."""
+        reads = []
+        anchor_cells = algo.store.anchor_cells
 
-        def spy(record):
-            fallback_tids.append(record.tid)
-            return scalar_passes(record)
+        def spy(keys):
+            reads.append(len(algo.table))
+            return anchor_cells(keys)
 
-        monkeypatch.setattr(algo, "_discover_scalar_passes", spy)
-        return fallback_tids
+        algo.store.anchor_cells = spy
+        for row in rows:
+            algo.process(row)
+        assert reads == list(range(len(rows)))
 
-    def test_fallback_takes_exactly_the_none_dimension_arrivals(
-        self, monkeypatch
-    ):
+    def test_no_none_dimension_arrival_leaves_the_walk(self):
         schema = synthetic_schema(3, 2)
         rows = synthetic_rows(60, 3, 2, distribution="independent", seed=8)
         rng = random.Random(3)
@@ -203,22 +201,16 @@ class TestWalkPaths:
         below = {tid for tid in with_none if tid < ARM}
         assert below and with_none - below  # both sides of the constant
         algo = SVectorized(schema)
-        fallback_tids = self._spy_scalar_passes(algo, monkeypatch)
-        for row in rows:
-            algo.process(row)
-        assert fallback_tids == sorted(with_none)
+        self._walk_only(algo, rows)
         assert algo.store.folded_sweep() is not None
 
-    def test_fallback_takes_every_arrival_past_the_bitset_cap(
-        self, monkeypatch
-    ):
+    def test_no_arrival_leaves_the_walk_past_one_word_per_cell(self):
         schema = synthetic_schema(7, 2)
         rows = synthetic_rows(3 * ARM, 7, 2, distribution="independent", seed=8)
         algo = SVectorized(schema, DiscoveryConfig(max_bound_dims=2))
-        fallback_tids = self._spy_scalar_passes(algo, monkeypatch)
-        for row in rows:
-            algo.process(row)
-        assert fallback_tids == list(range(len(rows)))
+        self._walk_only(algo, rows)
+        assert algo.store.anchor_cells(algo.maintained_subspaces()).shape[2] == 4
+        # The index arms only where its per-mask planes fit.
         assert algo.store.folded_sweep() is None
 
     def test_every_reader_sees_the_same_folded_index(self, monkeypatch):
