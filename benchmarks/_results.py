@@ -14,7 +14,7 @@ Layout::
 
     {
       "meta":    {"n": 3000, "d": 4, "m": 4, "distribution": "..."},
-      "scoring": {"columnar_ms": ..., "pr1_scalar_ms": ...},
+      "scoring": {"columnar_ms": ..., "no_score_ms": ...},
       "guard":   {"svec_ms": ..., "baselinevec_ms": ..., ...}
     }
 """

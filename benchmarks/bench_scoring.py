@@ -1,35 +1,22 @@
-"""Scored-ingestion head-to-head: columnar vs pre-PR scalar scoring.
+"""Scored-ingestion costs: what prominence scoring adds to ``svec``.
 
-Not a paper figure — this repo's prominence-scoring vectorization bench
-(PR 2).  Discovery was made columnar in PR 1, but scoring — the default
-engine configuration — stayed scalar: ``TopDown.skyline_sizes`` walked
-every stored tuple's anchor/supermask chains in Python and the context
-counter rebuilt ``C^t`` per arrival.  PR 2 replaced both for ``svec``:
-the store maintains an incremental skyline-cardinality index (anchor
--bitset flips on insert/delete, O(1) dict probes per fact at score
-time) and the engine registers context counts through the interned-key
-``ColumnarContextCounter``.
+Not a paper figure — this repo's prominence-scoring bench.  Every
+engine scores an arrival's ``S_t`` with one call: the interned-key
+``ContextCounter``'s context column (one probe per arrival) and the
+algorithm's skyline column — for ``svec`` one read of the columnar
+store's skyline-cardinality counts, gathered at the fact cells.
 
-The contenders run the same anticorrelated stream through a scored
-``FactDiscoverer`` and we report *marginal* per-tuple latency at
-``n=3000, d=4, m=4`` (the ``bench_columnar.py`` default grid cell):
-
-* ``svec`` — the columnar scoring pipeline (this PR);
-* ``svec-scalar-score`` — the same discovery engine pinned to the
-  pre-PR scalar scoring path (scalar ``skyline_sizes`` + scalar
-  ``ContextCounter``), i.e. what scored ingestion cost before;
-* the scored-vs-unscored split for ``svec``, showing what scoring now
-  adds on top of raw discovery.
-
-Headline assertion: columnar scoring is ≥ 3× faster end to end than
-the PR-1 scalar scoring path at the default cell, while being
-output-identical (``tests/test_scoring_equivalence.py``).
+``test_scoring_surcharge`` runs the same anticorrelated stream through
+a scored and an unscored ``svec`` ``FactDiscoverer`` and reports the
+*marginal* per-tuple latency at ``n=3000, d=4, m=4`` (the
+``bench_columnar.py`` default grid cell), asserting that scoring adds
+less than the cost of discovery itself.
 
 ``test_stage_split`` prints where a scored, top-5-reporting arrival
-spends its time — walk / insert / repair / score / select — on the two
-stream shapes of the end-to-end benchmark (``benchmarks/README.md``
-records the table; it is the instrument the scoring-index container was
-chosen with).
+spends its time — walk / apply / score / select — on the two stream
+shapes of the end-to-end benchmark (``benchmarks/README.md`` records
+the table; it is the instrument the scoring-index container was chosen
+with).
 
 Run with ``pytest benchmarks/bench_scoring.py -s`` to see the tables;
 ``REPRO_BENCH_SCALE`` enlarges the workload.  Results are merged into
@@ -39,9 +26,7 @@ Run with ``pytest benchmarks/bench_scoring.py -s`` to see the tables;
 import gc
 import time
 
-from repro import ContextCounter, DiscoveryConfig, FactDiscoverer
-from repro.algorithms.s_vectorized import SVectorized
-from repro.algorithms.top_down import TopDown
+from repro import DiscoveryConfig, FactDiscoverer
 from repro.core.prominence import select_reportable
 from repro.datasets.synthetic import synthetic_rows, synthetic_schema
 
@@ -50,38 +35,6 @@ from _results import update_results
 N, D, M = 3000, 4, 4
 CHUNK = 100
 CHUNKS = 4
-
-#: Required end-to-end speedup of scored svec ingestion over the PR-1
-#: scalar scoring path (measured ~3.2-3.6x at the PR-2 seed, higher
-#: since the PR-3 walker).
-REQUIRED_SPEEDUP = 3.0
-
-
-class _PrePRContextCounter(ContextCounter):
-    """The scalar counter as it behaved before this PR: ``C^t`` is
-    re-derived per arrival even when the engine offers its memoised
-    constraints (the sharing hook postdates the baseline)."""
-
-    def register(self, record, constraints=None):
-        super().register(record)
-
-    def unregister(self, record, constraints=None):
-        super().unregister(record)
-
-
-class ScalarScoredSVec(SVectorized):
-    """``svec`` discovery with PR-1-era scoring: the scalar Invariant-2
-    ``skyline_sizes`` sweep and the scalar constraint-rebuilding
-    counter.  Pinning both here keeps the pre-PR baseline measurable
-    after the fast paths became the default."""
-
-    name = "svec-scalar-score"
-
-    def skyline_sizes(self, facts):
-        return TopDown.skyline_sizes(self, facts)
-
-    def make_context_counter(self, max_bound_dims=None):
-        return _PrePRContextCounter(max_bound_dims)
 
 
 def marginal_scored_latencies(schema, contenders, warm, chunks):
@@ -121,72 +74,45 @@ def marginal_scored_latencies(schema, contenders, warm, chunks):
     return {name: min(times) for name, times in samples.items()}
 
 
-def test_columnar_scoring_speedup(benchmark, bench_scale):
-    """Scored svec ≥ 3× faster than the pre-PR scalar scoring path."""
+def test_scoring_surcharge(benchmark, bench_scale):
+    """Scoring adds less to a ``svec`` arrival than discovery costs."""
     n = int(N * bench_scale)
     schema = synthetic_schema(D, M)
     rows = synthetic_rows(n + CHUNK * CHUNKS, D, M, distribution="anticorrelated")
     warm = rows[:n]
     chunks = [rows[n + i * CHUNK : n + (i + 1) * CHUNK] for i in range(CHUNKS)]
 
-    def measure():
-        return marginal_scored_latencies(
+    cell = benchmark.pedantic(
+        lambda: marginal_scored_latencies(
             schema,
-            {
-                "scalar-score": (ScalarScoredSVec(schema), True),
-                "columnar-score": ("svec", True),
-                "no-score": ("svec", False),
-            },
+            {"columnar-score": ("svec", True), "no-score": ("svec", False)},
             warm,
             chunks,
-        )
-
-    def speedup_of(cell):
-        return cell["scalar-score"] / cell["columnar-score"]
-
-    def run():
-        # One retry on a sub-threshold first attempt: an OS scheduling
-        # burst can still depress a whole measurement; a genuine
-        # de-vectorization fails both attempts by a wide margin.  Keep
-        # whichever attempt clears the threshold by the better margin.
-        cell = measure()
-        if speedup_of(cell) < REQUIRED_SPEEDUP:
-            cell = max(cell, measure(), key=speedup_of)
-        return cell
-
-    cell = benchmark.pedantic(run, iterations=1, rounds=1)
-    speedup = speedup_of(cell)
+        ),
+        iterations=1,
+        rounds=1,
+    )
     scoring_cost = cell["columnar-score"] - cell["no-score"]
     print()
     print(f"scored marginal per-tuple latency @ n={n} d={D} m={M} "
           f"(anticorrelated)")
-    for name in ("scalar-score", "columnar-score", "no-score"):
+    for name in ("columnar-score", "no-score"):
         print(f"  {name:<16} {1e3 * cell[name]:>9.3f} ms")
-    print(f"  speedup {speedup:.2f}x over PR-1 scalar scoring; scoring adds "
-          f"{1e3 * scoring_cost:.3f} ms over unscored discovery")
-    benchmark.extra_info["scalar_ms"] = round(1e3 * cell["scalar-score"], 3)
+    print(f"  scoring adds {1e3 * scoring_cost:.3f} ms over unscored discovery")
     benchmark.extra_info["columnar_ms"] = round(1e3 * cell["columnar-score"], 3)
-    benchmark.extra_info["speedup"] = round(speedup, 2)
     update_results(
         "scoring",
         {
-            "pr1_scalar_ms": round(1e3 * cell["scalar-score"], 4),
             "columnar_ms": round(1e3 * cell["columnar-score"], 4),
             "no_score_ms": round(1e3 * cell["no-score"], 4),
             "scoring_surcharge_ms": round(1e3 * scoring_cost, 4),
-            "speedup_vs_pr1": round(speedup, 2),
         },
     )
     update_results(
         "meta", {"n": n, "d": D, "m": M, "distribution": "anticorrelated"}
     )
-    assert speedup >= REQUIRED_SPEEDUP, (
-        f"columnar scoring regressed: only {speedup:.2f}x over the scalar "
-        f"scoring path (need >= {REQUIRED_SPEEDUP}x); see "
-        f"benchmarks/bench_guard.py for the de-vectorization tripwire"
-    )
     # Scoring must stay a modest surcharge on discovery, not dominate it
-    # (pre-PR-2 it tripled the per-tuple cost).
+    # (before the columnar scorer it tripled the per-tuple cost).
     assert scoring_cost < cell["no-score"], (
         f"scoring adds {1e3 * scoring_cost:.3f} ms on top of "
         f"{1e3 * cell['no-score']:.3f} ms unscored — the scored path has "
@@ -211,9 +137,10 @@ def stage_split(d, m, distribution, n, repeats=3):
     (``apply`` = ``ColumnarSkylineStore.apply_cells``: the arrival's
     promotion row and every demoted cell as one batch — matrix write,
     gauge, scoring-index flips); the per-cell demotion arithmetic
-    (``_demoted_anchors``) is part of ``walk``.  ``score`` is
-    ``score_facts_inplace``, ``select`` is ``select_reportable`` over
-    every fact set of the batch.
+    (``_demoted_anchors``) is part of ``walk``.  ``score`` is the
+    scoring call — the counter's ``context_column`` plus the
+    algorithm's ``skyline_column`` — and ``select`` is
+    ``select_reportable`` over every fact set of the batch.
     """
     schema = synthetic_schema(d, m)
     rows = synthetic_rows(n, d, m, distribution=distribution)
@@ -236,11 +163,18 @@ def stage_split(d, m, distribution, n, repeats=3):
         engine = FactDiscoverer(schema, algorithm="svec", config=config)
         algorithm = engine.algorithm
         spent = dict.fromkeys(
-            ("_discover", "score_facts_inplace", "apply_cells", "select"),
+            (
+                "_discover",
+                "context_column",
+                "skyline_column",
+                "apply_cells",
+                "select",
+            ),
             0.0,
         )
-        for name in ("_discover", "score_facts_inplace"):
+        for name in ("_discover", "skyline_column"):
             timed(algorithm, name, spent)
+        timed(engine.context_counter, "context_column", spent)
         timed(algorithm.store, "apply_cells", spent)
         gc.collect()
         start = time.perf_counter()
@@ -254,7 +188,7 @@ def stage_split(d, m, distribution, n, repeats=3):
         split = {
             "walk": spent["_discover"] - spent["apply_cells"],
             "apply": spent["apply_cells"],
-            "score": spent["score_facts_inplace"],
+            "score": spent["context_column"] + spent["skyline_column"],
             "select": spent["select"],
             "total": total,
         }

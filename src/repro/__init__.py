@@ -41,7 +41,6 @@ from .core import (
     MAX,
     MIN,
     ComparisonOutcome,
-    ColumnarContextCounter,
     Constraint,
     ContextCounter,
     DiscoveryConfig,
@@ -74,7 +73,6 @@ __all__ = [
     "MAX",
     "MIN",
     "ComparisonOutcome",
-    "ColumnarContextCounter",
     "Constraint",
     "ContextCounter",
     "DiscoveryConfig",

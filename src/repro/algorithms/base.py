@@ -22,6 +22,8 @@ from __future__ import annotations
 import abc
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
+import numpy as np
+
 from ..core.config import DiscoveryConfig
 from ..core.constraint import Constraint, constraint_for_record
 from ..core.facts import FactSet
@@ -210,18 +212,6 @@ class DiscoveryAlgorithm(abc.ABC):
     # ------------------------------------------------------------------
     # Prominence support
     # ------------------------------------------------------------------
-    def make_context_counter(self, max_bound_dims: Optional[int] = None):
-        """The ``|σ_C(R)|`` counter best matched to this algorithm.
-
-        The engine calls this once at construction.  Default: the scalar
-        :class:`~repro.core.prominence.ContextCounter`; vectorized
-        algorithms override it with the interned-key columnar counter so
-        scored batch ingestion stays off the per-constraint object path.
-        """
-        from ..core.prominence import ContextCounter
-
-        return ContextCounter(max_bound_dims)
-
     def skyline_size(self, constraint: Constraint, subspace: int) -> int:
         """``|λ_M(σ_C(R))|`` after the newest append.
 
@@ -243,16 +233,23 @@ class DiscoveryAlgorithm(abc.ABC):
             for constraint, subspace in facts.iter_pairs()
         }
 
-    def score_facts_inplace(self, facts: FactSet, counter) -> bool:
-        """Algorithm-specific bulk scoring fast path.
+    def skyline_column(self, facts: FactSet) -> np.ndarray:
+        """``|λ_M(σ_C(R))|`` for every fact of ``S_t`` as one ``int64``
+        column in insertion order — the skyline half of the one scoring
+        call (the context half is
+        :meth:`~repro.core.prominence.ContextCounter.context_column`).
 
-        Returns True when the algorithm annotated ``facts`` with context
-        and skyline cardinalities itself (columns attached via
-        :meth:`FactSet.set_scores`); False when the engine must run the
-        generic :meth:`skyline_sizes` + :func:`score_facts` path.  The
-        default has no fast path.
+        The default reads this family's :meth:`skyline_sizes` —
+        recomputation here, Invariant-1 buckets in ``BottomUp``, the
+        Invariant-2 sweep in ``TopDown``; ``svec`` overrides it with a
+        gather from its store's count index.
         """
-        return False
+        sizes = self.skyline_sizes(facts)
+        return np.fromiter(
+            (sizes[pair] for pair in facts.iter_pairs()),
+            dtype=np.int64,
+            count=len(facts),
+        )
 
     # ------------------------------------------------------------------
     # Accounting

@@ -89,23 +89,23 @@ def retract_top_down(
     records = list(table)
     allowed = [m for m in constraint_masks if allows_mask(m)]
     for subspace in subspaces:
-        anchor_masks = [
+        anchors = [
             mask
             for mask in allowed
             if store.contains(
                 constraint_for_record(removed, mask), subspace, removed
             )
         ]
-        if not anchor_masks:
+        if not anchors:
             continue
         # Up-set of the anchors: every allowed mask containing an anchor.
         affected: Set[int] = set()
-        for anchor in anchor_masks:
+        for anchor in anchors:
             for sup in iter_supermasks(anchor, dim_universe):
                 if allows_mask(sup):
                     affected.add(sup)
         # Remove the tuple from its anchors first.
-        for anchor in anchor_masks:
+        for anchor in anchors:
             store.delete(
                 constraint_for_record(removed, anchor), subspace, removed
             )

@@ -60,14 +60,13 @@ materialised stores and output semantics:
   short histories, where the dense side is the faster one — so there
   is one walk and nothing for a caller to select;
 * facts leave the walk as its emission *cells* (positions along
-  ``C^t`` × subspace, see :meth:`FactSet.add_cells`), and prominence
-  scoring rides the store's incremental skyline-cardinality index
-  (:meth:`ColumnarSkylineStore.skyline_counts`: one probe per mask of
-  ``C^t``, then one gather at the cells — :meth:`skyline_column`) to
-  annotate the fact set's score *columns* in one bulk pass
-  (:meth:`score_facts_inplace`), so scored batch ingestion — the
-  engine's default — keeps columnar speed without building a single
-  per-fact list or fact object;
+  ``C^t`` × subspace, see :meth:`FactSet.add_cells`), and the skyline
+  half of prominence scoring is one read of the store's
+  skyline-cardinality counts for all of ``C^t``
+  (:meth:`ColumnarSkylineStore.skyline_counts`) gathered at the cells
+  (:meth:`skyline_column`), so scored batch ingestion — the engine's
+  default — keeps columnar speed without building a single per-fact
+  list or fact object;
 * retraction repair is columnar too (see
   :func:`~repro.algorithms.retraction.retract_top_down_columnar`):
   the victim's cells are cleared, re-anchor candidates come from one
@@ -142,9 +141,7 @@ class SVectorized(STopDown):
         super().__init__(schema, config, counters, store)
         if store is None:
             self.store = ColumnarSkylineStore(
-                self.counters,
-                n_dimensions=schema.n_dimensions,
-                n_measures=schema.n_measures,
+                schema.n_dimensions, schema.n_measures, self.counters
             )
         # Subspace-axis sharding (the service layer's parallel unit):
         # when ``shard_subspaces`` is given, this instance maintains only
@@ -710,63 +707,29 @@ class SVectorized(STopDown):
         return anchors
 
     # ------------------------------------------------------------------
-    # Prominence: columnar skyline_sizes and bulk score annotation
+    # Prominence: the skyline column off the store's count index
     # ------------------------------------------------------------------
-    def make_context_counter(self, max_bound_dims: Optional[int] = None):
-        """Interned-key counter — keeps scored ingestion columnar."""
-        from ..core.prominence import ColumnarContextCounter
-
-        return ColumnarContextCounter(self.schema.n_dimensions, max_bound_dims)
-
     def skyline_column(self, facts: FactSet) -> np.ndarray:
         """``|λ_M(σ_C(R))|`` for every fact of ``S_t`` as one integer
         column in insertion order.
 
-        The columnar store maintains (lazily at first, incrementally
-        thereafter) the skyline cardinality of every value combination
-        per bound mask and subspace — anchor-bitset flips on
-        insert/delete keep it exact — and answers all of ``C^t`` with
-        one probe per mask (:meth:`ColumnarSkylineStore.skyline_counts`);
-        the column is one gather of that matrix at the fact set's
-        emission cells, independent of history size.  This is the one
-        index-backed scorer: the engine's bulk annotation and the shard
-        workers' ingest replies both read it.  A set no longer in cell
-        form, or a schema beyond the index caps, takes the inherited
-        Invariant-2 store sweep (:meth:`skyline_sizes`) instead.
+        The columnar store answers the skyline cardinality of ``C^t`` in
+        every subspace with one call
+        (:meth:`ColumnarSkylineStore.skyline_counts`; a constraint
+        without a fact goes in as ``None``, so no row is counted for
+        it), and the column is one gather of that matrix at the fact
+        set's emission cells — no per-fact list or object.  The engine's
+        scoring call and the shard workers' ingest replies both read
+        it; the fact set is the walker's, so it is always in cell form
+        here.
         """
-        cells = facts.cells()
-        if cells is not None:
-            cons_seq, positions, subspaces = cells
-            counts = self.store.skyline_counts(
-                facts.record.dims,
-                [constraint.bound_mask for constraint in cons_seq],
-            )
-            if counts is not None:
-                return counts[positions, subspaces]
-        sizes = self.skyline_sizes(facts)
-        return np.fromiter(
-            (sizes[pair] for pair in facts.iter_pairs()),
-            dtype=np.int64,
-            count=len(facts),
+        cons_seq, positions, subspaces = facts.cells()
+        emitting = np.bincount(positions, minlength=len(cons_seq)).tolist()
+        counts = self.store.skyline_counts(
+            facts.record.dims,
+            [
+                constraint.bound_mask if hit else None
+                for constraint, hit in zip(cons_seq, emitting)
+            ],
         )
-
-    def score_facts_inplace(self, facts: FactSet, counter) -> bool:
-        """Annotate the whole fact set's score columns in one pass.
-
-        Context cardinalities come from the interned-key counter's bulk
-        :meth:`ColumnarContextCounter.counts_for_dims` probe (one per
-        mask of ``C^t``, not one per fact), skyline cardinalities from
-        :meth:`skyline_column` — and both land directly in the
-        :class:`FactSet` columns, so no fact objects are materialised.
-        Falls back (returns False) for counters without the bulk probe
-        over this algorithm's ``C^t`` skeleton, and for sets no longer
-        in cell form.
-        """
-        cells = facts.cells()
-        if cells is None or getattr(counter, "masks", None) != self.masks_top_down:
-            return False
-        context = np.asarray(
-            counter.counts_for_dims(facts.record.dims), dtype=np.int64
-        )
-        facts.set_scores(context[cells[1]], self.skyline_column(facts))
-        return True
+        return counts[positions, subspaces]

@@ -66,11 +66,6 @@ def repair_demoted_tuple(
     new_dims = new_record.dims
     n = len(dims)
     cvalues = constraint.values
-    # Stores indexing anchors by bound mask answer the "is an ancestor
-    # anchored?" question with integer arithmetic (see
-    # SkylineStore.anchor_masks); others take the constraint-probing
-    # path below.
-    anchors = store.anchor_masks(demoted.tid, subspace)
     # Candidate children bind one attribute that is currently free and on
     # which the two tuples disagree; iterate those bits only.
     free = ~mask & ((1 << n) - 1)
@@ -91,24 +86,18 @@ def repair_demoted_tuple(
         child_mask = mask | bit
         # Ancestors of the child satisfied by demoted but not by
         # new_record all bind j; scan them for an existing anchor.
-        if anchors is not None:
-            stored_above = any(
-                a & bit and a != child_mask and not a & ~child_mask
-                for a in anchors
-            )
-        else:
-            stored_above = False
-            for sub in iter_submasks(mask):
-                if sub == mask:
-                    continue
-                anc_values = [
-                    cvalues[i] if sub & (1 << i) else UNBOUND for i in range(n)
-                ]
-                anc_values[j] = dims[j]
-                anc = Constraint.from_values_mask(tuple(anc_values), sub | bit)
-                if store.contains(anc, subspace, demoted):
-                    stored_above = True
-                    break
+        stored_above = False
+        for sub in iter_submasks(mask):
+            if sub == mask:
+                continue
+            anc_values = [
+                cvalues[i] if sub & (1 << i) else UNBOUND for i in range(n)
+            ]
+            anc_values[j] = dims[j]
+            anc = Constraint.from_values_mask(tuple(anc_values), sub | bit)
+            if store.contains(anc, subspace, demoted):
+                stored_above = True
+                break
         if not stored_above:
             child_values = list(cvalues)
             child_values[j] = dims[j]

@@ -29,12 +29,10 @@ from .middleware import (
     WindowMiddleware,
 )
 from .registry import (
-    MIDDLEWARE,
     SINKS,
     algorithm_registry,
     make_sink,
     register_algorithm,
-    register_middleware,
     register_sink,
 )
 from .spec import (
@@ -61,11 +59,9 @@ __all__ = [
     "WindowMiddleware",
     "AggregateMiddleware",
     "QueryCacheMiddleware",
-    "MIDDLEWARE",
     "SINKS",
     "algorithm_registry",
     "register_algorithm",
-    "register_middleware",
     "register_sink",
     "make_sink",
 ]

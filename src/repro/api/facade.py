@@ -3,7 +3,7 @@
 Builds the base engine a spec names (in-proc
 :class:`~repro.core.engine.FactDiscoverer` or sharded
 :class:`~repro.service.sharding.ShardedDiscoverer`), then applies the
-registered middleware layers the spec activates (aggregation, window).
+middleware layers the spec activates (aggregation, window, query cache).
 The result honours the :class:`~repro.core.engine_protocol.Engine`
 protocol whatever the composition, so serving, checkpointing, querying
 and reporting code is written once against that contract.
@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Mapping, Union
 
 from ..core.engine_protocol import Engine
-from .registry import MIDDLEWARE, MIDDLEWARE_ORDER
+from .middleware import AggregateMiddleware, QueryCacheMiddleware, WindowMiddleware
 from .spec import EngineSpec
 
 
@@ -35,10 +35,18 @@ def open_engine(spec: Union[EngineSpec, Mapping[str, object]]) -> Engine:
     if not isinstance(spec, EngineSpec):
         spec = EngineSpec.from_dict(spec)
     base = engine = _base_engine(spec)
+    # Inner to outer: ``aggregate`` and ``window`` are mutually
+    # exclusive today; the query cache is outermost so cached reads see
+    # the fully composed engine (and its version) below them.
     try:
-        for name in MIDDLEWARE_ORDER:
-            if getattr(spec, name, None) is not None:
-                engine = MIDDLEWARE[name](engine, spec)
+        if spec.aggregate is not None:
+            engine = AggregateMiddleware(
+                engine, spec.aggregate, base_schema=spec.schema, spec=spec
+            )
+        if spec.window is not None:
+            engine = WindowMiddleware(engine, spec.window, spec=spec)
+        if spec.query_cache is not None:
+            engine = QueryCacheMiddleware(engine, spec.query_cache, spec=spec)
     except Exception:
         engine.close()
         raise

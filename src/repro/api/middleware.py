@@ -7,9 +7,9 @@ and a wrapped engine is still servable by
 :class:`~repro.service.server.StreamServer`, checkpointable via snapshot
 format v3, and queryable via ``engine.query()``.
 
-Both layers are registered in :mod:`repro.api.registry` under the spec
-field that activates them (``window=N`` / ``aggregate=GroupSpec``);
-:func:`~repro.api.facade.open_engine` applies them in registry order.
+:func:`~repro.api.facade.open_engine` applies the layers the spec
+activates (``aggregate=GroupSpec``, ``window=N``, ``query_cache=N``),
+inner to outer in that order.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from ..core.facts import FactSet
 from ..core.record import Record
 from ..core.schema import TableSchema
 from ..query.cache import CachedQueryEngine, QueryResultCache
-from .registry import register_middleware
 from .spec import EngineSpec, GroupSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -389,25 +388,3 @@ class QueryCacheMiddleware(EngineMiddleware):
         out = super().stats()
         out["query_cache"] = self.cache.snapshot()
         return out
-
-
-# ----------------------------------------------------------------------
-# Registry wiring (spec field -> layer factory)
-# ----------------------------------------------------------------------
-def _window_layer(engine: "Engine", spec: EngineSpec) -> WindowMiddleware:
-    return WindowMiddleware(engine, spec.window, spec=spec)
-
-
-def _aggregate_layer(engine: "Engine", spec: EngineSpec) -> AggregateMiddleware:
-    return AggregateMiddleware(
-        engine, spec.aggregate, base_schema=spec.schema, spec=spec
-    )
-
-
-def _query_cache_layer(engine: "Engine", spec: EngineSpec) -> QueryCacheMiddleware:
-    return QueryCacheMiddleware(engine, spec.query_cache, spec=spec)
-
-
-register_middleware("window", _window_layer)
-register_middleware("aggregate", _aggregate_layer)
-register_middleware("query_cache", _query_cache_layer)

@@ -1,33 +1,24 @@
-"""Extension registries: algorithms, middleware layers, output sinks.
+"""Extension registries: algorithms and output sinks.
 
-Three small name→factory tables keep the facade open for extension
+Two small name→factory tables keep the facade open for extension
 without touching :func:`~repro.api.facade.open_engine`:
 
 * **algorithms** — the discovery-algorithm registry (shared with
   :mod:`repro.algorithms`); :func:`register_algorithm` adds a custom
   :class:`~repro.algorithms.base.DiscoveryAlgorithm` subclass so
   ``EngineSpec(algorithm="mine")`` resolves it.
-* **middleware** — composable engine wrappers keyed by the spec field
-  that activates them (``"window"``, ``"aggregate"``; see
-  :mod:`repro.api.middleware`).  A middleware factory takes
-  ``(inner_engine, spec)`` and returns a wrapped engine.
 * **sinks** — fact renderers for streaming output (``"describe"``,
   ``"narrate"``, ``"json"``); the CLI's output flags resolve here, and
   :func:`register_sink` plugs in custom formats.
+
+Middleware layers are not registered: ``open_engine`` applies the three
+the spec can name (aggregate, window, query cache) itself, and a custom
+layer wraps the engine ``open_engine`` returns (see ``docs/api.md``).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Optional
-
-#: Middleware factories: spec-field name -> (engine, EngineSpec) -> engine.
-MIDDLEWARE: Dict[str, Callable] = {}
-
-#: Order middleware layers are applied in (inner to outer) when their
-#: spec field is set.  ``aggregate`` and ``window`` are mutually
-#: exclusive today; ``query_cache`` is outermost so cached reads see
-#: the fully composed engine (and its version) below them.
-MIDDLEWARE_ORDER = ("aggregate", "window", "query_cache")
 
 #: Sink factories: name -> (TableSchema) -> (SituationalFact) -> str.
 SINKS: Dict[str, Callable] = {}
@@ -51,18 +42,6 @@ def register_algorithm(cls, name: Optional[str] = None) -> None:
     if not key or key == "abstract":
         raise ValueError("algorithm needs a non-default name")
     registry[key] = cls
-
-
-# ----------------------------------------------------------------------
-# Middleware
-# ----------------------------------------------------------------------
-def register_middleware(name: str, factory: Callable) -> None:
-    """Register an engine-wrapping layer under the spec field ``name``.
-
-    ``factory(engine, spec)`` must return an object honouring the
-    :class:`~repro.core.engine_protocol.Engine` protocol.
-    """
-    MIDDLEWARE[name] = factory
 
 
 # ----------------------------------------------------------------------

@@ -6,12 +6,7 @@ from .constraint import Constraint, constraint_for_record, satisfied_constraints
 from .dominance import ComparisonOutcome, compare, dominates
 from .engine import FactDiscoverer
 from .facts import FactSet, SituationalFact
-from .prominence import (
-    ColumnarContextCounter,
-    ContextCounter,
-    score_facts,
-    select_reportable,
-)
+from .prominence import ContextCounter, select_reportable
 from .record import Record, Table
 from .schema import MAX, MIN, SchemaError, TableSchema
 from .skyline import contextual_skyline, is_contextual_skyline_tuple, skyline_bnl
@@ -27,9 +22,7 @@ __all__ = [
     "FactDiscoverer",
     "FactSet",
     "SituationalFact",
-    "ColumnarContextCounter",
     "ContextCounter",
-    "score_facts",
     "select_reportable",
     "Record",
     "Table",

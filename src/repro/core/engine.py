@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from .config import DiscoveryConfig
 from .engine_protocol import EngineBase
 from .facts import FactSet
-from .prominence import score_facts
+from .prominence import ContextCounter
 from .record import Record
 from .schema import TableSchema
 
@@ -78,15 +78,11 @@ class FactDiscoverer(EngineBase):
             self.algorithm = make_algorithm(
                 algorithm, schema, self.config, **algorithm_kwargs
             )
-        self.context_counter = self.algorithm.make_context_counter(
-            self.config.max_bound_dims
-        )
-        # The algorithm memoises C^t per dims tuple; when its d̂ cap
-        # matches the counter's, registration reuses those constraints
-        # instead of rebuilding 2^d̂ objects per arrival.
-        self._share_constraints = (
-            self.algorithm.bound_cap
-            == self.config.effective_bound_cap(schema.n_dimensions)
+        # Built on the algorithm's d̂ cap, so the counter's masks are its
+        # masks_top_down: a fact's position along C^t means the same to
+        # both halves of the scoring call.
+        self.context_counter = ContextCounter(
+            schema.n_dimensions, self.algorithm.bound_cap
         )
         if not score and (self.config.tau is not None or self.config.top_k is not None):
             raise ValueError(
@@ -101,27 +97,13 @@ class FactDiscoverer(EngineBase):
     def facts_for(self, row: Row) -> FactSet:
         """Process one tuple and return the full (scored) ``S_t``."""
         facts = self.algorithm.process(row)
-        self.context_counter.register(
-            facts.record, self._constraints_of(facts.record)
-        )
+        self.context_counter.register(facts.record)
         if self.score:
-            # Vectorized algorithms annotate the fact columns in one
-            # bulk pass (svec: one index probe per mask of C^t plus one
-            # gather); everyone else goes through the generic
-            # skyline_sizes + score_facts pair.
-            if not self.algorithm.score_facts_inplace(
-                facts, self.context_counter
-            ):
-                sizes = self.algorithm.skyline_sizes(facts)
-                facts = score_facts(facts, self.context_counter, sizes)
+            facts.set_scores(
+                self.context_counter.context_column(facts),
+                self.algorithm.skyline_column(facts),
+            )
         return facts
-
-    def _constraints_of(self, record: Record):
-        """The algorithm's memoised ``C^t`` for counter registration, or
-        ``None`` when the caps differ and sharing would miscount."""
-        if not self._share_constraints:
-            return None
-        return self.algorithm.constraint_cache(record).values()
 
     def facts_for_many(self, rows: Iterable[Row]) -> List[FactSet]:
         """Batched :meth:`facts_for`: one full (scored) ``S_t`` per row.
@@ -154,7 +136,7 @@ class FactDiscoverer(EngineBase):
         record.
         """
         removed = self.algorithm.retract(tid)
-        self.context_counter.unregister(removed, self._constraints_of(removed))
+        self.context_counter.unregister(removed)
         return removed
 
     def delete_many(self, tids: Iterable[int]) -> List[Record]:
@@ -167,9 +149,7 @@ class FactDiscoverer(EngineBase):
         """
         removed = self.algorithm.retract_many(list(tids))
         for record in removed:
-            self.context_counter.unregister(
-                record, self._constraints_of(record)
-            )
+            self.context_counter.unregister(record)
         return removed
 
     # ------------------------------------------------------------------

@@ -6,121 +6,59 @@ the new tuple is one of very few skyline tuples among many, i.e. a rare,
 newsworthy event.
 
 ``|σ_C(R)|`` is maintained incrementally by :class:`ContextCounter`:
-every arriving tuple increments the count of each constraint it
-satisfies (at most ``2^d̂`` per tuple).  ``|λ_M(σ_C(R))|`` comes from the
-algorithm's skyline store (or a from-scratch oracle fallback).
+every arriving tuple increments the count of each distinct constraint
+it satisfies (at most ``2^d̂`` per tuple).  ``|λ_M(σ_C(R))|`` comes from
+the discovery algorithm
+(:meth:`~repro.algorithms.base.DiscoveryAlgorithm.skyline_column`).
+Every engine — any algorithm, and the sharded router — scores a fact set
+with the same call::
+
+    facts.set_scores(counter.context_column(facts), skyline_column)
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from .config import DiscoveryConfig, effective_bound_cap
-from .constraint import UNBOUND, Constraint, satisfied_constraints
+from .constraint import UNBOUND, Constraint
 from .facts import FactSet, SituationalFact
 from .lattice import masks_by_level
 from .record import Record
 
+#: A count key: ``(bound mask, interned ids at the bound positions)``.
+Key = Tuple[int, Tuple[int, ...]]
+
 
 class ContextCounter:
-    """Incremental ``|σ_C(R)|`` for every constraint seen so far.
+    """Incremental ``|σ_C(R)|`` for every constraint of ``C^t`` under
+    the ``d̂`` cap, keyed by interned integer ids.
 
-    Only constraints actually satisfied by some tuple have entries, so
-    memory is bounded by distinct dimension-value combinations, not by
-    ``|C_D| = Π(|dom(di)|+1)``.
-    """
-
-    def __init__(self, max_bound_dims: Optional[int] = None) -> None:
-        self._counts: Dict[Constraint, int] = defaultdict(int)
-        self._max_bound = max_bound_dims
-        self._saw_unbindable = False
-
-    def register(
-        self, record: Record, constraints: Optional[Iterable[Constraint]] = None
-    ) -> None:
-        """Account for one appended tuple: bump every ``C ∈ C^t``.
-
-        ``constraints`` lets callers that already hold ``C^t`` (the
-        discovery algorithms memoise it per dims tuple — see
-        ``DiscoveryAlgorithm.constraint_cache``) share it instead of
-        re-deriving the same ``2^d̂`` objects here.
-        """
-        counts = self._counts
-        if UNBOUND in record.dims:
-            self._saw_unbindable = True
-        if constraints is None:
-            constraints = satisfied_constraints(record, self._max_bound)
-        for constraint in constraints:
-            counts[constraint] += 1
-
-    def register_many(self, records: Iterable[Record]) -> None:
-        """Batched :meth:`register` (no per-record result is needed, so
-        callers ingesting blocks skip the per-call dispatch)."""
-        for record in records:
-            self.register(record)
-
-    def unregister(
-        self, record: Record, constraints: Optional[Iterable[Constraint]] = None
-    ) -> None:
-        """Reverse :meth:`register` (deletion extension, §VIII)."""
-        counts = self._counts
-        if constraints is None:
-            constraints = satisfied_constraints(record, self._max_bound)
-        for constraint in constraints:
-            remaining = counts[constraint] - 1
-            if remaining <= 0:
-                del counts[constraint]
-            else:
-                counts[constraint] = remaining
-
-    def count(self, constraint: Constraint) -> int:
-        """Current ``|σ_C(R)|``."""
-        return self._counts.get(constraint, 0)
-
-    def covers(self, constraint: Constraint) -> bool:
-        """True when :meth:`count` is *exactly* ``|σ_C(R)|`` for this
-        constraint.
-
-        Two things break exactness: a mask beyond the ``d̂`` cap was
-        never registered (count is 0, not the context size), and a
-        registered tuple with an unbindable (``None``) dimension value
-        collapses several masks onto one constraint and bumps it once
-        per covering mask — a multiset multiplicity, not a cardinality.
-        """
-        if self._saw_unbindable:
-            return False
-        cap = effective_bound_cap(constraint.arity, self._max_bound)
-        return constraint.bound_count <= cap
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-
-class ColumnarContextCounter:
-    """``|σ_C(R)|`` with interned integer keys and batched registration.
-
-    Drop-in replacement for :class:`ContextCounter` used by the
-    vectorized engine: dimension values are interned to per-column
-    integer ids once, and each constraint of ``C^t`` is counted under
-    the key ``(bound_mask, ids-at-bound-positions)`` instead of a
-    materialised :class:`Constraint` — no tuple-of-values hashing, no
-    constraint objects per ``(row, mask)``.  :meth:`register_many`
-    ingests whole blocks with one grouped ``np.unique`` per mask, so
-    unscored batch ingestion touches the count table once per distinct
-    key rather than once per row.
+    Dimension values are interned to per-column integer ids once, and
+    each constraint is counted under the key ``(bound_mask,
+    ids-at-bound-positions)`` instead of a materialised
+    :class:`Constraint` — no tuple-of-values hashing, no constraint
+    objects per ``(row, mask)``.  Only constraints some live tuple
+    satisfies have entries, so memory is bounded by distinct
+    dimension-value combinations, not by ``|C_D| = Π(|dom(di)|+1)``.
+    :meth:`register_many` ingests whole blocks with one grouped
+    ``np.unique`` per mask.
 
     A dimension *value* equal to the unbound marker (``None``) cannot be
-    bound, so masks covering such positions collapse onto the constraint
-    that leaves them free — exactly like the scalar counter, which
-    counts the collapsed constraint once per covering mask.
+    bound, so the masks covering such a position collapse onto the
+    constraint that leaves it free: the row satisfies fewer distinct
+    constraints than :attr:`masks` has entries.  Registration bumps each
+    *distinct* constraint once, so :meth:`count` is ``|σ_C(R)|`` exactly
+    on None rows too; :meth:`counts_for_dims` stays parallel to
+    :attr:`masks` (a collapsed mask reads its constraint's count).
     """
 
     def __init__(
         self, n_dimensions: int, max_bound_dims: Optional[int] = None
     ) -> None:
-        self._n = n_dimensions
-        self._max_bound = max_bound_dims
         cap = effective_bound_cap(n_dimensions, max_bound_dims)
         levels = masks_by_level(n_dimensions)
         #: Allowed bound masks (the ``C^t`` skeleton under ``d̂``), most
@@ -128,6 +66,10 @@ class ColumnarContextCounter:
         self.masks: Tuple[int, ...] = tuple(
             m for level in levels[: cap + 1] for m in level
         )
+        #: ``position_of[mask]``: the index of an allowed mask in
+        #: :attr:`masks` (a fact's position along ``C^t``).
+        self.position_of = np.zeros(1 << n_dimensions, dtype=np.int64)
+        self.position_of[list(self.masks)] = np.arange(len(self.masks))
         self._positions: Dict[int, Tuple[int, ...]] = {
             mask: tuple(i for i in range(n_dimensions) if (mask >> i) & 1)
             for mask in self.masks
@@ -135,13 +77,13 @@ class ColumnarContextCounter:
         self._tables: List[Dict[object, int]] = [
             {} for _ in range(n_dimensions)
         ]
-        self._counts: Dict[Tuple[int, Tuple[int, ...]], int] = defaultdict(int)
+        self._counts: Dict[Key, int] = defaultdict(int)
         #: Memo of :meth:`_keys` by dims tuple — bounded-domain streams
         #: repeat dimension combinations constantly, and the engine
-        #: derives the keys twice per arrival (count registration and
-        #: the bulk scoring probe).  FIFO-capped like the algorithms'
-        #: constraint cache.
-        self._keys_memo: Dict[Tuple[object, ...], List[Tuple[int, Tuple[int, ...]]]] = {}
+        #: derives the keys twice per arrival (registration and the
+        #: scoring probe).  FIFO-capped like the algorithms' constraint
+        #: cache.
+        self._keys_memo: Dict[Tuple[object, ...], List[Key]] = {}
 
     # ------------------------------------------------------------------
     # Key derivation
@@ -157,10 +99,10 @@ class ColumnarContextCounter:
             ids.append(vid)
         return ids
 
-    def _keys(self, dims: Tuple[object, ...]) -> List[Tuple[int, Tuple[int, ...]]]:
-        """One count key per allowed mask (multiset — masks covering an
-        unbindable ``None`` value collapse, preserving multiplicity).
-        Memoised per dims tuple."""
+    def _keys(self, dims: Tuple[object, ...]) -> List[Key]:
+        """One count key per allowed mask, parallel to :attr:`masks`
+        (masks covering a ``None`` value collapse onto one key, so the
+        list may repeat keys).  Memoised per dims tuple."""
         memo = self._keys_memo
         keys = memo.get(dims)
         if keys is not None:
@@ -170,13 +112,10 @@ class ColumnarContextCounter:
         if UNBOUND in dims:
             keys = []
             for mask in self.masks:
-                eff_mask = 0
-                eff_ids = []
-                for i in positions[mask]:
-                    if dims[i] is not UNBOUND:
-                        eff_mask |= 1 << i
-                        eff_ids.append(ids[i])
-                keys.append((eff_mask, tuple(eff_ids)))
+                bound = [i for i in positions[mask] if dims[i] is not UNBOUND]
+                keys.append(
+                    (sum(1 << i for i in bound), tuple(ids[i] for i in bound))
+                )
         else:
             keys = [
                 (mask, tuple(ids[i] for i in positions[mask]))
@@ -187,16 +126,20 @@ class ColumnarContextCounter:
         memo[dims] = keys
         return keys
 
+    def _distinct_keys(self, dims: Tuple[object, ...]):
+        """The keys of :meth:`_keys` once each: the distinct
+        constraints of ``C^t`` a row with these values satisfies."""
+        keys = self._keys(dims)
+        return dict.fromkeys(keys) if UNBOUND in dims else keys
+
     # ------------------------------------------------------------------
-    # ContextCounter API
+    # Maintenance
     # ------------------------------------------------------------------
-    def register(
-        self, record: Record, constraints: Optional[Iterable[Constraint]] = None
-    ) -> None:
-        """Account for one appended tuple (``constraints`` is accepted
-        for interface parity and ignored — keys come from the ids)."""
+    def register(self, record: Record) -> None:
+        """Account for one appended tuple: bump every distinct
+        ``C ∈ C^t`` once."""
         counts = self._counts
-        for key in self._keys(record.dims):
+        for key in self._distinct_keys(record.dims):
             counts[key] += 1
 
     def register_many(self, records: Iterable[Record]) -> None:
@@ -207,8 +150,6 @@ class ColumnarContextCounter:
             for record in records:
                 self.register(record)
             return
-        import numpy as np
-
         ids = np.asarray(
             [self._intern(r.dims) for r in records], dtype=np.int64
         )
@@ -225,21 +166,22 @@ class ColumnarContextCounter:
             for key_ids, bump in zip(uniq.tolist(), per_key.tolist()):
                 counts[(mask, tuple(key_ids))] += bump
 
-    def unregister(
-        self, record: Record, constraints: Optional[Iterable[Constraint]] = None
-    ) -> None:
+    def unregister(self, record: Record) -> None:
         """Reverse :meth:`register` (deletion extension, §VIII)."""
         counts = self._counts
-        for key in self._keys(record.dims):
+        for key in self._distinct_keys(record.dims):
             remaining = counts[key] - 1
             if remaining <= 0:
                 del counts[key]
             else:
                 counts[key] = remaining
 
+    # ------------------------------------------------------------------
+    # Reading
+    # ------------------------------------------------------------------
     def count(self, constraint: Constraint) -> int:
         """Current ``|σ_C(R)|`` (0 for never-seen values or masks beyond
-        ``d̂`` — same contract as the scalar counter)."""
+        ``d̂``)."""
         ids = []
         for i, value in enumerate(constraint.values):
             if value is UNBOUND:
@@ -252,60 +194,39 @@ class ColumnarContextCounter:
 
     def covers(self, constraint: Constraint) -> bool:
         """True when :meth:`count` is *exactly* ``|σ_C(R)|`` for this
-        constraint: the mask is within the maintained ``C^t`` skeleton
-        and no registered row carried an unbindable (``None``) dimension
-        value — whose mask collapse makes counts multiset multiplicities
-        rather than context sizes (see :meth:`_keys`).
-        """
-        if constraint.bound_mask not in self._positions:
-            return False
-        return not any(UNBOUND in table for table in self._tables)
+        constraint: its mask is within the maintained ``d̂`` skeleton (a
+        mask beyond the cap was never registered, so its count is 0,
+        not the context size)."""
+        return constraint.bound_mask in self._positions
 
     def counts_for_dims(self, dims: Tuple[object, ...]) -> List[int]:
         """``|σ_C|`` for every allowed constraint of ``C^t``, parallel
-        to :attr:`masks`.
-
-        One interning sweep plus one dict probe per mask — the columnar
-        scoring path reads a whole arrival's context cardinalities here
-        instead of calling :meth:`count` once per fact constraint.
-        Masks collapsing onto one constraint (unbindable values) carry
-        that constraint's count, exactly like :meth:`count` on the
-        collapsed constraint.
-        """
+        to :attr:`masks`: one interning sweep plus one dict probe per
+        mask.  Masks collapsing onto one constraint (``None`` values)
+        carry that constraint's count."""
         counts = self._counts
         return [counts.get(key, 0) for key in self._keys(dims)]
 
+    def context_column(self, facts: FactSet) -> np.ndarray:
+        """``|σ_C|`` of every fact of ``S_t`` as one ``int64`` column in
+        insertion order — the context half of the one scoring call.
+
+        One :meth:`counts_for_dims` probe, gathered at each fact's
+        position along :attr:`masks`: the walker's cell positions for a
+        cell-form set, ``position_of[C.bound_mask]`` for a list-form one
+        (a fact's constraint always sits at an allowed canonical mask).
+        """
+        context = np.asarray(
+            self.counts_for_dims(facts.record.dims), dtype=np.int64
+        )
+        cells = facts.cells()
+        if cells is not None:
+            return context[cells[1]]
+        masks = [constraint.bound_mask for constraint, _ in facts.iter_pairs()]
+        return context[self.position_of[masks]]
+
     def __len__(self) -> int:
         return len(self._counts)
-
-
-def score_facts(
-    facts: FactSet,
-    counter: ContextCounter,
-    sizes_by_pair: Mapping,
-) -> FactSet:
-    """Attach context / skyline cardinalities to every fact in ``S_t``.
-
-    ``sizes_by_pair[(C, M)]`` must be ``|λ_M(σ_C(R))|`` *after* the new
-    tuple has been incorporated (algorithms produce it in bulk via
-    :meth:`~repro.algorithms.base.DiscoveryAlgorithm.skyline_sizes`).
-    Whole score columns are attached in one pass over the fact set's
-    ``(C, M)`` columns — no fact objects are materialised here, and any
-    already-materialised objects are annotated in place by
-    :meth:`FactSet.set_scores`.  The same :class:`FactSet` is returned.
-    """
-    count_cache: Dict[Constraint, int] = {}
-    context_sizes: List[int] = []
-    skyline_sizes: List[int] = []
-    for constraint, subspace in facts.iter_pairs():
-        size = count_cache.get(constraint)
-        if size is None:
-            size = counter.count(constraint)
-            count_cache[constraint] = size
-        context_sizes.append(size)
-        skyline_sizes.append(sizes_by_pair[(constraint, subspace)])
-    facts.set_scores(context_sizes, skyline_sizes)
-    return facts
 
 
 def select_reportable(facts: FactSet, config: DiscoveryConfig) -> List[SituationalFact]:
@@ -325,5 +246,3 @@ def select_reportable(facts: FactSet, config: DiscoveryConfig) -> List[Situation
     if config.top_k is not None:
         return facts.top_k(config.top_k)
     return facts.ranked()
-
-

@@ -25,6 +25,7 @@ from ..core.dominance import dominates
 from ..core.lattice import iter_submasks
 from ..core.record import Record
 from ..core.schema import TableSchema
+from ..storage.base import SkylineStore
 from .kernels import ColumnarQueryKernels
 from .parser import parse_query
 
@@ -90,14 +91,21 @@ class ContextualQueryEngine:
         beyond-cap constraint's skyline tuple may be anchored nowhere
         (dominated in every maintained ancestor context), so those
         queries take the exact kernel/scalar path instead."""
+        kernels = self._kernels()
         if self._maintained(subspace) and self._within_bound_cap(constraint):
+            store = getattr(self.algorithm, "store", None)
             if isinstance(self.algorithm, BottomUp):
-                return list(self.algorithm.store.get(constraint, subspace))
-            if isinstance(self.algorithm, TopDown):
+                return list(store.get(constraint, subspace))
+            if kernels is not None:
+                return kernels.maintained_skyline(constraint, subspace)
+            # svec's columnar store is read through the kernels only;
+            # with them pinned off its pairs are recomputed below.
+            if isinstance(self.algorithm, TopDown) and isinstance(
+                store, SkylineStore
+            ):
                 return self._skyline_from_maximal(constraint, subspace)
         if subspace == 0:
             return []
-        kernels = self._kernels()
         if kernels is not None:
             return kernels.skyband_records(constraint, subspace, 1)
         from ..core.skyline import contextual_skyline
@@ -128,11 +136,9 @@ class ContextualQueryEngine:
     ) -> List[Record]:
         """Invariant 2 reconstruction: a skyline tuple of ``(C, M)`` is
         anchored at ``C`` or one of its ancestors and satisfies ``C`` —
-        one selection and one anchor test over a columnar store, one
-        bucket read per ancestor otherwise."""
-        kernels = self._kernels()
-        if kernels is not None:
-            return kernels.maintained_skyline(constraint, subspace)
+        one bucket read per ancestor (the columnar store answers the
+        same question as one selection,
+        :meth:`ColumnarQueryKernels.maintained_skyline`)."""
         store = self.algorithm.store
         seen = {}
         mask = constraint.bound_mask
@@ -266,7 +272,7 @@ class ContextualQueryEngine:
     ) -> Optional[int]:
         """``|λ_M(σ_C)|`` as one scoring-index probe, or ``None`` when
         the pair is not covered (non-maintained subspace, beyond-cap
-        constraint, no index)."""
+        constraint, no columnar store)."""
         if not self._maintained(subspace) or not self._within_bound_cap(constraint):
             return None
         kernels = self._kernels()

@@ -205,15 +205,12 @@ class ColumnarQueryKernels:
         sky = int((self._dominator_counts(values) == 0).sum())
         return ctx, sky
 
-    def skyline_size(self, constraint: Constraint, subspace: int) -> Optional[int]:
+    def skyline_size(self, constraint: Constraint, subspace: int) -> int:
         """``|λ_M(σ_C)|`` as one scoring-index probe, valid for any
         bound mask and any subspace the algorithm *maintains* (callers
         gate on that — a non-maintained subspace has no anchors and
-        would read as empty).  ``None`` when the index is unavailable.
-        """
+        would read as empty)."""
         counts = self.store.skyline_counts(
             constraint.values, (constraint.bound_mask,)
         )
-        if counts is None:
-            return None
         return int(counts[0, subspace])

@@ -493,14 +493,16 @@ class FeedStore:
             # Silent satisfiers: the arrival matches a tracked
             # constraint without a fact for it — every such pair's
             # skyline is provably unchanged and the shared context grew
-            # by exactly one (one per covering mask where a None
-            # dimension collapses several onto one constraint, the
-            # multiplicity the engine's context counter keeps).
-            # Constraints that *did* produce a fact were overwritten
-            # with the exact context above (which also covers their
-            # fact-less sibling subspaces); their segments still need
-            # the version bump.
-            silent = [c for c in satisfied if c >= 0 and c not in with_fact]
+            # by exactly one (once per distinct constraint: a None
+            # dimension collapses several masks onto one).  Constraints
+            # that *did* produce a fact were overwritten with the exact
+            # context above (which also covers their fact-less sibling
+            # subspaces); their segments still need the version bump.
+            silent = [
+                c
+                for c in dict.fromkeys(satisfied)
+                if c >= 0 and c not in with_fact
+            ]
             if silent:
                 np.add.at(self._ctx, silent, 1)
             return self._settle(self._sids_of(with_fact.union(silent)))

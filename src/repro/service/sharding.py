@@ -22,11 +22,12 @@ Division of labour per arrival:
 * each worker walks only its own subspace keys, mutates only its own
   stores, and answers skyline cardinalities from its own scoring index;
 * the router owns the canonical :class:`~repro.core.record.Table`, the
-  single :class:`~repro.core.prominence.ColumnarContextCounter` (context
+  single :class:`~repro.core.prominence.ContextCounter` (context
   cardinalities are subspace-independent, so counting them once replaces
   ``N`` duplicated counters), constraint reconstruction from the
-  workers' pickle-light ``(mask, subspace, skyline)`` columns, and the
-  reporting policy over the merged ``S_t``.
+  workers' pickle-light ``(mask, subspace, skyline)`` columns, the
+  engines' one scoring call on the merged ``S_t``, and the reporting
+  policy over it.
 
 Execution modes: ``serial`` (in-process, deterministic — the testing
 reference), ``process`` (one supervised OS process per worker over a
@@ -55,7 +56,7 @@ from ..core.constraint import Constraint, constraint_for_record
 from ..core.engine_protocol import EngineBase
 from ..core.facts import FactSet
 from ..core.lattice import nonempty_subspaces
-from ..core.prominence import ColumnarContextCounter
+from ..core.prominence import ContextCounter
 from ..core.record import Record, Table
 from ..core.schema import TableSchema
 from ..metrics.counters import OpCounters
@@ -385,7 +386,7 @@ class ShardedDiscoverer(EngineBase):
         self._retry_base = 0
         self._failover_base = 0
         self.table = Table(schema)
-        self.context_counter = ColumnarContextCounter(
+        self.context_counter = ContextCounter(
             schema.n_dimensions, config.max_bound_dims
         )
         keys = canonical_subspace_keys(schema, config)
@@ -409,11 +410,6 @@ class ShardedDiscoverer(EngineBase):
         #: column indexed by subspace bitmask.
         self._rank_of = np.zeros(1 << schema.n_measures, dtype=np.int64)
         self._rank_of[keys] = np.arange(len(keys))
-        #: Position of each allowed bound mask along ``C^t`` (the
-        #: counter's skeleton is the workers' ``masks_top_down``).
-        masks = self.context_counter.masks
-        self._position_of = np.zeros(1 << schema.n_dimensions, dtype=np.int64)
-        self._position_of[list(masks)] = np.arange(len(masks))
         #: Owning worker index per maintained subspace key (query routing).
         self._shard_of = {
             key: w for w, shard in enumerate(self.shards) for key in shard
@@ -636,14 +632,13 @@ class ShardedDiscoverer(EngineBase):
             merged = merged[
                 :, np.argsort(self._rank_of[merged[1]], kind="stable")
             ]
-            positions = self._position_of[merged[0]]
+            # The counter's skeleton is the workers' masks_top_down, so
+            # its positions place each mask along C^t.
+            positions = counter.position_of[merged[0]]
             facts = FactSet(record)
             facts.add_cells(self._cons_seq(record), positions, merged[1])
             if self.score:
-                context = np.asarray(
-                    counter.counts_for_dims(record.dims), dtype=np.int64
-                )
-                facts.set_scores(context[positions], merged[2])
+                facts.set_scores(counter.context_column(facts), merged[2])
             out.append(facts)
         return out
 

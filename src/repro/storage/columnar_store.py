@@ -12,40 +12,37 @@ stores the *data* once, column-wise —
 ``m`` of cell ``(M, r)`` says "row ``r`` is stored in subspace ``M``
 under the constraint binding its own dimension values at the positions
 of bound mask ``m``".  A tuple is only ever stored under constraints it
-satisfies (the discovery algorithms' invariant, enforced by
-:meth:`ColumnarSkylineStore.insert`), so the mask identifies the
-constraint and the matrix *is* ``µ`` — there is no per-pair bucket and
-no per-tuple anchor set beside it.  The ``2^|D|`` masks of a cell span
-``2^|D| / 32`` words (one up to five dimensions), so every
+satisfies (the discovery algorithms' invariant), so the mask identifies
+the constraint and the matrix *is* ``µ`` — there is no per-pair bucket
+and no per-tuple anchor set beside it.  The ``2^|D|`` masks of a cell
+span ``2^|D| / 32`` words (one up to five dimensions), so every
 dimensionality has the same representation.
 
-The scalar :class:`~repro.storage.base.SkylineStore` surface is answered
-from those cells plus the dimension columns (``get`` returns the
-original ``Record`` objects, retained by reference), vectorized
-algorithms (:class:`~repro.algorithms.s_vectorized.SVectorized`) read
-the cells as masks and bitsets and write them in batches — every cell
-transition of one arrival, or of one retracted victim, is one call of
-the store's only write kernel (:meth:`ColumnarSkylineStore.apply_cells`),
-which moves the stored-tuple gauge, the skyline-cardinality index (a
-slot-addressed ``int32`` count matrix) and the sweep index's anchor
-planes once, from the before/after words of the whole batch.
-
-The column layout is inferred lazily from the first registered record,
-so ``ColumnarSkylineStore()`` is a drop-in replacement for
-``MemorySkylineStore()`` wherever one is constructed without a schema.
+The store speaks cells, not constraints: ``svec``
+(:class:`~repro.algorithms.s_vectorized.SVectorized`) reads the cells as
+masks and bitsets and writes them in batches — every cell transition of
+one arrival, or of one retracted victim, is one call of the store's only
+write kernel (:meth:`ColumnarSkylineStore.apply_cells`), which moves the
+stored-tuple gauge, the skyline-cardinality index (a slot-addressed
+``int32`` count matrix) and the sweep index's anchor planes once, from
+the before/after words of the whole batch.  It is not a
+:class:`~repro.storage.base.SkylineStore`: the paper-ladder algorithms'
+per-constraint ``get`` / ``insert`` / ``delete`` surface has no reader
+here.  :meth:`~ColumnarSkylineStore.iter_pairs` renders the cells as
+``(constraint, subspace) → records`` for comparisons with those stores.
 
 Examples
 --------
->>> from repro.core.constraint import Constraint
 >>> from repro.core.record import Record
->>> store = ColumnarSkylineStore()
->>> store.insert(Constraint(("a",)), 0b1, Record(0, ("a",), (1.0,), (1.0,)))
->>> [r.tid for r in store.get(Constraint(("a",)), 0b1)]
-[0]
->>> store.n_rows, store.stored_tuple_count()
-(1, 1)
->>> store.anchor_cell(0b1, 0)
-2
+>>> store = ColumnarSkylineStore(n_dimensions=1, n_measures=1)
+>>> row = store.register(Record(0, ("a",), (1.0,), (1.0,)))
+>>> store.apply_cells([0b1], [row], [0b10])  # stored at (d0=a, {m0})
+>>> store.anchor_cell(0b1, row), store.stored_tuple_count()
+(2, 1)
+>>> [(c.values, m, [r.tid for r in rs]) for (c, m), rs in store.iter_pairs()]
+[(('a',), 1, [0])]
+>>> store.skyline_counts(("a",), [0b0, 0b1]).tolist()
+[[0, 0], [0, 1]]
 """
 
 from __future__ import annotations
@@ -64,7 +61,8 @@ from ..core.lattice import (
     supermask_closure_table,
 )
 from ..core.record import Record
-from .base import PairKey, SkylineStore
+from ..metrics.counters import OpCounters
+from .base import PairKey
 from .sweep_index import SweepIndex
 
 _INITIAL_CAPACITY = 256
@@ -76,8 +74,8 @@ _INITIAL_CAPACITY = 256
 #: Discovery itself already scales with 2^n per arrival, so the index
 #: is never the *first* bottleneck, but its memory footprint grows
 #: faster on high-cardinality dimensions and each count row is 2^|M|
-#: wide — cap both dimensionalities and fall back to the scalar
-#: Invariant-2 sweep for wider schemas.
+#: wide — past either cap :meth:`ColumnarSkylineStore.skyline_counts`
+#: counts straight from the anchor-bit matrix instead.
 _MAX_INDEXED_DIMENSIONS = 8
 _MAX_INDEXED_MEASURES = 8
 
@@ -185,7 +183,7 @@ class ColumnInterner:
         return out
 
 
-class ColumnarSkylineStore(SkylineStore):
+class ColumnarSkylineStore:
     """``µ_{C,M}`` with columnar record storage and one anchor-bit
     matrix for membership.
 
@@ -194,26 +192,23 @@ class ColumnarSkylineStore(SkylineStore):
     appended to the column arrays, yielding a stable row index.  Pair
     membership is bit ``C.bound_mask`` of the matrix cell at (``M``'s
     slot, row) — valid because a tuple is stored only under constraints
-    it satisfies — so the O(1) scalar calls are bit tests, bucket reads
-    (:meth:`get` / :meth:`rows`) one vectorised selection, and
-    vectorized callers read the cells themselves
-    (:meth:`anchor_cells`).
+    it satisfies — so callers read cells (:meth:`anchor_cell` /
+    :meth:`anchor_cells`), write them in batches (:meth:`apply_cells`)
+    and read skylines and their sizes as whole selections
+    (:meth:`skyline_rows`, :meth:`skyline_counts`).
     """
 
     def __init__(
         self,
-        counters=None,
-        n_dimensions: Optional[int] = None,
-        n_measures: Optional[int] = None,
+        n_dimensions: int,
+        n_measures: int,
+        counters: Optional[OpCounters] = None,
         initial_capacity: int = _INITIAL_CAPACITY,
     ) -> None:
-        super().__init__(counters)
+        self.counters = counters if counters is not None else OpCounters()
         self._initial_capacity = initial_capacity
         self._n_dimensions = n_dimensions
         self._n_measures = n_measures
-        self._values: Optional[np.ndarray] = None
-        self._dims: Optional[np.ndarray] = None
-        self._interner: Optional[ColumnInterner] = None
         self._records: List[Record] = []
         self._row_of: Dict[int, int] = {}
         # The µ store: ``_cells[slot, row]`` is the anchor bitset of
@@ -221,10 +216,11 @@ class ColumnarSkylineStore(SkylineStore):
         # ``m >> 5``) set iff the row is stored there under the
         # constraint binding its own values at mask ``m``.  Slots are
         # assigned on a subspace's first write; rows past ``n_rows``,
-        # tombstones and never-stored rows read as zero.
-        self._cells: Optional[np.ndarray] = None
+        # tombstones and never-stored rows read as zero (allocated with
+        # the columns in :meth:`_allocate`).
         self._slots: Dict[int, int] = {}
-        self._cell_bytes = 0
+        words = max(1, (1 << n_dimensions) // WORD_BITS)
+        self._cell_bytes = words * WORD.itemsize
         self._closure: Optional[np.ndarray] = None
         self._bit_weights = None
         # Scoring index: ``_counts[slot, M]`` is ``|λ_M(σ_C)|`` for the
@@ -259,27 +255,20 @@ class ColumnarSkylineStore(SkylineStore):
         self._sweep: Optional[SweepIndex] = None
         self._dead_count = 0
         self._compaction_deferred = False
-        if n_dimensions is not None and n_measures is not None:
-            self._allocate(n_dimensions, n_measures)
+        self._allocate()
 
     # ------------------------------------------------------------------
     # Columnar substrate
     # ------------------------------------------------------------------
-    def _allocate(self, n_dimensions: int, n_measures: int) -> None:
-        self._n_dimensions = n_dimensions
-        self._n_measures = n_measures
+    def _allocate(self) -> None:
+        """Fresh, empty columns, anchor-bit matrix and interner."""
         cap = self._initial_capacity
-        self._values = np.empty((cap, n_measures), dtype=np.float64)
-        self._dims = np.empty((cap, n_dimensions), dtype=np.int32)
-        words = max(1, (1 << n_dimensions) // WORD_BITS)
-        self._cell_bytes = words * WORD.itemsize
-        self._cells = np.zeros((0, cap, words), dtype=WORD)
-        if self._interner is None:
-            self._interner = ColumnInterner(n_dimensions)
-
-    def _ensure_layout(self, record: Record) -> None:
-        if self._values is None:
-            self._allocate(len(record.dims), len(record.values))
+        self._values = np.empty((cap, self._n_measures), dtype=np.float64)
+        self._dims = np.empty((cap, self._n_dimensions), dtype=np.int32)
+        self._cells = np.zeros(
+            (0, cap, self._cell_bytes // WORD.itemsize), dtype=WORD
+        )
+        self._interner = ColumnInterner(self._n_dimensions)
 
     def _reserve_rows(self, min_rows: int) -> None:
         """Grow the columns and the matrix's row axis together (the new
@@ -325,14 +314,13 @@ class ColumnarSkylineStore(SkylineStore):
     def register(self, record: Record) -> int:
         """Intern-and-append ``record`` into the columns; returns its row.
 
-        Idempotent per tid.  Algorithms that sweep the whole history
-        (``svec``) register every arrival; plain store users never need
-        to call this — :meth:`insert` registers on demand.
+        Idempotent per tid.  ``svec`` sweeps the whole history, so it
+        registers every arrival; a row must be registered before a cell
+        of it is written.
         """
         row = self._row_of.get(record.tid)
         if row is not None:
             return row
-        self._ensure_layout(record)
         row = len(self._records)
         self._reserve_rows(row + 1)
         self._values[row] = record.values
@@ -431,7 +419,7 @@ class ColumnarSkylineStore(SkylineStore):
 
     def reserve(self, extra: int) -> None:
         """Pre-grow the columns for ``extra`` imminent registrations."""
-        if self._values is not None and extra > 0:
+        if extra > 0:
             self._reserve_rows(len(self._records) + extra)
 
     def intern_dims(self, dims: Tuple[object, ...]) -> np.ndarray:
@@ -440,20 +428,14 @@ class ColumnarSkylineStore(SkylineStore):
         Unseen values receive fresh ids (they then equal no stored row,
         which is exactly the agreement semantics a probe needs).
         """
-        if self._interner is None:
-            self._interner = ColumnInterner(len(dims))
         return self._interner.intern_row(dims)
 
     def values_matrix(self) -> np.ndarray:
         """``(n_rows, |M|)`` float64 view of the registered measures."""
-        if self._values is None:
-            return np.empty((0, 0), dtype=np.float64)
         return self._values[: len(self._records)]
 
     def dims_matrix(self) -> np.ndarray:
         """``(n_rows, |D|)`` int32 view of the interned dimensions."""
-        if self._dims is None:
-            return np.empty((0, 0), dtype=np.int32)
         return self._dims[: len(self._records)]
 
     def partition_bitmasks(self, record: Record):
@@ -609,8 +591,8 @@ class ColumnarSkylineStore(SkylineStore):
         The three parallel columns carry every cell transition of one
         unit of work — an arrival's promotion row plus all the cells it
         demotes, or a retracted victim's cleared cells plus all its
-        re-anchors; :meth:`insert` / :meth:`delete` / :meth:`unregister`
-        are batches of their own.  Rows must be live registered rows,
+        re-anchors; :meth:`unregister` clears a still-anchored row with
+        a batch of its own.  Rows must be live registered rows,
         and each ``(subspace, row)`` may appear once (``ValueError``
         otherwise: a batch has no order to resolve a repeat by).  Every
         derived structure moves once, from the before/after words of
@@ -674,28 +656,19 @@ class ColumnarSkylineStore(SkylineStore):
             for row in np.flatnonzero(occupied).tolist():
                 yield subspace, row, self._cell(slot, row)
 
-    def _select(
-        self, constraint: Constraint, subspace: int, ancestors: bool
-    ) -> np.ndarray:
-        """Ascending rows that satisfy ``constraint`` and are anchored
-        in ``subspace`` at its bound mask — or, with ``ancestors``, at
-        any submask of it: one pass of 1-D column tests, the anchor
-        words first, then one dimension column per bound position."""
+    def skyline_rows(self, constraint: Constraint, subspace: int) -> np.ndarray:
+        """``λ_M(σ_C)`` by Invariant 2, as ascending rows: the tuples
+        satisfying ``C`` that are anchored in ``subspace`` at ``C`` or
+        one of its ancestors — the slot's cells ANDed with the submask
+        closure of ``C``'s mask, then one dimension column test per
+        bound position.  Exact for the pairs an algorithm maintains,
+        within its ``d̂`` cap."""
         slot = self._slots.get(subspace)
         if slot is None:
             return _EMPTY_ROWS
         n = len(self._records)
         mask = constraint.bound_mask
-        wanted = (
-            submask_closure_table(self._n_dimensions)[mask]
-            if ancestors
-            else 1 << mask
-        )
-        hit = np.zeros(n, dtype=bool)
-        for word in range(self._cells.shape[2]):
-            bits = (wanted >> (word * WORD_BITS)) & 0xFFFFFFFF
-            if bits:
-                hit |= (self._cells[slot, :n, word] & bits) != 0
+        hit = (self._cells[slot, :n] & self.closure_words()[mask]).any(axis=1)
         for position in bit_positions(mask):
             vid = self._interner.lookup(position, constraint.values[position])
             if vid is None:
@@ -703,65 +676,13 @@ class ColumnarSkylineStore(SkylineStore):
             hit &= self._dims[:n, position] == vid
         return np.flatnonzero(hit)
 
-    def rows(self, constraint: Constraint, subspace: int) -> np.ndarray:
-        """Membership of ``µ_{C,M}`` as an ascending row-index array
-        into the column matrices: the rows whose cell carries
-        ``C.bound_mask`` and whose dimension columns match ``C`` there
-        (callers must not mutate the result)."""
-        return self._select(constraint, subspace, ancestors=False)
-
-    def skyline_rows(self, constraint: Constraint, subspace: int) -> np.ndarray:
-        """``λ_M(σ_C)`` by Invariant 2, as ascending rows: the tuples
-        satisfying ``C`` that are anchored in ``subspace`` at ``C`` or
-        one of its ancestors.  Exact for the pairs an algorithm
-        maintains, within its ``d̂`` cap."""
-        return self._select(constraint, subspace, ancestors=True)
-
     # ------------------------------------------------------------------
-    # SkylineStore API
+    # Accounting
     # ------------------------------------------------------------------
-    def get(self, constraint: Constraint, subspace: int) -> List[Record]:
-        rows = self.rows(constraint, subspace).tolist()
-        return [self._records[row] for row in rows]
-
-    def _stored_at(self, constraint: Constraint, subspace: int, tid: int):
-        """``(row, cell)`` when tuple ``tid`` is stored at the pair,
-        else ``None`` — the mask bit of its cell, then the match
-        of its values against the constraint's."""
-        row = self._row_of.get(tid)
-        if row is None:
-            return None
-        cell = self.anchor_cell(subspace, row)
-        if (cell >> constraint.bound_mask) & 1 and constraint.satisfied_by(
-            self._records[row]
-        ):
-            return row, cell
-        return None
-
-    def insert(self, constraint: Constraint, subspace: int, record: Record) -> None:
-        if not constraint.satisfied_by(record):
-            # The matrix files a tuple under *its own* values at the
-            # constraint's mask; anything else has no representation.
-            raise ValueError(
-                f"tuple {record.tid} does not satisfy {constraint!r}; a "
-                f"tuple is only ever stored under constraints it satisfies"
-            )
-        row = self.register(record)
-        cell = self.anchor_cell(subspace, row)
-        self.apply_cells([subspace], [row], [cell | (1 << constraint.bound_mask)])
-
-    def delete(self, constraint: Constraint, subspace: int, record: Record) -> None:
-        stored = self._stored_at(constraint, subspace, record.tid)
-        if stored is not None:
-            row, cell = stored
-            self.apply_cells(
-                [subspace], [row], [cell & ~(1 << constraint.bound_mask)]
-            )
-
-    def contains(self, constraint: Constraint, subspace: int, record: Record) -> bool:
-        return self._stored_at(constraint, subspace, record.tid) is not None
-
     def iter_pairs(self) -> Iterator[Tuple[PairKey, List[Record]]]:
+        """Every non-empty ``(constraint, subspace)`` pair with its
+        records — µ in the form the constraint-keyed stores list it
+        (the equivalence tests compare the two)."""
         records = self._records
         pairs: Dict[PairKey, List[Record]] = {}
         for subspace, row, anchors in self._anchored():
@@ -773,15 +694,8 @@ class ColumnarSkylineStore(SkylineStore):
         return iter(pairs.items())
 
     def stored_tuple_count(self) -> int:
+        """Total stored tuple references (Fig. 10b series)."""
         return self._total
-
-    def anchor_masks(self, tid: int, subspace: int):
-        """Bound masks anchoring ``tid`` in ``subspace``, decoded from
-        its cell (an empty set when none — never ``None``: this store
-        always answers)."""
-        row = self._row_of.get(tid)
-        anchors = 0 if row is None else self.anchor_cell(subspace, row)
-        return frozenset(bit_positions(anchors))
 
     # ------------------------------------------------------------------
     # Scoring index
@@ -891,46 +805,75 @@ class ColumnarSkylineStore(SkylineStore):
             (covered[k:] - covered[:k]).astype(np.int32).reshape(-1),
         )
 
-    def skyline_counts(
-        self, dims: Tuple[object, ...], masks
-    ) -> Optional[np.ndarray]:
+    def skyline_counts(self, dims: Tuple[object, ...], masks) -> np.ndarray:
         """``|λ_M(σ_C)|`` for the constraints binding ``dims`` at each
         bound mask of ``masks``, in every subspace at once.
 
         Returns a read-only ``(len(masks), 2^|M|)`` integer matrix —
         row ``i`` belongs to ``masks[i]`` (positions of ``dims`` outside
         the mask are ignored), column ``M`` to the measure subspace with
-        bitmask ``M`` — or ``None`` when the store keeps no index
-        (layout not known yet, or dimensionality / measure count beyond
-        the caps).  One probe per mask: a whole arrival's skyline sizes
-        are this call on ``C^t``'s masks plus one gather.  Valid for
-        subspaces whose stores were filled by the discovery algorithms
-        (stored tuples satisfy their constraints); a subspace nobody
-        maintains reads 0.
+        bitmask ``M``: a whole arrival's skyline sizes are this call on
+        ``C^t``'s masks plus one gather.  A mask given as ``None`` is a
+        row the caller does not read; it reads 0 and costs nothing.
+        Valid for subspaces whose stores were filled by the discovery
+        algorithms (stored tuples satisfy their constraints); a
+        subspace nobody maintains reads 0.
 
-        The index behind it is built on the first call (one pass over
-        the non-empty cells) — unscored ingestion never pays for it —
-        after which every cell write keeps it current.
+        Up to 8 dimensions and 8 measures it reads the count-matrix
+        index — one key probe per mask and one gather, independent of
+        history size.  The index is built on the first call (one pass
+        over the non-empty cells) — unscored ingestion never pays for
+        it — after which every cell write keeps it current.  Past
+        either cap, where that index's memory forbids it, the counts
+        come straight from the anchor-bit matrix
+        (:meth:`_counts_from_cells`).
         """
-        if (
-            self._values is None
-            or self._n_dimensions > _MAX_INDEXED_DIMENSIONS
-            or self._n_measures > _MAX_INDEXED_MEASURES
-        ):
-            return None
-        if self._counts is None:
-            self._build_score_index()
         # A value no registered row carries reads the absent id: its
-        # keys are in no table (and the probe's values are not interned).
+        # keys are in no table and it agrees with no row (the probe's
+        # values are not interned).
         lookup = self._interner.lookup
         ids = [lookup(column, value) for column, value in enumerate(dims)]
-        keys = self._row_keys(
-            np.array(
-                [ABSENT_ID if i is None else i for i in ids], dtype=np.int32
-            )
+        probe = np.array(
+            [ABSENT_ID if i is None else i for i in ids], dtype=np.int32
         )
-        probe = self._slot_table.get
-        return self._counts[[probe(keys[mask], 0) for mask in masks]]
+        if (
+            self._n_dimensions > _MAX_INDEXED_DIMENSIONS
+            or self._n_measures > _MAX_INDEXED_MEASURES
+        ):
+            return self._counts_from_cells(probe, masks)
+        if self._counts is None:
+            self._build_score_index()
+        keys = self._row_keys(probe)
+        slot_of = self._slot_table.get
+        return self._counts[
+            [0 if mask is None else slot_of(keys[mask], 0) for mask in masks]
+        ]
+
+    def _counts_from_cells(self, probe: np.ndarray, masks) -> np.ndarray:
+        """:meth:`skyline_counts` read off the anchor-bit matrix, one
+        mask at a time: a row counts in subspace ``M`` at mask ``m``
+        when its cell meets ``closure_words()[m]`` (it is anchored at
+        ``m`` or an ancestor) and it agrees with ``probe`` on every
+        position of ``m``.  Only the words of the cells the closure
+        touches are read, and each position's agreement column is
+        computed once — whole-column NumPy, no per-row Python."""
+        n = len(self._records)
+        subspaces = list(self._slots)
+        cells = self._cells[: len(subspaces), :n]
+        closure = self.closure_words()
+        out = np.zeros((len(masks), 1 << self._n_measures), dtype=np.int64)
+        agree: Dict[int, np.ndarray] = {}
+        for i, mask in enumerate(masks):
+            if mask is None:
+                continue
+            words = np.flatnonzero(closure[mask])
+            hit = (cells[:, :, words] & closure[mask, words]).any(axis=2)
+            for position in bit_positions(mask):
+                if position not in agree:
+                    agree[position] = self._dims[:n, position] == probe[position]
+                hit &= agree[position]
+            out[i, subspaces] = hit.sum(axis=1)
+        return out
 
     def approx_bytes(self) -> int:
         """Resident bytes of the store's own state: the allocated
@@ -938,10 +881,8 @@ class ColumnarSkylineStore(SkylineStore):
         and slot-id matrices and its key table (the dict, its ``bytes``
         keys and ``int`` slots), and the ``_records`` / ``_row_of``
         containers (the ``Record`` objects themselves are shared with
-        the table and charged there).  0 before a layout exists."""
-        if self._values is None:
-            return 0
-        total = self._values.nbytes + self._dims.nbytes + self._cells.nbytes
+        the table and charged there)."""
+        total =self._values.nbytes + self._dims.nbytes + self._cells.nbytes
         total += sys.getsizeof(self._records) + sys.getsizeof(self._row_of)
         if self._counts is not None:
             total += (
@@ -956,20 +897,14 @@ class ColumnarSkylineStore(SkylineStore):
         return total
 
     def clear(self) -> None:
-        self._values = None
-        self._dims = None
-        self._interner = None
+        """Drop every row and cell (the layout stays)."""
         self._records = []
         self._row_of = {}
-        self._cells = None
         self._slots = {}
-        self._closure = None
-        self._bit_weights = None
         self._counts = None
         self._slot_ids = None
         self._total = 0
         self._sweep = None
         self._dead_count = 0
         self.counters.stored_tuples = 0
-        if self._n_dimensions is not None and self._n_measures is not None:
-            self._allocate(self._n_dimensions, self._n_measures)
+        self._allocate()

@@ -309,12 +309,15 @@ class FeedStore:
             # Silent satisfiers: the arrival matches a tracked
             # constraint without a fact for it — every such pair's
             # skyline is provably unchanged and the shared context grew
-            # by exactly one.  Constraints that *did* produce a fact
-            # were overwritten with the exact context above (which also
-            # covers their fact-less sibling subspaces); their segments
-            # still need the version bump.
+            # by exactly one (once per distinct constraint: a None
+            # dimension collapses several masks onto one).  Constraints
+            # that *did* produce a fact were overwritten with the exact
+            # context above (which also covers their fact-less sibling
+            # subspaces); their segments still need the version bump.
             seen = set(constraints)
-            for constraint in satisfied_constraints(record, self._bound_cap):
+            for constraint in dict.fromkeys(
+                satisfied_constraints(record, self._bound_cap)
+            ):
                 cell = self._ctx.get(constraint)
                 if cell is None:
                     continue

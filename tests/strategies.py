@@ -74,20 +74,29 @@ class StreamScenario(NamedTuple):
     shard_of: Tuple[int, ...]
 
 
+#: ``(d, m, d̂, m̂)`` shapes past the columnar store's skyline-count
+#: index caps (8 dimensions, 8 measures), where ``skyline_counts``
+#: counts straight from the anchor-bit matrix.
+PAST_CAP_SHAPES = ((9, 2, 2, None), (3, 9, None, 1))
+
+
 @st.composite
-def stream_scenarios(draw, max_ops=14):
+def stream_scenarios(draw, max_ops=14, past_caps=False):
     """Streams over every shape the ``svec`` walk serves: d ∈ 2…7
     (one to four words per anchor cell), m ∈ {2, 3}, d̂ ∈ {None, 2, 4},
-    an optional m̂ cap, None-heavy rows, interleaved deletes."""
-    d = draw(st.integers(min_value=2, max_value=7))
-    m = draw(st.sampled_from([2, 3]))
+    an optional m̂ cap, None-heavy rows, interleaved deletes.  With
+    ``past_caps`` the shape is one of :data:`PAST_CAP_SHAPES` instead."""
+    if past_caps:
+        d, m, dhat, mhat = draw(st.sampled_from(PAST_CAP_SHAPES))
+    else:
+        d = draw(st.integers(min_value=2, max_value=7))
+        m = draw(st.sampled_from([2, 3]))
+        dhat = draw(st.sampled_from([None, 2, 4]))
+        mhat = draw(st.sampled_from([None, None, 1, 2]))
     schema = TableSchema(
         tuple(f"d{j}" for j in range(d)), tuple(f"m{i}" for i in range(m))
     )
-    config = DiscoveryConfig(
-        max_bound_dims=draw(st.sampled_from([None, 2, 4])),
-        max_measure_dims=draw(st.sampled_from([None, None, 1, 2])),
-    )
+    config = DiscoveryConfig(max_bound_dims=dhat, max_measure_dims=mhat)
     row = rows_of(
         {f"d{j}": STREAM_POOLS[j % len(STREAM_POOLS)] for j in range(d)},
         3,
@@ -126,7 +135,8 @@ def store_op_sequences(n_dimensions, pool=5, max_ops=24):
     Ops name records by pool index (their tid) and constraints by bound
     mask over the record's own values:
 
-    * ``("insert" | "delete", tid, mask, subspace)`` — the scalar calls;
+    * ``("insert" | "delete", tid, mask, subspace)`` — set / clear one
+      bit of one cell (the mirror's scalar calls);
     * ``("arrival", tid, {subspace: [masks]})`` — grouped promotion of a
       tuple stored nowhere yet;
     * ``("reanchor", tid, subspace, [child masks])`` — demotion: one

@@ -1,16 +1,16 @@
 """Tests for the columnar store subsystem and the ``svec`` engine.
 
-Generic store semantics are covered by the parametrised fixture in
-``test_stores.py``; here we test what is *specific* to the columnar
-pieces — the column arrays, interning, ``grow_2d``, the anchor-bit
-matrix behind the scalar and grouped store surface (differentially,
-against a ``MemorySkylineStore`` mirror) — and the strong ``svec`` ≡
-``stopdown`` equivalence (facts, stores, *and* counters) on randomized
-streams.
+The columnar pieces — the column arrays, interning, ``grow_2d``, the
+anchor-bit matrix behind the cell surface (``apply_cells`` /
+``anchor_cell`` / ``skyline_rows`` / ``skyline_counts`` /
+``iter_pairs``, differentially against a ``MemorySkylineStore``
+mirror) — and the strong ``svec`` ≡ ``stopdown`` equivalence (facts,
+stores, *and* counters) on randomized streams.
 """
 
 import random
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +27,7 @@ from repro.core.record import Record
 from repro.datasets.synthetic import synthetic_rows, synthetic_schema
 from repro.metrics.counters import OpCounters
 from repro.storage import ColumnarSkylineStore, MemorySkylineStore, grow_2d
+from repro.storage import columnar_store
 from tests.strategies import (
     row_strategy,
     store_op_sequences,
@@ -74,15 +75,29 @@ class TestGrow2d:
         assert grow_2d(a, 0).shape[0] >= 1
 
 
+def store_of(**kwargs):
+    """An empty store for :data:`SCHEMA`'s layout (2 dimensions, 2
+    measures)."""
+    return ColumnarSkylineStore(n_dimensions=2, n_measures=2, **kwargs)
+
+
+def anchor(store, subspace, record, *masks):
+    """Register ``record`` and set its cell in ``subspace`` to
+    ``masks`` — one ``apply_cells`` batch; returns the row."""
+    row = store.register(record)
+    store.apply_cells([subspace], [row], [sum(1 << mask for mask in masks)])
+    return row
+
+
 class TestColumnarSubstrate:
     def test_register_is_idempotent_per_tid(self):
-        store = ColumnarSkylineStore()
+        store = store_of()
         r = rec(0)
         assert store.register(r) == store.register(r) == 0
         assert store.n_rows == 1
 
     def test_columns_reflect_registered_records(self):
-        store = ColumnarSkylineStore()
+        store = store_of()
         store.register(rec(0, dims=("a", "x"), raw=(1.0, 2.0)))
         store.register(rec(1, dims=("b", "x"), raw=(3.0, 4.0)))
         values = store.values_matrix()
@@ -94,23 +109,21 @@ class TestColumnarSubstrate:
         assert dims[0, 0] != dims[1, 0]
 
     def test_probe_interning_matches_stored_rows(self):
-        store = ColumnarSkylineStore()
+        store = store_of()
         store.register(rec(0, dims=("a", "x")))
         probe = store.intern_dims(("a", "z"))
         assert probe[0] == store.dims_matrix()[0, 0]
         assert probe[1] != store.dims_matrix()[0, 1]
 
     def test_growth_preserves_history(self):
-        store = ColumnarSkylineStore(initial_capacity=4)
+        store = store_of(initial_capacity=4)
         for tid in range(40):
             store.register(rec(tid, raw=(tid, -tid)))
         assert store.n_rows == 40
         assert store.values_matrix()[17, 0] == 17.0
 
     def test_reserve_grows_once(self):
-        store = ColumnarSkylineStore(
-            n_dimensions=2, n_measures=2, initial_capacity=4
-        )
+        store = store_of(initial_capacity=4)
         store.reserve(100)
         cap = store._values.shape[0]
         assert cap >= 100
@@ -118,65 +131,67 @@ class TestColumnarSubstrate:
             store.register(rec(tid))
         assert store._values.shape[0] == cap
 
-    def test_rows_returns_membership_in_ascending_row_order(self):
-        store = ColumnarSkylineStore()
+    def test_skyline_rows_are_ascending(self):
+        store = store_of()
         c = Constraint(("a", None))
-        store.register(rec(1))
-        store.insert(c, 0b11, rec(3))
-        store.insert(c, 0b11, rec(1))
-        assert store.rows(c, 0b11).tolist() == [0, 1]
-        assert [r.tid for r in store.get(c, 0b11)] == [1, 3]
+        first = store.register(rec(1))
+        second = store.register(rec(3))
+        store.apply_cells([0b11, 0b11], [second, first], [1 << c.bound_mask] * 2)
+        rows = store.skyline_rows(c, 0b11).tolist()
+        assert rows == [0, 1]
+        assert [store.record_at(row).tid for row in rows] == [1, 3]
 
-    def test_rows_select_on_the_constraint_values(self):
-        store = ColumnarSkylineStore()
-        store.insert(Constraint(("a", None)), 0b11, rec(0, dims=("a", "x")))
-        store.insert(Constraint(("b", None)), 0b11, rec(1, dims=("b", "x")))
-        assert store.rows(Constraint(("a", None)), 0b11).tolist() == [0]
-        assert store.rows(Constraint(("b", None)), 0b11).tolist() == [1]
-        assert store.rows(Constraint(("c", None)), 0b11).tolist() == []
+    def test_skyline_rows_select_on_values_and_ancestors(self):
+        store = store_of()
+        anchor(store, 0b11, rec(0, dims=("a", "x")), 0b01)
+        anchor(store, 0b11, rec(1, dims=("b", "x")), 0b01)
+        # Anchored at ⊤: in the skyline of every context it satisfies.
+        anchor(store, 0b11, rec(2, dims=("a", "y")), 0b00)
+        assert store.skyline_rows(Constraint(("a", None)), 0b11).tolist() == [0, 2]
+        assert store.skyline_rows(Constraint(("b", None)), 0b11).tolist() == [1]
+        assert store.skyline_rows(Constraint(("c", None)), 0b11).tolist() == []
+        assert store.skyline_rows(Constraint(("a", None)), 0b01).tolist() == []
 
     def test_record_at_roundtrip(self):
-        store = ColumnarSkylineStore()
+        store = store_of()
         r = rec(7)
         row = store.register(r)
         assert store.record_at(row) is r
 
-    def test_anchor_masks_track_insert_delete(self):
-        store = ColumnarSkylineStore()
-        r = rec(0)
-        c1 = Constraint(("a", None))
-        c2 = Constraint(("a", "x"))
-        store.insert(c1, 0b01, r)
-        store.insert(c2, 0b01, r)
-        assert store.anchor_masks(0, 0b01) == {0b01, 0b11}
-        store.delete(c1, 0b01, r)
-        assert store.anchor_masks(0, 0b01) == {0b11}
-        store.delete(c2, 0b01, r)
-        assert store.anchor_masks(0, 0b01) == frozenset()
-
-    def test_memory_store_has_no_anchor_index(self):
-        assert MemorySkylineStore().anchor_masks(0, 0b01) is None
+    def test_anchor_cell_tracks_apply_cells(self):
+        store = store_of()
+        row = anchor(store, 0b01, rec(0), 0b01, 0b11)
+        assert store.anchor_cell(0b01, row) == 1 << 0b01 | 1 << 0b11
+        assert store.stored_tuple_count() == 2
+        store.apply_cells([0b01], [row], [1 << 0b11])
+        assert store.anchor_cell(0b01, row) == 1 << 0b11
+        store.apply_cells([0b01], [row], [0])
+        assert store.anchor_cell(0b01, row) == 0
+        assert store.stored_tuple_count() == 0
+        assert store.anchor_cell(0b10, row) == 0  # a subspace never written
 
     def test_clear_resets_columns_and_index(self):
-        store = ColumnarSkylineStore()
-        store.insert(Constraint(("a", None)), 0b01, rec(0))
+        store = store_of()
+        anchor(store, 0b01, rec(0), 0b01)
         store.clear()
         assert store.n_rows == 0
         assert store.stored_tuple_count() == 0
-        assert store.anchor_masks(0, 0b01) == frozenset()
+        assert store.anchor_cell(0b01, 0) == 0
+        assert list(store.iter_pairs()) == []
 
     def test_approx_bytes_counts_columns(self):
-        store = ColumnarSkylineStore()
-        assert store.approx_bytes() == 0
-        store.insert(Constraint(("a", None)), 0b01, rec(0))
-        assert store.approx_bytes() > 0
+        store = store_of()
+        empty = store.approx_bytes()
+        assert empty > 0  # the columns are allocated from the start
+        anchor(store, 0b01, rec(0), 0b01)
+        assert store.approx_bytes() > empty  # the matrix gained a slot
 
     def test_approx_bytes_is_the_sum_of_the_allocations(self):
         import sys
 
-        store = ColumnarSkylineStore(initial_capacity=4)
+        store = store_of(initial_capacity=4)
         for tid in range(5):  # one growth: 8 rows allocated
-            store.insert(Constraint(("a", None)), 0b01, rec(tid))
+            anchor(store, 0b01, rec(tid), 0b01)
         arrays = 8 * (2 * 8 + 2 * 4) + store._cells.nbytes
         containers = sys.getsizeof(store._records) + sys.getsizeof(
             store._row_of
@@ -644,12 +659,14 @@ def _mirror_snapshot(store):
 
 class TestStoreDifferential:
     """The anchor-bit matrix against a ``MemorySkylineStore`` mirror:
-    random scalar inserts / deletes, grouped arrival promotion, demotion
+    single-bit sets / clears, grouped arrival promotion, demotion
     re-anchoring, multi-cell ``apply_cells`` batches (cells set, moved
     and cleared in one write), unregister, forced compaction and
     ``clear()``, with None dimension values, at one word per cell
-    (d = 2, 5) and several (d = 6, 7).  Every read surface must agree
-    after every op."""
+    (d = 2, 5) and several (d = 6, 7).  Every read surface — the
+    listing, the cells, Invariant-2 skyline rows, the skyline counts
+    from the count index and straight from the cells — must agree after
+    every op."""
 
     SUBSPACES = (1, 2, 3)
 
@@ -680,25 +697,25 @@ class TestStoreDifferential:
         assert _mirror_snapshot(store) == want
         assert store.stored_tuple_count() == mirror.stored_tuple_count()
         assert store.counters.stored_tuples == mirror.stored_tuple_count()
-        for constraint, subspace in set(want) | probes:
-            tids = [r.tid for r in store.get(constraint, subspace)]
-            assert sorted(tids) == sorted(
-                want.get((constraint, subspace), ())
-            )
-            assert store.rows(constraint, subspace).tolist() == sorted(
-                store.row_of(tid) for tid in tids
-            )
-            for record in pool:
-                assert store.contains(
-                    constraint, subspace, record
-                ) == mirror.contains(constraint, subspace, record)
         for record in pool:
+            row = store.row_of(record.tid)
             for subspace in self.SUBSPACES:
-                assert store.anchor_masks(record.tid, subspace) == {
-                    constraint.bound_mask
+                cell = sum(
+                    1 << constraint.bound_mask
                     for (constraint, sub), tids in want.items()
                     if sub == subspace and record.tid in tids
-                }
+                )
+                assert cell == (0 if row is None else store.anchor_cell(subspace, row))
+        for constraint, subspace in set(want) | probes:
+            # Invariant 2: anchored at C or an ancestor, satisfying C.
+            rows = {
+                store.row_of(tid)
+                for (anchor, sub), tids in want.items()
+                if sub == subspace and not anchor.bound_mask & ~constraint.bound_mask
+                for tid in tids
+                if constraint.satisfied_by(pool[tid])
+            }
+            assert store.skyline_rows(constraint, subspace).tolist() == sorted(rows)
         if scored:
             n = len(pool[0].dims)
             masks = range(1 << n)
@@ -722,8 +739,14 @@ class TestStoreDifferential:
             record = pool[tid]
             constraint = constraint_for_record(record, mask)
             probes.add((constraint, subspace))
-            for target in (store, mirror):
-                getattr(target, kind)(constraint, subspace, record)
+            getattr(mirror, kind)(constraint, subspace, record)
+            row = store.register(record) if kind == "insert" else store.row_of(tid)
+            if row is not None:
+                cell = store.anchor_cell(subspace, row)
+                bit = 1 << constraint.bound_mask
+                store.apply_cells(
+                    [subspace], [row], [cell | bit if kind == "insert" else cell & ~bit]
+                )
         elif kind == "arrival":
             _, tid, anchors = op
             record = pool[tid]
@@ -807,10 +830,18 @@ class TestStoreDifferential:
             mirror.clear()
         return probes
 
+    @pytest.mark.parametrize("counts", ["index", "cells"])
     @pytest.mark.parametrize("n_dimensions", [2, 5, 6, 7])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_matches_memory_mirror(self, n_dimensions, data):
+    def test_matches_memory_mirror(self, n_dimensions, counts, data):
+        # "cells": every skyline_counts call counts from the anchor-bit
+        # matrix, as past the count index's caps.
+        cap = 8 if counts == "index" else 0
+        with mock.patch.object(columnar_store, "_MAX_INDEXED_MEASURES", cap):
+            self._drive(n_dimensions, data)
+
+    def _drive(self, n_dimensions, data):
         pool_dims, ops = data.draw(store_op_sequences(n_dimensions))
         score_from = data.draw(st.integers(min_value=0, max_value=len(ops)))
         pool = [rec(tid, dims=dims) for tid, dims in enumerate(pool_dims)]

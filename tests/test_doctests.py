@@ -49,3 +49,16 @@ def test_at_least_some_examples_exist():
         doctest.testmod(module, verbose=False).attempted for module in MODULES
     )
     assert total >= 8, "public modules should carry runnable examples"
+
+
+def test_custom_middleware_example_in_the_docs_runs():
+    """``docs/api.md``'s custom-layer example — a wrapper around the
+    engine ``open_engine`` returns — runs and its assertions hold."""
+    from pathlib import Path
+
+    docs = Path(__file__).resolve().parent.parent / "docs" / "api.md"
+    text = docs.read_text(encoding="utf-8")
+    section = text[text.index("To add your own layer") :]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "class Counting(EngineMiddleware)" in code
+    exec(compile(code, str(docs), "exec"), {"__name__": "docs_example"})

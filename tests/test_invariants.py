@@ -97,10 +97,12 @@ class TestInvariant2:
             for record in records:
                 for c in maximal_skyline_constraints(records, record, subspace):
                     expected_pairs.add((c, record.tid))
-            stored_pairs = set()
-            for constraint in all_touched_constraints(records):
-                for r in algo.store.get(constraint, subspace):
-                    stored_pairs.add((constraint, r.tid))
+            stored_pairs = {
+                (constraint, r.tid)
+                for (constraint, sub), stored in algo.store.iter_pairs()
+                if sub == subspace
+                for r in stored
+            }
             assert stored_pairs == expected_pairs, subspace
 
     def test_no_tuple_stored_at_two_comparable_constraints(

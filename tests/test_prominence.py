@@ -11,8 +11,9 @@ from repro import (
     Record,
     TableSchema,
 )
+from repro.core.constraint import constraint_for_record
 from repro.core.facts import FactSet, SituationalFact
-from repro.core.prominence import score_facts, select_reportable
+from repro.core.prominence import select_reportable
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
 
@@ -23,7 +24,7 @@ def rec(tid, dims=("a", "b"), values=(1.0, 1.0)):
 
 class TestContextCounter:
     def test_register_counts_all_satisfied_constraints(self):
-        counter = ContextCounter()
+        counter = ContextCounter(2)
         counter.register(rec(0, ("a", "b")))
         assert counter.count(Constraint((None, None))) == 1
         assert counter.count(Constraint(("a", None))) == 1
@@ -31,14 +32,14 @@ class TestContextCounter:
         assert counter.count(Constraint(("z", None))) == 0
 
     def test_counts_accumulate(self):
-        counter = ContextCounter()
+        counter = ContextCounter(2)
         counter.register(rec(0, ("a", "b")))
         counter.register(rec(1, ("a", "c")))
         assert counter.count(Constraint(("a", None))) == 2
         assert counter.count(Constraint(("a", "b"))) == 1
 
     def test_unregister_reverses(self):
-        counter = ContextCounter()
+        counter = ContextCounter(2)
         counter.register(rec(0, ("a", "b")))
         counter.register(rec(1, ("a", "b")))
         counter.unregister(rec(1, ("a", "b")))
@@ -48,10 +49,31 @@ class TestContextCounter:
         assert len(counter) == 0
 
     def test_max_bound_cap(self):
-        counter = ContextCounter(max_bound_dims=1)
+        counter = ContextCounter(2, max_bound_dims=1)
         counter.register(rec(0, ("a", "b")))
         assert counter.count(Constraint(("a", None))) == 1
         assert counter.count(Constraint(("a", "b"))) == 0  # beyond d̂
+        assert counter.covers(Constraint(("a", None)))
+        assert not counter.covers(Constraint(("a", "b")))
+
+    def test_none_rows_count_each_distinct_constraint_once(self):
+        """A None dimension collapses masks onto one constraint; the
+        row is one tuple of that context, not one per covering mask —
+        and the count stays exact, so the counter covers it."""
+        counter = ContextCounter(2)
+        counter.register(rec(0, ("x", None)))
+        counter.register(rec(1, ("x", None)))
+        assert counter.count(Constraint((None, None))) == 2
+        assert counter.count(Constraint(("x", None))) == 2
+        assert counter.covers(Constraint(("x", None)))
+        # counts_for_dims stays parallel to the masks (⊤, d0, d1, d0d1).
+        assert counter.counts_for_dims(("x", None)) == [2, 2, 2, 2]
+        counter.register(rec(2, ("x", "y")))
+        assert counter.counts_for_dims(("x", "y")) == [3, 3, 1, 1]
+        counter.unregister(rec(0, ("x", None)))
+        counter.unregister(rec(1, ("x", None)))
+        assert counter.counts_for_dims(("x", "y")) == [1, 1, 1, 1]
+        assert len(counter) == 4
 
 
 class TestSituationalFact:
@@ -120,18 +142,25 @@ class TestFactSet:
 
 
 class TestScoreAndSelect:
-    def test_score_facts_fills_sizes(self):
-        counter = ContextCounter()
+    def test_context_column_reads_list_and_cell_sets(self):
+        import numpy as np
+
+        counter = ContextCounter(2)
         r = rec(0, ("a", "b"))
         counter.register(r)
-        fs = FactSet(r)
-        fs.add_pair(Constraint(("a", None)), 0b1)
-        sizes = {(Constraint(("a", None)), 0b1): 1}
-        scored = score_facts(fs, counter, sizes)
-        (fact,) = list(scored)
-        assert fact.context_size == 1
-        assert fact.skyline_size == 1
-        assert fact.prominence == 1.0
+        counter.register(rec(1, ("a", "c")))
+        pairs = FactSet(r)
+        pairs.add_pair(Constraint(("a", None)), 0b1)
+        pairs.add_pair(Constraint(("a", "b")), 0b1)
+        pairs.add_pair(Constraint((None, None)), 0b11)
+        assert counter.context_column(pairs).tolist() == [2, 1, 2]
+        # The same three facts as walker cells: positions along C^t.
+        cells = FactSet(r)
+        cons_seq = [constraint_for_record(r, mask) for mask in counter.masks]
+        cells.add_cells(cons_seq, np.array([1, 3, 0]), np.array([1, 1, 3]))
+        assert counter.context_column(cells).tolist() == [2, 1, 2]
+        pairs.set_scores(counter.context_column(pairs), [1, 1, 2])
+        assert [f.prominence for f in pairs] == [2.0, 1.0, 1.0]
 
     def test_select_reportable_tau(self):
         fs = FactSet(rec(0))
@@ -394,3 +423,128 @@ class TestOnlyWinnersAreMaterialised:
             assert 5 <= len(reported) < len(fs) // 4
             assert built[0] - before <= len(reported)
         assert all(fs.cells() is not None for fs in fact_sets)
+
+
+class TestNoneDimensionContexts:
+    """``|σ_C|`` on rows carrying a None dimension value is the number
+    of tuples in the context, as ``query()`` and the table scan say —
+    not inflated by the masks the None collapses onto one constraint
+    (every algorithm used to report 4 where two tuples are in it)."""
+
+    SCHEMA = TableSchema(("a", "b"), ("m",))
+    ROWS = [
+        {"a": "x", "b": None, "m": 1},
+        {"a": "x", "b": None, "m": 2},
+        {"a": "x", "b": "y", "m": 3},
+    ]
+
+    @staticmethod
+    def _engine(algorithm):
+        from repro import FactDiscoverer
+        from repro.service.sharding import ShardedDiscoverer
+
+        schema = TestNoneDimensionContexts.SCHEMA
+        if algorithm == "sharded-svec":
+            return ShardedDiscoverer(schema, n_workers=1, mode="serial")
+        return FactDiscoverer(schema, algorithm=algorithm)
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        ["stopdown", "svec", "bruteforce", "bottomup", "sharded-svec"],
+    )
+    def test_context_sizes_follow_the_definition(self, algorithm):
+        engine = self._engine(algorithm)
+        top, x = Constraint((None, None)), Constraint(("x", None))
+        contexts = []
+        for row in self.ROWS:
+            facts = engine.facts_for(row)
+            by_constraint = {f.constraint: f.context_size for f in facts}
+            contexts.append((by_constraint[top], by_constraint[x]))
+            for fact in facts:
+                assert fact.context_size == len(
+                    engine.table.select_constraint(fact.constraint)
+                )
+                assert fact.context_size == engine.query().context_size(
+                    fact.constraint
+                )
+        assert contexts == [(1, 1), (2, 2), (3, 3)]
+
+    @pytest.mark.parametrize("algorithm", ["svec", "sharded-svec"])
+    def test_planner_statistics_stay_constant_time_on_none_rows(
+        self, algorithm
+    ):
+        """The counter covers every constraint within d̂ on None streams
+        too, so the planner's statistics are O(1) and exact there."""
+        engine = self._engine(algorithm)
+        for row in self.ROWS:
+            engine.facts_for(row)
+        queries = engine.query()
+        for constraint in (Constraint((None, None)), Constraint(("x", None))):
+            stats = queries._fast_statistics(constraint, 0b1)
+            assert stats is not None
+            assert stats[0] == len(engine.table.select_constraint(constraint))
+
+
+class TestOneScoringCall:
+    """Every engine scores ``S_t`` with one call — the counter's
+    context column and the algorithm's skyline column.  For ``svec``
+    that is one ``counts_for_dims`` probe and one read of the store's
+    counts per arrival: no per-fact counter lookup and no Invariant-2
+    sweep, inside the count index's caps and past them."""
+
+    @staticmethod
+    def _forbid(monkeypatch, owner, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"svec scoring called {name}")
+
+        monkeypatch.setattr(owner, name, refuse)
+
+    def test_a_scored_batch_probes_the_counter_once_per_arrival(
+        self, monkeypatch
+    ):
+        from repro import FactDiscoverer
+        from repro.algorithms.top_down import TopDown
+        from repro.datasets.synthetic import synthetic_rows, synthetic_schema
+
+        engine = FactDiscoverer(
+            synthetic_schema(4, 4),
+            algorithm="svec",
+            config=DiscoveryConfig(top_k=5),
+        )
+        counter = engine.context_counter
+        probes = []
+        inner = counter.counts_for_dims
+        monkeypatch.setattr(
+            counter,
+            "counts_for_dims",
+            lambda dims: probes.append(dims) or inner(dims),
+        )
+        self._forbid(monkeypatch, ContextCounter, "count")
+        self._forbid(monkeypatch, TopDown, "skyline_sizes")
+        self._forbid(monkeypatch, TopDown, "_skyline_sizes_bulk")
+        rows = synthetic_rows(256, 4, 4, distribution="anticorrelated")
+        fact_sets = engine.facts_for_many(rows)
+        assert len(probes) == 256
+        assert all(facts.scores() is not None for facts in fact_sets)
+
+    def test_past_the_index_caps_svec_never_sweeps(self, monkeypatch):
+        from repro import FactDiscoverer
+        from repro.algorithms.top_down import TopDown
+        from repro.core.skyline import contextual_skyline
+        from repro.datasets.synthetic import synthetic_rows, synthetic_schema
+
+        self._forbid(monkeypatch, TopDown, "_skyline_sizes_bulk")
+        engine = FactDiscoverer(
+            synthetic_schema(9, 2),
+            algorithm="svec",
+            config=DiscoveryConfig(max_bound_dims=2),
+        )
+        rows = synthetic_rows(60, 9, 2, cardinalities=[3] * 9, seed=7)
+        for row in rows:
+            facts = engine.facts_for(row)
+        table = engine.table
+        assert len(facts)
+        for fact in facts:
+            assert fact.skyline_size == len(
+                contextual_skyline(table, fact.constraint, fact.subspace)
+            )

@@ -1,8 +1,8 @@
 """Scored batch ingestion ≡ the scalar row-at-a-time loop.
 
-The vectorized scoring subsystem (columnar ``skyline_sizes`` via the
-store's scoring index, the interned-key ``ColumnarContextCounter``, and
-batched demotion repair) must be *output-invisible*: ``observe_many``
+The vectorized scoring subsystem (``svec``'s skyline column off the
+store's count index, the interned-key ``ContextCounter``, and batched
+demotion repair) must be *output-invisible*: ``observe_many``
 with scoring on has to produce exactly what a loop of scalar ``observe``
 calls produces — same facts, same context/skyline cardinalities, same
 reportable selections, same operation counters — for every algorithm,
@@ -16,16 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
-    ColumnarContextCounter,
     Constraint,
     ContextCounter,
     DiscoveryConfig,
     FactDiscoverer,
     Record,
     TableSchema,
+    contextual_skyline,
 )
 from repro.core.constraint import satisfied_constraints
-from tests.strategies import none_row_strategy, row_strategy
+from tests.strategies import none_row_strategy, row_strategy, stream_scenarios
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
 
@@ -238,10 +238,11 @@ def rec(tid, dims):
 value_strategy = st.sampled_from(["a", "b", None, 1])
 
 
-class TestColumnarContextCounter:
-    """The interned-key counter is count-for-count identical to the
-    scalar one — including batch registration, deletions, the d̂ cap,
-    and dimension values equal to the unbound marker."""
+class TestContextCounterDefinition:
+    """The one counter against the definition ``|σ_C(R)|`` — including
+    batch registration, deletions, the d̂ cap, and dimension values
+    equal to the unbound marker (a row is one tuple of each distinct
+    constraint it satisfies, however many masks collapse onto it)."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -254,43 +255,118 @@ class TestColumnarContextCounter:
         batch_cut=st.integers(min_value=0, max_value=24),
         n_deletes=st.integers(min_value=0, max_value=4),
     )
-    def test_matches_scalar_counter(
+    def test_matches_the_table_scan(
         self, dims_list, max_bound, batch_cut, n_deletes
     ):
-        scalar = ContextCounter(max_bound)
-        columnar = ColumnarContextCounter(3, max_bound)
+        counter = ContextCounter(3, max_bound)
         records = [rec(tid, dims) for tid, dims in enumerate(dims_list)]
         cut = min(batch_cut, len(records))
         for record in records[:cut]:
-            scalar.register(record)
-            columnar.register(record)
-        scalar.register_many(records[cut:])
-        columnar.register_many(records[cut:])
+            counter.register(record)
+        counter.register_many(records[cut:])
         for record in records[:n_deletes]:
-            scalar.unregister(record)
-            columnar.unregister(record)
-        assert len(scalar) == len(columnar)
-        for record in records:
-            for constraint in satisfied_constraints(record, max_bound):
-                assert scalar.count(constraint) == columnar.count(constraint)
+            counter.unregister(record)
+        live = records[n_deletes:]
+        satisfied = {
+            constraint
+            for record in records
+            for constraint in satisfied_constraints(record, max_bound)
+        }
+        assert len(counter) == sum(
+            any(c.satisfied_by(r) for r in live) for c in satisfied
+        )
+        for constraint in satisfied:
+            assert counter.covers(constraint)
+            assert counter.count(constraint) == sum(
+                constraint.satisfied_by(r) for r in live
+            )
         unseen = Constraint(("zz", None, None))
-        assert scalar.count(unseen) == columnar.count(unseen) == 0
-
-    def test_register_accepts_shared_constraints(self):
-        # Interface parity with the scalar counter: a caller may hand
-        # over its memoised C^t; the columnar counter keys off ids.
-        counter = ColumnarContextCounter(2)
-        record = rec(0, ("a", "b"))
-        counter.register(record, list(satisfied_constraints(record)))
-        assert counter.count(Constraint(("a", None))) == 1
+        assert counter.count(unseen) == 0
 
     def test_grouped_batch_path_kicks_in(self):
         # ≥16 UNBOUND-free rows take the np.unique grouping path.
         records = [
             rec(tid, ("a" if tid % 2 else "b", "x")) for tid in range(20)
         ]
-        counter = ColumnarContextCounter(2)
+        counter = ContextCounter(2)
         counter.register_many(records)
         assert counter.count(Constraint((None, "x"))) == 20
         assert counter.count(Constraint(("a", "x"))) == 10
         assert counter.count(Constraint(("b", None))) == 10
+
+
+def _definition(table, constraint, subspace, memo):
+    """``(|σ_C(R)|, |λ_M(σ_C(R))|)`` by table scan, memoised per op."""
+    key = (constraint, subspace)
+    if key not in memo:
+        memo[key] = (
+            len(table.select_constraint(constraint)),
+            len(contextual_skyline(table, constraint, subspace)),
+        )
+    return memo[key]
+
+
+class TestScoresFollowTheDefinition:
+    """One oracle for scores: after every arrival and delete of a
+    stream, every fact each engine reports carries the definition's
+    ``(|σ_C|, |λ_M(σ_C)|)`` and every engine's context counter equals
+    the table scan on every constraint of the live rows' ``C^t``.
+    ``stopdown`` (Invariant-2 sweep), ``bottomup`` (Invariant-1
+    buckets), ``svec`` (count index, or the anchor-bit matrix past its
+    caps) and the serial sharded ``svec`` router — None-heavy rows,
+    deletes, shard partitions, and the d = 9 / m = 9 shapes past the
+    index caps included."""
+
+    ALGORITHMS = ("stopdown", "bottomup", "svec")
+
+    @pytest.mark.parametrize("past_caps", [False, True], ids=["walk", "past-caps"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_every_op_scores_by_the_definition(self, past_caps, data):
+        from repro.service.sharding import ShardedDiscoverer
+
+        schema, config, ops, shard_of = data.draw(
+            stream_scenarios(past_caps=past_caps)
+        )
+        engines = [
+            FactDiscoverer(schema, algorithm=name, config=config)
+            for name in self.ALGORITHMS
+        ]
+        engines.append(
+            ShardedDiscoverer(
+                schema, config, n_workers=len(set(shard_of)), mode="serial"
+            )
+        )
+        cap = config.max_bound_dims
+        table = engines[0].table
+        live = []
+        for op in ops:
+            if isinstance(op, dict):
+                live.append(table.arrivals)
+                scored = [engine.facts_for(op) for engine in engines]
+            elif len(live) > 1:
+                tid = live.pop(op % len(live))
+                for engine in engines:
+                    engine.delete(tid)
+                scored = []
+            else:
+                continue
+            memo = {}
+            for facts in scored:
+                for fact in facts:
+                    assert (fact.context_size, fact.skyline_size) == _definition(
+                        table, fact.constraint, fact.subspace, memo
+                    ), (type(facts), fact)
+            constraints = {
+                constraint
+                for record in table
+                for constraint in satisfied_constraints(record, cap)
+            }
+            for engine in engines:
+                assert [r.tid for r in engine.table] == [r.tid for r in table]
+                for constraint in constraints:
+                    assert engine.context_counter.count(constraint) == len(
+                        table.select_constraint(constraint)
+                    ), constraint
+        for engine in engines:
+            engine.close()

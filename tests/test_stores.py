@@ -11,7 +11,6 @@ from repro.core.constraint import Constraint
 from repro.core.record import Record
 from repro.metrics.counters import OpCounters
 from repro.storage import (
-    ColumnarSkylineStore,
     DimensionInterner,
     FileSkylineStore,
     MemorySkylineStore,
@@ -31,12 +30,10 @@ C1 = Constraint(("a", None))
 C2 = Constraint((None, "b"))
 
 
-@pytest.fixture(params=["memory", "file", "columnar"])
+@pytest.fixture(params=["memory", "file"])
 def store(request, tmp_path):
     if request.param == "memory":
         yield MemorySkylineStore()
-    elif request.param == "columnar":
-        yield ColumnarSkylineStore()
     else:
         s = FileSkylineStore(SCHEMA, directory=str(tmp_path / "mu"))
         yield s
@@ -88,26 +85,6 @@ class TestStoreSemantics:
         store.clear()
         assert store.stored_tuple_count() == 0
         assert list(store.get(C1, 0b11)) == []
-
-    def test_replace(self, store):
-        a, b, c = rec(0), rec(1), rec(2)
-        store.insert(C1, 0b11, a)
-        store.insert(C1, 0b11, b)
-        store.replace(C1, 0b11, remove=[a], add=[c])
-        assert {r.tid for r in store.get(C1, 0b11)} == {1, 2}
-
-
-class TestColumnarStoreSpecifics:
-    def test_insert_rejects_a_record_outside_the_constraint(self):
-        # The anchor-bit matrix files a tuple under its own values at
-        # the constraint's mask; a record that does not satisfy the
-        # constraint has no cell to go to.
-        s = ColumnarSkylineStore()
-        with pytest.raises(ValueError, match="does not satisfy"):
-            s.insert(Constraint(("z", None)), 0b11, rec(0))
-        assert s.stored_tuple_count() == 0
-        assert list(s.get(Constraint(("z", None)), 0b11)) == []
-        assert s.anchor_masks(0, 0b11) == frozenset()
 
 
 class TestFileStoreSpecifics:
