@@ -20,7 +20,16 @@ The base class also owns:
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -80,6 +89,12 @@ class DiscoveryAlgorithm(abc.ABC):
         #: Allowed constraint masks, most specific first.
         self.masks_bottom_up: Tuple[int, ...] = tuple(
             m for level in reversed(levels[: cap + 1]) for m in level
+        )
+        #: mask → position in :attr:`masks_top_down` (``-1`` beyond ``d̂``):
+        #: a fact's position along ``C^t`` in the cell form of ``S_t``.
+        self._mask_order = np.full(1 << schema.n_dimensions, -1, dtype=np.int64)
+        self._mask_order[list(self.masks_top_down)] = np.arange(
+            len(self.masks_top_down)
         )
         #: Memo for :meth:`constraint_cache`, keyed by dims tuple.
         self._ct_by_dims: Dict[Tuple[object, ...], Dict[int, Constraint]] = {}
@@ -208,6 +223,28 @@ class DiscoveryAlgorithm(abc.ABC):
             self._ct_by_dims.pop(next(iter(self._ct_by_dims)))
         self._ct_by_dims[record.dims] = cached
         return cached
+
+    def _constraint_sequence(self, record: Record) -> Tuple[Constraint, ...]:
+        """``C^t`` as one sequence in :attr:`masks_top_down` order — the
+        constraint axis of the cell form of ``S_t``."""
+        constraints = self.constraint_cache(record)
+        return tuple(constraints[mask] for mask in self.masks_top_down)
+
+    def _fact_set(
+        self, record: Record, pairs: Sequence[Tuple[int, int]]
+    ) -> FactSet:
+        """``S_t`` from the ``(mask, subspace)`` pairs a scalar discovery
+        pass collected, in emission order: each mask is placed at its
+        position along :meth:`_constraint_sequence`, so every algorithm
+        hands scoring and the feed fold the walker's cell form."""
+        facts = FactSet(record)
+        masks, subspaces = zip(*pairs) if pairs else ((), ())
+        facts.add_cells(
+            self._constraint_sequence(record),
+            self._mask_order[list(masks)],
+            np.array(subspaces, dtype=np.int64),
+        )
+        return facts
 
     # ------------------------------------------------------------------
     # Prominence support

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Set
 
-from ..core.constraint import constraint_for_record
 from ..core.dominance import dominates
 from ..core.facts import FactSet
 from ..core.lattice import agreement_mask, iter_submasks
@@ -25,7 +24,7 @@ class BaselineSeq(DiscoveryAlgorithm):
     name = "baselineseq"
 
     def _discover(self, record: Record) -> FactSet:
-        facts = FactSet(record)
+        pairs = []
         allowed = self.constraint_masks()
         for subspace in self.subspaces:
             surviving: Set[int] = set(allowed)
@@ -39,5 +38,5 @@ class BaselineSeq(DiscoveryAlgorithm):
                         break
             for mask in surviving:
                 self.counters.traversed_constraints += 1
-                facts.add_pair(constraint_for_record(record, mask), subspace)
-        return facts
+                pairs.append((mask, subspace))
+        return self._fact_set(record, pairs)

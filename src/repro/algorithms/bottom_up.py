@@ -23,7 +23,7 @@ at most ``d̂`` bound attributes; level order then starts at popcount
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.config import DiscoveryConfig
 from ..core.constraint import Constraint
@@ -58,17 +58,17 @@ class BottomUp(DiscoveryAlgorithm):
     # Discovery
     # ------------------------------------------------------------------
     def _discover(self, record: Record) -> FactSet:
-        facts = FactSet(record)
+        pairs: List[Tuple[int, int]] = []
         constraints = self.constraint_cache(record)
         for subspace in self.subspaces:
-            self._discover_subspace(record, subspace, facts, constraints)
-        return facts
+            self._discover_subspace(record, subspace, pairs, constraints)
+        return self._fact_set(record, pairs)
 
     def _discover_subspace(
         self,
         record: Record,
         subspace: int,
-        facts: FactSet,
+        pairs: List[Tuple[int, int]],
         constraints: Dict[int, Constraint],
     ) -> None:
         """One bottom-up sweep of ``C^t`` for one measure subspace (no
@@ -95,7 +95,7 @@ class BottomUp(DiscoveryAlgorithm):
                 if dominates(record, other, subspace):
                     store.delete(constraint, subspace, other)
             if not dominated:
-                facts.add_pair(constraint, subspace)
+                pairs.append((mask, subspace))
                 store.insert(constraint, subspace, record)
 
     # ------------------------------------------------------------------

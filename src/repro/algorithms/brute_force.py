@@ -22,7 +22,7 @@ class BruteForce(DiscoveryAlgorithm):
     name = "bruteforce"
 
     def _discover(self, record: Record) -> FactSet:
-        facts = FactSet(record)
+        pairs = []
         for subspace in self.subspaces:
             for mask in self.constraint_masks():
                 constraint = constraint_for_record(record, mask)
@@ -36,5 +36,5 @@ class BruteForce(DiscoveryAlgorithm):
                         pruned = True
                         break
                 if not pruned:
-                    facts.add_pair(constraint, subspace)
-        return facts
+                    pairs.append((mask, subspace))
+        return self._fact_set(record, pairs)

@@ -44,7 +44,7 @@ class CCSC(DiscoveryAlgorithm):
         self._subspace_bits = {m: 1 << m for m in self.subspaces}
 
     def _discover(self, record: Record) -> FactSet:
-        facts = FactSet(record)
+        pairs = []
         for mask in self.constraint_masks():
             constraint = constraint_for_record(record, mask)
             self.counters.traversed_constraints += 1
@@ -57,9 +57,9 @@ class CCSC(DiscoveryAlgorithm):
             self.counters.comparisons += csc.comparisons - before
             for subspace, bit in self._subspace_bits.items():
                 if sky_bits & bit:
-                    facts.add_pair(constraint, subspace)
+                    pairs.append((mask, subspace))
         self.counters.stored_tuples = self.stored_tuple_count()
-        return facts
+        return self._fact_set(record, pairs)
 
     # ------------------------------------------------------------------
     # Prominence / accounting

@@ -23,7 +23,7 @@ cap excludes it from reported subspaces.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Tuple
 
 from ..core.config import DiscoveryConfig
 from ..core.constraint import Constraint, bindable_positions
@@ -64,23 +64,23 @@ class SBottomUp(BottomUp):
     # Discovery
     # ------------------------------------------------------------------
     def _discover(self, record: Record) -> FactSet:
-        facts = FactSet(record)
+        pairs: List[Tuple[int, int]] = []
         constraints = self.constraint_cache(record)
         pruned_matrix: Dict[int, int] = {m: 0 for m in self.subspaces}
         pruned_matrix.setdefault(self.full_space, 0)
-        self._root_pass(record, facts, pruned_matrix, constraints)
+        self._root_pass(record, pairs, pruned_matrix, constraints)
         for subspace in self.subspaces:
             if subspace == self.full_space:
                 continue
             self._node_pass(
-                record, subspace, facts, pruned_matrix[subspace], constraints
+                record, subspace, pairs, pruned_matrix[subspace], constraints
             )
-        return facts
+        return self._fact_set(record, pairs)
 
     def _root_pass(
         self,
         record: Record,
-        facts: FactSet,
+        pairs: List[Tuple[int, int]],
         pruned_matrix: Dict[int, int],
         constraints: Dict[int, Constraint],
     ) -> None:
@@ -119,14 +119,14 @@ class SBottomUp(BottomUp):
                     store.delete(constraint, full, other)
             if not (pruned_matrix[full] >> (mask & bindable)) & 1:
                 if report_full:
-                    facts.add_pair(constraint, full)
+                    pairs.append((mask, full))
                 store.insert(constraint, full, record)
 
     def _node_pass(
         self,
         record: Record,
         subspace: int,
-        facts: FactSet,
+        pairs: List[Tuple[int, int]],
         pruned_bits: int,
         constraints: Dict[int, Constraint],
     ) -> None:
@@ -140,7 +140,7 @@ class SBottomUp(BottomUp):
                 continue
             constraint = constraints[mask]
             counters.traversed_constraints += 1
-            facts.add_pair(constraint, subspace)
+            pairs.append((mask, subspace))
             for other in store.get(constraint, subspace):
                 counters.comparisons += 1
                 if dominates(record, other, subspace):

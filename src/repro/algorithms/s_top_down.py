@@ -23,7 +23,7 @@ the sharing substrate.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Tuple
 
 from ..core.config import DiscoveryConfig
 from ..core.constraint import Constraint, bindable_positions
@@ -64,19 +64,19 @@ class STopDown(TopDown):
     # Discovery
     # ------------------------------------------------------------------
     def _discover(self, record: Record) -> FactSet:
-        facts = FactSet(record)
+        pairs: List[Tuple[int, int]] = []
         constraints = self.constraint_cache(record)
         # pruned[M] is a bitset over constraint masks (bit c = pruned).
         pruned_matrix: Dict[int, int] = {m: 0 for m in self.subspaces}
         pruned_matrix.setdefault(self.full_space, 0)
-        self._root_pass(record, facts, pruned_matrix, constraints)
+        self._root_pass(record, pairs, pruned_matrix, constraints)
         for subspace in self.subspaces:
             if subspace == self.full_space:
                 continue
             self._node_pass(
-                record, subspace, facts, pruned_matrix[subspace], constraints
+                record, subspace, pairs, pruned_matrix[subspace], constraints
             )
-        return facts
+        return self._fact_set(record, pairs)
 
     # ------------------------------------------------------------------
     # STopDownRoot: full-space traversal + Prop. 4 subspace pruning
@@ -84,7 +84,7 @@ class STopDown(TopDown):
     def _root_pass(
         self,
         record: Record,
-        facts: FactSet,
+        pairs: List[Tuple[int, int]],
         pruned_matrix: Dict[int, int],
         constraints: Dict[int, Constraint],
     ) -> None:
@@ -125,7 +125,7 @@ class STopDown(TopDown):
             full_pruned_bits = pruned_matrix[full]
             if not (full_pruned_bits >> canonical) & 1:
                 if report_full:
-                    facts.add_pair(constraint, full)
+                    pairs.append((mask, full))
                 if all(
                     (full_pruned_bits >> (p & bindable)) & 1
                     for p in parents[mask]
@@ -139,7 +139,7 @@ class STopDown(TopDown):
         self,
         record: Record,
         subspace: int,
-        facts: FactSet,
+        pairs: List[Tuple[int, int]],
         pruned_bits: int,
         constraints: Dict[int, Constraint],
     ) -> None:
@@ -154,7 +154,7 @@ class STopDown(TopDown):
                 continue
             counters.traversed_constraints += 1
             constraint = constraints[mask]
-            facts.add_pair(constraint, subspace)
+            pairs.append((mask, subspace))
             for other in store.get(constraint, subspace):
                 counters.comparisons += 1
                 if dominates(record, other, subspace):

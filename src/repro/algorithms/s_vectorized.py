@@ -1,4 +1,4 @@
-"""SVectorized — STopDown with batched NumPy tuple comparisons ("svec").
+"""SVectorized — Alg. 6 on columnar storage ("svec").
 
 STopDown (Alg. 6) already shares work *across measure subspaces*: one
 full-space partition ``(M>, M<, M=)`` per historical tuple answers
@@ -101,7 +101,12 @@ import numpy as np
 from ..core.config import DiscoveryConfig
 from ..core.constraint import UNBOUND, bindable_positions
 from ..core.facts import FactSet
-from ..core.lattice import bit_positions, popcount, popcount_array
+from ..core.lattice import (
+    bit_positions,
+    popcount,
+    popcount_array,
+    submask_closure_table,
+)
 from ..core.record import Record
 from ..core.schema import TableSchema
 from ..metrics.counters import OpCounters
@@ -113,15 +118,15 @@ from ..storage.columnar_store import (
     cell_ints,
     cell_words,
 )
-from .s_top_down import STopDown
+from .base import DiscoveryAlgorithm
 
 
 #: A bitset word with every mask set.
 _EVERY_MASK = np.iinfo(WORD).max
 
 
-class SVectorized(STopDown):
-    """STopDown with the tuple axis vectorized over columnar storage."""
+class SVectorized(DiscoveryAlgorithm):
+    """Alg. 6 on columnar storage."""
 
     name = "svec"
 
@@ -138,11 +143,15 @@ class SVectorized(STopDown):
                 "svec needs a ColumnarSkylineStore; got "
                 f"{type(store).__name__}"
             )
-        super().__init__(schema, config, counters, store)
-        if store is None:
-            self.store = ColumnarSkylineStore(
+        super().__init__(schema, config, counters)
+        self.store = (
+            store
+            if store is not None
+            else ColumnarSkylineStore(
                 schema.n_dimensions, schema.n_measures, self.counters
             )
+        )
+        self._closure = submask_closure_table(schema.n_dimensions)
         # Subspace-axis sharding (the service layer's parallel unit):
         # when ``shard_subspaces`` is given, this instance maintains only
         # that subset of the measure-subspace keys.  Sound because every
@@ -207,14 +216,13 @@ class SVectorized(STopDown):
         #: lattice's single word have no parents and never anchor.
         self._parent_words = cell_words(
             [
-                sum(1 << p for p in self._parents[m]) if m < n_masks else 0
+                sum(1 << (m & ~(1 << i)) for i in bit_positions(m))
+                if m < n_masks
+                else 0
                 for m in range(max(n_masks, WORD_BITS))
             ],
             schema.n_dimensions,
         )
-        #: mask → position in masks_top_down (repair ordering).
-        self._mask_order = np.full(n_masks, -1, dtype=np.int64)
-        self._mask_order[self._masks_arr] = np.arange(len(self.masks_top_down))
         report = np.ones((len(self._subspace_keys), 1), dtype=bool)
         if self._has_root:
             report[0, 0] = self.config.allows_subspace(self.full_space)
@@ -225,13 +233,13 @@ class SVectorized(STopDown):
         #: Memo of :meth:`_collapse`, by bindable mask.
         self._collapse_tbl: Dict[int, tuple] = {}
 
-    def maintained_subspaces(self):
-        """Shard-restricted instances maintain exactly their keys; the
-        full space is among them only for the shard that owns the root
-        pass (other shards never touch full-space stores)."""
-        if self._shard is not None:
-            return list(self._subspace_keys)
-        return super().maintained_subspaces()
+    def maintained_subspaces(self) -> List[int]:
+        """The walker's keys: the full space — the sharing substrate —
+        first, even when the m̂ cap excludes it from reporting.  A
+        shard-restricted instance maintains exactly its keys, the full
+        space among them only for the shard that owns the root pass
+        (other shards never touch full-space stores)."""
+        return list(self._subspace_keys)
 
     # ------------------------------------------------------------------
     # Streaming hooks
@@ -260,6 +268,16 @@ class SVectorized(STopDown):
         # deferred to one grouped pass at the end.
         with self.store.deferred_compaction():
             return [self.retract(tid) for tid in tids]
+
+    def stored_tuple_count(self) -> int:
+        return self.store.stored_tuple_count()
+
+    def approx_bytes(self) -> int:
+        return self.store.approx_bytes()
+
+    def reset(self) -> None:
+        super().reset()
+        self.store.clear()
 
     # ------------------------------------------------------------------
     # Discovery — the bitset-matrix walk
@@ -305,10 +323,9 @@ class SVectorized(STopDown):
         """
         store = self.store
         facts = FactSet(record)
-        constraints = self.constraint_cache(record)
         keys = self._subspace_keys
         n_keys = len(keys)
-        cons_seq = tuple(constraints[m] for m in self.masks_top_down)
+        cons_seq = self._constraint_sequence(record)
         n = store.n_rows
         sweep = store.folded_sweep()
         w = sweep.watermark if sweep is not None else 0
@@ -720,8 +737,7 @@ class SVectorized(STopDown):
         it), and the column is one gather of that matrix at the fact
         set's emission cells — no per-fact list or object.  The engine's
         scoring call and the shard workers' ingest replies both read
-        it; the fact set is the walker's, so it is always in cell form
-        here.
+        it.
         """
         cons_seq, positions, subspaces = facts.cells()
         emitting = np.bincount(positions, minlength=len(cons_seq)).tolist()

@@ -130,17 +130,17 @@ class TopDown(DiscoveryAlgorithm):
     # Discovery
     # ------------------------------------------------------------------
     def _discover(self, record: Record) -> FactSet:
-        facts = FactSet(record)
+        pairs: List[Tuple[int, int]] = []
         constraints = self.constraint_cache(record)
         for subspace in self.subspaces:
-            self._discover_subspace(record, subspace, facts, constraints)
-        return facts
+            self._discover_subspace(record, subspace, pairs, constraints)
+        return self._fact_set(record, pairs)
 
     def _discover_subspace(
         self,
         record: Record,
         subspace: int,
-        facts: FactSet,
+        pairs: List[Tuple[int, int]],
         constraints: Dict[int, Constraint],
     ) -> None:
         store = self.store
@@ -175,7 +175,7 @@ class TopDown(DiscoveryAlgorithm):
                         store, record, other, constraint, subspace, self.allowed_mask
                     )
             if not pruned[canonical]:
-                facts.add_pair(constraint, subspace)
+                pairs.append((mask, subspace))
                 # t is stored at an ancestor iff some parent is a skyline
                 # constraint (then t sits at that parent or higher); this
                 # is C maximal iff every parent is pruned.  Parents are

@@ -19,7 +19,7 @@ Arrays grow geometrically; dimension values are interned to int32 ids.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -80,19 +80,14 @@ class VectorizedBaseline(DiscoveryAlgorithm):
     # Discovery
     # ------------------------------------------------------------------
     def _discover(self, record: Record) -> FactSet:
-        facts = FactSet(record)
+        pairs: List[Tuple[int, int]] = []
         n = self._size
         allowed = self.masks_top_down
-        # C^t built once per arrival and shared by every subspace (the
-        # Constraint construction cost used to be paid per (subspace,
-        # mask) pair — the dominant allocation in this loop).
-        constraints = self.constraint_cache(record)
         if n == 0:
             for subspace in self.subspaces:
                 self.counters.traversed_constraints += len(allowed)
-                for mask in allowed:
-                    facts.add_pair(constraints[mask], subspace)
-            return facts
+                pairs.extend((mask, subspace) for mask in allowed)
+            return self._fact_set(record, pairs)
 
         probe_values = np.asarray(record.values, dtype=np.float64)
         probe_dims = self._interner.intern_row(record.dims)
@@ -132,8 +127,8 @@ class VectorizedBaseline(DiscoveryAlgorithm):
             for mask in allowed:
                 if (surviving >> mask) & 1:
                     self.counters.traversed_constraints += 1
-                    facts.add_pair(constraints[mask], subspace)
-        return facts
+                    pairs.append((mask, subspace))
+        return self._fact_set(record, pairs)
 
     def reset(self) -> None:
         super().reset()

@@ -28,13 +28,7 @@ from .middleware import (
     QueryCacheMiddleware,
     WindowMiddleware,
 )
-from .registry import (
-    SINKS,
-    algorithm_registry,
-    make_sink,
-    register_algorithm,
-    register_sink,
-)
+from .registry import algorithm_registry, make_sink, register_algorithm
 from .spec import (
     AGGREGATES,
     CheckpointPolicy,
@@ -59,9 +53,7 @@ __all__ = [
     "WindowMiddleware",
     "AggregateMiddleware",
     "QueryCacheMiddleware",
-    "SINKS",
     "algorithm_registry",
     "register_algorithm",
-    "register_sink",
     "make_sink",
 ]

@@ -1,15 +1,12 @@
-"""Extension registries: algorithms and output sinks.
+"""The algorithm registry, and the CLI's fact renderers.
 
-Two small name→factory tables keep the facade open for extension
-without touching :func:`~repro.api.facade.open_engine`:
-
-* **algorithms** — the discovery-algorithm registry (shared with
-  :mod:`repro.algorithms`); :func:`register_algorithm` adds a custom
-  :class:`~repro.algorithms.base.DiscoveryAlgorithm` subclass so
-  ``EngineSpec(algorithm="mine")`` resolves it.
-* **sinks** — fact renderers for streaming output (``"describe"``,
-  ``"narrate"``, ``"json"``); the CLI's output flags resolve here, and
-  :func:`register_sink` plugs in custom formats.
+The discovery-algorithm registry (shared with :mod:`repro.algorithms`)
+keeps the facade open for extension without touching
+:func:`~repro.api.facade.open_engine`: :func:`register_algorithm` adds a
+custom :class:`~repro.algorithms.base.DiscoveryAlgorithm` subclass so
+``EngineSpec(algorithm="mine")`` resolves it.  :func:`make_sink` maps
+the CLI's output names (``"describe"``, ``"narrate"``, ``"json"``) to a
+renderer.
 
 Middleware layers are not registered: ``open_engine`` applies the three
 the spec can name (aggregate, window, query cache) itself, and a custom
@@ -19,9 +16,6 @@ layer wraps the engine ``open_engine`` returns (see ``docs/api.md``).
 from __future__ import annotations
 
 from typing import Callable, Dict, Optional
-
-#: Sink factories: name -> (TableSchema) -> (SituationalFact) -> str.
-SINKS: Dict[str, Callable] = {}
 
 
 # ----------------------------------------------------------------------
@@ -47,23 +41,6 @@ def register_algorithm(cls, name: Optional[str] = None) -> None:
 # ----------------------------------------------------------------------
 # Sinks
 # ----------------------------------------------------------------------
-def register_sink(name: str, factory: Callable) -> None:
-    """Register a fact renderer: ``factory(schema)`` returns a callable
-    mapping one :class:`SituationalFact` to an output line."""
-    SINKS[name] = factory
-
-
-def make_sink(name: str, schema):
-    """Instantiate the sink registered under ``name`` for ``schema``."""
-    try:
-        factory = SINKS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown sink {name!r}; choose from {sorted(SINKS)}"
-        ) from None
-    return factory(schema)
-
-
 def _describe_sink(schema):
     return lambda fact: fact.describe(schema)
 
@@ -80,6 +57,22 @@ def _json_sink(schema):
     return lambda fact: json.dumps(fact.to_json_dict(schema))
 
 
-register_sink("describe", _describe_sink)
-register_sink("narrate", _narrate_sink)
-register_sink("json", _json_sink)
+#: Fact renderers for streaming output, by the CLI's output names:
+#: name -> (TableSchema) -> (SituationalFact) -> str.
+_SINKS: Dict[str, Callable] = {
+    "describe": _describe_sink,
+    "narrate": _narrate_sink,
+    "json": _json_sink,
+}
+
+
+def make_sink(name: str, schema):
+    """The fact renderer named ``name`` (``"describe"``, ``"narrate"``
+    or ``"json"``) for ``schema``."""
+    try:
+        factory = _SINKS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown sink {name!r}; choose from {sorted(_SINKS)}"
+        ) from None
+    return factory(schema)

@@ -95,6 +95,11 @@ def _size_column(sizes) -> np.ndarray:
     )
 
 
+#: The position / subspace column of a set nothing was added to.
+_NO_FACTS = np.empty(0, dtype=np.int64)
+_NO_FACTS.flags.writeable = False
+
+
 def _size_list(column: np.ndarray) -> List[Optional[int]]:
     """Inverse of :func:`_size_column`, as plain Python values."""
     sizes = column.tolist()
@@ -110,27 +115,27 @@ class FactSet:
     prominence (§VII).  Supports membership tests on ``(C, M)`` pairs so
     algorithm-equivalence tests can compare outputs cheaply.
 
-    Internally the set is *columnar*.  The pairs are either the two
-    parallel constraint / subspace lists the scalar algorithms append
-    to, or — straight from the bitset lattice walker — its emission
-    *cells*: ``C^t`` as one constraint sequence plus integer position /
-    subspace columns, expanded into the lists only when a reader asks
-    for them.  Context / skyline cardinalities are two integer NumPy
-    columns (``-1`` = not scored).  :class:`SituationalFact` objects are
-    materialised lazily on first object-level read, and reporting
-    (:meth:`top_k`, :meth:`prominent`) picks its winners off the
-    prominence column and materialises *only those*: discovery emits
-    hundreds of pairs per arrival on hot streams of which a handful are
-    reported, and raw-``S_t`` consumers (benches, the equivalence
-    oracle, the feed fold reading :meth:`cells` and :meth:`scores`) and
-    the vectorized scoring pipeline (which annotates whole columns via
-    :meth:`set_scores`) never pay for objects they do not touch.
+    The set has one form, the lattice walker's emission *cells*: ``C^t``
+    as one constraint sequence in ``masks_top_down`` order (the order of
+    ``ContextCounter.masks``) plus integer position / subspace columns —
+    fact ``i`` is ``(cons_seq[positions[i]], subspaces[i])``.  ``svec``
+    emits it directly; the paper-ladder algorithms hand their ``(mask,
+    subspace)`` pairs over through one adapter,
+    ``DiscoveryAlgorithm._fact_set``.  Context / skyline cardinalities
+    are two integer NumPy columns set once by :meth:`set_scores` (``-1``
+    = not scored).  Every read is pure.
+    :class:`SituationalFact` objects are materialised lazily on first
+    object-level read, and reporting (:meth:`top_k`, :meth:`prominent`)
+    picks its winners off the prominence column and materialises *only
+    those*: discovery emits hundreds of pairs per arrival on hot streams
+    of which a handful are reported, and raw-``S_t`` consumers (benches,
+    the equivalence oracle, the feed fold reading :meth:`cells` and
+    :meth:`scores`) and the vectorized scoring pipeline never pay for
+    objects they do not touch.
     """
 
     __slots__ = (
         "record",
-        "_constraints",
-        "_subspaces",
         "_cells",
         "_context",
         "_skyline",
@@ -140,15 +145,12 @@ class FactSet:
 
     def __init__(self, record: Record) -> None:
         self.record = record
-        self._constraints: List[Constraint] = []
-        self._subspaces: List[int] = []
-        #: Walker emission not yet expanded into the two lists above:
         #: ``(cons_seq, positions, subspaces)`` — see :meth:`add_cells`.
-        self._cells: Optional[
-            Tuple[Sequence[Constraint], np.ndarray, np.ndarray]
-        ] = None
-        #: Score columns; shorter than the set while pairs added after a
-        #: scoring pass await padding (see :meth:`_pad_scores`).
+        self._cells: Tuple[Sequence[Constraint], np.ndarray, np.ndarray] = (
+            (),
+            _NO_FACTS,
+            _NO_FACTS,
+        )
         self._context: Optional[np.ndarray] = None
         self._skyline: Optional[np.ndarray] = None
         self._facts: Optional[List[SituationalFact]] = None
@@ -157,69 +159,27 @@ class FactSet:
     # ------------------------------------------------------------------
     # Building
     # ------------------------------------------------------------------
-    def add(self, fact: SituationalFact) -> None:
-        """Add an already-built fact (object identity is preserved, and
-        whatever cardinalities it carries enter the score columns).
-
-        Callers (the discovery algorithms) visit each ``(C, M)`` pair at
-        most once per arrival, so no duplicate check is performed here;
-        ``S_t`` can hold thousands of facts and the hash-set guard was a
-        measurable cost.  :attr:`pairs` deduplicates defensively.
-        """
-        facts = self._materialise()
-        self._expand()
-        self._constraints.append(fact.constraint)
-        self._subspaces.append(fact.subspace)
-        facts.append(fact)
-        self._pair_cache = None
-        context, skyline = fact.context_size, fact.skyline_size
-        scored = context is not None or skyline is not None
-        if scored and self._context is None:
-            self._context = self._skyline = np.empty(0, dtype=np.int64)
-        if self._context is not None:
-            self._pad_scores()
-            if scored:
-                self._context[-1] = -1 if context is None else context
-                self._skyline[-1] = -1 if skyline is None else skyline
-
-    def add_pair(self, constraint: Constraint, subspace: int) -> None:
-        """Convenience: add a bare ``(C, M)`` pair without prominence
-        (after a scoring pass the late fact reads as unscored)."""
-        if self._cells is not None:
-            self._expand()
-        self._constraints.append(constraint)
-        self._subspaces.append(subspace)
-        self._pair_cache = None
-
-    def add_pairs(self, constraints, subspaces) -> None:
-        """Bulk :meth:`add_pair`: extend both columns in one call."""
-        if self._cells is not None:
-            self._expand()
-        self._constraints.extend(constraints)
-        self._subspaces.extend(subspaces)
-        self._pair_cache = None
-
     def add_cells(
         self,
         cons_seq: Sequence[Constraint],
         positions: np.ndarray,
         subspaces: np.ndarray,
     ) -> None:
-        """Fill an empty set with a whole arrival's pairs in the lattice
-        walker's own form: fact ``i`` is ``(cons_seq[positions[i]],
-        subspaces[i])``, with ``cons_seq`` the constraints of ``C^t`` in
-        walk order and the two columns integer arrays.  Nothing
-        per-fact is built until a reader asks (:meth:`cells` hands the
-        form back to the bulk scorers)."""
+        """Fill an empty set with a whole arrival's pairs: fact ``i`` is
+        ``(cons_seq[positions[i]], subspaces[i])``, with ``cons_seq`` the
+        constraints of ``C^t`` in walk order and the two columns integer
+        arrays.  Nothing per-fact is built until a reader asks
+        (:meth:`cells` hands the form back to the bulk scorers)."""
         if len(self):
             raise ValueError("add_cells fills an empty fact set")
         self._cells = (cons_seq, positions, subspaces)
+        self._facts = None
         self._pair_cache = None
 
     def cells(self):
         """The ``(cons_seq, positions, subspaces)`` form of
-        :meth:`add_cells`, or ``None`` once the set has been expanded
-        into per-fact lists (or was never built from cells)."""
+        :meth:`add_cells` (an empty sequence and columns for a set
+        nothing was added to)."""
         return self._cells
 
     def scores(self):
@@ -229,18 +189,7 @@ class FactSet:
         what the feed fold scatters into its standings."""
         if self._context is None:
             return None
-        self._pad_scores()
         return self._context, self._skyline
-
-    def _expand(self) -> None:
-        """Turn walker cells into the per-fact lists (one form at a
-        time: the cells are dropped)."""
-        cells = self._cells
-        if cells is not None:
-            cons_seq, positions, subspaces = cells
-            self._constraints = [cons_seq[i] for i in positions.tolist()]
-            self._subspaces = subspaces.tolist()
-            self._cells = None
 
     def set_scores(self, context_sizes, skyline_sizes) -> None:
         """Attach whole score columns (parallel to insertion order;
@@ -262,71 +211,51 @@ class FactSet:
                 fact.context_size = ctx
                 fact.skyline_size = sky
 
-    def _pad_scores(self) -> None:
-        """Keep the score columns parallel when pairs arrived after a
-        scoring pass: the late facts are unscored."""
-        context = self._context
-        if context is not None:
-            missing = len(self) - context.shape[0]
-            if missing:
-                pad = np.full(missing, -1, dtype=np.int64)
-                self._context = np.concatenate((context, pad))
-                self._skyline = np.concatenate((self._skyline, pad))
-
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
+    def _constraint_list(self, positions: np.ndarray) -> List[Constraint]:
+        cons_seq = self._cells[0]
+        return [cons_seq[i] for i in positions.tolist()]
+
     def iter_pairs(self) -> Iterator[Tuple[Constraint, int]]:
         """The ``(C, M)`` pairs in insertion order, *without*
         materialising fact objects."""
-        self._expand()
-        return zip(self._constraints, self._subspaces)
+        _, positions, subspaces = self._cells
+        return zip(self._constraint_list(positions), subspaces.tolist())
 
     def columns(self):
         """The parallel columns ``(constraints, subspaces,
         context_sizes, skyline_sizes)`` as lists in insertion order; the
-        score columns are ``None`` on unscored sets.  Read-only."""
-        self._expand()
+        score columns are ``None`` on unscored sets."""
+        _, positions, subspaces = self._cells
+        constraints = self._constraint_list(positions)
         if self._context is None:
-            return self._constraints, self._subspaces, None, None
-        self._pad_scores()
+            return constraints, subspaces.tolist(), None, None
         return (
-            self._constraints,
-            self._subspaces,
+            constraints,
+            subspaces.tolist(),
             _size_list(self._context),
             _size_list(self._skyline),
         )
 
     def _materialise(self) -> List[SituationalFact]:
-        facts = self._facts
-        if facts is None:
-            facts = self._facts = []
-        if len(facts) < len(self):
-            facts.extend(self._build(slice(len(facts), None)))
-        return facts
+        if self._facts is None:
+            self._facts = self._build(slice(None))
+        return self._facts
 
     def _build(self, at) -> List[SituationalFact]:
         """Fresh fact objects for the facts selected by ``at`` (a slice,
         or an ascending index array), in insertion order."""
         record = self.record
-        cells = self._cells
-        if cells is not None:
-            cons_seq, positions, subspaces = cells
-            constraints = [cons_seq[i] for i in positions[at].tolist()]
-            subspaces = subspaces[at].tolist()
-        elif isinstance(at, slice):
-            constraints = self._constraints[at]
-            subspaces = self._subspaces[at]
-        else:
-            at = at.tolist()
-            constraints = [self._constraints[i] for i in at]
-            subspaces = [self._subspaces[i] for i in at]
+        _, positions, subspaces = self._cells
+        constraints = self._constraint_list(positions[at])
+        subspaces = subspaces[at].tolist()
         if self._context is None:
             return [
                 SituationalFact(record, constraint, subspace)
                 for constraint, subspace in zip(constraints, subspaces)
             ]
-        self._pad_scores()
         return list(
             map(
                 SituationalFact,
@@ -339,10 +268,7 @@ class FactSet:
         )
 
     def __len__(self) -> int:
-        cells = self._cells
-        if cells is not None:
-            return cells[1].shape[0]
-        return len(self._constraints)
+        return self._cells[1].shape[0]
 
     def __iter__(self) -> Iterator[SituationalFact]:
         return iter(self._materialise())
@@ -367,7 +293,6 @@ class FactSet:
         lacks prominence (unscored, or an empty skyline)."""
         prominence = np.full(len(self), -np.inf)
         if self._context is not None:
-            self._pad_scores()
             context, skyline = self._context, self._skyline
             np.divide(
                 context,

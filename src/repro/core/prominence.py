@@ -212,18 +212,12 @@ class ContextCounter:
         insertion order — the context half of the one scoring call.
 
         One :meth:`counts_for_dims` probe, gathered at each fact's
-        position along :attr:`masks`: the walker's cell positions for a
-        cell-form set, ``position_of[C.bound_mask]`` for a list-form one
-        (a fact's constraint always sits at an allowed canonical mask).
+        position along :attr:`masks` (the cell positions of ``S_t``).
         """
         context = np.asarray(
             self.counts_for_dims(facts.record.dims), dtype=np.int64
         )
-        cells = facts.cells()
-        if cells is not None:
-            return context[cells[1]]
-        masks = [constraint.bound_mask for constraint, _ in facts.iter_pairs()]
-        return context[self.position_of[masks]]
+        return context[facts.cells()[1]]
 
     def __len__(self) -> int:
         return len(self._counts)

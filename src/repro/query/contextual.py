@@ -25,7 +25,6 @@ from ..core.dominance import dominates
 from ..core.lattice import iter_submasks
 from ..core.record import Record
 from ..core.schema import TableSchema
-from ..storage.base import SkylineStore
 from .kernels import ColumnarQueryKernels
 from .parser import parse_query
 
@@ -93,16 +92,13 @@ class ContextualQueryEngine:
         queries take the exact kernel/scalar path instead."""
         kernels = self._kernels()
         if self._maintained(subspace) and self._within_bound_cap(constraint):
-            store = getattr(self.algorithm, "store", None)
             if isinstance(self.algorithm, BottomUp):
-                return list(store.get(constraint, subspace))
+                return list(self.algorithm.store.get(constraint, subspace))
             if kernels is not None:
                 return kernels.maintained_skyline(constraint, subspace)
             # svec's columnar store is read through the kernels only;
             # with them pinned off its pairs are recomputed below.
-            if isinstance(self.algorithm, TopDown) and isinstance(
-                store, SkylineStore
-            ):
+            if isinstance(self.algorithm, TopDown):
                 return self._skyline_from_maximal(constraint, subspace)
         if subspace == 0:
             return []

@@ -165,23 +165,6 @@ def _widened(array: np.ndarray, size: int, fill: int, axis: int = 0) -> np.ndarr
     return out
 
 
-def _list_cells(factset: FactSet):
-    """A list-form ``S_t`` (scalar algorithms) in the walker's cell
-    form, one position per distinct constraint *object*."""
-    at: Dict[int, int] = {}
-    cons_seq: List[Constraint] = []
-    positions: List[int] = []
-    subspaces: List[int] = []
-    for constraint, subspace in factset.iter_pairs():
-        position = at.get(id(constraint))
-        if position is None:
-            position = at[id(constraint)] = len(cons_seq)
-            cons_seq.append(constraint)
-        positions.append(position)
-        subspaces.append(subspace)
-    return cons_seq, np.array(positions, np.intp), np.array(subspaces, np.intp)
-
-
 class FeedStore:
     """Segmented materialized feeds over one engine's fact stream.
 
@@ -458,15 +441,14 @@ class FeedStore:
             if factset is None:
                 self._pending_unknown.append(record)
                 return set()
-            # One dict probe per constraint of ``C^t``: the walker's
-            # cells carry the whole lattice, so the tracked constraints
-            # the arrival satisfies fall out of the pass that resolves
-            # its facts.  A list-form set (or a lattice cut differently
-            # from this store's) has ``C^t`` enumerated beside it.
+            # One dict probe per constraint of ``C^t``: the cells carry
+            # the whole lattice, so the tracked constraints the arrival
+            # satisfies fall out of the pass that resolves its facts.  A
+            # set cut differently from this store's lattice has ``C^t``
+            # enumerated beside it.
             probe = self._cid.get
-            cells = factset.cells()
-            whole = cells is not None and len(cells[0]) == self._lattice_size
-            cons_seq, positions, subspaces = cells or _list_cells(factset)
+            cons_seq, positions, subspaces = factset.cells()
+            whole = len(cons_seq) == self._lattice_size
             cid_at = [probe(constraint, -1) for constraint in cons_seq]
             satisfied = cid_at
             if not whole:
@@ -483,8 +465,7 @@ class FeedStore:
                 contexts, skylines = scores
                 if len(with_fact) < len(held):
                     # Equal constraints at several positions (None
-                    # dimensions collapse masks; scalar algorithms build
-                    # an object per fact): keep each pair once.
+                    # dimensions collapse masks): keep each pair once.
                     pairs = cids * self._slot.shape[1] + subspaces
                     first = np.sort(np.unique(pairs, return_index=True)[1])
                     cids, subspaces = cids[first], subspaces[first]

@@ -37,7 +37,7 @@ from ..core.constraint import Constraint
 from ..core.schema import TableSchema
 from . import faults
 
-#: Ingest reply: per-row fact counts, flat bound-mask / subspace /
+#: Ingest reply: per-row fact counts, flat walked-mask / subspace /
 #: skyline-size columns (skyline ``None`` when unscored), busy seconds.
 IngestReply = Tuple[
     List[int], List[int], List[int], Optional[List[int]], float
@@ -88,12 +88,15 @@ class _ShardEngine:
         masks: List[int] = []
         subs: List[int] = []
         skys: Optional[List[int]] = [] if self.score else None
+        walked = algorithm.masks_top_down
         for row in rows:
             facts = algorithm.process(row)
-            # svec emits S_t as cells: positions along C^t × subspaces.
-            cons_seq, positions, subspaces = facts.cells()
-            cons_masks = [constraint.bound_mask for constraint in cons_seq]
-            masks.extend(cons_masks[i] for i in positions.tolist())
+            # svec emits S_t as cells: positions along C^t × subspaces,
+            # sent as the walked mask at each position (not the
+            # constraint's bound mask, which None values collapse), so
+            # the router rebuilds the very same cells.
+            _, positions, subspaces = facts.cells()
+            masks.extend(walked[i] for i in positions.tolist())
             subs.extend(subspaces.tolist())
             if skys is not None:
                 skys.extend(algorithm.skyline_column(facts).tolist())

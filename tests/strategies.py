@@ -7,7 +7,8 @@ inserts and deletes, a shard partition — for the one three-way
 equivalence test, the op sequences of the columnar store's
 differential test, and the one switch those files share
 (:func:`sweep_constants`: which side of the sweep index's arming
-constant a short stream runs on).  Import with ``from tests.strategies import …``.
+constant a short stream runs on), plus the service-tier tests' cyclic
+rows (:func:`make_rows`).  Import with ``from tests.strategies import …``.
 """
 
 from contextlib import contextmanager
@@ -46,6 +47,21 @@ none_row_strategy = rows_of(
 wide_row_strategy = rows_of(
     {"d0": "abc", "d1": "xy", "d2": ["p", "q", None]}, 4
 )
+
+
+#: The two-by-two schema of the service-tier tests (server, gateway,
+#: fault tolerance).
+SERVICE_SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
+
+
+def make_rows(n, start=0):
+    """``n`` rows of :data:`SERVICE_SCHEMA` from index ``start`` on:
+    dimension values and measures cycle with the index, so a stream is
+    reproducible and two calls with adjacent ranges continue it."""
+    return [
+        {"d0": f"a{i % 3}", "d1": f"b{i % 2}", "m0": i % 5, "m1": (7 - i) % 5}
+        for i in range(start, start + n)
+    ]
 
 
 #: Value pools of :func:`stream_scenarios`, cycled over the schema's

@@ -27,7 +27,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro import DiscoveryConfig, FactDiscoverer, TableSchema
+from repro import DiscoveryConfig, FactDiscoverer
 from repro.api import CheckpointPolicy, EngineSpec, open_engine
 from repro.extensions.snapshot import load_engine, save_engine
 from repro.service import (
@@ -39,16 +39,7 @@ from repro.service import (
 from repro.service import faults
 from repro.service.journal import JournalCorruptError, read_ops
 from repro.service.remote import run_worker
-
-SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
-
-
-def make_rows(n, start=0):
-    return [
-        {"d0": f"a{i % 3}", "d1": f"b{i % 2}", "m0": i % 5, "m1": (7 - i) % 5}
-        for i in range(start, start + n)
-    ]
-
+from tests.strategies import SERVICE_SCHEMA as SCHEMA, make_rows
 
 def fact_key(fact):
     return (fact.constraint.values, fact.subspace, fact.prominence)

@@ -98,9 +98,8 @@ def run_differential(ops, algorithm, window, max_entries, split):
                 factset, record = None, factset.record
             else:
                 record = factset.record
-                assert (factset.cells() is not None) == (algorithm == "svec")
-            # The columnar store first: the oracle's ``columns()``
-            # expands the walker's cells in place.
+                # One form for every algorithm: cells over the whole C^t.
+                assert len(factset.cells()[0]) == new._lattice_size
             assert new.apply_event(record, factset) == old.apply_event(
                 record, factset
             )
@@ -260,6 +259,43 @@ class TestUnscoredFactSets:
         assert store_segments(store) == oracle_segments(engine, store)
 
 
+class TestShardedCellsMatchTheWalk:
+    """A shard worker used to send each fact's *bound* mask, which None
+    dimension values collapse: the router then put a constraint's
+    collapsed facts at one position, the fold's duplicate check missed
+    them, and the sharded feed held every such pair several times."""
+
+    ROWS = [
+        {"d0": "a", "d1": None, "d2": None, "m0": i % 3, "m1": (5 - i) % 4}
+        for i in range(6)
+    ]
+
+    def test_sharded_fact_sets_and_feeds_equal_single_svec(self):
+        from repro.api import ShardingSpec
+
+        stores, cells = [], []
+        for sharding in (None, ShardingSpec(2, "serial")):
+            engine = open_engine(
+                EngineSpec(SCHEMA, "svec", score=True, sharding=sharding)
+            )
+            store = FeedStore.for_engine(engine, FeedSpec(group_by=("d0",)))
+            got = []
+            for row in self.ROWS:
+                factset = engine.facts_for(row)
+                store.apply_event(factset.record, factset)
+                cons_seq, positions, subspaces = factset.cells()
+                got.append(
+                    (tuple(cons_seq), positions.tolist(), subspaces.tolist())
+                )
+            stores.append(store)
+            cells.append(got)
+            assert store_segments(store) == oracle_segments(engine, store)
+            engine.close()
+        single, sharded = stores
+        assert cells[0] == cells[1]
+        assert len(sharded) == len(single) and sharded.stats() == single.stats()
+
+
 class TestOneLockHoldPerRead:
     """``read`` and the gateway's frame renderer label a page with a
     segment version; a fold landing between "take the version" and
@@ -356,7 +392,7 @@ class TestColumnarFoldBuildsNoObjects:
         from repro.datasets.synthetic import synthetic_rows
 
         def forbidden(self, *args, **kwargs):
-            raise AssertionError("the fold expanded S_t into per-fact lists")
+            raise AssertionError("the fold read S_t as per-fact lists")
 
         engine = self._engine()
         store = FeedStore.for_engine(engine, FeedSpec(group_by=("d0",)))
@@ -364,7 +400,8 @@ class TestColumnarFoldBuildsNoObjects:
             synthetic_rows(256, 4, 4, distribution="anticorrelated")
         )
         monkeypatch.setattr(FactSet, "columns", forbidden)
-        monkeypatch.setattr(FactSet, "_expand", forbidden)
+        monkeypatch.setattr(FactSet, "iter_pairs", forbidden)
+        monkeypatch.setattr(FactSet, "_build", forbidden)
         for factset in fact_sets:
             assert store.apply_event(factset.record, factset)
         assert built[0] == 0

@@ -10,7 +10,6 @@ import asyncio
 
 import pytest
 
-from repro import TableSchema
 from repro.api import EngineSpec, FeedSpec, open_engine
 from repro.service import FeedClient, FeedGateway, StreamServer, fetch_json
 from repro.service.gateway import (
@@ -18,16 +17,7 @@ from repro.service.gateway import (
     _Subscriber,
     ws_accept_key,
 )
-
-SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
-
-
-def make_rows(n):
-    return [
-        {"d0": f"a{i % 3}", "d1": f"b{i % 2}", "m0": i % 5, "m1": (7 - i) % 5}
-        for i in range(n)
-    ]
-
+from tests.strategies import SERVICE_SCHEMA as SCHEMA, make_rows
 
 def make_spec(**feed_kwargs) -> EngineSpec:
     feed_kwargs.setdefault("group_by", ("d0",))

@@ -1,5 +1,6 @@
 """Tests for prominence scoring, context counting, and fact ranking."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,13 +96,34 @@ class TestSituationalFact:
         assert "d0=a" in text and "m0" in text and "prominence=5" in text
 
 
+def cell_set(record, rows):
+    """``S_t`` of ``record`` in its one form: ``rows`` are ``(C, M)``
+    pairs, or ``(C, M, |σ_C|, |λ_M|)`` to score the set as well."""
+    cons_seq = [
+        constraint_for_record(record, mask)
+        for mask in ContextCounter(len(record.dims)).masks
+    ]
+    fs = FactSet(record)
+    fs.add_cells(
+        cons_seq,
+        np.array([cons_seq.index(row[0]) for row in rows], dtype=np.int64),
+        np.array([row[1] for row in rows], dtype=np.int64),
+    )
+    if rows and len(rows[0]) == 4:
+        fs.set_scores([row[2] for row in rows], [row[3] for row in rows])
+    return fs
+
+
 class TestFactSet:
     def _facts(self):
-        fs = FactSet(rec(0))
-        fs.add(SituationalFact(rec(0), Constraint(("a", None)), 0b01, 10, 1))
-        fs.add(SituationalFact(rec(0), Constraint(("a", "b")), 0b01, 4, 2))
-        fs.add(SituationalFact(rec(0), Constraint((None, None)), 0b11, 20, 4))
-        return fs
+        return cell_set(
+            rec(0),
+            [
+                (Constraint(("a", None)), 0b01, 10, 1),
+                (Constraint(("a", "b")), 0b01, 4, 2),
+                (Constraint((None, None)), 0b11, 20, 4),
+            ],
+        )
 
     def test_ranked_descending_prominence(self):
         ranked = self._facts().ranked()
@@ -115,17 +137,25 @@ class TestFactSet:
         assert fs.prominent(tau=50) == []
 
     def test_prominent_keeps_all_ties(self):
-        fs = FactSet(rec(0))
-        fs.add(SituationalFact(rec(0), Constraint(("a", None)), 0b01, 10, 1))
-        fs.add(SituationalFact(rec(0), Constraint(("a", "b")), 0b10, 20, 2))
+        fs = cell_set(
+            rec(0),
+            [
+                (Constraint(("a", None)), 0b01, 10, 1),
+                (Constraint(("a", "b")), 0b10, 20, 2),
+            ],
+        )
         winners = fs.prominent(tau=2)
         assert len(winners) == 2  # both at prominence 10
 
     def test_top_k_with_tie_at_cut(self):
-        fs = FactSet(rec(0))
-        fs.add(SituationalFact(rec(0), Constraint(("a", None)), 0b01, 9, 1))
-        fs.add(SituationalFact(rec(0), Constraint(("a", "b")), 0b01, 6, 2))
-        fs.add(SituationalFact(rec(0), Constraint((None, "b")), 0b10, 3, 1))
+        fs = cell_set(
+            rec(0),
+            [
+                (Constraint(("a", None)), 0b01, 9, 1),
+                (Constraint(("a", "b")), 0b01, 6, 2),
+                (Constraint((None, "b")), 0b10, 3, 1),
+            ],
+        )
         top = fs.top_k(2)
         assert [f.prominence for f in top] == [9.0, 3.0, 3.0]
 
@@ -140,97 +170,106 @@ class TestFactSet:
         assert len(fs) == 3
         assert len(list(fs)) == 3
 
+    def test_an_empty_set_has_the_one_form(self):
+        fs = FactSet(rec(0))
+        cons_seq, positions, subspaces = fs.cells()
+        assert len(cons_seq) == len(positions) == len(subspaces) == 0
+        assert len(fs) == 0 and list(fs) == [] and fs.pairs == set()
+        assert fs.columns() == ([], [], None, None)
+
 
 class TestScoreAndSelect:
-    def test_context_column_reads_list_and_cell_sets(self):
-        import numpy as np
-
+    def test_context_column_reads_the_cell_positions(self):
         counter = ContextCounter(2)
         r = rec(0, ("a", "b"))
         counter.register(r)
         counter.register(rec(1, ("a", "c")))
-        pairs = FactSet(r)
-        pairs.add_pair(Constraint(("a", None)), 0b1)
-        pairs.add_pair(Constraint(("a", "b")), 0b1)
-        pairs.add_pair(Constraint((None, None)), 0b11)
-        assert counter.context_column(pairs).tolist() == [2, 1, 2]
-        # The same three facts as walker cells: positions along C^t.
+        # Three facts as cells: positions along C^t = counter.masks.
         cells = FactSet(r)
         cons_seq = [constraint_for_record(r, mask) for mask in counter.masks]
         cells.add_cells(cons_seq, np.array([1, 3, 0]), np.array([1, 1, 3]))
         assert counter.context_column(cells).tolist() == [2, 1, 2]
-        pairs.set_scores(counter.context_column(pairs), [1, 1, 2])
-        assert [f.prominence for f in pairs] == [2.0, 1.0, 1.0]
+        cells.set_scores(counter.context_column(cells), [1, 1, 2])
+        assert [f.prominence for f in cells] == [2.0, 1.0, 1.0]
 
     def test_select_reportable_tau(self):
-        fs = FactSet(rec(0))
-        fs.add(SituationalFact(rec(0), Constraint(("a", None)), 0b1, 10, 1))
-        fs.add(SituationalFact(rec(0), Constraint(("a", "b")), 0b1, 2, 1))
+        fs = cell_set(
+            rec(0),
+            [(Constraint(("a", None)), 0b1, 10, 1), (Constraint(("a", "b")), 0b1, 2, 1)],
+        )
         out = select_reportable(fs, DiscoveryConfig(tau=5))
         assert [f.prominence for f in out] == [10.0]
 
     def test_select_reportable_top_k(self):
-        fs = FactSet(rec(0))
-        fs.add(SituationalFact(rec(0), Constraint(("a", None)), 0b1, 10, 1))
-        fs.add(SituationalFact(rec(0), Constraint(("a", "b")), 0b1, 2, 1))
+        fs = cell_set(
+            rec(0),
+            [(Constraint(("a", None)), 0b1, 10, 1), (Constraint(("a", "b")), 0b1, 2, 1)],
+        )
         out = select_reportable(fs, DiscoveryConfig(top_k=1))
         assert len(out) == 1 and out[0].prominence == 10.0
 
     def test_select_reportable_default_ranks_all(self):
-        fs = FactSet(rec(0))
-        fs.add(SituationalFact(rec(0), Constraint(("a", None)), 0b1, 10, 1))
-        fs.add(SituationalFact(rec(0), Constraint(("a", "b")), 0b1, 2, 1))
+        fs = cell_set(
+            rec(0),
+            [(Constraint(("a", None)), 0b1, 10, 1), (Constraint(("a", "b")), 0b1, 2, 1)],
+        )
         out = select_reportable(fs, DiscoveryConfig())
         assert len(out) == 2
 
 
 class TestFactSetColumns:
-    """The columnar FactSet internals: bulk pair/score columns with
-    lazy object materialisation."""
+    """The columnar FactSet internals: the cell form and score columns
+    with lazy object materialisation."""
 
-    def test_add_pairs_and_iter_pairs_stay_lazy(self):
-        fs = FactSet(rec(0))
+    def test_cells_and_iter_pairs_stay_lazy(self):
         pairs = [(Constraint(("a", None)), 0b01), (Constraint((None, "b")), 0b11)]
-        fs.add_pairs([c for c, _ in pairs], [m for _, m in pairs])
+        fs = cell_set(rec(0), pairs)
         assert list(fs.iter_pairs()) == pairs
         assert len(fs) == 2
         assert fs.pairs == set(pairs)
+        assert fs.columns() == ([c for c, _ in pairs], [0b01, 0b11], None, None)
         assert fs._facts is None  # nothing materialised yet
 
     def test_set_scores_before_materialisation(self):
-        fs = FactSet(rec(0))
-        fs.add_pair(Constraint(("a", None)), 0b01)
-        fs.add_pair(Constraint((None, "b")), 0b11)
+        fs = cell_set(
+            rec(0), [(Constraint(("a", None)), 0b01), (Constraint((None, "b")), 0b11)]
+        )
         fs.set_scores([10, 20], [2, 4])
         facts = list(fs)
         assert [f.context_size for f in facts] == [10, 20]
         assert [f.skyline_size for f in facts] == [2, 4]
         assert [f.prominence for f in facts] == [5.0, 5.0]
+        assert fs.columns()[2:] == ([10, 20], [2, 4])
 
     def test_set_scores_after_materialisation_updates_objects(self):
-        fs = FactSet(rec(0))
-        fs.add_pair(Constraint(("a", None)), 0b01)
+        fs = cell_set(rec(0), [(Constraint(("a", None)), 0b01)])
         first = list(fs)[0]
         fs.set_scores([7], [1])
         assert first.context_size == 7 and first.skyline_size == 1
         assert list(fs)[0] is first  # identity preserved
 
     def test_set_scores_rejects_short_columns(self):
-        fs = FactSet(rec(0))
-        fs.add_pair(Constraint(("a", None)), 0b01)
-        fs.add_pair(Constraint((None, "b")), 0b10)
+        fs = cell_set(
+            rec(0), [(Constraint(("a", None)), 0b01), (Constraint((None, "b")), 0b10)]
+        )
         with pytest.raises(ValueError):
             fs.set_scores([1], [1])
 
-    def test_add_object_after_pairs_keeps_order_and_scores(self):
-        fs = FactSet(rec(0))
-        fs.add_pair(Constraint(("a", None)), 0b01)
-        pre_scored = SituationalFact(rec(0), Constraint(("a", "b")), 0b01, 4, 2)
-        fs.add(pre_scored)
-        facts = list(fs)
-        assert facts[1] is pre_scored
-        assert facts[1].prominence == 2.0
-        assert len(fs) == 2
+    def test_add_cells_fills_an_empty_set_only(self):
+        fs = cell_set(rec(0), [(Constraint(("a", None)), 0b01)])
+        with pytest.raises(ValueError):
+            fs.add_cells(*fs.cells())
+
+    def test_reads_do_not_change_the_set(self):
+        fs = cell_set(
+            rec(0),
+            [(Constraint(("a", None)), 0b01, 4, 2), (Constraint(("a", "b")), 0b10, 1, 1)],
+        )
+        cells = fs.cells()
+        assert (Constraint(("a", "b")), 0b10) in fs
+        list(fs.iter_pairs()), fs.columns(), fs.ranked()
+        assert fs.cells() is cells
+        assert [f.prominence for f in fs] == [2.0, 1.0]
 
 
 # ----------------------------------------------------------------------
@@ -301,14 +340,14 @@ cell_strategy = st.tuples(
     st.sampled_from([0, 0, 1, 2, 3, 4]),     # skyline size
 )
 
-BUILDERS = ("pairs", "cells", "objects", "unscored", "late-pair", "zero-sky")
+BUILDERS = ("cells", "unscored", "zero-sky", "iterated", "scored-after-iteration")
 
 
 def build_fact_set(builder, cells):
-    """One ``S_t`` over ``cells`` via each construction path; returns
-    the set and the reference objects (same order, same scores)."""
-    import numpy as np
-
+    """One ``S_t`` over ``cells`` via each path through the cell form;
+    returns the set and the reference objects (same order, same
+    scores).  ``iterated`` materialises the objects before selection,
+    ``scored-after-iteration`` before the scoring pass."""
     fs = FactSet(RECORD3)
     constraints = [CONS_SEQ[p] for p, _, _, _ in cells]
     subspaces = [s for _, s, _, _ in cells]
@@ -316,31 +355,23 @@ def build_fact_set(builder, cells):
     skyline = [k for _, _, _, k in cells]
     if builder == "zero-sky":
         skyline = [0] * len(cells)
-    if builder in ("pairs", "late-pair", "zero-sky"):
-        fs.add_pairs(constraints, subspaces)
-        fs.set_scores(context, skyline)
-    elif builder == "cells":
-        fs.add_cells(
-            CONS_SEQ,
-            np.asarray([p for p, _, _, _ in cells], dtype=np.int64),
-            np.asarray(subspaces, dtype=np.int64),
-        )
-        fs.set_scores(np.asarray(context), np.asarray(skyline, dtype=np.intc))
-    elif builder == "unscored":
-        for constraint, subspace in zip(constraints, subspaces):
-            fs.add_pair(constraint, subspace)
+    fs.add_cells(
+        CONS_SEQ,
+        np.asarray([p for p, _, _, _ in cells], dtype=np.int64),
+        np.asarray(subspaces, dtype=np.int64),
+    )
+    if builder == "scored-after-iteration":
+        list(fs)
+    if builder == "unscored":
         context = skyline = [None] * len(cells)
+    else:
+        fs.set_scores(np.asarray(context), np.asarray(skyline, dtype=np.intc))
+    if builder == "iterated":
+        list(fs)
     reference = [
         SituationalFact(RECORD3, *row)
         for row in zip(constraints, subspaces, context, skyline)
     ]
-    if builder == "objects":
-        for fact in reference:
-            fs.add(fact)
-    if builder == "late-pair":
-        # A pair arriving after the scoring pass reads as unscored.
-        fs.add_pair(CONS_SEQ[3], 0b101)
-        reference.append(SituationalFact(RECORD3, CONS_SEQ[3], 0b101))
     return fs, reference
 
 
@@ -366,12 +397,11 @@ class TestColumnarSelectionMatchesObjects:
         cells=st.lists(cell_strategy, min_size=1, max_size=24),
         k=st.integers(min_value=1, max_value=30),
     )
-    def test_added_objects_are_the_ones_returned(self, cells, k):
-        fs, reference = build_fact_set("objects", cells)
+    def test_iterated_objects_are_the_ones_returned(self, cells, k):
+        fs, _ = build_fact_set("iterated", cells)
+        seen = list(fs)
         for got in (fs.top_k(k), fs.prominent(1.0), fs.ranked()):
-            assert all(
-                any(fact is added for added in reference) for fact in got
-            )
+            assert all(any(fact is added for added in seen) for fact in got)
 
     def test_selection_after_iteration_returns_the_iterated_objects(self):
         fs, _ = build_fact_set("cells", [(0, 1, 6, 1), (1, 1, 6, 2), (2, 3, 4, 4)])
@@ -381,7 +411,7 @@ class TestColumnarSelectionMatchesObjects:
 
     def test_tau_wins_over_top_k(self):
         """With both set, ``select_reportable`` applies τ alone."""
-        fs, _ = build_fact_set("pairs", [(0, 1, 6, 1), (1, 1, 6, 2), (2, 3, 4, 4)])
+        fs, _ = build_fact_set("cells", [(0, 1, 6, 1), (1, 1, 6, 2), (2, 3, 4, 4)])
         both = select_reportable(fs, DiscoveryConfig(tau=2.0, top_k=2))
         assert [f.prominence for f in both] == [6.0]
         assert both == select_reportable(fs, DiscoveryConfig(tau=2.0))
@@ -422,7 +452,6 @@ class TestOnlyWinnersAreMaterialised:
             reported = select_reportable(fs, config)
             assert 5 <= len(reported) < len(fs) // 4
             assert built[0] - before <= len(reported)
-        assert all(fs.cells() is not None for fs in fact_sets)
 
 
 class TestNoneDimensionContexts:
@@ -489,8 +518,8 @@ class TestOneScoringCall:
     """Every engine scores ``S_t`` with one call — the counter's
     context column and the algorithm's skyline column.  For ``svec``
     that is one ``counts_for_dims`` probe and one read of the store's
-    counts per arrival: no per-fact counter lookup and no Invariant-2
-    sweep, inside the count index's caps and past them."""
+    counts per arrival: no per-fact counter lookup and no per-pair
+    skyline recompute, inside the count index's caps and past them."""
 
     @staticmethod
     def _forbid(monkeypatch, owner, name):
@@ -503,7 +532,7 @@ class TestOneScoringCall:
         self, monkeypatch
     ):
         from repro import FactDiscoverer
-        from repro.algorithms.top_down import TopDown
+        from repro.algorithms.base import DiscoveryAlgorithm
         from repro.datasets.synthetic import synthetic_rows, synthetic_schema
 
         engine = FactDiscoverer(
@@ -520,8 +549,8 @@ class TestOneScoringCall:
             lambda dims: probes.append(dims) or inner(dims),
         )
         self._forbid(monkeypatch, ContextCounter, "count")
-        self._forbid(monkeypatch, TopDown, "skyline_sizes")
-        self._forbid(monkeypatch, TopDown, "_skyline_sizes_bulk")
+        self._forbid(monkeypatch, DiscoveryAlgorithm, "skyline_sizes")
+        self._forbid(monkeypatch, DiscoveryAlgorithm, "skyline_size")
         rows = synthetic_rows(256, 4, 4, distribution="anticorrelated")
         fact_sets = engine.facts_for_many(rows)
         assert len(probes) == 256
@@ -529,11 +558,11 @@ class TestOneScoringCall:
 
     def test_past_the_index_caps_svec_never_sweeps(self, monkeypatch):
         from repro import FactDiscoverer
-        from repro.algorithms.top_down import TopDown
+        from repro.algorithms.base import DiscoveryAlgorithm
         from repro.core.skyline import contextual_skyline
         from repro.datasets.synthetic import synthetic_rows, synthetic_schema
 
-        self._forbid(monkeypatch, TopDown, "_skyline_sizes_bulk")
+        self._forbid(monkeypatch, DiscoveryAlgorithm, "skyline_sizes")
         engine = FactDiscoverer(
             synthetic_schema(9, 2),
             algorithm="svec",
@@ -548,3 +577,38 @@ class TestOneScoringCall:
             assert fact.skyline_size == len(
                 contextual_skyline(table, fact.constraint, fact.subspace)
             )
+
+
+class TestOneFactSetForm:
+    """``S_t`` has one form and ``svec`` one ancestor: the fact set
+    keeps no list-form slots, and ``SVectorized`` stands directly on
+    ``DiscoveryAlgorithm`` without importing the paper ladder."""
+
+    def test_fact_set_keeps_only_the_cell_form(self):
+        assert set(FactSet.__slots__) == {
+            "record",
+            "_cells",
+            "_context",
+            "_skyline",
+            "_facts",
+            "_pair_cache",
+        }
+        for gone in ("add", "add_pair", "add_pairs", "_expand", "_pad_scores"):
+            assert not hasattr(FactSet, gone), gone
+
+    def test_svec_stands_on_the_base_class(self):
+        import ast
+        import inspect
+
+        from repro.algorithms import s_vectorized
+        from repro.algorithms.base import DiscoveryAlgorithm
+        from repro.service import feeds
+
+        assert s_vectorized.SVectorized.__mro__[1] is DiscoveryAlgorithm
+        imported = {
+            node.module
+            for node in ast.walk(ast.parse(inspect.getsource(s_vectorized)))
+            if isinstance(node, ast.ImportFrom)
+        }
+        assert not imported & {"s_top_down", "top_down", "storage.memory_store"}
+        assert not hasattr(feeds, "_list_cells")

@@ -23,8 +23,10 @@ from repro import (
     Record,
     TableSchema,
     contextual_skyline,
+    make_algorithm,
 )
 from repro.core.constraint import satisfied_constraints
+from tests.conftest import MEMORY_ALGORITHMS
 from tests.strategies import none_row_strategy, row_strategy, stream_scenarios
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
@@ -370,3 +372,86 @@ class TestScoresFollowTheDefinition:
                     ), constraint
         for engine in engines:
             engine.close()
+
+
+class TestSvecSkylineSizeRecomputes:
+    """``svec`` answers the per-pair ``skyline_size`` / ``skyline_sizes``
+    calls with the base class's recompute (it used to inherit
+    ``TopDown``'s store sweep, which needs a store ``get`` the columnar
+    store does not have, and raised ``AttributeError``)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(scenario=stream_scenarios())
+    def test_every_fact_of_a_scored_stream(self, scenario):
+        engine = FactDiscoverer(
+            scenario.schema, algorithm="svec", config=scenario.config
+        )
+        svec, table = engine.algorithm, engine.table
+        live = []
+        for op in scenario.ops:
+            if not isinstance(op, dict):
+                if len(live) > 1:
+                    engine.delete(live.pop(op % len(live)))
+                continue
+            live.append(table.arrivals)
+            facts = engine.facts_for(op)
+            sizes = svec.skyline_sizes(facts)
+            for fact in facts:
+                expected = len(
+                    contextual_skyline(table, fact.constraint, fact.subspace)
+                )
+                assert svec.skyline_size(fact.constraint, fact.subspace) == expected
+                assert sizes[fact.pair] == expected == fact.skyline_size
+
+
+class TestReadsDoNotMutate:
+    """Reading ``S_t`` — ``pairs``, ``in``, ``iter_pairs`` — leaves it
+    as it was: the skyline column, the cells and a shard worker's
+    ingest reply come out as for a set nobody read (a read used to
+    expand the cells into lists and drop them, after which
+    ``skyline_column`` and the worker's ingest raised ``TypeError``)."""
+
+    ROWS = [
+        {"d0": d0, "d1": d1, "m0": (7 * i) % 5, "m1": (3 * i) % 4}
+        for i, (d0, d1) in enumerate(
+            zip("abcabcabacab", ["x", "y", None, "x", "y", "x"] * 2)
+        )
+    ]
+
+    @staticmethod
+    def read(facts):
+        pair = next(iter(facts.iter_pairs()), None)
+        facts.pairs, pair in facts, list(facts.iter_pairs())
+        return facts
+
+    @pytest.mark.parametrize("name", MEMORY_ALGORITHMS)
+    def test_skyline_column_and_cells(self, name):
+        config = DiscoveryConfig(max_bound_dims=2)
+        read, unread = (make_algorithm(name, SCHEMA, config) for _ in range(2))
+        for row in self.ROWS:
+            got = self.read(read.process(row))
+            want = unread.process(row)
+            assert read.skyline_column(got).tolist() == (
+                unread.skyline_column(want).tolist()
+            )
+            (got_seq, got_at, got_sub), (want_seq, want_at, want_sub) = (
+                got.cells(),
+                want.cells(),
+            )
+            assert tuple(got_seq) == tuple(want_seq)
+            assert got_at.tolist() == want_at.tolist()
+            assert got_sub.tolist() == want_sub.tolist()
+
+    def test_shard_worker_ingest_reply(self, monkeypatch):
+        from repro.service.worker import _ShardEngine
+
+        config = DiscoveryConfig()
+        read, unread = (
+            _ShardEngine(SCHEMA, config, [1, 2, 3], score=True) for _ in range(2)
+        )
+        process = read.algorithm.process
+        monkeypatch.setattr(
+            read.algorithm, "process", lambda row: self.read(process(row))
+        )
+        got, want = read.ingest(self.ROWS), unread.ingest(self.ROWS)
+        assert got[:4] == want[:4]

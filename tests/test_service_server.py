@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro import DiscoveryConfig, FactDiscoverer, TableSchema
+from repro import DiscoveryConfig, FactDiscoverer
 from repro.api import (
     CheckpointPolicy,
     EngineSpec,
@@ -17,16 +17,7 @@ from repro.api import (
 from repro.core.schema import SchemaError
 from repro.extensions.snapshot import load_engine
 from repro.service import ShardedDiscoverer, StreamServer
-
-SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
-
-
-def make_rows(n):
-    return [
-        {"d0": f"a{i % 3}", "d1": f"b{i % 2}", "m0": i % 5, "m1": (7 - i) % 5}
-        for i in range(n)
-    ]
-
+from tests.strategies import SERVICE_SCHEMA as SCHEMA, make_rows
 
 def fact_key(fact):
     return (fact.constraint.values, fact.subspace, fact.prominence)
