@@ -13,9 +13,10 @@ arrival (store maintenance, demotion repair), so a *generous* multiple
 of ``baselinevec`` is a stable ceiling across machines — scalar
 ``stopdown`` sits far above it on this workload, so a de-vectorized
 ``svec`` trips the bound with a wide margin on any hardware.  One more
-ratio tripwire covers the scored path (vs the unscored one).  Which
-arrivals take the walker and which the scalar fallback is pinned
-deterministically in tier-1 (``tests/test_sweep_index.py::TestWalkPaths``).
+ratio tripwire covers the scored path (vs the unscored one).  That every
+arrival takes the walk — None-carrying ones and schemas past one word
+per anchor cell included — is pinned deterministically in tier-1
+(``tests/test_sweep_index.py::TestWalkPaths``).
 
 The ratio guards write their measurements into ``BENCH_PR3.json``, the
 journal-overhead guard into ``BENCH_PR6.json``, the sweep-index guard

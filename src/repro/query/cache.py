@@ -198,8 +198,3 @@ class CachedQueryEngine:
         self, constraint: Constraint, subspace: int
     ) -> Optional[int]:
         return self.inner._skyline_size_indexed(constraint, subspace)
-
-    def _fast_statistics(
-        self, constraint: Constraint, subspace: int
-    ) -> Optional[Tuple[int, int]]:
-        return self.inner._fast_statistics(constraint, subspace)

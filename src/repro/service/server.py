@@ -54,6 +54,19 @@ from .feeds import FeedStore, engine_version
 _STOP = object()
 
 
+def _probe(engine, name: str, default=None):
+    """``name`` on the outermost layer of ``engine`` that has it, walking
+    the middleware ``inner`` links: a window or query-cache layer over a
+    sharded engine hides its shard and fault surfaces otherwise."""
+    layer = engine
+    while layer is not None:
+        value = getattr(layer, name, None)
+        if value is not None:
+            return value
+        layer = getattr(layer, "inner", None)
+    return default
+
+
 def _settle(future, result=None, error=None) -> None:
     """Resolve a caller's future (fire-and-forget ops have none)."""
     if future is not None and not future.done():
@@ -356,10 +369,10 @@ class StreamServer:
 
     def stats_snapshot(self) -> dict:
         """Current service metrics (queue/batch/shard/fault counters)."""
-        utilization = getattr(self.engine, "utilization", None)
+        utilization = _probe(self.engine, "utilization")
         if callable(utilization):
             self.stats.note_shard_utilization(utilization())
-        fault_counters = getattr(self.engine, "fault_counters", None)
+        fault_counters = _probe(self.engine, "fault_counters")
         if callable(fault_counters):
             tallies = fault_counters()
             self.stats.worker_restarts = tallies["worker_restarts"]
@@ -368,13 +381,13 @@ class StreamServer:
                 "replica_failovers", 0
             )
             self.stats.degraded = tallies["degraded"]
-        shard_stats = getattr(self.engine, "shard_stats", None)
+        shard_stats = _probe(self.engine, "shard_stats")
         if callable(shard_stats):
             # Per-shard breakdown (not just the aggregate counters) so
             # the TCP `stats` op shows operators the same load picture
             # the placement model prices.
             self.stats.note_shard_details(shard_stats())
-        cache_counters = getattr(self.engine, "query_cache_counters", None)
+        cache_counters = _probe(self.engine, "query_cache_counters")
         if callable(cache_counters):
             cache = cache_counters()
             self.stats.query_cache_hits = cache["hits"]
@@ -854,7 +867,7 @@ class StreamServer:
                             self._queue.qsize() if self._queue else 0
                         ),
                         "degraded": bool(
-                            getattr(self.engine, "degraded", False)
+                            _probe(self.engine, "degraded", False)
                         ),
                     }
                     if self.last_error is not None:

@@ -254,23 +254,6 @@ class ShardedQueryEngine(ContextualQueryEngine):
         ctx, sky = self._top_k(self._route(subspace), constraint, subspace)
         return None if sky == 0 else ctx / sky
 
-    def _fast_statistics(
-        self, constraint: Constraint, subspace: int
-    ) -> Optional[Tuple[int, int]]:
-        """Planner statistics: router counter for ``|σ_C|`` plus one
-        ``top_k(limit=0)`` probe of the owning worker's scoring index.
-        A counter-covered constraint is within ``d̂``, so the worker
-        answers without materialising anything."""
-        ctx = self._counted_context(constraint)
-        if ctx is None:
-            return None
-        if ctx == 0:
-            return 0, 0
-        owner = self._sharded._shard_of.get(subspace)
-        if owner is None:
-            return None
-        return ctx, self._top_k(owner, constraint, subspace)[1]
-
 
 # ----------------------------------------------------------------------
 # Router

@@ -1,18 +1,25 @@
-"""Shared Hypothesis strategies (ROADMAP item 3: one scenario corpus).
+"""Shared test data (ROADMAP item 3: one scenario corpus).
 
-Row dicts for the ``svec ≡ stopdown`` gate files
-(``test_columnar.py``, ``test_scoring_equivalence.py``,
-``test_retraction.py``), whole stream scenarios — schema shape, caps,
-inserts and deletes, a shard partition — for the one three-way
-equivalence test, the op sequences of the columnar store's
-differential test, and the one switch those files share
-(:func:`sweep_constants`: which side of the sweep index's arming
-constant a short stream runs on), plus the service-tier tests' cyclic
-rows (:func:`make_rows`).  Import with ``from tests.strategies import …``.
+* :func:`stream_scenarios` — the corpus.  One draw is a whole stream: a
+  schema shape, ``d̂`` / ``m̂`` caps, a reporting policy, arrivals mixed
+  with deletes and updates, a subspace partition, and a probe row.  The
+  one runner, ``tests/test_corpus.py``, drives every draw through every
+  engine and checks it against the paper's definitions after every op;
+  no other file compares engines on randomized streams.
+* Row dict strategies (:func:`rows_of` and the fixed domains below) for
+  the structural property files and the feed tier's differential tests.
+* :func:`seeded_rows` and :func:`make_rows` — deterministic streams for
+  the service, cluster, conformance and planner tests.
+* :func:`sweep_constants` — which side of the sweep index's arming
+  constant a short stream runs on; :func:`store_op_sequences` — the op
+  sequences of the columnar store's differential test.
+
+Import with ``from tests.strategies import …``.
 """
 
+import random
 from contextlib import contextmanager
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
@@ -34,9 +41,6 @@ def rows_of(dimensions, measure_max, n_measures=2):
 
 #: d0 × d1 rows for ``TableSchema(("d0", "d1"), ("m0", "m1"))``.
 row_strategy = rows_of({"d0": "abc", "d1": "xy"}, 4)
-
-#: The same schema on a tighter domain: more ties, more dominance.
-narrow_row_strategy = rows_of({"d0": "ab", "d1": "xy"}, 3)
 
 #: Three dimensions, None possible on each of them.
 none_row_strategy = rows_of(
@@ -64,8 +68,45 @@ def make_rows(n, start=0):
     ]
 
 
-#: Value pools of :func:`stream_scenarios`, cycled over the schema's
-#: dimensions — the pools of the row strategies above, None-heavy.
+def seeded_rows(
+    n: int,
+    seed: int,
+    cardinalities: Sequence[int],
+    measures: str = "independent",
+    none_frac: float = 0.0,
+):
+    """``n`` pseudo-random rows over dimensions ``d0…`` and measures
+    ``m0``, ``m1``, reproducible from ``seed``.
+
+    Dimension ``dj`` takes one of ``cardinalities[j]`` values named by
+    the ``j``-th letter (``a0``, ``a1``, … for ``d0``; ``b0``, … for
+    ``d1``).  ``measures="independent"`` draws both measures from 0…5;
+    ``"anticorrelated"`` draws ``m0`` from 0…9 and sets ``m1`` to 9
+    minus another such draw plus a jitter in 0…3, which keeps skylines
+    busy.  With ``none_frac`` that share of rows has one dimension,
+    drawn uniformly, set to None.
+    """
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n):
+        row = {
+            f"d{j}": f"{'abcdefgh'[j]}{rng.randrange(k)}"
+            for j, k in enumerate(cardinalities)
+        }
+        if measures == "anticorrelated":
+            row["m0"] = rng.randrange(10)
+            row["m1"] = 9 - rng.randrange(10) + rng.randrange(4)
+        else:
+            row["m0"] = rng.randrange(6)
+            row["m1"] = rng.randrange(6)
+        if none_frac and rng.random() < none_frac:
+            row[f"d{rng.randrange(len(cardinalities))}"] = None
+        rows.append(row)
+    return rows
+
+
+#: Value pools of the None-heavy streams of :func:`stream_scenarios`,
+#: cycled over the schema's dimensions.
 STREAM_POOLS = (
     ["a", "b", None],
     ["x", "y", None],
@@ -76,50 +117,82 @@ STREAM_POOLS = (
     "ab",
 )
 
-
-class StreamScenario(NamedTuple):
-    """One drawn stream: ``ops`` holds row dicts (arrivals) and integers
-    (delete the live tuple at that index, modulo the live count;
-    skipped while fewer than two are live); ``shard_of[M - 1]`` assigns
-    measure subspace ``M`` to a shard, so the maintained keys split
-    into one shard with the full space and up to two without."""
-
-    schema: TableSchema
-    config: DiscoveryConfig
-    ops: Tuple[object, ...]
-    shard_of: Tuple[int, ...]
-
+#: The None-free two-by-two streams of :func:`stream_scenarios`: the
+#: ``(d0, d1)`` value pools and the largest measure value.  The first
+#: has more distinct contexts, the second more ties and dominance.
+FLAT_DOMAINS = ((("abc", "xy"), 4), (("ab", "xy"), 3))
 
 #: ``(d, m, d̂, m̂)`` shapes past the columnar store's skyline-count
 #: index caps (8 dimensions, 8 measures), where ``skyline_counts``
 #: counts straight from the anchor-bit matrix.
 PAST_CAP_SHAPES = ((9, 2, 2, None), (3, 9, None, 1))
 
+#: Reporting policies: everything ranked, the prominent facts at
+#: ``τ``, or the top-k.
+POLICIES = ({}, {"tau": 1.0}, {"tau": 3.0}, {"top_k": 1}, {"top_k": 3})
+
+
+class StreamScenario(NamedTuple):
+    """One drawn stream.
+
+    ``ops`` holds row dicts (arrivals), integers (delete the live tuple
+    at that index, modulo the live count) and ``(index, row)`` pairs
+    (update that live tuple to ``row``: it leaves, and ``row`` arrives
+    with a fresh tid); a delete or update with nothing live is skipped.
+    ``shard_of[M - 1]`` assigns measure subspace ``M`` to a shard, so
+    the maintained keys split into one shard with the full space and up
+    to two without.  ``probe`` is one more row, the arrival after the
+    schedule."""
+
+    schema: TableSchema
+    config: DiscoveryConfig
+    ops: Tuple[object, ...]
+    shard_of: Tuple[int, ...]
+    probe: dict
+
 
 @st.composite
 def stream_scenarios(draw, max_ops=14, past_caps=False):
-    """Streams over every shape the ``svec`` walk serves: d ∈ 2…7
-    (one to four words per anchor cell), m ∈ {2, 3}, d̂ ∈ {None, 2, 4},
-    an optional m̂ cap, None-heavy rows, interleaved deletes.  With
-    ``past_caps`` the shape is one of :data:`PAST_CAP_SHAPES` instead."""
+    """Streams over every shape the engines serve.  Half the draws are
+    None-heavy: d ∈ 2…7 (one to four words per ``svec`` anchor cell),
+    m ∈ {2, 3}, measures 0…3.  The other half are None-free two-by-two
+    streams over one of :data:`FLAT_DOMAINS`.  Every draw has d̂ ∈ {0, 1,
+    2, 4, None}, an optional m̂ cap and one of :data:`POLICIES`.  With
+    ``past_caps`` the shape is one of :data:`PAST_CAP_SHAPES` instead,
+    None-heavy."""
+    flat = None
     if past_caps:
         d, m, dhat, mhat = draw(st.sampled_from(PAST_CAP_SHAPES))
     else:
-        d = draw(st.integers(min_value=2, max_value=7))
-        m = draw(st.sampled_from([2, 3]))
-        dhat = draw(st.sampled_from([None, 2, 4]))
+        flat = draw(st.sampled_from((None, None) + FLAT_DOMAINS))
+        if flat is None:
+            d = draw(st.integers(min_value=2, max_value=7))
+            m = draw(st.sampled_from([2, 3]))
+        else:
+            d, m = 2, 2
+        dhat = draw(st.sampled_from([None, 0, 1, 2, 4]))
         mhat = draw(st.sampled_from([None, None, 1, 2]))
+    pools, measure_max = flat or (
+        [STREAM_POOLS[j % len(STREAM_POOLS)] for j in range(d)],
+        3,
+    )
     schema = TableSchema(
         tuple(f"d{j}" for j in range(d)), tuple(f"m{i}" for i in range(m))
     )
-    config = DiscoveryConfig(max_bound_dims=dhat, max_measure_dims=mhat)
-    row = rows_of(
-        {f"d{j}": STREAM_POOLS[j % len(STREAM_POOLS)] for j in range(d)},
-        3,
-        n_measures=m,
+    config = DiscoveryConfig(
+        max_bound_dims=dhat,
+        max_measure_dims=mhat,
+        **draw(st.sampled_from(POLICIES)),
     )
-    delete = st.integers(min_value=0, max_value=max_ops)
-    ops = draw(st.lists(st.one_of(row, row, row, delete), min_size=1, max_size=max_ops))
+    row = rows_of(dict(zip(schema.dimensions, pools)), measure_max, n_measures=m)
+    index = st.integers(min_value=0, max_value=max_ops)
+    ops = draw(
+        st.lists(
+            st.one_of(row, row, row, index, st.tuples(index, row)),
+            min_size=1,
+            max_size=max_ops,
+        )
+    )
     shard_of = draw(
         st.lists(
             st.integers(min_value=0, max_value=2),
@@ -127,7 +200,7 @@ def stream_scenarios(draw, max_ops=14, past_caps=False):
             max_size=(1 << m) - 1,
         )
     )
-    return StreamScenario(schema, config, tuple(ops), tuple(shard_of))
+    return StreamScenario(schema, config, tuple(ops), tuple(shard_of), draw(row))
 
 
 @contextmanager

@@ -1,33 +1,12 @@
-"""Cross-algorithm equivalence — the master correctness oracle.
-
-All ten algorithms must produce identical ``S_t`` for every arriving
-tuple, on hand-written cases, on the paper's examples, and on randomized
-streams (hypothesis), with and without the ``d̂``/``m̂`` caps.  BruteForce
-(Alg. 2) and an independent from-scratch oracle anchor the comparison.
+"""Cross-algorithm equivalence on hand-written cases and the paper's
+examples: all ten algorithms produce ``bruteforce``'s (Alg. 2) ``S_t``
+for every arriving tuple, with and without the ``d̂``/``m̂`` caps.  The
+randomized streams are ``tests/test_corpus.py``'s.
 """
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro import DiscoveryConfig, TableSchema, make_algorithm
-from repro.core.constraint import satisfied_constraints
-from repro.core.lattice import nonempty_subspaces
-from repro.core.skyline import is_contextual_skyline_tuple
 
 from tests.conftest import MEMORY_ALGORITHMS
-
-
-def oracle_facts(table_records, record, schema, config):
-    """Independent recomputation of S_t from Def. 3 directly."""
-    pairs = set()
-    for constraint in satisfied_constraints(record, config.max_bound_dims):
-        for subspace in nonempty_subspaces(
-            schema.full_measure_mask, config.max_measure_dims
-        ):
-            if is_contextual_skyline_tuple(record, table_records, constraint, subspace):
-                pairs.add((constraint, subspace))
-    return pairs
 
 
 def run_all(schema, rows, config=None):
@@ -38,9 +17,6 @@ def run_all(schema, rows, config=None):
     return outs
 
 
-# ----------------------------------------------------------------------
-# Deterministic cases
-# ----------------------------------------------------------------------
 class TestDeterministicEquivalence:
     def test_running_example(self, running_example_schema, running_example_rows):
         outs = run_all(running_example_schema, running_example_rows)
@@ -110,89 +86,3 @@ class TestDeterministicEquivalence:
         # Tuple 1 dominates tuple 0 in {fouls} and in {pts, fouls}.
         fouls = schema.measure_mask(("fouls",))
         assert all(m != fouls or c.bound_count >= 0 for c, m in ref[1])
-
-
-# ----------------------------------------------------------------------
-# Randomised equivalence (hypothesis)
-# ----------------------------------------------------------------------
-row_strategy = st.fixed_dictionaries(
-    {
-        "d0": st.sampled_from(["a", "b", "c"]),
-        "d1": st.sampled_from(["x", "y"]),
-        "m0": st.integers(min_value=0, max_value=4),
-        "m1": st.integers(min_value=0, max_value=4),
-    }
-)
-
-
-class TestRandomisedEquivalence:
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(row_strategy, min_size=1, max_size=18))
-    def test_all_algorithms_match_bruteforce(self, rows):
-        schema = TableSchema(("d0", "d1"), ("m0", "m1"))
-        outs = run_all(schema, rows)
-        ref = outs["bruteforce"]
-        for name, got in outs.items():
-            assert got == ref, name
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.lists(row_strategy, min_size=1, max_size=14))
-    def test_bruteforce_matches_definitional_oracle(self, rows):
-        schema = TableSchema(("d0", "d1"), ("m0", "m1"))
-        config = DiscoveryConfig()
-        algo = make_algorithm("bruteforce", schema, config)
-        history = []
-        for row in rows:
-            record = algo.table.make_record(row)
-            expected = oracle_facts(history, record, schema, config)
-            got = algo.process(row).pairs
-            assert got == expected
-            history.append(record)
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        st.lists(row_strategy, min_size=1, max_size=14),
-        st.integers(min_value=0, max_value=2),
-        st.integers(min_value=1, max_value=2),
-    )
-    def test_equivalence_under_caps(self, rows, dhat, mhat):
-        schema = TableSchema(("d0", "d1"), ("m0", "m1"))
-        config = DiscoveryConfig(max_bound_dims=dhat, max_measure_dims=mhat)
-        outs = run_all(schema, rows, config)
-        ref = outs["bruteforce"]
-        for name, got in outs.items():
-            assert got == ref, name
-
-
-class TestThreeDimThreeMeasure:
-    """Wider spaces exercise the subspace-sharing matrices harder."""
-
-    @settings(max_examples=12, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["a", "b"]),
-                st.sampled_from(["x", "y"]),
-                st.sampled_from(["p", "q"]),
-                st.integers(min_value=0, max_value=3),
-                st.integers(min_value=0, max_value=3),
-                st.integers(min_value=0, max_value=3),
-            ),
-            min_size=1,
-            max_size=12,
-        )
-    )
-    def test_sharing_algorithms_match(self, tuples):
-        schema = TableSchema(("d0", "d1", "d2"), ("m0", "m1", "m2"))
-        rows = [
-            {"d0": a, "d1": b, "d2": c, "m0": x, "m1": y, "m2": z}
-            for a, b, c, x, y, z in tuples
-        ]
-        outs = {}
-        for name in ["bruteforce", "bottomup", "topdown", "sbottomup", "stopdown",
-                     "svec"]:
-            algo = make_algorithm(name, schema)
-            outs[name] = [fs.pairs for fs in algo.process_stream(rows)]
-        ref = outs["bruteforce"]
-        for name, got in outs.items():
-            assert got == ref, name

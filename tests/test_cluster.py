@@ -53,24 +53,9 @@ from repro.service.supervisor import (
     WorkerCrashed,
     WorkerGaveUp,
 )
+from tests.strategies import seeded_rows
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
-
-
-def make_rows(n, seed=0, none_frac=0.0):
-    rng = random.Random(seed)
-    rows = []
-    for i in range(n):
-        row = {
-            "d0": f"a{rng.randrange(3)}",
-            "d1": f"b{rng.randrange(2)}",
-            "m0": rng.randrange(6),
-            "m1": rng.randrange(6),
-        }
-        if none_frac and rng.random() < none_frac:
-            row[f"d{rng.randrange(2)}"] = None
-        rows.append(row)
-    return rows
 
 
 def fact_key(fact):
@@ -339,13 +324,13 @@ class TestRemoteParity:
                 reference.close()
 
     def test_shared_stream_parity(self):
-        self._assert_parity(make_rows(90, seed=1))
+        self._assert_parity(seeded_rows(90, 1, (3, 2)))
 
     def test_none_dimension_parity(self):
-        self._assert_parity(make_rows(70, seed=2, none_frac=0.3))
+        self._assert_parity(seeded_rows(70, 2, (3, 2), none_frac=0.3))
 
     def test_deletion_interleaved_parity(self):
-        self._assert_parity(make_rows(40, seed=3), delete_seed=7)
+        self._assert_parity(seeded_rows(40, 3, (3, 2)), delete_seed=7)
 
     @pytest.mark.parametrize(
         "config",
@@ -357,10 +342,10 @@ class TestRemoteParity:
         ids=["dhat", "tau", "topk"],
     )
     def test_config_knob_parity(self, config):
-        self._assert_parity(make_rows(50, seed=4), config=config)
+        self._assert_parity(seeded_rows(50, 4, (3, 2)), config=config)
 
     def test_open_engine_builds_remote_composition(self):
-        rows = make_rows(40, seed=5)
+        rows = seeded_rows(40, 5, (3, 2))
         reference = FactDiscoverer(SCHEMA, algorithm="svec")
         expected = emitted(reference.observe_many(rows))
         with local_cluster([1, 1]) as (remote, _servers):
@@ -380,7 +365,7 @@ class TestRemoteParity:
         reference.close()
 
     def test_query_pushdown_parity(self):
-        rows = make_rows(60, seed=6)
+        rows = seeded_rows(60, 6, (3, 2))
         reference = FactDiscoverer(SCHEMA, algorithm="svec")
         reference.facts_for_many(rows)
         with local_cluster([1, 2]) as (remote, _servers):
@@ -423,7 +408,7 @@ class TestRemoteParity:
 # ----------------------------------------------------------------------
 class TestReplicaSets:
     def test_writes_reach_every_replica(self):
-        rows = make_rows(48, seed=8)
+        rows = seeded_rows(48, 8, (3, 2))
         with local_cluster([2, 2]) as (remote, servers):
             engine = ShardedDiscoverer(SCHEMA, remote=remote, chunk_size=12)
             try:
@@ -435,7 +420,7 @@ class TestReplicaSets:
                 engine.close()
 
     def test_reads_round_robin_across_replicas(self):
-        rows = make_rows(30, seed=9)
+        rows = seeded_rows(30, 9, (3, 2))
         with local_cluster([2]) as (remote, servers):
             engine = ShardedDiscoverer(SCHEMA, remote=remote)
             try:
@@ -451,7 +436,7 @@ class TestReplicaSets:
                 engine.close()
 
     def test_primary_loss_promotes_replica_mid_stream(self):
-        rows = make_rows(80, seed=10)
+        rows = seeded_rows(80, 10, (3, 2))
         reference = FactDiscoverer(SCHEMA, algorithm="svec")
         expected = emitted(reference.observe_many(rows))
         with local_cluster([2, 1]) as (remote, _servers):
@@ -477,7 +462,7 @@ class TestReplicaSets:
                 reference.close()
 
     def test_whole_set_loss_degrades_without_losing_facts(self):
-        rows = make_rows(60, seed=11)
+        rows = seeded_rows(60, 11, (3, 2))
         reference = FactDiscoverer(SCHEMA, algorithm="svec")
         expected = emitted(reference.observe_many(rows))
         reference.delete(5)
@@ -501,7 +486,7 @@ class TestReplicaSets:
                 reference.close()
 
     def test_replica_join_catches_up_by_reobserve(self):
-        rows = make_rows(60, seed=12)
+        rows = seeded_rows(60, 12, (3, 2))
         reference = FactDiscoverer(SCHEMA, algorithm="svec")
         expected = emitted(reference.observe_many(rows))
         with local_cluster([1, 1]) as (remote, _servers):
@@ -611,7 +596,7 @@ class TestPlacement:
         assert partition_subspaces([7, 1, 2, 4, 3], 2) == [[7, 4], [1, 2, 3]]
 
     def test_rebalance_applies_as_snapshot_handoff(self):
-        rows = make_rows(90, seed=14)
+        rows = seeded_rows(90, 14, (3, 2))
         reference = FactDiscoverer(SCHEMA, algorithm="svec")
         expected = emitted(reference.observe_many(rows))
         with local_cluster([1, 1]) as (remote, servers):
@@ -651,7 +636,7 @@ class TestPlacement:
     def test_rebalance_is_advisory_off_remote_mode(self):
         engine = ShardedDiscoverer(SCHEMA, n_workers=2, mode="serial")
         try:
-            engine.facts_for_many(make_rows(20, seed=15))
+            engine.facts_for_many(seeded_rows(20, 15, (3, 2)))
             # Repeated, so the EWMA forgets the one real (host-timed)
             # chunk above: a stall there must not decide the plan.
             for _ in range(12):
@@ -674,7 +659,7 @@ class TestPlacement:
 # ----------------------------------------------------------------------
 class TestOperatorSurface:
     def test_shard_stats_breakdown(self):
-        rows = make_rows(40, seed=16)
+        rows = seeded_rows(40, 16, (3, 2))
         with local_cluster([2, 1]) as (remote, _servers):
             engine = ShardedDiscoverer(SCHEMA, remote=remote, chunk_size=16)
             try:
@@ -704,7 +689,7 @@ class TestOperatorSurface:
         assert "shards" not in ServiceStats().snapshot()
 
     def test_cluster_status_reports_lag_and_health(self):
-        rows = make_rows(30, seed=17)
+        rows = seeded_rows(30, 17, (3, 2))
         with local_cluster([2]) as (remote, servers):
             engine = ShardedDiscoverer(SCHEMA, remote=remote)
             engine.facts_for_many(rows)

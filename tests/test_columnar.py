@@ -4,8 +4,8 @@ The columnar pieces — the column arrays, interning, ``grow_2d``, the
 anchor-bit matrix behind the cell surface (``apply_cells`` /
 ``anchor_cell`` / ``skyline_rows`` / ``skyline_counts`` /
 ``iter_pairs``, differentially against a ``MemorySkylineStore``
-mirror) — and the strong ``svec`` ≡ ``stopdown`` equivalence (facts,
-stores, *and* counters) on randomized streams.
+mirror) — and ``svec`` ≡ ``stopdown`` on the paper's example (facts,
+stores, *and* counters); randomized streams are ``tests/test_corpus.py``'s.
 """
 
 import random
@@ -25,15 +25,9 @@ from repro.core.constraint import (
 )
 from repro.core.record import Record
 from repro.datasets.synthetic import synthetic_rows, synthetic_schema
-from repro.metrics.counters import OpCounters
 from repro.storage import ColumnarSkylineStore, MemorySkylineStore, grow_2d
 from repro.storage import columnar_store
-from tests.strategies import (
-    row_strategy,
-    store_op_sequences,
-    stream_scenarios,
-    sweep_constants,
-)
+from tests.strategies import store_op_sequences
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
 
@@ -223,7 +217,6 @@ class TestColumnarSubstrate:
         import gc
         import tracemalloc
 
-        from repro import FactDiscoverer
         from repro.datasets.synthetic import synthetic_rows, synthetic_schema
 
         rows = synthetic_rows(300, 4, 4, distribution="anticorrelated")
@@ -249,8 +242,6 @@ class TestColumnarSubstrate:
         assert abs(approx - traced) <= 0.10 * traced, (approx, traced)
 
     def test_engine_stats_report_store_bytes(self):
-        from repro import FactDiscoverer
-
         engine = FactDiscoverer(SCHEMA, algorithm="svec")
         engine.observe({"d0": "a", "d1": "x", "m0": 1, "m1": 2})
         assert (
@@ -263,47 +254,15 @@ class TestColumnarSubstrate:
         ).stats()
 
 
-def _store_contents(algos):
-    """``{(constraint, subspace): tids}`` over the stores of ``algos``
-    (one algorithm, or the shards of a partition)."""
-    return {
-        key: {r.tid for r in recs}
-        for algo in algos
-        for key, recs in algo.store.iter_pairs()
-    }
-
-
 class TestSVecEquivalence:
-    """svec ≡ stopdown: facts, store contents, and counters."""
+    """svec ≡ stopdown on the paper's example: facts, store contents,
+    and counters."""
 
-    def _snapshot(self, algo):
-        return _store_contents([algo])
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(row_strategy, min_size=1, max_size=16))
-    def test_matches_stopdown_exactly(self, rows):
-        ref = make_algorithm("stopdown", SCHEMA)
-        vec = make_algorithm("svec", SCHEMA)
-        expected = [fs.pairs for fs in ref.process_stream(rows)]
-        got = [fs.pairs for fs in vec.process_stream(rows)]
-        assert got == expected
-        assert self._snapshot(vec) == self._snapshot(ref)
-        assert vec.counters.snapshot() == ref.counters.snapshot()
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        st.lists(row_strategy, min_size=1, max_size=12),
-        st.integers(min_value=0, max_value=2),
-        st.integers(min_value=1, max_value=2),
-    )
-    def test_matches_stopdown_under_caps(self, rows, dhat, mhat):
-        cfg = DiscoveryConfig(max_bound_dims=dhat, max_measure_dims=mhat)
-        ref = make_algorithm("stopdown", SCHEMA, cfg)
-        vec = make_algorithm("svec", SCHEMA, cfg)
-        expected = [fs.pairs for fs in ref.process_stream(rows)]
-        got = [fs.pairs for fs in vec.process_stream(rows)]
-        assert got == expected
-        assert self._snapshot(vec) == self._snapshot(ref)
+    @staticmethod
+    def _snapshot(algo):
+        return {
+            key: {r.tid for r in recs} for key, recs in algo.store.iter_pairs()
+        }
 
     def test_matches_on_paper_example(self, gamelog_schema, gamelog_rows):
         ref = make_algorithm("stopdown", gamelog_schema)
@@ -313,92 +272,6 @@ class TestSVecEquivalence:
         assert got == expected
         assert self._snapshot(vec) == self._snapshot(ref)
         assert vec.counters.snapshot() == ref.counters.snapshot()
-
-    @settings(max_examples=10, deadline=None)
-    @given(st.lists(row_strategy, min_size=2, max_size=12))
-    def test_retraction_matches_stopdown(self, rows):
-        ref = make_algorithm("stopdown", SCHEMA)
-        vec = make_algorithm("svec", SCHEMA)
-        ref.process_stream(rows)
-        vec.process_stream(rows)
-        tid = len(rows) // 2
-        ref.retract(tid)
-        vec.retract(tid)
-        assert self._snapshot(vec) == self._snapshot(ref)
-        probe = rows[0]
-        assert vec.process(probe).pairs == ref.process(probe).pairs
-
-
-class TestStreamEquivalence:
-    """``svec`` ≡ ``stopdown`` ≡ ``bruteforce`` over the shared stream
-    corpus: every lattice width the walk serves (one to four words per
-    anchor cell), d̂ / m̂ caps, None-heavy rows, interleaved deletes, a
-    subspace-sharded ``svec`` beside the whole one — checked after
-    every op, on either side of the sweep index's arming constant."""
-
-    @pytest.mark.parametrize("arm_rows", [None, 4], ids=["dense", "armed"])
-    @settings(max_examples=40, deadline=None)
-    @given(scenario=stream_scenarios())
-    def test_every_op_matches_stopdown_and_bruteforce(self, scenario, arm_rows):
-        if arm_rows is None:
-            self._drive(scenario)
-        else:
-            with sweep_constants(arm_rows):
-                self._drive(scenario)
-
-    @staticmethod
-    def _drive(scenario):
-        schema, config, ops, shard_of = scenario
-        ref = make_algorithm("stopdown", schema, config)
-        vec = make_algorithm("svec", schema, config)
-        brute = make_algorithm("bruteforce", schema, config)
-        partition = {}
-        for key in vec.maintained_subspaces():
-            partition.setdefault(shard_of[key - 1], []).append(key)
-        shards = [
-            make_algorithm("svec", schema, config, shard_subspaces=keys)
-            for keys in partition.values()
-        ]
-        assert sum(shard._has_root for shard in shards) == 1
-        engines = [
-            FactDiscoverer(schema, algorithm=name, config=config)
-            for name in ("svec", "stopdown")
-        ]
-        live = []
-        for op in ops:
-            if isinstance(op, dict):
-                live.append(ref.table.arrivals)
-                want = list(ref.process(op).iter_pairs())
-                # Emission order, collapsed duplicate positions included.
-                assert list(vec.process(op).iter_pairs()) == want
-                assert list(brute.process(op).iter_pairs()) == want
-                sharded = Counter(
-                    pair
-                    for shard in shards
-                    for pair in shard.process(op).iter_pairs()
-                )
-                assert sharded == Counter(want)
-                scored = [
-                    [
-                        (f.constraint, f.subspace, f.context_size, f.skyline_size)
-                        for f in engine.facts_for(op)
-                    ]
-                    for engine in engines
-                ]
-                assert scored[0] == scored[1]
-                assert [row[:2] for row in scored[0]] == want
-            elif len(live) > 1:
-                tid = live.pop(op % len(live))
-                for algo in (ref, vec, brute, *shards):
-                    algo.retract(tid)
-                for engine in engines:
-                    engine.delete(tid)
-            assert _store_contents([vec]) == _store_contents([ref])
-            assert _store_contents(shards) == _store_contents([ref])
-            assert vec.counters.snapshot() == ref.counters.snapshot()
-            total = sum((shard.counters for shard in shards), OpCounters())
-            assert total.snapshot() == ref.counters.snapshot()
-            assert engines[0].counters.snapshot() == engines[1].counters.snapshot()
 
 
 class TestNoPythonPerRow:
@@ -614,8 +487,6 @@ class TestOneWritePerArrival:
         """A window over a stream whose dimension values never repeat:
         every arrival brings 2^|D| - 1 new value combinations, so the
         scoring index must give its slots back as rows leave."""
-        from repro import FactDiscoverer
-
         schema = TableSchema(("d0", "d1", "d2"), ("m0", "m1"))
         engine = FactDiscoverer(
             schema, algorithm="svec", config=DiscoveryConfig(top_k=3)

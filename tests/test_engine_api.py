@@ -11,7 +11,6 @@ round-trips through a v3 snapshot (spec → snapshot → spec).
 
 import asyncio
 import json
-import random
 
 import pytest
 
@@ -32,26 +31,11 @@ from repro.api import (
 )
 from repro.core.skyline import contextual_skyline
 from repro.storage import sweep_index as sweep_module
+from tests.strategies import seeded_rows
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
 CONFIG = DiscoveryConfig(max_bound_dims=2, max_measure_dims=2)
-
-
-def make_rows(n, seed=7):
-    rng = random.Random(seed)
-    return [
-        {
-            "d0": f"a{rng.randint(0, 2)}",
-            "d1": f"b{rng.randint(0, 2)}",
-            # Anticorrelated-ish measures keep skylines busy.
-            "m0": rng.randint(0, 9),
-            "m1": 9 - rng.randint(0, 9) + rng.randint(0, 3),
-        }
-        for _ in range(n)
-    ]
-
-
-ROWS = make_rows(40)
+ROWS = seeded_rows(40, 7, (3, 3), "anticorrelated")
 
 
 def fact_key(fact):
@@ -292,10 +276,10 @@ class TestColumnarScoringStreams:
     """``svec`` scores and selects in columns (per-mask count vectors,
     cell-form fact sets, winners-only materialisation).  On wide streams
     with interleaved deletes, a sliding window and None-dimension rows
-    (the scalar fallback pass), the single engine, scalar ``stopdown``
-    and the process-sharded pool must agree on every fact in emission
-    order, both cardinalities, the reportable selection in its order,
-    and the op counters."""
+    (which the walk takes as data), the single engine, scalar
+    ``stopdown`` and the process-sharded pool must agree on every fact
+    in emission order, both cardinalities, the reportable selection in
+    its order, and the op counters."""
 
     WINDOW = 24
 
@@ -308,7 +292,7 @@ class TestColumnarScoringStreams:
             cardinalities=[3] * n_dims, seed=11,
         )
         for i, row in enumerate(rows):
-            if i % 5 == 3:  # unbindable values → svec's scalar pass
+            if i % 5 == 3:  # unbindable (None) dimension values
                 row[f"d{i % n_dims}"] = None
         return synthetic_schema(n_dims, n_measures), rows
 

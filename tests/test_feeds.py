@@ -25,17 +25,9 @@ from repro.core.config import DiscoveryConfig
 from repro.core.constraint import Constraint, satisfied_constraints
 from repro.service import FeedStore, StreamServer
 from repro.service.feeds import engine_version
+from tests.strategies import row_strategy
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
-
-row_strategy = st.fixed_dictionaries(
-    {
-        "d0": st.sampled_from(["a", "b", "c"]),
-        "d1": st.sampled_from(["x", "y"]),
-        "m0": st.integers(min_value=0, max_value=4),
-        "m1": st.integers(min_value=0, max_value=4),
-    }
-)
 
 #: Interleaved arrivals (row dict) and deletions (True deletes the
 #: oldest still-live tuple, no-op when the table is empty).

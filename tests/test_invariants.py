@@ -15,15 +15,9 @@ from repro import TableSchema, make_algorithm
 from repro.core.constraint import Constraint, satisfied_constraints
 from repro.core.lattice import nonempty_subspaces
 from repro.core.skyline import contextual_skyline
+from tests.strategies import rows_of
 
-row_strategy = st.fixed_dictionaries(
-    {
-        "d0": st.sampled_from(["a", "b", "c"]),
-        "d1": st.sampled_from(["x", "y"]),
-        "m0": st.integers(min_value=0, max_value=3),
-        "m1": st.integers(min_value=0, max_value=3),
-    }
-)
+row_strategy = rows_of({"d0": "abc", "d1": "xy"}, 3)
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
 

@@ -12,17 +12,9 @@ from hypothesis import strategies as st
 from repro import DiscoveryConfig, FactDiscoverer, TableSchema, make_algorithm
 from repro.core.constraint import Constraint, constraint_for_record
 from repro.core.lattice import iter_supermasks
+from tests.strategies import row_strategy
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
-
-row_strategy = st.fixed_dictionaries(
-    {
-        "d0": st.sampled_from(["a", "b", "c"]),
-        "d1": st.sampled_from(["x", "y"]),
-        "m0": st.integers(min_value=0, max_value=4),
-        "m1": st.integers(min_value=0, max_value=4),
-    }
-)
 
 streams = st.lists(row_strategy, min_size=1, max_size=16)
 

@@ -15,6 +15,7 @@ from repro import (
 from repro.core.constraint import constraint_for_record
 from repro.core.facts import FactSet, SituationalFact
 from repro.core.prominence import select_reportable
+from repro.query import QueryPlan
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
 
@@ -503,15 +504,17 @@ class TestNoneDimensionContexts:
         self, algorithm
     ):
         """The counter covers every constraint within d̂ on None streams
-        too, so the planner's statistics are O(1) and exact there."""
+        too, so the planner prices them from an exact ``|σ_C|``."""
         engine = self._engine(algorithm)
         for row in self.ROWS:
             engine.facts_for(row)
-        queries = engine.query()
-        for constraint in (Constraint((None, None)), Constraint(("x", None))):
-            stats = queries._fast_statistics(constraint, 0b1)
-            assert stats is not None
-            assert stats[0] == len(engine.table.select_constraint(constraint))
+        constraints = (Constraint((None, None)), Constraint(("x", None)))
+        plan = QueryPlan(engine.query(), [(c, 0b1) for c in constraints])
+        for constraint, entry in zip(constraints, plan.explain()):
+            assert entry["context_size"] is not None
+            assert entry["context_size"] == len(
+                engine.table.select_constraint(constraint)
+            )
 
 
 class TestOneScoringCall:

@@ -25,29 +25,13 @@ from repro.query.kernels import ColumnarQueryKernels
 from repro.service import faults
 from repro.service.server import StreamServer
 from repro.service.sharding import ShardedDiscoverer
+from tests.strategies import seeded_rows
 
 SCHEMA = TableSchema(("d0", "d1", "d2"), ("m0", "m1"))
 #: d̂ = 2 on a 3-dimension schema: fully-bound constraints are
 #: beyond-cap, so store/scoring-index answers are invalid for them and
 #: the kernels/scalar path must take over.
 CONFIG = DiscoveryConfig(max_bound_dims=2, max_measure_dims=2)
-
-
-def make_rows(n, seed=7, none_frac=0.0):
-    rng = random.Random(seed)
-    rows = []
-    for _ in range(n):
-        row = {
-            "d0": f"a{rng.randint(0, 2)}",
-            "d1": f"b{rng.randint(0, 2)}",
-            "d2": f"c{rng.randint(0, 1)}",
-            "m0": rng.randint(0, 9),
-            "m1": 9 - rng.randint(0, 9) + rng.randint(0, 3),
-        }
-        if none_frac and rng.random() < none_frac:
-            row[rng.choice(("d0", "d1", "d2"))] = None
-        rows.append(row)
-    return rows
 
 
 def sample_pairs(rng, n_pairs=24):
@@ -87,7 +71,9 @@ class TestKernelScalarParity:
     def test_full_read_surface_parity(self, none_frac, delete_every):
         engine = FactDiscoverer(SCHEMA, algorithm="svec", config=CONFIG)
         ingest_with_deletions(
-            engine, make_rows(60, none_frac=none_frac), delete_every
+            engine,
+            seeded_rows(60, 7, (3, 3, 2), "anticorrelated", none_frac),
+            delete_every,
         )
         fast = ContextualQueryEngine(engine.algorithm, use_kernels=True)
         slow = ContextualQueryEngine(engine.algorithm, use_kernels=False)
@@ -126,7 +112,7 @@ class TestKernelScalarParity:
 
     def test_kernels_refuse_non_columnar_algorithms(self):
         engine = FactDiscoverer(SCHEMA, algorithm="stopdown", config=CONFIG)
-        engine.observe_many(make_rows(10))
+        engine.observe_many(seeded_rows(10, 7, (3, 3, 2), "anticorrelated"))
         assert ColumnarQueryKernels.for_algorithm(engine.algorithm) is None
         # …and the query engine still answers exactly via the scalar path.
         queries = ContextualQueryEngine(engine.algorithm)
@@ -142,7 +128,7 @@ class TestKernelScalarParity:
         skyline tuples anchored in no maintained store; the query engine
         must recompute rather than trust reconstruction."""
         engine = FactDiscoverer(SCHEMA, algorithm="stopdown", config=CONFIG)
-        engine.observe_many(make_rows(60, seed=3))
+        engine.observe_many(seeded_rows(60, 3, (3, 3, 2), "anticorrelated"))
         queries = engine.query()
         for values in {
             tuple(r.dims) for r in engine.table if UNBOUND not in r.dims
@@ -198,7 +184,8 @@ def naive_batch(engine, pairs, top_k=None, tau=None):
 class TestPlannerIdentity:
     def _engine(self, seed=7):
         engine = FactDiscoverer(SCHEMA, algorithm="svec", config=CONFIG)
-        ingest_with_deletions(engine, make_rows(80, seed=seed), delete_every=7)
+        rows = seeded_rows(80, seed, (3, 3, 2), "anticorrelated")
+        ingest_with_deletions(engine, rows, delete_every=7)
         return engine
 
     @pytest.mark.parametrize("bounds", BOUND_GRID)
@@ -276,7 +263,7 @@ class TestPlannerIdentity:
                 sharding=ShardingSpec(2, "serial"), query_cache=64,
             ),
         }
-        rows = make_rows(50, seed=13)
+        rows = seeded_rows(50, 13, (3, 3, 2), "anticorrelated")
         pairs = sample_pairs(random.Random(29), n_pairs=16)
         with open_engine(specs[kind]()) as engine:
             ingest_with_deletions(engine, rows, delete_every=6)
@@ -321,7 +308,9 @@ class TestResultCache:
         with open_engine(
             EngineSpec(SCHEMA, "svec", CONFIG, query_cache=32)
         ) as engine:
-            engine.observe_many(make_rows(30))
+            engine.observe_many(
+                seeded_rows(30, 7, (3, 3, 2), "anticorrelated")
+            )
             q = engine.query()
             first = q.skyline_text("d0=a1 | m0, m1")
             again = q.skyline_text("d0=a1 | m0, m1")
@@ -351,7 +340,7 @@ class TestResultCache:
 
     def test_fuzz_cached_equals_uncached_under_interleaved_writes(self):
         rng = random.Random(41)
-        rows = make_rows(70, seed=19, none_frac=0.1)
+        rows = seeded_rows(70, 19, (3, 3, 2), "anticorrelated", 0.1)
         cached = open_engine(
             EngineSpec(SCHEMA, "svec", CONFIG, query_cache=16)
         )
@@ -405,7 +394,7 @@ class TestPushDownFaults:
 
     @pytest.mark.parametrize("op", ["skyband", "top_k"])
     def test_query_op_crash_restarts_and_answers(self, op):
-        rows = make_rows(36, seed=9)
+        rows = seeded_rows(36, 9, (3, 3, 2), "anticorrelated")
         reference = FactDiscoverer(SCHEMA, algorithm="svec", config=CONFIG)
         reference.observe_many(rows)
         faults.install([
@@ -441,7 +430,7 @@ class TestPushDownFaults:
 # ----------------------------------------------------------------------
 class TestTcpQueryOp:
     def test_query_op_round_trip(self):
-        rows = make_rows(30, seed=31)
+        rows = seeded_rows(30, 31, (3, 3, 2), "anticorrelated")
 
         async def run():
             engine = open_engine(

@@ -1,15 +1,11 @@
-"""Scored batch ingestion ≡ the scalar row-at-a-time loop.
+"""Scoring on pinned streams and against the counter's definition.
 
-The vectorized scoring subsystem (``svec``'s skyline column off the
-store's count index, the interned-key ``ContextCounter``, and batched
-demotion repair) must be *output-invisible*: ``observe_many``
-with scoring on has to produce exactly what a loop of scalar ``observe``
-calls produces — same facts, same context/skyline cardinalities, same
-reportable selections, same operation counters — for every algorithm,
-with and without ``d̂``/``m̂`` caps, and across deletions.
+The pinned None-dimension streams that once made algorithms
+over-report, the one context counter against ``|σ_C(R)|`` by table
+scan, and reads of ``S_t`` that must leave it as it was.  Scores on
+randomized streams — every engine, every op — are
+``tests/test_corpus.py``'s.
 """
-
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,16 +18,12 @@ from repro import (
     FactDiscoverer,
     Record,
     TableSchema,
-    contextual_skyline,
     make_algorithm,
 )
 from repro.core.constraint import satisfied_constraints
 from tests.conftest import MEMORY_ALGORITHMS
-from tests.strategies import none_row_strategy, row_strategy, stream_scenarios
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
-
-ALGORITHMS = ("stopdown", "svec", "bottomup")
 
 
 def fact_key(fact):
@@ -49,112 +41,13 @@ def scored_snapshot(facts_list):
     return [sorted(map(fact_key, facts), key=repr) for facts in facts_list]
 
 
-def reportable_snapshot(reportable_lists):
-    """Reportable lists keep their ranking order — compare verbatim."""
-    return [[fact_key(f) for f in facts] for facts in reportable_lists]
-
-
-class TestScoredBatchEquivalence:
-    """scored observe_many ≡ [observe(row) for row in rows]."""
-
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    @settings(max_examples=20, deadline=None)
-    @given(rows=st.lists(row_strategy, min_size=1, max_size=14))
-    def test_facts_scores_and_counters_match(self, algorithm, rows):
-        loop = FactDiscoverer(SCHEMA, algorithm=algorithm)
-        batch = FactDiscoverer(SCHEMA, algorithm=algorithm)
-        expected = [loop.facts_for(row) for row in rows]
-        got = batch.facts_for_many(rows)
-        assert scored_snapshot(got) == scored_snapshot(expected)
-        assert batch.counters.snapshot() == loop.counters.snapshot()
-
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    @settings(max_examples=12, deadline=None)
-    @given(
-        rows=st.lists(row_strategy, min_size=1, max_size=12),
-        dhat=st.integers(min_value=0, max_value=2),
-        mhat=st.integers(min_value=1, max_value=2),
-    )
-    def test_matches_under_caps(self, algorithm, rows, dhat, mhat):
-        cfg = DiscoveryConfig(max_bound_dims=dhat, max_measure_dims=mhat)
-        loop = FactDiscoverer(SCHEMA, algorithm=algorithm, config=cfg)
-        batch = FactDiscoverer(SCHEMA, algorithm=algorithm, config=cfg)
-        expected = [loop.facts_for(row) for row in rows]
-        got = batch.facts_for_many(rows)
-        assert scored_snapshot(got) == scored_snapshot(expected)
-
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    @settings(max_examples=10, deadline=None)
-    @given(
-        rows=st.lists(row_strategy, min_size=1, max_size=12),
-        tau=st.sampled_from([None, 1.0, 3.0]),
-        top_k=st.sampled_from([None, 1, 3]),
-    )
-    def test_reportable_selection_matches(self, algorithm, rows, tau, top_k):
-        if tau is not None and top_k is not None:
-            top_k = None  # tau takes precedence; test one policy at a time
-        cfg = DiscoveryConfig(tau=tau, top_k=top_k)
-        loop = FactDiscoverer(SCHEMA, algorithm=algorithm, config=cfg)
-        batch = FactDiscoverer(SCHEMA, algorithm=algorithm, config=cfg)
-        expected = [loop.observe(row) for row in rows]
-        got = batch.observe_many(rows)
-        assert reportable_snapshot(got) == reportable_snapshot(expected)
-
-    @settings(max_examples=15, deadline=None)
-    @given(rows=st.lists(row_strategy, min_size=1, max_size=14))
-    def test_algorithms_agree_on_scores(self, rows):
-        """The same stream scores identically across all algorithms."""
-        outputs = [
-            scored_snapshot(
-                FactDiscoverer(SCHEMA, algorithm=name).facts_for_many(rows)
-            )
-            for name in ALGORITHMS
-        ]
-        assert outputs[0] == outputs[1] == outputs[2]
-
-
-class TestDeletionInterleaved:
-    """Deletions between scored batches: stores, counters, and the
-    context counts behind prominence must all repair identically."""
-
-    @pytest.mark.parametrize("algorithm", ("stopdown", "svec"))
-    @settings(max_examples=10, deadline=None)
-    @given(
-        rows=st.lists(row_strategy, min_size=4, max_size=14),
-        seed=st.integers(min_value=0, max_value=999),
-    )
-    def test_scored_batches_survive_deletions(self, algorithm, rows, seed):
-        rng = random.Random(seed)
-        cut = len(rows) // 2
-        loop = FactDiscoverer(SCHEMA, algorithm=algorithm)
-        batch = FactDiscoverer(SCHEMA, algorithm=algorithm)
-        expected = [loop.facts_for(row) for row in rows[:cut]]
-        got = batch.facts_for_many(rows[:cut])
-        victims = rng.sample(range(cut), k=min(cut, rng.randint(1, 3)))
-        for tid in victims:
-            loop.delete(tid)
-            batch.delete(tid)
-        expected += [loop.facts_for(row) for row in rows[cut:]]
-        got += batch.facts_for_many(rows[cut:])
-        assert scored_snapshot(got) == scored_snapshot(expected)
-        # The unregister path must leave both counters in lockstep for
-        # every constraint any processed tuple satisfies.
-        for record in batch.table:
-            for constraint in satisfied_constraints(record):
-                assert batch.context_counter.count(
-                    constraint
-                ) == loop.context_counter.count(constraint)
-
-
 class TestUnbindableDimValues:
     """Dimension values equal to the unbound marker collapse distinct
     ``C^t`` masks onto one constraint, so pruning state must be read at
     the collapsed *canonical* mask (``mask & bindable_positions``).
-    Historically topdown/stopdown (and, on streams whose dominators
-    bind a value at the arrival's None position, svec's scalar pass
-    too) tested the raw mask and over-reported; since the canonical
-    -mask fix **every** algorithm agrees with the ``bruteforce`` oracle
-    on such streams."""
+    Testing the raw mask over-reports: two pinned streams where it
+    did, for topdown / stopdown and for a dominator binding a value at
+    the arrival's None position."""
 
     #: The original ROADMAP repro: the second arrival's dominator is
     #: met at ⊤, but the third arrival's raw mask {d0} (collapsing onto
@@ -167,8 +60,7 @@ class TestUnbindableDimValues:
     SCHEMA3 = TableSchema(("d0", "d1", "d2"), ("m0", "m1"))
 
     #: A dominator binding a value at the arrival's None position: its
-    #: agreement mask cannot cover the duplicate raw masks, which used
-    #: to slip past svec's exact sweep as well.
+    #: agreement mask cannot cover the duplicate raw masks.
     ROWS2 = [
         {"d0": "a", "d1": "y", "m0": 2},
         {"d0": None, "d1": "y", "m0": 1},
@@ -179,8 +71,6 @@ class TestUnbindableDimValues:
 
     @pytest.mark.parametrize("algorithm", ALL)
     def test_matches_bruteforce_with_none_dims(self, algorithm):
-        from repro import make_algorithm
-
         oracle = make_algorithm("bruteforce", self.SCHEMA3)
         algo = make_algorithm(algorithm, self.SCHEMA3)
         want = [fs.pairs for fs in oracle.process_stream(self.ROWS)]
@@ -189,40 +79,11 @@ class TestUnbindableDimValues:
 
     @pytest.mark.parametrize("algorithm", ALL)
     def test_matches_bruteforce_with_bound_dominator(self, algorithm):
-        from repro import make_algorithm
-
         oracle = make_algorithm("bruteforce", self.SCHEMA2)
         algo = make_algorithm(algorithm, self.SCHEMA2)
         want = [fs.pairs for fs in oracle.process_stream(self.ROWS2)]
         got = [fs.pairs for fs in algo.process_stream(self.ROWS2)]
         assert got == want
-
-    @pytest.mark.parametrize("algorithm", ("svec", "topdown", "stopdown"))
-    @settings(max_examples=20, deadline=None)
-    @given(rows=st.lists(none_row_strategy, min_size=1, max_size=10))
-    def test_property_matches_bruteforce(self, algorithm, rows):
-        from repro import make_algorithm
-
-        oracle = make_algorithm("bruteforce", self.SCHEMA3)
-        algo = make_algorithm(algorithm, self.SCHEMA3)
-        want = [fs.pairs for fs in oracle.process_stream(rows)]
-        got = [fs.pairs for fs in algo.process_stream(rows)]
-        assert got == want
-
-    @settings(max_examples=20, deadline=None)
-    @given(rows=st.lists(none_row_strategy, min_size=1, max_size=10))
-    def test_svec_counters_match_stopdown_on_none_streams(self, rows):
-        """Unbindable values route svec to its scalar fallback pass,
-        which must stay in op-counter lockstep with stopdown — including
-        the self-comparisons at collapsed duplicate masks whose bucket
-        the arrival itself just created."""
-        from repro import make_algorithm
-
-        svec = make_algorithm("svec", self.SCHEMA3)
-        stopdown = make_algorithm("stopdown", self.SCHEMA3)
-        svec.process_stream(rows)
-        stopdown.process_stream(rows)
-        assert svec.counters.snapshot() == stopdown.counters.snapshot()
 
     def test_scored_batch_matches_loop_with_none_dims(self):
         loop = FactDiscoverer(self.SCHEMA3, algorithm="svec")
@@ -295,113 +156,6 @@ class TestContextCounterDefinition:
         assert counter.count(Constraint((None, "x"))) == 20
         assert counter.count(Constraint(("a", "x"))) == 10
         assert counter.count(Constraint(("b", None))) == 10
-
-
-def _definition(table, constraint, subspace, memo):
-    """``(|σ_C(R)|, |λ_M(σ_C(R))|)`` by table scan, memoised per op."""
-    key = (constraint, subspace)
-    if key not in memo:
-        memo[key] = (
-            len(table.select_constraint(constraint)),
-            len(contextual_skyline(table, constraint, subspace)),
-        )
-    return memo[key]
-
-
-class TestScoresFollowTheDefinition:
-    """One oracle for scores: after every arrival and delete of a
-    stream, every fact each engine reports carries the definition's
-    ``(|σ_C|, |λ_M(σ_C)|)`` and every engine's context counter equals
-    the table scan on every constraint of the live rows' ``C^t``.
-    ``stopdown`` (Invariant-2 sweep), ``bottomup`` (Invariant-1
-    buckets), ``svec`` (count index, or the anchor-bit matrix past its
-    caps) and the serial sharded ``svec`` router — None-heavy rows,
-    deletes, shard partitions, and the d = 9 / m = 9 shapes past the
-    index caps included."""
-
-    ALGORITHMS = ("stopdown", "bottomup", "svec")
-
-    @pytest.mark.parametrize("past_caps", [False, True], ids=["walk", "past-caps"])
-    @settings(max_examples=25, deadline=None)
-    @given(data=st.data())
-    def test_every_op_scores_by_the_definition(self, past_caps, data):
-        from repro.service.sharding import ShardedDiscoverer
-
-        schema, config, ops, shard_of = data.draw(
-            stream_scenarios(past_caps=past_caps)
-        )
-        engines = [
-            FactDiscoverer(schema, algorithm=name, config=config)
-            for name in self.ALGORITHMS
-        ]
-        engines.append(
-            ShardedDiscoverer(
-                schema, config, n_workers=len(set(shard_of)), mode="serial"
-            )
-        )
-        cap = config.max_bound_dims
-        table = engines[0].table
-        live = []
-        for op in ops:
-            if isinstance(op, dict):
-                live.append(table.arrivals)
-                scored = [engine.facts_for(op) for engine in engines]
-            elif len(live) > 1:
-                tid = live.pop(op % len(live))
-                for engine in engines:
-                    engine.delete(tid)
-                scored = []
-            else:
-                continue
-            memo = {}
-            for facts in scored:
-                for fact in facts:
-                    assert (fact.context_size, fact.skyline_size) == _definition(
-                        table, fact.constraint, fact.subspace, memo
-                    ), (type(facts), fact)
-            constraints = {
-                constraint
-                for record in table
-                for constraint in satisfied_constraints(record, cap)
-            }
-            for engine in engines:
-                assert [r.tid for r in engine.table] == [r.tid for r in table]
-                for constraint in constraints:
-                    assert engine.context_counter.count(constraint) == len(
-                        table.select_constraint(constraint)
-                    ), constraint
-        for engine in engines:
-            engine.close()
-
-
-class TestSvecSkylineSizeRecomputes:
-    """``svec`` answers the per-pair ``skyline_size`` / ``skyline_sizes``
-    calls with the base class's recompute (it used to inherit
-    ``TopDown``'s store sweep, which needs a store ``get`` the columnar
-    store does not have, and raised ``AttributeError``)."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(scenario=stream_scenarios())
-    def test_every_fact_of_a_scored_stream(self, scenario):
-        engine = FactDiscoverer(
-            scenario.schema, algorithm="svec", config=scenario.config
-        )
-        svec, table = engine.algorithm, engine.table
-        live = []
-        for op in scenario.ops:
-            if not isinstance(op, dict):
-                if len(live) > 1:
-                    engine.delete(live.pop(op % len(live)))
-                continue
-            live.append(table.arrivals)
-            facts = engine.facts_for(op)
-            sizes = svec.skyline_sizes(facts)
-            for fact in facts:
-                expected = len(
-                    contextual_skyline(table, fact.constraint, fact.subspace)
-                )
-                assert svec.skyline_size(fact.constraint, fact.subspace) == expected
-                assert sizes[fact.pair] == expected == fact.skyline_size
 
 
 class TestReadsDoNotMutate:

@@ -372,3 +372,49 @@ class TestTcpFrontend:
         assert "shard_utilization" in stats["stats"]
         assert stopping == {"stopping": True}
         assert len(engine.table) == 6  # 7 arrivals − 1 deletion
+
+
+class TestStatsThroughMiddleware:
+    """A window or query-cache layer over a sharded engine: ``stats``
+    and ``health`` read the shard and fault surfaces of the layer that
+    has them, as ``engine.stats()`` does."""
+
+    @pytest.mark.parametrize("layer", [{"query_cache": 8}, {"window": 20}])
+    def test_shard_and_fault_numbers_reach_stats_and_health(self, layer):
+        engine = open_engine(
+            EngineSpec(
+                SCHEMA,
+                "svec",
+                sharding=ShardingSpec(2, "serial"),
+                **layer,
+            )
+        )
+        sharded = engine
+        while not isinstance(sharded, ShardedDiscoverer):
+            sharded = sharded.inner
+        sharded.degraded = True
+
+        async def run():
+            server = StreamServer(engine)
+            await server.start()
+            listener = await server.serve_tcp("127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            await server.ingest_many(make_rows(6))
+            await server.drain()
+            writer.write(b'{"op": "health"}\n')
+            await writer.drain()
+            health = json.loads(await reader.readline())
+            snap = server.stats_snapshot()
+            writer.close()
+            await server.stop()
+            return health, snap
+
+        health, snap = asyncio.run(run())
+        engine_stats = engine.stats()
+        assert health["degraded"] is True
+        assert len(snap["shards"]) == len(snap["shard_busy_seconds"]) == 2
+        for key in ("worker_restarts", "chunks_retried", "replica_failovers"):
+            assert snap[key] == engine_stats[key]
+        assert snap["degraded"] == 1
+        engine.close()

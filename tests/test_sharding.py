@@ -4,15 +4,13 @@ The service layer's exactness claim: partitioning the measure-subspace
 axis across ``svec`` workers and recombining per-arrival facts must be
 *output-invisible* — same facts in the same emission order, same
 context/skyline cardinalities, same reportable selections, and the same
-op-counter totals as both the unsharded ``svec`` engine and the scalar
-``stopdown`` reference, across shard counts, execution modes,
-deletion-interleaved streams, and streams carrying unbindable (``None``)
-dimension values (the scalar-fallback pass).
+op-counter totals as the unsharded ``svec`` engine.  This file pins the
+partition, the config knobs, unscored mode and the execution modes;
+randomized streams (shard counts, deletions, updates, None dimension
+values) are ``tests/test_corpus.py``'s.
 """
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import DiscoveryConfig, FactDiscoverer, TableSchema
 from repro.service.sharding import (
@@ -22,26 +20,6 @@ from repro.service.sharding import (
 )
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
-
-row_strategy = st.fixed_dictionaries(
-    {
-        "d0": st.sampled_from(["a", "b", "c"]),
-        "d1": st.sampled_from(["x", "y"]),
-        "m0": st.integers(min_value=0, max_value=4),
-        "m1": st.integers(min_value=0, max_value=4),
-    }
-)
-
-#: Rows whose dimension values may equal the unbound marker — svec takes
-#: its scalar fallback pass, which the shards must replicate too.
-noneful_row_strategy = st.fixed_dictionaries(
-    {
-        "d0": st.sampled_from(["a", None]),
-        "d1": st.sampled_from(["x", "y", None]),
-        "m0": st.integers(min_value=0, max_value=3),
-        "m1": st.integers(min_value=0, max_value=3),
-    }
-)
 
 
 def fact_key(fact):
@@ -115,67 +93,7 @@ class TestPartition:
 
 
 class TestShardedEquivalence:
-    """sharded(N) ≡ unsharded svec ≡ scalar stopdown."""
-
-    @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    @settings(max_examples=15, deadline=None)
-    @given(rows=st.lists(row_strategy, min_size=1, max_size=14))
-    def test_facts_scores_order_and_counters(self, n_workers, rows):
-        svec = FactDiscoverer(SCHEMA, algorithm="svec")
-        scalar = FactDiscoverer(SCHEMA, algorithm="stopdown")
-        with ShardedDiscoverer(
-            SCHEMA, n_workers=n_workers, mode="serial", chunk_size=5
-        ) as sharded:
-            got = sharded.facts_for_many(rows)
-            expected = svec.facts_for_many(rows)
-            reference = [scalar.facts_for(row) for row in rows]
-            assert emitted(got) == emitted(expected)
-            assert emitted(got) == emitted(reference)
-            assert sharded.counters.snapshot() == svec.counters.snapshot()
-            assert sharded.counters.snapshot() == scalar.counters.snapshot()
-
-    @pytest.mark.parametrize("n_workers", [2, 4])
-    @settings(max_examples=10, deadline=None)
-    @given(
-        rows=st.lists(row_strategy, min_size=2, max_size=12),
-        delete_seed=st.integers(min_value=0, max_value=2**16),
-    )
-    def test_deletion_interleaved_streams(self, n_workers, rows, delete_seed):
-        import random
-
-        rng = random.Random(delete_seed)
-        svec = FactDiscoverer(SCHEMA, algorithm="svec")
-        scalar = FactDiscoverer(SCHEMA, algorithm="stopdown")
-        with ShardedDiscoverer(
-            SCHEMA, n_workers=n_workers, mode="serial", chunk_size=3
-        ) as sharded:
-            live = []
-            for i, row in enumerate(rows):
-                got = sharded.observe(row)
-                assert reportable([got]) == reportable([svec.observe(row)])
-                assert reportable([got]) == reportable([scalar.observe(row)])
-                live.append(i)
-                if len(live) > 1 and rng.random() < 0.35:
-                    victim = live.pop(rng.randrange(len(live)))
-                    removed = sharded.delete(victim)
-                    assert svec.delete(victim).dims == removed.dims
-                    scalar.delete(victim)
-            assert sharded.counters.snapshot() == svec.counters.snapshot()
-            assert sharded.counters.snapshot() == scalar.counters.snapshot()
-
-    @pytest.mark.parametrize("n_workers", [2, 4])
-    @settings(max_examples=10, deadline=None)
-    @given(rows=st.lists(noneful_row_strategy, min_size=1, max_size=10))
-    def test_unbindable_dimension_values(self, n_workers, rows):
-        """Rows with None dims take svec's scalar fallback — shards too."""
-        svec = FactDiscoverer(SCHEMA, algorithm="svec")
-        with ShardedDiscoverer(
-            SCHEMA, n_workers=n_workers, mode="serial", chunk_size=4
-        ) as sharded:
-            assert emitted(sharded.facts_for_many(rows)) == emitted(
-                svec.facts_for_many(rows)
-            )
-            assert sharded.counters.snapshot() == svec.counters.snapshot()
+    """sharded(N) ≡ unsharded svec."""
 
     @pytest.mark.parametrize(
         "config",

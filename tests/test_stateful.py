@@ -1,109 +1,13 @@
-"""Stateful property test: arbitrary interleavings of insert / delete /
-update must leave every algorithm equivalent to a replay of the live
-rows only.
-
-This is the strongest correctness net in the suite: hypothesis drives a
-random command sequence against a long-lived engine, and after every
-command the *next* discovery must match a fresh engine fed only the
-currently-live rows (in their original relative order).
+"""Update: the retract-then-observe replacement (§VIII).  Randomized
+insert / delete / update schedules, against replay of the live rows,
+are ``tests/test_corpus.py``'s.
 """
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import FactDiscoverer, TableSchema
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
-
-row_strategy = st.fixed_dictionaries(
-    {
-        "d0": st.sampled_from(["a", "b"]),
-        "d1": st.sampled_from(["x", "y"]),
-        "m0": st.integers(min_value=0, max_value=3),
-        "m1": st.integers(min_value=0, max_value=3),
-    }
-)
-
-# A command is ("insert", row) or ("delete", victim_index) or
-# ("update", victim_index, row).
-commands = st.lists(
-    st.one_of(
-        st.tuples(st.just("insert"), row_strategy),
-        st.tuples(st.just("delete"), st.integers(min_value=0, max_value=30)),
-        st.tuples(
-            st.just("update"), st.integers(min_value=0, max_value=30), row_strategy
-        ),
-    ),
-    min_size=1,
-    max_size=14,
-)
-
-PROBE = {"d0": "a", "d1": "x", "m0": 2, "m1": 2}
-
-
-def apply_commands(engine, cmds):
-    """Run commands; returns the rows that are live afterwards, in the
-    relative order the engine's table holds them."""
-    live = []  # (tid, row)
-    for cmd in cmds:
-        if cmd[0] == "insert":
-            engine.observe(cmd[1])
-            live.append((engine.table[len(engine.table) - 1].tid, cmd[1]))
-        elif cmd[0] == "delete":
-            if not live:
-                continue
-            index = cmd[1] % len(live)
-            tid, _row = live.pop(index)
-            engine.delete(tid)
-        else:  # update
-            if not live:
-                continue
-            index = cmd[1] % len(live)
-            tid, _row = live.pop(index)
-            engine.update(tid, cmd[2])
-            live.append((engine.table[len(engine.table) - 1].tid, cmd[2]))
-    return [row for _tid, row in live]
-
-
-@pytest.mark.parametrize(
-    "name", ["bottomup", "topdown", "sbottomup", "stopdown", "svec"]
-)
-@settings(max_examples=20, deadline=None)
-@given(cmds=commands)
-def test_interleaved_mutations_match_replay(name, cmds):
-    engine = FactDiscoverer(SCHEMA, algorithm=name)
-    live_rows = apply_commands(engine, cmds)
-
-    fresh = FactDiscoverer(SCHEMA, algorithm=name)
-    for row in live_rows:
-        fresh.observe(row)
-
-    got = {
-        (f.constraint.values, f.subspace, f.context_size, f.skyline_size)
-        for f in engine.facts_for(PROBE)
-    }
-    expected = {
-        (f.constraint.values, f.subspace, f.context_size, f.skyline_size)
-        for f in fresh.facts_for(PROBE)
-    }
-    assert got == expected
-
-
-@settings(max_examples=10, deadline=None)
-@given(cmds=commands)
-def test_interleaved_mutations_keep_algorithms_equivalent(cmds):
-    engines = {
-        name: FactDiscoverer(SCHEMA, algorithm=name)
-        for name in ("bottomup", "stopdown")
-    }
-    outputs = {}
-    for name, engine in engines.items():
-        apply_commands(engine, cmds)
-        outputs[name] = {
-            (f.constraint.values, f.subspace) for f in engine.facts_for(PROBE)
-        }
-    assert outputs["bottomup"] == outputs["stopdown"]
 
 
 class TestUpdate:
