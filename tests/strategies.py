@@ -5,7 +5,10 @@
   with deletes and updates, a subspace partition, and a probe row.  The
   one runner, ``tests/test_corpus.py``, drives every draw through every
   engine and checks it against the paper's definitions after every op;
-  no other file compares engines on randomized streams.
+  no other file compares engines on randomized streams.  The runner
+  pins the corpus's grid — schema family × ``d̂`` × policy kind, and
+  each past-caps shape — one test case per cell, so every cell runs on
+  every test run and a failure names its cell.
 * Row dict strategies (:func:`rows_of` and the fixed domains below) for
   the structural property files and the feed tier's differential tests.
 * :func:`seeded_rows` and :func:`make_rows` — deterministic streams for
@@ -117,19 +120,32 @@ STREAM_POOLS = (
     "ab",
 )
 
-#: The None-free two-by-two streams of :func:`stream_scenarios`: the
-#: ``(d0, d1)`` value pools and the largest measure value.  The first
-#: has more distinct contexts, the second more ties and dominance.
-FLAT_DOMAINS = ((("abc", "xy"), 4), (("ab", "xy"), 3))
+#: The schema families of :func:`stream_scenarios`.  ``None`` is the
+#: None-heavy family over :data:`STREAM_POOLS`; the two None-free
+#: two-by-two families give the ``(d0, d1)`` value pools and the largest
+#: measure value.  ``abc-xy`` has more distinct contexts, ``ab-xy`` more
+#: ties and dominance.
+FAMILIES = {
+    "none-heavy": None,
+    "abc-xy": (("abc", "xy"), 4),
+    "ab-xy": (("ab", "xy"), 3),
+}
+
+#: The ``d̂`` caps of :func:`stream_scenarios` (None: uncapped).
+DHATS = (None, 0, 1, 2, 4)
 
 #: ``(d, m, d̂, m̂)`` shapes past the columnar store's skyline-count
 #: index caps (8 dimensions, 8 measures), where ``skyline_counts``
 #: counts straight from the anchor-bit matrix.
 PAST_CAP_SHAPES = ((9, 2, 2, None), (3, 9, None, 1))
 
-#: Reporting policies: everything ranked, the prominent facts at
-#: ``τ``, or the top-k.
-POLICIES = ({}, {"tau": 1.0}, {"tau": 3.0}, {"top_k": 1}, {"top_k": 3})
+#: Reporting policies by kind: everything ranked, the prominent facts
+#: at ``τ``, or the top-k.
+POLICIES = {
+    "all": ({},),
+    "tau": ({"tau": 1.0}, {"tau": 3.0}),
+    "top-k": ({"top_k": 1}, {"top_k": 3}),
+}
 
 
 class StreamScenario(NamedTuple):
@@ -152,25 +168,34 @@ class StreamScenario(NamedTuple):
 
 
 @st.composite
-def stream_scenarios(draw, max_ops=14, past_caps=False):
-    """Streams over every shape the engines serve.  Half the draws are
-    None-heavy: d ∈ 2…7 (one to four words per ``svec`` anchor cell),
-    m ∈ {2, 3}, measures 0…3.  The other half are None-free two-by-two
-    streams over one of :data:`FLAT_DOMAINS`.  Every draw has d̂ ∈ {0, 1,
-    2, 4, None}, an optional m̂ cap and one of :data:`POLICIES`.  With
-    ``past_caps`` the shape is one of :data:`PAST_CAP_SHAPES` instead,
-    None-heavy."""
+def stream_scenarios(
+    draw,
+    families=tuple(FAMILIES),
+    dhats=DHATS,
+    policies=tuple(POLICIES),
+    past_cap=None,
+    max_ops=14,
+):
+    """Streams over every shape the engines serve: a family of
+    :data:`FAMILIES`, a d̂ of :data:`DHATS` and a policy kind of
+    :data:`POLICIES`, each drawn from the names or values given (the
+    runner pins one of each, so every cell of that grid runs every
+    time), an optional m̂ cap and a policy of the kind.  None-heavy
+    draws have d ∈ 2…7 (one to four words per ``svec`` anchor cell),
+    m ∈ {2, 3} and measures 0…3; the None-free families are two-by-two.
+    With ``past_cap``, one of :data:`PAST_CAP_SHAPES`, the shape and
+    caps are that instead, None-heavy."""
     flat = None
-    if past_caps:
-        d, m, dhat, mhat = draw(st.sampled_from(PAST_CAP_SHAPES))
+    if past_cap:
+        d, m, dhat, mhat = past_cap
     else:
-        flat = draw(st.sampled_from((None, None) + FLAT_DOMAINS))
+        flat = FAMILIES[draw(st.sampled_from(families))]
         if flat is None:
             d = draw(st.integers(min_value=2, max_value=7))
             m = draw(st.sampled_from([2, 3]))
         else:
             d, m = 2, 2
-        dhat = draw(st.sampled_from([None, 0, 1, 2, 4]))
+        dhat = draw(st.sampled_from(dhats))
         mhat = draw(st.sampled_from([None, None, 1, 2]))
     pools, measure_max = flat or (
         [STREAM_POOLS[j % len(STREAM_POOLS)] for j in range(d)],
@@ -179,10 +204,11 @@ def stream_scenarios(draw, max_ops=14, past_caps=False):
     schema = TableSchema(
         tuple(f"d{j}" for j in range(d)), tuple(f"m{i}" for i in range(m))
     )
+    kind = draw(st.sampled_from(policies))
     config = DiscoveryConfig(
         max_bound_dims=dhat,
         max_measure_dims=mhat,
-        **draw(st.sampled_from(POLICIES)),
+        **draw(st.sampled_from(POLICIES[kind])),
     )
     row = rows_of(dict(zip(schema.dimensions, pools)), measure_max, n_measures=m)
     index = st.integers(min_value=0, max_value=max_ops)

@@ -32,12 +32,18 @@ At the end of the schedule:
 5. *History independence.*  Each store algorithm equals a fresh one fed
    the live rows in tid order: µ store contents as ``(dims, raw)``
    multisets, context counts, and the probe arrival's scored ``S_t``.
+
+One test case per cell of the corpus's grid (schema family × ``d̂`` ×
+policy kind, and each past-caps shape on either side of the sweep
+index's arming constant), so every cell runs on every test run and a
+failure names its cell; the rest of a stream is drawn.
 """
 
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     DiscoveryConfig,
@@ -53,7 +59,15 @@ from repro.core.skyline import is_contextual_skyline_tuple
 from repro.metrics.counters import OpCounters
 from repro.service.sharding import ShardedDiscoverer
 from tests.conftest import MEMORY_ALGORITHMS, STORE_ALGORITHMS
-from tests.strategies import StreamScenario, stream_scenarios, sweep_constants
+from tests.strategies import (
+    DHATS,
+    FAMILIES,
+    PAST_CAP_SHAPES,
+    POLICIES,
+    StreamScenario,
+    stream_scenarios,
+    sweep_constants,
+)
 
 #: Algorithms emitting ``S_t`` in ``stopdown``'s order: ``C^t`` top-down
 #: within each subspace, subspaces full space first.
@@ -357,24 +371,46 @@ def drive(scenario):
         run.close()
 
 
-@pytest.mark.parametrize("arm_rows", [None, 4], ids=["dense", "armed"])
-@settings(max_examples=40, deadline=None)
-@given(scenario=stream_scenarios())
-@example(scenario=BEYOND_CAP_REPAIR)
-def test_every_op_follows_the_definitions(scenario, arm_rows):
+def drive_swept(scenario, armed):
     """Dense: the shipped sweep-index constants, which no short stream
     reaches.  Armed: the index arms after four rows, so the walk reads
     the packed prefix."""
-    if arm_rows is None:
-        drive(scenario)
-    else:
-        with sweep_constants(arm_rows):
+    if armed:
+        with sweep_constants(4):
             drive(scenario)
+    else:
+        drive(scenario)
 
 
-@settings(max_examples=15, deadline=None)
-@given(scenario=stream_scenarios(past_caps=True))
-def test_past_the_count_index_caps(scenario):
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize(
+    "dhat", DHATS, ids=["uncapped" if d is None else f"dhat{d}" for d in DHATS]
+)
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_every_op_follows_the_definitions(family, dhat, policy, data):
+    """One cell of the corpus's grid; m̂, the stream and the sweep
+    index's side are drawn."""
+    scenario = data.draw(
+        stream_scenarios(families=(family,), dhats=(dhat,), policies=(policy,)),
+        label="scenario",
+    )
+    drive_swept(scenario, data.draw(st.booleans(), label="armed"))
+
+
+@pytest.mark.parametrize("armed", [False, True], ids=["dense", "armed"])
+def test_a_delete_repairs_beyond_the_cap(armed):
+    drive_swept(BEYOND_CAP_REPAIR, armed)
+
+
+@pytest.mark.parametrize("armed", [False, True], ids=["dense", "armed"])
+@pytest.mark.parametrize(
+    "shape", PAST_CAP_SHAPES, ids=[f"d{d}m{m}" for d, m, _, _ in PAST_CAP_SHAPES]
+)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_past_the_count_index_caps(shape, armed, data):
     """Shapes past the count index's caps, where ``svec`` counts
     skylines from its anchor-bit matrix."""
-    drive(scenario)
+    drive_swept(data.draw(stream_scenarios(past_cap=shape), label="scenario"), armed)
