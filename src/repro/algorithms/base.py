@@ -34,7 +34,7 @@ from typing import (
 import numpy as np
 
 from ..core.config import DiscoveryConfig
-from ..core.constraint import Constraint, constraint_for_record
+from ..core.constraint import Constraint, constraints_for_record, lattice_getters
 from ..core.facts import FactSet
 from ..core.lattice import masks_by_level, nonempty_subspaces
 from ..core.record import Record, Table
@@ -92,12 +92,15 @@ class DiscoveryAlgorithm(abc.ABC):
         )
         #: mask → position in :attr:`masks_top_down` (``-1`` beyond ``d̂``):
         #: a fact's position along ``C^t`` in the cell form of ``S_t``.
-        self._mask_order = np.full(1 << schema.n_dimensions, -1, dtype=np.int64)
+        self._mask_order = np.full(1 << schema.n_dimensions, -1, dtype=np.int32)
         self._mask_order[list(self.masks_top_down)] = np.arange(
             len(self.masks_top_down)
         )
-        #: Memo for :meth:`constraint_cache`, keyed by dims tuple.
-        self._ct_by_dims: Dict[Tuple[object, ...], Dict[int, Constraint]] = {}
+        self._ct_getters = lattice_getters(schema.n_dimensions, self.masks_top_down)
+        #: ``(dims, C^t)`` of the arrival being processed — the one
+        #: entry :meth:`constraint_cache` keeps.
+        self._ct: Tuple[Optional[Tuple[object, ...]], Dict[int, Constraint]]
+        self._ct = (None, {})
 
     # ------------------------------------------------------------------
     # Public API
@@ -207,28 +210,26 @@ class DiscoveryAlgorithm(abc.ABC):
         return list(self.subspaces)
 
     def constraint_cache(self, record: Record) -> Dict[int, Constraint]:
-        """The constraints of ``C^t`` keyed by bound mask.
+        """The constraints of ``C^t`` keyed by bound mask, in
+        :attr:`masks_top_down` order.
 
-        ``C^t`` depends only on the record's dimension values, which
-        bounded-domain streams repeat constantly, so the per-arrival
-        build is memoised by dims tuple (capped FIFO to bound memory on
-        unbounded domains)."""
-        cached = self._ct_by_dims.get(record.dims)
-        if cached is not None:
-            return cached
-        cached = {
-            mask: constraint_for_record(record, mask) for mask in self.masks_top_down
-        }
-        if len(self._ct_by_dims) >= 16384:
-            self._ct_by_dims.pop(next(iter(self._ct_by_dims)))
-        self._ct_by_dims[record.dims] = cached
-        return cached
+        Built once per arrival from index tables made in ``__init__``
+        (:func:`~repro.core.constraint.constraints_for_record`); the
+        repeated calls of one arrival — discovery, the cell form of
+        ``S_t``, a ladder's skyline sizes — share the build.  Only that
+        arrival's ``C^t`` is kept, so memory does not grow with the
+        distinct dimension tuples a stream carries."""
+        dims, constraints = self._ct
+        if dims != record.dims:
+            built = constraints_for_record(record, self._ct_getters)
+            constraints = dict(zip(self.masks_top_down, built))
+            self._ct = (record.dims, constraints)
+        return constraints
 
     def _constraint_sequence(self, record: Record) -> Tuple[Constraint, ...]:
         """``C^t`` as one sequence in :attr:`masks_top_down` order — the
         constraint axis of the cell form of ``S_t``."""
-        constraints = self.constraint_cache(record)
-        return tuple(constraints[mask] for mask in self.masks_top_down)
+        return tuple(self.constraint_cache(record).values())
 
     def _fact_set(
         self, record: Record, pairs: Sequence[Tuple[int, int]]
@@ -242,7 +243,7 @@ class DiscoveryAlgorithm(abc.ABC):
         facts.add_cells(
             self._constraint_sequence(record),
             self._mask_order[list(masks)],
-            np.array(subspaces, dtype=np.int64),
+            np.array(subspaces, dtype=np.int32),
         )
         return facts
 
@@ -271,7 +272,7 @@ class DiscoveryAlgorithm(abc.ABC):
         }
 
     def skyline_column(self, facts: FactSet) -> np.ndarray:
-        """``|λ_M(σ_C(R))|`` for every fact of ``S_t`` as one ``int64``
+        """``|λ_M(σ_C(R))|`` for every fact of ``S_t`` as one ``int32``
         column in insertion order — the skyline half of the one scoring
         call (the context half is
         :meth:`~repro.core.prominence.ContextCounter.context_column`).
@@ -284,7 +285,7 @@ class DiscoveryAlgorithm(abc.ABC):
         sizes = self.skyline_sizes(facts)
         return np.fromiter(
             (sizes[pair] for pair in facts.iter_pairs()),
-            dtype=np.int64,
+            dtype=np.int32,
             count=len(facts),
         )
 

@@ -228,8 +228,8 @@ class SVectorized(DiscoveryAlgorithm):
             report[0, 0] = self.config.allows_subspace(self.full_space)
         self._report_col = report
         #: The subspace keys as a gather index (measure-mask subset DP
-        #: of the prefix stage, emission column).
-        self._keys_index = np.asarray(self._subspace_keys, dtype=np.int64)
+        #: of the prefix stage) and the emitted subspace column.
+        self._keys_index = np.asarray(self._subspace_keys, dtype=np.int32)
         #: Memo of :meth:`_collapse`, by bindable mask.
         self._collapse_tbl: Dict[int, tuple] = {}
 
@@ -431,7 +431,7 @@ class SVectorized(DiscoveryAlgorithm):
         # np.nonzero's row-major order reproduces the scalar pass order.
         emit = survive & self._report_col
         ks, cs = np.nonzero(emit)
-        facts.add_cells(cons_seq, cs, self._keys_index[ks])
+        facts.add_cells(cons_seq, cs.astype(np.int32), self._keys_index[ks])
 
         # Demotions and the comparison counter: row r occupies the
         # walk's bucket at mask m iff it is anchored there and

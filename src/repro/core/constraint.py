@@ -15,7 +15,8 @@ the general, tuple-valued view.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .schema import TableSchema
 
@@ -244,6 +245,45 @@ def constraint_for_record(record: "Record", mask: int) -> Constraint:
         # cannot be bound — recount so bound_mask matches the values.
         return Constraint(values)
     return Constraint.from_values_mask(values, mask)
+
+
+def tuple_getter(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """``seq ↦ tuple(seq[i] for i in positions)``, one C call when
+    ``positions`` has two or more entries (``itemgetter`` returns a bare
+    item for one and refuses none)."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (i,) = positions
+        return lambda seq: (seq[i],)
+    return lambda seq: ()
+
+
+def lattice_getters(n_dimensions: int, masks: Sequence[int]) -> tuple:
+    """Per-mask index tables for :func:`constraints_for_record`, built
+    once per lattice: ``(mask, getter)`` pairs, the getter taking a
+    record's dimension values with the unbound marker appended (index
+    ``n_dimensions``) to the values of its constraint at ``mask``."""
+    n = n_dimensions
+    return tuple(
+        (mask, tuple_getter([i if mask >> i & 1 else n for i in range(n)]))
+        for mask in masks
+    )
+
+
+def constraints_for_record(record: "Record", getters) -> Tuple[Constraint, ...]:
+    """The constraints of ``C^t`` at the masks of ``getters`` (see
+    :func:`lattice_getters`), in that order — one tuple gather and one
+    constructor call per mask.  Equal, mask by mask, to
+    :func:`constraint_for_record`: a ``None`` value cannot be bound, so
+    a mask covering it carries only its bindable positions."""
+    dims = record.dims
+    padded = (*dims, UNBOUND)
+    make = Constraint.from_values_mask
+    if UNBOUND in dims:
+        bindable = bindable_positions(dims)
+        return tuple(make(get(padded), mask & bindable) for mask, get in getters)
+    return tuple(make(get(padded), mask) for mask, get in getters)
 
 
 def satisfied_constraints(record: "Record", max_bound: Optional[int] = None) -> Iterator[Constraint]:

@@ -85,18 +85,21 @@ def _rank_key(fact: SituationalFact):
 
 
 def _size_column(sizes) -> np.ndarray:
-    """A cardinality column as ``int64`` (``None`` → ``-1``)."""
+    """A cardinality column as ``int32`` (``None`` → ``-1``): a context
+    or skyline holds at most the live rows.  The engines' own columns
+    arrive as ``int32`` and pass through uncopied; only the count
+    matrix read past the store's index caps is narrowed here."""
     if isinstance(sizes, np.ndarray):
-        return sizes.astype(np.int64, copy=False)
+        return sizes.astype(np.int32, copy=False)
     return np.fromiter(
         (-1 if size is None else size for size in sizes),
-        dtype=np.int64,
+        dtype=np.int32,
         count=len(sizes),
     )
 
 
 #: The position / subspace column of a set nothing was added to.
-_NO_FACTS = np.empty(0, dtype=np.int64)
+_NO_FACTS = np.empty(0, dtype=np.int32)
 _NO_FACTS.flags.writeable = False
 
 
@@ -117,13 +120,17 @@ class FactSet:
 
     The set has one form, the lattice walker's emission *cells*: ``C^t``
     as one constraint sequence in ``masks_top_down`` order (the order of
-    ``ContextCounter.masks``) plus integer position / subspace columns —
-    fact ``i`` is ``(cons_seq[positions[i]], subspaces[i])``.  ``svec``
-    emits it directly; the paper-ladder algorithms hand their ``(mask,
+    ``ContextCounter.masks``), built once for the arrival, plus
+    ``int32`` position / subspace columns — fact ``i`` is
+    ``(cons_seq[positions[i]], subspaces[i])``.  ``svec`` emits it
+    directly; the paper-ladder algorithms hand their ``(mask,
     subspace)`` pairs over through one adapter,
     ``DiscoveryAlgorithm._fact_set``.  Context / skyline cardinalities
-    are two integer NumPy columns set once by :meth:`set_scores` (``-1``
-    = not scored).  Every read is pure.
+    are two ``int32`` NumPy columns set once by :meth:`set_scores`
+    (``-1`` = not scored).  Every engine creates all four columns at
+    that width (``S_t`` routinely holds hundreds of facts and a
+    micro-batch holds hundreds of sets), so none is cast or copied on
+    the way in.  Every read is pure.
     :class:`SituationalFact` objects are materialised lazily on first
     object-level read, and reporting (:meth:`top_k`, :meth:`prominent`)
     picks its winners off the prominence column and materialises *only
@@ -167,8 +174,8 @@ class FactSet:
     ) -> None:
         """Fill an empty set with a whole arrival's pairs: fact ``i`` is
         ``(cons_seq[positions[i]], subspaces[i])``, with ``cons_seq`` the
-        constraints of ``C^t`` in walk order and the two columns integer
-        arrays.  Nothing per-fact is built until a reader asks
+        constraints of ``C^t`` in walk order and the two columns ``int32``
+        arrays, kept as given.  Nothing per-fact is built until a reader asks
         (:meth:`cells` hands the form back to the bulk scorers)."""
         if len(self):
             raise ValueError("add_cells fills an empty fact set")
@@ -183,7 +190,7 @@ class FactSet:
         return self._cells
 
     def scores(self):
-        """The ``(context, skyline)`` cardinality columns as ``int64``
+        """The ``(context, skyline)`` cardinality columns as ``int32``
         arrays parallel to insertion order (``-1`` = not scored), or
         ``None`` for a set no scoring pass has touched.  Read-only —
         what the feed fold scatters into its standings."""

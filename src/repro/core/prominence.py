@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .config import DiscoveryConfig, effective_bound_cap
-from .constraint import UNBOUND, Constraint
+from .constraint import UNBOUND, Constraint, tuple_getter
 from .facts import FactSet, SituationalFact
 from .lattice import masks_by_level
 from .record import Record
@@ -42,8 +42,11 @@ class ContextCounter:
     ids-at-bound-positions)`` instead of a materialised
     :class:`Constraint` — no tuple-of-values hashing, no constraint
     objects per ``(row, mask)``.  Only constraints some live tuple
-    satisfies have entries, so memory is bounded by distinct
-    dimension-value combinations, not by ``|C_D| = Π(|dom(di)|+1)``.
+    satisfies have entries, so memory is bounded by the distinct
+    constraints of the live rows, not by ``|C_D| = Π(|dom(di)|+1)``.
+    An arrival's keys are derived once, from per-mask index tables
+    built here, and only that arrival's are kept: :meth:`register` and
+    :meth:`context_column` read the same keys for the same arrival.
     :meth:`register_many` ingests whole blocks with one grouped
     ``np.unique`` per mask.
 
@@ -68,22 +71,28 @@ class ContextCounter:
         )
         #: ``position_of[mask]``: the index of an allowed mask in
         #: :attr:`masks` (a fact's position along ``C^t``).
-        self.position_of = np.zeros(1 << n_dimensions, dtype=np.int64)
+        self.position_of = np.zeros(1 << n_dimensions, dtype=np.int32)
         self.position_of[list(self.masks)] = np.arange(len(self.masks))
         self._positions: Dict[int, Tuple[int, ...]] = {
             mask: tuple(i for i in range(n_dimensions) if (mask >> i) & 1)
             for mask in self.masks
         }
+        #: ``(mask, ids ↦ ids at the mask's positions)`` per mask.
+        self._key_getters = tuple(
+            (mask, tuple_getter(self._positions[mask])) for mask in self.masks
+        )
+        #: Per column, value → interned id: one entry per distinct value
+        #: ever seen in the column (ids are never reused, so it does not
+        #: shrink when rows leave).
         self._tables: List[Dict[object, int]] = [
             {} for _ in range(n_dimensions)
         ]
+        #: Bounded by the distinct constraints of the live rows: a key
+        #: leaves when its count reaches zero.
         self._counts: Dict[Key, int] = defaultdict(int)
-        #: Memo of :meth:`_keys` by dims tuple — bounded-domain streams
-        #: repeat dimension combinations constantly, and the engine
-        #: derives the keys twice per arrival (registration and the
-        #: scoring probe).  FIFO-capped like the algorithms' constraint
-        #: cache.
-        self._keys_memo: Dict[Tuple[object, ...], List[Key]] = {}
+        #: ``(dims, keys)`` of the arrival being processed — the one
+        #: entry :meth:`_keys` keeps.
+        self._last: Tuple[Optional[Tuple[object, ...]], List[Key]] = (None, [])
 
     # ------------------------------------------------------------------
     # Key derivation
@@ -102,14 +111,15 @@ class ContextCounter:
     def _keys(self, dims: Tuple[object, ...]) -> List[Key]:
         """One count key per allowed mask, parallel to :attr:`masks`
         (masks covering a ``None`` value collapse onto one key, so the
-        list may repeat keys).  Memoised per dims tuple."""
-        memo = self._keys_memo
-        keys = memo.get(dims)
-        if keys is not None:
+        list may repeat keys).  Derived once per arrival: a repeated
+        call with the same values returns the keys kept from the
+        previous one."""
+        last, keys = self._last
+        if last == dims:
             return keys
         ids = self._intern(dims)
-        positions = self._positions
         if UNBOUND in dims:
+            positions = self._positions
             keys = []
             for mask in self.masks:
                 bound = [i for i in positions[mask] if dims[i] is not UNBOUND]
@@ -117,13 +127,8 @@ class ContextCounter:
                     (sum(1 << i for i in bound), tuple(ids[i] for i in bound))
                 )
         else:
-            keys = [
-                (mask, tuple(ids[i] for i in positions[mask]))
-                for mask in self.masks
-            ]
-        if len(memo) >= 16384:
-            memo.pop(next(iter(memo)))
-        memo[dims] = keys
+            keys = [(mask, get(ids)) for mask, get in self._key_getters]
+        self._last = (dims, keys)
         return keys
 
     def _distinct_keys(self, dims: Tuple[object, ...]):
@@ -208,14 +213,14 @@ class ContextCounter:
         return [counts.get(key, 0) for key in self._keys(dims)]
 
     def context_column(self, facts: FactSet) -> np.ndarray:
-        """``|σ_C|`` of every fact of ``S_t`` as one ``int64`` column in
+        """``|σ_C|`` of every fact of ``S_t`` as one ``int32`` column in
         insertion order — the context half of the one scoring call.
 
         One :meth:`counts_for_dims` probe, gathered at each fact's
         position along :attr:`masks` (the cell positions of ``S_t``).
         """
         context = np.asarray(
-            self.counts_for_dims(facts.record.dims), dtype=np.int64
+            self.counts_for_dims(facts.record.dims), dtype=np.int32
         )
         return context[facts.cells()[1]]
 

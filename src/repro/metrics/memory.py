@@ -10,7 +10,7 @@ extra reference — matching how the JVM heap would behave).
 from __future__ import annotations
 
 import sys
-from typing import Iterable, Set
+from typing import Dict, Iterable, Set
 
 _POINTER_BYTES = 8
 
@@ -42,3 +42,26 @@ def approximate_store_bytes(entries: Iterable[tuple]) -> int:
                 seen.add(id(record))
                 total += record_bytes(record)
     return total
+
+
+#: ``/proc/self/status`` fields read by :func:`process_rss_mb`.
+_RSS_FIELDS = {"VmRSS:": "rss_mb", "VmHWM:": "peak_rss_mb"}
+
+
+def process_rss_mb() -> Dict[str, float]:
+    """This process's resident set size now (``rss_mb``) and at its
+    peak (``peak_rss_mb``), in MiB, read from ``/proc/self/status``
+    (``VmRSS`` / ``VmHWM``) at call time — the whole process, import
+    floor included, not a deep size.  Empty where ``/proc`` is
+    missing."""
+    try:
+        with open("/proc/self/status") as status:
+            lines = status.readlines()
+    except OSError:
+        return {}
+    out = {}
+    for line in lines:
+        parts = line.split()
+        if parts and parts[0] in _RSS_FIELDS:
+            out[_RSS_FIELDS[parts[0]]] = int(parts[1]) / 1024
+    return out

@@ -218,12 +218,18 @@ class FeedStore:
     def _reset(self) -> None:
         """Empty standings (the layout is in the module docstring)."""
         #: key -> segment in creation order, the same objects by id,
-        #: and their live-entry counts.
+        #: and their live-entry counts.  One segment per distinct
+        #: ``group_by`` value combination (per subspace with
+        #: ``split_subspaces``) ever fed: a segment is never removed,
+        #: not even when its last entry leaves (only a reset empties
+        #: these), so they grow with the distinct values seen, not with
+        #: the live rows.
         self._segments: Dict[str, FeedSegment] = {}
         self._by_sid: List[FeedSegment] = []
         self._seg_size = np.zeros(8, dtype=np.int64)
         #: Constraint table; a row whose slots empty goes back on
-        #: ``_free_cids`` (``_constraints[cid]`` is then ``None``).
+        #: ``_free_cids`` (``_constraints[cid]`` is then ``None``), so
+        #: ``_cid`` holds exactly the constraints with a live entry.
         self._cid: Dict[Constraint, int] = {}
         self._constraints: List[Optional[Constraint]] = []
         self._free_cids: List[int] = []

@@ -45,9 +45,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Sequence
 
-from ..core.facts import FactSet, SituationalFact
+from ..core.facts import SituationalFact
 from ..core.prominence import select_reportable
 from ..core.record import Record
+from ..metrics.memory import process_rss_mb
 from ..metrics.service import ServiceStats
 from .feeds import FeedStore, engine_version
 
@@ -78,17 +79,18 @@ def _settle(future, result=None, error=None) -> None:
 
 @dataclass
 class FactEvent:
-    """One processed arrival, as delivered to subscribers.
+    """One processed arrival, as delivered to subscribers: the record
+    and its *reportable* facts (the engine config's ``τ``/top-k
+    policy).
 
-    ``facts`` is the *reportable* selection (the engine config's
-    ``τ``/top-k policy); ``factset`` is the arrival's full ``S_t``
-    when available (the feed tier folds that in — reporting filters
-    would starve it).
+    The arrival's full ``S_t`` is not carried: the feed tier folds it
+    inside the engine job, and an event may wait in a subscription
+    buffer of up to ``max_pending`` events, where a whole fact set
+    (hundreds of facts) per event would dwarf what it reports.
     """
 
     record: Record
     facts: List[SituationalFact] = field(default_factory=list)
-    factset: Optional[FactSet] = None
 
     @property
     def tid(self) -> int:
@@ -368,7 +370,9 @@ class StreamServer:
         return subscription
 
     def stats_snapshot(self) -> dict:
-        """Current service metrics (queue/batch/shard/fault counters)."""
+        """Current service metrics (queue/batch/shard/fault counters,
+        and the process's ``rss_mb`` / ``peak_rss_mb`` where ``/proc``
+        exists)."""
         utilization = _probe(self.engine, "utilization")
         if callable(utilization):
             self.stats.note_shard_utilization(utilization())
@@ -405,6 +409,7 @@ class StreamServer:
             )
             self.stats.note_feeds(feed_stats)
         snap = self.stats.snapshot()
+        snap.update(process_rss_mb())
         snap["table_rows"] = len(self.engine.table)
         snap["queue_depth"] = self._queue.qsize() if self._queue else 0
         if self.journal is not None:
@@ -541,7 +546,7 @@ class StreamServer:
                     event = FactEvent(result, [])
                 else:
                     factset, facts = result
-                    event = FactEvent(factset.record, facts, factset)
+                    event = FactEvent(factset.record, facts)
                     emitted += len(facts)
                 _settle(future, event)
                 for subscription in list(self._subscriptions):

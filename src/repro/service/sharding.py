@@ -52,7 +52,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from ..core.config import DiscoveryConfig
-from ..core.constraint import Constraint, constraint_for_record
+from ..core.constraint import Constraint, constraints_for_record, lattice_getters
 from ..core.engine_protocol import EngineBase
 from ..core.facts import FactSet
 from ..core.lattice import nonempty_subspaces
@@ -362,6 +362,9 @@ class ShardedDiscoverer(EngineBase):
         #: pairs of the worker op table — the rebuild source for
         #: restarts, degrades, replica joins and rebalance handoffs.
         #: Kept only for workers that can be lost (its memory cost).
+        #: Unbounded: it holds every op since the router started, and
+        #: nothing trims it (ROADMAP item 4: trim at each checkpoint,
+        #: with a state transfer replacing the full replay).
         self._oplog: List[Tuple[str, object]] = []
         self._track_oplog = mode != "serial"
         #: Fault counters of workers discarded by a degrade.
@@ -397,7 +400,11 @@ class ShardedDiscoverer(EngineBase):
         self._shard_of = {
             key: w for w, shard in enumerate(self.shards) for key in shard
         }
-        self._cons_memo: Dict[Tuple[object, ...], Tuple[Constraint, ...]] = {}
+        #: Index tables of ``C^t`` in the counter's (the workers') walk
+        #: order: the merge builds each arrival's constraint axis once.
+        self._ct_getters = lattice_getters(
+            schema.n_dimensions, self.context_counter.masks
+        )
         self._workers = self._spawn_workers()
         self._closed = False
 
@@ -535,19 +542,6 @@ class ShardedDiscoverer(EngineBase):
             )
         return records, payload
 
-    def _cons_seq(self, record: Record) -> Tuple[Constraint, ...]:
-        """``C^t`` in walk order, memoised per dims tuple (mirrors the
-        algorithms' ``constraint_cache``)."""
-        cached = self._cons_memo.get(record.dims)
-        if cached is None:
-            if len(self._cons_memo) >= 16384:
-                self._cons_memo.pop(next(iter(self._cons_memo)))
-            cached = self._cons_memo[record.dims] = tuple(
-                constraint_for_record(record, mask)
-                for mask in self.context_counter.masks
-            )
-        return cached
-
     def _merge_committed(
         self, pending: Tuple[List[Record], List[Mapping[str, object]]]
     ) -> List[FactSet]:
@@ -595,9 +589,10 @@ class ShardedDiscoverer(EngineBase):
                 queue_depth=len(self._workers[w].pending_ops()),
             )
         # Each reply's flat (mask, subspace[, skyline]) columns as one
-        # integer matrix; an arrival's facts are a column slice of each.
+        # int32 matrix (the width of S_t's columns); an arrival's facts
+        # are a column slice of each.
         columns = [
-            np.asarray(reply[1 : 3 if reply[3] is None else 4], dtype=np.int64)
+            np.asarray(reply[1 : 3 if reply[3] is None else 4], dtype=np.int32)
             for reply in replies
         ]
         counter = self.context_counter
@@ -619,7 +614,11 @@ class ShardedDiscoverer(EngineBase):
             # its positions place each mask along C^t.
             positions = counter.position_of[merged[0]]
             facts = FactSet(record)
-            facts.add_cells(self._cons_seq(record), positions, merged[1])
+            facts.add_cells(
+                constraints_for_record(record, self._ct_getters),
+                positions,
+                merged[1],
+            )
             if self.score:
                 facts.set_scores(counter.context_column(facts), merged[2])
             out.append(facts)

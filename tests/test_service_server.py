@@ -4,6 +4,7 @@ subscriptions, checkpoint round-trips, and the NDJSON TCP front-end."""
 import asyncio
 import inspect
 import json
+import os
 
 import pytest
 
@@ -155,6 +156,53 @@ class TestMicroBatching:
         assert len(events) == 5
         assert sub.dropped == len(rows) - 5
         assert [e.tid for e in events] == list(range(15, 20))
+
+    def test_undrained_subscription_holds_only_what_it_reports(self):
+        """An event waiting in a subscription buffer keeps its record
+        and its reportable facts, not the arrival's whole ``S_t``: 2 000
+        d5 m5 arrivals (about 600 facts each) are published to a
+        subscription nobody reads, and the ``tracemalloc`` bytes its
+        last 200 events release when finally read stay under 2 KB per
+        event.  Carrying the fact set, each held 18.5 KB on CPython
+        3.11 (0.36 KB without), so the default 65 536-event buffer of
+        one stalled subscriber could pin ≈ 1.2 GB."""
+        import gc
+        import tracemalloc
+
+        from repro.datasets.synthetic import synthetic_rows, synthetic_schema
+
+        rows = synthetic_rows(2000, 5, 5, seed=3)
+        traced_rows = 200
+
+        async def run():
+            server = StreamServer(
+                FactDiscoverer(
+                    synthetic_schema(5, 5), "svec", DiscoveryConfig(top_k=1)
+                )
+            )
+            await server.start()
+            sub = server.subscribe(only_facts=False)
+            await server.ingest_many(rows[:-traced_rows])
+            await server.drain()
+            tracemalloc.start()
+            try:
+                await server.ingest_many(rows[-traced_rows:])
+                await server.drain()
+                gc.collect()
+                buffered = tracemalloc.get_traced_memory()[0]
+                events = [await sub.__anext__() for _ in rows]
+                tids = [event.tid for event in events]
+                del events
+                gc.collect()
+                released = buffered - tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            await server.stop()
+            return tids, released / traced_rows
+
+        tids, per_event = asyncio.run(run())
+        assert tids == list(range(len(rows)))
+        assert per_event < 2048, per_event
 
     def test_invalid_row_rejected_at_ingest(self):
         async def run():
@@ -370,6 +418,11 @@ class TestTcpFrontend:
         assert stats["stats"]["processed_rows"] == 7
         assert stats["stats"]["deletes"] == 1
         assert "shard_utilization" in stats["stats"]
+        # The server's own memory, read at snapshot time where /proc is.
+        if os.path.exists("/proc/self/status"):
+            assert 0 < stats["stats"]["rss_mb"] <= stats["stats"]["peak_rss_mb"]
+        else:
+            assert "rss_mb" not in stats["stats"]
         assert stopping == {"stopping": True}
         assert len(engine.table) == 6  # 7 arrivals − 1 deletion
 
