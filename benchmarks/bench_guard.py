@@ -523,7 +523,7 @@ def test_query_cache_repeats_stay_free():
         queries = engine.query()
         uncached = read_pass(queries)
         cached = min(read_pass(queries) for _ in range(3))
-        counters = engine.query_cache_counters()
+        counters = engine.stats()["query_cache"]
     assert counters["hits"] >= 3 * len(constraints), counters
     ratio = cached / uncached
     print(

@@ -249,7 +249,7 @@ def test_cache_repeat_speedup(bench_scale):
         queries = engine.query()
         uncached_s, first = _read_pass(queries, constraints)
         cached_s, repeat = _read_pass(queries, constraints)
-        counters = engine.query_cache_counters()
+        counters = engine.stats()["query_cache"]
 
     assert first == repeat, "cached repeat changed the answers"
     n_reads = len(constraints) + 1
@@ -305,7 +305,7 @@ def test_cache_hit_rate_vs_write_interval(bench_scale):
                 if interval and (i + 1) % interval == 0:
                     engine.observe_many([rows[n + writes]])
                     writes += 1
-            counters = engine.query_cache_counters()
+            counters = engine.stats()["query_cache"]
         label = "read_only" if interval == 0 else f"write_every_{interval}"
         rates[label] = round(
             counters["hits"] / (counters["hits"] + counters["misses"]), 3

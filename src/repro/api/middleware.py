@@ -82,6 +82,12 @@ class EngineMiddleware(EngineBase):
     def score(self) -> bool:
         return bool(getattr(self.inner, "score", True))
 
+    @property
+    def degraded(self) -> bool:
+        """Whether a sharded engine underneath fell back to in-router
+        execution (``False`` for every other composition)."""
+        return bool(getattr(self.inner, "degraded", False))
+
     # -- delegated behaviour --------------------------------------------
     def facts_for(self, row: Row) -> FactSet:
         return self.inner.facts_for(row)
@@ -354,7 +360,7 @@ class QueryCacheMiddleware(EngineMiddleware):
     >>> _ = engine.observe({"d": "x", "m": 1})
     >>> q = engine.query()
     >>> _ = q.skyline_text("d=x | m"); _ = q.skyline_text("d=x | m")
-    >>> engine.query_cache_counters()["hits"]
+    >>> engine.stats()["query_cache"]["hits"]
     1
     """
 
@@ -379,10 +385,6 @@ class QueryCacheMiddleware(EngineMiddleware):
         return CachedQueryEngine(
             self.inner.query(), self.cache, self._cache_version
         )
-
-    def query_cache_counters(self) -> Dict[str, int]:
-        """Hit/miss/eviction tallies (picked up by ``ServiceStats``)."""
-        return self.cache.snapshot()
 
     def stats(self) -> Dict[str, object]:
         out = super().stats()

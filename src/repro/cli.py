@@ -373,7 +373,6 @@ def cmd_serve(args) -> int:
     import json
 
     from .datasets.loader import load_rows
-    from .metrics.service import ServiceStats
     from .service import StreamServer, recover_engine
     from .service import faults as faults_mod
 
@@ -391,9 +390,7 @@ def cmd_serve(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    stats = ServiceStats()
     if recovery is not None and recovery.source != "fresh":
-        stats.ops_replayed = recovery.ops_replayed
         note = (
             f"# recovered from {recovery.source}: "
             f"{recovery.ops_replayed} journal ops replayed"
@@ -414,8 +411,9 @@ def cmd_serve(args) -> int:
             batch_max=args.batch_max,
             dead_letter_path=getattr(args, "dead_letter", None),
             conn_timeout=getattr(args, "conn_timeout", None),
-            stats=stats,
         )
+        if recovery is not None:
+            server.stats.ops_replayed = recovery.ops_replayed
         await server.start()
         listener = None
         if args.port is not None:
@@ -482,7 +480,7 @@ def cmd_serve(args) -> int:
         if gateway is not None:
             await gateway.stop()
         print(
-            f"# service stats: {json.dumps(server.stats_snapshot())}",
+            f"# service stats: {json.dumps(await server.read_stats())}",
             file=sys.stderr,
         )
         engine.close()
@@ -800,7 +798,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-worker probe timeout in seconds")
     p.add_argument("--gateway", default=None, metavar="HOST:PORT",
                    help="also probe a feed gateway's GET /stats and "
-                        "print its subscriber/feed counters")
+                        "print its subscriber/feed counters (the reply "
+                        "waits for the server's running batch and, when "
+                        "sharded, its workers' counters: --timeout "
+                        "bounds that wait)")
     p.add_argument("--json", action="store_true",
                    help="print the per-replica rows as JSON")
     p.set_defaults(fn=cmd_cluster_status)

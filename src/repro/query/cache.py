@@ -19,7 +19,7 @@ every hit so callers mutating their result cannot poison the cache.
 The layer composes over any engine via
 :class:`~repro.api.middleware.QueryCacheMiddleware`
 (``EngineSpec(query_cache=N)``); hit/miss/eviction counters surface
-through ``engine.stats()`` and :class:`~repro.metrics.service.ServiceStats`.
+through ``engine.stats()["query_cache"]`` and the server's ``stats`` reply.
 """
 
 from __future__ import annotations

@@ -33,9 +33,9 @@ Placement.  :class:`PlacementModel` replaces the static weights of
 :func:`~repro.service.sharding.partition_subspaces` with live,
 per-shard cost estimates — an EWMA of observed seconds-per-row and the
 current queue depth, fed from the per-chunk worker replies (the same
-numbers :class:`~repro.metrics.service.ServiceStats` now surfaces
-per-shard).  It prices candidate assignments by their predicted
-slowest shard (the litmus rough-cost-then-execute idiom) and emits
+numbers the router's ``stats()`` surfaces per shard).  It prices
+candidate assignments by their predicted slowest shard (the litmus
+rough-cost-then-execute idiom) and emits
 :class:`Move` plans the router executes as snapshot-handoff
 reconfigures.  With no observations it falls back to the static
 root-weight prior, so cold-start placement is identical to the

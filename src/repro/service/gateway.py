@@ -4,7 +4,7 @@
 whose engine carries a ``feeds`` spec: REST reads page the materialized
 :class:`~repro.service.feeds.FeedStore` with cursors, and WebSocket
 subscribers receive per-segment snapshot/update frames as feed versions
-advance — no read ever touches the engine, so fan-out scales with
+advance — no feed read ever touches the engine, so fan-out scales with
 subscriber count instead of ingest throughput (ROADMAP item 1: the
 millions-of-users read path).
 
@@ -16,7 +16,11 @@ Endpoints
 ``GET /healthz``
     Liveness: ``{"ok": true, "running": …}``.
 ``GET /stats``
-    The server's full stats snapshot (gateway counters included).
+    The server's stats reply, as the TCP ``stats`` op returns it
+    (gateway counters and the engine's stats tree included).  It reads
+    the engine, so it waits for the running batch and, on a sharded
+    engine, for the workers' counters; ``503`` with ``{"error": …}``
+    when that read fails.
 ``GET /feeds``
     Segment directory: key, version, entry count, staleness, evictions.
 ``GET /feeds/<segment>?cursor=&limit=&top_k=&tau=``
@@ -313,7 +317,8 @@ class FeedGateway:
 
     async def _respond(self, writer, status: int, payload: dict) -> None:
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  405: "Method Not Allowed"}.get(status, "OK")
+                  405: "Method Not Allowed",
+                  503: "Service Unavailable"}.get(status, "OK")
         body = json.dumps(payload).encode()
         writer.write(
             (
@@ -339,7 +344,12 @@ class FeedGateway:
             )
             return
         if path == "/stats":
-            await self._respond(writer, 200, {"stats": self.server.stats_snapshot()})
+            try:
+                stats = await self.server.read_stats()
+            except Exception as exc:
+                await self._respond(writer, 503, {"error": str(exc)})
+                return
+            await self._respond(writer, 200, {"stats": stats})
             return
         if path == "/feeds":
             await self._respond(

@@ -54,18 +54,20 @@ from .feeds import FeedStore, engine_version
 
 _STOP = object()
 
-
-def _probe(engine, name: str, default=None):
-    """``name`` on the outermost layer of ``engine`` that has it, walking
-    the middleware ``inner`` links: a window or query-cache layer over a
-    sharded engine hides its shard and fault surfaces otherwise."""
-    layer = engine
-    while layer is not None:
-        value = getattr(layer, name, None)
-        if value is not None:
-            return value
-        layer = getattr(layer, "inner", None)
-    return default
+#: Flat names of the ``stats`` reply that ``benchmarks/e2e`` (``report.py``,
+#: ``harness.py``) reads, each derived from the engine's stats tree:
+#: ``name: (section of the tree, or None for its top level, key)``.  A
+#: key the composition lacks reads 0 — an unsharded engine has no fault
+#: counters, an uncached one no query cache.
+_FLAT_NAMES = {
+    "worker_restarts": (None, "worker_restarts"),
+    "chunks_retried": (None, "chunks_retried"),
+    "replica_failovers": (None, "replica_failovers"),
+    "degraded": (None, "degraded"),
+    "query_cache_hits": ("query_cache", "hits"),
+    "query_cache_misses": ("query_cache", "misses"),
+    "query_cache_evictions": ("query_cache", "evictions"),
+}
 
 
 def _settle(future, result=None, error=None) -> None:
@@ -131,6 +133,7 @@ class Subscription:
             try:
                 self._queue.get_nowait()
                 self.dropped += 1
+                self._server.stats.subscriber_events_dropped += 1
             except asyncio.QueueEmpty:  # pragma: no cover - racy guard
                 break
         self._queue.put_nowait(event)
@@ -191,7 +194,6 @@ class StreamServer:
         batch_max: int = 256,
         dead_letter_path: Optional[str] = None,
         conn_timeout: Optional[float] = None,
-        stats: Optional[ServiceStats] = None,
         feeds: Optional[FeedStore] = None,
     ) -> None:
         if queue_limit < 1:
@@ -225,7 +227,7 @@ class StreamServer:
         #: Live :class:`~repro.service.journal.JournalWriter` while
         #: running (``None`` without ``journal_dir``).
         self.journal = None
-        self.stats = stats or ServiceStats()
+        self.stats = ServiceStats()
         self._queue: Optional[asyncio.Queue] = None
         self._consumer: Optional[asyncio.Task] = None
         self._checkpointer: Optional[asyncio.Task] = None
@@ -369,34 +371,42 @@ class StreamServer:
         self._subscriptions.add(subscription)
         return subscription
 
-    def stats_snapshot(self) -> dict:
-        """Current service metrics (queue/batch/shard/fault counters,
-        and the process's ``rss_mb`` / ``peak_rss_mb`` where ``/proc``
-        exists)."""
-        utilization = _probe(self.engine, "utilization")
-        if callable(utilization):
-            self.stats.note_shard_utilization(utilization())
-        fault_counters = _probe(self.engine, "fault_counters")
-        if callable(fault_counters):
-            tallies = fault_counters()
-            self.stats.worker_restarts = tallies["worker_restarts"]
-            self.stats.chunks_retried = tallies["chunks_retried"]
-            self.stats.replica_failovers = tallies.get(
-                "replica_failovers", 0
-            )
-            self.stats.degraded = tallies["degraded"]
-        shard_stats = _probe(self.engine, "shard_stats")
-        if callable(shard_stats):
-            # Per-shard breakdown (not just the aggregate counters) so
-            # the TCP `stats` op shows operators the same load picture
-            # the placement model prices.
-            self.stats.note_shard_details(shard_stats())
-        cache_counters = _probe(self.engine, "query_cache_counters")
-        if callable(cache_counters):
-            cache = cache_counters()
-            self.stats.query_cache_hits = cache["hits"]
-            self.stats.query_cache_misses = cache["misses"]
-            self.stats.query_cache_evictions = cache["evictions"]
+    async def read_stats(self) -> dict:
+        """Current service metrics — the reply of the TCP ``stats`` op
+        and the gateway's ``GET /stats``: the server's own tallies
+        (:class:`ServiceStats`), the engine's ``stats()`` tree whole
+        under ``"engine"`` (work counters, shard balance, faults, query
+        cache), the flat names derived from that tree (see
+        ``_FLAT_NAMES``; ``shard_busy_seconds`` / ``shard_utilization``
+        / ``shards`` when sharded), the feed summary, and the process's
+        ``rss_mb`` / ``peak_rss_mb`` where ``/proc`` exists.
+
+        While the server runs, the snapshot is a job on the engine
+        thread, queued behind the running batch: a sharded router's
+        ``stats()`` asks its workers for their counters, and those round
+        trips must not interleave with a batch's.  Before :meth:`start`
+        and after :meth:`stop` it is read directly."""
+        if self._engine_thread is None or self._stopped.is_set():
+            return self._stats_snapshot()
+        return await asyncio.get_running_loop().run_in_executor(
+            self._engine_thread, self._stats_snapshot
+        )
+
+    def _stats_snapshot(self) -> dict:
+        tree = self.engine.stats()
+        snap = self.stats.snapshot()
+        snap["engine"] = tree
+        for name, (section, key) in _FLAT_NAMES.items():
+            scope = tree.get(section, {}) if section else tree
+            snap[name] = scope.get(key, 0)
+        busy = tree.get("utilization")
+        if busy:
+            total = sum(busy)
+            snap["shard_busy_seconds"] = [round(b, 4) for b in busy]
+            snap["shard_utilization"] = [
+                round(b / total, 3) if total else 0.0 for b in busy
+            ]
+            snap["shards"] = tree["shards"]
         if self.feeds is not None:
             feed_stats = self.feeds.stats()
             # Feed lag behind engine arrivals: events discovered but
@@ -407,8 +417,7 @@ class StreamServer:
                 getattr(self.engine, "arrivals", 0)
                 - feed_stats["applied_arrivals"],
             )
-            self.stats.note_feeds(feed_stats)
-        snap = self.stats.snapshot()
+            snap["feeds"] = feed_stats
         snap.update(process_rss_mb())
         snap["table_rows"] = len(self.engine.table)
         snap["queue_depth"] = self._queue.qsize() if self._queue else 0
@@ -730,6 +739,7 @@ class StreamServer:
             # A failed checkpoint must not kill the service: the
             # previous one is intact and the journal keeps growing.
             self.last_error = exc
+            self.stats.checkpoint_failures += 1
             return
         self.stats.checkpoints += 1
 
@@ -862,7 +872,14 @@ class StreamServer:
                         continue
                     await reply(result)
                 elif op == "stats":
-                    await reply({"stats": self.stats_snapshot()})
+                    try:
+                        stats = await self.read_stats()
+                    except Exception as exc:
+                        # E.g. a shard worker that could not be reached
+                        # or rebuilt: the connection lives on.
+                        await reply({"error": str(exc)})
+                        continue
+                    await reply({"stats": stats})
                 elif op == "health":
                     health = {
                         "ok": self._running and self._write_error is None,
@@ -872,7 +889,7 @@ class StreamServer:
                             self._queue.qsize() if self._queue else 0
                         ),
                         "degraded": bool(
-                            _probe(self.engine, "degraded", False)
+                            getattr(self.engine, "degraded", False)
                         ),
                     }
                     if self.last_error is not None:

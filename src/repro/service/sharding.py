@@ -677,7 +677,7 @@ WorkerGaveUp`): every shard is rebuilt deterministically from the
         return self._workers if remote else ()
 
     def fault_counters(self) -> Dict[str, int]:
-        """Supervision tallies (surfaced through ``ServiceStats``)."""
+        """Supervision tallies (merged into :meth:`stats`)."""
         return {
             "worker_restarts": self._restart_base
             + sum(w.restarts for w in self._workers),
@@ -702,9 +702,8 @@ WorkerGaveUp`): every shard is rebuilt deterministically from the
     def shard_stats(self) -> List[Dict[str, object]]:
         """Per-shard operational breakdown — key counts, busy seconds,
         queue depth, the placement model's EWMA, and (remote mode) live
-        replica membership — surfaced through
-        :class:`~repro.metrics.service.ServiceStats` so operators and
-        the placement model see the same numbers."""
+        replica membership — surfaced as :meth:`stats`'s ``shards`` so
+        operators and the placement model see the same numbers."""
         out: List[Dict[str, object]] = []
         for w, worker in enumerate(self._workers):
             entry: Dict[str, object] = {

@@ -260,7 +260,7 @@ class ShardWorker:
         self._oplog = oplog
         #: Cumulative ingest compute seconds the worker reported.
         self.busy_seconds = 0.0
-        #: Restarts performed (counted into ``ServiceStats``).
+        #: Restarts performed (counted into the router's ``stats()``).
         self.restarts = 0
         #: Chunks re-sent to a replacement worker after a crash.
         self.chunks_retried = 0

@@ -170,6 +170,35 @@ class TestServe:
         assert "facts from 35 tuples" in err
         assert len(doc["rows"]) == 35 and doc["journal_seq"] == 35
 
+    def test_stats_line_reports_replayed_ops_and_engine_tree(
+        self, tmp_path, capsys
+    ):
+        """The ``# service stats:`` line printed after ``stop()`` holds
+        the ops recovery replayed and the engine's stats tree."""
+        import json
+
+        from repro.service import JournalWriter
+
+        wal = str(tmp_path / "wal")
+        with JournalWriter(wal) as journal:
+            for row in nba_rows(7, d=4, m=4):
+                journal.append_ingest(row)
+        rc = main(
+            ["serve", "-d", DIMS, "-m", MEAS, "--algorithm", "svec",
+             "--checkpoint", str(tmp_path / "ck.json"), "--journal-dir", wal]
+        )
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "# recovered from journal: 7 journal ops replayed" in err
+        (line,) = [
+            line for line in err.splitlines()
+            if line.startswith("# service stats: ")
+        ]
+        stats = json.loads(line[len("# service stats: "):])
+        assert stats["ops_replayed"] == 7
+        assert stats["engine"]["rows"] == 7
+        assert stats["engine"]["counters"]["comparisons"] > 0
+
     @pytest.mark.parametrize("render", [[], ["--json"]], ids=["text", "json"])
     def test_serve_csv_stdout_is_discovers_stdout(self, nba_csv, capsys, render):
         """The preload printer and ``discover`` write one block per

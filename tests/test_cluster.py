@@ -12,6 +12,7 @@ subprocess/SIGKILL variants live in ``tests/test_fault_tolerance.py``).
 
 from __future__ import annotations
 
+import asyncio
 import pickle
 import random
 import socket
@@ -27,7 +28,7 @@ from repro import FactDiscoverer, TableSchema
 from repro.api import EngineSpec, ShardingSpec, open_engine
 from repro.core.config import DiscoveryConfig
 from repro.core.constraint import Constraint
-from repro.metrics.service import ServiceStats
+from repro.service import StreamServer
 from repro.service.cluster import (
     Move,
     PlacementModel,
@@ -679,14 +680,37 @@ class TestOperatorSurface:
                 engine.close()
 
     def test_service_stats_surfaces_shard_details(self):
-        stats = ServiceStats()
-        details = [{"shard": 0, "keys": 2, "busy_seconds": 0.5}]
-        stats.note_shard_details(details)
-        snap = stats.snapshot()
-        assert snap["shards"] == details
-        assert snap["replica_failovers"] == 0
+        """The server's stats reply carries the router's per-shard
+        breakdown, read from ``engine.stats()``, and derives the
+        rounded busy seconds and their shares from its utilization."""
+        rows = seeded_rows(20, 16, (3, 2))
+        engine = ShardedDiscoverer(SCHEMA, n_workers=2, mode="serial")
+        server = StreamServer(engine)
+        try:
+            engine.facts_for_many(rows)
+            snap = asyncio.run(server.read_stats())
+            assert snap["shards"] == engine.shard_stats()
+            assert snap["engine"]["shards"] == snap["shards"]
+            assert snap["replica_failovers"] == 0
+            busy = engine.utilization()
+            assert snap["shard_busy_seconds"] == [round(b, 4) for b in busy]
+            assert snap["shard_utilization"] == [
+                round(b / sum(busy), 3) for b in busy
+            ]
+            for fake, rounded, shares in (
+                ([1.0, 3.0], [1.0, 3.0], [0.25, 0.75]),
+                ([0.123456, 0.0], [0.1235, 0.0], [1.0, 0.0]),
+                ([0.0, 0.0], [0.0, 0.0], [0.0, 0.0]),
+            ):
+                engine.utilization = lambda fake=fake: fake
+                snap = asyncio.run(server.read_stats())
+                assert snap["shard_busy_seconds"] == rounded
+                assert snap["shard_utilization"] == shares
+        finally:
+            engine.close()
         # Unsharded services keep the key out entirely.
-        assert "shards" not in ServiceStats().snapshot()
+        unsharded = StreamServer(FactDiscoverer(SCHEMA, algorithm="svec"))
+        assert "shards" not in asyncio.run(unsharded.read_stats())
 
     def test_cluster_status_reports_lag_and_health(self):
         rows = seeded_rows(30, 17, (3, 2))

@@ -631,7 +631,8 @@ class TestJournalRecovery:
             writer.close()
             assert health["ok"] is False and health["running"] is True
             assert "torn mid-record" in health["last_error"]
-            assert "torn mid-record" in server.stats_snapshot()["last_error"]
+            stats = await bounded(server.read_stats())
+            assert "torn mid-record" in stats["last_error"]
             await bounded(server.drain())
             # A draining stop returns too — and writes no final
             # checkpoint: the engine holds the refused row.

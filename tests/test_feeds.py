@@ -345,7 +345,7 @@ class TestServerIntegration:
         assert store_segments(server.feeds) == oracle_segments(
             engine, server.feeds
         )
-        snap = server.stats_snapshot()
+        snap = asyncio.run(server.read_stats())
         assert snap["feeds"]["segments"] == len(server.feeds.segment_keys())
         assert snap["feeds"]["lag"] == 0
         assert snap["feeds"]["repairs"] >= 2

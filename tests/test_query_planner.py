@@ -315,7 +315,7 @@ class TestResultCache:
             first = q.skyline_text("d0=a1 | m0, m1")
             again = q.skyline_text("d0=a1 | m0, m1")
             assert [r.tid for r in first] == [r.tid for r in again]
-            counters = engine.query_cache_counters()
+            counters = engine.stats()["query_cache"]
             assert counters["hits"] == 1 and counters["misses"] == 1
             # Any write bumps (arrivals, deletions): cached answers stale.
             engine.observe({"d0": "a1", "d1": "b0", "d2": "c0",
@@ -324,7 +324,7 @@ class TestResultCache:
             assert [r.tid for r in fresh] == [len(engine.table) - 1 + 0] or (
                 len(fresh) == 1
             )
-            assert engine.query_cache_counters()["misses"] == 2
+            assert engine.stats()["query_cache"]["misses"] == 2
             engine.delete(fresh[0].tid)
             after_delete = engine.query().skyline_text("d0=a1 | m0, m1")
             assert fresh[0].tid not in [r.tid for r in after_delete]
@@ -374,7 +374,7 @@ class TestResultCache:
                         assert cached.query().prominence(
                             constraint, subspace
                         ) == plain.query().prominence(constraint, subspace)
-            counters = cached.query_cache_counters()
+            counters = cached.stats()["query_cache"]
             assert counters["hits"] > 0
             assert counters["misses"] > 0
         finally:

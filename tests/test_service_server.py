@@ -5,6 +5,7 @@ import asyncio
 import inspect
 import json
 import os
+import threading
 
 import pytest
 
@@ -12,12 +13,20 @@ from repro import DiscoveryConfig, FactDiscoverer
 from repro.api import (
     CheckpointPolicy,
     EngineSpec,
+    FeedSpec,
     ShardingSpec,
     open_engine,
 )
 from repro.core.schema import SchemaError
 from repro.extensions.snapshot import load_engine
-from repro.service import ShardedDiscoverer, StreamServer
+from repro.service import (
+    FeedClient,
+    FeedGateway,
+    ShardedDiscoverer,
+    StreamServer,
+    faults,
+    fetch_json,
+)
 from tests.strategies import SERVICE_SCHEMA as SCHEMA, make_rows
 
 def fact_key(fact):
@@ -119,7 +128,7 @@ class TestMicroBatching:
             if p.kind is inspect.Parameter.KEYWORD_ONLY
         ] == [
             "queue_limit", "batch_max", "dead_letter_path",
-            "conn_timeout", "stats", "feeds",
+            "conn_timeout", "feeds",
         ]
         with pytest.raises(TypeError):
             StreamServer(
@@ -147,15 +156,18 @@ class TestMicroBatching:
             sub = server.subscribe(only_facts=False, max_pending=5)
             await server.ingest_many(rows)
             await server.drain()
+            sub.close()
             await server.stop()
             events = [event async for event in sub]
-            return sub, events
+            return sub, events, await server.read_stats()
 
-        sub, events = asyncio.run(run())
+        sub, events, snap = asyncio.run(run())
         # Oldest events were dropped; the newest max_pending survive.
         assert len(events) == 5
         assert sub.dropped == len(rows) - 5
         assert [e.tid for e in events] == list(range(15, 20))
+        # The server's tally outlives the closed subscription.
+        assert snap["subscriber_events_dropped"] == len(rows) - 5
 
     def test_undrained_subscription_holds_only_what_it_reports(self):
         """An event waiting in a subscription buffer keeps its record
@@ -329,6 +341,35 @@ class TestCheckpointing:
         restored.close()
         engine.close()
 
+    def test_failed_checkpoints_are_counted(self, tmp_path):
+        """``last_error`` keeps only the latest failure; the tally keeps
+        how many there were."""
+        path = str(tmp_path / "ckpt.json")
+        engine = open_engine(
+            EngineSpec(SCHEMA, "svec", checkpoint=CheckpointPolicy(path))
+        )
+
+        async def run():
+            server = StreamServer(engine)
+            await server.start()
+            await server.ingest_many(make_rows(5))
+            faults.install(
+                [{"point": "checkpoint.write", "action": "corrupt", "times": 2}]
+            )
+            try:
+                await server._checkpoint()
+                await server.stop()  # the final checkpoint fails too
+            finally:
+                faults.clear()
+            return await server.read_stats()
+
+        snap = asyncio.run(run())
+        assert snap["checkpoint_failures"] == 2
+        assert snap["checkpoints"] == 0
+        assert "checkpoint write torn" in snap["last_error"]
+        assert not os.path.exists(path)
+        engine.close()
+
 
 class TestSnapshotVersions:
     def test_v1_v2_snapshots_are_refused(self, tmp_path):
@@ -458,7 +499,7 @@ class TestStatsThroughMiddleware:
             writer.write(b'{"op": "health"}\n')
             await writer.drain()
             health = json.loads(await reader.readline())
-            snap = server.stats_snapshot()
+            snap = await server.read_stats()
             writer.close()
             await server.stop()
             return health, snap
@@ -471,3 +512,226 @@ class TestStatsThroughMiddleware:
             assert snap[key] == engine_stats[key]
         assert snap["degraded"] == 1
         engine.close()
+
+
+#: Every key the ``stats`` reply carried before it read ``engine.stats()``,
+#: on every composition.  Readers: ``benchmarks/e2e/harness.py``
+#: (``processed_rows``), ``benchmarks/e2e/report.py`` (``batches``,
+#: ``processed_rows``, ``queue_depth_max``, ``gateway_frames_*``,
+#: ``query_cache_*``, ``chunks_retried``, ``worker_restarts``,
+#: ``shard_busy_seconds``, ``feeds``) and ``cluster-status --gateway``
+#: (``gateway_*``, ``feeds``).
+REPLY_KEYS = {
+    "batch_rows_max", "batches", "checkpoints", "chunks_retried",
+    "degraded", "deletes", "enqueued", "facts_emitted",
+    "gateway_frames_coalesced", "gateway_frames_dropped",
+    "gateway_frames_sent", "gateway_http_requests", "gateway_subscribers",
+    "mean_batch_rows", "ops_replayed", "processed_rows",
+    "query_cache_evictions", "query_cache_hits", "query_cache_misses",
+    "queue_depth", "queue_depth_max", "replica_failovers",
+    "rows_quarantined", "table_rows", "worker_restarts",
+}
+if os.path.exists("/proc/self/status"):
+    REPLY_KEYS |= {"rss_mb", "peak_rss_mb"}
+#: ... plus these on a sharded engine, and ``feeds`` with a feed store.
+SHARD_KEYS = {"shard_busy_seconds", "shard_utilization", "shards"}
+
+
+class TestStatsReply:
+    """The ``stats`` reply is the server's tallies, the engine's
+    ``stats()`` tree, and the flat names derived from it."""
+
+    @pytest.mark.parametrize(
+        "layer",
+        [
+            {},
+            {"window": 20, "query_cache": 8},
+            {"sharding": ShardingSpec(2, "serial")},
+            {"sharding": ShardingSpec(2, "process")},
+            {"feeds": FeedSpec(group_by=("d0",))},
+        ],
+        ids=["svec", "window+query_cache", "serial-2", "process-2",
+             "feeds+gateway"],
+    )
+    def test_reply_contract(self, layer):
+        rows = make_rows(8)
+        sharding = layer.get("sharding")
+        crash = sharding is not None and sharding.mode == "process"
+        if crash:
+            # One worker crash on its 3rd ingest chunk: closed-loop
+            # ingest keeps one chunk in flight, so one chunk is re-sent.
+            faults.install([{"point": "worker.op", "action": "crash",
+                             "worker": 1, "op": "rows", "after": 3}])
+        try:
+            engine = open_engine(EngineSpec(SCHEMA, "svec", **layer))
+        finally:
+            faults.clear()
+        threads = {}
+
+        def spy(name, method):
+            def wrapper(*args):
+                threads.setdefault(name, set()).add(threading.get_ident())
+                return method(*args)
+            setattr(engine, name, wrapper)
+
+        spy("stats", engine.stats)
+        spy("facts_for_many", engine.facts_for_many)
+
+        async def run():
+            server = StreamServer(engine)
+            await server.start()
+            listener = await server.serve_tcp("127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+            async def call(payload):
+                writer.write(json.dumps(payload).encode() + b"\n")
+                await writer.drain()
+                return json.loads(await reader.readline())
+
+            gateway = client = None
+            if server.feeds is not None:
+                gateway = FeedGateway(server)
+                gport = (await gateway.start()).sockets[0].getsockname()[1]
+                client = await FeedClient.connect("127.0.0.1", gport)
+            for row in rows:
+                assert "tid" in await call({"op": "ingest", "row": row})
+            for _ in range(2):
+                assert "tids" in await call({"op": "query", "q": "d0=a1 | m0"})
+            received, latest = 0, {}
+            if client is not None:
+                # Frames until every segment's final version arrived.
+                feeds = server.feeds
+                final = {key: feeds.version(key) for key in feeds.segment_keys()}
+                while latest != final:
+                    frame = await client.recv()
+                    received += 1
+                    latest[frame["segment"]] = frame["version"]
+            reply = (await call({"op": "stats"}))["stats"]
+            via_http = None
+            if gateway is not None:
+                via_http = (await fetch_json("127.0.0.1", gport, "/stats"))["stats"]
+                await client.close()
+                await gateway.stop()
+            writer.close()
+            await server.stop()
+            return reply, via_http, received
+
+        try:
+            reply, via_http, frames_received = asyncio.run(run())
+        finally:
+            engine.close()
+        expected = set(REPLY_KEYS)
+        if sharding is not None:
+            expected |= SHARD_KEYS
+        if "feeds" in layer:
+            expected.add("feeds")
+        assert expected <= set(reply)
+        assert reply["engine"]["counters"]["comparisons"] > 0
+        # Hand counts: one batch per closed-loop arrival; the repeated
+        # query misses once, then hits.
+        assert reply["processed_rows"] == reply["batches"] == len(rows)
+        cached = "query_cache" in layer
+        assert (reply["query_cache_hits"], reply["query_cache_misses"]) == (
+            (1, 1) if cached else (0, 0)
+        )
+        assert (reply["worker_restarts"], reply["chunks_retried"]) == (
+            (1, 1) if crash else (0, 0)
+        )
+        assert len(reply.get("shard_busy_seconds", ())) == (
+            2 if sharding is not None else 0
+        )
+        if sharding is not None:
+            # Rounded busy seconds and their shares, derived from the
+            # router's utilization (no batch ran after the reply).
+            busy = engine.utilization()
+            assert reply["shard_busy_seconds"] == [round(b, 4) for b in busy]
+            assert reply["shard_utilization"] == [
+                round(b / sum(busy), 3) for b in busy
+            ]
+        assert reply["gateway_frames_sent"] == frames_received
+        if via_http is not None:
+            assert frames_received > 0
+            assert via_http["gateway_frames_sent"] == frames_received
+            assert expected <= set(via_http)
+        # engine.stats ran on the thread that runs the batches, never on
+        # the event loop's.
+        assert threads["stats"] == threads["facts_for_many"]
+        assert threading.get_ident() not in threads["stats"]
+
+    def test_failed_engine_read_gets_an_error_reply(self):
+        """An ``engine.stats()`` that raises (e.g. a shard worker that
+        cannot be rebuilt) is answered, not a dropped connection: the
+        TCP op replies ``{"error": …}``, ``GET /stats`` a 503."""
+        engine = open_engine(
+            EngineSpec(SCHEMA, "svec", feeds=FeedSpec(group_by=("d0",)))
+        )
+
+        def stats():
+            raise RuntimeError("shard 1 gave up")
+
+        engine.stats = stats
+
+        async def run():
+            server = StreamServer(engine)
+            await server.start()
+            listener = await server.serve_tcp("127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+            async def call(payload):
+                writer.write(json.dumps(payload).encode() + b"\n")
+                await writer.drain()
+                return json.loads(await reader.readline())
+
+            gateway = FeedGateway(server)
+            gport = (await gateway.start()).sockets[0].getsockname()[1]
+            tcp = await call({"op": "stats"})
+            pong = await call({"op": "ping"})
+            with pytest.raises(ValueError) as http:
+                await fetch_json("127.0.0.1", gport, "/stats")
+            await gateway.stop()
+            writer.close()
+            await server.stop()
+            return tcp, pong, str(http.value)
+
+        try:
+            tcp, pong, http = asyncio.run(run())
+        finally:
+            engine.close()
+        assert tcp == {"error": "shard 1 gave up"}
+        assert pong == {"ok": True}
+        assert http == "HTTP 503 for /stats: shard 1 gave up"
+
+    def test_query_after_stop_is_refused(self):
+        """A connection left open across ``stop()`` gets an error for a
+        query: the engine thread is shut down, and the query must not
+        run on another thread beside whoever closes the engine."""
+        engine = FactDiscoverer(SCHEMA, algorithm="svec")
+
+        async def run():
+            server = StreamServer(engine)
+            await server.start()
+            listener = await server.serve_tcp("127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+            async def call(payload):
+                writer.write(json.dumps(payload).encode() + b"\n")
+                await writer.drain()
+                return json.loads(await reader.readline())
+
+            assert "tid" in await call({"op": "ingest", "row": make_rows(1)[0]})
+            closed = server.subscribe()
+            stopping = asyncio.create_task(server.stop())
+            async for _ in closed:  # ends once stop() shut the engine thread
+                pass
+            query = await call({"op": "query", "q": "d0=a1 | m0"})
+            pong = await call({"op": "ping"})
+            writer.close()
+            await stopping
+            return query, pong
+
+        query, pong = asyncio.run(run())
+        assert "after shutdown" in query["error"]
+        assert pong == {"ok": True}
