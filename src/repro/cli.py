@@ -369,12 +369,11 @@ def cmd_demo(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    import asyncio
     import json
 
     from .datasets.loader import load_rows
-    from .service import StreamServer, recover_engine
     from .service import faults as faults_mod
+    from .service import recover_engine
 
     try:
         # Chaos/CI hook: REPRO_FAULTS arms the fault-injection registry
@@ -400,6 +399,14 @@ def cmd_serve(args) -> int:
         if recovery.replay_errors:
             note += f"; {len(recovery.replay_errors)} ops failed to re-apply"
         print(note, file=sys.stderr, flush=True)
+    # The asyncio tier loads only now: process shard workers fork while
+    # the engine opens, and must not inherit an event loop they never
+    # run.  StreamServer is read off repro.service at call time (the e2e
+    # bench rebinds it there).
+    import asyncio
+
+    from .service import StreamServer
+
     sink_name, sink = _resolve_sink(args, engine.discovery_schema)
 
     async def run() -> int:
@@ -446,27 +453,24 @@ def cmd_serve(args) -> int:
             # coalesce (ingest_wait per row would serialize the queue
             # down to batches of one); the subscription preserves
             # arrival order.
-            rows = list(load_rows(args.csv, spec.schema))
             subscription = server.subscribe(only_facts=False)
-            producer = asyncio.ensure_future(server.ingest_many(rows))
-            # A failed producer closes the subscription so the printer
-            # cannot wait forever on events that will never arrive.
-            producer.add_done_callback(
-                lambda task: subscription.close()
-                if not task.cancelled() and task.exception()
-                else None
-            )
-            emitted = 0
-            for _ in range(len(rows)):
+
+            async def preload() -> None:
+                # The printer runs until the subscription closes, not
+                # for a row count: a quarantined row publishes no event.
                 try:
-                    event = await subscription.__anext__()
-                except StopAsyncIteration:
-                    break
+                    await server.ingest_many(load_rows(args.csv, spec.schema))
+                    await server.drain()
+                finally:
+                    subscription.close()
+
+            producer = asyncio.ensure_future(preload())
+            emitted = 0
+            async for event in subscription:
                 emitted += _print_event(
                     event.tid, event.facts, sink_name, sink
                 )
             await producer
-            subscription.close()
             print(
                 f"# {emitted} facts from {len(engine)} tuples",
                 file=sys.stderr,

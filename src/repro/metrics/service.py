@@ -47,6 +47,9 @@ class ServiceStats:
     subscriber_events_dropped: int = 0
     #: Poison rows quarantined to the dead-letter file.
     rows_quarantined: int = 0
+    #: Quarantined rows the dead-letter file could not record (the
+    #: write failed; ``last_error`` holds the latest cause).
+    dead_letter_failures: int = 0
     #: Journal ops replayed during crash recovery at startup.
     ops_replayed: int = 0
     #: Live gateway subscribers (WebSocket connections).

@@ -35,20 +35,40 @@ turns it into a *service*:
 * :mod:`repro.service.gateway` — :class:`FeedGateway`, the hand-rolled
   HTTP + WebSocket fan-out front-end over the feed store, with bounded
   per-connection backpressure (coalesced snapshots for slow consumers).
+
+Importing the package loads none of these: each name in ``__all__`` is
+imported from its submodule on first access.  Only ``server`` and
+``gateway`` need asyncio, so a process shard worker (forked before
+``serve`` builds its :class:`StreamServer`) and a ``shard-worker`` pool
+member never load the event loop.
 """
 
-from .cluster import PlacementModel, ReplicaSet, cluster_status
-from .feeds import FeedStore
-from .gateway import FeedClient, FeedGateway, fetch_json
-from .journal import JournalWriter, RecoveryReport, recover_engine
-from .remote import SocketWorkerServer, run_worker
-from .sharding import (
-    ShardedDiscoverer,
-    canonical_subspace_keys,
-    partition_subspaces,
-)
-from .server import StreamServer
-from .supervisor import ShardWorker, SupervisorPolicy, WorkerCrashed, WorkerGaveUp
+from importlib import import_module
+
+#: Exported name -> the submodule defining it; read by the PEP 562
+#: ``__getattr__`` below on a name's first access.
+_EXPORTS = {
+    "PlacementModel": "cluster",
+    "ReplicaSet": "cluster",
+    "cluster_status": "cluster",
+    "FeedStore": "feeds",
+    "FeedClient": "gateway",
+    "FeedGateway": "gateway",
+    "fetch_json": "gateway",
+    "JournalWriter": "journal",
+    "RecoveryReport": "journal",
+    "recover_engine": "journal",
+    "SocketWorkerServer": "remote",
+    "run_worker": "remote",
+    "ShardedDiscoverer": "sharding",
+    "canonical_subspace_keys": "sharding",
+    "partition_subspaces": "sharding",
+    "StreamServer": "server",
+    "ShardWorker": "supervisor",
+    "SupervisorPolicy": "supervisor",
+    "WorkerCrashed": "supervisor",
+    "WorkerGaveUp": "supervisor",
+}
 
 __all__ = [
     "FeedClient",
@@ -72,3 +92,19 @@ __all__ = [
     "recover_engine",
     "run_worker",
 ]
+
+
+def __getattr__(name: str):
+    try:
+        submodule = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(import_module(f".{submodule}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -43,7 +43,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional
 
 from ..core.facts import SituationalFact
 from ..core.prominence import select_reportable
@@ -341,7 +341,7 @@ class StreamServer:
         await self._queue.put(("row", row, None))
         self.stats.note_enqueue(self._queue.qsize())
 
-    async def ingest_many(self, rows: Sequence[Mapping[str, object]]) -> None:
+    async def ingest_many(self, rows: Iterable[Mapping[str, object]]) -> None:
         for row in rows:
             await self.ingest(row)
 
@@ -615,8 +615,9 @@ class StreamServer:
             return Record(tid, (), (), ())
 
     def _dead_letter(self, row, error: Exception) -> None:
-        """Append one quarantined row to the dead-letter NDJSON file
-        (best-effort: quarantine must never take the consumer down)."""
+        """Append one quarantined row to the dead-letter NDJSON file.
+        A failed write is counted (``dead_letter_failures``) and becomes
+        ``last_error``, but never takes the consumer down."""
         if not self.dead_letter_path:
             return
         entry = {
@@ -629,8 +630,9 @@ class StreamServer:
             with open(self.dead_letter_path, "a") as fh:
                 fh.write(json.dumps(entry, default=repr) + "\n")
                 fh.flush()
-        except OSError:  # pragma: no cover - disk trouble
-            pass
+        except OSError as exc:
+            self.stats.dead_letter_failures += 1
+            self.last_error = exc
 
     async def _apply_delete(self, item) -> None:
         _, tid, future = item

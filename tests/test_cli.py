@@ -1,9 +1,41 @@
 """Tests for the repro-facts command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.datasets import nba_rows, nba_schema, save_rows
+from tests.strategies import SERVICE_SCHEMA, make_rows
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_python(code, *args, timeout=60):
+    """Run ``code`` in a fresh interpreter (``src`` and the repo root
+    importable), so what it imports is not what this test process
+    already loaded."""
+    path = os.pathsep.join([os.path.join(REPO, "src"), REPO])
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        cwd=REPO,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+def stats_line(stderr):
+    """The ``# service stats:`` dict ``serve`` prints at exit."""
+    (line,) = [
+        line for line in stderr.splitlines()
+        if line.startswith("# service stats: ")
+    ]
+    return json.loads(line[len("# service stats: "):])
 
 
 @pytest.fixture
@@ -81,8 +113,6 @@ class TestDiscover:
             assert "prominence" in capsys.readouterr().err
 
     def test_discover_json(self, nba_csv, capsys):
-        import json
-
         rc = main(
             ["discover", nba_csv, "-d", DIMS, "-m", MEAS,
              "--dhat", "1", "--mhat", "1", "--tau", "2", "--json"]
@@ -139,8 +169,6 @@ class TestServe:
         that has no checkpoint section: the flags fold into the spec, so
         the restart recovers from where the first run wrote (it used to
         start empty and overwrite the checkpoint with its own 5 rows)."""
-        import json
-
         from repro.api import EngineSpec
 
         schema = nba_schema(4, 4)
@@ -175,8 +203,6 @@ class TestServe:
     ):
         """The ``# service stats:`` line printed after ``stop()`` holds
         the ops recovery replayed and the engine's stats tree."""
-        import json
-
         from repro.service import JournalWriter
 
         wal = str(tmp_path / "wal")
@@ -190,11 +216,7 @@ class TestServe:
         assert rc == 0
         err = capsys.readouterr().err
         assert "# recovered from journal: 7 journal ops replayed" in err
-        (line,) = [
-            line for line in err.splitlines()
-            if line.startswith("# service stats: ")
-        ]
-        stats = json.loads(line[len("# service stats: "):])
+        stats = stats_line(err)
         assert stats["ops_replayed"] == 7
         assert stats["engine"]["rows"] == 7
         assert stats["engine"]["counters"]["comparisons"] > 0
@@ -221,6 +243,148 @@ class TestServe:
         rc = main(["serve", "-d", DIMS, "-m", MEAS, "--journal-dir", "wal"])
         assert rc == 2
         assert "need --checkpoint" in capsys.readouterr().err
+
+    def test_quarantined_preload_row_does_not_hang(self, tmp_path):
+        """A quarantined row publishes no event, so the preload printer
+        must run until the subscription closes, not for one event per
+        CSV row (it used to wait forever for the missing event)."""
+        csv = str(tmp_path / "poison.csv")
+        healthy = make_rows(2)
+        poison = {"d0": "POISON", "d1": "b0", "m0": 3, "m1": 3}
+        save_rows(csv, SERVICE_SCHEMA, [healthy[0], poison, healthy[1]])
+        code = (
+            "import sys\n"
+            "import repro.cli as cli\n"
+            "from tests.test_fault_tolerance import poison_engine\n"
+            "cli.open_engine = poison_engine\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        try:
+            proc = run_python(
+                code, "serve", csv, "-d", "d0,d1", "-m", "m0,m1",
+                "--algorithm", "svec", "--batch-max", "1", timeout=30,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("serve hung on a quarantined preload row")
+        assert proc.returncode == 0, proc.stderr
+        labels = {line.split(" ", 1)[0] for line in proc.stdout.splitlines()}
+        assert labels == {"[0]", "[1]"}
+        assert "from 2 tuples" in proc.stderr
+        assert stats_line(proc.stderr)["rows_quarantined"] == 1
+
+
+#: What a serving process loads only to run the asyncio front-end.
+ASYNCIO_TIER = ("asyncio", "ssl", "repro.service.server", "repro.service.gateway")
+
+
+def loaded(proc, marker="LOADED "):
+    """The module list a spy script printed after ``marker``."""
+    assert proc.returncode == 0, proc.stderr
+    (line,) = [
+        line for line in proc.stdout.splitlines() if line.startswith(marker)
+    ]
+    return json.loads(line[len(marker):])
+
+
+class TestLeanWorkers:
+    """Each serving process imports only the layers it runs: the
+    asyncio tier (≈ 4 MB of peak RSS) stays out of every process that
+    never runs an event loop.  Each check runs in a fresh interpreter."""
+
+    def test_process_workers_fork_before_the_asyncio_tier(self, nba_csv):
+        code = (
+            "import json, sys\n"
+            "from repro.cli import main\n"
+            "from repro.service.sharding import ShardedDiscoverer\n"
+            f"TIER = {ASYNCIO_TIER!r}\n"
+            "spawn = ShardedDiscoverer._spawn_workers\n"
+            "seen = []\n"
+            "def spy(self):\n"
+            "    seen.append(sorted(m for m in TIER if m in sys.modules))\n"
+            "    return spawn(self)\n"
+            "ShardedDiscoverer._spawn_workers = spy\n"
+            "rc = main(sys.argv[1:])\n"
+            "print('LOADED ' + json.dumps(seen))\n"
+            "sys.exit(rc)\n"
+        )
+        proc = run_python(
+            code, "serve", nba_csv, "-d", DIMS, "-m", MEAS,
+            "--algorithm", "svec", "--workers", "2", "--mode", "process",
+        )
+        assert loaded(proc) == [[]]  # one fork point, nothing of the tier
+        assert "facts from 40 tuples" in proc.stderr
+
+    def test_bare_serve_loads_no_sharding_or_gateway_layer(self, nba_csv):
+        code = (
+            "import json, sys\n"
+            "from repro.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print('LOADED ' + json.dumps(sorted(\n"
+            "    m for m in sys.modules if m.startswith('repro.service.'))))\n"
+            "sys.exit(rc)\n"
+        )
+        proc = run_python(
+            code, "serve", nba_csv, "-d", DIMS, "-m", MEAS,
+            "--algorithm", "svec",
+        )
+        unused = {
+            f"repro.service.{name}" for name in (
+                "gateway", "cluster", "remote", "sharding", "supervisor",
+                "worker",
+            )
+        }
+        assert not unused & set(loaded(proc))
+
+    def test_pool_member_entry_loads_no_asyncio(self):
+        code = (
+            "import json, sys\n"
+            "import repro.service.remote\n"
+            f"TIER = {ASYNCIO_TIER!r}\n"
+            "print('LOADED ' + json.dumps(\n"
+            "    sorted(m for m in TIER if m in sys.modules)))\n"
+        )
+        assert loaded(run_python(code)) == []
+
+
+class TestLazyExports:
+    """``repro.service`` resolves its exported names on first access."""
+
+    def test_every_export_is_its_submodules_object(self):
+        import repro.service as service
+
+        for name in service.__all__:
+            value = getattr(service, name)
+            module = sys.modules[value.__module__]
+            assert module.__name__.startswith("repro.service.")
+            assert getattr(module, name) is value
+        assert set(service.__all__) <= set(dir(service))
+
+    def test_star_import_and_unknown_names(self):
+        import repro.service as service
+
+        namespace = {}
+        exec("from repro.service import *", namespace)
+        assert set(service.__all__) <= set(namespace)
+        assert not hasattr(service, "nope")
+
+    def test_serve_builds_the_stream_server_bound_at_call_time(
+        self, nba_csv, monkeypatch, capsys
+    ):
+        """The e2e bench's traced round rebinds
+        ``repro.service.StreamServer`` before calling ``main``."""
+        import repro.service
+
+        built = []
+
+        class Recording(repro.service.StreamServer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(repro.service, "StreamServer", Recording)
+        assert main(["serve", nba_csv, "-d", DIMS, "-m", MEAS]) == 0
+        assert len(built) == 1
+        assert "facts from 40 tuples" in capsys.readouterr().err
 
 
 class TestErrorHandling:

@@ -750,6 +750,30 @@ class TestPoisonRows:
         assert len(ops) == 6
         assert all(op["row"]["d0"] != "POISON" for op in ops)
 
+    def test_failed_dead_letter_write_is_counted(self, tmp_path):
+        """The dead-letter file is a quarantined row's one record: when
+        it cannot be written, the loss shows in the stats reply."""
+        rows = make_rows(3) + [{"d0": "POISON", "d1": "b0", "m0": 0, "m1": 0}]
+        missing = tmp_path / "no-such-dir" / "dead.ndjson"
+
+        async def run():
+            server = StreamServer(
+                poison_engine(EngineSpec(SCHEMA, algorithm="svec")),
+                dead_letter_path=str(missing),
+            )
+            await server.start()
+            await server.ingest_many(rows)
+            await server.stop()
+            server.engine.close()
+            return await server.read_stats()
+
+        snap = asyncio.run(run())
+        assert snap["rows_quarantined"] == 1
+        assert snap["dead_letter_failures"] == 1
+        assert "no-such-dir" in snap["last_error"]
+        assert snap["processed_rows"] == 3
+        assert not missing.parent.exists()
+
 
 # ----------------------------------------------------------------------
 # Crash-consistent checkpoints

@@ -523,7 +523,8 @@ class TestStatsThroughMiddleware:
 #: (``gateway_*``, ``feeds``).
 REPLY_KEYS = {
     "batch_rows_max", "batches", "checkpoints", "chunks_retried",
-    "degraded", "deletes", "enqueued", "facts_emitted",
+    "dead_letter_failures", "degraded", "deletes", "enqueued",
+    "facts_emitted",
     "gateway_frames_coalesced", "gateway_frames_dropped",
     "gateway_frames_sent", "gateway_http_requests", "gateway_subscribers",
     "mean_batch_rows", "ops_replayed", "processed_rows",
