@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .lattice import iter_submasks
 from .record import Record
 
 
@@ -44,15 +43,6 @@ class ComparisonOutcome:
         """Symmetric direction: does ``t`` dominate ``other`` in
         ``subspace``?"""
         return bool(subspace & self.gt) and not (subspace & self.lt)
-
-    def dominated_subspaces(self, universe: int) -> Iterator[int]:
-        """All non-empty subspaces of ``universe`` in which ``t`` is
-        dominated by ``other``: subsets of ``M< ∪ M=`` that intersect
-        ``M<`` (Prop. 4 enumerated)."""
-        allowed = (self.lt | self.eq) & universe
-        for sub in iter_submasks(allowed):
-            if sub & self.lt:
-                yield sub
 
 
 def compare(t: Record, other: Record) -> ComparisonOutcome:

@@ -114,20 +114,6 @@ def children_of(mask: int, universe: int) -> Iterator[int]:
         free ^= bit
 
 
-def iter_masks_by_level(n_bits: int, ascending: bool = True) -> Iterator[int]:
-    """All masks over ``n_bits`` grouped by popcount.
-
-    ``ascending=True`` yields ``⊤`` first (top-down traversal order);
-    ``False`` yields ``⊥`` first (bottom-up).
-    """
-    levels: List[List[int]] = [[] for _ in range(n_bits + 1)]
-    for mask in range(1 << n_bits):
-        levels[popcount(mask)].append(mask)
-    ordered = levels if ascending else list(reversed(levels))
-    for level in ordered:
-        yield from level
-
-
 @lru_cache(maxsize=64)
 def masks_by_level(n_bits: int) -> Tuple[Tuple[int, ...], ...]:
     """Masks over ``n_bits`` bucketed by popcount (cached)."""

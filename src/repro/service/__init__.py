@@ -25,8 +25,7 @@ turns it into a *service*:
   protocol (versioned handshake, per-request timeouts) that turns any
   machine running ``repro-facts shard-worker`` into a pool member;
 * :mod:`repro.service.cluster` — replica sets per shard (write-all /
-  read-any, promotion failover, deterministic re-observe on join) and the
-  cost-fed :class:`PlacementModel` behind ``mode="remote"`` sharding;
+  read-any, promotion failover) behind ``mode="remote"`` sharding;
 * :mod:`repro.service.faults` — the spec/env-driven fault-injection
   registry the chaos tests (and the CI chaos job) drive;
 * :mod:`repro.service.feeds` — :class:`FeedStore`, materialized
@@ -48,7 +47,6 @@ from importlib import import_module
 #: Exported name -> the submodule defining it; read by the PEP 562
 #: ``__getattr__`` below on a name's first access.
 _EXPORTS = {
-    "PlacementModel": "cluster",
     "ReplicaSet": "cluster",
     "cluster_status": "cluster",
     "FeedStore": "feeds",
@@ -75,7 +73,6 @@ __all__ = [
     "FeedGateway",
     "FeedStore",
     "JournalWriter",
-    "PlacementModel",
     "RecoveryReport",
     "ReplicaSet",
     "ShardedDiscoverer",

@@ -3,7 +3,7 @@
 This module promotes the process-mode worker pipe protocol of
 :mod:`repro.service.sharding` to a socket protocol any machine can
 speak, so a shard pool is no longer confined to one OS process tree
-(see :mod:`repro.service.cluster` for the replica/placement layer on
+(see :mod:`repro.service.cluster` for the replica-set layer on
 top, and the ``repro-facts shard-worker`` CLI command that turns a
 machine into a pool member).
 

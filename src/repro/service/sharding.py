@@ -35,7 +35,7 @@ pipe, the throughput mode — NumPy sweeps and lattice walks run truly in
 parallel) and ``remote`` (each shard a replica set of socket workers
 placed by a ``remote`` map — the multi-machine tier; see
 :mod:`repro.service.remote` for the wire protocol and
-:mod:`repro.service.cluster` for replicas, failover and placement).
+:mod:`repro.service.cluster` for replicas and failover).
 They differ only in the *link* under each worker handle
 (:mod:`repro.service.supervisor`); the worker engine, op table and
 serve loop are one (:mod:`repro.service.worker`).  Batched ingestion is
@@ -62,7 +62,7 @@ from ..core.schema import TableSchema
 from ..metrics.counters import OpCounters
 from ..query.contextual import ContextualQueryEngine
 from . import faults
-from .cluster import PlacementModel, ReplicaSet, shard_sort_key
+from .cluster import ReplicaSet, shard_sort_key
 from .supervisor import (
     InlineLink,
     PipeLink,
@@ -109,25 +109,15 @@ def canonical_subspace_keys(
 _ROOT_WEIGHT = 2.0
 
 
-def partition_subspaces(
-    keys: Sequence[int],
-    n_workers: int,
-    root_weight: float = _ROOT_WEIGHT,
-    weights: Optional[Mapping[int, float]] = None,
-) -> List[List[int]]:
+def partition_subspaces(keys: Sequence[int], n_workers: int) -> List[List[int]]:
     """Partition the canonical keys into ``min(n_workers, len(keys))``
     non-empty shards, balancing load greedily.
 
     Shard 0 receives the first key (the full space, hence the root
-    pass) at ``root_weight`` node-key equivalents; each remaining key
+    pass) at ``_ROOT_WEIGHT`` node-key equivalents; each remaining key
     goes to the currently lightest shard (ties to the lowest index), so
     the root shard carries correspondingly fewer node keys and the
     slowest worker — the parallel wall-clock — stays minimal.
-
-    ``weights`` overrides the static root/node prior with measured
-    per-key costs (unlisted keys weigh 1.0) — the hook a
-    :class:`~repro.service.cluster.PlacementModel` uses to seed a
-    cluster placement from observed load instead of the prior.
 
     >>> partition_subspaces([7, 1, 2, 4, 3], 2)
     [[7, 4], [1, 2, 3]]
@@ -135,8 +125,6 @@ def partition_subspaces(
     [[7], [1]]
     >>> partition_subspaces([7, 1, 2], 1)
     [[7, 1, 2]]
-    >>> partition_subspaces([7, 1, 2, 4], 2, weights={7: 1.0})
-    [[7, 2], [1, 4]]
     """
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
@@ -146,18 +134,14 @@ def partition_subspaces(
     shards: List[List[int]] = [[] for _ in range(n)]
     loads = [0.0] * n
     shards[0].append(keys[0])
-    loads[0] = (
-        root_weight if weights is None else float(weights.get(keys[0], 1.0))
-    )
+    loads[0] = _ROOT_WEIGHT
     for index, key in enumerate(keys[1:]):
         # Seed every shard before balancing so none ends up empty.
         target = index + 1 if index + 1 < n else min(
             range(n), key=loads.__getitem__
         )
         shards[target].append(key)
-        loads[target] += (
-            1.0 if weights is None else float(weights.get(key, 1.0))
-        )
+        loads[target] += 1.0
     return shards
 
 
@@ -360,7 +344,7 @@ class ShardedDiscoverer(EngineBase):
         self.degraded = False
         #: Committed arrival/deletion ops in order, as ``(op, payload)``
         #: pairs of the worker op table — the rebuild source for
-        #: restarts, degrades, replica joins and rebalance handoffs.
+        #: restarts and degrades.
         #: Kept only for workers that can be lost (its memory cost).
         #: Unbounded: it holds every op since the router started, and
         #: nothing trims it (ROADMAP item 4: trim at each checkpoint,
@@ -376,13 +360,10 @@ class ShardedDiscoverer(EngineBase):
             schema.n_dimensions, config.max_bound_dims
         )
         keys = canonical_subspace_keys(schema, config)
+        #: Subspace keys per worker, fixed at construction.
         self.shards = partition_subspaces(keys, n_workers)
         self.n_workers = len(self.shards)
         self._root_key = keys[0]
-        #: Live per-shard cost model fed by every chunk's worker
-        #: replies; prices placements and plans rebalances (applied as
-        #: snapshot-handoffs in remote mode, advisory elsewhere).
-        self.placement = PlacementModel(root_weight=_ROOT_WEIGHT)
         if self.remote is not None:
             # Deterministic shard-name → worker-index mapping; a map
             # with more pools than maintained keys leaves the extra
@@ -419,7 +400,6 @@ class ShardedDiscoverer(EngineBase):
                     self.remote[self._remote_order[w]],
                     dict(spec, faults=faults.active_dicts()),
                     op_timeout=self.op_timeout,
-                    oplog=self._oplog,
                 )
                 for w, spec in enumerate(specs)
             ]
@@ -577,17 +557,6 @@ class ShardedDiscoverer(EngineBase):
                 # the rest still hold it pending and answer it live.
                 self._degrade(crash, merging=payload, delivered=w)
                 replies.append(self._workers[w].result())
-        placement = self.placement
-        for w, reply in enumerate(replies):
-            # Scored-marginal EWMA + queue depth per shard: the inputs
-            # the PlacementModel prices rebalance candidates with.
-            placement.observe(
-                w,
-                len(records),
-                reply[4],
-                weight=self._shard_weight(w),
-                queue_depth=len(self._workers[w].pending_ops()),
-            )
         # Each reply's flat (mask, subspace[, skyline]) columns as one
         # int32 matrix (the width of S_t's columns); an arrival's facts
         # are a column slice of each.
@@ -688,82 +657,32 @@ WorkerGaveUp`): every shard is rebuilt deterministically from the
             "degraded": int(self.degraded),
         }
 
-    # ------------------------------------------------------------------
-    # Placement: per-shard load breakdown + cost-fed rebalancing
-    # ------------------------------------------------------------------
-    def _shard_weight(self, w: int) -> float:
-        """Static weighted key load of shard ``w`` (the prior the
-        placement model normalises its observed rates by)."""
-        return sum(
-            _ROOT_WEIGHT if key == self._root_key else 1.0
-            for key in self.shards[w]
-        )
-
     def shard_stats(self) -> List[Dict[str, object]]:
-        """Per-shard operational breakdown — key counts, busy seconds,
-        queue depth, the placement model's EWMA, and (remote mode) live
-        replica membership — surfaced as :meth:`stats`'s ``shards`` so
-        operators and the placement model see the same numbers."""
+        """Per-shard operational breakdown — key counts, the static
+        weighted key load :func:`partition_subspaces` balanced, busy
+        seconds, queue depth, and (remote mode) live replica membership
+        — surfaced as :meth:`stats`'s ``shards``."""
         out: List[Dict[str, object]] = []
         for w, worker in enumerate(self._workers):
+            keys = self.shards[w]
             entry: Dict[str, object] = {
                 "shard": w,
-                "keys": len(self.shards[w]),
-                "root": self._root_key in self.shards[w],
-                "weight": self._shard_weight(w),
+                "keys": len(keys),
+                "root": self._root_key in keys,
+                "weight": sum(
+                    _ROOT_WEIGHT if key == self._root_key else 1.0
+                    for key in keys
+                ),
                 "busy_seconds": round(worker.busy_seconds, 6),
                 "queue_depth": len(worker.pending_ops()),
                 "restarts": worker.restarts,
                 "chunks_retried": worker.chunks_retried,
-                "ewma_seconds_per_row": self.placement.rate(w),
             }
             if self._replica_sets():
                 entry["replicas"] = worker.replicas
                 entry["failovers"] = worker.failovers
             out.append(entry)
         return out
-
-    def rebalance(self, apply: bool = True) -> List["Move"]:
-        """Plan (and in remote mode execute) placement moves.
-
-        The :class:`~repro.service.cluster.PlacementModel` prices the
-        current assignment from its observed per-shard EWMAs and emits
-        greedy :class:`~repro.service.cluster.Move`s while the predicted
-        wall-clock improves.  With ``apply=True`` on a healthy remote
-        pool the moves run as snapshot-handoff reconfigures: each
-        affected replica set installs its new key list and rebuilds
-        deterministically from the committed op log (call between
-        batches — never with chunks in flight).  Other modes (and
-        ``apply=False``) return the plan without touching workers.
-        The merge rank is global and unchanged, so a rebalanced pool
-        stays output-identical to the unsharded engine."""
-        self._check_open()
-        moves = self.placement.rebalance_plan(self.shards, self._root_key)
-        if not moves or not apply or self.mode != "remote" or self.degraded:
-            return moves
-        shards = [list(shard) for shard in self.shards]
-        touched = set()
-        for move in moves:
-            shards[move.src].remove(move.key)
-            shards[move.dst].append(move.key)
-            touched.add(move.src)
-            touched.add(move.dst)
-        for w in touched:
-            # Keep each shard's key list in canonical order so worker
-            # emission order stays a subsequence of the global rank.
-            shards[w].sort(key=self._rank_of.__getitem__)
-        self.shards = shards
-        self._shard_of = {
-            key: w for w, shard in enumerate(shards) for key in shard
-        }
-        try:
-            for w in sorted(touched):
-                self._workers[w].reconfigure(shards[w])
-        except WorkerGaveUp as crash:
-            # A replica set died mid-handoff: the degrade path rebuilds
-            # every shard from the op log against the new assignment.
-            self._degrade(crash)
-        return moves
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -829,7 +748,6 @@ WorkerGaveUp`): every shard is rebuilt deterministically from the
         out["mode"] = self.mode
         out["utilization"] = self.utilization()
         out["shards"] = self.shard_stats()
-        out["placement"] = self.placement.snapshot()
         out.update(self.fault_counters())
         return out
 

@@ -99,8 +99,8 @@ def replay_into(
 ) -> None:
     """Rebuild a fresh shard engine by deterministic re-observe: feed
     ``call("replay", slice)`` the committed ``(op, payload)`` prefix in
-    :data:`_REPLAY_SLICE` batches.  The one rebuild loop — restart,
-    replica join, rebalance handoff and degrade all go through it."""
+    :data:`_REPLAY_SLICE` batches.  The one rebuild loop — restart and
+    degrade both go through it."""
     ops = list(oplog)
     for start in range(0, len(ops), _REPLAY_SLICE):
         call("replay", ops[start : start + _REPLAY_SLICE])

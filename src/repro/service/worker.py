@@ -162,9 +162,9 @@ class _ShardEngine:
         return ctx, len(tids), tids if limit is None else tids[:limit]
 
     def replay(self, ops: Sequence[Tuple[str, object]]) -> Tuple[str, int]:
-        """Deterministic state rebuild (restart, replica join, rebalance
-        handoff, degrade): re-apply a slice of the router's committed op
-        prefix — the log entries *are* ``(op, payload)`` pairs."""
+        """Deterministic state rebuild (restart, degrade): re-apply a
+        slice of the router's committed op prefix — the log entries
+        *are* ``(op, payload)`` pairs."""
         for op, payload in ops:
             self.apply(op, payload)
         return ("replayed", len(ops))

@@ -1,11 +1,11 @@
-"""Remote shard cluster: wire protocol, replica sets, placement.
+"""Remote shard cluster: wire protocol, replica sets, operator surface.
 
 The contract under test mirrors ``tests/test_sharding.py``: a
 ``mode="remote"`` :class:`ShardedDiscoverer` driving socket workers
 must be *property-identical* to the unsharded ``svec`` engine — same
 facts, same scores, same emission order, same op-counter totals —
 including deletion-interleaved and None-dimension streams, across
-replica failover, replica join, and placement rebalances.  Workers run
+replica failover and whole-set degrade.  Workers run
 in-process on ephemeral loopback ports (real sockets, real frames; the
 subprocess/SIGKILL variants live in ``tests/test_fault_tolerance.py``).
 """
@@ -30,8 +30,6 @@ from repro.core.config import DiscoveryConfig
 from repro.core.constraint import Constraint
 from repro.service import StreamServer
 from repro.service.cluster import (
-    Move,
-    PlacementModel,
     ReplicaSet,
     cluster_status,
     shard_sort_key,
@@ -47,7 +45,11 @@ from repro.service.remote import (
     recv_msg,
     send_msg,
 )
-from repro.service.sharding import ShardedDiscoverer, partition_subspaces
+from repro.service.sharding import (
+    ShardedDiscoverer,
+    canonical_subspace_keys,
+    partition_subspaces,
+)
 from repro.service.supervisor import (
     ShardWorker,
     SupervisorPolicy,
@@ -405,7 +407,7 @@ class TestRemoteParity:
 
 
 # ----------------------------------------------------------------------
-# Replica sets: write-all / read-any, failover, join
+# Replica sets: write-all / read-any, failover, degrade
 # ----------------------------------------------------------------------
 class TestReplicaSets:
     def test_writes_reach_every_replica(self):
@@ -486,47 +488,30 @@ class TestReplicaSets:
                 engine.close()
                 reference.close()
 
-    def test_replica_join_catches_up_by_reobserve(self):
-        rows = seeded_rows(60, 12, (3, 2))
-        reference = FactDiscoverer(SCHEMA, algorithm="svec")
-        expected = emitted(reference.observe_many(rows))
-        with local_cluster([1, 1]) as (remote, _servers):
-            engine = ShardedDiscoverer(SCHEMA, remote=remote, chunk_size=16)
-            recruit = SocketWorkerServer().start()
-            try:
-                got = emitted(engine.observe_many(rows[:36]))
-                replica_set = engine._workers[0]
-                replica_set.join(recruit.address)
-                assert len(replica_set.replicas) == 2
-                # The join replayed the committed prefix.
-                assert recruit.rows_applied == 36
-                got += emitted(engine.observe_many(rows[36:]))
-                assert got == expected
-                # Reads hit both replicas and agree (round-robin): two
-                # consecutive counter reads land on different replicas.
-                assert engine.counters.snapshot() == engine.counters.snapshot()
-                assert (
-                    engine.counters.snapshot()
-                    == reference.counters.snapshot()
-                )
-            finally:
-                engine.close()
-                reference.close()
-                recruit.stop()
-
-    def test_heartbeat_reports_and_drops(self):
-        with local_cluster([2]) as (remote, servers):
+    def test_lost_replica_leaves_membership_and_stats(self):
+        rows = seeded_rows(30, 18, (3, 2))
+        with local_cluster([2]) as (remote, _servers):
             engine = ShardedDiscoverer(SCHEMA, remote=remote)
             try:
+                engine.facts_for_many(rows[:15])
                 replica_set = engine._workers[0]
-                beat = replica_set.heartbeat()
-                assert len(beat) == 2
-                assert all(rtt is not None for rtt in beat.values())
-                victim = replica_set._replicas[0].link
-                victim.abandon()
-                beat = replica_set.heartbeat()
-                assert beat[victim.address] is None
-                assert len(replica_set.replicas) == 1
+                assert replica_set.replicas == remote["0"]
+                replica_set._replicas[0].link.abandon()
+                engine.facts_for_many(rows[15:])
+                # The survivor was promoted; the set only ever shrinks.
+                assert replica_set.replicas == remote["0"][1:]
+                entry = engine.shard_stats()[0]
+                assert entry["replicas"] == remote["0"][1:]
+                assert entry["failovers"] == 1
+                # A set fails over instead of restarting or re-sending.
+                assert entry["restarts"] == 0
+                assert entry["chunks_retried"] == 0
+                assert engine.fault_counters() == {
+                    "worker_restarts": 0,
+                    "chunks_retried": 0,
+                    "replica_failovers": 1,
+                    "degraded": 0,
+                }
             finally:
                 engine.close()
 
@@ -548,111 +533,39 @@ class TestReplicaSets:
 
 
 # ----------------------------------------------------------------------
-# Placement model + rebalance
+# Shard assignment: the static partition, fixed at construction
 # ----------------------------------------------------------------------
-class TestPlacement:
-    def test_cold_start_plans_nothing(self):
-        model = PlacementModel()
-        assert model.rebalance_plan([[7, 4], [1, 2, 3]], root_key=7) == []
-
-    def test_unobserved_prior_matches_static_weights(self):
-        model = PlacementModel(root_weight=2.0)
-        assert model.unit_cost(0) == 1.0
-        # Static prior: the root shard (weight 2) prices like 2 keys.
-        assert model.price([[7], [1, 2]], root_key=7) == 2.0
-
-    def test_skew_produces_improving_moves(self):
-        model = PlacementModel(alpha=1.0)
-        assignment = [[7], [1, 2, 3, 4]]
-        # Shard 1 measured 4x slower per weighted key.
-        model.observe(0, 100, 0.10, weight=2.0)
-        model.observe(1, 100, 0.80, weight=4.0)
-        before = model.price(assignment, root_key=7)
-        moves = model.rebalance_plan(assignment, root_key=7)
-        assert moves
-        shards = [list(s) for s in assignment]
-        for move in moves:
-            assert move.key != 7  # the root never moves
-            shards[move.src].remove(move.key)
-            shards[move.dst].append(move.key)
-        assert model.price(shards, root_key=7) < before
-        assert all(shards), "no shard may be emptied"
-
-    def test_ewma_tracks_recent_rate(self):
-        model = PlacementModel(alpha=0.5)
-        model.observe(0, 10, 1.0, weight=1.0)   # 0.1 s/row
-        model.observe(0, 10, 3.0, weight=1.0)   # 0.3 s/row
-        assert model.rate(0) == pytest.approx(0.2)
-        snap = model.snapshot()
-        assert snap["samples"] == 2
-        assert snap["rows_observed"][0] == 20
-
-    def test_weighted_partition_override(self):
-        # Measured weights replace the static root prior.
-        assert partition_subspaces([7, 1, 2, 4], 2, weights={7: 1.0}) == [
-            [7, 2],
-            [1, 4],
-        ]
-        # And the default stays byte-identical to the classic split.
-        assert partition_subspaces([7, 1, 2, 4, 3], 2) == [[7, 4], [1, 2, 3]]
-
-    def test_rebalance_applies_as_snapshot_handoff(self):
-        rows = seeded_rows(90, 14, (3, 2))
+class TestShardAssignment:
+    @pytest.mark.parametrize("n_workers", [1, 2, 3, 5])
+    def test_assignment_is_the_partition_and_stays_fixed(self, n_workers):
+        rows = seeded_rows(24, 19, (3, 2))
+        keys = canonical_subspace_keys(SCHEMA)
         reference = FactDiscoverer(SCHEMA, algorithm="svec")
-        expected = emitted(reference.observe_many(rows))
-        with local_cluster([1, 1]) as (remote, servers):
-            engine = ShardedDiscoverer(SCHEMA, remote=remote, chunk_size=16)
-            try:
-                got = emitted(engine.observe_many(rows[:48]))
-                # Force measured skew: shard 1 (two node keys) looks
-                # pathologically slow, so the model moves a key off it.
-                engine.placement.observe(
-                    0, 1000, 0.1, weight=engine._shard_weight(0)
-                )
-                engine.placement.observe(
-                    1, 1000, 5.0, weight=engine._shard_weight(1)
-                )
-                before = [list(shard) for shard in engine.shards]
-                moves = engine.rebalance(apply=True)
-                assert moves
-                assert engine.shards != before
-                assert engine._shard_of == {
-                    key: w
-                    for w, shard in enumerate(engine.shards)
-                    for key in shard
-                }
-                # The handoff rebuilt workers from the op log: the
-                # stream continues output-identical to the oracle.
-                got += emitted(engine.observe_many(rows[48:]))
-                assert got == expected
-                assert (
-                    engine.counters.snapshot()
-                    == reference.counters.snapshot()
-                )
-                assert engine.fault_counters()["degraded"] == 0
-            finally:
-                engine.close()
-                reference.close()
-
-    def test_rebalance_is_advisory_off_remote_mode(self):
-        engine = ShardedDiscoverer(SCHEMA, n_workers=2, mode="serial")
+        engine = ShardedDiscoverer(SCHEMA, n_workers=n_workers, mode="serial")
         try:
-            engine.facts_for_many(seeded_rows(20, 15, (3, 2)))
-            # Repeated, so the EWMA forgets the one real (host-timed)
-            # chunk above: a stall there must not decide the plan.
-            for _ in range(12):
-                engine.placement.observe(
-                    0, 1000, 0.1, weight=engine._shard_weight(0)
-                )
-                engine.placement.observe(
-                    1, 1000, 5.0, weight=engine._shard_weight(1)
-                )
-            before = [list(shard) for shard in engine.shards]
-            moves = engine.rebalance(apply=True)
-            assert moves  # planned...
-            assert engine.shards == before  # ...but not applied
+            shards = partition_subspaces(keys, n_workers)
+            assert engine.shards == shards
+            assert engine._shard_of == {
+                key: w for w, shard in enumerate(shards) for key in shard
+            }
+            details = engine.shard_stats()
+            assert [entry["keys"] for entry in details] == [
+                len(shard) for shard in shards
+            ]
+            assert [entry["root"] for entry in details] == [True] + [
+                False
+            ] * (len(shards) - 1)
+            # The root key weighs two node keys.
+            assert sum(entry["weight"] for entry in details) == len(keys) + 1
+            expected = emitted(reference.observe_many(rows))
+            assert emitted(engine.observe_many(rows)) == expected
+            engine.delete(3)
+            reference.delete(3)
+            assert engine.shards == shards
+            assert engine.counters.snapshot() == reference.counters.snapshot()
         finally:
             engine.close()
+            reference.close()
 
 
 # ----------------------------------------------------------------------
@@ -666,18 +579,47 @@ class TestOperatorSurface:
             try:
                 engine.facts_for_many(rows)
                 details = engine.shard_stats()
+                for entry in details:
+                    assert set(entry) == {
+                        "shard",
+                        "keys",
+                        "root",
+                        "weight",
+                        "busy_seconds",
+                        "queue_depth",
+                        "restarts",
+                        "chunks_retried",
+                        "replicas",
+                        "failovers",
+                    }
                 assert [entry["shard"] for entry in details] == [0, 1]
                 assert sum(entry["keys"] for entry in details) == 3
                 assert [entry["root"] for entry in details] == [True, False]
                 assert len(details[0]["replicas"]) == 2
-                assert all(
-                    entry["ewma_seconds_per_row"] > 0 for entry in details
-                )
-                stats = engine.stats()
-                assert stats["shards"] == details
-                assert stats["placement"]["samples"] > 0
+                # The merge recorded every shard's work.
+                assert all(entry["busy_seconds"] > 0 for entry in details)
+                assert engine.stats()["shards"] == details
             finally:
                 engine.close()
+        serial = ShardedDiscoverer(SCHEMA, n_workers=2, mode="serial")
+        try:
+            serial.facts_for_many(rows)
+            assert set(serial.stats()) == {
+                "kind",
+                "rows",
+                "score",
+                "counters",
+                "workers",
+                "mode",
+                "utilization",
+                "shards",
+                "worker_restarts",
+                "chunks_retried",
+                "replica_failovers",
+                "degraded",
+            }
+        finally:
+            serial.close()
 
     def test_service_stats_surfaces_shard_details(self):
         """The server's stats reply carries the router's per-shard

@@ -84,14 +84,24 @@ class TestProposition4:
             assert out.dominates_in(subspace) == dominates(t, other, subspace)
 
     @given(vectors, vectors)
-    def test_dominated_subspaces_enumeration(self, u, v):
-        t, other = rec(0, *u), rec(1, *v)
-        out = compare(t, other)
-        enumerated = set(out.dominated_subspaces(0b111))
-        direct = {
-            m for m in range(1, 1 << 3) if dominates(other, t, m)
-        }
-        assert enumerated == direct
+    def test_dominated_subspaces_enumerate_prop4(self, u, v):
+        """The subspaces where t is dominated are exactly the subsets of
+        M< ∪ M= that meet M<."""
+        out = compare(rec(0, *u), rec(1, *v))
+        enumerated = {m for m in iter_submasks(out.lt | out.eq) if m & out.lt}
+        assert {
+            m for m in range(1, 1 << 3) if out.dominated_in(m)
+        } == enumerated
+
+    @given(vectors, vectors)
+    def test_dominating_subspaces_enumerate_prop4(self, u, v):
+        """Mirror image: t dominates in exactly the subsets of M> ∪ M=
+        that meet M>."""
+        out = compare(rec(0, *u), rec(1, *v))
+        enumerated = {m for m in iter_submasks(out.gt | out.eq) if m & out.gt}
+        assert {
+            m for m in range(1, 1 << 3) if out.dominates_in(m)
+        } == enumerated
 
 
 class TestHelpers:

@@ -1,5 +1,8 @@
 """Unit + property tests for the bitmask lattice machinery."""
 
+from math import comb
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -7,7 +10,6 @@ from repro.core.lattice import (
     agreement_mask,
     children_of,
     is_submask,
-    iter_masks_by_level,
     iter_submasks,
     iter_supermasks,
     masks_by_level,
@@ -63,20 +65,23 @@ class TestNeighbours:
 
 
 class TestLevels:
-    def test_level_order_ascending(self):
-        seq = list(iter_masks_by_level(3))
-        assert seq[0] == 0
-        assert [popcount(m) for m in seq] == sorted(popcount(m) for m in seq)
-
-    def test_level_order_descending(self):
-        seq = list(iter_masks_by_level(3, ascending=False))
-        assert seq[0] == 0b111
-
     def test_masks_by_level_partition(self):
         levels = masks_by_level(4)
         assert sum(len(level) for level in levels) == 16
         for k, level in enumerate(levels):
             assert all(popcount(m) == k for m in level)
+
+    @pytest.mark.parametrize("n_bits", range(6))
+    def test_level_sizes_are_binomial(self, n_bits):
+        levels = masks_by_level(n_bits)
+        assert len(levels) == n_bits + 1
+        assert [len(level) for level in levels] == [
+            comb(n_bits, k) for k in range(n_bits + 1)
+        ]
+        assert levels[0] == (0,)
+        assert levels[-1] == ((1 << n_bits) - 1,)
+        for level in levels:
+            assert list(level) == sorted(level)
 
 
 class TestClosureTable:
