@@ -128,9 +128,10 @@ class FactSet:
     ``DiscoveryAlgorithm._fact_set``.  Context / skyline cardinalities
     are two ``int32`` NumPy columns set once by :meth:`set_scores`
     (``-1`` = not scored).  Every engine creates all four columns at
-    that width (``S_t`` routinely holds hundreds of facts and a
-    micro-batch holds hundreds of sets), so none is cast or copied on
-    the way in.  Every read is pure.
+    that width (``S_t`` routinely holds hundreds of facts), so none is
+    cast or copied on the way in; the server folds each set and drops
+    it before the next slice of its micro-batch is discovered.  Every
+    read is pure.
     :class:`SituationalFact` objects are materialised lazily on first
     object-level read, and reporting (:meth:`top_k`, :meth:`prominent`)
     picks its winners off the prominence column and materialises *only

@@ -9,10 +9,13 @@ windowed, aggregate, or any composition built by
   ``queue_limit`` rows are waiting, so fast producers feel backpressure
   instead of ballooning memory;
 * **work-conserving micro-batching** — the consumer takes whatever is
-  queued (up to ``batch_max``) into one ``facts_for_many`` call and
-  never waits for more: the next batch forms while the engine is busy,
-  so batches grow with load by themselves (columnar batch speed when
-  saturated) and an idle server answers at once;
+  queued (up to ``batch_max``) into one batch and never waits for more:
+  the next batch forms while the engine is busy, so batches grow with
+  load by themselves and an idle server answers at once.  The batch
+  reaches ``facts_for_many`` in slices (one row; one ``chunk_size``
+  chunk on a sharded router), and each ``S_t`` is folded and dropped
+  as its slice returns, so only one slice's fact sets are ever alive —
+  the batch keeps just each arrival's record and reportable facts;
 * **fact subscriptions** — any number of consumers iterate
   ``async for event in server.subscribe()`` to receive each arrival's
   reportable facts as they are discovered;
@@ -168,7 +171,10 @@ class StreamServer:
     queue_limit:
         Ingest-queue bound; ``ingest`` awaits (backpressure) when full.
     batch_max:
-        Micro-batch size cap per ``facts_for_many`` call.
+        Micro-batch size cap: rows per engine job, group commit and
+        feed repair pass.  The engine sees the batch one slice at a time
+        (one row; one ``chunk_size`` chunk on a sharded router), so this
+        bounds the ops per job, not how many ``S_t`` are alive.
     dead_letter_path:
         NDJSON file receiving quarantined poison rows — rows that crash
         discovery are retried individually and, still failing, recorded
@@ -499,31 +505,61 @@ class StreamServer:
         loop = asyncio.get_running_loop()
         rows = [row for _, row, _ in batch]
         config = engine.config
+        feeds = self.feeds
+        changed = set()
 
-        def discover(subset):
-            # facts_for_many (not observe_many): each FactSet carries
-            # the record it was discovered for, so the server never
-            # reaches into the table — windowed/aggregate engines, whose
-            # tables shift under eviction and group retraction, stay
-            # servable.  Reportable-fact selection (materialisation +
-            # ranking) runs here too, off the event loop.
-            return [
-                (factset, select_reportable(factset, config))
-                for factset in engine.facts_for_many(subset)
-            ]
+        def answer(factset):
+            # Each S_t is used once, here, off the event loop: the feed
+            # fold reads it whole, and only the record and its
+            # reportable facts outlive the call.  The FactSet (not the
+            # table) carries the record, so windowed/aggregate engines,
+            # whose tables shift under eviction and group retraction,
+            # stay servable.
+            record = factset.record
+            try:
+                facts = select_reportable(factset, config)
+            except Exception as exc:
+                # The row is applied; only its facts are lost.
+                self.last_error = exc
+                return lost(record)
+            if feeds is not None:
+                changed.update(feeds.apply_event(record, factset))
+            return "ok", (record, facts)
+
+        def lost(record):
+            # An applied row whose S_t is gone: the feeds queue it, in
+            # arrival order, for a refresh from the engine at repair.
+            if feeds is not None:
+                changed.update(feeds.apply_event(record, None))
+            return "lost", record
 
         def job():
-            before = getattr(engine, "arrivals", None)
-            try:
-                outcomes = [("ok", result) for result in discover(rows)]
-            except Exception as exc:
-                # Salvage instead of aborting: quarantine the poison
-                # row(s) and keep every healthy one.
-                self.last_error = exc
-                outcomes = self._salvage_batch(discover, rows, before)
-            changed = None
-            if self.feeds is not None:
-                changed = self._feeds_fold(outcomes)
+            outcomes = []
+            # One row per call; one chunk on a sharded router, whose
+            # workers pipeline inside a chunk.  Only one slice's S_t are
+            # alive at a time.
+            size = getattr(engine, "chunk_size", 1)
+            for start in range(0, len(rows), size):
+                part = rows[start:start + size]
+                before = getattr(engine, "arrivals", None)
+                try:
+                    fact_sets = engine.facts_for_many(part)
+                except Exception as exc:
+                    # Salvage instead of aborting: quarantine the poison
+                    # row(s) of this slice and keep every healthy one.
+                    self.last_error = exc
+                    outcomes += self._salvage_batch(
+                        answer, lost, part, before
+                    )
+                else:
+                    outcomes += [answer(fs) for fs in fact_sets]
+                    # Gone before the next slice's call.
+                    del fact_sets
+            if feeds is not None:
+                # One repair pass for the lost arrivals and any window
+                # evictions the batch triggered, priced against the
+                # post-batch engine state (repair queries the engine).
+                changed.update(feeds.repair(engine))
             if self.journal is not None:
                 for row, (kind, _) in zip(rows, outcomes):
                     if kind != "quarantined":
@@ -533,11 +569,9 @@ class StreamServer:
                 # One durability point per micro-batch (group commit):
                 # an event is only acknowledged once its op is journaled.
                 self.journal.commit()
-            return outcomes, changed
+            return outcomes
 
-        outcomes, changed = await loop.run_in_executor(
-            self._engine_thread, job
-        )
+        outcomes = await loop.run_in_executor(self._engine_thread, job)
         if changed:
             self._publish_feed_changes(changed)
         emitted = 0
@@ -548,30 +582,32 @@ class StreamServer:
             else:
                 accepted += 1
                 if kind == "lost":
-                    # Applied to the engine before a later row failed,
-                    # but its facts are unrecoverable: acknowledge with
+                    # Applied to the engine, but its facts are
+                    # unrecoverable (its slice failed after applying
+                    # it, or its selection failed): acknowledge with
                     # an empty fact set (the op is journaled; state is
                     # exact).
                     event = FactEvent(result, [])
                 else:
-                    factset, facts = result
-                    event = FactEvent(factset.record, facts)
-                    emitted += len(facts)
+                    event = FactEvent(*result)
+                    emitted += len(event.facts)
                 _settle(future, event)
                 for subscription in list(self._subscriptions):
                     subscription._publish(event)
         self.stats.note_batch(accepted, emitted)
 
-    def _salvage_batch(self, discover, rows, before):
-        """Recover from a mid-batch discovery failure.
+    def _salvage_batch(self, answer, lost, part, before):
+        """Recover from a failed ``facts_for_many`` call on one slice.
 
         The engine's monotone ``arrivals`` counter (read into ``before``
         just before the failed call) tells exactly how many rows of the
-        batch were applied before the failure — their states are in,
+        slice were applied before the failure — their states are in,
         only their fact sets are lost.  The remaining rows are retried
         one at a time, so one poison row costs itself — not its
-        batch-mates.  Returns one outcome per row: ``("ok", (factset,
-        facts))``, ``("lost", record)`` for applied rows with lost
+        slice-mates.  Earlier slices of the batch were answered and
+        folded already and are not touched.  Returns one outcome per
+        row of ``part``, folded into the feeds in row order:
+        ``answer(factset)``, ``lost(record)`` for applied rows with lost
         facts, or ``("quarantined", error)`` (counted and dead-lettered
         here).
         """
@@ -579,30 +615,31 @@ class StreamServer:
         applied = 0
         if before is not None:
             applied = max(
-                0, min(getattr(engine, "arrivals", before) - before, len(rows))
+                0, min(getattr(engine, "arrivals", before) - before, len(part))
             )
         outcomes = []
-        for index, row in enumerate(rows):
+        for index, row in enumerate(part):
             if index < applied:
                 tid = before + index if before is not None else -1
-                outcomes.append(("lost", self._record_for(row, tid)))
+                outcomes.append(lost(self._record_for(row, tid)))
                 continue
             pre = getattr(engine, "arrivals", None)
             try:
-                (result,) = discover([row])
+                (factset,) = engine.facts_for_many([row])
             except Exception as row_exc:
                 if (
                     pre is not None
                     and getattr(engine, "arrivals", pre) > pre
                 ):
                     # Applied but its facts were lost mid-flight.
-                    outcomes.append(("lost", self._record_for(row, pre)))
+                    outcomes.append(lost(self._record_for(row, pre)))
                 else:
                     self.stats.rows_quarantined += 1
                     self._dead_letter(row, row_exc)
                     outcomes.append(("quarantined", row_exc))
             else:
-                outcomes.append(("ok", result))
+                outcomes.append(answer(factset))
+                del factset
         return outcomes
 
     def _record_for(self, row, tid: int) -> Record:
@@ -668,26 +705,6 @@ class StreamServer:
     # ------------------------------------------------------------------
     # Feed tier
     # ------------------------------------------------------------------
-    def _feeds_fold(self, outcomes) -> set:
-        """Fold one micro-batch into the feed store (inside the batch
-        job, on the engine thread — repair queries the engine):
-        arrivals first — they are pure event-data updates — then one
-        repair pass for any window evictions the batch triggered, priced
-        against the post-batch engine state (the refresh overwrites with
-        exact values, so the ordering cannot double-count)."""
-        feeds = self.feeds
-        changed = set()
-        for kind, result in outcomes:
-            if kind == "ok":
-                factset, _ = result
-                changed |= feeds.apply_event(factset.record, factset)
-            elif kind == "lost":
-                # Applied row whose S_t was lost mid-salvage: its
-                # candidate pairs are refreshed from the engine.
-                changed |= feeds.apply_event(result, None)
-        changed |= feeds.repair(self.engine)
-        return changed
-
     def add_feed_listener(self, listener) -> None:
         """Register ``listener(changed_segment_keys)``; called on the
         event loop after each batch/delete that changed feed state

@@ -28,7 +28,13 @@ from contextlib import contextmanager
 import pytest
 
 from repro import DiscoveryConfig, FactDiscoverer
-from repro.api import CheckpointPolicy, EngineSpec, open_engine
+from repro.api import (
+    CheckpointPolicy,
+    EngineSpec,
+    FeedSpec,
+    ShardingSpec,
+    open_engine,
+)
 from repro.extensions.snapshot import load_engine, save_engine
 from repro.service import (
     JournalWriter,
@@ -39,7 +45,9 @@ from repro.service import (
 from repro.service import faults
 from repro.service.journal import JournalCorruptError, read_ops
 from repro.service.remote import run_worker
+from tests import feed_oracle
 from tests.strategies import SERVICE_SCHEMA as SCHEMA, make_rows
+from tests.test_feed_columns import assert_same
 
 def fact_key(fact):
     return (fact.constraint.values, fact.subspace, fact.prominence)
@@ -730,6 +738,154 @@ class TestPoisonRows:
         finally:
             engine.close()
             ref.close()
+
+    @pytest.mark.parametrize(
+        "sharding, applies, calls, lost",
+        [
+            # Row 13 fails alone, then is retried alone.
+            (None, 0, [1] * 13 + [1, 1] + [1] * 18, ()),
+            # Its slice (rows 8-15) fails, then is retried row by row.
+            (
+                ShardingSpec(workers=2, mode="serial", chunk_size=8),
+                0,
+                [8, 8] + [1] * 8 + [8, 8],
+                (),
+            ),
+            # Rows 8-12 are applied before the slice fails: their facts
+            # are lost, and only rows 13-15 are retried.
+            (
+                ShardingSpec(workers=2, mode="serial", chunk_size=8),
+                5,
+                [8, 8] + [1] * 3 + [8, 8],
+                range(8, 13),
+            ),
+        ],
+        ids=["in-process", "sharded", "sharded-partly-applied"],
+    )
+    def test_salvage_touches_only_the_failing_slice(
+        self, sharding, applies, calls, lost
+    ):
+        """The batch reaches the engine in slices (one row in-process,
+        8-row chunks on the router); a poison row mid-batch fails its
+        own slice only.  The stand-in applies the first ``applies``
+        rows of a slice holding it (never the poison row), then raises.
+        Every healthy row it did not apply — its slice-mates included —
+        keeps its facts; the applied ones are acked with none.  Either
+        way each row is folded into the feeds exactly once (a lost row
+        through the refresh), and the feeds equal the oracle's fold."""
+        healthy = make_rows(31)
+        poison = {"d0": "POISON", "d1": "b0", "m0": 1, "m1": 1}
+        rows = healthy[:13] + [poison] + healthy[13:]
+        feed_spec = FeedSpec(group_by=("d0",))
+        spec = EngineSpec(
+            SCHEMA, algorithm="svec", sharding=sharding, feeds=feed_spec
+        )
+        engine = open_engine(spec)
+        inner = engine.facts_for_many
+        seen = []
+
+        def facts_for_many(part):
+            seen.append(len(part))
+            poisoned = [
+                i for i, row in enumerate(part) if row["d0"] == "POISON"
+            ]
+            if poisoned:
+                inner(part[: min(applies, poisoned[0])])
+                raise ValueError("poison row rejected")
+            return inner(part)
+
+        engine.facts_for_many = facts_for_many
+
+        async def run():
+            server = StreamServer(engine)
+            await server.start()
+            results = await asyncio.gather(
+                *(server.ingest_wait(row) for row in rows),
+                return_exceptions=True,
+            )
+            await server.stop()
+            return server, results
+
+        server, results = asyncio.run(run())
+        live_counters = engine.counters.snapshot()
+        engine.close()
+        assert server.stats.batches == 1
+        assert seen == calls
+
+        ref = FactDiscoverer(SCHEMA, algorithm="svec")
+        oracle = feed_oracle.FeedStore.for_engine(ref, feed_spec)
+        expected = []
+        for tid, row in enumerate(healthy):
+            factset = ref.facts_for(row)
+            if tid in lost:
+                # Applied, facts lost: refreshed from the engine instead.
+                oracle.apply_event(factset.record, None)
+                expected.append([])
+            else:
+                oracle.apply_event(factset.record, factset)
+                expected.append([fact_key(f) for f in factset.ranked()])
+        oracle.repair(ref)
+        assert isinstance(results[13], ValueError)
+        assert server.stats.rows_quarantined == 1
+        events = results[:13] + results[14:]
+        assert [event.tid for event in events] == list(range(len(healthy)))
+        assert [[fact_key(f) for f in e.facts] for e in events] == expected
+        assert server.feeds.applied_arrivals == len(healthy)
+        assert_same(server.feeds, oracle)
+        assert live_counters == ref.counters.snapshot()
+
+    def test_failed_selection_loses_only_that_rows_facts(self, monkeypatch):
+        """A row whose reportable-fact selection raises was applied: it
+        is acked with no facts and refreshed in the feeds, like a row
+        whose ``S_t`` was lost in discovery.  Its batch-mates keep their
+        facts and the server keeps taking writes."""
+        from repro.service import server as server_module
+
+        select = server_module.select_reportable
+
+        def failing_select(factset, config):
+            if factset.record.tid == 5:
+                raise RuntimeError("selection failed")
+            return select(factset, config)
+
+        monkeypatch.setattr(server_module, "select_reportable", failing_select)
+        rows = make_rows(13)
+        feed_spec = FeedSpec(group_by=("d0",))
+        engine = open_engine(
+            EngineSpec(SCHEMA, algorithm="svec", feeds=feed_spec)
+        )
+
+        async def run():
+            server = StreamServer(engine)
+            await server.start()
+            events = await asyncio.gather(
+                *(server.ingest_wait(row) for row in rows[:12])
+            )
+            events.append(await server.ingest_wait(rows[12]))
+            await server.stop()
+            return server, events
+
+        server, events = asyncio.run(run())
+        engine.close()
+        assert server.stats.batches == 2
+        assert isinstance(server.last_error, RuntimeError)
+
+        ref = FactDiscoverer(SCHEMA, algorithm="svec")
+        oracle = feed_oracle.FeedStore.for_engine(ref, feed_spec)
+        expected = []
+        for tid, row in enumerate(rows):
+            factset = ref.facts_for(row)
+            if tid == 5:
+                oracle.apply_event(factset.record, None)
+                expected.append([])
+            else:
+                oracle.apply_event(factset.record, factset)
+                expected.append([fact_key(f) for f in factset.ranked()])
+            if tid in (11, 12):
+                oracle.repair(ref)
+        assert [event.tid for event in events] == list(range(len(rows)))
+        assert [[fact_key(f) for f in e.facts] for e in events] == expected
+        assert_same(server.feeds, oracle)
 
     def test_poison_rows_never_reach_the_journal(self, tmp_path):
         rows = make_rows(6) + [{"d0": "POISON", "d1": "b0", "m0": 0, "m1": 0}]

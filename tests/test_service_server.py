@@ -6,6 +6,7 @@ import inspect
 import json
 import os
 import threading
+import weakref
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.extensions.snapshot import load_engine
 from repro.service import (
     FeedClient,
     FeedGateway,
+    FeedStore,
     ShardedDiscoverer,
     StreamServer,
     faults,
@@ -227,6 +229,65 @@ class TestMicroBatching:
 
         server = asyncio.run(run())
         assert server.stats.enqueued == 0
+
+
+class TestAnswerPerArrival:
+    """A micro-batch reaches the engine one slice at a time — one row
+    in-process, one ``chunk_size`` chunk on a sharded router — and each
+    ``S_t`` is selected, folded into the feeds and dropped before the
+    next slice is discovered.  A spy around ``facts_for_many`` counts
+    the calls and holds weak references to every column of every fact
+    set it handed out (``FactSet`` has ``__slots__`` without
+    ``__weakref__``); at each call, none may still be alive."""
+
+    ROWS = 64
+
+    def spied_batch(self, engine):
+        calls = []
+        handed_out = []
+        inner = engine.facts_for_many
+
+        def facts_for_many(rows):
+            alive = sum(ref() is not None for ref in handed_out)
+            calls.append((len(rows), alive))
+            fact_sets = inner(rows)
+            for factset in fact_sets:
+                _, positions, subspaces = factset.cells()
+                columns = (positions, subspaces, *factset.scores())
+                # Empty columns may be a shared constant; skip them.
+                handed_out.extend(weakref.ref(c) for c in columns if c.size)
+            return fact_sets
+
+        engine.facts_for_many = facts_for_many
+        rows = make_rows(self.ROWS)
+
+        async def run():
+            server = StreamServer(engine, feeds=FeedStore.for_engine(engine))
+            await server.start()
+            # Every put runs before the consumer is scheduled: one batch.
+            events = await asyncio.gather(
+                *(server.ingest_wait(row) for row in rows)
+            )
+            await server.stop()
+            return server, events
+
+        server, events = asyncio.run(run())
+        engine.close()
+        assert server.stats.batches == 1
+        assert [event.tid for event in events] == list(range(self.ROWS))
+        assert server.feeds.applied_arrivals == self.ROWS
+        assert handed_out, "the spy saw no fact set"
+        return calls
+
+    def test_in_process_engine_is_called_once_per_row(self):
+        calls = self.spied_batch(FactDiscoverer(SCHEMA, algorithm="svec"))
+        assert calls == [(1, 0)] * self.ROWS
+
+    def test_sharded_router_keeps_its_chunk(self):
+        engine = ShardedDiscoverer(
+            SCHEMA, n_workers=2, mode="serial", chunk_size=16
+        )
+        assert self.spied_batch(engine) == [(16, 0)] * (self.ROWS // 16)
 
 
 class TestBackpressureAndDrain:
