@@ -43,9 +43,9 @@ class ShardingSpec:
     mode:
         ``"serial"`` (in-process, deterministic), ``"process"`` (one
         supervised OS process per shard — the throughput mode)
-        or ``"remote"`` (each shard a replica set of socket workers,
+        or ``"remote"`` (each shard a set of socket worker replicas,
         placed by :attr:`remote` — the multi-machine tier; see
-        :mod:`repro.service.cluster`).
+        :mod:`repro.service.remote`).
     chunk_size:
         Pipelining granularity of batched ingestion (rows per worker
         round-trip).

@@ -567,7 +567,7 @@ def cmd_shard_worker(args) -> int:
 def cmd_cluster_status(args) -> int:
     import json
 
-    from .service.cluster import cluster_status
+    from .service.remote import cluster_status
 
     try:
         if args.remote:

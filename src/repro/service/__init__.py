@@ -18,14 +18,14 @@ turns it into a *service*:
 * :mod:`repro.service.journal` — the append-only write-ahead journal
   of accepted ops; recovery = latest snapshot + journal suffix;
 * :mod:`repro.service.supervisor` — :class:`ShardWorker`, the one
-  router-side worker handle over an inline / pipe / socket link, with
-  crash detection, restart with backoff, and deterministic state
-  rebuild written once;
+  router-side shard handle over its links (one inline or pipe link, or
+  one socket link per replica), with crash detection, restart with
+  backoff, deterministic state rebuild, write-all / read-any
+  replication and failover written once;
 * :mod:`repro.service.remote` — the length-prefixed, CRC-framed socket
   protocol (versioned handshake, per-request timeouts) that turns any
-  machine running ``repro-facts shard-worker`` into a pool member;
-* :mod:`repro.service.cluster` — replica sets per shard (write-all /
-  read-any, promotion failover) behind ``mode="remote"`` sharding;
+  machine running ``repro-facts shard-worker`` into a pool member, and
+  the ``cluster-status`` probe;
 * :mod:`repro.service.faults` — the spec/env-driven fault-injection
   registry the chaos tests (and the CI chaos job) drive;
 * :mod:`repro.service.feeds` — :class:`FeedStore`, materialized
@@ -47,8 +47,6 @@ from importlib import import_module
 #: Exported name -> the submodule defining it; read by the PEP 562
 #: ``__getattr__`` below on a name's first access.
 _EXPORTS = {
-    "ReplicaSet": "cluster",
-    "cluster_status": "cluster",
     "FeedStore": "feeds",
     "FeedClient": "gateway",
     "FeedGateway": "gateway",
@@ -57,13 +55,13 @@ _EXPORTS = {
     "RecoveryReport": "journal",
     "recover_engine": "journal",
     "SocketWorkerServer": "remote",
+    "cluster_status": "remote",
     "run_worker": "remote",
     "ShardedDiscoverer": "sharding",
     "canonical_subspace_keys": "sharding",
     "partition_subspaces": "sharding",
     "StreamServer": "server",
     "ShardWorker": "supervisor",
-    "SupervisorPolicy": "supervisor",
     "WorkerCrashed": "supervisor",
     "WorkerGaveUp": "supervisor",
 }
@@ -74,12 +72,10 @@ __all__ = [
     "FeedStore",
     "JournalWriter",
     "RecoveryReport",
-    "ReplicaSet",
     "ShardedDiscoverer",
     "SocketWorkerServer",
     "StreamServer",
     "ShardWorker",
-    "SupervisorPolicy",
     "WorkerCrashed",
     "WorkerGaveUp",
     "canonical_subspace_keys",

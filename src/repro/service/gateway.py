@@ -14,7 +14,10 @@ parsing, RFC 6455 frames) — the container policy is stdlib-only.
 Endpoints
 ---------
 ``GET /healthz``
-    Liveness: ``{"ok": true, "running": …}``.
+    Liveness, as the TCP ``health`` op returns it
+    (:meth:`~repro.service.server.StreamServer.health`); ``503`` with
+    the same body when ``ok`` is false (stopped, or writes refused
+    after a failed journal append).
 ``GET /stats``
     The server's stats reply, as the TCP ``stats`` op returns it
     (gateway counters and the engine's stats tree included).  It reads
@@ -336,12 +339,8 @@ class FeedGateway:
     # ------------------------------------------------------------------
     async def _serve_http(self, writer, path: str, query: dict) -> None:
         if path == "/healthz":
-            await self._respond(
-                writer,
-                200,
-                {"ok": bool(self.server._running),
-                 "running": bool(self.server._running)},
-            )
+            health = self.server.health()
+            await self._respond(writer, 200 if health["ok"] else 503, health)
             return
         if path == "/stats":
             try:

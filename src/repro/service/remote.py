@@ -3,9 +3,11 @@
 This module promotes the process-mode worker pipe protocol of
 :mod:`repro.service.sharding` to a socket protocol any machine can
 speak, so a shard pool is no longer confined to one OS process tree
-(see :mod:`repro.service.cluster` for the replica-set layer on
-top, and the ``repro-facts shard-worker`` CLI command that turns a
-machine into a pool member).
+(the ``repro-facts shard-worker`` CLI command turns a machine into a
+pool member).  The router side is one :class:`SocketLink` per replica
+under the shard's :class:`~repro.service.supervisor.ShardWorker`,
+opened by :func:`connect_replicas`; :func:`cluster_status` is the
+operator's probe of a placement map.
 
 Wire format — length-prefixed, CRC-framed, mirroring the journal's
 frame layout (:mod:`repro.service.journal`)::
@@ -30,9 +32,9 @@ Session layout:
   connection: the worker op table
   (:attr:`repro.service.worker._ShardEngine.OPS`, shared with the pipe
   protocol) plus the control ops ``configure`` (install a shard
-  engine), ``ping`` (heartbeat), ``stats`` (worker-side tallies for
-  ``cluster-status``), ``stop`` (end this connection) and ``shutdown``
-  (end the worker);
+  engine), ``ping`` (a liveness probe: configured-ness and applied
+  rows), ``stats`` (worker-side tallies for ``cluster-status``),
+  ``stop`` (end this connection) and ``shutdown`` (end the worker);
 * **replies** — ``("ok", result)`` or ``("error", reason)`` frames.
 
 Per-request timeouts: the router side waits on each reply with the
@@ -40,7 +42,7 @@ sharding ``op_timeout`` as the socket deadline, so a worker that hangs
 (or whose reply a ``worker.reply`` fault drops, or whose ``worker.op``
 fault sleeps past the budget) surfaces as a
 :class:`~repro.service.supervisor.WorkerCrashed` — the same signal the
-pipe link raises — and the replica layer fails over.  Worker-side, each
+pipe link raises — and the handle fails over to the next replica.  Worker-side, each
 connection runs the shared :func:`repro.service.worker.serve` loop, so
 the ``worker.op`` / ``worker.reply`` fault hook points fire exactly as
 in a pipe worker and the chaos suite drives socket workers with the
@@ -58,10 +60,10 @@ import threading
 import zlib
 from time import perf_counter
 from types import SimpleNamespace
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import faults
-from .supervisor import WorkerCrashed
+from .supervisor import WorkerCrashed, WorkerGaveUp
 from .worker import _build_shard_engine, serve
 
 #: Version exchanged in the handshake; bumped on any frame/op change.
@@ -141,8 +143,8 @@ class SocketWorkerServer:
     The engine is installed by the router's ``configure`` op (the same
     pickle-light spec dict the pipe workers receive, including the
     forwarded fault list) and serialized under a lock, so a second
-    connection — ``cluster-status`` pinging mid-stream, a replica-join
-    replay — interleaves safely with the primary ingest connection.
+    connection — ``cluster-status`` probing mid-stream — interleaves
+    safely with the router's ingest connection.
 
     ``start()`` runs the accept loop on a daemon thread (tests embed
     workers in-process on ephemeral ports); :func:`run_worker` runs it
@@ -344,8 +346,8 @@ class SocketLink:
     """The remote-mode link (see :mod:`repro.service.supervisor`): one
     handshaken connection to a pool member; ``timeout`` bounds the
     handshake and every :meth:`request`.  It cannot be re-opened — the
-    state lives in the remote worker — so the handle gives up at the
-    first crash, which a replica set turns into promotion."""
+    state lives in the remote worker — so the handle drops it at the
+    first crash and fails over to the next replica."""
 
     reopen = None
 
@@ -451,3 +453,93 @@ def probe_worker(address: str, timeout: float = 2.0) -> Dict[str, object]:
         return dict(stats, rtt_seconds=perf_counter() - start)
     finally:
         link.close()
+
+
+def connect_replicas(
+    index: int,
+    addresses: Sequence[str],
+    spec: Mapping[str, object],
+    timeout: float = 60.0,
+) -> List[SocketLink]:
+    """Open, handshake and ``configure`` one link per replica of shard
+    ``index``, primary first, skipping unreachable ones.  Armed faults
+    go to the primary only: replicas share the worker index, so
+    forwarding them everywhere would kill the whole set at once and
+    failover could never happen.  Raises
+    :class:`~repro.service.supervisor.WorkerGaveUp` when no replica is
+    reachable."""
+    links: List[SocketLink] = []
+    errors = []
+    for i, address in enumerate(addresses):
+        armed = faults.active_dicts() if i == 0 else []
+        try:
+            link = SocketLink(index, address, timeout)
+        except WorkerCrashed as exc:
+            errors.append(str(exc))
+            continue
+        try:
+            link.request("configure", dict(spec, faults=armed))
+        except WorkerCrashed as exc:
+            link.abandon()
+            errors.append(str(exc))
+            continue
+        links.append(link)
+    if not links:
+        raise WorkerGaveUp(
+            index, "no replica reachable (" + "; ".join(errors) + ")"
+        )
+    return links
+
+
+# ----------------------------------------------------------------------
+# Operator-facing status probe
+# ----------------------------------------------------------------------
+def shard_sort_key(name: object):
+    """Deterministic shard-name order for placement maps: numeric names
+    sort numerically (``"2" < "10"``), the rest lexically after them."""
+    text = str(name)
+    return (0, int(text), "") if text.isdigit() else (1, 0, text)
+
+
+def cluster_status(
+    remote: Mapping[str, Sequence[str]], timeout: float = 2.0
+) -> List[Dict[str, object]]:
+    """Probe every worker in a placement map; one row per
+    ``(shard, replica)`` with liveness, configured-ness, applied rows,
+    replication lag (rows behind the most advanced replica of the
+    shard), busy-seconds, and ping round-trip.  Unreachable workers get
+    ``alive=False`` plus the error — the probe itself never raises."""
+    report: List[Dict[str, object]] = []
+    for shard in sorted(remote, key=shard_sort_key):
+        shard_rows: List[Dict[str, object]] = []
+        for address in remote[shard]:
+            row: Dict[str, object] = {
+                "shard": str(shard),
+                "replica": str(address),
+                "alive": False,
+                "configured": False,
+                "rows": None,
+                "busy_seconds": None,
+                "rtt_ms": None,
+                "error": None,
+            }
+            try:
+                stats = probe_worker(address, timeout=timeout)
+            except (WorkerCrashed, OSError, ValueError) as exc:
+                row["error"] = f"{type(exc).__name__}: {exc}"
+            else:
+                row.update(
+                    alive=True,
+                    configured=bool(stats.get("configured", False)),
+                    rows=int(stats.get("rows", 0)),
+                    busy_seconds=stats.get("busy_seconds", 0.0),
+                    rtt_ms=round(
+                        float(stats.get("rtt_seconds", 0.0)) * 1000.0, 3
+                    ),
+                )
+            shard_rows.append(row)
+        head = max((r["rows"] for r in shard_rows if r["alive"]), default=0)
+        for row in shard_rows:
+            row["lag"] = head - row["rows"] if row["alive"] else None
+        report.extend(shard_rows)
+    return report

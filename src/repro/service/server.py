@@ -398,6 +398,21 @@ class StreamServer:
             self._engine_thread, self._stats_snapshot
         )
 
+    def health(self) -> dict:
+        """Liveness — the reply of the TCP ``health`` op and the
+        gateway's ``GET /healthz``: ``ok`` is false once the server
+        stopped or refuses writes after a failed journal append."""
+        health = {
+            "ok": self._running and self._write_error is None,
+            "running": self._running,
+            "table_rows": len(self.engine.table),
+            "queue_depth": self._queue.qsize() if self._queue else 0,
+            "degraded": bool(getattr(self.engine, "degraded", False)),
+        }
+        if self.last_error is not None:
+            health["last_error"] = str(self.last_error)
+        return health
+
     def _stats_snapshot(self) -> dict:
         tree = self.engine.stats()
         snap = self.stats.snapshot()
@@ -900,20 +915,7 @@ class StreamServer:
                         continue
                     await reply({"stats": stats})
                 elif op == "health":
-                    health = {
-                        "ok": self._running and self._write_error is None,
-                        "running": bool(self._running),
-                        "table_rows": len(self.engine.table),
-                        "queue_depth": (
-                            self._queue.qsize() if self._queue else 0
-                        ),
-                        "degraded": bool(
-                            getattr(self.engine, "degraded", False)
-                        ),
-                    }
-                    if self.last_error is not None:
-                        health["last_error"] = str(self.last_error)
-                    await reply(health)
+                    await reply(self.health())
                 elif op == "ping":
                     await reply({"ok": True})
                 elif op == "shutdown":

@@ -32,12 +32,12 @@ Division of labour per arrival:
 Execution modes: ``serial`` (in-process, deterministic — the testing
 reference), ``process`` (one supervised OS process per worker over a
 pipe, the throughput mode — NumPy sweeps and lattice walks run truly in
-parallel) and ``remote`` (each shard a replica set of socket workers
+parallel) and ``remote`` (each shard a set of socket worker replicas
 placed by a ``remote`` map — the multi-machine tier; see
-:mod:`repro.service.remote` for the wire protocol and
-:mod:`repro.service.cluster` for replicas and failover).
-They differ only in the *link* under each worker handle
-(:mod:`repro.service.supervisor`); the worker engine, op table and
+:mod:`repro.service.remote` for the wire protocol).
+They differ only in the *links* under each worker handle
+(:mod:`repro.service.supervisor`, which also writes replication and
+failover); the worker engine, op table and
 serve loop are one (:mod:`repro.service.worker`).  Batched ingestion is
 pipelined chunk-wise: while the workers chew on chunk ``k+1``, the
 router merges, scores and ranks chunk ``k``.
@@ -61,13 +61,10 @@ from ..core.record import Record, Table
 from ..core.schema import TableSchema
 from ..metrics.counters import OpCounters
 from ..query.contextual import ContextualQueryEngine
-from . import faults
-from .cluster import ReplicaSet, shard_sort_key
 from .supervisor import (
     InlineLink,
     PipeLink,
     ShardWorker,
-    SupervisorPolicy,
     WorkerGaveUp,
     replay_into,
 )
@@ -81,6 +78,9 @@ Row = Union[Mapping[str, object], Record]
 _PIPELINE_CHUNK = 96
 
 _MODES = ("serial", "process", "remote")
+
+#: The supervision tallies every :class:`ShardWorker` keeps.
+_TALLIES = ("restarts", "chunks_retried", "failovers")
 
 
 def canonical_subspace_keys(
@@ -255,11 +255,11 @@ class ShardedDiscoverer(EngineBase):
         subspace keys (every shard must own at least one).
     mode:
         ``"serial"`` (in-process), ``"process"`` or ``"remote"``
-        (socket replica sets; requires ``remote``).
+        (socket worker replicas; requires ``remote``).
     remote:
         Placement map ``{shard_name: [host:port, ...]}`` assigning each
-        shard a replica set of socket workers (see
-        :mod:`repro.service.cluster`).  Shard names sort numerically
+        shard its socket worker replicas (see
+        :mod:`repro.service.remote`).  Shard names sort numerically
         when numeric; the number of shards fixes the worker count.
         Supplying it implies/requires ``mode="remote"``.
     chunk_size:
@@ -338,7 +338,6 @@ class ShardedDiscoverer(EngineBase):
         self.chunk_size = chunk_size
         self.op_timeout = op_timeout
         self.max_restarts = max_restarts
-        self._policy = SupervisorPolicy(op_timeout, max_restarts)
         #: True once the circuit breaker fell back to in-router serial
         #: execution (the pool keeps serving, just without parallelism).
         self.degraded = False
@@ -347,14 +346,12 @@ class ShardedDiscoverer(EngineBase):
         #: restarts and degrades.
         #: Kept only for workers that can be lost (its memory cost).
         #: Unbounded: it holds every op since the router started, and
-        #: nothing trims it (ROADMAP item 4: trim at each checkpoint,
+        #: nothing trims it (ROADMAP item 7: trim at each checkpoint,
         #: with a state transfer replacing the full replay).
         self._oplog: List[Tuple[str, object]] = []
         self._track_oplog = mode != "serial"
-        #: Fault counters of workers discarded by a degrade.
-        self._restart_base = 0
-        self._retry_base = 0
-        self._failover_base = 0
+        #: :data:`_TALLIES` of the workers a degrade discarded.
+        self._retired = dict.fromkeys(_TALLIES, 0)
         self.table = Table(schema)
         self.context_counter = ContextCounter(
             schema.n_dimensions, config.max_bound_dims
@@ -365,6 +362,8 @@ class ShardedDiscoverer(EngineBase):
         self.n_workers = len(self.shards)
         self._root_key = keys[0]
         if self.remote is not None:
+            from .remote import shard_sort_key
+
             # Deterministic shard-name → worker-index mapping; a map
             # with more pools than maintained keys leaves the extra
             # pools unused (shards are clamped to the key count).
@@ -389,32 +388,33 @@ class ShardedDiscoverer(EngineBase):
         self._workers = self._spawn_workers()
         self._closed = False
 
-    def _spawn_workers(self):
-        specs = [
-            self._worker_spec(shard, w) for w, shard in enumerate(self.shards)
+    def _spawn_workers(self) -> List[ShardWorker]:
+        """One supervised handle per shard over the mode's links."""
+        return [
+            ShardWorker(
+                w,
+                self._links(w, self._worker_spec(shard, w)),
+                self._oplog,
+                self.op_timeout,
+                self.max_restarts,
+            )
+            for w, shard in enumerate(self.shards)
         ]
+
+    def _links(self, w: int, spec: Dict[str, object]) -> list:
+        """Shard ``w``'s links, primary first.  Armed faults ride the
+        first process spawn, or the primary replica only."""
         if self.mode == "remote":
-            return [
-                ReplicaSet(
-                    w,
-                    self.remote[self._remote_order[w]],
-                    dict(spec, faults=faults.active_dicts()),
-                    op_timeout=self.op_timeout,
-                )
-                for w, spec in enumerate(specs)
-            ]
+            from .remote import connect_replicas
+
+            addresses = self.remote[self._remote_order[w]]
+            return connect_replicas(w, addresses, spec, self.op_timeout)
         if self.mode == "process":
             import multiprocessing as mp
 
             method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            ctx = mp.get_context(method)
-            links = [PipeLink(w, spec, ctx) for w, spec in enumerate(specs)]
-        else:
-            links = [InlineLink(_build_shard_engine(spec)) for spec in specs]
-        return [
-            ShardWorker(w, link, self._policy, self._oplog)
-            for w, link in enumerate(links)
-        ]
+            return [PipeLink(w, spec, mp.get_context(method))]
+        return [InlineLink(_build_shard_engine(spec))]
 
     def _worker_spec(
         self, shard: Sequence[int], index: Optional[int] = None
@@ -616,9 +616,8 @@ WorkerGaveUp`): every shard is rebuilt deterministically from the
         still hold it pending and will answer it live.
         """
         old = self._workers
-        self._restart_base += sum(w.restarts for w in old)
-        self._retry_base += sum(w.chunks_retried for w in old)
-        self._failover_base += sum(s.failovers for s in self._replica_sets())
+        for name in _TALLIES:
+            self._retired[name] += sum(getattr(w, name) for w in old)
         for worker in old:
             worker.close()
         replacements = []
@@ -627,7 +626,7 @@ WorkerGaveUp`): every shard is rebuilt deterministically from the
             replay_into(engine.apply, self._oplog)
             if merging is not None and w < delivered:
                 engine.ingest(merging)
-            worker = ShardWorker(w, InlineLink(engine), self._policy)
+            worker = ShardWorker(w, [InlineLink(engine)])
             worker.busy_seconds = old[w].busy_seconds
             for payload in old[w].pending_ops():
                 worker.submit_rows(payload)
@@ -639,21 +638,17 @@ WorkerGaveUp`): every shard is rebuilt deterministically from the
         self._track_oplog = False
         self._oplog = []
 
-    def _replica_sets(self):
-        """The pool's :class:`~repro.service.cluster.ReplicaSet`s —
-        the workers of a remote pool until it degrades, else none."""
-        remote = self.mode == "remote" and not self.degraded
-        return self._workers if remote else ()
+    def _tally(self, name: str) -> int:
+        return self._retired[name] + sum(
+            getattr(w, name) for w in self._workers
+        )
 
     def fault_counters(self) -> Dict[str, int]:
         """Supervision tallies (merged into :meth:`stats`)."""
         return {
-            "worker_restarts": self._restart_base
-            + sum(w.restarts for w in self._workers),
-            "chunks_retried": self._retry_base
-            + sum(w.chunks_retried for w in self._workers),
-            "replica_failovers": self._failover_base
-            + sum(s.failovers for s in self._replica_sets()),
+            "worker_restarts": self._tally("restarts"),
+            "chunks_retried": self._tally("chunks_retried"),
+            "replica_failovers": self._tally("failovers"),
             "degraded": int(self.degraded),
         }
 
@@ -678,7 +673,7 @@ WorkerGaveUp`): every shard is rebuilt deterministically from the
                 "restarts": worker.restarts,
                 "chunks_retried": worker.chunks_retried,
             }
-            if self._replica_sets():
+            if self.mode == "remote" and not self.degraded:
                 entry["replicas"] = worker.replicas
                 entry["failovers"] = worker.failovers
             out.append(entry)

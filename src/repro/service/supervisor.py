@@ -5,10 +5,11 @@ supervision loop.
 ``submit_rows`` / ``result`` (the pipelined ingest pair),
 ``call(op, payload)`` (any op of the worker op table,
 :attr:`repro.service.worker._ShardEngine.OPS`), ``pending_ops``,
-``close``, and the ``busy_seconds`` / ``restarts`` / ``chunks_retried``
-tallies.  Only the **link** under it is mode-specific —
-:class:`InlineLink` (serial), :class:`PipeLink` (process),
-:class:`~repro.service.remote.SocketLink` (remote):
+``close``, and the ``busy_seconds`` / ``restarts`` /
+``chunks_retried`` / ``failovers`` tallies.  Under it sits an ordered
+list of **links**, primary first: one :class:`InlineLink` (serial,
+degraded) or :class:`PipeLink` (process), or one
+:class:`~repro.service.remote.SocketLink` per replica (remote).  A link:
 
 * ``send(op, payload)`` queues one request and **never raises**: a
   failed send leaves the link broken and the next ``recv`` reports it,
@@ -16,12 +17,15 @@ tallies.  Only the **link** under it is mode-specific —
 * ``recv(timeout)`` returns the next reply, strictly FIFO, or raises
   :class:`WorkerCrashed` when the worker died or stayed silent past
   ``timeout`` seconds (``None``: only death is a failure);
-* ``close()`` shuts down without ever hanging;
+* ``close()`` shuts down without ever hanging; ``abandon()``, on a
+  link that can crash, drops the transport without the polite stop;
 * ``reopen`` is ``None``, or a method that discards the transport and
   starts a fresh, empty worker.
 
-Supervision is written once, in the handle, against that last
-capability:
+Shard workers are deterministic — identical op streams build identical
+engines — so the links of one handle need no consensus: ops that write
+(:attr:`~repro.service.worker.ShardOp.writes`) go to every link, reads
+round-robin across them.  Supervision is written once, in the handle:
 
 * **restart** — a crash on a re-openable link: exponential backoff
   with jitter, then a fresh worker;
@@ -33,14 +37,14 @@ capability:
   (the rebuild erased any partial application, so the resend cannot
   double-apply); a second crash on the same op means the op itself is
   the trigger, and the worker gives up rather than loop;
-* **circuit breaker** — past ``max_restarts``, or at the first crash on
-  a link that cannot be re-opened, the handle raises
-  :class:`WorkerGaveUp`.  The router then *degrades* the pool to
-  in-router serial execution
-  (:class:`~repro.service.sharding.ShardedDiscoverer`); a
-  :class:`~repro.service.cluster.ReplicaSet` first drops that replica
-  and promotes a survivor (failover replaces restart — a surviving
-  replica already holds the state) and gives up only when all are lost.
+* **failover** — a crash on a link that cannot be re-opened drops it;
+  the next link (a replica already holding the identical state) takes
+  over with no recovery work;
+* **circuit breaker** — past ``max_restarts``, or when no link is
+  left, the handle raises :class:`WorkerGaveUp`.  The router then
+  *degrades* the pool to in-router serial execution
+  (:class:`~repro.service.sharding.ShardedDiscoverer`), rebuilt from
+  the op log and the chunks still pending here.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Deque, List, Mapping, Sequence, Tuple
 
 from . import faults
@@ -74,23 +77,12 @@ class WorkerGaveUp(WorkerCrashed):
     """The circuit breaker tripped — the router should degrade."""
 
 
-@dataclass(frozen=True)
-class SupervisorPolicy:
-    """Restart behaviour knobs (derived from
-    :class:`~repro.api.spec.ShardingSpec`)."""
-
-    op_timeout: float = 60.0
-    max_restarts: int = 3
-    backoff_base: float = 0.05
-    backoff_max: float = 2.0
-    jitter: float = 0.25
-
-    def backoff(self, attempt: int, rng: random.Random) -> float:
-        """Delay before restart ``attempt`` (1-based): exponential,
-        capped, with up to ``jitter`` relative noise so a pool of
-        crashed workers does not restart in lockstep."""
-        base = min(self.backoff_max, self.backoff_base * (2.0 ** (attempt - 1)))
-        return base * (1.0 + self.jitter * rng.random())
+#: Restart backoff: exponential from ``_BACKOFF_BASE`` seconds, capped
+#: at ``_BACKOFF_MAX``, plus up to ``_JITTER`` relative noise so a pool
+#: of crashed workers does not restart in lockstep.
+_BACKOFF_BASE = 0.05
+_BACKOFF_MAX = 2.0
+_JITTER = 0.25
 
 
 def replay_into(
@@ -240,23 +232,31 @@ class PipeLink:
 # ----------------------------------------------------------------------
 # The handle
 # ----------------------------------------------------------------------
+#: What :meth:`ShardWorker._reply` returns for a link it dropped.
+_LOST = object()
+
+
 class ShardWorker:
-    """One shard worker as the router sees it (see module docstring):
-    worker ``index`` of the pool behind ``link``, under ``policy``'s
-    per-op deadline and restart budget.  ``oplog`` is a live reference
-    to the router's committed op list, replayed into every replacement
-    worker before pending chunks are re-sent."""
+    """One shard as the router sees it (see module docstring): worker
+    ``index`` of the pool behind ``links`` (primary first), with a
+    per-op deadline of ``op_timeout`` seconds and a budget of
+    ``max_restarts`` restarts.  ``oplog`` is a live reference to the
+    router's committed op list, replayed into every replacement worker
+    before pending chunks are re-sent."""
 
     def __init__(
         self,
         index: int,
-        link,
-        policy: SupervisorPolicy,
+        links: Sequence,
         oplog: Sequence[Tuple[str, object]] = (),
+        op_timeout: float = 60.0,
+        max_restarts: int = 3,
     ) -> None:
         self.index = index
-        self.link = link
-        self.policy = policy
+        #: Live links, primary first; a lost one is dropped for good.
+        self.links = list(links)
+        self.op_timeout = op_timeout
+        self.max_restarts = max_restarts
         self._oplog = oplog
         #: Cumulative ingest compute seconds the worker reported.
         self.busy_seconds = 0.0
@@ -264,28 +264,49 @@ class ShardWorker:
         self.restarts = 0
         #: Chunks re-sent to a replacement worker after a crash.
         self.chunks_retried = 0
+        #: Links dropped after a crash they could not re-open from.
+        self.failovers = 0
         #: Submitted ``rows`` payloads whose replies are not yet
         #: delivered — the exact set a replacement must be re-sent.
         self._pending: Deque[List[Mapping[str, object]]] = deque()
+        self._rr = 0
         self._rng = random.Random(0x5EED ^ index)
 
+    @property
+    def replicas(self) -> List[str]:
+        """Addresses of the live socket links, primary first."""
+        return [link.address for link in self.links]
+
     def submit_rows(self, rows: List[Mapping[str, object]]) -> None:
-        """Queue one chunk for :meth:`result` (FIFO).  Never raises."""
+        """Queue one chunk on every link for :meth:`result` (FIFO).
+        Never raises."""
         self._pending.append(rows)
-        self.link.send("rows", rows)
+        for link in self.links:
+            link.send("rows", rows)
 
     def result(self):
-        """The oldest outstanding chunk's ingest reply."""
-        reply = self._await()
+        """The oldest outstanding chunk's ingest reply.  Every link owes
+        one per chunk, so all are read (keeping them in lockstep); the
+        replies are identical by determinism."""
+        reply = self._from_all()
         self._pending.popleft()
         self.busy_seconds += reply[4]
         return reply
 
     def call(self, op: str, payload: object = None):
-        """One synchronous op round-trip.  Issue only while no chunk
-        replies are outstanding — the protocol is strictly FIFO."""
-        _ShardEngine.op(op)  # ValueError before anything is sent
-        return self._await((op, payload))
+        """One synchronous op round-trip: a write on every link, a read
+        on the next link round-robin (on the one after when it is
+        lost).  Issue only while no chunk replies are outstanding — the
+        protocol is strictly FIFO."""
+        request = (op, payload)
+        if _ShardEngine.op(op).writes:  # ValueError before anything is sent
+            return self._from_all(request)
+        while True:
+            link = self.links[self._rr % len(self.links)]
+            self._rr += 1
+            reply = self._reply(link, request)
+            if reply is not _LOST:
+                return reply
 
     def pending_ops(self) -> List[List[Mapping[str, object]]]:
         """Submitted-unmerged chunks, oldest first — what a degraded
@@ -293,18 +314,29 @@ class ShardWorker:
         return list(self._pending)
 
     def close(self) -> None:
-        self.link.close()
+        for link in self.links:
+            link.close()
 
-    def _await(self, request=None):
-        """Await one reply — to ``request`` if given (sent here, and
-        re-sent after a restart), else to the oldest pending chunk
-        (which the restart re-sends) — restarting through one crash."""
+    def _from_all(self, request=None):
+        """Every link's reply (see :meth:`_reply`); the first one."""
+        replies = [self._reply(link, request) for link in list(self.links)]
+        return next(reply for reply in replies if reply is not _LOST)
+
+    def _reply(self, link, request=None):
+        """One reply from ``link`` — to ``request`` if given (sent here,
+        and re-sent after a restart), else to the oldest pending chunk
+        (which the restart re-sends) — restarting through one crash.
+        A link that cannot re-open is dropped and :data:`_LOST`
+        returned."""
         for attempt in (1, 2):
             if request is not None:
-                self.link.send(*request)
+                link.send(*request)
             try:
-                return self.link.recv(self.policy.op_timeout)
+                return link.recv(self.op_timeout)
             except WorkerCrashed as crash:
+                if link.reopen is None:
+                    self._drop(link, crash)
+                    return _LOST
                 if attempt == 2:
                     # The retry crashed the rebuilt worker too: the op
                     # itself is the trigger; stop retrying.
@@ -313,23 +345,33 @@ class ShardWorker:
                         self.index,
                         f"{what} crashed the worker twice ({crash.reason})",
                     )
-                self._restart(crash)
+                self._restart(link, crash)
 
-    def _restart(self, crash: WorkerCrashed) -> None:
-        """Backoff, re-open the link, rebuild state from the committed
+    def _drop(self, link, crash: WorkerCrashed) -> None:
+        """Fail over from a lost link: the next one already holds the
+        identical state.  Raises :class:`WorkerGaveUp` when it was the
+        last — pending chunks stay queued for the degrade path."""
+        self.links.remove(link)
+        link.abandon()
+        self.failovers += 1
+        if not self.links:
+            raise WorkerGaveUp(
+                self.index, f"every link lost (last crash: {crash.reason})"
+            )
+
+    def _restart(self, link, crash: WorkerCrashed) -> None:
+        """Backoff, re-open ``link``, rebuild state from the committed
         oplog, re-send pending chunks.  Raises :class:`WorkerGaveUp`
-        when the link cannot be re-opened or the budget is spent."""
-        link = self.link
-        if link.reopen is None:
-            raise WorkerGaveUp(self.index, crash.reason)
+        when the restart budget is spent."""
         self.restarts += 1
-        if self.restarts > self.policy.max_restarts:
+        if self.restarts > self.max_restarts:
             raise WorkerGaveUp(
                 self.index,
                 f"circuit breaker after {self.restarts - 1} restarts "
                 f"(last crash: {crash.reason})",
             )
-        time.sleep(self.policy.backoff(self.restarts, self._rng))
+        delay = min(_BACKOFF_MAX, _BACKOFF_BASE * 2.0 ** (self.restarts - 1))
+        time.sleep(delay * (1.0 + _JITTER * self._rng.random()))
         link.reopen()
 
         def rebuild(op: str, payload: object) -> None:

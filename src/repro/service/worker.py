@@ -48,8 +48,8 @@ class ShardOp(NamedTuple):
     """One op-table entry: ``run(engine, payload) → reply``."""
 
     run: Callable[["_ShardEngine", object], object]
-    #: True for ops that mutate shard state: a replica set sends these
-    #: to *every* replica (reads go to any one of them).
+    #: True for ops that mutate shard state: the router's handle sends
+    #: these to *every* replica (reads go to any one of them).
     writes: bool = False
 
 

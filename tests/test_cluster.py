@@ -29,21 +29,19 @@ from repro.api import EngineSpec, ShardingSpec, open_engine
 from repro.core.config import DiscoveryConfig
 from repro.core.constraint import Constraint
 from repro.service import StreamServer
-from repro.service.cluster import (
-    ReplicaSet,
-    cluster_status,
-    shard_sort_key,
-)
 from repro.service.remote import (
     PROTOCOL_VERSION,
     FrameError,
     SocketLink,
     SocketWorkerServer,
     _FRAME,
+    cluster_status,
+    connect_replicas,
     parse_address,
     probe_worker,
     recv_msg,
     send_msg,
+    shard_sort_key,
 )
 from repro.service.sharding import (
     ShardedDiscoverer,
@@ -52,7 +50,6 @@ from repro.service.sharding import (
 )
 from repro.service.supervisor import (
     ShardWorker,
-    SupervisorPolicy,
     WorkerCrashed,
     WorkerGaveUp,
 )
@@ -182,7 +179,7 @@ class TestHandshake:
         server = SocketWorkerServer().start()
         try:
             worker = ShardWorker(
-                0, SocketLink(0, server.address, 5), SupervisorPolicy(5)
+                0, [SocketLink(0, server.address, 5)], op_timeout=5
             )
             with pytest.raises(WorkerCrashed, match="not configured"):
                 worker.call("counters")
@@ -449,7 +446,7 @@ class TestReplicaSets:
                 # Sever the router's connection to shard 0's primary:
                 # the next chunk fails over to the surviving replica,
                 # which already holds identical state.
-                engine._workers[0]._replicas[0].link.abandon()
+                engine._workers[0].links[0].abandon()
                 got += emitted(engine.observe_many(rows[40:]))
                 assert got == expected
                 assert (
@@ -475,7 +472,7 @@ class TestReplicaSets:
                 got = emitted(engine.observe_many(rows[:32]))
                 # Kill the only replica of shard 1: the set is lost and
                 # the router must degrade to in-router execution.
-                engine._workers[1]._replicas[0].link.abandon()
+                engine._workers[1].links[0].abandon()
                 got += emitted(engine.observe_many(rows[32:]))
                 engine.delete(5)
                 assert got == expected
@@ -496,7 +493,7 @@ class TestReplicaSets:
                 engine.facts_for_many(rows[:15])
                 replica_set = engine._workers[0]
                 assert replica_set.replicas == remote["0"]
-                replica_set._replicas[0].link.abandon()
+                replica_set.links[0].abandon()
                 engine.facts_for_many(rows[15:])
                 # The survivor was promoted; the set only ever shrinks.
                 assert replica_set.replicas == remote["0"][1:]
@@ -515,7 +512,7 @@ class TestReplicaSets:
             finally:
                 engine.close()
 
-    def test_replica_set_constructor_needs_one_reachable(self):
+    def test_connect_replicas_needs_one_reachable(self):
         probe = socket.create_server(("127.0.0.1", 0))
         dead = "127.0.0.1:%d" % probe.getsockname()[1]
         probe.close()
@@ -529,7 +526,7 @@ class TestReplicaSets:
             "worker_index": 0,
         }
         with pytest.raises(WorkerGaveUp, match="no replica reachable"):
-            ReplicaSet(0, [dead], spec, op_timeout=1)
+            connect_replicas(0, [dead], spec, timeout=1)
 
 
 # ----------------------------------------------------------------------

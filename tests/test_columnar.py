@@ -434,7 +434,7 @@ class TestWritePathMemory:
         try:
             if engine_kind == "router":
                 engine = ShardedDiscoverer(schema, n_workers=2, mode="serial")
-                algorithms = [w.link.engine.algorithm for w in engine._workers]
+                algorithms = [w.links[0].engine.algorithm for w in engine._workers]
                 assert len(algorithms) == 2
                 tables = [engine.table] + [a.table for a in algorithms]
             else:

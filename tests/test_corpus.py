@@ -318,7 +318,7 @@ class Run:
             for constraint, size in sizes.items():
                 assert counter.count(constraint) == size, constraint
         want = store_contents([self.reference])
-        workers = [worker.link.engine.algorithm for worker in self.router._workers]
+        workers = [worker.links[0].engine.algorithm for worker in self.router._workers]
         assert store_contents([self.algos["svec"]]) == want
         assert store_contents(self.shards) == want
         assert store_contents(workers) == want

@@ -115,7 +115,7 @@ class TestWorkerCrashRecovery:
         )
         try:
             got = fact_keys(engine.observe_many(first))
-            victim = engine._workers[0].link._process
+            victim = engine._workers[0].links[0]._process
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=10)
             assert not victim.is_alive()

@@ -7,11 +7,18 @@ ends implement RFC 6455 independently of each other's buffers).
 """
 
 import asyncio
+import json
 
 import pytest
 
-from repro.api import EngineSpec, FeedSpec, open_engine
-from repro.service import FeedClient, FeedGateway, StreamServer, fetch_json
+from repro.api import CheckpointPolicy, EngineSpec, FeedSpec, open_engine
+from repro.service import (
+    FeedClient,
+    FeedGateway,
+    StreamServer,
+    faults,
+    fetch_json,
+)
 from repro.service.gateway import (
     SubscriptionFilter,
     _Subscriber,
@@ -48,6 +55,67 @@ class TestHandshake:
             ws_accept_key("dGhlIHNhbXBsZSBub25jZQ==")
             == "s3pPLMBiTxaQ9kYGzzhZRbK+xOo="
         )
+
+
+async def http_get(port, path):
+    """One ``GET``: ``(status, decoded JSON body)``, whatever the status
+    (:func:`fetch_json` raises on ``>= 400``)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(f"GET {path} HTTP/1.1\r\n\r\n".encode())
+    raw = await asyncio.wait_for(reader.read(), 5)
+    writer.close()
+    head, _, body = raw.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestHealth:
+    def test_healthz_is_the_tcp_health_reply_and_sees_the_fail_stop(
+        self, tmp_path
+    ):
+        spec = EngineSpec(
+            schema=SCHEMA,
+            score=True,
+            feeds=FeedSpec(group_by=("d0",)),
+            checkpoint=CheckpointPolicy(
+                path=str(tmp_path / "ckpt.snap"),
+                journal_dir=str(tmp_path / "wal"),
+            ),
+        )
+        rows = make_rows(3)
+
+        async def tcp_health(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b'{"op": "health"}\n')
+            health = json.loads(await asyncio.wait_for(reader.readline(), 5))
+            writer.close()
+            return health
+
+        async def run():
+            server, gateway, port = await start_stack(spec)
+            listener = await server.serve_tcp("127.0.0.1", 0)
+            tcp_port = listener.sockets[0].getsockname()[1]
+            try:
+                await server.ingest_wait(rows[0])
+                status, health = await http_get(port, "/healthz")
+                assert status == 200
+                assert health["ok"] is True
+                assert health == await tcp_health(tcp_port)
+                # A torn journal append stops every later write.
+                faults.install(
+                    [{"point": "journal.append", "action": "corrupt"}]
+                )
+                with pytest.raises(RuntimeError, match="torn mid-record"):
+                    await server.ingest_wait(rows[1])
+                status, health = await http_get(port, "/healthz")
+                assert status == 503
+                assert health["ok"] is False and health["running"] is True
+                assert "torn mid-record" in health["last_error"]
+                assert health == await tcp_health(tcp_port)
+            finally:
+                faults.clear()
+                await stop_stack(server, gateway)
+
+        asyncio.run(run())
 
 
 class TestRestReads:

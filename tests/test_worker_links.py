@@ -20,13 +20,14 @@ from repro.service.supervisor import (
     InlineLink,
     PipeLink,
     ShardWorker,
-    SupervisorPolicy,
+    WorkerCrashed,
+    WorkerGaveUp,
 )
 from repro.service.worker import ShardOp, _build_shard_engine, _ShardEngine
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
 LINKS = ["inline", "pipe", "socket"]
-POLICY = SupervisorPolicy(op_timeout=15)
+OP_TIMEOUT = 15
 
 SPEC = {
     "dimensions": SCHEMA.dimensions,
@@ -69,9 +70,9 @@ def open_worker(kind, spec=SPEC):
         link = PipeLink(0, spec, fork_context())
     else:
         server = SocketWorkerServer().start()
-        link = SocketLink(0, server.address, POLICY.op_timeout)
+        link = SocketLink(0, server.address, OP_TIMEOUT)
         link.request("configure", spec)
-    worker = ShardWorker(0, link, POLICY)
+    worker = ShardWorker(0, [link], op_timeout=OP_TIMEOUT)
     try:
         yield worker, server
     finally:
@@ -196,3 +197,100 @@ def test_one_table_entry_adds_an_op_to_every_pool(monkeypatch):
     finally:
         for server in servers:
             server.stop()
+
+
+# ----------------------------------------------------------------------
+# Several links under one handle: write-all, read round-robin, failover
+# ----------------------------------------------------------------------
+class LosableLink(InlineLink):
+    """An in-process replica that cannot re-open (like a socket link):
+    once :meth:`lose` is called, every reply it owes raises
+    :class:`WorkerCrashed`.  Answers append ``(name, op)`` to ``log``."""
+
+    def __init__(self, name, log) -> None:
+        super().__init__(_build_shard_engine(SPEC))
+        self.name = name
+        self.log = log
+        self.lost = False
+        self.abandoned = False
+
+    def lose(self) -> None:
+        self.lost = True
+
+    def recv(self, timeout=None):
+        op, payload = self._queue.popleft()
+        if self.lost:
+            raise WorkerCrashed(0, f"{self.name} lost")
+        self.log.append((self.name, op))
+        return self.engine.apply(op, payload)
+
+    def abandon(self) -> None:
+        self.abandoned = True
+
+
+def two_link_worker():
+    log = []
+    primary, replica = LosableLink("primary", log), LosableLink("replica", log)
+    return ShardWorker(0, [primary, replica]), primary, replica, log
+
+
+def one_engine_prefix():
+    """Two chunks and a ``counters`` read, straight on one engine."""
+    engine = _build_shard_engine(SPEC)
+    return [
+        sans_busy(engine.apply("rows", ROWS[:3])),
+        sans_busy(engine.apply("rows", ROWS[3:6])),
+        engine.apply("counters", None),
+    ]
+
+
+def test_writes_reach_every_link_and_reads_alternate():
+    worker, primary, replica, log = two_link_worker()
+    worker.submit_rows(ROWS[:4])
+    worker.result()
+    worker.call("delete", 1)
+    worker.call("replay", [("rows", ROWS[4:])])
+    assert log == [
+        (name, op)
+        for op in ("rows", "delete", "replay")
+        for name in ("primary", "replica")
+    ]
+    assert primary.engine.rows_applied == replica.engine.rows_applied == 8
+    del log[:]
+    reads = [worker.call("counters") for _ in range(4)]
+    assert [name for name, _op in log] == ["primary", "replica"] * 2
+    assert reads == [reads[0]] * 4
+    assert worker.failovers == 0
+
+
+def test_primary_loss_fails_over_with_pending_intact():
+    worker, primary, replica, _log = two_link_worker()
+    reference = one_engine_prefix()
+    worker.submit_rows(ROWS[:3])
+    worker.submit_rows(ROWS[3:6])
+    primary.lose()
+    # The survivor answers the chunk both links owed.
+    assert sans_busy(worker.result()) == reference[0]
+    assert worker.links == [replica]
+    assert worker.failovers == 1
+    assert primary.abandoned
+    # The second chunk is still pending, and the survivor answers it.
+    assert worker.pending_ops() == [ROWS[3:6]]
+    assert sans_busy(worker.result()) == reference[1]
+    assert worker.pending_ops() == []
+    assert worker.call("counters") == reference[2]
+    assert (worker.restarts, worker.chunks_retried) == (0, 0)
+
+
+def test_losing_every_link_gives_up_and_keeps_pending():
+    worker, primary, replica, _log = two_link_worker()
+    worker.submit_rows(ROWS[:3])
+    worker.submit_rows(ROWS[3:6])
+    primary.lose()
+    replica.lose()
+    with pytest.raises(WorkerGaveUp, match="every link lost"):
+        worker.result()
+    assert worker.links == []
+    assert worker.failovers == 2
+    # Both chunks stay queued for the router's degrade path.
+    assert worker.pending_ops() == [ROWS[:3], ROWS[3:6]]
