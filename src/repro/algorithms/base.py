@@ -109,10 +109,11 @@ class DiscoveryAlgorithm(abc.ABC):
         """Handle one arriving tuple: discover ``S_t``, then append.
 
         Accepts a mapping keyed by attribute names or a pre-built
-        :class:`Record` (tid is re-assigned to the arrival index).
+        :class:`Record` (tid is re-assigned to the arrival index, which
+        deletions do not lower).
         """
         if isinstance(row, Record):
-            record = Record(len(self.table), row.dims, row.values, row.raw)
+            record = Record(self.table.arrivals, row.dims, row.values, row.raw)
         else:
             record = self.table.make_record(row)
         facts = self._discover(record)

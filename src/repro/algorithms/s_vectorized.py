@@ -135,21 +135,11 @@ class SVectorized(DiscoveryAlgorithm):
         schema: TableSchema,
         config: Optional[DiscoveryConfig] = None,
         counters: Optional[OpCounters] = None,
-        store: Optional[ColumnarSkylineStore] = None,
         shard_subspaces: Optional[Sequence[int]] = None,
     ) -> None:
-        if store is not None and not isinstance(store, ColumnarSkylineStore):
-            raise TypeError(
-                "svec needs a ColumnarSkylineStore; got "
-                f"{type(store).__name__}"
-            )
         super().__init__(schema, config, counters)
-        self.store = (
-            store
-            if store is not None
-            else ColumnarSkylineStore(
-                schema.n_dimensions, schema.n_measures, self.counters
-            )
+        self.store = ColumnarSkylineStore(
+            schema.n_dimensions, schema.n_measures, self.counters
         )
         self._closure = submask_closure_table(schema.n_dimensions)
         # Subspace-axis sharding (the service layer's parallel unit):

@@ -91,11 +91,9 @@ def _inner_schema(spec: EngineSpec):
     return spec.schema
 
 
-def restore(path: str, score=None) -> Engine:
+def restore(path: str) -> Engine:
     """Reopen an engine from a snapshot file: the full composition is
-    restored from the embedded spec.  ``score`` overrides the persisted
-    flag when given.
-    """
+    restored from the embedded spec."""
     from ..extensions.snapshot import load_engine
 
-    return load_engine(path, score=score)
+    return load_engine(path)

@@ -246,7 +246,6 @@ class AggregateMiddleware(EngineMiddleware):
         group: GroupSpec,
         base_schema: Optional[TableSchema] = None,
         spec: Optional[EngineSpec] = None,
-        journal: bool = True,
     ) -> None:
         super().__init__(inner, spec)
         self.group = group
@@ -257,10 +256,8 @@ class AggregateMiddleware(EngineMiddleware):
         #: Base rows observed, in order — the snapshot replay journal
         #: (the inner table holds derived aggregates, which must not be
         #: re-aggregated on restore).  O(stream) memory, the same order
-        #: a non-aggregate engine's table retains; pass ``journal=False``
-        #: to trade snapshot support away on unbounded streams whose
-        #: live state is only O(groups).
-        self._journal: Optional[List[dict]] = [] if journal else None
+        #: a non-aggregate engine's table retains.
+        self._journal: List[dict] = []
 
     # -- schemas ---------------------------------------------------------
     @property
@@ -295,12 +292,11 @@ class AggregateMiddleware(EngineMiddleware):
         facts = inner.facts_for(agg_row)
         table = inner.table
         self._live_tid[key] = table[len(table) - 1].tid
-        if self._journal is not None:
-            self._journal.append({
-                a: row[a]
-                for a in (*self._base_schema.dimensions,
-                          *self._base_schema.measures)
-            })
+        self._journal.append({
+            a: row[a]
+            for a in (*self._base_schema.dimensions,
+                      *self._base_schema.measures)
+        })
         return facts
 
     def delete(self, tid: int) -> Record:
@@ -324,18 +320,12 @@ class AggregateMiddleware(EngineMiddleware):
         return out
 
     def snapshot_rows(self) -> List[dict]:
-        if self._journal is None:
-            raise RuntimeError(
-                "this aggregate engine was opened with journal=False; "
-                "snapshots need the base-row replay journal"
-            )
         return list(self._journal)
 
     def stats(self) -> Dict[str, object]:
         out = super().stats()
         out["groups"] = self.group_count()
-        if self._journal is not None:
-            out["base_rows"] = len(self._journal)
+        out["base_rows"] = len(self._journal)
         return out
 
 
@@ -374,6 +364,15 @@ class QueryCacheMiddleware(EngineMiddleware):
     ) -> None:
         super().__init__(inner, spec)
         self.cache = QueryResultCache(capacity)
+
+    # Writes pass through whole: a block, and the chunk a server slices
+    # it by, reach a sharded router as they would without the cache.
+    @property
+    def chunk_size(self) -> int:
+        return getattr(self.inner, "chunk_size", 1)
+
+    def facts_for_many(self, rows: Iterable[Row]) -> List[FactSet]:
+        return self.inner.facts_for_many(rows)
 
     def _cache_version(self) -> Tuple[int, int]:
         """``(arrivals, deletions)`` — mutations strictly increase one

@@ -18,7 +18,7 @@ composition restores from its checkpoint), and programmatic use::
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..core.config import DiscoveryConfig
@@ -278,9 +278,6 @@ class FeedSpec:
         below ``τ`` stay materialized (a later arrival can lift them
         back over the floor without emitting a fact) — the floor is a
         read-time filter, exactly like the batch planner's.
-    split_subspaces:
-        Also segment by measure subspace, so e.g. ``player=A`` splits
-        into ``player=A,measures=points`` / ``…,measures=rebounds``.
     max_entries:
         Per-segment entry cap (bounded memory).  When a segment
         overflows, its lowest-prominence entries are evicted and the
@@ -291,7 +288,6 @@ class FeedSpec:
     group_by: Tuple[str, ...] = ()
     top_k: Optional[int] = None
     tau: Optional[float] = None
-    split_subspaces: bool = False
     max_entries: int = 1024
 
     def __post_init__(self) -> None:
@@ -312,17 +308,18 @@ class FeedSpec:
             "group_by": list(self.group_by),
             "top_k": self.top_k,
             "tau": self.tau,
-            "split_subspaces": self.split_subspaces,
             "max_entries": self.max_entries,
         }
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, object]) -> "FeedSpec":
+        """Inverse of :meth:`to_dict`.  Keys it does not read are
+        ignored: specs stored while feeds could also segment by measure
+        subspace carry that retired flag."""
         return cls(
             group_by=tuple(doc.get("group_by") or ()),
             top_k=doc.get("top_k"),
             tau=doc.get("tau"),
-            split_subspaces=bool(doc.get("split_subspaces", False)),
             max_entries=int(doc.get("max_entries", 1024)),
         )
 
@@ -498,9 +495,3 @@ class EngineSpec:
             query_cache=doc.get("query_cache"),
             feeds=FeedSpec.from_dict(feeds) if feeds else None,
         )
-
-    def with_score(self, score: Optional[bool]) -> "EngineSpec":
-        """A copy with ``score`` overridden (``None`` keeps the spec's)."""
-        if score is None or score == self.score:
-            return self
-        return replace(self, score=score)

@@ -64,7 +64,6 @@ class FactDiscoverer(EngineBase):
         algorithm: Union[str, DiscoveryAlgorithm] = "stopdown",
         config: Optional[DiscoveryConfig] = None,
         score: bool = True,
-        **algorithm_kwargs,
     ) -> None:
         # Imported here to keep ``repro.core`` importable on its own
         # (``repro.algorithms`` imports back into the core package).
@@ -75,9 +74,7 @@ class FactDiscoverer(EngineBase):
         if isinstance(algorithm, DiscoveryAlgorithm):
             self.algorithm = algorithm
         else:
-            self.algorithm = make_algorithm(
-                algorithm, schema, self.config, **algorithm_kwargs
-            )
+            self.algorithm = make_algorithm(algorithm, schema, self.config)
         # Built on the algorithm's d̂ cap, so the counter's masks are its
         # masks_top_down: a fact's position along C^t means the same to
         # both halves of the scoring call.

@@ -132,15 +132,14 @@ def snapshot_journal_seq(path: str) -> int:
     return int(_read_snapshot_doc(path).get("journal_seq", 0))
 
 
-def load_engine(path: str, score: Optional[bool] = None) -> Engine:
+def load_engine(path: str) -> Engine:
     """Rebuild an engine from a snapshot written by :func:`save_engine`.
 
     Returns whatever composition the snapshot describes, built via
     :func:`repro.api.open_engine` — a sharded snapshot restores sharded,
-    a windowed one windowed, and so on.  ``score`` overrides the
-    persisted flag when given.  Raises ``ValueError`` for other snapshot
-    versions and for corrupt/truncated files — a damaged snapshot never
-    silently restores a partial table.
+    a windowed one windowed, and so on.  Raises ``ValueError`` for other
+    snapshot versions and for corrupt/truncated files — a damaged
+    snapshot never silently restores a partial table.
     """
     doc = _read_snapshot_doc(path)
     version = doc.get("format_version")
@@ -159,7 +158,6 @@ def load_engine(path: str, score: Optional[bool] = None) -> Engine:
             f"section ({exc!r}); the file may have been hand-edited or "
             f"corrupted — restore it from a backup"
         ) from None
-    spec = spec.with_score(score)
 
     from ..api.facade import open_engine
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Mapping, Optional
 
 from ..api.facade import open_engine
-from ..api.spec import EngineSpec, FeedSpec
+from ..api.spec import EngineSpec
 from ..core.config import DiscoveryConfig
 from ..core.engine_protocol import Engine
 from ..core.facts import SituationalFact
@@ -56,17 +56,14 @@ class NewsFeed:
         self,
         schema: TableSchema,
         tau: float = 500.0,
-        algorithm: str = "stopdown",
         max_bound_dims: Optional[int] = 3,
         max_measure_dims: Optional[int] = 3,
         engine: Optional[Engine] = None,
-        feeds: Optional[FeedSpec] = None,
     ) -> None:
         self.schema = schema
         if engine is None:
             spec = EngineSpec(
                 schema=schema,
-                algorithm=algorithm,
                 config=DiscoveryConfig(
                     max_bound_dims=max_bound_dims,
                     max_measure_dims=max_measure_dims,
@@ -75,10 +72,12 @@ class NewsFeed:
             )
             engine = open_engine(spec)
         self.engine = engine
-        #: Materialized standings every push folds into; the same state
-        #: the service gateway reads.  Window evictions and aggregate
-        #: retractions are hooked via ``attach`` and repaired per push.
-        self.store = FeedStore.for_engine(engine, feeds)
+        #: Materialized standings every push folds into, segmented as
+        #: the engine spec's ``feeds`` section says (one ``*`` segment
+        #: without one); the same state the service gateway reads.
+        #: Window evictions and aggregate retractions are hooked via
+        #: ``attach`` and repaired per push.
+        self.store = FeedStore.for_engine(engine)
         self.store.attach(engine)
         self.headlines: List[Headline] = []
         self._index = 0

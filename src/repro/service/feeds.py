@@ -36,8 +36,9 @@ Standings live in columns, not objects:
 * per **constraint** (``_cid`` interns it to a recycled row id):
   ``_ctx`` holds ``|σ_C(table)|`` once for all its subspaces — a silent
   satisfier is one increment per constraint, not per pair — ``_cseg``
-  its segment id (while ``split_subspaces`` is off) and ``_slot[cid,
-  subspace]`` the entry id of each tracked pair (``-1`` = none):
+  its segment id (a segment holds every subspace of its constraints)
+  and ``_slot[cid, subspace]`` the entry id of each tracked pair
+  (``-1`` = none):
   ``16 + 4·2^|M|`` bytes per constraint;
 * per **entry** (one recycled column of the ``int64`` matrix ``_ent``):
   constraint id, subspace, skyline size, newest skyline tid, insertion
@@ -219,11 +220,10 @@ class FeedStore:
         """Empty standings (the layout is in the module docstring)."""
         #: key -> segment in creation order, the same objects by id,
         #: and their live-entry counts.  One segment per distinct
-        #: ``group_by`` value combination (per subspace with
-        #: ``split_subspaces``) ever fed: a segment is never removed,
-        #: not even when its last entry leaves (only a reset empties
-        #: these), so they grow with the distinct values seen, not with
-        #: the live rows.
+        #: ``group_by`` value combination ever fed: a segment is never
+        #: removed, not even when its last entry leaves (only a reset
+        #: empties these), so they grow with the distinct values seen,
+        #: not with the live rows.
         self._segments: Dict[str, FeedSegment] = {}
         self._by_sid: List[FeedSegment] = []
         self._seg_size = np.zeros(8, dtype=np.int64)
@@ -259,16 +259,13 @@ class FeedStore:
     # ------------------------------------------------------------------
     # Segmentation
     # ------------------------------------------------------------------
-    def segment_key(self, constraint: Constraint, subspace: int) -> str:
-        """The segment a ``(C, M)`` pair belongs to: ``C`` projected on
-        ``group_by`` (unbound positions render ``*``)."""
+    def segment_key(self, constraint: Constraint) -> str:
+        """The segment every ``(C, M)`` pair of ``C`` belongs to: ``C``
+        projected on ``group_by`` (unbound positions render ``*``)."""
         parts = [
             f"{name}={'*' if constraint.values[pos] is UNBOUND else constraint.values[pos]}"
             for name, pos in zip(self.spec.group_by, self._group_positions)
         ]
-        if self.spec.split_subspaces:
-            names = "+".join(self.schema.measure_names(subspace))
-            parts.append(f"measures={names}")
         return ",".join(parts) if parts else "*"
 
     def _segment(self, key: str) -> FeedSegment:
@@ -299,8 +296,7 @@ class FeedStore:
                     self._cseg = _widened(self._cseg, 2 * cid, -1)
                     self._slot = _widened(self._slot, 2 * cid, -1)
             self._cid[constraint] = cid
-            if not self.spec.split_subspaces:
-                self._cseg[cid] = self._segment(self.segment_key(constraint, 0)).sid
+            self._cseg[cid] = self._segment(self.segment_key(constraint)).sid
         return cid
 
     def _alloc(self, n: int) -> np.ndarray:
@@ -329,15 +325,7 @@ class FeedStore:
         n = fresh.size
         if n:
             new_cids, new_subs = cids[fresh], subspaces[fresh]
-            if self.spec.split_subspaces:
-                sids = np.array(
-                    [
-                        self._segment(self.segment_key(self._constraints[c], m)).sid
-                        for c, m in zip(new_cids.tolist(), new_subs.tolist())
-                    ]
-                )
-            else:
-                sids = self._cseg[new_cids]
+            sids = self._cseg[new_cids]
             eids = self._alloc(n)
             ent = self._ent
             ent[CID, eids] = new_cids
@@ -398,10 +386,7 @@ class FeedStore:
         cids = list(cids)
         if not cids:
             return set()
-        if not self.spec.split_subspaces:
-            return set(self._cseg[cids].tolist())
-        slots = self._slot[cids].ravel()
-        return set(self._ent[SEG, slots[slots >= 0]].tolist())
+        return set(self._cseg[cids].tolist())
 
     def _settle(self, sids) -> Set[str]:
         """Cap, bump and name the segments a mutation touched."""

@@ -189,7 +189,9 @@ class StreamServer:
     :func:`~repro.service.journal.recover_engine` restores from.  With
     its ``journal_dir`` set, every accepted ingest/delete is appended
     and committed *before* its event is acknowledged, so a killed
-    server recovers exactly (snapshot + journal suffix).
+    server recovers exactly (snapshot + journal suffix).  Feeds have
+    none either: a :class:`~repro.service.feeds.FeedStore` is built
+    from ``engine.spec.feeds`` when that section is set.
     """
 
     def __init__(
@@ -200,7 +202,6 @@ class StreamServer:
         batch_max: int = 256,
         dead_letter_path: Optional[str] = None,
         conn_timeout: Optional[float] = None,
-        feeds: Optional[FeedStore] = None,
     ) -> None:
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
@@ -220,12 +221,11 @@ class StreamServer:
         self.batch_max = batch_max
         self.dead_letter_path = dead_letter_path
         self.conn_timeout = conn_timeout
-        # The read fan-out tier: explicit FeedStore, or auto-built when
-        # the engine spec carries a feeds section.
-        if feeds is None and spec is not None and spec.feeds is not None:
-            feeds = FeedStore.for_engine(engine, spec.feeds)
-        self.feeds = feeds
-        if self.feeds is not None:
+        #: The read fan-out tier, built when the engine spec carries a
+        #: feeds section.
+        self.feeds: Optional[FeedStore] = None
+        if spec is not None and spec.feeds is not None:
+            self.feeds = FeedStore.for_engine(engine, spec.feeds)
             # Window evictions / aggregate retractions reach the feed
             # repair pass through the middleware retraction hooks.
             self.feeds.attach(engine)

@@ -329,7 +329,7 @@ class ColumnarSkylineStore:
         self._row_of[record.tid] = row
         return row
 
-    def unregister(self, tid: int, compact: bool = True) -> None:
+    def unregister(self, tid: int) -> None:
         """Drop a registered record's row from the columns (retraction).
 
         Any pair still holding the tuple loses it first (retraction
@@ -341,7 +341,9 @@ class ColumnarSkylineStore:
         present) marks the row dead.  Column space is reclaimed by one
         grouped compaction once enough tombstones accumulate
         (:meth:`compact`), so a retraction is O(stored-per-tid)
-        amortised instead of an O(n + stored) row-slide per tid.
+        amortised instead of an O(n + stored) row-slide per tid; a
+        grouped retraction unregisters inside
+        :meth:`deferred_compaction`, which checks once at exit.
         """
         row = self._row_of.pop(tid, None)
         if row is None:
@@ -357,15 +359,6 @@ class ColumnarSkylineStore:
         self._dead_count += 1
         if self._sweep is not None:
             self._sweep.on_unregister(row)
-        if compact:
-            self._maybe_compact()
-
-    def unregister_many(self, tids) -> None:
-        """Grouped :meth:`unregister`: tombstone every tid, then run the
-        deferred-compaction check once for the whole batch (bulk
-        retraction was paying the old row-slide per tid)."""
-        for tid in tids:
-            self.unregister(tid, compact=False)
         self._maybe_compact()
 
     @contextmanager

@@ -168,8 +168,8 @@ class FeedStore:
         #: identity shortcut instead of a value compare per fact.
         self._canon: Dict[Constraint, Constraint] = {}
         #: Constraint -> segment key, hot-path cache (the key is a
-        #: pure function of the constraint while ``split_subspaces``
-        #: is off); pruned when a constraint loses its last entry.
+        #: pure function of the constraint); pruned when a constraint
+        #: loses its last entry.
         self._key_cache: Dict[Constraint, str] = {}
         #: Removed records awaiting a repair pass (explicit deletions,
         #: window evictions, aggregate group retractions).
@@ -202,16 +202,13 @@ class FeedStore:
     # ------------------------------------------------------------------
     # Segmentation
     # ------------------------------------------------------------------
-    def segment_key(self, constraint: Constraint, subspace: int) -> str:
-        """The segment a ``(C, M)`` pair belongs to: ``C`` projected on
-        ``group_by`` (unbound positions render ``*``)."""
+    def segment_key(self, constraint: Constraint) -> str:
+        """The segment every ``(C, M)`` pair of ``C`` belongs to: ``C``
+        projected on ``group_by`` (unbound positions render ``*``)."""
         parts = [
             f"{name}={'*' if constraint.values[pos] is UNBOUND else constraint.values[pos]}"
             for name, pos in zip(self.spec.group_by, self._group_positions)
         ]
-        if self.spec.split_subspaces:
-            names = "+".join(self.schema.measure_names(subspace))
-            parts.append(f"measures={names}")
         return ",".join(parts) if parts else "*"
 
     def _segment(self, key: str) -> FeedSegment:
@@ -249,7 +246,6 @@ class FeedStore:
                 return changed
             touched: Dict[str, FeedSegment] = {}
             tid = record.tid
-            split = self.spec.split_subspaces
             constraints, subspaces, contexts, skylines = factset.columns()
             # ``S_t`` holds one fact per (C, M) but shares constraint
             # *objects* across subspaces — resolve the per-constraint
@@ -267,29 +263,18 @@ class FeedStore:
                     cell = self._ctx.get(canon)
                     if cell is None:
                         cell = self._ctx[canon] = [0]
-                    if split:
-                        key = segment = None
-                    else:
-                        key = self._key_cache.get(canon)
-                        if key is None:
-                            key = self._key_cache[canon] = self.segment_key(
-                                canon, 0
-                            )
-                        segment = self._segments.get(key)
-                        if segment is None:
-                            segment = self._segments[key] = FeedSegment(key)
-                        touched[key] = segment
+                    key = self._key_cache.get(canon)
+                    if key is None:
+                        key = self._key_cache[canon] = self.segment_key(canon)
+                    segment = self._segments.get(key)
+                    if segment is None:
+                        segment = self._segments[key] = FeedSegment(key)
+                    touched[key] = segment
                     resolved[id(constraint)] = state = (
                         canon, cell, key, segment
                     )
                 canon, cell, key, segment = state
                 subspace = subspaces[i]
-                if split:
-                    key = self.segment_key(canon, subspace)
-                    segment = self._segments.get(key)
-                    if segment is None:
-                        segment = self._segments[key] = FeedSegment(key)
-                    touched[key] = segment
                 # Exact overwrite — every pair of one constraint
                 # carries the same post-arrival context size.
                 cell[0] = (contexts[i] if contexts is not None else None) or 0
@@ -386,7 +371,7 @@ class FeedStore:
             touched: Dict[str, FeedSegment] = {}
             for pair, result in zip(affected, results):
                 constraint, subspace = pair
-                key = self.segment_key(constraint, subspace)
+                key = self.segment_key(constraint)
                 if result.context_size <= 0:
                     segment = self._segments.get(key)
                     if segment is None or pair not in segment.entries:
@@ -741,7 +726,7 @@ class FeedStore:
             for result in results:
                 if result.context_size <= 0:
                     continue
-                key = self.segment_key(result.constraint, result.subspace)
+                key = self.segment_key(result.constraint)
                 segment = self._segment(key)
                 tid = (
                     max(r.tid for r in result.skyline)

@@ -495,12 +495,6 @@ class TestNoneDimensionValues:
 
 
 class TestSVecInternals:
-    def test_requires_columnar_store(self):
-        from repro.algorithms.s_vectorized import SVectorized
-
-        with pytest.raises(TypeError, match="ColumnarSkylineStore"):
-            SVectorized(SCHEMA, store=MemorySkylineStore())
-
     def test_registered_in_registry(self):
         assert make_algorithm("svec", SCHEMA).name == "svec"
 

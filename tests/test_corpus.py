@@ -34,9 +34,12 @@ At the end of the schedule:
    multisets, context counts, and the probe arrival's scored ``S_t``.
 
 One test case per cell of the corpus's grid (schema family × ``d̂`` ×
-policy kind, and each past-caps shape on either side of the sweep
-index's arming constant), so every cell runs on every test run and a
-failure names its cell; the rest of a stream is drawn.
+policy kind × input form, and each past-caps shape on either side of
+the sweep index's arming constant), so every cell runs on every test
+run and a failure names its cell; the rest of a stream is drawn.  The
+input form is how arrivals reach the engines: as mappings, or as
+pre-built :class:`~repro.core.record.Record` s, whose tid every engine
+re-assigns to the arrival index.
 """
 
 from collections import Counter
@@ -55,6 +58,7 @@ from repro import (
 from repro.core.constraint import satisfied_constraints
 from repro.core.lattice import nonempty_subspaces
 from repro.core.prominence import select_reportable
+from repro.core.record import Table
 from repro.core.skyline import is_contextual_skyline_tuple
 from repro.metrics.counters import OpCounters
 from repro.service.sharding import ShardedDiscoverer
@@ -140,8 +144,11 @@ def store_multiset(algo):
 class Run:
     """Every engine over one scenario, checked op by op."""
 
-    def __init__(self, scenario):
+    def __init__(self, scenario, records=False):
         schema, config = scenario.schema, scenario.config
+        #: Builds the ``Record`` an arrival is handed in as, when
+        #: ``records``; the engines re-number it.
+        self.maker = Table(schema) if records else None
         self.schema, self.config = schema, config
         rows = [scenario.probe] + [
             op if isinstance(op, dict) else op[1]
@@ -189,6 +196,10 @@ class Run:
         self.runs = 0
 
     # -- ops -------------------------------------------------------------
+    def given(self, row):
+        """``row`` in the run's input form."""
+        return row if self.maker is None else self.maker.make_record(row)
+
     def apply(self, op):
         if isinstance(op, dict):
             self.pending.append((op, self.arrive(op)))
@@ -205,7 +216,8 @@ class Run:
             tid = self.live.pop(index % len(self.live))[0]
             self.retract(tid)
             for twin, facts in zip(self.twins, self.arrive(row)):
-                assert reported_rows(twin.update(tid, row)) == reported_rows(
+                got = twin.update(tid, self.given(row))
+                assert reported_rows(got) == reported_rows(
                     select_reportable(facts, self.config)
                 )
             self.check_twin_counters()
@@ -215,6 +227,7 @@ class Run:
         """One arrival everywhere: assertions 1 and 2.  Returns the
         per-row engines' ``S_t`` for the twins."""
         self.live.append((self.reference.table.arrivals, row))
+        row = self.given(row)
         scored = {name: engine.facts_for(row) for name, engine in self.engines.items()}
         want = list(scored["stopdown"].iter_pairs())
         for name, algo in self.algos.items():
@@ -277,7 +290,7 @@ class Run:
         """The twins take the pending run as one batch (assertion 4)."""
         if not self.pending:
             return
-        rows = [row for row, _ in self.pending]
+        rows = [self.given(row) for row, _ in self.pending]
         for i, twin in enumerate(self.twins):
             per_row = [facts[i] for _, facts in self.pending]
             if self.runs % 2:
@@ -360,8 +373,8 @@ class Run:
             twin.close()
 
 
-def drive(scenario):
-    run = Run(scenario)
+def drive(scenario, records=False):
+    run = Run(scenario, records)
     try:
         for op in scenario.ops:
             if run.apply(op):
@@ -371,17 +384,18 @@ def drive(scenario):
         run.close()
 
 
-def drive_swept(scenario, armed):
+def drive_swept(scenario, armed, records=False):
     """Dense: the shipped sweep-index constants, which no short stream
     reaches.  Armed: the index arms after four rows, so the walk reads
     the packed prefix."""
     if armed:
         with sweep_constants(4):
-            drive(scenario)
+            drive(scenario, records)
     else:
-        drive(scenario)
+        drive(scenario, records)
 
 
+@pytest.mark.parametrize("records", [False, True], ids=["mappings", "records"])
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize(
     "dhat", DHATS, ids=["uncapped" if d is None else f"dhat{d}" for d in DHATS]
@@ -389,14 +403,14 @@ def drive_swept(scenario, armed):
 @pytest.mark.parametrize("family", FAMILIES)
 @settings(max_examples=4, deadline=None)
 @given(data=st.data())
-def test_every_op_follows_the_definitions(family, dhat, policy, data):
+def test_every_op_follows_the_definitions(family, dhat, policy, records, data):
     """One cell of the corpus's grid; m̂, the stream and the sweep
     index's side are drawn."""
     scenario = data.draw(
         stream_scenarios(families=(family,), dhats=(dhat,), policies=(policy,)),
         label="scenario",
     )
-    drive_swept(scenario, data.draw(st.booleans(), label="armed"))
+    drive_swept(scenario, data.draw(st.booleans(), label="armed"), records)
 
 
 @pytest.mark.parametrize("armed", [False, True], ids=["dense", "armed"])

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro import TableSchema
 from repro.api import EngineSpec, FeedSpec, open_engine
 from repro.core.facts import FactSet
-from repro.service import FeedGateway, FeedStore, StreamServer
+from repro.service import FeedGateway, FeedStore
 from repro.service import feeds as feeds_module
 from repro.service.gateway import SubscriptionFilter, _Subscriber
 from tests import feed_oracle
@@ -79,10 +79,8 @@ def assert_same(new, old):
         assert new.read(key, limit=3) == old.read(key, limit=3)
 
 
-def run_differential(ops, algorithm, window, max_entries, split):
-    spec = FeedSpec(
-        group_by=("d0",), max_entries=max_entries, split_subspaces=split
-    )
+def run_differential(ops, algorithm, window, max_entries):
+    spec = FeedSpec(group_by=("d0",), max_entries=max_entries)
     engine = open_engine(
         EngineSpec(schema=SCHEMA, algorithm=algorithm, score=True, window=window)
     )
@@ -135,7 +133,6 @@ def run_differential(ops, algorithm, window, max_entries, split):
 
 
 class TestDifferentialAgainstObjectStore:
-    @pytest.mark.parametrize("split", [False, True], ids=["joint", "split"])
     @pytest.mark.parametrize("max_entries", [4, 1024])
     @pytest.mark.parametrize(
         "algorithm,window",
@@ -144,9 +141,9 @@ class TestDifferentialAgainstObjectStore:
     @settings(max_examples=12, deadline=None)
     @given(ops=st.lists(op_strategy, min_size=1, max_size=16))
     def test_every_op_leaves_both_stores_equal(
-        self, ops, algorithm, window, max_entries, split
+        self, ops, algorithm, window, max_entries
     ):
-        run_differential(ops, algorithm, window, max_entries, split)
+        run_differential(ops, algorithm, window, max_entries)
 
     def test_every_op_kind_once_on_a_none_heavy_stream(self):
         """The deterministic spine of the property above: every op kind
@@ -161,19 +158,19 @@ class TestDifferentialAgainstObjectStore:
         ops += [("delete", 1, False), ("lose", stream[0], True), ("restore",)]
         ops += [("arrive", stream[2], True), ("rebuild",), ("delete", 0, True)]
         for algorithm in ("svec", "stopdown"):
-            for split in (False, True):
-                run_differential(ops, algorithm, None, 4, split)
+            run_differential(ops, algorithm, None, 4)
 
 
 class TestSidecarCompatibility:
     #: ``json.dumps(store.to_doc(...))`` of the parent commit's object
     #: store (PR 22) after three arrivals under ``max_entries=6``:
     #: ``d0=*`` truncated by the cap, ``d0=a`` / ``d0=b`` whole, every
-    #: constraint's subspaces sharing one context.
+    #: constraint's subspaces sharing one context.  Its ``feed_spec``
+    #: is rendered without the retired ``split_subspaces`` key.
     PARENT_DOC = (
         '{"format": 1, "engine_version": [3, 0], "feed_spec": {"group_by": '
-        '["d0"], "top_k": null, "tau": null, "split_subspaces": false, '
-        '"max_entries": 6}, "applied_arrivals": 3, "segments": [{"key": '
+        '["d0"], "top_k": null, "tau": null, "max_entries": 6}, '
+        '"applied_arrivals": 3, "segments": [{"key": '
         '"d0=*", "version": 3, "last_arrival": 3, "evicted": 7, "entries": '
         '[{"values": [null, null], "subspace": 2, "ctx": 3, "sky": 1, "tid": '
         '1}, {"values": [null, null], "subspace": 1, "ctx": 3, "sky": 1, '
@@ -213,6 +210,20 @@ class TestSidecarCompatibility:
             top = [e for e in store.entries_ranked("d0=*") if not e.constraint.bound_count]
             assert [e.context_size for e in top] == [3, 3, 3]
 
+    def test_a_sidecar_stored_with_the_split_key_is_rebuilt(self):
+        """Sidecars written while ``FeedSpec`` had ``split_subspaces``
+        carry it; their spec no longer matches, so the server rebuilds
+        the standings from the engine instead of loading them."""
+        doc = json.loads(self.PARENT_DOC)
+        doc["feed_spec"]["split_subspaces"] = False
+        spec = FeedSpec(group_by=("d0",), max_entries=6)
+        assert FeedSpec.from_dict(doc["feed_spec"]) == spec  # the spec loads
+        schema = TableSchema(("d0", "d1"), ("m0", "m1"))
+        engine = open_engine(EngineSpec(schema=schema, score=True))
+        store = FeedStore.for_engine(engine, spec)
+        assert not store.restore_doc(doc, (3, 0))
+        assert len(store) == 0
+
 
 class TestUnscoredFactSets:
     """An ``S_t`` without cardinalities used to be stored with
@@ -239,23 +250,6 @@ class TestUnscoredFactSets:
             factset = engine.facts_for(row)
             store.apply_event(factset.record, factset)
             store.repair(engine)
-        assert store_segments(store) == oracle_segments(engine, store)
-
-    def test_server_over_an_unscored_engine_serves_exact_feeds(self):
-        import asyncio
-
-        async def run():
-            engine = open_engine(EngineSpec(schema=SCHEMA, score=False))
-            store = FeedStore(SCHEMA, engine.config, FeedSpec(group_by=("d0",)))
-            server = StreamServer(engine, feeds=store)
-            await server.start()
-            await server.ingest_many(self.ROWS)
-            await server.drain()
-            await server.stop()
-            return engine, store
-
-        engine, store = asyncio.run(run())
-        assert [s["entries"] > 0 for s in store.segments()] == [True] * 3
         assert store_segments(store) == oracle_segments(engine, store)
 
 

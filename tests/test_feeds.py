@@ -64,7 +64,7 @@ def oracle_segments(engine, store):
     for result in results:
         if result.context_size <= 0:
             continue
-        key = store.segment_key(result.constraint, result.subspace)
+        key = store.segment_key(result.constraint)
         expected.setdefault(key, {})[
             (result.constraint, result.subspace)
         ] = (result.context_size, result.skyline_size)
@@ -384,8 +384,7 @@ class TestFeedSpecValidation:
     def test_roundtrip(self):
         spec = make_spec(
             feeds=FeedSpec(
-                group_by=("d0",), top_k=7, tau=1.5,
-                split_subspaces=True, max_entries=99,
+                group_by=("d0",), top_k=7, tau=1.5, max_entries=99,
             )
         )
         assert EngineSpec.from_dict(spec.to_dict()) == spec

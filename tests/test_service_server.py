@@ -7,6 +7,7 @@ import json
 import os
 import threading
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -23,7 +24,6 @@ from repro.extensions.snapshot import load_engine
 from repro.service import (
     FeedClient,
     FeedGateway,
-    FeedStore,
     ShardedDiscoverer,
     StreamServer,
     faults,
@@ -129,8 +129,7 @@ class TestMicroBatching:
             for name, p in parameters.items()
             if p.kind is inspect.Parameter.KEYWORD_ONLY
         ] == [
-            "queue_limit", "batch_max", "dead_letter_path",
-            "conn_timeout", "feeds",
+            "queue_limit", "batch_max", "dead_letter_path", "conn_timeout",
         ]
         with pytest.raises(TypeError):
             StreamServer(
@@ -242,10 +241,16 @@ class TestAnswerPerArrival:
 
     ROWS = 64
 
-    def spied_batch(self, engine):
+    def spied_batch(self, spec, layers=0):
+        """Serve one batch on ``spec`` with feeds, spying on the engine
+        ``layers`` middleware layers below the outermost."""
+        engine = open_engine(replace(spec, feeds=FeedSpec()))
+        spied = engine
+        for _ in range(layers):
+            spied = spied.inner
         calls = []
         handed_out = []
-        inner = engine.facts_for_many
+        inner = spied.facts_for_many
 
         def facts_for_many(rows):
             alive = sum(ref() is not None for ref in handed_out)
@@ -258,11 +263,11 @@ class TestAnswerPerArrival:
                 handed_out.extend(weakref.ref(c) for c in columns if c.size)
             return fact_sets
 
-        engine.facts_for_many = facts_for_many
+        spied.facts_for_many = facts_for_many
         rows = make_rows(self.ROWS)
 
         async def run():
-            server = StreamServer(engine, feeds=FeedStore.for_engine(engine))
+            server = StreamServer(engine)
             await server.start()
             # Every put runs before the consumer is scheduled: one batch.
             events = await asyncio.gather(
@@ -280,14 +285,21 @@ class TestAnswerPerArrival:
         return calls
 
     def test_in_process_engine_is_called_once_per_row(self):
-        calls = self.spied_batch(FactDiscoverer(SCHEMA, algorithm="svec"))
+        calls = self.spied_batch(EngineSpec(SCHEMA, "svec"))
         assert calls == [(1, 0)] * self.ROWS
 
     def test_sharded_router_keeps_its_chunk(self):
-        engine = ShardedDiscoverer(
-            SCHEMA, n_workers=2, mode="serial", chunk_size=16
+        spec = EngineSpec(SCHEMA, "svec", sharding=ShardingSpec(2, "serial", chunk_size=16))
+        assert self.spied_batch(spec) == [(16, 0)] * (self.ROWS // 16)
+
+    def test_query_cache_passes_the_router_its_chunk(self):
+        """A layer that leaves writes alone hands the router the whole
+        chunk (it used to loop ``facts_for`` and hide ``chunk_size``)."""
+        spec = EngineSpec(
+            SCHEMA, "svec", sharding=ShardingSpec(2, "serial", chunk_size=16),
+            query_cache=8,
         )
-        assert self.spied_batch(engine) == [(16, 0)] * (self.ROWS // 16)
+        assert self.spied_batch(spec, layers=1) == [(16, 0)] * (self.ROWS // 16)
 
 
 class TestBackpressureAndDrain:
@@ -474,8 +486,6 @@ class TestSnapshotVersions:
         assert doc["spec"]["algorithm"] == "svec"
         loaded = load_engine(path)
         assert loaded.score is False
-        # Explicit override still wins.
-        assert load_engine(path, score=True).score is True
 
 
 class TestTcpFrontend:

@@ -268,7 +268,9 @@ class TestTombstonesAndCompaction:
         algo = _store_with_rows(40)
         store = algo.store
         tids = [5, 7, 11, 13]
-        store.unregister_many(tids)
+        with store.deferred_compaction():
+            for tid in tids:
+                store.unregister(tid)
         assert store._dead_count == len(tids)
         for tid in tids:
             assert tid not in store._row_of
