@@ -16,8 +16,8 @@ One stable contract over every discovery composition::
         engine.snapshot("checkpoint.json")
 
 Every engine — in-proc, sharded, windowed, aggregate, or restored from a
-snapshot — honours the same :class:`Engine` protocol (see
-:mod:`repro.core.engine_protocol` and ``docs/api.md``).
+snapshot — is an :class:`Engine`, the one class
+:mod:`repro.core.engine_protocol` defines (see ``docs/api.md``).
 """
 
 from ..core.engine_protocol import Engine, EngineBase

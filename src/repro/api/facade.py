@@ -4,9 +4,9 @@ Builds the base engine a spec names (in-proc
 :class:`~repro.core.engine.FactDiscoverer` or sharded
 :class:`~repro.service.sharding.ShardedDiscoverer`), then applies the
 middleware layers the spec activates (aggregation, window, query cache).
-The result honours the :class:`~repro.core.engine_protocol.Engine`
-protocol whatever the composition, so serving, checkpointing, querying
-and reporting code is written once against that contract.
+The result is an :class:`~repro.core.engine_protocol.Engine` whatever
+the composition, so serving, checkpointing, querying and reporting code
+is written once against that contract.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def open_engine(spec: Union[EngineSpec, Mapping[str, object]]) -> Engine:
     """
     if not isinstance(spec, EngineSpec):
         spec = EngineSpec.from_dict(spec)
-    base = engine = _base_engine(spec)
+    engine = _base_engine(spec)
     # Inner to outer: ``aggregate`` and ``window`` are mutually
     # exclusive today; the query cache is outermost so cached reads see
     # the fully composed engine (and its version) below them.
@@ -50,10 +50,8 @@ def open_engine(spec: Union[EngineSpec, Mapping[str, object]]) -> Engine:
     except Exception:
         engine.close()
         raise
-    if engine is base:
-        # No middleware: the opening spec (checkpoint policy and all) is
-        # authoritative over the engine's attribute-derived one.
-        engine._spec_override = spec
+    # The opening spec (checkpoint policy and all) is the engine's.
+    engine.spec = spec
     return engine
 
 

@@ -1,9 +1,8 @@
 """Composable engine middleware: windows, aggregation, query caching.
 
-Each middleware wraps *any* object honouring the
-:class:`~repro.core.engine_protocol.Engine` protocol and returns another
-one — so a window can sit over an in-proc engine or a sharded service,
-and a wrapped engine is still servable by
+Each middleware wraps *any* :class:`~repro.core.engine_protocol.Engine`
+and is another one — so a window can sit over an in-proc engine or a
+sharded service, and a wrapped engine is still servable by
 :class:`~repro.service.server.StreamServer`, checkpointable via snapshot
 format v3, and queryable via ``engine.query()``.
 
@@ -15,17 +14,14 @@ inner to outer in that order.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.engine_protocol import EngineBase, Row
+from ..core.engine_protocol import Engine, EngineBase, Row
 from ..core.facts import FactSet
 from ..core.record import Record
 from ..core.schema import TableSchema
 from ..query.cache import CachedQueryEngine, QueryResultCache
 from .spec import EngineSpec, GroupSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.engine_protocol import Engine
 
 
 class EngineMiddleware(EngineBase):
@@ -38,9 +34,11 @@ class EngineMiddleware(EngineBase):
 
     kind = "middleware"
 
-    def __init__(self, inner: "Engine", spec: Optional[EngineSpec] = None) -> None:
+    def __init__(self, inner: Engine, spec: Optional[EngineSpec] = None) -> None:
         self.inner = inner
-        self._spec_override = spec
+        #: The spec of the composition this layer tops (``open_engine``
+        #: passes its own).
+        self.spec = spec
         #: Callbacks fired with the records a layer retracts *internally*
         #: (window evictions, aggregate group updates) — removals that
         #: never surface as server-level delete ops.  The feed tier
@@ -80,13 +78,13 @@ class EngineMiddleware(EngineBase):
 
     @property
     def score(self) -> bool:
-        return bool(getattr(self.inner, "score", True))
+        return self.inner.score
 
     @property
     def degraded(self) -> bool:
         """Whether a sharded engine underneath fell back to in-router
         execution (``False`` for every other composition)."""
-        return bool(getattr(self.inner, "degraded", False))
+        return self.inner.degraded
 
     # -- delegated behaviour --------------------------------------------
     def facts_for(self, row: Row) -> FactSet:
@@ -101,13 +99,16 @@ class EngineMiddleware(EngineBase):
     def delete_many(self, tids: Iterable[int]) -> List[Record]:
         return self.inner.delete_many(tids)
 
+    def resume_at(self, tid: int) -> None:
+        self.inner.resume_at(tid)
+
     def query(self):
         return self.inner.query()
 
     def stats(self) -> Dict[str, object]:
         out = self.inner.stats()
         out["kind"] = self.kind
-        out["inner_kind"] = getattr(self.inner, "kind", "engine")
+        out["inner_kind"] = self.inner.kind
         return out
 
     def close(self) -> None:
@@ -143,7 +144,7 @@ class WindowMiddleware(EngineMiddleware):
 
     def __init__(
         self,
-        inner: "Engine",
+        inner: Engine,
         window: int,
         spec: Optional[EngineSpec] = None,
     ) -> None:
@@ -242,7 +243,7 @@ class AggregateMiddleware(EngineMiddleware):
 
     def __init__(
         self,
-        inner: "Engine",
+        inner: Engine,
         group: GroupSpec,
         base_schema: Optional[TableSchema] = None,
         spec: Optional[EngineSpec] = None,
@@ -319,8 +320,8 @@ class AggregateMiddleware(EngineMiddleware):
             out[name] = state.value(base, fn)
         return out
 
-    def snapshot_rows(self) -> List[dict]:
-        return list(self._journal)
+    def snapshot_state(self) -> Dict[str, object]:
+        return {"rows": list(self._journal)}
 
     def stats(self) -> Dict[str, object]:
         out = super().stats()
@@ -358,7 +359,7 @@ class QueryCacheMiddleware(EngineMiddleware):
 
     def __init__(
         self,
-        inner: "Engine",
+        inner: Engine,
         capacity: int,
         spec: Optional[EngineSpec] = None,
     ) -> None:
@@ -369,20 +370,14 @@ class QueryCacheMiddleware(EngineMiddleware):
     # it by, reach a sharded router as they would without the cache.
     @property
     def chunk_size(self) -> int:
-        return getattr(self.inner, "chunk_size", 1)
+        return self.inner.chunk_size
 
     def facts_for_many(self, rows: Iterable[Row]) -> List[FactSet]:
         return self.inner.facts_for_many(rows)
 
-    def _cache_version(self) -> Tuple[int, int]:
-        """``(arrivals, deletions)`` — mutations strictly increase one
-        of the two, so equality proves the state is unchanged."""
-        arrivals = self.inner.arrivals
-        return arrivals, arrivals - len(self.inner)
-
     def query(self) -> CachedQueryEngine:
         return CachedQueryEngine(
-            self.inner.query(), self.cache, self._cache_version
+            self.inner.query(), self.cache, lambda: self.version
         )
 
     def stats(self) -> Dict[str, object]:

@@ -31,6 +31,17 @@ SHARDING_MODES = ("serial", "process", "remote")
 AGGREGATES = ("sum", "max", "min", "count", "avg")
 
 
+def parse_address(address: str) -> Tuple[str, int]:
+    """Split ``"host:port"`` (placement maps, ``--connect``,
+    ``--gateway``); the port must lie in 1–65535."""
+    host, _, port = str(address).rpartition(":")
+    if not host or not port.isdigit() or not 1 <= int(port) <= 65535:
+        raise ValueError(
+            f"{address!r} is not 'host:port' with a port in 1-65535"
+        )
+    return host, int(port)
+
+
 @dataclass(frozen=True)
 class ShardingSpec:
     """Subspace-axis sharding: ``workers`` share-nothing ``svec`` shards
@@ -107,12 +118,12 @@ class ShardingSpec:
                         "host:port replica"
                     )
                 for address in addresses:
-                    host, _, port = str(address).rpartition(":")
-                    if not host or not port.isdigit():
+                    try:
+                        parse_address(address)
+                    except ValueError as exc:
                         raise ValueError(
-                            f"sharding.remote[{name!r}]: {address!r} is "
-                            "not 'host:port'"
-                        )
+                            f"sharding.remote[{name!r}]: {exc}"
+                        ) from None
             # Normalised plain-data form so asdict/JSON round-trip exactly.
             object.__setattr__(self, "remote", remote)
             if self.mode != "remote":

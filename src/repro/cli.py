@@ -72,6 +72,7 @@ from .api import (
     make_sink,
     open_engine,
 )
+from .api.spec import parse_address
 from .core.config import DiscoveryConfig
 from .core.schema import MIN, SchemaError, TableSchema
 
@@ -500,14 +501,14 @@ def cmd_ingest(args) -> int:
     from .datasets.loader import load_rows
 
     schema = _schema_from_args(args)
-    host, _, port = args.connect.rpartition(":")
-    if not host or not port.isdigit():
-        print(f"error: --connect expects HOST:PORT, got {args.connect!r}",
-              file=sys.stderr)
+    try:
+        host, port = parse_address(args.connect)
+    except ValueError as exc:
+        print(f"error: --connect: {exc}", file=sys.stderr)
         return 2
 
     async def run() -> int:
-        reader, writer = await asyncio.open_connection(host, int(port))
+        reader, writer = await asyncio.open_connection(host, port)
 
         async def call(payload: dict) -> dict:
             writer.write(json.dumps(payload).encode() + b"\n")
@@ -588,14 +589,14 @@ def cmd_cluster_status(args) -> int:
 
         from .service.gateway import fetch_json
 
-        ghost, _, gport = args.gateway.rpartition(":")
-        if not ghost or not gport.isdigit():
-            print(f"error: --gateway expects HOST:PORT, got "
-                  f"{args.gateway!r}", file=sys.stderr)
+        try:
+            ghost, gport = parse_address(args.gateway)
+        except ValueError as exc:
+            print(f"error: --gateway: {exc}", file=sys.stderr)
             return 2
         try:
             payload = asyncio.run(
-                fetch_json(ghost, int(gport), "/stats",
+                fetch_json(ghost, gport, "/stats",
                            timeout=args.timeout)
             )
             gateway_stats = payload.get("stats", {})

@@ -21,7 +21,6 @@ from ..metrics.counters import OpCounters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..algorithms import DiscoveryAlgorithm
-    from ..api.spec import EngineSpec
 from .config import DiscoveryConfig
 from .engine_protocol import EngineBase
 from .facts import FactSet
@@ -49,8 +48,8 @@ class FactDiscoverer(EngineBase):
         skyline cardinalities so prominence ranking works; turn off for
         raw ``S_t`` streaming at maximum speed.
 
-    ``FactDiscoverer`` is the in-proc implementation of the uniform
-    :class:`~repro.core.engine_protocol.Engine` protocol; prefer
+    ``FactDiscoverer`` is the in-proc
+    :class:`~repro.core.engine_protocol.EngineBase`; prefer
     building engines declaratively via
     :func:`repro.api.open_engine` — this constructor remains as the
     back-compat entry point (and the facade's ``"single"`` backend).
@@ -66,8 +65,10 @@ class FactDiscoverer(EngineBase):
         score: bool = True,
     ) -> None:
         # Imported here to keep ``repro.core`` importable on its own
-        # (``repro.algorithms`` imports back into the core package).
+        # (``repro.algorithms`` and ``repro.api`` import back into the
+        # core package).
         from ..algorithms import DiscoveryAlgorithm, make_algorithm
+        from ..api.spec import EngineSpec
 
         self.schema = schema
         self.config = config or DiscoveryConfig()
@@ -75,17 +76,20 @@ class FactDiscoverer(EngineBase):
             self.algorithm = algorithm
         else:
             self.algorithm = make_algorithm(algorithm, schema, self.config)
+        #: The declarative spec rebuilding this engine (snapshot format
+        #: v3 persists it); building it validates the arguments.
+        self.spec = EngineSpec(
+            schema=schema,
+            algorithm=self.algorithm.name,
+            config=self.config,
+            score=score,
+        )
         # Built on the algorithm's d̂ cap, so the counter's masks are its
         # masks_top_down: a fact's position along C^t means the same to
         # both halves of the scoring call.
         self.context_counter = ContextCounter(
             schema.n_dimensions, self.algorithm.bound_cap
         )
-        if not score and (self.config.tau is not None or self.config.top_k is not None):
-            raise ValueError(
-                "tau/top_k reporting needs prominence scores; "
-                "score=False would silently report nothing"
-            )
         self.score = score
 
     # ------------------------------------------------------------------
@@ -161,19 +165,6 @@ class FactDiscoverer(EngineBase):
     def table(self):
         """The underlying append-only relation."""
         return self.algorithm.table
-
-    def _derive_spec(self) -> "EngineSpec":
-        """The declarative :class:`EngineSpec` rebuilding this engine
-        (via :func:`repro.api.open_engine`); snapshot format v3 persists
-        it so checkpoints restore the exact composition."""
-        from ..api.spec import EngineSpec
-
-        return EngineSpec(
-            schema=self.schema,
-            algorithm=self.algorithm.name,
-            config=self.config,
-            score=self.score,
-        )
 
     def stats(self) -> dict:
         """Operational metrics snapshot (JSON-able)."""

@@ -6,8 +6,9 @@ Historically the library grew four divergent entry points — the in-proc
 an aggregate wrapper class (since replaced by the
 :mod:`repro.api.middleware` layers) — each hand-wiring schema, config,
 scoring, snapshots and queries differently.  This module pins
-down the single :class:`Engine` protocol they all implement, so serving,
-checkpointing and querying code can take *any* engine:
+down the one class they all subclass, :class:`EngineBase` (exported as
+``Engine``), so serving, checkpointing and querying code can take *any*
+engine:
 
 =====================  =================================================
 Member                 Contract
@@ -35,9 +36,12 @@ Member                 Contract
 Plus the data members every engine exposes: ``schema`` (the *input* row
 schema), ``discovery_schema`` (the relation facts are discovered over —
 differs from ``schema`` only for aggregate engines), ``config``,
-``table``, ``counters``, ``score`` and ``spec`` (the declarative
+``table``, ``counters``, ``score``, ``chunk_size`` (rows per
+``facts_for_many`` call a server hands over), ``degraded``, ``version``
+(``(arrivals, deletions)``) and ``spec`` (the declarative
 :class:`~repro.api.spec.EngineSpec` that re-creates the engine via
-:func:`~repro.api.facade.open_engine`).
+:func:`~repro.api.facade.open_engine`, set once when the engine is
+built).
 
 :class:`EngineBase` supplies the derivable members (reporting-policy
 application, update, context management, snapshots, stats, the query
@@ -53,9 +57,8 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Protocol,
+    Tuple,
     Union,
-    runtime_checkable,
 )
 
 from .facts import FactSet, SituationalFact
@@ -71,53 +74,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 Row = Union[Mapping[str, object], Record]
 
 
-@runtime_checkable
-class Engine(Protocol):
-    """Structural type of every discovery engine (see module docstring).
-
-    Methods only — ``runtime_checkable`` protocols verify callables, so
-    ``isinstance(engine, Engine)`` works on every supported Python; the
-    data members (``schema`` / ``config`` / ``table`` / ``spec`` / …)
-    are part of the contract too and are asserted by the conformance
-    suite in ``tests/test_engine_api.py``.
-    """
-
-    def observe(self, row: Row) -> List[SituationalFact]: ...
-
-    def observe_many(self, rows: Iterable[Row]) -> List[List[SituationalFact]]: ...
-
-    def facts_for(self, row: Row) -> FactSet: ...
-
-    def facts_for_many(self, rows: Iterable[Row]) -> List[FactSet]: ...
-
-    def delete(self, tid: int) -> Record: ...
-
-    def delete_many(self, tids: Iterable[int]) -> List[Record]: ...
-
-    def update(self, tid: int, row: Mapping[str, object]) -> List[SituationalFact]: ...
-
-    def query(self) -> "ContextualQueryEngine": ...
-
-    def snapshot(self, path: Optional[str] = None) -> str: ...
-
-    def stats(self) -> Dict[str, object]: ...
-
-    def close(self) -> None: ...
-
-    def __len__(self) -> int: ...
-
-
 class EngineBase:
-    """Shared default implementations of the :class:`Engine` contract.
+    """The engine contract (see module docstring), with the shared
+    default implementations.
 
     Subclasses provide ``facts_for`` / ``facts_for_many`` / ``delete``
-    plus the ``schema`` / ``config`` / ``table`` / ``counters``
-    attributes; everything else is derived here (and may be overridden
-    where a composition has a faster or semantically different path).
+    plus the ``schema`` / ``config`` / ``table`` / ``counters`` /
+    ``score`` / ``spec`` attributes; everything else is derived here
+    (and may be overridden where a composition has a faster or
+    semantically different path).
     """
 
     #: Engine-kind tag surfaced by :meth:`stats` and snapshots.
     kind: str = "engine"
+    #: Rows per ``facts_for_many`` call a server hands over at a time.
+    chunk_size: int = 1
+    #: Whether a sharded engine fell back to in-router execution.
+    degraded: bool = False
+    spec: "EngineSpec"
+    score: bool
 
     # -- reporting policy ------------------------------------------------
     def observe(self, row: Row) -> List[SituationalFact]:
@@ -179,26 +154,15 @@ class EngineBase:
         batch fails midway."""
         return self.table.arrivals
 
-    # -- spec / persistence ---------------------------------------------
-    #: Set by :func:`repro.api.open_engine` (and the middleware layers)
-    #: so the exact opening spec — checkpoint policy included — is
-    #: authoritative over the attribute-derived reconstruction.
-    _spec_override = None
-
     @property
-    def spec(self) -> "EngineSpec":
-        """The declarative spec that rebuilds this engine."""
-        if self._spec_override is not None:
-            return self._spec_override
-        return self._derive_spec()
+    def version(self) -> Tuple[int, int]:
+        """``(arrivals, deletions)`` — every mutation strictly increases
+        one of the two, so equality proves the state is unchanged (the
+        stamp query caches and feed sidecars key on)."""
+        arrivals = self.arrivals
+        return arrivals, arrivals - len(self)
 
-    def _derive_spec(self) -> "EngineSpec":
-        """Reconstruct a spec from live attributes (engines built
-        directly, without :func:`~repro.api.open_engine`)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose an EngineSpec"
-        )
-
+    # -- persistence -----------------------------------------------------
     def snapshot(self, path: Optional[str] = None) -> str:
         """Write a restorable snapshot; returns the path written.
 
@@ -207,9 +171,8 @@ class EngineBase:
         """
         from ..extensions.snapshot import save_engine
 
-        if path is None:
-            policy = getattr(self.spec, "checkpoint", None)
-            path = policy.path if policy is not None else None
+        if path is None and self.spec.checkpoint is not None:
+            path = self.spec.checkpoint.path
         if path is None:
             raise ValueError(
                 "no snapshot path: pass one or set spec.checkpoint"
@@ -217,15 +180,25 @@ class EngineBase:
         save_engine(self, path)
         return path
 
-    def snapshot_rows(self) -> List[dict]:
-        """The input rows a snapshot must replay to rebuild this engine.
-
-        Default: the live table in arrival order.  Aggregate engines
-        override this with their base-row journal (their table holds
-        derived tuples that must not be re-aggregated).
-        """
+    def snapshot_state(self) -> Dict[str, object]:
+        """The sections a snapshot replays to rebuild this engine: the
+        live rows in arrival order (``rows``), each row's tid (``tids``)
+        and the arrival count (``arrivals``), so a restore numbers every
+        row, and the next arrival, as they were.  Aggregate engines
+        override this with their base-row journal alone (their table
+        holds derived tuples that must not be re-aggregated; replaying
+        the journal renumbers them exactly)."""
         schema = self.schema
-        return [record.as_dict(schema) for record in self.table]
+        records = list(self.table)
+        return {
+            "rows": [record.as_dict(schema) for record in records],
+            "tids": [record.tid for record in records],
+            "arrivals": self.arrivals,
+        }
+
+    def resume_at(self, tid: int) -> None:
+        """Number the next arrival ``tid`` (snapshot restore)."""
+        self.table.resume_at(tid)
 
     # -- queries ---------------------------------------------------------
     def query(self) -> "ContextualQueryEngine":
@@ -239,7 +212,7 @@ class EngineBase:
 
         return ContextualQueryEngine(
             self._query_view(),
-            context_counter=getattr(self, "context_counter", None),
+            context_counter=self.context_counter,
         )
 
     def _query_view(self):
@@ -252,7 +225,7 @@ class EngineBase:
         return {
             "kind": self.kind,
             "rows": len(self),
-            "score": bool(getattr(self, "score", True)),
+            "score": bool(self.score),
             "counters": self.counters.snapshot(),
         }
 
@@ -267,3 +240,7 @@ class EngineBase:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+#: The public name of the one engine contract.
+Engine = EngineBase

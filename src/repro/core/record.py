@@ -124,6 +124,17 @@ class Table:
                 return self._records.pop(i)
         raise KeyError(f"no record with tid={tid}")
 
+    def resume_at(self, tid: int) -> None:
+        """Number the next appended row ``tid`` (snapshot restore keeps
+        the tids a checkpoint saved: the rows between live ones were
+        deleted).  Numbering only moves forward."""
+        if tid < self._next_tid:
+            raise ValueError(
+                f"tids only move forward: next is {self._next_tid}, "
+                f"asked to resume at {tid}"
+            )
+        self._next_tid = tid
+
     def _normalise(self, raw: Sequence[float]) -> Tuple[float, ...]:
         try:
             return tuple(s * float(v) for s, v in zip(self._signs, raw))

@@ -12,21 +12,23 @@ themselves (the file store already persists them).
 
 The format (version 3) embeds the full ``EngineSpec`` (``spec``
 section), so *any* composition — single, sharded, windowed, aggregate —
-round-trips through a checkpoint.  The persisted rows are the engine's
-replay journal (:meth:`EngineBase.snapshot_rows`): the live table for
-most engines, the base-row journal for aggregate engines (their table
-holds derived tuples that must not be re-aggregated).  Files of any
-other version are refused with an actionable ``ValueError``.
-
-Arrival ids are renumbered densely on load (0..n-1); fact outputs are
-unaffected since discovery depends only on tuple order and content.
+round-trips through a checkpoint.  The persisted sections are the
+engine's replay state (:meth:`EngineBase.snapshot_state`): the live
+rows with their tids and the arrival count for most engines, so every
+row keeps its tid across a restore and the journal suffix replayed
+after it names the same tuples; the base-row journal for aggregate
+engines (their table holds derived tuples that must not be
+re-aggregated, and the replay renumbers them exactly).  A file without
+``tids`` (written before they were saved) loads numbered densely.
+Files of any other version are refused with an actionable
+``ValueError``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..api.spec import EngineSpec
 from ..core.engine_protocol import Engine
@@ -46,8 +48,8 @@ def save_engine(
     crash-consistently.
 
     Accepts any :class:`~repro.core.engine_protocol.Engine` — the spec
-    (``engine.spec``) and the replay journal (``engine.snapshot_rows()``,
-    falling back to the live table) fully describe the session.
+    (``engine.spec``) and the replay state (``engine.snapshot_state()``)
+    fully describe the session.
 
     The document lands via temp-file + fsync + ``os.replace`` +
     directory fsync, so a crash at *any* byte boundary leaves either
@@ -58,16 +60,10 @@ def save_engine(
     snapshot covers (see :mod:`repro.service.journal`): recovery then
     replays exactly the journal suffix past it.
     """
-    spec = engine.spec
-    rows_of = getattr(engine, "snapshot_rows", None)
-    if rows_of is not None:
-        rows = rows_of()
-    else:  # duck-typed legacy engine
-        rows = [record.as_dict(engine.schema) for record in engine.table]
     doc = {
         "format_version": _FORMAT_VERSION,
-        "spec": spec.to_dict(),
-        "rows": rows,
+        "spec": engine.spec.to_dict(),
+        **engine.snapshot_state(),
     }
     if journal_seq is not None:
         doc["journal_seq"] = int(journal_seq)
@@ -126,12 +122,6 @@ def _read_snapshot_doc(path: str) -> dict:
     return doc
 
 
-def snapshot_journal_seq(path: str) -> int:
-    """The journal sequence a snapshot covers (0 when written without
-    a journal — replay then starts from the beginning)."""
-    return int(_read_snapshot_doc(path).get("journal_seq", 0))
-
-
 def load_engine(path: str) -> Engine:
     """Rebuild an engine from a snapshot written by :func:`save_engine`.
 
@@ -141,6 +131,13 @@ def load_engine(path: str) -> Engine:
     snapshot versions and for corrupt/truncated files — a damaged
     snapshot never silently restores a partial table.
     """
+    return load_snapshot(path)[0]
+
+
+def load_snapshot(path: str) -> Tuple[Engine, int]:
+    """:func:`load_engine`, plus the journal sequence the snapshot
+    covers (0 when written without a journal — replay then starts from
+    the beginning), from one read of the file."""
     doc = _read_snapshot_doc(path)
     version = doc.get("format_version")
     if version != _FORMAT_VERSION:
@@ -152,7 +149,13 @@ def load_engine(path: str) -> Engine:
     try:
         spec = EngineSpec.from_dict(doc["spec"])
         rows = doc["rows"]
-    except (KeyError, TypeError) as exc:
+        tids = doc.get("tids")
+        if tids is not None:
+            tids = [int(tid) for tid in tids]
+            arrivals = int(doc["arrivals"])
+            if len(tids) != len(rows):
+                raise ValueError("tids and rows differ in length")
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             f"snapshot {path!r} is malformed: missing or invalid "
             f"section ({exc!r}); the file may have been hand-edited or "
@@ -162,7 +165,19 @@ def load_engine(path: str) -> Engine:
     from ..api.facade import open_engine
 
     engine = open_engine(spec)
-    for start in range(0, len(rows), _REPLAY_BATCH):
-        engine.observe_many(rows[start : start + _REPLAY_BATCH])
-    return engine
-
+    start = 0
+    while start < len(rows):
+        # One block per run of consecutive tids (deleted rows leave
+        # gaps), at most _REPLAY_BATCH rows each.
+        end = min(start + _REPLAY_BATCH, len(rows))
+        if tids is not None:
+            engine.resume_at(tids[start])
+            run = start + 1
+            while run < end and tids[run] == tids[run - 1] + 1:
+                run += 1
+            end = run
+        engine.observe_many(rows[start:end])
+        start = end
+    if tids is not None:
+        engine.resume_at(arrivals)
+    return engine, int(doc.get("journal_seq", 0))

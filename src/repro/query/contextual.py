@@ -32,8 +32,8 @@ from .parser import parse_query
 class ContextualQueryEngine:
     """Query façade over a discovery algorithm's state.
 
-    Obtained uniformly from any engine via ``engine.query()`` (the
-    :class:`~repro.core.engine_protocol.Engine` protocol); sharded
+    Obtained uniformly from any engine via ``engine.query()`` (a
+    member of every :class:`~repro.core.engine_protocol.Engine`); sharded
     engines return the router-merged subclass from
     :mod:`repro.service.sharding`.  ``algorithm`` may be any
     algorithm-shaped state view: an object with ``table``, ``schema``

@@ -80,6 +80,7 @@ from ..core.constraint import UNBOUND, Constraint, satisfied_constraints
 from ..core.facts import FactSet
 from ..core.record import Record
 from ..core.schema import TableSchema
+from ..api.middleware import EngineMiddleware
 from ..api.spec import FeedSpec
 
 #: Sidecar snapshot format version.
@@ -89,13 +90,6 @@ Pair = Tuple[Constraint, int]
 
 #: Rows of the entry matrix ``FeedStore._ent`` (one column per entry).
 CID, SUB, SKY, TID, SEQ, SEG = range(6)
-
-
-def engine_version(engine) -> Tuple[int, int]:
-    """``(arrivals, deletions)`` — the same monotone stamp the query
-    cache keys on; equality proves engine state is unchanged."""
-    arrivals = engine.arrivals
-    return arrivals, arrivals - len(engine)
 
 
 @dataclass(slots=True)
@@ -249,12 +243,8 @@ class FeedStore:
         """A store over ``engine``'s discovery relation; ``spec``
         defaults to the engine spec's ``feeds`` section."""
         if spec is None:
-            try:
-                spec = engine.spec.feeds
-            except (AttributeError, NotImplementedError):
-                spec = None
-        schema = getattr(engine, "discovery_schema", engine.schema)
-        return cls(schema, engine.config, spec)
+            spec = engine.spec.feeds
+        return cls(engine.discovery_schema, engine.config, spec)
 
     # ------------------------------------------------------------------
     # Segmentation
@@ -407,11 +397,9 @@ class FeedStore:
         updates) on every middleware layer of ``engine`` so repair sees
         removals that never surface as server ops."""
         layer = engine
-        while layer is not None:
-            hook = getattr(layer, "add_retraction_listener", None)
-            if callable(hook):
-                hook(self.note_retracted)
-            layer = getattr(layer, "inner", None)
+        while isinstance(layer, EngineMiddleware):
+            layer.add_retraction_listener(self.note_retracted)
+            layer = layer.inner
 
     def apply_event(self, record: Record, factset: Optional[FactSet]) -> Set[str]:
         """Fold one arrival in; returns the keys of changed segments.
@@ -836,7 +824,7 @@ class FeedStore:
                 doc = json.load(fh)
         except (OSError, ValueError):
             return False
-        return self.restore_doc(doc, engine_version(engine))
+        return self.restore_doc(doc, engine.version)
 
     def rebuild(self, engine) -> None:
         """Recompute standings from the live engine (recovery path when

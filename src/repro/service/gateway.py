@@ -64,6 +64,17 @@ _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 #: WebSocket opcodes.
 OP_TEXT, OP_CLOSE, OP_PING, OP_PONG = 0x1, 0x8, 0x9, 0xA
 
+#: Largest frame a subscriber may send: the gateway reads only control
+#: frames from clients, and RFC 6455 §5.5 caps those at 125 bytes.
+MAX_CLIENT_PAYLOAD = 125
+
+#: Header lines read per request before the connection is dropped.
+MAX_REQUEST_HEADERS = 100
+
+
+class FrameTooLarge(ConnectionError):
+    """A peer declared a frame longer than the reader accepts."""
+
 
 def ws_accept_key(key: str) -> str:
     """RFC 6455 §4.2.2 Sec-WebSocket-Accept derivation."""
@@ -91,9 +102,13 @@ def ws_encode_frame(payload: bytes, opcode: int = OP_TEXT, mask: bool = False) -
     return bytes(head) + payload
 
 
-async def ws_read_frame(reader) -> Tuple[int, bytes]:
+async def ws_read_frame(
+    reader, max_payload: Optional[int] = None
+) -> Tuple[int, bytes]:
     """Read one frame, unmasking if needed; raises
-    :class:`asyncio.IncompleteReadError` on a closed peer."""
+    :class:`asyncio.IncompleteReadError` on a closed peer, and
+    :class:`FrameTooLarge` before reading a payload longer than
+    ``max_payload`` bytes."""
     b1, b2 = await reader.readexactly(2)
     opcode = b1 & 0x0F
     masked = bool(b2 & 0x80)
@@ -102,6 +117,10 @@ async def ws_read_frame(reader) -> Tuple[int, bytes]:
         (length,) = struct.unpack(">H", await reader.readexactly(2))
     elif length == 127:
         (length,) = struct.unpack(">Q", await reader.readexactly(8))
+    if max_payload is not None and length > max_payload:
+        raise FrameTooLarge(
+            f"{length}-byte frame exceeds the {max_payload}-byte cap"
+        )
     key = await reader.readexactly(4) if masked else None
     payload = await reader.readexactly(length) if length else b""
     if key:
@@ -306,12 +325,14 @@ class FeedGateway:
         except ValueError:
             return None
         headers: Dict[str, str] = {}
-        while True:
+        for _ in range(MAX_REQUEST_HEADERS + 1):
             raw = await reader.readline()
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            return None  # no end of headers within the cap
         parts = urlsplit(target)
         query = {
             name: values[-1] for name, values in parse_qs(parts.query).items()
@@ -431,13 +452,15 @@ class FeedGateway:
         self._conn_tasks.add(pump)
         try:
             while True:
-                opcode, payload = await ws_read_frame(reader)
+                opcode, payload = await ws_read_frame(
+                    reader, MAX_CLIENT_PAYLOAD
+                )
                 if opcode == OP_CLOSE:
                     break
                 if opcode == OP_PING:
                     conn.writer.write(ws_encode_frame(payload, OP_PONG))
                     await conn.writer.drain()
-        except (asyncio.IncompleteReadError, ConnectionResetError):
+        except (asyncio.IncompleteReadError, ConnectionError):
             pass
         finally:
             pump.cancel()

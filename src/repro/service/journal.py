@@ -412,7 +412,7 @@ def recover_engine(spec) -> Tuple[object, RecoveryReport]:
     silently wrong.
     """
     from ..api.facade import open_engine
-    from ..extensions.snapshot import load_engine, snapshot_journal_seq
+    from ..extensions.snapshot import load_snapshot
 
     policy = spec.checkpoint
     if policy is None:
@@ -421,11 +421,10 @@ def recover_engine(spec) -> Tuple[object, RecoveryReport]:
     engine = None
     if os.path.exists(policy.path):
         try:
-            engine = load_engine(policy.path)
+            engine, report.checkpoint_seq = load_snapshot(policy.path)
             # The caller's policy, not the one the snapshot was written
             # under, is what the server goes on to read.
-            engine._spec_override = replace(engine.spec, checkpoint=policy)
-            report.checkpoint_seq = snapshot_journal_seq(policy.path)
+            engine.spec = replace(engine.spec, checkpoint=policy)
             report.source = "checkpoint"
         except ValueError as exc:
             report.checkpoint_error = str(exc)

@@ -62,12 +62,13 @@ from time import perf_counter
 from types import SimpleNamespace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..api.spec import parse_address
 from . import faults
 from .supervisor import WorkerCrashed, WorkerGaveUp
 from .worker import _build_shard_engine, serve
 
 #: Version exchanged in the handshake; bumped on any frame/op change.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Frame header: little-endian payload length + CRC32 of the payload
 #: (the journal's frame layout, reused byte for byte).
@@ -80,14 +81,6 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 class FrameError(ConnectionError):
     """A frame failed to parse: short read, CRC mismatch, oversize."""
-
-
-def parse_address(address: str) -> Tuple[str, int]:
-    """Split ``"host:port"`` (the placement-map address format)."""
-    host, _, port = str(address).rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"expected 'host:port', got {address!r}")
-    return host, int(port)
 
 
 def send_msg(sock: socket.socket, op: str, payload: object) -> None:

@@ -53,7 +53,7 @@ from ..core.prominence import select_reportable
 from ..core.record import Record
 from ..metrics.memory import process_rss_mb
 from ..metrics.service import ServiceStats
-from .feeds import FeedStore, engine_version
+from .feeds import FeedStore
 
 _STOP = object()
 
@@ -210,13 +210,10 @@ class StreamServer:
         if conn_timeout is not None and conn_timeout <= 0:
             raise ValueError("conn_timeout must be > 0 seconds")
         self.engine = engine
-        try:
-            spec = engine.spec
-        except (AttributeError, NotImplementedError):
-            spec = None  # duck-typed engine: nothing durable, no feeds
+        spec = engine.spec
         #: The engine spec's :class:`~repro.api.spec.CheckpointPolicy`
         #: (``None``: no snapshots, no journal).
-        self.checkpoint_policy = spec.checkpoint if spec is not None else None
+        self.checkpoint_policy = spec.checkpoint
         self.queue_limit = queue_limit
         self.batch_max = batch_max
         self.dead_letter_path = dead_letter_path
@@ -224,7 +221,7 @@ class StreamServer:
         #: The read fan-out tier, built when the engine spec carries a
         #: feeds section.
         self.feeds: Optional[FeedStore] = None
-        if spec is not None and spec.feeds is not None:
+        if spec.feeds is not None:
             self.feeds = FeedStore.for_engine(engine, spec.feeds)
             # Window evictions / aggregate retractions reach the feed
             # repair pass through the middleware retraction hooks.
@@ -407,7 +404,7 @@ class StreamServer:
             "running": self._running,
             "table_rows": len(self.engine.table),
             "queue_depth": self._queue.qsize() if self._queue else 0,
-            "degraded": bool(getattr(self.engine, "degraded", False)),
+            "degraded": self.engine.degraded,
         }
         if self.last_error is not None:
             health["last_error"] = str(self.last_error)
@@ -434,9 +431,7 @@ class StreamServer:
             # not yet folded into feed state (0 when folding is
             # synchronous with the batch, as here).
             feed_stats["lag"] = max(
-                0,
-                getattr(self.engine, "arrivals", 0)
-                - feed_stats["applied_arrivals"],
+                0, self.engine.arrivals - feed_stats["applied_arrivals"]
             )
             snap["feeds"] = feed_stats
         snap.update(process_rss_mb())
@@ -553,10 +548,10 @@ class StreamServer:
             # One row per call; one chunk on a sharded router, whose
             # workers pipeline inside a chunk.  Only one slice's S_t are
             # alive at a time.
-            size = getattr(engine, "chunk_size", 1)
+            size = engine.chunk_size
             for start in range(0, len(rows), size):
                 part = rows[start:start + size]
-                before = getattr(engine, "arrivals", None)
+                before = engine.arrivals
                 try:
                     fact_sets = engine.facts_for_many(part)
                 except Exception as exc:
@@ -627,25 +622,17 @@ class StreamServer:
         here).
         """
         engine = self.engine
-        applied = 0
-        if before is not None:
-            applied = max(
-                0, min(getattr(engine, "arrivals", before) - before, len(part))
-            )
+        applied = max(0, min(engine.arrivals - before, len(part)))
         outcomes = []
         for index, row in enumerate(part):
             if index < applied:
-                tid = before + index if before is not None else -1
-                outcomes.append(lost(self._record_for(row, tid)))
+                outcomes.append(lost(self._record_for(row, before + index)))
                 continue
-            pre = getattr(engine, "arrivals", None)
+            pre = engine.arrivals
             try:
                 (factset,) = engine.facts_for_many([row])
             except Exception as row_exc:
-                if (
-                    pre is not None
-                    and getattr(engine, "arrivals", pre) > pre
-                ):
+                if engine.arrivals > pre:
                     # Applied but its facts were lost mid-flight.
                     outcomes.append(lost(self._record_for(row, pre)))
                 else:
@@ -660,11 +647,8 @@ class StreamServer:
     def _record_for(self, row, tid: int) -> Record:
         """A best-effort :class:`Record` for an applied row whose fact
         set was lost (only its identity reaches subscribers)."""
-        try:
-            made = self.engine.table.make_record(row)
-            return Record(tid, made.dims, made.values, made.raw)
-        except Exception:  # pragma: no cover - schema-less duck engine
-            return Record(tid, (), (), ())
+        made = self.engine.table.make_record(row)
+        return Record(tid, made.dims, made.values, made.raw)
 
     def _dead_letter(self, row, error: Exception) -> None:
         """Append one quarantined row to the dead-letter NDJSON file.
@@ -758,7 +742,7 @@ class StreamServer:
                 # Sidecar stamped with the engine version the feeds
                 # describe; a mismatch on restore triggers a rebuild.
                 self.feeds.save_sidecar(
-                    path + ".feeds", engine_version(self.engine)
+                    path + ".feeds", self.engine.version
                 )
             if seq is not None:
                 # Anchor segment rotation: ops <= seq are now durable in
@@ -829,9 +813,7 @@ class StreamServer:
 
         # Facts are stated over the discovery relation (differs from the
         # input schema only for aggregate engines).
-        schema = getattr(
-            self.engine, "discovery_schema", self.engine.schema
-        )
+        schema = self.engine.discovery_schema
 
         async def reply(payload: dict) -> None:
             writer.write(json.dumps(payload).encode() + b"\n")

@@ -77,8 +77,6 @@ Row = Union[Mapping[str, object], Record]
 #: per chunk per worker.
 _PIPELINE_CHUNK = 96
 
-_MODES = ("serial", "process", "remote")
-
 #: The supervision tallies every :class:`ShardWorker` keeps.
 _TALLIES = ("restarts", "chunks_retried", "failovers")
 
@@ -292,45 +290,30 @@ class ShardedDiscoverer(EngineBase):
         max_restarts: int = 3,
         remote: Optional[Mapping[str, Sequence[str]]] = None,
     ) -> None:
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-        if remote:
-            remote = {
-                str(name): [str(a) for a in addresses]
-                for name, addresses in dict(remote).items()
-            }
-            if not all(remote.values()):
-                raise ValueError(
-                    "every remote shard needs at least one host:port replica"
-                )
-            if mode == "process":
-                # The constructor default; a placement map implies the
-                # remote mode without callers having to say it twice.
-                mode = "remote"
-            if mode != "remote":
-                raise ValueError(
-                    f"a remote placement map requires mode='remote', "
-                    f"got {mode!r}"
-                )
-            n_workers = len(remote)
-        elif mode == "remote":
-            raise ValueError(
-                "mode='remote' needs a remote placement map "
-                "({shard: [host:port, ...]})"
-            )
-        self.remote = remote or None
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        if op_timeout <= 0:
-            raise ValueError("op_timeout must be > 0 seconds")
-        if max_restarts < 0:
-            raise ValueError("max_restarts must be >= 0")
+        from ..api.spec import EngineSpec, ShardingSpec
+
+        if remote and mode == "process":
+            # The constructor default; a placement map implies the
+            # remote mode without callers having to say it twice.
+            mode = "remote"
         config = config or DiscoveryConfig()
-        if not score and (config.tau is not None or config.top_k is not None):
-            raise ValueError(
-                "tau/top_k reporting needs prominence scores; "
-                "score=False would silently report nothing"
-            )
+        #: The declarative spec rebuilding this composition; building
+        #: it validates the arguments.
+        self.spec = EngineSpec(
+            schema=schema,
+            algorithm="svec",
+            config=config,
+            score=score,
+            sharding=ShardingSpec(
+                workers=len(remote) if remote else n_workers,
+                mode=mode,
+                chunk_size=chunk_size,
+                op_timeout=op_timeout,
+                max_restarts=max_restarts,
+                remote=remote or None,
+            ),
+        )
+        self.remote = self.spec.sharding.remote
         self.schema = schema
         self.config = config
         self.score = score
@@ -338,9 +321,6 @@ class ShardedDiscoverer(EngineBase):
         self.chunk_size = chunk_size
         self.op_timeout = op_timeout
         self.max_restarts = max_restarts
-        #: True once the circuit breaker fell back to in-router serial
-        #: execution (the pool keeps serving, just without parallelism).
-        self.degraded = False
         #: Committed arrival/deletion ops in order, as ``(op, payload)``
         #: pairs of the worker op table — the rebuild source for
         #: restarts and degrades.
@@ -358,7 +338,7 @@ class ShardedDiscoverer(EngineBase):
         )
         keys = canonical_subspace_keys(schema, config)
         #: Subspace keys per worker, fixed at construction.
-        self.shards = partition_subspaces(keys, n_workers)
+        self.shards = partition_subspaces(keys, self.spec.sharding.workers)
         self.n_workers = len(self.shards)
         self._root_key = keys[0]
         if self.remote is not None:
@@ -431,8 +411,7 @@ class ShardedDiscoverer(EngineBase):
         }
 
     # ------------------------------------------------------------------
-    # Streaming API (Engine protocol; observe/observe_many/update come
-    # from EngineBase)
+    # Streaming API (observe/observe_many/update come from EngineBase)
     # ------------------------------------------------------------------
     def facts_for(self, row: Row) -> FactSet:
         """Process one tuple and return the full (scored) ``S_t``."""
@@ -472,22 +451,33 @@ class ShardedDiscoverer(EngineBase):
         """Remove a previously observed tuple on every shard (§VIII)."""
         self._check_open()
         removed = self.table.delete(tid)
-        tid = int(removed.tid)
+        self._broadcast("delete", int(removed.tid))
+        self.context_counter.unregister(removed)
+        return removed
+
+    def resume_at(self, tid: int) -> None:
+        """Number the next arrival ``tid`` on the router and on every
+        shard (snapshot restore)."""
+        self._check_open()
+        self.table.resume_at(tid)
+        self._broadcast("resume", tid)
+
+    def _broadcast(self, op: str, payload: object) -> None:
+        """Apply one write op on every shard, then commit it to the op
+        log."""
         try:
             for worker in self._workers:
-                worker.call("delete", tid)
+                worker.call(op, payload)
         except WorkerGaveUp as crash:
             # The degraded replacements rebuilt from the oplog *before*
-            # this deletion (it commits below), so every one of them —
+            # this op (it commits below), so every one of them —
             # including those that acked over the pipe pre-crash, now
             # rebuilt fresh — needs it applied exactly once here.
             self._degrade(crash)
             for worker in self._workers:
-                worker.call("delete", tid)
+                worker.call(op, payload)
         if self._track_oplog:
-            self._oplog.append(("delete", tid))
-        self.context_counter.unregister(removed)
-        return removed
+            self._oplog.append((op, payload))
 
     # ------------------------------------------------------------------
     # Admission + merge
@@ -702,33 +692,6 @@ WorkerGaveUp`): every shard is rebuilt deterministically from the
     @property
     def algorithm_name(self) -> str:
         return "svec"
-
-    def _derive_spec(self):
-        """The declarative :class:`~repro.api.spec.EngineSpec` that
-        rebuilds this composition via :func:`repro.api.open_engine`."""
-        from ..api.spec import EngineSpec, ShardingSpec
-
-        # Only the pools actually serving a shard (a placement map with
-        # more pools than maintained keys is clamped at construction).
-        remote = (
-            {name: list(self.remote[name]) for name in self._remote_order}
-            if self.remote is not None
-            else None
-        )
-        return EngineSpec(
-            schema=self.schema,
-            algorithm="svec",
-            config=self.config,
-            score=self.score,
-            sharding=ShardingSpec(
-                workers=self.n_workers,
-                mode=self.mode,
-                chunk_size=self.chunk_size,
-                op_timeout=self.op_timeout,
-                max_restarts=self.max_restarts,
-                remote=remote,
-            ),
-        )
 
     def query(self) -> ShardedQueryEngine:
         """Forward contextual queries, merged router-side (maintained

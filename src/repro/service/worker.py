@@ -111,6 +111,11 @@ class _ShardEngine:
         self.deletes_applied += 1
         return ("ok", tid)
 
+    def resume(self, tid: int) -> Tuple[str, int]:
+        """Number the next row ``tid``, as the router's table does."""
+        self.algorithm.table.resume_at(tid)
+        return ("ok", tid)
+
     def counters(self, _payload: object = None) -> Dict[str, int]:
         return self.algorithm.counters.snapshot()
 
@@ -173,6 +178,7 @@ class _ShardEngine:
     OPS: Dict[str, ShardOp] = {
         "rows": ShardOp(ingest, writes=True),
         "delete": ShardOp(delete, writes=True),
+        "resume": ShardOp(resume, writes=True),
         "counters": ShardOp(counters),
         "skyline": ShardOp(skyline_tids),
         "skyband": ShardOp(skyband_tids),

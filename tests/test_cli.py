@@ -388,6 +388,12 @@ class TestLazyExports:
 
 
 class TestErrorHandling:
+    def test_connect_port_out_of_range(self, nba_csv, capsys):
+        rc = main(["ingest", nba_csv, "-d", DIMS, "-m", MEAS,
+                   "--connect", "127.0.0.1:99999"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_bad_query_string(self, nba_csv, capsys):
         rc = main(["query", nba_csv, "-d", DIMS, "-m", MEAS, "-q", "no pipe here"])
         assert rc == 2

@@ -258,6 +258,12 @@ class TestRemoteSpec:
         with pytest.raises(ValueError, match="at least one"):
             ShardingSpec(workers=1, mode="remote", remote={"0": []})
 
+    def test_ports_outside_the_range_rejected(self):
+        with pytest.raises(ValueError, match="1-65535"):
+            ShardingSpec(workers=1, mode="remote", remote={"0": ["h:70000"]})
+        with pytest.raises(ValueError, match="1-65535"):
+            parse_address("h:0")
+
     def test_spec_json_roundtrip(self):
         spec = EngineSpec(
             SCHEMA,

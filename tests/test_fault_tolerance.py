@@ -503,15 +503,48 @@ class TestJournalRecovery:
             engine.close()
             ref.close()
 
-    def test_checkpoint_plus_journal_suffix(self, tmp_path):
+    @pytest.mark.parametrize(
+        "deletes", [((), ()), ((0,), (5, 33))], ids=["appends", "deletes"]
+    )
+    @pytest.mark.parametrize(
+        "composition",
+        [
+            {"algorithm": "svec"},
+            {"algorithm": "stopdown"},
+            {"algorithm": "svec", "window": 45},
+            {"algorithm": "svec", "sharding": ShardingSpec(2, "serial")},
+        ],
+        ids=["svec", "stopdown", "window", "router"],
+    )
+    def test_checkpoint_plus_journal_suffix(self, tmp_path, composition, deletes):
+        """Deletions on both sides of the checkpoint: a restore keeps
+        every live row's tid and the arrival count, so the journal
+        suffix (and every tid a client was acknowledged) names the
+        same tuples as before the restart."""
         rows1, rows2 = make_rows(30), make_rows(20, start=30)
-        spec = service_spec(tmp_path)
-        expected, expected_counters, ref = reference_run(rows1 + rows2)
+        before, after = deletes
+        spec = EngineSpec(
+            SCHEMA,
+            checkpoint=CheckpointPolicy(
+                path=str(tmp_path / "ckpt.snap"),
+                journal_dir=str(tmp_path / "wal"),
+            ),
+            **composition,
+        )
+        ref = open_engine(EngineSpec(SCHEMA, **composition))
+        ref.observe_many(rows1)
+        for tid in before:
+            ref.delete(tid)
+        ref.observe_many(rows2)
+        for tid in after:
+            ref.delete(tid)
 
         async def session_one():
             server = StreamServer(open_engine(spec), batch_max=8)
             await server.start()
             await server.ingest_many(rows1)
+            for tid in before:
+                await server.delete(tid)
             await server.stop()  # graceful: checkpoint + journal prune
             server.engine.close()
 
@@ -521,18 +554,27 @@ class TestJournalRecovery:
             server = StreamServer(engine, batch_max=8)
             await server.start()
             await server.ingest_many(rows2)
+            for tid in after:
+                await server.delete(tid)
             await server.drain()
             await server.stop(drain=False)  # killed before checkpointing
             engine.close()
+
+        def state(engine):
+            rows = [(r.tid, r.as_dict(engine.schema)) for r in engine.table]
+            return rows, engine.arrivals
 
         asyncio.run(session_one())
         asyncio.run(session_two())
         engine, report = recover_engine(spec)
         try:
             assert report.source == "checkpoint+journal"
-            assert report.checkpoint_seq == len(rows1)
-            assert report.ops_replayed == len(rows2)
-            assert engine.counters.snapshot() == expected_counters
+            assert report.checkpoint_seq == len(rows1) + len(before)
+            assert report.ops_replayed == len(rows2) + len(after)
+            assert state(engine) == state(ref)
+            if not before and "window" not in composition:
+                # The same op sequence reached both engines.
+                assert engine.counters.snapshot() == ref.counters.snapshot()
             probe = make_rows(2, start=88)
             assert fact_keys(engine.observe_many(probe)) == fact_keys(
                 ref.observe_many(probe)

@@ -112,7 +112,7 @@ def run_differential(ops, algorithm, window, max_entries):
             # Pending retractions would die with the replaced stores (as
             # across a real restart, which checkpoints settled): settle.
             assert new.repair(engine) == old.repair(engine)
-            stamp = feeds_module.engine_version(engine)
+            stamp = engine.version
             doc = json.loads(json.dumps(old.to_doc(stamp)))
             new = FeedStore.for_engine(engine, spec)
             old = feed_oracle.FeedStore.for_engine(engine, spec)

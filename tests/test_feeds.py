@@ -24,7 +24,6 @@ from repro.api import (
 from repro.core.config import DiscoveryConfig
 from repro.core.constraint import Constraint, satisfied_constraints
 from repro.service import FeedStore, StreamServer
-from repro.service.feeds import engine_version
 from tests.strategies import row_strategy
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
@@ -294,7 +293,7 @@ class TestSidecar:
             ],
         )
         path = str(tmp_path / "feeds.json")
-        assert store.save_sidecar(path, engine_version(engine))
+        assert store.save_sidecar(path, engine.version)
         fresh = FeedStore.for_engine(engine)
         assert fresh.load_sidecar(path, engine)
         assert store_segments(fresh) == store_segments(store)
@@ -306,7 +305,7 @@ class TestSidecar:
         factset = engine.facts_for({"d0": "a", "d1": "x", "m0": 1, "m1": 2})
         store.apply_event(factset.record, factset)
         path = str(tmp_path / "feeds.json")
-        assert store.save_sidecar(path, engine_version(engine))
+        assert store.save_sidecar(path, engine.version)
         engine.facts_for({"d0": "b", "d1": "y", "m0": 2, "m1": 1})
         fresh = FeedStore.for_engine(engine)
         assert not fresh.load_sidecar(path, engine)

@@ -275,6 +275,55 @@ class TestWebSocketPush:
         asyncio.run(run())
 
 
+class TestHostileClients:
+    def test_oversized_client_frame_closes_its_connection(self):
+        """A subscriber declaring a 2 GiB text frame is cut off before
+        its payload is buffered; the gateway keeps serving others."""
+
+        async def run():
+            server, gateway, port = await start_stack()
+            try:
+                await server.ingest_many(make_rows(6))
+                await server.drain()
+                client = await FeedClient.connect("127.0.0.1", port)
+                await client.recv()
+                header = bytes([0x81, 0x80 | 127]) + (2 << 30).to_bytes(8, "big")
+                client._writer.write(header + b"\0\0\0\0" + b"x" * 65536)
+                await client._writer.drain()
+                # Closed by the gateway: the stream reaches EOF.
+                await asyncio.wait_for(client._reader.read(), 5)
+                for _ in range(100):
+                    if server.stats.gateway_subscribers == 0:
+                        break
+                    await asyncio.sleep(0.02)
+                assert server.stats.gateway_subscribers == 0
+                client._writer.close()
+                fresh = await FeedClient.connect("127.0.0.1", port)
+                assert (await fresh.recv())["type"] == "snapshot"
+                await fresh.close()
+            finally:
+                await stop_stack(server, gateway)
+
+        asyncio.run(run())
+
+    def test_endless_request_headers_close_the_connection(self):
+        async def run():
+            server, gateway, port = await start_stack()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                writer.write(b"GET /feeds HTTP/1.1\r\n")
+                writer.write(b"X-Pad: 1\r\n" * 1000 + b"\r\n")
+                await writer.drain()
+                assert await asyncio.wait_for(reader.read(), 5) == b""
+                writer.close()
+            finally:
+                await stop_stack(server, gateway)
+
+        asyncio.run(run())
+
+
 class TestBackpressure:
     def test_dirty_set_is_bounded_and_coalesces(self):
         """The per-connection delivery state never exceeds
