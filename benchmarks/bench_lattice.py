@@ -66,11 +66,11 @@ def _scored_marginal_at(n, rows, arm_rows=None):
 
     ``arm_rows`` patches the arming constant for this engine's lifetime
     (``None``: the shipped constant, i.e. the engine's own choice).
-    Warm-up runs unscored (``process_many`` + batched counter
-    registration — the exact state transitions of the scored path,
-    minus the per-fact annotation, which reads state but never writes
-    it), so the 100k point warms in NumPy-batch time; probes then
-    measure the real scored marginal.
+    Warm-up runs unscored (``process_many``, which also counts the
+    contexts — the exact state transitions of the scored path, minus
+    the per-fact annotation, which reads state but never writes it), so
+    the 100k point warms in NumPy-batch time; probes then measure the
+    real scored marginal.
     """
     shipped = sweep_module.ARM_ROWS
     if arm_rows is not None:
@@ -81,7 +81,6 @@ def _scored_marginal_at(n, rows, arm_rows=None):
             schema=synthetic_schema(D, M), algorithm="svec", score=True
         )
         engine.algorithm.process_many(rows[:n])
-        engine.context_counter.register_many(list(engine.table))
         chunks = [
             rows[n + i * CHUNK : n + (i + 1) * CHUNK] for i in range(CHUNKS)
         ]

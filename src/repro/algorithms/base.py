@@ -11,6 +11,10 @@ line).
 The base class also owns:
 
 * the append-only :class:`~repro.core.record.Table`;
+* the constraint table beside it
+  (:class:`~repro.core.prominence.ContextCounter`): ``|σ_C|`` of every
+  constraint of ``C^t`` a live tuple satisfies, registered before each
+  discovery and unregistered after each retraction repair;
 * the measure-subspace list (full space first, respecting ``m̂``);
 * the per-algorithm :class:`~repro.metrics.counters.OpCounters` sink;
 * a from-scratch ``skyline_size`` fallback used for prominence scoring
@@ -37,6 +41,7 @@ from ..core.config import DiscoveryConfig
 from ..core.constraint import Constraint, constraints_for_record, lattice_getters
 from ..core.facts import FactSet
 from ..core.lattice import masks_by_level, nonempty_subspaces
+from ..core.prominence import ContextCounter
 from ..core.record import Record, Table
 from ..core.schema import TableSchema
 from ..core.skyline import contextual_skyline
@@ -81,20 +86,16 @@ class DiscoveryAlgorithm(abc.ABC):
         #: Max bound attributes actually allowed (``min(d̂, n)``).
         self.bound_cap = self.config.effective_bound_cap(schema.n_dimensions)
         cap = self.bound_cap
-        levels = masks_by_level(schema.n_dimensions)
+        #: ``|σ_C|`` per constraint of ``C^t``, and the one table from
+        #: constraint to id; its ``position_of[mask]`` is a fact's
+        #: position along ``C^t`` in the cell form of ``S_t``.
+        self.context_counter = ContextCounter(schema.n_dimensions, cap)
         #: Allowed constraint masks, most general first (``⊤`` → level d̂).
-        self.masks_top_down: Tuple[int, ...] = tuple(
-            m for level in levels[: cap + 1] for m in level
-        )
+        self.masks_top_down: Tuple[int, ...] = self.context_counter.masks
         #: Allowed constraint masks, most specific first.
+        levels = masks_by_level(schema.n_dimensions)[: cap + 1]
         self.masks_bottom_up: Tuple[int, ...] = tuple(
-            m for level in reversed(levels[: cap + 1]) for m in level
-        )
-        #: mask → position in :attr:`masks_top_down` (``-1`` beyond ``d̂``):
-        #: a fact's position along ``C^t`` in the cell form of ``S_t``.
-        self._mask_order = np.full(1 << schema.n_dimensions, -1, dtype=np.int32)
-        self._mask_order[list(self.masks_top_down)] = np.arange(
-            len(self.masks_top_down)
+            m for level in reversed(levels) for m in level
         )
         self._ct_getters = lattice_getters(schema.n_dimensions, self.masks_top_down)
         #: ``(dims, C^t)`` of the arrival being processed — the one
@@ -106,16 +107,19 @@ class DiscoveryAlgorithm(abc.ABC):
     # Public API
     # ------------------------------------------------------------------
     def process(self, row: Row) -> FactSet:
-        """Handle one arriving tuple: discover ``S_t``, then append.
+        """Handle one arriving tuple: count it, discover ``S_t``, then
+        append.
 
         Accepts a mapping keyed by attribute names or a pre-built
         :class:`Record` (tid is re-assigned to the arrival index, which
-        deletions do not lower).
+        deletions do not lower).  The tuple enters the constraint table
+        first: a columnar store takes the row's constraint ids from it.
         """
         if isinstance(row, Record):
             record = Record(self.table.arrivals, row.dims, row.values, row.raw)
         else:
             record = self.table.make_record(row)
+        self.context_counter.register(record)
         facts = self._discover(record)
         self.table.append(record)
         self._after_append(record)
@@ -166,13 +170,17 @@ class DiscoveryAlgorithm(abc.ABC):
     def retract(self, tid: int) -> Record:
         """Remove the tuple with id ``tid`` and repair internal state.
 
-        The base implementation only mutates the table — correct for the
-        store-free baselines (BruteForce / BaselineSeq recompute from
-        the table each arrival).  Store-maintaining algorithms override
-        :meth:`_repair_after_retract`.
+        The base implementation only mutates the table and the
+        constraint table — correct for the store-free baselines
+        (BruteForce / BaselineSeq recompute from the table each
+        arrival).  Store-maintaining algorithms override
+        :meth:`_repair_after_retract`, which runs before the tuple's
+        constraints leave the constraint table (a store clears the
+        row's cells before any of its ids is freed).
         """
         removed = self.table.delete(tid)
         self._repair_after_retract(removed)
+        self.context_counter.unregister(removed)
         return removed
 
     def retract_many(self, tids) -> List[Record]:
@@ -243,7 +251,7 @@ class DiscoveryAlgorithm(abc.ABC):
         masks, subspaces = zip(*pairs) if pairs else ((), ())
         facts.add_cells(
             self._constraint_sequence(record),
-            self._mask_order[list(masks)],
+            self.context_counter.position_of[list(masks)],
             np.array(subspaces, dtype=np.int32),
         )
         return facts
@@ -302,8 +310,12 @@ class DiscoveryAlgorithm(abc.ABC):
         return 0
 
     def reset(self) -> None:
-        """Forget all state (fresh table, fresh counters)."""
+        """Forget all state (fresh table, constraint table and
+        counters)."""
         self.table = Table(self.schema)
+        self.context_counter = ContextCounter(
+            self.schema.n_dimensions, self.bound_cap
+        )
         self.counters.reset()
 
     def __repr__(self) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Set
 
+from ..core.constraint import bindable_positions
 from ..core.dominance import dominates
 from ..core.facts import FactSet
 from ..core.lattice import agreement_mask, iter_submasks
@@ -29,6 +30,9 @@ class BaselineIdx(DiscoveryAlgorithm):
     def _discover(self, record: Record) -> FactSet:
         pairs = []
         allowed = self.constraint_masks()
+        # A mask survives when its canonical form does: masks covering a
+        # None value collapse onto the constraint leaving it free.
+        bindable = bindable_positions(record.dims)
         for subspace in self.subspaces:
             surviving: Set[int] = set(allowed)
             # Weak-dominance candidates straight from the index; strict
@@ -42,6 +46,8 @@ class BaselineIdx(DiscoveryAlgorithm):
                     if not surviving:
                         break
             for mask in surviving:
+                if mask & bindable not in surviving:
+                    continue
                 self.counters.traversed_constraints += 1
                 pairs.append((mask, subspace))
         return self._fact_set(record, pairs)

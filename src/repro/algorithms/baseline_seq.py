@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Set
 
+from ..core.constraint import bindable_positions
 from ..core.dominance import dominates
 from ..core.facts import FactSet
 from ..core.lattice import agreement_mask, iter_submasks
@@ -26,6 +27,9 @@ class BaselineSeq(DiscoveryAlgorithm):
     def _discover(self, record: Record) -> FactSet:
         pairs = []
         allowed = self.constraint_masks()
+        # A mask survives when its canonical form does: masks covering a
+        # None value collapse onto the constraint leaving it free.
+        bindable = bindable_positions(record.dims)
         for subspace in self.subspaces:
             surviving: Set[int] = set(allowed)
             for other in self.table:
@@ -37,6 +41,8 @@ class BaselineSeq(DiscoveryAlgorithm):
                     if not surviving:
                         break
             for mask in surviving:
+                if mask & bindable not in surviving:
+                    continue
                 self.counters.traversed_constraints += 1
                 pairs.append((mask, subspace))
         return self._fact_set(record, pairs)

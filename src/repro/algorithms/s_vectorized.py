@@ -107,11 +107,11 @@ from ..core.lattice import (
     popcount_array,
     submask_closure_table,
 )
+from ..core.prominence import ABSENT_ID
 from ..core.record import Record
 from ..core.schema import TableSchema
 from ..metrics.counters import OpCounters
 from ..storage.columnar_store import (
-    ABSENT_ID,
     WORD,
     WORD_BITS,
     ColumnarSkylineStore,
@@ -139,7 +139,7 @@ class SVectorized(DiscoveryAlgorithm):
     ) -> None:
         super().__init__(schema, config, counters)
         self.store = ColumnarSkylineStore(
-            schema.n_dimensions, schema.n_measures, self.counters
+            self.context_counter, schema.n_measures, self.counters
         )
         self._closure = submask_closure_table(schema.n_dimensions)
         # Subspace-axis sharding (the service layer's parallel unit):
@@ -267,7 +267,9 @@ class SVectorized(DiscoveryAlgorithm):
 
     def reset(self) -> None:
         super().reset()
-        self.store.clear()
+        self.store = ColumnarSkylineStore(
+            self.context_counter, self.schema.n_measures, self.counters
+        )
 
     # ------------------------------------------------------------------
     # Discovery — the bitset-matrix walk
@@ -669,7 +671,7 @@ class SVectorized(DiscoveryAlgorithm):
         """The masks of a bitset in walk (level-major) order."""
         out = bit_positions(masks)
         if len(out) > 1:  # rare: most cells are demoted at one mask
-            out.sort(key=self._mask_order.__getitem__)
+            out.sort(key=self.context_counter.position_of.__getitem__)
         return out
 
     def _demoted_anchors(self, row, masks, anchors: int, agree: int) -> int:

@@ -14,7 +14,9 @@ Per subspace, the surviving constraint set is then the complement of a
 union of submask closures — pure integer arithmetic.  Output-equivalent
 to BaselineSeq/BruteForce; the ablation bench quantifies the win.
 
-Arrays grow geometrically; dimension values are interned to int32 ids.
+Arrays grow geometrically; dimension values are interned to int32 ids
+by the constraint table's interner.  A retraction rebuilds the columns
+from the table.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..core.config import DiscoveryConfig
+from ..core.constraint import bindable_positions
 from ..core.facts import FactSet
 from ..core.lattice import submask_closure_table
 from ..core.record import Record
 from ..core.schema import TableSchema
 from ..metrics.counters import OpCounters
-from ..storage.columnar_store import ColumnInterner, grow_2d
+from ..storage.columnar_store import grow_2d
 from .base import DiscoveryAlgorithm
 
 _INITIAL_CAPACITY = 256
@@ -52,7 +55,6 @@ class VectorizedBaseline(DiscoveryAlgorithm):
         self._size = 0
         self._values = np.empty((self._capacity, schema.n_measures), dtype=np.float64)
         self._dims = np.empty((self._capacity, schema.n_dimensions), dtype=np.int32)
-        self._interner = ColumnInterner(schema.n_dimensions)
         #: Bit weights for measure positions (column -> bit).
         self._measure_bits = (1 << np.arange(schema.n_measures)).astype(np.int64)
         self._dim_bits = (1 << np.arange(schema.n_dimensions)).astype(np.int64)
@@ -65,8 +67,17 @@ class VectorizedBaseline(DiscoveryAlgorithm):
         self._dims = grow_2d(self._dims, self._size)
         self._capacity = self._values.shape[0]
         self._values[self._size] = record.values
-        self._dims[self._size] = self._interner.intern_row(record.dims)
+        self._dims[self._size] = self.context_counter.interner.intern_row(
+            record.dims
+        )
         self._size += 1
+
+    def _repair_after_retract(self, record: Record) -> None:
+        # The columns hold rows by position; rebuild them from the table
+        # (retraction is an extension path, not the hot loop).
+        self._size = 0
+        for rec in self.table:
+            self._after_append(rec)
 
     def reserve(self, extra: int) -> None:
         """Pre-grow both column arrays once for a known-size block."""
@@ -90,7 +101,7 @@ class VectorizedBaseline(DiscoveryAlgorithm):
             return self._fact_set(record, pairs)
 
         probe_values = np.asarray(record.values, dtype=np.float64)
-        probe_dims = self._interner.intern_row(record.dims)
+        probe_dims = self.context_counter.interner.intern_row(record.dims)
 
         values = self._values[:n]
         dims = self._dims[:n]
@@ -105,6 +116,9 @@ class VectorizedBaseline(DiscoveryAlgorithm):
         self.counters.comparisons += n * len(self.subspaces)
 
         full_universe_bits = (1 << (1 << self.schema.n_dimensions)) - 1
+        # A mask survives when its canonical form does: masks covering a
+        # None value collapse onto the constraint leaving it free.
+        bindable = bindable_positions(record.dims)
         allowed_bits = 0
         for mask in allowed:
             allowed_bits |= 1 << mask
@@ -125,7 +139,7 @@ class VectorizedBaseline(DiscoveryAlgorithm):
             if not surviving:
                 continue
             for mask in allowed:
-                if (surviving >> mask) & 1:
+                if (surviving >> (mask & bindable)) & 1:
                     self.counters.traversed_constraints += 1
                     pairs.append((mask, subspace))
         return self._fact_set(record, pairs)
@@ -133,4 +147,3 @@ class VectorizedBaseline(DiscoveryAlgorithm):
     def reset(self) -> None:
         super().reset()
         self._size = 0
-        self._interner = ColumnInterner(self.schema.n_dimensions)

@@ -1,8 +1,8 @@
 """`FactDiscoverer` — the library's main entry point.
 
-Wires together a discovery algorithm (§IV–V), the incremental context
-counter, prominence scoring and the reporting policy (§VII) behind one
-streaming call::
+Wires together a discovery algorithm (§IV–V), which keeps the
+incremental context counter beside its history, prominence scoring and
+the reporting policy (§VII) behind one streaming call::
 
     >>> from repro import DiscoveryConfig, FactDiscoverer, TableSchema
     >>> schema = TableSchema(("player", "team"), ("points", "assists"))
@@ -24,7 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from .config import DiscoveryConfig
 from .engine_protocol import EngineBase
 from .facts import FactSet
-from .prominence import ContextCounter
 from .record import Record
 from .schema import TableSchema
 
@@ -84,13 +83,15 @@ class FactDiscoverer(EngineBase):
             config=self.config,
             score=score,
         )
-        # Built on the algorithm's d̂ cap, so the counter's masks are its
-        # masks_top_down: a fact's position along C^t means the same to
-        # both halves of the scoring call.
-        self.context_counter = ContextCounter(
-            schema.n_dimensions, self.algorithm.bound_cap
-        )
         self.score = score
+
+    @property
+    def context_counter(self):
+        """The algorithm's constraint table: ``|σ_C|`` per constraint of
+        ``C^t``, on the algorithm's ``d̂`` cap, so a fact's position
+        along ``C^t`` means the same to both halves of the scoring
+        call."""
+        return self.algorithm.context_counter
 
     # ------------------------------------------------------------------
     # Streaming API
@@ -98,7 +99,6 @@ class FactDiscoverer(EngineBase):
     def facts_for(self, row: Row) -> FactSet:
         """Process one tuple and return the full (scored) ``S_t``."""
         facts = self.algorithm.process(row)
-        self.context_counter.register(facts.record)
         if self.score:
             facts.set_scores(
                 self.context_counter.context_column(facts),
@@ -109,22 +109,15 @@ class FactDiscoverer(EngineBase):
     def facts_for_many(self, rows: Iterable[Row]) -> List[FactSet]:
         """Batched :meth:`facts_for`: one full (scored) ``S_t`` per row.
 
-        With scoring enabled, prominence for row ``i`` must be measured
-        against the relation state *at arrival ``i``*, so rows are still
-        processed one by one (after one upfront capacity reservation) —
-        but every per-arrival step stays on the algorithm's columnar
-        machinery (vectorized discovery, the store's incremental
-        skyline-cardinality index, the interned-key context counter), so
-        scored blocks ingest at columnar speed.  With ``score=False``
-        the whole block is handed to the algorithm's
-        :meth:`DiscoveryAlgorithm.process_many` fast path and the
-        context counter's batched registration.
+        Prominence for row ``i`` must be measured against the relation
+        state *at arrival ``i``*, so rows are processed one by one
+        (after one upfront capacity reservation) — but every
+        per-arrival step stays on the algorithm's columnar machinery
+        (vectorized discovery, the store's incremental
+        skyline-cardinality index, the constraint table), so scored
+        blocks ingest at columnar speed.
         """
         rows = list(rows)
-        if not self.score:
-            out = self.algorithm.process_many(rows)
-            self.context_counter.register_many([f.record for f in out])
-            return out
         self.algorithm.reserve(len(rows))
         return [self.facts_for(row) for row in rows]
 
@@ -132,13 +125,11 @@ class FactDiscoverer(EngineBase):
         """Remove a previously observed tuple (§VIII deletion extension).
 
         Repairs the algorithm's skyline stores — tuples the removed one
-        was suppressing re-enter their contextual skylines — and reverses
-        the context counts used for prominence.  Returns the removed
+        was suppressing re-enter their contextual skylines — and its
+        context counts used for prominence.  Returns the removed
         record.
         """
-        removed = self.algorithm.retract(tid)
-        self.context_counter.unregister(removed)
-        return removed
+        return self.algorithm.retract(tid)
 
     def delete_many(self, tids: Iterable[int]) -> List[Record]:
         """Grouped :meth:`delete` (window eviction, bulk expiry).
@@ -148,10 +139,7 @@ class FactDiscoverer(EngineBase):
         physical compaction to one pass over the whole group, so
         deleting ``k`` tuples costs one row-slide instead of ``k``.
         """
-        removed = self.algorithm.retract_many(list(tids))
-        for record in removed:
-            self.context_counter.unregister(record)
-        return removed
+        return self.algorithm.retract_many(list(tids))
 
     # ------------------------------------------------------------------
     # Introspection

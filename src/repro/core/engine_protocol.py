@@ -204,16 +204,13 @@ class EngineBase:
     def query(self) -> "ContextualQueryEngine":
         """A forward contextual-skyline query engine over the live state.
 
-        The engine's incremental context counter rides along so covered
-        ``|σ_C|`` statistics answer in O(1) (see
+        The view's incremental context counter answers covered ``|σ_C|``
+        statistics in O(1) (see
         :meth:`~repro.query.contextual.ContextualQueryEngine.batch`).
         """
         from ..query.contextual import ContextualQueryEngine
 
-        return ContextualQueryEngine(
-            self._query_view(),
-            context_counter=self.context_counter,
-        )
+        return ContextualQueryEngine(self._query_view())
 
     def _query_view(self):
         """The algorithm-shaped state object queries run against."""

@@ -36,13 +36,14 @@ class ContextualQueryEngine:
     member of every :class:`~repro.core.engine_protocol.Engine`); sharded
     engines return the router-merged subclass from
     :mod:`repro.service.sharding`.  ``algorithm`` may be any
-    algorithm-shaped state view: an object with ``table``, ``schema``
-    and ``maintained_subspaces()`` (store-backed fast paths engage only
-    for real :class:`BottomUp` / :class:`TopDown` instances).
+    algorithm-shaped state view: an object with ``table``, ``schema``,
+    ``config``, ``context_counter`` and ``maintained_subspaces()``
+    (store-backed fast paths engage only for real :class:`BottomUp` /
+    :class:`TopDown` instances, the columnar kernels only for ``svec``).
 
-    ``context_counter`` (the engine's incremental ``|σ_C|`` counter)
-    and the columnar kernels are optional accelerations — every answer
-    they produce is property-identical to the scalar path, which
+    The view's ``context_counter`` (its incremental ``|σ_C|`` counter)
+    and the columnar kernels are accelerations — every answer they
+    produce is property-identical to the scalar path, which
     ``use_kernels=False`` pins for differential testing.
 
     Examples
@@ -59,12 +60,10 @@ class ContextualQueryEngine:
     def __init__(
         self,
         algorithm: "DiscoveryAlgorithm",
-        context_counter=None,
         use_kernels: bool = True,
     ) -> None:
         self.algorithm = algorithm
         self.schema: TableSchema = algorithm.schema
-        self._counter = context_counter
         self._use_kernels = use_kernels
         self._kernels_cache: Optional[ColumnarQueryKernels] = None
         self._kernels_resolved = False
@@ -120,12 +119,8 @@ class ContextualQueryEngine:
         """True when the algorithm's anchor skeleton covers this
         constraint (bound count within ``d̂``) — the validity condition
         for store reconstruction and scoring-index probes alike."""
-        config = getattr(self.algorithm, "config", None)
-        if config is None:
-            return False
-        return constraint.bound_count <= config.effective_bound_cap(
-            constraint.arity
-        )
+        cap = self.algorithm.config.effective_bound_cap(constraint.arity)
+        return constraint.bound_count <= cap
 
     def _skyline_from_maximal(
         self, constraint: Constraint, subspace: int
@@ -255,11 +250,8 @@ class ContextualQueryEngine:
     def _counted_context(self, constraint: Constraint) -> Optional[int]:
         """``|σ_C|`` in O(1) from the engine's counter, or ``None`` when
         the counter does not cover the constraint exactly."""
-        counter = self._counter
-        if counter is None:
-            return None
-        covers = getattr(counter, "covers", None)
-        if covers is None or not covers(constraint):
+        counter = self.algorithm.context_counter
+        if not counter.covers(constraint):
             return None
         return counter.count(constraint)
 

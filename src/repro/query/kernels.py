@@ -47,10 +47,9 @@ class ColumnarQueryKernels:
     """Vectorized selection / skyband / statistics over one columnar store.
 
     Valid only for algorithms whose store registers *every* live row
-    (the ``svec`` family does: the shared dominance sweep needs the full
-    history).  :meth:`for_algorithm` duck-checks the store surface and
-    returns ``None`` for anything else, at which point callers keep the
-    scalar path.
+    (``svec`` does: the shared dominance sweep needs the full history).
+    :meth:`for_algorithm` returns ``None`` for anything else, at which
+    point callers keep the scalar path.
     """
 
     def __init__(self, store) -> None:
@@ -58,15 +57,11 @@ class ColumnarQueryKernels:
 
     @classmethod
     def for_algorithm(cls, algorithm) -> Optional["ColumnarQueryKernels"]:
-        store = getattr(algorithm, "store", None)
-        if store is None:
+        from ..algorithms.s_vectorized import SVectorized
+
+        if not isinstance(algorithm, SVectorized):
             return None
-        needed = ("dims_matrix", "values_matrix", "intern_dims",
-                  "record_at", "folded_sweep", "skyline_counts",
-                  "skyline_rows")
-        if not all(callable(getattr(store, name, None)) for name in needed):
-            return None
-        return cls(store)
+        return cls(algorithm.store)
 
     # ------------------------------------------------------------------
     # Selection

@@ -153,7 +153,9 @@ class _RouterQueryView:
 
     def __init__(self, sharded: "ShardedDiscoverer") -> None:
         self.schema = sharded.schema
+        self.config = sharded.config
         self.table = sharded.table
+        self.context_counter = sharded.context_counter
         self._keys = {key for shard in sharded.shards for key in shard}
 
     def maintained_subspaces(self) -> List[int]:
@@ -175,10 +177,7 @@ class ShardedQueryEngine(ContextualQueryEngine):
     """
 
     def __init__(self, sharded: "ShardedDiscoverer") -> None:
-        super().__init__(
-            _RouterQueryView(sharded),
-            context_counter=sharded.context_counter,
-        )
+        super().__init__(_RouterQueryView(sharded))
         self._sharded = sharded
 
     # -- routing -----------------------------------------------------
@@ -313,23 +312,16 @@ class ShardedDiscoverer(EngineBase):
                 remote=remote or None,
             ),
         )
-        self.remote = self.spec.sharding.remote
         self.schema = schema
         self.config = config
         self.score = score
-        self.mode = mode
-        self.chunk_size = chunk_size
-        self.op_timeout = op_timeout
-        self.max_restarts = max_restarts
         #: Committed arrival/deletion ops in order, as ``(op, payload)``
         #: pairs of the worker op table — the rebuild source for
-        #: restarts and degrades.
-        #: Kept only for workers that can be lost (its memory cost).
+        #: restarts and degrades (kept while :attr:`_track_oplog`).
         #: Unbounded: it holds every op since the router started, and
         #: nothing trims it (ROADMAP item 7: trim at each checkpoint,
         #: with a state transfer replacing the full replay).
         self._oplog: List[Tuple[str, object]] = []
-        self._track_oplog = mode != "serial"
         #: :data:`_TALLIES` of the workers a degrade discarded.
         self._retired = dict.fromkeys(_TALLIES, 0)
         self.table = Table(schema)
@@ -341,13 +333,14 @@ class ShardedDiscoverer(EngineBase):
         self.shards = partition_subspaces(keys, self.spec.sharding.workers)
         self.n_workers = len(self.shards)
         self._root_key = keys[0]
-        if self.remote is not None:
+        remote = self.spec.sharding.remote
+        if remote is not None:
             from .remote import shard_sort_key
 
             # Deterministic shard-name → worker-index mapping; a map
             # with more pools than maintained keys leaves the extra
             # pools unused (shards are clamped to the key count).
-            self._remote_order = sorted(self.remote, key=shard_sort_key)[
+            self._remote_order = sorted(remote, key=shard_sort_key)[
                 : self.n_workers
             ]
         else:
@@ -368,15 +361,35 @@ class ShardedDiscoverer(EngineBase):
         self._workers = self._spawn_workers()
         self._closed = False
 
+    @property
+    def mode(self) -> str:
+        """``spec.sharding.mode``: where the shards run."""
+        return self.spec.sharding.mode
+
+    @property
+    def chunk_size(self) -> int:
+        """``spec.sharding.chunk_size``: rows per worker round-trip (and
+        per ``facts_for_many`` call a server hands over)."""
+        return self.spec.sharding.chunk_size
+
+    @property
+    def _track_oplog(self) -> bool:
+        """Whether committed ops are logged: only for workers that can
+        be lost (its memory cost) — not serial ones, nor the inline
+        replacements of a degraded pool, which share the router's
+        fate."""
+        return self.mode != "serial" and not self.degraded
+
     def _spawn_workers(self) -> List[ShardWorker]:
         """One supervised handle per shard over the mode's links."""
+        sharding = self.spec.sharding
         return [
             ShardWorker(
                 w,
                 self._links(w, self._worker_spec(shard, w)),
                 self._oplog,
-                self.op_timeout,
-                self.max_restarts,
+                sharding.op_timeout,
+                sharding.max_restarts,
             )
             for w, shard in enumerate(self.shards)
         ]
@@ -387,8 +400,10 @@ class ShardedDiscoverer(EngineBase):
         if self.mode == "remote":
             from .remote import connect_replicas
 
-            addresses = self.remote[self._remote_order[w]]
-            return connect_replicas(w, addresses, spec, self.op_timeout)
+            addresses = self.spec.sharding.remote[self._remote_order[w]]
+            return connect_replicas(
+                w, addresses, spec, self.spec.sharding.op_timeout
+            )
         if self.mode == "process":
             import multiprocessing as mp
 
@@ -625,7 +640,6 @@ WorkerGaveUp`): every shard is rebuilt deterministically from the
         self.degraded = True
         # Inline workers share the router's fate: the rebuild source is
         # no longer needed, free it.
-        self._track_oplog = False
         self._oplog = []
 
     def _tally(self, name: str) -> int:

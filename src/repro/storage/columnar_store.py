@@ -33,9 +33,12 @@ here.  :meth:`~ColumnarSkylineStore.iter_pairs` renders the cells as
 
 Examples
 --------
+>>> from repro.core.prominence import ContextCounter
 >>> from repro.core.record import Record
->>> store = ColumnarSkylineStore(n_dimensions=1, n_measures=1)
->>> row = store.register(Record(0, ("a",), (1.0,), (1.0,)))
+>>> counter, record = ContextCounter(1), Record(0, ("a",), (1.0,), (1.0,))
+>>> counter.register(record)
+>>> store = ColumnarSkylineStore(counter, n_measures=1)
+>>> row = store.register(record)
 >>> store.apply_cells([0b1], [row], [0b10])  # stored at (d0=a, {m0})
 >>> store.anchor_cell(0b1, row), store.stored_tuple_count()
 (2, 1)
@@ -53,13 +56,18 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.constraint import Constraint, constraint_for_record
+from ..core.constraint import (
+    Constraint,
+    bindable_positions,
+    constraint_for_record,
+)
 from ..core.lattice import (
     bit_positions,
     popcount_array,
     submask_closure_table,
     supermask_closure_table,
 )
+from ..core.prominence import ContextCounter
 from ..core.record import Record
 from ..metrics.counters import OpCounters
 from .base import PairKey
@@ -67,10 +75,10 @@ from .sweep_index import SweepIndex
 
 _INITIAL_CAPACITY = 256
 
-#: The scoring index works the 2^n constraint-mask lattice: every
+#: The scoring index works the constraint lattice ``C^t``: every
 #: insert/delete flips up to 2^n masks per subspace, and the index
 #: holds one count row — one ``int32`` per measure subspace — per
-#: (mask, value-combination) plus one slot id per (row, mask).
+#: constraint of the constraint table plus one id per (row, mask).
 #: Discovery itself already scales with 2^n per arrival, so the index
 #: is never the *first* bottleneck, but its memory footprint grows
 #: faster on high-cardinality dimensions and each count row is 2^|M|
@@ -93,10 +101,6 @@ _COMPACT_DEAD_FRACTION = 4
 
 #: Shared empty row-index array returned for pairs that hold nothing.
 _EMPTY_ROWS = np.empty(0, dtype=np.int64)
-
-#: An interned id no registered row carries (tombstones hold ``-1``): a
-#: probe reads it where it can agree with nothing.
-ABSENT_ID = -2
 
 
 def cell_words(bitsets, n_dimensions: int) -> np.ndarray:
@@ -150,39 +154,6 @@ def grow_2d(array: np.ndarray, size: int, min_rows: Optional[int] = None) -> np.
     return out
 
 
-class ColumnInterner:
-    """Per-column ``value → int32`` id tables for dimension matrices.
-
-    The file codec's :class:`~repro.storage.codec.DimensionInterner` is
-    a single bidirectional catalog; columnar math wants one dense id
-    space *per column* (ids double as equality classes inside that
-    column) and no reverse lookup.  Shared by the columnar store and
-    the vectorized baseline.
-    """
-
-    __slots__ = ("_tables",)
-
-    def __init__(self, n_columns: int) -> None:
-        self._tables: List[Dict[object, int]] = [{} for _ in range(n_columns)]
-
-    def lookup(self, column: int, value) -> Optional[int]:
-        """The id of ``value`` in ``column`` (``None`` if never seen)."""
-        return self._tables[column].get(value)
-
-    def intern_row(self, values) -> np.ndarray:
-        """Interned ids for one row of column values (new values get
-        fresh ids in their column)."""
-        out = np.empty(len(self._tables), dtype=np.int32)
-        for i, value in enumerate(values):
-            table = self._tables[i]
-            vid = table.get(value)
-            if vid is None:
-                vid = len(table)
-                table[value] = vid
-            out[i] = vid
-        return out
-
-
 class ColumnarSkylineStore:
     """``µ_{C,M}`` with columnar record storage and one anchor-bit
     matrix for membership.
@@ -196,18 +167,27 @@ class ColumnarSkylineStore:
     :meth:`anchor_cells`), write them in batches (:meth:`apply_cells`)
     and read skylines and their sizes as whole selections
     (:meth:`skyline_rows`, :meth:`skyline_counts`).
+
+    The store is built on its algorithm's constraint table
+    (:class:`~repro.core.prominence.ContextCounter`): the dimension
+    columns hold the table's interned ids, and a row takes its
+    constraint ids from the table when it registers, so the table must
+    have registered the row's values first (a row it does not know is
+    counted nowhere).
     """
 
     def __init__(
         self,
-        n_dimensions: int,
+        counter: ContextCounter,
         n_measures: int,
         counters: Optional[OpCounters] = None,
         initial_capacity: int = _INITIAL_CAPACITY,
     ) -> None:
         self.counters = counters if counters is not None else OpCounters()
         self._initial_capacity = initial_capacity
-        self._n_dimensions = n_dimensions
+        self._counter = counter
+        self._interner = counter.interner
+        self._n_dimensions = counter.n_dimensions
         self._n_measures = n_measures
         self._records: List[Record] = []
         self._row_of: Dict[int, int] = {}
@@ -219,34 +199,30 @@ class ColumnarSkylineStore:
         # tombstones and never-stored rows read as zero (allocated with
         # the columns in :meth:`_allocate`).
         self._slots: Dict[int, int] = {}
-        words = max(1, (1 << n_dimensions) // WORD_BITS)
+        words = max(1, (1 << self._n_dimensions) // WORD_BITS)
         self._cell_bytes = words * WORD.itemsize
         self._closure: Optional[np.ndarray] = None
         self._bit_weights = None
-        # Scoring index: ``_counts[slot, M]`` is ``|λ_M(σ_C)|`` for the
-        # constraint ``C`` the slot stands for — the distinct tuples
-        # anchored in ``M`` at ``C``'s bound mask or an ancestor of it
-        # whose dimension values at the mask's positions equal ``C``'s
-        # (Invariant 2).  A slot is one (mask, value-combination):
-        # ``_slot_table`` maps its key (the interned ids + 1 at the
-        # mask's positions, 0 elsewhere, as bytes) to the slot, and
-        # ``_slot_ids[row, mask]`` holds the slot of the row's own
-        # values at ``mask`` — filled with one key probe per mask when
-        # the row is first anchored, so every later flip of the row is
-        # pure array arithmetic (:meth:`_score_flips`).  Slots are
-        # refcounted by the rows holding them and recycled when the
-        # last holder is unregistered, so the table is bounded by live
-        # rows × masks; slot 0 is the permanent all-zero row that
-        # absent keys read.  Built lazily on first use
-        # (:meth:`skyline_counts`), then maintained by every
-        # :meth:`apply_cells`, so prominence scoring is independent of
-        # history size.
+        # Scoring index: ``_counts[id, M]`` is ``|λ_M(σ_C)|`` for the
+        # constraint ``C`` holding ``id`` in the constraint table — the
+        # distinct tuples anchored in ``M`` at ``C``'s bound mask or an
+        # ancestor of it whose dimension values at the mask's positions
+        # equal ``C``'s (Invariant 2).  ``_slot_ids[row, p]`` holds the
+        # id of the row's own constraint at position ``p`` along
+        # ``C^t``, taken from the table when the row registers, so every
+        # flip of the row is pure array arithmetic
+        # (:meth:`_score_flips`).  At a position whose mask covers one
+        # of the row's None values it holds 0: the canonical position
+        # already holds that constraint's id, and a second copy would
+        # count the flip twice.  Row 0 of ``_counts`` is the permanent
+        # all-zero row that id 0 reads.  The table frees an id only
+        # after the last row holding it left the store (its cells were
+        # cleared first), so a recycled id starts from zero counts.
+        # Built lazily on first use (:meth:`skyline_counts`), then
+        # maintained by every :meth:`apply_cells`, so prominence
+        # scoring is independent of history size.
         self._counts: Optional[np.ndarray] = None
-        self._slot_ids: Optional[np.ndarray] = None
-        self._slot_refs: Optional[np.ndarray] = None
-        self._slot_table: Dict[bytes, int] = {}
-        self._free_slots: List[int] = []
-        self._key_select: Optional[np.ndarray] = None
+        self._mask_column = np.asarray(counter.masks, dtype=np.int64)
         self._up_bytes: Optional[np.ndarray] = None
         self._total = 0
         # Sweep-index companion, ``None`` until :meth:`folded_sweep`
@@ -261,14 +237,14 @@ class ColumnarSkylineStore:
     # Columnar substrate
     # ------------------------------------------------------------------
     def _allocate(self) -> None:
-        """Fresh, empty columns, anchor-bit matrix and interner."""
+        """Fresh, empty columns and anchor-bit matrix."""
         cap = self._initial_capacity
         self._values = np.empty((cap, self._n_measures), dtype=np.float64)
         self._dims = np.empty((cap, self._n_dimensions), dtype=np.int32)
+        self._slot_ids = np.empty((cap, len(self._mask_column)), dtype=np.int32)
         self._cells = np.zeros(
             (0, cap, self._cell_bytes // WORD.itemsize), dtype=WORD
         )
-        self._interner = ColumnInterner(self._n_dimensions)
 
     def _reserve_rows(self, min_rows: int) -> None:
         """Grow the columns and the matrix's row axis together (the new
@@ -278,17 +254,12 @@ class ColumnarSkylineStore:
         size = len(self._records)
         self._values = grow_2d(self._values, size, min_rows)
         self._dims = grow_2d(self._dims, size, min_rows)
+        self._slot_ids = grow_2d(self._slot_ids, size, min_rows)
         old = self._cells
         self._cells = np.zeros(
             (old.shape[0], self._values.shape[0], old.shape[2]), dtype=WORD
         )
         self._cells[:, :size] = old[:, :size]
-        if self._slot_ids is not None:
-            ids = np.zeros(
-                (self._values.shape[0], self._slot_ids.shape[1]), np.int32
-            )
-            ids[:size] = self._slot_ids[:size]
-            self._slot_ids = ids
 
     def _slot(self, subspace: int) -> int:
         """The matrix slot of ``subspace``, assigned on first use."""
@@ -325,6 +296,7 @@ class ColumnarSkylineStore:
         self._reserve_rows(row + 1)
         self._values[row] = record.values
         self._dims[row] = self._interner.intern_row(record.dims)
+        self._slot_ids[row] = self._counter.row_ids(record.dims)
         self._records.append(record)
         self._row_of[record.tid] = row
         return row
@@ -351,8 +323,6 @@ class ColumnarSkylineStore:
         if self._cells[:, row].any():
             held = list(self._slots)
             self.apply_cells(held, [row] * len(held), [0] * len(held))
-        if self._counts is not None and self._slot_ids[row, 0]:
-            self._release_slots(row)
         self._records[row] = None
         self._values[row] = np.nan
         self._dims[row] = -1
@@ -400,9 +370,7 @@ class ColumnarSkylineStore:
         self._dims[:n] = self._dims[index]
         self._cells[:, :n] = self._cells[:, index]
         self._cells[:, n : len(records)] = 0
-        if self._slot_ids is not None:
-            self._slot_ids[:n] = self._slot_ids[index]
-            self._slot_ids[n : len(records)] = 0
+        self._slot_ids[:n] = self._slot_ids[index]
         self._records = [records[row] for row in keep]
         self._row_of = {
             record.tid: row for row, record in enumerate(self._records)
@@ -694,23 +662,15 @@ class ColumnarSkylineStore:
     # Scoring index
     # ------------------------------------------------------------------
     def _build_score_index(self) -> None:
-        """Allocate the count matrix and its tables, then count every
-        cell already anchored as one batch of ``0 → cell`` flips."""
+        """Allocate the count matrix, then count every cell already
+        anchored as one batch of ``0 → cell`` flips."""
         n_dimensions = self._n_dimensions
-        n_masks = 1 << n_dimensions
         self._counts = np.zeros((64, 1 << self._n_measures), dtype=np.int32)
-        self._slot_refs = np.zeros(64, dtype=np.int32)
-        self._slot_ids = np.zeros((self._values.shape[0], n_masks), np.int32)
-        self._slot_table = {}
-        self._free_slots = []
-        self._key_select = (
-            np.arange(n_masks)[:, None] >> np.arange(n_dimensions) & 1
-        ).astype(np.int32)
         # Up-closures are OR-linear in the anchor bits, so the closure
         # of a cell is the OR of one table row per byte of the cell:
         # ``_up_bytes[p, b]`` is the closure of bitset ``b << 8p``.
         up = np.zeros((self._cell_bytes, 1, 8, self._cells.shape[2]), WORD)
-        up.reshape(-1, up.shape[3])[:n_masks] = cell_words(
+        up.reshape(-1, up.shape[3])[: 1 << n_dimensions] = cell_words(
             supermask_closure_table(n_dimensions), n_dimensions
         )
         in_byte = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(bool)
@@ -726,59 +686,24 @@ class ColumnarSkylineStore:
                 np.full(rows.shape, subspace), rows, np.zeros_like(new), new
             )
 
-    def _row_keys(self, ids: np.ndarray) -> List[bytes]:
-        """The slot-table key of every mask for a row of interned
-        dimension ids."""
-        data = ((ids + 1) * self._key_select).tobytes()
-        size = len(data) >> self._n_dimensions
-        return [data[at : at + size] for at in range(0, len(data), size)]
-
-    def _assign_slots(self, row: int) -> None:
-        """Fill ``_slot_ids[row]``: one table probe per mask, a fresh
-        (or recycled) slot for a value combination no live row holds."""
-        table = self._slot_table
-        keys = self._row_keys(self._dims[row])
-        ids = list(map(table.get, keys))
-        if None in ids:
-            free = self._free_slots
-            for mask, slot in enumerate(ids):
-                if slot is None:
-                    slot = free.pop() if free else len(table) + 1
-                    ids[mask] = table[keys[mask]] = slot
-            size = self._counts.shape[0]
-            if max(ids) >= size:
-                grown = 2 * max(ids)
-                counts = np.zeros((grown, self._counts.shape[1]), np.int32)
-                counts[:size] = self._counts
-                self._counts = counts
-                self._slot_refs = np.concatenate(
-                    [self._slot_refs, np.zeros(grown - size, np.int32)]
-                )
-        self._slot_ids[row] = ids = np.array(ids, dtype=np.int32)
-        self._slot_refs[ids] += 1
-
-    def _release_slots(self, row: int) -> None:
-        """Drop ``row``'s hold on its slots; a slot nobody holds any
-        more leaves the table and is recycled (its counts are zero: the
-        row's cells were cleared first)."""
-        ids = self._slot_ids[row]
-        self._slot_refs[ids] -= 1
-        keys = self._row_keys(self._dims[row])
-        for mask in np.flatnonzero(self._slot_refs[ids] == 0).tolist():
-            self._free_slots.append(self._slot_table.pop(keys[mask]))
-        self._slot_ids[row] = 0
+    def _fit_counts(self, top: int) -> None:
+        """Grow the count matrix to hold id ``top`` (new rows zero)."""
+        size = self._counts.shape[0]
+        if top >= size:
+            counts = np.zeros((2 * top, self._counts.shape[1]), np.int32)
+            counts[:size] = self._counts
+            self._counts = counts
 
     def _score_flips(self, subspaces, rows, old, new) -> None:
         """Move the scoring index for a batch of cell writes
         ``old[i] → new[i]`` at ``(subspaces[i], rows[i])``: the fact
         masks whose ``|λ_M(σ_C)|`` gains or loses the tuple are the
-        difference of the two up-closures (byte-table gathers), their
-        slots one gather of ``_slot_ids``, and the counts move by one
-        signed scatter-add."""
-        for row in set(rows[self._slot_ids[rows, 0] == 0].tolist()):
-            self._assign_slots(row)
+        difference of the two up-closures (byte-table gathers) along
+        ``C^t``, their ids one gather of ``_slot_ids``, and the counts
+        move by one signed scatter-add."""
         ids = self._slot_ids[rows]
-        k, n_masks = ids.shape
+        k = len(rows)
+        self._fit_counts(int(ids.max(initial=0)))
         up = np.bitwise_or.reduce(
             self._up_bytes[
                 np.arange(self._cell_bytes),
@@ -787,78 +712,82 @@ class ColumnarSkylineStore:
             axis=1,
         )
         covered = np.unpackbits(
-            up.view(np.uint8), axis=1, count=n_masks, bitorder="little"
-        ).view(np.int8)
+            up.view(np.uint8), axis=1, count=1 << self._n_dimensions,
+            bitorder="little",
+        )[:, self._mask_column].view(np.int8)
         # One signed scatter-add over every (cell, mask): +1 where the
         # mask joins the cell's closure, -1 where it leaves, 0 elsewhere
-        # (int32 indices and values take ufunc.at's fast path).
+        # (int32 indices and values take ufunc.at's fast path).  Id 0
+        # (collapsed positions) soaks up its share and is re-zeroed.
         np.add.at(
             self._counts.reshape(-1),
             (ids * self._counts.shape[1] + subspaces[:, None]).reshape(-1),
             (covered[k:] - covered[:k]).astype(np.int32).reshape(-1),
         )
+        self._counts[0] = 0
 
     def skyline_counts(self, dims: Tuple[object, ...], masks) -> np.ndarray:
         """``|λ_M(σ_C)|`` for the constraints binding ``dims`` at each
         bound mask of ``masks``, in every subspace at once.
 
         Returns a read-only ``(len(masks), 2^|M|)`` integer matrix —
-        row ``i`` belongs to ``masks[i]`` (positions of ``dims`` outside
-        the mask are ignored), column ``M`` to the measure subspace with
-        bitmask ``M``: a whole arrival's skyline sizes are this call on
-        ``C^t``'s masks plus one gather.  A mask given as ``None`` is a
-        row the caller does not read; it reads 0 and costs nothing.
+        row ``i`` belongs to ``masks[i]`` read at its canonical form
+        ``masks[i] & bindable_positions(dims)`` (positions of ``dims``
+        outside the mask are ignored, and a None value is never bound),
+        column ``M`` to the measure subspace with bitmask ``M``: a whole
+        arrival's skyline sizes are this call on ``C^t``'s masks plus
+        one gather.  A mask given as ``None``, or one beyond ``C^t``, is
+        a row the caller does not read; it reads 0 and costs nothing.
         Valid for subspaces whose stores were filled by the discovery
         algorithms (stored tuples satisfy their constraints); a
         subspace nobody maintains reads 0.
 
         Up to 8 dimensions and 8 measures it reads the count-matrix
-        index — one key probe per mask and one gather, independent of
-        history size.  The index is built on the first call (one pass
-        over the non-empty cells) — unscored ingestion never pays for
-        it — after which every cell write keeps it current.  Past
-        either cap, where that index's memory forbids it, the counts
-        come straight from the anchor-bit matrix
+        index — the constraint table's ids of ``dims`` and one gather,
+        independent of history size.  The index is built on the first
+        call (one pass over the non-empty cells) — unscored ingestion
+        never pays for it — after which every cell write keeps it
+        current.  Past either cap, where that index's memory forbids
+        it, the counts come straight from the anchor-bit matrix
         (:meth:`_counts_from_cells`).
         """
-        # A value no registered row carries reads the absent id: its
-        # keys are in no table and it agrees with no row (the probe's
-        # values are not interned).
-        lookup = self._interner.lookup
-        ids = [lookup(column, value) for column, value in enumerate(dims)]
-        probe = np.array(
-            [ABSENT_ID if i is None else i for i in ids], dtype=np.int32
-        )
         if (
             self._n_dimensions > _MAX_INDEXED_DIMENSIONS
             or self._n_measures > _MAX_INDEXED_MEASURES
         ):
-            return self._counts_from_cells(probe, masks)
+            return self._counts_from_cells(dims, masks)
         if self._counts is None:
             self._build_score_index()
-        keys = self._row_keys(probe)
-        slot_of = self._slot_table.get
-        return self._counts[
-            [0 if mask is None else slot_of(keys[mask], 0) for mask in masks]
+        position_of = self._counter.position_of
+        ids = self._counter.ids(dims).tolist()
+        index = [
+            0 if mask is None or position_of[mask] < 0 else ids[position_of[mask]]
+            for mask in masks
         ]
+        self._fit_counts(max(index, default=0))
+        return self._counts[index]
 
-    def _counts_from_cells(self, probe: np.ndarray, masks) -> np.ndarray:
+    def _counts_from_cells(self, dims: Tuple[object, ...], masks) -> np.ndarray:
         """:meth:`skyline_counts` read off the anchor-bit matrix, one
-        mask at a time: a row counts in subspace ``M`` at mask ``m``
-        when its cell meets ``closure_words()[m]`` (it is anchored at
-        ``m`` or an ancestor) and it agrees with ``probe`` on every
-        position of ``m``.  Only the words of the cells the closure
-        touches are read, and each position's agreement column is
-        computed once — whole-column NumPy, no per-row Python."""
+        mask at a time, each at its canonical form ``m``: a row counts
+        in subspace ``M`` when its cell meets ``closure_words()[m]`` (it
+        is anchored at ``m`` or an ancestor) and it agrees with ``dims``
+        on every position of ``m``.  Only the words of the cells the
+        closure touches are read, and each position's agreement column
+        is computed once — whole-column NumPy, no per-row Python."""
         n = len(self._records)
+        probe = self._interner.probe_row(dims)
+        bindable = bindable_positions(dims)
+        position_of = self._counter.position_of
         subspaces = list(self._slots)
         cells = self._cells[: len(subspaces), :n]
         closure = self.closure_words()
         out = np.zeros((len(masks), 1 << self._n_measures), dtype=np.int64)
         agree: Dict[int, np.ndarray] = {}
         for i, mask in enumerate(masks):
-            if mask is None:
+            if mask is None or position_of[mask] < 0:
                 continue
+            mask &= bindable
             words = np.flatnonzero(closure[mask])
             hit = (cells[:, :, words] & closure[mask, words]).any(axis=2)
             for position in bit_positions(mask):
@@ -870,23 +799,16 @@ class ColumnarSkylineStore:
 
     def approx_bytes(self) -> int:
         """Resident bytes of the store's own state: the allocated
-        column arrays and anchor-bit matrix, the scoring index's count
-        and slot-id matrices and its key table (the dict, its ``bytes``
-        keys and ``int`` slots), and the ``_records`` / ``_row_of``
-        containers (the ``Record`` objects themselves are shared with
-        the table and charged there)."""
-        total =self._values.nbytes + self._dims.nbytes + self._cells.nbytes
+        column arrays (constraint ids included) and anchor-bit matrix,
+        the scoring index's count matrix and closure table, and the
+        ``_records`` / ``_row_of`` containers (the ``Record`` objects
+        themselves are shared with the table and charged there, the
+        constraint table's keys with the algorithm)."""
+        total = self._values.nbytes + self._dims.nbytes + self._cells.nbytes
+        total += self._slot_ids.nbytes
         total += sys.getsizeof(self._records) + sys.getsizeof(self._row_of)
         if self._counts is not None:
-            total += (
-                self._counts.nbytes
-                + self._slot_ids.nbytes
-                + self._slot_refs.nbytes
-                + self._up_bytes.nbytes
-                + sys.getsizeof(self._slot_table)
-                + sum(map(sys.getsizeof, self._slot_table))
-                + sum(map(sys.getsizeof, self._slot_table.values()))
-            )
+            total += self._counts.nbytes + self._up_bytes.nbytes
         return total
 
     def clear(self) -> None:
@@ -895,7 +817,6 @@ class ColumnarSkylineStore:
         self._row_of = {}
         self._slots = {}
         self._counts = None
-        self._slot_ids = None
         self._total = 0
         self._sweep = None
         self._dead_count = 0

@@ -23,6 +23,7 @@ from repro.core.constraint import (
     bindable_positions,
     constraint_for_record,
 )
+from repro.core.prominence import ContextCounter
 from repro.core.record import Record
 from repro.datasets.synthetic import synthetic_rows, synthetic_schema
 from repro.storage import ColumnarSkylineStore, MemorySkylineStore, grow_2d
@@ -71,8 +72,8 @@ class TestGrow2d:
 
 def store_of(**kwargs):
     """An empty store for :data:`SCHEMA`'s layout (2 dimensions, 2
-    measures)."""
-    return ColumnarSkylineStore(n_dimensions=2, n_measures=2, **kwargs)
+    measures), on a constraint table of its own."""
+    return ColumnarSkylineStore(ContextCounter(2), n_measures=2, **kwargs)
 
 
 def anchor(store, subspace, record, *masks):
@@ -186,29 +187,20 @@ class TestColumnarSubstrate:
         store = store_of(initial_capacity=4)
         for tid in range(5):  # one growth: 8 rows allocated
             anchor(store, 0b01, rec(tid), 0b01)
-        arrays = 8 * (2 * 8 + 2 * 4) + store._cells.nbytes
+        # Per allocated row: 2 float64 measures, 2 int32 dimension ids
+        # and one int32 constraint id per mask of C^t (4 at d = 2).
+        arrays = 8 * (2 * 8 + 2 * 4 + 4 * 4) + store._cells.nbytes
         containers = sys.getsizeof(store._records) + sys.getsizeof(
             store._row_of
         )
         assert store._cells.shape[1:] == (8, 1)
         assert store.approx_bytes() == arrays + containers
-        # The scoring index joins once built: the count matrix (64
-        # slots of 2^|M| int32 to start with) and its refcounts, one
-        # slot id per (allocated row, mask), the up-closure byte table
-        # (4 bytes per cell x 256 values x 1 word), and the key table —
-        # one slot per mask of the one value combination here, keyed by
-        # 2 x int32 as bytes.
+        # The scoring index joins once built: the count matrix (64 ids
+        # of 2^|M| int32 to start with) and the up-closure byte table
+        # (4 bytes per cell x 256 values x 1 word).  The constraint
+        # table's keys belong to the algorithm, not the store.
         store.skyline_counts(("a", "x"), (0b01,))
-        table = store._slot_table
-        assert len(table) == 4
-        index = (
-            64 * 4 * 4
-            + 64 * 4
-            + 8 * 4 * 4
-            + 4 * 256 * 4
-            + sys.getsizeof(table)
-            + 4 * (sys.getsizeof(bytes(8)) + sys.getsizeof(1))
-        )
+        index = 64 * 4 * 4 + 4 * 256 * 4
         assert store.approx_bytes() == arrays + containers + index
 
     def test_approx_bytes_tracks_traced_allocations(self):
@@ -577,7 +569,7 @@ class TestOneWritePerArrival:
             assert len(calls) == int(anchored)
 
     def test_a_repeated_cell_is_rejected(self):
-        store = ColumnarSkylineStore(n_dimensions=2, n_measures=2)
+        store = store_of()
         row = store.register(rec(0))
         store.apply_cells([1], [row], [0b0001])
         with pytest.raises(ValueError, match="repeats"):
@@ -587,15 +579,17 @@ class TestOneWritePerArrival:
         assert store.anchor_cell(2, row) == 0
         assert store.stored_tuple_count() == 1
 
-    def test_slot_table_is_bounded_by_the_live_rows(self):
+    def test_constraint_table_is_bounded_by_the_live_rows(self):
         """A window over a stream whose dimension values never repeat:
-        every arrival brings 2^|D| - 1 new value combinations, so the
-        scoring index must give its slots back as rows leave."""
+        every arrival brings 2^|D| - 1 new constraints, so the
+        constraint table must give its ids back as rows leave, and the
+        store's count matrix must not grow past the ids in use."""
         schema = TableSchema(("d0", "d1", "d2"), ("m0", "m1"))
         engine = FactDiscoverer(
             schema, algorithm="svec", config=DiscoveryConfig(top_k=3)
         )
         store = engine.algorithm.store
+        counter = engine.context_counter
         window, n_masks = 200, 8
         for tid in range(2000):
             engine.facts_for(
@@ -613,17 +607,17 @@ class TestOneWritePerArrival:
             store.record_at(row) is not None for row in range(store.n_rows)
         )
         assert live == window
-        table = store._slot_table
-        assert len(table) <= live * n_masks + 1
-        # Slots are recycled, not leaked: the count matrix never grew
+        assert len(counter) <= live * n_masks + 1
+        # Ids are recycled, not leaked: the count matrix never grew
         # past what window + 1 simultaneous rows can hold, and nothing
-        # is counted outside the slots the live rows hold.
+        # is counted outside the ids the live rows hold.
         assert store._counts.shape[0] <= 2 * ((window + 1) * n_masks + 1)
+        held = np.array(sorted(counter._ids.values()))
         unheld = np.ones(store._counts.shape[0], dtype=bool)
-        unheld[list(table.values())] = False
+        unheld[held] = False
         assert not store._counts[unheld].any()
-        assert not store._slot_refs[unheld].any()
-        assert store._slot_refs[~unheld].all()
+        assert not np.delete(counter._live, held).any()
+        assert counter._live[held].all()
 
 
 def _mirror_snapshot(store):
@@ -648,8 +642,11 @@ class TestStoreDifferential:
     @staticmethod
     def _expected_counts(mirror, dims, n_dimensions):
         """``skyline_counts`` from its definition: per (mask, subspace),
-        the tuples anchored at the mask or an ancestor whose values at
-        the mask's positions equal ``dims``'s."""
+        ``|λ_M(σ_C)|`` of the constraint ``C`` binding ``dims`` at the
+        mask — at its canonical form ``c`` (a None value is never
+        bound): the tuples anchored at ``c`` or an ancestor whose
+        values at ``c``'s positions equal ``dims``'s."""
+        bindable = bindable_positions(dims)
         anchors = {}
         for (constraint, subspace), records in mirror.iter_pairs():
             for record in records:
@@ -659,10 +656,11 @@ class TestStoreDifferential:
         counts = [[0] * 4 for _ in range(1 << n_dimensions)]
         for (_tid, subspace), (record, masks) in anchors.items():
             for mask in range(1 << n_dimensions):
-                if any(a & ~mask == 0 for a in masks) and all(
+                canonical = mask & bindable
+                if any(a & ~canonical == 0 for a in masks) and all(
                     record.dims[j] == dims[j]
                     for j in range(n_dimensions)
-                    if (mask >> j) & 1
+                    if (canonical >> j) & 1
                 ):
                     counts[mask][subspace] += 1
         return counts
@@ -820,9 +818,12 @@ class TestStoreDifferential:
         pool_dims, ops = data.draw(store_op_sequences(n_dimensions))
         score_from = data.draw(st.integers(min_value=0, max_value=len(ops)))
         pool = [rec(tid, dims=dims) for tid, dims in enumerate(pool_dims)]
-        store = ColumnarSkylineStore(
-            n_dimensions=n_dimensions, n_measures=2, initial_capacity=2
-        )
+        # The store takes each row's constraint ids from the table: it
+        # knows the whole pool from the start (and never lets it go).
+        counter = ContextCounter(n_dimensions)
+        for record in pool:
+            counter.register(record)
+        store = ColumnarSkylineStore(counter, n_measures=2, initial_capacity=2)
         mirror = MemorySkylineStore()
         self._assert_agree(store, mirror, pool, set(), score_from == 0)
         for step, op in enumerate(ops, start=1):

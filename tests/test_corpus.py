@@ -77,14 +77,6 @@ from tests.strategies import (
 #: within each subspace, subspaces full space first.
 IN_ORDER = {"bruteforce", "topdown", "stopdown", "svec"}
 
-#: The paper baselines test a None-carrying arrival's raw bound masks,
-#: so they report constraints it collapses onto even where a dominator
-#: prunes them; they are held to the contract on None-free streams.
-NONE_BLIND = {"baselineseq", "baselineidx", "baselinevec"}
-
-#: Algorithms without retraction, dropped at a stream's first delete.
-NO_RETRACT = {"baselinevec"}
-
 #: ``ccsc`` keeps a compressed skycube over all ``2^m - 1`` subspaces,
 #: so it sits out streams with more measures than this.
 SKYCUBE_MAX_MEASURES = 3
@@ -150,14 +142,7 @@ class Run:
         #: ``records``; the engines re-number it.
         self.maker = Table(schema) if records else None
         self.schema, self.config = schema, config
-        rows = [scenario.probe] + [
-            op if isinstance(op, dict) else op[1]
-            for op in scenario.ops
-            if not isinstance(op, int)
-        ]
-        skip = set() if all(None not in row.values() for row in rows) else NONE_BLIND
-        if schema.n_measures > SKYCUBE_MAX_MEASURES:
-            skip = skip | {"ccsc"}
+        skip = {"ccsc"} if schema.n_measures > SKYCUBE_MAX_MEASURES else set()
         self.algos = {
             name: make_algorithm(name, schema, config)
             for name in MEMORY_ALGORITHMS
@@ -275,8 +260,6 @@ class Run:
     def retract(self, tid):
         """One delete on every per-row engine and algorithm."""
         self.flush()
-        for name in NO_RETRACT & set(self.algos):
-            del self.algos[name]
         for name, algo in self.algos.items():
             if name in self.engines:
                 self.engines[name].delete(tid)

@@ -17,7 +17,31 @@ from repro.core.skyline import contextual_skyline
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
 
 STORE_ALGOS = ["bottomup", "topdown", "sbottomup", "stopdown", "svec"]
-ALL_ALGOS = STORE_ALGOS + ["bruteforce", "baselineseq", "baselineidx", "ccsc"]
+ALL_ALGOS = STORE_ALGOS + [
+    "bruteforce", "baselineseq", "baselineidx", "baselinevec", "ccsc",
+]
+
+#: ``(rows, probe)``: tuple 0 leaves, then the probe arrives.
+REPLAY_CASES = {
+    "dominator-leaves": (
+        [
+            {"d0": "a", "d1": "x", "m0": 3, "m1": 3},
+            {"d0": "a", "d1": "x", "m0": 1, "m1": 2},
+            {"d0": "b", "d1": "y", "m0": 2, "m1": 1},
+        ],
+        {"d0": "a", "d1": "x", "m0": 2, "m1": 2},
+    ),
+    # Once the 9/9 leaves, nothing dominates the probe: all 4 contexts
+    # in all 3 subspaces (a columnar history still holding the 9/9
+    # reports none).
+    "only-dominator-leaves": (
+        [
+            {"d0": "a", "d1": "x", "m0": 9, "m1": 9},
+            {"d0": "a", "d1": "x", "m0": 1, "m1": 1},
+        ],
+        {"d0": "a", "d1": "x", "m0": 5, "m1": 5},
+    ),
+}
 
 
 class TestStoreRepair:
@@ -56,14 +80,10 @@ class TestStoreRepair:
             for r in contextual_skyline(records, top, full)
         )
 
+    @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
     @pytest.mark.parametrize("name", ALL_ALGOS)
-    def test_discovery_after_delete_matches_replay(self, name):
-        rows = [
-            {"d0": "a", "d1": "x", "m0": 3, "m1": 3},
-            {"d0": "a", "d1": "x", "m0": 1, "m1": 2},
-            {"d0": "b", "d1": "y", "m0": 2, "m1": 1},
-        ]
-        probe = {"d0": "a", "d1": "x", "m0": 2, "m1": 2}
+    def test_discovery_after_delete_matches_replay(self, name, case):
+        rows, probe = REPLAY_CASES[case]
         algo = make_algorithm(name, SCHEMA)
         algo.process_stream(rows)
         algo.retract(0)

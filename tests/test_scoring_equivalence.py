@@ -103,7 +103,7 @@ value_strategy = st.sampled_from(["a", "b", None, 1])
 
 class TestContextCounterDefinition:
     """The one counter against the definition ``|σ_C(R)|`` — including
-    batch registration, deletions, the d̂ cap, and dimension values
+    deletions, the d̂ cap, and dimension values
     equal to the unbound marker (a row is one tuple of each distinct
     constraint it satisfies, however many masks collapse onto it)."""
 
@@ -115,18 +115,13 @@ class TestContextCounterDefinition:
             max_size=24,
         ),
         max_bound=st.sampled_from([None, 0, 1, 2]),
-        batch_cut=st.integers(min_value=0, max_value=24),
         n_deletes=st.integers(min_value=0, max_value=4),
     )
-    def test_matches_the_table_scan(
-        self, dims_list, max_bound, batch_cut, n_deletes
-    ):
+    def test_matches_the_table_scan(self, dims_list, max_bound, n_deletes):
         counter = ContextCounter(3, max_bound)
         records = [rec(tid, dims) for tid, dims in enumerate(dims_list)]
-        cut = min(batch_cut, len(records))
-        for record in records[:cut]:
+        for record in records:
             counter.register(record)
-        counter.register_many(records[cut:])
         for record in records[:n_deletes]:
             counter.unregister(record)
         live = records[n_deletes:]
@@ -145,17 +140,6 @@ class TestContextCounterDefinition:
             )
         unseen = Constraint(("zz", None, None))
         assert counter.count(unseen) == 0
-
-    def test_grouped_batch_path_kicks_in(self):
-        # ≥16 UNBOUND-free rows take the np.unique grouping path.
-        records = [
-            rec(tid, ("a" if tid % 2 else "b", "x")) for tid in range(20)
-        ]
-        counter = ContextCounter(2)
-        counter.register_many(records)
-        assert counter.count(Constraint((None, "x"))) == 20
-        assert counter.count(Constraint(("a", "x"))) == 10
-        assert counter.count(Constraint(("b", None))) == 10
 
 
 class TestReadsDoNotMutate:
