@@ -25,7 +25,7 @@ import time
 from contextlib import contextmanager
 
 from repro.datasets.synthetic import synthetic_rows, synthetic_schema
-from repro.service import ShardedDiscoverer
+from repro.api import EngineSpec, ShardingSpec, open_engine
 from repro.service.remote import run_worker
 
 from _results import update_results
@@ -95,14 +95,16 @@ def test_remote_marginal_within_process_budget(bench_scale):
 
     def measure():
         with socket_workers(2) as addresses:
-            remote = ShardedDiscoverer(
-                schema,
-                remote={"0": addresses[:1], "1": addresses[1:]},
-                chunk_size=CHUNK,
-            )
-            process = ShardedDiscoverer(
-                schema, n_workers=2, mode="process", chunk_size=CHUNK
-            )
+            remote = open_engine(EngineSpec(
+                schema, "svec", sharding=ShardingSpec(
+                    2, "remote", chunk_size=CHUNK,
+                    remote={"0": addresses[:1], "1": addresses[1:]},
+                ),
+            ))
+            process = open_engine(EngineSpec(
+                schema, "svec",
+                sharding=ShardingSpec(2, "process", chunk_size=CHUNK),
+            ))
             try:
                 remote.facts_for_many(warm)
                 process.facts_for_many(warm)

@@ -18,7 +18,7 @@ store's final per-segment versions.  Two claims are asserted:
   snapshot, so a slow consumer converges in O(segments) frames, not
   O(arrivals));
 * **bounded delivery state** — the per-connection dirty set never
-  exceeds ``max_pending_segments`` (structural bound; the drop/resync
+  exceeds ``MAX_PENDING_SEGMENTS`` (structural bound; the drop/resync
   counters recorded here show the mechanism engaging, or not needing
   to).
 
@@ -36,6 +36,7 @@ import time
 from repro.api import EngineSpec, FeedSpec, open_engine
 from repro.datasets.synthetic import synthetic_rows, synthetic_schema
 from repro.service import FeedClient, FeedGateway, StreamServer
+from repro.service import gateway as gateway_mod
 
 from _results import update_results
 
@@ -92,7 +93,7 @@ async def _fanout(rows, count):
     )
     server = StreamServer(engine, batch_max=64)
     await server.start()
-    gateway = FeedGateway(server, max_pending_segments=4)
+    gateway = FeedGateway(server)
     listener = await gateway.start()
     port = listener.sockets[0].getsockname()[1]
     try:
@@ -137,9 +138,11 @@ async def _fanout(rows, count):
         await server.stop()
 
 
-def test_fanout_throughput_vs_subscribers(benchmark, bench_scale):
+def test_fanout_throughput_vs_subscribers(benchmark, bench_scale, monkeypatch):
     """1000 concurrent WebSocket subscribers all converge on the
     materialized state; delivered frames stay O(subscribers×segments)."""
+    # A tight dirty-set bound, so the drop/resync path engages.
+    monkeypatch.setattr(gateway_mod, "MAX_PENDING_SEGMENTS", 4)
     rows = synthetic_rows(
         SEED + int(BURST * bench_scale), D, M, distribution="anticorrelated"
     )

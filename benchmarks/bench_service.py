@@ -36,8 +36,8 @@ import time
 import pytest
 
 from repro import FactDiscoverer
+from repro.api import EngineSpec, ShardingSpec, open_engine
 from repro.datasets.synthetic import synthetic_rows, synthetic_schema
-from repro.service import ShardedDiscoverer
 
 from _results import update_results
 
@@ -78,9 +78,9 @@ def test_sharded_service_throughput(benchmark, bench_scale):
 
     def measure():
         single = FactDiscoverer(schema, algorithm="svec")
-        sharded = ShardedDiscoverer(
-            schema, n_workers=WORKERS, mode="process"
-        )
+        sharded = open_engine(EngineSpec(
+            schema, "svec", sharding=ShardingSpec(WORKERS, "process")
+        ))
         try:
             single.facts_for_many(warm)
             sharded.facts_for_many(warm)

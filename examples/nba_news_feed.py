@@ -27,7 +27,7 @@ def main(n: int = 1500, tau: float = 25.0) -> None:
         algorithm="stopdown",
         config=DiscoveryConfig(max_bound_dims=3, max_measure_dims=3, tau=tau),
     )
-    feed = NewsFeed(schema, engine=open_engine(spec))
+    feed = NewsFeed(open_engine(spec))
     rows = nba_rows(n, d=5, m=4)
     print(f"Streaming {n} box scores (tau={tau}, d̂=3, m̂=3)...\n")
     for i, row in enumerate(rows):

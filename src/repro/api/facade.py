@@ -37,19 +37,14 @@ def open_engine(spec: Union[EngineSpec, Mapping[str, object]]) -> Engine:
     engine = _base_engine(spec)
     # Inner to outer: ``aggregate`` and ``window`` are mutually
     # exclusive today; the query cache is outermost so cached reads see
-    # the fully composed engine (and its version) below them.
-    try:
-        if spec.aggregate is not None:
-            engine = AggregateMiddleware(
-                engine, spec.aggregate, base_schema=spec.schema, spec=spec
-            )
-        if spec.window is not None:
-            engine = WindowMiddleware(engine, spec.window, spec=spec)
-        if spec.query_cache is not None:
-            engine = QueryCacheMiddleware(engine, spec.query_cache, spec=spec)
-    except Exception:
-        engine.close()
-        raise
+    # the fully composed engine (and its version) below them.  The spec
+    # is validated, so no layer can fail and strand the base engine.
+    if spec.aggregate is not None:
+        engine = AggregateMiddleware(engine, spec)
+    if spec.window is not None:
+        engine = WindowMiddleware(engine, spec)
+    if spec.query_cache is not None:
+        engine = QueryCacheMiddleware(engine, spec)
     # The opening spec (checkpoint policy and all) is the engine's.
     engine.spec = spec
     return engine
@@ -60,33 +55,15 @@ def _base_engine(spec: EngineSpec) -> Engine:
     if spec.sharding is not None:
         from ..service.sharding import ShardedDiscoverer
 
-        return ShardedDiscoverer(
-            _inner_schema(spec),
-            spec.config,
-            n_workers=spec.sharding.workers,
-            mode=spec.sharding.mode,
-            score=spec.score,
-            chunk_size=spec.sharding.chunk_size,
-            op_timeout=spec.sharding.op_timeout,
-            max_restarts=spec.sharding.max_restarts,
-            remote=spec.sharding.remote,
-        )
+        return ShardedDiscoverer(spec)
     from ..core.engine import FactDiscoverer
 
     return FactDiscoverer(
-        _inner_schema(spec),
+        spec.discovery_schema,
         algorithm=spec.algorithm,
         config=spec.config,
         score=spec.score,
     )
-
-
-def _inner_schema(spec: EngineSpec):
-    """Schema the base engine discovers over: the aggregate relation
-    when aggregation is layered on, the input schema otherwise."""
-    if spec.aggregate is not None:
-        return spec.aggregate.discovery_schema()
-    return spec.schema
 
 
 def restore(path: str) -> Engine:

@@ -14,14 +14,14 @@ inner to outer in that order.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from ..core.engine_protocol import Engine, EngineBase, Row
 from ..core.facts import FactSet
 from ..core.record import Record
 from ..core.schema import TableSchema
 from ..query.cache import CachedQueryEngine, QueryResultCache
-from .spec import EngineSpec, GroupSpec
+from .spec import EngineSpec
 
 
 class EngineMiddleware(EngineBase):
@@ -34,10 +34,10 @@ class EngineMiddleware(EngineBase):
 
     kind = "middleware"
 
-    def __init__(self, inner: Engine, spec: Optional[EngineSpec] = None) -> None:
+    def __init__(self, inner: Engine, spec: EngineSpec) -> None:
         self.inner = inner
-        #: The spec of the composition this layer tops (``open_engine``
-        #: passes its own).
+        #: The spec of the composition this layer tops; the layer reads
+        #: its own section from it.
         self.spec = spec
         #: Callbacks fired with the records a layer retracts *internally*
         #: (window evictions, aggregate group updates) — removals that
@@ -142,16 +142,9 @@ class WindowMiddleware(EngineMiddleware):
 
     kind = "windowed"
 
-    def __init__(
-        self,
-        inner: Engine,
-        window: int,
-        spec: Optional[EngineSpec] = None,
-    ) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
+    def __init__(self, inner: Engine, spec: EngineSpec) -> None:
         super().__init__(inner, spec)
-        self.window = window
+        self.window = spec.window
         self._live: Deque[int] = deque()
 
     def facts_for(self, row: Row) -> FactSet:
@@ -241,17 +234,11 @@ class AggregateMiddleware(EngineMiddleware):
 
     kind = "aggregate"
 
-    def __init__(
-        self,
-        inner: Engine,
-        group: GroupSpec,
-        base_schema: Optional[TableSchema] = None,
-        spec: Optional[EngineSpec] = None,
-    ) -> None:
+    def __init__(self, inner: Engine, spec: EngineSpec) -> None:
         super().__init__(inner, spec)
-        self.group = group
-        self._base_schema = base_schema or group.base_schema()
-        self._base_measures = group.base_measures
+        self.group = spec.aggregate
+        self._base_schema = spec.schema
+        self._base_measures = self.group.base_measures
         self._groups: Dict[Tuple[object, ...], _GroupState] = {}
         self._live_tid: Dict[Tuple[object, ...], int] = {}
         #: Base rows observed, in order — the snapshot replay journal
@@ -357,14 +344,9 @@ class QueryCacheMiddleware(EngineMiddleware):
 
     kind = "query-cached"
 
-    def __init__(
-        self,
-        inner: Engine,
-        capacity: int,
-        spec: Optional[EngineSpec] = None,
-    ) -> None:
+    def __init__(self, inner: Engine, spec: EngineSpec) -> None:
         super().__init__(inner, spec)
-        self.cache = QueryResultCache(capacity)
+        self.cache = QueryResultCache(spec.query_cache)
 
     # Writes pass through whole: a block, and the chunk a server slices
     # it by, reach a sharded router as they would without the cache.

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
-from ..core.config import DiscoveryConfig
+from ..core.config import DiscoveryConfig, check_reporting_policy
 from ..core.schema import TableSchema
 
 #: Execution modes of the sharded composition.
@@ -303,12 +303,7 @@ class FeedSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "group_by", tuple(self.group_by))
-        if self.top_k is not None and self.top_k < 1:
-            raise ValueError("feeds.top_k must be >= 1")
-        if self.tau is not None and self.tau < 1:
-            raise ValueError(
-                "feeds.tau is a cardinality ratio; it must be >= 1"
-            )
+        check_reporting_policy(self.tau, self.top_k, "feeds.")
         if self.max_entries < 1:
             raise ValueError("feeds.max_entries must be >= 1")
         if len(set(self.group_by)) != len(self.group_by):
@@ -436,13 +431,8 @@ class EngineSpec:
                     "would materialize nothing (drop feeds or enable "
                     "scoring)"
                 )
-            # Feeds segment the discovery relation (which differs from
-            # the input schema only for aggregate engines).
-            discovery_dims = (
-                self.aggregate.group_by
-                if self.aggregate is not None
-                else self.schema.dimensions
-            )
+            # Feeds segment the discovery relation.
+            discovery_dims = self.discovery_schema.dimensions
             missing = [
                 a for a in self.feeds.group_by if a not in discovery_dims
             ]
@@ -451,6 +441,15 @@ class EngineSpec:
                     "feeds.group_by references dimensions missing from "
                     f"the discovery relation: {missing}"
                 )
+
+    @property
+    def discovery_schema(self) -> TableSchema:
+        """The relation facts are discovered over, which the base
+        engine is built on: the aggregate relation when
+        :attr:`aggregate` is set, :attr:`schema` otherwise."""
+        if self.aggregate is not None:
+            return self.aggregate.discovery_schema()
+        return self.schema
 
     # ------------------------------------------------------------------
     # Serialisation (snapshot v3, CLI --spec)

@@ -357,10 +357,13 @@ def cmd_demo(args) -> int:
     from .datasets.nba import nba_rows, nba_schema
     from .reporting.feed import NewsFeed
 
-    schema = nba_schema(d=5, m=4)
-    feed = NewsFeed(
-        schema, tau=args.tau or 25.0, max_bound_dims=3, max_measure_dims=3
+    spec = EngineSpec(
+        nba_schema(d=5, m=4),
+        config=DiscoveryConfig(
+            max_bound_dims=3, max_measure_dims=3, tau=args.tau or 25.0
+        ),
     )
+    feed = NewsFeed(open_engine(spec))
     for i, row in enumerate(nba_rows(args.tuples, d=5, m=4)):
         for headline in feed.push(row):
             print(f"[game {i:5d}] {headline.text}")
@@ -792,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "cluster-status",
-        help="ping configured shard workers, print replica health",
+        help="probe configured shard workers, print replica health",
     )
     p.add_argument("--remote", default=None, metavar="MAP",
                    help='placement map: JSON {"shard": ["host:port", '

@@ -25,6 +25,19 @@ def effective_bound_cap(n_dimensions: int, max_bound_dims: Optional[int]) -> int
     return min(n_dimensions, max_bound_dims)
 
 
+def check_reporting_policy(
+    tau: Optional[float], top_k: Optional[int], prefix: str = ""
+) -> None:
+    """The reporting-policy rules, ``τ >= 1`` and ``top_k >= 1``
+    (``None`` leaves either unset): one check for the engine config,
+    the feed spec and every feed read.  ``prefix`` names the section in
+    the message (``"feeds."``)."""
+    if tau is not None and tau < 1:
+        raise ValueError(f"{prefix}tau is a cardinality ratio; it must be >= 1")
+    if top_k is not None and top_k < 1:
+        raise ValueError(f"{prefix}top_k must be >= 1")
+
+
 @dataclass(frozen=True)
 class DiscoveryConfig:
     """Tunable parameters shared by every discovery algorithm.
@@ -62,10 +75,7 @@ class DiscoveryConfig:
             raise ValueError("max_bound_dims must be >= 0")
         if self.max_measure_dims is not None and self.max_measure_dims < 1:
             raise ValueError("max_measure_dims must be >= 1")
-        if self.tau is not None and self.tau < 1:
-            raise ValueError("tau is a cardinality ratio; it must be >= 1")
-        if self.top_k is not None and self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
+        check_reporting_policy(self.tau, self.top_k)
 
     def effective_bound_cap(self, n_dimensions: int) -> int:
         """``min(d̂, n)`` for an ``n``-dimensional schema (see

@@ -4,9 +4,10 @@ Wraps any :class:`~repro.core.engine_protocol.Engine` and, per arriving
 tuple, emits the *prominent facts* — the facts tied at the highest
 prominence in ``S_t``, provided that prominence reaches ``τ`` — as
 narrated headlines.  This is the end-to-end pipeline a newsroom would
-run (paper §I motivation).  Engines are built through
-:func:`repro.api.open_engine`, so a feed can run over a sharded or
-windowed composition by passing ``engine=`` (or a full spec).
+run (paper §I motivation).  The feed reports over an engine built by
+:func:`repro.api.open_engine`, so it runs over any composition —
+sharded, windowed, aggregate — and reads ``τ`` and the caps from that
+engine's spec.
 
 Since the feed fan-out tier landed, :class:`NewsFeed` is a thin
 composition over :class:`~repro.service.feeds.FeedStore`: every push
@@ -21,13 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Mapping, Optional
 
-from ..api.facade import open_engine
-from ..api.spec import EngineSpec
-from ..core.config import DiscoveryConfig
 from ..core.engine_protocol import Engine
 from ..core.facts import SituationalFact
 from ..core.prominence import select_reportable
-from ..core.schema import TableSchema
 from ..service.feeds import FeedStore
 from .narrate import narrate
 
@@ -46,31 +43,15 @@ class NewsFeed:
 
     Examples
     --------
-    >>> from repro import TableSchema
+    >>> from repro import DiscoveryConfig, TableSchema
+    >>> from repro.api import EngineSpec, open_engine
     >>> schema = TableSchema(("player",), ("points",))
-    >>> feed = NewsFeed(schema, tau=2.0)
+    >>> spec = EngineSpec(schema, config=DiscoveryConfig(tau=2.0))
+    >>> feed = NewsFeed(open_engine(spec))
     >>> _ = feed.push({"player": "A", "points": 10})
     """
 
-    def __init__(
-        self,
-        schema: TableSchema,
-        tau: float = 500.0,
-        max_bound_dims: Optional[int] = 3,
-        max_measure_dims: Optional[int] = 3,
-        engine: Optional[Engine] = None,
-    ) -> None:
-        self.schema = schema
-        if engine is None:
-            spec = EngineSpec(
-                schema=schema,
-                config=DiscoveryConfig(
-                    max_bound_dims=max_bound_dims,
-                    max_measure_dims=max_measure_dims,
-                    tau=tau,
-                ),
-            )
-            engine = open_engine(spec)
+    def __init__(self, engine: Engine) -> None:
         self.engine = engine
         #: Materialized standings every push folds into, segmented as
         #: the engine spec's ``feeds`` section says (one ``*`` segment

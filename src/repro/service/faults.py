@@ -10,12 +10,14 @@ registry of :class:`Fault` descriptions consulted from fixed
 ====================  ==================================================
 Point                 Where it fires
 ====================  ==================================================
-``worker.op``         In a shard-worker process, on receipt of each pipe
-                      op (``op`` context = ``"rows"`` / ``"delete"`` /
-                      ``"counters"`` / ``"skyline"`` / ``"skyband"`` /
-                      ``"top_k"`` / ``"replay"``).
-``worker.reply``      In a shard-worker process, just before the reply
-                      to an op is sent back over the pipe.
+``worker.op``         In a shard worker, on receipt of each pipe or
+                      socket op (``op`` context = ``"rows"`` /
+                      ``"delete"`` / ``"resume"`` / ``"counters"`` /
+                      ``"skyline"`` / ``"skyband"`` / ``"top_k"`` /
+                      ``"replay"``, or a socket worker's ``"configure"``
+                      / ``"stats"`` / ``"shutdown"``).
+``worker.reply``      In a shard worker, just before the reply to an op
+                      is sent back.
 ``checkpoint.write``  In :meth:`StreamServer._checkpoint` /
                       :func:`~repro.extensions.snapshot.save_engine`,
                       after the temp file is written but before the

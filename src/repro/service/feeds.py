@@ -75,7 +75,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..core.config import DiscoveryConfig
+from ..core.config import DiscoveryConfig, check_reporting_policy
 from ..core.constraint import UNBOUND, Constraint, satisfied_constraints
 from ..core.facts import FactSet
 from ..core.record import Record
@@ -616,7 +616,9 @@ class FeedStore:
         top-k policy (ties at the cut kept, like ``query().batch``).
         Arguments default to the spec's values.  Both cuts are taken
         on the prominence column; :class:`FeedEntry` values are built
-        for the winners only."""
+        for the winners only.  ``ValueError`` when an argument breaks
+        :class:`~repro.api.spec.FeedSpec`'s rules."""
+        check_reporting_policy(tau, top_k, "feeds.")
         if top_k is None:
             top_k = self.spec.top_k
         if tau is None:
@@ -655,6 +657,7 @@ class FeedStore:
         (``"restarted": true``) — versions are monotone, so a stale
         cursor can never silently skip or duplicate entries.
         """
+        check_reporting_policy(tau, top_k, "feeds.")
         if limit < 1:
             raise ValueError("limit must be >= 1")
         with self._lock:

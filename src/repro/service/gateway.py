@@ -41,7 +41,7 @@ Each subscriber connection holds a bounded *dirty-segment* set, not a
 frame queue: frames are rendered from current store state at send time,
 so a slow consumer automatically coalesces every missed version of a
 segment into the next frame (``gateway_frames_coalesced``).  If even the
-dirty set overflows (``max_pending_segments``), it is cleared
+dirty set overflows (:data:`MAX_PENDING_SEGMENTS`), it is cleared
 (``gateway_frames_dropped``) and the connection is scheduled for one
 full resync — memory per connection stays bounded no matter how slow
 the consumer, and the catch-up is a snapshot, never a replay.
@@ -59,6 +59,8 @@ from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
+from ..core.config import check_reporting_policy
+
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
 #: WebSocket opcodes.
@@ -70,6 +72,10 @@ MAX_CLIENT_PAYLOAD = 125
 
 #: Header lines read per request before the connection is dropped.
 MAX_REQUEST_HEADERS = 100
+
+#: Per-connection dirty-segment bound before a slow consumer is switched
+#: to one full resync.
+MAX_PENDING_SEGMENTS = 256
 
 
 class FrameTooLarge(ConnectionError):
@@ -201,23 +207,15 @@ class _Subscriber:
 class FeedGateway:
     """Asyncio HTTP/WebSocket front-end over a server's feed store."""
 
-    def __init__(
-        self,
-        server,
-        *,
-        max_pending_segments: int = 256,
-    ) -> None:
+    def __init__(self, server) -> None:
         if server.feeds is None:
             raise ValueError(
                 "FeedGateway needs a StreamServer with a feed store "
                 "(EngineSpec.feeds)"
             )
-        if max_pending_segments < 1:
-            raise ValueError("max_pending_segments must be >= 1")
         self.server = server
         self.feeds = server.feeds
         self.stats = server.stats
-        self.max_pending_segments = max_pending_segments
         self._listener: Optional[asyncio.AbstractServer] = None
         self._subscribers: Set[_Subscriber] = set()
         self._conn_tasks: Set[asyncio.Task] = set()
@@ -267,7 +265,7 @@ class FeedGateway:
                     self.stats.gateway_frames_coalesced += 1
                 elif conn.resync:
                     self.stats.gateway_frames_coalesced += 1
-                elif len(conn.dirty) >= self.max_pending_segments:
+                elif len(conn.dirty) >= MAX_PENDING_SEGMENTS:
                     # Bounded memory: collapse the backlog into one
                     # resync snapshot instead of queueing further.
                     self.stats.gateway_frames_dropped += len(conn.dirty) + 1
@@ -404,6 +402,9 @@ class FeedGateway:
     # WebSocket subscriptions
     # ------------------------------------------------------------------
     def _parse_filters(self, query: dict) -> SubscriptionFilter:
+        """The subscription's filter; ``ValueError`` on a bad ``tau``."""
+        tau = float(query["tau"]) if "tau" in query else None
+        check_reporting_policy(tau, None, "feeds.")
         measures = None
         if "measures" in query:
             measures = [
@@ -413,7 +414,7 @@ class FeedGateway:
             segment=query.get("segment"),
             entity=query.get("entity"),
             measures=measures,
-            tau=float(query["tau"]) if "tau" in query else None,
+            tau=tau,
         )
 
     async def _serve_ws(self, reader, writer, path, query, headers) -> None:
@@ -426,6 +427,12 @@ class FeedGateway:
                 writer, 400, {"error": "missing Sec-WebSocket-Key"}
             )
             return
+        try:
+            filters = self._parse_filters(query)
+        except ValueError as exc:
+            # Refused before the upgrade: the client reads a plain 400.
+            await self._respond(writer, 400, {"error": str(exc)})
+            return
         writer.write(
             (
                 "HTTP/1.1 101 Switching Protocols\r\n"
@@ -435,14 +442,14 @@ class FeedGateway:
             ).encode()
         )
         await writer.drain()
-        conn = _Subscriber(self._parse_filters(query), writer)
+        conn = _Subscriber(filters, writer)
         self._subscribers.add(conn)
         self.stats.gateway_subscribers += 1
         # Initial state: every matching segment is delivered as a
         # snapshot (through the same bounded dirty set as updates).
         for seg_key in self.feeds.segment_keys():
             if conn.filters.match_segment(seg_key):
-                if len(conn.dirty) >= self.max_pending_segments:
+                if len(conn.dirty) >= MAX_PENDING_SEGMENTS:
                     conn.dirty.clear()
                     conn.resync = True
                     break

@@ -32,9 +32,9 @@ Session layout:
   connection: the worker op table
   (:attr:`repro.service.worker._ShardEngine.OPS`, shared with the pipe
   protocol) plus the control ops ``configure`` (install a shard
-  engine), ``ping`` (a liveness probe: configured-ness and applied
-  rows), ``stats`` (worker-side tallies for ``cluster-status``),
-  ``stop`` (end this connection) and ``shutdown`` (end the worker);
+  engine), ``stats`` (liveness and worker-side tallies, for
+  ``cluster-status``), ``stop`` (end this connection) and ``shutdown``
+  (end the worker);
 * **replies** — ``("ok", result)`` or ``("error", reason)`` frames.
 
 Per-request timeouts: the router side waits on each reply with the
@@ -68,7 +68,7 @@ from .supervisor import WorkerCrashed, WorkerGaveUp
 from .worker import _build_shard_engine, serve
 
 #: Version exchanged in the handshake; bumped on any frame/op change.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Frame header: little-endian payload length + CRC32 of the payload
 #: (the journal's frame layout, reused byte for byte).
@@ -275,14 +275,6 @@ class SocketWorkerServer:
         self.index = self._engine.index
         return {"shard": self.index, "keys": len(spec["shard"])}
 
-    def _ping(self, _payload: object) -> Dict[str, object]:
-        tallies = self._engine or _UNCONFIGURED
-        return {
-            "configured": self._engine is not None,
-            "rows": tallies.rows_applied,
-            "busy_seconds": tallies.busy_seconds,
-        }
-
     def _stats(self, _payload: object) -> Dict[str, object]:
         tallies = self._engine or _UNCONFIGURED
         return dict(
@@ -302,7 +294,6 @@ class SocketWorkerServer:
     #: Socket-only control ops, beside the engine's op table.
     _CONTROL = {
         "configure": _configure,
-        "ping": _ping,
         "stats": _stats,
         "shutdown": _shutdown,
     }
@@ -415,8 +406,8 @@ class SocketLink:
         return payload
 
     def request(self, op: str, payload: object = None):
-        """One synchronous control round-trip (``configure`` / ``ping``
-        / ``stats``), outside the handle's op-table surface."""
+        """One synchronous control round-trip (``configure`` /
+        ``stats``), outside the handle's op-table surface."""
         self.send(op, payload)
         return self.recv(self.timeout)
 
@@ -500,7 +491,7 @@ def cluster_status(
     """Probe every worker in a placement map; one row per
     ``(shard, replica)`` with liveness, configured-ness, applied rows,
     replication lag (rows behind the most advanced replica of the
-    shard), busy-seconds, and ping round-trip.  Unreachable workers get
+    shard), busy-seconds, and probe round-trip.  Unreachable workers get
     ``alive=False`` plus the error — the probe itself never raises."""
     report: List[Dict[str, object]] = []
     for shard in sorted(remote, key=shard_sort_key):

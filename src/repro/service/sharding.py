@@ -51,6 +51,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
+from ..api.spec import EngineSpec
 from ..core.config import DiscoveryConfig
 from ..core.constraint import Constraint, constraints_for_record, lattice_getters
 from ..core.engine_protocol import EngineBase
@@ -71,11 +72,6 @@ from .supervisor import (
 from .worker import _build_shard_engine
 
 Row = Union[Mapping[str, object], Record]
-
-#: Ingestion is pipelined in chunks of this many rows (workers process
-#: chunk k+1 while the router merges chunk k); one pipe message each way
-#: per chunk per worker.
-_PIPELINE_CHUNK = 96
 
 #: The supervision tallies every :class:`ShardWorker` keeps.
 _TALLIES = ("restarts", "chunks_retried", "failovers")
@@ -212,18 +208,17 @@ class ShardedQueryEngine(ContextualQueryEngine):
         tids = self._sharded._call(
             self._route(subspace),
             "skyband",
-            (tuple(constraint.values), subspace, k, None),
+            (tuple(constraint.values), subspace, k),
         )
         return self._project(tids)
 
     def _top_k(
         self, owner: int, constraint: Constraint, subspace: int
     ) -> Tuple[int, int]:
-        """``(|σ_C|, |λ_M(σ_C)|)`` from one ``top_k(limit=0)`` probe."""
-        ctx, sky, _tids = self._sharded._call(
-            owner, "top_k", (tuple(constraint.values), subspace, 0)
+        """``(|σ_C|, |λ_M(σ_C)|)`` from one ``top_k`` probe."""
+        return self._sharded._call(
+            owner, "top_k", (tuple(constraint.values), subspace)
         )
-        return ctx, sky
 
     def context_size(self, constraint: Constraint) -> int:
         counted = self._counted_context(constraint)
@@ -241,80 +236,27 @@ class ShardedQueryEngine(ContextualQueryEngine):
 # ----------------------------------------------------------------------
 class ShardedDiscoverer(EngineBase):
     """Drop-in :class:`~repro.core.engine.FactDiscoverer` running the
-    subspace axis across ``n_workers`` shard engines.
+    subspace axis across ``spec.sharding.workers`` shard engines.
 
-    Parameters
-    ----------
-    schema, config, score:
-        As for the engine; workers always run the ``svec`` algorithm.
-    n_workers:
-        Requested shard count; clamped to the number of maintained
-        subspace keys (every shard must own at least one).
-    mode:
-        ``"serial"`` (in-process), ``"process"`` or ``"remote"``
-        (socket worker replicas; requires ``remote``).
-    remote:
-        Placement map ``{shard_name: [host:port, ...]}`` assigning each
-        shard its socket worker replicas (see
-        :mod:`repro.service.remote`).  Shard names sort numerically
-        when numeric; the number of shards fixes the worker count.
-        Supplying it implies/requires ``mode="remote"``.
-    chunk_size:
-        Pipelining granularity of the batched API (rows per worker
-        round-trip).
-    op_timeout:
-        Seconds to wait on any single worker round-trip before the
-        worker is treated as hung.  Process and remote workers are
-        supervised (see :mod:`repro.service.supervisor`), which keeps
-        the full arrival/deletion op log in router memory — the rebuild
-        source, roughly doubling row storage.
-    max_restarts:
-        Per-worker circuit breaker: one more crash after this many
-        restarts degrades the whole pool to in-router serial execution
-        (``degraded`` flips True; service keeps answering) instead of
-        dying.
+    Built by :func:`~repro.api.facade.open_engine` from an
+    :class:`~repro.api.spec.EngineSpec` with a ``sharding`` section: the
+    router discovers over ``spec.discovery_schema`` with ``spec.config``
+    and ``spec.score``, and its workers always run ``svec``.  The
+    requested worker count is clamped to the number of maintained
+    subspace keys (every shard must own at least one).  Process and
+    remote workers are supervised (see :mod:`repro.service.supervisor`),
+    which keeps the full arrival/deletion op log in router memory — the
+    rebuild source, roughly doubling row storage.
     """
 
     kind = "sharded"
 
-    def __init__(
-        self,
-        schema: TableSchema,
-        config: Optional[DiscoveryConfig] = None,
-        n_workers: int = 2,
-        mode: str = "process",
-        score: bool = True,
-        chunk_size: int = _PIPELINE_CHUNK,
-        op_timeout: float = 60.0,
-        max_restarts: int = 3,
-        remote: Optional[Mapping[str, Sequence[str]]] = None,
-    ) -> None:
-        from ..api.spec import EngineSpec, ShardingSpec
-
-        if remote and mode == "process":
-            # The constructor default; a placement map implies the
-            # remote mode without callers having to say it twice.
-            mode = "remote"
-        config = config or DiscoveryConfig()
-        #: The declarative spec rebuilding this composition; building
-        #: it validates the arguments.
-        self.spec = EngineSpec(
-            schema=schema,
-            algorithm="svec",
-            config=config,
-            score=score,
-            sharding=ShardingSpec(
-                workers=len(remote) if remote else n_workers,
-                mode=mode,
-                chunk_size=chunk_size,
-                op_timeout=op_timeout,
-                max_restarts=max_restarts,
-                remote=remote or None,
-            ),
-        )
-        self.schema = schema
-        self.config = config
-        self.score = score
+    def __init__(self, spec: EngineSpec) -> None:
+        #: The declarative spec rebuilding this composition.
+        self.spec = spec
+        schema = self.schema = spec.discovery_schema
+        config = self.config = spec.config
+        self.score = spec.score
         #: Committed arrival/deletion ops in order, as ``(op, payload)``
         #: pairs of the worker op table — the rebuild source for
         #: restarts and degrades (kept while :attr:`_track_oplog`).
@@ -330,10 +272,10 @@ class ShardedDiscoverer(EngineBase):
         )
         keys = canonical_subspace_keys(schema, config)
         #: Subspace keys per worker, fixed at construction.
-        self.shards = partition_subspaces(keys, self.spec.sharding.workers)
+        self.shards = partition_subspaces(keys, spec.sharding.workers)
         self.n_workers = len(self.shards)
         self._root_key = keys[0]
-        remote = self.spec.sharding.remote
+        remote = spec.sharding.remote
         if remote is not None:
             from .remote import shard_sort_key
 
@@ -745,6 +687,6 @@ WorkerGaveUp`): every shard is rebuilt deterministically from the
 
     def __repr__(self) -> str:
         return (
-            f"ShardedDiscoverer(workers={self.n_workers}, "
+            f"{type(self).__name__}(workers={self.n_workers}, "
             f"mode={self.mode!r}, n={len(self.table)})"
         )

@@ -139,32 +139,24 @@ class _ShardEngine:
         return sorted(record.tid for record in skyline)
 
     def skyband_tids(self, query) -> List[int]:
-        """``(values, subspace, k, limit)`` → one k-skyband, optionally
-        bounded: the router receives at most ``limit`` tids instead of
-        the whole band (``None`` = all)."""
-        values, subspace, k, limit = query
+        """``(values, subspace, k)`` → one k-skyband's tids."""
+        values, subspace, k = query
         records = self._queries().skyband(
             Constraint(tuple(values)), subspace, k
         )
-        tids = sorted(record.tid for record in records)
-        return tids if limit is None else tids[:limit]
+        return sorted(record.tid for record in records)
 
-    def top_k_stats(self, query) -> Tuple[int, int, List[int]]:
-        """``(values, subspace, limit)`` → ``(|σ_C|, |λ_M(σ_C)|,
-        first-limit skyline tids)`` — the statistics push-down.
-        ``limit=0`` is the planner's pure statistics probe (O(1) off the
-        scoring index when the pair is covered); ``limit=None`` returns
-        every skyline tid."""
-        values, subspace, limit = query
+    def top_k_stats(self, query) -> Tuple[int, int]:
+        """``(values, subspace)`` → ``(|σ_C|, |λ_M(σ_C)|)``, the
+        statistics push-down: O(1) off the scoring index when the pair
+        is covered, one skyline otherwise."""
+        values, subspace = query
         constraint = Constraint(tuple(values))
         queries = self._queries()
-        ctx = queries.context_size(constraint)
         size = queries._skyline_size_indexed(constraint, subspace)
-        if size is not None and limit == 0:
-            return ctx, size, []
-        skyline = queries.skyline(constraint, subspace)
-        tids = sorted(record.tid for record in skyline)
-        return ctx, len(tids), tids if limit is None else tids[:limit]
+        if size is None:
+            size = len(queries.skyline(constraint, subspace))
+        return queries.context_size(constraint), size
 
     def replay(self, ops: Sequence[Tuple[str, object]]) -> Tuple[str, int]:
         """Deterministic state rebuild (restart, degrade): re-apply a

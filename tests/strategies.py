@@ -16,6 +16,7 @@
 * :func:`sweep_constants` — which side of the sweep index's arming
   constant a short stream runs on; :func:`store_op_sequences` — the op
   sequences of the columnar store's differential test.
+* :func:`open_router` — a sharded router, opened the one way there is.
 
 Import with ``from tests.strategies import …``.
 """
@@ -227,6 +228,18 @@ def stream_scenarios(
         )
     )
     return StreamScenario(schema, config, tuple(ops), tuple(shard_of), draw(row))
+
+
+def open_router(schema, workers=2, mode="serial", config=None, score=True,
+                **sharding):
+    """``open_engine`` over an ``svec`` spec with a ``sharding`` section;
+    ``sharding`` holds the other :class:`ShardingSpec` fields."""
+    from repro.api import EngineSpec, ShardingSpec, open_engine
+
+    return open_engine(EngineSpec(
+        schema, "svec", config or DiscoveryConfig(), score,
+        sharding=ShardingSpec(workers, mode, **sharding),
+    ))
 
 
 @contextmanager

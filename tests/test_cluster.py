@@ -44,7 +44,6 @@ from repro.service.remote import (
     shard_sort_key,
 )
 from repro.service.sharding import (
-    ShardedDiscoverer,
     canonical_subspace_keys,
     partition_subspaces,
 )
@@ -53,7 +52,7 @@ from repro.service.supervisor import (
     WorkerCrashed,
     WorkerGaveUp,
 )
-from tests.strategies import seeded_rows
+from tests.strategies import open_router, seeded_rows
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
 
@@ -64,6 +63,13 @@ def fact_key(fact):
 
 def emitted(fact_sets):
     return [[fact_key(f) for f in fs] for fs in fact_sets]
+
+
+def remote_router(remote, config=None, **sharding):
+    """A router over the placement map ``remote``, one worker per shard."""
+    return open_router(
+        SCHEMA, len(remote), "remote", config, remote=remote, **sharding
+    )
 
 
 @contextmanager
@@ -198,13 +204,13 @@ class TestHandshake:
     def test_op_counts_survive_concurrent_connections(self):
         # Every connection thread tallies into one dict; a tally made
         # outside the engine lock loses updates under contention.
-        clients, pings = 8, 150
+        clients, probes = 8, 150
         server = SocketWorkerServer().start()
         links = [SocketLink(i, server.address, 10) for i in range(clients)]
 
         def hammer(link):
-            for _ in range(pings):
-                link.request("ping")
+            for _ in range(probes):
+                link.request("stats")
 
         threads = [
             threading.Thread(target=hammer, args=(link,)) for link in links
@@ -217,7 +223,7 @@ class TestHandshake:
             for thread in threads:
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
-            assert server.op_counts["ping"] == clients * pings
+            assert server.op_counts["stats"] == clients * probes
         finally:
             sys.setswitchinterval(interval)
             for link in links:
@@ -283,7 +289,7 @@ class TestRemoteSpec:
 
     def test_engine_requires_map_in_remote_mode(self):
         with pytest.raises(ValueError, match="placement map"):
-            ShardedDiscoverer(SCHEMA, mode="remote")
+            open_router(SCHEMA, 2, "remote")
 
     def test_shard_sort_key_orders_numerically(self):
         assert sorted(["10", "2", "b", "a"], key=shard_sort_key) == [
@@ -301,9 +307,7 @@ class TestRemoteParity:
     def _assert_parity(self, rows, config=None, delete_seed=None):
         reference = FactDiscoverer(SCHEMA, algorithm="svec", config=config)
         with local_cluster([1, 1]) as (remote, _servers):
-            engine = ShardedDiscoverer(
-                SCHEMA, config, remote=remote, chunk_size=16
-            )
+            engine = remote_router(remote, config, chunk_size=16)
             try:
                 if delete_seed is None:
                     expected = emitted(reference.observe_many(rows))
@@ -375,7 +379,7 @@ class TestRemoteParity:
         reference = FactDiscoverer(SCHEMA, algorithm="svec")
         reference.facts_for_many(rows)
         with local_cluster([1, 2]) as (remote, _servers):
-            engine = ShardedDiscoverer(SCHEMA, remote=remote, chunk_size=16)
+            engine = remote_router(remote, chunk_size=16)
             try:
                 engine.facts_for_many(rows)
                 ref_q = reference.query()
@@ -416,7 +420,7 @@ class TestReplicaSets:
     def test_writes_reach_every_replica(self):
         rows = seeded_rows(48, 8, (3, 2))
         with local_cluster([2, 2]) as (remote, servers):
-            engine = ShardedDiscoverer(SCHEMA, remote=remote, chunk_size=12)
+            engine = remote_router(remote, chunk_size=12)
             try:
                 engine.observe_many(rows)
                 for pool in servers.values():
@@ -428,7 +432,7 @@ class TestReplicaSets:
     def test_reads_round_robin_across_replicas(self):
         rows = seeded_rows(30, 9, (3, 2))
         with local_cluster([2]) as (remote, servers):
-            engine = ShardedDiscoverer(SCHEMA, remote=remote)
+            engine = remote_router(remote)
             try:
                 engine.facts_for_many(rows)
                 for _ in range(4):
@@ -446,7 +450,7 @@ class TestReplicaSets:
         reference = FactDiscoverer(SCHEMA, algorithm="svec")
         expected = emitted(reference.observe_many(rows))
         with local_cluster([2, 1]) as (remote, _servers):
-            engine = ShardedDiscoverer(SCHEMA, remote=remote, chunk_size=16)
+            engine = remote_router(remote, chunk_size=16)
             try:
                 got = emitted(engine.observe_many(rows[:40]))
                 # Sever the router's connection to shard 0's primary:
@@ -473,7 +477,7 @@ class TestReplicaSets:
         expected = emitted(reference.observe_many(rows))
         reference.delete(5)
         with local_cluster([1, 1]) as (remote, _servers):
-            engine = ShardedDiscoverer(SCHEMA, remote=remote, chunk_size=16)
+            engine = remote_router(remote, chunk_size=16)
             try:
                 got = emitted(engine.observe_many(rows[:32]))
                 # Kill the only replica of shard 1: the set is lost and
@@ -494,7 +498,7 @@ class TestReplicaSets:
     def test_lost_replica_leaves_membership_and_stats(self):
         rows = seeded_rows(30, 18, (3, 2))
         with local_cluster([2]) as (remote, _servers):
-            engine = ShardedDiscoverer(SCHEMA, remote=remote)
+            engine = remote_router(remote)
             try:
                 engine.facts_for_many(rows[:15])
                 replica_set = engine._workers[0]
@@ -544,7 +548,7 @@ class TestShardAssignment:
         rows = seeded_rows(24, 19, (3, 2))
         keys = canonical_subspace_keys(SCHEMA)
         reference = FactDiscoverer(SCHEMA, algorithm="svec")
-        engine = ShardedDiscoverer(SCHEMA, n_workers=n_workers, mode="serial")
+        engine = open_router(SCHEMA, n_workers)
         try:
             shards = partition_subspaces(keys, n_workers)
             assert engine.shards == shards
@@ -578,7 +582,7 @@ class TestOperatorSurface:
     def test_shard_stats_breakdown(self):
         rows = seeded_rows(40, 16, (3, 2))
         with local_cluster([2, 1]) as (remote, _servers):
-            engine = ShardedDiscoverer(SCHEMA, remote=remote, chunk_size=16)
+            engine = remote_router(remote, chunk_size=16)
             try:
                 engine.facts_for_many(rows)
                 details = engine.shard_stats()
@@ -604,7 +608,7 @@ class TestOperatorSurface:
                 assert engine.stats()["shards"] == details
             finally:
                 engine.close()
-        serial = ShardedDiscoverer(SCHEMA, n_workers=2, mode="serial")
+        serial = open_router(SCHEMA)
         try:
             serial.facts_for_many(rows)
             assert set(serial.stats()) == {
@@ -629,7 +633,7 @@ class TestOperatorSurface:
         breakdown, read from ``engine.stats()``, and derives the
         rounded busy seconds and their shares from its utilization."""
         rows = seeded_rows(20, 16, (3, 2))
-        engine = ShardedDiscoverer(SCHEMA, n_workers=2, mode="serial")
+        engine = open_router(SCHEMA)
         server = StreamServer(engine)
         try:
             engine.facts_for_many(rows)
@@ -660,7 +664,7 @@ class TestOperatorSurface:
     def test_cluster_status_reports_lag_and_health(self):
         rows = seeded_rows(30, 17, (3, 2))
         with local_cluster([2]) as (remote, servers):
-            engine = ShardedDiscoverer(SCHEMA, remote=remote)
+            engine = remote_router(remote)
             engine.facts_for_many(rows)
             engine.close()  # workers keep their state
             straggler = SocketWorkerServer().start()

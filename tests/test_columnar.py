@@ -417,7 +417,7 @@ class TestWritePathMemory:
         import gc
         import tracemalloc
 
-        from repro.service import ShardedDiscoverer
+        from tests.strategies import open_router
 
         m = 2 if engine_kind == "router" else 1
         schema = synthetic_schema(self.D, m)
@@ -425,7 +425,7 @@ class TestWritePathMemory:
         tracemalloc.start()
         try:
             if engine_kind == "router":
-                engine = ShardedDiscoverer(schema, n_workers=2, mode="serial")
+                engine = open_router(schema)
                 algorithms = [w.links[0].engine.algorithm for w in engine._workers]
                 assert len(algorithms) == 2
                 tables = [engine.table] + [a.table for a in algorithms]

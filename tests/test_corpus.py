@@ -61,7 +61,6 @@ from repro.core.prominence import select_reportable
 from repro.core.record import Table
 from repro.core.skyline import is_contextual_skyline_tuple
 from repro.metrics.counters import OpCounters
-from repro.service.sharding import ShardedDiscoverer
 from tests.conftest import MEMORY_ALGORITHMS, STORE_ALGORITHMS
 from tests.strategies import (
     DHATS,
@@ -69,6 +68,7 @@ from tests.strategies import (
     PAST_CAP_SHAPES,
     POLICIES,
     StreamScenario,
+    open_router,
     stream_scenarios,
     sweep_constants,
 )
@@ -161,18 +161,13 @@ class Run:
             for keys in partition.values()
         ]
         assert sum(shard._has_root for shard in self.shards) == 1
-        self.router = ShardedDiscoverer(
-            schema, config, n_workers=len(partition), mode="serial"
-        )
+        self.router = open_router(schema, len(partition), config=config)
         self.scored = [*self.engines.values(), self.router]
         self.per_row = [self.engines[name] for name in BATCHED] + [self.router]
         self.twins = [
             FactDiscoverer(schema, name, config) for name in BATCHED
         ] + [
-            ShardedDiscoverer(
-                schema, config, n_workers=len(partition), mode="serial",
-                chunk_size=3,
-            )
+            open_router(schema, len(partition), config=config, chunk_size=3)
         ]
         #: ``(tid, row)`` of the live tuples, in tid order.
         self.live = []

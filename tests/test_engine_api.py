@@ -424,6 +424,23 @@ class TestAggregateSemantics:
             assert engine.schema.dimensions == SCHEMA.dimensions
             assert engine.discovery_schema.measures == ("total", "games", "best")
 
+    def test_aggregate_over_a_sharded_router(self):
+        """The router discovers over the aggregate relation, so the
+        sharded composition emits exactly the unsharded one's facts."""
+        from dataclasses import replace
+
+        from repro.service import ShardedDiscoverer
+
+        spec = EngineSpec(SCHEMA, "svec", CONFIG, aggregate=AGG)
+        sharded = replace(spec, sharding=ShardingSpec(2, "serial"))
+        with open_engine(spec) as single, open_engine(sharded) as routed:
+            assert isinstance(routed.inner, ShardedDiscoverer)
+            assert routed.inner.schema == sharded.discovery_schema
+            want = [[fact_key(f) for f in single.facts_for(r)] for r in ROWS]
+            got = [[fact_key(f) for f in routed.facts_for(r)] for r in ROWS]
+        assert got == want
+        assert sum(map(len, want)) > 0
+
     def test_aggregate_delete_is_rejected(self):
         spec = EngineSpec(SCHEMA, "stopdown", CONFIG, aggregate=AGG)
         with open_engine(spec) as engine:
@@ -675,6 +692,22 @@ class TestEngineSpec:
                 aggregate=GroupSpec(("nope",), {"t": ("m0", "sum")}),
             )
 
+    def test_window_and_cache_sizes_must_be_positive(self):
+        # The spec is the layers' only validation: they read their
+        # section from it.
+        with pytest.raises(ValueError, match="window"):
+            EngineSpec(SCHEMA, window=0)
+        with pytest.raises(ValueError, match="query_cache"):
+            EngineSpec(SCHEMA, query_cache=0)
+
+    def test_feeds_segment_the_discovery_relation(self):
+        from repro.api import FeedSpec
+
+        spec = EngineSpec(SCHEMA, aggregate=AGG, feeds=FeedSpec(("d0",)))
+        assert spec.discovery_schema == AGG.discovery_schema()
+        with pytest.raises(ValueError, match="discovery relation"):
+            EngineSpec(SCHEMA, aggregate=AGG, feeds=FeedSpec(("d1",)))
+
     def test_bad_sharding_mode(self):
         with pytest.raises(ValueError, match="mode"):
             ShardingSpec(2, "gpu")
@@ -723,16 +756,13 @@ class TestOptionCensus:
             "engine", "queue_limit", "batch_max", "dead_letter_path",
             "conn_timeout",
         ],
-        "FeedGateway": ["server", "max_pending_segments"],
+        "FeedGateway": ["server"],
         "FactDiscoverer": ["schema", "algorithm", "config", "score"],
-        "ShardedDiscoverer": [
-            "schema", "config", "n_workers", "mode", "score", "chunk_size",
-            "op_timeout", "max_restarts", "remote",
-        ],
-        "WindowMiddleware": ["inner", "window", "spec"],
-        "AggregateMiddleware": ["inner", "group", "base_schema", "spec"],
-        "QueryCacheMiddleware": ["inner", "capacity", "spec"],
-        "NewsFeed": ["schema", "tau", "max_bound_dims", "max_measure_dims", "engine"],
+        "ShardedDiscoverer": ["spec"],
+        "WindowMiddleware": ["inner", "spec"],
+        "AggregateMiddleware": ["inner", "spec"],
+        "QueryCacheMiddleware": ["inner", "spec"],
+        "NewsFeed": ["engine"],
     }
 
     def test_fields_and_parameters_are_exactly_these(self):

@@ -38,7 +38,6 @@ from repro.api import (
 from repro.extensions.snapshot import load_engine, save_engine
 from repro.service import (
     JournalWriter,
-    ShardedDiscoverer,
     StreamServer,
     recover_engine,
 )
@@ -46,7 +45,7 @@ from repro.service import faults
 from repro.service.journal import JournalCorruptError, read_ops
 from repro.service.remote import run_worker
 from tests import feed_oracle
-from tests.strategies import SERVICE_SCHEMA as SCHEMA, make_rows
+from tests.strategies import SERVICE_SCHEMA as SCHEMA, make_rows, open_router
 from tests.test_feed_columns import assert_same
 
 def fact_key(fact):
@@ -91,8 +90,8 @@ class TestWorkerCrashRecovery:
                 }
             ]
         )
-        engine = ShardedDiscoverer(
-            SCHEMA, n_workers=2, mode="process", chunk_size=16, op_timeout=15
+        engine = open_router(
+            SCHEMA, 2, "process", chunk_size=16, op_timeout=15
         )
         try:
             got = fact_keys(engine.observe_many(rows))
@@ -110,8 +109,8 @@ class TestWorkerCrashRecovery:
         rows = make_rows(80)
         first, rest = rows[:40], rows[40:]
         expected, expected_counters, ref = reference_run(rows, deletes=(3, 17))
-        engine = ShardedDiscoverer(
-            SCHEMA, n_workers=2, mode="process", chunk_size=16, op_timeout=15
+        engine = open_router(
+            SCHEMA, 2, "process", chunk_size=16, op_timeout=15
         )
         try:
             got = fact_keys(engine.observe_many(first))
@@ -146,8 +145,8 @@ class TestWorkerCrashRecovery:
                 }
             ]
         )
-        engine = ShardedDiscoverer(
-            SCHEMA, n_workers=2, mode="process", chunk_size=12, op_timeout=15
+        engine = open_router(
+            SCHEMA, 2, "process", chunk_size=12, op_timeout=15
         )
         try:
             got = fact_keys(engine.observe_many(rows))
@@ -174,8 +173,8 @@ class TestWorkerCrashRecovery:
                 }
             ]
         )
-        engine = ShardedDiscoverer(
-            SCHEMA, n_workers=2, mode="process", chunk_size=12, op_timeout=0.5
+        engine = open_router(
+            SCHEMA, 2, "process", chunk_size=12, op_timeout=0.5
         )
         try:
             got = fact_keys(engine.observe_many(rows))
@@ -204,8 +203,8 @@ class TestWorkerCrashRecovery:
                 }
             ]
         )
-        engine = ShardedDiscoverer(
-            SCHEMA, n_workers=2, mode="process", chunk_size=12, op_timeout=0.5
+        engine = open_router(
+            SCHEMA, 2, "process", chunk_size=12, op_timeout=0.5
         )
         try:
             got = fact_keys(engine.observe_many(rows))
@@ -235,13 +234,8 @@ class TestCircuitBreakerDegrade:
                 }
             ]
         )
-        engine = ShardedDiscoverer(
-            SCHEMA,
-            n_workers=2,
-            mode="process",
-            chunk_size=12,
-            op_timeout=15,
-            max_restarts=0,
+        engine = open_router(
+            SCHEMA, 2, "process", chunk_size=12, op_timeout=15, max_restarts=0
         )
         try:
             got = fact_keys(engine.observe_many(rows))
@@ -272,13 +266,8 @@ class TestCircuitBreakerDegrade:
                 }
             ]
         )
-        engine = ShardedDiscoverer(
-            SCHEMA,
-            n_workers=2,
-            mode="process",
-            chunk_size=10,
-            op_timeout=15,
-            max_restarts=0,
+        engine = open_router(
+            SCHEMA, 2, "process", chunk_size=10, op_timeout=15, max_restarts=0
         )
         try:
             got = fact_keys(engine.observe_many(rows))
@@ -347,11 +336,9 @@ class TestRemoteReplicaFailover:
                     }
                 ]
             )
-            engine = ShardedDiscoverer(
-                SCHEMA,
+            engine = open_router(
+                SCHEMA, 2, "remote", chunk_size=16, op_timeout=15,
                 remote={"0": addresses[:2], "1": addresses[2:]},
-                chunk_size=16,
-                op_timeout=15,
             )
             try:
                 got = fact_keys(engine.observe_many(rows))
@@ -370,11 +357,9 @@ class TestRemoteReplicaFailover:
         first, rest = rows[:40], rows[40:]
         expected, expected_counters, ref = reference_run(rows, deletes=(3, 17))
         with socket_workers(4) as (addresses, processes):
-            engine = ShardedDiscoverer(
-                SCHEMA,
+            engine = open_router(
+                SCHEMA, 2, "remote", chunk_size=16, op_timeout=15,
                 remote={"0": addresses[:2], "1": addresses[2:]},
-                chunk_size=16,
-                op_timeout=15,
             )
             try:
                 got = fact_keys(engine.observe_many(first))
@@ -415,11 +400,9 @@ class TestRemoteReplicaFailover:
                     }
                 ]
             )
-            engine = ShardedDiscoverer(
-                SCHEMA,
+            engine = open_router(
+                SCHEMA, 2, "remote", chunk_size=12, op_timeout=15,
                 remote={"0": addresses[:1], "1": addresses[1:]},
-                chunk_size=12,
-                op_timeout=15,
             )
             try:
                 got = fact_keys(engine.observe_many(rows))

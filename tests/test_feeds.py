@@ -411,7 +411,8 @@ class TestNewsFeedComposition:
     def test_feed_serves_materialized_state(self):
         from repro.reporting.feed import NewsFeed
 
-        feed = NewsFeed(SCHEMA, tau=2.0)
+        spec = EngineSpec(SCHEMA, config=DiscoveryConfig(tau=2.0))
+        feed = NewsFeed(open_engine(spec))
         rows = [
             {"d0": "a", "d1": "x", "m0": 3, "m1": 1},
             {"d0": "a", "d1": "y", "m0": 1, "m1": 3},
@@ -431,7 +432,7 @@ class TestNewsFeedComposition:
         from repro.reporting.feed import NewsFeed
 
         engine = open_engine(make_spec(window=3, feeds=FeedSpec(group_by=("d0",))))
-        feed = NewsFeed(SCHEMA, engine=engine)
+        feed = NewsFeed(engine)
         for i in range(9):
             feed.push(
                 {"d0": f"a{i % 2}", "d1": "x", "m0": i % 4, "m1": (5 - i) % 4}

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.api import CheckpointPolicy, EngineSpec, FeedSpec, open_engine
+from repro.service import gateway as gateway_mod
 from repro.service import (
     FeedClient,
     FeedGateway,
@@ -33,11 +34,11 @@ def make_spec(**feed_kwargs) -> EngineSpec:
     )
 
 
-async def start_stack(spec=None, **gateway_kwargs):
+async def start_stack(spec=None):
     engine = open_engine(spec or make_spec())
     server = StreamServer(engine, batch_max=8)
     await server.start()
-    gateway = FeedGateway(server, **gateway_kwargs)
+    gateway = FeedGateway(server)
     listener = await gateway.start()
     port = listener.sockets[0].getsockname()[1]
     return server, gateway, port
@@ -199,6 +200,23 @@ class TestRestReads:
         asyncio.run(run())
 
 
+    def test_top_k_below_one_is_the_feed_rule_400(self):
+        async def run():
+            server, gateway, port = await start_stack()
+            try:
+                await server.ingest_many(make_rows(15))
+                await server.drain()
+                key = server.feeds.segment_keys()[0]
+                with pytest.raises(ValueError, match="top_k must be >= 1"):
+                    await fetch_json(
+                        "127.0.0.1", port, f"/feeds/{key}?top_k=0"
+                    )
+            finally:
+                await stop_stack(server, gateway)
+
+        asyncio.run(run())
+
+
 class TestWebSocketPush:
     def test_snapshot_then_updates(self):
         async def run():
@@ -245,6 +263,26 @@ class TestWebSocketPush:
                 # No other segment is ever delivered.
                 with pytest.raises(asyncio.TimeoutError):
                     await client.recv(timeout=0.3)
+                await client.close()
+            finally:
+                await stop_stack(server, gateway)
+
+        asyncio.run(run())
+
+    def test_bad_tau_is_refused_before_the_upgrade(self):
+        async def run():
+            server, gateway, port = await start_stack()
+            try:
+                for tau in ("abc", "0.5"):
+                    with pytest.raises(ConnectionError, match="400"):
+                        await FeedClient.connect(
+                            "127.0.0.1", port, f"/subscribe?tau={tau}"
+                        )
+                assert server.stats.gateway_subscribers == 0
+                # The gateway keeps serving well-formed subscriptions.
+                client = await FeedClient.connect(
+                    "127.0.0.1", port, "/subscribe?tau=1.0"
+                )
                 await client.close()
             finally:
                 await stop_stack(server, gateway)
@@ -325,15 +363,14 @@ class TestHostileClients:
 
 
 class TestBackpressure:
-    def test_dirty_set_is_bounded_and_coalesces(self):
+    def test_dirty_set_is_bounded_and_coalesces(self, monkeypatch):
         """The per-connection delivery state never exceeds
-        ``max_pending_segments`` no matter how many changes arrive; the
+        ``MAX_PENDING_SEGMENTS`` no matter how many changes arrive; the
         overflow collapses into one resync and repeats coalesce."""
+        monkeypatch.setattr(gateway_mod, "MAX_PENDING_SEGMENTS", 3)
 
         async def run():
-            server, gateway, port = await start_stack(
-                max_pending_segments=3
-            )
+            server, gateway, port = await start_stack()
             try:
                 conn = _Subscriber(SubscriptionFilter(), writer=None)
                 gateway._subscribers.add(conn)
@@ -361,15 +398,14 @@ class TestBackpressure:
 
         asyncio.run(run())
 
-    def test_slow_consumer_catches_up_to_current_state(self):
+    def test_slow_consumer_catches_up_to_current_state(self, monkeypatch):
         """A consumer that reads nothing during a burst still converges:
         the frames it eventually reads carry the store's *final* state
         (coalesced), not a replay of every intermediate version."""
+        monkeypatch.setattr(gateway_mod, "MAX_PENDING_SEGMENTS", 2)
 
         async def run():
-            server, gateway, port = await start_stack(
-                max_pending_segments=2
-            )
+            server, gateway, port = await start_stack()
             try:
                 client = await FeedClient.connect("127.0.0.1", port)
                 # Burst of arrivals across many segments while the

@@ -74,6 +74,7 @@ class TestEndToEndPipeline:
         """CSV in, narrated prominent headlines out — the full product
         path a newsroom would run."""
         from repro.datasets import save_rows
+        from repro.api import EngineSpec, open_engine
         from repro.reporting import NewsFeed
 
         schema = nba_schema(4, 4)
@@ -82,7 +83,9 @@ class TestEndToEndPipeline:
 
         from repro.datasets import load_rows
 
-        feed = NewsFeed(schema, tau=10.0, max_bound_dims=2, max_measure_dims=2)
+        config = DiscoveryConfig(max_bound_dims=2, max_measure_dims=2, tau=10.0)
+        spec = EngineSpec(schema, config=config)
+        feed = NewsFeed(open_engine(spec))
         for row in load_rows(path, schema):
             feed.push(row)
         assert len(feed) > 0

@@ -471,11 +471,11 @@ class TestNoneDimensionContexts:
     @staticmethod
     def _engine(algorithm):
         from repro import FactDiscoverer
-        from repro.service.sharding import ShardedDiscoverer
+        from tests.strategies import open_router
 
         schema = TestNoneDimensionContexts.SCHEMA
         if algorithm == "sharded-svec":
-            return ShardedDiscoverer(schema, n_workers=1, mode="serial")
+            return open_router(schema, 1)
         return FactDiscoverer(schema, algorithm=algorithm)
 
     @pytest.mark.parametrize(

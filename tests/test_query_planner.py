@@ -24,8 +24,7 @@ from repro.query import ContextualQueryEngine, QueryPlan, QueryResultCache
 from repro.query.kernels import ColumnarQueryKernels
 from repro.service import faults
 from repro.service.server import StreamServer
-from repro.service.sharding import ShardedDiscoverer
-from tests.strategies import seeded_rows
+from tests.strategies import open_router, seeded_rows
 
 SCHEMA = TableSchema(("d0", "d1", "d2"), ("m0", "m1"))
 #: d̂ = 2 on a 3-dimension schema: fully-bound constraints are
@@ -400,9 +399,8 @@ class TestPushDownFaults:
         faults.install([
             {"point": "worker.op", "action": "crash", "op": op, "after": 1}
         ])
-        engine = ShardedDiscoverer(
-            SCHEMA, CONFIG, n_workers=2, mode="process", chunk_size=12,
-            op_timeout=15,
+        engine = open_router(
+            SCHEMA, 2, "process", CONFIG, chunk_size=12, op_timeout=15
         )
         try:
             engine.observe_many(rows)

@@ -2,12 +2,19 @@
 
 import pytest
 
-from repro import Constraint, Record, TableSchema
+from repro import Constraint, DiscoveryConfig, Record, TableSchema
+from repro.api import EngineSpec, open_engine
 from repro.core.facts import SituationalFact
 from repro.reporting import NewsFeed, narrate, narrate_all
 from repro.reporting.narrate import context_phrase, measure_phrase, subject_phrase
 
 SCHEMA = TableSchema(("player", "team"), ("points", "rebounds"))
+
+
+def news_feed(**config):
+    """A feed over an in-proc engine on ``SCHEMA``."""
+    spec = EngineSpec(SCHEMA, config=DiscoveryConfig(**config))
+    return NewsFeed(open_engine(spec))
 
 
 def fact(constraint_values, subspace, context=100, skyline=1):
@@ -67,7 +74,7 @@ class TestNarrate:
 
 class TestNewsFeed:
     def test_feed_emits_headlines_above_tau(self):
-        feed = NewsFeed(SCHEMA, tau=3.0, max_bound_dims=1, max_measure_dims=2)
+        feed = news_feed(tau=3.0, max_bound_dims=1, max_measure_dims=2)
         rows = [
             {"player": f"P{i}", "team": "T", "points": i % 3, "rebounds": i % 2}
             for i in range(12)
@@ -81,7 +88,7 @@ class TestNewsFeed:
         assert "Star" in last.text or "T" in last.text
 
     def test_quiet_stream_stays_quiet(self):
-        feed = NewsFeed(SCHEMA, tau=1e6)
+        feed = news_feed(tau=1e6)
         rows = [
             {"player": "A", "team": "T", "points": i, "rebounds": i}
             for i in range(10)
@@ -90,7 +97,7 @@ class TestNewsFeed:
         assert len(feed) == 0
 
     def test_push_returns_only_new_headlines(self):
-        feed = NewsFeed(SCHEMA, tau=2.0, max_bound_dims=1, max_measure_dims=1)
+        feed = news_feed(tau=2.0, max_bound_dims=1, max_measure_dims=1)
         for i in range(6):
             feed.push({"player": "A", "team": "T", "points": 1, "rebounds": 1})
         out = feed.push({"player": "B", "team": "T", "points": 50, "rebounds": 50})

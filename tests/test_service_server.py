@@ -29,7 +29,7 @@ from repro.service import (
     faults,
     fetch_json,
 )
-from tests.strategies import SERVICE_SCHEMA as SCHEMA, make_rows
+from tests.strategies import SERVICE_SCHEMA as SCHEMA, make_rows, open_router
 
 def fact_key(fact):
     return (fact.constraint.values, fact.subspace, fact.prominence)
@@ -493,7 +493,7 @@ class TestTcpFrontend:
         rows = make_rows(6)
 
         async def run():
-            engine = ShardedDiscoverer(SCHEMA, n_workers=2, mode="serial")
+            engine = open_router(SCHEMA)
             server = StreamServer(engine)
             await server.start()
             listener = await server.serve_tcp("127.0.0.1", 0)

@@ -13,11 +13,12 @@ values) are ``tests/test_corpus.py``'s.
 import pytest
 
 from repro import DiscoveryConfig, FactDiscoverer, TableSchema
+from repro.api import ShardingSpec
 from repro.service.sharding import (
-    ShardedDiscoverer,
     canonical_subspace_keys,
     partition_subspaces,
 )
+from tests.strategies import open_router
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
 
@@ -77,19 +78,17 @@ class TestPartition:
             assert sorted(flat) == keys
 
     def test_worker_count_clamped(self):
-        sharded = ShardedDiscoverer(SCHEMA, n_workers=64, mode="serial")
+        sharded = open_router(SCHEMA, 64)
         assert sharded.n_workers == len(canonical_subspace_keys(SCHEMA))
         sharded.close()
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            ShardedDiscoverer(SCHEMA, mode="fleet")
+            ShardingSpec(2, "fleet")
 
     def test_unscored_with_tau_rejected(self):
         with pytest.raises(ValueError, match="prominence"):
-            ShardedDiscoverer(
-                SCHEMA, DiscoveryConfig(tau=2.0), score=False, mode="serial"
-            )
+            open_router(SCHEMA, config=DiscoveryConfig(tau=2.0), score=False)
 
 
 class TestShardedEquivalence:
@@ -118,9 +117,7 @@ class TestShardedEquivalence:
             ]
         ]
         svec = FactDiscoverer(SCHEMA, algorithm="svec", config=config)
-        with ShardedDiscoverer(
-            SCHEMA, config, n_workers=2, mode="serial"
-        ) as sharded:
+        with open_router(SCHEMA, config=config) as sharded:
             assert reportable(sharded.observe_many(rows)) == reportable(
                 svec.observe_many(rows)
             )
@@ -132,9 +129,7 @@ class TestShardedEquivalence:
             for i in range(10)
         ]
         svec = FactDiscoverer(SCHEMA, algorithm="svec", score=False)
-        with ShardedDiscoverer(
-            SCHEMA, n_workers=2, mode="serial", score=False, chunk_size=4
-        ) as sharded:
+        with open_router(SCHEMA, score=False, chunk_size=4) as sharded:
             got = sharded.facts_for_many(rows)
             expected = svec.facts_for_many(rows)
             assert [
@@ -172,9 +167,7 @@ class TestExecutionModes:
 
     def test_mode_equivalence_with_deletions(self):
         svec = FactDiscoverer(SCHEMA, algorithm="svec")
-        with ShardedDiscoverer(
-            SCHEMA, n_workers=2, mode="process", chunk_size=3
-        ) as sharded:
+        with open_router(SCHEMA, 2, "process", chunk_size=3) as sharded:
             assert emitted(sharded.facts_for_many(self.ROWS[:6])) == emitted(
                 svec.facts_for_many(self.ROWS[:6])
             )
@@ -186,7 +179,7 @@ class TestExecutionModes:
             assert sharded.counters.snapshot() == svec.counters.snapshot()
 
     def test_close_is_idempotent_and_final(self):
-        sharded = ShardedDiscoverer(SCHEMA, n_workers=2, mode="serial")
+        sharded = open_router(SCHEMA)
         sharded.observe({"d0": "a", "d1": "x", "m0": 1, "m1": 1})
         sharded.close()
         sharded.close()
@@ -199,9 +192,7 @@ class TestExecutionModes:
         from repro.core.schema import SchemaError
 
         svec = FactDiscoverer(SCHEMA, algorithm="svec")
-        with ShardedDiscoverer(
-            SCHEMA, n_workers=2, mode="serial", chunk_size=4
-        ) as sharded:
+        with open_router(SCHEMA, chunk_size=4) as sharded:
             sharded.facts_for_many(self.ROWS[:3])
             svec.facts_for_many(self.ROWS[:3])
             bad = {"d0": "a", "d1": "x", "m0": "not-a-number", "m1": 1}
@@ -219,7 +210,7 @@ class TestExecutionModes:
 
     def test_update_matches_engine(self):
         svec = FactDiscoverer(SCHEMA, algorithm="svec")
-        with ShardedDiscoverer(SCHEMA, n_workers=2, mode="serial") as sharded:
+        with open_router(SCHEMA) as sharded:
             for row in self.ROWS[:4]:
                 sharded.observe(row)
                 svec.observe(row)

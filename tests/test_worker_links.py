@@ -15,7 +15,6 @@ import pytest
 
 from repro import TableSchema
 from repro.service.remote import SocketLink, SocketWorkerServer
-from repro.service.sharding import ShardedDiscoverer
 from repro.service.supervisor import (
     InlineLink,
     PipeLink,
@@ -24,6 +23,7 @@ from repro.service.supervisor import (
     WorkerGaveUp,
 )
 from repro.service.worker import ShardOp, _build_shard_engine, _ShardEngine
+from tests.strategies import open_router
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
 LINKS = ["inline", "pipe", "socket"]
@@ -96,10 +96,10 @@ def drive(submit, result, call):
     out.append(call("replay", [("rows", ROWS[6:]), ("delete", 4)]))
     for values in (("a", None), (None, None), ("a", "x")):
         out.append(call("skyline", (values, 3)))
-        out.append(call("skyband", (values, 1, 2, None)))
-        out.append(call("skyband", (values, 3, 2, 1)))
-        out.append(call("top_k", (values, 3, 0)))
-        out.append(call("top_k", (values, 2, None)))
+        out.append(call("skyband", (values, 1, 2)))
+        out.append(call("skyband", (values, 3, 2)))
+        out.append(call("top_k", (values, 3)))
+        out.append(call("top_k", (values, 2)))
     out.append(call("counters", None))
     return out
 
@@ -178,19 +178,20 @@ def test_one_table_entry_adds_an_op_to_every_pool(monkeypatch):
     )
     servers = [SocketWorkerServer().start() for _ in range(3)]
     pools = {
-        "serial": dict(n_workers=2, mode="serial"),
-        "process": dict(n_workers=2, mode="process"),
+        "serial": dict(mode="serial"),
+        "process": dict(mode="process"),
         # Shard 0 is a two-replica set: a read op goes to one replica.
         "remote": dict(
+            mode="remote",
             remote={
                 "0": [servers[0].address, servers[1].address],
                 "1": [servers[2].address],
-            }
+            },
         ),
     }
     try:
         for name, kwargs in pools.items():
-            with ShardedDiscoverer(SCHEMA, chunk_size=3, **kwargs) as pool:
+            with open_router(SCHEMA, 2, chunk_size=3, **kwargs) as pool:
                 pool.observe_many(ROWS)
                 answers = [w.call("applied", 10) for w in pool._workers]
                 assert answers == [10 * len(ROWS)] * 2, name
