@@ -14,6 +14,7 @@ Run:  python examples/record_watch.py [n_tuples] [window]
 import sys
 
 from repro import DiscoveryConfig, EngineSpec, TableSchema, open_engine
+from repro.core import select_reportable
 from repro.datasets import nba_rows
 from repro.reporting.history import narrate_with_history
 
@@ -43,9 +44,8 @@ def main(n: int = 1200, window: int = 300) -> None:
     headlines = 0
     with open_engine(spec) as engine:
         for i, row in enumerate(rows):
-            facts = engine.observe(row)
-            newest = engine.table[len(engine.table) - 1]
-            for fact in facts:
+            arrival = engine.facts_for(row)
+            for fact in select_reportable(arrival, engine.config):
                 headlines += 1
                 text = narrate_with_history(
                     fact,
@@ -55,7 +55,7 @@ def main(n: int = 1200, window: int = 300) -> None:
                     when_attribute=WHEN_ATTR,
                 )
                 print(f"[game {i:5d}] {text}")
-            full_history.append(newest)
+            full_history.append(arrival.record)
     print(f"\n{headlines} windowed records spotted.")
 
 

@@ -186,12 +186,15 @@ class DiscoveryAlgorithm(abc.ABC):
     def retract_many(self, tids) -> List[Record]:
         """Grouped :meth:`retract`: removed records in argument order.
 
+        Every tid is checked against the table first
+        (:meth:`~repro.core.record.Table.check_live`): a batch naming an
+        unknown or repeated tid raises ``KeyError`` and removes nothing.
         Repair is inherently sequential (each retraction must observe
         the state the previous one left), so the default loops;
         store-maintaining algorithms override to batch the physical
         reclamation around the loop.
         """
-        return [self.retract(tid) for tid in tids]
+        return [self.retract(tid) for tid in self.table.check_live(tids)]
 
     def _repair_after_retract(self, removed: Record) -> None:
         """Fix any materialised state after ``removed`` left the table."""

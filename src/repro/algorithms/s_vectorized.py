@@ -99,7 +99,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.config import DiscoveryConfig
-from ..core.constraint import UNBOUND, bindable_positions
+from ..core.constraint import bindable_positions
 from ..core.facts import FactSet
 from ..core.lattice import (
     bit_positions,
@@ -139,7 +139,7 @@ class SVectorized(DiscoveryAlgorithm):
     ) -> None:
         super().__init__(schema, config, counters)
         self.store = ColumnarSkylineStore(
-            self.context_counter, schema.n_measures, self.counters
+            self.table, self.context_counter, self.counters
         )
         self._closure = submask_closure_table(schema.n_dimensions)
         # Subspace-axis sharding (the service layer's parallel unit):
@@ -234,11 +234,6 @@ class SVectorized(DiscoveryAlgorithm):
     # ------------------------------------------------------------------
     # Streaming hooks
     # ------------------------------------------------------------------
-    def _after_append(self, record: Record) -> None:
-        # Every arrival enters the columns, stored or not: the next
-        # arrival's sweep runs against the full history.
-        self.store.register(record)
-
     def reserve(self, extra: int) -> None:
         self.store.reserve(extra)
 
@@ -257,7 +252,7 @@ class SVectorized(DiscoveryAlgorithm):
         # the previous one left) but the store's tombstone compaction is
         # deferred to one grouped pass at the end.
         with self.store.deferred_compaction():
-            return [self.retract(tid) for tid in tids]
+            return super().retract_many(tids)
 
     def stored_tuple_count(self) -> int:
         return self.store.stored_tuple_count()
@@ -268,7 +263,7 @@ class SVectorized(DiscoveryAlgorithm):
     def reset(self) -> None:
         super().reset()
         self.store = ColumnarSkylineStore(
-            self.context_counter, self.schema.n_measures, self.counters
+            self.table, self.context_counter, self.counters
         )
 
     # ------------------------------------------------------------------
@@ -532,33 +527,35 @@ class SVectorized(DiscoveryAlgorithm):
             )
         self.counters.comparisons += comparisons
 
-        # Every cell this arrival changes — its own promotion row here,
-        # the demoted cells below — is collected in ``cells`` and
-        # handed to the store as one write.
-        cells: Dict[Tuple[int, int], int] = {}
-        if any(anchors):
-            row = store.register(record)
-            for k, bits in enumerate(anchors):
-                if bits:
-                    cells[keys[k], row] = bits
+        # The arrival enters the columns, stored or not (the next
+        # arrival's sweep runs against the full history; its record is
+        # the table's once ``process`` appends it).  Every cell this
+        # arrival changes — its own promotion row here, the demoted
+        # cells below — is collected in ``cells`` and handed to the
+        # store as one write.
+        row = store.register(record)
+        cells: Dict[Tuple[int, int], int] = {
+            (keys[k], row): bits for k, bits in enumerate(anchors) if bits
+        }
 
         # Demotion repair (Procedure *Dominates*, Alg. 5), one demoted
         # cell at a time against its anchors as they stood before this
         # arrival — repairs of distinct cells are independent, so the
         # final state is that of the scalar inline repairs.  Anchor
-        # cells and agreement bitmasks are gathered for the handful of
-        # demoted cells only: a full agree column would cost the O(n)
-        # pass the prefix stage exists to avoid.
+        # cells, and the positions with no child (agreeing with the
+        # arrival, or None), are gathered for the handful of demoted
+        # cells only: a full agree column would cost the O(n) pass the
+        # prefix stage exists to avoid.
         if demoted_rows:
-            for k, row, at, bits, agree in zip(
+            for k, row, at, bits, fixed in zip(
                 demoted_ks,
                 demoted_rows,
                 demoted_at,
                 cell_ints(anchored[demoted_ks, demoted_rows]),
-                store.agree_bits_rows(demoted_rows, probe_dims).tolist(),
+                store.fixed_bits_rows(demoted_rows, probe_dims).tolist(),
             ):
                 cells[keys[k], row] = self._demoted_anchors(
-                    row, self._in_pass_order(at), bits, agree
+                    self._in_pass_order(at), bits, fixed
                 )
         if cells:
             store.apply_cells(*zip(*cells), list(cells.values()))
@@ -674,45 +671,39 @@ class SVectorized(DiscoveryAlgorithm):
             out.sort(key=self.context_counter.position_of.__getitem__)
         return out
 
-    def _demoted_anchors(self, row, masks, anchors: int, agree: int) -> int:
+    def _demoted_anchors(self, masks, anchors: int, no_child: int) -> int:
         """Procedure *Dominates* (Alg. 5) on one anchor cell: the
-        bitset ``anchors`` of ``row`` after the arrival demoted it at
+        bitset ``anchors`` of a row after the arrival demoted it at
         each of ``masks`` (bound masks, in pass order).
 
-        Bitset counterpart of :func:`repair_demoted_tuple`: the sweep's
-        agreement bitmask ``agree`` of the row already answers the
-        per-attribute "do the two tuples disagree here?" probes, so the
+        Bitset counterpart of :func:`repair_demoted_tuple`: bit ``j`` of
+        ``no_child`` is set where the row agrees with the arrival or
+        holds the unbound marker (None cannot be bound), so the
         candidate children of each mask are the set bits of one
         integer, and "ancestor already anchored?" is one AND of the
         cell against a memoised ancestor table — no child
-        ``Constraint`` is built.  A row demoted at two masks sees its
-        first repair, so the resulting cell is identical to the inline
-        scalar repairs'.
+        ``Constraint`` is built and no record is read.  A row demoted
+        at two masks sees its first repair, so the resulting cell is
+        identical to the inline scalar repairs'.
         """
         allowed_bits = self._allowed_bits
         anc_tbl = self._anc_tbl
         for mask in masks:
             anchors &= ~(1 << mask)
-            cand = ~mask & ~agree & self.dim_universe
-            if cand:
-                dims = self.store.record_at(row).dims
-                while cand:
-                    bit = cand & -cand
-                    cand ^= bit
-                    child = mask | bit
-                    if not (allowed_bits >> child) & 1:
-                        continue
-                    j = bit.bit_length() - 1
-                    if dims[j] is UNBOUND:
-                        # A value equal to the unbound marker cannot be
-                        # bound — there is no child on this attribute.
-                        continue
-                    tbl = anc_tbl.get(child)
-                    if tbl is None:
-                        tbl = self._make_anc_row(child)
-                    if anchors & tbl[j]:
-                        continue
-                    anchors |= 1 << child
+            cand = ~mask & ~no_child & self.dim_universe
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                child = mask | bit
+                if not (allowed_bits >> child) & 1:
+                    continue
+                j = bit.bit_length() - 1
+                tbl = anc_tbl.get(child)
+                if tbl is None:
+                    tbl = self._make_anc_row(child)
+                if anchors & tbl[j]:
+                    continue
+                anchors |= 1 << child
         return anchors
 
     # ------------------------------------------------------------------

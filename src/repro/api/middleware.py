@@ -13,8 +13,8 @@ inner to outer in that order.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Iterable, List, Mapping, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from ..core.engine_protocol import Engine, EngineBase, Row
 from ..core.facts import FactSet
@@ -126,7 +126,9 @@ class WindowMiddleware(EngineMiddleware):
 
     Keeps only the ``window`` most recent tuples live: each arrival
     beyond the horizon retracts the oldest first, so every reported fact
-    is a statement about the window, not all history.
+    is a statement about the window, not all history.  The live tuples
+    are the inner engine's table (arrival order), so explicit deletes
+    need no bookkeeping here.
 
     Examples
     --------
@@ -145,43 +147,25 @@ class WindowMiddleware(EngineMiddleware):
     def __init__(self, inner: Engine, spec: EngineSpec) -> None:
         super().__init__(inner, spec)
         self.window = spec.window
-        self._live: Deque[int] = deque()
 
     def facts_for(self, row: Row) -> FactSet:
-        """Discover one arrival; evict the oldest tuple when the window
+        """Discover one arrival; evict the oldest tuples when the window
         overflows (eviction happens *before* discovery so the new tuple
         is compared only against live ones)."""
         inner = self.inner
-        if len(self._live) >= self.window:
-            evicted = []
-            while len(self._live) >= self.window:
-                evicted.append(self._live.popleft())
+        table = inner.table
+        overflow = len(table) - self.window + 1
+        if overflow > 0:
+            evicted = [record.tid for record in islice(table, overflow)]
             # One grouped retraction: the inner store compacts (at most)
             # once for the whole eviction burst, not once per tuple.
             self._notify_retraction(inner.delete_many(evicted))
-        facts = inner.facts_for(row)
-        table = inner.table
-        self._live.append(table[len(table) - 1].tid)
-        return facts
-
-    def delete(self, tid: int) -> Record:
-        """Explicitly retract a live tuple ahead of its eviction."""
-        removed = self.inner.delete(tid)
-        self._live.remove(tid)
-        return removed
-
-    def delete_many(self, tids: Iterable[int]) -> List[Record]:
-        """Grouped explicit retraction (window bookkeeping included)."""
-        tids = list(tids)
-        removed = self.inner.delete_many(tids)
-        for tid in tids:
-            self._live.remove(tid)
-        return removed
+        return inner.facts_for(row)
 
     @property
     def live_tids(self) -> List[int]:
         """Arrival ids currently inside the window, oldest first."""
-        return list(self._live)
+        return [record.tid for record in self.inner.table]
 
     def stats(self) -> Dict[str, object]:
         out = super().stats()
@@ -278,8 +262,7 @@ class AggregateMiddleware(EngineMiddleware):
         for name, (base, fn) in self.group.aggregations.items():
             agg_row[name] = state.value(base, fn)
         facts = inner.facts_for(agg_row)
-        table = inner.table
-        self._live_tid[key] = table[len(table) - 1].tid
+        self._live_tid[key] = facts.record.tid
         self._journal.append({
             a: row[a]
             for a in (*self._base_schema.dimensions,

@@ -120,10 +120,13 @@ class EngineBase:
 
     def delete_many(self, tids: Iterable[int]) -> List[Record]:
         """Grouped :meth:`delete`: retract several tuples, returning the
-        removed records in argument order.  Engines whose storage can
-        batch the physical reclamation (the columnar store's deferred
-        compaction) override this; the default simply loops."""
-        return [self.delete(tid) for tid in tids]
+        removed records in argument order.  Every tid is checked against
+        the table before the first removal
+        (:meth:`~repro.core.record.Table.check_live`), so an unknown or
+        repeated tid raises ``KeyError`` and removes nothing.  Engines
+        whose storage can batch the physical reclamation (the columnar
+        store's deferred compaction) override this; the default loops."""
+        return [self.delete(tid) for tid in self.table.check_live(tids)]
 
     def update(self, tid: int, row: Mapping[str, object]) -> List[SituationalFact]:
         """Replace a previously observed tuple (§VIII "update of data").

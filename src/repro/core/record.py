@@ -8,16 +8,20 @@ orders arrivals.  Measure values are stored twice:
 * ``values`` — *normalised* by the schema's per-measure sign so that
   "larger is better" holds uniformly (paper, remark after Def. 2).
 
-:class:`Table` is the append-only relation the paper streams tuples into.
-It assigns tuple ids, normalises measures, and offers the relational
-helpers (``sigma`` selection, context cardinalities) that algorithms and
-the prominence ranker need.
+:class:`Table` is the append-only relation the paper streams tuples into
+and the one map from tuple id to record: it assigns tuple ids, normalises
+measures, and holds each live row as the one :class:`Record` object the
+arrival was discovered with (``FactSet.record`` of that arrival).  Every
+other layer — the columnar store, the window, the router's queries —
+reads rows from it by tid instead of keeping its own copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Mapping, Sequence, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from .schema import SchemaError, TableSchema
 
@@ -67,20 +71,21 @@ class Table:
 
     Tuples may only be appended (the paper's model); a best-effort
     :meth:`delete` is provided as the paper's future-work extension and is
-    exercised by the engine's repair path.
+    exercised by the engine's repair path.  Live records are held in one
+    dict keyed by tid, whose insertion order is arrival order.
 
     Examples
     --------
     >>> schema = TableSchema(("d1",), ("m1",))
     >>> table = Table(schema)
     >>> r = table.append({"d1": "a", "m1": 3})
-    >>> r.tid, len(table)
-    (0, 1)
+    >>> r.tid, len(table), table.get(0) is r
+    (0, 1, True)
     """
 
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
-        self._records: List[Record] = []
+        self._rows: Dict[int, Record] = {}
         self._signs = schema.measure_signs()
         self._next_tid = 0
 
@@ -91,16 +96,19 @@ class Table:
         """Append one row and return the stored :class:`Record`.
 
         Accepts either a mapping keyed by attribute names or an existing
-        :class:`Record` (whose tid is re-assigned to preserve arrival
-        order).
+        :class:`Record`.  A record already numbered as the next arrival
+        (what :meth:`make_record` builds) is stored as it is; any other
+        is re-numbered to preserve arrival order.
         """
         if isinstance(row, Record):
-            record = Record(self._next_tid, row.dims, row.values, row.raw)
+            record = row
+            if record.tid != self._next_tid:
+                record = Record(self._next_tid, row.dims, row.values, row.raw)
         else:
             dims, raw = self.schema.project_row(row)
             values = self._normalise(raw)
             record = Record(self._next_tid, dims, values, tuple(raw))
-        self._records.append(record)
+        self._rows[record.tid] = record
         self._next_tid += 1
         return record
 
@@ -119,10 +127,23 @@ class Table:
 
         Returns the removed record.  Raises ``KeyError`` if absent.
         """
-        for i, rec in enumerate(self._records):
-            if rec.tid == tid:
-                return self._records.pop(i)
-        raise KeyError(f"no record with tid={tid}")
+        try:
+            return self._rows.pop(tid)
+        except KeyError:
+            raise KeyError(f"no record with tid={tid}") from None
+
+    def check_live(self, tids: Iterable[int]) -> List[int]:
+        """``tids`` as a list, once every one is known to name a live
+        record exactly once — the check a grouped retraction runs before
+        its first removal, so a bad batch removes nothing.  Raises
+        ``KeyError`` on an unknown or repeated tid."""
+        tids = list(tids)
+        for tid in tids:
+            if tid not in self._rows:
+                raise KeyError(f"no record with tid={tid}")
+        if len(set(tids)) < len(tids):
+            raise KeyError(f"a tid repeats in {tids}")
+        return tids
 
     def resume_at(self, tid: int) -> None:
         """Number the next appended row ``tid`` (snapshot restore keeps
@@ -145,18 +166,15 @@ class Table:
     # Access
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[Record]:
-        return iter(self._records)
+        """Live records in arrival order."""
+        return iter(self._rows.values())
 
-    def __getitem__(self, index: int) -> Record:
-        return self._records[index]
-
-    @property
-    def records(self) -> Sequence[Record]:
-        """All records in arrival order (read-only view)."""
-        return tuple(self._records)
+    def get(self, tid: int) -> Optional[Record]:
+        """The live record with id ``tid`` (``None`` if absent)."""
+        return self._rows.get(tid)
 
     @property
     def arrivals(self) -> int:
@@ -166,13 +184,9 @@ class Table:
         failure."""
         return self._next_tid
 
-    def sigma(self, predicate: Callable[[Record], bool]) -> List[Record]:
-        """Relational selection ``σ``: records satisfying ``predicate``."""
-        return [rec for rec in self._records if predicate(rec)]
-
     def select_constraint(self, constraint: "Constraint") -> List[Record]:
         """``σ_C(R)`` — records satisfying conjunctive ``constraint``."""
-        return [rec for rec in self._records if constraint.satisfied_by(rec)]
+        return [rec for rec in self if constraint.satisfied_by(rec)]
 
 
 # Deferred import solely for the type used in ``select_constraint``.

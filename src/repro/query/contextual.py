@@ -225,11 +225,7 @@ class ContextualQueryEngine:
         the first dominator instead of materialising the skyline."""
         if subspace == 0:
             return False
-        target = None
-        for record in self.algorithm.table:
-            if record.tid == tid:
-                target = record
-                break
+        target = self.algorithm.table.get(tid)
         if target is None or not constraint.satisfied_by(target):
             return False
         kernels = self._kernels()

@@ -78,12 +78,8 @@ class ColumnarQueryKernels:
         """
         store = self.store
         dims = store.dims_matrix()
-        n = dims.shape[0]
-        if n == 0:
+        if dims.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
-        if dims.shape[1] == 0:
-            live = [r for r in range(n) if store.record_at(r) is not None]
-            return np.asarray(live, dtype=np.int64)
         probe_ids = store.intern_dims(constraint.values)
         bound = [i for i, v in enumerate(constraint.values) if v is not UNBOUND]
         if not bound:
@@ -150,9 +146,7 @@ class ColumnarQueryKernels:
         mpos = self._measure_positions(subspace)
         values = self.store.values_matrix()[rows][:, mpos]
         keep = rows[self._dominator_counts(values) < k]
-        records = [self.store.record_at(r) for r in keep]
-        records.sort(key=lambda record: record.tid)
-        return records
+        return [self.store.record_at(r) for r in keep.tolist()]
 
     def maintained_skyline(
         self, constraint: Constraint, subspace: int

@@ -839,8 +839,7 @@ class FeedStore:
             self._reset()
             self._pending_retractions = []
             self._pending_unknown = []
-            table = engine.table
-            pairs = self._candidates(table[i] for i in range(len(table)))
+            pairs = self._candidates(engine.table)
             self.applied_arrivals = engine.arrivals
             if not pairs:
                 return

@@ -188,8 +188,8 @@ class ShardedQueryEngine(ContextualQueryEngine):
         return owner
 
     def _project(self, tids: List[int]) -> List[Record]:
-        by_tid = {record.tid: record for record in self._sharded.table}
-        return [by_tid[tid] for tid in tids if tid in by_tid]
+        get = self._sharded.table.get
+        return [record for record in map(get, tids) if record is not None]
 
     # -- reads -------------------------------------------------------
     def skyline(self, constraint: Constraint, subspace: int) -> List[Record]:

@@ -195,9 +195,7 @@ class _ShardEngine:
 
 def _build_shard_engine(spec: Mapping[str, object]) -> _ShardEngine:
     """Build a shard engine from the router's worker spec — the only
-    construction path, so every knob in the spec reaches every mode.
-    A router of an earlier version also sends a ``"sweep_index"`` key;
-    it is ignored whatever its value (the store picks its own side)."""
+    construction path, so every knob in the spec reaches every mode."""
     schema = TableSchema(
         dimensions=tuple(spec["dimensions"]),
         measures=tuple(spec["measures"]),

@@ -34,29 +34,33 @@ here.  :meth:`~ColumnarSkylineStore.iter_pairs` renders the cells as
 Examples
 --------
 >>> from repro.core.prominence import ContextCounter
->>> from repro.core.record import Record
->>> counter, record = ContextCounter(1), Record(0, ("a",), (1.0,), (1.0,))
+>>> from repro.core.record import Table
+>>> from repro.core.schema import TableSchema
+>>> table, counter = Table(TableSchema(("d0",), ("m0",))), ContextCounter(1)
+>>> record = table.append({"d0": "a", "m0": 1.0})
 >>> counter.register(record)
->>> store = ColumnarSkylineStore(counter, n_measures=1)
+>>> store = ColumnarSkylineStore(table, counter)
 >>> row = store.register(record)
 >>> store.apply_cells([0b1], [row], [0b10])  # stored at (d0=a, {m0})
 >>> store.anchor_cell(0b1, row), store.stored_tuple_count()
 (2, 1)
 >>> [(c.values, m, [r.tid for r in rs]) for (c, m), rs in store.iter_pairs()]
 [(('a',), 1, [0])]
+>>> store.record_at(row) is table.get(0) is record
+True
 >>> store.skyline_counts(("a",), [0b0, 0b1]).tolist()
 [[0, 0], [0, 1]]
 """
 
 from __future__ import annotations
 
-import sys
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.constraint import (
+    UNBOUND,
     Constraint,
     bindable_positions,
     constraint_for_record,
@@ -68,7 +72,7 @@ from ..core.lattice import (
     supermask_closure_table,
 )
 from ..core.prominence import ContextCounter
-from ..core.record import Record
+from ..core.record import Record, Table
 from ..metrics.counters import OpCounters
 from .base import PairKey
 from .sweep_index import SweepIndex
@@ -168,29 +172,31 @@ class ColumnarSkylineStore:
     and read skylines and their sizes as whole selections
     (:meth:`skyline_rows`, :meth:`skyline_counts`).
 
-    The store is built on its algorithm's constraint table
-    (:class:`~repro.core.prominence.ContextCounter`): the dimension
-    columns hold the table's interned ids, and a row takes its
-    constraint ids from the table when it registers, so the table must
-    have registered the row's values first (a row it does not know is
-    counted nowhere).
+    The store is built on its algorithm's two tables.  The relation
+    (:class:`~repro.core.record.Table`) is the one map from tid to
+    record: the store keeps an ``int64`` tid column, strictly
+    increasing (rows register in arrival order), and no ``Record``.
+    The constraint table (:class:`~repro.core.prominence.ContextCounter`)
+    interns the dimension columns and hands a row its constraint ids
+    when it registers, so it must have registered the row's values
+    first (a row it does not know is counted nowhere).
     """
 
     def __init__(
         self,
+        table: Table,
         counter: ContextCounter,
-        n_measures: int,
         counters: Optional[OpCounters] = None,
         initial_capacity: int = _INITIAL_CAPACITY,
     ) -> None:
         self.counters = counters if counters is not None else OpCounters()
         self._initial_capacity = initial_capacity
+        self._table = table
         self._counter = counter
         self._interner = counter.interner
         self._n_dimensions = counter.n_dimensions
-        self._n_measures = n_measures
-        self._records: List[Record] = []
-        self._row_of: Dict[int, int] = {}
+        self._n_measures = table.schema.n_measures
+        self._n = 0
         # The µ store: ``_cells[slot, row]`` is the anchor bitset of
         # ``row`` in the subspace holding ``slot`` — bit ``m`` (word
         # ``m >> 5``) set iff the row is stored there under the
@@ -239,6 +245,7 @@ class ColumnarSkylineStore:
     def _allocate(self) -> None:
         """Fresh, empty columns and anchor-bit matrix."""
         cap = self._initial_capacity
+        self._tids = np.empty(cap, dtype=np.int64)
         self._values = np.empty((cap, self._n_measures), dtype=np.float64)
         self._dims = np.empty((cap, self._n_dimensions), dtype=np.int32)
         self._slot_ids = np.empty((cap, len(self._mask_column)), dtype=np.int32)
@@ -251,7 +258,8 @@ class ColumnarSkylineStore:
         matrix rows zeroed: an unwritten cell is the empty bitset)."""
         if self._values.shape[0] >= min_rows:
             return
-        size = len(self._records)
+        size = self._n
+        self._tids = grow_2d(self._tids, size, min_rows)
         self._values = grow_2d(self._values, size, min_rows)
         self._dims = grow_2d(self._dims, size, min_rows)
         self._slot_ids = grow_2d(self._slot_ids, size, min_rows)
@@ -280,25 +288,29 @@ class ColumnarSkylineStore:
         any retraction tombstones awaiting compaction (tombstoned rows
         carry sentinels no sweep can match, so callers may treat the
         range as dense)."""
-        return len(self._records)
+        return self._n
 
     def register(self, record: Record) -> int:
         """Intern-and-append ``record`` into the columns; returns its row.
 
-        Idempotent per tid.  ``svec`` sweeps the whole history, so it
+        Rows register once each, in arrival order (``ValueError`` for a
+        tid not newer than every registered one), so the tid column
+        strictly increases.  ``svec`` sweeps the whole history, so it
         registers every arrival; a row must be registered before a cell
         of it is written.
         """
-        row = self._row_of.get(record.tid)
-        if row is not None:
-            return row
-        row = len(self._records)
+        row = self._n
+        if row and self._tids[row - 1] >= record.tid:
+            raise ValueError(
+                f"rows register in arrival order: tid {record.tid} after "
+                f"tid {self._tids[row - 1]}"
+            )
         self._reserve_rows(row + 1)
+        self._tids[row] = record.tid
         self._values[row] = record.values
         self._dims[row] = self._interner.intern_row(record.dims)
         self._slot_ids[row] = self._counter.row_ids(record.dims)
-        self._records.append(record)
-        self._row_of[record.tid] = row
+        self._n = row + 1
         return row
 
     def unregister(self, tid: int) -> None:
@@ -307,23 +319,23 @@ class ColumnarSkylineStore:
         Any pair still holding the tuple loses it first (retraction
         repair has normally emptied its cells already), so a dead row is
         never anchored.  The row is then *tombstoned*, not slid out: the
-        record reference is dropped, the measures become NaN and the
-        dimension ids ``-1`` — sentinels no probe can match, so dense
-        sweeps need no alive-masking — and the sweep index (when
-        present) marks the row dead.  Column space is reclaimed by one
-        grouped compaction once enough tombstones accumulate
+        measures become NaN and the dimension ids ``-1`` — sentinels no
+        probe can match (so dense sweeps need no alive-masking) and the
+        row's only liveness mark — and the sweep index (when present)
+        marks the row dead; the tid stays, so the column stays sorted.  Column
+        space is reclaimed by one grouped compaction once enough
+        tombstones accumulate
         (:meth:`compact`), so a retraction is O(stored-per-tid)
         amortised instead of an O(n + stored) row-slide per tid; a
         grouped retraction unregisters inside
         :meth:`deferred_compaction`, which checks once at exit.
         """
-        row = self._row_of.pop(tid, None)
+        row = self.row_of(tid)
         if row is None:
             return
         if self._cells[:, row].any():
             held = list(self._slots)
             self.apply_cells(held, [row] * len(held), [0] * len(held))
-        self._records[row] = None
         self._values[row] = np.nan
         self._dims[row] = -1
         self._dead_count += 1
@@ -351,37 +363,33 @@ class ColumnarSkylineStore:
         if (
             not self._compaction_deferred
             and self._dead_count > _COMPACT_MIN_DEAD
-            and self._dead_count * _COMPACT_DEAD_FRACTION > len(self._records)
+            and self._dead_count * _COMPACT_DEAD_FRACTION > self._n
         ):
             self.compact()
 
     def compact(self) -> None:
         """Slide live rows over the tombstones — one fancy-index per
-        array, the matrix included — and rebuild the tid map; the sweep
-        index is dropped and re-arms over the compacted columns (see
-        :meth:`folded_sweep`)."""
+        array, the tid column and the matrix included, keeping their
+        order; the sweep index is dropped and re-arms over the compacted
+        columns (see :meth:`folded_sweep`)."""
         if not self._dead_count:
             return
-        records = self._records
-        keep = [row for row, record in enumerate(records) if record is not None]
-        n = len(keep)
-        index = np.asarray(keep, dtype=np.int64)
+        end = self._n
+        index = np.flatnonzero(self._dims[:end, 0] != -1)
+        n = self._n = len(index)
+        self._tids[:n] = self._tids[index]
         self._values[:n] = self._values[index]
         self._dims[:n] = self._dims[index]
         self._cells[:, :n] = self._cells[:, index]
-        self._cells[:, n : len(records)] = 0
+        self._cells[:, n:end] = 0
         self._slot_ids[:n] = self._slot_ids[index]
-        self._records = [records[row] for row in keep]
-        self._row_of = {
-            record.tid: row for row, record in enumerate(self._records)
-        }
         self._dead_count = 0
         self._sweep = None
 
     def reserve(self, extra: int) -> None:
         """Pre-grow the columns for ``extra`` imminent registrations."""
         if extra > 0:
-            self._reserve_rows(len(self._records) + extra)
+            self._reserve_rows(self._n + extra)
 
     def intern_dims(self, dims: Tuple[object, ...]) -> np.ndarray:
         """Interned ``int32`` ids for a probe's dimension values.
@@ -393,11 +401,11 @@ class ColumnarSkylineStore:
 
     def values_matrix(self) -> np.ndarray:
         """``(n_rows, |M|)`` float64 view of the registered measures."""
-        return self._values[: len(self._records)]
+        return self._values[: self._n]
 
     def dims_matrix(self) -> np.ndarray:
         """``(n_rows, |D|)`` int32 view of the interned dimensions."""
-        return self._dims[: len(self._records)]
+        return self._dims[: self._n]
 
     def partition_bitmasks(self, record: Record):
         """One dominance-partition sweep of ``record`` vs every row.
@@ -417,9 +425,7 @@ class ColumnarSkylineStore:
         sweep = self.folded_sweep()
         if sweep is not None:
             return self._partition_indexed(sweep, probe_values, probe_dims)
-        return self.partition_suffix(
-            probe_values, probe_dims, 0, len(self._records)
-        )
+        return self.partition_suffix(probe_values, probe_dims, 0, self._n)
 
     def _partition_indexed(
         self,
@@ -432,7 +438,7 @@ class ColumnarSkylineStore:
         bitmask columns), only the suffix past the watermark is compared
         elementwise.  Tombstoned prefix rows are masked out — the dense
         path zeroes them via the NaN/``-1`` sentinels instead."""
-        n = len(self._records)
+        n = self._n
         w = sweep.watermark
         measure_bits, dim_bits = self._sweep_bit_weights()
         lt = np.zeros(n, dtype=measure_bits.dtype)
@@ -484,12 +490,15 @@ class ColumnarSkylineStore:
         agree = (dims == probe_dims) @ dim_bits
         return lt, gt, agree
 
-    def agree_bits_rows(
+    def fixed_bits_rows(
         self, rows: np.ndarray, probe_dims: np.ndarray
     ) -> np.ndarray:
-        """Agreement bitmasks of specific ``rows`` against a probe."""
+        """Per row of ``rows``, the positions it agrees with a probe on
+        or holds the unbound marker (None) at, as one bitmask."""
+        dims = self._dims[rows]
+        none_ids = self._interner.probe_row((UNBOUND,) * self._n_dimensions)
         dim_bits = self._sweep_bit_weights()[1]
-        return (self._dims[rows] == probe_dims) @ dim_bits
+        return ((dims == probe_dims) | (dims == none_ids)) @ dim_bits
 
     def folded_sweep(self) -> Optional[SweepIndex]:
         """The :class:`SweepIndex` folded up to date, or ``None`` while
@@ -531,13 +540,19 @@ class ColumnarSkylineStore:
         return weights
 
     def record_at(self, row: int) -> Optional[Record]:
-        """The registered record living at ``row`` (``None`` when the
-        row is a retraction tombstone awaiting compaction)."""
-        return self._records[row]
+        """The record living at ``row``, read from the table by the
+        row's tid (``None`` when the table holds no such tuple: a
+        retraction tombstone awaiting compaction)."""
+        return self._table.get(int(self._tids[row]))
 
     def row_of(self, tid: int) -> Optional[int]:
-        """The column row of a registered tid (``None`` if unknown)."""
-        return self._row_of.get(tid)
+        """The column row of a live registered tid (``None`` if unknown
+        or tombstoned): one binary search of the sorted tid column."""
+        n = self._n
+        row = int(np.searchsorted(self._tids[:n], tid))
+        if row < n and self._tids[row] == tid and self._dims[row, 0] != -1:
+            return row
+        return None
 
     # ------------------------------------------------------------------
     # The anchor-bit matrix
@@ -595,7 +610,7 @@ class ColumnarSkylineStore:
         in this order (the walker's keys do: it is their first writer),
         a gathered copy otherwise."""
         slots = [self._slot(subspace) for subspace in subspaces]
-        n = len(self._records)
+        n = self._n
         if slots == list(range(len(slots))):
             return self._cells[: len(slots), :n]
         return self._cells[slots, :n]
@@ -611,7 +626,7 @@ class ColumnarSkylineStore:
 
     def _anchored(self) -> Iterator[Tuple[int, int, int]]:
         """Every non-empty cell as ``(subspace, row, anchor bitset)``."""
-        n = len(self._records)
+        n = self._n
         for subspace, slot in self._slots.items():
             occupied = self._cells[slot, :n].any(axis=1)
             for row in np.flatnonzero(occupied).tolist():
@@ -627,7 +642,7 @@ class ColumnarSkylineStore:
         slot = self._slots.get(subspace)
         if slot is None:
             return _EMPTY_ROWS
-        n = len(self._records)
+        n = self._n
         mask = constraint.bound_mask
         hit = (self._cells[slot, :n] & self.closure_words()[mask]).any(axis=1)
         for position in bit_positions(mask):
@@ -643,11 +658,10 @@ class ColumnarSkylineStore:
     def iter_pairs(self) -> Iterator[Tuple[PairKey, List[Record]]]:
         """Every non-empty ``(constraint, subspace)`` pair with its
         records — µ in the form the constraint-keyed stores list it
-        (the equivalence tests compare the two)."""
-        records = self._records
+        (the equivalence tests compare the two), read from the table."""
         pairs: Dict[PairKey, List[Record]] = {}
         for subspace, row, anchors in self._anchored():
-            record = records[row]
+            record = self.record_at(row)
             for mask in bit_positions(anchors):
                 pairs.setdefault(
                     (constraint_for_record(record, mask), subspace), []
@@ -677,7 +691,7 @@ class ColumnarSkylineStore:
         self._up_bytes = np.bitwise_or.reduce(
             np.where(in_byte[:, :, None], up, 0), axis=2
         )
-        n = len(self._records)
+        n = self._n
         for subspace, slot in self._slots.items():
             cells = self._cells[slot, :n]
             rows = np.flatnonzero(cells.any(axis=1))
@@ -775,7 +789,7 @@ class ColumnarSkylineStore:
         on every position of ``m``.  Only the words of the cells the
         closure touches are read, and each position's agreement column
         is computed once — whole-column NumPy, no per-row Python."""
-        n = len(self._records)
+        n = self._n
         probe = self._interner.probe_row(dims)
         bindable = bindable_positions(dims)
         position_of = self._counter.position_of
@@ -799,22 +813,19 @@ class ColumnarSkylineStore:
 
     def approx_bytes(self) -> int:
         """Resident bytes of the store's own state: the allocated
-        column arrays (constraint ids included) and anchor-bit matrix,
-        the scoring index's count matrix and closure table, and the
-        ``_records`` / ``_row_of`` containers (the ``Record`` objects
-        themselves are shared with the table and charged there, the
-        constraint table's keys with the algorithm)."""
+        column arrays (tids and constraint ids included) and anchor-bit
+        matrix, and the scoring index's count matrix and closure table
+        (the records are the table's, the constraint table's keys the
+        algorithm's)."""
         total = self._values.nbytes + self._dims.nbytes + self._cells.nbytes
-        total += self._slot_ids.nbytes
-        total += sys.getsizeof(self._records) + sys.getsizeof(self._row_of)
+        total += self._tids.nbytes + self._slot_ids.nbytes
         if self._counts is not None:
             total += self._counts.nbytes + self._up_bytes.nbytes
         return total
 
     def clear(self) -> None:
         """Drop every row and cell (the layout stays)."""
-        self._records = []
-        self._row_of = {}
+        self._n = 0
         self._slots = {}
         self._counts = None
         self._total = 0

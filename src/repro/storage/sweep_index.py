@@ -224,12 +224,9 @@ class SweepIndex:
                     order.rows = order.rows[keep]
             self._dead_rows = []
 
-        # Merge the live suffix rows into each measure's ordering.
-        records = store._records
-        new_rows = np.asarray(
-            [r for r in range(old_w, n) if records[r] is not None],
-            dtype=np.int64,
-        )
+        # Merge the live suffix rows into each measure's ordering (a
+        # tombstone's NaN measures drop out).
+        new_rows = np.arange(old_w, n, dtype=np.int64)
         for i, order in enumerate(self._orders):
             if new_rows.size:
                 vals = store._values[new_rows, i]

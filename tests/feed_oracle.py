@@ -709,10 +709,8 @@ class FeedStore:
             self._canon.clear()
             self._pending_retractions = []
             self._pending_unknown = []
-            table = engine.table
             pairs: Set[Pair] = set()
-            for i in range(len(table)):
-                record = table[i]
+            for record in engine.table:
                 for constraint in satisfied_constraints(record, self._bound_cap):
                     for subspace in self._subspaces:
                         pairs.add((constraint, subspace))

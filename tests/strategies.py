@@ -242,6 +242,13 @@ def open_router(schema, workers=2, mode="serial", config=None, score=True,
     ))
 
 
+def live_tid_column(store):
+    """A columnar store's tid column at its live rows, in row order
+    (a tombstone carries ``-1`` dimension ids)."""
+    n = store.n_rows
+    return store._tids[:n][store._dims[:n, 0] != -1].tolist()
+
+
 @contextmanager
 def sweep_constants(arm_rows: int, fold_batch: Optional[int] = None):
     """Run a block with the sweep index arming at ``arm_rows`` rows and
@@ -260,8 +267,8 @@ def sweep_constants(arm_rows: int, fold_batch: Optional[int] = None):
 def store_op_sequences(n_dimensions, pool=5, max_ops=24):
     """``(dims of a record pool, ops)`` for driving a µ store.
 
-    Ops name records by pool index (their tid) and constraints by bound
-    mask over the record's own values:
+    Ops name records by pool index (their arrival order) and constraints
+    by bound mask over the record's own values:
 
     * ``("insert" | "delete", tid, mask, subspace)`` — set / clear one
       bit of one cell (the mirror's scalar calls);

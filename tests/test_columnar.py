@@ -24,11 +24,15 @@ from repro.core.constraint import (
     constraint_for_record,
 )
 from repro.core.prominence import ContextCounter
-from repro.core.record import Record
+from repro.core.record import Record, Table
 from repro.datasets.synthetic import synthetic_rows, synthetic_schema
 from repro.storage import ColumnarSkylineStore, MemorySkylineStore, grow_2d
 from repro.storage import columnar_store
-from tests.strategies import store_op_sequences
+from tests.strategies import (
+    live_tid_column,
+    store_op_sequences,
+    sweep_constants,
+)
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
 
@@ -72,24 +76,41 @@ class TestGrow2d:
 
 def store_of(**kwargs):
     """An empty store for :data:`SCHEMA`'s layout (2 dimensions, 2
-    measures), on a constraint table of its own."""
-    return ColumnarSkylineStore(ContextCounter(2), n_measures=2, **kwargs)
+    measures), on a relation and a constraint table of its own."""
+    return ColumnarSkylineStore(Table(SCHEMA), ContextCounter(2), **kwargs)
+
+
+def admit(store, record):
+    """Append ``record`` to the store's relation under its own tid, then
+    register its row — the store reads records from the relation."""
+    store._table.resume_at(record.tid)
+    assert store._table.append(record) is record
+    return store.register(record)
 
 
 def anchor(store, subspace, record, *masks):
-    """Register ``record`` and set its cell in ``subspace`` to
-    ``masks`` — one ``apply_cells`` batch; returns the row."""
-    row = store.register(record)
+    """Admit ``record`` and set its cell in ``subspace`` to ``masks`` —
+    one ``apply_cells`` batch; returns the row."""
+    row = admit(store, record)
     store.apply_cells([subspace], [row], [sum(1 << mask for mask in masks)])
     return row
 
 
 class TestColumnarSubstrate:
-    def test_register_is_idempotent_per_tid(self):
+    def test_rows_register_once_in_arrival_order(self):
         store = store_of()
-        r = rec(0)
-        assert store.register(r) == store.register(r) == 0
+        r = rec(4)
+        assert store.register(r) == 0
+        for stale in (r, rec(2)):
+            with pytest.raises(ValueError, match="arrival order"):
+                store.register(stale)
         assert store.n_rows == 1
+        # A retracted tid never comes back either.
+        store.unregister(4)
+        with pytest.raises(ValueError, match="arrival order"):
+            store.register(rec(4))
+        assert store.register(rec(5)) == 1
+        assert (store.row_of(4), store.row_of(5)) == (None, 1)
 
     def test_columns_reflect_registered_records(self):
         store = store_of()
@@ -129,8 +150,8 @@ class TestColumnarSubstrate:
     def test_skyline_rows_are_ascending(self):
         store = store_of()
         c = Constraint(("a", None))
-        first = store.register(rec(1))
-        second = store.register(rec(3))
+        first = admit(store, rec(1))
+        second = admit(store, rec(3))
         store.apply_cells([0b11, 0b11], [second, first], [1 << c.bound_mask] * 2)
         rows = store.skyline_rows(c, 0b11).tolist()
         assert rows == [0, 1]
@@ -151,7 +172,13 @@ class TestColumnarSubstrate:
         store = store_of()
         r = rec(7)
         row = store.register(r)
+        assert store.record_at(row) is None  # not in the relation yet
+        store._table.resume_at(7)
+        store._table.append(r)
         assert store.record_at(row) is r
+        store._table.delete(7)
+        store.unregister(7)
+        assert store.record_at(row) is None
 
     def test_anchor_cell_tracks_apply_cells(self):
         store = store_of()
@@ -182,26 +209,22 @@ class TestColumnarSubstrate:
         assert store.approx_bytes() > empty  # the matrix gained a slot
 
     def test_approx_bytes_is_the_sum_of_the_allocations(self):
-        import sys
-
         store = store_of(initial_capacity=4)
         for tid in range(5):  # one growth: 8 rows allocated
             anchor(store, 0b01, rec(tid), 0b01)
-        # Per allocated row: 2 float64 measures, 2 int32 dimension ids
-        # and one int32 constraint id per mask of C^t (4 at d = 2).
-        arrays = 8 * (2 * 8 + 2 * 4 + 4 * 4) + store._cells.nbytes
-        containers = sys.getsizeof(store._records) + sys.getsizeof(
-            store._row_of
-        )
+        # Per allocated row: one int64 tid, 2 float64 measures, 2 int32
+        # dimension ids and one int32 constraint id per mask of C^t (4
+        # at d = 2).  The records are the relation's.
+        arrays = 8 * (8 + 2 * 8 + 2 * 4 + 4 * 4) + store._cells.nbytes
         assert store._cells.shape[1:] == (8, 1)
-        assert store.approx_bytes() == arrays + containers
+        assert store.approx_bytes() == arrays
         # The scoring index joins once built: the count matrix (64 ids
         # of 2^|M| int32 to start with) and the up-closure byte table
         # (4 bytes per cell x 256 values x 1 word).  The constraint
         # table's keys belong to the algorithm, not the store.
         store.skyline_counts(("a", "x"), (0b01,))
         index = 64 * 4 * 4 + 4 * 256 * 4
-        assert store.approx_bytes() == arrays + containers + index
+        assert store.approx_bytes() == arrays + index
 
     def test_approx_bytes_tracks_traced_allocations(self):
         """``approx_bytes`` against ``tracemalloc``'s view of what the
@@ -523,6 +546,63 @@ class TestSVecInternals:
         ]
 
 
+class TestOneRowHistory:
+    """The relation is the one map from tid to record: over a scored
+    ``svec`` stream with deletions and a compaction — on both sides of
+    the sweep index — the store's live tid column is the table's tids in
+    order, every live row's record is the one object the table holds and
+    the arrival's ``FactSet`` carried, and the store keeps no container
+    of records of its own."""
+
+    @pytest.fixture(params=[None, 8], ids=["dense", "armed-index"])
+    def stream(self, request):
+        with sweep_constants(request.param or 8192):
+            engine = FactDiscoverer(
+                synthetic_schema(3, 3),
+                algorithm="svec",
+                config=DiscoveryConfig(top_k=3),
+            )
+            store = engine.algorithm.store
+            rows = synthetic_rows(320, 3, 3, distribution="anticorrelated")
+            arrived = {}
+            for facts in engine.facts_for_many(rows[:200]):
+                arrived[facts.record.tid] = facts.record
+            # 80 of 200 rows dead at once: one compaction, rows slide.
+            engine.delete_many(range(0, 160, 2))
+            assert store.n_rows == 120
+            for facts in engine.facts_for_many(rows[200:]):
+                arrived[facts.record.tid] = facts.record
+                if facts.record.tid % 5 == 0:
+                    engine.delete(facts.record.tid - 3)
+            assert store._dead_count > 0  # tombstones await compaction
+            yield engine, store, arrived
+
+    def test_one_row_history_tid_column(self, stream):
+        engine, store, _ = stream
+        assert live_tid_column(store) == [r.tid for r in engine.table]
+
+    def test_one_row_history_one_record_per_row(self, stream):
+        engine, store, arrived = stream
+        live = 0
+        for row in range(store.n_rows):
+            tid = int(store._tids[row])
+            record = engine.table.get(tid)
+            assert store.record_at(row) is record
+            if record is not None:
+                live += 1
+                assert store.row_of(tid) == row
+                assert record is arrived[tid]
+        assert live == len(engine.table)
+
+    def test_one_row_history_store_holds_no_records(self, stream):
+        _, store, _ = stream
+        for name, value in vars(store).items():
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, (list, tuple)):
+                assert not any(isinstance(v, Record) for v in value), name
+
+
 class TestOneWritePerArrival:
     """The store has one write kernel, and discovery and retraction
     each hand it one batch per unit of work."""
@@ -561,7 +641,7 @@ class TestOneWritePerArrival:
             assert len(calls) == int(changed)
         victims = range(0, n, 7)
         if none_share:
-            assert any(None in vec.table[tid].dims for tid in victims)
+            assert any(None in vec.table.get(tid).dims for tid in victims)
         for tid in victims:
             anchored = store._cells[:, store.row_of(tid)].any()
             del calls[:]
@@ -635,7 +715,12 @@ class TestStoreDifferential:
     (d = 2, 5) and several (d = 6, 7).  Every read surface — the
     listing, the cells, Invariant-2 skyline rows, the skyline counts
     from the count index and straight from the cells — must agree after
-    every op."""
+    every op.
+
+    As in a stream, the pool's rows enter the relation and the store in
+    arrival order up front, a row that leaves never comes back (an op
+    naming it is skipped), and after ``clear()`` the same dimension
+    values arrive again as a fresh pool."""
 
     SUBSPACES = (1, 2, 3)
 
@@ -679,6 +764,7 @@ class TestStoreDifferential:
                     if sub == subspace and record.tid in tids
                 )
                 assert cell == (0 if row is None else store.anchor_cell(subspace, row))
+        by_tid = {record.tid: record for record in pool}
         for constraint, subspace in set(want) | probes:
             # Invariant 2: anchored at C or an ancestor, satisfying C.
             rows = {
@@ -686,7 +772,7 @@ class TestStoreDifferential:
                 for (anchor, sub), tids in want.items()
                 if sub == subspace and not anchor.bound_mask & ~constraint.bound_mask
                 for tid in tids
-                if constraint.satisfied_by(pool[tid])
+                if constraint.satisfied_by(by_tid[tid])
             }
             assert store.skyline_rows(constraint, subspace).tolist() == sorted(rows)
         if scored:
@@ -698,8 +784,23 @@ class TestStoreDifferential:
                 ).tolist() == self._expected_counts(mirror, dims, n)
 
     @staticmethod
-    def _apply(store, mirror, pool, op):
-        """Run one op on both stores; returns the pairs it named."""
+    def _fresh_pool(store, pool_dims):
+        """One arrival per dimension tuple: appended to the store's
+        relation, counted by its constraint table (which never lets it
+        go) and registered, in arrival order."""
+        table, counter = store._table, store._counter
+        pool = []
+        for dims in pool_dims:
+            record = table.append(rec(table.arrivals, dims=dims))
+            counter.register(record)
+            store.register(record)
+            pool.append(record)
+        return pool
+
+    @classmethod
+    def _apply(cls, store, mirror, pool, op):
+        """Run one op on both stores; returns the pairs it named.  Ops
+        name records by pool index."""
 
         def canonical(record, masks):
             bindable = bindable_positions(record.dims)
@@ -708,30 +809,31 @@ class TestStoreDifferential:
         kind = op[0]
         probes = set()
         if kind in ("insert", "delete"):
-            _, tid, mask, subspace = op
-            record = pool[tid]
-            constraint = constraint_for_record(record, mask)
-            probes.add((constraint, subspace))
-            getattr(mirror, kind)(constraint, subspace, record)
-            row = store.register(record) if kind == "insert" else store.row_of(tid)
+            _, i, mask, subspace = op
+            record = pool[i]
+            row = store.row_of(record.tid)
             if row is not None:
+                constraint = constraint_for_record(record, mask)
+                probes.add((constraint, subspace))
+                getattr(mirror, kind)(constraint, subspace, record)
                 cell = store.anchor_cell(subspace, row)
                 bit = 1 << constraint.bound_mask
                 store.apply_cells(
                     [subspace], [row], [cell | bit if kind == "insert" else cell & ~bit]
                 )
         elif kind == "arrival":
-            _, tid, anchors = op
-            record = pool[tid]
+            _, i, anchors = op
+            record = pool[i]
+            row = store.row_of(record.tid)
             stored = any(
-                tid in tids for tids in _mirror_snapshot(mirror).values()
+                record.tid in tids for tids in _mirror_snapshot(mirror).values()
             )
-            if not stored:
+            if row is not None and not stored:
                 subspaces = sorted(anchors)
                 masks = [canonical(record, anchors[s]) for s in subspaces]
                 store.apply_cells(
                     subspaces,
-                    [store.register(record)] * len(subspaces),
+                    [row] * len(subspaces),
                     [sum(1 << m for m in ms) for ms in masks],
                 )
                 for subspace, ms in zip(subspaces, masks):
@@ -742,9 +844,9 @@ class TestStoreDifferential:
                             record,
                         )
         elif kind == "reanchor":
-            _, tid, subspace, children = op
-            record = pool[tid]
-            row = store.row_of(tid)
+            _, i, subspace, children = op
+            record = pool[i]
+            row = store.row_of(record.tid)
             old = store.anchor_cell(subspace, row) if row is not None else 0
             if old:
                 removed = (old & -old).bit_length() - 1
@@ -763,12 +865,13 @@ class TestStoreDifferential:
                     )
         elif kind == "apply_cells":
             cells = {
-                (pool[tid], subspace): canonical(pool[tid], masks)
-                for (tid, subspace), masks in op[1].items()
+                (pool[i], subspace): canonical(pool[i], masks)
+                for (i, subspace), masks in op[1].items()
+                if store.row_of(pool[i].tid) is not None
             }
             store.apply_cells(
                 [subspace for _, subspace in cells],
-                [store.register(record) for record, _ in cells],
+                [store.row_of(record.tid) for record, _ in cells],
                 [sum(1 << m for m in masks) for masks in cells.values()],
             )
             for (record, subspace), masks in cells.items():
@@ -785,6 +888,9 @@ class TestStoreDifferential:
                     mirror.insert(constraint, subspace, record)
         elif kind == "unregister":
             record = pool[op[1]]
+            # The relation lets the tuple go first, as a retraction does.
+            if store._table.get(record.tid) is not None:
+                store._table.delete(record.tid)
             store.unregister(record.tid)
             for (constraint, subspace), tids in _mirror_snapshot(
                 mirror
@@ -801,6 +907,10 @@ class TestStoreDifferential:
         else:
             store.clear()
             mirror.clear()
+            for record in pool:
+                if store._table.get(record.tid) is not None:
+                    store._table.delete(record.tid)
+            pool[:] = cls._fresh_pool(store, [record.dims for record in pool])
         return probes
 
     @pytest.mark.parametrize("counts", ["index", "cells"])
@@ -817,13 +927,13 @@ class TestStoreDifferential:
     def _drive(self, n_dimensions, data):
         pool_dims, ops = data.draw(store_op_sequences(n_dimensions))
         score_from = data.draw(st.integers(min_value=0, max_value=len(ops)))
-        pool = [rec(tid, dims=dims) for tid, dims in enumerate(pool_dims)]
-        # The store takes each row's constraint ids from the table: it
-        # knows the whole pool from the start (and never lets it go).
-        counter = ContextCounter(n_dimensions)
-        for record in pool:
-            counter.register(record)
-        store = ColumnarSkylineStore(counter, n_measures=2, initial_capacity=2)
+        schema = TableSchema(
+            tuple(f"d{j}" for j in range(n_dimensions)), ("m0", "m1")
+        )
+        store = ColumnarSkylineStore(
+            Table(schema), ContextCounter(n_dimensions), initial_capacity=2
+        )
+        pool = self._fresh_pool(store, pool_dims)
         mirror = MemorySkylineStore()
         self._assert_agree(store, mirror, pool, set(), score_from == 0)
         for step, op in enumerate(ops, start=1):
@@ -832,10 +942,9 @@ class TestStoreDifferential:
         # Every sequence ends on a compaction that shifts live rows: the
         # lowest live row goes, the rest slide down.
         live = [
-            store.record_at(row).tid
-            for row in range(store.n_rows)
-            if store.record_at(row) is not None
+            i for i, record in enumerate(pool)
+            if store.row_of(record.tid) is not None
         ]
-        for op in [("unregister", tid) for tid in live[:1]] + [("compact",)]:
+        for op in [("unregister", i) for i in live[:1]] + [("compact",)]:
             self._apply(store, mirror, pool, op)
             self._assert_agree(store, mirror, pool, set(), True)

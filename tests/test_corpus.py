@@ -68,6 +68,7 @@ from tests.strategies import (
     PAST_CAP_SHAPES,
     POLICIES,
     StreamScenario,
+    live_tid_column,
     open_router,
     stream_scenarios,
     sweep_constants,
@@ -313,6 +314,8 @@ class Run:
         assert store_contents([self.algos["svec"]]) == want
         assert store_contents(self.shards) == want
         assert store_contents(workers) == want
+        for algo in [self.algos["svec"], *self.shards, *workers]:
+            assert live_tid_column(algo.store) == tids
         counters = self.reference.counters.snapshot()
         assert self.algos["svec"].counters.snapshot() == counters
         total = sum((shard.counters for shard in self.shards), OpCounters())

@@ -105,7 +105,7 @@ def run_stream(engine, rows, delete_every=0):
     live = []
     for i, row in enumerate(rows):
         out.append([fact_key(f) for f in engine.observe(row)])
-        live.append(engine.table[len(engine.table) - 1].tid)
+        live.append(engine.arrivals - 1)
         if delete_every and i % delete_every == delete_every - 1 and live:
             tid = live.pop(len(live) // 2)
             engine.delete(tid)
@@ -357,8 +357,7 @@ class TestWindowedSemantics:
                 while len(live) >= window:
                     reference.delete(live.pop(0))
                 want = [fact_key(f) for f in reference.observe(row)]
-                table = reference.table
-                live.append(table[len(table) - 1].tid)
+                live.append(reference.arrivals - 1)
                 got = [fact_key(f) for f in engine.observe(row)]
                 assert got == want
             assert len(engine) == window
@@ -379,6 +378,74 @@ class TestWindowedSemantics:
                 want = [fact_key(f) for f in reference.observe(row)]
                 assert got == want
             assert len(sharded) == 5
+
+
+class TestAtomicDeleteMany:
+    """A grouped retraction naming an unknown or repeated tid raises
+    ``KeyError`` before its first removal: the table, the stores and
+    the window keep every row, so the caller has nothing to recover."""
+
+    BAD = ([0, 99], [1, 1])
+
+    @staticmethod
+    def _state(engine):
+        return (
+            [r.tid for r in engine.table],
+            engine.version,
+            len(engine.context_counter),
+            counters_total(engine),
+        )
+
+    def test_svec(self):
+        engine = FactDiscoverer(SCHEMA, algorithm="svec", config=CONFIG)
+        engine.observe_many(ROWS[:6])
+
+        def state():
+            return self._state(engine), {
+                key: {r.tid for r in records}
+                for key, records in engine.algorithm.store.iter_pairs()
+            }
+
+        before = state()
+        for tids in self.BAD:
+            with pytest.raises(KeyError):
+                engine.delete_many(tids)
+            assert state() == before
+        assert [r.tid for r in engine.delete_many([3, 1])] == [3, 1]
+
+    def test_serial_router(self):
+        from tests.strategies import open_router
+
+        with open_router(SCHEMA, config=CONFIG) as router:
+            router.observe_many(ROWS[:6])
+            before = self._state(router)
+            for tids in self.BAD:
+                with pytest.raises(KeyError):
+                    router.delete_many(tids)
+                assert self._state(router) == before
+                for worker in router._workers:
+                    shard = worker.links[0].engine.algorithm
+                    assert [r.tid for r in shard.table] == before[0]
+            assert [r.tid for r in router.delete_many([3, 1])] == [3, 1]
+
+    def test_windowed_engine_keeps_its_rows(self):
+        spec = EngineSpec(SCHEMA, "svec", CONFIG, window=3)
+        with open_engine(spec) as engine:
+            evicted = []
+            engine.add_retraction_listener(
+                lambda records: evicted.extend(r.tid for r in records)
+            )
+            engine.observe_many(ROWS[:3])
+            for tids in self.BAD:
+                with pytest.raises(KeyError):
+                    engine.delete_many(tids)
+                assert engine.live_tids == [0, 1, 2]
+            # The next arrival evicts tid 0 (the listener sees it) and
+            # keeps its own row.
+            engine.observe(ROWS[3])
+            assert engine.live_tids == [1, 2, 3]
+            assert [r.tid for r in engine.table] == [1, 2, 3]
+            assert evicted == [0]
 
 
 AGG = GroupSpec(
@@ -405,7 +472,7 @@ class TestAggregateSemantics:
                 "d0": key, "total": sums[key],
                 "games": float(counts[key]), "best": float(best[key]),
             })
-            live[key] = ref.table[len(ref.table) - 1].tid
+            live[key] = ref.arrivals - 1
             return facts
 
         return ref, push

@@ -105,7 +105,8 @@ def run_differential(ops, algorithm, window, max_entries):
             table = engine.table
             if not len(table):
                 continue
-            removed = engine.delete(table[op[1] % len(table)].tid)
+            live = [record.tid for record in table]
+            removed = engine.delete(live[op[1] % len(live)])
             for store in (new, old):
                 store.note_retracted(removed)
         elif kind == "restore":

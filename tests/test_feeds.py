@@ -48,10 +48,8 @@ def make_spec(**overrides) -> EngineSpec:
 def oracle_segments(engine, store):
     """Expected standings, derived on demand from the live engine: one
     ``query().batch`` over every candidate pair of every live tuple."""
-    table = engine.table
     pairs = set()
-    for i in range(len(table)):
-        record = table[i]
+    for record in engine.table:
         for constraint in satisfied_constraints(record, store._bound_cap):
             for subspace in store._subspaces:
                 pairs.add((constraint, subspace))

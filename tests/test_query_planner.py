@@ -55,7 +55,7 @@ def ingest_with_deletions(engine, rows, delete_every=0, seed=11):
     live = []
     for i, row in enumerate(rows):
         engine.observe(row)
-        live.append(engine.table[len(engine.table) - 1].tid)
+        live.append(engine.arrivals - 1)
         if delete_every and i % delete_every == delete_every - 1:
             engine.delete(live.pop(rng.randrange(len(live))))
 
@@ -350,7 +350,7 @@ class TestResultCache:
             for i, row in enumerate(rows):
                 for engine in (cached, plain):
                     engine.observe(row)
-                live.append(cached.table[len(cached.table) - 1].tid)
+                live.append(cached.arrivals - 1)
                 if rng.random() < 0.15 and live:
                     tid = live.pop(rng.randrange(len(live)))
                     cached.delete(tid)

@@ -38,6 +38,13 @@ class TestAppend:
         stored = table.append(foreign)
         assert stored.tid == 1
 
+    def test_append_keeps_the_record_numbered_next(self, schema):
+        # The record discovery ran on is the one the table holds.
+        table = Table(schema)
+        made = table.make_record({"d1": "a", "d2": "b", "pts": 1, "fouls": 1})
+        assert table.append(made) is made
+        assert table.get(0) is made
+
     def test_make_record_does_not_append(self, schema):
         table = Table(schema)
         rec = table.make_record({"d1": "a", "d2": "b", "pts": 1, "fouls": 1})
@@ -46,20 +53,28 @@ class TestAppend:
 
 
 class TestAccess:
-    def test_iteration_and_indexing(self, schema):
+    def test_iteration_and_lookup(self, schema):
         table = Table(schema)
         table.append({"d1": "a", "d2": "b", "pts": 1, "fouls": 1})
         table.append({"d1": "c", "d2": "d", "pts": 2, "fouls": 2})
         assert [r.dims[0] for r in table] == ["a", "c"]
-        assert table[1].dims == ("c", "d")
-        assert len(table.records) == 2
+        assert table.get(1).dims == ("c", "d")
+        assert table.get(2) is None
+        # Rows are found by tid only: a position is not a tid once
+        # anything was deleted.
+        with pytest.raises(TypeError):
+            table[1]
 
-    def test_sigma_predicate(self, schema):
+    def test_check_live_names_each_live_tid_once(self, schema):
         table = Table(schema)
-        table.append({"d1": "a", "d2": "b", "pts": 1, "fouls": 1})
-        table.append({"d1": "a", "d2": "c", "pts": 2, "fouls": 2})
-        out = table.sigma(lambda r: r.dims[1] == "c")
-        assert [r.tid for r in out] == [1]
+        for pts in range(3):
+            table.append({"d1": "a", "d2": "b", "pts": pts, "fouls": 1})
+        assert table.check_live(iter([2, 0])) == [2, 0]
+        with pytest.raises(KeyError, match="tid=7"):
+            table.check_live([0, 7])
+        with pytest.raises(KeyError, match="repeats"):
+            table.check_live([1, 1])
+        assert [r.tid for r in table] == [0, 1, 2]
 
     def test_select_constraint(self, schema):
         table = Table(schema)
@@ -89,6 +104,16 @@ class TestDelete:
         table = Table(schema)
         with pytest.raises(KeyError):
             table.delete(5)
+
+    def test_delete_keeps_arrival_order(self, schema):
+        table = Table(schema)
+        for pts in range(4):
+            table.append({"d1": "a", "d2": "b", "pts": pts, "fouls": 1})
+        table.delete(1)
+        table.append({"d1": "a", "d2": "b", "pts": 9, "fouls": 1})
+        assert [r.tid for r in table] == [0, 2, 3, 4]
+        with pytest.raises(KeyError, match="no record with tid=1"):
+            table.delete(1)
 
     def test_tids_keep_increasing_after_delete(self, schema):
         table = Table(schema)

@@ -65,8 +65,9 @@ def run_scored_stream(schema, rows, algorithm="svec", delete_every=0, seed=5):
     out = []
     live = []
     for i, row in enumerate(rows):
-        out.append([fact_key(f) for f in engine.facts_for(row)])
-        live.append(engine.table[len(engine.table) - 1].tid)
+        facts = engine.facts_for(row)
+        out.append([fact_key(f) for f in facts])
+        live.append(facts.record.tid)
         if delete_every and i % delete_every == delete_every - 1 and len(live) > 2:
             engine.delete(live.pop(rng.randrange(len(live))))
     store = engine.algorithm.store
@@ -255,14 +256,14 @@ class TestTombstonesAndCompaction:
         algo = _store_with_rows(50)
         store = algo.store
         n_before = store.n_rows
-        row = store._row_of[10]
+        row = store.row_of(10)
         algo.retract(10)
         # The row is neutralised in place: no slide, sentinel columns.
         assert store.n_rows == n_before
         assert store.record_at(row) is None
         assert np.all(np.isnan(store._values[row]))
         assert np.all(store._dims[row] == -1)
-        assert 10 not in store._row_of
+        assert store.row_of(10) is None
 
     def test_unregister_many_single_compaction_check(self):
         algo = _store_with_rows(40)
@@ -273,7 +274,7 @@ class TestTombstonesAndCompaction:
                 store.unregister(tid)
         assert store._dead_count == len(tids)
         for tid in tids:
-            assert tid not in store._row_of
+            assert store.row_of(tid) is None
 
     def test_deferred_compaction_context(self):
         algo = _store_with_rows(300)

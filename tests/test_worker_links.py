@@ -127,32 +127,6 @@ def test_same_op_stream_same_replies_on_every_link(kind):
     assert got == reference_stream()
 
 
-@pytest.mark.parametrize("value", ["auto", "on", "off"])
-@pytest.mark.parametrize("kind", LINKS)
-def test_worker_spec_from_before_sweep_index_retired(kind, value):
-    # Verbatim ``_worker_spec`` of a router at the commit before the
-    # store chose its own sweep side.  ``PROTOCOL_VERSION`` did not
-    # move, so a new worker must take its ``configure`` / spawn spec.
-    spec = {
-        "dimensions": ("d0", "d1"),
-        "measures": ("m0", "m1"),
-        "preferences": {},
-        "config": {
-            "max_bound_dims": 2,
-            "max_measure_dims": 2,
-            "tau": None,
-            "top_k": None,
-        },
-        "shard": [3, 1],
-        "score": True,
-        "sweep_index": value,
-        "worker_index": 0,
-    }
-    with open_worker(kind, spec) as (worker, _server):
-        got = drive(worker.submit_rows, worker.result, worker.call)
-    assert got == reference_stream()
-
-
 @pytest.mark.parametrize("kind", LINKS)
 def test_unknown_op_is_rejected_before_anything_is_sent(kind):
     with open_worker(kind) as (worker, server):
