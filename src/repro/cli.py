@@ -76,6 +76,17 @@ from .api.spec import parse_address
 from .core.config import DiscoveryConfig
 from .core.schema import MIN, SchemaError, TableSchema
 
+#: OpenSSL bindings ``serve`` never runs: it speaks plain TCP and HTTP,
+#: and its one digest (the WebSocket handshake's SHA-1) has a built-in
+#: implementation.  A ``None`` entry in ``sys.modules`` makes ``import``
+#: raise ``ModuleNotFoundError`` (the import system's documented
+#: contract); ``asyncio``, ``hashlib`` and ``hmac`` catch it and fall
+#: back to their built-ins (``_sha1`` for the handshake), so libssl and
+#: libcrypto are never mapped.  ``setdefault`` leaves a process that
+#: already loaded either module (a test runner, an embedding
+#: application) untouched.
+UNSERVED_MODULES = ("ssl", "_hashlib")
+
 
 def _split(value: str) -> List[str]:
     return [part.strip() for part in value.split(",") if part.strip()]
@@ -407,6 +418,8 @@ def cmd_serve(args) -> int:
     # the engine opens, and must not inherit an event loop they never
     # run.  StreamServer is read off repro.service at call time (the e2e
     # bench rebinds it there).
+    for name in UNSERVED_MODULES:
+        sys.modules.setdefault(name, None)
     import asyncio
 
     from .service import StreamServer

@@ -64,6 +64,10 @@ class ServiceStats:
     gateway_frames_dropped: int = 0
     #: HTTP requests answered by the gateway (REST reads).
     gateway_http_requests: int = 0
+    #: Resident set size (MiB) once ``start()`` ran: the import floor
+    #: plus the state the engine opened or recovered with (``None``
+    #: where ``/proc`` is missing).
+    start_rss_mb: Optional[float] = None
 
     def note_enqueue(self, queue_depth: int) -> None:
         self.enqueued += 1

@@ -342,7 +342,12 @@ class FeedStore:
         self._seg_size -= np.bincount(ent[SEG, eids], minlength=len(self._seg_size))
         ent[SEG, eids] = -1
         self._free.extend(eids.tolist())
-        cids = np.unique(cids)
+        # Distinct ids, ascending (so ids are recycled in a fixed
+        # order); np.unique would import numpy.ma for its masked check.
+        cids = np.sort(cids)
+        first = np.ones(len(cids), dtype=bool)
+        first[1:] = cids[1:] != cids[:-1]
+        cids = cids[first]
         for cid in cids[(self._slot[cids] < 0).all(axis=1)].tolist():
             del self._cid[self._constraints[cid]]
             self._constraints[cid] = None

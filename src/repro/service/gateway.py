@@ -283,7 +283,14 @@ class FeedGateway:
         task = asyncio.current_task()
         self._conn_tasks.add(task)
         try:
-            request = await self._read_request(reader)
+            try:
+                request = await self._read_request(reader)
+            except ValueError:
+                # StreamReader's refusal of a line past its limit.
+                await self._respond(
+                    writer, 431, {"error": "request line or header too long"}
+                )
+                return
             if request is None:
                 return
             method, path, query, headers = request
@@ -315,6 +322,9 @@ class FeedGateway:
                 pass
 
     async def _read_request(self, reader):
+        """``(method, path, query, headers)``, or ``None`` for a
+        malformed or unterminated head; a line past the stream's limit
+        raises ``ValueError`` (``StreamReader.readline``)."""
         line = await reader.readline()
         if not line:
             return None
@@ -331,7 +341,10 @@ class FeedGateway:
             headers[name.strip().lower()] = value.strip()
         else:
             return None  # no end of headers within the cap
-        parts = urlsplit(target)
+        try:
+            parts = urlsplit(target)
+        except ValueError:
+            return None  # e.g. an unbalanced "[" in the host
         query = {
             name: values[-1] for name, values in parse_qs(parts.query).items()
         }
@@ -340,6 +353,7 @@ class FeedGateway:
     async def _respond(self, writer, status: int, payload: dict) -> None:
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
                   405: "Method Not Allowed",
+                  431: "Request Header Fields Too Large",
                   503: "Service Unavailable"}.get(status, "OK")
         body = json.dumps(payload).encode()
         writer.write(

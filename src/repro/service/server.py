@@ -57,6 +57,11 @@ from .feeds import FeedStore
 
 _STOP = object()
 
+#: Longest NDJSON line a TCP client may send (asyncio's default stream
+#: limit); a longer one is answered with an error and the connection
+#: closes.
+MAX_LINE_BYTES = 1 << 16
+
 #: Flat names of the ``stats`` reply that ``benchmarks/e2e`` (``report.py``,
 #: ``harness.py``) reads, each derived from the engine's stats tree:
 #: ``name: (section of the tree, or None for its top level, key)``.  A
@@ -288,6 +293,7 @@ class StreamServer:
         self._consumer = asyncio.create_task(self._run())
         if policy is not None and policy.interval:
             self._checkpointer = asyncio.create_task(self._checkpoint_loop())
+        self.stats.start_rss_mb = process_rss_mb().get("rss_mb")
 
     async def stop(self, drain: bool = True) -> None:
         """Shut down; with ``drain`` (default) every queued row is
@@ -382,7 +388,8 @@ class StreamServer:
         cache), the flat names derived from that tree (see
         ``_FLAT_NAMES``; ``shard_busy_seconds`` / ``shard_utilization``
         / ``shards`` when sharded), the feed summary, and the process's
-        ``rss_mb`` / ``peak_rss_mb`` where ``/proc`` exists.
+        ``rss_mb`` / ``peak_rss_mb`` where ``/proc`` exists (beside the
+        ``start_rss_mb`` tally :meth:`start` read).
 
         While the server runs, the snapshot is a job on the engine
         thread, queued behind the running batch: a sharded router's
@@ -804,7 +811,9 @@ class StreamServer:
         """Listen for NDJSON clients; returns the asyncio server (its
         first socket's ``getsockname()`` reveals an ephemeral port)."""
         self._check_running()
-        server = await asyncio.start_server(self._handle_client, host, port)
+        server = await asyncio.start_server(
+            self._handle_client, host, port, limit=MAX_LINE_BYTES
+        )
         self._tcp_servers.append(server)
         return server
 
@@ -821,17 +830,24 @@ class StreamServer:
 
         try:
             while True:
-                if self.conn_timeout is not None:
-                    try:
+                try:
+                    if self.conn_timeout is not None:
                         line = await asyncio.wait_for(
                             reader.readline(), self.conn_timeout
                         )
-                    except asyncio.TimeoutError:
-                        # Idle/wedged client: free the handler instead
-                        # of holding it (and its buffers) forever.
-                        break
-                else:
-                    line = await reader.readline()
+                    else:
+                        line = await reader.readline()
+                except asyncio.TimeoutError:
+                    # Idle/wedged client: free the handler instead of
+                    # holding it (and its buffers) forever.
+                    break
+                except ValueError:
+                    # StreamReader refused a line past the limit and
+                    # the stream may now sit mid-line: answer, close.
+                    await reply(
+                        {"error": f"line longer than {MAX_LINE_BYTES} bytes"}
+                    )
+                    break
                 if not line:
                     break
                 line = line.strip()

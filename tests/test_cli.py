@@ -288,8 +288,10 @@ def loaded(proc, marker="LOADED "):
 
 class TestLeanWorkers:
     """Each serving process imports only the layers it runs: the
-    asyncio tier (≈ 4 MB of peak RSS) stays out of every process that
-    never runs an event loop.  Each check runs in a fresh interpreter."""
+    asyncio tier (≈ 3.8 MB of RSS with the server and gateway modules;
+    8.5 MB while it still mapped OpenSSL) stays out of every process
+    that never runs an event loop, and ``serve`` maps no OpenSSL.  Each
+    check runs in a fresh interpreter."""
 
     def test_process_workers_fork_before_the_asyncio_tier(self, nba_csv):
         code = (
@@ -334,6 +336,68 @@ class TestLeanWorkers:
             )
         }
         assert not unused & set(loaded(proc))
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/maps"), reason="needs /proc"
+    )
+    def test_serve_maps_no_openssl_and_loads_no_numpy_ma(
+        self, nba_csv, tmp_path
+    ):
+        """A journaled ``serve`` whose feeds evict (``FeedStore._drop``
+        runs) maps neither libssl nor libcrypto and never imports
+        ``numpy.ma``; the gateway's handshake digest still gives RFC
+        6455's sample value."""
+        code = (
+            "import json, sys\n"
+            "from repro.cli import main\n"
+            "from repro.service.feeds import FeedStore\n"
+            "drop, drops = FeedStore._drop, []\n"
+            "def spy(self, eids):\n"
+            "    drops.append(len(eids))\n"
+            "    return drop(self, eids)\n"
+            "FeedStore._drop = spy\n"
+            "rc = main(sys.argv[1:])\n"
+            "from repro.service.gateway import ws_accept_key\n"
+            "with open('/proc/self/maps') as fh:\n"
+            "    maps = fh.read()\n"
+            "print('LOADED ' + json.dumps({\n"
+            "    'drops': len(drops),\n"
+            "    'openssl': [lib for lib in ('libssl', 'libcrypto')\n"
+            "                if lib in maps],\n"
+            "    'numpy.ma': 'numpy.ma' in sys.modules,\n"
+            "    'accept': ws_accept_key('dGhlIHNhbXBsZSBub25jZQ=='),\n"
+            "}))\n"
+            "sys.exit(rc)\n"
+        )
+        proc = run_python(
+            code, "serve", nba_csv, "-d", DIMS, "-m", MEAS,
+            "--algorithm", "svec", "--checkpoint", str(tmp_path / "ck.json"),
+            "--journal-dir", str(tmp_path / "wal"), "--feed-by", "team",
+            "--feed-cap", "4",
+        )
+        seen = loaded(proc)
+        assert seen.pop("drops") > 0
+        assert seen == {
+            "openssl": [],
+            "numpy.ma": False,
+            "accept": "s3pPLMBiTxaQ9kYGzzhZRbK+xOo=",
+        }
+
+    def test_serve_keeps_an_ssl_module_already_loaded(self, nba_csv):
+        code = (
+            "import hashlib, json, ssl, sys\n"
+            "from repro.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print('LOADED ' + json.dumps([\n"
+            "    sys.modules['ssl'] is ssl,\n"
+            "    sys.modules['_hashlib'] is not None]))\n"
+            "sys.exit(rc)\n"
+        )
+        proc = run_python(
+            code, "serve", nba_csv, "-d", DIMS, "-m", MEAS,
+            "--algorithm", "svec",
+        )
+        assert loaded(proc) == [True, True]
 
     def test_pool_member_entry_loads_no_asyncio(self):
         code = (

@@ -361,6 +361,52 @@ class TestHostileClients:
 
         asyncio.run(run())
 
+    @pytest.mark.parametrize(
+        "request_head, reply",
+        [
+            (
+                b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"x" * 100_000,
+                b"HTTP/1.1 431 Request Header Fields Too Large\r\n",
+            ),
+            (b"GET http://[::1/healthz HTTP/1.1", b""),
+        ],
+        ids=["overlong-header-line", "unparsable-target"],
+    )
+    def test_bad_request_head_is_answered_then_closed(self, request_head, reply):
+        """A 100 KB header line (past the stream limit) gets a ``431``
+        status line, a target ``urlsplit`` refuses is dropped like any
+        malformed request line; a new connection finds the server
+        healthy, and nothing reaches the loop's exception handler."""
+
+        async def run():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            server, gateway, port = await start_stack()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                writer.write(request_head + b"\r\n\r\n")
+                await writer.drain()
+                raw = await asyncio.wait_for(reader.read(), 5)
+                writer.close()
+                health = await http_get(port, "/healthz")
+            finally:
+                await stop_stack(server, gateway)
+            # A copy: asyncio.run cancels the handler tasks still open
+            # on exit, which is teardown, not the gateway.
+            return raw, health, list(unhandled)
+
+        raw, (status, health), unhandled = asyncio.run(run())
+        if reply:
+            assert raw.startswith(reply)
+        else:
+            assert raw == b""
+        assert status == 200 and health["ok"] is True
+        assert unhandled == []
+
 
 class TestBackpressure:
     def test_dirty_set_is_bounded_and_coalesces(self, monkeypatch):

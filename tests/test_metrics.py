@@ -45,7 +45,7 @@ class TestServiceStatsSnapshot:
             "subscriber_events_dropped", "rows_quarantined",
             "dead_letter_failures", "ops_replayed", "gateway_subscribers", "gateway_frames_sent",
             "gateway_frames_coalesced", "gateway_frames_dropped",
-            "gateway_http_requests",
+            "gateway_http_requests", "start_rss_mb",
         }
         stats = ServiceStats(**{name: i + 1 for i, name in enumerate(names)})
         snap = stats.snapshot()

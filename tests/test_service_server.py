@@ -29,6 +29,7 @@ from repro.service import (
     faults,
     fetch_json,
 )
+from repro.service.server import MAX_LINE_BYTES
 from tests.strategies import SERVICE_SCHEMA as SCHEMA, make_rows, open_router
 
 def fact_key(fact):
@@ -530,13 +531,57 @@ class TestTcpFrontend:
         assert stats["stats"]["processed_rows"] == 7
         assert stats["stats"]["deletes"] == 1
         assert "shard_utilization" in stats["stats"]
-        # The server's own memory, read at snapshot time where /proc is.
+        # The server's own memory, read at snapshot time where /proc is,
+        # and once when start() ran.
         if os.path.exists("/proc/self/status"):
             assert 0 < stats["stats"]["rss_mb"] <= stats["stats"]["peak_rss_mb"]
+            assert 0 < stats["stats"]["start_rss_mb"] <= stats["stats"]["peak_rss_mb"]
         else:
             assert "rss_mb" not in stats["stats"]
+            assert stats["stats"]["start_rss_mb"] is None
         assert stopping == {"stopping": True}
         assert len(engine.table) == 6  # 7 arrivals − 1 deletion
+
+
+    def test_overlong_line_is_answered_then_closed(self):
+        """A 100 KB ingest line (past the stream limit) gets one error
+        line before the connection closes; a new connection finds the
+        server healthy, and nothing reaches the loop's exception
+        handler."""
+
+        async def run():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            engine = FactDiscoverer(SCHEMA, algorithm="svec")
+            server = StreamServer(engine)
+            await server.start()
+            listener = await server.serve_tcp("127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                row = dict(make_rows(1)[0], pad="x" * 100_000)
+                writer.write(json.dumps({"op": "ingest", "row": row}).encode() + b"\n")
+                await writer.drain()
+                raw = await asyncio.wait_for(reader.read(), 5)
+                writer.close()
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(b'{"op": "health"}\n')
+                health = json.loads(await asyncio.wait_for(reader.readline(), 5))
+                writer.close()
+            finally:
+                await server.stop()
+            # A copy: asyncio.run cancels the handler tasks still open
+            # on exit, which is teardown, not the server.
+            return raw, health, list(unhandled)
+
+        raw, health, unhandled = asyncio.run(run())
+        assert [json.loads(line) for line in raw.splitlines()] == [
+            {"error": f"line longer than {MAX_LINE_BYTES} bytes"}
+        ]
+        assert health["ok"] is True and health["table_rows"] == 0
+        assert unhandled == []
 
 
 class TestStatsThroughMiddleware:
@@ -599,6 +644,7 @@ REPLY_KEYS = {
     "gateway_frames_coalesced", "gateway_frames_dropped",
     "gateway_frames_sent", "gateway_http_requests", "gateway_subscribers",
     "mean_batch_rows", "ops_replayed", "processed_rows",
+    "start_rss_mb",
     "query_cache_evictions", "query_cache_hits", "query_cache_misses",
     "queue_depth", "queue_depth_max", "replica_failovers",
     "rows_quarantined", "table_rows", "worker_restarts",
