@@ -87,6 +87,35 @@ from .core.schema import MIN, SchemaError, TableSchema
 #: application) untouched.
 UNSERVED_MODULES = ("ssl", "_hashlib")
 
+#: glibc's ``mallopt`` parameter number for the arena cap (``malloc.h``).
+M_ARENA_MAX = -8
+
+
+def use_one_malloc_arena() -> None:
+    """Cap glibc at one malloc arena for the rest of this process.
+
+    By default every thread that allocates gets its own arena: a second
+    heap with 64 MiB of address space reserved, whose touched pages stay
+    resident.  A serving process runs its engine (``serve``) or its ops
+    (``shard-worker``, one thread per router connection) off the main
+    thread, so with one arena those allocations reuse the free space
+    imports leave in the main heap instead, and the process peaks
+    lower.  Call it before the first thread starts; forked children
+    inherit it.  A no-op off glibc.  Process-wide policy, so
+    only the CLI entry points call it: a library process that embeds
+    :class:`~repro.service.server.StreamServer` keeps glibc's default.
+    """
+    import os
+
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        glibc = None  # no confstr (Windows) or not glibc (macOS, musl)
+    if glibc:
+        import ctypes  # already loaded by NumPy
+
+        ctypes.CDLL(None).mallopt(M_ARENA_MAX, 1)
+
 
 def _split(value: str) -> List[str]:
     return [part.strip() for part in value.split(",") if part.strip()]
@@ -390,6 +419,9 @@ def cmd_serve(args) -> int:
     from .service import faults as faults_mod
     from .service import recover_engine
 
+    # Before the engine thread starts and the engine allocates its
+    # state; forked process shard workers inherit the cap.
+    use_one_malloc_arena()
     try:
         # Chaos/CI hook: REPRO_FAULTS arms the fault-injection registry
         # (forwarded into shard-worker processes via their spawn spec).
@@ -475,10 +507,11 @@ def cmd_serve(args) -> int:
             async def preload() -> None:
                 # The printer runs until the subscription closes, not
                 # for a row count: a quarantined row publishes no event.
+                # Rows accepted before a malformed one still print.
                 try:
                     await server.ingest_many(load_rows(args.csv, spec.schema))
-                    await server.drain()
                 finally:
+                    await server.drain()
                     subscription.close()
 
             producer = asyncio.ensure_future(preload())
@@ -487,7 +520,17 @@ def cmd_serve(args) -> int:
                 emitted += _print_event(
                     event.tid, event.facts, sink_name, sink
                 )
-            await producer
+            try:
+                await producer
+            except SchemaError:
+                # A malformed CSV row: stop cleanly (final checkpoint,
+                # journal closed) over the rows accepted before it;
+                # main() reports the error.
+                await server.stop()
+                if gateway is not None:
+                    await gateway.stop()
+                engine.close()
+                raise
             print(
                 f"# {emitted} facts from {len(engine)} tuples",
                 file=sys.stderr,
@@ -567,6 +610,8 @@ def cmd_ingest(args) -> int:
 def cmd_shard_worker(args) -> int:
     from .service.remote import run_worker
 
+    # Ops run on one thread per router connection: one arena for all.
+    use_one_malloc_arena()
     try:
         # run_worker arms REPRO_FAULTS, prints the `listening on
         # host:port` banner to stderr (scripts grep the ephemeral

@@ -10,11 +10,15 @@ balance, supervision faults, the query cache) stays in
 ``engine.stats()``, which
 :meth:`~repro.service.server.StreamServer.read_stats` reads once and
 returns beside these.  ``snapshot`` adds the derived signal operators
-watch here: the mean batch size (is coalescing working?).
+watch here: the mean batch size (is coalescing working?), and CPU time
+beside wall time — the engine thread's share (``engine_cpu_s``) of the
+process's (``process_cpu_s``), which busy neighbours on a shared host
+do not inflate the way they inflate wall time.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
@@ -68,6 +72,10 @@ class ServiceStats:
     #: plus the state the engine opened or recovered with (``None``
     #: where ``/proc`` is missing).
     start_rss_mb: Optional[float] = None
+    #: CPU seconds the engine thread spent in server jobs (batches,
+    #: deletes, checkpoints, queries, stats snapshots): the engine's
+    #: share of ``process_cpu_s``, which :meth:`snapshot` reads.
+    engine_cpu_s: float = 0.0
 
     def note_enqueue(self, queue_depth: int) -> None:
         self.enqueued += 1
@@ -90,8 +98,11 @@ class ServiceStats:
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready copy: every counter under its field name (so a
         counter added later cannot be forgotten here), plus
-        ``mean_batch_rows``."""
+        ``mean_batch_rows`` and the whole process's CPU seconds so far
+        (``process_cpu_s``, every thread, read now)."""
         out: Dict[str, object] = asdict(self)
         mean = self.mean_batch_rows
         out["mean_batch_rows"] = round(mean, 2) if mean is not None else None
+        out["engine_cpu_s"] = round(self.engine_cpu_s, 4)
+        out["process_cpu_s"] = round(time.process_time(), 4)
         return out

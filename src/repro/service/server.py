@@ -241,11 +241,12 @@ class StreamServer:
         self._checkpointer: Optional[asyncio.Task] = None
         self._stop_task: Optional[asyncio.Task] = None
         #: One worker thread runs every engine job (batch, delete,
-        #: checkpoint, query) in submission order — nothing else
-        #: serialises them.  Not the loop's shared pool: back-to-back
-        #: submissions make that spawn extra threads, and each thread
-        #: that runs discovery grows its own malloc arena (+3 MB peak
-        #: RSS on the e2e ``live`` workload).
+        #: checkpoint, query, stats snapshot) in submission order —
+        #: nothing else serialises them.  Not the loop's shared pool,
+        #: which spawns threads on back-to-back submissions.  Whether
+        #: the thread gets its own malloc arena is process policy:
+        #: ``repro-facts serve`` caps glibc at one
+        #: (:func:`repro.cli.use_one_malloc_arena`).
         self._engine_thread: Optional[ThreadPoolExecutor] = None
         self._subscriptions: set = set()
         self._tcp_servers: List[asyncio.AbstractServer] = []
@@ -398,9 +399,7 @@ class StreamServer:
         and after :meth:`stop` it is read directly."""
         if self._engine_thread is None or self._stopped.is_set():
             return self._stats_snapshot()
-        return await asyncio.get_running_loop().run_in_executor(
-            self._engine_thread, self._stats_snapshot
-        )
+        return await self._on_engine(self._stats_snapshot)
 
     def health(self) -> dict:
         """Liveness — the reply of the TCP ``health`` op and the
@@ -449,6 +448,22 @@ class StreamServer:
         if self.last_error is not None:
             snap["last_error"] = str(self.last_error)
         return snap
+
+    async def _on_engine(self, job):
+        """Run ``job()`` on the engine thread (after every job submitted
+        before it) and return its result; its thread CPU time adds to
+        ``stats.engine_cpu_s``."""
+
+        def timed():
+            start = time.thread_time()
+            try:
+                return job()
+            finally:
+                self.stats.engine_cpu_s += time.thread_time() - start
+
+        return await asyncio.get_running_loop().run_in_executor(
+            self._engine_thread, timed
+        )
 
     def _check_running(self) -> None:
         if not self._running:
@@ -519,7 +534,6 @@ class StreamServer:
 
     async def _apply_batch(self, batch) -> None:
         engine = self.engine
-        loop = asyncio.get_running_loop()
         rows = [row for _, row, _ in batch]
         config = engine.config
         feeds = self.feeds
@@ -588,7 +602,7 @@ class StreamServer:
                 self.journal.commit()
             return outcomes
 
-        outcomes = await loop.run_in_executor(self._engine_thread, job)
+        outcomes = await self._on_engine(job)
         if changed:
             self._publish_feed_changes(changed)
         emitted = 0
@@ -679,7 +693,6 @@ class StreamServer:
 
     async def _apply_delete(self, item) -> None:
         _, tid, future = item
-        loop = asyncio.get_running_loop()
 
         def job():
             try:
@@ -697,9 +710,7 @@ class StreamServer:
                 self.journal.commit()
             return removed, changed
 
-        removed, changed = await loop.run_in_executor(
-            self._engine_thread, job
-        )
+        removed, changed = await self._on_engine(job)
         if isinstance(removed, Exception):
             _settle(future, error=removed)
         else:
@@ -736,7 +747,6 @@ class StreamServer:
             # The engine holds ops the journal refused (and their
             # callers were told so): not a state to persist.
             return
-        loop = asyncio.get_running_loop()
         path = self.checkpoint_policy.path
 
         def write() -> None:
@@ -759,7 +769,7 @@ class StreamServer:
                 self.journal.checkpoint(seq)
 
         try:
-            await loop.run_in_executor(self._engine_thread, write)
+            await self._on_engine(write)
         except Exception as exc:
             # A failed checkpoint must not kill the service: the
             # previous one is intact and the journal keeps growing.
@@ -783,7 +793,6 @@ class StreamServer:
 
         kind = message.get("kind", "skyline")
         text = message["q"]
-        loop = asyncio.get_running_loop()
 
         def run() -> dict:
             queries = self.engine.query()
@@ -802,7 +811,7 @@ class StreamServer:
                 }
             raise ValueError(f"unknown query kind {kind!r}")
 
-        return await loop.run_in_executor(self._engine_thread, run)
+        return await self._on_engine(run)
 
     # ------------------------------------------------------------------
     # NDJSON-over-TCP front-end

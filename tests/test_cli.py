@@ -277,6 +277,13 @@ class TestServe:
 ASYNCIO_TIER = ("asyncio", "ssl", "repro.service.server", "repro.service.gateway")
 
 
+def on_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
 def loaded(proc, marker="LOADED "):
     """The module list a spy script printed after ``marker``."""
     assert proc.returncode == 0, proc.stderr
@@ -399,6 +406,61 @@ class TestLeanWorkers:
         )
         assert loaded(proc) == [True, True]
 
+    @pytest.mark.skipif(not on_glibc(), reason="glibc malloc arenas")
+    def test_serve_allocates_from_one_malloc_arena(self, nba_csv, tmp_path):
+        """A journaled ``serve`` with feeds runs its engine thread on the
+        main heap: glibc's ``malloc_stats()`` lists one arena, where the
+        default gives the engine thread a second one."""
+        code = (
+            "import ctypes, sys\n"
+            "from repro.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "ctypes.CDLL(None).malloc_stats()\n"
+            "sys.exit(rc)\n"
+        )
+        proc = run_python(
+            code, "serve", nba_csv, "-d", DIMS, "-m", MEAS,
+            "--algorithm", "svec", "--checkpoint", str(tmp_path / "ck.json"),
+            "--journal-dir", str(tmp_path / "wal"), "--feed-by", "team",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "facts from 40 tuples" in proc.stderr
+        arenas = [
+            line for line in proc.stderr.splitlines()
+            if line.startswith("Arena ")
+        ]
+        assert arenas == ["Arena 0:"]
+
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["shard-worker", "--port", "0"], "repro.service.remote.run_worker"),
+            (["serve", "-d", DIMS, "-m", MEAS], "repro.cli.open_engine"),
+        ],
+        ids=["shard-worker", "serve"],
+    )
+    def test_entry_points_cap_arenas_before_they_start(
+        self, monkeypatch, argv, target
+    ):
+        """Each serving entry point caps malloc arenas before it starts
+        a thread (the pool member's per-connection threads, the server's
+        engine thread) or opens its engine."""
+        import repro.cli
+        from repro import SchemaError
+
+        calls = []
+
+        def start(*args, **kwargs):
+            calls.append("start")
+            raise SchemaError("stop here")  # main() reports it: exit 2
+
+        monkeypatch.setattr(
+            repro.cli, "use_one_malloc_arena", lambda: calls.append("cap")
+        )
+        monkeypatch.setattr(target, start)
+        assert main(argv) == 2
+        assert calls == ["cap", "start"]
+
     def test_pool_member_entry_loads_no_asyncio(self):
         code = (
             "import json, sys\n"
@@ -472,6 +534,105 @@ class TestErrorHandling:
         rc = main(["discover", "/nonexistent.csv", "-d", DIMS, "-m", MEAS])
         assert rc == 2
         assert "cannot open" in capsys.readouterr().err
+
+
+class TestMalformedCsv:
+    """A malformed CSV cell ends a CSV command with ``error: <file>:
+    <line>: <column>: …`` and exit 2, not a traceback."""
+
+    @pytest.fixture
+    def bad_csv(self, nba_csv):
+        """``nba_csv`` with its 21st row's ``assists`` cell (file line
+        22) replaced by a word."""
+        with open(nba_csv) as fh:
+            lines = fh.read().splitlines()
+        header = lines[0].split(",")
+        cells = lines[21].split(",")
+        cells[header.index("assists")] = "notanumber"
+        lines[21] = ",".join(cells)
+        with open(nba_csv, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        return nba_csv
+
+    def expected(self, path):
+        return f"error: {path}:22: assists: not a number: 'notanumber'"
+
+    @pytest.mark.parametrize("command", ["discover", "query"])
+    def test_batch_commands(self, bad_csv, command, capsys):
+        extra = ["-q", "* | points"] if command == "query" else []
+        rc = main([command, bad_csv, "-d", DIMS, "-m", MEAS, *extra])
+        assert rc == 2
+        assert self.expected(bad_csv) in capsys.readouterr().err
+
+    def test_journaled_serve_checkpoints_the_rows_before_it(
+        self, bad_csv, tmp_path, capsys
+    ):
+        """``serve`` stops its server first: the 20 rows accepted before
+        the bad one are discovered, printed, checkpointed and journaled,
+        and a restart recovers them from the checkpoint."""
+        checkpoint = str(tmp_path / "ck.json")
+        durability = ["--checkpoint", checkpoint,
+                      "--journal-dir", str(tmp_path / "wal")]
+        rc = main(["serve", bad_csv, "-d", DIMS, "-m", MEAS,
+                   "--algorithm", "svec", *durability])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert self.expected(bad_csv) in captured.err
+        assert captured.out.splitlines()[-1].startswith("[19] ")
+        with open(checkpoint) as fh:
+            doc = json.load(fh)
+        assert len(doc["rows"]) == 20 and doc["journal_seq"] == 20
+        rc = main(["serve", "-d", DIMS, "-m", MEAS, "--algorithm", "svec",
+                   *durability])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "# recovered from checkpoint: 0 journal ops replayed" in err
+        assert stats_line(err)["table_rows"] == 20
+
+    def test_ingest(self, bad_csv, capsys):
+        """The client stops at the bad row; the rows before it were
+        acknowledged by the server."""
+        import asyncio
+        import socket
+        import threading
+
+        from repro.api import EngineSpec, open_engine
+        from repro.core.config import DiscoveryConfig
+        from repro.service import StreamServer
+
+        # Top-3 reporting keeps each ack under the client's line limit.
+        config = DiscoveryConfig(max_bound_dims=2, max_measure_dims=2, top_k=3)
+        engine = open_engine(EngineSpec(nba_schema(4, 4), "svec", config=config))
+        ready, port = threading.Event(), []
+
+        def serve():
+            async def run():
+                server = StreamServer(engine)
+                await server.start()
+                listener = await server.serve_tcp("127.0.0.1", 0)
+                port.append(listener.sockets[0].getsockname()[1])
+                ready.set()
+                await server.wait_stopped()
+
+            asyncio.run(run())
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        try:
+            assert ready.wait(30)
+            rc = main(["ingest", bad_csv, "-d", DIMS, "-m", MEAS,
+                       "--connect", f"127.0.0.1:{port[0]}"])
+            assert rc == 2
+            assert self.expected(bad_csv) in capsys.readouterr().err
+            assert len(engine) == 20
+        finally:
+            if port:
+                with socket.create_connection(("127.0.0.1", port[0])) as sock:
+                    sock.sendall(b'{"op": "shutdown"}\n')
+                    sock.recv(64)
+            thread.join(30)
+            engine.close()
+        assert not thread.is_alive()
 
 
 class TestFigures:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import SchemaError
+from repro import SchemaError, TableSchema
 from repro.datasets import (
     ANTICORRELATED,
     CORRELATED,
@@ -157,3 +157,29 @@ class TestLoader:
         schema = nba_schema(4, 4)
         with pytest.raises(SchemaError, match="missing columns"):
             list(load_rows(path, schema))
+
+    def test_bad_cell_names_file_line_and_column(self, tmp_path):
+        """Rows before the malformed one are yielded; the error names
+        where to look."""
+        path = str(tmp_path / "bad.csv")
+        with open(path, "w") as fh:
+            fh.write("player,team,points\nA,X,3\nB,Y,notanumber\nC,Z,4\n")
+        schema = TableSchema(("player", "team"), ("points",))
+        rows = load_rows(path, schema)
+        assert next(rows) == {"player": "A", "team": "X", "points": 3}
+        with pytest.raises(SchemaError) as err:
+            next(rows)
+        assert str(err.value) == f"{path}:3: points: not a number: 'notanumber'"
+
+    @pytest.mark.parametrize(
+        "line, column", [("B,Y", "points"), ("B", "team")],
+        ids=["short-of-a-measure", "short-of-a-dimension"],
+    )
+    def test_short_row_names_file_line_and_column(self, tmp_path, line, column):
+        path = str(tmp_path / "short.csv")
+        with open(path, "w") as fh:
+            fh.write(f"player,team,points\nA,X,3\n{line}\n")
+        schema = TableSchema(("player", "team"), ("points",))
+        with pytest.raises(SchemaError) as err:
+            list(load_rows(path, schema))
+        assert str(err.value) == f"{path}:3: {column}: missing (the row is short)"

@@ -45,13 +45,25 @@ class TestServiceStatsSnapshot:
             "subscriber_events_dropped", "rows_quarantined",
             "dead_letter_failures", "ops_replayed", "gateway_subscribers", "gateway_frames_sent",
             "gateway_frames_coalesced", "gateway_frames_dropped",
-            "gateway_http_requests", "start_rss_mb",
+            "gateway_http_requests", "start_rss_mb", "engine_cpu_s",
         }
         stats = ServiceStats(**{name: i + 1 for i, name in enumerate(names)})
         snap = stats.snapshot()
         assert {name: snap[name] for name in names} == {
             name: i + 1 for i, name in enumerate(names)
         }
+
+    def test_cpu_seconds(self):
+        """The engine thread's tally beside the whole process's CPU
+        time, which every snapshot reads afresh."""
+        import time
+
+        stats = ServiceStats(engine_cpu_s=0.123456)
+        before = time.process_time()
+        snap = stats.snapshot()
+        assert snap["engine_cpu_s"] == 0.1235
+        assert before - 1e-4 <= snap["process_cpu_s"] <= time.process_time() + 1e-4
+        assert stats.snapshot()["process_cpu_s"] >= snap["process_cpu_s"]
 
     def test_mean_batch_rows(self):
         stats = ServiceStats()

@@ -644,7 +644,7 @@ REPLY_KEYS = {
     "gateway_frames_coalesced", "gateway_frames_dropped",
     "gateway_frames_sent", "gateway_http_requests", "gateway_subscribers",
     "mean_batch_rows", "ops_replayed", "processed_rows",
-    "start_rss_mb",
+    "start_rss_mb", "engine_cpu_s", "process_cpu_s",
     "query_cache_evictions", "query_cache_hits", "query_cache_misses",
     "queue_depth", "queue_depth_max", "replica_failovers",
     "rows_quarantined", "table_rows", "worker_restarts",
@@ -746,6 +746,7 @@ class TestStatsReply:
             expected.add("feeds")
         assert expected <= set(reply)
         assert reply["engine"]["counters"]["comparisons"] > 0
+        assert 0 < reply["engine_cpu_s"] <= reply["process_cpu_s"]
         # Hand counts: one batch per closed-loop arrival; the repeated
         # query misses once, then hits.
         assert reply["processed_rows"] == reply["batches"] == len(rows)
@@ -776,6 +777,33 @@ class TestStatsReply:
         # the event loop's.
         assert threads["stats"] == threads["facts_for_many"]
         assert threading.get_ident() not in threads["stats"]
+
+    def test_engine_cpu_time_is_a_share_of_the_process(self):
+        """``engine_cpu_s`` sums the engine thread's CPU time over its
+        jobs: after a preload it is positive, at most the process's
+        ``process_cpu_s``, and it never goes back between reads."""
+        engine = open_engine(EngineSpec(SCHEMA, "svec"))
+
+        async def run():
+            server = StreamServer(engine)
+            await server.start()
+            await server.ingest_many(make_rows(40))
+            await server.drain()
+            first = await server.read_stats()
+            second = await server.read_stats()
+            await server.stop()
+            return first, second, await server.read_stats()
+
+        try:
+            first, second, stopped = asyncio.run(run())
+        finally:
+            engine.close()
+        assert 0 < first["engine_cpu_s"] <= first["process_cpu_s"]
+        assert first["engine_cpu_s"] <= second["engine_cpu_s"]
+        assert first["process_cpu_s"] <= second["process_cpu_s"]
+        # After stop() the snapshot is read off the loop; the tally stays.
+        assert second["engine_cpu_s"] <= stopped["engine_cpu_s"]
+        assert stopped["engine_cpu_s"] <= stopped["process_cpu_s"]
 
     def test_failed_engine_read_gets_an_error_reply(self):
         """An ``engine.stats()`` that raises (e.g. a shard worker that
