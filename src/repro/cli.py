@@ -87,6 +87,12 @@ from .core.schema import MIN, SchemaError, TableSchema
 #: application) untouched.
 UNSERVED_MODULES = ("ssl", "_hashlib")
 
+#: Longest reply line ``ingest`` reads.  With no ``tau`` or ``top_k`` an
+#: ack carries every fact of ``S_t``, up to 2^d (2^m - 1) of them: a
+#: synthetic first arrival acks 0.3 MB at d = m = 5, past asyncio's
+#: 64 KiB default, and 26.7 MB at d = m = 8.
+ACK_LINE_LIMIT = 1 << 25
+
 #: glibc's ``mallopt`` parameter number for the arena cap (``malloc.h``).
 M_ARENA_MAX = -8
 
@@ -567,7 +573,9 @@ def cmd_ingest(args) -> int:
         return 2
 
     async def run() -> int:
-        reader, writer = await asyncio.open_connection(host, port)
+        reader, writer = await asyncio.open_connection(
+            host, port, limit=ACK_LINE_LIMIT
+        )
 
         async def call(payload: dict) -> dict:
             writer.write(json.dumps(payload).encode() + b"\n")

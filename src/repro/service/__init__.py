@@ -9,8 +9,8 @@ turns it into a *service*:
   per-arrival facts in canonical emission order, property-tested
   identical to the unsharded engine;
 * :mod:`repro.service.worker` — the worker side of every mode: the
-  shard engine, its one op table, and the serve loop both the pipe and
-  the socket transport run;
+  shard engine, its one op table, and the serve loop every
+  out-of-process worker runs;
 * :mod:`repro.service.server` — :class:`StreamServer`, an asyncio
   front-end with a bounded ingest queue, work-conserving micro-batching,
   backpressure, fact subscriptions, periodic snapshot checkpointing and
@@ -18,14 +18,15 @@ turns it into a *service*:
 * :mod:`repro.service.journal` — the append-only write-ahead journal
   of accepted ops; recovery = latest snapshot + journal suffix;
 * :mod:`repro.service.supervisor` — :class:`ShardWorker`, the one
-  router-side shard handle over its links (one inline or pipe link, or
-  one socket link per replica), with crash detection, restart with
+  router-side shard handle over its links (one inline or process link,
+  or one socket link per replica), with crash detection, restart with
   backoff, deterministic state rebuild, write-all / read-any
   replication and failover written once;
-* :mod:`repro.service.remote` — the length-prefixed, CRC-framed socket
-  protocol (versioned handshake, per-request timeouts) that turns any
-  machine running ``repro-facts shard-worker`` into a pool member, and
-  the ``cluster-status`` probe;
+* :mod:`repro.service.remote` — the one wire of every out-of-process
+  worker: the length-prefixed, CRC-framed socket protocol (versioned
+  handshake, per-request timeouts) a process worker speaks over a
+  ``socketpair`` and any machine running ``repro-facts shard-worker``
+  speaks over TCP, both links, and the ``cluster-status`` probe;
 * :mod:`repro.service.faults` — the spec/env-driven fault-injection
   registry the chaos tests (and the CI chaos job) drive;
 * :mod:`repro.service.feeds` — :class:`FeedStore`, materialized

@@ -10,11 +10,11 @@ registry of :class:`Fault` descriptions consulted from fixed
 ====================  ==================================================
 Point                 Where it fires
 ====================  ==================================================
-``worker.op``         In a shard worker, on receipt of each pipe or
-                      socket op (``op`` context = ``"rows"`` /
+``worker.op``         In a process or remote shard worker, on receipt
+                      of each op (``op`` context = ``"rows"`` /
                       ``"delete"`` / ``"resume"`` / ``"counters"`` /
                       ``"skyline"`` / ``"skyband"`` / ``"top_k"`` /
-                      ``"replay"``, or a socket worker's ``"configure"``
+                      ``"replay"``, or the control ops ``"configure"``
                       / ``"stats"`` / ``"shutdown"``).
 ``worker.reply``      In a shard worker, just before the reply to an op
                       is sent back.
@@ -26,18 +26,18 @@ Point                 Where it fires
                       write.
 ====================  ==================================================
 
-Actions: ``"crash"`` (hard ``os._exit`` in workers, an exception
-elsewhere — the crash must look like a real one, not an orderly
-unwind), ``"delay"`` (sleep ``delay`` seconds, exercising op-timeout
-paths), ``"drop"`` (suppress one pipe reply — the router sees silence),
-and ``"corrupt"`` (write a torn/garbage tail instead of the full
-record).
+Actions, by point (:data:`FAULT_ACTIONS`): at the two worker points,
+``"crash"`` (a hard ``os._exit`` — the crash must look like a real one,
+not an orderly unwind), ``"delay"`` (sleep ``delay`` seconds, exercising
+op-timeout paths) and ``"drop"`` (swallow one op or reply — the router
+sees silence); at the checkpoint and journal points, ``"corrupt"``
+(write a torn tail instead of the full record, then raise).
 
 Faults are installed programmatically (:func:`install`) or from the
 ``REPRO_FAULTS`` environment variable (a JSON list of fault dicts),
-which the CI chaos job and the CLI use; worker processes additionally
-receive the active fault list through their spawn spec so injection is
-deterministic under both ``fork`` and ``spawn`` start methods.
+which the CI chaos job and the CLI use; process workers additionally
+receive the active fault list in their ``configure`` op, so injection
+is deterministic under both ``fork`` and ``spawn`` start methods.
 
 Every fault counts its *matching occurrences* and fires on the
 ``after``-th match, at most ``times`` times — "crash worker 1 on its
@@ -52,16 +52,18 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
-#: Hook points the serving code consults (see module docstring).
-FAULT_POINTS = (
-    "worker.op",
-    "worker.reply",
-    "checkpoint.write",
-    "journal.append",
-)
+#: What a fired fault may do at each hook point (see module docstring):
+#: the actions its hook acts on.  A fault its hook would fire and then
+#: ignore tests nothing, so :class:`Fault` refuses it.
+FAULT_ACTIONS = {
+    "worker.op": ("crash", "delay", "drop"),
+    "worker.reply": ("crash", "delay", "drop"),
+    "checkpoint.write": ("corrupt",),
+    "journal.append": ("corrupt",),
+}
 
-#: What a fired fault does at its hook point.
-FAULT_ACTIONS = ("crash", "delay", "drop", "corrupt")
+#: Hook points the serving code consults.
+FAULT_POINTS = tuple(FAULT_ACTIONS)
 
 
 @dataclass
@@ -73,11 +75,11 @@ class Fault:
     point:
         Hook point this fault arms (one of :data:`FAULT_POINTS`).
     action:
-        One of :data:`FAULT_ACTIONS`.
+        One of the point's :data:`FAULT_ACTIONS`.
     worker:
         Restrict to one shard-worker index (``None`` = any worker).
     op:
-        Restrict to one pipe op name (``None`` = any op).
+        Restrict to one worker op name (``None`` = any op).
     after:
         Fire on the N-th *matching* occurrence (1-based).
     times:
@@ -107,10 +109,10 @@ class Fault:
                 f"unknown fault point {self.point!r}; "
                 f"choose from {FAULT_POINTS}"
             )
-        if self.action not in FAULT_ACTIONS:
+        if self.action not in FAULT_ACTIONS[self.point]:
             raise ValueError(
-                f"unknown fault action {self.action!r}; "
-                f"choose from {FAULT_ACTIONS}"
+                f"fault action {self.action!r} is not honoured at "
+                f"{self.point!r}; choose from {FAULT_ACTIONS[self.point]}"
             )
         if self.after < 1:
             raise ValueError("fault.after is 1-based and must be >= 1")
@@ -171,7 +173,7 @@ class FaultRegistry:
         return hit
 
     def to_dicts(self) -> List[Dict[str, object]]:
-        """JSON/pickle-light rendering (for worker spawn specs, env)."""
+        """JSON/pickle-light rendering (for worker configure specs, env)."""
         return [fault.to_dict() for fault in self.faults]
 
     def __len__(self) -> int:
@@ -223,7 +225,7 @@ def active() -> Optional[FaultRegistry]:
 
 def active_dicts() -> List[Dict[str, object]]:
     """Armed faults as plain dicts (empty when none) — what the router
-    forwards to worker processes in their spawn spec."""
+    forwards to its workers in their ``configure`` op."""
     return _ACTIVE.to_dicts() if _ACTIVE is not None else []
 
 

@@ -1,13 +1,17 @@
-"""Socket wire protocol for remote shard workers.
+"""One wire for every out-of-process shard worker.
 
-This module promotes the process-mode worker pipe protocol of
-:mod:`repro.service.sharding` to a socket protocol any machine can
-speak, so a shard pool is no longer confined to one OS process tree
-(the ``repro-facts shard-worker`` CLI command turns a machine into a
-pool member).  The router side is one :class:`SocketLink` per replica
-under the shard's :class:`~repro.service.supervisor.ShardWorker`,
-opened by :func:`connect_replicas`; :func:`cluster_status` is the
-operator's probe of a placement map.
+A process worker (``mode="process"``: one OS process per shard, which
+the router spawns) and a pool member (``mode="remote"``: any machine
+running the ``repro-facts shard-worker`` CLI command) speak the same
+protocol and run the same session; only how the bytes arrive differs.
+The router side is :class:`SocketLink` — one per remote replica under
+the shard's :class:`~repro.service.supervisor.ShardWorker`, opened by
+:func:`connect_replicas` — and its subclass :class:`ProcessLink`, which
+spawns its worker and hands it one end of a ``socketpair``.  The worker
+side is one :class:`ShardHost` session per connection: a
+:class:`SocketWorkerServer` runs one per accepted TCP connection, a
+process worker runs one over its end of the pair.
+:func:`cluster_status` is the operator's probe of a placement map.
 
 Wire format — length-prefixed, CRC-framed, mirroring the journal's
 frame layout (:mod:`repro.service.journal`)::
@@ -15,12 +19,12 @@ frame layout (:mod:`repro.service.journal`)::
     <u32 payload_len> <u32 crc32(payload)> <payload bytes>
 
 with the payload a pickled ``(op, payload)`` 2-tuple (pickle, not JSON:
-rows and replies carry the same Python values the pipe protocol already
-pickles — tuples, ``None`` dimension markers, numpy scalars).  The CRC
-rejects torn or corrupted frames at the receiver; a mismatch closes the
-connection rather than desyncing the FIFO.  The protocol is a trusted
-*internal* transport (pickle executes arbitrary code by design): bind
-workers to loopback or a private network, never the open internet.
+rows and replies carry Python values — tuples, ``None`` dimension
+markers, numpy scalars).  The CRC rejects torn or corrupted frames at
+the receiver; a mismatch closes the connection rather than desyncing
+the FIFO.  The protocol is a trusted *internal* transport (pickle
+executes arbitrary code by design): bind workers to loopback or a
+private network, never the open internet.
 
 Session layout:
 
@@ -30,23 +34,22 @@ Session layout:
   fail loudly at connect time instead of mid-stream;
 * **requests** — ``(op, payload)`` frames, strictly FIFO per
   connection: the worker op table
-  (:attr:`repro.service.worker._ShardEngine.OPS`, shared with the pipe
-  protocol) plus the control ops ``configure`` (install a shard
-  engine), ``stats`` (liveness and worker-side tallies, for
-  ``cluster-status``), ``stop`` (end this connection) and ``shutdown``
-  (end the worker);
+  (:attr:`repro.service.worker._ShardEngine.OPS`) plus the control ops
+  ``configure`` (install a shard engine and the forwarded fault list),
+  ``stats`` (liveness and worker-side tallies, for ``cluster-status``),
+  ``stop`` (end this connection) and ``shutdown`` (end the worker);
 * **replies** — ``("ok", result)`` or ``("error", reason)`` frames.
 
 Per-request timeouts: the router side waits on each reply with the
 sharding ``op_timeout`` as the socket deadline, so a worker that hangs
 (or whose reply a ``worker.reply`` fault drops, or whose ``worker.op``
 fault sleeps past the budget) surfaces as a
-:class:`~repro.service.supervisor.WorkerCrashed` — the same signal the
-pipe link raises — and the handle fails over to the next replica.  Worker-side, each
-connection runs the shared :func:`repro.service.worker.serve` loop, so
-the ``worker.op`` / ``worker.reply`` fault hook points fire exactly as
-in a pipe worker and the chaos suite drives socket workers with the
-same fault specs.
+:class:`~repro.service.supervisor.WorkerCrashed`, as does a dead one
+(EOF) or a bad frame.  The handle then restarts a process worker or
+fails over to the next replica.  Each session runs the shared
+:func:`repro.service.worker.serve` loop, so the ``worker.op`` /
+``worker.reply`` fault hook points fire alike in both kinds of worker
+and the chaos suite drives them with the same fault specs.
 """
 
 from __future__ import annotations
@@ -129,26 +132,19 @@ _UNCONFIGURED = SimpleNamespace(
 )
 
 
-class SocketWorkerServer:
-    """One shard-worker pool member: a socket server hosting a single
-    shard-restricted ``svec`` engine.
+class ShardHost:
+    """The worker side of one out-of-process shard: a single
+    shard-restricted ``svec`` engine behind the session every
+    connection runs (:meth:`serve_connection`).
 
-    The engine is installed by the router's ``configure`` op (the same
-    pickle-light spec dict the pipe workers receive, including the
-    forwarded fault list) and serialized under a lock, so a second
-    connection — ``cluster-status`` probing mid-stream — interleaves
-    safely with the router's ingest connection.
-
-    ``start()`` runs the accept loop on a daemon thread (tests embed
-    workers in-process on ephemeral ports); :func:`run_worker` runs it
-    in the foreground (the CLI / a dedicated worker process).
+    The engine is installed by the router's ``configure`` op (the
+    router's pickle-light worker spec, including the forwarded fault
+    list) and serialized under a lock, so a second connection to a pool
+    member — ``cluster-status`` probing mid-stream — interleaves safely
+    with the router's ingest connection.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        self._listener = socket.create_server((host, port))
-        self._listener.settimeout(0.2)
-        self.host, self.port = self._listener.getsockname()[:2]
-        self.address = f"{self.host}:{self.port}"
+    def __init__(self) -> None:
         self._engine = None
         #: The configured shard index (fault scoping).
         self.index: Optional[int] = None
@@ -156,7 +152,6 @@ class SocketWorkerServer:
         # applies its ops under it.
         self._engine_lock = threading.Lock()
         self._stop = threading.Event()
-        self._accept_thread: Optional[threading.Thread] = None
         #: Requests applied per op name (served to ``stats`` probes).
         self.op_counts: Dict[str, int] = {}
 
@@ -164,50 +159,11 @@ class SocketWorkerServer:
     def rows_applied(self) -> int:
         return (self._engine or _UNCONFIGURED).rows_applied
 
-    # -- lifecycle ---------------------------------------------------
-    def start(self) -> "SocketWorkerServer":
-        """Serve on a daemon thread (in-process embedding)."""
-        self._accept_thread = threading.Thread(
-            target=self.serve_forever, daemon=True
-        )
-        self._accept_thread.start()
-        return self
+    def serve_connection(self, conn: socket.socket) -> None:
+        """One session over the connected ``conn`` (see module
+        docstring): the handshake, then the shared serve loop until
+        ``stop``, ``shutdown`` or a vanished peer.  Closes ``conn``."""
 
-    def serve_forever(self) -> None:
-        """Accept connections until a ``shutdown`` op (or :meth:`stop`);
-        one handler thread per connection."""
-        try:
-            while not self._stop.is_set():
-                try:
-                    conn, _addr = self._listener.accept()
-                except socket.timeout:
-                    continue
-                except OSError:  # pragma: no cover - listener closed
-                    break
-                threading.Thread(
-                    target=self._serve_connection, args=(conn,), daemon=True
-                ).start()
-        finally:
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-
-    def stop(self) -> None:
-        """Stop accepting and wind the server down (idempotent)."""
-        self._stop.set()
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        if (
-            self._accept_thread is not None
-            and self._accept_thread is not threading.current_thread()
-        ):
-            self._accept_thread.join(timeout=2.0)
-
-    # -- connection handling -----------------------------------------
-    def _serve_connection(self, conn: socket.socket) -> None:
         def recv() -> Tuple[str, object]:
             if self._stop.is_set():
                 raise EOFError("worker stopping")
@@ -268,8 +224,8 @@ class SocketWorkerServer:
 
     def _configure(self, spec: Mapping[str, object]) -> Dict[str, object]:
         if spec.get("faults"):
-            # Router-forwarded faults, like the pipe spawn spec.
-            # An empty list leaves any env-armed faults alone.
+            # Router-forwarded faults.  An empty list leaves any
+            # env-armed faults alone.
             faults.install(spec["faults"])
         self._engine = _build_shard_engine(spec)
         self.index = self._engine.index
@@ -291,12 +247,86 @@ class SocketWorkerServer:
         self._stop.set()  # ends every connection loop at its next recv
         return "shutting down"
 
-    #: Socket-only control ops, beside the engine's op table.
+    #: Control ops, beside the engine's op table.
     _CONTROL = {
         "configure": _configure,
         "stats": _stats,
         "shutdown": _shutdown,
     }
+
+
+def _process_worker_main(
+    sock: socket.socket, router_end: socket.socket
+) -> None:
+    """Entry point of one process worker: a single session over its end
+    of the router's ``socketpair``.  Under ``fork`` the child inherits
+    the router's end too, and the router's armed faults.  It closes the
+    one, so a router that dies unannounced ends the session with EOF,
+    and clears the others: its ``configure`` installs what the router
+    forwards (nothing on a restart, so a restarted worker starts
+    fault-free)."""
+    router_end.close()
+    faults.clear()
+    ShardHost().serve_connection(sock)
+
+
+class SocketWorkerServer(ShardHost):
+    """One shard-worker pool member: a :class:`ShardHost` behind a TCP
+    listener, one session thread per accepted connection.
+
+    ``start()`` runs the accept loop on a daemon thread (tests embed
+    workers in-process on ephemeral ports); :func:`run_worker` runs it
+    in the foreground (the CLI / a dedicated worker process).
+    """
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
+        super().__init__()
+        self._listener = socket.create_server((host, port))
+        self._listener.settimeout(0.2)
+        self.host, self.port = self._listener.getsockname()[:2]
+        self.address = f"{self.host}:{self.port}"
+        self._accept_thread: Optional[threading.Thread] = None
+
+    def start(self) -> "SocketWorkerServer":
+        """Serve on a daemon thread (in-process embedding)."""
+        self._accept_thread = threading.Thread(
+            target=self.serve_forever, daemon=True
+        )
+        self._accept_thread.start()
+        return self
+
+    def serve_forever(self) -> None:
+        """Accept connections until a ``shutdown`` op (or :meth:`stop`);
+        one session thread per connection."""
+        try:
+            while not self._stop.is_set():
+                try:
+                    conn, _addr = self._listener.accept()
+                except socket.timeout:
+                    continue
+                except OSError:  # pragma: no cover - listener closed
+                    break
+                threading.Thread(
+                    target=self.serve_connection, args=(conn,), daemon=True
+                ).start()
+        finally:
+            try:
+                self._listener.close()
+            except OSError:  # pragma: no cover - already closed
+                pass
+
+    def stop(self) -> None:
+        """Stop accepting and wind the server down (idempotent)."""
+        self._stop.set()
+        try:
+            self._listener.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+        if (
+            self._accept_thread is not None
+            and self._accept_thread is not threading.current_thread()
+        ):
+            self._accept_thread.join(timeout=2.0)
 
 
 def run_worker(
@@ -346,16 +376,23 @@ class SocketLink:
         self.index = index
         self.address = str(address)
         self.timeout = timeout
-        self._broken: Optional[str] = None
         host, port = parse_address(address)
         try:
-            self._sock = socket.create_connection(
+            sock = socket.create_connection(
                 (host, port), timeout=connect_timeout
             )
         except OSError as exc:
             raise WorkerCrashed(
                 index, f"cannot connect to {address}: {exc}"
             ) from None
+        self._open(sock, role)
+
+    def _open(self, sock: socket.socket, role: str = "router") -> None:
+        """Adopt the connected ``sock`` and handshake over it; a refused
+        or garbled handshake abandons the link and raises
+        :class:`WorkerCrashed`."""
+        self._sock = sock
+        self._broken: Optional[str] = None
         try:
             # A refusal arrives as an ``error`` reply, which recv raises.
             hello = self.request(
@@ -365,10 +402,9 @@ class SocketLink:
                 not isinstance(hello, Mapping)
                 or hello.get("version") != PROTOCOL_VERSION
             ):
-                raise WorkerCrashed(
-                    index,
-                    f"{address}: bad handshake reply {hello!r} "
-                    f"(router speaks version {PROTOCOL_VERSION})",
+                raise self._crashed(
+                    f"bad handshake reply {hello!r} "
+                    f"(router speaks version {PROTOCOL_VERSION})"
                 )
         except WorkerCrashed:
             self.abandon()
@@ -389,21 +425,19 @@ class SocketLink:
                 self._sock.settimeout(timeout)
             status, payload = recv_msg(self._sock)
         except socket.timeout:
-            raise WorkerCrashed(
-                self.index,
-                f"{self.address}: no reply within op_timeout={timeout}s",
+            raise self._crashed(
+                f"no reply within op_timeout={timeout}s"
             ) from None
         except (OSError, FrameError, EOFError, pickle.UnpicklingError) as exc:
-            raise WorkerCrashed(
-                self.index,
-                f"{self.address}: "
-                + (self._broken or f"{type(exc).__name__}: {exc}"),
+            raise self._crashed(
+                self._broken or f"{type(exc).__name__}: {exc}"
             ) from None
         if status == "error":
-            raise WorkerCrashed(
-                self.index, f"{self.address}: remote error: {payload}"
-            )
+            raise self._crashed(f"worker error: {payload}")
         return payload
+
+    def _crashed(self, reason: str) -> WorkerCrashed:
+        return WorkerCrashed(self.index, f"{self.address}: {reason}")
 
     def request(self, op: str, payload: object = None):
         """One synchronous control round-trip (``configure`` /
@@ -422,6 +456,70 @@ class SocketLink:
     def close(self) -> None:
         self.send("stop", None)
         self.abandon()
+
+
+#: How long a crash report waits for a child that closed its end of the
+#: pair to be reaped, so the reason can carry its exit code.
+_REAP_WAIT = 0.1
+
+
+class ProcessLink(SocketLink):
+    """The process-mode link: one OS process per shard, spawned by
+    ``ctx`` (a ``multiprocessing`` context), running one
+    :class:`ShardHost` session over its end of a ``socketpair``.
+    Frames, replies, deadlines and :meth:`close` are the socket link's;
+    spawning, :meth:`reopen` and :meth:`abandon` are its own.  The
+    router's armed faults ride the first spawn only: a restarted worker
+    is configured with none, as a freshly rebooted real one would be."""
+
+    #: Budget of the handshake and ``configure``: starting a worker is
+    #: not an op (a ``spawn`` start imports the package first), so it is
+    #: not held to ``op_timeout``.
+    timeout = 60.0
+
+    def __init__(self, index: int, spec: Mapping[str, object], ctx) -> None:
+        self.index = index
+        self._spec = dict(spec)
+        self._ctx = ctx
+        self._spawn(faults.active_dicts())
+
+    def _spawn(self, armed: List[Dict[str, object]]) -> None:
+        sock, child = socket.socketpair()
+        self._process = self._ctx.Process(
+            target=_process_worker_main, args=(child, sock), daemon=True
+        )
+        self._process.start()
+        child.close()
+        self.address = f"pid {self._process.pid}"
+        self._open(sock)
+        try:
+            self.request("configure", dict(self._spec, faults=armed))
+        except WorkerCrashed:
+            self.abandon()
+            raise
+
+    def reopen(self) -> None:
+        self.abandon()
+        self._spawn([])
+
+    def abandon(self) -> None:
+        """Drop the pair and dispose of the process, escalating
+        terminate → kill so a wedged child cannot block the router."""
+        super().abandon()
+        process = self._process
+        if process.is_alive():
+            process.terminate()
+            process.join(timeout=2)
+            if process.is_alive():  # pragma: no cover - stubborn child
+                process.kill()
+                process.join(timeout=2)
+
+    def _crashed(self, reason: str) -> WorkerCrashed:
+        self._process.join(_REAP_WAIT)
+        exitcode = self._process.exitcode
+        if exitcode is not None:
+            reason = f"{reason} (process died, exitcode={exitcode})"
+        return super()._crashed(reason)
 
 
 def probe_worker(address: str, timeout: float = 2.0) -> Dict[str, object]:

@@ -31,10 +31,10 @@ Division of labour per arrival:
 
 Execution modes: ``serial`` (in-process, deterministic — the testing
 reference), ``process`` (one supervised OS process per worker over a
-pipe, the throughput mode — NumPy sweeps and lattice walks run truly in
-parallel) and ``remote`` (each shard a set of socket worker replicas
-placed by a ``remote`` map — the multi-machine tier; see
-:mod:`repro.service.remote` for the wire protocol).
+``socketpair``, the throughput mode — NumPy sweeps and lattice walks run
+truly in parallel) and ``remote`` (each shard a set of socket worker
+replicas placed by a ``remote`` map — the multi-machine tier).  Process
+and remote workers speak one wire protocol (:mod:`repro.service.remote`).
 They differ only in the *links* under each worker handle
 (:mod:`repro.service.supervisor`, which also writes replication and
 failover); the worker engine, op table and
@@ -62,13 +62,7 @@ from ..core.record import Record, Table
 from ..core.schema import TableSchema
 from ..metrics.counters import OpCounters
 from ..query.contextual import ContextualQueryEngine
-from .supervisor import (
-    InlineLink,
-    PipeLink,
-    ShardWorker,
-    WorkerGaveUp,
-    replay_into,
-)
+from .supervisor import InlineLink, ShardWorker, WorkerGaveUp, replay_into
 from .worker import _build_shard_engine
 
 Row = Union[Mapping[str, object], Record]
@@ -349,8 +343,10 @@ class ShardedDiscoverer(EngineBase):
         if self.mode == "process":
             import multiprocessing as mp
 
+            from .remote import ProcessLink
+
             method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            return [PipeLink(w, spec, mp.get_context(method))]
+            return [ProcessLink(w, spec, mp.get_context(method))]
         return [InlineLink(_build_shard_engine(spec))]
 
     def _worker_spec(
@@ -428,7 +424,7 @@ class ShardedDiscoverer(EngineBase):
         except WorkerGaveUp as crash:
             # The degraded replacements rebuilt from the oplog *before*
             # this op (it commits below), so every one of them —
-            # including those that acked over the pipe pre-crash, now
+            # including those that acked it before the crash, now
             # rebuilt fresh — needs it applied exactly once here.
             self._degrade(crash)
             for worker in self._workers:

@@ -8,8 +8,10 @@ supervision loop.
 ``close``, and the ``busy_seconds`` / ``restarts`` /
 ``chunks_retried`` / ``failovers`` tallies.  Under it sits an ordered
 list of **links**, primary first: one :class:`InlineLink` (serial,
-degraded) or :class:`PipeLink` (process), or one
-:class:`~repro.service.remote.SocketLink` per replica (remote).  A link:
+degraded) or :class:`~repro.service.remote.ProcessLink` (process), or
+one :class:`~repro.service.remote.SocketLink` per replica (remote).
+The two out-of-process links share one wire (:mod:`repro.service.remote`).
+A link:
 
 * ``send(op, payload)`` queues one request and **never raises**: a
   failed send leaves the link broken and the next ``recv`` reports it,
@@ -54,14 +56,10 @@ import time
 from collections import deque
 from typing import Callable, Deque, List, Mapping, Sequence, Tuple
 
-from . import faults
-from .worker import _ShardEngine, _shard_worker_main
+from .worker import _ShardEngine
 
 #: Ops per ``replay`` message (bounds message size on long logs).
 _REPLAY_SLICE = 128
-
-#: Poll granularity while waiting on a pipe reply (seconds).
-_POLL_STEP = 0.05
 
 
 class WorkerCrashed(RuntimeError):
@@ -121,112 +119,6 @@ class InlineLink:
 
     def close(self) -> None:
         pass
-
-
-class PipeLink:
-    """Process mode: one OS process per shard over a duplex pipe.  The
-    router's armed faults ride the first spawn only: a restarted worker
-    starts fault-free, as a freshly rebooted real one would."""
-
-    def __init__(self, index: int, spec: Mapping[str, object], ctx) -> None:
-        self.index = index
-        self._spec = dict(spec)
-        self._ctx = ctx
-        self._spawn(dict(self._spec, faults=faults.active_dicts()))
-
-    def _spawn(self, spec: Mapping[str, object]) -> None:
-        self._conn, child = self._ctx.Pipe()
-        self._process = self._ctx.Process(
-            target=_shard_worker_main, args=(child, spec), daemon=True
-        )
-        self._process.start()
-        child.close()
-
-    def reopen(self) -> None:
-        self.abandon()
-        self._spawn(self._spec)
-
-    def abandon(self) -> None:
-        """Dispose of a crashed/hung process and its pipe, escalating
-        terminate → kill so a wedged child cannot block the router."""
-        process, conn = self._process, self._conn
-        if process is not None and process.is_alive():
-            process.terminate()
-            process.join(timeout=2)
-            if process.is_alive():  # pragma: no cover - stubborn child
-                process.kill()
-                process.join(timeout=2)
-        if conn is not None:
-            try:
-                while conn.poll(0):
-                    conn.recv()
-            except (EOFError, OSError):
-                pass
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        self._process = None
-        self._conn = None
-
-    def send(self, op: str, payload: object) -> None:
-        try:
-            self._conn.send((op, payload))
-        except (BrokenPipeError, OSError, ValueError):
-            pass  # the next recv finds the dead process / closed pipe
-
-    def recv(self, timeout=None):
-        """Polls in small steps so a dead child is noticed immediately
-        (pipe EOF / exitcode) and a silent one is abandoned at
-        ``timeout``."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        conn, process = self._conn, self._process
-        while True:
-            try:
-                if conn.poll(_POLL_STEP):
-                    return conn.recv()
-            except (EOFError, OSError) as exc:
-                raise WorkerCrashed(
-                    self.index,
-                    f"pipe closed mid-reply ({type(exc).__name__}; "
-                    f"exitcode={process.exitcode})",
-                ) from None
-            if not process.is_alive():
-                # Drain any reply that raced the death notice.
-                try:
-                    if conn.poll(0):
-                        return conn.recv()
-                except (EOFError, OSError):
-                    pass
-                raise WorkerCrashed(
-                    self.index,
-                    f"process died (exitcode={process.exitcode})",
-                )
-            if deadline is not None and time.monotonic() >= deadline:
-                self.abandon()
-                raise WorkerCrashed(
-                    self.index,
-                    f"no reply within op_timeout={timeout}s "
-                    f"(worker abandoned)",
-                )
-
-    def close(self) -> None:
-        """Polite stop with a short grace period (draining replies so a
-        child blocked mid-send on a full pipe buffer can reach the stop
-        op), then terminate → kill."""
-        process, conn = self._process, self._conn
-        if process is None:
-            return
-        self.send("stop", None)
-        deadline = time.monotonic() + 2.0
-        while process.is_alive() and time.monotonic() < deadline:
-            try:
-                while conn.poll(0):
-                    conn.recv()
-            except (EOFError, OSError):
-                break
-            process.join(timeout=_POLL_STEP)
-        self.abandon()
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Worker side of the shard pool: one engine, one op table, one loop.
 
-Whatever carries the bytes — nothing (serial mode), a pipe to a child
-process, a framed socket — a shard worker is a :class:`_ShardEngine`
-answering ``(op, payload)`` requests.  Every transport shares:
+Whatever carries the bytes — nothing (serial mode), or the framed wire
+of :mod:`repro.service.remote` to a child process or a pool member — a
+shard worker is a :class:`_ShardEngine` answering ``(op, payload)``
+requests.  Every mode shares:
 
 * :attr:`_ShardEngine.OPS` — **the** op table.  Adding an op is adding
-  one entry: the router-side handle validates against it, both worker
-  loops dispatch through it, ``replay`` re-applies logged pairs by it;
+  one entry: the router-side handle validates against it, the worker
+  session dispatches through it, ``replay`` re-applies logged pairs by
+  it;
 * :func:`serve` — the worker loop (recv → ``worker.op`` fault hook →
-  apply → ``worker.reply`` fault hook → send), run by the pipe entry
-  point and the socket server alike, so the chaos suite drives either
+  apply → ``worker.reply`` fault hook → send) every out-of-process
+  worker runs, so the chaos suite drives process and remote workers
   with the same fault specs;
 * :func:`_build_shard_engine` — the one construction path from the
   router's worker spec, for every mode and the degrade fallback.
@@ -225,7 +227,7 @@ def _apply_worker_fault(fault) -> bool:
 
 
 def serve(recv: Callable[[], Tuple[str, object]], send, worker) -> None:
-    """The worker loop, shared by the pipe and socket transports:
+    """The worker loop of every out-of-process session:
     ``recv()`` yields the next ``(op, payload)`` request, ``send(reply)``
     ships a reply, ``worker`` exposes ``index`` (fault scoping) and
     ``apply(op, payload)``.  Requests are answered strictly FIFO — one
@@ -253,17 +255,3 @@ def serve(recv: Callable[[], Tuple[str, object]], send, worker) -> None:
         except OSError:
             return
 
-
-def _shard_worker_main(conn, spec) -> None:
-    """Entry point of one shard process: serve ops off the pipe FIFO.
-
-    ``spec`` may carry ``worker_index`` (fault scoping) and ``faults``
-    (the router's armed fault list, forwarded so injection behaves the
-    same under ``fork`` — which would otherwise inherit router state —
-    and ``spawn``, which would otherwise have none).
-    """
-    faults.clear()
-    if spec.get("faults"):
-        faults.install(spec["faults"])
-    serve(conn.recv, conn.send, _build_shard_engine(spec))
-    conn.close()

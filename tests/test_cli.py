@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -592,47 +593,76 @@ class TestMalformedCsv:
     def test_ingest(self, bad_csv, capsys):
         """The client stops at the bad row; the rows before it were
         acknowledged by the server."""
-        import asyncio
-        import socket
-        import threading
-
-        from repro.api import EngineSpec, open_engine
         from repro.core.config import DiscoveryConfig
-        from repro.service import StreamServer
 
-        # Top-3 reporting keeps each ack under the client's line limit.
         config = DiscoveryConfig(max_bound_dims=2, max_measure_dims=2, top_k=3)
-        engine = open_engine(EngineSpec(nba_schema(4, 4), "svec", config=config))
-        ready, port = threading.Event(), []
-
-        def serve():
-            async def run():
-                server = StreamServer(engine)
-                await server.start()
-                listener = await server.serve_tcp("127.0.0.1", 0)
-                port.append(listener.sockets[0].getsockname()[1])
-                ready.set()
-                await server.wait_stopped()
-
-            asyncio.run(run())
-
-        thread = threading.Thread(target=serve)
-        thread.start()
-        try:
-            assert ready.wait(30)
+        with serving(nba_schema(4, 4), config) as (engine, address):
             rc = main(["ingest", bad_csv, "-d", DIMS, "-m", MEAS,
-                       "--connect", f"127.0.0.1:{port[0]}"])
+                       "--connect", address])
             assert rc == 2
             assert self.expected(bad_csv) in capsys.readouterr().err
             assert len(engine) == 20
-        finally:
-            if port:
-                with socket.create_connection(("127.0.0.1", port[0])) as sock:
-                    sock.sendall(b'{"op": "shutdown"}\n')
-                    sock.recv(64)
-            thread.join(30)
-            engine.close()
-        assert not thread.is_alive()
+
+
+@contextmanager
+def serving(schema, config=None):
+    """A ``StreamServer`` over an ``svec`` engine, listening on an
+    ephemeral loopback port on its own thread; yields ``(engine,
+    "host:port")`` and shuts the server down on exit."""
+    import asyncio
+    import socket
+    import threading
+
+    from repro.api import EngineSpec, open_engine
+    from repro.service import StreamServer
+
+    engine = open_engine(EngineSpec(schema, "svec", config=config))
+    ready, port = threading.Event(), []
+
+    def serve():
+        async def run():
+            server = StreamServer(engine)
+            await server.start()
+            listener = await server.serve_tcp("127.0.0.1", 0)
+            port.append(listener.sockets[0].getsockname()[1])
+            ready.set()
+            await server.wait_stopped()
+
+        asyncio.run(run())
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    try:
+        assert ready.wait(30)
+        yield engine, f"127.0.0.1:{port[0]}"
+    finally:
+        if port:
+            with socket.create_connection(("127.0.0.1", port[0])) as sock:
+                sock.sendall(b'{"op": "shutdown"}\n')
+                sock.recv(64)
+        thread.join(30)
+        engine.close()
+    assert not thread.is_alive()
+
+
+class TestIngest:
+    def test_acks_past_asyncio_default_line_limit(self, tmp_path, capsys):
+        """With no ``tau`` or ``top_k`` every fact of ``S_t`` is acked:
+        a first arrival at d=5, m=5 acks 2^5 · 31 facts in one line,
+        past asyncio's 64 KiB default."""
+        schema = nba_schema(5, 5)
+        path = str(tmp_path / "wide.csv")
+        save_rows(path, schema, nba_rows(3, d=5, m=5))
+        with serving(schema) as (engine, address):
+            rc = main(["ingest", path, "-d", ",".join(schema.dimensions),
+                       "-m", ",".join(schema.measures), "--json",
+                       "--connect", address])
+            out, err = capsys.readouterr()
+            assert rc == 0, err
+            assert len(engine) == 3
+        facts = out.splitlines()
+        assert len(facts) > 992
+        assert max(map(len, facts)) * 992 > 1 << 16
 
 
 class TestFigures:

@@ -21,8 +21,14 @@ prominence), same op counters, no accepted row lost or double-applied:
 
 import asyncio
 import json
+import multiprocessing as mp
 import os
+import pickle
 import signal
+import subprocess
+import sys
+import time
+import zlib
 from contextlib import contextmanager
 
 import pytest
@@ -41,9 +47,11 @@ from repro.service import (
     StreamServer,
     recover_engine,
 )
-from repro.service import faults
+from repro.service import faults, remote
 from repro.service.journal import JournalCorruptError, read_ops
 from repro.service.remote import run_worker
+from repro.service.sharding import ShardedDiscoverer
+from repro.service.supervisor import ShardWorker
 from tests import feed_oracle
 from tests.strategies import SERVICE_SCHEMA as SCHEMA, make_rows, open_router
 from tests.test_feed_columns import assert_same
@@ -212,6 +220,131 @@ class TestWorkerCrashRecovery:
             assert got == expected
             assert engine.counters.snapshot() == expected_counters
             assert engine.fault_counters()["worker_restarts"] >= 1
+        finally:
+            engine.close()
+            ref.close()
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/stat"), reason="needs /proc"
+    )
+    def test_workers_exit_when_the_router_is_killed(self):
+        # SIGKILL runs no cleanup: a worker learns of its router's death
+        # only as EOF, which needs the worker not to hold the router's
+        # end of its own socketpair open.
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        code = (
+            "import sys, time\n"
+            "sys.path[:0] = sys.argv[1:]\n"
+            "from tests.strategies import SERVICE_SCHEMA, make_rows, open_router\n"
+            "engine = open_router(SERVICE_SCHEMA, 2, 'process')\n"
+            "engine.observe_many(make_rows(8))\n"
+            "print(*[w.links[0]._process.pid for w in engine._workers], flush=True)\n"
+            "time.sleep(120)\n"
+        )
+        router = subprocess.Popen(
+            [sys.executable, "-c", code, os.path.join(repo, "src"), repo],
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            workers = [int(pid) for pid in router.stdout.readline().split()]
+        finally:
+            router.kill()
+            router.wait()
+        assert len(workers) == 2
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except OSError:
+                return False
+
+        deadline = time.monotonic() + 10
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        alive = [pid for pid in workers if running(pid)]
+        for pid in alive:
+            os.kill(pid, signal.SIGKILL)
+        assert alive == []
+
+    def test_crash_reason_keeps_the_exit_code(self, monkeypatch):
+        gave_up = []
+        degrade = ShardedDiscoverer._degrade
+
+        def spy(self, crash, *args, **kwargs):
+            gave_up.append(str(crash))
+            return degrade(self, crash, *args, **kwargs)
+
+        monkeypatch.setattr(ShardedDiscoverer, "_degrade", spy)
+        faults.install(
+            [
+                {
+                    "point": "worker.op",
+                    "action": "crash",
+                    "worker": 1,
+                    "op": "rows",
+                    "exit_code": 41,
+                }
+            ]
+        )
+        engine = open_router(
+            SCHEMA, 2, "process", chunk_size=12, op_timeout=15, max_restarts=0
+        )
+        try:
+            engine.observe_many(make_rows(24))
+            assert len(gave_up) == 1
+            assert "exitcode=41" in gave_up[0]
+        finally:
+            engine.close()
+
+    def test_corrupted_reply_frame_restarts_the_worker(self, monkeypatch):
+        # Process workers reply over the CRC-framed wire: a reply whose
+        # bytes changed in flight is a FrameError at the router, which
+        # the handle treats as a crash — one restart, an exact stream.
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("the patched sender reaches the workers by fork")
+        rows = make_rows(60)
+        expected, expected_counters, ref = reference_run(rows)
+        router = os.getpid()
+        rows_replies = mp.get_context("fork").Value("i", 0)
+        send_msg = remote.send_msg
+
+        def send_third_rows_reply_corrupted(sock, status, payload):
+            # An ingest reply is the only 5-tuple a worker sends.
+            if os.getpid() != router and isinstance(payload, tuple) and (
+                len(payload) == 5
+            ):
+                with rows_replies.get_lock():
+                    rows_replies.value += 1
+                    third = rows_replies.value == 3
+                if third:
+                    body = bytearray(pickle.dumps((status, payload)))
+                    crc = zlib.crc32(body)
+                    body[-1] ^= 0xFF
+                    sock.sendall(remote._FRAME.pack(len(body), crc) + body)
+                    return
+            send_msg(sock, status, payload)
+
+        reasons = []
+        restart = ShardWorker._restart
+
+        def spy(self, link, crash):
+            reasons.append(crash.reason)
+            return restart(self, link, crash)
+
+        monkeypatch.setattr(remote, "send_msg", send_third_rows_reply_corrupted)
+        monkeypatch.setattr(ShardWorker, "_restart", spy)
+        engine = open_router(
+            SCHEMA, 2, "process", chunk_size=16, op_timeout=15
+        )
+        try:
+            got = fact_keys(engine.observe_many(rows))
+            assert got == expected
+            assert engine.counters.snapshot() == expected_counters
+            assert engine.fault_counters()["worker_restarts"] == 1
+            assert len(reasons) == 1
+            assert "FrameError: frame CRC mismatch" in reasons[0]
         finally:
             engine.close()
             ref.close()
@@ -1040,3 +1173,21 @@ class TestFaultRegistry:
     def test_unknown_point_rejected(self):
         with pytest.raises(ValueError):
             faults.install([{"point": "bogus.place"}])
+
+    @pytest.mark.parametrize(
+        "point, action",
+        [
+            ("worker.reply", "corrupt"),
+            ("worker.op", "corrupt"),
+            ("journal.append", "crash"),
+            ("checkpoint.write", "drop"),
+        ],
+    )
+    def test_action_its_hook_ignores_is_rejected(self, point, action):
+        # Such a fault would fire and change nothing: a chaos test
+        # built on it would pass without testing anything.
+        with pytest.raises(ValueError, match="not honoured") as info:
+            faults.install([{"point": point, "action": action}])
+        for allowed in faults.FAULT_ACTIONS[point]:
+            assert repr(allowed) in str(info.value)
+        assert faults.active() is None

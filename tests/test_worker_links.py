@@ -1,7 +1,7 @@
 """The one shard-worker handle over its three links.
 
-Whatever carries the ops — nothing (inline), a pipe to a child process,
-a framed socket — a :class:`ShardWorker` must answer the same op stream
+Whatever carries the ops — nothing (inline), a framed socket to a child
+process or to a pool member — a :class:`ShardWorker` must answer the same op stream
 with the same replies: the op table lives in one place
 (:attr:`_ShardEngine.OPS`) and the links only move bytes.
 """
@@ -14,10 +14,9 @@ from contextlib import contextmanager
 import pytest
 
 from repro import TableSchema
-from repro.service.remote import SocketLink, SocketWorkerServer
+from repro.service.remote import ProcessLink, SocketLink, SocketWorkerServer
 from repro.service.supervisor import (
     InlineLink,
-    PipeLink,
     ShardWorker,
     WorkerCrashed,
     WorkerGaveUp,
@@ -26,7 +25,7 @@ from repro.service.worker import ShardOp, _build_shard_engine, _ShardEngine
 from tests.strategies import open_router
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
-LINKS = ["inline", "pipe", "socket"]
+LINKS = ["inline", "process", "socket"]
 OP_TIMEOUT = 15
 
 SPEC = {
@@ -66,8 +65,10 @@ def open_worker(kind, spec=SPEC):
     server = None
     if kind == "inline":
         link = InlineLink(_build_shard_engine(spec))
-    elif kind == "pipe":
-        link = PipeLink(0, spec, fork_context())
+    elif kind == "process":
+        link = ProcessLink(0, spec, fork_context())
+    elif kind == "spawn":
+        link = ProcessLink(0, spec, mp.get_context("spawn"))
     else:
         server = SocketWorkerServer().start()
         link = SocketLink(0, server.address, OP_TIMEOUT)
@@ -115,7 +116,7 @@ def reference_stream():
     )
 
 
-@pytest.mark.parametrize("kind", LINKS)
+@pytest.mark.parametrize("kind", [*LINKS, "spawn"])
 def test_same_op_stream_same_replies_on_every_link(kind):
     with open_worker(kind) as (worker, _server):
         got = drive(worker.submit_rows, worker.result, worker.call)
