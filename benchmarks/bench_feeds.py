@@ -19,12 +19,11 @@ store's final per-segment versions.  Two claims are asserted:
   O(arrivals));
 * **bounded delivery state** — the per-connection dirty set never
   exceeds ``MAX_PENDING_SEGMENTS`` (structural bound; the drop/resync
-  counters recorded here show the mechanism engaging, or not needing
+  counters printed here show the mechanism engaging, or not needing
   to).
 
 The ingest-overhead guard (feed fold ≤ 5% of discovery) lives in
-``bench_guard.py`` with the other regression tripwires; both write to
-``BENCH_PR10.json`` (uploaded as a CI artifact).
+``bench_guard.py``.
 
 Run with ``pytest benchmarks/bench_feeds.py -s``; ``REPRO_BENCH_SCALE``
 enlarges the burst.
@@ -37,8 +36,6 @@ from repro.api import EngineSpec, FeedSpec, open_engine
 from repro.datasets.synthetic import synthetic_rows, synthetic_schema
 from repro.service import FeedClient, FeedGateway, StreamServer
 from repro.service import gateway as gateway_mod
-
-from _results import update_results
 
 D, M = 4, 4
 #: Arrivals seeding the segments before subscribers connect, and the
@@ -173,15 +170,10 @@ def test_fanout_throughput_vs_subscribers(benchmark, bench_scale, monkeypatch):
     assert big["frames_delivered"] <= (
         big["subscribers"] * 4 * big["segments"]
     )
-    update_results(
-        "fanout",
-        {"runs": results, "meta": {"d": D, "m": M, "seed": SEED}},
-        filename="BENCH_PR10.json",
-    )
 
 
 def test_capped_churn_overhead_recorded():
-    """Ingest overhead when the cap binds hard — recorded as data.
+    """Ingest overhead when the cap binds hard — printed as data.
 
     With ``max_entries`` far below the workload's tracked-pair working
     set, nearly every arrival both creates and evicts entries, so the
@@ -225,17 +217,6 @@ def test_capped_churn_overhead_recorded():
         f"discover={1e3 * discover / probe_n:.3f}ms "
         f"fold={1e3 * fold / probe_n:.3f}ms "
         f"overhead={100 * overhead:.1f}% evicted={stats['evicted']}"
-    )
-    update_results(
-        "capped_churn",
-        {
-            "cap": store.spec.max_entries,
-            "discover_ms": round(1e3 * discover / probe_n, 4),
-            "fold_ms": round(1e3 * fold / probe_n, 4),
-            "overhead_pct": round(100 * overhead, 2),
-            "evicted": stats["evicted"],
-        },
-        filename="BENCH_PR10.json",
     )
     assert overhead <= 0.30, (
         f"cap-bound fold costs {100 * overhead:.1f}% of discovery — "

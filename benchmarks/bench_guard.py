@@ -1,76 +1,43 @@
-"""Vectorization regression guard for the NumPy hot paths.
+"""Wall-clock guards that no exact tier-1 spy replaces yet.
 
-Future PRs must not silently de-vectorize the columnar engine: a change
-that pushes ``svec``'s inner loops back into per-tuple Python shows up
-as an order-of-magnitude latency jump that the equivalence tests cannot
-see (they check outputs, not wall-clock) and the operation counters
-cannot see either (the counting convention is deliberately
-vectorization-blind — see ``repro/metrics/counters.py``).
+The rest of the de-vectorization gate counts work instead of timing it:
+tier-1 spies pin one store write per arrival, no per-row ``Constraint``
+or anchor-cell probe in the walk, one scoring call per arrival, a feed
+fold that builds no objects, one wire frame per shard chunk, the
+journal's flush/fsync calls per commit, the skyband kernel, and repeat
+query-cache hits (CI's de-vectorization job runs them beside this
+file).  Two guards stay here because no tier-1 spy fails on the mutant
+each one names:
 
-The guard compares marginal per-tuple latency against ``baselinevec``,
-the minimal NumPy-sweep algorithm: ``svec`` does strictly more per
-arrival (store maintenance, demotion repair), so a *generous* multiple
-of ``baselinevec`` is a stable ceiling across machines — scalar
-``stopdown`` sits far above it on this workload, so a de-vectorized
-``svec`` trips the bound with a wide margin on any hardware.  One more
-ratio tripwire covers the scored path (vs the unscored one).  That every
-arrival takes the walk — None-carrying ones and schemas past one word
-per anchor cell included — is pinned deterministically in tier-1
-(``tests/test_sweep_index.py::TestWalkPaths``).
+* ``test_sweep_index_stays_sublinear`` — the indexed dominance
+  partition against the dense sweep at 2.5× the arming constant, and
+  the only check of armed-index vs dense bit identity at that size;
+* ``test_feed_fold_overhead_stays_marginal`` — the feed fold against
+  the discovery it follows; per-pair context bookkeeping in the
+  silent-satisfier pass builds no object the tier-1 fold spy counts
+  (and stays inside this guard's budget too; see its docstring).
 
-The ratio guards write their measurements into ``BENCH_PR3.json``, the
-journal-overhead guard into ``BENCH_PR6.json``, the sweep-index guard
-into ``BENCH_PR7.json``, and the socket-protocol guard into
-``BENCH_PR9.json`` (all uploaded as CI artifacts) so the perf
-trajectory is tracked as data.
-
-Run with ``pytest benchmarks/bench_guard.py``; part of the bench suite,
-not of tier-1 (timing asserts do not belong in unit CI).
+Both ratios compare two phases of the same run on the same host, so the
+ceilings hold across machines.  Run with
+``pytest benchmarks/bench_guard.py -s``; part of the bench suite, not of
+tier-1 (timing asserts do not belong in unit CI).
 """
 
 import gc
 import random
-import socket
-import tempfile
-import threading
 import time
 
 import numpy as np
 
-from repro import Constraint, DiscoveryConfig, FactDiscoverer, make_algorithm
 from repro.algorithms.s_vectorized import SVectorized
 from repro.api import EngineSpec, FeedSpec, open_engine
-from repro.core.constraint import UNBOUND
 from repro.datasets.synthetic import synthetic_rows, synthetic_schema
-from repro.query.contextual import ContextualQueryEngine
 from repro.service.feeds import FeedStore
-from repro.service.journal import JournalWriter
-from repro.service.remote import recv_msg, send_msg
 from repro.storage import sweep_index as sweep_module
-
-from _results import update_results
 
 #: Default scale of the guard workload (matches bench_columnar DEFAULT).
 N, D, M = 2000, 4, 4
 PROBE = 100
-
-#: svec may cost at most this multiple of baselinevec per tuple.  The
-#: measured ratio is ~2x; a de-vectorized svec lands at ~12x (scalar
-#: stopdown territory), so 6x separates the regimes with slack on both
-#: sides.
-GENEROUS_MULTIPLE = 6.0
-
-#: Scoring may cost at most this multiple of unscored ingestion per
-#: tuple.  With the store's incremental skyline-cardinality index the
-#: measured ratio is ~1.4x; falling back to the scalar Invariant-2
-#: sweep lands at ~4x and grows with n, so 2.5x separates the regimes.
-SCORED_MULTIPLE = 2.5
-
-#: The write-ahead journal (fsync="never") may add at most this
-#: fraction to the scored ``observe_many`` marginal.  The append is a
-#: buffered JSON+CRC frame write per row plus one flush per batch —
-#: microseconds against a millisecond-scale discovery marginal.
-JOURNAL_OVERHEAD = 0.05
 
 #: The indexed dominance partition may cost at most this fraction of
 #: the dense per-arrival sweep at 2.5× the arming constant.  The indexed walker consumes
@@ -82,73 +49,13 @@ JOURNAL_OVERHEAD = 0.05
 #: short-circuiting the prefix lands at ~1x.
 SWEEP_INDEX_FRACTION = 0.6
 
-#: The columnar k-skyband kernel may cost at most this fraction of the
-#: scalar double loop at n=10k.  The kernel is one chunked dominance-
-#: count reduction over the selection; the scalar path re-walks the
-#: whole context per member.  Measured ~0.03-0.05x; a kernel that
-#: silently falls back to the scalar loop lands at ~1x, so 0.5x
-#: separates the regimes on any hardware.
-SKYBAND_FRACTION = 0.5
-
-#: One framed round-trip of a PROBE-row ``rows`` chunk over the remote
-#: shard wire protocol may cost at most this fraction of the svec
-#: compute the chunk buys.  The frame is one pickle + one CRC + one
-#: ``sendall`` per direction — measured ~0.002x; a protocol that frames
-#: per row, re-pickles payloads, or copies bodies lands an order of
-#: magnitude higher.
-SOCKET_FRAME_FRACTION = 0.05
-
-#: A fully cached repeat read pass may cost at most this fraction of
-#: the uncached first pass.  A hit is an LRU probe plus a list copy
-#: against a kernel reduction over thousands of rows — measured
-#: ~0.005x; a cache that silently stops hitting (key drift, version
-#: mismatches) lands at ~1x.
-CACHE_FRACTION = 0.1
-
-#: Folding an arrival's facts into the materialized feeds (PR 10) may
-#: cost at most this fraction of discovering them.  The fold is
+#: Folding an arrival's facts into the materialized feeds may cost at
+#: most this fraction of discovering them.  The fold is
 #: O(|S_t|) dict upserts against shared per-constraint context cells
-#: plus an O(2^d̂) silent-satisfier pass — measured ~0.03-0.04x; a fold
-#: that re-ranks segments per arrival, loses the constraint interning,
-#: or walks per-pair context updates lands well above 0.05x and grows
-#: with segment size.
+#: plus an O(2^d̂) silent-satisfier pass — measured ~0.015-0.04x; a fold
+#: that re-ranks segments per arrival or loses the constraint interning
+#: lands well above 0.05x and grows with segment size.
 FEED_FOLD_FRACTION = 0.05
-
-
-def _marginal(name, schema, warm, probe):
-    algo = make_algorithm(name, schema)
-    algo.process_many(warm)
-    start = time.perf_counter()
-    algo.process_many(probe)
-    return (time.perf_counter() - start) / len(probe)
-
-
-def test_svec_stays_vectorized():
-    schema = synthetic_schema(D, M)
-    rows = synthetic_rows(N + PROBE, D, M, distribution="anticorrelated")
-    warm, probe = rows[:N], rows[N:]
-    base = _marginal("baselinevec", schema, warm, probe)
-    svec = _marginal("svec", schema, warm, probe)
-    ratio = svec / base
-    print(
-        f"\nper-tuple @ n={N}: baselinevec={1e3 * base:.3f}ms "
-        f"svec={1e3 * svec:.3f}ms ratio={ratio:.2f}x "
-        f"(ceiling {GENEROUS_MULTIPLE}x)"
-    )
-    update_results(
-        "guard",
-        {
-            "baselinevec_ms": round(1e3 * base, 4),
-            "svec_ms": round(1e3 * svec, 4),
-            "svec_over_baselinevec": round(ratio, 2),
-        },
-    )
-    assert ratio <= GENEROUS_MULTIPLE, (
-        f"svec costs {ratio:.1f}x baselinevec per tuple (ceiling "
-        f"{GENEROUS_MULTIPLE}x) — the sharing engine has likely been "
-        f"de-vectorized; see benchmarks/bench_columnar.py for the "
-        f"full head-to-head"
-    )
 
 
 def test_sweep_index_stays_sublinear():
@@ -232,318 +139,11 @@ def test_sweep_index_stays_sublinear():
         f"indexed={1e3 * indexed:.3f}ms ratio={ratio:.2f}x "
         f"(ceiling {SWEEP_INDEX_FRACTION}x)"
     )
-    update_results(
-        "sweep_guard",
-        {
-            "n": n,
-            "dense_ms": round(1e3 * dense, 4),
-            "indexed_ms": round(1e3 * indexed, 4),
-            "indexed_over_dense": round(ratio, 2),
-            "ceiling": SWEEP_INDEX_FRACTION,
-            "watermark": sweep.watermark,
-            "folds": sweep.folds,
-        },
-        filename="BENCH_PR7.json",
-    )
     assert ratio <= SWEEP_INDEX_FRACTION, (
         f"indexed dominance partition costs {ratio:.2f}x the dense sweep "
         f"per probe (ceiling {SWEEP_INDEX_FRACTION}x) — the stable-prefix "
         f"short-circuit has likely regressed; see "
         f"benchmarks/bench_lattice.py::test_sweep_index_marginal_near_flat"
-    )
-
-
-def _marginal_scored(schema, warm, probe, score):
-    engine = FactDiscoverer(schema, algorithm="svec", score=score)
-    engine.facts_for_many(warm)
-    start = time.perf_counter()
-    engine.facts_for_many(probe)
-    return (time.perf_counter() - start) / len(probe)
-
-
-def test_scored_observe_many_stays_vectorized():
-    """Scored batch ingestion must stay on the columnar scoring path.
-
-    Prominence evaluation rides the store's incremental index; if a
-    change silently sends ``skyline_sizes`` back to the per-(tuple,
-    anchor, supermask) Python sweep — or the engine off the batched
-    path — scoring stops being a modest surcharge on discovery and
-    shows up here as a multiple of the unscored marginal latency.
-    The ratio reads 1.3–1.9 on identical code on a shared host, so the
-    ceiling stays loose; the deterministic twin counts constructed fact
-    objects (``tests/test_prominence.py::TestOnlyWinnersAreMaterialised``).
-    """
-    schema = synthetic_schema(D, M)
-    rows = synthetic_rows(N + PROBE, D, M, distribution="anticorrelated")
-    warm, probe = rows[:N], rows[N:]
-    unscored = _marginal_scored(schema, warm, probe, score=False)
-    scored = _marginal_scored(schema, warm, probe, score=True)
-    ratio = scored / unscored
-    if ratio > SCORED_MULTIPLE * 0.8:  # one retry: scheduler bursts
-        unscored2 = _marginal_scored(schema, warm, probe, score=False)
-        scored2 = _marginal_scored(schema, warm, probe, score=True)
-        if scored2 / unscored2 < ratio:
-            unscored, scored = unscored2, scored2
-            ratio = scored / unscored
-    print(
-        f"\nper-tuple @ n={N}: unscored={1e3 * unscored:.3f}ms "
-        f"scored={1e3 * scored:.3f}ms ratio={ratio:.2f}x "
-        f"(ceiling {SCORED_MULTIPLE}x)"
-    )
-    update_results(
-        "guard",
-        {
-            "unscored_ms": round(1e3 * unscored, 4),
-            "scored_ms": round(1e3 * scored, 4),
-            "scored_over_unscored": round(ratio, 2),
-        },
-    )
-    assert ratio <= SCORED_MULTIPLE, (
-        f"scored observe_many costs {ratio:.1f}x the unscored path per "
-        f"tuple (ceiling {SCORED_MULTIPLE}x) — prominence scoring has "
-        f"likely been de-vectorized; see benchmarks/bench_scoring.py "
-        f"for the full head-to-head"
-    )
-
-
-def _journaled_marginals(schema, warm, probe, journal, batch=64):
-    """One journaled scored-ingestion run with the server's discipline
-    (one framed append per row, one commit per micro-batch), timing the
-    discovery and journal portions separately *within the same run* —
-    self-paired, so scheduler/cache noise cancels instead of swamping a
-    microsecond-scale signal."""
-    engine = FactDiscoverer(schema, algorithm="svec", score=True)
-    engine.facts_for_many(warm)
-    discovery = journaling = 0.0
-    for lo in range(0, len(probe), batch):
-        chunk = probe[lo : lo + batch]
-        start = time.perf_counter()
-        engine.facts_for_many(chunk)
-        mid = time.perf_counter()
-        for row in chunk:
-            journal.append_ingest(row)
-        journal.commit()
-        discovery += mid - start
-        journaling += time.perf_counter() - mid
-    return discovery / len(probe), journaling / len(probe)
-
-
-def test_journal_overhead_within_budget():
-    """The WAL must stay off the discovery hot path.
-
-    With ``fsync="never"`` a journal append is a buffered write; if a
-    change drags per-row serialization, framing, or an accidental
-    fsync/flush into the loop, journaled ingestion stops being free and
-    trips the 5% budget.  Best-of-3 damps scheduler noise (the signal
-    is a few microseconds against a millisecond marginal).
-    """
-    schema = synthetic_schema(D, M)
-    rows = synthetic_rows(N + PROBE, D, M, distribution="anticorrelated")
-    warm, probe = rows[:N], rows[N:]
-    best = None
-    for _ in range(3):
-        with tempfile.TemporaryDirectory() as wal:
-            with JournalWriter(wal, fsync="never") as journal:
-                pair = _journaled_marginals(schema, warm, probe, journal)
-        if best is None or pair[1] / pair[0] < best[1] / best[0]:
-            best = pair
-    best_off, journal_cost = best
-    best_on = best_off + journal_cost
-    overhead = journal_cost / best_off
-    print(
-        f"\nper-tuple @ n={N}: journal-off={1e3 * best_off:.3f}ms "
-        f"journal-on={1e3 * best_on:.3f}ms overhead={100 * overhead:.1f}% "
-        f"(budget {100 * JOURNAL_OVERHEAD:.0f}%)"
-    )
-    update_results(
-        "journal_guard",
-        {
-            "journal_off_ms": round(1e3 * best_off, 4),
-            "journal_on_ms": round(1e3 * best_on, 4),
-            "overhead_pct": round(100 * overhead, 2),
-            "budget_pct": 100 * JOURNAL_OVERHEAD,
-        },
-        filename="BENCH_PR6.json",
-    )
-    assert overhead <= JOURNAL_OVERHEAD, (
-        f"journaled scored observe_many costs {100 * overhead:.1f}% over "
-        f"the unjournaled marginal (budget {100 * JOURNAL_OVERHEAD:.0f}%) "
-        f"— something expensive (fsync? re-serialization?) has crept "
-        f"into the per-row append path"
-    )
-
-
-def test_socket_frame_overhead_stays_marginal():
-    """The remote shard wire protocol must stay off the compute hot path.
-
-    Socket workers (PR 9) pay pickle + CRC32 + framing per chunk; the
-    parity tests pin the answers but cannot see the protocol getting
-    expensive (per-row frames, double pickling, body copies) — only
-    wall-clock can.  One framed round-trip of a PROBE-row ``rows``
-    chunk (request out, full payload echoed back — twice what a real
-    reply carries, so conservative) is timed over a socketpair, no
-    real network in the loop, against the svec compute the chunk buys.
-    """
-    schema = synthetic_schema(D, M)
-    rows = synthetic_rows(N + PROBE, D, M, distribution="anticorrelated")
-    warm, probe = rows[:N], rows[N:]
-    chunk_compute = _marginal("svec", schema, warm, probe) * len(probe)
-
-    rounds, batches = 10, 3
-    left, right = socket.socketpair()
-    try:
-
-        def echo():
-            for _ in range(rounds * batches):
-                _op, payload = recv_msg(right)
-                send_msg(right, "ok", payload)
-
-        thread = threading.Thread(target=echo, daemon=True)
-        thread.start()
-        best = None
-        for _ in range(batches):
-            start = time.perf_counter()
-            for _ in range(rounds):
-                send_msg(left, "rows", probe)
-                recv_msg(left)
-            took = (time.perf_counter() - start) / rounds
-            if best is None or took < best:
-                best = took
-        thread.join(timeout=10)
-    finally:
-        left.close()
-        right.close()
-    ratio = best / chunk_compute
-    print(
-        f"\n{PROBE}-row chunk @ n={N}: frame-roundtrip={1e3 * best:.3f}ms "
-        f"svec-compute={1e3 * chunk_compute:.1f}ms ratio={ratio:.4f}x "
-        f"(ceiling {SOCKET_FRAME_FRACTION}x)"
-    )
-    update_results(
-        "cluster_guard",
-        {
-            "chunk_rows": PROBE,
-            "frame_roundtrip_ms": round(1e3 * best, 4),
-            "chunk_compute_ms": round(1e3 * chunk_compute, 3),
-            "roundtrip_over_compute": round(ratio, 4),
-            "ceiling": SOCKET_FRAME_FRACTION,
-        },
-        filename="BENCH_PR9.json",
-    )
-    assert ratio <= SOCKET_FRAME_FRACTION, (
-        f"one framed chunk round-trip costs {ratio:.3f}x the chunk's "
-        f"svec compute (ceiling {SOCKET_FRAME_FRACTION}x) — something "
-        f"expensive has crept into the wire protocol "
-        f"(repro/service/remote.py); see benchmarks/bench_cluster.py "
-        f"for the end-to-end socket-vs-pipe comparison"
-    )
-
-
-def test_skyband_kernel_stays_columnar():
-    """The k-skyband read path must not fall back to the scalar loop.
-
-    ``ContextualQueryEngine.skyband`` answers through one chunked
-    dominance-count reduction (``repro/query/kernels.py``); the
-    equivalence tests pin its output against the ``use_kernels=False``
-    double loop but cannot see a silent fallback — only wall-clock can.
-    One probe over a ~n/8-row one-bound context at n=10k separates the
-    regimes by ~20x.
-    """
-    n, probes = 10_000, 2
-    schema = synthetic_schema(D, M)
-    algo = make_algorithm("svec", schema)
-    algo.process_many(
-        synthetic_rows(n, D, M, distribution="anticorrelated")
-    )
-    constraint = Constraint(("v1",) + (UNBOUND,) * (D - 1))
-    full = (1 << M) - 1
-
-    def measure(use_kernels):
-        queries = ContextualQueryEngine(algo, use_kernels=use_kernels)
-        best = None
-        for _ in range(probes):
-            start = time.perf_counter()
-            out = queries.skyband(constraint, full, 2)
-            took = time.perf_counter() - start
-            if best is None or took < best[0]:
-                best = (took, sorted(r.tid for r in out))
-        return best
-
-    kernel_s, kernel_tids = measure(True)
-    scalar_s, scalar_tids = measure(False)
-    assert kernel_tids == scalar_tids
-    ratio = kernel_s / scalar_s
-    print(
-        f"\nskyband @ n={n}: kernels={1e3 * kernel_s:.1f}ms "
-        f"scalar={1e3 * scalar_s:.1f}ms ratio={ratio:.3f}x "
-        f"(ceiling {SKYBAND_FRACTION}x)"
-    )
-    update_results(
-        "read_guard",
-        {
-            "skyband_kernels_ms": round(1e3 * kernel_s, 3),
-            "skyband_scalar_ms": round(1e3 * scalar_s, 3),
-            "kernels_over_scalar": round(ratio, 4),
-        },
-        filename="BENCH_PR8.json",
-    )
-    assert ratio <= SKYBAND_FRACTION, (
-        f"columnar skyband costs {ratio:.2f}x the scalar loop (ceiling "
-        f"{SKYBAND_FRACTION}x) — the read kernels have likely stopped "
-        f"vectorizing; see benchmarks/bench_query.py for the full sweep"
-    )
-
-
-def test_query_cache_repeats_stay_free():
-    """A cached repeat read must stay a cache probe, not a recompute.
-
-    The correctness tests pin cached answers against plain engines but
-    cannot see a cache that recomputes on every probe (key drift, a
-    version function that never matches) — the answers stay right and
-    only wall-clock changes.  Best-of-3 on the repeat pass damps
-    scheduler noise against a sub-millisecond signal.
-    """
-    n = 2000
-    schema = synthetic_schema(D, M)
-    rows = synthetic_rows(n, D, M, distribution="anticorrelated")
-    constraints = [
-        Constraint((f"v{v}",) + (UNBOUND,) * (D - 1)) for v in range(8)
-    ]
-    full = (1 << M) - 1
-    spec = EngineSpec(schema, "svec", DiscoveryConfig(), query_cache=64)
-
-    def read_pass(queries):
-        start = time.perf_counter()
-        for constraint in constraints:
-            queries.skyband(constraint, full, 2)
-        return time.perf_counter() - start
-
-    with open_engine(spec) as engine:
-        engine.observe_many(rows)
-        queries = engine.query()
-        uncached = read_pass(queries)
-        cached = min(read_pass(queries) for _ in range(3))
-        counters = engine.stats()["query_cache"]
-    assert counters["hits"] >= 3 * len(constraints), counters
-    ratio = cached / uncached
-    print(
-        f"\n{len(constraints)} reads @ n={n}: uncached={1e3 * uncached:.1f}ms "
-        f"cached={1e3 * cached:.3f}ms ratio={ratio:.4f}x "
-        f"(ceiling {CACHE_FRACTION}x)"
-    )
-    update_results(
-        "read_guard",
-        {
-            "cache_uncached_ms": round(1e3 * uncached, 3),
-            "cache_repeat_ms": round(1e3 * cached, 4),
-            "cached_over_uncached": round(ratio, 4),
-        },
-        filename="BENCH_PR8.json",
-    )
-    assert ratio <= CACHE_FRACTION, (
-        f"cached repeat pass costs {ratio:.2f}x the uncached pass "
-        f"(ceiling {CACHE_FRACTION}x) — the result cache has likely "
-        f"stopped hitting; see benchmarks/bench_query.py"
     )
 
 
@@ -589,10 +189,13 @@ def test_feed_fold_overhead_stays_marginal():
     """Materialized feed maintenance must stay off the ingest hot path.
 
     The parity tests pin the feed contents to ``query().batch`` but
-    cannot see the fold getting expensive — only this ratio can.  A
-    regression mode to watch: per-pair context bookkeeping (instead of
-    the shared per-constraint cells) multiplies the silent-satisfier
-    pass by the subspace count and trips the budget immediately.
+    cannot see the fold getting expensive.  Per-pair context
+    bookkeeping in the silent-satisfier pass (instead of the shared
+    per-constraint cells) multiplies that pass by the subspace count;
+    it builds no object, so the tier-1 fold spy passes on it.  On a
+    2-vCPU host that mutant read 1.7 % here against 1.5 % without it:
+    inside the budget, because the discovery it is measured against is
+    the spec's default ``stopdown``, not ``svec``.
     """
     schema = synthetic_schema(D, M)
     rows = synthetic_rows(N + PROBE, D, M, distribution="anticorrelated")
@@ -609,16 +212,6 @@ def test_feed_fold_overhead_stays_marginal():
         f"feed-fold={1e3 * fold / PROBE:.3f}ms "
         f"overhead={100 * overhead:.1f}% "
         f"(budget {100 * FEED_FOLD_FRACTION:.0f}%)"
-    )
-    update_results(
-        "feed_guard",
-        {
-            "discover_ms": round(1e3 * discover / PROBE, 4),
-            "fold_ms": round(1e3 * fold / PROBE, 4),
-            "overhead_pct": round(100 * overhead, 2),
-            "budget_pct": 100 * FEED_FOLD_FRACTION,
-        },
-        filename="BENCH_PR10.json",
     )
     assert overhead <= FEED_FOLD_FRACTION, (
         f"feed fold costs {100 * overhead:.1f}% of the discovery "

@@ -19,7 +19,7 @@ shows the trend and the warm-up alone would dominate the runtime).  At
 forced by patching the module constant in this process, nothing in
 ``src/`` selects a side by hand — and asserts that the choice is the
 faster side at both sizes and that the indexed marginal stays within
-1.5× from 3k to 30k.  Results go to ``BENCH_PR7.json`` (``n_sweep``).
+1.5× from 3k to 30k.
 
 Run with ``pytest benchmarks/bench_lattice.py -s``;
 ``REPRO_BENCH_SCALE`` scales the workload.
@@ -31,8 +31,6 @@ import time
 from repro import FactDiscoverer
 from repro.datasets.synthetic import synthetic_rows, synthetic_schema
 from repro.storage import sweep_index as sweep_module
-
-from _results import update_results
 
 D, M = 4, 4
 CHUNK = 100
@@ -153,31 +151,6 @@ def test_sweep_index_marginal_near_flat(benchmark, bench_scale):
     print(
         f"  growth {sizes[0]}→{sizes[1]}: indexed {growth:.2f}x (ceiling "
         f"{MARGINAL_GROWTH_CEILING}x), dense {dense_growth:.2f}x"
-    )
-    update_results(
-        "n_sweep",
-        {
-            "d": D,
-            "m": M,
-            "distribution": "anticorrelated",
-            "arm_rows": sweep_module.ARM_ROWS,
-            "choice": {str(n): table[n]["choice"] for n in sizes},
-            "own_ms": dict(
-                {str(n): round(1e3 * table[n]["own"], 4) for n in sizes},
-                **{str(n_far): round(1e3 * far, 4)},
-            ),
-            "dense_ms": {
-                str(n): round(1e3 * table[n]["dense"], 4) for n in sizes
-            },
-            "indexed_ms": {
-                str(n): round(1e3 * table[n]["indexed"], 4) for n in sizes
-            },
-            "indexed_growth_3k_to_30k": round(growth, 3),
-            "dense_growth_3k_to_30k": round(dense_growth, 3),
-            "growth_ceiling": MARGINAL_GROWTH_CEILING,
-            "choice_tolerance": CHOICE_TOLERANCE,
-        },
-        filename="BENCH_PR7.json",
     )
     benchmark.extra_info["indexed_growth_3k_to_30k"] = round(growth, 2)
     for n in sizes:

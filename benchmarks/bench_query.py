@@ -1,8 +1,7 @@
 """Read-path bench for the PR-8 query subsystem.
 
 Three asserted cells — the acceptance bars of the cost-ordered query
-planner PR — plus two data-only sections, all merged into
-``BENCH_PR8.json`` (committed and uploaded as a CI artifact):
+planner — plus two data-only sections, printed as tables:
 
 * **kernels** — columnar k-skyband vs the scalar double loop at
   ``n=10k d=4 m=4`` anticorrelated, with a latency-vs-``n`` sweep from
@@ -31,10 +30,6 @@ from repro.core.constraint import UNBOUND
 from repro.datasets.synthetic import synthetic_rows, synthetic_schema
 from repro.query.contextual import ContextualQueryEngine
 from repro.query.planner import QueryPlan
-
-from _results import update_results
-
-RESULTS = "BENCH_PR8.json"
 
 D, M = 4, 4
 FULL = (1 << M) - 1  # all-measures subspace
@@ -113,22 +108,6 @@ def test_columnar_skyband_speedup(bench_scale):
 
     n, kernel_s, scalar_s = sweep[-1]
     speedup = scalar_s / kernel_s
-    update_results(
-        "kernels",
-        {
-            "n": n,
-            "skyband_k": SKYBAND_K,
-            "kernels_ms": round(1e3 * kernel_s, 3),
-            "scalar_ms": round(1e3 * scalar_s, 3),
-            "speedup": round(speedup, 2),
-            "latency_vs_n": [
-                {"n": sn, "kernels_ms": round(1e3 * ks, 3),
-                 "scalar_ms": round(1e3 * ss, 3)}
-                for sn, ks, ss in sweep
-            ],
-        },
-        filename=RESULTS,
-    )
     assert speedup >= KERNEL_SPEEDUP, (
         f"columnar skyband only {speedup:.1f}x over scalar at n={n} "
         f"(need >= {KERNEL_SPEEDUP}x) — the kernels have likely stopped "
@@ -203,21 +182,6 @@ def test_planner_beats_fixed_order(bench_scale):
           f"evaluated={plan.evaluated_count}")
     print(f"planned={1e3 * planned_s:.2f}ms fixed={1e3 * fixed_s:.2f}ms "
           f"speedup={speedup:.1f}x")
-    update_results(
-        "planner",
-        {
-            "n": n,
-            "queries": len(workload),
-            "top_k": 1,
-            "planned_ms": round(1e3 * planned_s, 3),
-            "fixed_ms": round(1e3 * fixed_s, 3),
-            "speedup": round(speedup, 2),
-            "skipped": plan.skipped,
-            "stats_hits": plan.stats_hits,
-            "evaluated": plan.evaluated_count,
-        },
-        filename=RESULTS,
-    )
     assert speedup >= PLANNER_SPEEDUP, (
         f"cheapest-first only {speedup:.1f}x over fixed order (need >= "
         f"{PLANNER_SPEEDUP}x) — bound push-down has likely stopped "
@@ -259,19 +223,6 @@ def test_cache_repeat_speedup(bench_scale):
     print(f"\n{n_reads} reads @ n={n}: uncached={1e3 * uncached_s:.1f}ms "
           f"cached={1e3 * cached_s:.2f}ms speedup={speedup:.0f}x "
           f"(counters {counters})")
-    update_results(
-        "cache",
-        {
-            "n": n,
-            "reads": n_reads,
-            "uncached_ms": round(1e3 * uncached_s, 3),
-            "cached_ms": round(1e3 * cached_s, 4),
-            "speedup": round(speedup, 1),
-            "hits": counters["hits"],
-            "misses": counters["misses"],
-        },
-        filename=RESULTS,
-    )
     assert speedup >= CACHE_SPEEDUP, (
         f"cached repeat only {speedup:.1f}x over uncached (need >= "
         f"{CACHE_SPEEDUP}x) — the result cache has likely stopped "
@@ -312,11 +263,5 @@ def test_cache_hit_rate_vs_write_interval(bench_scale):
         )
 
     print(f"\ncache hit rate over {reads} reads @ n={n}: {rates}")
-    update_results("cache_hit_rate", rates, filename=RESULTS)
-    update_results(
-        "meta",
-        {"d": D, "m": M, "distribution": "anticorrelated"},
-        filename=RESULTS,
-    )
     assert rates["read_only"] > rates["write_every_1"], rates
     assert rates["write_every_1"] == 0.0, rates

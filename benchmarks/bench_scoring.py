@@ -19,8 +19,7 @@ the table; it is the instrument the scoring-index container was chosen
 with).
 
 Run with ``pytest benchmarks/bench_scoring.py -s`` to see the tables;
-``REPRO_BENCH_SCALE`` enlarges the workload.  Results are merged into
-``BENCH_PR3.json`` (see ``benchmarks/_results.py``).
+``REPRO_BENCH_SCALE`` enlarges the workload.
 """
 
 import gc
@@ -29,8 +28,6 @@ import time
 from repro import DiscoveryConfig, FactDiscoverer
 from repro.core.prominence import select_reportable
 from repro.datasets.synthetic import synthetic_rows, synthetic_schema
-
-from _results import update_results
 
 N, D, M = 3000, 4, 4
 CHUNK = 100
@@ -100,17 +97,6 @@ def test_scoring_surcharge(benchmark, bench_scale):
         print(f"  {name:<16} {1e3 * cell[name]:>9.3f} ms")
     print(f"  scoring adds {1e3 * scoring_cost:.3f} ms over unscored discovery")
     benchmark.extra_info["columnar_ms"] = round(1e3 * cell["columnar-score"], 3)
-    update_results(
-        "scoring",
-        {
-            "columnar_ms": round(1e3 * cell["columnar-score"], 4),
-            "no_score_ms": round(1e3 * cell["no-score"], 4),
-            "scoring_surcharge_ms": round(1e3 * scoring_cost, 4),
-        },
-    )
-    update_results(
-        "meta", {"n": n, "d": D, "m": M, "distribution": "anticorrelated"}
-    )
     # Scoring must stay a modest surcharge on discovery, not dominate it
     # (before the columnar scorer it tripled the per-tuple cost).
     assert scoring_cost < cell["no-score"], (

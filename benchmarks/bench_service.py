@@ -19,14 +19,12 @@ history holds ``n=3000`` (``d=4, m=4``, the standard grid cell):
 Headline assertion: 4-worker sharded ingestion is ≥ 2× the single
 engine's throughput (asserted at a 1.9× noise floor, like the walker
 bench).  The wall-clock claim needs the workers to actually run in
-parallel, so the assertion is skipped — after measuring and recording —
+parallel, so the assertion is skipped — after measuring and printing —
 on machines with fewer than 4 usable CPUs; the output-equality
 assertion runs everywhere.
 
 Run with ``pytest benchmarks/bench_service.py -s`` to see the table;
-``REPRO_BENCH_SCALE`` enlarges the workload.  Results land in
-``BENCH_PR4.json`` (uploaded as a CI artifact next to
-``BENCH_PR3.json``).
+``REPRO_BENCH_SCALE`` enlarges the workload.
 """
 
 import gc
@@ -38,8 +36,6 @@ import pytest
 from repro import FactDiscoverer
 from repro.api import EngineSpec, ShardingSpec, open_engine
 from repro.datasets.synthetic import synthetic_rows, synthetic_schema
-
-from _results import update_results
 
 N, D, M = 3000, 4, 4
 WORKERS = 4
@@ -149,23 +145,6 @@ def test_sharded_service_throughput(benchmark, bench_scale):
     benchmark.extra_info["sharded_ms"] = round(sharded_ms, 3)
     benchmark.extra_info["speedup"] = round(speedup, 2)
     benchmark.extra_info["cpus"] = cpus
-    update_results(
-        "service",
-        {
-            "single_ms": round(single_ms, 4),
-            "sharded_ms": round(sharded_ms, 4),
-            "speedup": round(speedup, 2),
-            "workers": WORKERS,
-            "mode": "process",
-            "cpus": cpus,
-        },
-        filename="BENCH_PR4.json",
-    )
-    update_results(
-        "meta",
-        {"n": n, "d": D, "m": M, "distribution": "anticorrelated"},
-        filename="BENCH_PR4.json",
-    )
 
     # Exactness on the measured stream (facts, prominence, op counters)
     # holds regardless of hardware.
@@ -181,7 +160,7 @@ def test_sharded_service_throughput(benchmark, bench_scale):
         pytest.skip(
             f"only {cpus} usable CPU(s): the {WORKERS}-worker wall-clock "
             f"speedup assertion needs >= {WORKERS} (measured "
-            f"{speedup:.2f}x; recorded in BENCH_PR4.json)"
+            f"{speedup:.2f}x)"
         )
     assert speedup >= NOISE_FLOOR, (
         f"sharded ingestion is only {speedup:.2f}x the single engine "

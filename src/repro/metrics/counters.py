@@ -24,8 +24,10 @@ Python-level calls, so the numbers stay comparable across the ladder:
 measure subspaces (one visit = one count, as in Fig. 11b).  Sharing
 algorithms do not count constraints they skip as pruned; the baselines
 count the surviving constraints they emit.  A de-vectorisation of the
-NumPy paths therefore shows up in wall-clock benches (see
-``benchmarks/bench_guard.py``), never as a counter discontinuity.
+NumPy paths therefore never shows up as a counter discontinuity; the
+tier-1 spies that count the walk's calls catch it instead
+(``tests/test_columnar.py::TestNoPythonPerRow`` and
+``::TestOneWritePerArrival``, ``tests/test_prominence.py::TestOneScoringCall``).
 """
 
 from __future__ import annotations

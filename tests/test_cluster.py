@@ -300,6 +300,43 @@ class TestRemoteSpec:
         ]
 
 
+class TestOneFramePerChunk:
+    """The wire's cost is its frames, counted exactly: a ``rows`` chunk
+    reaches each shard as one ``send_msg`` over one ``pickle.dumps`` —
+    not a frame per row, and not a payload pickled twice."""
+
+    def test_one_frame_per_chunk(self, monkeypatch):
+        from repro.service import remote
+
+        rows = seeded_rows(48, 1, (3, 2))
+        router = threading.get_ident()
+        sends, dumps = [], []
+        send, pickle_dumps = remote.send_msg, pickle.dumps
+
+        def counted_send(sock, op, payload):
+            if threading.get_ident() == router:
+                sends.append((sock.fileno(), op))
+            return send(sock, op, payload)
+
+        def counted_dumps(obj, *args, **kwargs):
+            if threading.get_ident() == router:
+                dumps.append(obj)
+            return pickle_dumps(obj, *args, **kwargs)
+
+        with local_cluster([1, 1]) as (placement, _servers):
+            engine = remote_router(placement, chunk_size=len(rows))
+            try:
+                with monkeypatch.context() as patch:
+                    patch.setattr(remote, "send_msg", counted_send)
+                    patch.setattr(pickle, "dumps", counted_dumps)
+                    engine.observe_many(rows)
+            finally:
+                engine.close()
+        assert [op for _, op in sends] == ["rows", "rows"]
+        assert len({fd for fd, _ in sends}) == 2  # one frame per shard
+        assert len(dumps) == 2
+
+
 # ----------------------------------------------------------------------
 # Conformance: property-identical to unsharded svec
 # ----------------------------------------------------------------------

@@ -126,7 +126,7 @@ class TestWorkerCrashRecovery:
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=10)
             assert not victim.is_alive()
-            # The next chunks land on a dead pipe mid-submit: the
+            # The next chunks land on a dead socket mid-submit: the
             # supervisor must notice, restart, replay the committed
             # prefix, and re-send the in-flight chunk exactly once.
             got += fact_keys(engine.observe_many(rest))
@@ -194,10 +194,10 @@ class TestWorkerCrashRecovery:
             ref.close()
 
     def test_dropped_reply_is_recovered(self):
-        # A dropped reply models a hang (pipes cannot lose a message
-        # without dying), so it is injected on a sync op — the router
-        # blocks on the missing ack, times out, rebuilds and retries
-        # the delete exactly once.
+        # A dropped reply models a hang (a socketpair cannot lose a
+        # message without dying), so it is injected on a sync op — the
+        # router blocks on the missing ack, times out, rebuilds and
+        # retries the delete exactly once.
         rows = make_rows(24)
         expected, expected_counters, ref = reference_run(rows, deletes=(9,))
         faults.install(
@@ -819,6 +819,52 @@ class TestJournalRecovery:
         finally:
             engine.close()
             ref.close()
+
+
+class _CountingFile:
+    """A journal segment handle that tallies its ``flush`` calls."""
+
+    def __init__(self, inner, tally):
+        self._inner, self._tally = inner, tally
+
+    def flush(self):
+        self._tally["flush"] += 1
+        return self._inner.flush()
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestJournalSyscalls:
+    """The journal's cost on the ingest path is its syscalls, counted
+    exactly: ``append`` only buffers (no flush, no fsync) off the
+    rotation path, and one ``commit`` is one flush plus one ``fsync``
+    under ``fsync="batch"`` and none under ``"never"``."""
+
+    @pytest.mark.parametrize("policy, fsyncs", [("never", 0), ("batch", 1)])
+    def test_journal_syscalls_per_commit(
+        self, tmp_path, monkeypatch, policy, fsyncs
+    ):
+        tally = {"flush": 0, "fsync": 0}
+        fsync = os.fsync
+
+        def counted_fsync(fd):
+            tally["fsync"] += 1
+            return fsync(fd)
+
+        with JournalWriter(str(tmp_path / "wal"), fsync=policy) as journal:
+            monkeypatch.setattr(os, "fsync", counted_fsync)
+            journal._fh = _CountingFile(journal._fh, tally)
+            for row in make_rows(64):
+                journal.append_ingest(row)
+            journal.append_delete(3)
+            assert tally == {"flush": 0, "fsync": 0}
+            journal.commit()
+            assert tally == {"flush": 1, "fsync": fsyncs}
+            journal.commit()  # nothing uncommitted: no syscall at all
+            assert tally == {"flush": 1, "fsync": fsyncs}
+        ops, torn = read_ops(str(tmp_path / "wal"))
+        assert len(ops) == 65 and not torn
 
 
 # ----------------------------------------------------------------------

@@ -109,6 +109,36 @@ class TestKernelScalarParity:
                     record.tid,
                 )
 
+    def test_skyband_stays_on_the_kernels(self, monkeypatch):
+        """svec answers every skyband through the one columnar
+        dominance-count kernel, never through the scalar double loop's
+        ``dominates`` — beyond-cap constraints and empty subspaces
+        included."""
+        from repro.query import contextual
+
+        engine = FactDiscoverer(SCHEMA, algorithm="svec", config=CONFIG)
+        ingest_with_deletions(
+            engine, seeded_rows(60, 7, (3, 3, 2), "anticorrelated", 0.25), 4
+        )
+        calls = []
+        kernel = ColumnarQueryKernels.skyband_records
+
+        def counted(self, *args):
+            calls.append(args)
+            return kernel(self, *args)
+
+        def scalar(*args):
+            raise AssertionError("svec skyband took the scalar loop")
+
+        monkeypatch.setattr(ColumnarQueryKernels, "skyband_records", counted)
+        monkeypatch.setattr(contextual, "dominates", scalar)
+        queries = engine.query()
+        pairs = sample_pairs(random.Random(17))
+        for constraint, subspace in pairs:
+            for k in (1, 2, 3):
+                queries.skyband(constraint, subspace, k)
+        assert len(calls) == 3 * len(pairs)
+
     def test_kernels_refuse_non_columnar_algorithms(self):
         engine = FactDiscoverer(SCHEMA, algorithm="stopdown", config=CONFIG)
         engine.observe_many(seeded_rows(10, 7, (3, 3, 2), "anticorrelated"))
@@ -336,6 +366,15 @@ class TestResultCache:
             assert stats["kind"] == "query-cached"
             assert stats["query_cache"]["hits"] >= 1
             json.dumps(stats)
+            # A repeated skyband read is one miss, then hits only.
+            band = Constraint(("a1", UNBOUND, UNBOUND))
+            before = engine.stats()["query_cache"]
+            first = [r.tid for r in q.skyband(band, 3, 2)]
+            for _ in range(3):
+                assert [r.tid for r in q.skyband(band, 3, 2)] == first
+            after = engine.stats()["query_cache"]
+            assert after["hits"] - before["hits"] == 3
+            assert after["misses"] - before["misses"] == 1
 
     def test_fuzz_cached_equals_uncached_under_interleaved_writes(self):
         rng = random.Random(41)
