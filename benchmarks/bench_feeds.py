@@ -22,8 +22,9 @@ store's final per-segment versions.  Two claims are asserted:
   counters printed here show the mechanism engaging, or not needing
   to).
 
-The ingest-overhead guard (feed fold ≤ 5% of discovery) lives in
-``bench_guard.py``.
+The fold's ingest cost is printed, not asserted: the tier-1 tests
+``tests/test_feed_columns.py::TestFoldWorkPerArrival`` count its work
+per arrival and pin the cap's eviction hysteresis.
 
 Run with ``pytest benchmarks/bench_feeds.py -s``; ``REPRO_BENCH_SCALE``
 enlarges the burst.
@@ -177,20 +178,20 @@ def test_capped_churn_overhead_recorded():
 
     With ``max_entries`` far below the workload's tracked-pair working
     set, nearly every arrival both creates and evicts entries, so the
-    fold pays cap-policy churn on top of the mechanism cost that
-    ``bench_guard.py`` pins at 5%.  That churn is a sizing decision,
-    not a regression, so this bench only tripwires a gross blowup (the
-    pre-hysteresis eviction scan sat ~5x above today's number).
+    fold pays cap-policy churn on top of its mechanism cost.  Both are
+    timed against ``svec`` discovery, the algorithm ``serve`` runs.
+    Nothing is asserted: the eviction's hysteresis and the fold's work
+    per arrival are counted exactly by
+    ``tests/test_feed_columns.py::TestFoldWorkPerArrival``.
     """
     import gc
 
-    from repro.api import EngineSpec, FeedSpec, open_engine
     from repro.service.feeds import FeedStore
 
     n, probe_n = 2000, 100
     schema = synthetic_schema(D, M)
     rows = synthetic_rows(n + probe_n, D, M, distribution="anticorrelated")
-    engine = open_engine(EngineSpec(schema=schema, score=True))
+    engine = open_engine(EngineSpec(schema=schema, algorithm="svec", score=True))
     store = FeedStore(
         schema, engine.config, FeedSpec(group_by=(schema.dimensions[0],))
     )
@@ -210,16 +211,10 @@ def test_capped_churn_overhead_recorded():
             fold += time.perf_counter() - t1
     finally:
         gc.enable()
-    overhead = fold / discover
-    stats = store.stats()
     print(
         f"\ncap-bound churn @ n={n}, cap={store.spec.max_entries}: "
-        f"discover={1e3 * discover / probe_n:.3f}ms "
+        f"svec discover={1e3 * discover / probe_n:.3f}ms "
         f"fold={1e3 * fold / probe_n:.3f}ms "
-        f"overhead={100 * overhead:.1f}% evicted={stats['evicted']}"
-    )
-    assert overhead <= 0.30, (
-        f"cap-bound fold costs {100 * overhead:.1f}% of discovery — "
-        f"the eviction scan has likely lost its hysteresis or its "
-        f"float-only victim selection"
+        f"overhead={100 * fold / discover:.1f}% "
+        f"evicted={store.stats()['evicted']}"
     )

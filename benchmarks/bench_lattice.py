@@ -167,5 +167,5 @@ def test_sweep_index_marginal_near_flat(benchmark, bench_scale):
         f"n={sizes[0]} to n={sizes[1]} (ceiling "
         f"{MARGINAL_GROWTH_CEILING}x) — the sweep index has likely "
         f"stopped short-circuiting the stable prefix; see "
-        f"benchmarks/bench_guard.py::test_sweep_index_stays_sublinear"
+        f"tests/test_sweep_index.py::TestIndexedProbeWork"
     )

@@ -13,4 +13,5 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=["numpy"],
+    entry_points={"console_scripts": ["repro-facts = repro.cli:main"]},
 )

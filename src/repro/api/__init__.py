@@ -28,7 +28,7 @@ from .middleware import (
     QueryCacheMiddleware,
     WindowMiddleware,
 )
-from .registry import algorithm_registry, make_sink, register_algorithm
+from .registry import make_sink
 from .spec import (
     AGGREGATES,
     CheckpointPolicy,
@@ -53,7 +53,5 @@ __all__ = [
     "WindowMiddleware",
     "AggregateMiddleware",
     "QueryCacheMiddleware",
-    "algorithm_registry",
-    "register_algorithm",
     "make_sink",
 ]

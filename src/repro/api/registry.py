@@ -1,12 +1,8 @@
-"""The algorithm registry, and the CLI's fact renderers.
+"""The CLI's fact renderers.
 
-The discovery-algorithm registry (shared with :mod:`repro.algorithms`)
-keeps the facade open for extension without touching
-:func:`~repro.api.facade.open_engine`: :func:`register_algorithm` adds a
-custom :class:`~repro.algorithms.base.DiscoveryAlgorithm` subclass so
-``EngineSpec(algorithm="mine")`` resolves it.  :func:`make_sink` maps
-the CLI's output names (``"describe"``, ``"narrate"``, ``"json"``) to a
-renderer.
+:func:`make_sink` maps the CLI's output names (``"describe"``,
+``"narrate"``, ``"json"``) to a renderer.  Algorithms are resolved by
+name from :data:`repro.algorithms.ALGORITHMS`.
 
 Middleware layers are not registered: ``open_engine`` applies the three
 the spec can name (aggregate, window, query cache) itself, and a custom
@@ -15,27 +11,7 @@ layer wraps the engine ``open_engine`` returns (see ``docs/api.md``).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
-
-
-# ----------------------------------------------------------------------
-# Algorithms (delegates to the repro.algorithms registry)
-# ----------------------------------------------------------------------
-def algorithm_registry() -> Dict[str, type]:
-    """The live name→class algorithm registry."""
-    from ..algorithms import ALGORITHMS
-
-    return ALGORITHMS
-
-
-def register_algorithm(cls, name: Optional[str] = None) -> None:
-    """Register a :class:`DiscoveryAlgorithm` subclass under ``name``
-    (defaults to ``cls.name``) so specs and the CLI can resolve it."""
-    registry = algorithm_registry()
-    key = (name or cls.name).lower()
-    if not key or key == "abstract":
-        raise ValueError("algorithm needs a non-default name")
-    registry[key] = cls
+from typing import Callable, Dict
 
 
 # ----------------------------------------------------------------------

@@ -735,6 +735,8 @@ def cmd_cluster_status(args) -> int:
 
 
 def cmd_figures(args) -> int:
+    import time
+
     from .experiments.figures import ALL_FIGURES
 
     for name in args.ids or sorted(ALL_FIGURES):
@@ -743,10 +745,13 @@ def cmd_figures(args) -> int:
             print(f"unknown figure {name!r}; options: {sorted(ALL_FIGURES)}",
                   file=sys.stderr)
             return 2
+        start = time.perf_counter()
         result = fn(scale=args.scale)
+        elapsed = time.perf_counter() - start
         for fig in result if isinstance(result, tuple) else (result,):
             print(fig.table())
             print()
+        print(f"# {name} took {elapsed:.1f}s", file=sys.stderr)
     return 0
 
 

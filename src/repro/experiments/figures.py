@@ -391,7 +391,7 @@ def figure15(
     return fig_a, fig_b
 
 
-#: Registry used by ``python -m repro.experiments`` and the benches.
+#: Registry used by ``repro-facts figures`` and the benches.
 ALL_FIGURES: Dict[str, Callable[..., object]] = {
     "fig7a": figure7a,
     "fig7b": figure7b,

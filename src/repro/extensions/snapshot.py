@@ -19,9 +19,10 @@ row keeps its tid across a restore and the journal suffix replayed
 after it names the same tuples; the base-row journal for aggregate
 engines (their table holds derived tuples that must not be
 re-aggregated, and the replay renumbers them exactly).  A file without
-``tids`` (written before they were saved) loads numbered densely.
-Files of any other version are refused with an actionable
-``ValueError``.
+``tids`` — every aggregate engine's, and any written before tids were
+saved — loads numbered densely.  The replay discovers and scores each
+row but ranks nothing: no caller reads a restored row's facts.  Files
+of any other version are refused with an actionable ``ValueError``.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ from typing import Optional, Tuple
 from ..api.spec import EngineSpec
 from ..core.engine_protocol import Engine
 from ..service import faults
+from ..service.journal import _fsync_dir
 
 _FORMAT_VERSION = 3
 
-#: Rows per replay block on load (observe_many is output-identical to
+#: Rows per replay block on load (facts_for_many is state-identical to
 #: the row-at-a-time loop; batching just amortises the rebuild).
 _REPLAY_BATCH = 512
 
@@ -87,17 +89,7 @@ def save_engine(
         except OSError:
             pass
         raise
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic platforms
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - non-fsyncable directory
-        pass
-    finally:
-        os.close(fd)
+    _fsync_dir(os.path.dirname(os.path.abspath(path)))
 
 
 def _read_snapshot_doc(path: str) -> dict:
@@ -176,7 +168,7 @@ def load_snapshot(path: str) -> Tuple[Engine, int]:
             while run < end and tids[run] == tids[run - 1] + 1:
                 run += 1
             end = run
-        engine.observe_many(rows[start:end])
+        engine.facts_for_many(rows[start:end])
         start = end
     if tids is not None:
         engine.resume_at(arrivals)

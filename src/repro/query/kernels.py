@@ -7,10 +7,9 @@ k-skybands.  This module reuses the write path's columnar machinery for
 reads over any algorithm that registers its full history into a
 :class:`~repro.storage.columnar_store.ColumnarSkylineStore` (``svec``):
 
-* **selection** — the context ``σ_C`` as row indices: one posting-bitset
-  AND per bound dimension below the PR-7 sweep-index watermark plus a
-  dense compare over the short suffix, or one dense ``dims == id``
-  reduction while the store has no index armed;
+* **selection** — the context ``σ_C`` as row indices: one dense
+  ``dims == id`` reduction per bound dimension, with the query's values
+  looked up, never interned (a read leaves the store as it found it);
 * **k-skyband** — dominance *counting* as chunked NumPy broadcast
   reductions over the selected measure rows instead of the scalar
   ``dominates`` pair loop;
@@ -52,8 +51,10 @@ class ColumnarQueryKernels:
     point callers keep the scalar path.
     """
 
-    def __init__(self, store) -> None:
+    def __init__(self, store, interner) -> None:
         self.store = store
+        #: The store's value interner, read with ``probe_row`` only.
+        self.interner = interner
 
     @classmethod
     def for_algorithm(cls, algorithm) -> Optional["ColumnarQueryKernels"]:
@@ -61,7 +62,7 @@ class ColumnarQueryKernels:
 
         if not isinstance(algorithm, SVectorized):
             return None
-        return cls(algorithm.store)
+        return cls(algorithm.store, algorithm.context_counter.interner)
 
     # ------------------------------------------------------------------
     # Selection
@@ -69,37 +70,19 @@ class ColumnarQueryKernels:
     def selection_rows(self, constraint: Constraint) -> np.ndarray:
         """Rows of ``σ_C`` (live, ascending — i.e. arrival order).
 
-        Bound dimensions resolve through the sweep index's per-dimension
-        posting bitsets when the store has armed it (one AND per bound
-        dim over the stable prefix, dense compare over the suffix);
-        otherwise one dense ``dims == id`` reduction per bound dim.
+        One dense ``dims == id`` reduction per bound dimension.  The
+        constraint's values are looked up, not interned: a value the
+        store never saw reads ``ABSENT_ID`` and matches no row.
         Tombstones carry ``-1`` dimension sentinels, so they match no
         probe; the unconstrained selection filters them explicitly.
         """
-        store = self.store
-        dims = store.dims_matrix()
+        dims = self.store.dims_matrix()
         if dims.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
-        probe_ids = store.intern_dims(constraint.values)
         bound = [i for i, v in enumerate(constraint.values) if v is not UNBOUND]
         if not bound:
             return np.nonzero(dims[:, 0] != np.int32(-1))[0]
-        sweep = store.folded_sweep()
-        if sweep is not None:
-            packed = sweep.posting(bound[0], int(probe_ids[bound[0]])).copy()
-            for j in bound[1:]:
-                packed &= sweep.posting(j, int(probe_ids[j]))
-            hit = sweep.unpack(packed)
-            dead = sweep.dead_mask_u8()
-            if dead is not None:
-                hit &= dead ^ 1
-            prefix = np.nonzero(hit)[0]
-            w = sweep.watermark
-            tail = dims[w:]
-            tail_hit = tail[:, bound[0]] == probe_ids[bound[0]]
-            for j in bound[1:]:
-                tail_hit &= tail[:, j] == probe_ids[j]
-            return np.concatenate((prefix, np.nonzero(tail_hit)[0] + w))
+        probe_ids = self.interner.probe_row(constraint.values)
         hit = dims[:, bound[0]] == probe_ids[bound[0]]
         for j in bound[1:]:
             hit &= dims[:, j] == probe_ids[j]

@@ -771,19 +771,25 @@ class FeedStore:
 
     def save_sidecar(self, path: str, version: Tuple[int, int]) -> bool:
         """Write the sidecar crash-consistently next to the engine
-        checkpoint.  Best-effort: non-JSON dimension values (or disk
-        trouble) skip the sidecar — restore then rebuilds instead."""
+        checkpoint, the way :func:`~repro.extensions.snapshot.save_engine`
+        writes the checkpoint: a per-process temp file, fsync,
+        ``os.replace`` and a directory fsync.  Best-effort: non-JSON
+        dimension values (or disk trouble) skip the sidecar — restore
+        then rebuilds instead."""
+        from .journal import _fsync_dir
+
         try:
             payload = json.dumps(self.to_doc(version))
         except (TypeError, ValueError):
             return False
-        tmp = f"{path}.tmp"
+        tmp = f"{path}.tmp.{os.getpid()}"
         try:
             with open(tmp, "w") as fh:
                 fh.write(payload)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
+            _fsync_dir(os.path.dirname(os.path.abspath(path)))
             return True
         except OSError:
             try:

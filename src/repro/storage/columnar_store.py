@@ -509,10 +509,9 @@ class ColumnarSkylineStore:
         index exists only once :meth:`SweepIndex.arm` finds enough rows
         registered for packed prefix probes to beat the dense sweep
         (measured constants beside the index), and again by the same
-        rule after a compaction dropped it.  Every reader of the index —
-        the arrival walk, :meth:`partition_bitmasks`, the query kernels'
-        selection — goes through here, so all of them see the same
-        watermark.
+        rule after a compaction dropped it.  Both readers of the index —
+        the arrival walk and :meth:`partition_bitmasks` — go through
+        here, so they see the same watermark.
         """
         sweep = self._sweep
         if sweep is not None:

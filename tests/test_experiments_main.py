@@ -1,35 +1,24 @@
-"""Tests for the ``python -m repro.experiments`` entry point."""
+"""Tests for the ``repro-facts figures`` command."""
 
-import pytest
-
-from repro.experiments.__main__ import main
+from repro.cli import main
 
 
 class TestMain:
     def test_single_figure_tiny_scale(self, capsys):
-        rc = main(["fig7a", "--scale", "0.15"])
+        rc = main(["figures", "fig7a", "--scale", "0.15"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "Fig.7a" in out
-        assert "bottomup" in out
-        assert "took" in out
+        captured = capsys.readouterr()
+        assert "Fig.7a" in captured.out
+        assert "bottomup" in captured.out
+        assert "# fig7a took" in captured.err
 
     def test_tuple_returning_figure(self, capsys):
-        rc = main(["fig15", "--scale", "0.05"])
+        rc = main(["figures", "fig15", "--scale", "0.05"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "Fig.15a" in out and "Fig.15b" in out
 
     def test_unknown_figure(self, capsys):
-        rc = main(["fig_nope"])
+        rc = main(["figures", "fig_nope"])
         assert rc == 2
-        assert "unknown figure" in capsys.readouterr().out
-
-
-class TestCliFigures:
-    def test_cli_figures_runs_one(self, capsys):
-        from repro.cli import main as cli_main
-
-        rc = cli_main(["figures", "fig7a", "--scale", "0.15"])
-        assert rc == 0
-        assert "Fig.7a" in capsys.readouterr().out
+        assert "unknown figure" in capsys.readouterr().err

@@ -171,3 +171,33 @@ class TestSnapshot:
             json.dump({"format_version": 99}, fh)
         with pytest.raises(ValueError, match="unsupported snapshot version"):
             load_engine(path)
+
+    @pytest.mark.parametrize("kind", ["single", "aggregate"])
+    def test_restore_ranks_nothing(self, kind, tmp_path, monkeypatch):
+        """A restore rebuilds state; nobody reads the replayed rows'
+        facts, so none is ranked for reporting."""
+        from repro.core import engine_protocol
+
+        if kind == "single":
+            engine = FactDiscoverer(
+                SCHEMA, algorithm="svec", config=DiscoveryConfig(tau=1.0)
+            )
+            rows = [{"d": d, "m1": i % 5, "m2": i % 3}
+                    for i, d in enumerate("xyxzyx")]
+        else:
+            group = GroupSpec(("d",), {"total": ("m1", "sum")})
+            engine = aggregate(group)
+            rows = [{"d": d, "m1": i} for i, d in enumerate("xyxzyx")]
+        engine.observe_many(rows)
+        path = str(tmp_path / "snap.json")
+        save_engine(engine, path)
+        ranked = []
+        select = engine_protocol.select_reportable
+        monkeypatch.setattr(
+            engine_protocol,
+            "select_reportable",
+            lambda facts, config: ranked.append(facts) or select(facts, config),
+        )
+        loaded = load_engine(path)
+        assert ranked == []
+        assert loaded.snapshot_state() == engine.snapshot_state()

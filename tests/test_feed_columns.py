@@ -12,11 +12,12 @@ and the two regression classes pin bugs the parent had.
 import json
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import TableSchema
+from repro import Constraint, TableSchema
 from repro.api import EngineSpec, FeedSpec, open_engine
 from repro.core.facts import FactSet
 from repro.service import FeedGateway, FeedStore
@@ -446,3 +447,98 @@ class TestColumnarFoldBuildsNoObjects:
         assert len(store._ctx) == len(store._slot) <= 4 * (64 + 8)
         assert (store._slot >= 0).sum() == live == store._n_entries - len(store._free)
         assert store.stats()["evicted"] > 2000
+
+
+class _Reads(np.ndarray):
+    """A view that counts the cells every read of it returns (in
+    :attr:`cells`, shared by all views)."""
+
+    cells = [0]
+
+    def __getitem__(self, key):
+        out = self.view(np.ndarray)[key]
+        self.cells[0] += np.size(out)
+        return out
+
+
+class TestFoldWorkPerArrival:
+    """What the feed fold costs, counted per arrival: one hash per
+    constraint of ``C^t`` (two more per constraint it interns), one
+    slot read per fact and no other read of the slot or entry matrix —
+    so a silent satisfier costs its constraint's shared context one
+    increment, not one per tracked pair, and no segment is re-ranked.
+    The first test's cap sits above the working set; the second pins
+    the eviction's hysteresis."""
+
+    @staticmethod
+    def _folds(spec, n):
+        from repro.datasets.synthetic import synthetic_rows, synthetic_schema
+
+        engine = open_engine(
+            EngineSpec(synthetic_schema(4, 4), algorithm="svec", score=True)
+        )
+        store = FeedStore.for_engine(engine, spec)
+        rows = synthetic_rows(n, 4, 4, distribution="anticorrelated", seed=3)
+        return store, engine.facts_for_many(rows)
+
+    def test_fold_reads_per_constraint_and_per_fact(self, monkeypatch):
+        store, fact_sets = self._folds(
+            FeedSpec(group_by=("d0",), max_entries=1 << 20), 240
+        )
+        hashes = [0]
+        constraint_hash = Constraint.__hash__
+
+        def counted(self):
+            hashes[0] += 1
+            return constraint_hash(self)
+
+        # Count reads of the slot matrix and the entry matrix, also
+        # once a fold has grown them.
+        widened = feeds_module._widened
+        monkeypatch.setattr(
+            feeds_module,
+            "_widened",
+            lambda array, *args, **kwargs: widened(array, *args, **kwargs).view(
+                type(array)
+            ),
+        )
+        store._slot = store._slot.view(_Reads)
+        store._ent = store._ent.view(_Reads)
+        silent_arrivals = 0
+        for factset in fact_sets:
+            cons_seq, positions, _ = factset.cells()
+            held = {cons_seq[p] for p in positions.tolist()}
+            tracked = set(store._cid)
+            silent_arrivals += any(
+                c in tracked and c not in held for c in cons_seq
+            )
+            _Reads.cells[0] = hashes[0] = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(Constraint, "__hash__", counted)
+                assert store.apply_event(factset.record, factset)
+            interned = len(store._cid) - len(tracked)
+            assert hashes[0] == len(cons_seq) + 2 * interned
+            # The one gather of the facts' slots, and nothing else.
+            assert _Reads.cells[0] == len(factset)
+        assert store.stats()["evicted"] == 0
+        assert silent_arrivals >= 20
+
+    def test_every_eviction_pass_frees_a_quarter_of_the_cap(self):
+        cap = 32
+        store, fact_sets = self._folds(
+            FeedSpec(group_by=("d0",), max_entries=cap), 160
+        )
+        passes = 0
+        for factset in fact_sets:
+            before = [s.evicted for s in store._by_sid]
+            store.apply_event(factset.record, factset)
+            sizes = store._seg_size
+            assert sizes.max() <= cap
+            for segment, evicted in zip(store._by_sid, before):
+                if segment.evicted > evicted:
+                    passes += 1
+                    # Hysteresis: down to the low-water mark, so the
+                    # next pass waits for cap // 4 fresh entries.
+                    assert sizes[segment.sid] == cap - cap // 4
+        assert passes >= 10
+        assert store.stats()["evicted"] > passes * (cap // 4)

@@ -308,6 +308,30 @@ class TestSidecar:
         fresh = FeedStore.for_engine(engine)
         assert not fresh.load_sidecar(path, engine)
 
+    def test_sidecar_write_is_crash_consistent(self, tmp_path, monkeypatch):
+        """Like the checkpoint: a per-process temp file, then
+        ``os.replace``, then a directory fsync; nothing else is left."""
+        import os
+
+        from repro.service import journal
+
+        engine = open_engine(make_spec())
+        store = FeedStore.for_engine(engine)
+        factset = engine.facts_for({"d0": "a", "d1": "x", "m0": 1, "m1": 2})
+        store.apply_event(factset.record, factset)
+        calls = []
+        replace = os.replace
+        monkeypatch.setattr(
+            os, "replace", lambda *args: calls.append(args) or replace(*args)
+        )
+        monkeypatch.setattr(
+            journal, "_fsync_dir", lambda directory: calls.append(directory)
+        )
+        path = str(tmp_path / "feeds.json")
+        assert store.save_sidecar(path, engine.version)
+        assert calls == [(f"{path}.tmp.{os.getpid()}", path), str(tmp_path)]
+        assert os.listdir(tmp_path) == ["feeds.json"]
+
     def test_corrupt_sidecar_rejected(self, tmp_path):
         engine = open_engine(make_spec())
         store = FeedStore.for_engine(engine)

@@ -24,7 +24,7 @@ from repro.query import ContextualQueryEngine, QueryPlan, QueryResultCache
 from repro.query.kernels import ColumnarQueryKernels
 from repro.service import faults
 from repro.service.server import StreamServer
-from tests.strategies import open_router, seeded_rows
+from tests.strategies import open_router, seeded_rows, sweep_constants
 
 SCHEMA = TableSchema(("d0", "d1", "d2"), ("m0", "m1"))
 #: d̂ = 2 on a 3-dimension schema: fully-bound constraints are
@@ -138,6 +138,32 @@ class TestKernelScalarParity:
             for k in (1, 2, 3):
                 queries.skyband(constraint, subspace, k)
         assert len(calls) == 3 * len(pairs)
+
+    def test_reads_of_unseen_values_intern_nothing(self):
+        """A forward read looks the query's values up and never interns
+        them: the value interner only grows, and any TCP ``query``
+        client reaches this path.  The store has armed its sweep index:
+        a read must leave that alone too."""
+        with sweep_constants(8):
+            engine = FactDiscoverer(SCHEMA, algorithm="svec", config=CONFIG)
+            engine.observe_many(
+                seeded_rows(60, 7, (3, 3, 2), "anticorrelated", 0.25)
+            )
+            assert engine.algorithm.store.folded_sweep() is not None
+            interner = engine.algorithm.context_counter.interner
+            queries = engine.query()
+            unseen = [f"new{i}" for i in range(50)]
+            for value in unseen:
+                for constraint in (
+                    Constraint((value, UNBOUND, UNBOUND)),
+                    Constraint(("a1", value, UNBOUND)),
+                ):
+                    assert queries.skyband(constraint, 3, 2) == []
+                    assert queries.skyline(constraint, 3) == []
+            for position in (0, 1):
+                assert all(
+                    interner.lookup(position, v) is None for v in unseen
+                )
 
     def test_kernels_refuse_non_columnar_algorithms(self):
         engine = FactDiscoverer(SCHEMA, algorithm="stopdown", config=CONFIG)

@@ -19,27 +19,36 @@ import random
 import numpy as np
 import pytest
 
-from repro import Constraint, DiscoveryConfig, FactDiscoverer
+from repro import DiscoveryConfig, FactDiscoverer
 from repro.algorithms.s_vectorized import SVectorized
 from repro.api import EngineSpec, open_engine
 from repro.datasets.synthetic import synthetic_rows, synthetic_schema
-from repro.query.kernels import ColumnarQueryKernels
 from repro.storage import sweep_index as sweep_module
+from repro.storage.columnar_store import ColumnarSkylineStore
 from tests.strategies import sweep_constants
 
 #: The shipped constants; no stream in this file reaches ``ARM_ROWS``.
 DEFAULTS = (sweep_module.ARM_ROWS, sweep_module.DEFAULT_FOLD_BATCH)
 
-#: Shrunk constants: arm after 8 rows, fold every 8.
+#: Shrunk constants: arm after 8 rows, fold every 8, and a suffix-block
+#: bitset every 16 sorted positions.
 ARM = FOLD = 8
+BLOCK = 16
 
 
 @pytest.fixture(autouse=True)
 def _armed_index():
     # Short test streams must still cross the arming constant and the
-    # fold batch for the indexed side to run at all.
-    with sweep_constants(ARM, FOLD):
-        yield
+    # fold batch for the indexed side to run at all, and span several
+    # suffix blocks for a probe to read more than the first one.  No
+    # monkeypatch here: a test's own monkeypatch of ARM_ROWS must be
+    # undone before these constants are.
+    block, sweep_module._BLOCK = sweep_module._BLOCK, BLOCK
+    try:
+        with sweep_constants(ARM, FOLD):
+            yield
+    finally:
+        sweep_module._BLOCK = block
 
 
 def never_armed():
@@ -170,6 +179,100 @@ class TestIndexedDenseEquivalence:
 
 
 # ----------------------------------------------------------------------
+# The work an indexed probe does, counted
+# ----------------------------------------------------------------------
+class _Compared(np.ndarray):
+    """A view that counts the elements every NumPy ufunc reads from it
+    (in :attr:`elements`, shared by all views)."""
+
+    elements = [0]
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = []
+        for array in inputs:
+            if isinstance(array, _Compared):
+                self.elements[0] += array.size
+                array = array.view(np.ndarray)
+            plain.append(array)
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def deletion_heavy_svec(n, seed=29):
+    """``svec`` over a d=4 m=4 anticorrelated stream in which every 3rd
+    arrival retracts a random live tuple (tombstones, anchor
+    invalidation and compactions all in play); returns the algorithm
+    and 40 further rows to probe with."""
+    schema = synthetic_schema(4, 4)
+    rows = synthetic_rows(n + 40, 4, 4, distribution="anticorrelated", seed=seed)
+    algo = SVectorized(schema)
+    rng = random.Random(31)
+    live = []
+    for i, row in enumerate(rows[:n]):
+        algo.process(row)
+        live.append(i)
+        if i % 3 == 2:
+            algo.retract(live.pop(rng.randrange(len(live))))
+    return algo, [algo.table.make_record(row) for row in rows[n:]]
+
+
+class TestIndexedProbeWork:
+    """What the indexed side saves over the dense sweep, counted: the
+    dense pass covers only rows past the fold watermark, and the packed
+    prefix partitions compare no row elementwise and scatter less than
+    one suffix block per measure.  That they equal the dense sweep bit
+    for bit is ``test_partition_bitmasks_bit_identical``'s to check."""
+
+    def test_dense_pass_stays_below_one_fold_batch(self, monkeypatch):
+        spans = []
+        partition_suffix = ColumnarSkylineStore.partition_suffix
+
+        def counted(self, values, dims, lo, hi):
+            spans.append(hi - lo)
+            return partition_suffix(self, values, dims, lo, hi)
+
+        monkeypatch.setattr(ColumnarSkylineStore, "partition_suffix", counted)
+        compactions = []
+        compact = ColumnarSkylineStore.compact
+        monkeypatch.setattr(
+            ColumnarSkylineStore, "compact",
+            lambda self: compactions.append(self.n_rows) or compact(self),
+        )
+        algo, _ = deletion_heavy_svec(240)
+        assert compactions, "the stream never compacted the store"
+        assert algo.store.folded_sweep() is not None
+        # Every arrival and every retraction swept densely; none of
+        # them past the rows an unfolded batch holds.
+        assert len(spans) >= 240
+        assert max(spans) < FOLD
+
+    def test_packed_partitions_compare_no_prefix_row(self, monkeypatch):
+        algo, probes = deletion_heavy_svec(240)
+        store = algo.store
+        sweep = store.folded_sweep()
+        assert sweep.watermark > 8 * BLOCK
+        scattered = []
+        pack_rows = sweep_module._pack_rows
+
+        def counted(rows, cap_words, buf):
+            scattered.append(rows.size)
+            return pack_rows(rows, cap_words, buf)
+
+        monkeypatch.setattr(sweep_module, "_pack_rows", counted)
+        for name in ("_values", "_dims"):
+            monkeypatch.setattr(store, name, getattr(store, name).view(_Compared))
+        for order in sweep._orders:
+            monkeypatch.setattr(order, "vals", order.vals.view(_Compared))
+            monkeypatch.setattr(order, "rows", order.rows.view(_Compared))
+        _Compared.elements[0] = 0
+        for record in probes:
+            sweep.measure_partitions(np.asarray(record.values, dtype=np.float64))
+        assert _Compared.elements[0] == 0, "a probe compared prefix rows"
+        # At most one partial block per side, measure and probe.
+        assert len(scattered) <= 2 * 4 * len(probes)
+        assert max(scattered) < BLOCK
+
+
+# ----------------------------------------------------------------------
 # Every arrival takes the walk
 # ----------------------------------------------------------------------
 class TestWalkPaths:
@@ -230,11 +333,8 @@ class TestWalkPaths:
 
         monkeypatch.setattr(store, "folded_sweep", spy)
         store.partition_bitmasks(algo.table.make_record(rows[0]))
-        ColumnarQueryKernels(store).selection_rows(
-            Constraint((rows[0]["d0"], None, None))
-        )
         algo.process(rows[-1])  # the walker
-        assert len(seen) == 3
+        assert len(seen) == 2
         assert seen[0] is not None
         assert all(sweep is seen[0] for sweep in seen)
 
