@@ -69,8 +69,8 @@ class ShardingSpec:
         router's fate.
     max_restarts:
         Circuit breaker: after this many restarts of a single worker
-        the pool degrades to serial in-router execution instead of
-        restarting forever.
+        that one shard falls back to in-router execution instead of
+        restarting forever; the other shards keep their workers.
     remote:
         Placement map for ``mode="remote"``: each shard name maps to
         the ``"host:port"`` replica addresses of its socket-worker

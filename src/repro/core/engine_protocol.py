@@ -89,7 +89,8 @@ class EngineBase:
     kind: str = "engine"
     #: Rows per ``facts_for_many`` call a server hands over at a time.
     chunk_size: int = 1
-    #: Whether a sharded engine fell back to in-router execution.
+    #: Whether some shard of a sharded engine fell back to in-router
+    #: execution.
     degraded: bool = False
     spec: "EngineSpec"
     score: bool

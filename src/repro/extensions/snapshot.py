@@ -28,13 +28,12 @@ of any other version are refused with an actionable ``ValueError``.
 from __future__ import annotations
 
 import json
-import os
 from typing import Optional, Tuple
 
 from ..api.spec import EngineSpec
 from ..core.engine_protocol import Engine
 from ..service import faults
-from ..service.journal import _fsync_dir
+from ..service.journal import atomic_write
 
 _FORMAT_VERSION = 3
 
@@ -53,10 +52,10 @@ def save_engine(
     (``engine.spec``) and the replay state (``engine.snapshot_state()``)
     fully describe the session.
 
-    The document lands via temp-file + fsync + ``os.replace`` +
-    directory fsync, so a crash at *any* byte boundary leaves either
-    the complete new snapshot or the previous one untouched — never a
-    torn file at ``path``.
+    The document lands via :func:`~repro.service.journal.atomic_write`,
+    so a crash at *any* byte boundary leaves either the complete new
+    snapshot or the previous one untouched — never a torn file at
+    ``path``.
 
     ``journal_seq`` stamps the last write-ahead-journal sequence this
     snapshot covers (see :mod:`repro.service.journal`): recovery then
@@ -69,27 +68,17 @@ def save_engine(
     }
     if journal_seq is not None:
         doc["journal_seq"] = int(journal_seq)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.flush()
-            os.fsync(fh.fileno())
+
+    def write(fh) -> None:
+        json.dump(doc, fh, indent=1)
         fault = faults.fire("checkpoint.write")
         if fault is not None and fault.action == "corrupt":
             # Simulate a crash mid-write: a torn temp never replaces
             # the previous checkpoint.
-            with open(tmp, "r+b") as fh:
-                fh.truncate(max(1, os.path.getsize(tmp) // 2))
+            fh.truncate(max(1, fh.tell() // 2))
             raise OSError("injected fault: checkpoint write torn")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
-    _fsync_dir(os.path.dirname(os.path.abspath(path)))
+
+    atomic_write(path, write)
 
 
 def _read_snapshot_doc(path: str) -> dict:

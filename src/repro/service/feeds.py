@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import threading
 from dataclasses import dataclass
 from math import comb
@@ -771,32 +770,18 @@ class FeedStore:
 
     def save_sidecar(self, path: str, version: Tuple[int, int]) -> bool:
         """Write the sidecar crash-consistently next to the engine
-        checkpoint, the way :func:`~repro.extensions.snapshot.save_engine`
-        writes the checkpoint: a per-process temp file, fsync,
-        ``os.replace`` and a directory fsync.  Best-effort: non-JSON
-        dimension values (or disk trouble) skip the sidecar — restore
-        then rebuilds instead."""
-        from .journal import _fsync_dir
+        checkpoint, through the checkpoint's own
+        :func:`~repro.service.journal.atomic_write`.  Best-effort:
+        non-JSON dimension values (or disk trouble) skip the sidecar —
+        restore then rebuilds instead."""
+        from .journal import atomic_write
 
         try:
             payload = json.dumps(self.to_doc(version))
-        except (TypeError, ValueError):
+            atomic_write(path, lambda fh: fh.write(payload))
+        except (TypeError, ValueError, OSError):
             return False
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "w") as fh:
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-            _fsync_dir(os.path.dirname(os.path.abspath(path)))
-            return True
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return False
+        return True
 
     def restore_doc(self, doc: dict, version: Tuple[int, int]) -> bool:
         """Load standings from a sidecar doc iff its stamp matches the

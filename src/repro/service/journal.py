@@ -30,9 +30,10 @@ Durability is a knob (``fsync``) with two values; either way the server
 commits once per micro-batch, before it acknowledges any op of it:
 
 * ``"never"`` — buffered writes only; the OS flushes.  Near-zero
-  overhead (the bench-guard budget is <= 5% of the scored
-  ``observe_many`` marginal); a host crash can lose the tail, a mere
-  process crash cannot (the file buffer is flushed per batch).
+  overhead: an append only buffers, and a commit is one flush and no
+  ``fsync`` (``tests/test_fault_tolerance.py::TestJournalSyscalls``
+  counts them); a host crash can lose the tail, a mere process crash
+  cannot (the file buffer is flushed per batch).
 * ``"batch"`` (default) — one ``fsync`` per micro-batch commit: an
   acknowledged op is on disk.
 
@@ -48,7 +49,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import IO, Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import faults
 
@@ -101,6 +102,28 @@ def _fsync_dir(directory: str) -> None:
         pass
     finally:
         os.close(fd)
+
+
+def atomic_write(path: str, write: Callable[[IO[str]], None]) -> None:
+    """Write ``path`` crash-consistently: ``write(fh)`` fills a
+    per-process temp file, which is fsynced and ``os.replace``-d over
+    ``path``, then the directory is fsynced — a crash at any byte leaves
+    the previous file or the complete new one, never a torn one.  On
+    any failure the temp file is removed and the error propagates."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
+    _fsync_dir(os.path.dirname(os.path.abspath(path)))
 
 
 # ----------------------------------------------------------------------
@@ -367,34 +390,61 @@ class RecoveryReport:
 
 
 def replay_ops(engine, ops: List[dict], report: Optional[RecoveryReport] = None):
-    """Apply journal ops to ``engine`` in order (ingest/delete)."""
+    """Apply journal ops to ``engine`` in order (ingest/delete).
+
+    A failing op is reported under its own seq and skipped; every
+    healthy op around it still applies.  A failed row keeps its tid
+    (numbering resumes past it), so later deletes name the same tuples
+    as in the run that wrote the journal.  ``ops_replayed`` counts the
+    applied ops only."""
     report = report if report is not None else RecoveryReport()
     batch: List[dict] = []
 
+    def failed(op: dict, exc: Exception) -> None:
+        report.replay_errors.append(
+            f"seq {op.get('seq')}: {type(exc).__name__}: {exc}"
+        )
+
     def flush() -> None:
-        if batch:
-            engine.facts_for_many(batch)
-            del batch[:]
+        if not batch:
+            return
+        start = engine.arrivals
+        try:
+            engine.facts_for_many([op["row"] for op in batch])
+            rest: List[dict] = []
+        except Exception:
+            # ``arrivals`` counts the rows in before the failure; the
+            # rest go one at a time, so only a failing row is lost.
+            rest = batch[engine.arrivals - start:]
+        report.ops_replayed += len(batch) - len(rest)
+        for op in rest:
+            tid = engine.arrivals
+            try:
+                engine.facts_for_many([op["row"]])
+            except Exception as exc:
+                failed(op, exc)
+                if engine.arrivals == tid:
+                    engine.resume_at(tid + 1)
+            else:
+                report.ops_replayed += 1
+        del batch[:]
 
     for op in ops:
         kind = op.get("op")
-        try:
-            if kind == "ingest":
-                batch.append(op["row"])
-                if len(batch) >= 512:
-                    flush()
-            elif kind == "delete":
+        if kind == "ingest":
+            batch.append(op)
+            if len(batch) >= 512:
                 flush()
-                engine.delete(op["tid"])
-            else:
-                raise ValueError(f"unknown journal op {kind!r}")
-        except Exception as exc:  # keep replaying: one bad op must not
-            del batch[:]          # shadow the rest of the journal
-            report.replay_errors.append(
-                f"seq {op.get('seq')}: {type(exc).__name__}: {exc}"
-            )
             continue
-        report.ops_replayed += 1
+        flush()
+        try:
+            if kind != "delete":
+                raise ValueError(f"unknown journal op {kind!r}")
+            engine.delete(op["tid"])
+        except Exception as exc:
+            failed(op, exc)
+        else:
+            report.ops_replayed += 1
     flush()
     return report
 

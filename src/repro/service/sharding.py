@@ -36,8 +36,9 @@ truly in parallel) and ``remote`` (each shard a set of socket worker
 replicas placed by a ``remote`` map — the multi-machine tier).  Process
 and remote workers speak one wire protocol (:mod:`repro.service.remote`).
 They differ only in the *links* under each worker handle
-(:mod:`repro.service.supervisor`, which also writes replication and
-failover); the worker engine, op table and
+(:mod:`repro.service.supervisor`, which also writes replication,
+failover and the in-router fallback of a shard that spent its restart
+budget); the worker engine, op table and
 serve loop are one (:mod:`repro.service.worker`).  Batched ingestion is
 pipelined chunk-wise: while the workers chew on chunk ``k+1``, the
 router merges, scores and ranks chunk ``k``.
@@ -62,14 +63,10 @@ from ..core.record import Record, Table
 from ..core.schema import TableSchema
 from ..metrics.counters import OpCounters
 from ..query.contextual import ContextualQueryEngine
-from .supervisor import InlineLink, ShardWorker, WorkerGaveUp, replay_into
+from .supervisor import InlineLink, ShardWorker
 from .worker import _build_shard_engine
 
 Row = Union[Mapping[str, object], Record]
-
-#: The supervision tallies every :class:`ShardWorker` keeps.
-_TALLIES = ("restarts", "chunks_retried", "failovers")
-
 
 def canonical_subspace_keys(
     schema: TableSchema, config: Optional[DiscoveryConfig] = None
@@ -163,7 +160,8 @@ class ShardedQueryEngine(ContextualQueryEngine):
     pickle-light (bounded) tid lists or ``(|σ_C|, |λ_M|)`` statistics;
     the router re-projects records against its canonical table and
     serves ``|σ_C|`` in O(1) from its own context counter when covered.
-    A crashed worker degrades-and-retries exactly like the write path.
+    A crashed worker is recovered by its handle exactly like on the
+    write path.
     """
 
     def __init__(self, sharded: "ShardedDiscoverer") -> None:
@@ -240,7 +238,8 @@ class ShardedDiscoverer(EngineBase):
     subspace keys (every shard must own at least one).  Process and
     remote workers are supervised (see :mod:`repro.service.supervisor`),
     which keeps the full arrival/deletion op log in router memory — the
-    rebuild source, roughly doubling row storage.
+    rebuild source, roughly doubling row storage — while any shard
+    still runs out of process.
     """
 
     kind = "sharded"
@@ -252,14 +251,12 @@ class ShardedDiscoverer(EngineBase):
         config = self.config = spec.config
         self.score = spec.score
         #: Committed arrival/deletion ops in order, as ``(op, payload)``
-        #: pairs of the worker op table — the rebuild source for
-        #: restarts and degrades (kept while :attr:`_track_oplog`).
+        #: pairs of the worker op table — the rebuild source every
+        #: handle holds a reference to (see :meth:`_commit`).
         #: Unbounded: it holds every op since the router started, and
         #: nothing trims it (ROADMAP item 7: trim at each checkpoint,
         #: with a state transfer replacing the full replay).
         self._oplog: List[Tuple[str, object]] = []
-        #: :data:`_TALLIES` of the workers a degrade discarded.
-        self._retired = dict.fromkeys(_TALLIES, 0)
         self.table = Table(schema)
         self.context_counter = ContextCounter(
             schema.n_dimensions, config.max_bound_dims
@@ -309,25 +306,38 @@ class ShardedDiscoverer(EngineBase):
         return self.spec.sharding.chunk_size
 
     @property
-    def _track_oplog(self) -> bool:
-        """Whether committed ops are logged: only for workers that can
-        be lost (its memory cost) — not serial ones, nor the inline
-        replacements of a degraded pool, which share the router's
-        fate."""
-        return self.mode != "serial" and not self.degraded
+    def degraded(self) -> bool:
+        """Whether some shard fell back to in-router execution."""
+        return any(worker.degraded for worker in self._workers)
+
+    def _commit(self, op: str, payload: object) -> None:
+        """Log one op every shard applied — only while some shard runs
+        out of process and so can be lost (its memory cost).  Serial
+        and fallen-back shards share the router's fate: once every shard
+        is one, the log is cleared in place (the handles hold it)."""
+        if self.mode != "serial" and not all(
+            worker.degraded for worker in self._workers
+        ):
+            self._oplog.append((op, payload))
+        else:
+            self._oplog.clear()
 
     def _spawn_workers(self) -> List[ShardWorker]:
         """One supervised handle per shard over the mode's links."""
         sharding = self.spec.sharding
+        specs = [
+            self._worker_spec(shard, w) for w, shard in enumerate(self.shards)
+        ]
         return [
             ShardWorker(
                 w,
-                self._links(w, self._worker_spec(shard, w)),
+                spec,
+                self._links(w, spec),
                 self._oplog,
                 sharding.op_timeout,
                 sharding.max_restarts,
             )
-            for w, shard in enumerate(self.shards)
+            for w, spec in enumerate(specs)
         ]
 
     def _links(self, w: int, spec: Dict[str, object]) -> list:
@@ -418,19 +428,9 @@ class ShardedDiscoverer(EngineBase):
     def _broadcast(self, op: str, payload: object) -> None:
         """Apply one write op on every shard, then commit it to the op
         log."""
-        try:
-            for worker in self._workers:
-                worker.call(op, payload)
-        except WorkerGaveUp as crash:
-            # The degraded replacements rebuilt from the oplog *before*
-            # this op (it commits below), so every one of them —
-            # including those that acked it before the crash, now
-            # rebuilt fresh — needs it applied exactly once here.
-            self._degrade(crash)
-            for worker in self._workers:
-                worker.call(op, payload)
-        if self._track_oplog:
-            self._oplog.append((op, payload))
+        for worker in self._workers:
+            worker.call(op, payload)
+        self._commit(op, payload)
 
     # ------------------------------------------------------------------
     # Admission + merge
@@ -472,16 +472,11 @@ class ShardedDiscoverer(EngineBase):
         point a restarted worker rebuilds *with* the chunk and is never
         re-sent it (exactly-once across crashes)."""
         records, payload = pending
-        facts = self._merge_chunk(records, payload)
-        if self._track_oplog:
-            self._oplog.append(("rows", payload))
+        facts = self._merge_chunk(records)
+        self._commit("rows", payload)
         return facts
 
-    def _merge_chunk(
-        self,
-        records: List[Record],
-        payload: Optional[List[Mapping[str, object]]] = None,
-    ) -> List[FactSet]:
+    def _merge_chunk(self, records: List[Record]) -> List[FactSet]:
         """Recombine one chunk's worker replies in canonical order.
 
         Each worker emits its facts subspace-major in *its* key order,
@@ -490,16 +485,7 @@ class ShardedDiscoverer(EngineBase):
         and within a segment the worker's ``masks_top_down`` order is
         already the scalar engine's.
         """
-        replies = []
-        for w in range(len(self._workers)):
-            try:
-                replies.append(self._workers[w].result())
-            except WorkerGaveUp as crash:
-                # Workers 0..w-1 already delivered this (uncommitted)
-                # chunk, so their degraded replacements must replay it;
-                # the rest still hold it pending and answer it live.
-                self._degrade(crash, merging=payload, delivered=w)
-                replies.append(self._workers[w].result())
+        replies = [worker.result() for worker in self._workers]
         # Each reply's flat (mask, subspace[, skyline]) columns as one
         # int32 matrix (the width of S_t's columns); an arrival's facts
         # are a column slice of each.
@@ -537,56 +523,15 @@ class ShardedDiscoverer(EngineBase):
         return out
 
     # ------------------------------------------------------------------
-    # Degraded mode (circuit breaker)
+    # Supervision tallies
     # ------------------------------------------------------------------
-    def _degrade(
-        self,
-        crash: WorkerGaveUp,
-        merging: Optional[List[Mapping[str, object]]] = None,
-        delivered: int = 0,
-    ) -> None:
-        """Fall back to in-router serial execution after a worker spent
-        its restart budget (see :class:`~repro.service.supervisor.\
-WorkerGaveUp`): every shard is rebuilt deterministically from the
-        committed op log behind an inline link, preserving
-        utilization tallies and the submitted-unmerged chunks each dead
-        worker still owed.  The pool keeps answering — just without
-        parallelism — instead of dying mid-stream.
-
-        ``merging``/``delivered`` describe a merge in progress: workers
-        ``< delivered`` already delivered the currently-merging (hence
-        uncommitted) chunk, so their replacements replay it; the others
-        still hold it pending and will answer it live.
-        """
-        old = self._workers
-        for name in _TALLIES:
-            self._retired[name] += sum(getattr(w, name) for w in old)
-        for worker in old:
-            worker.close()
-        replacements = []
-        for w, shard in enumerate(self.shards):
-            engine = _build_shard_engine(self._worker_spec(shard, w))
-            replay_into(engine.apply, self._oplog)
-            if merging is not None and w < delivered:
-                engine.ingest(merging)
-            worker = ShardWorker(w, [InlineLink(engine)])
-            worker.busy_seconds = old[w].busy_seconds
-            for payload in old[w].pending_ops():
-                worker.submit_rows(payload)
-            replacements.append(worker)
-        self._workers = replacements
-        self.degraded = True
-        # Inline workers share the router's fate: the rebuild source is
-        # no longer needed, free it.
-        self._oplog = []
-
     def _tally(self, name: str) -> int:
-        return self._retired[name] + sum(
-            getattr(w, name) for w in self._workers
-        )
+        return sum(getattr(w, name) for w in self._workers)
 
     def fault_counters(self) -> Dict[str, int]:
-        """Supervision tallies (merged into :meth:`stats`)."""
+        """Supervision tallies (merged into :meth:`stats`), summed over
+        the handles — which live as long as the router, through every
+        restart and fallback."""
         return {
             "worker_restarts": self._tally("restarts"),
             "chunks_retried": self._tally("chunks_retried"),
@@ -615,7 +560,7 @@ WorkerGaveUp`): every shard is rebuilt deterministically from the
                 "restarts": worker.restarts,
                 "chunks_retried": worker.chunks_retried,
             }
-            if self.mode == "remote" and not self.degraded:
+            if self.mode == "remote" and not worker.degraded:
                 entry["replicas"] = worker.replicas
                 entry["failovers"] = worker.failovers
             out.append(entry)
@@ -632,14 +577,9 @@ WorkerGaveUp`): every shard is rebuilt deterministically from the
         return sum((OpCounters(**snap) for snap in snaps), OpCounters())
 
     def _call(self, w: int, op: str, payload: object = None):
-        """One synchronous op on worker ``w``, with the standard
-        degrade-and-retry once its restart budget is spent."""
+        """One synchronous op on worker ``w``."""
         self._check_open()
-        try:
-            return self._workers[w].call(op, payload)
-        except WorkerGaveUp as crash:
-            self._degrade(crash)
-            return self._workers[w].call(op, payload)
+        return self._workers[w].call(op, payload)
 
     @property
     def algorithm_name(self) -> str:

@@ -8,7 +8,7 @@ supervision loop.
 ``close``, and the ``busy_seconds`` / ``restarts`` /
 ``chunks_retried`` / ``failovers`` tallies.  Under it sits an ordered
 list of **links**, primary first: one :class:`InlineLink` (serial,
-degraded) or :class:`~repro.service.remote.ProcessLink` (process), or
+fallen back) or :class:`~repro.service.remote.ProcessLink` (process), or
 one :class:`~repro.service.remote.SocketLink` per replica (remote).
 The two out-of-process links share one wire (:mod:`repro.service.remote`).
 A link:
@@ -37,16 +37,16 @@ round-robin across them.  Supervision is written once, in the handle:
   then has the submitted-but-unmerged chunks re-sent;
 * **retry** — the op the crash interrupted is retried exactly once
   (the rebuild erased any partial application, so the resend cannot
-  double-apply); a second crash on the same op means the op itself is
-  the trigger, and the worker gives up rather than loop;
+  double-apply);
 * **failover** — a crash on a link that cannot be re-opened drops it;
   the next link (a replica already holding the identical state) takes
   over with no recovery work;
-* **circuit breaker** — past ``max_restarts``, or when no link is
-  left, the handle raises :class:`WorkerGaveUp`.  The router then
-  *degrades* the pool to in-router serial execution
-  (:class:`~repro.service.sharding.ShardedDiscoverer`), rebuilt from
-  the op log and the chunks still pending here.
+* **circuit breaker** — past ``max_restarts``, when the retried op
+  crashes the rebuilt worker too (the op itself is the trigger), or
+  when no link is left, the handle *falls back*: it abandons its links
+  and rebuilds the shard in the router behind one :class:`InlineLink`
+  (the same replay, the same re-sent chunks), then answers from it.
+  Only that shard leaves its process; the others keep theirs.
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
-from typing import Callable, Deque, List, Mapping, Sequence, Tuple
+from typing import Callable, Deque, List, Mapping, Optional, Sequence, Tuple
 
-from .worker import _ShardEngine
+from .worker import _build_shard_engine, _ShardEngine
 
 #: Ops per ``replay`` message (bounds message size on long logs).
 _REPLAY_SLICE = 128
@@ -72,7 +72,8 @@ class WorkerCrashed(RuntimeError):
 
 
 class WorkerGaveUp(WorkerCrashed):
-    """The circuit breaker tripped — the router should degrade."""
+    """No worker of a shard could be reached at all (a remote pool
+    built with no live replica)."""
 
 
 #: Restart backoff: exponential from ``_BACKOFF_BASE`` seconds, capped
@@ -89,8 +90,8 @@ def replay_into(
 ) -> None:
     """Rebuild a fresh shard engine by deterministic re-observe: feed
     ``call("replay", slice)`` the committed ``(op, payload)`` prefix in
-    :data:`_REPLAY_SLICE` batches.  The one rebuild loop — restart and
-    degrade both go through it."""
+    :data:`_REPLAY_SLICE` batches.  The one rebuild loop — a restart
+    and the in-router fallback both go through it."""
     ops = list(oplog)
     for start in range(0, len(ops), _REPLAY_SLICE):
         call("replay", ops[start : start + _REPLAY_SLICE])
@@ -130,21 +131,24 @@ _LOST = object()
 
 class ShardWorker:
     """One shard as the router sees it (see module docstring): worker
-    ``index`` of the pool behind ``links`` (primary first), with a
-    per-op deadline of ``op_timeout`` seconds and a budget of
-    ``max_restarts`` restarts.  ``oplog`` is a live reference to the
-    router's committed op list, replayed into every replacement worker
-    before pending chunks are re-sent."""
+    ``index`` of the pool, built from the worker description ``spec``,
+    behind ``links`` (primary first), with a per-op deadline of
+    ``op_timeout`` seconds and a budget of ``max_restarts`` restarts.
+    ``oplog`` is a live reference to the router's committed op list,
+    replayed into every replacement worker before pending chunks are
+    re-sent."""
 
     def __init__(
         self,
         index: int,
+        spec: Mapping[str, object],
         links: Sequence,
         oplog: Sequence[Tuple[str, object]] = (),
         op_timeout: float = 60.0,
         max_restarts: int = 3,
     ) -> None:
         self.index = index
+        self.spec = spec
         #: Live links, primary first; a lost one is dropped for good.
         self.links = list(links)
         self.op_timeout = op_timeout
@@ -158,6 +162,9 @@ class ShardWorker:
         self.chunks_retried = 0
         #: Links dropped after a crash they could not re-open from.
         self.failovers = 0
+        #: ``None``, or why the shard fell back to in-router execution
+        #: (the reason of the crash that tripped the breaker).
+        self.degraded: Optional[str] = None
         #: Submitted ``rows`` payloads whose replies are not yet
         #: delivered — the exact set a replacement must be re-sent.
         self._pending: Deque[List[Mapping[str, object]]] = deque()
@@ -201,8 +208,8 @@ class ShardWorker:
                 return reply
 
     def pending_ops(self) -> List[List[Mapping[str, object]]]:
-        """Submitted-unmerged chunks, oldest first — what a degraded
-        replacement must still answer for."""
+        """Submitted-unmerged chunks, oldest first — what a replacement
+        worker must still answer for."""
         return list(self._pending)
 
     def close(self) -> None:
@@ -217,9 +224,10 @@ class ShardWorker:
     def _reply(self, link, request=None):
         """One reply from ``link`` — to ``request`` if given (sent here,
         and re-sent after a restart), else to the oldest pending chunk
-        (which the restart re-sends) — restarting through one crash.
-        A link that cannot re-open is dropped and :data:`_LOST`
-        returned."""
+        (which a rebuild re-sends).  A crash restarts a re-openable
+        link once; a link that cannot re-open is dropped (failover) and
+        :data:`_LOST` returned while another is left.  Otherwise the
+        breaker trips and the in-router fallback answers."""
         for attempt in (1, 2):
             if request is not None:
                 link.send(*request)
@@ -227,52 +235,50 @@ class ShardWorker:
                 return link.recv(self.op_timeout)
             except WorkerCrashed as crash:
                 if link.reopen is None:
-                    self._drop(link, crash)
-                    return _LOST
-                if attempt == 2:
-                    # The retry crashed the rebuilt worker too: the op
-                    # itself is the trigger; stop retrying.
-                    what = "chunk" if request is None else f"op {request[0]!r}"
-                    raise WorkerGaveUp(
-                        self.index,
-                        f"{what} crashed the worker twice ({crash.reason})",
-                    )
-                self._restart(link, crash)
-
-    def _drop(self, link, crash: WorkerCrashed) -> None:
-        """Fail over from a lost link: the next one already holds the
-        identical state.  Raises :class:`WorkerGaveUp` when it was the
-        last — pending chunks stay queued for the degrade path."""
-        self.links.remove(link)
-        link.abandon()
-        self.failovers += 1
-        if not self.links:
-            raise WorkerGaveUp(
-                self.index, f"every link lost (last crash: {crash.reason})"
-            )
+                    # The next link already holds the identical state.
+                    self.links.remove(link)
+                    link.abandon()
+                    self.failovers += 1
+                    if self.links:
+                        return _LOST
+                elif attempt == 1 and self.restarts < self.max_restarts:
+                    self._restart(link, crash)
+                    continue
+                return self._reply(self._fall_back(crash), request)
 
     def _restart(self, link, crash: WorkerCrashed) -> None:
-        """Backoff, re-open ``link``, rebuild state from the committed
-        oplog, re-send pending chunks.  Raises :class:`WorkerGaveUp`
-        when the restart budget is spent."""
+        """Backoff, re-open ``link`` (lost to ``crash``) and rebuild its
+        fresh worker."""
         self.restarts += 1
-        if self.restarts > self.max_restarts:
-            raise WorkerGaveUp(
-                self.index,
-                f"circuit breaker after {self.restarts - 1} restarts "
-                f"(last crash: {crash.reason})",
-            )
         delay = min(_BACKOFF_MAX, _BACKOFF_BASE * 2.0 ** (self.restarts - 1))
         time.sleep(delay * (1.0 + _JITTER * self._rng.random()))
         link.reopen()
+        self._rebuild(link)
 
-        def rebuild(op: str, payload: object) -> None:
+    def _fall_back(self, crash: WorkerCrashed) -> InlineLink:
+        """Trip the breaker: abandon every link and rebuild the shard in
+        the router behind one :class:`InlineLink`, which can no longer
+        crash on its own."""
+        for link in self.links:
+            link.abandon()
+        inline = InlineLink(_build_shard_engine(self.spec))
+        self.links = [inline]
+        self.degraded = crash.reason
+        self._rebuild(inline)
+        return inline
+
+    def _rebuild(self, link) -> None:
+        """Bring the fresh, empty worker behind ``link`` up to the
+        router's state: replay the committed op log, then re-send the
+        pending chunks."""
+
+        def apply(op: str, payload: object) -> None:
             # Replaying a long oplog legitimately exceeds a per-op
             # budget: only death is a failure here (no deadline).
             link.send(op, payload)
             link.recv(None)
 
-        replay_into(rebuild, self._oplog)
+        replay_into(apply, self._oplog)
         for payload in self._pending:
             link.send("rows", payload)
         self.chunks_retried += len(self._pending)

@@ -14,7 +14,7 @@ requests.  Every mode shares:
   worker runs, so the chaos suite drives process and remote workers
   with the same fault specs;
 * :func:`_build_shard_engine` — the one construction path from the
-  router's worker spec, for every mode and the degrade fallback.
+  router's worker spec, for every mode and the in-router fallback.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ class _ShardEngine:
         return queries.context_size(constraint), size
 
     def replay(self, ops: Sequence[Tuple[str, object]]) -> Tuple[str, int]:
-        """Deterministic state rebuild (restart, degrade): re-apply a
+        """Deterministic state rebuild (restart, fallback): re-apply a
         slice of the router's committed op prefix — the log entries
         *are* ``(op, payload)`` pairs."""
         for op, payload in ops:

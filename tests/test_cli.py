@@ -2,6 +2,7 @@
 
 import json
 import os
+import socket
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -10,7 +11,8 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.datasets import nba_rows, nba_schema, save_rows
-from tests.strategies import SERVICE_SCHEMA, make_rows
+from repro.service.remote import SocketWorkerServer
+from tests.strategies import SERVICE_SCHEMA, make_rows, open_router
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -663,6 +665,45 @@ class TestIngest:
         facts = out.splitlines()
         assert len(facts) > 992
         assert max(map(len, facts)) * 992 > 1 << 16
+
+
+class TestClusterStatus:
+    def test_json_then_a_dead_member(self, capsys):
+        servers = [SocketWorkerServer().start() for _ in range(2)]
+        try:
+            addresses = [server.address for server in servers]
+            with open_router(
+                SERVICE_SCHEMA, 1, "remote", remote={"0": addresses}
+            ) as engine:
+                engine.observe_many(make_rows(10))
+            rc = main(["cluster-status", "--json",
+                       "--remote", json.dumps({"0": addresses})])
+            out, err = capsys.readouterr()
+            assert rc == 0, err
+            assert [
+                (row["replica"], row["alive"], row["rows"], row["lag"])
+                for row in json.loads(out)
+            ] == [(address, True, 10, 0) for address in addresses]
+            probe = socket.create_server(("127.0.0.1", 0))
+            dead = "127.0.0.1:%d" % probe.getsockname()[1]
+            probe.close()
+            rc = main(["cluster-status", "--timeout", "1", "--remote",
+                       json.dumps({"0": addresses, "1": [dead]})])
+            out, err = capsys.readouterr()
+            assert rc == 1
+            table = out.splitlines()
+            assert table[0].split() == ["shard", "replica", "health",
+                                        "configured", "rows", "lag",
+                                        "busy_s", "rtt_ms"]
+            assert [line.split()[:3] for line in table[2:]] == [
+                ["0", addresses[0], "up"],
+                ["0", addresses[1], "up"],
+                ["1", dead, "DOWN"],
+            ]
+            assert "# 2 shards, 3 replicas, 1 unreachable" in err
+        finally:
+            for server in servers:
+                server.stop()
 
 
 class TestFigures:

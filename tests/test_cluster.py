@@ -47,11 +47,7 @@ from repro.service.sharding import (
     canonical_subspace_keys,
     partition_subspaces,
 )
-from repro.service.supervisor import (
-    ShardWorker,
-    WorkerCrashed,
-    WorkerGaveUp,
-)
+from repro.service.supervisor import WorkerCrashed, WorkerGaveUp
 from tests.strategies import open_router, seeded_rows
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
@@ -184,12 +180,10 @@ class TestHandshake:
     def test_op_before_configure_is_an_error_reply(self):
         server = SocketWorkerServer().start()
         try:
-            worker = ShardWorker(
-                0, [SocketLink(0, server.address, 5)], op_timeout=5
-            )
+            link = SocketLink(0, server.address, 5)
             with pytest.raises(WorkerCrashed, match="not configured"):
-                worker.call("counters")
-            worker.close()
+                link.request("counters")
+            link.close()
         finally:
             server.stop()
 

@@ -7,7 +7,8 @@ prominence), same op counters, no accepted row lost or double-applied:
 * supervised shard workers surviving injected crashes and a real
   ``SIGKILL`` mid-chunk, with deletions interleaved;
 * hung workers abandoned at ``op_timeout`` and rebuilt;
-* the circuit breaker degrading the pool to in-router execution;
+* the circuit breaker moving the one shard that spent its restart
+  budget into the router, while the other shards keep their workers;
 * remote replica sets (socket workers in real subprocesses) promoting
   a surviving replica when the primary crashes or is ``SIGKILL``-ed
   mid-stream, and degrading — not dying — when a whole set is lost;
@@ -50,8 +51,7 @@ from repro.service import (
 from repro.service import faults, remote
 from repro.service.journal import JournalCorruptError, read_ops
 from repro.service.remote import run_worker
-from repro.service.sharding import ShardedDiscoverer
-from repro.service.supervisor import ShardWorker
+from repro.service.supervisor import InlineLink, ShardWorker
 from tests import feed_oracle
 from tests.strategies import SERVICE_SCHEMA as SCHEMA, make_rows, open_router
 from tests.test_feed_columns import assert_same
@@ -268,15 +268,7 @@ class TestWorkerCrashRecovery:
             os.kill(pid, signal.SIGKILL)
         assert alive == []
 
-    def test_crash_reason_keeps_the_exit_code(self, monkeypatch):
-        gave_up = []
-        degrade = ShardedDiscoverer._degrade
-
-        def spy(self, crash, *args, **kwargs):
-            gave_up.append(str(crash))
-            return degrade(self, crash, *args, **kwargs)
-
-        monkeypatch.setattr(ShardedDiscoverer, "_degrade", spy)
+    def test_crash_reason_keeps_the_exit_code(self):
         faults.install(
             [
                 {
@@ -293,8 +285,9 @@ class TestWorkerCrashRecovery:
         )
         try:
             engine.observe_many(make_rows(24))
-            assert len(gave_up) == 1
-            assert "exitcode=41" in gave_up[0]
+            fell_back = [w.degraded for w in engine._workers]
+            assert fell_back[0] is None
+            assert "exitcode=41" in fell_back[1]
         finally:
             engine.close()
 
@@ -409,6 +402,90 @@ class TestCircuitBreakerDegrade:
             assert engine.degraded
             assert got == expected
             assert engine.counters.snapshot() == expected_counters
+        finally:
+            engine.close()
+            ref.close()
+
+    def test_only_the_crashed_shard_leaves_its_process(self):
+        rows = make_rows(48)
+        ref = FactDiscoverer(SCHEMA, algorithm="svec")
+        expected = fact_keys(ref.observe_many(rows[:24]))
+        ref.delete(4)
+        expected += fact_keys(ref.observe_many(rows[24:]))
+        ref.delete(30)
+        # Shard 1's third chunk crashes it; with no restart budget the
+        # handle rebuilds that one shard in the router, after a delete
+        # it must replay and before one it must apply.
+        faults.install(
+            [
+                {
+                    "point": "worker.op",
+                    "action": "crash",
+                    "worker": 1,
+                    "op": "rows",
+                    "after": 2,
+                }
+            ]
+        )
+        engine = open_router(
+            SCHEMA, 3, "process", chunk_size=12, op_timeout=15, max_restarts=0
+        )
+        try:
+            processes = [w.links[0]._process for w in engine._workers]
+            got = fact_keys(engine.observe_many(rows[:24]))
+            engine.delete(4)
+            got += fact_keys(engine.observe_many(rows[24:]))
+            engine.delete(30)
+            assert got == expected
+            assert engine.counters.snapshot() == ref.counters.snapshot()
+            crashed = engine._workers[1]
+            assert [type(link) for link in crashed.links] == [InlineLink]
+            assert not processes[1].is_alive()
+            for w in (0, 2):
+                assert engine._workers[w].links[0]._process is processes[w]
+                assert processes[w].is_alive()
+            tally = engine.fault_counters()
+            assert tally["degraded"] == 1
+            assert tally["worker_restarts"] == 0
+            # A shard left out of process can still be lost: the log
+            # of committed ops keeps growing for it.
+            assert len(engine._oplog) == 6
+        finally:
+            engine.close()
+            ref.close()
+
+    def test_op_log_is_dropped_once_every_shard_is_in_router(self):
+        rows = make_rows(48)
+        expected, expected_counters, ref = reference_run(rows)
+        faults.install(
+            [
+                {
+                    "point": "worker.op",
+                    "action": "crash",
+                    "worker": w,
+                    "op": "rows",
+                    "after": after,
+                }
+                for w, after in ((0, 1), (1, 2))
+            ]
+        )
+        engine = open_router(
+            SCHEMA, 2, "process", chunk_size=12, op_timeout=15, max_restarts=0
+        )
+        try:
+            oplog = engine._oplog
+            assert fact_keys(engine.observe_many(rows)) == expected
+            assert engine.counters.snapshot() == expected_counters
+            assert all(w.degraded for w in engine._workers)
+            # Cleared in place: every handle holds this very list.
+            assert engine._oplog is oplog and oplog == []
+            engine.delete(7)
+            ref.delete(7)
+            more = make_rows(12, start=48)
+            assert fact_keys(engine.observe_many(more)) == fact_keys(
+                ref.observe_many(more)
+            )
+            assert oplog == []
         finally:
             engine.close()
             ref.close()
@@ -717,6 +794,43 @@ class TestJournalRecovery:
             assert report.source == "checkpoint" and len(engine) == 4
             assert engine.spec.checkpoint == policy
             assert StreamServer(engine).checkpoint_policy == policy
+
+    @pytest.mark.parametrize("delete", [True, False], ids=["delete", "tail"])
+    def test_replay_keeps_every_healthy_op(self, tmp_path, delete):
+        """A row that no longer applies costs itself only: the rows
+        after it and a later delete still apply, and it keeps its tid,
+        so the delete names the tuple it named when it was written."""
+        a, c = make_rows(2)
+        with JournalWriter(str(tmp_path / "wal")) as journal:
+            journal.append_ingest(a)
+            journal.append_ingest({"m0": "oops"})
+            journal.append_ingest(c)
+            if delete:
+                journal.append_delete(0)
+            journal.commit()
+        ref = FactDiscoverer(SCHEMA, algorithm="svec")
+        ref.observe(a)
+        ref.resume_at(2)
+        ref.observe(c)
+        if delete:
+            ref.delete(0)
+        engine, report = recover_engine(service_spec(tmp_path))
+        try:
+            assert [record.tid for record in engine.table] == (
+                [2] if delete else [0, 2]
+            )
+            assert engine.arrivals == 3
+            assert len(report.replay_errors) == 1
+            assert report.replay_errors[0].startswith("seq 2: SchemaError")
+            assert report.ops_replayed == (3 if delete else 2)
+            assert engine.counters.snapshot() == ref.counters.snapshot()
+            probe = make_rows(3, start=5)
+            assert fact_keys(engine.observe_many(probe)) == fact_keys(
+                ref.observe_many(probe)
+            )
+        finally:
+            engine.close()
+            ref.close()
 
     def test_torn_tail_is_dropped_and_reported(self, tmp_path):
         rows = make_rows(25)

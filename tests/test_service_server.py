@@ -602,7 +602,7 @@ class TestStatsThroughMiddleware:
         sharded = engine
         while not isinstance(sharded, ShardedDiscoverer):
             sharded = sharded.inner
-        sharded.degraded = True
+        sharded._workers[0].degraded = "forced"
 
         async def run():
             server = StreamServer(engine)

@@ -15,12 +15,7 @@ import pytest
 
 from repro import TableSchema
 from repro.service.remote import ProcessLink, SocketLink, SocketWorkerServer
-from repro.service.supervisor import (
-    InlineLink,
-    ShardWorker,
-    WorkerCrashed,
-    WorkerGaveUp,
-)
+from repro.service.supervisor import InlineLink, ShardWorker, WorkerCrashed
 from repro.service.worker import ShardOp, _build_shard_engine, _ShardEngine
 from tests.strategies import open_router
 
@@ -73,7 +68,7 @@ def open_worker(kind, spec=SPEC):
         server = SocketWorkerServer().start()
         link = SocketLink(0, server.address, OP_TIMEOUT)
         link.request("configure", spec)
-    worker = ShardWorker(0, [link], op_timeout=OP_TIMEOUT)
+    worker = ShardWorker(0, spec, [link], op_timeout=OP_TIMEOUT)
     try:
         yield worker, server
     finally:
@@ -207,7 +202,7 @@ class LosableLink(InlineLink):
 def two_link_worker():
     log = []
     primary, replica = LosableLink("primary", log), LosableLink("replica", log)
-    return ShardWorker(0, [primary, replica]), primary, replica, log
+    return ShardWorker(0, SPEC, [primary, replica]), primary, replica, log
 
 
 def one_engine_prefix():
@@ -258,15 +253,21 @@ def test_primary_loss_fails_over_with_pending_intact():
     assert (worker.restarts, worker.chunks_retried) == (0, 0)
 
 
-def test_losing_every_link_gives_up_and_keeps_pending():
+def test_losing_every_link_falls_back_to_an_inline_engine():
     worker, primary, replica, _log = two_link_worker()
+    reference = one_engine_prefix()
     worker.submit_rows(ROWS[:3])
     worker.submit_rows(ROWS[3:6])
     primary.lose()
     replica.lose()
-    with pytest.raises(WorkerGaveUp, match="every link lost"):
-        worker.result()
-    assert worker.links == []
+    # Both chunks are answered by the shard rebuilt in-process.
+    assert sans_busy(worker.result()) == reference[0]
+    assert sans_busy(worker.result()) == reference[1]
+    assert worker.call("counters") == reference[2]
+    (inline,) = worker.links
+    assert type(inline) is InlineLink
+    assert primary.abandoned and replica.abandoned
     assert worker.failovers == 2
-    # Both chunks stay queued for the router's degrade path.
-    assert worker.pending_ops() == [ROWS[:3], ROWS[3:6]]
+    assert worker.chunks_retried == 2
+    assert "replica lost" in worker.degraded
+    assert worker.pending_ops() == []
