@@ -33,13 +33,9 @@ from typing import Optional, Tuple
 from ..api.spec import EngineSpec
 from ..core.engine_protocol import Engine
 from ..service import faults
-from ..service.journal import atomic_write
+from ..service.journal import REPLAY_BLOCK, atomic_write
 
 _FORMAT_VERSION = 3
-
-#: Rows per replay block on load (facts_for_many is state-identical to
-#: the row-at-a-time loop; batching just amortises the rebuild).
-_REPLAY_BATCH = 512
 
 
 def save_engine(
@@ -149,8 +145,10 @@ def load_snapshot(path: str) -> Tuple[Engine, int]:
     start = 0
     while start < len(rows):
         # One block per run of consecutive tids (deleted rows leave
-        # gaps), at most _REPLAY_BATCH rows each.
-        end = min(start + _REPLAY_BATCH, len(rows))
+        # gaps), at most REPLAY_BLOCK rows each: facts_for_many is
+        # state-identical to the row-at-a-time loop, a block just
+        # amortises the rebuild.  A failing row aborts the restore.
+        end = min(start + REPLAY_BLOCK, len(rows))
         if tids is not None:
             engine.resume_at(tids[start])
             run = start + 1

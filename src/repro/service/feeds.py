@@ -1,4 +1,4 @@
-"""Materialized per-segment feeds — the read fan-out tier (ROADMAP 1).
+"""Materialized per-segment feeds — the read fan-out tier.
 
 A :class:`FeedStore` keeps, per *segment* (the projection of a fact's
 constraint onto ``FeedSpec.group_by``), the current standings of every
@@ -194,7 +194,7 @@ class FeedStore:
         #: Removed records awaiting a repair pass (explicit deletions,
         #: window evictions, aggregate group retractions).
         self._pending_retractions: List[Record] = []
-        #: Applied arrivals whose ``S_t`` was lost (salvage path) or
+        #: Applied arrivals whose ``S_t`` was lost (a ``lost`` row) or
         #: came unscored: repair refreshes their *full* candidate-pair
         #: set, since such an arrival may have founded pairs no entry
         #: tracks yet.
@@ -409,7 +409,7 @@ class FeedStore:
         """Fold one arrival in; returns the keys of changed segments.
 
         ``factset`` is the arrival's full ``S_t`` (not the reportable
-        selection).  ``None`` marks a salvage-path arrival whose facts
+        selection).  ``None`` marks an applied arrival whose facts
         were lost — queue it for a repair-style refresh instead; so is
         an ``S_t`` without exact cardinalities (an engine run with
         ``score=False``), which has nothing a feed could rank by.

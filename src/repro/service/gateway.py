@@ -5,8 +5,7 @@ whose engine carries a ``feeds`` spec: REST reads page the materialized
 :class:`~repro.service.feeds.FeedStore` with cursors, and WebSocket
 subscribers receive per-segment snapshot/update frames as feed versions
 advance — no feed read ever touches the engine, so fan-out scales with
-subscriber count instead of ingest throughput (ROADMAP item 1: the
-millions-of-users read path).
+subscriber count instead of ingest throughput.
 
 Both protocols are hand-rolled over asyncio streams (HTTP/1.1 request
 parsing, RFC 6455 frames) — the container policy is stdlib-only.

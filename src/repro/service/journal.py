@@ -12,7 +12,8 @@ recovery therefore reduces to *journaling the prefix*:
 truncated tail (the expected artifact of a crash mid-append) while
 refusing mid-file corruption with an actionable ``ValueError`` — a
 silent partial restore is never an option.  :func:`recover_engine`
-glues the two halves together for the serving layer.
+glues the two halves together for the serving layer; replay and the
+server's micro-batches apply rows through one loop, :func:`apply_rows`.
 
 Frame format (one per op)::
 
@@ -389,6 +390,44 @@ class RecoveryReport:
     replay_errors: List[str] = field(default_factory=list)
 
 
+#: Rows per ``facts_for_many`` call when a journal suffix or a snapshot
+#: is replayed: one block's fact sets are alive at a time.
+REPLAY_BLOCK = 512
+
+
+def apply_rows(engine, rows: List[dict]) -> Iterator[Tuple[str, int, object]]:
+    """Apply ``rows`` in one ``facts_for_many`` call; yield one
+    ``(outcome, tid, value)`` per row, in order: ``("ok", tid, S_t)``,
+    ``("lost", tid, error)`` (applied, its ``S_t`` gone) or
+    ``("failed", tid, error)`` (not applied; ``tid`` is the one it
+    would have had).
+
+    A failing call is split at the engine's monotone ``arrivals``: the
+    rows before the split were applied, the rest are retried one at a
+    time, so a poison row costs itself only.  Lazy: the caller acts on
+    each outcome before the next row is retried."""
+    start = engine.arrivals
+    try:
+        fact_sets = engine.facts_for_many(rows)
+    except Exception as exc:
+        error = exc
+    else:
+        for factset in fact_sets:
+            yield "ok", factset.record.tid, factset
+        return
+    applied = engine.arrivals - start
+    for tid in range(start, start + applied):
+        yield "lost", tid, error
+    for row in rows[applied:]:
+        tid = engine.arrivals
+        try:
+            (factset,) = engine.facts_for_many([row])
+        except Exception as exc:
+            yield ("lost" if engine.arrivals > tid else "failed"), tid, exc
+        else:
+            yield "ok", tid, factset
+
+
 def replay_ops(engine, ops: List[dict], report: Optional[RecoveryReport] = None):
     """Apply journal ops to ``engine`` in order (ingest/delete).
 
@@ -396,7 +435,8 @@ def replay_ops(engine, ops: List[dict], report: Optional[RecoveryReport] = None)
     healthy op around it still applies.  A failed row keeps its tid
     (numbering resumes past it), so later deletes name the same tuples
     as in the run that wrote the journal.  ``ops_replayed`` counts the
-    applied ops only."""
+    applied ops only — a row whose facts were lost counts: its state
+    is in."""
     report = report if report is not None else RecoveryReport()
     batch: List[dict] = []
 
@@ -408,23 +448,11 @@ def replay_ops(engine, ops: List[dict], report: Optional[RecoveryReport] = None)
     def flush() -> None:
         if not batch:
             return
-        start = engine.arrivals
-        try:
-            engine.facts_for_many([op["row"] for op in batch])
-            rest: List[dict] = []
-        except Exception:
-            # ``arrivals`` counts the rows in before the failure; the
-            # rest go one at a time, so only a failing row is lost.
-            rest = batch[engine.arrivals - start:]
-        report.ops_replayed += len(batch) - len(rest)
-        for op in rest:
-            tid = engine.arrivals
-            try:
-                engine.facts_for_many([op["row"]])
-            except Exception as exc:
-                failed(op, exc)
-                if engine.arrivals == tid:
-                    engine.resume_at(tid + 1)
+        outcomes = apply_rows(engine, [op["row"] for op in batch])
+        for op, (outcome, tid, value) in zip(batch, outcomes):
+            if outcome == "failed":
+                failed(op, value)
+                engine.resume_at(tid + 1)
             else:
                 report.ops_replayed += 1
         del batch[:]
@@ -433,7 +461,7 @@ def replay_ops(engine, ops: List[dict], report: Optional[RecoveryReport] = None)
         kind = op.get("op")
         if kind == "ingest":
             batch.append(op)
-            if len(batch) >= 512:
+            if len(batch) >= REPLAY_BLOCK:
                 flush()
             continue
         flush()

@@ -29,9 +29,10 @@ windowed, aggregate, or any composition built by
   then parks the consumer;
 * an optional **NDJSON-over-TCP listener** (:meth:`serve_tcp`): one JSON
   object per line — a bare row (or ``{"op": "ingest", "row": …}``)
-  answers ``{"tid": …, "facts": […]}``; ``delete`` / ``stats`` /
-  ``ping`` / ``shutdown`` ops drive the service remotely (the CLI
-  ``serve`` / ``ingest`` commands speak this protocol).
+  answers ``{"tid": …, "facts": […]}``; ``delete`` / ``query`` /
+  ``stats`` / ``health`` / ``ping`` / ``shutdown`` ops drive the
+  service remotely (the CLI ``serve`` / ``ingest`` commands speak this
+  protocol).
 
 The engine itself stays single-threaded: each micro-batch or delete is
 one job (engine call, feed fold, journal append + commit) on the
@@ -54,6 +55,7 @@ from ..core.record import Record
 from ..metrics.memory import process_rss_mb
 from ..metrics.service import ServiceStats
 from .feeds import FeedStore
+from .journal import JournalWriter, apply_rows
 
 _STOP = object()
 
@@ -269,8 +271,6 @@ class StreamServer:
             raise RuntimeError("StreamServer already started")
         policy = self.checkpoint_policy
         if policy is not None and policy.journal_dir:
-            from .journal import JournalWriter
-
             # Resumes sequence numbering past any existing segments
             # (truncating a torn tail a previous crash left behind).
             self.journal = JournalWriter(
@@ -572,20 +572,23 @@ class StreamServer:
             size = engine.chunk_size
             for start in range(0, len(rows), size):
                 part = rows[start:start + size]
-                before = engine.arrivals
-                try:
-                    fact_sets = engine.facts_for_many(part)
-                except Exception as exc:
-                    # Salvage instead of aborting: quarantine the poison
-                    # row(s) of this slice and keep every healthy one.
-                    self.last_error = exc
-                    outcomes += self._salvage_batch(
-                        answer, lost, part, before
-                    )
-                else:
-                    outcomes += [answer(fs) for fs in fact_sets]
-                    # Gone before the next slice's call.
-                    del fact_sets
+                for row, (outcome, tid, value) in zip(
+                    part, apply_rows(engine, part)
+                ):
+                    if outcome == "ok":
+                        outcomes.append(answer(value))
+                        continue
+                    self.last_error = value
+                    if outcome == "lost":
+                        # Still live: a layer that evicts or retracts
+                        # has one-row slices, so nothing ran after it.
+                        outcomes.append(lost(engine.table.get(tid)))
+                        continue
+                    self.stats.rows_quarantined += 1
+                    self._dead_letter(row, value)
+                    outcomes.append(("quarantined", value))
+                # Gone before the next slice's call.
+                del value
             if feeds is not None:
                 # One repair pass for the lost arrivals and any window
                 # evictions the batch triggered, priced against the
@@ -626,50 +629,6 @@ class StreamServer:
                 for subscription in list(self._subscriptions):
                     subscription._publish(event)
         self.stats.note_batch(accepted, emitted)
-
-    def _salvage_batch(self, answer, lost, part, before):
-        """Recover from a failed ``facts_for_many`` call on one slice.
-
-        The engine's monotone ``arrivals`` counter (read into ``before``
-        just before the failed call) tells exactly how many rows of the
-        slice were applied before the failure — their states are in,
-        only their fact sets are lost.  The remaining rows are retried
-        one at a time, so one poison row costs itself — not its
-        slice-mates.  Earlier slices of the batch were answered and
-        folded already and are not touched.  Returns one outcome per
-        row of ``part``, folded into the feeds in row order:
-        ``answer(factset)``, ``lost(record)`` for applied rows with lost
-        facts, or ``("quarantined", error)`` (counted and dead-lettered
-        here).
-        """
-        engine = self.engine
-        applied = max(0, min(engine.arrivals - before, len(part)))
-        outcomes = []
-        for index, row in enumerate(part):
-            if index < applied:
-                outcomes.append(lost(self._record_for(row, before + index)))
-                continue
-            pre = engine.arrivals
-            try:
-                (factset,) = engine.facts_for_many([row])
-            except Exception as row_exc:
-                if engine.arrivals > pre:
-                    # Applied but its facts were lost mid-flight.
-                    outcomes.append(lost(self._record_for(row, pre)))
-                else:
-                    self.stats.rows_quarantined += 1
-                    self._dead_letter(row, row_exc)
-                    outcomes.append(("quarantined", row_exc))
-            else:
-                outcomes.append(answer(factset))
-                del factset
-        return outcomes
-
-    def _record_for(self, row, tid: int) -> Record:
-        """A best-effort :class:`Record` for an applied row whose fact
-        set was lost (only its identity reaches subscribers)."""
-        made = self.engine.table.make_record(row)
-        return Record(tid, made.dims, made.values, made.raw)
 
     def _dead_letter(self, row, error: Exception) -> None:
         """Append one quarantined row to the dead-letter NDJSON file.

@@ -41,12 +41,13 @@ round-robin across them.  Supervision is written once, in the handle:
 * **failover** — a crash on a link that cannot be re-opened drops it;
   the next link (a replica already holding the identical state) takes
   over with no recovery work;
-* **circuit breaker** — past ``max_restarts``, when the retried op
-  crashes the rebuilt worker too (the op itself is the trigger), or
-  when no link is left, the handle *falls back*: it abandons its links
-  and rebuilds the shard in the router behind one :class:`InlineLink`
-  (the same replay, the same re-sent chunks), then answers from it.
-  Only that shard leaves its process; the others keep theirs.
+* **circuit breaker** — past ``max_restarts``, when a restart or its
+  rebuild crashes, when the retried op crashes the rebuilt worker too
+  (the op itself is the trigger), or when no link is left, the handle
+  *falls back*: it abandons its links and rebuilds the shard in the
+  router behind one :class:`InlineLink` (the same replay, the same
+  re-sent chunks), then answers from it.  Only that shard leaves its
+  process; the others keep theirs.
 """
 
 from __future__ import annotations
@@ -226,7 +227,8 @@ class ShardWorker:
         and re-sent after a restart), else to the oldest pending chunk
         (which a rebuild re-sends).  A crash restarts a re-openable
         link once; a link that cannot re-open is dropped (failover) and
-        :data:`_LOST` returned while another is left.  Otherwise the
+        :data:`_LOST` returned while another is left.  Otherwise — the
+        budget is spent, or the restart or retry crashed too — the
         breaker trips and the in-router fallback answers."""
         for attempt in (1, 2):
             if request is not None:
@@ -242,8 +244,12 @@ class ShardWorker:
                     if self.links:
                         return _LOST
                 elif attempt == 1 and self.restarts < self.max_restarts:
-                    self._restart(link, crash)
-                    continue
+                    try:
+                        self._restart(link, crash)
+                    except WorkerCrashed as again:
+                        crash = again  # the restart crashed too
+                    else:
+                        continue
                 return self._reply(self._fall_back(crash), request)
 
     def _restart(self, link, crash: WorkerCrashed) -> None:

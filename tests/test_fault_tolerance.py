@@ -39,6 +39,7 @@ from repro.api import (
     CheckpointPolicy,
     EngineSpec,
     FeedSpec,
+    GroupSpec,
     ShardingSpec,
     open_engine,
 )
@@ -49,7 +50,7 @@ from repro.service import (
     recover_engine,
 )
 from repro.service import faults, remote
-from repro.service.journal import JournalCorruptError, read_ops
+from repro.service.journal import JournalCorruptError, read_ops, replay_ops
 from repro.service.remote import run_worker
 from repro.service.supervisor import InlineLink, ShardWorker
 from tests import feed_oracle
@@ -832,6 +833,37 @@ class TestJournalRecovery:
             engine.close()
             ref.close()
 
+    def test_replay_counts_an_applied_row_whose_facts_were_lost(self, tmp_path):
+        """The block stops just short of row 2 and raises; retried
+        alone, row 2 applies and then raises.  It is in the table, so
+        it counts as replayed, not as a failure."""
+        rows = make_rows(4)
+        with JournalWriter(str(tmp_path / "wal")) as journal:
+            for row in rows:
+                journal.append_ingest(row)
+            journal.commit()
+        engine = FactDiscoverer(SCHEMA, algorithm="svec")
+        inner = engine.facts_for_many
+        seen = []
+
+        def facts_for_many(part):
+            seen.append(len(part))
+            if rows[2] not in part:
+                return inner(part)
+            inner(part if len(part) == 1 else part[: part.index(rows[2])])
+            raise ValueError("facts lost")
+
+        engine.facts_for_many = facts_for_many
+        ops, _ = read_ops(str(tmp_path / "wal"))
+        report = replay_ops(engine, ops)
+        assert seen == [4, 1, 1]
+        assert report.replay_errors == []
+        assert report.ops_replayed == len(rows)
+        assert [record.tid for record in engine.table] == [0, 1, 2, 3]
+        ref = FactDiscoverer(SCHEMA, algorithm="svec")
+        ref.observe_many(rows)
+        assert engine.counters.snapshot() == ref.counters.snapshot()
+
     def test_torn_tail_is_dropped_and_reported(self, tmp_path):
         rows = make_rows(25)
         spec = service_spec(tmp_path)
@@ -1151,6 +1183,47 @@ class TestPoisonRows:
         assert server.feeds.applied_arrivals == len(healthy)
         assert_same(server.feeds, oracle)
         assert live_counters == ref.counters.snapshot()
+
+    def test_lost_row_under_an_aggregate_engine_is_acked(self):
+        """A row that applies and then raises under an aggregate engine
+        loses its facts only: it is acked with its tid (its record is
+        the live aggregate tuple, not one rebuilt from the base row),
+        the next row is accepted, and the server stays healthy."""
+        group = GroupSpec(("d0",), {"total": ("m0", "sum")})
+        spec = EngineSpec(SCHEMA, algorithm="svec", aggregate=group)
+        rows = make_rows(3)
+        engine = open_engine(spec)
+        inner = engine.facts_for_many
+
+        def facts_for_many(part):
+            fact_sets = inner(part)
+            if rows[1] in part:
+                raise ValueError("facts lost after the row applied")
+            return fact_sets
+
+        engine.facts_for_many = facts_for_many
+
+        async def run():
+            server = StreamServer(engine)
+            await server.start()
+            events = [await server.ingest_wait(row) for row in rows]
+            health = server.health()
+            await server.stop()
+            return server, events, health
+
+        server, events, health = asyncio.run(run())
+        engine.close()
+        ref = open_engine(spec)
+        expected = [fact_key(f) for f in ref.facts_for_many(rows)[2].ranked()]
+        lost = events[1].record.as_dict(ref.discovery_schema)
+        ref.close()
+        assert [event.tid for event in events] == [0, 1, 2]
+        assert events[1].facts == []
+        assert lost == {"d0": rows[1]["d0"], "total": rows[1]["m0"]}
+        assert [fact_key(f) for f in events[2].facts] == expected
+        assert health["ok"], health
+        assert isinstance(server.last_error, ValueError)
+        assert server.stats.rows_quarantined == 0
 
     def test_failed_selection_loses_only_that_rows_facts(self, monkeypatch):
         """A row whose reportable-fact selection raises was applied: it

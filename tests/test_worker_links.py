@@ -271,3 +271,29 @@ def test_losing_every_link_falls_back_to_an_inline_engine():
     assert worker.chunks_retried == 2
     assert "replica lost" in worker.degraded
     assert worker.pending_ops() == []
+
+
+class UnreopenableLink(LosableLink):
+    """A re-openable link whose restart crashes too."""
+
+    def reopen(self) -> None:
+        raise WorkerCrashed(0, f"{self.name} would not restart")
+
+
+def test_a_crashing_restart_falls_back_to_an_inline_engine():
+    """A restart that crashes leaves the handle no budget: it falls back
+    to an in-router engine instead of letting the crash escape."""
+    link = UnreopenableLink("primary", [])
+    worker = ShardWorker(0, SPEC, [link], max_restarts=1)
+    reference = one_engine_prefix()
+    worker.submit_rows(ROWS[:3])
+    worker.submit_rows(ROWS[3:6])
+    link.lose()
+    assert sans_busy(worker.result()) == reference[0]
+    assert sans_busy(worker.result()) == reference[1]
+    assert worker.call("counters") == reference[2]
+    (inline,) = worker.links
+    assert type(inline) is InlineLink
+    assert link.abandoned
+    assert "primary would not restart" in worker.degraded
+    assert (worker.restarts, worker.chunks_retried) == (1, 2)
