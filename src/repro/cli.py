@@ -476,6 +476,7 @@ def cmd_serve(args) -> int:
         )
         if recovery is not None:
             server.stats.ops_replayed = recovery.ops_replayed
+            server.stats.replay_errors = len(recovery.replay_errors)
         await server.start()
         listener = None
         if args.port is not None:

@@ -56,6 +56,8 @@ class ServiceStats:
     dead_letter_failures: int = 0
     #: Journal ops replayed during crash recovery at startup.
     ops_replayed: int = 0
+    #: Journal ops that recovery skipped because they failed to re-apply.
+    replay_errors: int = 0
     #: Live gateway subscribers (WebSocket connections).
     gateway_subscribers: int = 0
     #: WebSocket frames delivered to subscribers.

@@ -13,16 +13,16 @@ parsing, RFC 6455 frames) — the container policy is stdlib-only.
 Endpoints
 ---------
 ``GET /healthz``
-    Liveness, as the TCP ``health`` op returns it
-    (:meth:`~repro.service.server.StreamServer.health`); ``503`` with
+    Liveness: the TCP ``health`` op's reply, from the same
+    :meth:`~repro.service.server.StreamServer.answer`; ``503`` with
     the same body when ``ok`` is false (stopped, or writes refused
     after a failed journal append).
 ``GET /stats``
-    The server's stats reply, as the TCP ``stats`` op returns it
-    (gateway counters and the engine's stats tree included).  It reads
-    the engine, so it waits for the running batch and, on a sharded
-    engine, for the workers' counters; ``503`` with ``{"error": …}``
-    when that read fails.
+    The TCP ``stats`` op's reply, from the same ``answer`` (gateway
+    counters and the engine's stats tree included).  It reads the
+    engine, so it waits for the running batch and, on a sharded
+    engine, for the workers' counters; ``503`` with the op's
+    ``{"error": …}`` when that read fails.
 ``GET /feeds``
     Segment directory: key, version, entry count, staleness, evictions.
 ``GET /feeds/<segment>?cursor=&limit=&top_k=&tau=``
@@ -370,17 +370,13 @@ class FeedGateway:
     # REST reads (materialized state only)
     # ------------------------------------------------------------------
     async def _serve_http(self, writer, path: str, query: dict) -> None:
-        if path == "/healthz":
-            health = self.server.health()
-            await self._respond(writer, 200 if health["ok"] else 503, health)
-            return
-        if path == "/stats":
-            try:
-                stats = await self.server.read_stats()
-            except Exception as exc:
-                await self._respond(writer, 503, {"error": str(exc)})
-                return
-            await self._respond(writer, 200, {"stats": stats})
+        op = {"/healthz": "health", "/stats": "stats"}.get(path)
+        if op is not None:
+            # The TCP op's reply, byte for byte; 503 when it failed or
+            # the server is not healthy.
+            reply = await self.server.answer({"op": op})
+            ok = "error" not in reply and reply.get("ok", True)
+            await self._respond(writer, 200 if ok else 503, reply)
             return
         if path == "/feeds":
             await self._respond(

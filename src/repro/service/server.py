@@ -28,10 +28,11 @@ windowed, aggregate, or any composition built by
   queued row be discovered, flushes subscribers, checkpoints, and only
   then parks the consumer;
 * an optional **NDJSON-over-TCP listener** (:meth:`serve_tcp`): one JSON
-  object per line — a bare row (or ``{"op": "ingest", "row": …}``)
-  answers ``{"tid": …, "facts": […]}``; ``delete`` / ``query`` /
-  ``stats`` / ``health`` / ``ping`` / ``shutdown`` ops drive the
-  service remotely (the CLI ``serve`` / ``ingest`` commands speak this
+  object per line, one reply line from :meth:`answer` — a bare row (or
+  ``{"op": "ingest", "row": …}``) answers ``{"tid": …, "facts": […]}``;
+  ``delete`` / ``query`` / ``stats`` / ``health`` / ``ping`` /
+  ``shutdown`` ops drive the service remotely, and any failure answers
+  ``{"error": …}`` (the CLI ``serve`` / ``ingest`` commands speak this
   protocol).
 
 The engine itself stays single-threaded: each micro-batch or delete is
@@ -139,13 +140,11 @@ class Subscription:
             return
         if self._only_facts and not event.facts:
             return
+        # Both ends run on the event loop: the queue is non-empty here.
         while self._queue.qsize() >= self._max_pending:
-            try:
-                self._queue.get_nowait()
-                self.dropped += 1
-                self._server.stats.subscriber_events_dropped += 1
-            except asyncio.QueueEmpty:  # pragma: no cover - racy guard
-                break
+            self._queue.get_nowait()
+            self.dropped += 1
+            self._server.stats.subscriber_events_dropped += 1
         self._queue.put_nowait(event)
 
     def close(self) -> None:
@@ -612,6 +611,8 @@ class StreamServer:
         accepted = 0
         for (_, _, future), (kind, result) in zip(batch, outcomes):
             if kind == "quarantined":
+                # The caller gets the row's own exception; answer() the mark.
+                result.quarantined = True
                 _settle(future, error=result)
             else:
                 accepted += 1
@@ -773,6 +774,70 @@ class StreamServer:
         return await self._on_engine(run)
 
     # ------------------------------------------------------------------
+    # Op surface: one table, one error boundary
+    # ------------------------------------------------------------------
+    async def answer(self, message) -> dict:
+        """The reply to one request: a decoded NDJSON line, or the
+        gateway's ``{"op": "health"}`` / ``{"op": "stats"}``.  ``op``
+        (default ``ingest``: a bare row) picks the handler in ``_OPS``.
+        Any failure is the reply ``{"error": str(exc)}``, plus
+        ``"quarantined": true`` when the row's batch quarantined it."""
+        try:
+            if not isinstance(message, dict):
+                raise TypeError("a request must be a JSON object")
+            op = message.get("op", "ingest")
+            if op not in self._OPS:
+                raise ValueError(f"unknown op {op!r}")
+            return await getattr(self, self._OPS[op])(message)
+        except Exception as exc:
+            reply = {"error": str(exc)}
+            if getattr(exc, "quarantined", False) is True:
+                reply["quarantined"] = True
+            return reply
+
+    async def _op_ingest(self, message: dict) -> dict:
+        row = message.get("row", message)
+        if row is message:
+            # Bare-row form only: strip the routing key, never from an
+            # explicit {"row": …} (the schema may have an "op" attribute).
+            row = {name: value for name, value in row.items() if name != "op"}
+        event = await self.ingest_wait(row)
+        # Facts are stated over the discovery relation (differs from the
+        # input schema only for aggregate engines).
+        schema = self.engine.discovery_schema
+        facts = [fact.to_json_dict(schema) for fact in event.facts]
+        return {"tid": event.tid, "facts": facts}
+
+    async def _op_delete(self, message: dict) -> dict:
+        tid = int(message["tid"])
+        await self.delete(tid)
+        return {"deleted": tid}
+
+    async def _op_stats(self, message: dict) -> dict:
+        return {"stats": await self.read_stats()}
+
+    async def _op_health(self, message: dict) -> dict:
+        return self.health()
+
+    async def _op_ping(self, message: dict) -> dict:
+        return {"ok": True}
+
+    async def _op_shutdown(self, message: dict) -> dict:
+        # Pinned: the loop holds only a weak ref, and a collected stop()
+        # would leave wait_stopped() hanging.
+        self._stop_task = asyncio.create_task(self.stop())
+        return {"stopping": True}
+
+    #: ``op`` → handler method, looked up per call: the handlers reach
+    #: the server through ``ingest_wait`` / ``delete`` / ``_run_query``,
+    #: which a subclass may wrap.
+    _OPS = {
+        "ingest": "_op_ingest", "delete": "_op_delete", "query": "_run_query",
+        "stats": "_op_stats", "health": "_op_health", "ping": "_op_ping",
+        "shutdown": "_op_shutdown",
+    }
+
+    # ------------------------------------------------------------------
     # NDJSON-over-TCP front-end
     # ------------------------------------------------------------------
     async def serve_tcp(self, host: str = "127.0.0.1", port: int = 0):
@@ -786,11 +851,8 @@ class StreamServer:
         return server
 
     async def _handle_client(self, reader, writer) -> None:
-        from ..core.schema import SchemaError
-
-        # Facts are stated over the discovery relation (differs from the
-        # input schema only for aggregate engines).
-        schema = self.engine.discovery_schema
+        """One reply line per line; the connection closes only past
+        ``MAX_LINE_BYTES``, on a read timeout, or after ``shutdown``."""
 
         async def reply(payload: dict) -> None:
             writer.write(json.dumps(payload).encode() + b"\n")
@@ -823,76 +885,14 @@ class StreamServer:
                     continue
                 try:
                     message = json.loads(line)
-                except ValueError:
+                except (ValueError, RecursionError):
+                    # RecursionError: nesting past the decoder's stack.
                     await reply({"error": "invalid JSON"})
                     continue
-                op = message.get("op", "ingest") if isinstance(message, dict) else None
-                if op == "ingest":
-                    row = message.get("row", message)
-                    if row is message and isinstance(row, dict):
-                        # Bare-row form only: strip the routing key, but
-                        # never from an explicit {"row": …} payload —
-                        # the schema may legitimately have an "op"
-                        # attribute there.
-                        row = dict(row)
-                        row.pop("op", None)
-                    try:
-                        event = await self.ingest_wait(row)
-                    except (SchemaError, RuntimeError, TypeError) as exc:
-                        # TypeError: non-mapping row (e.g. a bare int).
-                        await reply({"error": str(exc)})
-                        continue
-                    except Exception as exc:
-                        # A quarantined poison row surfaces its original
-                        # discovery error here; the connection (and the
-                        # batch-mates) live on.
-                        await reply({"error": str(exc), "quarantined": True})
-                        continue
-                    await reply(
-                        {
-                            "tid": event.tid,
-                            "facts": [
-                                fact.to_json_dict(schema)
-                                for fact in event.facts
-                            ],
-                        }
-                    )
-                elif op == "delete":
-                    try:
-                        await self.delete(int(message["tid"]))
-                    except (KeyError, TypeError, ValueError, RuntimeError) as exc:
-                        await reply({"error": str(exc)})
-                        continue
-                    await reply({"deleted": int(message["tid"])})
-                elif op == "query":
-                    try:
-                        result = await self._run_query(message)
-                    except Exception as exc:
-                        await reply({"error": str(exc)})
-                        continue
-                    await reply(result)
-                elif op == "stats":
-                    try:
-                        stats = await self.read_stats()
-                    except Exception as exc:
-                        # E.g. a shard worker that could not be reached
-                        # or rebuilt: the connection lives on.
-                        await reply({"error": str(exc)})
-                        continue
-                    await reply({"stats": stats})
-                elif op == "health":
-                    await reply(self.health())
-                elif op == "ping":
-                    await reply({"ok": True})
-                elif op == "shutdown":
-                    await reply({"stopping": True})
-                    # Pin the task: the loop only holds a weak ref and
-                    # an unreferenced stop() could be collected
-                    # mid-drain, leaving wait_stopped() hanging.
-                    self._stop_task = asyncio.create_task(self.stop())
+                answer = await self.answer(message)
+                await reply(answer)
+                if "stopping" in answer:
                     break
-                else:
-                    await reply({"error": f"unknown op {op!r}"})
         except (ConnectionResetError, asyncio.IncompleteReadError):
             pass
         finally:

@@ -224,6 +224,29 @@ class TestServe:
         assert stats["engine"]["rows"] == 7
         assert stats["engine"]["counters"]["comparisons"] > 0
 
+    def test_stats_line_reports_ops_that_failed_to_replay(
+        self, tmp_path, capsys
+    ):
+        """A journaled op that fails to re-apply (a delete of a tid
+        never ingested) is skipped at recovery and counted in the stats
+        reply's ``replay_errors``, not only in the startup banner."""
+        from repro.service import JournalWriter
+
+        wal = str(tmp_path / "wal")
+        with JournalWriter(wal) as journal:
+            for row in nba_rows(3, d=4, m=4):
+                journal.append_ingest(row)
+            journal.append_delete(99)
+        rc = main(
+            ["serve", "-d", DIMS, "-m", MEAS, "--algorithm", "svec",
+             "--checkpoint", str(tmp_path / "ck.json"), "--journal-dir", wal]
+        )
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "; 1 ops failed to re-apply" in err
+        stats = stats_line(err)
+        assert (stats["ops_replayed"], stats["replay_errors"]) == (3, 1)
+
     @pytest.mark.parametrize("render", [[], ["--json"]], ids=["text", "json"])
     def test_serve_csv_stdout_is_discovers_stdout(self, nba_csv, capsys, render):
         """The preload printer and ``discover`` write one block per

@@ -118,6 +118,44 @@ class TestHealth:
 
         asyncio.run(run())
 
+    def test_failed_stats_read_is_the_tcp_error_reply(self):
+        """When ``engine.stats()`` raises, ``GET /stats`` answers 503
+        with the body the TCP ``stats`` op writes, byte for byte: both
+        come from ``StreamServer.answer``."""
+
+        async def raw_get(port, path):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(f"GET {path} HTTP/1.1\r\n\r\n".encode())
+            raw = await asyncio.wait_for(reader.read(), 5)
+            writer.close()
+            head, _, body = raw.partition(b"\r\n\r\n")
+            return int(head.split()[1]), body
+
+        async def run():
+            server, gateway, port = await start_stack()
+
+            def stats():
+                raise RuntimeError("shard 1 gave up")
+
+            server.engine.stats = stats
+            listener = await server.serve_tcp("127.0.0.1", 0)
+            tcp_port = listener.sockets[0].getsockname()[1]
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", tcp_port
+                )
+                writer.write(b'{"op": "stats"}\n')
+                line = await asyncio.wait_for(reader.readline(), 5)
+                writer.close()
+                status, body = await raw_get(port, "/stats")
+            finally:
+                await stop_stack(server, gateway)
+            return line, status, body
+
+        line, status, body = asyncio.run(run())
+        assert json.loads(line) == {"error": "shard 1 gave up"}
+        assert (status, body) == (503, line.rstrip(b"\n"))
+
 
 class TestRestReads:
     def test_endpoints(self):

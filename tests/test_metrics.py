@@ -43,7 +43,8 @@ class TestServiceStatsSnapshot:
             "queue_depth_max", "deletes", "checkpoints",
             "checkpoint_failures", "facts_emitted",
             "subscriber_events_dropped", "rows_quarantined",
-            "dead_letter_failures", "ops_replayed", "gateway_subscribers", "gateway_frames_sent",
+            "dead_letter_failures", "ops_replayed", "replay_errors",
+            "gateway_subscribers", "gateway_frames_sent",
             "gateway_frames_coalesced", "gateway_frames_dropped",
             "gateway_http_requests", "start_rss_mb", "engine_cpu_s",
         }

@@ -583,6 +583,156 @@ class TestTcpFrontend:
         assert health["ok"] is True and health["table_rows"] == 0
         assert unhandled == []
 
+    def test_hostile_lines_each_get_one_error_line(self):
+        """Malformed and hostile lines on one connection: each gets
+        exactly one reply line carrying ``error``, nothing reaches the
+        loop's exception handler, and a ``ping`` after them answers on
+        the same connection.  (``1e400`` decodes to ``inf``: ``int()``
+        of it raises ``OverflowError``.)"""
+        lines = [
+            b"[1, 2]",
+            b'"a string"',
+            b"42",
+            b"{not json",
+            b"[" * 60_000,
+            b'{"op": "nope"}',
+            b'{"op": ["unhashable"]}',
+            b'{"op": "delete"}',
+            b'{"op": "delete", "tid": null}',
+            b'{"op": "delete", "tid": 1e400}',
+            b'{"op": "delete", "tid": "x"}',
+            b'{"op": "delete", "tid": 12345}',
+            b'{"op": "query"}',
+            b'{"op": "query", "q": "no constraint here"}',
+            b'{"op": "query", "q": "d0=a1 | m0", "kind": "nope"}',
+            b'{"op": "query", "q": "d0=a1 | m0", "kind": "skyband", "k": 1e400}',
+            b'{"op": "ingest", "row": [1, 2]}',
+            b'{"op": "ingest", "row": 5}',
+            b'{"op": "ingest", "row": {"d0": "a0"}}',
+            b'{"d0": "a0", "d1": "b0", "m0": 1}',
+        ]
+
+        async def run():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            engine = FactDiscoverer(SCHEMA, algorithm="svec")
+            server = StreamServer(engine)
+            await server.start()
+            listener = await server.serve_tcp("127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                writer.write(b"".join(line + b"\n" for line in lines))
+                writer.write(b'{"op": "ping"}\n')
+                await writer.drain()
+                replies = [
+                    json.loads(await asyncio.wait_for(reader.readline(), 5))
+                    for _ in range(len(lines) + 1)
+                ]
+                writer.close()
+                health = server.health()
+            finally:
+                await server.stop()
+            return replies, health, list(unhandled)
+
+        replies, health, unhandled = asyncio.run(run())
+        *errors, pong = replies
+        assert [sorted(reply) for reply in errors] == [["error"]] * len(lines)
+        assert pong == {"ok": True}
+        assert health["ok"] is True and health["table_rows"] == 0
+        assert unhandled == []
+
+    def test_quarantined_comes_from_the_row_outcome(self, tmp_path):
+        """A row that discovery rejects is answered ``"quarantined":
+        true`` whatever its exception type — the stand-in's four, and
+        the engine's own ``SchemaError`` for a non-numeric measure,
+        which passes the schema gate.  A schema-gate rejection and a
+        fail-stop refusal are errors of the request, not quarantined
+        rows, although they raise the same types."""
+        poisons = {
+            "ValueError": ValueError,
+            "RuntimeError": RuntimeError,
+            "TypeError": TypeError,
+            "SchemaError": SchemaError,
+        }
+        spec = EngineSpec(
+            SCHEMA,
+            "svec",
+            checkpoint=CheckpointPolicy(
+                path=str(tmp_path / "ck.json"),
+                journal_dir=str(tmp_path / "wal"),
+            ),
+        )
+        engine = open_engine(spec)
+        inner = engine.facts_for_many
+
+        def facts_for_many(part):
+            for row in part:
+                if row["d0"] in poisons:
+                    raise poisons[row["d0"]](f"poison {row['d0']}")
+            return inner(part)
+
+        engine.facts_for_many = facts_for_many
+        healthy = make_rows(2)
+
+        async def run():
+            server = StreamServer(engine)
+            await server.start()
+            listener = await server.serve_tcp("127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+            async def call(payload):
+                writer.write(json.dumps(payload).encode() + b"\n")
+                await writer.drain()
+                return json.loads(await reader.readline())
+
+            try:
+                poisoned = {
+                    name: await call(
+                        {"op": "ingest",
+                         "row": dict(healthy[0], d0=name)}
+                    )
+                    for name in poisons
+                }
+                # Past the gate, refused by the engine's own check.
+                poisoned["non-numeric"] = await call(
+                    {"op": "ingest", "row": dict(healthy[0], m0="x")}
+                )
+                accepted = await call({"op": "ingest", "row": healthy[0]})
+                gate = await call({"op": "ingest", "row": {"d0": "a0"}})
+                faults.install(
+                    [{"point": "journal.append", "action": "corrupt"}]
+                )
+                torn = await call({"op": "ingest", "row": healthy[1]})
+                refused = await call({"op": "ingest", "row": healthy[1]})
+            finally:
+                faults.clear()
+                writer.close()
+                await server.stop()
+            return poisoned, accepted, gate, torn, refused, server.stats
+
+        poisoned, accepted, gate, torn, refused, stats = asyncio.run(run())
+        engine.close()
+        assert poisoned == {
+            **{
+                name: {"error": f"poison {name}", "quarantined": True}
+                for name in poisons
+            },
+            "non-numeric": {
+                "error": "non-numeric measure values in ('x', 2)",
+                "quarantined": True,
+            },
+        }
+        assert stats.rows_quarantined == len(poisons) + 1
+        assert accepted["tid"] == 0
+        for reply in (gate, torn, refused):
+            assert sorted(reply) == ["error"]
+        assert "torn mid-record" in torn["error"]
+        assert "accepts no further writes" in refused["error"]
+
 
 class TestStatsThroughMiddleware:
     """A window or query-cache layer over a sharded engine: ``stats``
@@ -643,7 +793,7 @@ REPLY_KEYS = {
     "facts_emitted",
     "gateway_frames_coalesced", "gateway_frames_dropped",
     "gateway_frames_sent", "gateway_http_requests", "gateway_subscribers",
-    "mean_batch_rows", "ops_replayed", "processed_rows",
+    "mean_batch_rows", "ops_replayed", "replay_errors", "processed_rows",
     "start_rss_mb", "engine_cpu_s", "process_cpu_s",
     "query_cache_evictions", "query_cache_hits", "query_cache_misses",
     "queue_depth", "queue_depth_max", "replica_failovers",
