@@ -476,7 +476,8 @@ def cmd_serve(args) -> int:
         )
         if recovery is not None:
             server.stats.ops_replayed = recovery.ops_replayed
-            server.stats.replay_errors = len(recovery.replay_errors)
+            for error in recovery.replay_errors:
+                server.stats.fail("replay_errors", error)
         await server.start()
         listener = None
         if args.port is not None:

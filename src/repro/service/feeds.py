@@ -768,20 +768,16 @@ class FeedStore:
                 ],
             }
 
-    def save_sidecar(self, path: str, version: Tuple[int, int]) -> bool:
+    def save_sidecar(self, path: str, version: Tuple[int, int]) -> None:
         """Write the sidecar crash-consistently next to the engine
         checkpoint, through the checkpoint's own
-        :func:`~repro.service.journal.atomic_write`.  Best-effort:
-        non-JSON dimension values (or disk trouble) skip the sidecar —
-        restore then rebuilds instead."""
+        :func:`~repro.service.journal.atomic_write`.  Non-JSON dimension
+        values raise ``TypeError`` / ``ValueError``, disk trouble
+        ``OSError``; restore then rebuilds instead."""
         from .journal import atomic_write
 
-        try:
-            payload = json.dumps(self.to_doc(version))
-            atomic_write(path, lambda fh: fh.write(payload))
-        except (TypeError, ValueError, OSError):
-            return False
-        return True
+        payload = json.dumps(self.to_doc(version))
+        atomic_write(path, lambda fh: fh.write(payload))
 
     def restore_doc(self, doc: dict, version: Tuple[int, int]) -> bool:
         """Load standings from a sidecar doc iff its stamp matches the

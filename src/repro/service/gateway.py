@@ -59,6 +59,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..core.config import check_reporting_policy
+from .server import cancel_tasks
 
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
@@ -235,16 +236,11 @@ class FeedGateway:
         if self._listener is None:
             return
         self._listener.close()
+        # Handlers first: from Python 3.12.1 wait_closed() also waits
+        # for every connection to close.
+        await cancel_tasks(self._conn_tasks)
         await self._listener.wait_closed()
         self._listener = None
-        for task in list(self._conn_tasks):
-            task.cancel()
-        for task in list(self._conn_tasks):
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
-        self._conn_tasks.clear()
         self._subscribers.clear()
         self.stats.gateway_subscribers = 0
 
@@ -267,7 +263,9 @@ class FeedGateway:
                 elif len(conn.dirty) >= MAX_PENDING_SEGMENTS:
                     # Bounded memory: collapse the backlog into one
                     # resync snapshot instead of queueing further.
-                    self.stats.gateway_frames_dropped += len(conn.dirty) + 1
+                    self.stats.fail(
+                        "gateway_frames_dropped", n=len(conn.dirty) + 1
+                    )
                     conn.dirty.clear()
                     conn.resync = True
                 else:
@@ -350,6 +348,9 @@ class FeedGateway:
         return method, parts.path, query, headers
 
     async def _respond(self, writer, status: int, payload: dict) -> None:
+        if 400 <= status < 500:
+            # A refused request; a 503 is answer()'s reply, counted there.
+            self.stats.fail("request_errors", payload["error"])
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
                   405: "Method Not Allowed",
                   431: "Request Header Fields Too Large",
@@ -479,11 +480,7 @@ class FeedGateway:
         except (asyncio.IncompleteReadError, ConnectionError):
             pass
         finally:
-            pump.cancel()
-            try:
-                await pump
-            except (asyncio.CancelledError, Exception):
-                pass
+            await cancel_tasks({pump})
             self._conn_tasks.discard(pump)
             self._subscribers.discard(conn)
             self.stats.gateway_subscribers -= 1

@@ -409,7 +409,7 @@ def apply_rows(engine, rows: List[dict]) -> Iterator[Tuple[str, int, object]]:
     start = engine.arrivals
     try:
         fact_sets = engine.facts_for_many(rows)
-    except Exception as exc:
+    except Exception as exc:  # whatever a row raises: lost or failed
         error = exc
     else:
         for factset in fact_sets:
@@ -422,7 +422,7 @@ def apply_rows(engine, rows: List[dict]) -> Iterator[Tuple[str, int, object]]:
         tid = engine.arrivals
         try:
             (factset,) = engine.facts_for_many([row])
-        except Exception as exc:
+        except Exception as exc:  # the row's outcome, classed by the caller
             yield ("lost" if engine.arrivals > tid else "failed"), tid, exc
         else:
             yield "ok", tid, factset
@@ -469,7 +469,7 @@ def replay_ops(engine, ops: List[dict], report: Optional[RecoveryReport] = None)
             if kind != "delete":
                 raise ValueError(f"unknown journal op {kind!r}")
             engine.delete(op["tid"])
-        except Exception as exc:
+        except Exception as exc:  # replay_errors
             failed(op, exc)
         else:
             report.ops_replayed += 1

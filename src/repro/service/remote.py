@@ -219,7 +219,7 @@ class ShardHost:
                         f"worker not configured (op {op!r} before 'configure')"
                     )
                 return "ok", self._engine.apply(op, payload)
-            except Exception as exc:
+            except Exception as exc:  # an error reply to the router
                 return "error", f"{type(exc).__name__}: {exc}"
 
     def _configure(self, spec: Mapping[str, object]) -> Dict[str, object]:

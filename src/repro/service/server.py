@@ -81,6 +81,23 @@ _FLAT_NAMES = {
 }
 
 
+def _integer(message: dict, name: str, default=None) -> int:
+    """``message[name]`` if it is a JSON integer (a bool is not)."""
+    value = message.get(name, default)
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
+async def cancel_tasks(tasks: set) -> None:
+    """Cancel ``tasks``, wait them out, empty the set.  A connection
+    handler ends quietly on it: asyncio's streams report a cancelled one."""
+    for task in tasks:
+        task.cancel()
+    await asyncio.gather(*tasks, return_exceptions=True)
+    tasks.clear()
+
+
 def _settle(future, result=None, error=None) -> None:
     """Resolve a caller's future (fire-and-forget ops have none)."""
     if future is not None and not future.done():
@@ -117,7 +134,8 @@ class Subscription:
 
     ``max_pending`` bounds the delivery buffer: a subscriber consuming
     slower than the ingest rate loses the *oldest* undelivered events
-    (counted in :attr:`dropped`) instead of growing memory without
+    (counted in :attr:`dropped` and the server's
+    ``subscriber_events_dropped``) instead of growing memory without
     limit — the ingest side's ``queue_limit`` backpressure would
     otherwise be defeated by one stalled consumer.
     """
@@ -144,7 +162,7 @@ class Subscription:
         while self._queue.qsize() >= self._max_pending:
             self._queue.get_nowait()
             self.dropped += 1
-            self._server.stats.subscriber_events_dropped += 1
+            self._server.stats.fail("subscriber_events_dropped")
         self._queue.put_nowait(event)
 
     def close(self) -> None:
@@ -251,12 +269,9 @@ class StreamServer:
         self._engine_thread: Optional[ThreadPoolExecutor] = None
         self._subscriptions: set = set()
         self._tcp_servers: List[asyncio.AbstractServer] = []
+        self._conn_tasks: set = set()
         self._stopped = asyncio.Event()
         self._running = False
-        #: Last engine-side processing failure (surfaced in stats; rows
-        #: of a failed batch are dropped, waiting callers see the
-        #: exception).
-        self.last_error: Optional[Exception] = None
         #: Set once, by the fail-stop in :meth:`_run`: why every later
         #: write is refused.
         self._write_error: Optional[Exception] = None
@@ -304,11 +319,7 @@ class StreamServer:
         if drain:
             await self._queue.join()
         if self._checkpointer is not None:
-            self._checkpointer.cancel()
-            try:
-                await self._checkpointer
-            except asyncio.CancelledError:
-                pass
+            await cancel_tasks({self._checkpointer})
             self._checkpointer = None
         await self._queue.put(_STOP)
         await self._consumer
@@ -325,6 +336,10 @@ class StreamServer:
             sub.close()
         for server in self._tcp_servers:
             server.close()
+        # Handlers first: from Python 3.12.1 wait_closed() also waits
+        # for every connection to close.
+        await cancel_tasks(self._conn_tasks)
+        for server in self._tcp_servers:
             await server.wait_closed()
         self._tcp_servers.clear()
         self._stopped.set()
@@ -404,16 +419,14 @@ class StreamServer:
         """Liveness — the reply of the TCP ``health`` op and the
         gateway's ``GET /healthz``: ``ok`` is false once the server
         stopped or refuses writes after a failed journal append."""
-        health = {
+        return {
             "ok": self._running and self._write_error is None,
             "running": self._running,
             "table_rows": len(self.engine.table),
             "queue_depth": self._queue.qsize() if self._queue else 0,
             "degraded": self.engine.degraded,
+            "last_error": self.stats.last_error,
         }
-        if self.last_error is not None:
-            health["last_error"] = str(self.last_error)
-        return health
 
     def _stats_snapshot(self) -> dict:
         tree = self.engine.stats()
@@ -444,8 +457,6 @@ class StreamServer:
         snap["queue_depth"] = self._queue.qsize() if self._queue else 0
         if self.journal is not None:
             snap["journal_seq"] = self.journal.last_seq
-        if self.last_error is not None:
-            snap["last_error"] = str(self.last_error)
         return snap
 
     async def _on_engine(self, job):
@@ -513,7 +524,7 @@ class StreamServer:
                         await self._apply_batch(group)
                     else:
                         await self._apply_delete(item)
-                except Exception as exc:
+                except Exception as exc:  # journal_failures: fail-stop
                     # Fail-stop for writes.  The job died after the
                     # engine applied it — in practice at the journal
                     # append or commit (disk full, torn record) — so its
@@ -523,8 +534,9 @@ class StreamServer:
                     # This group, everything queued behind it and every
                     # later write are refused; reads, drain() and stop()
                     # keep working; a restart recovers every
-                    # acknowledged op.
-                    self._write_error = self.last_error = exc
+                    # acknowledged op.  Each refusal is a request_errors.
+                    self._write_error = exc
+                    self.stats.fail("journal_failures", exc)
             if self._write_error is not None:
                 for _, _, future in group:
                     _settle(future, error=self._refusal())
@@ -548,20 +560,20 @@ class StreamServer:
             record = factset.record
             try:
                 facts = select_reportable(factset, config)
-            except Exception as exc:
-                # The row is applied; only its facts are lost.
-                self.last_error = exc
-                return lost(record)
+            except Exception as exc:  # rows_lost: applied, facts gone
+                return lost(record, exc)
             if feeds is not None:
                 changed.update(feeds.apply_event(record, factset))
             return "ok", (record, facts)
 
-        def lost(record):
-            # An applied row whose S_t is gone: the feeds queue it, in
-            # arrival order, for a refresh from the engine at repair.
+        def lost(record, error):
+            # Applied, S_t gone (its slice failed after applying it, or
+            # its selection failed): acked with no facts; the feeds
+            # refresh it from the engine at repair, in arrival order.
+            self.stats.fail("rows_lost", error)
             if feeds is not None:
                 changed.update(feeds.apply_event(record, None))
-            return "lost", record
+            return "lost", (record, [])
 
         def job():
             outcomes = []
@@ -577,13 +589,12 @@ class StreamServer:
                     if outcome == "ok":
                         outcomes.append(answer(value))
                         continue
-                    self.last_error = value
                     if outcome == "lost":
                         # Still live: a layer that evicts or retracts
                         # has one-row slices, so nothing ran after it.
-                        outcomes.append(lost(engine.table.get(tid)))
+                        outcomes.append(lost(engine.table.get(tid), value))
                         continue
-                    self.stats.rows_quarantined += 1
+                    self.stats.fail("rows_quarantined", value)
                     self._dead_letter(row, value)
                     outcomes.append(("quarantined", value))
                 # Gone before the next slice's call.
@@ -616,16 +627,8 @@ class StreamServer:
                 _settle(future, error=result)
             else:
                 accepted += 1
-                if kind == "lost":
-                    # Applied to the engine, but its facts are
-                    # unrecoverable (its slice failed after applying
-                    # it, or its selection failed): acknowledge with
-                    # an empty fact set (the op is journaled; state is
-                    # exact).
-                    event = FactEvent(result, [])
-                else:
-                    event = FactEvent(*result)
-                    emitted += len(event.facts)
+                event = FactEvent(*result)
+                emitted += len(event.facts)
                 _settle(future, event)
                 for subscription in list(self._subscriptions):
                     subscription._publish(event)
@@ -648,8 +651,7 @@ class StreamServer:
                 fh.write(json.dumps(entry, default=repr) + "\n")
                 fh.flush()
         except OSError as exc:
-            self.stats.dead_letter_failures += 1
-            self.last_error = exc
+            self.stats.fail("dead_letter_failures", exc)
 
     async def _apply_delete(self, item) -> None:
         _, tid, future = item
@@ -657,7 +659,7 @@ class StreamServer:
         def job():
             try:
                 removed = self.engine.delete(tid)
-            except Exception as exc:
+            except Exception as exc:  # the caller's: request_errors
                 # E.g. an unknown tid: nothing was applied, so nothing
                 # is journaled and only this caller hears of it.
                 return exc, None
@@ -718,9 +720,12 @@ class StreamServer:
             if self.feeds is not None:
                 # Sidecar stamped with the engine version the feeds
                 # describe; a mismatch on restore triggers a rebuild.
-                self.feeds.save_sidecar(
-                    path + ".feeds", self.engine.version
-                )
+                try:
+                    self.feeds.save_sidecar(
+                        path + ".feeds", self.engine.version
+                    )
+                except (TypeError, ValueError, OSError) as exc:
+                    self.stats.fail("sidecar_failures", exc)
             if seq is not None:
                 # Anchor segment rotation: ops <= seq are now durable in
                 # the snapshot, their segments can be pruned.  Inside
@@ -730,11 +735,10 @@ class StreamServer:
 
         try:
             await self._on_engine(write)
-        except Exception as exc:
+        except Exception as exc:  # checkpoint_failures
             # A failed checkpoint must not kill the service: the
             # previous one is intact and the journal keeps growing.
-            self.last_error = exc
-            self.stats.checkpoint_failures += 1
+            self.stats.fail("checkpoint_failures", exc)
             return
         self.stats.checkpoints += 1
 
@@ -761,7 +765,7 @@ class StreamServer:
                 records = queries.skyline(constraint, subspace)
                 return {"tids": [record.tid for record in records]}
             if kind == "skyband":
-                k = int(message.get("k", 2))
+                k = _integer(message, "k", 2)
                 records = queries.skyband(constraint, subspace, k)
                 return {"tids": [record.tid for record in records], "k": k}
             if kind == "prominence":
@@ -781,7 +785,8 @@ class StreamServer:
         gateway's ``{"op": "health"}`` / ``{"op": "stats"}``.  ``op``
         (default ``ingest``: a bare row) picks the handler in ``_OPS``.
         Any failure is the reply ``{"error": str(exc)}``, plus
-        ``"quarantined": true`` when the row's batch quarantined it."""
+        ``"quarantined": true`` when the row's batch quarantined it (and
+        counted it); any other is a ``request_errors``."""
         try:
             if not isinstance(message, dict):
                 raise TypeError("a request must be a JSON object")
@@ -789,10 +794,12 @@ class StreamServer:
             if op not in self._OPS:
                 raise ValueError(f"unknown op {op!r}")
             return await getattr(self, self._OPS[op])(message)
-        except Exception as exc:
+        except Exception as exc:  # request_errors, or rows_quarantined
             reply = {"error": str(exc)}
             if getattr(exc, "quarantined", False) is True:
                 reply["quarantined"] = True
+            else:
+                self.stats.fail("request_errors", exc)
             return reply
 
     async def _op_ingest(self, message: dict) -> dict:
@@ -809,7 +816,7 @@ class StreamServer:
         return {"tid": event.tid, "facts": facts}
 
     async def _op_delete(self, message: dict) -> dict:
-        tid = int(message["tid"])
+        tid = _integer(message, "tid")
         await self.delete(tid)
         return {"deleted": tid}
 
@@ -858,6 +865,8 @@ class StreamServer:
             writer.write(json.dumps(payload).encode() + b"\n")
             await writer.drain()
 
+        task = asyncio.current_task()
+        self._conn_tasks.add(task)
         try:
             while True:
                 try:
@@ -874,9 +883,9 @@ class StreamServer:
                 except ValueError:
                     # StreamReader refused a line past the limit and
                     # the stream may now sit mid-line: answer, close.
-                    await reply(
-                        {"error": f"line longer than {MAX_LINE_BYTES} bytes"}
-                    )
+                    error = f"line longer than {MAX_LINE_BYTES} bytes"
+                    self.stats.fail("request_errors", error)
+                    await reply({"error": error})
                     break
                 if not line:
                     break
@@ -887,17 +896,20 @@ class StreamServer:
                     message = json.loads(line)
                 except (ValueError, RecursionError):
                     # RecursionError: nesting past the decoder's stack.
+                    self.stats.fail("request_errors", "invalid JSON")
                     await reply({"error": "invalid JSON"})
                     continue
                 answer = await self.answer(message)
                 await reply(answer)
                 if "stopping" in answer:
                     break
-        except (ConnectionResetError, asyncio.IncompleteReadError):
+        except (ConnectionError, EOFError, asyncio.CancelledError):
+            # CancelledError is stop()'s own; streams would log a re-raise.
             pass
         finally:
+            self._conn_tasks.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionResetError, OSError):  # pragma: no cover
+            except (OSError, asyncio.CancelledError):  # pragma: no cover
                 pass

@@ -392,7 +392,7 @@ class ShardedDiscoverer(EngineBase):
             try:
                 chunk = list(itertools.islice(rows, self.chunk_size))
                 records, payload = self._admit(chunk) if chunk else ([], [])
-            except Exception:
+            except Exception:  # re-raised once the pending chunk merged
                 # A bad row (or row iterator) must not leave a
                 # submitted chunk unmerged — collect it first so the
                 # router, counter and workers stay consistent, exactly

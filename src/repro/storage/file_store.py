@@ -179,5 +179,5 @@ class FileSkylineStore(SkylineStore):
     def __del__(self) -> None:  # pragma: no cover - best effort
         try:
             self.close()
-        except Exception:
+        except Exception:  # no class: a finalizer must not raise
             pass

@@ -1058,15 +1058,15 @@ class TestPoisonRows:
                 await server.ingest(row)
             await server.delete(3)
             await server.drain()
-            stats = server.stats
+            stats = await server.read_stats()
             live_counters = server.engine.counters.snapshot()
             await server.stop(drain=False)
             server.engine.close()
             return stats, live_counters
 
         stats, live_counters = asyncio.run(run())
-        assert stats.rows_quarantined == len(poison)
-        assert stats.processed_rows == len(healthy)
+        assert stats["rows_quarantined"] == len(poison)
+        assert stats["processed_rows"] == len(healthy)
         # Each poison row lands in the dead-letter file exactly once,
         # with enough context to retry it by hand.
         entries = [json.loads(line) for line in dead.read_text().splitlines()]
@@ -1176,7 +1176,9 @@ class TestPoisonRows:
                 expected.append([fact_key(f) for f in factset.ranked()])
         oracle.repair(ref)
         assert isinstance(results[13], ValueError)
-        assert server.stats.rows_quarantined == 1
+        snap = server.stats.snapshot()
+        assert snap["rows_quarantined"] == 1
+        assert snap["rows_lost"] == len(lost)
         events = results[:13] + results[14:]
         assert [event.tid for event in events] == list(range(len(healthy)))
         assert [[fact_key(f) for f in e.facts] for e in events] == expected
@@ -1222,8 +1224,9 @@ class TestPoisonRows:
         assert lost == {"d0": rows[1]["d0"], "total": rows[1]["m0"]}
         assert [fact_key(f) for f in events[2].facts] == expected
         assert health["ok"], health
-        assert isinstance(server.last_error, ValueError)
-        assert server.stats.rows_quarantined == 0
+        snap = server.stats.snapshot()
+        assert snap["last_error"] == "facts lost after the row applied"
+        assert (snap["rows_lost"], snap["rows_quarantined"]) == (1, 0)
 
     def test_failed_selection_loses_only_that_rows_facts(self, monkeypatch):
         """A row whose reportable-fact selection raises was applied: it
@@ -1259,7 +1262,10 @@ class TestPoisonRows:
         server, events = asyncio.run(run())
         engine.close()
         assert server.stats.batches == 2
-        assert isinstance(server.last_error, RuntimeError)
+        snap = server.stats.snapshot()
+        assert snap["last_error"] == "selection failed"
+        assert snap["failure_causes"]["rows_lost"] == "selection failed"
+        assert snap["rows_lost"] == 1
 
         ref = FactDiscoverer(SCHEMA, algorithm="svec")
         oracle = feed_oracle.FeedStore.for_engine(ref, feed_spec)

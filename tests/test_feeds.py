@@ -291,7 +291,7 @@ class TestSidecar:
             ],
         )
         path = str(tmp_path / "feeds.json")
-        assert store.save_sidecar(path, engine.version)
+        store.save_sidecar(path, engine.version)
         fresh = FeedStore.for_engine(engine)
         assert fresh.load_sidecar(path, engine)
         assert store_segments(fresh) == store_segments(store)
@@ -303,7 +303,7 @@ class TestSidecar:
         factset = engine.facts_for({"d0": "a", "d1": "x", "m0": 1, "m1": 2})
         store.apply_event(factset.record, factset)
         path = str(tmp_path / "feeds.json")
-        assert store.save_sidecar(path, engine.version)
+        store.save_sidecar(path, engine.version)
         engine.facts_for({"d0": "b", "d1": "y", "m0": 2, "m1": 1})
         fresh = FeedStore.for_engine(engine)
         assert not fresh.load_sidecar(path, engine)
@@ -328,7 +328,7 @@ class TestSidecar:
             journal, "_fsync_dir", lambda directory: calls.append(directory)
         )
         path = str(tmp_path / "feeds.json")
-        assert store.save_sidecar(path, engine.version)
+        store.save_sidecar(path, engine.version)
         assert calls == [(f"{path}.tmp.{os.getpid()}", path), str(tmp_path)]
         assert os.listdir(tmp_path) == ["feeds.json"]
 

@@ -2,10 +2,12 @@
 
 import dataclasses
 
+import pytest
+
 from repro import OpCounters, TableSchema, make_algorithm
 from repro.core.record import Record
 from repro.metrics.memory import approximate_store_bytes, record_bytes
-from repro.metrics.service import ServiceStats
+from repro.metrics.service import FAILURE_CLASSES, ServiceStats
 
 
 class TestOpCounters:
@@ -37,22 +39,63 @@ class TestServiceStatsSnapshot:
         added later cannot be left off the ``stats`` op — and the fields
         are the server's and gateway's own tallies, nothing the engine
         counts."""
-        names = [f.name for f in dataclasses.fields(ServiceStats)]
+        tallies = {"failures", "failure_causes", "last_error"}
+        names = [
+            f.name for f in dataclasses.fields(ServiceStats)
+            if f.name not in tallies
+        ]
         assert set(names) == {
             "enqueued", "processed_rows", "batches", "batch_rows_max",
-            "queue_depth_max", "deletes", "checkpoints",
-            "checkpoint_failures", "facts_emitted",
-            "subscriber_events_dropped", "rows_quarantined",
-            "dead_letter_failures", "ops_replayed", "replay_errors",
-            "gateway_subscribers", "gateway_frames_sent",
-            "gateway_frames_coalesced", "gateway_frames_dropped",
-            "gateway_http_requests", "start_rss_mb", "engine_cpu_s",
+            "queue_depth_max", "deletes", "checkpoints", "facts_emitted",
+            "ops_replayed", "gateway_subscribers", "gateway_frames_sent",
+            "gateway_frames_coalesced", "gateway_http_requests",
+            "start_rss_mb", "engine_cpu_s",
         }
+        assert {f.name for f in dataclasses.fields(ServiceStats)} >= tallies
         stats = ServiceStats(**{name: i + 1 for i, name in enumerate(names)})
         snap = stats.snapshot()
         assert {name: snap[name] for name in names} == {
             name: i + 1 for i, name in enumerate(names)
         }
+
+    def test_every_failure_class_is_flat_in_the_snapshot(self):
+        """``fail`` is the one way a failure is counted: each class is
+        a flat key (the six older names included), its latest cause
+        sits under ``failure_causes``, and the latest cause of any
+        class is ``last_error``.  A class that is not declared is an
+        error, not a new key."""
+        assert set(FAILURE_CLASSES) == {
+            "rows_quarantined", "rows_lost", "dead_letter_failures",
+            "sidecar_failures", "checkpoint_failures", "journal_failures",
+            "replay_errors", "request_errors", "subscriber_events_dropped",
+            "gateway_frames_dropped",
+        }
+        stats = ServiceStats()
+        snap = stats.snapshot()
+        assert {name: snap[name] for name in FAILURE_CLASSES} == dict.fromkeys(
+            FAILURE_CLASSES, 0
+        )
+        assert snap["failure_causes"] == dict.fromkeys(FAILURE_CLASSES)
+        assert snap["last_error"] is None
+        stats.fail("checkpoint_failures", OSError("disk full"))
+        stats.fail("gateway_frames_dropped", n=3)
+        stats.fail("rows_lost", ValueError("gone"))
+        snap = stats.snapshot()
+        assert (snap["checkpoint_failures"], snap["gateway_frames_dropped"],
+                snap["rows_lost"]) == (1, 3, 1)
+        assert snap["failure_causes"]["checkpoint_failures"] == "disk full"
+        assert snap["failure_causes"]["gateway_frames_dropped"] is None
+        assert snap["last_error"] == "gone"
+        assert "failures" not in snap
+        # A client's bad request keeps its cause but hides no server
+        # failure behind it.
+        stats.fail("request_errors", "invalid JSON")
+        snap = stats.snapshot()
+        assert snap["request_errors"] == 1
+        assert snap["failure_causes"]["request_errors"] == "invalid JSON"
+        assert snap["last_error"] == "gone"
+        with pytest.raises(KeyError):
+            stats.fail("no_such_class", "x")
 
     def test_cpu_seconds(self):
         """The engine thread's tally beside the whole process's CPU

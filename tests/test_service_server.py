@@ -29,6 +29,7 @@ from repro.service import (
     faults,
     fetch_json,
 )
+from repro.metrics.service import FAILURE_CLASSES
 from repro.service.server import MAX_LINE_BYTES
 from tests.strategies import SERVICE_SCHEMA as SCHEMA, make_rows, open_router
 
@@ -572,9 +573,9 @@ class TestTcpFrontend:
                 writer.close()
             finally:
                 await server.stop()
-            # A copy: asyncio.run cancels the handler tasks still open
-            # on exit, which is teardown, not the server.
-            return raw, health, list(unhandled)
+            # The list itself: it must stay empty through asyncio.run's
+            # teardown too, since stop() ended every handler.
+            return raw, health, unhandled
 
         raw, health, unhandled = asyncio.run(run())
         assert [json.loads(line) for line in raw.splitlines()] == [
@@ -582,6 +583,76 @@ class TestTcpFrontend:
         ]
         assert health["ok"] is True and health["table_rows"] == 0
         assert unhandled == []
+
+    def test_stop_closes_connections_left_open(self):
+        """``stop()`` ends its own TCP handlers: a client still
+        connected reads EOF, and the loop's exception handler records
+        nothing, through ``asyncio.run``'s teardown included (a handler
+        left for the teardown to cancel used to reach it)."""
+
+        async def run():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            server = StreamServer(FactDiscoverer(SCHEMA, algorithm="svec"))
+            await server.start()
+            listener = await server.serve_tcp("127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b'{"op": "ping"}\n')
+            pong = json.loads(await asyncio.wait_for(reader.readline(), 5))
+            await server.stop()
+            eof = await asyncio.wait_for(reader.read(), 2)
+            writer.close()
+            return pong, eof, unhandled
+
+        pong, eof, unhandled = asyncio.run(run())
+        assert pong == {"ok": True}
+        assert eof == b""
+        assert unhandled == []
+
+    def test_integer_fields_refuse_other_json_values(self):
+        """``tid`` and ``k`` must be JSON integers: a float, a string
+        or a bool is refused with one error reply (it used to be cut by
+        ``int()``, so ``1.9`` and ``true`` deleted tuple 1 and ``"2"``
+        tuple 2), and the table is unchanged after each refusal."""
+        refused = [
+            {"op": "delete", "tid": 1.9},
+            {"op": "delete", "tid": "2"},
+            {"op": "delete", "tid": True},
+            {"op": "delete", "tid": 1.0},
+            {"op": "delete"},
+            {"op": "query", "q": "d0=a0 | m0", "kind": "skyband", "k": 2.0},
+            {"op": "query", "q": "d0=a0 | m0", "kind": "skyband", "k": "2"},
+            {"op": "query", "q": "d0=a0 | m0", "kind": "skyband", "k": True},
+        ]
+
+        async def run():
+            engine = FactDiscoverer(SCHEMA, algorithm="svec")
+            server = StreamServer(engine)
+            await server.start()
+            await server.ingest_many(make_rows(3))
+            await server.drain()
+            replies, tables = [], []
+            for message in refused:
+                replies.append(await server.answer(message))
+                tables.append([record.tid for record in engine.table])
+            skyband = await server.answer(
+                {"op": "query", "q": "d0=a0 | m0", "kind": "skyband", "k": 2}
+            )
+            deleted = await server.answer({"op": "delete", "tid": 1})
+            await server.stop()
+            return replies, tables, skyband, deleted, server.stats.snapshot()
+
+        replies, tables, skyband, deleted, snap = asyncio.run(run())
+        assert [sorted(reply) for reply in replies] == [["error"]] * len(refused)
+        assert "tid must be an integer, not 1.9" in replies[0]["error"]
+        assert "k must be an integer, not True" in replies[-1]["error"]
+        assert tables == [[0, 1, 2]] * len(refused)
+        assert skyband["k"] == 2
+        assert deleted == {"deleted": 1}
+        assert snap["request_errors"] == len(refused)
 
     def test_hostile_lines_each_get_one_error_line(self):
         """Malformed and hostile lines on one connection: each gets
@@ -726,7 +797,7 @@ class TestTcpFrontend:
                 "quarantined": True,
             },
         }
-        assert stats.rows_quarantined == len(poisons) + 1
+        assert stats.snapshot()["rows_quarantined"] == len(poisons) + 1
         assert accepted["tid"] == 0
         for reply in (gate, torn, refused):
             assert sorted(reply) == ["error"]
@@ -798,6 +869,10 @@ REPLY_KEYS = {
     "query_cache_evictions", "query_cache_hits", "query_cache_misses",
     "queue_depth", "queue_depth_max", "replica_failovers",
     "rows_quarantined", "table_rows", "worker_restarts",
+    # Every failure class, their latest causes and the latest of all.
+    "checkpoint_failures", "subscriber_events_dropped", "rows_lost",
+    "sidecar_failures", "journal_failures", "request_errors",
+    "failure_causes", "last_error",
 }
 if os.path.exists("/proc/self/status"):
     REPLY_KEYS |= {"rss_mb", "peak_rss_mb"}
@@ -1000,9 +1075,11 @@ class TestStatsReply:
         assert http == "HTTP 503 for /stats: shard 1 gave up"
 
     def test_query_after_stop_is_refused(self):
-        """A connection left open across ``stop()`` gets an error for a
-        query: the engine thread is shut down, and the query must not
-        run on another thread beside whoever closes the engine."""
+        """After ``stop()`` a query gets an error: the engine thread is
+        shut down, and the query must not run on another thread beside
+        whoever closes the engine.  A connection left open across
+        ``stop()`` is closed by it, so the refusal is asked through
+        ``answer``."""
         engine = FactDiscoverer(SCHEMA, algorithm="svec")
 
         async def run():
@@ -1011,23 +1088,195 @@ class TestStatsReply:
             listener = await server.serve_tcp("127.0.0.1", 0)
             port = listener.sockets[0].getsockname()[1]
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
-
-            async def call(payload):
-                writer.write(json.dumps(payload).encode() + b"\n")
-                await writer.drain()
-                return json.loads(await reader.readline())
-
-            assert "tid" in await call({"op": "ingest", "row": make_rows(1)[0]})
-            closed = server.subscribe()
-            stopping = asyncio.create_task(server.stop())
-            async for _ in closed:  # ends once stop() shut the engine thread
-                pass
-            query = await call({"op": "query", "q": "d0=a1 | m0"})
-            pong = await call({"op": "ping"})
+            writer.write(
+                json.dumps({"op": "ingest", "row": make_rows(1)[0]}).encode()
+                + b"\n"
+            )
+            assert "tid" in json.loads(await reader.readline())
+            await server.stop()
+            eof = await asyncio.wait_for(reader.read(), 5)
             writer.close()
-            await stopping
-            return query, pong
+            query = await server.answer({"op": "query", "q": "d0=a1 | m0"})
+            pong = await server.answer({"op": "ping"})
+            return eof, query, pong
 
-        query, pong = asyncio.run(run())
+        eof, query, pong = asyncio.run(run())
+        assert eof == b""
         assert "after shutdown" in query["error"]
         assert pong == {"ok": True}
+
+
+def failing_sidecar(monkeypatch):
+    """Make the checkpoint's ``atomic_write`` raise for the feed
+    sidecar (``<checkpoint>.feeds``) only."""
+    from repro.service import journal
+
+    write = journal.atomic_write
+
+    def atomic_write(path, fill):
+        if path.endswith(".feeds"):
+            raise OSError(f"injected: cannot write {path}")
+        return write(path, fill)
+
+    monkeypatch.setattr(journal, "atomic_write", atomic_write)
+
+
+class TestFailureTally:
+    """Every failure the service survives is counted by
+    ``ServiceStats.fail`` in exactly one class, with its cause."""
+
+    def test_failed_sidecar_write_is_counted(self, tmp_path, monkeypatch):
+        """A feed sidecar the checkpoint could not write is recorded
+        with its cause; the checkpoint itself still counts as written
+        (restore rebuilds the feeds from it)."""
+        failing_sidecar(monkeypatch)
+        path = str(tmp_path / "ck.json")
+        engine = open_engine(
+            EngineSpec(
+                SCHEMA,
+                "svec",
+                feeds=FeedSpec(group_by=("d0",)),
+                checkpoint=CheckpointPolicy(path),
+            )
+        )
+
+        async def run():
+            server = StreamServer(engine)
+            await server.start()
+            await server.ingest_many(make_rows(4))
+            await server.drain()
+            await server._checkpoint()
+            snap = await server.read_stats()
+            await server.stop(drain=False)
+            return snap
+
+        snap = asyncio.run(run())
+        engine.close()
+        assert snap["checkpoints"] == 1
+        assert snap["checkpoint_failures"] == 0
+        assert snap["sidecar_failures"] == 1
+        cause = snap["failure_causes"]["sidecar_failures"]
+        assert cause == f"injected: cannot write {path}.feeds"
+        assert snap["last_error"] == cause
+        assert os.path.exists(path) and not os.path.exists(path + ".feeds")
+
+    def test_fault_matrix_counts_each_failure_once(self, tmp_path, monkeypatch):
+        """One scripted run over TCP and the gateway arms every failure
+        the service survives.  Each class reads its exact count, each
+        error answer sits in exactly one request class (quarantined or
+        request error; the journal write that tripped the fail-stop is
+        a write, counted beside the requests it refused), and every
+        class with a cause keeps one."""
+        from tests.test_fault_tolerance import poison_engine
+
+        spec = EngineSpec(
+            SCHEMA,
+            "svec",
+            feeds=FeedSpec(group_by=("d0",)),
+            checkpoint=CheckpointPolicy(
+                path=str(tmp_path / "ck.json"),
+                journal_dir=str(tmp_path / "wal"),
+            ),
+        )
+        engine = poison_engine(spec)
+        good = make_rows(5)
+        poison = {"d0": "POISON", "d1": "b0", "m0": 1, "m1": 1}
+
+        async def run():
+            server = StreamServer(
+                engine, dead_letter_path=str(tmp_path / "no-dir" / "dead")
+            )
+            await server.start()
+            gateway = FeedGateway(server)
+            http = (await gateway.start()).sockets[0].getsockname()[1]
+            listener = await server.serve_tcp("127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            # Never read: each event past the first drops the oldest.
+            server.subscribe(only_facts=False, max_pending=1)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+            async def send(line: bytes) -> dict:
+                writer.write(line + b"\n")
+                await writer.drain()
+                return json.loads(await asyncio.wait_for(reader.readline(), 5))
+
+            async def call(message: dict) -> dict:
+                return await send(json.dumps(message).encode())
+
+            replies = [await call({"op": "ingest", "row": row}) for row in good[:3]]
+            replies.append(await call({"op": "ingest", "row": poison}))
+            replies.append(await call({"op": "ingest", "row": {"d0": "a0"}}))
+            replies.append(await send(b"{not json"))
+            replies.append(await call({"op": "delete", "tid": 999}))
+            replies.append(await call({"op": "delete", "tid": 1.9}))
+            with pytest.raises(ConnectionError, match="400"):
+                await FeedClient.connect("127.0.0.1", http, "/subscribe?tau=abc")
+            # A line past the limit is answered, then its connection closes.
+            r2, w2 = await asyncio.open_connection("127.0.0.1", port)
+            w2.write(b'{"pad": "' + b"x" * MAX_LINE_BYTES + b'"}\n')
+            await w2.drain()
+            replies.append(json.loads(await asyncio.wait_for(r2.readline(), 5)))
+            w2.close()
+            faults.install(
+                [{"point": "checkpoint.write", "action": "corrupt", "times": 1}]
+            )
+            await server._checkpoint()
+            faults.clear()
+            # A client's 404 leaves the checkpoint's cause as last_error.
+            with pytest.raises(ValueError, match="HTTP 404"):
+                await fetch_json("127.0.0.1", http, "/no-such-route")
+            health = await fetch_json("127.0.0.1", http, "/healthz")
+            failing_sidecar(monkeypatch)
+            await server._checkpoint()
+            faults.install([{"point": "journal.append", "action": "corrupt"}])
+            replies.append(await call({"op": "ingest", "row": good[3]}))
+            faults.clear()
+            replies.append(await call({"op": "ingest", "row": good[4]}))
+            snap = (await call({"op": "stats"}))["stats"]
+            writer.close()
+            await gateway.stop()
+            await server.stop()
+            return replies, health, snap
+
+        try:
+            replies, health, snap = asyncio.run(run())
+        finally:
+            faults.clear()
+            engine.close()
+        assert [sorted(reply) for reply in replies] == (
+            [["facts", "tid"]] * 3
+            + [["error", "quarantined"]]
+            + [["error"]] * 7
+        )
+        assert "accepts no further writes" in replies[-1]["error"]
+        assert {name: snap[name] for name in FAILURE_CLASSES} == {
+            "rows_quarantined": 1,  # the poison row
+            "rows_lost": 0,
+            "dead_letter_failures": 1,  # its record, into a missing dir
+            "sidecar_failures": 1,
+            "checkpoint_failures": 1,
+            "journal_failures": 1,  # the torn write
+            "replay_errors": 0,
+            # gate, bad JSON, unknown tid, tid 1.9, bad filter (HTTP
+            # 400), over-long line, unknown route (HTTP 404), the torn
+            # write's refusal and the write refused after it
+            "request_errors": 9,
+            "subscriber_events_dropped": 2,  # 3 events, 1 kept
+            "gateway_frames_dropped": 0,
+        }
+        assert snap["checkpoints"] == 1
+        # Every error answer, over TCP and the HTTP 400 and 404, is in
+        # exactly one request class.
+        answered = sum("error" in reply for reply in replies) + 2
+        assert answered == snap["rows_quarantined"] + snap["request_errors"]
+        causes = snap["failure_causes"]
+        assert {name for name, cause in causes.items() if cause} == {
+            "rows_quarantined", "dead_letter_failures", "sidecar_failures",
+            "checkpoint_failures", "journal_failures", "request_errors",
+        }
+        assert "torn mid-record" in causes["journal_failures"]
+        assert "accepts no further writes" in causes["request_errors"]
+        # last_error is the server's own latest failure, never a
+        # client's bad request.
+        assert health["last_error"] == causes["checkpoint_failures"]
+        assert snap["last_error"] == causes["journal_failures"]
