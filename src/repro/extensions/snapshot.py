@@ -3,11 +3,12 @@
 The snapshot is *logical*: the engine's declarative
 :class:`~repro.api.spec.EngineSpec` plus the input rows in arrival
 order, as one JSON document.  Loading re-opens the spec through
-:func:`repro.api.open_engine` and replays the rows, which rebuilds every
-store exactly (the algorithms are deterministic functions of the
-stream).  This trades reload CPU for a format that is human-readable,
-diff-able, and immune to internal-layout changes — the usual choice for
-moderate table sizes; larger deployments would checkpoint the µ stores
+:func:`repro.api.open_engine` and replays the rows through
+:func:`repro.service.journal.apply_ops`, which rebuilds every store
+exactly (the algorithms are deterministic functions of the stream).
+This trades reload CPU for a format that is human-readable, diff-able,
+and immune to internal-layout changes — the usual choice for moderate
+table sizes; larger deployments would checkpoint the µ stores
 themselves (the file store already persists them).
 
 The format (version 3) embeds the full ``EngineSpec`` (``spec``
@@ -33,7 +34,7 @@ from typing import Optional, Tuple
 from ..api.spec import EngineSpec
 from ..core.engine_protocol import Engine
 from ..service import faults
-from ..service.journal import REPLAY_BLOCK, atomic_write
+from ..service.journal import REPLAY_BLOCK, apply_ops, atomic_write
 
 _FORMAT_VERSION = 3
 
@@ -141,22 +142,23 @@ def load_snapshot(path: str) -> Tuple[Engine, int]:
 
     from ..api.facade import open_engine
 
-    engine = open_engine(spec)
-    start = 0
-    while start < len(rows):
-        # One block per run of consecutive tids (deleted rows leave
-        # gaps), at most REPLAY_BLOCK rows each: facts_for_many is
-        # state-identical to the row-at-a-time loop, a block just
-        # amortises the rebuild.  A failing row aborts the restore.
-        end = min(start + REPLAY_BLOCK, len(rows))
-        if tids is not None:
-            engine.resume_at(tids[start])
-            run = start + 1
-            while run < end and tids[run] == tids[run - 1] + 1:
-                run += 1
-            end = run
-        engine.facts_for_many(rows[start:end])
-        start = end
+    # A resume at each tid gap (rows deleted before the checkpoint).  A
+    # row that fails or loses its facts aborts the restore.
+    ops = []
+    expected = 0
+    for tid, row in zip(tids or range(len(rows)), rows):
+        if tid != expected:
+            ops.append(("resume", tid))
+        ops.append(("ingest", row))
+        expected = tid + 1
     if tids is not None:
-        engine.resume_at(arrivals)
+        ops.append(("resume", arrivals))
+    engine = open_engine(spec)
+    try:
+        for outcome, _, value in apply_ops(engine, ops, REPLAY_BLOCK):
+            if outcome != "ok":
+                raise value
+    except BaseException:
+        engine.close()
+        raise
     return engine, int(doc.get("journal_seq", 0))

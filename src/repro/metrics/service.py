@@ -30,7 +30,7 @@ FAILURE_CLASSES = (
     "rows_quarantined",  # engine thread: discovery refused the row
     "rows_lost",  # engine thread: applied, its facts gone
     "dead_letter_failures",  # engine thread: a quarantined row unrecorded
-    "sidecar_failures",  # engine thread: feed sidecar unwritten
+    "sidecar_failures",  # engine thread: unwritten; loop, at start: unreadable
     "checkpoint_failures",  # loop: the previous checkpoint stays
     "journal_failures",  # loop: the write that tripped the fail-stop
     "replay_errors",  # loop: journal ops recovery skipped

@@ -812,14 +812,21 @@ class FeedStore:
 
     def load_sidecar(self, path: str, engine) -> bool:
         """Restore from ``path`` when its stamp matches ``engine``'s
-        live version; stale/missing/corrupt sidecars report False (the
-        caller rebuilds)."""
+        live version; a missing or stale sidecar reports False (the
+        caller rebuilds).  An unreadable one (not JSON, not a document,
+        a malformed entry) empties the store and raises ``ValueError``
+        naming ``path``: the caller counts it, then rebuilds."""
         try:
             with open(path) as fh:
                 doc = json.load(fh)
-        except (OSError, ValueError):
+            return self.restore_doc(doc, engine.version)
+        except FileNotFoundError:
             return False
-        return self.restore_doc(doc, engine.version)
+        except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+            with self._lock:
+                self._reset()
+                self.applied_arrivals = 0
+            raise ValueError(f"feed sidecar {path!r} is unreadable: {exc!r}")
 
     def rebuild(self, engine) -> None:
         """Recompute standings from the live engine (recovery path when

@@ -12,8 +12,9 @@ recovery therefore reduces to *journaling the prefix*:
 truncated tail (the expected artifact of a crash mid-append) while
 refusing mid-file corruption with an actionable ``ValueError`` — a
 silent partial restore is never an option.  :func:`recover_engine`
-glues the two halves together for the serving layer; replay and the
-server's micro-batches apply rows through one loop, :func:`apply_rows`.
+glues the two halves together for the serving layer; the server's
+micro-batches, replay and snapshot restore apply ops through one loop,
+:func:`apply_ops`.
 
 Frame format (one per op)::
 
@@ -50,7 +51,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import IO, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import IO, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from . import faults
 
@@ -334,8 +335,8 @@ class JournalWriter:
             self._open_segment(seq + 1)
         return seq
 
-    def append_ingest(self, row: Dict[str, object]) -> int:
-        return self.append({"op": "ingest", "row": row})
+    def append_ingest(self, row: Mapping[str, object]) -> int:
+        return self.append({"op": "ingest", "row": dict(row)})
 
     def append_delete(self, tid: int) -> int:
         return self.append({"op": "delete", "tid": int(tid)})
@@ -428,8 +429,39 @@ def apply_rows(engine, rows: List[dict]) -> Iterator[Tuple[str, int, object]]:
             yield "ok", tid, factset
 
 
+def apply_ops(engine, ops, block: int) -> Iterator[Tuple[str, int, object]]:
+    """Apply ``(kind, payload)`` ops in order.  Runs of ``ingest`` rows
+    go through :func:`apply_rows` in blocks of at most ``block`` rows; a
+    ``delete`` tid yields ``("ok", tid, removed)`` or ``("failed", tid,
+    error)`` (not applied); a ``resume`` numbers the next row and yields
+    nothing.  Lazy, like :func:`apply_rows`: the caller acts on each
+    outcome before the next op applies."""
+    rows: List[dict] = []
+    for kind, payload in ops:
+        if kind == "ingest":
+            rows.append(payload)
+            if len(rows) < block:
+                continue
+        if rows:
+            yield from apply_rows(engine, rows)
+            rows = []
+        if kind == "resume":
+            engine.resume_at(payload)
+        elif kind != "ingest":
+            try:
+                if kind != "delete":
+                    raise ValueError(f"unknown op {kind!r}")
+                removed = engine.delete(payload)
+            except Exception as exc:  # the op's outcome, classed by the caller
+                yield "failed", payload, exc
+            else:
+                yield "ok", payload, removed
+    if rows:
+        yield from apply_rows(engine, rows)
+
+
 def replay_ops(engine, ops: List[dict], report: Optional[RecoveryReport] = None):
-    """Apply journal ops to ``engine`` in order (ingest/delete).
+    """Apply journal ops to ``engine`` in order, through :func:`apply_ops`.
 
     A failing op is reported under its own seq and skipped; every
     healthy op around it still applies.  A failed row keeps its tid
@@ -438,42 +470,18 @@ def replay_ops(engine, ops: List[dict], report: Optional[RecoveryReport] = None)
     applied ops only — a row whose facts were lost counts: its state
     is in."""
     report = report if report is not None else RecoveryReport()
-    batch: List[dict] = []
-
-    def failed(op: dict, exc: Exception) -> None:
-        report.replay_errors.append(
-            f"seq {op.get('seq')}: {type(exc).__name__}: {exc}"
-        )
-
-    def flush() -> None:
-        if not batch:
-            return
-        outcomes = apply_rows(engine, [op["row"] for op in batch])
-        for op, (outcome, tid, value) in zip(batch, outcomes):
-            if outcome == "failed":
-                failed(op, value)
-                engine.resume_at(tid + 1)
-            else:
-                report.ops_replayed += 1
-        del batch[:]
-
+    pairs = [(op.get("op"), op.get("row", op.get("tid"))) for op in ops]
+    outcomes = apply_ops(engine, pairs, REPLAY_BLOCK)
     for op in ops:
-        kind = op.get("op")
-        if kind == "ingest":
-            batch.append(op)
-            if len(batch) >= REPLAY_BLOCK:
-                flush()
-            continue
-        flush()
-        try:
-            if kind != "delete":
-                raise ValueError(f"unknown journal op {kind!r}")
-            engine.delete(op["tid"])
-        except Exception as exc:  # replay_errors
-            failed(op, exc)
-        else:
+        outcome, tid, value = next(outcomes)
+        if outcome != "failed":
             report.ops_replayed += 1
-    flush()
+            continue
+        report.replay_errors.append(
+            f"seq {op.get('seq')}: {type(value).__name__}: {value}"
+        )
+        if op.get("op") == "ingest":
+            engine.resume_at(tid + 1)
     return report
 
 

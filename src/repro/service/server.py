@@ -9,9 +9,10 @@ windowed, aggregate, or any composition built by
   ``queue_limit`` rows are waiting, so fast producers feel backpressure
   instead of ballooning memory;
 * **work-conserving micro-batching** — the consumer takes whatever is
-  queued (up to ``batch_max``) into one batch and never waits for more:
-  the next batch forms while the engine is busy, so batches grow with
-  load by themselves and an idle server answers at once.  The batch
+  queued (up to ``batch_max`` ops, rows and deletes alike) into one
+  batch and never waits for more: the next batch forms while the
+  engine is busy, so batches grow with load by themselves and an idle
+  server answers at once.  The batch
   reaches ``facts_for_many`` in slices (one row; one ``chunk_size``
   chunk on a sharded router), and each ``S_t`` is folded and dropped
   as its slice returns, so only one slice's fact sets are ever alive —
@@ -35,10 +36,11 @@ windowed, aggregate, or any composition built by
   ``{"error": …}`` (the CLI ``serve`` / ``ingest`` commands speak this
   protocol).
 
-The engine itself stays single-threaded: each micro-batch or delete is
-one job (engine call, feed fold, journal append + commit) on the
-server's one engine thread — discovery order, and therefore output, is
-exactly the enqueue order, and no ``fsync`` runs on the event loop.
+The engine itself stays single-threaded: each micro-batch is one job
+on the server's one engine thread — its ops applied in queue order
+through :func:`~repro.service.journal.apply_ops`, one feed repair, one
+journal commit — so discovery order, and therefore output, is exactly
+the enqueue order, and no ``fsync`` runs on the event loop.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from ..core.record import Record
 from ..metrics.memory import process_rss_mb
 from ..metrics.service import ServiceStats
 from .feeds import FeedStore
-from .journal import JournalWriter, apply_rows
+from .journal import JournalWriter, apply_ops
 
 _STOP = object()
 
@@ -195,10 +197,11 @@ class StreamServer:
     queue_limit:
         Ingest-queue bound; ``ingest`` awaits (backpressure) when full.
     batch_max:
-        Micro-batch size cap: rows per engine job, group commit and
-        feed repair pass.  The engine sees the batch one slice at a time
-        (one row; one ``chunk_size`` chunk on a sharded router), so this
-        bounds the ops per job, not how many ``S_t`` are alive.
+        Micro-batch size cap: ops (rows and deletes) per engine job,
+        group commit and feed repair pass.  The engine sees the batch
+        one slice at a time (one row; one ``chunk_size`` chunk on a
+        sharded router), so this bounds the ops per job, not how many
+        ``S_t`` are alive.
     dead_letter_path:
         NDJSON file receiving quarantined poison rows — rows that crash
         discovery are retried individually and, still failing, recorded
@@ -295,11 +298,16 @@ class StreamServer:
         if self.feeds is not None and len(self.engine) and not len(self.feeds):
             # Recovered/pre-loaded engine with empty feeds: the sidecar
             # restores them iff its stamp matches the live engine
-            # version; anything else (stale, missing, corrupt) rebuilds
-            # from the engine in one planner batch.
-            if policy is None or not self.feeds.load_sidecar(
-                policy.path + ".feeds", self.engine
-            ):
+            # version; anything else (stale, missing, unreadable, which
+            # counts) rebuilds from the engine in one planner batch.
+            try:
+                loaded = policy is not None and self.feeds.load_sidecar(
+                    policy.path + ".feeds", self.engine
+                )
+            except ValueError as exc:
+                self.stats.fail("sidecar_failures", exc)
+                loaded = False
+            if not loaded:
                 self.feeds.rebuild(self.engine)
         self._queue = asyncio.Queue(maxsize=self.queue_limit)
         self._engine_thread = ThreadPoolExecutor(max_workers=1)
@@ -362,7 +370,7 @@ class StreamServer:
         cannot poison a whole micro-batch later."""
         self._check_running()
         self.engine.schema.project_row(row)
-        await self._queue.put(("row", row, None))
+        await self._queue.put(("ingest", row, None))
         self.stats.note_enqueue(self._queue.qsize())
 
     async def ingest_many(self, rows: Iterable[Mapping[str, object]]) -> None:
@@ -374,7 +382,7 @@ class StreamServer:
         self._check_running()
         self.engine.schema.project_row(row)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        await self._queue.put(("row", row, future))
+        await self._queue.put(("ingest", row, future))
         self.stats.note_enqueue(self._queue.qsize())
         return await future
 
@@ -499,31 +507,18 @@ class StreamServer:
         While a batch is in the engine its successors queue up, so the
         next batch is as large as the load made it (≤ ``batch_max``)."""
         queue = self._queue
-        carry = None
         while True:
-            item = carry if carry is not None else await queue.get()
-            carry = None
-            if item is _STOP:
-                queue.task_done()
-                return
-            group = [item]
-            while item[0] == "row" and len(group) < self.batch_max:
+            group = [await queue.get()]
+            while group[-1] is not _STOP and len(group) < self.batch_max:
                 try:
-                    nxt = queue.get_nowait()
+                    group.append(queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
-                if nxt is _STOP or nxt[0] != "row":
-                    # A deletion (or shutdown) fences the batch: rows
-                    # before it must be discovered first.
-                    carry = nxt
-                    break
-                group.append(nxt)
-            if self._write_error is None:
+            stop = group[-1] is _STOP
+            batch = group[:-1] if stop else group
+            if batch and self._write_error is None:
                 try:
-                    if item[0] == "row":
-                        await self._apply_batch(group)
-                    else:
-                        await self._apply_delete(item)
+                    await self._apply_batch(batch)
                 except Exception as exc:  # journal_failures: fail-stop
                     # Fail-stop for writes.  The job died after the
                     # engine applied it — in practice at the journal
@@ -538,14 +533,15 @@ class StreamServer:
                     self._write_error = exc
                     self.stats.fail("journal_failures", exc)
             if self._write_error is not None:
-                for _, _, future in group:
+                for _, _, future in batch:
                     _settle(future, error=self._refusal())
             for _ in group:
                 queue.task_done()
+            if stop:
+                return
 
     async def _apply_batch(self, batch) -> None:
         engine = self.engine
-        rows = [row for _, row, _ in batch]
         config = engine.config
         feeds = self.feeds
         changed = set()
@@ -576,55 +572,65 @@ class StreamServer:
             return "lost", (record, [])
 
         def job():
-            outcomes = []
+            results = []
             # One row per call; one chunk on a sharded router, whose
             # workers pipeline inside a chunk.  Only one slice's S_t are
-            # alive at a time.
-            size = engine.chunk_size
-            for start in range(0, len(rows), size):
-                part = rows[start:start + size]
-                for row, (outcome, tid, value) in zip(
-                    part, apply_rows(engine, part)
-                ):
-                    if outcome == "ok":
-                        outcomes.append(answer(value))
-                        continue
-                    if outcome == "lost":
-                        # Still live: a layer that evicts or retracts
-                        # has one-row slices, so nothing ran after it.
-                        outcomes.append(lost(engine.table.get(tid), value))
-                        continue
-                    self.stats.fail("rows_quarantined", value)
-                    self._dead_letter(row, value)
-                    outcomes.append(("quarantined", value))
-                # Gone before the next slice's call.
+            # alive at a time (no zip() here: its reused result tuple
+            # would keep the last S_t alive into the next call).
+            ops = [(kind, payload) for kind, payload, _ in batch]
+            outcomes = apply_ops(engine, ops, engine.chunk_size)
+            for kind, payload, _ in batch:
+                outcome, tid, value = next(outcomes)
+                if outcome == "failed":
+                    if kind == "ingest":
+                        self.stats.fail("rows_quarantined", value)
+                        self._dead_letter(payload, value)
+                    results.append((outcome, value))
+                elif kind == "delete":
+                    if feeds is not None:
+                        feeds.note_retracted(value)
+                    results.append((outcome, value))
+                elif outcome == "ok":
+                    results.append(answer(value))
+                else:
+                    # Lost, still live: a layer that evicts or retracts
+                    # has one-row slices, so nothing ran after it.
+                    results.append(lost(engine.table.get(tid), value))
+                # Gone before the next op applies.
                 del value
             if feeds is not None:
-                # One repair pass for the lost arrivals and any window
-                # evictions the batch triggered, priced against the
+                # One repair pass for the deletes, lost arrivals and
+                # window evictions of the batch, priced against the
                 # post-batch engine state (repair queries the engine).
                 changed.update(feeds.repair(engine))
             if self.journal is not None:
-                for row, (kind, _) in zip(rows, outcomes):
-                    if kind != "quarantined":
-                        self.journal.append_ingest(
-                            row if isinstance(row, Mapping) else dict(row)
-                        )
+                for (kind, payload, _), (outcome, _) in zip(batch, results):
+                    if outcome == "failed":
+                        continue  # applied nothing: never journaled
+                    if kind == "delete":
+                        self.journal.append_delete(payload)
+                    else:
+                        self.journal.append_ingest(payload)
                 # One durability point per micro-batch (group commit):
-                # an event is only acknowledged once its op is journaled.
+                # an op is only acknowledged once it is journaled.
                 self.journal.commit()
-            return outcomes
+            return results
 
-        outcomes = await self._on_engine(job)
+        results = await self._on_engine(job)
         if changed:
             self._publish_feed_changes(changed)
         emitted = 0
         accepted = 0
-        for (_, _, future), (kind, result) in zip(batch, outcomes):
-            if kind == "quarantined":
-                # The caller gets the row's own exception; answer() the mark.
-                result.quarantined = True
+        for (kind, _, future), (outcome, result) in zip(batch, results):
+            if outcome == "failed":
+                # The caller gets its own exception (a refused delete's
+                # caller only); answer() reads a quarantined row's mark.
+                if kind == "ingest":
+                    result.quarantined = True
                 _settle(future, error=result)
+            elif kind == "delete":
+                self.stats.deletes += 1
+                _settle(future, result)
             else:
                 accepted += 1
                 event = FactEvent(*result)
@@ -632,7 +638,9 @@ class StreamServer:
                 _settle(future, event)
                 for subscription in list(self._subscriptions):
                     subscription._publish(event)
-        self.stats.note_batch(accepted, emitted)
+        if any(kind == "ingest" for kind, _, _ in batch):
+            # Row batches only: a group of deletes is no batch.
+            self.stats.note_batch(accepted, emitted)
 
     def _dead_letter(self, row, error: Exception) -> None:
         """Append one quarantined row to the dead-letter NDJSON file.
@@ -652,34 +660,6 @@ class StreamServer:
                 fh.flush()
         except OSError as exc:
             self.stats.fail("dead_letter_failures", exc)
-
-    async def _apply_delete(self, item) -> None:
-        _, tid, future = item
-
-        def job():
-            try:
-                removed = self.engine.delete(tid)
-            except Exception as exc:  # the caller's: request_errors
-                # E.g. an unknown tid: nothing was applied, so nothing
-                # is journaled and only this caller hears of it.
-                return exc, None
-            changed = None
-            if self.feeds is not None:
-                self.feeds.note_retracted(removed)
-                changed = self.feeds.repair(self.engine)
-            if self.journal is not None:
-                self.journal.append_delete(tid)
-                self.journal.commit()
-            return removed, changed
-
-        removed, changed = await self._on_engine(job)
-        if isinstance(removed, Exception):
-            _settle(future, error=removed)
-        else:
-            self.stats.deletes += 1
-            if changed:
-                self._publish_feed_changes(changed)
-            _settle(future, removed)
 
     # ------------------------------------------------------------------
     # Feed tier

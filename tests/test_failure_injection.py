@@ -93,6 +93,40 @@ class TestCorruptSnapshots:
         with pytest.raises(ValueError, match="malformed|missing"):
             load_engine(path)
 
+    def _poison_row(self, tmp_path):
+        path = self._snapshot(tmp_path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc["rows"][5]["m0"] = "not a number"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        return path
+
+    def test_row_that_fails_on_restore_aborts_it(self, tmp_path):
+        """A row discovery refuses aborts the restore: its error
+        propagates and no partial engine comes back."""
+        path = self._poison_row(tmp_path)
+        with pytest.raises(SchemaError, match="not a number"):
+            load_engine(path)
+
+    def test_aborted_restore_closes_its_engine(self, tmp_path, monkeypatch):
+        from repro.api import facade
+
+        path = self._poison_row(tmp_path)
+        closed = []
+        open_engine = facade.open_engine
+
+        def spy(spec):
+            engine = open_engine(spec)
+            close = engine.close
+            engine.close = lambda: closed.append(engine) or close()
+            return engine
+
+        monkeypatch.setattr(facade, "open_engine", spy)
+        with pytest.raises(SchemaError):
+            load_engine(path)
+        assert len(closed) == 1
+
     def test_wrong_document_type_raises(self, tmp_path):
         path = str(tmp_path / "notes.json")
         with open(path, "w") as fh:

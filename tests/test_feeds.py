@@ -8,6 +8,7 @@ sharded compositions, and under read-time ``τ`` floors / top-k cuts.
 """
 
 import asyncio
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -333,12 +334,17 @@ class TestSidecar:
         assert os.listdir(tmp_path) == ["feeds.json"]
 
     def test_corrupt_sidecar_rejected(self, tmp_path):
+        """A missing sidecar reads False; an unreadable one raises a
+        ``ValueError`` naming the file and leaves the store empty."""
         engine = open_engine(make_spec())
         store = FeedStore.for_engine(engine)
         path = str(tmp_path / "feeds.json")
         path_obj = tmp_path / "feeds.json"
-        path_obj.write_text("{not json")
-        assert not store.load_sidecar(path, engine)
+        for text in ("{not json", "[1, 2]"):
+            path_obj.write_text(text)
+            with pytest.raises(ValueError, match="feeds.json"):
+                store.load_sidecar(path, engine)
+            assert len(store) == 0 and store.applied_arrivals == 0
         assert not store.load_sidecar(str(tmp_path / "missing.json"), engine)
 
 
@@ -399,6 +405,87 @@ class TestServerIntegration:
         # Restore really came from the sidecar, not a rebuild: the
         # store's arrival counter survived.
         assert server2.feeds.applied_arrivals == server.feeds.applied_arrivals
+
+
+def serve_and_restore(tmp_path, damage):
+    """Serve 6 rows with feeds and a checkpoint, stop (the sidecar is
+    written), ``damage(sidecar_path, engine)`` the restored engine's
+    sidecar, then start a server on it.  Returns its open engine, its
+    feeds and its stats, read before stopping."""
+    from repro.extensions.snapshot import load_engine
+
+    path = str(tmp_path / "ck.json")
+    rows = [
+        {"d0": f"a{i % 2}", "d1": f"b{i % 3}", "m0": i % 4, "m1": (5 - i) % 4}
+        for i in range(6)
+    ]
+
+    async def serve(engine, rows):
+        server = StreamServer(engine)
+        await server.start()
+        await server.ingest_many(rows)
+        await server.drain()
+        snap = await server.read_stats()
+        await server.stop()
+        return server, snap
+
+    engine = open_engine(make_spec(checkpoint=CheckpointPolicy(path)))
+    asyncio.run(serve(engine, rows))
+    engine.close()
+    restored = load_engine(path)
+    damage(path + ".feeds", restored)
+    server, snap = asyncio.run(serve(restored, []))
+    return restored, server.feeds, snap
+
+
+def tear(path, engine):
+    with open(path, "w") as fh:
+        fh.write("{torn")
+
+
+def drop_a_segment_key(path, engine):
+    """Keep the stamp, delete one segment's ``"key"``."""
+    import json
+
+    with open(path) as fh:
+        doc = json.load(fh)
+    del doc["segments"][0]["key"]
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+def advance(path, engine):
+    """Leave the sidecar stale: one more arrival moves the version."""
+    engine.facts_for({"d0": "a9", "d1": "b9", "m0": 3, "m1": 3})
+
+
+def remove(path, engine):
+    os.remove(path)
+
+
+class TestSidecarLoad:
+    """At start, an unreadable sidecar is counted in
+    ``sidecar_failures`` and the feeds are rebuilt; a stale or missing
+    one is rebuilt without a count."""
+
+    @pytest.mark.parametrize("damage", [tear, drop_a_segment_key])
+    def test_unreadable_sidecar_is_counted_and_rebuilt(self, tmp_path, damage):
+        engine, feeds, snap = serve_and_restore(tmp_path, damage)
+        assert snap["sidecar_failures"] == 1
+        assert "ck.json.feeds" in snap["failure_causes"]["sidecar_failures"]
+        assert snap["last_error"] == snap["failure_causes"]["sidecar_failures"]
+        assert store_segments(feeds) == oracle_segments(engine, feeds)
+        assert len(feeds)
+        engine.close()
+
+    @pytest.mark.parametrize("damage", [advance, remove])
+    def test_stale_or_missing_sidecar_is_not_counted(self, tmp_path, damage):
+        engine, feeds, snap = serve_and_restore(tmp_path, damage)
+        assert snap["sidecar_failures"] == 0
+        assert snap["last_error"] is None
+        assert store_segments(feeds) == oracle_segments(engine, feeds)
+        assert len(feeds)
+        engine.close()
 
 
 class TestFeedSpecValidation:

@@ -342,25 +342,71 @@ class TestBackpressureAndDrain:
         assert len(engine.table) == len(rows)
         assert server.stats.processed_rows == len(rows)
 
-    def test_deletion_fences_batches(self):
+    def test_deletion_shares_the_batch(self, tmp_path, monkeypatch):
+        """A delete queued between rows applies in their batch, in
+        queue order: one engine job, one journal commit, and the same
+        tids and live table as applying the ops one by one."""
+        from repro.service.journal import JournalWriter
+
         rows = make_rows(10)
+        commits = []
+        commit = JournalWriter.commit
+        monkeypatch.setattr(
+            JournalWriter, "commit",
+            lambda journal: commits.append(journal._uncommitted) or commit(journal),
+        )
+        policy = CheckpointPolicy(
+            str(tmp_path / "ck.json"), journal_dir=str(tmp_path / "wal")
+        )
 
         async def run():
-            engine = FactDiscoverer(SCHEMA, algorithm="svec")
+            engine = open_engine(EngineSpec(SCHEMA, "svec", checkpoint=policy))
             server = StreamServer(engine, batch_max=32)
             await server.start()
-            for row in rows[:5]:
-                await server.ingest(row)
-            await server.delete(2)
-            for row in rows[5:]:
-                await server.ingest(row)
+            # Every put runs before the consumer is scheduled: one group.
+            results = await asyncio.gather(
+                *(server.ingest_wait(row) for row in rows[:5]),
+                server.delete(2),
+                *(server.ingest_wait(row) for row in rows[5:]),
+            )
+            served = list(commits)
             await server.stop()
-            return engine, server
+            return engine, server, results, served
 
-        engine, server = asyncio.run(run())
+        engine, server, results, served = asyncio.run(run())
+        events = results[:5] + results[6:]
+        assert [event.tid for event in events] == list(range(10))
+        assert results[5] is None
         assert server.stats.deletes == 1
-        assert len(engine.table) == len(rows) - 1
-        assert all(record.tid != 2 for record in engine.table)
+        assert server.stats.batches == 1
+        assert server.stats.processed_rows == len(rows)
+        assert served == [len(rows) + 1]
+        assert [record.tid for record in engine.table] == [
+            tid for tid in range(10) if tid != 2
+        ]
+        reference = open_engine(EngineSpec(SCHEMA, "svec"))
+        reference.observe_many(rows[:5])
+        reference.delete(2)
+        reference.observe_many(rows[5:])
+        assert [
+            (record.tid, record.as_dict(SCHEMA)) for record in engine.table
+        ] == [(record.tid, record.as_dict(SCHEMA)) for record in reference.table]
+        engine.close()
+        reference.close()
+
+    def test_delete_only_group_is_no_batch(self):
+        async def run():
+            server = StreamServer(FactDiscoverer(SCHEMA, algorithm="svec"))
+            await server.start()
+            await server.ingest_many(make_rows(3))
+            await server.drain()
+            await asyncio.gather(server.delete(0), server.delete(1))
+            await server.stop()
+            return server
+
+        server = asyncio.run(run())
+        assert server.stats.batches == 1
+        assert server.stats.deletes == 2
 
     def test_delete_unknown_tid_raises(self):
         async def run():
