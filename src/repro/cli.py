@@ -423,7 +423,6 @@ def cmd_serve(args) -> int:
 
     from .datasets.loader import load_rows
     from .service import faults as faults_mod
-    from .service import recover_engine
 
     # Before the engine thread starts and the engine allocates its
     # state; forked process shard workers inherit the cap.
@@ -433,25 +432,15 @@ def cmd_serve(args) -> int:
         # (forwarded into shard-worker processes via their spawn spec).
         faults_mod.install_from_env()
         spec = _spec_from_args(args)
-        if spec.checkpoint is not None:
-            # Crash recovery: latest snapshot + journal suffix replay
-            # (a "fresh" engine when neither exists yet).
-            engine, recovery = recover_engine(spec)
-        else:
-            engine, recovery = open_engine(spec), None
+        if getattr(args, "http_port", None) is not None and spec.feeds is None:
+            raise ValueError(
+                "--http-port needs a feeds section (pass "
+                "--feed-by/--feed-top-k or a --spec with feeds)"
+            )
+        engine = open_engine(spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if recovery is not None and recovery.source != "fresh":
-        note = (
-            f"# recovered from {recovery.source}: "
-            f"{recovery.ops_replayed} journal ops replayed"
-        )
-        if recovery.torn_tail:
-            note += " (torn journal tail dropped)"
-        if recovery.replay_errors:
-            note += f"; {len(recovery.replay_errors)} ops failed to re-apply"
-        print(note, file=sys.stderr, flush=True)
     # The asyncio tier loads only now: process shard workers fork while
     # the engine opens, and must not inherit an event loop they never
     # run.  StreamServer is read off repro.service at call time (the e2e
@@ -466,7 +455,8 @@ def cmd_serve(args) -> int:
 
     async def run() -> int:
         # Durability rides in engine.spec.checkpoint (_spec_from_args
-        # folded the flags in), the one policy recovery also read.
+        # folded the flags in): start() restores the engine from the
+        # checkpoint and journal that policy names.
         server = StreamServer(
             engine,
             queue_limit=args.queue_limit,
@@ -474,11 +464,23 @@ def cmd_serve(args) -> int:
             dead_letter_path=getattr(args, "dead_letter", None),
             conn_timeout=getattr(args, "conn_timeout", None),
         )
-        if recovery is not None:
-            server.stats.ops_replayed = recovery.ops_replayed
-            for error in recovery.replay_errors:
-                server.stats.fail("replay_errors", error)
-        await server.start()
+        try:
+            await server.start()
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            engine.close()
+            return 2
+        stats = server.stats
+        if stats.recovered_from != "fresh":
+            failed = stats.failures["replay_errors"]
+            print(
+                f"# recovered from {stats.recovered_from}: "
+                f"{stats.ops_replayed} journal ops replayed"
+                + (" (torn journal tail dropped)" if stats.torn_tail else "")
+                + (f"; {failed} ops failed to re-apply" if failed else ""),
+                file=sys.stderr,
+                flush=True,
+            )
         listener = None
         if args.port is not None:
             listener = await server.serve_tcp(args.host, args.port)
@@ -486,15 +488,6 @@ def cmd_serve(args) -> int:
             print(f"listening on {host}:{port}", file=sys.stderr, flush=True)
         gateway = None
         if getattr(args, "http_port", None) is not None:
-            if server.feeds is None:
-                print(
-                    "error: --http-port needs a feeds section (pass "
-                    "--feed-by/--feed-top-k or a --spec with feeds)",
-                    file=sys.stderr,
-                )
-                await server.stop()
-                engine.close()
-                return 2
             from .service.gateway import FeedGateway
 
             gateway = FeedGateway(server)

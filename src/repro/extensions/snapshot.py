@@ -5,7 +5,8 @@ The snapshot is *logical*: the engine's declarative
 order, as one JSON document.  Loading re-opens the spec through
 :func:`repro.api.open_engine` and replays the rows through
 :func:`repro.service.journal.apply_ops`, which rebuilds every store
-exactly (the algorithms are deterministic functions of the stream).
+exactly (the algorithms are deterministic functions of the stream); a
+server's ``start()`` replays them into the engine it was given instead.
 This trades reload CPU for a format that is human-readable, diff-able,
 and immune to internal-layout changes — the usual choice for moderate
 table sizes; larger deployments would checkpoint the µ stores
@@ -29,7 +30,7 @@ of any other version are refused with an actionable ``ValueError``.
 from __future__ import annotations
 
 import json
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..api.spec import EngineSpec
 from ..core.engine_protocol import Engine
@@ -78,10 +79,12 @@ def save_engine(
     atomic_write(path, write)
 
 
-def _read_snapshot_doc(path: str) -> dict:
-    """Parse a snapshot file, translating damage into an actionable
-    ``ValueError`` (truncated/garbled JSON must never surface as a
-    bare ``JSONDecodeError`` deep in a recovery path)."""
+def read_snapshot(path: str) -> dict:
+    """The snapshot document at ``path``, checked: ``spec`` parsed,
+    ``tids`` ints or ``None``, ``journal_seq`` an int (0: no journal).
+    A damaged, foreign, other-version or malformed file raises an
+    actionable ``ValueError`` naming ``path``, never a bare
+    ``JSONDecodeError`` deep in a recovery path."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -97,26 +100,6 @@ def _read_snapshot_doc(path: str) -> dict:
             f"snapshot {path!r} parses as JSON but is not a snapshot "
             f"document (no format_version); was the wrong file passed?"
         )
-    return doc
-
-
-def load_engine(path: str) -> Engine:
-    """Rebuild an engine from a snapshot written by :func:`save_engine`.
-
-    Returns whatever composition the snapshot describes, built via
-    :func:`repro.api.open_engine` — a sharded snapshot restores sharded,
-    a windowed one windowed, and so on.  Raises ``ValueError`` for other
-    snapshot versions and for corrupt/truncated files — a damaged
-    snapshot never silently restores a partial table.
-    """
-    return load_snapshot(path)[0]
-
-
-def load_snapshot(path: str) -> Tuple[Engine, int]:
-    """:func:`load_engine`, plus the journal sequence the snapshot
-    covers (0 when written without a journal — replay then starts from
-    the beginning), from one read of the file."""
-    doc = _read_snapshot_doc(path)
     version = doc.get("format_version")
     if version != _FORMAT_VERSION:
         raise ValueError(
@@ -125,25 +108,32 @@ def load_snapshot(path: str) -> Tuple[Engine, int]:
             f"the snapshot by replaying its rows through open_engine)"
         )
     try:
-        spec = EngineSpec.from_dict(doc["spec"])
-        rows = doc["rows"]
-        tids = doc.get("tids")
+        doc["spec"] = EngineSpec.from_dict(doc["spec"])
+        doc["journal_seq"] = int(doc.get("journal_seq", 0))
+        rows, tids = doc["rows"], doc.get("tids")
         if tids is not None:
-            tids = [int(tid) for tid in tids]
-            arrivals = int(doc["arrivals"])
+            doc["arrivals"] = int(doc["arrivals"])
             if len(tids) != len(rows):
                 raise ValueError("tids and rows differ in length")
+            tids = [int(tid) for tid in tids]
+        doc["tids"] = tids
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             f"snapshot {path!r} is malformed: missing or invalid "
             f"section ({exc!r}); the file may have been hand-edited or "
             f"corrupted — restore it from a backup"
         ) from None
+    return doc
 
-    from ..api.facade import open_engine
 
-    # A resume at each tid gap (rows deleted before the checkpoint).  A
-    # row that fails or loses its facts aborts the restore.
+def restore_snapshot(engine: Engine, doc: dict) -> None:
+    """Replay a :func:`read_snapshot` document's rows into ``engine``
+    (its own spec is the composition) through
+    :func:`~repro.service.journal.apply_ops`, with a ``resume`` at each
+    tid gap (rows deleted before the checkpoint) and a last one at
+    ``arrivals``.  A row that fails or loses its facts aborts the
+    restore with that row's error."""
+    tids, rows = doc["tids"], doc["rows"]
     ops = []
     expected = 0
     for tid, row in zip(tids or range(len(rows)), rows):
@@ -152,13 +142,24 @@ def load_snapshot(path: str) -> Tuple[Engine, int]:
         ops.append(("ingest", row))
         expected = tid + 1
     if tids is not None:
-        ops.append(("resume", arrivals))
-    engine = open_engine(spec)
+        ops.append(("resume", doc["arrivals"]))
+    for outcome, _, value in apply_ops(engine, ops, REPLAY_BLOCK):
+        if outcome != "ok":
+            raise value
+
+
+def load_engine(path: str) -> Engine:
+    """Rebuild the engine a :func:`save_engine` snapshot describes:
+    :func:`repro.api.open_engine` over its spec (a sharded snapshot
+    restores sharded, and so on), then :func:`restore_snapshot`; an
+    aborted restore closes the engine it opened."""
+    from ..api.facade import open_engine
+
+    doc = read_snapshot(path)
+    engine = open_engine(doc["spec"])
     try:
-        for outcome, _, value in apply_ops(engine, ops, REPLAY_BLOCK):
-            if outcome != "ok":
-                raise value
+        restore_snapshot(engine, doc)
     except BaseException:
         engine.close()
         raise
-    return engine, int(doc.get("journal_seq", 0))
+    return engine

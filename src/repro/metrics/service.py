@@ -31,9 +31,9 @@ FAILURE_CLASSES = (
     "rows_lost",  # engine thread: applied, its facts gone
     "dead_letter_failures",  # engine thread: a quarantined row unrecorded
     "sidecar_failures",  # engine thread: unwritten; loop, at start: unreadable
-    "checkpoint_failures",  # loop: the previous checkpoint stays
+    "checkpoint_failures",  # loop: unwritten; engine, at start: unreadable
     "journal_failures",  # loop: the write that tripped the fail-stop
-    "replay_errors",  # loop: journal ops recovery skipped
+    "replay_errors",  # engine thread, at start: journal ops not re-applied
     "request_errors",  # loop: any other error answer (the client's)
     "subscriber_events_dropped",  # loop: a lagging subscriber's oldest
     "gateway_frames_dropped",  # loop: a slow socket's backlog, resynced
@@ -62,6 +62,11 @@ class ServiceStats:
     facts_emitted: int = 0
     #: Journal ops replayed during crash recovery at startup.
     ops_replayed: int = 0
+    #: Where ``start()`` restored the engine's state from: ``fresh``,
+    #: ``checkpoint``, ``journal`` or ``checkpoint+journal``.
+    recovered_from: str = "fresh"
+    #: Whether that restore dropped a torn journal tail.
+    torn_tail: bool = False
     #: Live gateway subscribers (WebSocket connections).
     gateway_subscribers: int = 0
     #: WebSocket frames delivered to subscribers.

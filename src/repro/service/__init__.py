@@ -16,7 +16,8 @@ turns it into a *service*:
   backpressure, fact subscriptions, periodic snapshot checkpointing and
   graceful drain, plus an optional NDJSON-over-TCP listener;
 * :mod:`repro.service.journal` — the append-only write-ahead journal
-  of accepted ops; recovery = latest snapshot + journal suffix;
+  of accepted ops; recovery (in ``StreamServer.start()``) = latest
+  snapshot + journal suffix;
 * :mod:`repro.service.supervisor` — :class:`ShardWorker`, the one
   router-side shard handle over its links (one inline or process link,
   or one socket link per replica), with crash detection, restart with
@@ -53,8 +54,6 @@ _EXPORTS = {
     "FeedGateway": "gateway",
     "fetch_json": "gateway",
     "JournalWriter": "journal",
-    "RecoveryReport": "journal",
-    "recover_engine": "journal",
     "SocketWorkerServer": "remote",
     "cluster_status": "remote",
     "run_worker": "remote",
@@ -72,7 +71,6 @@ __all__ = [
     "FeedGateway",
     "FeedStore",
     "JournalWriter",
-    "RecoveryReport",
     "ShardedDiscoverer",
     "SocketWorkerServer",
     "StreamServer",
@@ -83,7 +81,6 @@ __all__ = [
     "cluster_status",
     "fetch_json",
     "partition_subspaces",
-    "recover_engine",
     "run_worker",
 ]
 

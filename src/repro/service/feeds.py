@@ -191,14 +191,6 @@ class FeedStore:
             for mask in range(1, 1 << schema.n_measures)
             if config.allows_subspace(mask)
         )
-        #: Removed records awaiting a repair pass (explicit deletions,
-        #: window evictions, aggregate group retractions).
-        self._pending_retractions: List[Record] = []
-        #: Applied arrivals whose ``S_t`` was lost (a ``lost`` row) or
-        #: came unscored: repair refreshes their *full* candidate-pair
-        #: set, since such an arrival may have founded pairs no entry
-        #: tracks yet.
-        self._pending_unknown: List[Record] = []
         self._lock = threading.RLock()
         #: Arrivals folded in (equals ``engine.arrivals`` when the
         #: store has been attached since the first row).
@@ -236,6 +228,15 @@ class FeedStore:
         self._n_entries = 0
         self._free: List[int] = []
         self._seq = 0
+        #: Removed records awaiting a repair pass (explicit deletions,
+        #: window evictions, aggregate group retractions): a reset
+        #: drops them, its standings describe the engine as it is.
+        self._pending_retractions: List[Record] = []
+        #: Applied arrivals whose ``S_t`` was lost (a ``lost`` row) or
+        #: came unscored: repair refreshes their *full* candidate-pair
+        #: set, since such an arrival may have founded pairs no entry
+        #: tracks yet.
+        self._pending_unknown: List[Record] = []
 
     @classmethod
     def for_engine(cls, engine, spec: Optional[FeedSpec] = None) -> "FeedStore":
@@ -836,8 +837,6 @@ class FeedStore:
         entries exist exactly while their context is non-empty."""
         with self._lock:
             self._reset()
-            self._pending_retractions = []
-            self._pending_unknown = []
             pairs = self._candidates(engine.table)
             self.applied_arrivals = engine.arrivals
             if not pairs:

@@ -11,10 +11,10 @@ recovery therefore reduces to *journaling the prefix*:
 :func:`read_ops` streams them back in order, tolerating a torn or
 truncated tail (the expected artifact of a crash mid-append) while
 refusing mid-file corruption with an actionable ``ValueError`` — a
-silent partial restore is never an option.  :func:`recover_engine`
-glues the two halves together for the serving layer; the server's
-micro-batches, replay and snapshot restore apply ops through one loop,
-:func:`apply_ops`.
+silent partial restore is never an option.
+:meth:`~repro.service.server.StreamServer.start` glues the two halves
+together for the serving layer; the server's micro-batches, replay and
+snapshot restore apply ops through one loop, :func:`apply_ops`.
 
 Frame format (one per op)::
 
@@ -50,8 +50,8 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
-from typing import IO, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import IO, Callable, Dict, Iterator, List, Mapping, Tuple
 
 from . import faults
 
@@ -369,28 +369,8 @@ class JournalWriter:
 
 
 # ----------------------------------------------------------------------
-# Recovery
+# Applying ops
 # ----------------------------------------------------------------------
-@dataclass
-class RecoveryReport:
-    """What :func:`recover_engine` did, for stats/operators."""
-
-    #: Ops replayed from the journal suffix.
-    ops_replayed: int = 0
-    #: Sequence the loaded checkpoint covered (0 = none usable).
-    checkpoint_seq: int = 0
-    #: True when a torn journal tail was dropped.
-    torn_tail: bool = False
-    #: "checkpoint+journal", "journal", "checkpoint", or "fresh".
-    source: str = "fresh"
-    #: Populated when the checkpoint existed but was unreadable and the
-    #: journal alone still covered the full history.
-    checkpoint_error: Optional[str] = None
-    #: Rows that failed to re-apply during replay (poison rows whose
-    #: records predate dead-lettering; they are skipped and reported).
-    replay_errors: List[str] = field(default_factory=list)
-
-
 #: Rows per ``facts_for_many`` call when a journal suffix or a snapshot
 #: is replayed: one block's fact sets are alive at a time.
 REPLAY_BLOCK = 512
@@ -458,88 +438,3 @@ def apply_ops(engine, ops, block: int) -> Iterator[Tuple[str, int, object]]:
                 yield "ok", payload, removed
     if rows:
         yield from apply_rows(engine, rows)
-
-
-def replay_ops(engine, ops: List[dict], report: Optional[RecoveryReport] = None):
-    """Apply journal ops to ``engine`` in order, through :func:`apply_ops`.
-
-    A failing op is reported under its own seq and skipped; every
-    healthy op around it still applies.  A failed row keeps its tid
-    (numbering resumes past it), so later deletes name the same tuples
-    as in the run that wrote the journal.  ``ops_replayed`` counts the
-    applied ops only — a row whose facts were lost counts: its state
-    is in."""
-    report = report if report is not None else RecoveryReport()
-    pairs = [(op.get("op"), op.get("row", op.get("tid"))) for op in ops]
-    outcomes = apply_ops(engine, pairs, REPLAY_BLOCK)
-    for op in ops:
-        outcome, tid, value = next(outcomes)
-        if outcome != "failed":
-            report.ops_replayed += 1
-            continue
-        report.replay_errors.append(
-            f"seq {op.get('seq')}: {type(value).__name__}: {value}"
-        )
-        if op.get("op") == "ingest":
-            engine.resume_at(tid + 1)
-    return report
-
-
-def recover_engine(spec) -> Tuple[object, RecoveryReport]:
-    """Rebuild the engine a crashed service was running.
-
-    ``spec`` is an :class:`~repro.api.spec.EngineSpec` whose
-    ``checkpoint`` policy names the snapshot path and ``journal_dir``.
-    Recovery loads the latest durable snapshot (if any), then replays
-    the journal suffix (``seq >`` the snapshot's ``journal_seq``),
-    tolerating a torn tail.  An unreadable checkpoint falls back to a
-    full journal replay when the journal still starts at sequence 1;
-    otherwise it raises ``ValueError`` — the truncated state would be
-    silently wrong.
-    """
-    from ..api.facade import open_engine
-    from ..extensions.snapshot import load_snapshot
-
-    policy = spec.checkpoint
-    if policy is None:
-        raise ValueError("recovery needs spec.checkpoint (path + journal_dir)")
-    report = RecoveryReport()
-    engine = None
-    if os.path.exists(policy.path):
-        try:
-            engine, report.checkpoint_seq = load_snapshot(policy.path)
-            # The caller's policy, not the one the snapshot was written
-            # under, is what the server goes on to read.
-            engine.spec = replace(engine.spec, checkpoint=policy)
-            report.source = "checkpoint"
-        except ValueError as exc:
-            report.checkpoint_error = str(exc)
-    if engine is None:
-        engine = open_engine(spec)
-    if policy.journal_dir and os.path.isdir(policy.journal_dir):
-        ops, torn = read_ops(policy.journal_dir, after_seq=report.checkpoint_seq)
-        report.torn_tail = torn
-        if report.checkpoint_error is not None:
-            first_seq = min((op["seq"] for op in ops), default=None)
-            if ops and first_seq != 1:
-                engine.close()
-                raise ValueError(
-                    f"checkpoint {policy.path!r} is unreadable "
-                    f"({report.checkpoint_error}) and the journal only "
-                    f"covers sequences >= {first_seq} — earlier segments "
-                    f"were pruned, so a full replay is impossible; "
-                    f"restore an intact checkpoint file"
-                )
-        replay_ops(engine, ops, report)
-        if report.ops_replayed:
-            report.source = (
-                "checkpoint+journal" if report.source == "checkpoint" else "journal"
-            )
-    elif report.checkpoint_error is not None:
-        engine.close()
-        raise ValueError(
-            f"checkpoint {policy.path!r} is unreadable "
-            f"({report.checkpoint_error}) and no journal exists at "
-            f"{policy.journal_dir!r}; nothing to recover from"
-        )
-    return engine, report

@@ -24,7 +24,8 @@ windowed, aggregate, or any composition built by
   :class:`~repro.api.spec.CheckpointPolicy`, a snapshot
   (:func:`repro.extensions.snapshot.save_engine`, written atomically via
   a temp file) is taken every ``interval`` seconds and once more on
-  shutdown;
+  shutdown, and :meth:`StreamServer.start` restores the engine it is
+  given from that snapshot plus the journal suffix;
 * **graceful drain** — ``stop()`` (default ``drain=True``) lets every
   queued row be discovered, flushes subscribers, checkpoints, and only
   then parks the consumer;
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -58,7 +60,13 @@ from ..core.record import Record
 from ..metrics.memory import process_rss_mb
 from ..metrics.service import ServiceStats
 from .feeds import FeedStore
-from .journal import JournalWriter, apply_ops
+from .journal import (
+    REPLAY_BLOCK,
+    JournalWriter,
+    apply_ops,
+    list_segments,
+    read_ops,
+)
 
 _STOP = object()
 
@@ -212,11 +220,11 @@ class StreamServer:
         handler forever.  ``None`` disables.
 
     Durability has no option here: the server reads
-    ``engine.spec.checkpoint``, the policy
-    :func:`~repro.service.journal.recover_engine` restores from.  With
-    its ``journal_dir`` set, every accepted ingest/delete is appended
-    and committed *before* its event is acknowledged, so a killed
-    server recovers exactly (snapshot + journal suffix).  Feeds have
+    ``engine.spec.checkpoint``, and :meth:`start` restores the engine
+    from what that policy left on disk (snapshot + journal suffix), so
+    serve a fresh engine.  With its ``journal_dir`` set, every accepted
+    ingest/delete is appended and committed *before* its event is
+    acknowledged, so a killed server recovers exactly.  Feeds have
     none either: a :class:`~repro.service.feeds.FeedStore` is built
     from ``engine.spec.feeds`` when that section is set.
     """
@@ -283,20 +291,18 @@ class StreamServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Spin up the consumer (and the checkpointer, if configured)."""
+        """Restore the engine from its checkpoint policy's durable state
+        (:meth:`_restore`), then spin up the consumer (and the
+        checkpointer, if configured)."""
         if self._running:
             raise RuntimeError("StreamServer already started")
         policy = self.checkpoint_policy
-        if policy is not None and policy.journal_dir:
-            # Resumes sequence numbering past any existing segments
-            # (truncating a torn tail a previous crash left behind).
-            self.journal = JournalWriter(
-                policy.journal_dir,
-                fsync=policy.journal_fsync,
-                segment_max_bytes=policy.journal_segment_bytes,
-            )
+        self._engine_thread = ThreadPoolExecutor(max_workers=1)
+        if policy is not None:
+            # A long replay and the journal's fsyncs stay off the loop.
+            await self._on_engine(lambda: self._restore(policy))
         if self.feeds is not None and len(self.engine) and not len(self.feeds):
-            # Recovered/pre-loaded engine with empty feeds: the sidecar
+            # Restored/pre-loaded engine with empty feeds: the sidecar
             # restores them iff its stamp matches the live engine
             # version; anything else (stale, missing, unreadable, which
             # counts) rebuilds from the engine in one planner batch.
@@ -310,13 +316,75 @@ class StreamServer:
             if not loaded:
                 self.feeds.rebuild(self.engine)
         self._queue = asyncio.Queue(maxsize=self.queue_limit)
-        self._engine_thread = ThreadPoolExecutor(max_workers=1)
         self._stopped.clear()
         self._running = True
         self._consumer = asyncio.create_task(self._run())
         if policy is not None and policy.interval:
             self._checkpointer = asyncio.create_task(self._checkpoint_loop())
         self.stats.start_rss_mb = process_rss_mb().get("rss_mb")
+
+    def _restore(self, policy) -> None:
+        """Replay ``policy``'s checkpoint (rows, tids, ``arrivals``: the
+        engine's own spec is the composition), then its journal suffix,
+        into the engine through :func:`~repro.service.journal.apply_ops`,
+        counting into ``self.stats``, and open the journal.  What it
+        refuses, and how, is in docs/service.md, *Recovery*."""
+        from ..extensions.snapshot import read_snapshot, restore_snapshot
+
+        engine, stats = self.engine, self.stats
+        path, journal_dir = policy.path, policy.journal_dir
+        segments = []
+        if journal_dir and os.path.isdir(journal_dir):
+            segments = list_segments(journal_dir)
+        checkpointed = os.path.exists(path)
+        if engine.arrivals and (checkpointed or segments):
+            raise ValueError(
+                f"{path if checkpointed else journal_dir!r} holds durable "
+                f"state, but the server's engine already holds "
+                f"{engine.arrivals} arrivals, so a replay would apply it "
+                f"twice: serve a fresh engine (open_engine(spec))"
+            )
+        seq, sources = 0, []
+        if checkpointed:
+            try:
+                doc = read_snapshot(path)
+            except ValueError as exc:
+                if not segments or segments[0][0] != 1:
+                    raise ValueError(
+                        f"checkpoint {path!r} is unreadable ({exc}), and no "
+                        f"journal reaches back to sequence 1 to replay in "
+                        f"full (journal dir {journal_dir!r}: pruned, or "
+                        f"none); restore an intact checkpoint file"
+                    ) from None
+                stats.fail("checkpoint_failures", exc)
+            else:
+                restore_snapshot(engine, doc)
+                seq = doc["journal_seq"]
+                sources.append("checkpoint")
+        if segments:
+            ops, stats.torn_tail = read_ops(journal_dir, after_seq=seq)
+            pairs = [(o.get("op"), o.get("row", o.get("tid"))) for o in ops]
+            outcomes = apply_ops(engine, pairs, REPLAY_BLOCK)
+            for op in ops:
+                outcome, tid, value = next(outcomes)
+                if outcome != "failed":  # ok, or lost: applied either way
+                    stats.ops_replayed += 1
+                    continue
+                cause = f"{type(value).__name__}: {value}"
+                stats.fail("replay_errors", f"seq {op.get('seq')}: {cause}")
+                if op.get("op") == "ingest":
+                    engine.resume_at(tid + 1)
+        if stats.ops_replayed:
+            sources.append("journal")
+        stats.recovered_from = "+".join(sources) or "fresh"
+        if journal_dir:
+            # Resumes numbering past the replayed segments (truncating
+            # a torn tail a previous crash left behind).
+            self.journal = JournalWriter(
+                journal_dir,
+                fsync=policy.journal_fsync,
+                segment_max_bytes=policy.journal_segment_bytes,
+            )
 
     async def stop(self, drain: bool = True) -> None:
         """Shut down; with ``drain`` (default) every queued row is

@@ -43,14 +43,11 @@ from repro.api import (
     ShardingSpec,
     open_engine,
 )
-from repro.extensions.snapshot import load_engine, save_engine
-from repro.service import (
-    JournalWriter,
-    StreamServer,
-    recover_engine,
-)
+from repro.core.schema import SchemaError
+from repro.extensions.snapshot import load_engine, read_snapshot, save_engine
+from repro.service import JournalWriter, StreamServer
 from repro.service import faults, remote
-from repro.service.journal import JournalCorruptError, read_ops, replay_ops
+from repro.service.journal import JournalCorruptError, list_segments, read_ops
 from repro.service.remote import run_worker
 from repro.service.supervisor import InlineLink, ShardWorker
 from tests import feed_oracle
@@ -644,6 +641,30 @@ def service_spec(tmp_path, name="ckpt.snap"):
     )
 
 
+def restart(engine):
+    """Start a server on ``engine`` (``start()`` restores it from its
+    spec's checkpoint and journal) and stop it without a checkpoint.
+    Returns the engine, still open, and the server's stats."""
+
+    async def run():
+        server = StreamServer(engine)
+        await server.start()
+        await server.stop(drain=False)
+        return server.stats.snapshot()
+
+    return engine, asyncio.run(run())
+
+
+def recover(spec):
+    """:func:`restart` on a fresh engine over ``spec``."""
+    return restart(open_engine(spec))
+
+
+def checkpoint_seq(spec):
+    """The journal sequence ``spec``'s checkpoint covers."""
+    return read_snapshot(spec.checkpoint.path)["journal_seq"]
+
+
 class TestJournalRecovery:
     def test_journal_round_trip(self, tmp_path):
         rows = make_rows(40)
@@ -653,12 +674,12 @@ class TestJournalRecovery:
                 journal.append_ingest(row)
             journal.append_delete(4)
             journal.commit()
-        engine, report = recover_engine(spec)
+        engine, stats = recover(spec)
         expected, expected_counters, ref = reference_run(rows, deletes=(4,))
         try:
-            assert report.source == "journal"
-            assert report.ops_replayed == len(rows) + 1
-            assert not report.torn_tail
+            assert stats["recovered_from"] == "journal"
+            assert stats["ops_replayed"] == len(rows) + 1
+            assert not stats["torn_tail"]
             probe = make_rows(1, start=99)
             assert fact_keys(engine.observe_many(probe)) == fact_keys(
                 ref.observe_many(probe)
@@ -684,10 +705,10 @@ class TestJournalRecovery:
 
         asyncio.run(faulted_session())
         assert not os.path.exists(spec.checkpoint.path)
-        engine, report = recover_engine(spec)
+        engine, stats = recover(spec)
         try:
-            assert report.source == "journal"
-            assert report.ops_replayed == len(rows) + 1
+            assert stats["recovered_from"] == "journal"
+            assert stats["ops_replayed"] == len(rows) + 1
             assert engine.counters.snapshot() == expected_counters
             probe = make_rows(3, start=77)
             assert fact_keys(engine.observe_many(probe)) == fact_keys(
@@ -743,10 +764,10 @@ class TestJournalRecovery:
             server.engine.close()
 
         async def session_two():
-            engine, report = recover_engine(spec)
-            assert report.source == "checkpoint"
+            engine = open_engine(spec)
             server = StreamServer(engine, batch_max=8)
             await server.start()
+            assert server.stats.recovered_from == "checkpoint"
             await server.ingest_many(rows2)
             for tid in after:
                 await server.delete(tid)
@@ -760,11 +781,11 @@ class TestJournalRecovery:
 
         asyncio.run(session_one())
         asyncio.run(session_two())
-        engine, report = recover_engine(spec)
+        engine, stats = recover(spec)
         try:
-            assert report.source == "checkpoint+journal"
-            assert report.checkpoint_seq == len(rows1) + len(before)
-            assert report.ops_replayed == len(rows2) + len(after)
+            assert stats["recovered_from"] == "checkpoint+journal"
+            assert checkpoint_seq(spec) == len(rows1) + len(before)
+            assert stats["ops_replayed"] == len(rows2) + len(after)
             assert state(engine) == state(ref)
             if not before and "window" not in composition:
                 # The same op sequence reached both engines.
@@ -788,13 +809,150 @@ class TestJournalRecovery:
         policy = CheckpointPolicy(
             spec.checkpoint.path, interval=30.0, journal_dir=str(tmp_path / "wal")
         )
-        engine, report = recover_engine(
+        engine, stats = recover(
             EngineSpec(SCHEMA, algorithm="svec", checkpoint=policy)
         )
         with engine:
-            assert report.source == "checkpoint" and len(engine) == 4
+            assert stats["recovered_from"] == "checkpoint" and len(engine) == 4
             assert engine.spec.checkpoint == policy
             assert StreamServer(engine).checkpoint_policy == policy
+
+    def test_fresh_engine_resumes_the_durable_state(self, tmp_path):
+        """A server started on a fresh engine over an existing
+        checkpoint and journal continues that history: the next row
+        gets the next tid, and the final checkpoint keeps every row
+        (it used to start empty, number the row 0 and overwrite the
+        checkpoint with it)."""
+        spec = service_spec(tmp_path)
+        rows = make_rows(4)
+
+        async def serve(rows):
+            server = StreamServer(open_engine(spec))
+            await server.start()
+            events = [await server.ingest_wait(row) for row in rows]
+            await server.stop()
+            server.engine.close()
+            return [event.tid for event in events], server.stats
+
+        assert asyncio.run(serve(rows[:3]))[0] == [0, 1, 2]
+        tids, stats = asyncio.run(serve(rows[3:]))
+        assert tids == [3]
+        assert stats.recovered_from == "checkpoint"
+        assert stats.last_error is None
+        with load_engine(spec.checkpoint.path) as engine:
+            assert [record.tid for record in engine.table] == [0, 1, 2, 3]
+            assert engine.arrivals == 4
+
+    def test_unreadable_checkpoint_is_counted_and_replayed(self, tmp_path):
+        """A torn checkpoint beside a journal that still starts at
+        sequence 1: a full replay restores every row, and the torn file
+        is a ``checkpoint_failures`` naming it, not a silent fallback."""
+        rows = make_rows(5)
+        spec = service_spec(tmp_path)
+        with JournalWriter(spec.checkpoint.journal_dir) as journal:
+            for row in rows:
+                journal.append_ingest(row)
+        with open(spec.checkpoint.path, "w") as fh:
+            fh.write("{torn")
+        expected, expected_counters, ref = reference_run(rows)
+        engine, stats = recover(spec)
+        try:
+            assert len(engine) == len(rows)
+            assert engine.counters.snapshot() == expected_counters
+            assert stats["recovered_from"] == "journal"
+            assert stats["ops_replayed"] == len(rows)
+            assert stats["checkpoint_failures"] == 1
+            cause = stats["failure_causes"]["checkpoint_failures"]
+            assert "ckpt.snap" in cause
+            assert stats["last_error"] == cause
+        finally:
+            engine.close()
+            ref.close()
+
+    def test_unreadable_checkpoint_over_a_pruned_journal_is_refused(
+        self, tmp_path, capsys
+    ):
+        """A graceful stop prunes every journal segment its checkpoint
+        covers; tear that checkpoint and no full replay is left, so
+        ``start()`` (and ``serve``, with exit 2) refuses rather than
+        serve an empty table."""
+        from repro.cli import main
+
+        spec = service_spec(tmp_path)
+
+        async def serve():
+            server = StreamServer(open_engine(spec))
+            await server.start()
+            await server.ingest_many(make_rows(6))
+            await server.stop()
+            server.engine.close()
+
+        asyncio.run(serve())
+        segments = list_segments(spec.checkpoint.journal_dir)
+        assert [seq for seq, _ in segments] == [7]
+        with open(spec.checkpoint.path, "w") as fh:
+            fh.write("{torn")
+        with open_engine(spec) as engine:
+            server = StreamServer(engine)
+            with pytest.raises(ValueError, match="ckpt.snap.*unreadable"):
+                asyncio.run(server.start())
+            assert len(engine) == 0
+        rc = main(
+            ["serve", "-d", "d0,d1", "-m", "m0,m1", "--algorithm", "svec",
+             "--checkpoint", spec.checkpoint.path,
+             "--journal-dir", spec.checkpoint.journal_dir]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error: checkpoint" in err and "ckpt.snap" in err
+        assert "# service stats" not in err
+
+    @pytest.mark.parametrize(
+        "checkpointed", [True, False], ids=["checkpoint", "journal"]
+    )
+    def test_non_empty_engine_over_durable_state_is_refused(
+        self, tmp_path, checkpointed
+    ):
+        """Replaying the durable state into an engine that already
+        holds rows would apply them twice: ``start()`` refuses, naming
+        the path, and applies nothing."""
+        spec = service_spec(tmp_path)
+        rows = make_rows(4)
+
+        async def serve():
+            server = StreamServer(open_engine(spec))
+            await server.start()
+            await server.ingest_many(rows[:3])
+            await server.drain()
+            await server.stop(drain=checkpointed)
+            server.engine.close()
+
+        asyncio.run(serve())
+        assert os.path.exists(spec.checkpoint.path) == checkpointed
+        where = "ckpt.snap" if checkpointed else "wal"
+        with open_engine(spec) as engine:
+            engine.observe_many(rows[3:])
+            with pytest.raises(ValueError, match=f"{where}.*already holds 1"):
+                asyncio.run(StreamServer(engine).start())
+            assert [record.tid for record in engine.table] == [0]
+
+    def test_checkpoint_row_the_engine_refuses_aborts_start(self, tmp_path):
+        """The checkpoint is restored whole or not at all: a row the
+        engine refuses aborts ``start()`` with that row's error."""
+        spec = service_spec(tmp_path)
+        with open_engine(spec) as engine:
+            engine.observe_many(make_rows(3))
+            engine.snapshot()
+        with open(spec.checkpoint.path) as fh:
+            doc = json.load(fh)
+        doc["rows"][1]["m0"] = "oops"
+        with open(spec.checkpoint.path, "w") as fh:
+            json.dump(doc, fh)
+        with open_engine(spec) as engine:
+            server = StreamServer(engine)
+            with pytest.raises(SchemaError, match="oops"):
+                asyncio.run(server.start())
+            assert server.journal is None
 
     @pytest.mark.parametrize("delete", [True, False], ids=["delete", "tail"])
     def test_replay_keeps_every_healthy_op(self, tmp_path, delete):
@@ -815,15 +973,16 @@ class TestJournalRecovery:
         ref.observe(c)
         if delete:
             ref.delete(0)
-        engine, report = recover_engine(service_spec(tmp_path))
+        engine, stats = recover(service_spec(tmp_path))
         try:
             assert [record.tid for record in engine.table] == (
                 [2] if delete else [0, 2]
             )
             assert engine.arrivals == 3
-            assert len(report.replay_errors) == 1
-            assert report.replay_errors[0].startswith("seq 2: SchemaError")
-            assert report.ops_replayed == (3 if delete else 2)
+            assert stats["replay_errors"] == 1
+            cause = stats["failure_causes"]["replay_errors"]
+            assert cause.startswith("seq 2: SchemaError")
+            assert stats["ops_replayed"] == (3 if delete else 2)
             assert engine.counters.snapshot() == ref.counters.snapshot()
             probe = make_rows(3, start=5)
             assert fact_keys(engine.observe_many(probe)) == fact_keys(
@@ -842,7 +1001,7 @@ class TestJournalRecovery:
             for row in rows:
                 journal.append_ingest(row)
             journal.commit()
-        engine = FactDiscoverer(SCHEMA, algorithm="svec")
+        engine = open_engine(service_spec(tmp_path))
         inner = engine.facts_for_many
         seen = []
 
@@ -854,11 +1013,10 @@ class TestJournalRecovery:
             raise ValueError("facts lost")
 
         engine.facts_for_many = facts_for_many
-        ops, _ = read_ops(str(tmp_path / "wal"))
-        report = replay_ops(engine, ops)
+        engine, stats = restart(engine)
         assert seen == [4, 1, 1]
-        assert report.replay_errors == []
-        assert report.ops_replayed == len(rows)
+        assert stats["replay_errors"] == 0
+        assert stats["ops_replayed"] == len(rows)
         assert [record.tid for record in engine.table] == [0, 1, 2, 3]
         ref = FactDiscoverer(SCHEMA, algorithm="svec")
         ref.observe_many(rows)
@@ -873,11 +1031,11 @@ class TestJournalRecovery:
         segments = sorted((tmp_path / "wal").iterdir())
         with open(segments[-1], "ab") as fh:
             fh.write(b"\x40\x00\x00\x00\x99")  # crash mid-append
-        engine, report = recover_engine(spec)
+        engine, stats = recover(spec)
         expected, expected_counters, ref = reference_run(rows)
         try:
-            assert report.torn_tail
-            assert report.ops_replayed == len(rows)
+            assert stats["torn_tail"]
+            assert stats["ops_replayed"] == len(rows)
             assert engine.counters.snapshot() == expected_counters
         finally:
             engine.close()
@@ -953,10 +1111,10 @@ class TestJournalRecovery:
 
         asyncio.run(session())
         assert not os.path.exists(spec.checkpoint.path)
-        engine, report = recover_engine(spec)
+        engine, stats = recover(spec)
         try:
-            assert report.torn_tail
-            assert report.ops_replayed == k
+            assert stats["torn_tail"]
+            assert stats["ops_replayed"] == k
             assert engine.counters.snapshot() == expected_counters
             probe = make_rows(2, start=66)
             assert fact_keys(engine.observe_many(probe)) == fact_keys(
@@ -1076,10 +1234,10 @@ class TestPoisonRows:
         # state and the journal-recovered state both equal the
         # poison-free reference.
         assert live_counters == expected_counters
-        engine, report = recover_engine(spec)
+        engine, stats = recover(spec)
         try:
-            assert report.ops_replayed == len(healthy) + 1
-            assert not report.replay_errors
+            assert stats["ops_replayed"] == len(healthy) + 1
+            assert not stats["replay_errors"]
             assert engine.counters.snapshot() == expected_counters
             probe = make_rows(2, start=55)
             assert fact_keys(engine.observe_many(probe)) == fact_keys(

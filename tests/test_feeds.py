@@ -24,7 +24,7 @@ from repro.api import (
 )
 from repro.core.config import DiscoveryConfig
 from repro.core.constraint import Constraint, satisfied_constraints
-from repro.service import FeedStore, StreamServer
+from repro.service import FeedStore, JournalWriter, StreamServer
 from tests.strategies import row_strategy
 
 SCHEMA = TableSchema(("d0", "d1"), ("m0", "m1"))
@@ -393,14 +393,12 @@ class TestServerIntegration:
             await server.stop()  # final checkpoint writes the sidecar
             return server
 
-        engine = open_engine(make_spec(checkpoint=CheckpointPolicy(path)))
-        server = asyncio.run(serve(engine, True))
+        spec = make_spec(checkpoint=CheckpointPolicy(path))
+        server = asyncio.run(serve(open_engine(spec), True))
         saved = store_segments(server.feeds)
 
-        from repro.extensions.snapshot import load_engine
-
-        restored = load_engine(path)
-        server2 = asyncio.run(serve(restored, False))
+        # A fresh engine on the same policy: start() restores it.
+        server2 = asyncio.run(serve(open_engine(spec), False))
         assert store_segments(server2.feeds) == saved
         # Restore really came from the sidecar, not a rebuild: the
         # store's arrival counter survived.
@@ -408,12 +406,11 @@ class TestServerIntegration:
 
 
 def serve_and_restore(tmp_path, damage):
-    """Serve 6 rows with feeds and a checkpoint, stop (the sidecar is
-    written), ``damage(sidecar_path, engine)`` the restored engine's
-    sidecar, then start a server on it.  Returns its open engine, its
-    feeds and its stats, read before stopping."""
-    from repro.extensions.snapshot import load_engine
-
+    """Serve 6 rows with feeds, a checkpoint and a journal, stop (the
+    sidecar is written), ``damage(sidecar_path, policy)`` the durable
+    state, then start a server on a fresh engine over it, which
+    ``start()`` restores.  Returns its open engine, its feeds and its
+    stats, read before stopping."""
     path = str(tmp_path / "ck.json")
     rows = [
         {"d0": f"a{i % 2}", "d1": f"b{i % 3}", "m0": i % 4, "m1": (5 - i) % 4}
@@ -429,21 +426,24 @@ def serve_and_restore(tmp_path, damage):
         await server.stop()
         return server, snap
 
-    engine = open_engine(make_spec(checkpoint=CheckpointPolicy(path)))
+    spec = make_spec(
+        checkpoint=CheckpointPolicy(path, journal_dir=str(tmp_path / "wal"))
+    )
+    engine = open_engine(spec)
     asyncio.run(serve(engine, rows))
     engine.close()
-    restored = load_engine(path)
-    damage(path + ".feeds", restored)
+    damage(path + ".feeds", spec.checkpoint)
+    restored = open_engine(spec)
     server, snap = asyncio.run(serve(restored, []))
     return restored, server.feeds, snap
 
 
-def tear(path, engine):
+def tear(path, policy):
     with open(path, "w") as fh:
         fh.write("{torn")
 
 
-def drop_a_segment_key(path, engine):
+def drop_a_segment_key(path, policy):
     """Keep the stamp, delete one segment's ``"key"``."""
     import json
 
@@ -454,12 +454,14 @@ def drop_a_segment_key(path, engine):
         json.dump(doc, fh)
 
 
-def advance(path, engine):
-    """Leave the sidecar stale: one more arrival moves the version."""
-    engine.facts_for({"d0": "a9", "d1": "b9", "m0": 3, "m1": 3})
+def advance(path, policy):
+    """Leave the sidecar stale: one more journaled arrival past the
+    checkpoint moves the restored version."""
+    with JournalWriter(policy.journal_dir) as journal:
+        journal.append_ingest({"d0": "a9", "d1": "b9", "m0": 3, "m1": 3})
 
 
-def remove(path, engine):
+def remove(path, policy):
     os.remove(path)
 
 

@@ -47,7 +47,8 @@ class TestServiceStatsSnapshot:
         assert set(names) == {
             "enqueued", "processed_rows", "batches", "batch_rows_max",
             "queue_depth_max", "deletes", "checkpoints", "facts_emitted",
-            "ops_replayed", "gateway_subscribers", "gateway_frames_sent",
+            "ops_replayed", "recovered_from", "torn_tail",
+            "gateway_subscribers", "gateway_frames_sent",
             "gateway_frames_coalesced", "gateway_http_requests",
             "start_rss_mb", "engine_cpu_s",
         }
