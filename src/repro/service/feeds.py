@@ -58,9 +58,11 @@ read-time filters so entries below the floor can rise again without an
 event.  Each segment carries a monotone ``version`` (bumped on any
 content change) that drives gateway change feeds and cursor pagination,
 and the store snapshots to a sidecar JSON next to the engine checkpoint,
-stamped with the engine version ``(arrivals, deletions)`` — a stamp
-mismatch on restore triggers :meth:`FeedStore.rebuild` instead of
-serving stale standings.
+stamped with the engine version ``(arrivals, deletions)``.  A restart
+loads the sidecar right after the checkpoint, while the stamp matches,
+and folds the journal suffix in as it replays, so versions carry on;
+only a missing, unreadable or mismatched sidecar costs a
+:meth:`FeedStore.rebuild`, whose versions restart at 1.
 """
 
 from __future__ import annotations

@@ -26,7 +26,9 @@ reuses on the wire — see :mod:`repro.service.remote`) with payload
 ``{"seq": n, "op": "delete", "tid": k}``.  Sequence numbers are global
 and monotone from 1; a checkpoint records the sequence it covers
 (``journal_seq`` in the snapshot document), so replay applies exactly
-the ops with ``seq > journal_seq``.
+the ops with ``seq > journal_seq``.  The first segment opens with one
+``{"seq": 0, "origin": [arrivals, live]}`` frame: the engine state the
+journal continues from (:func:`journal_origin`), which replay skips.
 
 Durability is a knob (``fsync``) with two values; either way the server
 commits once per micro-batch, before it acknowledges any op of it:
@@ -51,7 +53,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import IO, Callable, Dict, Iterator, List, Mapping, Tuple
+from typing import IO, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from . import faults
 
@@ -78,6 +80,12 @@ def _segment_path(directory: str, first_seq: int) -> str:
     return os.path.join(
         directory, f"{_SEG_PREFIX}{first_seq:012d}{_SEG_SUFFIX}"
     )
+
+
+def _record(doc: Dict[str, object]) -> bytes:
+    """One framed record: length, CRC, compact JSON payload."""
+    payload = json.dumps(doc, separators=(",", ":")).encode()
+    return _FRAME.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF) + payload
 
 
 def list_segments(directory: str) -> List[Tuple[int, str]]:
@@ -204,6 +212,21 @@ def scan_segment(path: str, tolerate_tail: bool) -> SegmentScan:
     return SegmentScan(ops, offset, torn=False)
 
 
+def journal_origin(segments: List[Tuple[int, str]]) -> Optional[Tuple[int, int]]:
+    """What the journal of ``segments`` (:func:`list_segments`)
+    continues from: the ``(arrivals, live rows)`` of the engine its
+    writer opened on, ``(0, 0)`` for a journal written without an origin
+    frame (it cannot tell), ``None`` once no segment starts at sequence
+    1 (pruned by a checkpoint, or no journal)."""
+    if not segments or segments[0][0] != 1:
+        return None
+    ops = scan_segment(segments[0][1], tolerate_tail=len(segments) == 1).ops
+    if ops and ops[0].get("seq") == 0:
+        arrivals, live = ops[0]["origin"]
+        return arrivals, live
+    return 0, 0
+
+
 def read_ops(directory: str, after_seq: int = 0) -> Tuple[List[dict], bool]:
     """All journal ops with ``seq > after_seq`` in order, plus whether
     a torn tail was dropped from the newest segment."""
@@ -303,6 +326,18 @@ class JournalWriter:
     def __exit__(self, *exc) -> None:
         self.close()
 
+    def mark_origin(self, arrivals: int, live: int) -> None:
+        """Record what a journal begun at sequence 1 continues from: the
+        engine's ``arrivals`` and live rows as the writer opened, in a
+        ``seq`` 0 frame that the first commit makes durable with the
+        ops behind it.  A journal already holding a record keeps the
+        origin it has (or, written before origins, none)."""
+        if self.last_seq or self._segment_size > len(_HEADER):
+            return
+        record = _record({"seq": 0, "origin": [arrivals, live]})
+        self._fh.write(record)
+        self._segment_size += len(record)
+
     # -- appending -------------------------------------------------------
     def append(self, doc: Dict[str, object]) -> int:
         """Append one op record; returns its sequence number.
@@ -312,24 +347,19 @@ class JournalWriter:
         if self._fh is None:
             raise ValueError("journal is closed")
         seq = self.last_seq + 1
-        doc = dict(doc)
-        doc["seq"] = seq
-        payload = json.dumps(doc, separators=(",", ":")).encode()
-        frame = _FRAME.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
+        record = _record({**doc, "seq": seq})
         fault = faults.fire("journal.append")
         if fault is not None and fault.action == "corrupt":
             # Simulate a crash mid-append: a torn, partial frame.
-            torn = (frame + payload)[: max(1, (len(frame) + len(payload)) // 2)]
-            self._fh.write(torn)
+            self._fh.write(record[: max(1, len(record) // 2)])
             self._fh.flush()
             raise OSError(
                 "injected fault: journal append torn mid-record"
             )
-        self._fh.write(frame)
-        self._fh.write(payload)
+        self._fh.write(record)
         self.last_seq = seq
         self._uncommitted += 1
-        self._segment_size += len(frame) + len(payload)
+        self._segment_size += len(record)
         if self._segment_size >= self.segment_max_bytes:
             self.commit()
             self._open_segment(seq + 1)

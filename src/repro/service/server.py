@@ -64,6 +64,7 @@ from .journal import (
     REPLAY_BLOCK,
     JournalWriter,
     apply_ops,
+    journal_origin,
     list_segments,
     read_ops,
 )
@@ -291,52 +292,41 @@ class StreamServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Restore the engine from its checkpoint policy's durable state
-        (:meth:`_restore`), then spin up the consumer (and the
-        checkpointer, if configured)."""
+        """Restore the engine and its feeds from the checkpoint policy's
+        durable state (:meth:`_restore`), then spin up the consumer (and
+        the checkpointer, if configured)."""
         if self._running:
             raise RuntimeError("StreamServer already started")
-        policy = self.checkpoint_policy
         self._engine_thread = ThreadPoolExecutor(max_workers=1)
-        if policy is not None:
-            # A long replay and the journal's fsyncs stay off the loop.
-            await self._on_engine(lambda: self._restore(policy))
-        if self.feeds is not None and len(self.engine) and not len(self.feeds):
-            # Restored/pre-loaded engine with empty feeds: the sidecar
-            # restores them iff its stamp matches the live engine
-            # version; anything else (stale, missing, unreadable, which
-            # counts) rebuilds from the engine in one planner batch.
-            try:
-                loaded = policy is not None and self.feeds.load_sidecar(
-                    policy.path + ".feeds", self.engine
-                )
-            except ValueError as exc:
-                self.stats.fail("sidecar_failures", exc)
-                loaded = False
-            if not loaded:
-                self.feeds.rebuild(self.engine)
+        # A long replay, a feed rebuild and the journal's fsyncs stay
+        # off the loop.
+        await self._on_engine(self._restore)
         self._queue = asyncio.Queue(maxsize=self.queue_limit)
         self._stopped.clear()
         self._running = True
         self._consumer = asyncio.create_task(self._run())
+        policy = self.checkpoint_policy
         if policy is not None and policy.interval:
             self._checkpointer = asyncio.create_task(self._checkpoint_loop())
         self.stats.start_rss_mb = process_rss_mb().get("rss_mb")
 
-    def _restore(self, policy) -> None:
-        """Replay ``policy``'s checkpoint (rows, tids, ``arrivals``: the
-        engine's own spec is the composition), then its journal suffix,
-        into the engine through :func:`~repro.service.journal.apply_ops`,
-        counting into ``self.stats``, and open the journal.  What it
-        refuses, and how, is in docs/service.md, *Recovery*."""
+    def _restore(self) -> None:
+        """Restore the engine from its checkpoint policy's durable state,
+        counting into ``self.stats``: the snapshot (rows, tids,
+        ``arrivals``: the engine's own spec is the composition), its
+        feed sidecar, then the journal suffix through the served batch's
+        own :meth:`_step`; rebuild feeds the sidecar did not restore;
+        open the journal.  What it refuses, and how, is in
+        docs/service.md, *Recovery*."""
         from ..extensions.snapshot import read_snapshot, restore_snapshot
 
-        engine, stats = self.engine, self.stats
-        path, journal_dir = policy.path, policy.journal_dir
+        engine, stats, feeds = self.engine, self.stats, self.feeds
+        policy = self.checkpoint_policy
+        path, journal_dir = (policy.path, policy.journal_dir) if policy else (None, None)
         segments = []
         if journal_dir and os.path.isdir(journal_dir):
             segments = list_segments(journal_dir)
-        checkpointed = os.path.exists(path)
+        checkpointed = path is not None and os.path.exists(path)
         if engine.arrivals and (checkpointed or segments):
             raise ValueError(
                 f"{path if checkpointed else journal_dir!r} holds durable "
@@ -344,39 +334,55 @@ class StreamServer:
                 f"{engine.arrivals} arrivals, so a replay would apply it "
                 f"twice: serve a fresh engine (open_engine(spec))"
             )
-        seq, sources = 0, []
+        seq, sources, doc, error = 0, [], None, None
         if checkpointed:
             try:
                 doc = read_snapshot(path)
             except ValueError as exc:
-                if not segments or segments[0][0] != 1:
-                    raise ValueError(
-                        f"checkpoint {path!r} is unreadable ({exc}), and no "
-                        f"journal reaches back to sequence 1 to replay in "
-                        f"full (journal dir {journal_dir!r}: pruned, or "
-                        f"none); restore an intact checkpoint file"
-                    ) from None
-                stats.fail("checkpoint_failures", exc)
-            else:
-                restore_snapshot(engine, doc)
-                seq = doc["journal_seq"]
-                sources.append("checkpoint")
+                error = exc
+        if doc is not None:
+            restore_snapshot(engine, doc)
+            seq = doc["journal_seq"]
+            sources.append("checkpoint")
+            if feeds is not None:
+                try:
+                    feeds.load_sidecar(path + ".feeds", engine)
+                except ValueError as exc:
+                    stats.fail("sidecar_failures", exc)
+        elif (checkpointed or segments) and journal_origin(segments) != (0, 0):
+            raise ValueError(
+                f"checkpoint {path!r} is "
+                f"{f'unreadable ({error})' if checkpointed else 'missing'}, "
+                f"and no journal holds the whole history to replay in full "
+                f"(journal dir {journal_dir!r}: pruned, begun after a "
+                f"checkpoint, or none); restore an intact checkpoint file"
+            )
+        elif error is not None:
+            stats.fail("checkpoint_failures", error)
+        # Feeds describe the engine once the sidecar loaded or both are
+        # empty; otherwise (no sidecar, or one that did not load; a
+        # pre-loaded engine) they are rebuilt after the replay.
+        stale = feeds is not None and len(engine) and not len(feeds)
         if segments:
             ops, stats.torn_tail = read_ops(journal_dir, after_seq=seq)
             pairs = [(o.get("op"), o.get("row", o.get("tid"))) for o in ops]
-            outcomes = apply_ops(engine, pairs, REPLAY_BLOCK)
-            for op in ops:
-                outcome, tid, value = next(outcomes)
-                if outcome != "failed":  # ok, or lost: applied either way
+            # With feeds, one op a step, the finest batching a server
+            # has: no segment's version ends below what the crashed
+            # server served, so a pre-crash cursor never matches.
+            results = []
+            for part in [pairs] if feeds is None else [[p] for p in pairs]:
+                results += self._step(part, REPLAY_BLOCK, replay=True)[0]
+            for op, (outcome, _, value) in zip(ops, results):
+                if outcome == "failed":
+                    cause = f"{type(value).__name__}: {value}"
+                    stats.fail("replay_errors", f"seq {op.get('seq')}: {cause}")
+                else:  # ok, or lost: applied either way
                     stats.ops_replayed += 1
-                    continue
-                cause = f"{type(value).__name__}: {value}"
-                stats.fail("replay_errors", f"seq {op.get('seq')}: {cause}")
-                if op.get("op") == "ingest":
-                    engine.resume_at(tid + 1)
         if stats.ops_replayed:
             sources.append("journal")
         stats.recovered_from = "+".join(sources) or "fresh"
+        if stale:
+            feeds.rebuild(engine)
         if journal_dir:
             # Resumes numbering past the replayed segments (truncating
             # a torn tail a previous crash left behind).
@@ -385,6 +391,7 @@ class StreamServer:
                 fsync=policy.journal_fsync,
                 segment_max_bytes=policy.journal_segment_bytes,
             )
+            self.journal.mark_origin(engine.arrivals, len(engine))
 
     async def stop(self, drain: bool = True) -> None:
         """Shut down; with ``drain`` (default) every queued row is
@@ -608,88 +615,84 @@ class StreamServer:
             if stop:
                 return
 
+    def _step(self, ops, block, replay=False):
+        """The engine step of a served batch and of journal replay: apply
+        ``(kind, payload)`` ops through
+        :func:`~repro.service.journal.apply_ops`, fold each applied row
+        into the feeds as it returns, note each delete, then run one
+        repair pass.  Returns ``(outcome, tid, value)`` per op, an
+        applied row's value being ``(record, facts)``, and the changed
+        segment keys.  A ``replay`` selects no facts (nobody reads
+        them), and a row that fails it keeps its tid, so later deletes
+        name the tuples they named."""
+        engine, feeds = self.engine, self.feeds
+        changed, results = set(), []
+        # One row per call; one chunk on a sharded router, whose workers
+        # pipeline inside a chunk.  Only one slice's S_t are alive at a
+        # time (no zip() here: its reused result tuple would keep the
+        # last S_t alive into the next call).
+        outcomes = apply_ops(engine, ops, block)
+        for kind, _ in ops:
+            outcome, tid, value = next(outcomes)
+            if outcome == "failed":
+                if replay and kind == "ingest":
+                    engine.resume_at(tid + 1)
+            elif kind == "delete":
+                if feeds is not None:
+                    feeds.note_retracted(value)
+            else:
+                # The S_t (not the table: windowed/aggregate tables
+                # shift) carries the record; a lost row is still live,
+                # as a layer that evicts has one-row slices.  Only the
+                # record and its reportable facts outlive the op.
+                factset, facts = (value if outcome == "ok" else None), []
+                record = engine.table.get(tid) if factset is None else factset.record
+                if factset is not None and not replay:
+                    try:
+                        facts = select_reportable(factset, engine.config)
+                    except Exception as exc:  # rows_lost: applied, facts gone
+                        outcome, value, factset = "lost", exc, None
+                if outcome == "lost":
+                    # Acked with no facts; repair refreshes its pairs.
+                    self.stats.fail("rows_lost", value)
+                if feeds is not None:
+                    changed.update(feeds.apply_event(record, factset))
+                value, factset = (record, facts), None
+            results.append((outcome, tid, value))
+        if feeds is not None:
+            # For the deletes, lost arrivals and window evictions of the
+            # step, priced against the post-step engine state.
+            changed.update(feeds.repair(engine))
+        return results, changed
+
     async def _apply_batch(self, batch) -> None:
-        engine = self.engine
-        config = engine.config
-        feeds = self.feeds
-        changed = set()
-
-        def answer(factset):
-            # Each S_t is used once, here, off the event loop: the feed
-            # fold reads it whole, and only the record and its
-            # reportable facts outlive the call.  The FactSet (not the
-            # table) carries the record, so windowed/aggregate engines,
-            # whose tables shift under eviction and group retraction,
-            # stay servable.
-            record = factset.record
-            try:
-                facts = select_reportable(factset, config)
-            except Exception as exc:  # rows_lost: applied, facts gone
-                return lost(record, exc)
-            if feeds is not None:
-                changed.update(feeds.apply_event(record, factset))
-            return "ok", (record, facts)
-
-        def lost(record, error):
-            # Applied, S_t gone (its slice failed after applying it, or
-            # its selection failed): acked with no facts; the feeds
-            # refresh it from the engine at repair, in arrival order.
-            self.stats.fail("rows_lost", error)
-            if feeds is not None:
-                changed.update(feeds.apply_event(record, None))
-            return "lost", (record, [])
-
         def job():
-            results = []
-            # One row per call; one chunk on a sharded router, whose
-            # workers pipeline inside a chunk.  Only one slice's S_t are
-            # alive at a time (no zip() here: its reused result tuple
-            # would keep the last S_t alive into the next call).
             ops = [(kind, payload) for kind, payload, _ in batch]
-            outcomes = apply_ops(engine, ops, engine.chunk_size)
-            for kind, payload, _ in batch:
-                outcome, tid, value = next(outcomes)
-                if outcome == "failed":
+            results, changed = self._step(ops, self.engine.chunk_size)
+            journal = self.journal
+            for (kind, payload), (outcome, _, value) in zip(ops, results):
+                if outcome == "failed":  # applied nothing: never journaled
                     if kind == "ingest":
                         self.stats.fail("rows_quarantined", value)
                         self._dead_letter(payload, value)
-                    results.append((outcome, value))
-                elif kind == "delete":
-                    if feeds is not None:
-                        feeds.note_retracted(value)
-                    results.append((outcome, value))
-                elif outcome == "ok":
-                    results.append(answer(value))
-                else:
-                    # Lost, still live: a layer that evicts or retracts
-                    # has one-row slices, so nothing ran after it.
-                    results.append(lost(engine.table.get(tid), value))
-                # Gone before the next op applies.
-                del value
-            if feeds is not None:
-                # One repair pass for the deletes, lost arrivals and
-                # window evictions of the batch, priced against the
-                # post-batch engine state (repair queries the engine).
-                changed.update(feeds.repair(engine))
-            if self.journal is not None:
-                for (kind, payload, _), (outcome, _) in zip(batch, results):
-                    if outcome == "failed":
-                        continue  # applied nothing: never journaled
+                elif journal is not None:
                     if kind == "delete":
-                        self.journal.append_delete(payload)
+                        journal.append_delete(payload)
                     else:
-                        self.journal.append_ingest(payload)
+                        journal.append_ingest(payload)
+            if journal is not None:
                 # One durability point per micro-batch (group commit):
                 # an op is only acknowledged once it is journaled.
-                self.journal.commit()
-            return results
+                journal.commit()
+            return results, changed
 
-        results = await self._on_engine(job)
+        results, changed = await self._on_engine(job)
         if changed:
-            self._publish_feed_changes(changed)
+            for listener in list(self._feed_listeners):
+                listener(changed)
         emitted = 0
         accepted = 0
-        for (kind, _, future), (outcome, result) in zip(batch, results):
+        for (kind, _, future), (outcome, _, result) in zip(batch, results):
             if outcome == "failed":
                 # The caller gets its own exception (a refused delete's
                 # caller only); answer() reads a quarantined row's mark.
@@ -737,10 +740,6 @@ class StreamServer:
         event loop after each batch/delete that changed feed state
         (the gateway's change signal)."""
         self._feed_listeners.append(listener)
-
-    def _publish_feed_changes(self, changed: set) -> None:
-        for listener in list(self._feed_listeners):
-            listener(changed)
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -1,4 +1,4 @@
-"""Shared test data (ROADMAP item 3: one scenario corpus).
+"""Shared test data: one scenario corpus.
 
 * :func:`stream_scenarios` — the corpus.  One draw is a whole stream: a
   schema shape, ``d̂`` / ``m̂`` caps, a reporting policy, arrivals mixed

@@ -31,6 +31,7 @@ import sys
 import time
 import zlib
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
@@ -1123,6 +1124,99 @@ class TestJournalRecovery:
         finally:
             engine.close()
             ref.close()
+
+
+class TestJournalOrigin:
+    """The journal's first segment records the engine state its writer
+    opened on, so a journal begun after a checkpoint is never replayed
+    as the whole history: 3 rows served without a journal and
+    checkpointed, then 2 more with a journal and no checkpoint."""
+
+    def three_then_two(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        rows = make_rows(5)
+
+        async def serve(spec, rows, drain):
+            server = StreamServer(open_engine(spec))
+            await server.start()
+            for row in rows:
+                await server.ingest_wait(row)
+            await server.stop(drain=drain)
+            server.engine.close()
+
+        spec = EngineSpec(SCHEMA, algorithm="svec")
+        first = replace(spec, checkpoint=CheckpointPolicy(path))
+        asyncio.run(serve(first, rows[:3], True))
+        spec = replace(
+            spec,
+            checkpoint=CheckpointPolicy(path, journal_dir=str(tmp_path / "wal")),
+        )
+        asyncio.run(serve(spec, rows[3:], False))
+        return spec, rows
+
+    def test_intact_checkpoint_over_a_later_journal_restores_every_row(
+        self, tmp_path
+    ):
+        spec, rows = self.three_then_two(tmp_path)
+        engine, stats = recover(spec)
+        with engine:
+            assert stats["recovered_from"] == "checkpoint+journal"
+            assert stats["ops_replayed"] == 2
+            assert [record.tid for record in engine.table] == [0, 1, 2, 3, 4]
+            assert engine.arrivals == 5
+
+    @pytest.mark.parametrize("damage", ["unreadable", "missing"])
+    def test_lost_checkpoint_over_a_later_journal_is_refused(
+        self, tmp_path, capsys, damage
+    ):
+        """It used to replay the 2 journaled rows as the whole table,
+        numbered from tid 0 again."""
+        from repro.cli import main
+
+        spec, rows = self.three_then_two(tmp_path)
+        path, wal = spec.checkpoint.path, spec.checkpoint.journal_dir
+        if damage == "unreadable":
+            with open(path, "w") as fh:
+                fh.write("{torn")
+        else:
+            os.remove(path)
+        with open_engine(spec) as engine:
+            with pytest.raises(ValueError, match=f"ck.json' is {damage}"):
+                asyncio.run(StreamServer(engine).start())
+            assert len(engine) == 0
+        rc = main(
+            ["serve", "-d", "d0,d1", "-m", "m0,m1", "--algorithm", "svec",
+             "--checkpoint", path, "--journal-dir", wal]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error: checkpoint" in err and "begun after a checkpoint" in err
+
+    def test_torn_checkpoint_over_a_journal_from_an_empty_engine_replays(
+        self, tmp_path
+    ):
+        """A journal a server began on an empty engine holds the whole
+        history: a torn checkpoint beside it is counted, and replayed
+        around."""
+        spec = service_spec(tmp_path)
+        rows = make_rows(4)
+
+        async def killed():
+            server = StreamServer(open_engine(spec))
+            await server.start()
+            for row in rows:
+                await server.ingest_wait(row)
+            await server.stop(drain=False)
+            server.engine.close()
+
+        asyncio.run(killed())
+        with open(spec.checkpoint.path, "w") as fh:
+            fh.write("{torn")
+        engine, stats = recover(spec)
+        with engine:
+            assert stats["recovered_from"] == "journal"
+            assert stats["checkpoint_failures"] == 1
+            assert [record.tid for record in engine.table] == [0, 1, 2, 3]
 
 
 class _CountingFile:

@@ -348,6 +348,13 @@ class TestSidecar:
         assert not store.load_sidecar(str(tmp_path / "missing.json"), engine)
 
 
+#: 100 rows over three ``d0`` segments (``d0=a0`` holds every third).
+STREAM = [
+    {"d0": f"a{i % 3}", "d1": f"b{i % 4}", "m0": (7 * i) % 11, "m1": (5 * i) % 13}
+    for i in range(100)
+]
+
+
 class TestServerIntegration:
     def test_server_feeds_track_engine(self):
         rows = [
@@ -403,6 +410,24 @@ class TestServerIntegration:
         # Restore really came from the sidecar, not a rebuild: the
         # store's arrival counter survived.
         assert server2.feeds.applied_arrivals == server.feeds.applied_arrivals
+
+
+    def test_preloaded_engine_feeds_are_rebuilt(self):
+        """An engine that holds rows before the server starts, with no
+        durable state to restore: ``start()`` rebuilds its feeds (on the
+        engine thread), so they describe every pre-loaded row."""
+
+        async def run(engine):
+            server = StreamServer(engine)
+            await server.start()
+            await server.stop()
+            return server.feeds
+
+        engine = open_engine(make_spec())
+        engine.facts_for_many(STREAM[:12])
+        feeds = asyncio.run(run(engine))
+        assert len(feeds) and feeds.applied_arrivals == 12
+        assert store_segments(feeds) == oracle_segments(engine, feeds)
 
 
 def serve_and_restore(tmp_path, damage):
@@ -488,6 +513,89 @@ class TestSidecarLoad:
         assert store_segments(feeds) == oracle_segments(engine, feeds)
         assert len(feeds)
         engine.close()
+
+
+class TestCrashRestartFolds:
+    """A kill-and-restart folds the journal suffix into the feeds
+    through the served batch's own step: 60 ops served one per batch,
+    a checkpoint after the first 30, then ``stop(drain=False)`` and a
+    fresh engine.  The feeds come back as an unfaulted run left them,
+    segment versions included, and nothing is rebuilt."""
+
+    SUFFIXES = {
+        "svec": ({"algorithm": "svec"}, STREAM[30:60]),
+        "window": ({"algorithm": "svec", "window": 25}, STREAM[30:60]),
+        "deletes": (
+            {"algorithm": "svec"},
+            STREAM[30:40] + [2] + STREAM[40:50] + [31, 40] + STREAM[50:57],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SUFFIXES))
+    def test_restart_equals_an_unfaulted_run(self, tmp_path, monkeypatch, case):
+        composition, suffix = self.SUFFIXES[case]
+        ops = STREAM[:30] + suffix
+        rebuilds = []
+        rebuild = FeedStore.rebuild
+        monkeypatch.setattr(
+            FeedStore,
+            "rebuild",
+            lambda store, engine: rebuilds.append(1) or rebuild(store, engine),
+        )
+
+        async def serve(spec, ops, drain=True, cursor_of=None):
+            server = StreamServer(open_engine(spec))
+            await server.start()
+            for op in ops:
+                if isinstance(op, int):
+                    await server.delete(op)
+                else:
+                    await server.ingest_wait(op)
+            cursor = None
+            if cursor_of is not None:
+                cursor = server.feeds.read(cursor_of, limit=1)["next_cursor"]
+            await server.stop(drain=drain)
+            server.engine.close()
+            return server, cursor
+
+        def standing(feeds):
+            versions = {s["segment"]: s["version"] for s in feeds.segments()}
+            return versions, store_segments(feeds)
+
+        unfaulted, _ = asyncio.run(serve(make_spec(**composition), ops))
+        spec = make_spec(
+            checkpoint=CheckpointPolicy(
+                str(tmp_path / "ck.json"), journal_dir=str(tmp_path / "wal")
+            ),
+            **composition,
+        )
+        asyncio.run(serve(spec, ops[:30]))
+        _, cursor = asyncio.run(serve(spec, suffix, False, "d0=a0"))
+        assert cursor is not None
+
+        async def restart():
+            server = StreamServer(open_engine(spec))
+            await server.start()
+            feeds = server.feeds
+            restored = standing(feeds), oracle_segments(server.engine, feeds)
+            # Every later arrival into the segment bumps its version past
+            # the cursor's: the cursor restarts, never reads as current.
+            restarted = []
+            for row in STREAM[60:100]:
+                await server.ingest_wait(dict(row, d0="a0"))
+                page = feeds.read("d0=a0", cursor=cursor, limit=1)
+                restarted.append(page.get("restarted", False))
+            await server.stop(drain=False)
+            server.engine.close()
+            return server.stats, restored, restarted
+
+        stats, (restored, oracle), restarted = asyncio.run(restart())
+        assert stats.recovered_from == "checkpoint+journal"
+        assert stats.ops_replayed == len(suffix)
+        assert rebuilds == []
+        assert restored == standing(unfaulted.feeds)
+        assert restored[1] == oracle
+        assert len(restarted) == 40 and all(restarted)
 
 
 class TestFeedSpecValidation:

@@ -138,8 +138,8 @@ def test_unknown_op_is_rejected_before_anything_is_sent(kind):
 
 
 def test_one_table_entry_adds_an_op_to_every_pool(monkeypatch):
-    """ROADMAP item 6's acceptance: a new op is one table entry — the
-    handle, both serve loops and the replica set pick it up untouched."""
+    """A new op is one table entry: the handle, both serve loops and
+    the replica set pick it up untouched."""
     fork_context()  # process workers must inherit the patched table
     monkeypatch.setitem(
         _ShardEngine.OPS,
