@@ -62,7 +62,8 @@ stamped with the engine version ``(arrivals, deletions)``.  A restart
 loads the sidecar right after the checkpoint, while the stamp matches,
 and folds the journal suffix in as it replays, so versions carry on;
 only a missing, unreadable or mismatched sidecar costs a
-:meth:`FeedStore.rebuild`, whose versions restart at 1.
+:meth:`FeedStore.rebuild`, whose versions start above any the store
+could have served for the same engine history.
 """
 
 from __future__ import annotations
@@ -203,8 +204,11 @@ class FeedStore:
         self.repaired_pairs = 0
         self._reset()
 
-    def _reset(self) -> None:
-        """Empty standings (the layout is in the module docstring)."""
+    def _reset(self, version_floor: int = 0) -> None:
+        """Empty standings (the layout is in the module docstring); a
+        segment created from now on starts at ``version_floor``
+        (:meth:`rebuild` says why)."""
+        self._version_floor = version_floor
         #: key -> segment in creation order, the same objects by id,
         #: and their live-entry counts.  One segment per distinct
         #: ``group_by`` value combination ever fed: a segment is never
@@ -264,7 +268,9 @@ class FeedStore:
         segment = self._segments.get(key)
         if segment is None:
             sid = len(self._by_sid)
-            segment = self._segments[key] = FeedSegment(key, sid)
+            segment = self._segments[key] = FeedSegment(
+                key, sid, self._version_floor
+            )
             self._by_sid.append(segment)
             if sid == len(self._seg_size):
                 self._seg_size = _widened(self._seg_size, 2 * sid, 0)
@@ -743,7 +749,7 @@ class FeedStore:
             live = live[np.lexsort((seq[live], seg[live]))]
             entries = iter(self._entries(live))
             sizes = self._seg_size.tolist()
-            return {
+            doc = {
                 "format": SIDECAR_FORMAT,
                 "engine_version": list(version),
                 "feed_spec": self.spec.to_dict(),
@@ -770,6 +776,11 @@ class FeedStore:
                     for segment in self._by_sid
                 ],
             }
+            if self._version_floor:
+                # Only a rebuilt store has one: a store never rebuilt
+                # writes the bytes it always wrote.
+                doc["version_floor"] = self._version_floor
+            return doc
 
     def save_sidecar(self, path: str, version: Tuple[int, int]) -> None:
         """Write the sidecar crash-consistently next to the engine
@@ -792,7 +803,7 @@ class FeedStore:
         if doc.get("feed_spec") != self.spec.to_dict():
             return False
         with self._lock:
-            self._reset()
+            self._reset(int(doc.get("version_floor", 0)))
             self.applied_arrivals = int(doc.get("applied_arrivals", 0))
             for seg_doc in doc.get("segments", ()):
                 segment = self._segment(seg_doc["key"])
@@ -836,9 +847,22 @@ class FeedStore:
         no matching sidecar exists): enumerate every candidate pair of
         every live tuple, answer them in one planner batch, keep the
         non-empty ones.  Equal to the incrementally maintained store —
-        entries exist exactly while their context is non-empty."""
+        entries exist exactly while their context is non-empty.
+
+        Versions start above any a cursor could hold from an earlier
+        state of this engine history.  :meth:`_settle` is the only bump:
+        once per :meth:`apply_event` (one arrival) and once per
+        :meth:`repair` (which consumes a retraction, a deletion in
+        ``engine.version``, or a lost arrival whose ``apply_event``
+        bumped nothing).  So no version exceeds the history's
+        ``arrivals + deletions``, plus one once a rebuild ran.  A
+        rebuild starts every segment (one first seen later too) at that
+        sum, and its own bump lifts it one higher.  The floor rides in
+        the sidecar, so a journal replay over it recreates segments as
+        the crashed server did.
+        """
         with self._lock:
-            self._reset()
+            self._reset(sum(engine.version))
             pairs = self._candidates(engine.table)
             self.applied_arrivals = engine.arrivals
             if not pairs:

@@ -26,9 +26,11 @@ reuses on the wire — see :mod:`repro.service.remote`) with payload
 ``{"seq": n, "op": "delete", "tid": k}``.  Sequence numbers are global
 and monotone from 1; a checkpoint records the sequence it covers
 (``journal_seq`` in the snapshot document), so replay applies exactly
-the ops with ``seq > journal_seq``.  The first segment opens with one
-``{"seq": 0, "origin": [arrivals, live]}`` frame: the engine state the
-journal continues from (:func:`journal_origin`), which replay skips.
+the ops with ``seq > journal_seq``, and numbering goes on past it
+(:meth:`JournalWriter.checkpoint`), even in an emptied directory.  The
+first segment opens with one ``{"seq": 0, "origin": [arrivals, live]}``
+frame: the engine state the journal continues from
+(:func:`journal_origin`), which replay skips.
 
 Durability is a knob (``fsync``) with two values; either way the server
 commits once per micro-batch, before it acknowledges any op of it:
@@ -384,10 +386,13 @@ class JournalWriter:
     # -- checkpoint anchoring -------------------------------------------
     def checkpoint(self, covered_seq: int) -> None:
         """Anchor a durably-written checkpoint covering ``covered_seq``:
-        rotate to a fresh segment and prune segments wholly covered by
-        the checkpoint (their ops can never be needed again — recovery
+        rotate to a fresh segment numbered past it (past what this
+        journal holds, too, when a directory emptied beside the
+        checkpoint holds less) and prune segments wholly covered by the
+        checkpoint (their ops can never be needed again — recovery
         replays only ``seq > covered_seq``)."""
         self.commit()
+        self.last_seq = max(self.last_seq, covered_seq)
         self._open_segment(self.last_seq + 1)
         for first_seq, path in list_segments(self.directory):
             # A segment is wholly covered when the *next* segment starts

@@ -391,6 +391,11 @@ class StreamServer:
                 fsync=policy.journal_fsync,
                 segment_max_bytes=policy.journal_segment_bytes,
             )
+            if self.journal.last_seq < seq:
+                # A directory emptied beside the checkpoint: anchor it
+                # there, or its ops would number into the range replay
+                # skips as covered.
+                self.journal.checkpoint(seq)
             self.journal.mark_origin(engine.arrivals, len(engine))
 
     async def stop(self, drain: bool = True) -> None:

@@ -186,6 +186,8 @@ class FeedStore:
         self.repairs = 0
         #: Pairs refreshed by repair passes.
         self.repaired_pairs = 0
+        #: The version a new segment starts at (set by a rebuild).
+        self._version_floor = 0
 
     @classmethod
     def for_engine(cls, engine, spec: Optional[FeedSpec] = None) -> "FeedStore":
@@ -215,6 +217,7 @@ class FeedStore:
         segment = self._segments.get(key)
         if segment is None:
             segment = self._segments[key] = FeedSegment(key)
+            segment.version = self._version_floor
         return segment
 
     # ------------------------------------------------------------------
@@ -266,9 +269,7 @@ class FeedStore:
                     key = self._key_cache.get(canon)
                     if key is None:
                         key = self._key_cache[canon] = self.segment_key(canon)
-                    segment = self._segments.get(key)
-                    if segment is None:
-                        segment = self._segments[key] = FeedSegment(key)
+                    segment = self._segment(key)
                     touched[key] = segment
                     resolved[id(constraint)] = state = (
                         canon, cell, key, segment
@@ -595,7 +596,7 @@ class FeedStore:
         """Plain-data rendering stamped with the engine version the
         standings describe."""
         with self._lock:
-            return {
+            doc = {
                 "format": SIDECAR_FORMAT,
                 "engine_version": list(version),
                 "feed_spec": self.spec.to_dict(),
@@ -620,6 +621,9 @@ class FeedStore:
                     for segment in self._segments.values()
                 ],
             }
+            if self._version_floor:
+                doc["version_floor"] = self._version_floor
+            return doc
 
     def save_sidecar(self, path: str, version: Tuple[int, int]) -> bool:
         """Write the sidecar crash-consistently next to the engine
@@ -660,6 +664,7 @@ class FeedStore:
             self._key_cache.clear()
             self._canon.clear()
             self.applied_arrivals = int(doc.get("applied_arrivals", 0))
+            self._version_floor = int(doc.get("version_floor", 0))
             for seg_doc in doc.get("segments", ()):
                 segment = FeedSegment(seg_doc["key"])
                 segment.version = int(seg_doc.get("version", 0))
@@ -709,6 +714,9 @@ class FeedStore:
             self._canon.clear()
             self._pending_retractions = []
             self._pending_unknown = []
+            # Versions start above any an earlier state of this engine
+            # history could have served (feeds.py's rebuild says why).
+            self._version_floor = sum(engine_version(engine))
             pairs: Set[Pair] = set()
             for record in engine.table:
                 for constraint in satisfied_constraints(record, self._bound_cap):

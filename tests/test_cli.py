@@ -2,9 +2,12 @@
 
 import json
 import os
+import re
+import signal
 import socket
 import subprocess
 import sys
+import time
 from contextlib import contextmanager
 
 import pytest
@@ -17,19 +20,53 @@ from tests.strategies import SERVICE_SCHEMA, make_rows, open_router
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+#: A fresh interpreter's environment: ``src`` and the repo root importable.
+CHILD_ENV = dict(
+    os.environ, PYTHONPATH=os.pathsep.join([os.path.join(REPO, "src"), REPO])
+)
+
+
 def run_python(code, *args, timeout=60):
-    """Run ``code`` in a fresh interpreter (``src`` and the repo root
-    importable), so what it imports is not what this test process
-    already loaded."""
-    path = os.pathsep.join([os.path.join(REPO, "src"), REPO])
+    """Run ``code`` in a fresh interpreter, so what it imports is not
+    what this test process already loaded."""
     return subprocess.run(
         [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
         timeout=timeout,
         cwd=REPO,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=CHILD_ENV,
     )
+
+
+@contextmanager
+def cli_process(err_path, *args, timeout=60):
+    """Run ``python -m repro.cli *args`` with stderr going to
+    ``err_path``.  Yields ``(proc, port)`` once its ``listening on
+    host:port`` banner is out, or ``(proc, None)`` if it exits first;
+    kills and reaps it on exit."""
+    with open(err_path, "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *args],
+            stdout=subprocess.DEVNULL,
+            stderr=err,
+            cwd=REPO,
+            env=CHILD_ENV,
+        )
+    try:
+        deadline = time.monotonic() + timeout
+        while True:
+            exited = proc.poll() is not None
+            with open(err_path) as fh:
+                banner = re.search(r"^listening on .*:(\d+)$", fh.read(), re.M)
+            if banner or exited:
+                break
+            assert time.monotonic() < deadline, f"no banner from {args}"
+            time.sleep(0.02)
+        yield proc, int(banner.group(1)) if banner else None
+    finally:
+        proc.kill()
+        proc.wait()
 
 
 def stats_line(stderr):
@@ -264,6 +301,105 @@ class TestServe:
         if not render:
             assert lines[0].startswith("[0] ") and lines[-1].startswith("[39] ")
         assert "facts from 40 tuples" in served.err
+
+    def test_sigkill_mid_stream_then_restart_equals_an_unfaulted_run(
+        self, tmp_path, capsys
+    ):
+        """SIGKILL a real ``serve`` mid-stream, with one deletion before
+        its last periodic checkpoint and one after it, restart it over
+        the same checkpoint, journal and sidecar (``--feed-by d0``), and
+        finish the stream: the recovered engine equals an unfaulted run
+        of the same ops (live tids, rows, ``arrivals``, facts), and the
+        restart counts no failure.  Then a torn checkpoint over the
+        journal the graceful shutdown pruned is refused."""
+        from repro.api import open_engine
+        from repro.datasets.loader import load_rows
+        from repro.datasets.synthetic import synthetic_rows, synthetic_schema
+        from repro.extensions.snapshot import load_engine, read_snapshot
+        from repro.metrics.service import FAILURE_CLASSES
+
+        schema = synthetic_schema(3, 2)
+        rows = synthetic_rows(240, 3, 2, distribution="anticorrelated")
+        first, rest = str(tmp_path / "first.csv"), str(tmp_path / "rest.csv")
+        save_rows(first, schema, rows[:120])
+        save_rows(rest, schema, rows[120:])
+        ckpt = str(tmp_path / "ckpt.snap")
+        flags = ["-d", "d0,d1,d2", "-m", "m0,m1"]
+        serve = [
+            "serve", *flags, "--port", "0", "--checkpoint", ckpt,
+            "--checkpoint-interval", "0.2", "--journal-dir",
+            str(tmp_path / "wal"), "--feed-by", "d0", "--dead-letter",
+            str(tmp_path / "dead.ndjson"),
+        ]
+
+        def ingest(csv, port, *extra):
+            assert main(["ingest", csv, *flags, "--connect",
+                         f"127.0.0.1:{port}", *extra]) == 0
+            capsys.readouterr()
+
+        def request(port, message):
+            with socket.create_connection(("127.0.0.1", port), 30) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(json.dumps(message).encode() + b"\n")
+                stream.flush()
+                return json.loads(stream.readline())
+
+        err = tmp_path / "serve1.err"
+        with cli_process(err, *serve) as (proc, port):
+            assert port, err.read_text()
+            ingest(first, port)
+            assert request(port, {"op": "delete", "tid": 7}) == {"deleted": 7}
+            seq = request(port, {"op": "stats"})["stats"]["journal_seq"]
+            # The first checkpoint to cover the delete opens a 0.2 s
+            # tick: delete tid 90 and kill well inside it.
+            deadline = time.monotonic() + 30
+            while not (
+                os.path.exists(ckpt) and read_snapshot(ckpt)["journal_seq"] >= seq
+            ):
+                assert time.monotonic() < deadline, "no checkpoint covers tid 7"
+                time.sleep(0.01)
+            assert request(port, {"op": "delete", "tid": 90}) == {"deleted": 90}
+            proc.send_signal(signal.SIGKILL)
+            proc.wait()
+
+        err = tmp_path / "serve2.err"
+        with cli_process(err, *serve) as (proc, port):
+            assert port, err.read_text()
+            banner = err.read_text()
+            assert "# recovered from checkpoint+journal" in banner
+            assert "ops failed to re-apply" not in banner
+            ingest(rest, port, "--shutdown")
+            assert proc.wait(60) == 0, err.read_text()
+        stats = stats_line(err.read_text())
+        failed = {name: stats[name] for name in FAILURE_CLASSES if stats[name]}
+        assert not failed, stats["failure_causes"]
+
+        recovered = load_engine(ckpt)
+        reference = open_engine(recovered.spec)
+        rows = list(load_rows(first, schema)) + list(load_rows(rest, schema))
+        reference.observe_many(rows[:120])
+        reference.delete(7)
+        reference.delete(90)
+        reference.observe_many(rows[120:])
+
+        def state(engine):
+            table = [(r.tid, r.as_dict(engine.schema)) for r in engine.table]
+            arrivals = engine.arrivals
+            (facts,) = engine.facts_for_many([rows[0]])  # a probe arrival
+            return table, arrivals, [
+                (f.constraint.values, f.subspace, f.prominence) for f in facts
+            ]
+
+        with recovered, reference:
+            assert state(recovered) == state(reference)
+
+        with open(ckpt, "w") as fh:
+            fh.write("{torn")
+        err = tmp_path / "serve3.err"
+        with cli_process(err, *serve) as (proc, port):
+            assert port is None, "served over a torn checkpoint"
+            assert proc.returncode == 2
+        assert f"error: checkpoint '{ckpt}' is unreadable" in err.read_text()
 
     def test_durability_flags_need_a_checkpoint_path(self, capsys):
         rc = main(["serve", "-d", DIMS, "-m", MEAS, "--journal-dir", "wal"])

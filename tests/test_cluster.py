@@ -13,6 +13,7 @@ subprocess/SIGKILL variants live in ``tests/test_fault_tolerance.py``).
 from __future__ import annotations
 
 import asyncio
+import json
 import pickle
 import random
 import socket
@@ -724,3 +725,46 @@ class TestOperatorSurface:
         assert report[0]["alive"] is False
         assert report[0]["error"]
         assert report[0]["lag"] is None
+
+    def test_two_shard_worker_processes_match_a_single_engine(
+        self, tmp_path, capsys
+    ):
+        """Two ``python -m repro.cli shard-worker`` pool members, each
+        its own OS process on an ephemeral port read off its banner,
+        behind a remote router: 180 anticorrelated rows and a deletion
+        give the unsharded engine's facts and op counters with no
+        failover, and ``cluster-status --json`` then sees both members
+        alive with zero lag."""
+        from repro.cli import main
+        from repro.datasets.synthetic import synthetic_rows, synthetic_schema
+        from tests.test_cli import cli_process
+
+        schema = synthetic_schema(3, 2)
+        rows = synthetic_rows(180, 3, 2, distribution="anticorrelated")
+        single = FactDiscoverer(schema, algorithm="svec")
+        expected = emitted(single.observe_many(rows))
+        single.delete(17)
+        worker = ["shard-worker", "--port", "0"]
+        with cli_process(tmp_path / "w0.err", *worker) as (_, port0), \
+                cli_process(tmp_path / "w1.err", *worker) as (_, port1):
+            assert port0 and port1
+            remote = {"0": [f"127.0.0.1:{port0}"], "1": [f"127.0.0.1:{port1}"]}
+            sharding = ShardingSpec(2, "remote", chunk_size=24, remote=remote)
+            spec = EngineSpec(schema, "svec", sharding=sharding)
+            with open_engine(spec) as engine:
+                assert emitted(engine.observe_many(rows)) == expected
+                engine.delete(17)
+                assert engine.counters.snapshot() == single.counters.snapshot()
+                assert not engine.degraded
+                assert engine.fault_counters()["replica_failovers"] == 0
+            status = ["cluster-status", "--remote", json.dumps(remote)]
+            assert main(status) == 0
+            table = capsys.readouterr().out.splitlines()
+            rc = main([*status, "--json"])
+            out, err = capsys.readouterr()
+            assert rc == 0, err
+        assert [line.split()[2] for line in table[2:]] == ["up", "up"]
+        assert [(row["alive"], row["lag"]) for row in json.loads(out)] == [
+            (True, 0), (True, 0)
+        ]
+        single.close()

@@ -1,21 +1,30 @@
 """Every example script must run clean (small workloads).
 
 Examples are the first thing a new user executes; breaking one is a
-release blocker, so they are exercised as subprocesses here.
+release blocker, so they are exercised as subprocesses here, in which
+the test-only packages cannot be imported: an example needs NumPy and
+the package alone.
 """
 
 import os
 import subprocess
 import sys
 
-import pytest
-
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
+
+#: Runs the script ``argv[1]`` as ``__main__`` with ``pytest`` and
+#: ``hypothesis`` unimportable.
+NUMPY_ONLY = (
+    "import runpy, sys\n"
+    "sys.modules.update(pytest=None, hypothesis=None)\n"
+    "sys.argv = sys.argv[1:]\n"
+    "runpy.run_path(sys.argv[0], run_name='__main__')\n"
+)
 
 
 def run_example(name, *args, timeout=120):
     return subprocess.run(
-        [sys.executable, os.path.join(EXAMPLES_DIR, name), *args],
+        [sys.executable, "-c", NUMPY_ONLY, os.path.join(EXAMPLES_DIR, name), *args],
         capture_output=True,
         text=True,
         timeout=timeout,

@@ -1127,10 +1127,12 @@ class TestJournalRecovery:
 
 
 class TestJournalOrigin:
-    """The journal's first segment records the engine state its writer
-    opened on, so a journal begun after a checkpoint is never replayed
-    as the whole history: 3 rows served without a journal and
-    checkpointed, then 2 more with a journal and no checkpoint."""
+    """Where a journal begins.  Its first segment records the engine
+    state its writer opened on, so a journal begun after a checkpoint
+    is never replayed as the whole history: 3 rows served without a
+    journal and checkpointed, then 2 more with a journal and no
+    checkpoint.  And its numbering goes on past the checkpoint's
+    ``journal_seq``, so replay never skips a new op."""
 
     def three_then_two(self, tmp_path):
         path = str(tmp_path / "ck.json")
@@ -1191,6 +1193,35 @@ class TestJournalOrigin:
         err = capsys.readouterr().err
         assert rc == 2
         assert "error: checkpoint" in err and "begun after a checkpoint" in err
+
+    def test_an_emptied_journal_numbers_past_the_checkpoint(self, tmp_path):
+        """5 rows served and checkpointed (``journal_seq`` 5), the
+        journal directory removed, 3 more rows acknowledged and the
+        server killed.  A fresh journal used to number them 1 to 3,
+        which replay skips as covered: the restart served 5 rows and
+        counted no failure."""
+        import shutil
+
+        spec = service_spec(tmp_path)
+        rows = make_rows(8)
+
+        async def serve(rows, drain):
+            server = StreamServer(open_engine(spec))
+            await server.start()
+            for row in rows:
+                await server.ingest_wait(row)
+            await server.stop(drain=drain)
+            server.engine.close()
+
+        asyncio.run(serve(rows[:5], True))
+        assert checkpoint_seq(spec) == 5
+        shutil.rmtree(spec.checkpoint.journal_dir)
+        asyncio.run(serve(rows[5:], False))
+        engine, stats = recover(spec)
+        with engine:
+            assert stats["recovered_from"] == "checkpoint+journal"
+            assert stats["ops_replayed"] == 3
+            assert [record.tid for record in engine.table] == list(range(8))
 
     def test_torn_checkpoint_over_a_journal_from_an_empty_engine_replays(
         self, tmp_path

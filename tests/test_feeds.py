@@ -531,10 +531,69 @@ class TestCrashRestartFolds:
         ),
     }
 
+    @staticmethod
+    async def serve(spec, ops, drain=True, cursor_of=None):
+        server = StreamServer(open_engine(spec))
+        await server.start()
+        for op in ops:
+            if isinstance(op, int):
+                await server.delete(op)
+            else:
+                await server.ingest_wait(op)
+        cursor = None
+        if cursor_of is not None:
+            cursor = server.feeds.read(cursor_of, limit=1)["next_cursor"]
+        await server.stop(drain=drain)
+        server.engine.close()
+        return server, cursor
+
+    @staticmethod
+    def standing(feeds):
+        versions = {s["segment"]: s["version"] for s in feeds.segments()}
+        return versions, store_segments(feeds)
+
+    def crash(self, tmp_path, composition, suffix):
+        """Serve the first 30 ops with a checkpoint, then ``suffix``
+        without one; returns the spec and a ``d0=a0`` cursor minted just
+        before the kill."""
+        spec = make_spec(
+            checkpoint=CheckpointPolicy(
+                str(tmp_path / "ck.json"), journal_dir=str(tmp_path / "wal")
+            ),
+            **composition,
+        )
+        asyncio.run(self.serve(spec, STREAM[:30]))
+        _, cursor = asyncio.run(self.serve(spec, suffix, False, "d0=a0"))
+        assert cursor is not None
+        return spec, cursor
+
+    def restart(self, spec, cursor, d0="a0"):
+        """Restore from ``spec``'s durable state, then 40 arrivals into
+        segment ``d0``, reading the pre-crash cursor after each.
+        Returns the stats, the restored standing and its oracle, and
+        whether each read restarted the cursor."""
+
+        async def run():
+            server = StreamServer(open_engine(spec))
+            await server.start()
+            feeds = server.feeds
+            restored = self.standing(feeds), oracle_segments(server.engine, feeds)
+            # Every later arrival into the segment bumps its version past
+            # the cursor's: the cursor restarts, never reads as current.
+            restarted = []
+            for row in STREAM[60:100]:
+                await server.ingest_wait(dict(row, d0=d0))
+                page = feeds.read(f"d0={d0}", cursor=cursor, limit=1)
+                restarted.append(page.get("restarted", False))
+            await server.stop(drain=False)
+            server.engine.close()
+            return server.stats, restored, restarted
+
+        return asyncio.run(run())
+
     @pytest.mark.parametrize("case", sorted(SUFFIXES))
     def test_restart_equals_an_unfaulted_run(self, tmp_path, monkeypatch, case):
         composition, suffix = self.SUFFIXES[case]
-        ops = STREAM[:30] + suffix
         rebuilds = []
         rebuild = FeedStore.rebuild
         monkeypatch.setattr(
@@ -542,60 +601,69 @@ class TestCrashRestartFolds:
             "rebuild",
             lambda store, engine: rebuilds.append(1) or rebuild(store, engine),
         )
-
-        async def serve(spec, ops, drain=True, cursor_of=None):
-            server = StreamServer(open_engine(spec))
-            await server.start()
-            for op in ops:
-                if isinstance(op, int):
-                    await server.delete(op)
-                else:
-                    await server.ingest_wait(op)
-            cursor = None
-            if cursor_of is not None:
-                cursor = server.feeds.read(cursor_of, limit=1)["next_cursor"]
-            await server.stop(drain=drain)
-            server.engine.close()
-            return server, cursor
-
-        def standing(feeds):
-            versions = {s["segment"]: s["version"] for s in feeds.segments()}
-            return versions, store_segments(feeds)
-
-        unfaulted, _ = asyncio.run(serve(make_spec(**composition), ops))
-        spec = make_spec(
-            checkpoint=CheckpointPolicy(
-                str(tmp_path / "ck.json"), journal_dir=str(tmp_path / "wal")
-            ),
-            **composition,
+        unfaulted, _ = asyncio.run(
+            self.serve(make_spec(**composition), STREAM[:30] + suffix)
         )
-        asyncio.run(serve(spec, ops[:30]))
-        _, cursor = asyncio.run(serve(spec, suffix, False, "d0=a0"))
-        assert cursor is not None
-
-        async def restart():
-            server = StreamServer(open_engine(spec))
-            await server.start()
-            feeds = server.feeds
-            restored = standing(feeds), oracle_segments(server.engine, feeds)
-            # Every later arrival into the segment bumps its version past
-            # the cursor's: the cursor restarts, never reads as current.
-            restarted = []
-            for row in STREAM[60:100]:
-                await server.ingest_wait(dict(row, d0="a0"))
-                page = feeds.read("d0=a0", cursor=cursor, limit=1)
-                restarted.append(page.get("restarted", False))
-            await server.stop(drain=False)
-            server.engine.close()
-            return server.stats, restored, restarted
-
-        stats, (restored, oracle), restarted = asyncio.run(restart())
+        spec, cursor = self.crash(tmp_path, composition, suffix)
+        stats, (restored, oracle), restarted = self.restart(spec, cursor)
         assert stats.recovered_from == "checkpoint+journal"
         assert stats.ops_replayed == len(suffix)
         assert rebuilds == []
-        assert restored == standing(unfaulted.feeds)
+        assert restored == self.standing(unfaulted.feeds)
         assert restored[1] == oracle
         assert len(restarted) == 40 and all(restarted)
+
+    @pytest.mark.parametrize("case", sorted(SUFFIXES))
+    def test_a_rebuild_restarts_every_pre_crash_cursor(self, tmp_path, case):
+        """With the sidecar gone the restart rebuilds the feeds, and
+        every segment starts above the versions the crashed server
+        served.  Versions used to restart at 1, so the 40 arrivals
+        walked ``d0=a0`` back up to the cursor's version, and the cursor
+        then read as current over different content."""
+        composition, suffix = self.SUFFIXES[case]
+        spec, cursor = self.crash(tmp_path, composition, suffix)
+        os.remove(spec.checkpoint.path + ".feeds")
+        stats, (restored, oracle), restarted = self.restart(spec, cursor)
+        assert stats.recovered_from == "checkpoint+journal"
+        assert restored[1] == oracle
+        assert len(restarted) == 40 and all(restarted)
+
+    def test_a_segment_rebuilt_away_restarts_its_cursor(self, tmp_path):
+        """A segment whose rows were all deleted before the crash is not
+        rebuilt.  When rows come back to it, it starts at the rebuild's
+        floor too, so its pre-crash cursor still restarts (from 1 it
+        would climb back to the cursor's version 3)."""
+        spec, _ = self.crash(tmp_path, {"algorithm": "svec"}, [])
+        rows = [dict(row, d0="z") for row in STREAM[30:33]]
+        _, cursor = asyncio.run(self.serve(spec, rows, False, "d0=z"))
+        asyncio.run(self.serve(spec, [30, 31, 32], False))
+        os.remove(spec.checkpoint.path + ".feeds")
+        stats, _, restarted = self.restart(spec, cursor, "z")
+        assert cursor.startswith("v3:")
+        assert stats.recovered_from == "checkpoint+journal"
+        assert len(restarted) == 40 and all(restarted)
+
+    def test_a_rebuilt_floor_rides_in_the_sidecar(self, tmp_path):
+        """A segment first seen after a rebuild starts at the rebuild's
+        floor, on the crashed server and in the journal replay over its
+        checkpoint alike."""
+        spec, _ = self.crash(tmp_path, {"algorithm": "svec"}, STREAM[30:60])
+        os.remove(spec.checkpoint.path + ".feeds")
+        asyncio.run(self.serve(spec, []))  # rebuilds, then checkpoints
+        new = [dict(row, d0="a9") for row in STREAM[60:65]]
+        crashed, _ = asyncio.run(self.serve(spec, new, False))
+        versions, _ = self.standing(crashed.feeds)
+        assert versions["d0=a9"] > 60
+
+        async def restored():
+            server = StreamServer(open_engine(spec))
+            await server.start()
+            standing = self.standing(server.feeds)
+            await server.stop(drain=False)
+            server.engine.close()
+            return standing
+
+        assert asyncio.run(restored()) == self.standing(crashed.feeds)
 
 
 class TestFeedSpecValidation:
