@@ -35,7 +35,6 @@ from .api import (
     GroupSpec,
     ShardingSpec,
     open_engine,
-    restore,
 )
 from .core import (
     MAX,
@@ -69,7 +68,6 @@ __all__ = [
     "CheckpointPolicy",
     "GroupSpec",
     "open_engine",
-    "restore",
     "MAX",
     "MIN",
     "ComparisonOutcome",

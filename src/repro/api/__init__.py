@@ -21,7 +21,7 @@ snapshot — is an :class:`Engine`, the one class
 """
 
 from ..core.engine_protocol import Engine, EngineBase
-from .facade import open_engine, restore
+from .facade import open_engine
 from .middleware import (
     AggregateMiddleware,
     EngineMiddleware,
@@ -48,7 +48,6 @@ __all__ = [
     "GroupSpec",
     "AGGREGATES",
     "open_engine",
-    "restore",
     "EngineMiddleware",
     "WindowMiddleware",
     "AggregateMiddleware",

@@ -64,11 +64,3 @@ def _base_engine(spec: EngineSpec) -> Engine:
         config=spec.config,
         score=spec.score,
     )
-
-
-def restore(path: str) -> Engine:
-    """Reopen an engine from a snapshot file: the full composition is
-    restored from the embedded spec."""
-    from ..extensions.snapshot import load_engine
-
-    return load_engine(path)

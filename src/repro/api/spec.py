@@ -160,7 +160,9 @@ class CheckpointPolicy:
 
     ``path`` is the default target of :meth:`Engine.snapshot`;
     ``interval`` (seconds) activates periodic checkpointing when the
-    engine runs behind a :class:`~repro.service.server.StreamServer`.
+    engine runs behind a :class:`~repro.service.server.StreamServer`;
+    a tick finding the engine unchanged since the last checkpoint
+    writes nothing.
 
     ``journal_dir`` activates the write-ahead journal
     (:mod:`repro.service.journal`): every accepted ingest/delete is

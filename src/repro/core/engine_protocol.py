@@ -162,7 +162,7 @@ class EngineBase:
     def version(self) -> Tuple[int, int]:
         """``(arrivals, deletions)`` — every mutation strictly increases
         one of the two, so equality proves the state is unchanged (the
-        stamp query caches and feed sidecars key on)."""
+        stamp query caches key on, and a server skips a checkpoint on)."""
         arrivals = self.arrivals
         return arrivals, arrivals - len(self)
 
@@ -171,7 +171,7 @@ class EngineBase:
         """Write a restorable snapshot; returns the path written.
 
         ``path`` defaults to the spec's checkpoint policy.  Restore with
-        :func:`repro.api.restore` (or ``repro.extensions.load_engine``).
+        :func:`repro.extensions.load_engine`.
         """
         from ..extensions.snapshot import save_engine
 

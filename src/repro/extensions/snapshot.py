@@ -22,9 +22,12 @@ after it names the same tuples; the base-row journal for aggregate
 engines (their table holds derived tuples that must not be
 re-aggregated, and the replay renumbers them exactly).  A file without
 ``tids`` — every aggregate engine's, and any written before tids were
-saved — loads numbered densely.  The replay discovers and scores each
-row but ranks nothing: no caller reads a restored row's facts.  Files
-of any other version are refused with an actionable ``ValueError``.
+saved — loads numbered densely.  A server's checkpoint carries one
+more section, ``feeds`` (its feed standings, written by the same
+atomic write), and the ``engine_version`` they describe, which only
+the server reads back.  The replay discovers and scores each row but
+ranks nothing: no caller reads a restored row's facts.  Files of any
+other version are refused with an actionable ``ValueError``.
 """
 
 from __future__ import annotations
@@ -40,25 +43,16 @@ from ..service.journal import REPLAY_BLOCK, apply_ops, atomic_write
 _FORMAT_VERSION = 3
 
 
-def save_engine(
-    engine: Engine, path: str, journal_seq: Optional[int] = None
-) -> None:
-    """Write a JSON snapshot of ``engine`` to ``path``, atomically and
-    crash-consistently.
+def snapshot_doc(engine: Engine, journal_seq: Optional[int] = None) -> dict:
+    """The snapshot document of ``engine``: its spec (``engine.spec``)
+    and replay state (``engine.snapshot_state()``), which fully
+    describe the session of any
+    :class:`~repro.core.engine_protocol.Engine`.
 
-    Accepts any :class:`~repro.core.engine_protocol.Engine` — the spec
-    (``engine.spec``) and the replay state (``engine.snapshot_state()``)
-    fully describe the session.
-
-    The document lands via :func:`~repro.service.journal.atomic_write`,
-    so a crash at *any* byte boundary leaves either the complete new
-    snapshot or the previous one untouched — never a torn file at
-    ``path``.
-
-    ``journal_seq`` stamps the last write-ahead-journal sequence this
-    snapshot covers (see :mod:`repro.service.journal`): recovery then
-    replays exactly the journal suffix past it.
-    """
+    ``journal_seq`` stamps the last write-ahead-journal sequence the
+    document covers (see :mod:`repro.service.journal`): recovery then
+    replays exactly the journal suffix past it.  A server adds its
+    ``feeds`` section before writing it."""
     doc = {
         "format_version": _FORMAT_VERSION,
         "spec": engine.spec.to_dict(),
@@ -66,9 +60,20 @@ def save_engine(
     }
     if journal_seq is not None:
         doc["journal_seq"] = int(journal_seq)
+    return doc
+
+
+def write_snapshot(path: str, doc: dict) -> None:
+    """Render ``doc`` with ``json.dumps`` and write it to ``path`` in one
+    :func:`~repro.service.journal.atomic_write`, so a crash at *any*
+    byte boundary leaves either the complete new snapshot or the
+    previous one untouched — never a torn file at ``path``.  A value
+    JSON cannot render raises ``TypeError`` / ``ValueError`` before
+    the file is opened."""
+    payload = json.dumps(doc)
 
     def write(fh) -> None:
-        json.dump(doc, fh, indent=1)
+        fh.write(payload)
         fault = faults.fire("checkpoint.write")
         if fault is not None and fault.action == "corrupt":
             # Simulate a crash mid-write: a torn temp never replaces
@@ -77,6 +82,15 @@ def save_engine(
             raise OSError("injected fault: checkpoint write torn")
 
     atomic_write(path, write)
+
+
+def save_engine(
+    engine: Engine, path: str, journal_seq: Optional[int] = None
+) -> None:
+    """Write a JSON snapshot of ``engine`` to ``path``, atomically and
+    crash-consistently: :func:`write_snapshot` of
+    :func:`snapshot_doc`."""
+    write_snapshot(path, snapshot_doc(engine, journal_seq))
 
 
 def read_snapshot(path: str) -> dict:

@@ -30,7 +30,6 @@ FAILURE_CLASSES = (
     "rows_quarantined",  # engine thread: discovery refused the row
     "rows_lost",  # engine thread: applied, its facts gone
     "dead_letter_failures",  # engine thread: a quarantined row unrecorded
-    "sidecar_failures",  # engine thread: unwritten; loop, at start: unreadable
     "checkpoint_failures",  # loop: unwritten; engine, at start: unreadable
     "journal_failures",  # loop: the write that tripped the fail-stop
     "replay_errors",  # engine thread, at start: journal ops not re-applied

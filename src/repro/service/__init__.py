@@ -32,7 +32,7 @@ turns it into a *service*:
   registry the chaos tests (and the CI chaos job) drive;
 * :mod:`repro.service.feeds` — :class:`FeedStore`, materialized
   per-segment top-k feeds maintained incrementally (and exactly) off the
-  fact stream, with cursor pagination and checkpoint sidecars;
+  fact stream, with cursor pagination and a checkpoint section;
 * :mod:`repro.service.gateway` — :class:`FeedGateway`, the hand-rolled
   HTTP + WebSocket fan-out front-end over the feed store, with bounded
   per-connection backpressure (coalesced snapshots for slow consumers).

@@ -19,7 +19,7 @@ Point                 Where it fires
 ``worker.reply``      In a shard worker, just before the reply to an op
                       is sent back.
 ``checkpoint.write``  In :meth:`StreamServer._checkpoint` /
-                      :func:`~repro.extensions.snapshot.save_engine`,
+                      :func:`~repro.extensions.snapshot.write_snapshot`,
                       after the temp file is written but before the
                       atomic replace.
 ``journal.append``    In :meth:`JournalWriter.append`, around the frame

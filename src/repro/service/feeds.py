@@ -56,20 +56,23 @@ Memory is bounded by ``FeedSpec.max_entries`` per segment (lowest
 prominence evicted first, tallied per segment); ``τ`` / top-k are
 read-time filters so entries below the floor can rise again without an
 event.  Each segment carries a monotone ``version`` (bumped on any
-content change) that drives gateway change feeds and cursor pagination,
-and the store snapshots to a sidecar JSON next to the engine checkpoint,
-stamped with the engine version ``(arrivals, deletions)``.  A restart
-loads the sidecar right after the checkpoint, while the stamp matches,
-and folds the journal suffix in as it replays, so versions carry on;
-only a missing, unreadable or mismatched sidecar costs a
-:meth:`FeedStore.rebuild`, whose versions start above any the store
-could have served for the same engine history.
+content change) that drives gateway change feeds and cursor pagination.
+The standings are the ``feeds`` section of the server's checkpoint
+(:meth:`FeedStore.to_doc`), written by the same atomic write as the
+engine's rows, and stamped with the ``engine_version`` they describe.
+A restart loads the section right after the rows, when the restored
+engine is at that version, and folds the journal suffix in as it
+replays, so versions carry on; only a checkpoint without the section
+(written by ``engine.snapshot()``), under another feed spec, at another
+engine version (restored under a smaller window), or with an
+unreadable section costs a :meth:`FeedStore.rebuild`, whose versions
+start above any the store could have served for the same engine
+history.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import threading
 from dataclasses import dataclass
 from math import comb
@@ -84,9 +87,6 @@ from ..core.record import Record
 from ..core.schema import TableSchema
 from ..api.middleware import EngineMiddleware
 from ..api.spec import FeedSpec
-
-#: Sidecar snapshot format version.
-SIDECAR_FORMAT = 1
 
 Pair = Tuple[Constraint, int]
 
@@ -229,7 +229,7 @@ class FeedStore:
         self._slot = np.full((64, 1 << self.schema.n_measures), -1, dtype=np.int32)
         #: Entry matrix; ids below ``_n_entries`` are live or on
         #: ``_free`` (their ``SEG`` is ``-1``).  ``_seq`` numbers
-        #: insertions, the order the cap's ties and the sidecar keep.
+        #: insertions, the order the cap's ties and ``to_doc`` keep.
         self._ent = np.full((6, 256), -1, dtype=np.int64)
         self._n_entries = 0
         self._free: List[int] = []
@@ -735,11 +735,10 @@ class FeedStore:
             return self._n_entries - len(self._free)
 
     # ------------------------------------------------------------------
-    # Snapshot sidecar / rebuild
+    # Checkpoint section / rebuild
     # ------------------------------------------------------------------
-    def to_doc(self, version: Tuple[int, int]) -> dict:
-        """Plain-data rendering stamped with the engine version the
-        standings describe."""
+    def to_doc(self) -> dict:
+        """Plain-data rendering: the ``feeds`` section of a checkpoint."""
         with self._lock:
             # Every live entry once, grouped by segment id and in
             # insertion order within a segment (one sort, not a scan per
@@ -750,9 +749,6 @@ class FeedStore:
             entries = iter(self._entries(live))
             sizes = self._seg_size.tolist()
             doc = {
-                "format": SIDECAR_FORMAT,
-                "engine_version": list(version),
-                "feed_spec": self.spec.to_dict(),
                 "applied_arrivals": self.applied_arrivals,
                 "segments": [
                     {
@@ -782,72 +778,44 @@ class FeedStore:
                 doc["version_floor"] = self._version_floor
             return doc
 
-    def save_sidecar(self, path: str, version: Tuple[int, int]) -> None:
-        """Write the sidecar crash-consistently next to the engine
-        checkpoint, through the checkpoint's own
-        :func:`~repro.service.journal.atomic_write`.  Non-JSON dimension
-        values raise ``TypeError`` / ``ValueError``, disk trouble
-        ``OSError``; restore then rebuilds instead."""
-        from .journal import atomic_write
-
-        payload = json.dumps(self.to_doc(version))
-        atomic_write(path, lambda fh: fh.write(payload))
-
-    def restore_doc(self, doc: dict, version: Tuple[int, int]) -> bool:
-        """Load standings from a sidecar doc iff its stamp matches the
-        live engine version; returns whether it applied."""
-        if doc.get("format") != SIDECAR_FORMAT:
-            return False
-        if list(doc.get("engine_version") or ()) != list(version):
-            return False
-        if doc.get("feed_spec") != self.spec.to_dict():
-            return False
+    def restore_doc(self, doc: dict) -> None:
+        """Replace the standings with a :meth:`to_doc` rendering of the
+        same engine state.  A malformed one (not a document, a missing
+        key, a non-integer count) raises ``ValueError`` and leaves the
+        store empty: the caller rebuilds."""
         with self._lock:
-            self._reset(int(doc.get("version_floor", 0)))
-            self.applied_arrivals = int(doc.get("applied_arrivals", 0))
-            for seg_doc in doc.get("segments", ()):
-                segment = self._segment(seg_doc["key"])
-                segment.version = int(seg_doc.get("version", 0))
-                segment.last_arrival = int(seg_doc.get("last_arrival", 0))
-                segment.evicted = int(seg_doc.get("evicted", 0))
-                rows = [
-                    (
-                        self._intern(Constraint(tuple(entry_doc["values"]))),
-                        int(entry_doc["subspace"]),
-                        int(entry_doc["ctx"]),
-                        int(entry_doc["sky"]),
-                        int(entry_doc["tid"]),
-                    )
-                    for entry_doc in seg_doc.get("entries", ())
-                ]
-                if rows:
-                    self._upsert(*np.array(rows, dtype=np.int64).T)
-        return True
-
-    def load_sidecar(self, path: str, engine) -> bool:
-        """Restore from ``path`` when its stamp matches ``engine``'s
-        live version; a missing or stale sidecar reports False (the
-        caller rebuilds).  An unreadable one (not JSON, not a document,
-        a malformed entry) empties the store and raises ``ValueError``
-        naming ``path``: the caller counts it, then rebuilds."""
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-            return self.restore_doc(doc, engine.version)
-        except FileNotFoundError:
-            return False
-        except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
-            with self._lock:
+            try:
+                self._reset(int(doc.get("version_floor", 0)))
+                self.applied_arrivals = int(doc.get("applied_arrivals", 0))
+                for seg_doc in doc.get("segments", ()):
+                    segment = self._segment(seg_doc["key"])
+                    segment.version = int(seg_doc.get("version", 0))
+                    segment.last_arrival = int(seg_doc.get("last_arrival", 0))
+                    segment.evicted = int(seg_doc.get("evicted", 0))
+                    rows = [
+                        (
+                            self._intern(Constraint(tuple(entry_doc["values"]))),
+                            int(entry_doc["subspace"]),
+                            int(entry_doc["ctx"]),
+                            int(entry_doc["sky"]),
+                            int(entry_doc["tid"]),
+                        )
+                        for entry_doc in seg_doc.get("entries", ())
+                    ]
+                    if rows:
+                        self._upsert(*np.array(rows, dtype=np.int64).T)
+            except (LookupError, TypeError, ValueError, AttributeError) as exc:
                 self._reset()
                 self.applied_arrivals = 0
-            raise ValueError(f"feed sidecar {path!r} is unreadable: {exc!r}")
+                raise ValueError(f"malformed feeds section: {exc!r}") from None
 
     def rebuild(self, engine) -> None:
         """Recompute standings from the live engine (recovery path when
-        no matching sidecar exists): enumerate every candidate pair of
-        every live tuple, answer them in one planner batch, keep the
-        non-empty ones.  Equal to the incrementally maintained store —
-        entries exist exactly while their context is non-empty.
+        the checkpoint holds no feeds section this store can load):
+        enumerate every candidate pair of every live tuple, answer them
+        in one planner batch, keep the non-empty ones.  Equal to the
+        incrementally maintained store — entries exist exactly while
+        their context is non-empty.
 
         Versions start above any a cursor could hold from an earlier
         state of this engine history.  :meth:`_settle` is the only bump:
@@ -858,8 +826,8 @@ class FeedStore:
         ``arrivals + deletions``, plus one once a rebuild ran.  A
         rebuild starts every segment (one first seen later too) at that
         sum, and its own bump lifts it one higher.  The floor rides in
-        the sidecar, so a journal replay over it recreates segments as
-        the crashed server did.
+        :meth:`to_doc`, so a journal replay over it recreates segments
+        as the crashed server did.
         """
         with self._lock:
             self._reset(sum(engine.version))

@@ -21,11 +21,12 @@ windowed, aggregate, or any composition built by
   ``async for event in server.subscribe()`` to receive each arrival's
   reportable facts as they are discovered;
 * **checkpointing** — per the engine spec's
-  :class:`~repro.api.spec.CheckpointPolicy`, a snapshot
-  (:func:`repro.extensions.snapshot.save_engine`, written atomically via
-  a temp file) is taken every ``interval`` seconds and once more on
-  shutdown, and :meth:`StreamServer.start` restores the engine it is
-  given from that snapshot plus the journal suffix;
+  :class:`~repro.api.spec.CheckpointPolicy`, one document (the engine's
+  snapshot plus a ``feeds`` section, written atomically via a temp file
+  by :func:`repro.extensions.snapshot.write_snapshot`) is taken every
+  ``interval`` seconds the engine changed and once more on shutdown,
+  and :meth:`StreamServer.start` restores the engine it is given, and
+  its feeds, from that document plus the journal suffix;
 * **graceful drain** — ``stop()`` (default ``drain=True``) lets every
   queued row be discovered, flushes subscribers, checkpoints, and only
   then parks the consumer;
@@ -287,6 +288,10 @@ class StreamServer:
         #: Set once, by the fail-stop in :meth:`_run`: why every later
         #: write is refused.
         self._write_error: Optional[Exception] = None
+        #: ``engine.version`` the last checkpoint written covers; ``None``
+        #: until one is, so the first after :meth:`start` always writes
+        #: (and prunes the journal it replayed).
+        self._checkpointed: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -313,10 +318,10 @@ class StreamServer:
     def _restore(self) -> None:
         """Restore the engine from its checkpoint policy's durable state,
         counting into ``self.stats``: the snapshot (rows, tids,
-        ``arrivals``: the engine's own spec is the composition), its
-        feed sidecar, then the journal suffix through the served batch's
-        own :meth:`_step`; rebuild feeds the sidecar did not restore;
-        open the journal.  What it refuses, and how, is in
+        ``arrivals``: the engine's own spec is the composition) and its
+        ``feeds`` section, then the journal suffix through the served
+        batch's own :meth:`_step`; rebuild feeds the section did not
+        restore; open the journal.  What it refuses, and how, is in
         docs/service.md, *Recovery*."""
         from ..extensions.snapshot import read_snapshot, restore_snapshot
 
@@ -344,11 +349,22 @@ class StreamServer:
             restore_snapshot(engine, doc)
             seq = doc["journal_seq"]
             sources.append("checkpoint")
-            if feeds is not None:
+            # Written by the same atomic write as the rows, but loaded
+            # only into the engine it describes: absent (an
+            # engine.snapshot() file), under another feed spec, or
+            # stamped with a version the engine restored under this
+            # spec does not reach (a smaller window evicted rows), the
+            # section is rebuilt.
+            if (
+                feeds is not None
+                and "feeds" in doc
+                and doc["spec"].feeds == feeds.spec
+                and doc.get("engine_version") == list(engine.version)
+            ):
                 try:
-                    feeds.load_sidecar(path + ".feeds", engine)
+                    feeds.restore_doc(doc["feeds"])
                 except ValueError as exc:
-                    stats.fail("sidecar_failures", exc)
+                    stats.fail("checkpoint_failures", f"checkpoint {path!r}: {exc}")
         elif (checkpointed or segments) and journal_origin(segments) != (0, 0):
             raise ValueError(
                 f"checkpoint {path!r} is "
@@ -359,9 +375,10 @@ class StreamServer:
             )
         elif error is not None:
             stats.fail("checkpoint_failures", error)
-        # Feeds describe the engine once the sidecar loaded or both are
-        # empty; otherwise (no sidecar, or one that did not load; a
-        # pre-loaded engine) they are rebuilt after the replay.
+        # Feeds describe the engine once their section loaded or both
+        # are empty; otherwise (a section absent, not matching, or not
+        # loaded; a pre-loaded engine) they are rebuilt after the
+        # replay.
         stale = feeds is not None and len(engine) and not len(feeds)
         if segments:
             ops, stats.torn_tail = read_ops(journal_dir, after_seq=seq)
@@ -755,7 +772,10 @@ class StreamServer:
             await self._checkpoint()
 
     async def _checkpoint(self) -> None:
-        from ..extensions.snapshot import save_engine
+        """Write one checkpoint document — the engine's snapshot and the
+        feed standings — unless the last one written covers the
+        engine's current version."""
+        from ..extensions.snapshot import snapshot_doc, write_snapshot
 
         if self._write_error is not None:
             # The engine holds ops the journal refused (and their
@@ -763,36 +783,39 @@ class StreamServer:
             return
         path = self.checkpoint_policy.path
 
-        def write() -> None:
-            # save_engine writes crash-consistently (temp + fsync +
-            # atomic replace + directory fsync): an interruption at any
-            # byte leaves the previous checkpoint untouched.
+        def write() -> bool:
+            version = self.engine.version
+            if version == self._checkpointed:
+                return False
             seq = self.journal.last_seq if self.journal is not None else None
-            save_engine(self.engine, path, journal_seq=seq)
+            doc = snapshot_doc(self.engine, seq)
             if self.feeds is not None:
-                # Sidecar stamped with the engine version the feeds
-                # describe; a mismatch on restore triggers a rebuild.
-                try:
-                    self.feeds.save_sidecar(
-                        path + ".feeds", self.engine.version
-                    )
-                except (TypeError, ValueError, OSError) as exc:
-                    self.stats.fail("sidecar_failures", exc)
+                doc["feeds"] = self.feeds.to_doc()
+                # The engine version the standings describe: a restart
+                # loads them only into an engine restored to it.
+                doc["engine_version"] = list(version)
+            # One atomic write (temp + fsync + atomic replace +
+            # directory fsync): an interruption at any byte leaves the
+            # previous checkpoint, feeds and all, untouched.
+            write_snapshot(path, doc)
             if seq is not None:
                 # Anchor segment rotation: ops <= seq are now durable in
                 # the snapshot, their segments can be pruned.  Inside
                 # the job: every journal write happens on the engine
                 # thread, never beside an append.
                 self.journal.checkpoint(seq)
+            self._checkpointed = version
+            return True
 
         try:
-            await self._on_engine(write)
+            wrote = await self._on_engine(write)
         except Exception as exc:  # checkpoint_failures
             # A failed checkpoint must not kill the service: the
             # previous one is intact and the journal keeps growing.
             self.stats.fail("checkpoint_failures", exc)
             return
-        self.stats.checkpoints += 1
+        if wrote:
+            self.stats.checkpoints += 1
 
     async def _run_query(self, message: dict) -> dict:
         """Answer one forward-query op off the event loop.

@@ -4,14 +4,12 @@ This is ``src/repro/service/feeds.py`` as it stood before the store went
 columnar, moved here verbatim (imports made absolute) so
 ``tests/test_feed_columns.py`` can drive both implementations with the
 same streams and demand identical changed-key sets, summaries, ranked
-pages and sidecar documents.  Nothing under ``src/`` imports this module.
+pages and checkpoint documents.  Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
-import os
 import threading
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -21,9 +19,6 @@ from repro.core.facts import FactSet
 from repro.core.record import Record
 from repro.core.schema import TableSchema
 from repro.api.spec import FeedSpec
-
-#: Sidecar snapshot format version.
-SIDECAR_FORMAT = 1
 
 Pair = Tuple[Constraint, int]
 
@@ -590,16 +585,12 @@ class FeedStore:
             return sum(len(s.entries) for s in self._segments.values())
 
     # ------------------------------------------------------------------
-    # Snapshot sidecar / rebuild
+    # Checkpoint section / rebuild
     # ------------------------------------------------------------------
-    def to_doc(self, version: Tuple[int, int]) -> dict:
-        """Plain-data rendering stamped with the engine version the
-        standings describe."""
+    def to_doc(self) -> dict:
+        """Plain-data rendering: the ``feeds`` section of a checkpoint."""
         with self._lock:
             doc = {
-                "format": SIDECAR_FORMAT,
-                "engine_version": list(version),
-                "feed_spec": self.spec.to_dict(),
                 "applied_arrivals": self.applied_arrivals,
                 "segments": [
                     {
@@ -625,38 +616,8 @@ class FeedStore:
                 doc["version_floor"] = self._version_floor
             return doc
 
-    def save_sidecar(self, path: str, version: Tuple[int, int]) -> bool:
-        """Write the sidecar crash-consistently next to the engine
-        checkpoint.  Best-effort: non-JSON dimension values (or disk
-        trouble) skip the sidecar — restore then rebuilds instead."""
-        try:
-            payload = json.dumps(self.to_doc(version))
-        except (TypeError, ValueError):
-            return False
-        tmp = f"{path}.tmp"
-        try:
-            with open(tmp, "w") as fh:
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-            return True
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return False
-
-    def restore_doc(self, doc: dict, version: Tuple[int, int]) -> bool:
-        """Load standings from a sidecar doc iff its stamp matches the
-        live engine version; returns whether it applied."""
-        if doc.get("format") != SIDECAR_FORMAT:
-            return False
-        if list(doc.get("engine_version") or ()) != list(version):
-            return False
-        if doc.get("feed_spec") != self.spec.to_dict():
-            return False
+    def restore_doc(self, doc: dict) -> None:
+        """Replace the standings with a :meth:`to_doc` rendering."""
         with self._lock:
             self._segments.clear()
             self._by_constraint.clear()
@@ -687,22 +648,10 @@ class FeedStore:
                         (segment.key, subspace)
                     )
                 self._segments[segment.key] = segment
-        return True
-
-    def load_sidecar(self, path: str, engine) -> bool:
-        """Restore from ``path`` when its stamp matches ``engine``'s
-        live version; stale/missing/corrupt sidecars report False (the
-        caller rebuilds)."""
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
-            return False
-        return self.restore_doc(doc, engine_version(engine))
 
     def rebuild(self, engine) -> None:
         """Recompute standings from the live engine (recovery path when
-        no matching sidecar exists): enumerate every candidate pair of
+        the checkpoint holds no loadable feeds section): enumerate every candidate pair of
         every live tuple, answer them in one planner batch, keep the
         non-empty ones.  Equal to the incrementally maintained store —
         entries exist exactly while their context is non-empty."""

@@ -307,8 +307,8 @@ class TestServe:
     ):
         """SIGKILL a real ``serve`` mid-stream, with one deletion before
         its last periodic checkpoint and one after it, restart it over
-        the same checkpoint, journal and sidecar (``--feed-by d0``), and
-        finish the stream: the recovered engine equals an unfaulted run
+        the same checkpoint (feeds included, ``--feed-by d0``) and
+        journal, and finish the stream: the recovered engine equals an unfaulted run
         of the same ops (live tids, rows, ``arrivals``, facts), and the
         restart counts no failure.  Then a torn checkpoint over the
         journal the graceful shutdown pruned is refused."""

@@ -20,7 +20,6 @@ from repro import (
     FactDiscoverer,
     TableSchema,
     open_engine,
-    restore,
 )
 from repro.api import (
     CheckpointPolicy,
@@ -30,6 +29,7 @@ from repro.api import (
     ShardingSpec,
 )
 from repro.core.skyline import contextual_skyline
+from repro.extensions import load_engine
 from repro.storage import sweep_index as sweep_module
 from tests.strategies import seeded_rows
 
@@ -217,7 +217,7 @@ class TestOutputEquivalence:
         with open_engine(ENGINE_SPECS[kind]()) as engine:
             assert run_stream(engine, ROWS[:20]) == want_head
             engine.snapshot(path)
-        restored = restore(path)
+        restored = load_engine(path)
         assert restored.spec.to_dict() == uninterrupted.spec.to_dict()
         assert run_stream(restored, ROWS[20:]) == run_stream(
             uninterrupted, ROWS[20:]
@@ -529,7 +529,7 @@ class TestAggregateSemantics:
         doc = json.load(open(path))
         assert doc["format_version"] == 3
         assert len(doc["rows"]) == 20  # journal: every base row
-        restored = restore(path)
+        restored = load_engine(path)
         for row in ROWS[20:]:
             got = [fact_key(f) for f in restored.observe(row)]
             want = [fact_key(f) for f in uninterrupted.observe(row)]
@@ -695,7 +695,7 @@ class TestEngineSpec:
         path.write_text(json.dumps(doc))
         reference = FactDiscoverer(SCHEMA, algorithm="stopdown", config=CONFIG)
         reference.observe_many(doc["rows"])
-        with restore(str(path)) as restored:
+        with load_engine(str(path)) as restored:
             assert restored.spec == want
             assert len(restored) == 2
             assert run_stream(restored, ROWS[:10]) == run_stream(
@@ -785,7 +785,7 @@ class TestEngineSpec:
         with open_engine(spec) as engine:
             engine.observe_many(ROWS[:5])
             assert engine.snapshot() == path  # no explicit path needed
-        restored = restore(path)
+        restored = load_engine(path)
         assert len(restored) == 5
         restored.close()
 
@@ -816,7 +816,6 @@ class TestOptionCensus:
 
     PARAMETERS = {
         "open_engine": ["spec"],
-        "restore": ["path"],
         "load_engine": ["path"],
         "save_engine": ["engine", "path", "journal_seq"],
         "StreamServer": [
@@ -842,7 +841,7 @@ class TestOptionCensus:
             QueryCacheMiddleware,
             WindowMiddleware,
         )
-        from repro.extensions.snapshot import load_engine, save_engine
+        from repro.extensions.snapshot import save_engine
         from repro.reporting.feed import NewsFeed
         from repro.service import FeedGateway, ShardedDiscoverer, StreamServer
 
@@ -851,7 +850,7 @@ class TestOptionCensus:
             DiscoveryConfig,
         )
         callables = (
-            open_engine, restore, load_engine, save_engine, StreamServer,
+            open_engine, load_engine, save_engine, StreamServer,
             FeedGateway, FactDiscoverer, ShardedDiscoverer, WindowMiddleware,
             AggregateMiddleware, QueryCacheMiddleware, NewsFeed,
         )

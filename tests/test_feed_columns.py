@@ -3,7 +3,7 @@
 ``tests/feed_oracle.py`` is the parent's object-per-entry store; every
 stream below is folded into both and the two must agree on everything a
 caller can see — changed-key sets, segment summaries, stats, ranked pages
-under a ``(top_k, τ)`` grid, the sidecar document — after every single
+under a ``(top_k, τ)`` grid, the checkpoint section — after every single
 operation.  The spy tests pin what the columnar layout is *for* (no
 per-fact objects on the write path, winners-only reads, bounded tables),
 and the two regression classes pin bugs the parent had.
@@ -62,8 +62,8 @@ def assert_same(new, old):
     assert new.segments() == old.segments()
     assert new.stats() == old.stats()
     assert len(new) == len(old)
-    doc = new.to_doc((0, 0))
-    assert doc == old.to_doc((0, 0))
+    doc = new.to_doc()
+    assert doc == old.to_doc()
     # A constraint's table row is released with its last entry.
     assert {constraint.values for constraint in new._cid} == {
         tuple(entry["values"])
@@ -114,12 +114,11 @@ def run_differential(ops, algorithm, window, max_entries):
             # Pending retractions would die with the replaced stores (as
             # across a real restart, which checkpoints settled): settle.
             assert new.repair(engine) == old.repair(engine)
-            stamp = engine.version
-            doc = json.loads(json.dumps(old.to_doc(stamp)))
+            doc = json.loads(json.dumps(old.to_doc()))
             new = FeedStore.for_engine(engine, spec)
             old = feed_oracle.FeedStore.for_engine(engine, spec)
             for store in (new, old):
-                assert store.restore_doc(doc, stamp)
+                store.restore_doc(doc)
                 store.attach(engine)
         else:
             new.rebuild(engine)
@@ -164,15 +163,12 @@ class TestDifferentialAgainstObjectStore:
 
 
 class TestSidecarCompatibility:
-    #: ``json.dumps(store.to_doc(...))`` of the parent commit's object
-    #: store (PR 22) after three arrivals under ``max_entries=6``:
-    #: ``d0=*`` truncated by the cap, ``d0=a`` / ``d0=b`` whole, every
-    #: constraint's subspaces sharing one context.  Its ``feed_spec``
-    #: is rendered without the retired ``split_subspaces`` key.
+    #: ``json.dumps(store.to_doc())`` of the object store
+    #: (``tests/feed_oracle.py``) after three arrivals under
+    #: ``max_entries=6``: ``d0=*`` truncated by the cap, ``d0=a`` /
+    #: ``d0=b`` whole, every constraint's subspaces sharing one context.
     PARENT_DOC = (
-        '{"format": 1, "engine_version": [3, 0], "feed_spec": {"group_by": '
-        '["d0"], "top_k": null, "tau": null, "max_entries": 6}, '
-        '"applied_arrivals": 3, "segments": [{"key": '
+        '{"applied_arrivals": 3, "segments": [{"key": '
         '"d0=*", "version": 3, "last_arrival": 3, "evicted": 7, "entries": '
         '[{"values": [null, null], "subspace": 2, "ctx": 3, "sky": 1, "tid": '
         '1}, {"values": [null, null], "subspace": 1, "ctx": 3, "sky": 1, '
@@ -198,33 +194,18 @@ class TestSidecarCompatibility:
     )
 
     def test_parent_document_roundtrips_byte_for_byte(self):
-        assert feeds_module.SIDECAR_FORMAT == 1
         doc = json.loads(self.PARENT_DOC)
         schema = TableSchema(("d0", "d1"), ("m0", "m1"))
         engine = open_engine(EngineSpec(schema=schema, score=True))
         spec = FeedSpec(group_by=("d0",), max_entries=6)
         for module in (feeds_module, feed_oracle):
             store = module.FeedStore.for_engine(engine, spec)
-            assert store.restore_doc(doc, (3, 0))
-            assert json.dumps(store.to_doc((3, 0))) == self.PARENT_DOC
+            store.restore_doc(doc)
+            assert json.dumps(store.to_doc()) == self.PARENT_DOC
             assert store.read("d0=*")["truncated"] == 7
             assert "truncated" not in store.read("d0=a")
             top = [e for e in store.entries_ranked("d0=*") if not e.constraint.bound_count]
             assert [e.context_size for e in top] == [3, 3, 3]
-
-    def test_a_sidecar_stored_with_the_split_key_is_rebuilt(self):
-        """Sidecars written while ``FeedSpec`` had ``split_subspaces``
-        carry it; their spec no longer matches, so the server rebuilds
-        the standings from the engine instead of loading them."""
-        doc = json.loads(self.PARENT_DOC)
-        doc["feed_spec"]["split_subspaces"] = False
-        spec = FeedSpec(group_by=("d0",), max_entries=6)
-        assert FeedSpec.from_dict(doc["feed_spec"]) == spec  # the spec loads
-        schema = TableSchema(("d0", "d1"), ("m0", "m1"))
-        engine = open_engine(EngineSpec(schema=schema, score=True))
-        store = FeedStore.for_engine(engine, spec)
-        assert not store.restore_doc(doc, (3, 0))
-        assert len(store) == 0
 
 
 class TestUnscoredFactSets:

@@ -8,6 +8,7 @@ sharded compositions, and under read-time ``τ`` floors / top-k cuts.
 """
 
 import asyncio
+import json
 import os
 
 import pytest
@@ -70,7 +71,7 @@ def oracle_segments(engine, store):
 
 
 def store_segments(store):
-    """Every standing the store holds, read through its public sidecar
+    """Every standing the store holds, read through its checkpoint
     rendering (``entries_ranked`` applies the spec's read-time cuts)."""
     return {
         segment["key"]: {
@@ -80,7 +81,7 @@ def store_segments(store):
             )
             for entry in segment["entries"]
         }
-        for segment in store.to_doc((0, 0))["segments"]
+        for segment in store.to_doc()["segments"]
         if segment["entries"]
     }
 
@@ -276,8 +277,8 @@ class TestCursorPagination:
             store.read(key, limit=0)
 
 
-class TestSidecar:
-    def test_roundtrip_restores_standings(self, tmp_path):
+class TestFeedsSection:
+    def test_roundtrip_restores_standings(self):
         engine = open_engine(make_spec())
         store = FeedStore.for_engine(engine)
         store.attach(engine)
@@ -291,61 +292,66 @@ class TestSidecar:
                 {"d0": "a", "d1": "y", "m0": 2, "m1": 2},
             ],
         )
-        path = str(tmp_path / "feeds.json")
-        store.save_sidecar(path, engine.version)
         fresh = FeedStore.for_engine(engine)
-        assert fresh.load_sidecar(path, engine)
+        fresh.restore_doc(json.loads(json.dumps(store.to_doc())))
         assert store_segments(fresh) == store_segments(store)
+        assert fresh.segments() == store.segments()
+        assert fresh.applied_arrivals == store.applied_arrivals == 3
 
-    def test_stale_stamp_rejected(self, tmp_path):
+    def test_malformed_section_rejected(self):
+        """An unreadable section raises a ``ValueError`` and leaves the
+        store empty, whatever it held before."""
         engine = open_engine(make_spec())
         store = FeedStore.for_engine(engine)
-        store.attach(engine)
-        factset = engine.facts_for({"d0": "a", "d1": "x", "m0": 1, "m1": 2})
-        store.apply_event(factset.record, factset)
-        path = str(tmp_path / "feeds.json")
-        store.save_sidecar(path, engine.version)
-        engine.facts_for({"d0": "b", "d1": "y", "m0": 2, "m1": 1})
-        fresh = FeedStore.for_engine(engine)
-        assert not fresh.load_sidecar(path, engine)
-
-    def test_sidecar_write_is_crash_consistent(self, tmp_path, monkeypatch):
-        """Like the checkpoint: a per-process temp file, then
-        ``os.replace``, then a directory fsync; nothing else is left."""
-        import os
-
-        from repro.service import journal
-
-        engine = open_engine(make_spec())
-        store = FeedStore.for_engine(engine)
-        factset = engine.facts_for({"d0": "a", "d1": "x", "m0": 1, "m1": 2})
-        store.apply_event(factset.record, factset)
-        calls = []
-        replace = os.replace
-        monkeypatch.setattr(
-            os, "replace", lambda *args: calls.append(args) or replace(*args)
-        )
-        monkeypatch.setattr(
-            journal, "_fsync_dir", lambda directory: calls.append(directory)
-        )
-        path = str(tmp_path / "feeds.json")
-        store.save_sidecar(path, engine.version)
-        assert calls == [(f"{path}.tmp.{os.getpid()}", path), str(tmp_path)]
-        assert os.listdir(tmp_path) == ["feeds.json"]
-
-    def test_corrupt_sidecar_rejected(self, tmp_path):
-        """A missing sidecar reads False; an unreadable one raises a
-        ``ValueError`` naming the file and leaves the store empty."""
-        engine = open_engine(make_spec())
-        store = FeedStore.for_engine(engine)
-        path = str(tmp_path / "feeds.json")
-        path_obj = tmp_path / "feeds.json"
-        for text in ("{not json", "[1, 2]"):
-            path_obj.write_text(text)
-            with pytest.raises(ValueError, match="feeds.json"):
-                store.load_sidecar(path, engine)
+        entry = {"values": ["a", None], "subspace": 1, "ctx": 1, "sky": 1, "tid": 0}
+        good = {"applied_arrivals": 1, "segments": [{"key": "d0=a", "entries": [entry]}]}
+        for doc in (
+            [1, 2],
+            {"applied_arrivals": "x"},
+            {"segments": [{"entries": []}]},
+            {"segments": [{"key": "d0=a", "entries": [{"values": ["a", None]}]}]},
+        ):
+            store.restore_doc(good)
+            assert len(store) == 1
+            with pytest.raises(ValueError, match="malformed feeds section"):
+                store.restore_doc(doc)
             assert len(store) == 0 and store.applied_arrivals == 0
-        assert not store.load_sidecar(str(tmp_path / "missing.json"), engine)
+
+    def test_a_checkpoint_is_one_atomic_write(self, tmp_path, monkeypatch):
+        """The engine's rows and the feed standings land in one file by
+        one temp-file replace: two fsyncs (the file, its directory),
+        and no ``<checkpoint>.feeds`` beside it."""
+        path = str(tmp_path / "ck.json")
+        engine = open_engine(make_spec(checkpoint=CheckpointPolicy(path)))
+        calls = []
+
+        async def run():
+            server = StreamServer(engine)
+            await server.start()
+            await server.ingest_many(STREAM[:12])
+            await server.drain()
+            with monkeypatch.context() as patch:
+                for name in ("replace", "fsync"):
+                    method = getattr(os, name)
+                    patch.setattr(
+                        os,
+                        name,
+                        lambda *args, name=name, method=method: calls.append(name)
+                        or method(*args),
+                    )
+                await server._checkpoint()
+            await server.stop(drain=False)
+            return server
+
+        server = asyncio.run(run())
+        engine.close()
+        assert server.stats.checkpoints == 1
+        assert sorted(calls) == ["fsync", "fsync", "replace"]
+        assert os.listdir(tmp_path) == ["ck.json"]
+        with open(path) as fh:
+            doc = json.load(fh)
+        assert doc["feeds"] == server.feeds.to_doc()
+        assert len(doc["rows"]) == 12
 
 
 #: 100 rows over three ``d0`` segments (``d0=a0`` holds every third).
@@ -384,7 +390,7 @@ class TestServerIntegration:
         assert snap["feeds"]["lag"] == 0
         assert snap["feeds"]["repairs"] >= 2
 
-    def test_checkpoint_sidecar_roundtrip(self, tmp_path):
+    def test_checkpoint_feeds_roundtrip(self, tmp_path):
         rows = [
             {"d0": f"a{i % 2}", "d1": "x", "m0": i % 4, "m1": (i * 2) % 4}
             for i in range(8)
@@ -397,7 +403,7 @@ class TestServerIntegration:
             if replay:
                 await server.ingest_many(rows)
                 await server.drain()
-            await server.stop()  # final checkpoint writes the sidecar
+            await server.stop()  # final checkpoint writes the feeds
             return server
 
         spec = make_spec(checkpoint=CheckpointPolicy(path))
@@ -407,8 +413,8 @@ class TestServerIntegration:
         # A fresh engine on the same policy: start() restores it.
         server2 = asyncio.run(serve(open_engine(spec), False))
         assert store_segments(server2.feeds) == saved
-        # Restore really came from the sidecar, not a rebuild: the
-        # store's arrival counter survived.
+        # Restore really came from the feeds section, not a rebuild:
+        # the store's arrival counter survived.
         assert server2.feeds.applied_arrivals == server.feeds.applied_arrivals
 
 
@@ -430,16 +436,40 @@ class TestServerIntegration:
         assert store_segments(feeds) == oracle_segments(engine, feeds)
 
 
-def serve_and_restore(tmp_path, damage):
-    """Serve 6 rows with feeds, a checkpoint and a journal, stop (the
-    sidecar is written), ``damage(sidecar_path, policy)`` the durable
-    state, then start a server on a fresh engine over it, which
-    ``start()`` restores.  Returns its open engine, its feeds and its
-    stats, read before stopping."""
+@pytest.fixture
+def rebuilds(monkeypatch):
+    """One entry per ``FeedStore.rebuild`` call."""
+    calls = []
+    rebuild = FeedStore.rebuild
+    monkeypatch.setattr(
+        FeedStore,
+        "rebuild",
+        lambda store, engine: calls.append(1) or rebuild(store, engine),
+    )
+    return calls
+
+
+def edit_checkpoint(path, edit):
+    """Rewrite the checkpoint document at ``path`` through ``edit(doc)``."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+def serve_and_restore(tmp_path, damage, restart=None, n_rows=6, **served):
+    """Serve ``n_rows`` rows with feeds, a checkpoint and a journal
+    under ``make_spec(**served)``, stop (the checkpoint holds the
+    feeds), ``damage(checkpoint_path, policy)`` the durable state, then
+    start a server on a fresh engine over it, which ``start()``
+    restores (with the ``restart`` spec overrides, when given).
+    Returns its open engine, its feeds and its stats, read before
+    stopping."""
     path = str(tmp_path / "ck.json")
     rows = [
         {"d0": f"a{i % 2}", "d1": f"b{i % 3}", "m0": i % 4, "m1": (5 - i) % 4}
-        for i in range(6)
+        for i in range(n_rows)
     ]
 
     async def serve(engine, rows):
@@ -451,67 +481,117 @@ def serve_and_restore(tmp_path, damage):
         await server.stop()
         return server, snap
 
-    spec = make_spec(
-        checkpoint=CheckpointPolicy(path, journal_dir=str(tmp_path / "wal"))
-    )
-    engine = open_engine(spec)
+    policy = CheckpointPolicy(path, journal_dir=str(tmp_path / "wal"))
+    engine = open_engine(make_spec(checkpoint=policy, **served))
     asyncio.run(serve(engine, rows))
     engine.close()
-    damage(path + ".feeds", spec.checkpoint)
-    restored = open_engine(spec)
+    damage(path, policy)
+    restored = open_engine(make_spec(checkpoint=policy, **{**served, **(restart or {})}))
     server, snap = asyncio.run(serve(restored, []))
     return restored, server.feeds, snap
 
 
-def tear(path, policy):
-    with open(path, "w") as fh:
-        fh.write("{torn")
+def no_damage(path, policy):
+    pass
+
+
+def only_the_checkpoint(path, policy):
+    """Remove every file beside the checkpoint (the journal stays)."""
+    for entry in os.scandir(os.path.dirname(path)):
+        if entry.is_file() and entry.path != path:
+            os.remove(entry.path)
+
+
+def break_the_section(path, policy):
+    edit_checkpoint(path, lambda doc: doc.update(feeds=[1, 2]))
 
 
 def drop_a_segment_key(path, policy):
-    """Keep the stamp, delete one segment's ``"key"``."""
-    import json
+    edit_checkpoint(path, lambda doc: doc["feeds"]["segments"][0].pop("key"))
 
-    with open(path) as fh:
-        doc = json.load(fh)
-    del doc["segments"][0]["key"]
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+
+def drop_the_section(path, policy=None):
+    """What ``engine.snapshot()`` writes: a checkpoint without feeds."""
+    edit_checkpoint(path, lambda doc: doc.pop("feeds"))
 
 
 def advance(path, policy):
-    """Leave the sidecar stale: one more journaled arrival past the
-    checkpoint moves the restored version."""
+    """One more journaled arrival past the checkpoint."""
     with JournalWriter(policy.journal_dir) as journal:
         journal.append_ingest({"d0": "a9", "d1": "b9", "m0": 3, "m1": 3})
 
 
-def remove(path, policy):
-    os.remove(path)
+class TestFeedsSectionLoad:
+    """At start, the checkpoint's feeds section is loaded when the
+    checkpoint's feed spec is the server's and the restored engine is
+    at the version the section was written at; an unreadable one is
+    counted in ``checkpoint_failures`` and the feeds are rebuilt; a
+    missing one, one under another feed spec, or one an engine restored
+    under another spec no longer matches, is rebuilt without a
+    count."""
 
+    @pytest.mark.parametrize("damage", [no_damage, advance])
+    def test_the_checkpoint_alone_restores_the_feeds(self, tmp_path, rebuilds, damage):
+        """The checkpoint file alone, without any file beside it,
+        restores the feeds, and nothing is rebuilt: a journal suffix
+        past it folds in as it replays."""
 
-class TestSidecarLoad:
-    """At start, an unreadable sidecar is counted in
-    ``sidecar_failures`` and the feeds are rebuilt; a stale or missing
-    one is rebuilt without a count."""
+        def alone(path, policy):
+            only_the_checkpoint(path, policy)
+            damage(path, policy)
 
-    @pytest.mark.parametrize("damage", [tear, drop_a_segment_key])
-    def test_unreadable_sidecar_is_counted_and_rebuilt(self, tmp_path, damage):
+        engine, feeds, snap = serve_and_restore(tmp_path, alone)
+        assert rebuilds == []
+        assert sorted(os.listdir(tmp_path)) == ["ck.json", "wal"]
+        assert snap["checkpoint_failures"] == 0 and snap["last_error"] is None
+        assert len(feeds) and feeds.applied_arrivals == engine.arrivals
+        assert store_segments(feeds) == oracle_segments(engine, feeds)
+        engine.close()
+
+    @pytest.mark.parametrize("damage", [break_the_section, drop_a_segment_key])
+    def test_unreadable_section_is_counted_and_rebuilt(self, tmp_path, rebuilds, damage):
         engine, feeds, snap = serve_and_restore(tmp_path, damage)
-        assert snap["sidecar_failures"] == 1
-        assert "ck.json.feeds" in snap["failure_causes"]["sidecar_failures"]
-        assert snap["last_error"] == snap["failure_causes"]["sidecar_failures"]
+        assert snap["checkpoint_failures"] == 1
+        cause = snap["failure_causes"]["checkpoint_failures"]
+        assert "ck.json" in cause and "malformed feeds section" in cause
+        assert snap["last_error"] == cause
+        assert snap["recovered_from"] == "checkpoint"
+        assert rebuilds == [1]
         assert store_segments(feeds) == oracle_segments(engine, feeds)
         assert len(feeds)
         engine.close()
 
-    @pytest.mark.parametrize("damage", [advance, remove])
-    def test_stale_or_missing_sidecar_is_not_counted(self, tmp_path, damage):
-        engine, feeds, snap = serve_and_restore(tmp_path, damage)
-        assert snap["sidecar_failures"] == 0
+    def test_missing_section_is_rebuilt_uncounted(self, tmp_path, rebuilds):
+        engine, feeds, snap = serve_and_restore(tmp_path, drop_the_section)
+        assert snap["checkpoint_failures"] == 0
         assert snap["last_error"] is None
+        assert rebuilds == [1]
         assert store_segments(feeds) == oracle_segments(engine, feeds)
         assert len(feeds)
+        engine.close()
+
+    def test_another_feed_spec_is_rebuilt_uncounted(self, tmp_path, rebuilds):
+        """A restart with a different ``--feed-by`` segments anew."""
+        engine, feeds, snap = serve_and_restore(
+            tmp_path, no_damage, dict(feeds=FeedSpec(group_by=("d1",)))
+        )
+        assert snap["checkpoint_failures"] == 0
+        assert rebuilds == [1]
+        assert {key.split("=")[0] for key in feeds.segment_keys()} == {"d1"}
+        assert store_segments(feeds) == oracle_segments(engine, feeds)
+        engine.close()
+
+    def test_a_smaller_window_is_rebuilt_uncounted(self, tmp_path, rebuilds):
+        """A restart under ``--window 10`` evicts 15 of the 25 rows the
+        checkpoint holds: its section describes rows the engine no
+        longer has, so the feeds are rebuilt."""
+        engine, feeds, snap = serve_and_restore(
+            tmp_path, no_damage, dict(window=10), n_rows=25, window=25
+        )
+        assert len(engine) == 10 and engine.arrivals == 25
+        assert snap["checkpoint_failures"] == 0
+        assert rebuilds == [1]
+        assert store_segments(feeds) == oracle_segments(engine, feeds)
         engine.close()
 
 
@@ -592,15 +672,8 @@ class TestCrashRestartFolds:
         return asyncio.run(run())
 
     @pytest.mark.parametrize("case", sorted(SUFFIXES))
-    def test_restart_equals_an_unfaulted_run(self, tmp_path, monkeypatch, case):
+    def test_restart_equals_an_unfaulted_run(self, tmp_path, rebuilds, case):
         composition, suffix = self.SUFFIXES[case]
-        rebuilds = []
-        rebuild = FeedStore.rebuild
-        monkeypatch.setattr(
-            FeedStore,
-            "rebuild",
-            lambda store, engine: rebuilds.append(1) or rebuild(store, engine),
-        )
         unfaulted, _ = asyncio.run(
             self.serve(make_spec(**composition), STREAM[:30] + suffix)
         )
@@ -615,14 +688,14 @@ class TestCrashRestartFolds:
 
     @pytest.mark.parametrize("case", sorted(SUFFIXES))
     def test_a_rebuild_restarts_every_pre_crash_cursor(self, tmp_path, case):
-        """With the sidecar gone the restart rebuilds the feeds, and
+        """With the feeds section gone the restart rebuilds the feeds, and
         every segment starts above the versions the crashed server
         served.  Versions used to restart at 1, so the 40 arrivals
         walked ``d0=a0`` back up to the cursor's version, and the cursor
         then read as current over different content."""
         composition, suffix = self.SUFFIXES[case]
         spec, cursor = self.crash(tmp_path, composition, suffix)
-        os.remove(spec.checkpoint.path + ".feeds")
+        drop_the_section(spec.checkpoint.path)
         stats, (restored, oracle), restarted = self.restart(spec, cursor)
         assert stats.recovered_from == "checkpoint+journal"
         assert restored[1] == oracle
@@ -637,18 +710,47 @@ class TestCrashRestartFolds:
         rows = [dict(row, d0="z") for row in STREAM[30:33]]
         _, cursor = asyncio.run(self.serve(spec, rows, False, "d0=z"))
         asyncio.run(self.serve(spec, [30, 31, 32], False))
-        os.remove(spec.checkpoint.path + ".feeds")
+        drop_the_section(spec.checkpoint.path)
         stats, _, restarted = self.restart(spec, cursor, "z")
         assert cursor.startswith("v3:")
         assert stats.recovered_from == "checkpoint+journal"
         assert len(restarted) == 40 and all(restarted)
 
-    def test_a_rebuilt_floor_rides_in_the_sidecar(self, tmp_path):
+    def test_a_checkpoint_and_sidecar_from_before_are_rebuilt(self, tmp_path, rebuilds):
+        """A checkpoint written before the feeds became its section sits
+        beside a ``<checkpoint>.feeds`` sidecar, which is no longer
+        read: the engine and the journal suffix restore, the feeds are
+        rebuilt once, and a cursor minted before the upgrade restarts."""
+        spec, cursor = self.crash(tmp_path, {"algorithm": "svec"}, STREAM[30:60])
+        path = spec.checkpoint.path
+        with open(path) as fh:
+            doc = json.load(fh)
+        feeds = doc.pop("feeds")
+        deletions = doc["arrivals"] - len(doc["rows"])
+        sidecar = {
+            "format": 1,
+            "engine_version": [doc["arrivals"], deletions],
+            "feed_spec": doc["spec"]["feeds"],
+            **feeds,
+        }
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=1)
+        with open(path + ".feeds", "w") as fh:
+            json.dump(sidecar, fh)
+        stats, (restored, oracle), restarted = self.restart(spec, cursor)
+        assert stats.recovered_from == "checkpoint+journal"
+        assert stats.ops_replayed == 30
+        assert stats.failures["checkpoint_failures"] == 0
+        assert rebuilds == [1]
+        assert restored[1] == oracle
+        assert len(restarted) == 40 and all(restarted)
+
+    def test_a_rebuilt_floor_rides_in_the_checkpoint(self, tmp_path):
         """A segment first seen after a rebuild starts at the rebuild's
         floor, on the crashed server and in the journal replay over its
         checkpoint alike."""
         spec, _ = self.crash(tmp_path, {"algorithm": "svec"}, STREAM[30:60])
-        os.remove(spec.checkpoint.path + ".feeds")
+        drop_the_section(spec.checkpoint.path)
         asyncio.run(self.serve(spec, []))  # rebuilds, then checkpoints
         new = [dict(row, d0="a9") for row in STREAM[60:65]]
         crashed, _ = asyncio.run(self.serve(spec, new, False))

@@ -67,7 +67,7 @@ class TestServiceStatsSnapshot:
         error, not a new key."""
         assert set(FAILURE_CLASSES) == {
             "rows_quarantined", "rows_lost", "dead_letter_failures",
-            "sidecar_failures", "checkpoint_failures", "journal_failures",
+            "checkpoint_failures", "journal_failures",
             "replay_errors", "request_errors", "subscriber_events_dropped",
             "gateway_frames_dropped",
         }

@@ -462,6 +462,43 @@ class TestCheckpointing:
         restored.close()
         engine.close()
 
+    def test_an_unchanged_engine_is_not_checkpointed_again(self, tmp_path):
+        """An idle server's periodic ticks write nothing while the engine
+        version stays what the last checkpoint covered: one checkpoint
+        over ten ticks, and the file is not rewritten.  One more row is
+        one more checkpoint, and the final one at ``stop()`` is skipped
+        too."""
+        path = str(tmp_path / "ck.json")
+        spec = EngineSpec(
+            SCHEMA, "svec", checkpoint=CheckpointPolicy(path, interval=0.05)
+        )
+        rows = make_rows(2)
+        engine = open_engine(spec)
+        engine.observe(rows[0])  # no durable state yet: start() keeps it
+
+        async def run():
+            server = StreamServer(engine)
+            await server.start()
+            while not server.stats.checkpoints:
+                await asyncio.sleep(0.01)
+            mtime = os.stat(path).st_mtime_ns
+            await asyncio.sleep(0.5)
+            idle = server.stats.checkpoints, os.stat(path).st_mtime_ns == mtime
+            await server.ingest_wait(rows[1])
+            while server.stats.checkpoints < 2:
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.2)
+            await server.stop()
+            return idle, server.stats.checkpoints
+
+        idle, final = asyncio.run(run())
+        engine.close()
+        assert idle == (1, True)
+        assert final == 2
+        restored = load_engine(path)
+        assert len(restored) == 2
+        restored.close()
+
     def test_failed_checkpoints_are_counted(self, tmp_path):
         """``last_error`` keeps only the latest failure; the tally keeps
         how many there were."""
@@ -917,7 +954,7 @@ REPLY_KEYS = {
     "rows_quarantined", "table_rows", "worker_restarts",
     # Every failure class, their latest causes and the latest of all.
     "checkpoint_failures", "subscriber_events_dropped", "rows_lost",
-    "sidecar_failures", "journal_failures", "request_errors",
+    "journal_failures", "request_errors",
     "failure_causes", "last_error",
 }
 if os.path.exists("/proc/self/status"):
@@ -1152,61 +1189,11 @@ class TestStatsReply:
         assert pong == {"ok": True}
 
 
-def failing_sidecar(monkeypatch):
-    """Make the checkpoint's ``atomic_write`` raise for the feed
-    sidecar (``<checkpoint>.feeds``) only."""
-    from repro.service import journal
-
-    write = journal.atomic_write
-
-    def atomic_write(path, fill):
-        if path.endswith(".feeds"):
-            raise OSError(f"injected: cannot write {path}")
-        return write(path, fill)
-
-    monkeypatch.setattr(journal, "atomic_write", atomic_write)
-
-
 class TestFailureTally:
     """Every failure the service survives is counted by
     ``ServiceStats.fail`` in exactly one class, with its cause."""
 
-    def test_failed_sidecar_write_is_counted(self, tmp_path, monkeypatch):
-        """A feed sidecar the checkpoint could not write is recorded
-        with its cause; the checkpoint itself still counts as written
-        (restore rebuilds the feeds from it)."""
-        failing_sidecar(monkeypatch)
-        path = str(tmp_path / "ck.json")
-        engine = open_engine(
-            EngineSpec(
-                SCHEMA,
-                "svec",
-                feeds=FeedSpec(group_by=("d0",)),
-                checkpoint=CheckpointPolicy(path),
-            )
-        )
-
-        async def run():
-            server = StreamServer(engine)
-            await server.start()
-            await server.ingest_many(make_rows(4))
-            await server.drain()
-            await server._checkpoint()
-            snap = await server.read_stats()
-            await server.stop(drain=False)
-            return snap
-
-        snap = asyncio.run(run())
-        engine.close()
-        assert snap["checkpoints"] == 1
-        assert snap["checkpoint_failures"] == 0
-        assert snap["sidecar_failures"] == 1
-        cause = snap["failure_causes"]["sidecar_failures"]
-        assert cause == f"injected: cannot write {path}.feeds"
-        assert snap["last_error"] == cause
-        assert os.path.exists(path) and not os.path.exists(path + ".feeds")
-
-    def test_fault_matrix_counts_each_failure_once(self, tmp_path, monkeypatch):
+    def test_fault_matrix_counts_each_failure_once(self, tmp_path):
         """One scripted run over TCP and the gateway arms every failure
         the service survives.  Each class reads its exact count, each
         error answer sits in exactly one request class (quarantined or
@@ -1272,7 +1259,6 @@ class TestFailureTally:
             with pytest.raises(ValueError, match="HTTP 404"):
                 await fetch_json("127.0.0.1", http, "/no-such-route")
             health = await fetch_json("127.0.0.1", http, "/healthz")
-            failing_sidecar(monkeypatch)
             await server._checkpoint()
             faults.install([{"point": "journal.append", "action": "corrupt"}])
             replies.append(await call({"op": "ingest", "row": good[3]}))
@@ -1299,7 +1285,6 @@ class TestFailureTally:
             "rows_quarantined": 1,  # the poison row
             "rows_lost": 0,
             "dead_letter_failures": 1,  # its record, into a missing dir
-            "sidecar_failures": 1,
             "checkpoint_failures": 1,
             "journal_failures": 1,  # the torn write
             "replay_errors": 0,
@@ -1317,7 +1302,7 @@ class TestFailureTally:
         assert answered == snap["rows_quarantined"] + snap["request_errors"]
         causes = snap["failure_causes"]
         assert {name for name, cause in causes.items() if cause} == {
-            "rows_quarantined", "dead_letter_failures", "sidecar_failures",
+            "rows_quarantined", "dead_letter_failures",
             "checkpoint_failures", "journal_failures", "request_errors",
         }
         assert "torn mid-record" in causes["journal_failures"]
