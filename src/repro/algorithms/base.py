@@ -10,7 +10,9 @@ line).
 
 The base class also owns:
 
-* the append-only :class:`~repro.core.record.Table`;
+* the append-only :class:`~repro.core.record.Table` — a dict of
+  records, or, for an algorithm that owns a columnar store, its columns
+  (:meth:`DiscoveryAlgorithm._new_table`);
 * the constraint table beside it
   (:class:`~repro.core.prominence.ContextCounter`): ``|σ_C|`` of every
   constraint of ``C^t`` a live tuple satisfies, registered before each
@@ -75,7 +77,6 @@ class DiscoveryAlgorithm(abc.ABC):
         self.schema = schema
         self.config = config or DiscoveryConfig()
         self.counters = counters if counters is not None else OpCounters()
-        self.table = Table(schema)
         self.full_space = schema.full_measure_mask
         #: Non-empty measure subspaces to examine, largest (full space) first.
         self.subspaces: List[int] = nonempty_subspaces(
@@ -90,6 +91,7 @@ class DiscoveryAlgorithm(abc.ABC):
         #: constraint to id; its ``position_of[mask]`` is a fact's
         #: position along ``C^t`` in the cell form of ``S_t``.
         self.context_counter = ContextCounter(schema.n_dimensions, cap)
+        self.table = self._new_table()
         #: Allowed constraint masks, most general first (``⊤`` → level d̂).
         self.masks_top_down: Tuple[int, ...] = self.context_counter.masks
         #: Allowed constraint masks, most specific first.
@@ -142,6 +144,15 @@ class DiscoveryAlgorithm(abc.ABC):
         rows = list(rows)
         self.reserve(len(rows))
         return [self.process(row) for row in rows]
+
+    def _new_table(self) -> Table:
+        """The relation this algorithm streams into, built beside a
+        fresh constraint table: one dict of the arrivals' records.  An
+        algorithm that owns a
+        :class:`~repro.storage.columnar_store.ColumnarSkylineStore`
+        returns a :class:`~repro.storage.columnar_store.ColumnTable`
+        instead, whose rows are the store's columns."""
+        return Table(self.schema)
 
     def reserve(self, extra: int) -> None:
         """Capacity hint: ``extra`` more arrivals are imminent.
@@ -315,10 +326,10 @@ class DiscoveryAlgorithm(abc.ABC):
     def reset(self) -> None:
         """Forget all state (fresh table, constraint table and
         counters)."""
-        self.table = Table(self.schema)
         self.context_counter = ContextCounter(
             self.schema.n_dimensions, self.bound_cap
         )
+        self.table = self._new_table()
         self.counters.reset()
 
     def __repr__(self) -> str:

@@ -114,7 +114,7 @@ from ..metrics.counters import OpCounters
 from ..storage.columnar_store import (
     WORD,
     WORD_BITS,
-    ColumnarSkylineStore,
+    ColumnTable,
     cell_ints,
     cell_words,
 )
@@ -138,9 +138,7 @@ class SVectorized(DiscoveryAlgorithm):
         shard_subspaces: Optional[Sequence[int]] = None,
     ) -> None:
         super().__init__(schema, config, counters)
-        self.store = ColumnarSkylineStore(
-            self.table, self.context_counter, self.counters
-        )
+        self.store = self.table.store
         self._closure = submask_closure_table(schema.n_dimensions)
         # Subspace-axis sharding (the service layer's parallel unit):
         # when ``shard_subspaces`` is given, this instance maintains only
@@ -262,9 +260,11 @@ class SVectorized(DiscoveryAlgorithm):
 
     def reset(self) -> None:
         super().reset()
-        self.store = ColumnarSkylineStore(
-            self.table, self.context_counter, self.counters
-        )
+        self.store = self.table.store
+
+    def _new_table(self) -> ColumnTable:
+        """The rows live only in the store's columns."""
+        return ColumnTable(self.schema, self.context_counter, self.counters)
 
     # ------------------------------------------------------------------
     # Discovery — the bitset-matrix walk

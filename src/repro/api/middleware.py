@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from ..core.engine_protocol import Engine, EngineBase, Row
 from ..core.facts import FactSet
-from ..core.record import Record
+from ..core.record import Record, check_row
 from ..core.schema import TableSchema
 from ..query.cache import CachedQueryEngine, QueryResultCache
 from .spec import EngineSpec
@@ -151,12 +151,16 @@ class WindowMiddleware(EngineMiddleware):
     def facts_for(self, row: Row) -> FactSet:
         """Discover one arrival; evict the oldest tuples when the window
         overflows (eviction happens *before* discovery so the new tuple
-        is compared only against live ones)."""
+        is compared only against live ones).  A row the engine would
+        refuse raises :class:`~repro.core.schema.SchemaError` before
+        anything is evicted."""
         inner = self.inner
         table = inner.table
         overflow = len(table) - self.window + 1
         if overflow > 0:
-            evicted = [record.tid for record in islice(table, overflow)]
+            if not isinstance(row, Record):
+                check_row(self.schema, row)
+            evicted = list(islice(table.tids(), overflow))
             # One grouped retraction: the inner store compacts (at most)
             # once for the whole eviction burst, not once per tuple.
             self._notify_retraction(inner.delete_many(evicted))
@@ -165,7 +169,7 @@ class WindowMiddleware(EngineMiddleware):
     @property
     def live_tids(self) -> List[int]:
         """Arrival ids currently inside the window, oldest first."""
-        return [record.tid for record in self.inner.table]
+        return list(self.inner.table.tids())
 
     def stats(self) -> Dict[str, object]:
         out = super().stats()
@@ -244,9 +248,13 @@ class AggregateMiddleware(EngineMiddleware):
     # -- streaming -------------------------------------------------------
     def facts_for(self, row: Row) -> FactSet:
         """Fold one base row into its group and rediscover facts for the
-        group's updated aggregate tuple."""
+        group's updated aggregate tuple.  A row missing an attribute or
+        carrying a non-numeric measure raises
+        :class:`~repro.core.schema.SchemaError` before any group is
+        created or folded into."""
         if isinstance(row, Record):
             row = row.as_dict(self._base_schema)
+        check_row(self._base_schema, row)
         key = tuple(row[a] for a in self.group.group_by)
         state = self._groups.get(key)
         if state is None:

@@ -16,7 +16,7 @@ from typing import Iterator, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .constraint import Constraint
-from .lattice import popcount
+from .lattice import popcount_array
 from .record import Record
 from .schema import TableSchema
 
@@ -71,17 +71,6 @@ class SituationalFact:
             "skyline_size": self.skyline_size,
             "prominence": self.prominence,
         }
-
-
-def _rank_key(fact: SituationalFact):
-    """Descending prominence; facts lacking prominence last, ties broken
-    by more-general-constraint-first then smaller subspace."""
-    prominence = fact.prominence
-    return (
-        -(prominence if prominence is not None else float("-inf")),
-        fact.constraint.bound_count,
-        popcount(fact.subspace),
-    )
 
 
 def _size_column(sizes) -> np.ndarray:
@@ -311,19 +300,39 @@ class FactSet:
         return prominence
 
     def _winners(self, chosen: np.ndarray) -> List[SituationalFact]:
-        """The facts at the ascending indices ``chosen`` in insertion
-        order — the already-materialised objects when there are any
-        (identity is preserved), fresh ones for just these otherwise."""
+        """The facts at the indices ``chosen``, in that order — the
+        already-materialised objects when there are any (identity is
+        preserved), fresh ones for just these otherwise."""
         if self._facts is not None or chosen.shape[0] == len(self):
             facts = self._materialise()
             return [facts[i] for i in chosen.tolist()]
         return self._build(chosen)
 
+    def _rank_keys(self, prominence: np.ndarray, at=slice(None)):
+        """The ranking keys of the facts at ``at`` (a slice, or an index
+        array), as three columns: the negated ``prominence`` (of
+        :meth:`_prominence`; missing reads ``+inf``, so last), the
+        bound count of each fact's position along ``C^t``, and the
+        popcount of its subspace."""
+        cons_seq, positions, subspaces = self._cells
+        masks = np.fromiter(
+            (constraint.bound_mask for constraint in cons_seq),
+            dtype=np.int64,
+            count=len(cons_seq),
+        )
+        return (
+            -prominence[at],
+            popcount_array(masks[positions[at]]),
+            popcount_array(subspaces[at]),
+        )
+
     def ranked(self) -> List[SituationalFact]:
         """Facts in descending prominence; facts lacking prominence sort
         last, ties broken by more-general-constraint-first then smaller
-        subspace (then insertion order)."""
-        return sorted(self._materialise(), key=_rank_key)
+        subspace (then insertion order): one stable ``lexsort`` over
+        the key columns."""
+        prominence, bound, popcount = self._rank_keys(self._prominence())
+        return self._winners(np.lexsort((popcount, bound, prominence)))
 
     def prominent(self, tau: float) -> List[SituationalFact]:
         """The paper's *prominent facts*: those attaining the highest
@@ -339,13 +348,21 @@ class FactSet:
         """The ``k`` most prominent facts (ties at the cut kept), in
         :meth:`ranked` order."""
         total = len(self)
-        if total <= k:
-            return self.ranked()
         prominence = self._prominence()
-        cutoff = np.partition(prominence, total - k)[total - k]
-        top = sorted(
-            self._winners(np.flatnonzero(prominence >= cutoff)), key=_rank_key
+        cutoff = (
+            np.partition(prominence, total - k)[total - k] if total > k else -np.inf
         )
+        chosen = np.flatnonzero(prominence >= cutoff)
+        # The winners are few: they sort on the same key columns in
+        # Python, tuple by tuple with the index last, which orders them
+        # as the stable ``lexsort`` of :meth:`ranked` does.  A NumPy sort
+        # kernel would page ~0.1–0.3 MB of machine code into a server
+        # whose reporting policy never ranks a whole set.
+        keys = sorted(
+            zip(*(key.tolist() for key in self._rank_keys(prominence, chosen)),
+                chosen.tolist())
+        )
+        top = self._winners(np.array([key[-1] for key in keys], dtype=np.intp))
         # With fewer than k scored facts the cut falls among the
         # unscored ones, which rank by the tie-breakers alone and whose
         # "ties" are not kept.

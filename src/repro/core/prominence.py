@@ -40,17 +40,23 @@ class ColumnInterner:
     """Per-column ``value → int32`` id tables for dimension matrices.
 
     The file codec's :class:`~repro.storage.codec.DimensionInterner` is
-    a single bidirectional catalog; columnar math wants one dense id
+    a single catalog over every column; columnar math wants one dense id
     space *per column* (ids double as equality classes inside that
-    column) and no reverse lookup.  Each :class:`ContextCounter` holds
-    one, which keys its constraints, the columnar store's dimension
-    columns and the vectorized baseline's.
+    column).  Each :class:`ContextCounter` holds one, which keys its
+    constraints, the columnar store's dimension columns and the
+    vectorized baseline's.  The reverse lookup (:meth:`values_of`)
+    answers each id with the value that first received it — one list
+    slot per distinct value, pointing at the object the table already
+    keys by — so the columnar store rebuilds a row's dimension values
+    from its ids.
     """
 
-    __slots__ = ("_tables",)
+    __slots__ = ("_tables", "_values")
 
     def __init__(self, n_columns: int) -> None:
         self._tables: List[Dict[object, int]] = [{} for _ in range(n_columns)]
+        #: ``_values[column][id]``: the first value interned at ``id``.
+        self._values: List[List[object]] = [[] for _ in range(n_columns)]
 
     def lookup(self, column: int, value) -> Optional[int]:
         """The id of ``value`` in ``column`` (``None`` if never seen)."""
@@ -66,8 +72,14 @@ class ColumnInterner:
             if vid is None:
                 vid = len(table)
                 table[value] = vid
+                self._values[i].append(value)
             out[i] = vid
         return out
+
+    def values_of(self, ids) -> Tuple[object, ...]:
+        """The values a row of ids stands for, one per column: each
+        id's first-seen value (equal to every value interned at it)."""
+        return tuple(map(list.__getitem__, self._values, ids))
 
     def probe_row(self, values) -> np.ndarray:
         """:meth:`intern_row` without interning: a value never seen

@@ -10,10 +10,15 @@ orders arrivals.  Measure values are stored twice:
 
 :class:`Table` is the append-only relation the paper streams tuples into
 and the one map from tuple id to record: it assigns tuple ids, normalises
-measures, and holds each live row as the one :class:`Record` object the
-arrival was discovered with (``FactSet.record`` of that arrival).  Every
-other layer — the columnar store, the window, the router's queries —
-reads rows from it by tid instead of keeping its own copy.
+measures, and answers every read of a live row by tid.  Every other
+layer — the window, queries, snapshots, the router — reads rows from it
+instead of keeping its own copy.  This class holds each live row as the
+:class:`Record` the arrival was discovered with; an algorithm that owns
+a columnar store keeps its rows only as the store's columns instead
+(:class:`~repro.storage.columnar_store.ColumnTable`), and builds a
+``Record`` on each read — equal to the arrival's, field for field and
+type for type, but a new object each time.  Either way the arrival's
+own record is the one its ``FactSet`` carries.
 """
 
 from __future__ import annotations
@@ -72,14 +77,17 @@ class Table:
     Tuples may only be appended (the paper's model); a best-effort
     :meth:`delete` is provided as the paper's future-work extension and is
     exercised by the engine's repair path.  Live records are held in one
-    dict keyed by tid, whose insertion order is arrival order.
+    dict keyed by tid, whose insertion order is arrival order; a
+    subclass that keeps its rows elsewhere overrides :meth:`_keep`,
+    :meth:`delete` and the reads (``get``, iteration, :meth:`tids`,
+    ``len``, ``in``).
 
     Examples
     --------
     >>> schema = TableSchema(("d1",), ("m1",))
     >>> table = Table(schema)
     >>> r = table.append({"d1": "a", "m1": 3})
-    >>> r.tid, len(table), table.get(0) is r
+    >>> r.tid, len(table), table.get(0) == r
     (0, 1, True)
     """
 
@@ -106,11 +114,15 @@ class Table:
                 record = Record(self._next_tid, row.dims, row.values, row.raw)
         else:
             dims, raw = self.schema.project_row(row)
-            values = self._normalise(raw)
+            values = _normalised(raw, self._signs)
             record = Record(self._next_tid, dims, values, tuple(raw))
-        self._rows[record.tid] = record
+        self._keep(record)
         self._next_tid += 1
         return record
+
+    def _keep(self, record: Record) -> None:
+        """Hold the record :meth:`append` numbered as the next arrival."""
+        self._rows[record.tid] = record
 
     def make_record(self, row: Mapping[str, object]) -> Record:
         """Build (but do not append) the :class:`Record` a row would become.
@@ -120,7 +132,9 @@ class Table:
         first, appending at the end — e.g. Alg. 2 line 10).
         """
         dims, raw = self.schema.project_row(row)
-        return Record(self._next_tid, dims, self._normalise(raw), tuple(raw))
+        return Record(
+            self._next_tid, dims, _normalised(raw, self._signs), tuple(raw)
+        )
 
     def delete(self, tid: int) -> Record:
         """Remove the record with id ``tid`` (future-work extension, §VIII).
@@ -139,7 +153,7 @@ class Table:
         ``KeyError`` on an unknown or repeated tid."""
         tids = list(tids)
         for tid in tids:
-            if tid not in self._rows:
+            if tid not in self:
                 raise KeyError(f"no record with tid={tid}")
         if len(set(tids)) < len(tids):
             raise KeyError(f"a tid repeats in {tids}")
@@ -156,12 +170,6 @@ class Table:
             )
         self._next_tid = tid
 
-    def _normalise(self, raw: Sequence[float]) -> Tuple[float, ...]:
-        try:
-            return tuple(s * float(v) for s, v in zip(self._signs, raw))
-        except (TypeError, ValueError):
-            raise SchemaError(f"non-numeric measure values in {raw!r}") from None
-
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
@@ -171,6 +179,14 @@ class Table:
     def __iter__(self) -> Iterator[Record]:
         """Live records in arrival order."""
         return iter(self._rows.values())
+
+    def __contains__(self, tid: object) -> bool:
+        """Whether ``tid`` names a live record."""
+        return tid in self._rows
+
+    def tids(self) -> Iterator[int]:
+        """Live tids in arrival order, without reading a record."""
+        return iter(self._rows)
 
     def get(self, tid: int) -> Optional[Record]:
         """The live record with id ``tid`` (``None`` if absent)."""
@@ -187,6 +203,27 @@ class Table:
     def select_constraint(self, constraint: "Constraint") -> List[Record]:
         """``σ_C(R)`` — records satisfying conjunctive ``constraint``."""
         return [rec for rec in self if constraint.satisfied_by(rec)]
+
+
+def _normalised(raw: Sequence[float], signs: Sequence[int]) -> Tuple[float, ...]:
+    try:
+        return tuple(s * float(v) for s, v in zip(signs, raw))
+    except (TypeError, ValueError):
+        raise SchemaError(f"non-numeric measure values in {raw!r}") from None
+
+
+def check_row(schema: TableSchema, row: Mapping[str, object]) -> None:
+    """Raise :class:`SchemaError` unless ``row`` carries every attribute
+    of ``schema`` and numeric measures only — the checks a
+    :class:`Table` makes when it builds a record, for a layer that must
+    refuse a row before it changes anything.
+
+    >>> check_row(TableSchema(("d",), ("m",)), {"d": "x", "m": "abc"})
+    Traceback (most recent call last):
+    ...
+    repro.core.schema.SchemaError: non-numeric measure values in ('abc',)
+    """
+    _normalised(schema.project_row(row)[1], schema.measure_signs())
 
 
 # Deferred import solely for the type used in ``select_constraint``.

@@ -46,7 +46,7 @@ Examples
 (2, 1)
 >>> [(c.values, m, [r.tid for r in rs]) for (c, m), rs in store.iter_pairs()]
 [(('a',), 1, [0])]
->>> store.record_at(row) is table.get(0) is record
+>>> store.record_at(row) == table.get(0) == record
 True
 >>> store.skyline_counts(("a",), [0b0, 0b1]).tolist()
 [[0, 0], [0, 1]]
@@ -54,8 +54,9 @@ True
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -102,6 +103,9 @@ WORD_BITS = 32
 #: deletion-heavy stream grow the columns unboundedly.
 _COMPACT_MIN_DEAD = 64
 _COMPACT_DEAD_FRACTION = 4
+
+#: Rows :class:`ColumnTable` builds records for at a time while iterated.
+_READ_BLOCK = 256
 
 #: Shared empty row-index array returned for pairs that hold nothing.
 _EMPTY_ROWS = np.empty(0, dtype=np.int64)
@@ -176,6 +180,10 @@ class ColumnarSkylineStore:
     (:class:`~repro.core.record.Table`) is the one map from tid to
     record: the store keeps an ``int64`` tid column, strictly
     increasing (rows register in arrival order), and no ``Record``.
+    Beside the normalised measures it keeps one flag per cell — the
+    arrival's raw value was an ``int`` — so :meth:`row_records` can
+    build a row's record back from the columns; a :class:`ColumnTable`
+    keeps its rows that way and nowhere else.
     The constraint table (:class:`~repro.core.prominence.ContextCounter`)
     interns the dimension columns and hands a row its constraint ids
     when it registers, so it must have registered the row's values
@@ -196,6 +204,8 @@ class ColumnarSkylineStore:
         self._interner = counter.interner
         self._n_dimensions = counter.n_dimensions
         self._n_measures = table.schema.n_measures
+        self._signs = table.schema.measure_signs()
+        self._max_preferred = all(sign == 1 for sign in self._signs)
         self._n = 0
         # The µ store: ``_cells[slot, row]`` is the anchor bitset of
         # ``row`` in the subspace holding ``slot`` — bit ``m`` (word
@@ -248,6 +258,7 @@ class ColumnarSkylineStore:
         self._tids = np.empty(cap, dtype=np.int64)
         self._values = np.empty((cap, self._n_measures), dtype=np.float64)
         self._dims = np.empty((cap, self._n_dimensions), dtype=np.int32)
+        self._raw_ints = np.empty((cap, self._n_measures), dtype=bool)
         self._slot_ids = np.empty((cap, len(self._mask_column)), dtype=np.int32)
         self._cells = np.zeros(
             (0, cap, self._cell_bytes // WORD.itemsize), dtype=WORD
@@ -262,6 +273,7 @@ class ColumnarSkylineStore:
         self._tids = grow_2d(self._tids, size, min_rows)
         self._values = grow_2d(self._values, size, min_rows)
         self._dims = grow_2d(self._dims, size, min_rows)
+        self._raw_ints = grow_2d(self._raw_ints, size, min_rows)
         self._slot_ids = grow_2d(self._slot_ids, size, min_rows)
         old = self._cells
         self._cells = np.zeros(
@@ -309,6 +321,7 @@ class ColumnarSkylineStore:
         self._tids[row] = record.tid
         self._values[row] = record.values
         self._dims[row] = self._interner.intern_row(record.dims)
+        self._raw_ints[row] = [type(value) is int for value in record.raw]
         self._slot_ids[row] = self._counter.row_ids(record.dims)
         self._n = row + 1
         return row
@@ -380,6 +393,7 @@ class ColumnarSkylineStore:
         self._tids[:n] = self._tids[index]
         self._values[:n] = self._values[index]
         self._dims[:n] = self._dims[index]
+        self._raw_ints[:n] = self._raw_ints[index]
         self._cells[:, :n] = self._cells[:, index]
         self._cells[:, n:end] = 0
         self._slot_ids[:n] = self._slot_ids[index]
@@ -543,6 +557,43 @@ class ColumnarSkylineStore:
         row's tid (``None`` when the table holds no such tuple: a
         retraction tombstone awaiting compaction)."""
         return self._table.get(int(self._tids[row]))
+
+    def row_records(self, rows) -> List[Record]:
+        """Records built from the columns at ``rows`` (an index array,
+        or a slice — the cheap way to read one row): the tid, each
+        dimension id's first-seen value
+        (:meth:`~repro.core.prominence.ColumnInterner.values_of`), the
+        normalised measures, and the raw measures signed back from them
+        — an ``int`` where the arrival's was one.  That is the
+        registered record, field for field and type for type, whenever
+        its fields are what a :class:`~repro.core.record.Table` builds
+        from ``str`` / ``int`` / ``float`` values; :class:`ColumnTable`
+        keeps any other arrival whole."""
+        values_of = self._interner.values_of
+        signs, plain = self._signs, self._max_preferred
+        out = []
+        for tid, ids, values, ints in zip(
+            self._tids[rows].tolist(),
+            self._dims[rows].tolist(),
+            self._values[rows].tolist(),
+            self._raw_ints[rows].tolist(),
+        ):
+            values = tuple(values)
+            if plain and not any(ints):
+                raw = values
+            else:
+                raw = tuple(
+                    int(sign * value) if is_int else sign * value
+                    for sign, value, is_int in zip(signs, values, ints)
+                )
+            out.append(Record(tid, values_of(ids), values, raw))
+        return out
+
+    def live_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(tids, rows)`` of the live registered rows, in arrival
+        order."""
+        rows = np.flatnonzero(self._dims[: self._n, 0] != -1)
+        return self._tids[rows], rows
 
     def row_of(self, tid: int) -> Optional[int]:
         """The column row of a live registered tid (``None`` if unknown
@@ -812,12 +863,12 @@ class ColumnarSkylineStore:
 
     def approx_bytes(self) -> int:
         """Resident bytes of the store's own state: the allocated
-        column arrays (tids and constraint ids included) and anchor-bit
-        matrix, and the scoring index's count matrix and closure table
-        (the records are the table's, the constraint table's keys the
+        column arrays (tids, raw-int flags and constraint ids included)
+        and anchor-bit matrix, and the scoring index's count matrix and
+        closure table (the constraint table's keys are the
         algorithm's)."""
         total = self._values.nbytes + self._dims.nbytes + self._cells.nbytes
-        total += self._tids.nbytes + self._slot_ids.nbytes
+        total += self._tids.nbytes + self._slot_ids.nbytes + self._raw_ints.nbytes
         if self._counts is not None:
             total += self._counts.nbytes + self._up_bytes.nbytes
         return total
@@ -832,3 +883,141 @@ class ColumnarSkylineStore:
         self._dead_count = 0
         self.counters.stored_tuples = 0
         self._allocate()
+
+
+def _same_value(a, b) -> bool:
+    """``a`` is ``b`` as far as a reader can tell: the same object, or
+    an equal ``str`` / ``int`` / ``float`` of the same type (a float
+    with the same sign, so ``-0.0`` is not ``0.0``)."""
+    if a is b:
+        return True
+    kind = type(a)
+    if kind is not type(b) or kind not in (str, int, float) or a != b:
+        return False
+    return kind is not float or math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class ColumnTable(Table):
+    """The relation of an algorithm that owns a
+    :class:`ColumnarSkylineStore`: its live rows are the store's rows,
+    and every read builds a :class:`~repro.core.record.Record` from them
+    (:meth:`ColumnarSkylineStore.row_records`).
+
+    The table builds its store (``self.store``) on itself and the
+    constraint table.  An arrival's record is the one its ``FactSet``
+    carries; discovery registers its row in the store, and
+    :meth:`_keep` then checks that the row reads back as that record,
+    field for field and type for type.  Only an arrival the columns
+    cannot reproduce — a ``bool``, ``str`` or past-2^53 ``int``
+    measure, a NaN, a dimension value of another type than the one its
+    id was first interned with, a hand-built record whose values are
+    not its signed raw measures — is kept whole, in the dict the base
+    class keeps every record in.  So ``get``, iteration, the value
+    :meth:`delete` returns, the store's :meth:`~ColumnarSkylineStore.\
+record_at` (queries) and snapshots all read rows equal to their
+    arrivals, and none holds a record between reads.
+
+    Between :meth:`delete` and the store's ``unregister`` — the
+    retraction repair, which needs the row's columns — the table
+    answers liveness itself; ``len()`` is a counter.
+
+    >>> from repro.core.prominence import ContextCounter
+    >>> from repro.core.schema import TableSchema
+    >>> table = ColumnTable(TableSchema(("d",), ("m",)), ContextCounter(1))
+    >>> record = table.make_record({"d": "x", "m": 3})
+    >>> row = table.store.register(record)
+    >>> table.append(record) is record, table.get(0) == record
+    (True, True)
+    >>> table.get(0) is table.get(0), type(table.get(0).raw[0])
+    (False, <class 'int'>)
+    """
+
+    def __init__(
+        self,
+        schema,
+        counter: ContextCounter,
+        counters: Optional[OpCounters] = None,
+    ) -> None:
+        super().__init__(schema)
+        self.store = ColumnarSkylineStore(self, counter, counters)
+        self._live = 0
+        #: Tids :meth:`delete` took whose store rows may still be
+        #: registered (see :meth:`_still_leaving`).
+        self._leaving: Set[int] = set()
+
+    def _keep(self, record: Record) -> None:
+        n = self.store.n_rows
+        built = self.store.row_records(slice(n - 1, n))  # empty while n is 0
+        if not built or built[0].tid != record.tid:
+            raise ValueError(
+                f"tid {record.tid} is not the store's newest row: discovery "
+                f"registers an arrival in the store before the table "
+                f"appends it"
+            )
+        built = built[0]
+        if not all(
+            map(
+                _same_value,
+                built.dims + built.values + built.raw,
+                record.dims + record.values + record.raw,
+            )
+        ):
+            self._rows[record.tid] = record
+        self._live += 1
+
+    def delete(self, tid: int) -> Record:
+        record = self.get(tid)
+        if record is None:
+            raise KeyError(f"no record with tid={tid}")
+        self._rows.pop(tid, None)
+        self._still_leaving().add(tid)
+        self._live -= 1
+        return record
+
+    def _still_leaving(self) -> Set[int]:
+        """The deleted tids whose store rows are still registered (a
+        retraction in progress), once the rest are dropped."""
+        if self._leaving:
+            row_of = self.store.row_of
+            self._leaving = {tid for tid in self._leaving if row_of(tid) is not None}
+        return self._leaving
+
+    def __len__(self) -> int:
+        return self._live
+
+    def _row_of(self, tid: object) -> Optional[int]:
+        """The store row of a live ``tid`` (``None`` for anything else,
+        a value the tid column cannot be searched for included)."""
+        if tid in self._leaving:
+            return None
+        try:
+            return self.store.row_of(tid)
+        except TypeError:
+            return None
+
+    def __contains__(self, tid: object) -> bool:
+        return tid in self._rows or self._row_of(tid) is not None
+
+    def get(self, tid: int) -> Optional[Record]:
+        record = self._rows.get(tid)
+        if record is None:
+            row = self._row_of(tid)
+            if row is not None:
+                record = self.store.row_records(slice(row, row + 1))[0]
+        return record
+
+    def tids(self) -> Iterator[int]:
+        tids = self.store.live_rows()[0].tolist()
+        leaving = self._still_leaving()
+        return iter([tid for tid in tids if tid not in leaving] if leaving else tids)
+
+    def __iter__(self) -> Iterator[Record]:
+        """Live records in arrival order, built a block of rows at a
+        time (the table must not change while it is iterated)."""
+        rows = self.store.live_rows()[1]
+        leaving, kept = self._still_leaving(), self._rows
+        for start in range(0, len(rows), _READ_BLOCK):
+            for record in self.store.row_records(rows[start : start + _READ_BLOCK]):
+                tid = record.tid
+                if tid not in leaving:
+                    yield kept.get(tid, record)

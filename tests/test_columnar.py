@@ -212,10 +212,11 @@ class TestColumnarSubstrate:
         store = store_of(initial_capacity=4)
         for tid in range(5):  # one growth: 8 rows allocated
             anchor(store, 0b01, rec(tid), 0b01)
-        # Per allocated row: one int64 tid, 2 float64 measures, 2 int32
-        # dimension ids and one int32 constraint id per mask of C^t (4
-        # at d = 2).  The records are the relation's.
-        arrays = 8 * (8 + 2 * 8 + 2 * 4 + 4 * 4) + store._cells.nbytes
+        # Per allocated row: one int64 tid, 2 float64 measures, 2 bool
+        # raw-int flags, 2 int32 dimension ids and one int32 constraint
+        # id per mask of C^t (4 at d = 2).  The records are the
+        # relation's.
+        arrays = 8 * (8 + 2 * 8 + 2 + 2 * 4 + 4 * 4) + store._cells.nbytes
         assert store._cells.shape[1:] == (8, 1)
         assert store.approx_bytes() == arrays
         # The scoring index joins once built: the count matrix (64 ids
@@ -587,11 +588,11 @@ class TestOneRowHistory:
         for row in range(store.n_rows):
             tid = int(store._tids[row])
             record = engine.table.get(tid)
-            assert store.record_at(row) is record
+            assert store.record_at(row) == record
             if record is not None:
                 live += 1
                 assert store.row_of(tid) == row
-                assert record is arrived[tid]
+                assert record == arrived[tid]
         assert live == len(engine.table)
 
     def test_one_row_history_store_holds_no_records(self, stream):

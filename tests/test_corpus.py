@@ -42,6 +42,7 @@ pre-built :class:`~repro.core.record.Record` s, whose tid every engine
 re-assigns to the arrival index.
 """
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -62,6 +63,7 @@ from repro.core.record import Table
 from repro.core.skyline import is_contextual_skyline_tuple
 from repro.metrics.counters import OpCounters
 from tests.conftest import MEMORY_ALGORITHMS, STORE_ALGORITHMS
+from tests.test_prominence import object_ranked, object_top_k
 from tests.strategies import (
     DHATS,
     FAMILIES,
@@ -409,3 +411,58 @@ def test_past_the_count_index_caps(shape, armed, data):
     """Shapes past the count index's caps, where ``svec`` counts
     skylines from its anchor-bit matrix."""
     drive_swept(data.draw(stream_scenarios(past_cap=shape), label="scenario"), armed)
+
+
+def check_ranking(facts):
+    """``ranked()`` and ``top_k`` in columns against the key sort they
+    replaced (``tests/test_prominence.py``'s object oracle), fact for
+    fact: ties, missing prominence and the duplicate facts of
+    None-collapsed constraints included.  ``top_k`` runs first, on the
+    unmaterialised set that builds only its winners."""
+    top = {k: facts.top_k(k) for k in (1, 3, 8)}
+    ranked = facts.ranked()
+    objects = list(facts)
+    want = object_ranked(objects)
+    assert len(ranked) == len(want)
+    assert all(got is fact for got, fact in zip(ranked, want))
+    for k, got in top.items():
+        assert got == object_top_k(objects, k), k
+
+
+@pytest.mark.parametrize(
+    "dhat", DHATS, ids=["uncapped" if d is None else f"dhat{d}" for d in DHATS]
+)
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_ranking_in_columns_is_the_key_sort(family, dhat, data):
+    """Every arrival's ``S_t`` on a corpus stream, from a store-free and
+    a columnar engine, and unscored (no prominence anywhere), ranks as
+    the key sort did."""
+    scenario = data.draw(
+        stream_scenarios(families=(family,), dhats=(dhat,)), label="scenario"
+    )
+    schema, config = scenario.schema, scenario.config
+    engines = [
+        FactDiscoverer(schema, name, config) for name in ("stopdown", "svec")
+    ] + [
+        FactDiscoverer(
+            schema, "svec", dataclasses.replace(config, tau=None, top_k=None),
+            score=False,
+        )
+    ]
+    live = []
+    for op in [*scenario.ops, scenario.probe]:
+        if not isinstance(op, dict):
+            if not live:
+                continue
+            tid = live.pop((op if isinstance(op, int) else op[0]) % len(live))
+            for engine in engines:
+                engine.delete(tid)
+            if isinstance(op, int):
+                continue
+            op = op[1]
+        for engine in engines:
+            facts = engine.facts_for(op)
+            check_ranking(facts)
+        live.append(facts.record.tid)
